@@ -1,6 +1,6 @@
 # Developer entry points. `make tier1` mirrors the CI verify exactly.
 
-.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service
+.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service perfbench-quick
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -85,6 +85,14 @@ bench-service:
 # every PR by CI so benches cannot rot
 bench-smoke:
 	cargo bench -p bench_suite --benches -- --test
+
+# the repo's benchmark (BENCHMARK.json's command; perfbench/README.md) at
+# 1/20 of its run length: builds the separate perfbench package against
+# the workspace crates and runs all six workloads once with every output
+# check on — a smoke run, its numbers are marked not comparable. Must run
+# with no MPISIM_* variable set.
+perfbench-quick:
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --quick
 
 # refresh the committed wall-clock baseline: the protocols bench plus the
 # steady_state_8proc deployment group (each bench binary overwrites

@@ -14,7 +14,7 @@
 //!   twenty-four times, with zero cross-job overlap.
 //!
 //! Both sides run the identical solve path (dup'd communicators,
-//! futures-driven retirement), so the pair prices exactly what the
+//! delivery-order retirement), so the pair prices exactly what the
 //! multi-tenant scheduler amortizes. `scripts/bench_compare --service`
 //! pairs the entries and GATES concurrent >= 1.2x sequential jobs/sec:
 //! if batching tenants into one epoch ever stops paying for the

@@ -118,8 +118,8 @@ pub fn iteration_time(
 }
 
 /// Modeled Start+Wait time of one iteration under the **partitioned**
-/// locality-aware execution (§5's combination, implemented in
-/// [`crate::exec_partitioned`]): staging (`s`) overlaps inter-region
+/// locality-aware execution (§5's combination, the executor's
+/// partitioned wire): staging (`s`) overlaps inter-region
 /// injection (`g`), so the chain `t_s + t_g` collapses to
 /// `max(t_s, t_g)` (+ the final redistribution).
 pub fn iteration_time_partitioned(

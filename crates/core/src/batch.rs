@@ -78,8 +78,7 @@
 use crate::agg::AssignStrategy;
 use crate::collective::select::{candidates_within, choose_with};
 use crate::collective::Protocol;
-use crate::exec::PersistentNeighbor;
-use crate::exec_partitioned::PartitionedNeighbor;
+use crate::exec::NeighborExec;
 use crate::neighbor::{Backend, NeighborRequest};
 use crate::pattern::CommPattern;
 use crate::routing::{BatchEntryPlan, BatchRankRouting, RankRouting};
@@ -93,75 +92,6 @@ use mpisim::{ChanId, Comm, RankCtx};
 use perfmodel::{CostModel, LocalityModel};
 use std::sync::{Arc, Mutex, OnceLock};
 use tuner::{size_bucket, ProfileCache, ProfileKey, TunePolicy};
-
-pub(crate) struct PlainRequest {
-    pub(crate) inner: PersistentNeighbor,
-    pub(crate) protocol: Protocol,
-    /// Requests outlive their builder; holding the lease keeps the tag
-    /// span from being re-used while this request's channels are live.
-    pub(crate) _lease: Option<Arc<TagLease>>,
-}
-
-impl NeighborRequest for PlainRequest {
-    fn input_index(&self) -> &[usize] {
-        self.inner.input_index()
-    }
-    fn output_index(&self) -> &[usize] {
-        self.inner.output_index()
-    }
-    fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
-        self.inner.start(ctx, input);
-    }
-    fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
-        self.inner.test(ctx, output)
-    }
-    fn pending_chans(&self, out: &mut Vec<ChanId>) {
-        self.inner.pending_chans(out);
-    }
-    fn wait(&mut self, ctx: &mut RankCtx, output: &mut [f64]) {
-        self.inner.wait(ctx, output);
-    }
-    fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-    fn is_partitioned(&self) -> bool {
-        false
-    }
-}
-
-pub(crate) struct PartitionedRequest {
-    pub(crate) inner: PartitionedNeighbor,
-    pub(crate) protocol: Protocol,
-    /// See [`PlainRequest::_lease`].
-    pub(crate) _lease: Option<Arc<TagLease>>,
-}
-
-impl NeighborRequest for PartitionedRequest {
-    fn input_index(&self) -> &[usize] {
-        self.inner.input_index()
-    }
-    fn output_index(&self) -> &[usize] {
-        self.inner.output_index()
-    }
-    fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
-        self.inner.start(ctx, input);
-    }
-    fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
-        self.inner.test(ctx, output)
-    }
-    fn pending_chans(&self, out: &mut Vec<ChanId>) {
-        self.inner.pending_chans(out);
-    }
-    fn wait(&mut self, ctx: &mut RankCtx, output: &mut [f64]) {
-        self.inner.wait(ctx, output);
-    }
-    fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-    fn is_partitioned(&self) -> bool {
-        true
-    }
-}
 
 struct EntrySpec<'a> {
     pattern: &'a CommPattern,
@@ -350,151 +280,108 @@ impl<'a> NeighborBatch<'a> {
             let mut routings: Vec<Option<RankRouting>> =
                 br.entries.iter().cloned().map(Some).collect();
             let mut reg = ctx.chan_registrar();
-            self.entries
+            // an arena window means the plain wire; entries routed without
+            // one (Backend::Partitioned) get the partitioned wire
+            let mut init_slot = |slot: usize, protocol: Protocol| {
+                NeighborExec::register(
+                    routings[slot].take().expect("expanded slot inits once"),
+                    &mut reg,
+                    comm,
+                    br.arena_off[slot].map(|off| (arena.clone(), off)),
+                    protocol,
+                    resolved.lease.clone(),
+                )
+            };
+            resolved
+                .expanded
                 .iter()
-                .zip(&resolved.expanded)
                 .enumerate()
-                .map(|(i, (spec, ex))| {
-                    let protocol = resolved.plans[i].0;
-                    match (&spec.backend, &ex.tuned) {
-                        (Backend::Partitioned(_), _) => Box::new(PartitionedRequest {
-                            inner: PartitionedNeighbor::from_routing_in(
-                                routings[ex.start].take().expect("expanded slot inits once"),
-                                &mut reg,
-                                comm,
-                            ),
-                            protocol,
-                            _lease: resolved.lease.clone(),
-                        })
-                            as Box<dyn NeighborRequest>,
-                        (_, None) => Box::new(PlainRequest {
-                            inner: PersistentNeighbor::from_routing_in(
-                                routings[ex.start].take().expect("expanded slot inits once"),
-                                &mut reg,
-                                comm,
-                                arena.clone(),
-                                br.arena_off[ex.start].expect("plain entry has an arena window"),
-                            ),
-                            protocol,
-                            _lease: resolved.lease.clone(),
-                        }),
-                        (_, Some(tr)) => {
-                            // one cache consult per process per fabric,
-                            // memoized: every rank — and every later
-                            // epoch on a pooled world — sees the same
-                            // answer, so channel registration never
-                            // diverges mid-process
-                            let fabric = ctx.fabric();
-                            let winner = {
-                                let mut consults =
-                                    tr.consult.lock().expect("consult lock unpoisoned");
-                                match consults.iter().find(|(f, _)| f == fabric) {
-                                    Some(&(_, w)) => w,
-                                    None => {
-                                        let w = tr.policy.profile_dir.as_ref().and_then(|dir| {
-                                            let key = ProfileKey {
-                                                pattern_sig: tr.pattern_sig,
-                                                topo_sig: tr.topo_sig,
-                                                size_bucket: tr.size_bucket,
-                                                fabric: fabric.to_string(),
-                                            };
-                                            // unreadable/corrupt/missing
-                                            // cache, a winner outside
-                                            // today's shortlist (admission
-                                            // factor changed), or an entry
-                                            // measured under an older
-                                            // model-refit generation
-                                            // (policy.fit_version moved on)
-                                            // → probe
-                                            ProfileCache::new(dir)
-                                                .lookup(&key)
-                                                .filter(|e| e.fit_ver >= tr.policy.fit_version)
-                                                .and_then(|e| {
-                                                    tr.candidates
-                                                        .iter()
-                                                        .position(|(p, _, _)| p.name() == e.winner)
-                                                })
-                                        });
-                                        consults.push((fabric.to_string(), w));
-                                        w
-                                    }
-                                }
-                            };
-                            match winner {
-                                // warm start: the cache already knows the
-                                // winner — register only its channels and
-                                // skip the probe phase entirely
-                                Some(w) if tr.policy.recheck_iters == 0 => Box::new(PlainRequest {
-                                    inner: PersistentNeighbor::from_routing_in(
-                                        routings[ex.start + w]
-                                            .take()
-                                            .expect("expanded slot inits once"),
-                                        &mut reg,
-                                        comm,
-                                        arena.clone(),
-                                        br.arena_off[ex.start + w]
-                                            .expect("plain entry has an arena window"),
-                                    ),
-                                    protocol: tr.candidates[w].0,
-                                    _lease: resolved.lease.clone(),
-                                })
-                                    as Box<dyn NeighborRequest>,
-                                // no usable cached winner → full probe; a
-                                // cached winner under a positive spot-check
-                                // budget (`recheck_iters`) → warm-start the
-                                // tuned request: run the winner for the
-                                // warm-up window, then re-probe and
-                                // re-publish, so a stale winner is evicted
-                                // instead of trusted forever
-                                warm => {
-                                    let candidates: Vec<TunedCandidate> = tr
-                                        .candidates
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(c, &(protocol, msgs, bytes))| {
-                                            let slot = ex.start + c;
-                                            TunedCandidate {
-                                                inner: Some(PersistentNeighbor::from_routing_in(
-                                                    routings[slot]
-                                                        .take()
-                                                        .expect("expanded slot inits once"),
-                                                    &mut reg,
-                                                    comm,
-                                                    arena.clone(),
-                                                    br.arena_off[slot]
-                                                        .expect("plain entry has an arena window"),
-                                                )),
-                                                protocol,
-                                                msgs,
-                                                bytes,
-                                            }
+                .map(|(i, ex)| -> Box<dyn NeighborRequest> {
+                    let Some(tr) = &ex.tuned else {
+                        return Box::new(init_slot(ex.start, resolved.plans[i].0));
+                    };
+                    let fabric = ctx.fabric();
+                    // the profile cache and this entry's key on this
+                    // fabric, if a cache directory is configured
+                    let cache = tr.policy.profile_dir.as_ref().map(|dir| {
+                        let key = ProfileKey {
+                            pattern_sig: tr.pattern_sig,
+                            topo_sig: tr.topo_sig,
+                            size_bucket: tr.size_bucket,
+                            fabric: fabric.to_string(),
+                        };
+                        (ProfileCache::new(dir), key)
+                    });
+                    // one cache consult per process per fabric, memoized:
+                    // every rank — and every later epoch on a pooled world
+                    // — sees the same answer, so channel registration never
+                    // diverges mid-process
+                    let winner = {
+                        let mut consults = tr.consult.lock().expect("consult lock unpoisoned");
+                        match consults.iter().find(|(f, _)| f == fabric) {
+                            Some(&(_, w)) => w,
+                            None => {
+                                // unreadable/corrupt/missing cache, a winner
+                                // outside today's shortlist (admission
+                                // factor changed), or an entry measured
+                                // under an older model-refit generation
+                                // (policy.fit_version moved on) → probe
+                                let w = cache.as_ref().and_then(|(cache, key)| {
+                                    cache
+                                        .lookup(key)
+                                        .filter(|e| e.fit_ver >= tr.policy.fit_version)
+                                        .and_then(|e| {
+                                            tr.candidates
+                                                .iter()
+                                                .position(|(p, _, _)| p.name() == e.winner)
                                         })
-                                        .collect();
-                                    let publish =
-                                        tr.policy.profile_dir.as_ref().map(|dir| PublishSpec {
-                                            cache: ProfileCache::new(dir),
-                                            key: ProfileKey {
-                                                pattern_sig: tr.pattern_sig,
-                                                topo_sig: tr.topo_sig,
-                                                size_bucket: tr.size_bucket,
-                                                fabric: fabric.to_string(),
-                                            },
-                                            fit_ver: tr.policy.fit_version,
-                                        });
-                                    let tuned = TunedNeighbor::new(
-                                        candidates,
-                                        tr.policy.probe_iters,
-                                        tr.ctl_base,
-                                        comm.clone(),
-                                        publish,
-                                        resolved.lease.clone(),
-                                    );
-                                    Box::new(match warm {
-                                        Some(w) => tuned.warm_start(w, tr.policy.recheck_iters),
-                                        None => tuned,
-                                    })
-                                }
+                                });
+                                consults.push((fabric.to_string(), w));
+                                w
                             }
+                        }
+                    };
+                    match winner {
+                        // warm start: the cache already knows the winner —
+                        // register only its channels and skip the probe
+                        // phase entirely
+                        Some(w) if tr.policy.recheck_iters == 0 => {
+                            Box::new(init_slot(ex.start + w, tr.candidates[w].0))
+                        }
+                        // no usable cached winner → full probe; a cached
+                        // winner under a positive spot-check budget
+                        // (`recheck_iters`) → warm-start the tuned request:
+                        // run the winner for the warm-up window, then
+                        // re-probe and re-publish, so a stale winner is
+                        // evicted instead of trusted forever
+                        warm => {
+                            let candidates: Vec<TunedCandidate> = tr
+                                .candidates
+                                .iter()
+                                .enumerate()
+                                .map(|(c, &(protocol, msgs, bytes))| TunedCandidate {
+                                    inner: Some(init_slot(ex.start + c, protocol)),
+                                    protocol,
+                                    msgs,
+                                    bytes,
+                                })
+                                .collect();
+                            let publish = cache.map(|(cache, key)| PublishSpec {
+                                cache,
+                                key,
+                                fit_ver: tr.policy.fit_version,
+                            });
+                            let tuned = TunedNeighbor::new(
+                                candidates,
+                                tr.policy.probe_iters,
+                                tr.ctl_base,
+                                comm.clone(),
+                                publish,
+                            );
+                            Box::new(match warm {
+                                Some(w) => tuned.warm_start(w, tr.policy.recheck_iters),
+                                None => tuned,
+                            })
                         }
                     }
                 })
@@ -788,8 +675,8 @@ impl BatchRequest {
 
     /// Append every in-flight entry's pending channels to `out`: the
     /// union wake set [`BatchRequest::wait_any`] parks on, exposed so an
-    /// external executor (`mpi_advance::future::ProgressDriver`) can park
-    /// once across several sessions and wake the right one.
+    /// external driver (the solve service's scheduler) can park once
+    /// across several sessions and wake the right one.
     pub fn pending_chans(&self, out: &mut Vec<ChanId>) {
         for (e, req) in self.requests.iter().enumerate() {
             if self.in_flight[e] {
@@ -815,11 +702,7 @@ impl BatchRequest {
             }
             let mut chans = std::mem::take(&mut self.chan_scratch);
             chans.clear();
-            for (e, req) in self.requests.iter().enumerate() {
-                if self.in_flight[e] {
-                    req.pending_chans(&mut chans);
-                }
-            }
+            self.pending_chans(&mut chans);
             ctx.wait_any(&chans);
             self.chan_scratch = chans;
         }
@@ -996,6 +879,31 @@ mod tests {
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(4, 2);
         let _ = NeighborBatch::new(&topo).entry(&pattern, Backend::Auto);
+    }
+
+    #[test]
+    fn plan_communicator_size_mismatch_fails_loudly_on_both_wires() {
+        // a batch planned for 8 ranks initialized on a 4-rank pool
+        let (a, _, topo) = patterns();
+        let pool = World::pool(4);
+        for backend in [
+            Backend::Protocol(Protocol::FullNeighbor),
+            Backend::Partitioned(Protocol::FullNeighbor),
+        ] {
+            let batch = NeighborBatch::new(&topo).entry(&a, backend);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(|ctx| {
+                    let comm = ctx.comm_world();
+                    batch.init_all(ctx, &comm).len()
+                })
+            }))
+            .expect_err("mismatched init must panic");
+            let msg = payload.downcast_ref::<String>().expect("assert message");
+            assert!(
+                msg.contains("plan/communicator size mismatch"),
+                "{backend:?}: {msg}"
+            );
+        }
     }
 
     #[test]

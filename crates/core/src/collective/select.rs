@@ -15,9 +15,33 @@ use crate::pattern::CommPattern;
 use locality::Topology;
 use perfmodel::CostModel;
 
+/// Plan every candidate with `strategy` and rank them by modeled
+/// per-iteration time, cheapest first. The sort is stable, so equal-cost
+/// candidates keep the caller's order.
+fn ranked(
+    candidates: &[Protocol],
+    pattern: &CommPattern,
+    topo: &Topology,
+    model: &dyn CostModel,
+    strategy: AssignStrategy,
+) -> Vec<(Protocol, Plan, f64)> {
+    assert!(!candidates.is_empty());
+    let mut ranked: Vec<(Protocol, Plan, f64)> = candidates
+        .iter()
+        .map(|&p| {
+            let plan = p.plan_with(pattern, topo, strategy);
+            let t = iteration_time(&plan, topo, model, p.is_wrapped()).total;
+            (p, plan, t)
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.2.total_cmp(&b.2));
+    ranked
+}
+
 /// Pick the protocol with the lowest modeled per-iteration time for
-/// `pattern` among `candidates`, planning with `strategy`. Returns the
-/// winner, its (reusable) plan, and its modeled time.
+/// `pattern` among `candidates` (the first listed, on a tie), planning
+/// with `strategy`. Returns the winner, its (reusable) plan, and its
+/// modeled time.
 pub fn choose_with(
     candidates: &[Protocol],
     pattern: &CommPattern,
@@ -25,16 +49,7 @@ pub fn choose_with(
     model: &dyn CostModel,
     strategy: AssignStrategy,
 ) -> (Protocol, Plan, f64) {
-    assert!(!candidates.is_empty());
-    candidates
-        .iter()
-        .map(|&p| {
-            let plan = p.plan_with(pattern, topo, strategy);
-            let t = iteration_time(&plan, topo, model, p.is_wrapped()).total;
-            (p, plan, t)
-        })
-        .min_by(|a, b| a.2.total_cmp(&b.2))
-        .expect("non-empty candidates")
+    ranked(candidates, pattern, topo, model, strategy).swap_remove(0)
 }
 
 /// Pick the protocol with the lowest modeled per-iteration time for
@@ -104,17 +119,8 @@ pub fn candidates_within(
     strategy: AssignStrategy,
     factor: f64,
 ) -> Vec<(Protocol, Plan, f64)> {
-    assert!(!candidates.is_empty());
     assert!(factor >= 1.0, "admission factor must be >= 1.0");
-    let mut ranked: Vec<(Protocol, Plan, f64)> = candidates
-        .iter()
-        .map(|&p| {
-            let plan = p.plan_with(pattern, topo, strategy);
-            let t = iteration_time(&plan, topo, model, p.is_wrapped()).total;
-            (p, plan, t)
-        })
-        .collect();
-    ranked.sort_by(|a, b| a.2.total_cmp(&b.2));
+    let mut ranked = ranked(candidates, pattern, topo, model, strategy);
     let cutoff = ranked[0].2 * factor;
     ranked.retain(|&(_, _, t)| t <= cutoff);
     ranked
@@ -185,6 +191,39 @@ mod tests {
             AssignStrategy::LoadBalanced,
         );
         assert!(best <= std_t + 1e-15);
+    }
+
+    #[test]
+    fn equal_cost_candidates_keep_the_listed_order() {
+        // one inter-region value: nothing to deduplicate, so Partial and
+        // Full build the same plan and tie exactly — the first listed wins
+        let pattern = CommPattern::new(
+            8,
+            vec![
+                vec![(4, vec![0])],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+            ],
+        );
+        let topo = Topology::block_nodes(8, 4);
+        let model = LocalityModel::lassen();
+        let strategy = AssignStrategy::LoadBalanced;
+        for order in [
+            [Protocol::PartialNeighbor, Protocol::FullNeighbor],
+            [Protocol::FullNeighbor, Protocol::PartialNeighbor],
+        ] {
+            let (winner, _, t) = choose_with(&order, &pattern, &topo, &model, strategy);
+            let tied = candidates_within(&order, &pattern, &topo, &model, strategy, 1.0);
+            assert_eq!(winner, order[0]);
+            assert_eq!(tied.len(), 2, "an exact tie admits both at factor 1.0");
+            assert_eq!([tied[0].0, tied[1].0], order);
+            assert!(tied.iter().all(|c| c.2 == t));
+        }
     }
 
     #[test]

@@ -1,67 +1,371 @@
 //! Executing a plan as real persistent communication on `mpisim`.
 //!
-//! [`PersistentNeighbor`] is the per-rank persistent collective object — the
-//! analogue of the request returned by `MPI_Neighbor_alltoallv_init`. All
-//! routing (buffer layouts, staging copy maps, request registration) comes
-//! from [`RankRouting`] and is fixed at init; each iteration only moves
-//! values through `start`/`wait`, exactly as the paper's persistent API
+//! [`NeighborExec`] is the per-rank persistent collective object — the
+//! analogue of the request returned by `MPI_Neighbor_alltoallv_init`, and
+//! the one implementation of the ℓ→s→g→r lifecycle. All routing (buffer
+//! layouts, staging copy maps, request registration) comes from
+//! [`RankRouting`] and is fixed at init; each iteration only moves values
+//! through `start`/`test`/`wait`, exactly as the paper's persistent API
 //! prescribes (Algorithms 4–6).
+//!
+//! # Two wires, one state machine
+//!
+//! The ℓ, s, and r steps are identical for every backend; only the
+//! inter-region (`g`) step has two wires ([`Wire`]), matched only where
+//! they genuinely differ — registration, shipping at `start` (including
+//! what an arriving staging message triggers), draining in `test`, the
+//! r-forward lookup, and which channel(s) a pending g receive parks on:
+//!
+//! * **plain** — each g message is one persistent send over its window of
+//!   the request's arena, shipped once staging completes;
+//! * **partitioned** — the combination the paper's §5 proposes ("large
+//!   messages have been optimized separately with both locality-aware
+//!   methods and partitioned communication. The combination of these
+//!   optimizations, partitioning locality-aware messages, can have an even
+//!   large impact"): the origin-major g layout's partition bounds become
+//!   real partitioned requests, one partition per staging rank, and each
+//!   partition is injected (`MPI_Pready`-style) as its staging message is
+//!   received instead of after the whole s step.
 //!
 //! # Zero-copy staging
 //!
-//! The ℓ, s, and r steps run on the buffer-less channel halves: sends
-//! gather input values straight into the pre-matched channel's recycled
-//! wire buffer, receives scatter straight from the delivered payload. The
-//! only registered windows are the inter-region (`g`) send buffers, which
-//! all alias **one arena allocation per request**: each s-step receive is
-//! registered directly into its partition's window of the arena, so staged
-//! values land in the g send buffer with no intermediate `s` buffer and no
-//! second copy. On the receive side, `wait` borrows each g payload off the
+//! The ℓ, s, and r steps run on the buffer-less channel halves: a send
+//! gathers its values straight into the pre-matched channel's recycled
+//! wire buffer ([`SendChan::start_with`]), a receive scatters straight
+//! from the delivered payload — no per-request staging windows, no
+//! per-iteration allocations. The only registered windows are the g
+//! buffers, and every s-step receive is registered **directly into its
+//! partition's window** of the g send buffer it feeds, so staged values
+//! land wire-ready with no intermediate `s` buffer and no second copy. On
+//! the plain wire all g send buffers alias **one arena allocation per
+//! request** (or per batch), and `test` borrows each g payload off the
 //! channel, scatters ghost values into the output, feeds the r-step
-//! forwards from the same borrowed payload, and recycles it — the
-//! intermediate `g` receive window is gone entirely.
+//! forwards from the same borrowed payload, and recycles it — no g receive
+//! window at all. Only the partitioned g receive keeps a registered
+//! window: partitions complete independently into one buffer, and the
+//! r-step forwards read from it.
 //!
-//! Construct it through [`crate::NeighborAlltoallv`]; the constructors here
-//! are the plumbing under that builder.
+//! Construct requests through [`crate::NeighborAlltoallv`] or
+//! [`crate::NeighborBatch`].
 
-use crate::agg::Plan;
-use crate::exec_common::{
-    register_r_sends, register_recvs, register_sends, RSendExec, RecvExec, SendExec,
-};
-use crate::pattern::CommPattern;
-use crate::routing::{PartSource, RankRouting, RecvRoute};
+use crate::collective::Protocol;
+use crate::neighbor::NeighborRequest;
+use crate::routing::{GRecvRoute, GSendRoute, PartSource, RankRouting, RecvRoute, SRecvRoute};
+use crate::tagspace::TagLease;
 use mpisim::persistent::shared_buf;
-use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvReq, SendReq, SharedBuf};
+use mpisim::{
+    ChanId, ChanRegistrar, Comm, PrecvReq, PsendReq, RankCtx, RecvChan, RecvReq, SendChan, SendReq,
+    SharedBuf,
+};
 use std::ops::Range;
+use std::sync::Arc;
 
-struct GSendExec {
+/// A send gathered through a copy map. `S` is what feeds a slot: an input
+/// position (ℓ, s) or a `(g receive index, slot position)` pair (r).
+struct SendExec<S> {
+    req: SendChan<f64>,
+    sources: Vec<S>,
+}
+
+impl<S: Copy> SendExec<S> {
+    fn register(
+        reg: &mut ChanRegistrar,
+        comm: &Comm,
+        dst: usize,
+        tag: u64,
+        sources: Vec<S>,
+    ) -> Self {
+        Self {
+            req: reg.send_chan_init(comm, dst, tag, sources.len()),
+            sources,
+        }
+    }
+
+    /// Start one instance: gather each slot's value (resolved by `value`)
+    /// directly into the channel's wire buffer.
+    fn start_gather(&self, ctx: &mut RankCtx, value: impl Fn(S) -> f64) {
+        let sources = &self.sources;
+        self.req
+            .start_with(ctx, |buf| buf.extend(sources.iter().map(|&s| value(s))));
+    }
+}
+
+/// A receive delivered straight into the output vector.
+struct RecvExec {
+    req: RecvChan<f64>,
+    /// `(slot position, output position)` pairs delivered here.
+    outputs: Vec<(usize, usize)>,
+}
+
+impl RecvExec {
+    fn register_all(routes: Vec<RecvRoute>, reg: &mut ChanRegistrar, comm: &Comm) -> Vec<Self> {
+        routes
+            .into_iter()
+            .map(|r| Self {
+                req: reg.recv_chan_init(comm, r.src, r.tag, r.len),
+                outputs: r.outputs,
+            })
+            .collect()
+    }
+
+    /// Non-blocking completion: if the payload has arrived, scatter it
+    /// straight into `output` (no intermediate receive window) and report
+    /// completion; otherwise leave the receive pending. One resumable
+    /// completion step of the lifecycle's `test`.
+    fn try_scatter(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
+        match self.req.try_take(ctx) {
+            Some(data) => {
+                scatter(&self.outputs, &data, output);
+                self.req.recycle(data);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+fn scatter(outputs: &[(usize, usize)], data: &[f64], output: &mut [f64]) {
+    for &(pos, out) in outputs {
+        output[out] = data[pos];
+    }
+}
+
+/// A staging receive, registered directly into the window of the g send
+/// partition it fills — staged data arrives wire-ready.
+struct SRecv {
+    req: RecvReq<f64>,
+    /// Which g send and partition this staging message fills (what the
+    /// partitioned wire marks ready on arrival).
+    g_send: usize,
+    partition: usize,
+}
+
+impl SRecv {
+    fn register(
+        route: SRecvRoute,
+        reg: &mut ChanRegistrar,
+        comm: &Comm,
+        buf: &SharedBuf<f64>,
+        win: Range<usize>,
+    ) -> Self {
+        // hard check: an oversized staging receive would overrun into the
+        // next partition's window
+        assert_eq!(win.len(), route.len, "staging/partition length mismatch");
+        Self {
+            req: reg.recv_init(
+                comm,
+                route.src,
+                route.tag,
+                buf.clone(),
+                win.start,
+                route.len,
+            ),
+            g_send: route.g_send,
+            partition: route.partition,
+        }
+    }
+}
+
+/// Plain-wire g send: one persistent message over its arena window.
+struct GSend {
     req: SendReq<f64>,
     /// Partitions fed by this rank's own input:
     /// (arena-absolute slot range, input position per slot).
     input_parts: Vec<(Range<usize>, Vec<usize>)>,
 }
 
-/// The persistent neighborhood collective of one rank.
-pub struct PersistentNeighbor {
+/// Partitioned-wire g send: one partition per contributing origin.
+struct GPsend {
+    req: PsendReq<f64>,
+    buf: SharedBuf<f64>,
+    /// Partitions fed by this rank's own input:
+    /// (partition index, input position per slot).
+    input_parts: Vec<(usize, Vec<usize>)>,
+}
+
+/// Partitioned-wire g receive: partitions assemble into one window.
+struct GPrecv {
+    req: PrecvReq<f64>,
+    buf: SharedBuf<f64>,
+    outputs: Vec<(usize, usize)>,
+}
+
+/// How the inter-region (`g`) messages travel. Everything else about a
+/// request is wire-independent.
+enum Wire {
+    Plain {
+        /// One allocation backing every g send buffer; s receives alias
+        /// into it.
+        arena: SharedBuf<f64>,
+        sends: Vec<GSend>,
+        recvs: Vec<RecvExec>,
+        /// Borrowed g payloads of the current iteration, slotted by g
+        /// receive (arrival order fills them in any order; the r forwards
+        /// index by g-message position). Buffers recycle, so capacity is
+        /// reused.
+        payloads: Vec<Option<Vec<f64>>>,
+    },
+    Partitioned {
+        sends: Vec<GPsend>,
+        recvs: Vec<GPrecv>,
+    },
+}
+
+impl Wire {
+    /// Register the g step and the staging receives that alias its send
+    /// buffers. `window = Some((arena, base))` selects the plain wire,
+    /// staging in `arena[base ..]`; `None` selects the partitioned wire,
+    /// whose buffers stay per-message (a partitioned send covers its whole
+    /// buffer).
+    fn register(
+        g_sends: Vec<GSendRoute>,
+        g_recvs: Vec<GRecvRoute>,
+        s_recvs: Vec<SRecvRoute>,
+        reg: &mut ChanRegistrar,
+        comm: &Comm,
+        window: Option<(SharedBuf<f64>, usize)>,
+    ) -> (Self, Vec<SRecv>) {
+        match window {
+            Some((arena, base)) => {
+                let offsets: Vec<usize> = g_sends
+                    .iter()
+                    .scan(base, |off, g| {
+                        let o = *off;
+                        *off += g.len;
+                        Some(o)
+                    })
+                    .collect();
+                let end = base + g_sends.iter().map(|g| g.len).sum::<usize>();
+                assert!(
+                    end <= arena.read().len(),
+                    "arena window {base}..{end} out of arena of len {}",
+                    arena.read().len()
+                );
+                let s_recvs = s_recvs
+                    .into_iter()
+                    .map(|r| {
+                        let g = &g_sends[r.g_send];
+                        let win = offsets[r.g_send] + g.bounds[r.partition]
+                            ..offsets[r.g_send] + g.bounds[r.partition + 1];
+                        SRecv::register(r, reg, comm, &arena, win)
+                    })
+                    .collect();
+                let sends = g_sends
+                    .into_iter()
+                    .zip(&offsets)
+                    .map(|(g, &off)| GSend {
+                        req: reg.send_init(comm, g.dst, g.tag, arena.clone(), off, g.len),
+                        input_parts: g
+                            .parts
+                            .into_iter()
+                            .filter_map(|part| match part.source {
+                                PartSource::Input(positions) => {
+                                    Some((off + part.range.start..off + part.range.end, positions))
+                                }
+                                // staged partitions are written by the
+                                // aliased s receives; nothing to do at start
+                                PartSource::Staged { .. } => None,
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                // the plain wire ignores the partition bounds
+                let recvs: Vec<RecvExec> = g_recvs
+                    .into_iter()
+                    .map(|r| RecvExec {
+                        req: reg.recv_chan_init(comm, r.src, r.tag, r.len),
+                        outputs: r.outputs,
+                    })
+                    .collect();
+                let payloads = recvs.iter().map(|_| None).collect();
+                let wire = Wire::Plain {
+                    arena,
+                    sends,
+                    recvs,
+                    payloads,
+                };
+                (wire, s_recvs)
+            }
+            None => {
+                // g sends first: the staging receives alias their buffers
+                let sends: Vec<GPsend> = g_sends
+                    .into_iter()
+                    .map(|g| {
+                        let buf = shared_buf(vec![0.0f64; g.len]);
+                        GPsend {
+                            req: reg.psend_init_parts(comm, g.dst, g.tag, buf.clone(), g.bounds),
+                            buf,
+                            input_parts: g
+                                .parts
+                                .into_iter()
+                                .enumerate()
+                                .filter_map(|(pidx, part)| match part.source {
+                                    PartSource::Input(positions) => Some((pidx, positions)),
+                                    PartSource::Staged { .. } => None,
+                                })
+                                .collect(),
+                        }
+                    })
+                    .collect();
+                let s_recvs = s_recvs
+                    .into_iter()
+                    .map(|r| {
+                        let gs = &sends[r.g_send];
+                        let win = gs.req.partition_range(r.partition);
+                        SRecv::register(r, reg, comm, &gs.buf, win)
+                    })
+                    .collect();
+                let recvs = g_recvs
+                    .into_iter()
+                    .map(|r| {
+                        let buf = shared_buf(vec![0.0f64; r.len]);
+                        GPrecv {
+                            req: reg.precv_init_parts(comm, r.src, r.tag, buf.clone(), r.bounds),
+                            buf,
+                            outputs: r.outputs,
+                        }
+                    })
+                    .collect();
+                (Wire::Partitioned { sends, recvs }, s_recvs)
+            }
+        }
+    }
+
+    /// Append the channel(s) g receive `i` still waits on: its one
+    /// channel, or every unarrived partition's.
+    fn pending_chans(&self, i: usize, out: &mut Vec<ChanId>) {
+        match self {
+            Wire::Plain { recvs, .. } => out.push(recvs[i].req.chan_id()),
+            Wire::Partitioned { recvs, .. } => recvs[i].req.pending_chan_ids(out),
+        }
+    }
+
+    /// Block until g receive `i` has a delivered message (a partitioned
+    /// receive parks on its first unarrived partition), without consuming
+    /// it.
+    fn wait_ready(&self, i: usize, ctx: &RankCtx) {
+        match self {
+            Wire::Plain { recvs, .. } => recvs[i].req.wait_ready(ctx),
+            Wire::Partitioned { recvs, .. } => recvs[i].req.wait_ready(ctx),
+        }
+    }
+}
+
+/// The persistent neighborhood collective of one rank, on either wire.
+pub(crate) struct NeighborExec {
     input_index: Vec<usize>,
     output_index: Vec<usize>,
-    local_sends: Vec<SendExec>,
+    local_sends: Vec<SendExec<usize>>,
     local_recvs: Vec<RecvExec>,
-    s_sends: Vec<SendExec>,
-    /// Staging receives registered directly into the g-send arena windows.
-    s_recvs: Vec<RecvReq<f64>>,
-    /// One allocation backing every g send buffer; s receives alias into it.
-    arena: SharedBuf<f64>,
-    g_sends: Vec<GSendExec>,
-    g_recvs: Vec<RecvExec>,
-    r_sends: Vec<RSendExec>,
+    s_sends: Vec<SendExec<usize>>,
+    s_recvs: Vec<SRecv>,
+    wire: Wire,
+    r_sends: Vec<SendExec<(usize, usize)>>,
     r_recvs: Vec<RecvExec>,
-    /// Borrowed g payloads of the current iteration, slotted by g receive
-    /// (arrival order fills them in any order; the r forwards index by
-    /// g-message position). Buffers recycle, so capacity is reused.
-    g_payloads: Vec<Option<Vec<f64>>>,
     /// Per-iteration completion state, reset by `start`: which receives of
-    /// each step have been drained by `test`.
+    /// each step have been drained by `test`. A partitioned g receive is
+    /// done when **all** of its partitions have arrived and its ghost
+    /// slots are scattered.
     local_done: Vec<bool>,
     g_done: Vec<bool>,
     /// The r step opens only after every g payload is in (its forwards
@@ -71,154 +375,110 @@ pub struct PersistentNeighbor {
     /// Whole-iteration doneness: `test` is a no-op once set (an inactive
     /// persistent request, in MPI terms).
     done: bool,
+    protocol: Protocol,
+    /// Requests outlive their builder; holding the lease keeps the tag
+    /// span from being re-used while this request's channels are live.
+    _lease: Option<Arc<TagLease>>,
 }
 
-impl PersistentNeighbor {
-    /// Register this rank's requests for `plan` (the analogue of
-    /// `MPI_Neighbor_alltoallv_init`). Prefer [`crate::NeighborAlltoallv`],
-    /// which plans and selects the protocol for you.
-    pub fn from_plan(
-        pattern: &CommPattern,
-        plan: &Plan,
-        ctx: &RankCtx,
-        comm: &Comm,
-        tag_base: u64,
-    ) -> Self {
-        assert_eq!(plan.n_ranks, comm.size(), "plan/communicator size mismatch");
-        let routing = RankRouting::build(pattern, plan, comm.rank(), tag_base);
-        Self::from_routing(routing, ctx, comm)
-    }
-
-    /// Register requests from a precomputed routing, allocating a private
-    /// arena for this request's g sends.
-    pub fn from_routing(routing: RankRouting, ctx: &RankCtx, comm: &Comm) -> Self {
-        let total: usize = routing.g_sends.iter().map(|g| g.len).sum();
-        let arena = shared_buf(vec![0.0f64; total]);
-        Self::from_routing_in(routing, &mut ctx.chan_registrar(), comm, arena, 0)
-    }
-
-    /// Register requests from a precomputed routing, staging g sends in
-    /// `arena[base ..]` — the window a [`crate::NeighborBatch`] carves for
-    /// this entry out of the batch-shared arena. All channels resolve
-    /// through the caller's held [`ChanRegistrar`], so a batch registers
-    /// every entry in a single pass over the registry.
-    pub(crate) fn from_routing_in(
+impl NeighborExec {
+    /// Register this rank's requests from a precomputed routing (the
+    /// analogue of `MPI_Neighbor_alltoallv_init`). `window` picks the g
+    /// wire — see [`Wire::register`]: `Some` is the window a
+    /// [`crate::NeighborBatch`] carves for this entry out of the
+    /// batch-shared arena, `None` the partitioned wire. All channels
+    /// resolve through the caller's held [`ChanRegistrar`], so a batch
+    /// registers every entry in a single pass over the registry.
+    pub(crate) fn register(
         routing: RankRouting,
         reg: &mut ChanRegistrar,
         comm: &Comm,
-        arena: SharedBuf<f64>,
-        base: usize,
+        window: Option<(SharedBuf<f64>, usize)>,
+        protocol: Protocol,
+        lease: Option<Arc<TagLease>>,
     ) -> Self {
-        let local_sends = register_sends(routing.local_sends, reg, comm);
-        let local_recvs = register_recvs(routing.local_recvs, reg, comm);
-        let s_sends = register_sends(routing.s_sends, reg, comm);
-
-        // this request's g send buffers all live in one window of the
-        // (possibly batch-shared) arena
-        let offsets: Vec<usize> = routing
-            .g_sends
-            .iter()
-            .scan(base, |off, g| {
-                let o = *off;
-                *off += g.len;
-                Some(o)
-            })
-            .collect();
-        let total: usize = routing.g_sends.iter().map(|g| g.len).sum();
-        assert!(
-            base + total <= arena.read().len(),
-            "arena window {base}..{} out of arena of len {}",
-            base + total,
-            arena.read().len()
-        );
-
-        // s receives alias the arena: each staging message is delivered
-        // straight into its g partition's window
-        let s_recvs = routing
-            .s_recvs
+        let local_sends = routing
+            .local_sends
             .into_iter()
-            .map(|r| {
-                let g = &routing.g_sends[r.g_send];
-                let win = offsets[r.g_send] + g.bounds[r.partition];
-                // hard check: an oversized staging receive would overrun
-                // into the next partition's arena window
-                assert_eq!(
-                    g.bounds[r.partition + 1] - g.bounds[r.partition],
-                    r.len,
-                    "staging/partition length mismatch"
-                );
-                reg.recv_init(comm, r.src, r.tag, arena.clone(), win, r.len)
-            })
+            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.sources))
             .collect();
-
-        let g_sends = routing
-            .g_sends
+        let local_recvs = RecvExec::register_all(routing.local_recvs, reg, comm);
+        let n_g = routing.g_recvs.len();
+        let s_sends = routing
+            .s_sends
             .into_iter()
-            .zip(&offsets)
-            .map(|(g, &off)| {
-                let req = reg.send_init(comm, g.dst, g.tag, arena.clone(), off, g.len);
-                let input_parts = g
-                    .parts
-                    .into_iter()
-                    .filter_map(|part| match part.source {
-                        PartSource::Input(positions) => {
-                            Some((off + part.range.start..off + part.range.end, positions))
-                        }
-                        // staged partitions are written by the aliased
-                        // s receives; nothing to do at start
-                        PartSource::Staged { .. } => None,
-                    })
-                    .collect();
-                GSendExec { req, input_parts }
-            })
+            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.sources))
             .collect();
-        let g_recvs = register_recvs(
-            routing.g_recvs.into_iter().map(RecvRoute::from).collect(),
+        let (wire, s_recvs) = Wire::register(
+            routing.g_sends,
+            routing.g_recvs,
+            routing.s_recvs,
             reg,
             comm,
+            window,
         );
-        let r_sends = register_r_sends(routing.r_sends, reg, comm);
-        let r_recvs = register_recvs(routing.r_recvs, reg, comm);
-        let (n_local, n_g, n_r) = (local_recvs.len(), g_recvs.len(), r_recvs.len());
+        let r_sends = routing
+            .r_sends
+            .into_iter()
+            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.sources))
+            .collect();
+        let r_recvs = RecvExec::register_all(routing.r_recvs, reg, comm);
         Self {
             input_index: routing.input_index,
             output_index: routing.output_index,
+            local_done: vec![false; local_recvs.len()],
+            g_done: vec![false; n_g],
+            r_started: false,
+            r_done: vec![false; r_recvs.len()],
+            // inactive until the first start: test/wait are no-ops, as on
+            // an inactive persistent MPI request
+            done: true,
             local_sends,
             local_recvs,
             s_sends,
             s_recvs,
-            arena,
-            g_sends,
-            g_recvs,
+            wire,
             r_sends,
             r_recvs,
-            g_payloads: (0..n_g).map(|_| None).collect(),
-            local_done: vec![false; n_local],
-            g_done: vec![false; n_g],
-            r_started: false,
-            r_done: vec![false; n_r],
-            // inactive until the first start: test/wait are no-ops, as on
-            // an inactive persistent MPI request
-            done: true,
+            protocol,
+            _lease: lease,
         }
     }
 
-    /// Global indices whose values the caller must provide to
-    /// [`PersistentNeighbor::start`], in order.
-    pub fn input_index(&self) -> &[usize] {
+    /// Block until the first still-pending receive of the current phase
+    /// has a delivered message (without consuming it). No-op if nothing is
+    /// pending — the next `test` then advances a phase or completes.
+    fn park_on_necessary(&self, ctx: &RankCtx) {
+        fn pending<'a>(recvs: &'a [RecvExec], done: &[bool]) -> Option<&'a RecvExec> {
+            recvs.iter().zip(done).find_map(|(r, &d)| (!d).then_some(r))
+        }
+        if let Some(recv) = pending(&self.local_recvs, &self.local_done) {
+            recv.req.wait_ready(ctx);
+        } else if let Some(i) = self.g_done.iter().position(|&d| !d) {
+            self.wire.wait_ready(i, ctx);
+        } else if let Some(recv) = self
+            .r_started
+            .then(|| pending(&self.r_recvs, &self.r_done))
+            .flatten()
+        {
+            recv.req.wait_ready(ctx);
+        }
+    }
+}
+
+impl NeighborRequest for NeighborExec {
+    fn input_index(&self) -> &[usize] {
         &self.input_index
     }
 
-    /// Global indices of the values [`PersistentNeighbor::wait`] produces,
-    /// in order.
-    pub fn output_index(&self) -> &[usize] {
+    fn output_index(&self) -> &[usize] {
         &self.output_index
     }
 
     /// `MPI_Start`: begin one iteration. `input[i]` is the current value of
     /// `input_index()[i]`. Implements Algorithm 5: start ℓ, start+complete
     /// s, start g.
-    pub fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
+    fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
         assert_eq!(input.len(), self.input_index.len(), "input length mismatch");
 
         // fresh iteration: nothing drained yet (a start racing an
@@ -231,48 +491,94 @@ impl PersistentNeighbor {
 
         // ℓ: start sends and receives
         for send in &self.local_sends {
-            send.start_gather(ctx, input);
+            send.start_gather(ctx, |p| input[p]);
         }
         for recv in &mut self.local_recvs {
             recv.req.start();
         }
 
-        // s: start and complete the initial redistribution — staged values
-        // land directly in the aliased g-send arena windows
         for send in &self.s_sends {
-            send.start_gather(ctx, input);
-        }
-        for recv in &mut self.s_recvs {
-            recv.start();
-            recv.wait(ctx);
+            send.start_gather(ctx, |p| input[p]);
         }
 
-        // g: gather this rank's own contributions into the arena, then
-        // ship each buffer (staged partitions are already in place)
-        for send in &mut self.g_sends {
-            if !send.input_parts.is_empty() {
-                let mut guard = self.arena.write();
-                for (range, positions) in &send.input_parts {
-                    for (slot, &p) in guard[range.clone()].iter_mut().zip(positions) {
-                        *slot = input[p];
+        // partitioned g opens before staging completes: the leader's own
+        // partitions are injected right away
+        if let Wire::Partitioned { sends, recvs } = &mut self.wire {
+            for gs in sends {
+                gs.req.start();
+                for (pidx, positions) in &gs.input_parts {
+                    {
+                        let mut buf = gs.buf.write();
+                        let range = gs.req.partition_range(*pidx);
+                        for (i, &p) in range.zip(positions) {
+                            buf[i] = input[p];
+                        }
                     }
+                    gs.req.pready(ctx, *pidx);
                 }
             }
-            send.req.start(ctx);
+            for gr in recvs {
+                gr.req.start();
+            }
         }
-        for recv in &mut self.g_recvs {
-            recv.req.start();
+
+        // s: complete the initial redistribution. Each staging message
+        // lands directly in its partition's window of the aliased g send
+        // buffer (no assembly copy). The receives are waited in
+        // registration order; on the partitioned wire each partition is
+        // injected as soon as *its* receive returns, so a partition is held
+        // back only by the staging messages registered ahead of it — not
+        // by the whole s step, as on the plain wire.
+        for sr in &mut self.s_recvs {
+            sr.req.start();
+        }
+        for sr in &mut self.s_recvs {
+            sr.req.wait(ctx);
+            if let Wire::Partitioned { sends, .. } = &mut self.wire {
+                sends[sr.g_send].req.pready(ctx, sr.partition);
+            }
+        }
+
+        match &mut self.wire {
+            // g: gather this rank's own contributions into the arena, then
+            // ship each buffer (staged partitions are already in place)
+            Wire::Plain {
+                arena,
+                sends,
+                recvs,
+                ..
+            } => {
+                for send in sends {
+                    if !send.input_parts.is_empty() {
+                        let mut guard = arena.write();
+                        for (range, positions) in &send.input_parts {
+                            for (slot, &p) in guard[range.clone()].iter_mut().zip(positions) {
+                                *slot = input[p];
+                            }
+                        }
+                    }
+                    send.req.start(ctx);
+                }
+                for recv in recvs {
+                    recv.req.start();
+                }
+            }
+            Wire::Partitioned { sends, .. } => {
+                for gs in sends {
+                    gs.req.wait();
+                }
+            }
         }
     }
 
-    /// `MPI_Test`: non-blocking progress. Drains every payload that has
-    /// been delivered — in arrival order, not posting order — scatters its
-    /// ghost values into `output`, advances the ℓ→g→r state machine
-    /// (the r forwards fire from the `test` call that drains the last g
-    /// payload), and reports whether the whole iteration has completed.
-    /// Once complete, further calls are no-ops returning `true` (an
-    /// inactive persistent request).
-    pub fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
+    /// `MPI_Test`: non-blocking progress. Drains every payload (and
+    /// partition) that has been delivered — in arrival order, not posting
+    /// order — scatters its ghost values into `output`, advances the
+    /// ℓ→g→r state machine (the r forwards fire from the `test` call that
+    /// completes the last g receive), and reports whether the whole
+    /// iteration has completed. Once complete, further calls are no-ops
+    /// returning `true` (an inactive persistent request).
+    fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
         assert_eq!(
             output.len(),
             self.output_index.len(),
@@ -288,39 +594,61 @@ impl PersistentNeighbor {
             }
         }
 
-        // g: borrow each delivered payload off its channel, scatter the
-        // slots that terminate here, and keep the payload for the r
-        // forwards
-        for ((recv, done), slot) in self
-            .g_recvs
-            .iter_mut()
-            .zip(&mut self.g_done)
-            .zip(&mut self.g_payloads)
-        {
-            if *done {
-                continue;
-            }
-            if let Some(data) = recv.req.try_take(ctx) {
-                for &(pos, out) in &recv.outputs {
-                    output[out] = data[pos];
+        match &mut self.wire {
+            // borrow each delivered payload off its channel, scatter the
+            // slots that terminate here, and keep the payload for the r
+            // forwards
+            Wire::Plain {
+                recvs, payloads, ..
+            } => {
+                for ((recv, done), slot) in recvs.iter_mut().zip(&mut self.g_done).zip(payloads) {
+                    if *done {
+                        continue;
+                    }
+                    if let Some(data) = recv.req.try_take(ctx) {
+                        scatter(&recv.outputs, &data, output);
+                        *slot = Some(data);
+                        *done = true;
+                    }
                 }
-                *slot = Some(data);
-                *done = true;
+            }
+            // a partitioned receive completes — and scatters — when its
+            // last partition lands
+            Wire::Partitioned { recvs, .. } => {
+                for (gr, done) in recvs.iter_mut().zip(&mut self.g_done) {
+                    if !*done && gr.req.try_wait(ctx) {
+                        scatter(&gr.outputs, &gr.buf.read(), output);
+                        *done = true;
+                    }
+                }
             }
         }
 
         // r: opens once every g payload is in (each forward may read from
-        // any of them); the borrowed payloads are recycled afterwards
+        // any of them)
         if !self.r_started && self.g_done.iter().all(|&d| d) {
-            let payloads = &self.g_payloads;
-            for send in &self.r_sends {
-                send.start_gather_from(ctx, |g_msg, pos| {
-                    payloads[g_msg].as_ref().expect("g payload drained")[pos]
-                });
-            }
-            for (recv, slot) in self.g_recvs.iter().zip(&mut self.g_payloads) {
-                if let Some(data) = slot.take() {
-                    recv.req.recycle(data);
+            match &mut self.wire {
+                // the borrowed payloads are recycled afterwards
+                Wire::Plain {
+                    recvs, payloads, ..
+                } => {
+                    for send in &self.r_sends {
+                        send.start_gather(ctx, |(g_msg, pos)| {
+                            payloads[g_msg].as_ref().expect("g payload drained")[pos]
+                        });
+                    }
+                    for (recv, slot) in recvs.iter().zip(payloads) {
+                        if let Some(data) = slot.take() {
+                            recv.req.recycle(data);
+                        }
+                    }
+                }
+                // hold one read guard per g buffer across all r forwards
+                Wire::Partitioned { recvs, .. } => {
+                    let g_bufs: Vec<_> = recvs.iter().map(|g| g.buf.read()).collect();
+                    for send in &self.r_sends {
+                        send.start_gather(ctx, |(g_msg, pos)| g_bufs[g_msg][pos]);
+                    }
                 }
             }
             for recv in &mut self.r_recvs {
@@ -341,19 +669,19 @@ impl PersistentNeighbor {
         self.done
     }
 
-    /// Append a [`ChanId`] for every receive the current iteration is
-    /// still blocked on — the set a caller parks on between `test` calls.
-    /// Receives of the not-yet-opened r step are excluded: they cannot be
-    /// necessary before the g payloads land (and `test` opens them then).
-    pub fn pending_chans(&self, out: &mut Vec<ChanId>) {
+    /// Every receive the current iteration is still blocked on — the set a
+    /// caller parks on between `test` calls. Receives of the not-yet-opened
+    /// r step are excluded: they cannot be necessary before the g payloads
+    /// land (and `test` opens them then).
+    fn pending_chans(&self, out: &mut Vec<ChanId>) {
         for (recv, done) in self.local_recvs.iter().zip(&self.local_done) {
             if !done {
                 out.push(recv.req.chan_id());
             }
         }
-        for (recv, done) in self.g_recvs.iter().zip(&self.g_done) {
+        for (i, done) in self.g_done.iter().enumerate() {
             if !done {
-                out.push(recv.req.chan_id());
+                self.wire.pending_chans(i, out);
             }
         }
         if self.r_started {
@@ -366,63 +694,95 @@ impl PersistentNeighbor {
     }
 
     /// `MPI_Wait`: complete the iteration, writing ghost values into
-    /// `output` (aligned with `output_index()`). Loops [`test`] — so
+    /// `output` (aligned with `output_index()`). Loops `test` — so
     /// payloads drain in delivery order — parking (bounded spin, then
     /// futex park) on **one necessary channel** between rounds: `wait`
     /// must complete *every* receive, so blocking on the first pending one
     /// never waits for anything the iteration does not need, and it skips
     /// the set-attach machinery [`crate::BatchRequest::wait_any`] pays for
     /// genuine any-of-N completion.
-    ///
-    /// [`test`]: PersistentNeighbor::test
-    pub fn wait(&mut self, ctx: &mut RankCtx, output: &mut [f64]) {
+    fn wait(&mut self, ctx: &mut RankCtx, output: &mut [f64]) {
         while !self.test(ctx, output) {
             self.park_on_necessary(ctx);
         }
     }
 
-    /// Block until the first still-pending receive of the current phase
-    /// has a delivered message (without consuming it). No-op if nothing is
-    /// pending — the next `test` then advances a phase or completes.
-    fn park_on_necessary(&self, ctx: &RankCtx) {
-        fn pending<'a>(recvs: &'a [RecvExec], done: &[bool]) -> Option<&'a RecvExec> {
-            recvs.iter().zip(done).find_map(|(r, &d)| (!d).then_some(r))
-        }
-        if let Some(recv) = pending(&self.local_recvs, &self.local_done)
-            .or_else(|| pending(&self.g_recvs, &self.g_done))
-            .or_else(|| {
-                self.r_started
-                    .then(|| pending(&self.r_recvs, &self.r_done))
-                    .flatten()
-            })
-        {
-            recv.req.wait_ready(ctx);
-        }
+    fn protocol(&self) -> Protocol {
+        self.protocol
+    }
+
+    fn is_partitioned(&self) -> bool {
+        matches!(self.wire, Wire::Partitioned { .. })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::Protocol;
+    use crate::agg::Plan;
+    use crate::pattern::CommPattern;
+    use crate::tagspace::SPAN;
     use locality::Topology;
-    use mpisim::World;
+    use mpisim::{World, WorldPool};
 
-    /// Run `protocol` on `pattern` with input value `10·index + rank_salt`
-    /// and check every ghost value arrives correctly, over several
-    /// iterations with changing values.
-    fn roundtrip(pattern: &CommPattern, topo: &Topology, protocol: Protocol) {
-        let n = pattern.n_ranks;
+    const BOTH_WIRES: [bool; 2] = [false, true];
+
+    /// One rank's request for `plan` on the chosen wire, staging plain g
+    /// sends in a private arena.
+    fn init(
+        pattern: &CommPattern,
+        plan: &Plan,
+        ctx: &RankCtx,
+        comm: &Comm,
+        tag_base: u64,
+        partitioned: bool,
+    ) -> NeighborExec {
+        let routing = RankRouting::build(pattern, plan, comm.rank(), tag_base);
+        let window = (!partitioned).then(|| {
+            let total: usize = routing.g_sends.iter().map(|g| g.len).sum();
+            (shared_buf(vec![0.0f64; total]), 0)
+        });
+        let reg = &mut ctx.chan_registrar();
+        NeighborExec::register(routing, reg, comm, window, Protocol::FullNeighbor, None)
+    }
+
+    fn bidirectional() -> CommPattern {
+        // two regions exchanging in both directions plus local traffic
+        CommPattern::new(
+            8,
+            vec![
+                vec![(1, vec![0]), (5, vec![0, 1])],
+                vec![(4, vec![10]), (6, vec![11])],
+                vec![(7, vec![20, 21])],
+                vec![],
+                vec![(0, vec![40]), (1, vec![40]), (2, vec![41])],
+                vec![(6, vec![50])],
+                vec![(3, vec![60]), (0, vec![61])],
+                vec![],
+            ],
+        )
+    }
+
+    /// Run `protocol` on `pattern` over one wire as an epoch of `pool`,
+    /// with input value `10·index + iteration`, and check every ghost value
+    /// arrives correctly over several iterations with changing values.
+    fn roundtrip(
+        pool: &WorldPool,
+        pattern: &CommPattern,
+        topo: &Topology,
+        protocol: Protocol,
+        partitioned: bool,
+    ) {
         let plan = protocol.plan(pattern, topo);
-        let results = World::run(n, |ctx| {
+        let results = pool.run(|ctx| {
             let comm = ctx.comm_world();
-            let mut nb = PersistentNeighbor::from_plan(pattern, &plan, ctx, &comm, 100);
+            let mut nb = init(pattern, &plan, ctx, &comm, 100, partitioned);
             let mut got = Vec::new();
-            for it in 0..3u64 {
+            for it in 0..3usize {
                 let input: Vec<f64> = nb
                     .input_index()
                     .iter()
-                    .map(|&i| (10 * i + it as usize) as f64)
+                    .map(|&i| (10 * i + it) as f64)
                     .collect();
                 let mut output = vec![f64::NAN; nb.output_index().len()];
                 nb.start(ctx, &input);
@@ -438,49 +798,40 @@ mod tests {
                     assert_eq!(
                         v,
                         (10 * i + it) as f64,
-                        "rank {rank} iter {it} index {i} ({protocol})"
+                        "rank {rank} iter {it} index {i} ({protocol}, partitioned={partitioned})"
                     );
                 }
             }
         }
     }
 
+    /// Every protocol on every wire its plan can run on (the partitioned
+    /// wire applies to aggregated plans only), as successive epochs of one
+    /// warm pool — the steady-state shape the benches and the AMG driver
+    /// rely on.
+    fn roundtrip_all(pattern: &CommPattern, topo: &Topology) {
+        let pool = World::pool(pattern.n_ranks);
+        for protocol in Protocol::ALL {
+            roundtrip(&pool, pattern, topo, protocol, false);
+            if matches!(protocol, Protocol::PartialNeighbor | Protocol::FullNeighbor) {
+                roundtrip(&pool, pattern, topo, protocol, true);
+            }
+        }
+    }
+
     #[test]
     fn example_2_1_all_protocols_deliver() {
-        let pattern = CommPattern::example_2_1();
-        let topo = Topology::block_nodes(8, 4);
-        for protocol in Protocol::ALL {
-            roundtrip(&pattern, &topo, protocol);
-        }
+        roundtrip_all(&CommPattern::example_2_1(), &Topology::block_nodes(8, 4));
     }
 
     #[test]
     fn bidirectional_pattern_all_protocols() {
-        // two regions exchanging in both directions plus local traffic
-        let pattern = CommPattern::new(
-            8,
-            vec![
-                vec![(1, vec![0]), (5, vec![0, 1])],
-                vec![(4, vec![10]), (6, vec![11])],
-                vec![(7, vec![20, 21])],
-                vec![],
-                vec![(0, vec![40]), (1, vec![40]), (2, vec![41])],
-                vec![(6, vec![50])],
-                vec![(3, vec![60]), (0, vec![61])],
-                vec![],
-            ],
-        );
-        let topo = Topology::block_nodes(8, 4);
-        for protocol in Protocol::ALL {
-            roundtrip(&pattern, &topo, protocol);
-        }
+        roundtrip_all(&bidirectional(), &Topology::block_nodes(8, 4));
     }
 
     #[test]
     fn empty_pattern_is_a_noop() {
-        let pattern = CommPattern::empty(4);
-        let topo = Topology::block_nodes(4, 2);
-        roundtrip(&pattern, &topo, Protocol::FullNeighbor);
+        roundtrip_all(&CommPattern::empty(4), &Topology::block_nodes(4, 2));
     }
 
     #[test]
@@ -509,9 +860,35 @@ mod tests {
                 vec![],
             ],
         );
-        let topo = Topology::block_nodes(12, 4);
-        for protocol in Protocol::ALL {
-            roundtrip(&pattern, &topo, protocol);
+        roundtrip_all(&pattern, &Topology::block_nodes(12, 4));
+    }
+
+    #[test]
+    fn dense_pattern_delivers() {
+        let topo = Topology::block_nodes(16, 4);
+        roundtrip_all(&CommPattern::all_to_all_regions(&topo), &topo);
+    }
+
+    #[test]
+    fn amg_level_delivers() {
+        use sparse::gen::diffusion::paper_problem;
+        use sparse::{build_comm_pkgs, Partition};
+        let a = paper_problem(32, 16);
+        let part = Partition::block(a.n_rows(), 12);
+        let pattern = CommPattern::from_comm_pkgs(&build_comm_pkgs(&a, &part));
+        roundtrip_all(&pattern, &Topology::block_nodes(12, 4));
+    }
+
+    #[test]
+    fn pooled_world_reuses_collectives_across_patterns() {
+        // one warm pool drives two different patterns in sequence, on both
+        // wires
+        let pool = World::pool(8);
+        let topo = Topology::block_nodes(8, 4);
+        for pattern in [CommPattern::example_2_1(), bidirectional()] {
+            for partitioned in BOTH_WIRES {
+                roundtrip(&pool, &pattern, &topo, Protocol::FullNeighbor, partitioned);
+            }
         }
     }
 
@@ -519,84 +896,41 @@ mod tests {
     fn two_collectives_coexist_via_tag_base() {
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
-        let plan_a = Protocol::StandardNeighbor.plan(&pattern, &topo);
+        let plan_a = Protocol::PartialNeighbor.plan(&pattern, &topo);
         let plan_b = Protocol::FullNeighbor.plan(&pattern, &topo);
-        let ok = World::run(8, |ctx| {
-            let comm = ctx.comm_world();
-            let mut a = PersistentNeighbor::from_plan(&pattern, &plan_a, ctx, &comm, 0);
-            let mut b = PersistentNeighbor::from_plan(&pattern, &plan_b, ctx, &comm, 1 << 20);
-            let input_a: Vec<f64> = a.input_index().iter().map(|&i| i as f64).collect();
-            let input_b: Vec<f64> = b.input_index().iter().map(|&i| 1000.0 + i as f64).collect();
-            let mut out_a = vec![0.0; a.output_index().len()];
-            let mut out_b = vec![0.0; b.output_index().len()];
-            // interleave the two collectives
-            a.start(ctx, &input_a);
-            b.start(ctx, &input_b);
-            b.wait(ctx, &mut out_b);
-            a.wait(ctx, &mut out_a);
-            let ok_a = a
-                .output_index()
-                .iter()
-                .zip(&out_a)
-                .all(|(&i, &v)| v == i as f64);
-            let ok_b = b
-                .output_index()
-                .iter()
-                .zip(&out_b)
-                .all(|(&i, &v)| v == 1000.0 + i as f64);
-            ok_a && ok_b
-        });
-        assert!(ok.into_iter().all(|b| b));
-    }
-
-    #[test]
-    fn pooled_world_reuses_collectives_across_patterns() {
-        // one warm pool drives two different patterns in sequence — the
-        // steady-state shape the benches and the AMG driver rely on
-        let pool = World::pool(8);
-        let topo = Topology::block_nodes(8, 4);
-        for pattern in [
-            CommPattern::example_2_1(),
-            CommPattern::new(
-                8,
-                vec![
-                    vec![(1, vec![0]), (5, vec![0, 1])],
-                    vec![(4, vec![10]), (6, vec![11])],
-                    vec![(7, vec![20, 21])],
-                    vec![],
-                    vec![(0, vec![40]), (1, vec![40]), (2, vec![41])],
-                    vec![(6, vec![50])],
-                    vec![(3, vec![60]), (0, vec![61])],
-                    vec![],
-                ],
-            ),
-        ] {
-            let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
-            let results = pool.run(|ctx| {
+        // every wire pairing, including plain alongside partitioned; one
+        // tag span apart (partition sub-tags live above the step tags)
+        for (wire_a, wire_b) in BOTH_WIRES
+            .into_iter()
+            .flat_map(|a| BOTH_WIRES.map(|b| (a, b)))
+        {
+            let ok = World::run(8, |ctx| {
                 let comm = ctx.comm_world();
-                let mut nb = PersistentNeighbor::from_plan(&pattern, &plan, ctx, &comm, 100);
-                let mut got = Vec::new();
-                for it in 0..5u64 {
-                    let input: Vec<f64> = nb
-                        .input_index()
-                        .iter()
-                        .map(|&i| (10 * i + it as usize) as f64)
-                        .collect();
-                    let mut output = vec![f64::NAN; nb.output_index().len()];
-                    nb.start(ctx, &input);
-                    nb.wait(ctx, &mut output);
-                    got.push(output);
-                }
-                got
+                let mut a = init(&pattern, &plan_a, ctx, &comm, 0, wire_a);
+                let mut b = init(&pattern, &plan_b, ctx, &comm, SPAN, wire_b);
+                let input_a: Vec<f64> = a.input_index().iter().map(|&i| i as f64).collect();
+                let input_b: Vec<f64> =
+                    b.input_index().iter().map(|&i| 1000.0 + i as f64).collect();
+                let mut out_a = vec![0.0; a.output_index().len()];
+                let mut out_b = vec![0.0; b.output_index().len()];
+                // interleave the two collectives
+                a.start(ctx, &input_a);
+                b.start(ctx, &input_b);
+                b.wait(ctx, &mut out_b);
+                a.wait(ctx, &mut out_a);
+                let ok_a = a
+                    .output_index()
+                    .iter()
+                    .zip(&out_a)
+                    .all(|(&i, &v)| v == i as f64);
+                let ok_b = b
+                    .output_index()
+                    .iter()
+                    .zip(&out_b)
+                    .all(|(&i, &v)| v == 1000.0 + i as f64);
+                ok_a && ok_b
             });
-            for (rank, iters) in results.iter().enumerate() {
-                let idx = pattern.dst_indices(rank);
-                for (it, vals) in iters.iter().enumerate() {
-                    for (&i, &v) in idx.iter().zip(vals) {
-                        assert_eq!(v, (10 * i + it) as f64, "rank {rank} iter {it} index {i}");
-                    }
-                }
-            }
+            assert!(ok.into_iter().all(|b| b), "wires ({wire_a}, {wire_b})");
         }
     }
 
@@ -608,30 +942,18 @@ mod tests {
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
         let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
-        let ok = World::run(8, |ctx| {
-            let comm = ctx.comm_world();
-            let mut nb = PersistentNeighbor::from_plan(&pattern, &plan, ctx, &comm, 100);
-            let mut output = vec![f64::NAN; nb.output_index().len()];
-            let before = nb.test(ctx, &mut output);
-            let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
-            nb.start(ctx, &input);
-            nb.wait(ctx, &mut output);
-            before && nb.test(ctx, &mut output)
-        });
-        assert!(ok.into_iter().all(|b| b));
-    }
-
-    #[test]
-    #[should_panic(expected = "plan/communicator size mismatch")]
-    fn pooled_world_rank_count_mismatch_panics() {
-        // a plan for 8 ranks initialized on a 4-rank pool must fail loudly
-        let pool = World::pool(4);
-        let pattern = CommPattern::example_2_1();
-        let topo = Topology::block_nodes(8, 4);
-        let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
-        pool.run(|ctx| {
-            let comm = ctx.comm_world();
-            let _ = PersistentNeighbor::from_plan(&pattern, &plan, ctx, &comm, 0);
-        });
+        for partitioned in BOTH_WIRES {
+            let ok = World::run(8, |ctx| {
+                let comm = ctx.comm_world();
+                let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
+                let mut output = vec![f64::NAN; nb.output_index().len()];
+                let before = nb.test(ctx, &mut output);
+                let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
+                nb.start(ctx, &input);
+                nb.wait(ctx, &mut output);
+                before && nb.test(ctx, &mut output)
+            });
+            assert!(ok.into_iter().all(|b| b), "partitioned={partitioned}");
+        }
     }
 }

@@ -30,20 +30,17 @@
 //! at init time, as §5 prescribes.
 //!
 //! Under the hood, [`routing`] derives each rank's staging copy maps once;
-//! [`exec`] posts plain persistent messages on `mpisim` and
-//! [`exec_partitioned`] posts partitioned inter-region messages, both from
-//! the same routing; [`tagspace`] leases each live collective a private
-//! tag namespace. [`analytic`] evaluates modeled cost and message
+//! the one executor (`exec`) drives the ℓ→s→g→r lifecycle on `mpisim`,
+//! posting inter-region messages as plain persistent or as partitioned
+//! sends from the same routing; [`tagspace`] leases each live collective a
+//! private tag namespace. [`analytic`] evaluates modeled cost and message
 //! statistics at paper scale (2048 ranks).
 
 pub mod agg;
 pub mod analytic;
 pub mod batch;
 pub mod collective;
-pub mod exec;
-mod exec_common;
-pub mod exec_partitioned;
-pub mod future;
+mod exec;
 pub mod neighbor;
 pub mod pattern;
 pub mod routing;
@@ -55,9 +52,6 @@ pub use agg::{AssignStrategy, Plan, PlanMsg, SlotArena, SlotRef};
 pub use analytic::{init_time, iteration_time, IterationCost};
 pub use batch::{BatchRequest, EntryId, NeighborBatch};
 pub use collective::{choose_protocol, Protocol};
-pub use exec::PersistentNeighbor;
-pub use exec_partitioned::PartitionedNeighbor;
-pub use future::{block_on, BatchFuture, EntryFuture, NeighborFuture, ProgressDriver};
 pub use neighbor::{Backend, NeighborAlltoallv, NeighborRequest};
 pub use pattern::CommPattern;
 pub use routing::RankRouting;

@@ -29,13 +29,13 @@
 //! Every rank constructs the same builder (deterministic planning makes the
 //! SPMD agreement trivial) and gets back a [`NeighborRequest`] trait object
 //! whose `start`/`wait`/`start_wait` drive the collective without exposing
-//! which protocol — or which executor — runs underneath.
+//! which protocol — or which inter-region wire — runs underneath.
 //!
 //! A workload that keeps **several** collectives live at once (every AMG
 //! level, plus residual/restriction exchanges) should construct one
 //! [`crate::NeighborBatch`] instead: the batch plans, tags, and stages all
 //! of them as one session. `NeighborAlltoallv` is, internally, exactly a
-//! single-entry batch — same planning, same tag leasing, same executors.
+//! single-entry batch — same planning, same tag leasing, same executor.
 
 use crate::agg::AssignStrategy;
 use crate::batch::NeighborBatch;
@@ -50,7 +50,7 @@ use std::sync::OnceLock;
 /// Which execution strategy backs the collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The given protocol on the plain persistent executor.
+    /// The given protocol with plain persistent inter-region messages.
     Protocol(Protocol),
     /// §5's combination: the given (aggregating) protocol with partitioned
     /// inter-region messages, overlapping staging with injection.

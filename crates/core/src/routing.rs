@@ -1,20 +1,20 @@
-//! Per-rank routing: the staging machinery shared by every executor.
+//! Per-rank routing: the staging machinery shared by both wires of the
+//! executor.
 //!
 //! A [`Plan`] is a *global* description of one collective. Before a rank
 //! can post requests it must derive its local view: which buffers to
 //! register, which tag each message uses, where each send-buffer slot gets
 //! its value from, and where each received slot is delivered. That
-//! derivation — the copy-map construction — is identical for the plain
-//! persistent executor ([`crate::exec::PersistentNeighbor`]) and the
-//! partitioned one ([`crate::exec_partitioned::PartitionedNeighbor`]); it
-//! lives here so the executors only differ in *how* they move the bytes,
+//! derivation — the copy-map construction — is identical for both wires
+//! of the executor (`exec`, plain persistent or partitioned g messages);
+//! it lives here so the wires only differ in *how* they move the bytes,
 //! not in how they decide what goes where.
 //!
 //! Inter-region (`g`) messages are laid out **origin-major**: the slots
 //! contributed by each staging rank form one contiguous run, recorded in
-//! [`GSendRoute::bounds`]. The plain executor ignores the bounds and ships
-//! the buffer as a single message; the partitioned executor registers one
-//! partition per run and injects each the moment its staging data arrives
+//! [`GSendRoute::bounds`]. The plain wire ignores the bounds and ships
+//! the buffer as a single message; the partitioned wire registers one
+//! partition per run and injects each as its staging message is received
 //! (`MPI_Pready`-style, the paper's §5 combination). Both sides of a
 //! message derive the same layout from the shared plan, so matching is
 //! deterministic.
@@ -138,33 +138,6 @@ pub struct GRecvRoute {
     pub bounds: Vec<usize>,
     /// Slots whose final destination is this rank.
     pub outputs: Vec<(usize, usize)>,
-}
-
-impl From<SRecvRoute> for RecvRoute {
-    /// Drop the partition target — how a plain (non-partitioned) executor
-    /// drains a staging receive (its buffer feeds g sends; nothing goes
-    /// straight to the output vector).
-    fn from(s: SRecvRoute) -> Self {
-        Self {
-            src: s.src,
-            tag: s.tag,
-            len: s.len,
-            outputs: Vec::new(),
-        }
-    }
-}
-
-impl From<GRecvRoute> for RecvRoute {
-    /// Drop the partition bounds — how a plain (non-partitioned) executor
-    /// receives an inter-region message.
-    fn from(g: GRecvRoute) -> Self {
-        Self {
-            src: g.src,
-            tag: g.tag,
-            len: g.len,
-            outputs: g.outputs,
-        }
-    }
 }
 
 /// An s-step receive at a sending leader: it fills exactly one partition
@@ -719,9 +692,9 @@ impl RankRouting {
 }
 
 /// One entry of a batch routing sweep: a pattern, its resolved plan, the
-/// tag base carved for it, and whether its executor takes its g-send
-/// buffers from the batch-shared arena (the plain executor does; the
-/// partitioned executor owns per-message partitioned buffers).
+/// tag base carved for it, and whether its request takes its g-send
+/// buffers from the batch-shared arena (the plain wire does; the
+/// partitioned wire owns per-message partitioned buffers).
 pub struct BatchEntryPlan<'a> {
     pub pattern: &'a CommPattern,
     pub plan: &'a Plan,

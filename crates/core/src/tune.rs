@@ -36,12 +36,10 @@
 //! can pin convergence tests without flaking on scheduler noise.
 
 use crate::collective::Protocol;
-use crate::exec::PersistentNeighbor;
+use crate::exec::NeighborExec;
 use crate::neighbor::NeighborRequest;
-use crate::tagspace::TagLease;
 use locality::Topology;
 use mpisim::{ChanId, Comm, RankCtx};
-use std::sync::Arc;
 use std::time::Instant;
 use tuner::{ProbeSchedule, ProfileCache, ProfileEntry, ProfileKey};
 
@@ -110,7 +108,7 @@ impl Stamp {
 /// One protocol under measurement: its live executor (dropped if it
 /// loses) and the plan statistics its timings feed to the model refit.
 pub(crate) struct TunedCandidate {
-    pub(crate) inner: Option<PersistentNeighbor>,
+    pub(crate) inner: Option<NeighborExec>,
     pub(crate) protocol: Protocol,
     /// Max-over-ranks messages per iteration (local + inter-region).
     pub(crate) msgs: f64,
@@ -130,6 +128,8 @@ pub(crate) struct PublishSpec {
 /// The measured-selection request behind [`crate::Backend::Tuned`]. See
 /// the [module docs](self) for the probe/decide/hot-swap lifecycle.
 pub(crate) struct TunedNeighbor {
+    /// The active candidate is always live, and every live executor holds
+    /// the batch's tag lease — which covers the control span too.
     candidates: Vec<TunedCandidate>,
     schedule: ProbeSchedule,
     /// Completed probe iterations (equal on every rank: one per
@@ -151,7 +151,6 @@ pub(crate) struct TunedNeighbor {
     /// A warm-up iteration is in flight (its completing `test` must
     /// decrement `warm_left`, not close a probe timing).
     warm_iter: bool,
-    _lease: Option<Arc<TagLease>>,
 }
 
 impl TunedNeighbor {
@@ -161,7 +160,6 @@ impl TunedNeighbor {
         ctl_base: u64,
         comm: Comm,
         publish: Option<PublishSpec>,
-        lease: Option<Arc<TagLease>>,
     ) -> Self {
         assert!(!candidates.is_empty(), "a tuned request needs candidates");
         debug_assert!(
@@ -186,7 +184,6 @@ impl TunedNeighbor {
             publish,
             warm_left: 0,
             warm_iter: false,
-            _lease: lease,
         }
     }
 
@@ -203,14 +200,14 @@ impl TunedNeighbor {
         self
     }
 
-    fn active_req(&self) -> &PersistentNeighbor {
+    fn active_req(&self) -> &NeighborExec {
         self.candidates[self.active]
             .inner
             .as_ref()
             .expect("active candidate is live")
     }
 
-    fn active_req_mut(&mut self) -> &mut PersistentNeighbor {
+    fn active_req_mut(&mut self) -> &mut NeighborExec {
         self.candidates[self.active]
             .inner
             .as_mut()

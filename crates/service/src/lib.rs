@@ -6,10 +6,10 @@
 //! [`SolveService`] owns a warm pool and accepts a stream of independent
 //! jobs — each its own right-hand side and/or hierarchy, packaged as a
 //! [`JobLogic`]. `run_pending` schedules every queued job onto the pool
-//! in **one epoch**: per-rank, each admitted job becomes a task on the
-//! futures layer's [`ProgressDriver`], so K tenants' halo exchanges are
-//! in flight at once and the rank parks exactly once — on the union of
-//! every tenant's wake set — instead of serializing job after job.
+//! in **one epoch**: per-rank, each admitted job becomes a task of the
+//! scheduler's plain poll/park loop, so K tenants' halo exchanges are in
+//! flight at once and the rank parks exactly once — on the union of every
+//! tenant's wake set — instead of serializing job after job.
 //!
 //! Isolation is per job, on three axes:
 //!
@@ -17,9 +17,9 @@
 //!   world communicator keyed by its globally-unique job id, so its
 //!   channel keys (and tag leases) can never alias another tenant's, or
 //!   a failed tenant's stale traffic from an earlier epoch;
-//! * **panics** — each task is wrapped in
-//!   [`CatchPanic`](mpi_advance::future::CatchPanic): a seeded `kill=`
-//!   fault (or plain bug) inside one tenant resolves that task to `Err`,
+//! * **panics** — each task is polled under `catch_unwind`: a seeded
+//!   `kill=` fault (or plain bug) inside one tenant resolves that task to
+//!   `Err` (and it is never polled again),
 //!   the scheduler absorbs the transport-level death flag
 //!   ([`RankCtx::absorb_rank_failure`]) and broadcasts a cancel token on
 //!   the job's control channels, and every *other* tenant's result stays

@@ -16,9 +16,9 @@
 //!    exists on every fabric.
 //!
 //! Then the loop: admit queued jobs into the window, poll runnable tasks
-//! (each a [`CatchPanic`]-wrapped job body), drain cancel tokens, and
-//! park once on the union of every pending task's watched channels plus
-//! the per-peer cancel channels.
+//! (each a [`Task`] polled under `catch_unwind`), drain cancel tokens,
+//! and park once on the union of every running task's pending channels
+//! plus the per-peer cancel channels.
 //!
 //! Failure protocol: a tenant panic on this rank resolves its task to
 //! `Err` — the scheduler absorbs the transport death flag and broadcasts
@@ -34,11 +34,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use mpi_advance::future::{panic_text, with_ctx, CatchPanic, EntryFuture, ProgressDriver};
 use mpi_advance::{BatchRequest, NeighborBatch};
 use mpisim::{ChanId, Comm, RankCtx, RecvChan};
 
-use crate::{JobLogic, QueuedJob};
+use crate::{JobLogic, QueuedJob, RankState};
 
 /// Peer-death park aborts absorbed without an attributing cancel token
 /// before the rank gives up and fails its running jobs. Each absorb
@@ -49,32 +48,130 @@ use crate::{JobLogic, QueuedJob};
 /// itself is gone.
 const MAX_ABSORB_RETRIES: usize = 64;
 
-/// One job's async body: `iters` iterations of start-all /
+/// One job on this rank: `iters` iterations of start-all /
 /// retire-entries-as-they-land, folding each entry's ghost values into
-/// the rank state. Owns its session, so the future is `'static` and one
-/// tenant's state can never alias another's.
-async fn run_job(
+/// the rank state. Owns its session and state, so one tenant's state can
+/// never alias another's. Dropped — never polled again — once it resolves,
+/// panics, or is cancelled.
+struct Task {
     logic: Arc<dyn JobLogic>,
-    mut session: BatchRequest,
     rank: usize,
     iters: usize,
-) -> Vec<f64> {
-    let mut state = logic.rank_state(rank);
-    let n = session.len();
-    let mut outputs: Vec<Vec<f64>> = (0..n)
-        .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
-        .collect();
-    for iter in 0..iters {
-        let inputs: Vec<Vec<f64>> = (0..n)
-            .map(|e| state.input(iter, e, session.entry(e)))
+    /// Built by the first poll, so a panicking constructor fails its job
+    /// alone like any other tenant panic.
+    state: Option<Box<dyn RankState>>,
+    session: BatchRequest,
+    outputs: Vec<Vec<f64>>,
+    iter: usize,
+    /// Entries of the current iteration already absorbed.
+    retired: usize,
+    /// The current iteration's `start_all` has been posted.
+    started: bool,
+    /// Worth polling: fresh, or one of its pending channels delivered
+    /// since it last blocked.
+    runnable: bool,
+}
+
+impl Task {
+    fn new(logic: Arc<dyn JobLogic>, session: BatchRequest, rank: usize) -> Self {
+        let outputs = (0..session.len())
+            .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
             .collect();
-        with_ctx(|ctx| session.start_all(ctx, &inputs));
-        for _ in 0..n {
-            let e = EntryFuture::new(&mut session, &mut outputs).await;
-            state.absorb(iter, e, session.entry(e), &outputs[e]);
+        Self {
+            iters: logic.iters(),
+            logic,
+            rank,
+            state: None,
+            session,
+            outputs,
+            iter: 0,
+            retired: 0,
+            started: false,
+            runnable: true,
         }
     }
-    state.finish()
+
+    /// Advance as far as delivered traffic allows: post the iteration if
+    /// it is not in flight, retire (`test_any` → `absorb`) entries until
+    /// none is complete, move to the next iteration. `Some(result)` after
+    /// the last one; `None` — with `runnable` cleared — when blocked on
+    /// traffic that has not landed.
+    fn poll(&mut self, ctx: &mut RankCtx) -> Option<Vec<f64>> {
+        let n = self.session.len();
+        let state = self
+            .state
+            .get_or_insert_with(|| self.logic.rank_state(self.rank));
+        while self.iter < self.iters {
+            if !self.started {
+                let inputs: Vec<Vec<f64>> = (0..n)
+                    .map(|e| state.input(self.iter, e, self.session.entry(e)))
+                    .collect();
+                self.session.start_all(ctx, &inputs);
+                self.started = true;
+            }
+            while self.retired < n {
+                let Some(e) = self.session.test_any(ctx, &mut self.outputs) else {
+                    self.runnable = false;
+                    return None;
+                };
+                state.absorb(self.iter, e, self.session.entry(e), &self.outputs[e]);
+                self.retired += 1;
+            }
+            self.iter += 1;
+            self.retired = 0;
+            self.started = false;
+        }
+        Some(self.state.take().expect("state built above").finish())
+    }
+}
+
+/// Park the rank until a pending channel of some `running` task (or of
+/// `extra`, the scheduler's control channels) delivers, then mark runnable
+/// **exactly the tasks whose own pending channels hold a delivered
+/// message**. One park for N tenants: the overlap the service is built
+/// on. [`RankCtx::wait_any`]'s generation check closes the scan-then-park
+/// race, so a delivery between a task's last `test_any` and the park is
+/// never lost. Panics — loudly, before blocking forever — if there is
+/// nothing to park on.
+fn park(
+    ctx: &mut RankCtx,
+    tasks: &mut [Option<Task>],
+    running: &[usize],
+    extra: &[ChanId],
+    union: &mut Vec<ChanId>,
+) {
+    union.clear();
+    union.extend(extra.iter().cloned());
+    let mut spans = Vec::with_capacity(running.len());
+    for &j in running {
+        let task = tasks[j].as_ref().expect("running job has a task");
+        let start = union.len();
+        task.session.pending_chans(union);
+        spans.push(start..union.len());
+    }
+    assert!(
+        !union.is_empty(),
+        "scheduler stalled: {} running task(s), none runnable and no \
+         pending channels to park on",
+        running.len()
+    );
+    ctx.wait_any(union);
+    for (&j, span) in running.iter().zip(spans) {
+        if union[span].iter().any(|c| c.ready()) {
+            tasks[j].as_mut().expect("running job has a task").runnable = true;
+        }
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// A cancel token: which job failed, and on which rank.
@@ -117,10 +214,11 @@ pub(crate) fn drive_rank(
     // -- prologue: communicators, registration, cancel fabric, barrier --
     let comms: Vec<Comm> = jobs.iter().map(|q| world.dup_for(q.id)).collect();
     let ctl_comm = world.dup_for(ctl_stream);
-    let mut sessions: Vec<Option<BatchRequest>> = batches
+    let mut tasks: Vec<Option<Task>> = jobs
         .iter()
+        .zip(batches)
         .zip(&comms)
-        .map(|(b, c)| Some(b.init_all(ctx, c)))
+        .map(|((q, b), c)| Some(Task::new(Arc::clone(&q.logic), b.init_all(ctx, c), rank)))
         .collect();
     let mut ctl: Vec<RecvChan<u64>> = (0..n_ranks)
         .filter(|&s| s != rank)
@@ -133,16 +231,14 @@ pub(crate) fn drive_rank(
     ctx.barrier(&world);
 
     // -- the drive loop --
-    let mut driver: ProgressDriver<'_, Result<Vec<f64>, String>> = ProgressDriver::new();
     let mut results: Vec<Option<Result<Vec<f64>, String>>> = (0..n).map(|_| None).collect();
-    let mut task_of: Vec<Option<usize>> = vec![None; n];
-    let mut job_of_task: Vec<usize> = Vec::new();
     let mut running: Vec<usize> = Vec::new();
     let mut next_admit = 0usize;
-    let mut completed: Vec<usize> = Vec::new();
+    let mut completed: Vec<(usize, Result<Vec<f64>, String>)> = Vec::new();
+    let mut union: Vec<ChanId> = Vec::new();
     let mut absorb_retries = 0usize;
-    // the park set beyond the tasks' own watches: the per-peer cancel
-    // channels (fixed for the whole epoch)
+    // the park set beyond the tasks' own pending channels: the per-peer
+    // cancel channels (fixed for the whole epoch)
     let ctl_watch: Vec<ChanId> = ctl.iter().map(|rc| rc.chan_id()).collect();
     // drain cancel tokens only when a park could have been woken by one
     // (or periodically, as a safety valve while tasks stay runnable) —
@@ -160,16 +256,6 @@ pub(crate) fn drive_rank(
             if results[j].is_some() {
                 continue;
             }
-            let session = sessions[j].take().expect("session admitted once");
-            let iters = jobs[j].logic.iters();
-            let t = driver.spawn(CatchPanic::new(run_job(
-                Arc::clone(&jobs[j].logic),
-                session,
-                rank,
-                iters,
-            )));
-            task_of[j] = Some(t);
-            job_of_task.push(j);
             running.push(j);
         }
         if running.is_empty() {
@@ -179,21 +265,32 @@ pub(crate) fn drive_rank(
             continue;
         }
 
-        completed.clear();
-        driver.poll_runnable(ctx, &mut completed);
+        // poll every runnable task until it blocks or resolves; a panic
+        // inside one (seeded kill= fault or plain bug) resolves that task
+        // alone to `Err`
+        for &j in &running {
+            let task = tasks[j].as_mut().expect("running job has a task");
+            if !task.runnable {
+                continue;
+            }
+            match catch_unwind(AssertUnwindSafe(|| task.poll(ctx))) {
+                Ok(None) => {}
+                Ok(Some(v)) => completed.push((j, Ok(v))),
+                Err(payload) => completed.push((j, Err(panic_text(payload)))),
+            }
+        }
         let mut progressed = !completed.is_empty();
-        for &t in &completed {
-            let j = job_of_task[t];
-            let res = driver.take_result(t).expect("completed task has a result");
+        for (j, res) in completed.drain(..) {
             if res.is_err() {
-                // A tenant died on THIS rank (seeded kill= fault or plain
-                // bug). The fault path raised the world death flag before
-                // panicking; absorb it so peers' and siblings' waits stop
-                // aborting, then tell every peer to cancel this one job.
+                // A tenant died on THIS rank. The fault path raised the
+                // world death flag before panicking; absorb it so peers'
+                // and siblings' waits stop aborting, then tell every peer
+                // to cancel this one job.
                 ctx.absorb_rank_failure();
                 broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
             }
             results[j] = Some(res);
+            tasks[j] = None;
             running.retain(|&x| x != j);
         }
 
@@ -210,9 +307,7 @@ pub(crate) fn drive_rank(
                     if results[j].is_some() {
                         continue;
                     }
-                    if let Some(t) = task_of[j] {
-                        driver.cancel(t);
-                    }
+                    tasks[j] = None;
                     running.retain(|&x| x != j);
                     results[j] = Some(Err(format!(
                         "job {:?} cancelled: tenant failed on rank {src}",
@@ -226,13 +321,13 @@ pub(crate) fn drive_rank(
             absorb_retries = 0;
             continue;
         }
-        if driver.has_runnable() {
-            continue;
-        }
 
-        // park on every pending task's watches + the per-peer cancel
-        // channels, catching the two abort paths (peer death, deadline)
-        match catch_unwind(AssertUnwindSafe(|| driver.park(ctx, &ctl_watch))) {
+        // every running task is blocked: park on their pending channels +
+        // the per-peer cancel channels, catching the two abort paths (peer
+        // death, deadline)
+        match catch_unwind(AssertUnwindSafe(|| {
+            park(ctx, &mut tasks, &running, &ctl_watch, &mut union)
+        })) {
             Ok(()) => {
                 absorb_retries = 0;
                 drain_due = true;
@@ -258,9 +353,7 @@ pub(crate) fn drive_rank(
                          (jobs running here: {names:?}): {msg}",
                         jobs[j].name
                     )));
-                    if let Some(t) = task_of[j] {
-                        driver.cancel(t);
-                    }
+                    tasks[j] = None;
                 }
                 running.clear();
             }
@@ -272,4 +365,208 @@ pub(crate) fn drive_rank(
         .enumerate()
         .map(|(j, r)| r.unwrap_or_else(|| Err(format!("job {:?} was never driven", jobs[j].name))))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{JobSpec, SolveService};
+    use locality::Topology;
+    use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, Protocol};
+    use mpisim::{FaultPlan, World};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Each rank owns value id `r` and sends it to rank `r + 1` (mod n).
+    fn ring_pattern(n: usize) -> CommPattern {
+        CommPattern::new(n, (0..n).map(|r| vec![((r + 1) % n, vec![r])]).collect())
+    }
+
+    /// A ring exchange per iteration; rank `r` sends `salt + 10⁴·r + iter`
+    /// and collects what its left neighbour sent. The job doubles as its
+    /// own rank state (`rank`, `got`).
+    #[derive(Clone)]
+    struct Ring {
+        n: usize,
+        iters: usize,
+        salt: usize,
+        /// `input` panics at this iteration (on every rank).
+        boom_at: Option<usize>,
+        /// Calls to `input` across all ranks.
+        inputs: Arc<AtomicUsize>,
+        rank: usize,
+        got: Vec<f64>,
+    }
+
+    impl Ring {
+        fn new(n: usize, iters: usize, salt: usize) -> Self {
+            Self {
+                n,
+                iters,
+                salt,
+                boom_at: None,
+                inputs: Arc::new(AtomicUsize::new(0)),
+                rank: 0,
+                got: Vec::new(),
+            }
+        }
+
+        fn submit_to(&self, svc: &mut SolveService, name: &str) {
+            let spec = JobSpec::new(
+                name,
+                Topology::block_nodes(self.n, 2),
+                Arc::new(self.clone()),
+            );
+            svc.submit(spec.backend(Backend::Protocol(Protocol::StandardNeighbor)));
+        }
+
+        fn expected(&self, rank: usize) -> Vec<f64> {
+            let left = (rank + self.n - 1) % self.n;
+            (0..self.iters)
+                .map(|i| (self.salt + 10_000 * left + i) as f64)
+                .collect()
+        }
+
+        fn expected_all(&self) -> Vec<Vec<f64>> {
+            (0..self.n).map(|r| self.expected(r)).collect()
+        }
+    }
+
+    impl JobLogic for Ring {
+        fn patterns(&self) -> Vec<CommPattern> {
+            vec![ring_pattern(self.n)]
+        }
+        fn iters(&self) -> usize {
+            self.iters
+        }
+        fn rank_state(&self, rank: usize) -> Box<dyn RankState> {
+            Box::new(Ring {
+                rank,
+                ..self.clone()
+            })
+        }
+    }
+
+    impl RankState for Ring {
+        fn input(&mut self, iter: usize, _: EntryId, _: &dyn NeighborRequest) -> Vec<f64> {
+            self.inputs.fetch_add(1, Ordering::SeqCst);
+            if self.boom_at == Some(iter) {
+                panic!("tenant boom");
+            }
+            vec![(self.salt + 10_000 * self.rank + iter) as f64]
+        }
+        fn absorb(&mut self, _: usize, _: EntryId, _: &dyn NeighborRequest, output: &[f64]) {
+            self.got.push(output[0]);
+        }
+        fn finish(self: Box<Self>) -> Vec<f64> {
+            self.got
+        }
+    }
+
+    /// A panic inside one task's poll resolves that task alone to `Err`,
+    /// the task is never polled again, and a sibling on the same ranks
+    /// still runs to completion.
+    #[test]
+    fn panicking_task_fails_alone_and_is_never_polled_again() {
+        const N: usize = 4;
+        let bad = Ring {
+            boom_at: Some(0),
+            ..Ring::new(N, 3, 0)
+        };
+        let good = Ring::new(N, 3, 500);
+        let mut svc = SolveService::new(N);
+        bad.submit_to(&mut svc, "bad");
+        good.submit_to(&mut svc, "good");
+        let reports = svc.run_pending();
+        let err = reports[0].outcome.as_ref().unwrap_err();
+        assert_eq!(err.ranks, (0..N).collect::<Vec<_>>());
+        assert!(err.message.contains("tenant boom"), "{err}");
+        let got = reports[1].outcome.as_ref().expect("sibling unaffected");
+        assert_eq!(got, &good.expected_all());
+        // every rank polls job 0 in its first pass, before any cancel token
+        // can be drained: one `input` call per rank, none after the panic
+        assert_eq!(bad.inputs.load(Ordering::SeqCst), N);
+    }
+
+    /// No lost wakeups under racing deliveries: many back-to-back
+    /// iterations of two concurrent tenants terminate with the right
+    /// values even when a peer's deposit lands between a task's last
+    /// `test_any` and the park (the `wait_any` generation check closes
+    /// that race). The deadline turns a lost wakeup into a loud failure
+    /// instead of a hung test.
+    #[test]
+    fn no_lost_wakeup_over_many_racing_iterations() {
+        const N: usize = 4;
+        let jobs = [Ring::new(N, 200, 0), Ring::new(N, 200, 500)];
+        let plan = FaultPlan::seeded(1).deadline_ms(10_000);
+        let mut svc = SolveService::with_pool(World::pool_with_faults(N, plan));
+        for job in &jobs {
+            job.submit_to(&mut svc, "ring");
+        }
+        for (rep, job) in svc.run_pending().iter().zip(&jobs) {
+            let got = rep.outcome.as_ref().expect("no wakeup lost");
+            assert_eq!(got, &job.expected_all());
+        }
+    }
+
+    /// The park re-flags exactly the tasks whose *own* pending channels
+    /// delivered: with two tenants blocked on rank 1 and only tenant B's
+    /// traffic released, the park returns with B runnable and A still
+    /// blocked.
+    #[test]
+    fn park_reflags_only_tasks_whose_own_channels_delivered() {
+        let topo = Topology::block_nodes(2, 1);
+        let pat = ring_pattern(2);
+        let job = Ring::new(2, 1, 0);
+        let batches: Vec<NeighborBatch<'_>> = (0..2)
+            .map(|_| {
+                NeighborBatch::new(&topo).entry(&pat, Backend::Protocol(Protocol::StandardNeighbor))
+            })
+            .collect();
+        for b in &batches {
+            let _ = b.tag_bases(); // resolve (and lease tags) before the ranks race
+        }
+        const A: usize = 0;
+        const B: usize = 1;
+        World::pool(2).run(|ctx| {
+            let world = ctx.comm_world();
+            let rank = ctx.rank();
+            let mut tasks: Vec<Option<Task>> = batches
+                .iter()
+                .enumerate()
+                .map(|(k, b)| {
+                    let comm = world.dup_for(k as u64 + 1);
+                    Some(Task::new(
+                        Arc::new(job.clone()),
+                        b.init_all(ctx, &comm),
+                        rank,
+                    ))
+                })
+                .collect();
+            let mut poll = |t: usize, ctx: &mut RankCtx| tasks[t].as_mut().unwrap().poll(ctx);
+            ctx.barrier(&world);
+            if rank == 0 {
+                // hold all traffic back until rank 1 has blocked both
+                // tenants, then release B's only
+                ctx.barrier(&world);
+                assert_eq!(poll(B, ctx), Some(job.expected(0)));
+                ctx.barrier(&world);
+                assert_eq!(poll(A, ctx), Some(job.expected(0)));
+                return;
+            }
+            assert_eq!(poll(A, ctx), None);
+            assert_eq!(poll(B, ctx), None);
+            ctx.barrier(&world);
+            let mut union = Vec::new();
+            park(ctx, &mut tasks, &[A, B], &[], &mut union);
+            let runnable = |t: usize| tasks[t].as_ref().unwrap().runnable;
+            assert!(runnable(B), "B's channel delivered");
+            assert!(!runnable(A), "nothing of A's delivered yet");
+            ctx.barrier(&world);
+            park(ctx, &mut tasks, &[A], &[], &mut union);
+            assert!(tasks[A].as_ref().unwrap().runnable);
+            for t in [A, B] {
+                assert_eq!(tasks[t].as_mut().unwrap().poll(ctx), Some(job.expected(1)));
+            }
+        });
+    }
 }

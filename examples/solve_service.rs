@@ -1,4 +1,4 @@
-//! The async solve service, end to end (DESIGN.md §12).
+//! The solve service, end to end (DESIGN.md §12).
 //!
 //! The paper's collectives amortize setup across the iterations of one
 //! solver; [`SolveService`] amortizes the *world* across many solvers.

@@ -11,8 +11,8 @@
 //!   models;
 //! * [`sparse`] / [`amg`] — the sparse linear algebra and BoomerAMG
 //!   substrate generating the evaluation workloads;
-//! * [`service`] — the async solve service: a multi-tenant job
-//!   scheduler driving futures-based solves on one warm world pool.
+//! * [`service`] — the solve service: a multi-tenant job scheduler
+//!   overlapping tenants' solves on one warm world pool.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for
 //! the full system inventory.
