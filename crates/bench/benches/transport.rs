@@ -18,6 +18,13 @@
 //!   sequencing, acks, and heartbeats. The delta against `thread_` prices
 //!   the wire protocol itself, with no process-management noise.
 //!
+//! The `sock_link_burst` group prices the socket link itself, below the
+//! collectives: one rank pushes a burst of 256 one-element persistent
+//! messages (`K_CHAN` frames) through the loopback link and the other
+//! takes them all, so frames per second is 256 over the reported time —
+//! what one writer/reader pair moves when frames arrive faster than
+//! syscalls return.
+//!
 //! `scripts/bench_compare` pairs the sides and REPORTS the
 //! process/thread and sock/thread ratios without gating them — crossing
 //! real address spaces or a socket is allowed to cost more than
@@ -111,6 +118,42 @@ fn bench_transport(c: &mut Criterion, world: &ProcWorld, colls: &[(String, Neigh
     group.finish();
 }
 
+/// Small frames per burst of the `sock_link_burst` group.
+const BURST: usize = 256;
+
+fn bench_link_burst(c: &mut Criterion) {
+    let pool = World::pool_sock(2);
+    let mut group = c.benchmark_group("sock_link_burst");
+    group.sample_size(10);
+    group.bench_function(
+        BenchmarkId::from_parameter(format!("{BURST}_frames")),
+        |b| {
+            b.iter(|| {
+                pool.run(|ctx| {
+                    let comm = ctx.comm_world();
+                    if ctx.rank() == 0 {
+                        let tx = ctx.send_chan_init::<u64>(&comm, 1, 7, 1);
+                        for i in 0..BURST as u64 {
+                            tx.start_with(ctx, |buf| buf.push(i));
+                        }
+                        0
+                    } else {
+                        let mut rx = ctx.recv_chan_init::<u64>(&comm, 0, 7, 1);
+                        (0..BURST).fold(0, |sum, _| {
+                            rx.start();
+                            let got = rx.wait_take(ctx);
+                            let sum = sum + got[0];
+                            rx.recycle(got);
+                            sum
+                        })
+                    }
+                })
+            })
+        },
+    );
+    group.finish();
+}
+
 fn main() {
     // identical deterministic setup in every process, BEFORE the world
     // spawns: plan() resolves each builder — leasing its tag base from
@@ -149,5 +192,6 @@ fn main() {
     // filters) and stops the worker fleet when the world drops
     let mut c = Criterion::default();
     bench_transport(&mut c, &world, &colls);
+    bench_link_burst(&mut c);
     c.finalize();
 }

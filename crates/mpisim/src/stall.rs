@@ -119,6 +119,18 @@ pub struct LinkStatus {
     pub unacked: usize,
     /// Milliseconds since any frame (heartbeats included) arrived.
     pub heartbeat_age_ms: u64,
+    /// Sequenced frames written since the link was created (re-sends
+    /// after a reconnect count again).
+    pub frames_tx: u64,
+    /// `write` cycles of the link's writer thread; `frames_tx /
+    /// write_calls` is how many frames one syscall carried.
+    pub write_calls: u64,
+    /// Sequenced frames accepted in order.
+    pub frames_rx: u64,
+    /// `read` calls of the link's reader threads.
+    pub read_calls: u64,
+    /// Times the parked writer thread was woken by a notification.
+    pub writer_wakes: u64,
 }
 
 /// A forensic dump of the world at the moment a wait deadline expired
@@ -218,6 +230,11 @@ impl fmt::Display for StallReport {
                 "\n  link to proc {}: {} (outbox {}, unacked {}, last heard {} ms ago)",
                 l.peer, l.state, l.outbox, l.unacked, l.heartbeat_age_ms
             )?;
+            write!(
+                f,
+                "\n    {} frames in {} writes, {} frames in {} reads, {} writer wakes",
+                l.frames_tx, l.write_calls, l.frames_rx, l.read_calls, l.writer_wakes
+            )?;
         }
         Ok(())
     }
@@ -252,6 +269,11 @@ mod tests {
                 outbox: 3,
                 unacked: 11,
                 heartbeat_age_ms: 812,
+                frames_tx: 640,
+                write_calls: 20,
+                frames_rx: 512,
+                read_calls: 16,
+                writer_wakes: 9,
             }],
         };
         let text = report.to_string();
@@ -266,6 +288,7 @@ mod tests {
         assert!(text.contains(
             "link to proc 2: reconnecting (outbox 3, unacked 11, last heard 812 ms ago)"
         ));
+        assert!(text.contains("640 frames in 20 writes, 512 frames in 16 reads, 9 writer wakes"));
     }
 
     #[test]

@@ -294,8 +294,8 @@ enum ChanImp<T> {
 
 /// Socket-fabric channel body. The receive side is an ordinary in-process
 /// [`ThreadChan`] fed by the link reader thread (via the transport's
-/// deliver hook); the send side serializes each payload into a `K_CHAN`
-/// frame and hands it to the peer's [`Link`], which owns sequencing,
+/// deliver hook); the send side serializes each payload straight into a
+/// `K_CHAN` frame of the peer's [`Link`], which owns sequencing,
 /// acknowledgement, and replay-on-reconnect. A channel whose two endpoints
 /// live in the same process (`route: None`) skips the wire entirely and
 /// pushes straight into the local queue — byte-identical semantics, no
@@ -304,14 +304,11 @@ pub(crate) struct SockChan<T> {
     local: Arc<ThreadChan<T>>,
     key: ChanKey,
     route: Option<Arc<Link>>,
-    /// Recycled send-side staging buffers (typed payload + frame image),
-    /// mirroring the receive side's spare pool so steady-state sends
-    /// allocate nothing.
-    scratch: Mutex<SockScratch<T>>,
+    /// Recycled typed staging buffers (what `fill` writes into), mirroring
+    /// the receive side's spare pool so steady-state sends allocate
+    /// nothing; the frame itself is the link's recycled buffer.
+    scratch: Mutex<Vec<Vec<T>>>,
 }
-
-/// Spare typed-payload and wire-frame buffers of a [`SockChan`].
-type SockScratch<T> = (Vec<Vec<T>>, Vec<Vec<u8>>);
 
 impl<T: Clone + Send + 'static> SockChan<T> {
     fn new(key: ChanKey, route: Option<Arc<Link>>) -> Self {
@@ -319,7 +316,7 @@ impl<T: Clone + Send + 'static> SockChan<T> {
             local: Arc::new(ThreadChan::new()),
             key,
             route,
-            scratch: Mutex::new((Vec::new(), Vec::new())),
+            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -327,29 +324,21 @@ impl<T: Clone + Send + 'static> SockChan<T> {
         let Some(link) = &self.route else {
             return self.local.push_with(arrival, fill);
         };
-        // Stage the payload, then serialize it into a K_CHAN frame body:
-        // [ctx u64][src u64][dst u64][tag u64][arrival f64-bits u64] + data.
-        let (mut vals, mut body) = {
-            let mut sc = self.scratch.lock();
-            (
-                sc.0.pop().unwrap_or_default(),
-                sc.1.pop().unwrap_or_default(),
-            )
-        };
+        let mut vals = self.scratch.lock().pop().unwrap_or_default();
         vals.clear();
         fill(&mut vals);
-        body.clear();
+        // K_CHAN body:
+        // [ctx u64][src u64][dst u64][tag u64][arrival f64-bits u64] + data
         let (ctx_id, src, dst, tag) = self.key;
-        body.extend_from_slice(&ctx_id.to_le_bytes());
-        body.extend_from_slice(&(src as u64).to_le_bytes());
-        body.extend_from_slice(&(dst as u64).to_le_bytes());
-        body.extend_from_slice(&tag.to_le_bytes());
-        body.extend_from_slice(&arrival.to_bits().to_le_bytes());
-        body.extend_from_slice(bytes_of(&vals));
-        link.send_frame(K_CHAN, &body);
-        let mut sc = self.scratch.lock();
-        sc.0.push(vals);
-        sc.1.push(body);
+        link.send_frame_with(K_CHAN, |body| {
+            body.extend_from_slice(&ctx_id.to_le_bytes());
+            body.extend_from_slice(&(src as u64).to_le_bytes());
+            body.extend_from_slice(&(dst as u64).to_le_bytes());
+            body.extend_from_slice(&tag.to_le_bytes());
+            body.extend_from_slice(&arrival.to_bits().to_le_bytes());
+            body.extend_from_slice(bytes_of(&vals));
+        });
+        self.scratch.lock().push(vals);
     }
 }
 
@@ -516,8 +505,16 @@ impl<T: Clone + Send + 'static> Channel<T> {
             let local = Arc::clone(&chan.local);
             t.register_deliver(
                 key,
-                Arc::new(move |arrival, bytes| {
+                Arc::new(move |arrival, bytes: &[u8]| {
+                    if !bytes.len().is_multiple_of(elem_bytes::<T>()) {
+                        return Err(format!(
+                            "payload of {} bytes is not a whole number of {} elements",
+                            bytes.len(),
+                            std::any::type_name::<T>()
+                        ));
+                    }
                     local.push_with(arrival, |buf| vec_extend_bytes(buf, bytes, &[]));
+                    Ok(())
                 }),
             );
         }

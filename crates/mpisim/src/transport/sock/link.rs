@@ -9,7 +9,13 @@
 //! per-link monotonic sequence number and stay in the replay buffer until
 //! cumulatively acknowledged, so a severed connection resumes exactly
 //! where it left off (exactly-once: the receiver drops seqs it has
-//! already seen and panics on gaps).
+//! already seen, and a gap kills the link).
+//!
+//! The link pays per *cycle*, not per frame: senders encode straight into
+//! recycled frame buffers and wake the writer only when it is parked, the
+//! writer coalesces everything queued since its last turn into one
+//! `write`, and the reader takes whatever the kernel has in one `read`
+//! and parses the frames where they landed.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -37,41 +43,179 @@ pub(crate) const K_TABLE: u8 = 10; // bootstrap: [n u32]([len u32][addr])*n
 /// `[kind u8][pad 3][seq u64]`.
 const FRAME_HDR: usize = 12;
 
+/// Largest `len` a frame may declare. The sender asserts it, the decoder
+/// rejects anything above it before sizing a buffer from the wire.
+const MAX_FRAME: usize = 1 << 28;
+
+/// Bytes one link moves per syscall when traffic is small: the reader's
+/// buffer (grown only for a frame that exceeds it) and the budget of
+/// frames the writer coalesces into one `write` (a larger frame goes
+/// alone).
+const IO_BATCH: usize = 64 << 10;
+
 /// Hard cap on unacknowledged sequenced frames. A healthy peer acks every
 /// few frames and on every heartbeat, so hitting this means the peer has
 /// stopped consuming for far longer than any reconnect window — degrade
 /// loudly instead of buffering without bound.
 const REPLAY_CAP: usize = 1 << 16;
 
-/// Encode one frame: `[len u32][kind u8][pad 3][seq u64][body]` where
-/// `len` counts everything after the length prefix.
+/// Acknowledged frame buffers kept for reuse by the next sends, and the
+/// largest capacity worth keeping.
+const POOL_FRAMES: usize = 256;
+const POOL_FRAME_BYTES: usize = 2 * IO_BATCH;
+
+/// Append one frame to `out`: `[len u32][kind u8][pad 3][seq u64][body]`
+/// where `len` counts everything after the length prefix and `body` is
+/// whatever the closure appends.
+pub(crate) fn encode_frame_into(
+    out: &mut Vec<u8>,
+    kind: u8,
+    seq: u64,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.push(kind);
+    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    body(out);
+    let len = out.len() - at - 4;
+    assert!(
+        len <= MAX_FRAME,
+        "sock frame of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"
+    );
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// One frame in a buffer of its own (handshakes; data frames are encoded
+/// in place by [`Link::send_frame_with`]).
 pub(crate) fn encode_frame(kind: u8, seq: u64, body: &[u8]) -> Vec<u8> {
     let mut f = Vec::with_capacity(4 + FRAME_HDR + body.len());
-    f.extend_from_slice(&((FRAME_HDR + body.len()) as u32).to_le_bytes());
-    f.push(kind);
-    f.extend_from_slice(&[0u8; 3]);
-    f.extend_from_slice(&seq.to_le_bytes());
-    f.extend_from_slice(body);
+    encode_frame_into(&mut f, kind, seq, |b| b.extend_from_slice(body));
     f
 }
 
-/// Read one frame off a blocking stream.
-pub(crate) fn read_frame(s: &mut Stream) -> std::io::Result<(u8, u64, Vec<u8>)> {
-    let mut len = [0u8; 4];
-    s.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len < FRAME_HDR {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("sock frame of {len} bytes is shorter than its header"),
-        ));
+pub(crate) fn invalid_data(why: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, why.into())
+}
+
+/// One decoded frame, borrowed from its [`FrameReader`]'s buffer.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Frame<'a> {
+    pub kind: u8,
+    pub seq: u64,
+    pub body: &'a [u8],
+}
+
+/// Frame decoder over a byte stream. One reusable buffer takes whatever
+/// the source has per `read` — a whole burst of small frames, typically —
+/// and frames are parsed where they landed; only a frame that straddles
+/// the buffer's end is moved (its prefix, to the front), and only a frame
+/// larger than the buffer grows it.
+pub(crate) struct FrameReader<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// Unparsed bytes are `buf[head..tail]`.
+    head: usize,
+    tail: usize,
+    /// `read`s done since the owner last took the count (the link
+    /// reader folds them into [`LinkState::read_calls`], the handshake's
+    /// included: a burst can arrive with the HELLO).
+    pub reads: u64,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub fn new(src: R) -> Self {
+        Self {
+            src,
+            buf: vec![0; IO_BATCH],
+            head: 0,
+            tail: 0,
+            reads: 0,
+        }
     }
-    let mut buf = vec![0u8; len];
-    s.read_exact(&mut buf)?;
-    let kind = buf[0];
-    let seq = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    buf.drain(..FRAME_HDR);
-    Ok((kind, seq, buf))
+
+    /// Wire size (prefix included) of the frame at `head`, once its
+    /// length prefix is buffered. The declared length is validated here,
+    /// before anything is sized or indexed by it.
+    fn frame_size(&self) -> std::io::Result<Option<usize>> {
+        let Some(prefix) = self.buf[self.head..self.tail].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if !(FRAME_HDR..=MAX_FRAME).contains(&len) {
+            return Err(invalid_data(format!(
+                "sock frame declares {len} bytes (header is {FRAME_HDR}, cap is {MAX_FRAME})"
+            )));
+        }
+        Ok(Some(4 + len))
+    }
+
+    /// Wire size of the frame at `head` if all of it is buffered.
+    fn whole_frame(&self) -> std::io::Result<Option<usize>> {
+        Ok(self
+            .frame_size()?
+            .filter(|size| self.tail - self.head >= *size))
+    }
+
+    /// Consume the whole frame of `size` wire bytes at `head`.
+    fn take(&mut self, size: usize) -> Frame<'_> {
+        let f = &self.buf[self.head..self.head + size];
+        self.head += size;
+        let seq = *f[8..].first_chunk::<8>().expect("frame holds its header");
+        Frame {
+            kind: f[4],
+            seq: u64::from_le_bytes(seq),
+            body: &f[4 + FRAME_HDR..],
+        }
+    }
+
+    /// The next frame if all of it is already buffered; never reads.
+    pub fn next_buffered(&mut self) -> std::io::Result<Option<Frame<'_>>> {
+        Ok(self.whole_frame()?.map(|size| self.take(size)))
+    }
+
+    /// One `read` of whatever the source has, after making room for the
+    /// rest of the frame at `head`. End of stream is an error: a link
+    /// never expects one.
+    pub fn fill(&mut self) -> std::io::Result<()> {
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        }
+        let need = self.frame_size()?.unwrap_or(4);
+        if self.head + need > self.buf.len() {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
+            if need > self.buf.len() {
+                self.buf.resize(need.next_power_of_two(), 0);
+            }
+        }
+        loop {
+            match self.src.read(&mut self.buf[self.tail..]) {
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.tail += n;
+                    self.reads += 1;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Block until one whole frame is buffered and return it (handshakes;
+    /// the link reader drains [`FrameReader::next_buffered`] between
+    /// [`FrameReader::fill`]s instead).
+    pub fn read_frame(&mut self) -> std::io::Result<Frame<'_>> {
+        let size = loop {
+            if let Some(size) = self.whole_frame()? {
+                break size;
+            }
+            self.fill()?;
+        };
+        Ok(self.take(size))
+    }
 }
 
 /// `true` if `spec` names a Unix-domain socket path rather than a TCP
@@ -122,18 +266,26 @@ impl Read for Stream {
     }
 }
 
-impl Write for Stream {
+/// Writing needs only a shared handle (as for the std socket types), so
+/// the writer thread writes through the `Arc` the link state holds.
+impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
+            Stream::Unix(s) => (&*s).write(buf),
         }
     }
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
+        Ok(()) // sockets have no user-space write buffer
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self).write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -264,22 +416,29 @@ pub(crate) fn connect_retry(addr: &str, cfg: RetryCfg) -> std::io::Result<Stream
 
 /// Mutable half of a [`Link`].
 pub(crate) struct LinkState {
-    /// Socket the writer thread writes to (`None` while disconnected).
-    pub writer_sock: Option<Stream>,
-    /// Clone of the socket the current reader reads from, kept so
+    /// Socket the writer thread writes to (`None` while disconnected). On
+    /// a remote link it carries both directions, so shutting it down also
+    /// wakes the reader.
+    pub writer_sock: Option<Arc<Stream>>,
+    /// Self-link only: the accepted end the reader reads from, kept so
     /// `disconnect` can shut it down and wake a blocked `read`.
     pub reader_sock: Option<Stream>,
-    /// Bumped on every install; a reader whose generation is stale exits
-    /// instead of reconnecting (it was already replaced).
+    /// Bumped on every install; a reader whose generation is stale stops
+    /// consuming and exits instead of reconnecting (it was replaced).
     pub reader_gen: u64,
-    /// Every unacknowledged sequenced frame, in seq order. Doubles as the
-    /// outbox: entries with seq > `sent` have not been written yet.
-    pub replay: VecDeque<(u64, Vec<u8>)>,
+    /// Every unacknowledged sequenced frame, seq-contiguous: entry `i`
+    /// carries seq `acked + 1 + i` and the last one `tx_seq`. Doubles as
+    /// the outbox: entries from index `sent - acked` on have not been
+    /// written yet.
+    pub replay: VecDeque<Vec<u8>>,
+    /// Acknowledged frame buffers awaiting reuse.
+    pool: Vec<Vec<u8>>,
     /// Last sequence number assigned to an outgoing frame.
     pub tx_seq: u64,
     /// Last seq physically written on the CURRENT connection (reset to
     /// the peer's cumulative rx on reconnect, which is what makes resume
-    /// work: the writer re-sends everything the peer missed).
+    /// work: the writer re-sends everything the peer missed). Never
+    /// behind `acked`.
     pub sent: u64,
     /// Last in-order seq received from the peer.
     pub rx_seq: u64,
@@ -289,6 +448,19 @@ pub(crate) struct LinkState {
     pub rx_since_ack: u64,
     /// The reader asked the writer to emit an ack now.
     pub ack_requested: bool,
+    /// The writer thread is parked on `cv` (senders skip the wake
+    /// otherwise: it takes their frame on its next turn anyway).
+    writer_parked: bool,
+    /// Sequenced frames written, counting re-sends after a reconnect.
+    pub frames_tx: u64,
+    /// `write` cycles of the writer thread (acks and heartbeats included).
+    pub write_calls: u64,
+    /// Sequenced frames accepted in order (duplicates not counted).
+    pub frames_rx: u64,
+    /// `read` calls of the reader threads.
+    pub read_calls: u64,
+    /// Times a notification woke the parked writer thread.
+    pub writer_wakes: u64,
     /// Completed reconnects (forensics).
     pub reconnects: u64,
     /// When the link lost its connection; `None` while connected (or
@@ -303,9 +475,50 @@ pub(crate) struct LinkState {
     pub shutdown: bool,
 }
 
+impl LinkState {
+    /// Shut down whatever sockets are installed; blocked `read`s and
+    /// `write`s on them return.
+    fn drop_socks(&mut self) {
+        if let Some(s) = self.writer_sock.take() {
+            s.shutdown_both();
+        }
+        if let Some(s) = self.reader_sock.take() {
+            s.shutdown_both();
+        }
+    }
+
+    /// Retire every frame up to the cumulative ack `cum` (≤ `tx_seq`),
+    /// keeping the buffers for reuse. An ack can overtake the send cursor
+    /// right after a resume rewound it (the replaced connection's reader
+    /// was still draining its socket), so the cursor follows.
+    fn trim(&mut self, cum: u64) {
+        if cum <= self.acked {
+            return;
+        }
+        for f in self.replay.drain(..(cum - self.acked) as usize) {
+            if self.pool.len() < POOL_FRAMES && f.capacity() <= POOL_FRAME_BYTES {
+                self.pool.push(f);
+            }
+        }
+        self.acked = cum;
+        self.sent = self.sent.max(cum);
+    }
+}
+
 /// Receiver acks at least every this many sequenced frames (heartbeats
 /// ack anyway on idle links).
 pub(crate) const ACK_EVERY: u64 = 64;
+
+/// What the sequence discipline made of one received frame.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Accept {
+    /// Next in order: dispatch it.
+    Fresh,
+    /// Already seen (a replay after reconnect): drop it.
+    Duplicate,
+    /// The reader that read it was replaced: stop consuming.
+    Stale,
+}
 
 /// One peer-process connection: all state shared between the writer
 /// thread, the reader thread, depositing ranks, and forensics.
@@ -324,6 +537,10 @@ pub(crate) struct Link {
     pub st: Mutex<LinkState>,
     /// Wakes the writer thread (new frames, installs, teardown).
     pub cv: Condvar,
+    /// Held by a reader from accepting a frame until it has dispatched
+    /// it, so the reader of a new connection cannot deliver frame `k + 1`
+    /// while a replaced reader is still delivering `k` (per-pair FIFO).
+    pub rx_order: Mutex<()>,
     /// Liveness clock: ms since `base` when the peer was last heard from.
     pub last_rx_ms: AtomicU64,
     base: Instant,
@@ -341,12 +558,19 @@ impl Link {
                 reader_sock: None,
                 reader_gen: 0,
                 replay: VecDeque::new(),
+                pool: Vec::new(),
                 tx_seq: 0,
                 sent: 0,
                 rx_seq: 0,
                 acked: 0,
                 rx_since_ack: 0,
                 ack_requested: false,
+                writer_parked: false,
+                frames_tx: 0,
+                write_calls: 0,
+                frames_rx: 0,
+                read_calls: 0,
+                writer_wakes: 0,
                 reconnects: 0,
                 disconnected_since: None,
                 dead: false,
@@ -354,6 +578,7 @@ impl Link {
                 shutdown: false,
             }),
             cv: Condvar::new(),
+            rx_order: Mutex::new(()),
             last_rx_ms: AtomicU64::new(0),
             base: Instant::now(),
         })
@@ -371,9 +596,24 @@ impl Link {
             .saturating_sub(self.last_rx_ms.load(Ordering::Acquire))
     }
 
+    /// Record `n` `read`s by a reader thread: the peer is alive.
+    pub fn note_reads(&self, n: u64) {
+        self.touch();
+        self.st.lock().read_calls += n;
+    }
+
     /// Queue one sequenced frame. Never blocks; frames queued while the
     /// link is down ride the replay buffer through the next reconnect.
     pub fn send_frame(&self, kind: u8, body: &[u8]) {
+        self.send_frame_with(kind, |b| b.extend_from_slice(body));
+    }
+
+    /// [`Link::send_frame`] with the body written by `body` straight into
+    /// the queued frame (a recycled buffer), outside the link lock.
+    pub fn send_frame_with(&self, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
+        let mut f = self.st.lock().pool.pop().unwrap_or_default();
+        f.clear();
+        encode_frame_into(&mut f, kind, 0, body); // seq: assigned under the lock
         let mut st = self.st.lock();
         if st.dead || st.shutdown {
             return; // peer_failure() reports the death; don't pile on
@@ -386,10 +626,15 @@ impl Link {
             st.replay.len(),
         );
         st.tx_seq += 1;
-        let seq = st.tx_seq;
-        st.replay.push_back((seq, encode_frame(kind, seq, body)));
+        f[8..16].copy_from_slice(&st.tx_seq.to_le_bytes());
+        st.replay.push_back(f);
+        // a parked writer with no socket has nothing to do with the frame;
+        // the install that brings one wakes it
+        let wake = st.writer_parked && st.writer_sock.is_some();
         drop(st);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// Sever the current connection (write error, heartbeat timeout, or
@@ -398,12 +643,7 @@ impl Link {
     /// its disconnected-too-long clock.
     pub fn disconnect(&self) {
         let mut st = self.st.lock();
-        if let Some(s) = st.writer_sock.take() {
-            s.shutdown_both();
-        }
-        if let Some(s) = st.reader_sock.take() {
-            s.shutdown_both();
-        }
+        st.drop_socks();
         if st.disconnected_since.is_none() {
             st.disconnected_since = Some(Instant::now());
         }
@@ -419,12 +659,7 @@ impl Link {
         }
         st.dead = true;
         st.dead_note = Some(note);
-        if let Some(s) = st.writer_sock.take() {
-            s.shutdown_both();
-        }
-        if let Some(s) = st.reader_sock.take() {
-            s.shutdown_both();
-        }
+        st.drop_socks();
         drop(st);
         self.cv.notify_all();
     }
@@ -433,12 +668,7 @@ impl Link {
     pub fn close(&self) {
         let mut st = self.st.lock();
         st.shutdown = true;
-        if let Some(s) = st.writer_sock.take() {
-            s.shutdown_both();
-        }
-        if let Some(s) = st.reader_sock.take() {
-            s.shutdown_both();
-        }
+        st.drop_socks();
         drop(st);
         self.cv.notify_all();
     }
@@ -447,209 +677,409 @@ impl Link {
     /// links). `peer_rx` is the peer's cumulative receive seq from its
     /// HELLO: everything after it gets re-sent. Returns the reader
     /// generation for the reader thread to carry.
-    pub fn install(&self, stream: Stream, peer_rx: u64) -> std::io::Result<(Stream, u64)> {
-        let reader_end = stream.try_clone()?;
+    pub fn install(&self, stream: Stream, peer_rx: u64) -> Result<u64, String> {
         let mut st = self.st.lock();
-        if let Some(s) = st.writer_sock.take() {
-            s.shutdown_both();
-        }
-        if let Some(s) = st.reader_sock.take() {
-            s.shutdown_both();
-        }
-        Self::resume(&mut st, peer_rx);
-        st.writer_sock = Some(stream);
-        st.reader_sock = Some(reader_end.try_clone()?);
+        self.resume(&mut st, peer_rx)?;
+        st.drop_socks();
+        st.writer_sock = Some(Arc::new(stream));
         st.reader_gen += 1;
         let gen = st.reader_gen;
-        if st.disconnected_since.take().is_some() {
-            st.reconnects += 1;
-        }
         drop(st);
         self.touch();
         self.cv.notify_all();
-        Ok((reader_end, gen))
+        Ok(gen)
     }
 
     /// Self-link: install only the writing end (the client side of the
     /// loopback connection). The accepted end arrives separately through
     /// the accept loop ([`Link::install_reader`]).
-    pub fn install_writer(&self, stream: Stream, peer_rx: u64) {
+    pub fn install_writer(&self, stream: Stream, peer_rx: u64) -> Result<(), String> {
         let mut st = self.st.lock();
-        if let Some(s) = st.writer_sock.take() {
+        self.resume(&mut st, peer_rx)?;
+        if let Some(s) = st.writer_sock.replace(Arc::new(stream)) {
             s.shutdown_both();
-        }
-        Self::resume(&mut st, peer_rx);
-        st.writer_sock = Some(stream);
-        if st.disconnected_since.take().is_some() {
-            st.reconnects += 1;
         }
         drop(st);
         self.touch();
         self.cv.notify_all();
+        Ok(())
     }
 
     /// Self-link: install only the reading end. Returns the generation
     /// for the reader thread.
-    pub fn install_reader(&self, stream: &Stream) -> std::io::Result<u64> {
+    pub fn install_reader(&self, stream: Stream) -> u64 {
         let mut st = self.st.lock();
-        if let Some(s) = st.reader_sock.take() {
+        if let Some(s) = st.reader_sock.replace(stream) {
             s.shutdown_both();
         }
-        st.reader_sock = Some(stream.try_clone()?);
         st.reader_gen += 1;
         let gen = st.reader_gen;
         drop(st);
         self.touch();
-        Ok(gen)
+        gen
     }
 
     /// Rewind the send cursor to what the peer actually has, dropping
-    /// acknowledged frames from replay.
-    fn resume(st: &mut LinkState, peer_rx: u64) {
-        while st.replay.front().is_some_and(|(s, _)| *s <= peer_rx) {
-            st.replay.pop_front();
-        }
-        if peer_rx > st.acked {
-            st.acked = peer_rx;
-        }
+    /// acknowledged frames from replay, and count the reconnect.
+    fn resume(&self, st: &mut LinkState, peer_rx: u64) -> Result<(), String> {
+        self.check_ack(st, peer_rx)?;
+        st.trim(peer_rx);
         st.sent = st.acked;
+        if st.disconnected_since.take().is_some() {
+            st.reconnects += 1;
+        }
+        Ok(())
+    }
+
+    /// A peer cannot have received what was never sent.
+    fn check_ack(&self, st: &LinkState, cum_rx: u64) -> Result<(), String> {
+        if cum_rx > st.tx_seq {
+            return Err(format!(
+                "proc {} acknowledged seq {cum_rx} but only {} were ever sent",
+                self.peer_proc, st.tx_seq
+            ));
+        }
+        Ok(())
     }
 
     /// Apply a cumulative ack from the peer.
-    pub fn apply_ack(&self, cum_rx: u64) {
+    pub fn apply_ack(&self, cum_rx: u64) -> Result<(), String> {
         let mut st = self.st.lock();
-        if cum_rx > st.acked {
-            st.acked = cum_rx;
-            while st.replay.front().is_some_and(|(s, _)| *s <= cum_rx) {
-                st.replay.pop_front();
-            }
+        self.check_ack(&st, cum_rx)?;
+        st.trim(cum_rx);
+        Ok(())
+    }
+
+    /// Sequence discipline for one received sequenced frame, read by the
+    /// reader of generation `gen`: exactly-once, in order, and only from
+    /// the current reader — a replaced reader may still hold frames in
+    /// its buffer, and those must come back through replay rather than
+    /// race the new reader's. A gap is a protocol violation (`Err`).
+    pub fn accept(&self, gen: u64, seq: u64) -> Result<Accept, String> {
+        let mut st = self.st.lock();
+        if st.reader_gen != gen {
+            return Ok(Accept::Stale);
         }
+        if seq <= st.rx_seq {
+            return Ok(Accept::Duplicate);
+        }
+        if seq != st.rx_seq + 1 {
+            return Err(format!(
+                "sequence gap from proc {}: seq {seq} after {} (exactly-once violated)",
+                self.peer_proc, st.rx_seq
+            ));
+        }
+        st.rx_seq = seq;
+        st.frames_rx += 1;
+        if self.self_loop {
+            // both ends share this state (received means sent): ack
+            // locally, nothing owed on the wire, the writer is left alone
+            self.check_ack(&st, seq)?;
+            st.trim(seq);
+            return Ok(Accept::Fresh);
+        }
+        st.rx_since_ack += 1;
+        let owe_ack = st.rx_since_ack >= ACK_EVERY && !st.ack_requested;
+        if owe_ack {
+            st.ack_requested = true;
+        }
+        drop(st);
+        if owe_ack {
+            self.cv.notify_all();
+        }
+        Ok(Accept::Fresh)
     }
 
     /// Forensic snapshot; `"busy"` when the state lock is contended.
     pub fn status(&self) -> crate::stall::LinkStatus {
-        let (state, outbox, unacked) = match self.st.try_lock() {
-            Some(st) => {
-                let state = if st.dead {
-                    "dead"
-                } else if st.writer_sock.is_some() {
-                    "connected"
-                } else if st.disconnected_since.is_some() {
-                    "reconnecting"
-                } else {
-                    "connecting"
-                };
-                let outbox = st.replay.iter().filter(|(s, _)| *s > st.sent).count();
-                (state, outbox, st.replay.len())
-            }
-            None => ("busy", 0, 0),
-        };
-        crate::stall::LinkStatus {
+        let mut status = crate::stall::LinkStatus {
             peer: self.peer_proc,
-            state,
-            outbox,
-            unacked,
+            state: "busy",
+            outbox: 0,
+            unacked: 0,
             heartbeat_age_ms: self.silence_ms(),
+            frames_tx: 0,
+            write_calls: 0,
+            frames_rx: 0,
+            read_calls: 0,
+            writer_wakes: 0,
+        };
+        if let Some(st) = self.st.try_lock() {
+            status.state = if st.dead {
+                "dead"
+            } else if st.writer_sock.is_some() {
+                "connected"
+            } else if st.disconnected_since.is_some() {
+                "reconnecting"
+            } else {
+                "connecting"
+            };
+            status.outbox = (st.tx_seq - st.sent) as usize;
+            status.unacked = st.replay.len();
+            status.frames_tx = st.frames_tx;
+            status.write_calls = st.write_calls;
+            status.frames_rx = st.frames_rx;
+            status.read_calls = st.read_calls;
+            status.writer_wakes = st.writer_wakes;
         }
+        status
     }
 }
 
-/// Per-link writer thread: drains the outbox, emits acks/heartbeats on
-/// idle links, detects half-open connections (peer silent too long) and
-/// passive-side permanent loss (disconnected longer than the reconnect
-/// window).
+/// Per-link writer thread: drains the outbox one cycle at a time — every
+/// frame queued since the last cycle, up to [`IO_BATCH`] bytes, leaves in
+/// one `write` — emits acks/heartbeats on idle links, detects half-open
+/// connections (peer silent too long) and passive-side permanent loss
+/// (disconnected longer than the reconnect window).
 pub(crate) fn run_writer(link: Arc<Link>, cfg: RetryCfg) {
     let hb = Duration::from_millis(crate::stall::stall_ms());
+    let window = Duration::from_millis(cfg.window_ms());
     let silence_limit = cfg.window_ms().max(4 * crate::stall::stall_ms()) * 4;
     let mut last_hb = Instant::now();
+    // the cycle's bytes, coalesced under the lock and written outside it
+    let mut out: Vec<u8> = Vec::new();
+    let mut st = link.st.lock();
     loop {
-        enum Act {
-            Write(Stream, Vec<Vec<u8>>),
-            Die(String),
-            Wait,
+        if st.shutdown || st.dead {
+            return;
         }
-        let act = {
-            let mut st = link.st.lock();
-            if st.shutdown || st.dead {
+        out.clear();
+        if st.writer_sock.is_none() {
+            let passive = link.dial_addr.lock().is_none();
+            if passive && st.disconnected_since.is_some_and(|t| t.elapsed() > window) {
+                drop(st);
+                link.fail(format!(
+                    "peer proc {} did not reconnect within {} ms",
+                    link.peer_proc,
+                    cfg.window_ms()
+                ));
                 return;
             }
-            match st.writer_sock.as_ref().map(Stream::try_clone) {
-                Some(Err(_)) => Act::Die("writer socket clone failed".into()),
-                Some(Ok(sock)) => {
-                    let pending: Vec<Vec<u8>> = st
-                        .replay
-                        .iter()
-                        .filter(|(s, _)| *s > st.sent)
-                        .take(32)
-                        .map(|(_, f)| f.clone())
-                        .collect();
-                    if !pending.is_empty() {
-                        st.sent += pending.len() as u64;
-                        Act::Write(sock, pending)
-                    } else if st.ack_requested || last_hb.elapsed() >= hb {
-                        st.ack_requested = false;
-                        st.rx_since_ack = 0;
-                        last_hb = Instant::now();
-                        if link.self_loop {
-                            Act::Wait // self-links ack locally; no wire heartbeat needed
-                        } else if !st.dead && link.silence_ms() > silence_limit {
-                            // half-open link: we can write but the peer has
-                            // gone silent — force a reconnect cycle
-                            drop(st);
-                            link.disconnect();
-                            continue;
-                        } else {
-                            let ack = encode_frame(K_ACK, 0, &st.rx_seq.to_le_bytes());
-                            Act::Write(sock, vec![ack])
-                        }
-                    } else {
-                        Act::Wait
-                    }
+        } else {
+            let mut frames = 0;
+            for f in st.replay.range((st.sent - st.acked) as usize..) {
+                if frames > 0 && out.len() + f.len() > IO_BATCH {
+                    break;
                 }
-                None => {
-                    let passive = link.dial_addr.lock().is_none();
-                    match st.disconnected_since {
-                        Some(t)
-                            if passive && t.elapsed() > Duration::from_millis(cfg.window_ms()) =>
-                        {
-                            Act::Die(format!(
-                                "peer proc {} did not reconnect within {} ms",
-                                link.peer_proc,
-                                cfg.window_ms()
-                            ))
-                        }
-                        _ => Act::Wait,
-                    }
-                }
+                out.extend_from_slice(f);
+                frames += 1;
             }
-        };
-        match act {
-            Act::Write(mut sock, frames) => {
-                for f in &frames {
-                    if sock.write_all(f).is_err() {
-                        link.disconnect();
-                        break;
-                    }
+            st.sent += frames;
+            st.frames_tx += frames;
+            // an owed ack rides the cycle's write; an idle link beats
+            let beat = frames == 0 && last_hb.elapsed() >= hb;
+            if st.ack_requested || beat {
+                st.ack_requested = false;
+                st.rx_since_ack = 0;
+                last_hb = Instant::now();
+                if link.self_loop {
+                    // self-links ack locally; no wire heartbeat needed
+                } else if beat && link.silence_ms() > silence_limit {
+                    // half-open link: we can write but the peer has gone
+                    // silent — force a reconnect cycle
+                    drop(st);
+                    link.disconnect();
+                    st = link.st.lock();
+                    continue;
+                } else {
+                    let rx_seq = st.rx_seq;
+                    encode_frame_into(&mut out, K_ACK, 0, |b| {
+                        b.extend_from_slice(&rx_seq.to_le_bytes())
+                    });
                 }
-            }
-            Act::Die(reason) => {
-                link.fail(reason);
-                return;
-            }
-            Act::Wait => {
-                let mut st = link.st.lock();
-                if st.shutdown || st.dead {
-                    return;
-                }
-                link.cv.wait_for(&mut st, hb);
             }
         }
+        if out.is_empty() {
+            st.writer_parked = true;
+            let timed_out = link.cv.wait_for(&mut st, hb).timed_out();
+            st.writer_parked = false;
+            if !timed_out {
+                st.writer_wakes += 1;
+            }
+            continue;
+        }
+        st.write_calls += 1;
+        let sock = Arc::clone(st.writer_sock.as_ref().expect("connected: checked above"));
+        drop(st);
+        if (&*sock).write_all(&out).is_err() {
+            link.disconnect();
+        }
+        if out.capacity() > 2 * IO_BATCH {
+            out = Vec::new(); // a lone large frame passed through; don't keep its size
+        }
+        st = link.st.lock();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    type Owned = (u8, u64, Vec<u8>);
+
+    fn owned(f: Frame<'_>) -> Owned {
+        (f.kind, f.seq, f.body.to_vec())
+    }
+
+    fn wire(frames: &[Owned]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (kind, seq, body) in frames {
+            encode_frame_into(&mut out, *kind, *seq, |b| b.extend_from_slice(body));
+        }
+        out
+    }
+
+    /// A byte source that hands its data out in the given chunk sizes
+    /// (cycled), the way a stream socket may.
+    struct Chunked {
+        data: Vec<u8>,
+        pos: usize,
+        chunks: Vec<usize>,
+        turn: usize,
+    }
+
+    impl Chunked {
+        fn new(data: Vec<u8>, chunks: Vec<usize>) -> Self {
+            Self {
+                data,
+                pos: 0,
+                chunks,
+                turn: 0,
+            }
+        }
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(!buf.is_empty(), "decoder asked for zero bytes");
+            let chunk = self.chunks[self.turn % self.chunks.len()];
+            self.turn += 1;
+            let n = chunk.min(buf.len()).min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Decode until the stream ends; the frames, the error that ended
+    /// it, and how many source bytes the decoder took.
+    fn decode_all(data: Vec<u8>, chunks: Vec<usize>) -> (Vec<Owned>, std::io::Error, usize) {
+        let mut rd = FrameReader::new(Chunked::new(data, chunks));
+        let mut got = Vec::new();
+        let err = loop {
+            match rd.read_frame() {
+                Ok(f) => got.push(owned(f)),
+                Err(e) => break e,
+            }
+        };
+        (got, err, rd.src.pos)
+    }
+
+    fn frames_strategy() -> impl Strategy<Value = Vec<Owned>> {
+        // mostly small bodies, now and then one past the initial buffer
+        let body = (0usize..40, 0usize..300, any::<u8>()).prop_map(|(big, len, fill)| {
+            let len = if big == 0 { IO_BATCH + len } else { len };
+            (0..len)
+                .map(|i| fill.wrapping_add(i as u8))
+                .collect::<Vec<u8>>()
+        });
+        prop::collection::vec((any::<u8>(), any::<u64>(), body), 1..24)
+    }
+
+    proptest! {
+        #[test]
+        fn decoder_is_indifferent_to_chunking(
+            frames in frames_strategy(),
+            chunks in prop::collection::vec(1usize..40, 1..8),
+            whole in any::<bool>(),
+        ) {
+            let data = wire(&frames);
+            let total = data.len();
+            // either dribble the stream in or let every read take all there is
+            let chunks = if whole { vec![usize::MAX] } else { chunks };
+            let (got, err, taken) = decode_all(data, chunks);
+            prop_assert_eq!(got, frames);
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+            prop_assert_eq!(taken, total);
+        }
+
+        #[test]
+        fn truncated_stream_yields_the_whole_frames_then_eof(
+            frames in frames_strategy(),
+            chunk in 1usize..5000,
+            cut in 0.0f64..1.0,
+        ) {
+            let mut data = wire(&frames);
+            let cut = (data.len() as f64 * cut) as usize;
+            data.truncate(cut);
+            // the frames that fit entirely before the cut
+            let mut end = 0;
+            let whole: Vec<Owned> = frames
+                .into_iter()
+                .take_while(|f| {
+                    end += 4 + FRAME_HDR + f.2.len();
+                    end <= cut
+                })
+                .collect();
+            let (got, err, taken) = decode_all(data, vec![chunk]);
+            prop_assert_eq!(got, whole);
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+            prop_assert_eq!(taken, cut);
+        }
+    }
+
+    #[test]
+    fn one_byte_reads_split_every_prefix_and_header() {
+        let frames = vec![
+            (K_CHAN, 1, b"first".to_vec()),
+            (K_ACK, 0, Vec::new()),
+            (K_DATA, u64::MAX, vec![7; 1000]),
+        ];
+        let (got, err, _) = decode_all(wire(&frames), vec![1]);
+        assert_eq!(got, frames);
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_grows_it_once() {
+        let frames = vec![
+            (K_CHAN, 1, vec![1; 100]),
+            (K_DATA, 2, vec![2; 3 * IO_BATCH]),
+            (K_CHAN, 3, vec![3; 100]),
+        ];
+        let mut rd = FrameReader::new(Chunked::new(wire(&frames), vec![usize::MAX]));
+        for want in &frames {
+            assert_eq!(&owned(rd.read_frame().expect("frame")), want);
+        }
+        assert_eq!(rd.buf.len(), (3 * IO_BATCH + 16).next_power_of_two());
+    }
+
+    #[test]
+    fn declared_lengths_outside_header_to_cap_are_invalid_and_size_nothing() {
+        for len in [0u32, FRAME_HDR as u32 - 1, MAX_FRAME as u32 + 1, u32::MAX] {
+            let mut data = len.to_le_bytes().to_vec();
+            data.extend_from_slice(&[0; 64]);
+            let mut rd = FrameReader::new(Chunked::new(data, vec![3]));
+            let err = rd.read_frame().expect_err("must reject");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
+            assert_eq!(rd.buf.len(), IO_BATCH, "len {len} sized the buffer");
+            assert_eq!(rd.src.pos, 6, "len {len}: read on past the bad prefix");
+        }
+    }
+
+    fn uds_pair() -> (Stream, Stream) {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        (Stream::Unix(a), Stream::Unix(b))
+    }
+
+    /// Seqs of the frames the writer has yet to write.
+    fn pending_seqs(st: &LinkState) -> Vec<u64> {
+        st.replay
+            .range((st.sent - st.acked) as usize..)
+            .map(|f| u64::from_le_bytes(f[8..16].try_into().unwrap()))
+            .collect()
+    }
 
     #[test]
     fn frame_roundtrips_over_a_loopback_stream() {
@@ -658,15 +1088,15 @@ mod tests {
         client
             .write_all(&encode_frame(K_DATA, 7, b"payload"))
             .expect("write");
-        let mut server = loop {
+        let server = loop {
             if let Some(s) = l.try_accept().expect("accept") {
                 break s;
             }
             std::thread::sleep(Duration::from_millis(1));
         };
-        let (kind, seq, body) = read_frame(&mut server).expect("read frame");
-        assert_eq!((kind, seq), (K_DATA, 7));
-        assert_eq!(body, b"payload");
+        let mut frames = FrameReader::new(server);
+        let f = frames.read_frame().expect("read frame");
+        assert_eq!(owned(f), (K_DATA, 7, b"payload".to_vec()));
         let _ = std::fs::remove_file(&addr);
     }
 
@@ -700,34 +1130,99 @@ mod tests {
             st.sent = 3; // pretend all were written on a now-dead conn
         }
         // peer says it saw up to 1: frames 2 and 3 must become pending again
-        let (l, addr) = Listener::bind(&auto_addr()).expect("bind");
-        let client = connect_once(&addr).expect("connect");
-        link.install(client, 1).expect("install");
+        let (ours, _theirs) = uds_pair();
+        link.install(ours, 1).expect("install");
         let st = link.st.lock();
         assert_eq!(st.sent, 1);
         assert_eq!(st.acked, 1);
-        let pending: Vec<u64> = st
-            .replay
-            .iter()
-            .filter(|(s, _)| *s > st.sent)
-            .map(|(s, _)| *s)
-            .collect();
-        assert_eq!(pending, vec![2, 3]);
-        drop(st);
-        drop(l);
-        let _ = std::fs::remove_file(&addr);
+        assert_eq!(pending_seqs(&st), vec![2, 3]);
     }
 
     #[test]
-    fn acks_trim_the_replay_buffer() {
+    fn acks_trim_the_replay_buffer_and_recycle_its_frames() {
         let link = Link::new(0, 0, false);
         for _ in 0..5 {
             link.send_frame(K_CMD, &7u64.to_le_bytes());
         }
-        link.apply_ack(3);
+        link.apply_ack(3).expect("ack");
+        {
+            let st = link.st.lock();
+            assert_eq!(st.acked, 3);
+            assert_eq!(st.replay.len(), 2);
+            assert_eq!(st.pool.len(), 3);
+            assert_eq!(pending_seqs(&st), vec![4, 5]);
+        }
+        link.send_frame(K_CMD, &8u64.to_le_bytes());
         let st = link.st.lock();
-        assert_eq!(st.acked, 3);
-        assert_eq!(st.replay.len(), 2);
-        assert_eq!(st.replay.front().map(|(s, _)| *s), Some(4));
+        assert_eq!(st.pool.len(), 2, "the send reused an acknowledged buffer");
+        assert_eq!(pending_seqs(&st), vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn an_ack_ahead_of_the_send_cursor_moves_the_cursor() {
+        // after a resume rewound `sent`, the replaced connection's reader
+        // may still report frames it had already taken off its socket
+        let link = Link::new(1, 1, false);
+        for _ in 0..4 {
+            link.send_frame(K_CMD, &1u64.to_le_bytes());
+        }
+        link.apply_ack(3).expect("ack");
+        let st = link.st.lock();
+        assert_eq!((st.acked, st.sent), (3, 3));
+        assert_eq!(pending_seqs(&st), vec![4]);
+    }
+
+    #[test]
+    fn an_ack_of_frames_never_sent_is_a_protocol_violation() {
+        let link = Link::new(1, 1, false);
+        link.send_frame(K_CMD, &1u64.to_le_bytes());
+        let err = link.apply_ack(2).expect_err("acked the future");
+        assert!(err.contains("acknowledged seq 2"), "{err}");
+        let (ours, _theirs) = uds_pair();
+        assert!(link.install(ours, 9).is_err(), "HELLO from the future");
+        assert!(link.st.lock().writer_sock.is_none(), "nothing installed");
+    }
+
+    #[test]
+    fn sequence_discipline_drops_duplicates_and_rejects_gaps() {
+        let link = Link::new(1, 1, false);
+        let (ours, _theirs) = uds_pair();
+        let gen = link.install(ours, 0).expect("install");
+        assert_eq!(link.accept(gen, 1), Ok(Accept::Fresh));
+        assert_eq!(link.accept(gen, 2), Ok(Accept::Fresh));
+        assert_eq!(link.accept(gen, 2), Ok(Accept::Duplicate));
+        let err = link.accept(gen, 4).expect_err("gap");
+        assert!(err.contains("seq 4 after 2"), "{err}");
+        assert_eq!(link.st.lock().rx_seq, 2);
+    }
+
+    #[test]
+    fn a_superseded_reader_stops_consuming() {
+        let link = Link::new(0, 0, true);
+        let (a, _a) = uds_pair();
+        let (b, _b) = uds_pair();
+        link.send_frame(K_CMD, &1u64.to_le_bytes());
+        link.send_frame(K_CMD, &2u64.to_le_bytes());
+        let old = link.install_reader(a);
+        assert_eq!(link.accept(old, 1), Ok(Accept::Fresh));
+        let new = link.install_reader(b);
+        // seq 2 is in the old reader's buffer: it must not be taken from
+        // there, or it could be delivered after the new reader's seq 3
+        assert_eq!(link.accept(old, 2), Ok(Accept::Stale));
+        assert_eq!(link.st.lock().rx_seq, 1);
+        assert_eq!(link.accept(new, 2), Ok(Accept::Fresh));
+    }
+
+    #[test]
+    fn the_reader_wakes_the_writer_once_per_owed_ack() {
+        let link = Link::new(1, 1, false);
+        let (ours, _theirs) = uds_pair();
+        let gen = link.install(ours, 0).expect("install");
+        for seq in 1..ACK_EVERY {
+            link.accept(gen, seq).expect("in order");
+            assert!(!link.st.lock().ack_requested, "seq {seq}");
+        }
+        link.accept(gen, ACK_EVERY).expect("in order");
+        assert!(link.st.lock().ack_requested);
     }
 }

@@ -23,13 +23,13 @@
 pub(crate) mod link;
 pub(crate) mod world;
 
-use super::wire::{decode_envelope, encode_env_hdr};
+use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
 use crate::state::{ChanId, ChanKey, Envelope, Mailbox, Payload, WaitSet, WorldState};
 use link::{
-    auto_addr, connect_once, connect_retry, encode_frame, read_frame, Link, Listener, RetryCfg,
-    Stream, ACK_EVERY, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO, K_JOIN,
-    K_TABLE,
+    auto_addr, connect_once, connect_retry, encode_frame, invalid_data, Accept, Frame, FrameReader,
+    Link, Listener, RetryCfg, Stream, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH,
+    K_HELLO, K_JOIN, K_TABLE,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -77,8 +77,30 @@ pub(crate) struct SockChanWire {
 }
 
 /// Receive-side delivery hook of a registered persistent channel: called
-/// by the link reader with the payload's arrival stamp and wire bytes.
-pub(crate) type DeliverFn = Arc<dyn Fn(f64, &[u8]) + Send + Sync>;
+/// by the link reader with the payload's arrival stamp and wire bytes;
+/// `Err` says why the bytes cannot be a payload of this channel.
+pub(crate) type DeliverFn = Arc<dyn Fn(f64, &[u8]) -> Result<(), String> + Send + Sync>;
+
+/// The handshake frame: who is calling and what it has received so far.
+fn hello_frame(proc: usize, rx_seq: u64) -> Vec<u8> {
+    let mut hello = [0u8; 12];
+    hello[..4].copy_from_slice(&(proc as u32).to_le_bytes());
+    hello[4..].copy_from_slice(&rx_seq.to_le_bytes());
+    encode_frame(K_HELLO, 0, &hello)
+}
+
+/// Parse a [`hello_frame`] into `(proc, rx_seq)`.
+fn parse_hello(f: &Frame<'_>) -> std::io::Result<(usize, u64)> {
+    let proc = f.body.first_chunk::<4>();
+    let rx_seq = f.body.get(4..).and_then(|b| b.first_chunk::<8>());
+    match (f.kind, proc, rx_seq) {
+        (K_HELLO, Some(proc), Some(rx_seq)) => Ok((
+            u32::from_le_bytes(*proc) as usize,
+            u64::from_le_bytes(*rx_seq),
+        )),
+        _ => Err(invalid_data("connection did not open with HELLO")),
+    }
+}
 
 struct ChanTable {
     deliver: HashMap<ChanKey, DeliverFn>,
@@ -116,17 +138,22 @@ impl SockTransport {
     pub(crate) fn loopback(n_ranks: usize) -> Arc<SockTransport> {
         let spec = std::env::var("MPISIM_SOCK_ADDR").unwrap_or_else(|_| auto_addr());
         let t = Self::bind_inner(n_ranks, 0, 1, &spec);
-        let link = t.links[0].as_ref().expect("loopback self-link").clone();
-        *link.dial_addr.lock() = Some(t.listener_addr.clone());
-        let stream = connect_retry(&t.listener_addr, t.cfg).unwrap_or_else(|e| {
+        t.dial_self();
+        t
+    }
+
+    /// Connect a loopback world's self-link through its own listener.
+    fn dial_self(&self) {
+        let link = self.links[0].as_ref().expect("loopback self-link").clone();
+        *link.dial_addr.lock() = Some(self.listener_addr.clone());
+        let stream = connect_retry(&self.listener_addr, self.cfg).unwrap_or_else(|e| {
             panic!(
                 "sock loopback: cannot dial own listener {}: {e}",
-                t.listener_addr
+                self.listener_addr
             )
         });
-        t.handshake_connect(&link, stream)
+        self.handshake_connect(&link, stream)
             .unwrap_or_else(|e| panic!("sock loopback: self-link handshake failed: {e}"));
-        t
     }
 
     /// One rank per process: bind a listener and create unconnected links
@@ -242,80 +269,56 @@ impl SockTransport {
     /// cumulative receive seq, await the peer's (remote links), install.
     fn handshake_connect(&self, link: &Arc<Link>, mut stream: Stream) -> std::io::Result<()> {
         let my_rx = link.st.lock().rx_seq;
-        let mut hello = Vec::with_capacity(12);
-        hello.extend_from_slice(&(self.my_proc as u32).to_le_bytes());
-        hello.extend_from_slice(&my_rx.to_le_bytes());
-        stream.write_all(&encode_frame(K_HELLO, 0, &hello))?;
+        stream.write_all(&hello_frame(self.my_proc, my_rx))?;
         if link.self_loop {
             // the peer is this very process: its cumulative rx IS ours,
             // and the accepted end arrives through our own accept loop
-            link.install_writer(stream, my_rx);
-            return Ok(());
+            return link.install_writer(stream, my_rx).map_err(invalid_data);
         }
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let (kind, _, body) = read_frame(&mut stream)?;
-        if kind != K_HELLO || body.len() < 12 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "peer did not answer the handshake with HELLO",
-            ));
-        }
-        let peer_rx = u64::from_le_bytes(body[4..12].try_into().unwrap());
+        let mut frames = FrameReader::new(stream.try_clone()?);
+        let (_, peer_rx) = parse_hello(&frames.read_frame()?)?;
         stream.set_read_timeout(None)?;
-        let (reader_end, gen) = link.install(stream, peer_rx)?;
-        self.spawn_reader(Arc::clone(link), reader_end, gen);
+        let gen = link.install(stream, peer_rx).map_err(invalid_data)?;
+        self.spawn_reader(Arc::clone(link), frames, gen);
         Ok(())
     }
 
     /// Accept-side handshake: identify the peer from its HELLO, reply
     /// with our cumulative receive seq, install both directions (or just
-    /// the reading end for a loopback self-link).
+    /// the reading end for a loopback self-link). The frame reader that
+    /// read the HELLO goes on to the reader thread with whatever else it
+    /// already buffered.
     fn handle_accept(&self, mut stream: Stream) -> std::io::Result<()> {
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let (kind, _, body) = read_frame(&mut stream)?;
-        if kind != K_HELLO || body.len() < 12 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "connection did not open with HELLO",
-            ));
-        }
-        let proc = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-        let peer_rx = u64::from_le_bytes(body[4..12].try_into().unwrap());
+        let mut frames = FrameReader::new(stream.try_clone()?);
+        let (proc, peer_rx) = parse_hello(&frames.read_frame()?)?;
         stream.set_read_timeout(None)?;
         if proc == self.my_proc {
             let link = self.links[self.proc_of(0)]
                 .as_ref()
                 .expect("self-link exists")
                 .clone();
-            let gen = link.install_reader(&stream)?;
-            self.spawn_reader(link, stream, gen);
+            let gen = link.install_reader(stream);
+            self.spawn_reader(link, frames, gen);
             return Ok(());
         }
         let link = match self.links.get(proc).and_then(|l| l.as_ref()) {
             Some(l) => Arc::clone(l),
-            None => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("HELLO from unknown proc {proc}"),
-                ))
-            }
+            None => return Err(invalid_data(format!("HELLO from unknown proc {proc}"))),
         };
         let my_rx = link.st.lock().rx_seq;
-        let mut hello = Vec::with_capacity(12);
-        hello.extend_from_slice(&(self.my_proc as u32).to_le_bytes());
-        hello.extend_from_slice(&my_rx.to_le_bytes());
-        stream.write_all(&encode_frame(K_HELLO, 0, &hello))?;
-        let (reader_end, gen) = link.install(stream, peer_rx)?;
-        self.spawn_reader(link, reader_end, gen);
+        stream.write_all(&hello_frame(self.my_proc, my_rx))?;
+        let gen = link.install(stream, peer_rx).map_err(invalid_data)?;
+        self.spawn_reader(link, frames, gen);
         Ok(())
     }
 
-    fn spawn_reader(&self, link: Arc<Link>, stream: Stream, gen: u64) {
+    fn spawn_reader(&self, link: Arc<Link>, frames: FrameReader<Stream>, gen: u64) {
         let weak = self.me.lock().clone();
-        let cfg = self.cfg;
         std::thread::Builder::new()
             .name(format!("mpisim-sock-r{}", link.peer_proc))
-            .spawn(move || run_reader(weak, link, stream, gen, cfg))
+            .spawn(move || run_reader(weak, link, frames, gen))
             .expect("spawn sock reader");
     }
 
@@ -350,60 +353,96 @@ impl SockTransport {
         ));
     }
 
-    /// Route an incoming sequenced frame to its consumer.
-    fn dispatch(&self, kind: u8, body: &[u8]) {
+    /// Sequence one frame read by the reader of generation `gen` and route
+    /// it to its consumer. `Ok(false)` when that reader has been replaced
+    /// and must stop; `Err` on a frame no healthy peer sends.
+    fn receive(&self, link: &Link, gen: u64, f: Frame<'_>) -> Result<bool, String> {
+        if f.kind == K_ACK {
+            let cum_rx = f.body.first_chunk::<8>().ok_or("ACK frame without a seq")?;
+            link.apply_ack(u64::from_le_bytes(*cum_rx))?;
+            return Ok(true);
+        }
+        match link.accept(gen, f.seq)? {
+            Accept::Stale => return Ok(false),
+            Accept::Duplicate => {}
+            Accept::Fresh => self.dispatch(f.kind, f.body)?,
+        }
+        Ok(true)
+    }
+
+    /// Route an incoming sequenced frame to its consumer. Every field is
+    /// length-checked: the body is whatever the wire said.
+    fn dispatch(&self, kind: u8, body: &[u8]) -> Result<(), String> {
+        let short = || {
+            format!(
+                "kind-{kind} frame with a malformed {}-byte body",
+                body.len()
+            )
+        };
+        let u32_at = |o: usize| {
+            let b = body.get(o..).and_then(|b| b.first_chunk::<4>());
+            b.map(|b| u32::from_le_bytes(*b) as usize).ok_or_else(short)
+        };
+        let u64_at = |o: usize| {
+            let b = body.get(o..).and_then(|b| b.first_chunk::<8>());
+            b.map(|b| u64::from_le_bytes(*b)).ok_or_else(short)
+        };
         match kind {
             K_DATA => {
-                let dst = u32::from_le_bytes(body[4..8].try_into().unwrap()) as usize;
-                let arrival = f64::from_bits(u64::from_le_bytes(body[8..16].try_into().unwrap()));
-                let (env, remaining) = decode_envelope(arrival, &body[16..]);
-                assert_eq!(remaining, 0, "sock frames carry whole envelopes");
-                let mb = &self.mailboxes[dst];
+                // [src u32][dst u32][arrival u64] + one whole envelope
+                let mb = self.mailboxes.get(u32_at(4)?).ok_or_else(short)?;
+                let arrival = f64::from_bits(u64_at(8)?);
+                let (name_len, data_len) = (u32_at(16 + 24)?, u32_at(16 + 28)?);
+                if body.len() != 16 + ENV_HDR + name_len + data_len {
+                    return Err(short());
+                }
+                let (env, _) = decode_envelope(arrival, &body[16..]);
                 mb.queue.lock().push_back(env);
                 mb.cv.notify_all();
             }
             K_CHAN => {
-                let u = |o: usize| u64::from_le_bytes(body[o..o + 8].try_into().unwrap());
-                let key: ChanKey = (u(0), u(8) as usize, u(16) as usize, u(24));
-                let arrival = f64::from_bits(u(32));
+                let key: ChanKey = (
+                    u64_at(0)?,
+                    u64_at(8)? as usize,
+                    u64_at(16)? as usize,
+                    u64_at(24)?,
+                );
+                let arrival = f64::from_bits(u64_at(32)?);
+                let payload = &body[40..];
                 let f = {
                     let mut ch = self.chans.lock();
                     match ch.deliver.get(&key) {
-                        Some(f) => Some(Arc::clone(f)),
+                        Some(f) => Arc::clone(f),
                         None => {
                             // receiver not registered yet: stash for the
                             // drain at registration time
                             ch.undelivered
                                 .entry(key)
                                 .or_default()
-                                .push((arrival, body[40..].to_vec()));
-                            None
+                                .push((arrival, payload.to_vec()));
+                            return Ok(());
                         }
                     }
                 };
-                if let Some(f) = f {
-                    f(arrival, &body[40..]);
-                }
+                f(arrival, payload)?;
             }
             K_CMD => {
-                let word = u64::from_le_bytes(body[0..8].try_into().unwrap());
-                self.ctrl.st.lock().cmds.push_back(word);
+                self.ctrl.st.lock().cmds.push_back(u64_at(0)?);
                 self.ctrl.cv.notify_all();
             }
             K_DONE => {
-                let rank = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-                let epoch = u64::from_le_bytes(body[4..12].try_into().unwrap());
-                self.ctrl.st.lock().dones.push((rank, epoch));
+                let done = (u32_at(0)?, u64_at(4)?);
+                self.ctrl.st.lock().dones.push(done);
                 self.ctrl.cv.notify_all();
             }
             K_DEATH => {
-                let rank = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
+                let rank = u32_at(0)?;
                 self.note_rank_panic(Some(rank));
                 self.ctrl.st.lock().deaths.push(rank);
                 self.ctrl.cv.notify_all();
             }
             K_FLUSH => {
-                let token = u64::from_le_bytes(body[0..8].try_into().unwrap());
+                let token = u64_at(0)?;
                 let mut seen = self.flush.seen.lock();
                 if token > *seen {
                     *seen = token;
@@ -411,27 +450,28 @@ impl SockTransport {
                 self.flush.cv.notify_all();
             }
             K_JOIN => {
-                let rank = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-                let alen = u32::from_le_bytes(body[4..8].try_into().unwrap()) as usize;
-                let addr = String::from_utf8_lossy(&body[8..8 + alen]).into_owned();
+                let (rank, alen) = (u32_at(0)?, u32_at(4)?);
+                let addr = body.get(8..8 + alen).ok_or_else(short)?;
+                let addr = String::from_utf8_lossy(addr).into_owned();
                 self.ctrl.st.lock().joins.push((rank, addr));
                 self.ctrl.cv.notify_all();
             }
             K_TABLE => {
-                let n = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-                let mut addrs = Vec::with_capacity(n);
+                let mut addrs = Vec::new();
                 let mut off = 4;
-                for _ in 0..n {
-                    let len = u32::from_le_bytes(body[off..off + 4].try_into().unwrap()) as usize;
+                for _ in 0..u32_at(0)? {
+                    let len = u32_at(off)?;
                     off += 4;
-                    addrs.push(String::from_utf8_lossy(&body[off..off + len]).into_owned());
+                    let addr = body.get(off..off + len).ok_or_else(short)?;
+                    addrs.push(String::from_utf8_lossy(addr).into_owned());
                     off += len;
                 }
                 self.ctrl.st.lock().table = Some(addrs);
                 self.ctrl.cv.notify_all();
             }
-            other => unreachable!("sock fabric: unknown frame kind {other}"),
+            other => return Err(format!("unknown frame kind {other}")),
         }
+        Ok(())
     }
 
     /// Register the receiving side of a persistent channel and drain any
@@ -444,7 +484,8 @@ impl SockTransport {
             pending
         };
         for (arrival, bytes) in pending {
-            f(arrival, &bytes);
+            // on the registering rank's thread: its panic is already loud
+            f(arrival, &bytes).unwrap_or_else(|e| panic!("sock channel {key:?}: {e}"));
         }
     }
 
@@ -479,20 +520,20 @@ impl Transport for SockTransport {
                 let Payload::Bytes { data, type_name } = &env.payload else {
                     unreachable!("sock deposit requires byte payloads (PayloadMode::Bytes)");
                 };
-                let mut body = Vec::with_capacity(16 + 32 + type_name.len() + data.len());
-                body.extend_from_slice(&(src_world as u32).to_le_bytes());
-                body.extend_from_slice(&(dst_world as u32).to_le_bytes());
-                body.extend_from_slice(&env.arrival.to_bits().to_le_bytes());
-                body.extend_from_slice(&encode_env_hdr(
-                    env.ctx_id,
-                    env.src,
-                    env.tag,
-                    type_name.len(),
-                    data.len(),
-                ));
-                body.extend_from_slice(type_name.as_bytes());
-                body.extend_from_slice(data);
-                link.send_frame(K_DATA, &body);
+                link.send_frame_with(K_DATA, |body| {
+                    body.extend_from_slice(&(src_world as u32).to_le_bytes());
+                    body.extend_from_slice(&(dst_world as u32).to_le_bytes());
+                    body.extend_from_slice(&env.arrival.to_bits().to_le_bytes());
+                    body.extend_from_slice(&encode_env_hdr(
+                        env.ctx_id,
+                        env.src,
+                        env.tag,
+                        type_name.len(),
+                        data.len(),
+                    ));
+                    body.extend_from_slice(type_name.as_bytes());
+                    body.extend_from_slice(data);
+                });
             }
             None => {
                 // own rank in a multi-process world: no wire to cross
@@ -707,73 +748,255 @@ fn run_accept(t: Weak<SockTransport>, listener: Listener, shutdown: Arc<AtomicBo
     }
 }
 
-/// Per-connection reader: decode frames, enforce the sequence discipline
+/// Per-connection reader: pull everything the socket has per `read`,
+/// decode the frames in place, enforce the sequence discipline
 /// (duplicates from replay dropped, gaps fatal), dispatch, and — when the
 /// stream breaks and this side is the connector — run the reconnect loop.
-fn run_reader(
-    t: Weak<SockTransport>,
-    link: Arc<Link>,
-    mut stream: Stream,
-    gen: u64,
-    _cfg: RetryCfg,
-) {
-    loop {
-        match read_frame(&mut stream) {
-            Ok((kind, seq, body)) => {
-                link.touch();
-                if kind == K_ACK {
-                    link.apply_ack(u64::from_le_bytes(body[0..8].try_into().unwrap()));
-                    continue;
-                }
-                let fresh = {
-                    let mut st = link.st.lock();
-                    if seq <= st.rx_seq {
-                        false // duplicate from a replay after reconnect
-                    } else {
-                        assert_eq!(
-                            seq,
-                            st.rx_seq + 1,
-                            "sock link from proc {}: sequence gap (exactly-once violated)",
-                            link.peer_proc
-                        );
-                        st.rx_seq = seq;
-                        st.rx_since_ack += 1;
-                        if link.self_loop {
-                            // both ends share this state: ack locally
-                            st.acked = st.acked.max(seq);
-                            while st.replay.front().is_some_and(|(s, _)| *s <= st.acked) {
-                                st.replay.pop_front();
-                            }
-                        } else if st.rx_since_ack >= ACK_EVERY {
-                            st.ack_requested = true;
-                        }
-                        true
-                    }
+/// A frame no healthy peer sends kills the link, with the reason.
+fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<Stream>, gen: u64) {
+    let broke = 'conn: loop {
+        link.note_reads(std::mem::take(&mut frames.reads));
+        {
+            // not held across the blocking read below: the transport
+            // must be droppable, and a replacing reader must get in
+            let Some(t) = t.upgrade() else { return };
+            let _in_order = link.rx_order.lock();
+            loop {
+                let verdict = match frames.next_buffered() {
+                    Ok(Some(f)) => t.receive(&link, gen, f),
+                    Ok(None) => break,
+                    Err(e) => break 'conn e,
                 };
-                if fresh {
-                    link.cv.notify_all(); // writer may owe an ack
-                    let Some(t) = t.upgrade() else { return };
-                    t.dispatch(kind, &body);
+                match verdict {
+                    Ok(true) => {}
+                    Ok(false) => return, // replaced; the rest comes back through replay
+                    Err(why) => break 'conn invalid_data(why),
                 }
-            }
-            Err(_) => {
-                let dial = {
-                    let st = link.st.lock();
-                    if st.shutdown || st.dead || st.reader_gen != gen {
-                        return; // replaced or torn down; nothing to heal
-                    }
-                    link.dial_addr.lock().clone()
-                };
-                // disconnect() also starts the passive-side loss clock;
-                // with no dial address this is the passive side, and the
-                // writer's window decides its fate
-                link.disconnect();
-                if let Some(addr) = dial {
-                    let Some(t) = t.upgrade() else { return };
-                    t.reconnect(link, &addr);
-                }
-                return;
             }
         }
+        if let Err(e) = frames.fill() {
+            break e;
+        }
+    };
+    if broke.kind() == std::io::ErrorKind::InvalidData {
+        link.fail(format!(
+            "malformed traffic from proc {}: {broke}",
+            link.peer_proc
+        ));
+        return;
+    }
+    let dial = {
+        let st = link.st.lock();
+        if st.shutdown || st.dead || st.reader_gen != gen {
+            return; // replaced or torn down; nothing to heal
+        }
+        link.dial_addr.lock().clone()
+    };
+    // disconnect() also starts the passive-side loss clock; with no dial
+    // address this is the passive side, and the writer's window decides
+    // its fate
+    link.disconnect();
+    if let Some(addr) = dial {
+        let Some(t) = t.upgrade() else { return };
+        t.reconnect(link, &addr);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::Channel;
+
+    const DST: usize = 1;
+
+    /// An unconnected 2-rank loopback transport (dial it with
+    /// `dial_self`) and the world state whose channels ride it.
+    fn loopback_pair() -> (Arc<SockTransport>, Arc<WorldState>) {
+        let t = SockTransport::bind_inner(2, 0, 1, &auto_addr());
+        let world = WorldState::with_transport_deadline(2, None, t.clone(), None);
+        (t, world)
+    }
+
+    fn link_of(t: &SockTransport) -> &Link {
+        t.links[0].as_ref().expect("self-link")
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Message `i` of case `case`: distinct in content and in length.
+    fn message(case: u64, i: u64) -> Vec<u64> {
+        (0..1 + i % 5).map(|j| case << 32 | i << 8 | j).collect()
+    }
+
+    fn pop_expecting(chan: &Channel<u64>, case: u64, n: u64) {
+        for i in 0..n {
+            let (got, _) = chan.pop_with(|| {});
+            assert_eq!(got, message(case, i), "case {case}, message {i}");
+            chan.recycle(got);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(!chan.ready(), "case {case}: a message arrived twice");
+    }
+
+    #[test]
+    fn a_burst_leaves_in_few_writes_and_wakes_nobody() {
+        const BURST: u64 = 256;
+        let (t, world) = loopback_pair();
+        let chan = world.channel::<u64>((0, 0, DST, 7));
+        for i in 0..BURST {
+            chan.push(&message(0, i), 0.0);
+        }
+        t.dial_self();
+        pop_expecting(&chan, 0, BURST);
+        let st = link_of(&t).st.lock();
+        println!(
+            "burst of {BURST}: {} frames in {} writes, {} frames in {} reads, {} writer wakes",
+            st.frames_tx, st.write_calls, st.frames_rx, st.read_calls, st.writer_wakes
+        );
+        assert_eq!((st.frames_tx, st.frames_rx), (BURST, BURST));
+        assert!(st.frames_tx / st.write_calls >= 8, "frames per write");
+        assert!(st.frames_rx / st.read_calls >= 8, "frames per read");
+        // the install's wake is the only one: nothing was queued after
+        // it, and a self-link's reader owes the writer no ack
+        assert!(st.writer_wakes <= 1, "reader-initiated writer wakes");
+    }
+
+    #[test]
+    fn severing_after_every_frame_resumes_exactly_once_in_order() {
+        const N: u64 = 64;
+        let (t, world) = loopback_pair();
+        t.dial_self();
+        let chan = world.channel::<u64>((0, 0, DST, 7));
+        for k in 0..N {
+            let before = link_of(&t).st.lock().reconnects;
+            for i in 0..N {
+                chan.push(&message(k, i), 0.0);
+                if i == k {
+                    t.sever_link(DST);
+                }
+            }
+            pop_expecting(&chan, k, N);
+            wait_until("the link reconnected", || {
+                link_of(&t).st.lock().reconnects > before
+            });
+        }
+    }
+
+    #[test]
+    fn severing_with_frames_queued_behind_an_unconnected_writer_loses_none() {
+        const N: u64 = 64;
+        let (t, world) = loopback_pair();
+        let chan = world.channel::<u64>((0, 0, DST, 7));
+        for i in 0..8 {
+            chan.push(&message(0, i), 0.0);
+        }
+        {
+            let st = link_of(&t).st.lock();
+            assert_eq!((st.tx_seq, st.sent), (8, 0), "all queued, none written");
+        }
+        t.sever_link(DST);
+        t.dial_self();
+        // and once more while the queued run may be anywhere in flight
+        t.sever_link(DST);
+        for i in 8..N {
+            chan.push(&message(0, i), 0.0);
+        }
+        pop_expecting(&chan, 0, N);
+        assert!(link_of(&t).st.lock().reconnects >= 1);
+    }
+
+    /// Dial `t` posing as proc `as_proc`, then say `bytes`.
+    fn inject(t: &SockTransport, as_proc: usize, bytes: &[u8]) {
+        let mut raw = connect_once(&t.listener_addr).expect("dial");
+        raw.write_all(&hello_frame(as_proc, 0)).expect("hello");
+        raw.write_all(bytes).expect("inject");
+        // keep the socket open past the reader's verdict: EOF is not the point
+        wait_until("the link died", || t.peer_failure().is_some());
+    }
+
+    #[test]
+    fn malformed_frames_kill_the_link_loudly_and_say_why() {
+        let chan_body_too_short = encode_frame(K_CHAN, 1, &[0; 39]);
+        let data_body_lies_about_its_length = {
+            let mut body = vec![0u8; 16];
+            body.extend_from_slice(&encode_env_hdr(0, 0, 0, 3, 1000));
+            body.extend_from_slice(b"u64");
+            encode_frame(K_DATA, 1, &body)
+        };
+        let data_for_a_rank_that_does_not_exist = {
+            let mut body = vec![0u8; 16];
+            body[4] = 200;
+            body.extend_from_slice(&encode_env_hdr(0, 0, 0, 0, 0));
+            encode_frame(K_DATA, 1, &body)
+        };
+        let ack_of_the_future = encode_frame(K_ACK, 0, &7u64.to_le_bytes());
+        let cases: [(Vec<u8>, &str); 7] = [
+            (encode_frame(99, 1, b""), "unknown frame kind 99"),
+            (encode_frame(K_CMD, 5, &[0; 8]), "seq 5 after 0"),
+            (vec![0xff; 16], "declares 4294967295 bytes"),
+            (
+                chan_body_too_short,
+                "kind-2 frame with a malformed 39-byte body",
+            ),
+            (
+                data_body_lies_about_its_length,
+                "kind-1 frame with a malformed 51-byte body",
+            ),
+            (
+                data_for_a_rank_that_does_not_exist,
+                "kind-1 frame with a malformed 48-byte body",
+            ),
+            (
+                ack_of_the_future,
+                "acknowledged seq 7 but only 0 were ever sent",
+            ),
+        ];
+        for (bytes, why) in cases {
+            // proc 0 of a 2-process world, its link to proc 1 not yet up
+            let t = SockTransport::bind(0, 2, &auto_addr());
+            inject(&t, 1, &bytes);
+            let failure = t.peer_failure().expect("dead link");
+            assert!(
+                failure.contains("sock link to proc 1 (rank 1) is dead"),
+                "{failure}"
+            );
+            assert!(failure.contains(why), "{why}: {failure}");
+            assert!(t.links[1].as_ref().expect("link").st.lock().dead, "{why}");
+        }
+    }
+
+    #[test]
+    fn a_self_link_receiving_what_it_never_sent_dies() {
+        let t = SockTransport::loopback(2);
+        inject(&t, 0, &encode_frame(K_CMD, 1, &[0; 8]));
+        let failure = t.peer_failure().expect("dead link");
+        assert!(
+            failure.contains("seq 1 but only 0 were ever sent"),
+            "{failure}"
+        );
+    }
+
+    #[test]
+    fn a_payload_that_is_no_whole_number_of_elements_kills_the_link() {
+        let t = SockTransport::bind(0, 2, &auto_addr());
+        let world = WorldState::with_transport_deadline(2, None, t.clone(), None);
+        let _chan = world.channel::<u64>((0, 1, 0, 7));
+        let mut body = Vec::new();
+        for word in [0u64, 1, 0, 7, 0] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        body.extend_from_slice(&[1, 2, 3]);
+        inject(&t, 1, &encode_frame(K_CHAN, 1, &body));
+        let failure = t.peer_failure().expect("dead link");
+        assert!(
+            failure.contains("3 bytes is not a whole number of u64"),
+            "{failure}"
+        );
     }
 }
