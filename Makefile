@@ -1,6 +1,6 @@
 # Developer entry points. `make tier1` mirrors the CI verify exactly.
 
-.PHONY: tier1 build test test-all test-chaos test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service perfbench-quick
+.PHONY: tier1 build test test-all test-chaos test-shm test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service perfbench-quick
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -20,12 +20,20 @@ test-all:
 test-chaos:
 	cargo test --test chaos -q
 
+# the shm fabric's process-world acceptance suite (DESIGN.md §8, §9):
+# ranks as OS processes on one /dev/shm segment byte-identical to the
+# thread transport (mixed traffic and the 8-rank AMG pipeline), a worker
+# dying before it attaches respawned, worker death and fault-plan kills
+# contained loudly, no leaked segments
+test-shm:
+	cargo test --test process_worlds -q -- shm
+
 # the socket fabric's acceptance suite (DESIGN.md §10): multi-process
 # worlds over UDS and TCP byte-identical to the thread transport, link
 # severs healed by reconnect-with-resume, worker death and fault-plan
 # kills contained loudly, no leaked UDS listener paths
 test-sock:
-	cargo test --test sock_process -q
+	cargo test --test process_worlds -q -- sock
 
 # the online autotuner's acceptance suite (DESIGN.md §11): Backend::Tuned
 # converging to the measured-fastest protocol where a mis-parameterized
@@ -49,8 +57,12 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
+# clippy, formatting, and the one-file rule for configuration: mpisim reads
+# the process environment in env.rs only (DESIGN.md §9)
 lint: clippy
 	cargo fmt --all --check
+	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
+		echo "error: mpisim touches std::env outside crates/mpisim/src/env.rs"; exit 1; fi
 
 bench:
 	cargo bench -p bench_suite --bench protocols

@@ -3,17 +3,17 @@
 //! busiest AMG-level pattern at 8 ranks — twice per backend:
 //!
 //! * `process_<backend>`: ranks are **real OS processes** on the
-//!   cross-process shared-memory fabric ([`World::spawn_processes`]).
+//!   cross-process shared-memory fabric ([`World::spawn`]).
 //!   This binary re-execs itself once per worker rank; workers loop in
-//!   [`ProcWorld::serve`] over a fixed job table while rank 0 drives one
-//!   [`ProcWorld::epoch_job`] per criterion iteration, so the measured
+//!   [`RemoteWorld::serve`] over a fixed job table while rank 0 drives one
+//!   [`RemoteWorld::epoch_job`] per criterion iteration, so the measured
 //!   cost is the epoch protocol plus the exchange itself — no process
 //!   spawning on the hot path.
 //! * `thread_<backend>`: the identical body on one warm in-process pool
 //!   ([`World::pool`]), the same shape as the protocols bench's
 //!   `steady_state_32ranks` group.
 //! * `sock_<backend>`: the identical body on a warm pool over the socket
-//!   fabric's loopback mesh ([`World::pool_sock`]) — ranks stay threads,
+//!   fabric's loopback mesh ([`Fabric::Sock`]) — ranks stay threads,
 //!   but every message crosses a real stream socket with framing,
 //!   sequencing, acks, and heartbeats. The delta against `thread_` prices
 //!   the wire protocol itself, with no process-management noise.
@@ -42,7 +42,7 @@ use bench_suite::workload::{level_patterns, paper_hierarchy};
 use criterion::{BenchmarkId, Criterion};
 use locality::Topology;
 use mpi_advance::{CommPattern, NeighborAlltoallv, Protocol};
-use mpisim::{ProcWorld, RankCtx, World};
+use mpisim::{Fabric, RankCtx, RemoteWorld, World, WorldConfig};
 
 /// One entry of the workers' serve-job table (borrows the collectives).
 type Job<'a> = Box<dyn Fn(&mut RankCtx) + 'a>;
@@ -89,7 +89,7 @@ fn steady_body(coll: &NeighborAlltoallv, ctx: &mut RankCtx) -> f64 {
     output.first().copied().unwrap_or(0.0)
 }
 
-fn bench_transport(c: &mut Criterion, world: &ProcWorld, colls: &[(String, NeighborAlltoallv)]) {
+fn bench_transport(c: &mut Criterion, world: &RemoteWorld, colls: &[(String, NeighborAlltoallv)]) {
     let mut group = c.benchmark_group("steady_state_8proc");
     group.sample_size(10);
 
@@ -109,7 +109,7 @@ fn bench_transport(c: &mut Criterion, world: &ProcWorld, colls: &[(String, Neigh
     }
     drop(pool);
 
-    let sock_pool = World::pool_sock(RANKS);
+    let sock_pool = WorldConfig::new(Fabric::Sock).pool(RANKS);
     for (label, coll) in colls {
         group.bench_function(BenchmarkId::from_parameter(format!("sock_{label}")), |b| {
             b.iter(|| sock_pool.run(|ctx| steady_body(coll, ctx)))
@@ -122,7 +122,7 @@ fn bench_transport(c: &mut Criterion, world: &ProcWorld, colls: &[(String, Neigh
 const BURST: usize = 256;
 
 fn bench_link_burst(c: &mut Criterion) {
-    let pool = World::pool_sock(2);
+    let pool = WorldConfig::new(Fabric::Sock).pool(2);
     let mut group = c.benchmark_group("sock_link_burst");
     group.sample_size(10);
     group.bench_function(
@@ -170,7 +170,7 @@ fn main() {
         })
         .collect();
 
-    let world = World::spawn_processes(RANKS);
+    let world = World::spawn(Fabric::Shm, RANKS);
     if world.rank() != 0 {
         // worker: serve the job table until rank 0's stop command, then
         // drop the world (which exits the process)

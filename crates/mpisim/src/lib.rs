@@ -13,6 +13,15 @@
 //! `(communicator context, source, tag)` and are non-overtaking per
 //! (source, destination, tag, communicator).
 //!
+//! # Worlds
+//!
+//! What a world runs on is one value, a [`WorldConfig`]: a [`Fabric`]
+//! (thread, shm or sock — every program is byte-identical on all three)
+//! and an optional [`FaultPlan`]; `run` makes a one-shot world of it and
+//! `pool` a warm [`WorldPool`]. [`World::run`] / [`World::pool`] are the
+//! configuration the environment names, and [`World::spawn`] runs the
+//! ranks as separate OS processes instead ([`RemoteWorld`]).
+//!
 //! # Virtual time
 //!
 //! When launched with [`World::run_modeled`], every rank carries a virtual
@@ -43,6 +52,7 @@ pub mod collectives;
 pub mod comm;
 pub mod ctx;
 pub mod elem;
+mod env;
 pub mod nonblocking;
 pub mod partitioned;
 pub mod persistent;
@@ -59,10 +69,9 @@ pub use comm::Comm;
 pub use ctx::RankCtx;
 pub use elem::Elem;
 pub use persistent::{RecvChan, RecvReq, Request, SendChan, SendReq, SharedBuf};
-pub use runtime::{EpochError, World, WorldPool};
+pub use runtime::{panic_message, EpochError, Fabric, World, WorldConfig, WorldPool};
 pub use stall::{LinkStatus, PeerStatus, RankWait, StallReport};
 pub use state::{ChanId, ChanRegistrar};
 pub use topology::{DistGraphComm, GraphCreateStrategy};
 pub use transport::fault::FaultPlan;
-pub use transport::proc::ProcWorld;
-pub use transport::sock::world::SockWorld;
+pub use transport::remote::RemoteWorld;

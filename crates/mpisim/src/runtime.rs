@@ -1,10 +1,17 @@
-//! Launching SPMD worlds: one-shot scoped worlds ([`World::run`]) and
-//! pooled persistent worlds ([`WorldPool`]) that keep their rank threads —
-//! and their pre-matched channel registry — warm across closures.
+//! Launching SPMD worlds. *What* a world runs on is one value — a
+//! [`WorldConfig`]: a [`Fabric`] and an optional [`FaultPlan`] — and *how*
+//! it lives is the method called on it: a one-shot scoped world
+//! ([`WorldConfig::run`]) or a pooled persistent one ([`WorldConfig::pool`],
+//! a [`WorldPool`] that keeps its rank threads — and their pre-matched
+//! channel registry — warm across closures). [`World`] is the sugar over
+//! it: the configuration the environment names, the modeled (virtual
+//! clock) worlds, and [`World::spawn`] for ranks as OS processes.
 
 use crate::ctx::RankCtx;
+use crate::env;
 use crate::state::{ModelCtx, WorldState};
 use crate::transport::fault::{FaultPlan, FaultTransport};
+use crate::transport::remote::RemoteWorld;
 use crate::transport::shm::ShmTransport;
 use crate::transport::sock::SockTransport;
 use crate::transport::thread::ThreadTransport;
@@ -43,7 +50,9 @@ impl std::fmt::Display for EpochError {
 
 impl std::error::Error for EpochError {}
 
-fn panic_message(p: &(dyn Any + Send)) -> String {
+/// Render a caught panic payload (`String`/`&str` payloads verbatim) — for
+/// error values and for tests asserting on what a world died of.
+pub fn panic_message(p: &(dyn Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = p.downcast_ref::<&str>() {
@@ -53,20 +62,119 @@ fn panic_message(p: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Build a world state over `inner`, wrapped by a fault plan when one is
-/// given (or found in `MPISIM_FAULTS`). The wait deadline resolves as:
-/// plan's `deadline_ms` override, else `MPISIM_DEADLINE_MS`.
-fn faulted_state(
+/// Where a world's bytes move (DESIGN.md §8, §10). Every protocol is
+/// byte-identical on all three, which is why tests iterate [`Fabric::ALL`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fabric {
+    /// In-process mailboxes and typed channels; zero serialization.
+    Thread,
+    /// SPSC byte rings and futex parking in one `/dev/shm` segment.
+    Shm,
+    /// Framed, sequenced, acknowledged stream sockets (Unix-domain or TCP).
+    Sock,
+}
+
+impl Fabric {
+    pub const ALL: [Fabric; 3] = [Fabric::Thread, Fabric::Shm, Fabric::Sock];
+
+    /// The name [`RankCtx::fabric`] and stall reports use, and the value
+    /// `MPISIM_TRANSPORT` selects it by.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fabric::Thread => "thread",
+            Fabric::Shm => "shm",
+            Fabric::Sock => "sock",
+        }
+    }
+}
+
+/// What a world of rank threads runs on: a fabric, and the deterministic
+/// [`FaultPlan`] it runs under. Without an explicit plan the world takes
+/// `MPISIM_FAULTS`; its wait deadline is the plan's `deadline_ms`, else
+/// `MPISIM_DEADLINE_MS` — an explicit plan never touches the process
+/// environment.
+#[derive(Clone, Debug)]
+pub struct WorldConfig {
+    fabric: Fabric,
+    faults: Option<FaultPlan>,
+}
+
+impl WorldConfig {
+    /// Worlds over `fabric`, with ranks as threads of this process. On the
+    /// shm and sock fabrics that is the whole wire path (rings and futexes;
+    /// framing, acks and reconnects over a loopback socket) without
+    /// process management; for ranks as OS processes see [`World::spawn`].
+    pub fn new(fabric: Fabric) -> Self {
+        Self {
+            fabric,
+            faults: None,
+        }
+    }
+
+    /// The configuration [`World::run`] and [`World::pool`] use: the fabric
+    /// `MPISIM_TRANSPORT` names (default: thread).
+    fn from_env() -> Self {
+        Self::new(env::get().transport)
+    }
+
+    /// Run under `plan`: delivery delays, legal reorders, spurious
+    /// wakeups, link severs and rank kills replay identically for one
+    /// seed. In a pool every epoch runs under the same plan (op counters
+    /// keep advancing across epochs, so a kill index lands in whichever
+    /// epoch reaches it).
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Run `f` on `n_ranks` ranks (one OS thread each) and return each
+    /// rank's result, indexed by rank. Panics in any rank propagate to the
+    /// caller.
+    pub fn run<F, R>(&self, n_ranks: usize, f: F) -> Vec<R>
+    where
+        F: Fn(&mut RankCtx) -> R + Send + Sync,
+        R: Send,
+    {
+        World::launch(self.state(n_ranks, None), f)
+    }
+
+    /// Create a persistent pooled world of `n_ranks` ranks: the threads
+    /// (and the world's pre-matched channel registry) stay alive across
+    /// [`WorldPool::run`] calls, so repeated closures measure transport,
+    /// not thread startup.
+    pub fn pool(&self, n_ranks: usize) -> WorldPool {
+        WorldPool::launch(self.state(n_ranks, None))
+    }
+
+    fn state(&self, n_ranks: usize, model: Option<ModelCtx>) -> Arc<WorldState> {
+        let inner: Arc<dyn Transport> = match self.fabric {
+            Fabric::Thread => Arc::new(ThreadTransport::new(n_ranks)),
+            Fabric::Shm => {
+                let t = ShmTransport::create(n_ranks);
+                // all ranks are threads of this process: nobody will attach
+                // by path, so drop the name immediately (the mapping lives on)
+                t.segment().unlink();
+                t
+            }
+            Fabric::Sock => SockTransport::loopback(n_ranks),
+        };
+        world_state(n_ranks, model, inner, self.faults.clone())
+    }
+}
+
+/// Build a world state over `inner` — the one place a fabric is wrapped by
+/// a fault plan (the given one, else `MPISIM_FAULTS`) and the wait
+/// deadline is resolved (the plan's `deadline_ms`, else
+/// `MPISIM_DEADLINE_MS`).
+pub(crate) fn world_state(
     n_ranks: usize,
     model: Option<ModelCtx>,
     inner: Arc<dyn Transport>,
     plan: Option<FaultPlan>,
 ) -> Arc<WorldState> {
-    let plan = plan.or_else(FaultPlan::from_env);
-    let deadline = plan
-        .as_ref()
-        .and_then(|p| p.deadline())
-        .or_else(crate::stall::env_deadline_ms);
+    let env = env::get();
+    let plan = plan.or_else(|| env.faults.clone());
+    let deadline = plan.as_ref().and_then(|p| p.deadline()).or(env.deadline_ms);
     let transport = match plan {
         Some(p) => FaultTransport::wrap(n_ranks, p, inner),
         None => inner,
@@ -74,130 +182,49 @@ fn faulted_state(
     WorldState::with_transport_deadline(n_ranks, model, transport, deadline)
 }
 
-fn thread_state(
-    n_ranks: usize,
-    model: Option<ModelCtx>,
-    plan: Option<FaultPlan>,
-) -> Arc<WorldState> {
-    faulted_state(
-        n_ranks,
-        model,
-        Arc::new(ThreadTransport::new(n_ranks)),
-        plan,
-    )
-}
-
-fn shm_state(n_ranks: usize, plan: Option<FaultPlan>) -> Arc<WorldState> {
-    let t = ShmTransport::create(n_ranks);
-    // all ranks are threads of this process: nobody will attach by
-    // path, so drop the name immediately (the mapping lives on)
-    t.segment().unlink();
-    faulted_state(n_ranks, None, t as Arc<dyn Transport>, plan)
-}
-
-fn sock_state(n_ranks: usize, plan: Option<FaultPlan>) -> Arc<WorldState> {
-    let t = SockTransport::loopback(n_ranks);
-    faulted_state(n_ranks, None, t as Arc<dyn Transport>, plan)
-}
-
 /// Entry point: spawn `n` ranks, each running the same closure.
 pub struct World;
 
 impl World {
-    /// Run `f` on `n_ranks` ranks (one OS thread each) without a cost model;
-    /// virtual clocks stay at zero. Returns each rank's result, indexed by
-    /// rank. Panics in any rank propagate to the caller.
+    /// [`WorldConfig::run`] on the environment's configuration: `f` on
+    /// `n_ranks` rank threads without a cost model (virtual clocks stay at
+    /// zero), over the thread fabric unless `MPISIM_TRANSPORT` says
+    /// otherwise.
     pub fn run<F, R>(n_ranks: usize, f: F) -> Vec<R>
     where
         F: Fn(&mut RankCtx) -> R + Send + Sync,
         R: Send,
     {
-        match std::env::var("MPISIM_TRANSPORT").as_deref() {
-            Ok("shm") => return Self::run_shm(n_ranks, f),
-            Ok("sock") => return Self::run_sock(n_ranks, f),
-            _ => {}
-        }
-        Self::launch(thread_state(n_ranks, None, None), f)
+        WorldConfig::from_env().run(n_ranks, f)
     }
 
-    /// [`World::run`] under a deterministic [`FaultPlan`] (thread
-    /// transport): delivery delays, legal reorders, spurious wakeups, and
-    /// rank kills replay identically for one seed. A plan's
-    /// `deadline_ms` bounds every blocked wait without touching the
-    /// process environment.
-    pub fn with_faults<F, R>(n_ranks: usize, plan: FaultPlan, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
-    {
-        Self::launch(thread_state(n_ranks, None, Some(plan)), f)
+    /// [`WorldConfig::pool`] on the environment's configuration.
+    pub fn pool(n_ranks: usize) -> WorldPool {
+        WorldConfig::from_env().pool(n_ranks)
     }
 
-    /// [`World::with_faults`] over the shared-memory fabric (ranks as
-    /// threads of this process; see [`World::run_shm`]).
-    pub fn with_faults_shm<F, R>(n_ranks: usize, plan: FaultPlan, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
-    {
-        Self::launch(shm_state(n_ranks, Some(plan)), f)
+    /// Benchmark-pinned: the frozen `perfbench/` package calls this name.
+    /// Goes when `perfbench/` is next open; use [`WorldConfig::pool`].
+    #[doc(hidden)]
+    pub fn pool_shm(n_ranks: usize) -> WorldPool {
+        WorldConfig::new(Fabric::Shm).pool(n_ranks)
     }
 
-    /// [`World::with_faults`] over the socket fabric (ranks as threads of
-    /// this process; see [`World::run_sock`]).
-    pub fn with_faults_sock<F, R>(n_ranks: usize, plan: FaultPlan, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
-    {
-        Self::launch(sock_state(n_ranks, Some(plan)), f)
+    /// Benchmark-pinned, like [`World::pool_shm`].
+    #[doc(hidden)]
+    pub fn pool_sock(n_ranks: usize) -> WorldPool {
+        WorldConfig::new(Fabric::Sock).pool(n_ranks)
     }
 
-    /// [`World::run`] over the cross-process shared-memory fabric, with the
-    /// ranks still living as threads of this process — the shm transport
-    /// (rings, futex parking, byte payloads) under test without process
-    /// management. Also reachable from [`World::run`] via
-    /// `MPISIM_TRANSPORT=shm`. For ranks as real OS processes, use
-    /// [`World::spawn_processes`].
-    pub fn run_shm<F, R>(n_ranks: usize, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
-    {
-        Self::launch(shm_state(n_ranks, None), f)
-    }
-
-    /// [`World::run`] over the socket fabric's loopback mesh, with the
-    /// ranks still living as threads of this process — the sock transport
-    /// (framing, sequencing, acks, heartbeats, reconnect) under test
-    /// without process management. Also reachable from [`World::run`] via
-    /// `MPISIM_TRANSPORT=sock`. For ranks as real OS processes over
-    /// sockets, use [`World::spawn_sock`].
-    pub fn run_sock<F, R>(n_ranks: usize, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
-    {
-        Self::launch(sock_state(n_ranks, None), f)
-    }
-
-    /// Launch `n_ranks` as separate OS processes over the socket fabric
-    /// and return this process's [`crate::SockWorld`] handle. Rank 0 (the
+    /// Launch `n_ranks` as separate OS processes over `fabric` (shm or
+    /// sock) and return this process's [`RemoteWorld`] handle. Rank 0 (the
     /// caller) re-execs itself `n_ranks - 1` times in a hidden worker
-    /// mode; workers rendezvous over the driver's listening socket, mesh
-    /// up, and never return from this call's epoch loop. See
-    /// [`crate::SockWorld`] for the epoch protocol.
-    pub fn spawn_sock(n_ranks: usize) -> crate::SockWorld {
-        crate::SockWorld::launch(n_ranks)
-    }
-
-    /// Launch `n_ranks` as separate OS processes over the shared-memory
-    /// fabric and return this process's [`crate::ProcWorld`] handle. Rank 0
-    /// (the caller) re-execs itself `n_ranks - 1` times in a hidden worker
-    /// mode; workers never return from this call's epoch loop. See
-    /// [`crate::ProcWorld`] for the epoch protocol.
-    pub fn spawn_processes(n_ranks: usize) -> crate::ProcWorld {
-        crate::ProcWorld::launch(n_ranks)
+    /// mode; workers join the world inside this call and never return
+    /// from its epoch loop. Workers inherit the environment, so a process
+    /// world is configured by it (`MPISIM_FAULTS`, `MPISIM_DEADLINE_MS`,
+    /// `MPISIM_SOCK_ADDR`, …) and every process resolves the same values.
+    pub fn spawn(fabric: Fabric, n_ranks: usize) -> RemoteWorld {
+        RemoteWorld::launch(fabric, n_ranks)
     }
 
     /// Run with a cost model attached: each rank's virtual clock advances
@@ -208,58 +235,20 @@ impl World {
         F: Fn(&mut RankCtx) -> R + Send + Sync,
         R: Send,
     {
-        let n = topo.n_ranks();
-        Self::launch(thread_state(n, Some(ModelCtx { model, topo }), None), f)
-    }
-
-    /// Create a persistent pooled world of `n_ranks` ranks: the threads
-    /// (and the world's pre-matched channel registry) stay alive across
-    /// [`WorldPool::run`] calls, so repeated closures measure transport,
-    /// not thread startup.
-    pub fn pool(n_ranks: usize) -> WorldPool {
-        match std::env::var("MPISIM_TRANSPORT").as_deref() {
-            Ok("shm") => return Self::pool_shm(n_ranks),
-            Ok("sock") => return Self::pool_sock(n_ranks),
-            _ => {}
-        }
-        WorldPool::launch(thread_state(n_ranks, None, None))
-    }
-
-    /// [`World::pool`] over the shared-memory fabric (ranks as threads of
-    /// this process; see [`World::run_shm`]).
-    pub fn pool_shm(n_ranks: usize) -> WorldPool {
-        WorldPool::launch(shm_state(n_ranks, None))
-    }
-
-    /// [`World::pool`] over the socket fabric (ranks as threads of this
-    /// process; see [`World::run_sock`]).
-    pub fn pool_sock(n_ranks: usize) -> WorldPool {
-        WorldPool::launch(sock_state(n_ranks, None))
-    }
-
-    /// Pooled counterpart of [`World::with_faults`]: every epoch of the
-    /// pool runs under the same deterministic fault plan (op counters keep
-    /// advancing across epochs, so a kill index lands in whichever epoch
-    /// reaches it).
-    pub fn pool_with_faults(n_ranks: usize, plan: FaultPlan) -> WorldPool {
-        WorldPool::launch(thread_state(n_ranks, None, Some(plan)))
-    }
-
-    /// [`World::pool_with_faults`] over the shared-memory fabric.
-    pub fn pool_with_faults_shm(n_ranks: usize, plan: FaultPlan) -> WorldPool {
-        WorldPool::launch(shm_state(n_ranks, Some(plan)))
-    }
-
-    /// [`World::pool_with_faults`] over the socket fabric.
-    pub fn pool_with_faults_sock(n_ranks: usize, plan: FaultPlan) -> WorldPool {
-        WorldPool::launch(sock_state(n_ranks, Some(plan)))
+        Self::launch(Self::modeled_state(topo, model), f)
     }
 
     /// Pooled counterpart of [`World::run_modeled`]; each epoch's virtual
     /// clocks start from zero.
     pub fn pool_modeled(topo: Topology, model: Arc<dyn CostModel>) -> WorldPool {
+        WorldPool::launch(Self::modeled_state(topo, model))
+    }
+
+    /// Modeled worlds are thread-fabric worlds: the virtual clock prices
+    /// the messages, the fabric only has to deliver them.
+    fn modeled_state(topo: Topology, model: Arc<dyn CostModel>) -> Arc<WorldState> {
         let n = topo.n_ranks();
-        WorldPool::launch(thread_state(n, Some(ModelCtx { model, topo }), None))
+        WorldConfig::new(Fabric::Thread).state(n, Some(ModelCtx { model, topo }))
     }
 
     fn launch<F, R>(state: Arc<WorldState>, f: F) -> Vec<R>
@@ -547,6 +536,38 @@ mod tests {
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36]);
     }
 
+    /// The one launcher: every fabric × lifecycle × {no plan, a perturbing
+    /// plan} carries the same ring to the same answer, and the world says
+    /// which fabric it is on.
+    #[test]
+    fn every_fabric_lifecycle_and_plan_runs_the_same_ring() {
+        let ring = |ctx: &mut RankCtx| {
+            let comm = ctx.comm_world();
+            let (n, r) = (ctx.size(), ctx.rank());
+            ctx.send(&comm, (r + 1) % n, 3, &[r as u64 * 7]);
+            let got: Vec<u64> = ctx.recv(&comm, (r + n - 1) % n, 3);
+            (ctx.fabric(), got[0])
+        };
+        let perturb_plan = FaultPlan::seeded(5)
+            .delays(250, 100)
+            .reorder(200)
+            .spurious(150)
+            .deadline_ms(30_000);
+        for fabric in Fabric::ALL {
+            let want: Vec<_> = [3, 0, 1, 2].map(|left| (fabric.name(), left * 7)).into();
+            for config in [
+                WorldConfig::new(fabric),
+                WorldConfig::new(fabric).faults(perturb_plan.clone()),
+            ] {
+                assert_eq!(config.run(4, ring), want, "{config:?} one-shot");
+                let pool = config.pool(4);
+                for epoch in 0..2 {
+                    assert_eq!(pool.run(ring), want, "{config:?} pool epoch {epoch}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_rank_world() {
         let out = World::run(1, |ctx| {
@@ -670,83 +691,50 @@ mod tests {
 
     #[test]
     fn pool_drains_in_flight_traffic_after_panic() {
-        // epoch 1: rank 0 deposits a persistent payload and a plain
-        // envelope, then every rank panics before rank 1 receives either.
-        // Epoch 2 reuses both signatures: it must see the NEW messages,
-        // not epoch 1's stale ones.
-        let pool = World::pool(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(|ctx| {
+        // epoch 1: rank 0 deposits a persistent payload, a plain envelope
+        // and an oversized plain payload, then every rank panics before
+        // rank 1 receives any of them. Epoch 2 reuses all three
+        // signatures: it must see the NEW messages, not epoch 1's stale
+        // ones — wherever the fabric had parked them (mailboxes; on shm
+        // segment rings and, for the payload that overflows the 256 KiB
+        // mailbox ring, the sender-side spill outbox; on sock the link).
+        let big_len = 80_000usize; // u64s: ~640 KB
+        for fabric in Fabric::ALL {
+            let pool = WorldConfig::new(fabric).pool(2);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(|ctx| {
+                    let comm = ctx.comm_world();
+                    if ctx.rank() == 0 {
+                        let send = ctx.send_chan_init::<u64>(&comm, 1, 3, 1);
+                        send.start_with(ctx, |b| b.push(111));
+                        ctx.send(&comm, 1, 4, &[222u64]);
+                        let big = vec![333u64; big_len];
+                        ctx.send(&comm, 1, 5, &big);
+                    }
+                    panic!("abandon epoch");
+                });
+            }));
+            assert!(r.is_err());
+            let out = pool.run(|ctx| {
                 let comm = ctx.comm_world();
                 if ctx.rank() == 0 {
                     let send = ctx.send_chan_init::<u64>(&comm, 1, 3, 1);
-                    send.start_with(ctx, |b| b.push(111));
-                    ctx.send(&comm, 1, 4, &[222u64]);
+                    send.start_with(ctx, |b| b.push(1111));
+                    ctx.send(&comm, 1, 4, &[2222u64]);
+                    ctx.send(&comm, 1, 5, &[3333u64]);
+                    0
+                } else {
+                    let mut recv = ctx.recv_chan_init::<u64>(&comm, 0, 3, 1);
+                    recv.start();
+                    let a = recv.wait_with(ctx, |d| d[0]);
+                    let b: Vec<u64> = ctx.recv(&comm, 0, 4);
+                    let c: Vec<u64> = ctx.recv(&comm, 0, 5);
+                    assert_eq!(c.len(), 1, "epoch 1's big payload leaked into epoch 2");
+                    a + b[0] + c[0]
                 }
-                panic!("abandon epoch");
             });
-        }));
-        assert!(r.is_err());
-        let out = pool.run(|ctx| {
-            let comm = ctx.comm_world();
-            if ctx.rank() == 0 {
-                let send = ctx.send_chan_init::<u64>(&comm, 1, 3, 1);
-                send.start_with(ctx, |b| b.push(1111));
-                ctx.send(&comm, 1, 4, &[2222u64]);
-                0
-            } else {
-                let mut recv = ctx.recv_chan_init::<u64>(&comm, 0, 3, 1);
-                recv.start();
-                let a = recv.wait_with(ctx, |d| d[0]);
-                let b: Vec<u64> = ctx.recv(&comm, 0, 4);
-                a + b[0]
-            }
-        });
-        assert_eq!(out[1], 1111 + 2222);
-    }
-
-    #[test]
-    fn shm_pool_drains_in_flight_traffic_after_panic() {
-        // the same failed-epoch drain guarantee over the shm fabric: the
-        // abandoned traffic lives in segment rings (persistent + mailbox)
-        // and — for the oversized payload — in the sender-side spill
-        // outbox, and all three must be gone before epoch 2 reuses the
-        // same signatures
-        let pool = World::pool_shm(2);
-        let big_len = 80_000usize; // u64s: ~640 KB, overflows the 256 KiB mailbox ring
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(|ctx| {
-                let comm = ctx.comm_world();
-                if ctx.rank() == 0 {
-                    let send = ctx.send_chan_init::<u64>(&comm, 1, 3, 1);
-                    send.start_with(ctx, |b| b.push(111));
-                    ctx.send(&comm, 1, 4, &[222u64]);
-                    let big = vec![333u64; big_len];
-                    ctx.send(&comm, 1, 5, &big);
-                }
-                panic!("abandon epoch");
-            });
-        }));
-        assert!(r.is_err());
-        let out = pool.run(|ctx| {
-            let comm = ctx.comm_world();
-            if ctx.rank() == 0 {
-                let send = ctx.send_chan_init::<u64>(&comm, 1, 3, 1);
-                send.start_with(ctx, |b| b.push(1111));
-                ctx.send(&comm, 1, 4, &[2222u64]);
-                ctx.send(&comm, 1, 5, &[3333u64]);
-                0
-            } else {
-                let mut recv = ctx.recv_chan_init::<u64>(&comm, 0, 3, 1);
-                recv.start();
-                let a = recv.wait_with(ctx, |d| d[0]);
-                let b: Vec<u64> = ctx.recv(&comm, 0, 4);
-                let c: Vec<u64> = ctx.recv(&comm, 0, 5);
-                assert_eq!(c.len(), 1, "epoch 1's chunked payload leaked into epoch 2");
-                a + b[0] + c[0]
-            }
-        });
-        assert_eq!(out[1], 1111 + 2222 + 3333);
+            assert_eq!(out[1], 1111 + 2222 + 3333, "{fabric:?}");
+        }
     }
 
     #[test]

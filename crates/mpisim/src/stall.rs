@@ -2,7 +2,8 @@
 //!
 //! Every blocking primitive in the runtime wakes on a short timer (the
 //! *stall probe*) to re-check peer liveness instead of parking forever.
-//! This module owns the two knobs that govern that machinery:
+//! Two knobs (parsed with the rest of the environment in `env.rs`) govern
+//! that machinery:
 //!
 //! * `MPISIM_STALL_MS` — the probe period (default 50 ms). Lower values
 //!   tighten failure-detection latency at the cost of more wakeups.
@@ -16,70 +17,11 @@
 //! precedence over the environment for that world only.
 
 use std::fmt;
-use std::sync::OnceLock;
 
-/// Parse the value of a positive-integer env knob. Pure so unit tests can
-/// exercise the grammar without mutating process environment; `example`
-/// is substituted into the error to show a well-formed setting.
-pub(crate) fn parse_positive_ms(var: &str, value: &str, example: u64) -> Result<u64, String> {
-    let trimmed = value.trim();
-    match trimmed.parse::<u64>() {
-        Ok(ms) if ms > 0 => Ok(ms),
-        Ok(_) => Err(format!(
-            "{var}={value:?}: must be a positive integer of milliseconds \
-             (0 is not a valid period; unset the variable instead, e.g. {var}={example})"
-        )),
-        Err(_) => Err(format!(
-            "{var}={value:?}: expected a positive integer of milliseconds \
-             (e.g. {var}={example})"
-        )),
-    }
-}
-
-/// Parse the value of a non-negative-integer env knob (0 allowed).
-pub(crate) fn parse_count(var: &str, value: &str, example: u64) -> Result<u64, String> {
-    value.trim().parse::<u64>().map_err(|_| {
-        format!("{var}={value:?}: expected a non-negative integer (e.g. {var}={example})")
-    })
-}
-
-/// Read + parse a positive-ms env knob, aborting loudly on malformed
-/// values instead of silently falling back to the default.
-pub(crate) fn env_positive_ms(var: &str, default: u64, example: u64) -> u64 {
-    match std::env::var(var) {
-        Ok(v) => parse_positive_ms(var, &v, example).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => default,
-    }
-}
-
-/// Read + parse a non-negative count env knob, aborting loudly on
-/// malformed values.
-pub(crate) fn env_count(var: &str, default: u64, example: u64) -> u64 {
-    match std::env::var(var) {
-        Ok(v) => parse_count(var, &v, example).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => default,
-    }
-}
-
-/// Stall-probe period in milliseconds (`MPISIM_STALL_MS`, default 50).
-/// Read once per process; malformed values abort with the offending
-/// token and the accepted grammar.
+/// Stall-probe period in milliseconds (`MPISIM_STALL_MS`, default 50),
+/// resolved once per process with the rest of the environment.
 pub(crate) fn stall_ms() -> u64 {
-    static STALL: OnceLock<u64> = OnceLock::new();
-    *STALL.get_or_init(|| env_positive_ms("MPISIM_STALL_MS", 50, 50))
-}
-
-/// Process-wide default wait deadline from `MPISIM_DEADLINE_MS`.
-/// `None` (unset) means waits may block indefinitely; malformed or zero
-/// values abort loudly instead of silently disabling the deadline.
-pub(crate) fn env_deadline_ms() -> Option<u64> {
-    static DEADLINE: OnceLock<Option<u64>> = OnceLock::new();
-    *DEADLINE.get_or_init(|| match std::env::var("MPISIM_DEADLINE_MS") {
-        Ok(v) => Some(
-            parse_positive_ms("MPISIM_DEADLINE_MS", &v, 30000).unwrap_or_else(|e| panic!("{e}")),
-        ),
-        Err(_) => None,
-    })
+    crate::env::get().stall_ms
 }
 
 /// What one rank was blocked on when a stall report was assembled.
@@ -145,9 +87,9 @@ pub struct StallReport {
     pub epoch: u64,
     /// Rank known to have died/panicked, when the transport recorded one.
     pub dead_rank: Option<usize>,
-    /// Every locally-observable parked wait. Under `ProcWorld` this
-    /// covers only the reporting process's rank; under thread worlds it
-    /// covers all ranks.
+    /// Every locally-observable parked wait. In a process world
+    /// ([`crate::RemoteWorld`]) this covers only the reporting process's
+    /// rank; with ranks as threads it covers all ranks.
     pub waits: Vec<RankWait>,
     /// Unexpected-message queue depth per destination rank mailbox.
     pub mailbox_depths: Vec<Option<usize>>,
@@ -295,52 +237,5 @@ mod tests {
     fn stall_period_has_a_sane_default() {
         // The test binary does not set MPISIM_STALL_MS; the default holds.
         assert!(stall_ms() >= 1);
-    }
-
-    #[test]
-    fn stall_ms_rejects_non_numeric_values_with_grammar() {
-        let err = parse_positive_ms("MPISIM_STALL_MS", "abc", 50).unwrap_err();
-        assert!(
-            err.contains("MPISIM_STALL_MS=\"abc\""),
-            "offending token: {err}"
-        );
-        assert!(
-            err.contains("positive integer of milliseconds"),
-            "grammar: {err}"
-        );
-        assert!(err.contains("MPISIM_STALL_MS=50"), "example: {err}");
-    }
-
-    #[test]
-    fn stall_ms_rejects_zero() {
-        let err = parse_positive_ms("MPISIM_STALL_MS", "0", 50).unwrap_err();
-        assert!(err.contains("MPISIM_STALL_MS=\"0\""), "{err}");
-        assert!(err.contains("0 is not a valid period"), "{err}");
-    }
-
-    #[test]
-    fn deadline_ms_rejects_negative_and_zero() {
-        let err = parse_positive_ms("MPISIM_DEADLINE_MS", "-5", 30000).unwrap_err();
-        assert!(err.contains("MPISIM_DEADLINE_MS=\"-5\""), "{err}");
-        assert!(err.contains("MPISIM_DEADLINE_MS=30000"), "{err}");
-        assert!(parse_positive_ms("MPISIM_DEADLINE_MS", "0", 30000).is_err());
-        assert_eq!(
-            parse_positive_ms("MPISIM_DEADLINE_MS", "250", 30000),
-            Ok(250)
-        );
-    }
-
-    #[test]
-    fn positive_ms_accepts_surrounding_whitespace() {
-        assert_eq!(parse_positive_ms("MPISIM_STALL_MS", " 75 ", 50), Ok(75));
-    }
-
-    #[test]
-    fn count_knobs_allow_zero_but_reject_garbage() {
-        assert_eq!(parse_count("MPISIM_CONNECT_RETRIES", "0", 8), Ok(0));
-        assert_eq!(parse_count("MPISIM_CONNECT_RETRIES", "12", 8), Ok(12));
-        let err = parse_count("MPISIM_CONNECT_RETRIES", "many", 8).unwrap_err();
-        assert!(err.contains("MPISIM_CONNECT_RETRIES=\"many\""), "{err}");
-        assert!(err.contains("non-negative integer"), "{err}");
     }
 }

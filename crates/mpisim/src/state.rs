@@ -813,7 +813,7 @@ impl WorldState {
     /// Build a world over an explicit fabric with an explicit wait
     /// deadline (`None` = never). Callers resolve the deadline themselves
     /// (plan override, then `MPISIM_DEADLINE_MS`) — the programmatic
-    /// fault-injection entry point ([`crate::World::with_faults`]) must
+    /// fault-injection entry point ([`crate::WorldConfig::faults`]) must
     /// not mutate the process environment.
     pub fn with_transport_deadline(
         n_ranks: usize,
@@ -897,9 +897,9 @@ impl WorldState {
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 
-    /// The world's wait deadline, if one is configured.
-    pub(crate) fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
+    /// Why a blocked wait should give up: a rank died or a link is gone.
+    pub(crate) fn peer_failure(&self) -> Option<String> {
+        self.transport.peer_failure()
     }
 
     /// Fault-injection hook for ops that bypass the transport trait

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: a [`Transport`] wrapper that perturbs
 //! timing, ordering, and liveness without ever changing bytes.
 //!
-//! [`FaultTransport`] wraps either inner fabric (thread or shm) and drives
+//! [`FaultTransport`] wraps any inner fabric and drives
 //! every perturbation from a seeded [`FaultPlan`]:
 //!
 //! * **delays** — short deterministic sleeps at `deposit` / `match_recv` /
@@ -24,7 +24,7 @@
 //!
 //! Select a plan with `MPISIM_FAULTS=<seed>:<spec>` (see
 //! [`FaultPlan::parse`]) or programmatically via
-//! [`crate::World::with_faults`].
+//! [`crate::WorldConfig::faults`].
 
 use super::{ChanFabric, FaultOp, PayloadMode, Transport, TransportForensics};
 use crate::state::{ChanId, ChanKey, Envelope, WorldState};
@@ -56,9 +56,8 @@ fn mix(seed: u64, salt: u64, rank: usize, op: u64) -> u64 {
 /// A seeded, fully deterministic fault schedule (see the module docs).
 ///
 /// Build one with the fluent constructors and hand it to
-/// [`crate::World::with_faults`] /
-/// [`crate::World::pool_with_faults`], or parse the
-/// `MPISIM_FAULTS` grammar with [`FaultPlan::parse`].
+/// [`crate::WorldConfig::faults`], or parse the `MPISIM_FAULTS` grammar
+/// with [`FaultPlan::parse`].
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
@@ -204,17 +203,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// The plan selected by `MPISIM_FAULTS`, if the variable is set.
-    /// Panics on a malformed spec — a silently ignored chaos run is worse
-    /// than a loud one.
-    pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("MPISIM_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        Some(Self::parse(&spec).unwrap_or_else(|e| panic!("MPISIM_FAULTS: {e}")))
-    }
 }
 
 /// One envelope held back for tag-legal reordering.
@@ -272,14 +260,6 @@ impl FaultTransport {
             *t.flusher.lock() = Some(h);
         }
         t
-    }
-
-    /// Wrap `inner` under the `MPISIM_FAULTS` plan, if one is set.
-    pub(crate) fn wrap_env(n_ranks: usize, inner: Arc<dyn Transport>) -> Arc<dyn Transport> {
-        match FaultPlan::from_env() {
-            Some(plan) => Self::wrap(n_ranks, plan, inner),
-            None => inner,
-        }
     }
 
     fn chance(&self, salt: u64, rank: usize, op: u64, permille: u16) -> Option<u64> {

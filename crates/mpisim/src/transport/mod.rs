@@ -17,13 +17,17 @@
 //!   segment, and parking uses process-shared futexes. Payloads are
 //!   serialized to bytes at the send boundary (plain-old-data element
 //!   types only).
+//! * [`sock::SockTransport`] — framed, sequenced, acknowledged stream
+//!   sockets (Unix-domain or TCP), one link per peer process, with
+//!   reconnect-with-resume; the same byte payloads as shm.
 //!
-//! [`proc::ProcWorld`] runs ranks as re-exec'd worker processes over the
-//! shm fabric with the same closure-per-epoch protocol as
+//! [`fault::FaultTransport`] wraps any of them under a seeded fault plan.
+//! [`remote::RemoteWorld`] runs ranks as re-exec'd worker processes over
+//! the shm or sock fabric with the same closure-per-epoch protocol as
 //! [`crate::WorldPool`].
 
 pub mod fault;
-pub mod proc;
+pub mod remote;
 pub mod shm;
 pub mod sock;
 pub(crate) mod thread;

@@ -10,10 +10,11 @@
 //! and aborts loudly instead of deadlocking.
 //!
 //! The same transport serves both deployment shapes: rank threads of one
-//! process ([`crate::World::run_shm`], [`crate::World::pool_shm`] — the
+//! process ([`crate::Fabric::Shm`] under a [`crate::WorldConfig`] — the
 //! fabric under test without process management) and ranks as separate
-//! OS processes ([`crate::World::spawn_processes`]).
+//! OS processes ([`crate::World::spawn`], through [`control`]).
 
+pub(crate) mod control;
 pub(crate) mod futex;
 pub(crate) mod ring;
 pub(crate) mod segment;
@@ -370,10 +371,7 @@ impl Transport for ShmTransport {
         type_name: &'static str,
         len_hint: usize,
     ) -> ChanFabric {
-        let depth = std::env::var("MPISIM_SHM_RING_DEPTH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8u64);
+        let depth = crate::env::get().shm_ring_depth;
         let msg = 16 + (elem_bytes * len_hint.max(1)) as u64;
         let ring_bytes = (depth * msg).next_power_of_two().max(64 << 10);
         let off = self

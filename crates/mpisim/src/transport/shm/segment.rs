@@ -23,6 +23,7 @@
 
 use super::futex;
 use crate::state::ChanKey;
+use crate::transport::remote::CMD_STOP;
 use std::fs::OpenOptions;
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
@@ -36,9 +37,6 @@ const ALIGN: u64 = 64;
 /// slot per persistent signature (partitioned sends add one per
 /// partition); exceeding this is a loud panic, not silent corruption.
 pub(crate) const TABLE_CAP: usize = 4096;
-
-/// The epoch command word meaning "shut down" (see `transport::proc`).
-pub(crate) const CMD_STOP: u64 = u64::MAX;
 
 extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
@@ -62,7 +60,7 @@ struct SegHeader {
     rank_panicked: AtomicU32,
     /// Futex word bumped whenever `epoch_cmd` changes.
     epoch_seq: AtomicU32,
-    /// Epoch command word (see `transport::proc`): `(job << 48) | epoch`,
+    /// Epoch command word (see `transport::remote`): `(job << 48) | epoch`,
     /// or [`CMD_STOP`].
     epoch_cmd: AtomicU64,
     /// Sense-reversing barrier: generation (futex word) + arrival count.
@@ -108,13 +106,6 @@ pub(crate) struct Segment {
 unsafe impl Send for Segment {}
 unsafe impl Sync for Segment {}
 
-fn env_size(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 impl Segment {
     fn offsets(n: u64) -> (u64, u64, u64, u64, u64) {
         let pids = HDR_SIZE;
@@ -128,10 +119,14 @@ impl Segment {
     /// Create and initialize the fabric segment for `n_ranks` ranks.
     pub fn create(n_ranks: usize) -> Arc<Segment> {
         let n = n_ranks as u64;
-        let mailbox_cap = env_size("MPISIM_SHM_MAILBOX_CAP", 256 << 10).next_power_of_two();
+        let env = crate::env::get();
+        let mailbox_cap = env.shm_mailbox_cap.next_power_of_two();
         let mailbox_total = n * n * (super::ring::RING_HDR + mailbox_cap);
         let default_len = (mailbox_total + (192 << 20)).max(256 << 20);
-        let len = env_size("MPISIM_SHM_BYTES", default_len).max(mailbox_total + (16 << 20));
+        let len = env
+            .shm_bytes
+            .unwrap_or(default_len)
+            .max(mailbox_total + (16 << 20));
 
         static SEQ: AtomicU64 = AtomicU64::new(0);
         // Name collision (a stale file from a dead process that recycled
@@ -189,7 +184,7 @@ impl Segment {
     /// failures — the file not yet visible, or `magic` not yet published
     /// by the creator — are retried with backoff for roughly two seconds
     /// before giving up; the driver's respawn policy (see
-    /// `transport::proc`) covers a worker that still loses the race.
+    /// `shm::control`) covers a worker that still loses the race.
     pub fn attach(path: &str) -> Arc<Segment> {
         const ATTEMPTS: u32 = 20;
         let mut last_err = String::new();

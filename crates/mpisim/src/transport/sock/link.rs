@@ -15,12 +15,16 @@
 //! recycled frame buffers and wake the writer only when it is parked, the
 //! writer coalesces everything queued since its last turn into one
 //! `write`, and the reader takes whatever the kernel has in one `read`
-//! and parses the frames where they landed.
+//! and parses the frames where they landed. Both threads yield-spin
+//! ([`PARK_SPIN`]) before they block in the kernel, so a steady stream
+//! keeps them awake and batching instead of paying a sleep and a wake per
+//! burst.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,6 +67,15 @@ const REPLAY_CAP: usize = 1 << 16;
 /// largest capacity worth keeping.
 const POOL_FRAMES: usize = 256;
 const POOL_FRAME_BYTES: usize = 2 * IO_BATCH;
+
+/// Turns of the run queue a link thread lets pass — the writer with
+/// nothing queued, the reader with nothing in the socket — before it
+/// blocks in the kernel: the yield-spin every receive in this runtime does
+/// before parking (`ThreadChan::pop_with` has the rationale and the
+/// bound). A thread that blocks at once sleeps and is woken once per
+/// burst, and how many frames then share a `write` and a `read` — what a
+/// frame costs — is left to where the scheduler put the two threads.
+const PARK_SPIN: u32 = 24;
 
 /// Append one frame to `out`: `[len u32][kind u8][pad 3][seq u64][body]`
 /// where `len` counts everything after the length prefix and `body` is
@@ -257,8 +270,41 @@ impl Stream {
     }
 }
 
+// No `libc` crate is vendored; like the shm fabric's calls this one is
+// declared against the C library the std binary already links.
+extern "C" {
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
+}
+
+/// This one `recv` returns `EAGAIN` instead of blocking. (Per call, not
+/// `O_NONBLOCK`: that flag lives on the open socket, which a remote
+/// link's writer shares.)
+const MSG_DONTWAIT: i32 = 0x40;
+
+impl Stream {
+    /// A read that never blocks: `WouldBlock` when the socket is empty.
+    fn read_now(&self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let fd = match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        };
+        // SAFETY: `fd` is this stream's open socket and `buf` is an
+        // exclusively borrowed buffer of `buf.len()` writable bytes, the
+        // most `recv` stores.
+        let n = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
+        usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
+    }
+}
+
 impl Read for Stream {
+    /// Yield-spins on an empty socket ([`PARK_SPIN`]) before blocking.
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        for _ in 0..PARK_SPIN {
+            match self.read_now(buf) {
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::yield_now(),
+                done => return done,
+            }
+        }
         match self {
             Stream::Tcp(s) => s.read(buf),
             Stream::Unix(s) => s.read(buf),
@@ -300,7 +346,7 @@ static AUTO_ADDR: AtomicU64 = AtomicU64::new(0);
 /// A fresh auto-assigned Unix-domain socket path under the temp dir.
 pub(crate) fn auto_addr() -> String {
     let n = AUTO_ADDR.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir()
+    crate::env::temp_dir()
         .join(format!("mpisim-sock-{}-{n}", std::process::id()))
         .to_string_lossy()
         .into_owned()
@@ -360,13 +406,6 @@ pub(crate) struct RetryCfg {
 }
 
 impl RetryCfg {
-    pub fn from_env() -> Self {
-        Self {
-            retries: crate::stall::env_count("MPISIM_CONNECT_RETRIES", 8, 8),
-            backoff_ms: crate::stall::env_positive_ms("MPISIM_CONNECT_BACKOFF_MS", 10, 10),
-        }
-    }
-
     fn delay(&self, attempt: u64) -> Duration {
         let base = (self.backoff_ms << attempt.min(16)).min(1000);
         // deterministic jitter: spread simultaneous dials without a RNG
@@ -838,6 +877,8 @@ pub(crate) fn run_writer(link: Arc<Link>, cfg: RetryCfg) {
     let mut last_hb = Instant::now();
     // the cycle's bytes, coalesced under the lock and written outside it
     let mut out: Vec<u8> = Vec::new();
+    // turns with nothing to write since the last write or park
+    let mut idle_turns = 0;
     let mut st = link.st.lock();
     loop {
         if st.shutdown || st.dead {
@@ -890,6 +931,16 @@ pub(crate) fn run_writer(link: Arc<Link>, cfg: RetryCfg) {
             }
         }
         if out.is_empty() {
+            // senders come in bursts: a writer still awake takes the rest
+            // of one in its next write, and no sender pays a futex wake
+            if st.writer_sock.is_some() && idle_turns < PARK_SPIN {
+                idle_turns += 1;
+                drop(st);
+                std::thread::yield_now();
+                st = link.st.lock();
+                continue;
+            }
+            idle_turns = 0;
             st.writer_parked = true;
             let timed_out = link.cv.wait_for(&mut st, hb).timed_out();
             st.writer_parked = false;
@@ -898,6 +949,7 @@ pub(crate) fn run_writer(link: Arc<Link>, cfg: RetryCfg) {
             }
             continue;
         }
+        idle_turns = 0;
         st.write_calls += 1;
         let sock = Arc::clone(st.writer_sock.as_ref().expect("connected: checked above"));
         drop(st);
@@ -1079,6 +1131,19 @@ mod tests {
             .range((st.sent - st.acked) as usize..)
             .map(|f| u64::from_le_bytes(f[8..16].try_into().unwrap()))
             .collect()
+    }
+
+    #[test]
+    fn read_now_never_blocks_and_sees_data_and_eof() {
+        let (mut a, b) = uds_pair();
+        let mut buf = [0u8; 8];
+        let empty = b.read_now(&mut buf).expect_err("nothing was written");
+        assert_eq!(empty.kind(), std::io::ErrorKind::WouldBlock);
+        a.write_all(b"abc").expect("write");
+        assert_eq!(b.read_now(&mut buf).expect("data"), 3);
+        assert_eq!(&buf[..3], b"abc");
+        a.shutdown_both();
+        assert_eq!(b.read_now(&mut buf).expect("eof"), 0);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //!
 //! * **loopback** ([`SockTransport::loopback`]) — every rank lives in this
 //!   process and ALL plain-send / persistent-channel traffic rides one
-//!   self-link through a real socket (`MPISIM_TRANSPORT=sock` under
-//!   [`crate::World::run`] / [`crate::WorldPool`]). This is the
-//!   equivalence surface: the full wire path runs in-process.
+//!   self-link through a real socket ([`crate::Fabric::Sock`] under a
+//!   [`crate::WorldConfig`]). This is the equivalence surface: the full
+//!   wire path runs in-process.
 //! * **multi-process** ([`SockTransport::bind`]) — one rank per OS
-//!   process, meshed via rendezvous bootstrap ([`world::SockWorld`]).
+//!   process, meshed via rendezvous bootstrap ([`control`], driven by
+//!   [`crate::RemoteWorld`]).
 //!
 //! Failure semantics (the point of this fabric — DESIGN.md §10): connects
 //! retry with capped exponential backoff + jitter; idle links carry
@@ -20,8 +21,8 @@
 //! every blocked wait observes through `peer_failure` within one stall
 //! probe and degrades to a loud abort / [`crate::EpochError`].
 
+pub(crate) mod control;
 pub(crate) mod link;
-pub(crate) mod world;
 
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
@@ -42,12 +43,11 @@ const NO_RANK: usize = usize::MAX;
 
 /// Control-plane inbox: epoch commands, completions, death notices, and
 /// bootstrap join/table traffic, deposited by reader threads and consumed
-/// by [`world::SockWorld`].
+/// by the [`control`] plane.
 #[derive(Default)]
 pub(crate) struct CtrlState {
     pub cmds: VecDeque<u64>,
     pub dones: Vec<(usize, u64)>,
-    pub deaths: Vec<usize>,
     pub joins: Vec<(usize, String)>,
     pub table: Option<Vec<String>>,
 }
@@ -136,7 +136,10 @@ impl SockTransport {
     /// path or TCP `host:port`; port 0 allocates), else an auto-assigned
     /// UDS path.
     pub(crate) fn loopback(n_ranks: usize) -> Arc<SockTransport> {
-        let spec = std::env::var("MPISIM_SOCK_ADDR").unwrap_or_else(|_| auto_addr());
+        let spec = crate::env::get()
+            .sock_addr
+            .clone()
+            .unwrap_or_else(auto_addr);
         let t = Self::bind_inner(n_ranks, 0, 1, &spec);
         t.dial_self();
         t
@@ -157,7 +160,7 @@ impl SockTransport {
     }
 
     /// One rank per process: bind a listener and create unconnected links
-    /// to every peer. [`world::SockWorld`] drives the rendezvous dialing.
+    /// to every peer. The [`control`] plane drives the rendezvous dialing.
     pub(crate) fn bind(my_proc: usize, n_procs: usize, listen_spec: &str) -> Arc<SockTransport> {
         Self::bind_inner(n_procs, my_proc, n_procs, listen_spec)
     }
@@ -170,7 +173,11 @@ impl SockTransport {
     ) -> Arc<SockTransport> {
         let (listener, listener_addr) = Listener::bind(listen_spec)
             .unwrap_or_else(|e| panic!("sock fabric: cannot bind {listen_spec:?}: {e}"));
-        let cfg = RetryCfg::from_env();
+        let env = crate::env::get();
+        let cfg = RetryCfg {
+            retries: env.connect_retries,
+            backoff_ms: env.connect_backoff_ms,
+        };
         let links: Vec<Option<Arc<Link>>> = (0..n_procs)
             .map(|p| {
                 if n_procs == 1 {
@@ -438,7 +445,6 @@ impl SockTransport {
             K_DEATH => {
                 let rank = u32_at(0)?;
                 self.note_rank_panic(Some(rank));
-                self.ctrl.st.lock().deaths.push(rank);
                 self.ctrl.cv.notify_all();
             }
             K_FLUSH => {

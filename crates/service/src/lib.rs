@@ -105,13 +105,18 @@ impl JobSpec {
     }
 }
 
-/// Why a job failed: which ranks reported it and the first message.
+/// Why a job failed: which ranks reported it, what each of them knows,
+/// and the most specific of those accounts.
 #[derive(Debug, Clone)]
 pub struct JobError {
     /// Ranks that reported the failure, ascending.
     pub ranks: Vec<usize>,
-    /// The lowest-ranked failure's message.
+    /// What the lowest rank on which the failure *originated* (a tenant
+    /// panic, a deadline dump) says — a rank that merely holds a peer's
+    /// cancel token speaks only when no rank originated anything.
     pub message: String,
+    /// Every reporting rank's own account, ascending by rank.
+    pub causes: Vec<(usize, String)>,
 }
 
 impl std::fmt::Display for JobError {
@@ -241,7 +246,7 @@ impl SolveService {
         });
         match outcome {
             Ok(per_rank) => {
-                type RankRows = Vec<(usize, Result<Vec<f64>, String>)>;
+                type RankRows = Vec<(usize, Result<Vec<f64>, scheduler::Cause>)>;
                 let mut per_job: Vec<RankRows> = (0..queued.len()).map(|_| Vec::new()).collect();
                 for (r, rr) in per_rank.into_iter().enumerate() {
                     assert_eq!(rr.len(), queued.len());
@@ -254,19 +259,32 @@ impl SolveService {
                     .zip(per_job)
                     .map(|(q, rows)| {
                         let mut oks = Vec::with_capacity(n_ranks);
-                        let mut errs: Vec<(usize, String)> = Vec::new();
+                        let mut causes: Vec<(usize, String)> = Vec::new();
+                        let mut originated: Option<usize> = None;
                         for (r, res) in rows {
-                            match res {
-                                Ok(x) => oks.push(x),
-                                Err(m) => errs.push((r, m)),
-                            }
+                            let text = match res {
+                                Ok(x) => {
+                                    oks.push(x);
+                                    continue;
+                                }
+                                Err(scheduler::Cause::Here(text)) => {
+                                    originated.get_or_insert(causes.len());
+                                    text
+                                }
+                                Err(scheduler::Cause::Relayed { from }) => format!(
+                                    "job {:?} cancelled: tenant failed on rank {from}",
+                                    q.name
+                                ),
+                            };
+                            causes.push((r, text));
                         }
-                        let outcome = if errs.is_empty() {
+                        let outcome = if causes.is_empty() {
                             Ok(oks)
                         } else {
                             Err(JobError {
-                                ranks: errs.iter().map(|(r, _)| *r).collect(),
-                                message: errs[0].1.clone(),
+                                ranks: causes.iter().map(|(r, _)| *r).collect(),
+                                message: causes[originated.unwrap_or(0)].1.clone(),
+                                causes,
                             })
                         };
                         JobReport {
@@ -283,6 +301,7 @@ impl SolveService {
                 let err = JobError {
                     ranks: e.failures.iter().map(|(r, _)| *r).collect(),
                     message: format!("epoch failed: {e}"),
+                    causes: e.failures,
                 };
                 queued
                     .iter()

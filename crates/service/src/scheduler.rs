@@ -35,7 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mpi_advance::{BatchRequest, NeighborBatch};
-use mpisim::{ChanId, Comm, RankCtx, RecvChan};
+use mpisim::{panic_message, ChanId, Comm, RankCtx, RecvChan};
 
 use crate::{JobLogic, QueuedJob, RankState};
 
@@ -163,15 +163,13 @@ fn park(
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Why a job failed, as one rank knows it.
+pub(crate) enum Cause {
+    /// The failure happened (or was first noticed) on this rank: a tenant
+    /// panic, or a deadline dump. The text says what and where.
+    Here(String),
+    /// Rank `from` noticed it and this rank only holds its cancel token.
+    Relayed { from: usize },
 }
 
 /// A cancel token: which job failed, and on which rank.
@@ -205,7 +203,7 @@ pub(crate) fn drive_rank(
     ctl_stream: u64,
     ctl_base: u64,
     max_concurrent: usize,
-) -> Vec<Result<Vec<f64>, String>> {
+) -> Vec<Result<Vec<f64>, Cause>> {
     let world = ctx.comm_world();
     let rank = ctx.rank();
     let n_ranks = world.size();
@@ -231,10 +229,10 @@ pub(crate) fn drive_rank(
     ctx.barrier(&world);
 
     // -- the drive loop --
-    let mut results: Vec<Option<Result<Vec<f64>, String>>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<Option<Result<Vec<f64>, Cause>>> = (0..n).map(|_| None).collect();
     let mut running: Vec<usize> = Vec::new();
     let mut next_admit = 0usize;
-    let mut completed: Vec<(usize, Result<Vec<f64>, String>)> = Vec::new();
+    let mut completed: Vec<(usize, Result<Vec<f64>, Cause>)> = Vec::new();
     let mut union: Vec<ChanId> = Vec::new();
     let mut absorb_retries = 0usize;
     // the park set beyond the tasks' own pending channels: the per-peer
@@ -276,7 +274,7 @@ pub(crate) fn drive_rank(
             match catch_unwind(AssertUnwindSafe(|| task.poll(ctx))) {
                 Ok(None) => {}
                 Ok(Some(v)) => completed.push((j, Ok(v))),
-                Err(payload) => completed.push((j, Err(panic_text(payload)))),
+                Err(payload) => completed.push((j, Err(Cause::Here(panic_message(&*payload))))),
             }
         }
         let mut progressed = !completed.is_empty();
@@ -309,10 +307,7 @@ pub(crate) fn drive_rank(
                     }
                     tasks[j] = None;
                     running.retain(|&x| x != j);
-                    results[j] = Some(Err(format!(
-                        "job {:?} cancelled: tenant failed on rank {src}",
-                        jobs[j].name
-                    )));
+                    results[j] = Some(Err(Cause::Relayed { from: src }));
                     progressed = true;
                 }
             }
@@ -333,7 +328,7 @@ pub(crate) fn drive_rank(
                 drain_due = true;
             }
             Err(payload) => {
-                let msg = panic_text(payload);
+                let msg = panic_message(&*payload);
                 let absorbed = ctx.absorb_rank_failure();
                 if absorbed.is_some() && absorb_retries < MAX_ABSORB_RETRIES {
                     // a peer's tenant died; its scheduler sends the
@@ -348,11 +343,11 @@ pub(crate) fn drive_rank(
                 let names: Vec<&str> = running.iter().map(|&j| jobs[j].name.as_str()).collect();
                 for &j in &running {
                     broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
-                    results[j] = Some(Err(format!(
+                    results[j] = Some(Err(Cause::Here(format!(
                         "job {:?} failed while rank {rank} was parked \
                          (jobs running here: {names:?}): {msg}",
                         jobs[j].name
-                    )));
+                    ))));
                     tasks[j] = None;
                 }
                 running.clear();
@@ -363,7 +358,14 @@ pub(crate) fn drive_rank(
     results
         .into_iter()
         .enumerate()
-        .map(|(j, r)| r.unwrap_or_else(|| Err(format!("job {:?} was never driven", jobs[j].name))))
+        .map(|(j, r)| {
+            r.unwrap_or_else(|| {
+                Err(Cause::Here(format!(
+                    "job {:?} was never driven",
+                    jobs[j].name
+                )))
+            })
+        })
         .collect()
 }
 
@@ -373,7 +375,7 @@ mod tests {
     use crate::{JobSpec, SolveService};
     use locality::Topology;
     use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, Protocol};
-    use mpisim::{FaultPlan, World};
+    use mpisim::{Fabric, FaultPlan, World, WorldConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Each rank owns value id `r` and sends it to rank `r + 1` (mod n).
@@ -498,7 +500,8 @@ mod tests {
         const N: usize = 4;
         let jobs = [Ring::new(N, 200, 0), Ring::new(N, 200, 500)];
         let plan = FaultPlan::seeded(1).deadline_ms(10_000);
-        let mut svc = SolveService::with_pool(World::pool_with_faults(N, plan));
+        let pool = WorldConfig::new(Fabric::Thread).faults(plan).pool(N);
+        let mut svc = SolveService::with_pool(pool);
         for job in &jobs {
             job.submit_to(&mut svc, "ring");
         }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use amg::{Hierarchy, HierarchyOptions, JacobiJob};
 use locality::Topology;
-use mpisim::World;
+use mpisim::{Fabric, WorldConfig};
 use service::{JobSpec, SolveService};
 use sparse::gen::diffusion_2d_7pt;
 
@@ -51,14 +51,8 @@ fn two_tenants_match_reference() {
 #[test]
 fn two_tenants_match_reference_on_shm_and_sock() {
     let jobs = jobs(2);
-    check(
-        SolveService::with_pool(World::pool_shm(RANKS)),
-        &jobs,
-        "shm",
-    );
-    check(
-        SolveService::with_pool(World::pool_sock(RANKS)),
-        &jobs,
-        "sock",
-    );
+    for fabric in [Fabric::Shm, Fabric::Sock] {
+        let pool = WorldConfig::new(fabric).pool(RANKS);
+        check(SolveService::with_pool(pool), &jobs, fabric.name());
+    }
 }

@@ -1,28 +1,29 @@
 //! BoomerAMG SpMV halo exchange with ranks as **real OS processes**.
 //!
-//! The same application scenario as `amg_solve`, deployed on the
-//! cross-process shared-memory fabric: `World::spawn_processes` re-execs
-//! this binary once per rank, every rank attaches to one `/dev/shm`
-//! segment, and all halo traffic crosses true process boundaries over the
-//! fabric's SPSC rings — plain mailbox sends, pre-matched persistent
-//! channels, and futex parking included. Every process builds the
-//! hierarchy, the batch, and the serial reference deterministically, so
-//! each rank verifies its own slice of every level's distributed SpMV
-//! against the serial operator *inside* an epoch: any divergence aborts
-//! the whole world loudly.
+//! The same application scenario as `amg_solve`, deployed as a process
+//! world: `World::spawn` re-execs this binary once per rank and all halo
+//! traffic crosses true process boundaries. The fabric is the first
+//! argument. On `shm` (the default) every rank attaches to one `/dev/shm`
+//! segment and talks over its SPSC rings — plain mailbox sends,
+//! pre-matched persistent channels, and futex parking included; on `sock`
+//! the ranks rendezvous over rank 0's listener and mesh up with framed,
+//! acknowledged stream sockets. Every process builds the hierarchy, the
+//! batch, and the serial reference deterministically, so each rank
+//! verifies its own slice of every level's distributed SpMV against the
+//! serial operator *inside* an epoch: any divergence aborts the whole
+//! world loudly.
 //!
-//! Transport selection: `spawn_processes` always uses the shm fabric —
-//! that is its point. For the thread-deployment shapes, setting
-//! `MPISIM_TRANSPORT=shm` routes `World::run` / `World::pool` over the
-//! same fabric with ranks as threads (see `amg_solve`), which is how the
-//! wire path is exercised without process management.
+//! For the thread-deployment shapes, `MPISIM_TRANSPORT=shm|sock` routes
+//! `World::run` / `World::pool` over the same fabrics with ranks as
+//! threads (see `amg_solve`), which is how the wire paths are exercised
+//! without process management.
 //!
-//! Run with: `cargo run --release --example amg_proc`
+//! Run with: `cargo run --release --example amg_proc [shm|sock]`
 
 use amg::{DistributedHierarchy, Hierarchy, HierarchyOptions};
 use locality::Topology;
 use mpi_advance::{Backend, NeighborBatch, Protocol};
-use mpisim::World;
+use mpisim::{Fabric, World};
 use sparse::gen::diffusion::paper_problem;
 use sparse::vector::random_vec;
 use sparse::ParCsr;
@@ -31,9 +32,12 @@ const RANKS: usize = 8;
 const PPN: usize = 4;
 
 fn main() {
-    // worker processes re-enter this main before `spawn_processes` turns
-    // them into ranks: only the original process narrates
-    let chatty = std::env::var_os("MPISIM_WORKER_RANK").is_none();
+    // (worker processes re-enter this main with the same arguments)
+    let fabric = match std::env::args().nth(1).as_deref() {
+        None | Some("shm") => Fabric::Shm,
+        Some("sock") => Fabric::Sock,
+        Some(other) => panic!("unknown fabric {other:?}: expected shm or sock"),
+    };
 
     // identical deterministic setup in every process (the batch's tag
     // lease comes from each process's fresh tag space, so all ranks carve
@@ -58,16 +62,17 @@ fn main() {
         .enumerate()
         .map(|(lvl, dlvl)| h.levels[dlvl.level].a.spmv(&xs[lvl]))
         .collect();
-    if chatty {
+
+    let world = World::spawn(fabric, RANKS);
+    let me = world.rank();
+    if me == 0 {
         println!(
-            "hierarchy: {} levels {:?}; spawning {RANKS} rank processes",
+            "hierarchy: {} levels {:?}; {RANKS} rank processes on the {} fabric",
             h.n_levels(),
-            h.level_sizes()
+            h.level_sizes(),
+            fabric.name()
         );
     }
-
-    let world = World::spawn_processes(RANKS);
-    let me = world.rank();
     let errs = world.run(|ctx| {
         let me = ctx.rank();
         let pars: Vec<ParCsr> = dist

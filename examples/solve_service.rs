@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use amg::{Hierarchy, HierarchyOptions, JacobiJob};
 use locality::Topology;
-use mpisim::{FaultPlan, World};
+use mpisim::{Fabric, FaultPlan, WorldConfig};
 use service::{JobLogic, JobSpec, SolveService};
 use sparse::gen::diffusion_2d_7pt;
 
@@ -79,7 +79,8 @@ fn main() {
     // failing rank named in the error), and every surviving tenant
     // still matches the reference byte for byte.
     let plan = FaultPlan::seeded(7).kill(1, 60);
-    let mut faulty = SolveService::with_pool(World::pool_with_faults(RANKS, plan));
+    let pool = WorldConfig::new(Fabric::Thread).faults(plan).pool(RANKS);
+    let mut faulty = SolveService::with_pool(pool);
     submit_all(&mut faulty);
     let reports = faulty.run_pending();
     let mut survivors = 0;

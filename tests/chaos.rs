@@ -13,24 +13,13 @@
 use locality::Topology;
 use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, Protocol};
 use mpisim::collectives::op_sum_u64;
-use mpisim::{FaultPlan, RankCtx, World};
+use mpisim::{panic_message, Fabric, FaultPlan, RankCtx, World, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// The value rank-owned index `i` carries in iteration `it`.
 fn value(i: usize, it: u64) -> f64 {
     (i as f64) * 16.0 + (it as f64) * 0.25
-}
-
-/// Render a caught panic payload for substring assertions.
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "<non-string panic payload>".into()
-    }
 }
 
 /// One rank's SPMD body: a mixed workload touching every op class the
@@ -90,17 +79,13 @@ fn perturb_plan(seed: u64) -> FaultPlan {
 #[test]
 fn fault_free_plan_is_byte_identical() {
     let reference = run_chaos_world(|f| World::run(8, f));
-    let idle =
-        run_chaos_world(|f| World::with_faults(8, FaultPlan::seeded(11).deadline_ms(30_000), f));
+    let thread = |plan: FaultPlan| WorldConfig::new(Fabric::Thread).faults(plan);
+    let idle = FaultPlan::seeded(11).deadline_ms(30_000);
+    let idle = run_chaos_world(|f| thread(idle).run(8, f));
     assert_eq!(reference, idle, "a no-fault plan changed results");
     // delay-only: every counted op sleeps, nothing else is perturbed
-    let delayed = run_chaos_world(|f| {
-        World::with_faults(
-            8,
-            FaultPlan::seeded(12).delays(1000, 60).deadline_ms(30_000),
-            f,
-        )
-    });
+    let delays = FaultPlan::seeded(12).delays(1000, 60).deadline_ms(30_000);
+    let delayed = run_chaos_world(|f| thread(delays).run(8, f));
     assert_eq!(reference, delayed, "a delay-only plan changed results");
 }
 
@@ -111,25 +96,28 @@ fn fault_free_plan_is_byte_identical() {
 fn seeded_schedules_are_byte_identical_thread() {
     let reference = run_chaos_world(|f| World::run(8, f));
     for seed in 0..10u64 {
-        let faulted = run_chaos_world(|f| World::with_faults(8, perturb_plan(seed), f));
+        let thread = WorldConfig::new(Fabric::Thread).faults(perturb_plan(seed));
+        let faulted = run_chaos_world(|f| thread.run(8, f));
         assert_eq!(faulted, reference, "thread schedule seed {seed} diverged");
     }
 }
 
 #[test]
 fn seeded_schedules_are_byte_identical_shm() {
-    let reference = run_chaos_world(|f| World::run_shm(8, f));
+    let shm = WorldConfig::new(Fabric::Shm);
+    let reference = run_chaos_world(|f| shm.run(8, f));
     for seed in 100..110u64 {
-        let faulted = run_chaos_world(|f| World::with_faults_shm(8, perturb_plan(seed), f));
+        let faulted = run_chaos_world(|f| shm.clone().faults(perturb_plan(seed)).run(8, f));
         assert_eq!(faulted, reference, "shm schedule seed {seed} diverged");
     }
 }
 
 #[test]
 fn seeded_schedules_are_byte_identical_sock() {
-    let reference = run_chaos_world(|f| World::run_sock(8, f));
+    let sock = WorldConfig::new(Fabric::Sock);
+    let reference = run_chaos_world(|f| sock.run(8, f));
     for seed in 200..206u64 {
-        let faulted = run_chaos_world(|f| World::with_faults_sock(8, perturb_plan(seed), f));
+        let faulted = run_chaos_world(|f| sock.clone().faults(perturb_plan(seed)).run(8, f));
         assert_eq!(faulted, reference, "sock schedule seed {seed} diverged");
     }
 }
@@ -141,10 +129,11 @@ fn seeded_schedules_are_byte_identical_sock() {
 /// several seeds and drop rates.
 #[test]
 fn sock_link_drops_resume_byte_identically() {
-    let reference = run_chaos_world(|f| World::run_sock(8, f));
+    let sock = WorldConfig::new(Fabric::Sock);
+    let reference = run_chaos_world(|f| sock.run(8, f));
     for (seed, permille) in [(300u64, 40u16), (301, 120), (302, 250)] {
         let plan = FaultPlan::seeded(seed).drops(permille).deadline_ms(30_000);
-        let faulted = run_chaos_world(|f| World::with_faults_sock(8, plan.clone(), f));
+        let faulted = run_chaos_world(|f| sock.clone().faults(plan).run(8, f));
         assert_eq!(
             faulted, reference,
             "sock drop schedule seed {seed} ({permille}permille) diverged"
@@ -153,7 +142,7 @@ fn sock_link_drops_resume_byte_identically() {
     // drops composed with the full perturbation mix: still invisible
     for seed in 310..313u64 {
         let plan = perturb_plan(seed).drops(80);
-        let faulted = run_chaos_world(|f| World::with_faults_sock(8, plan, f));
+        let faulted = run_chaos_world(|f| sock.clone().faults(plan).run(8, f));
         assert_eq!(
             faulted, reference,
             "sock drop+perturb schedule seed {seed} diverged"
@@ -182,22 +171,20 @@ fn ring_body(ctx: &mut RankCtx) -> u64 {
 /// stall report names the dead rank.
 #[test]
 fn kill_schedules_abort_one_shot_worlds() {
-    for fabric in ["thread", "shm", "sock"] {
+    for on in Fabric::ALL {
+        let fabric = on.name();
         for (victim, nth) in [(1usize, 5u64), (2, 17)] {
             let plan = FaultPlan::seeded(9).kill(victim, nth).deadline_ms(10_000);
+            let world = WorldConfig::new(on).faults(plan);
             let start = Instant::now();
-            let err = catch_unwind(AssertUnwindSafe(|| match fabric {
-                "shm" => World::with_faults_shm(4, plan.clone(), ring_body),
-                "sock" => World::with_faults_sock(4, plan.clone(), ring_body),
-                _ => World::with_faults(4, plan.clone(), ring_body),
-            }))
-            .expect_err("a killed rank must fail the world");
+            let err = catch_unwind(AssertUnwindSafe(|| world.run(4, ring_body)))
+                .expect_err("a killed rank must fail the world");
             let elapsed = start.elapsed();
             assert!(
                 elapsed < Duration::from_secs(15),
                 "kill ({fabric}, rank {victim} @ op {nth}) took {elapsed:?} to abort"
             );
-            let msg = panic_text(err);
+            let msg = panic_message(&*err);
             assert!(
                 msg.contains("killed by fault plan")
                     || msg.contains(&format!("dead rank: {victim}")),
@@ -213,14 +200,11 @@ fn kill_schedules_abort_one_shot_worlds() {
 /// for the next (fault-free, counters past the kill index) epoch.
 #[test]
 fn kill_schedules_degrade_gracefully_in_pools() {
-    for fabric in ["thread", "shm", "sock"] {
+    for on in Fabric::ALL {
+        let fabric = on.name();
         for (victim, nth) in [(1usize, 5u64), (3, 17)] {
             let plan = FaultPlan::seeded(21).kill(victim, nth).deadline_ms(10_000);
-            let pool = match fabric {
-                "shm" => World::pool_with_faults_shm(4, plan),
-                "sock" => World::pool_with_faults_sock(4, plan),
-                _ => World::pool_with_faults(4, plan),
-            };
+            let pool = WorldConfig::new(on).faults(plan).pool(4);
             let start = Instant::now();
             let err = pool
                 .try_run(ring_body)
@@ -277,21 +261,18 @@ fn deadline_expiry_dumps_a_stall_report() {
         let peer = 1 - ctx.rank();
         let _: Vec<u64> = ctx.recv(&comm, peer, 9); // nobody ever sends
     };
-    for fabric in ["thread", "shm", "sock"] {
-        let plan = FaultPlan::seeded(3).deadline_ms(400);
+    for on in Fabric::ALL {
+        let fabric = on.name();
+        let world = WorldConfig::new(on).faults(FaultPlan::seeded(3).deadline_ms(400));
         let start = Instant::now();
-        let err = catch_unwind(AssertUnwindSafe(|| match fabric {
-            "shm" => World::with_faults_shm(2, plan.clone(), deadlock),
-            "sock" => World::with_faults_sock(2, plan.clone(), deadlock),
-            _ => World::with_faults(2, plan.clone(), deadlock),
-        }))
-        .expect_err("the deadlocked world must abort");
+        let err = catch_unwind(AssertUnwindSafe(|| world.run(2, deadlock)))
+            .expect_err("the deadlocked world must abort");
         let elapsed = start.elapsed();
         assert!(
             elapsed < Duration::from_secs(10),
             "deadline abort ({fabric}) took {elapsed:?}"
         );
-        let msg = panic_text(err);
+        let msg = panic_message(&*err);
         // the joined payload is either a rank's own deadline abort, or —
         // when one rank's deadline fires first — its peer's death abort
         // (also carrying the stall report, which then names the victim)

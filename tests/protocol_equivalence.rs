@@ -6,9 +6,9 @@
 //! ghost values to a direct
 //! exchange computed straight from the pattern. Each backend runs in a
 //! one-shot spawned world, inside a shared warm [`WorldPool`], over
-//! the cross-process shared-memory fabric ([`World::run_shm`] — the same
+//! the cross-process shared-memory fabric ([`Fabric::Shm`] — the same
 //! `ShmTransport` that backs ranks-as-OS-processes, exercised here with
-//! rank threads), and over the socket fabric ([`World::run_sock`] — every
+//! rank threads), and over the socket fabric ([`Fabric::Sock`] — every
 //! message framed, sequenced, and pushed through a real socket), so the
 //! zero-copy pooled path and both wire paths are pinned byte-for-byte to
 //! the same reference.
@@ -34,7 +34,7 @@
 
 use locality::Topology;
 use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol};
-use mpisim::{FaultPlan, World, WorldPool};
+use mpisim::{Fabric, FaultPlan, World, WorldConfig, WorldPool};
 use proptest::prelude::*;
 
 /// A seeded timing-perturbation schedule (delays + tag-legal reorders +
@@ -143,27 +143,19 @@ fn run_backend_pooled(
     })
 }
 
-/// Run `backend` in a fresh world over the shared-memory fabric: the
-/// byte-payload `ShmTransport` wire path (mailbox rings, chunking,
-/// pre-matched ring channels) under the thread deployment shape.
-fn run_backend_shm(pattern: &CommPattern, topo: &Topology, backend: Backend) -> Vec<Vec<Vec<u64>>> {
-    let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
-    World::run_shm(pattern.n_ranks, |ctx| {
-        let comm = ctx.comm_world();
-        backend_body(&coll, ctx, &comm)
-    })
-}
-
-/// Run `backend` in a fresh world over the socket fabric's loopback mesh:
-/// every plain envelope and persistent payload framed, sequenced, and
-/// acknowledged through a real socket.
-fn run_backend_sock(
+/// Run `backend` in a fresh world over `fabric`, ranks as threads. On
+/// shm that is the byte-payload `ShmTransport` wire path (mailbox rings,
+/// chunking, pre-matched ring channels); on sock, every plain envelope and
+/// persistent payload framed, sequenced, and acknowledged through a real
+/// socket of the loopback mesh.
+fn run_backend_on(
+    fabric: Fabric,
     pattern: &CommPattern,
     topo: &Topology,
     backend: Backend,
 ) -> Vec<Vec<Vec<u64>>> {
     let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
-    World::run_sock(pattern.n_ranks, |ctx| {
+    WorldConfig::new(fabric).run(pattern.n_ranks, |ctx| {
         let comm = ctx.comm_world();
         backend_body(&coll, ctx, &comm)
     })
@@ -272,8 +264,8 @@ proptest! {
         for backend in backends {
             let got = run_backend(&pattern, &topo, backend);
             let pooled = run_backend_pooled(&pool, &pattern, &topo, backend);
-            let shm = run_backend_shm(&pattern, &topo, backend);
-            let sock = run_backend_sock(&pattern, &topo, backend);
+            let shm = run_backend_on(Fabric::Shm, &pattern, &topo, backend);
+            let sock = run_backend_on(Fabric::Sock, &pattern, &topo, backend);
             for (rank, iters) in got.iter().enumerate() {
                 for (it, bits) in iters.iter().enumerate() {
                     prop_assert_eq!(
@@ -322,15 +314,15 @@ proptest! {
             (43, Backend::Tuned),
         ] {
             let coll = NeighborAlltoallv::new(&pattern, &topo).backend(backend);
-            let faulted = World::with_faults(8, perturb_plan(seed), |ctx| {
+            let faulted = WorldConfig::new(Fabric::Thread).faults(perturb_plan(seed)).run(8, |ctx| {
                 let comm = ctx.comm_world();
                 backend_body(&coll, ctx, &comm)
             });
-            let faulted_shm = World::with_faults_shm(8, perturb_plan(seed ^ 0xa5), |ctx| {
+            let faulted_shm = WorldConfig::new(Fabric::Shm).faults(perturb_plan(seed ^ 0xa5)).run(8, |ctx| {
                 let comm = ctx.comm_world();
                 backend_body(&coll, ctx, &comm)
             });
-            let faulted_sock = World::with_faults_sock(8, perturb_plan(seed ^ 0x5a), |ctx| {
+            let faulted_sock = WorldConfig::new(Fabric::Sock).faults(perturb_plan(seed ^ 0x5a)).run(8, |ctx| {
                 let comm = ctx.comm_world();
                 backend_body(&coll, ctx, &comm)
             });
@@ -408,11 +400,11 @@ proptest! {
                 let comm = ctx.comm_world();
                 batch_body(&batch, lifecycle, ctx, &comm)
             });
-            let shm = World::run_shm(8, |ctx| {
+            let shm = WorldConfig::new(Fabric::Shm).run(8, |ctx| {
                 let comm = ctx.comm_world();
                 batch_body(&batch, lifecycle, ctx, &comm)
             });
-            let sock = World::run_sock(8, |ctx| {
+            let sock = WorldConfig::new(Fabric::Sock).run(8, |ctx| {
                 let comm = ctx.comm_world();
                 batch_body(&batch, lifecycle, ctx, &comm)
             });
@@ -470,15 +462,15 @@ proptest! {
         // the completion-driven session under a seeded delay/reorder
         // fault schedule: wait_any retires entries in (perturbed)
         // delivery order, yet every output must stay byte-identical
-        let faulted = World::with_faults(8, perturb_plan(77), |ctx| {
+        let faulted = WorldConfig::new(Fabric::Thread).faults(perturb_plan(77)).run(8, |ctx| {
             let comm = ctx.comm_world();
             batch_body(&batch, Lifecycle::WaitAny, ctx, &comm)
         });
-        let faulted_shm = World::with_faults_shm(8, perturb_plan(78), |ctx| {
+        let faulted_shm = WorldConfig::new(Fabric::Shm).faults(perturb_plan(78)).run(8, |ctx| {
             let comm = ctx.comm_world();
             batch_body(&batch, Lifecycle::WaitAny, ctx, &comm)
         });
-        let faulted_sock = World::with_faults_sock(8, perturb_plan(79), |ctx| {
+        let faulted_sock = WorldConfig::new(Fabric::Sock).faults(perturb_plan(79)).run(8, |ctx| {
             let comm = ctx.comm_world();
             batch_body(&batch, Lifecycle::WaitAny, ctx, &comm)
         });

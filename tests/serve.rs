@@ -21,7 +21,7 @@ use std::time::Duration;
 use amg::{Hierarchy, HierarchyOptions, JacobiJob};
 use locality::Topology;
 use mpi_advance::{CommPattern, EntryId, NeighborRequest};
-use mpisim::{FaultPlan, World, WorldPool};
+use mpisim::{Fabric, FaultPlan, WorldConfig};
 use proptest::prelude::*;
 use service::{JobLogic, JobReport, JobSpec, RankState, SolveService};
 use sparse::gen::diffusion_2d_7pt;
@@ -74,13 +74,9 @@ fn expect_ok(reports: &[JobReport], jobs: &[Arc<JacobiJob>], label: &str) {
 #[test]
 fn concurrent_jobs_match_sequential_and_reference() {
     let jobs = tenant_jobs(4);
-    type PoolCtor = fn(usize) -> WorldPool;
-    let fabrics: [(&str, PoolCtor); 3] = [
-        ("thread", World::pool),
-        ("shm", World::pool_shm),
-        ("sock", World::pool_sock),
-    ];
-    for (name, mk_pool) in fabrics {
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mk_pool = |n_ranks| WorldConfig::new(fabric).pool(n_ranks);
         let mut conc = SolveService::with_pool(mk_pool(RANKS));
         submit_all(&mut conc, &jobs);
         let concurrent = conc.run_pending();
@@ -126,7 +122,8 @@ fn kill_fails_one_tenant_and_spares_the_rest() {
     let mut saw_split = false;
     for nth in [40, 80, 120, 160] {
         let plan = FaultPlan::seeded(7).kill(1, nth);
-        let mut svc = SolveService::with_pool(World::pool_with_faults(RANKS, plan));
+        let mut svc =
+            SolveService::with_pool(WorldConfig::new(Fabric::Thread).faults(plan).pool(RANKS));
         submit_all(&mut svc, &jobs);
         let reports = svc.run_pending();
         let failed: Vec<usize> = (0..jobs.len())
@@ -188,7 +185,9 @@ fn kill_is_contained_under_locality_protocols() {
     let mut saw_split = false;
     for nth in [20, 40, 60, 90] {
         let plan = FaultPlan::seeded(7).kill(1, nth);
-        let mut svc = SolveService::with_pool(World::pool_with_faults(N, plan)).max_concurrent(3);
+        let mut svc =
+            SolveService::with_pool(WorldConfig::new(Fabric::Thread).faults(plan).pool(N))
+                .max_concurrent(3);
         for (k, j) in jobs.iter().enumerate() {
             svc.submit(JobSpec::new(
                 format!("tenant-{k}"),
@@ -288,7 +287,8 @@ fn deadline_dump_attributes_running_jobs() {
         stall: Duration::from_millis(1500),
     });
     let plan = FaultPlan::seeded(1).deadline_ms(300);
-    let mut svc = SolveService::with_pool(World::pool_with_faults(RANKS, plan));
+    let mut svc =
+        SolveService::with_pool(WorldConfig::new(Fabric::Thread).faults(plan).pool(RANKS));
     svc.submit(JobSpec::new(
         "tenant-wedged",
         topo(),

@@ -21,7 +21,7 @@ use locality::Topology;
 use mpi_advance::{
     choose_protocol, topology_signature, Backend, CommPattern, NeighborAlltoallv, TunePolicy,
 };
-use mpisim::{RankCtx, World};
+use mpisim::{Fabric, RankCtx, World, WorldConfig};
 use perfmodel::{CostModel, PostalModel};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -222,11 +222,9 @@ fn tuned_lifecycle_is_byte_identical_on_every_fabric() {
         (ok, req.is_probing(), req.protocol())
     };
 
-    for (fabric, results) in [
-        ("thread", World::run(8, body)),
-        ("shm", World::run_shm(8, body)),
-        ("sock", World::run_sock(8, body)),
-    ] {
+    for fabric in Fabric::ALL {
+        let results = WorldConfig::new(fabric).run(8, body);
+        let fabric = fabric.name();
         let winner = results[0].2;
         for (ok, probing, proto) in results {
             assert!(ok, "[{fabric}] tuned request corrupted values");
