@@ -211,10 +211,10 @@ impl<'a> NeighborBatch<'a> {
         self
     }
 
-    /// Tuning policy for every [`Backend::Tuned`] entry (default: the
-    /// process-wide `MPISIM_TUNE_*` / `MPISIM_PROFILE_DIR` environment,
-    /// read once per process). Tests needing an isolated cache directory
-    /// or probe budget set it here instead of mutating the environment.
+    /// Tuning policy for every [`Backend::Tuned`] entry (default:
+    /// [`TunePolicy::from_env`] — the default budgets, with the profile
+    /// cache where `MPISIM_PROFILE_DIR` says). A cache directory of one's
+    /// own, or another probe budget, is set here.
     pub fn tune_policy(mut self, policy: TunePolicy) -> Self {
         self.tune_policy = Some(policy);
         self.resolved = OnceLock::new();
@@ -410,7 +410,7 @@ impl<'a> NeighborBatch<'a> {
             }
         };
         // the policy is only materialized when a tuned entry exists, so
-        // batches without one never read the MPISIM_TUNE_* environment
+        // batches without one never read the environment
         let policy: Option<TunePolicy> = self
             .entries
             .iter()

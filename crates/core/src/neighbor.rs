@@ -64,9 +64,8 @@ pub enum Backend {
     /// the actual fabric, then hot-swap to the measured winner — same
     /// request object, byte-identical delivery throughout. A persistent
     /// profile cache ([`tuner::ProfileCache`], `MPISIM_PROFILE_DIR`) lets
-    /// warmed processes skip the probe phase entirely. Tuning knobs come
-    /// from [`tuner::TunePolicy`] (the `MPISIM_TUNE_*` environment, or
-    /// the batch's `tune_policy` setter).
+    /// warmed processes skip the probe phase entirely. The budgets are a
+    /// [`tuner::TunePolicy`] (its defaults, or the `tune_policy` setter).
     Tuned,
 }
 
@@ -226,8 +225,8 @@ impl<'a> NeighborAlltoallv<'a> {
         self
     }
 
-    /// Tuning policy for [`Backend::Tuned`] (default: the process-wide
-    /// `MPISIM_TUNE_*` / `MPISIM_PROFILE_DIR` environment).
+    /// Tuning policy for [`Backend::Tuned`] (default:
+    /// [`tuner::TunePolicy::from_env`]).
     pub fn tune_policy(mut self, policy: tuner::TunePolicy) -> Self {
         self.tune = Some(policy);
         self.batch = OnceLock::new();

@@ -180,131 +180,6 @@ impl RankCtx {
         debug_assert!(counts.iter().all(|&c| c == mine.len()));
         all
     }
-
-    /// `MPI_Alltoallv`: `send[i]` goes to communicator rank `i`; returns the
-    /// vector received from each rank.
-    pub fn alltoallv<T: Elem>(&mut self, comm: &Comm, send: &[Vec<T>]) -> Vec<Vec<T>> {
-        let tag = comm.next_coll_tag();
-        let n = comm.size();
-        assert_eq!(send.len(), n, "alltoallv needs one send list per rank");
-        for (dst, data) in send.iter().enumerate() {
-            self.send_internal(comm, dst, tag, data);
-        }
-        (0..n)
-            .map(|src| self.recv_internal(comm, src, tag))
-            .collect()
-    }
-
-    /// `MPI_Scan` (inclusive prefix reduction in rank order).
-    pub fn scan<T: Elem>(&mut self, comm: &Comm, data: &[T], op: ReduceOp<T>) -> Vec<T> {
-        let tag = comm.next_coll_tag();
-        let me = comm.rank();
-        let mut acc = data.to_vec();
-        if me > 0 {
-            let prev: Vec<T> = self.recv_internal(comm, me - 1, tag);
-            assert_eq!(prev.len(), acc.len(), "scan length mismatch");
-            for (a, b) in acc.iter_mut().zip(prev.iter()) {
-                // inclusive scan: acc = op(prefix, mine)
-                let mine = a.clone();
-                *a = b.clone();
-                op(a, &mine);
-            }
-        }
-        if me + 1 < comm.size() {
-            self.send_internal(comm, me + 1, tag, &acc);
-        }
-        acc
-    }
-
-    /// Exclusive prefix sum of a single `u64` (common for offsets); rank 0
-    /// gets 0.
-    pub fn exscan_sum(&mut self, comm: &Comm, value: u64) -> u64 {
-        let inclusive = self.scan(comm, &[value], op_sum_u64)[0];
-        inclusive - value
-    }
-
-    /// `MPI_Gather` of fixed-size contributions: root receives them
-    /// concatenated in rank order, others get `None`.
-    pub fn gather<T: Elem>(&mut self, comm: &Comm, root: usize, mine: &[T]) -> Option<Vec<T>> {
-        let len = mine.len();
-        self.gatherv(comm, root, mine).map(|(all, counts)| {
-            debug_assert!(counts.iter().all(|&c| c == len));
-            all
-        })
-    }
-
-    /// `MPI_Scatterv`: root distributes `parts[i]` to communicator rank
-    /// `i`; every rank returns its part.
-    pub fn scatterv<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        parts: Option<&[Vec<T>]>,
-    ) -> Vec<T> {
-        let tag = comm.next_coll_tag();
-        let n = comm.size();
-        if comm.rank() == root {
-            let parts = parts.expect("root must supply the parts");
-            assert_eq!(parts.len(), n, "one part per rank");
-            for (r, p) in parts.iter().enumerate() {
-                if r != root {
-                    self.send_internal(comm, r, tag, p);
-                }
-            }
-            parts[root].clone()
-        } else {
-            assert!(parts.is_none(), "non-roots pass None");
-            self.recv_internal(comm, root, tag)
-        }
-    }
-
-    /// `MPI_Scatter` of equal chunks: root supplies `n · chunk` elements.
-    pub fn scatter<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        data: Option<&[T]>,
-        chunk: usize,
-    ) -> Vec<T> {
-        let parts: Option<Vec<Vec<T>>> = data.map(|d| {
-            assert_eq!(d.len(), comm.size() * chunk, "scatter data size mismatch");
-            d.chunks(chunk).map(<[T]>::to_vec).collect()
-        });
-        self.scatterv(comm, root, parts.as_deref())
-    }
-
-    /// `MPI_Reduce_scatter_block`: element-wise reduce `data` (length
-    /// `n · chunk`) across all ranks, then scatter equal chunks; rank `r`
-    /// receives elements `r·chunk .. (r+1)·chunk` of the reduction.
-    pub fn reduce_scatter_block<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        data: &[T],
-        chunk: usize,
-        op: ReduceOp<T>,
-    ) -> Vec<T> {
-        assert_eq!(
-            data.len(),
-            comm.size() * chunk,
-            "reduce_scatter data size mismatch"
-        );
-        let reduced = self.reduce(comm, 0, data, op);
-        self.scatter(comm, 0, reduced.as_deref(), chunk)
-    }
-
-    /// `MPI_Sendrecv`: exchange with two (possibly different) partners in
-    /// one deadlock-free call.
-    pub fn sendrecv<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        dst: usize,
-        send: &[T],
-        src: usize,
-        tag: u64,
-    ) -> Vec<T> {
-        self.send(comm, dst, tag, send);
-        self.recv(comm, src, tag)
-    }
 }
 
 #[cfg(test)]
@@ -386,118 +261,6 @@ mod tests {
             assert_eq!(all, expect_data);
             assert_eq!(counts, expect_counts);
         }
-    }
-
-    #[test]
-    fn alltoallv_transposes() {
-        let out = World::run(3, |ctx| {
-            let comm = ctx.comm_world();
-            // rank r sends [r*10 + d] to rank d
-            let send: Vec<Vec<u32>> = (0..3)
-                .map(|d| vec![ctx.rank() as u32 * 10 + d as u32])
-                .collect();
-            ctx.alltoallv(&comm, &send)
-        });
-        for (d, recvd) in out.iter().enumerate() {
-            for (s, v) in recvd.iter().enumerate() {
-                assert_eq!(v, &vec![(s * 10 + d) as u32]);
-            }
-        }
-    }
-
-    #[test]
-    fn scan_prefix_sums() {
-        let out = World::run(5, |ctx| {
-            let comm = ctx.comm_world();
-            ctx.scan(&comm, &[1u64, ctx.rank() as u64], op_sum_u64)
-        });
-        for (r, v) in out.iter().enumerate() {
-            assert_eq!(v[0], r as u64 + 1);
-            assert_eq!(v[1], (0..=r as u64).sum::<u64>());
-        }
-    }
-
-    #[test]
-    fn exscan_offsets() {
-        let out = World::run(4, |ctx| {
-            let comm = ctx.comm_world();
-            ctx.exscan_sum(&comm, (ctx.rank() as u64 + 1) * 10)
-        });
-        assert_eq!(out, vec![0, 10, 30, 60]);
-    }
-
-    #[test]
-    fn gather_concatenates_in_rank_order() {
-        let out = World::run(5, |ctx| {
-            let comm = ctx.comm_world();
-            ctx.gather(&comm, 2, &[ctx.rank() as u32, 99])
-        });
-        for (r, res) in out.iter().enumerate() {
-            if r == 2 {
-                assert_eq!(
-                    res.as_ref().unwrap(),
-                    &vec![0, 99, 1, 99, 2, 99, 3, 99, 4, 99]
-                );
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn scatterv_distributes_parts() {
-        let out = World::run(4, |ctx| {
-            let comm = ctx.comm_world();
-            let parts: Option<Vec<Vec<u32>>> =
-                (ctx.rank() == 1).then(|| (0..4).map(|r| vec![r as u32; r + 1]).collect());
-            ctx.scatterv(&comm, 1, parts.as_deref())
-        });
-        for (r, got) in out.iter().enumerate() {
-            assert_eq!(got, &vec![r as u32; r + 1]);
-        }
-    }
-
-    #[test]
-    fn scatter_equal_chunks_all_roots() {
-        for root in 0..3 {
-            let out = World::run(3, move |ctx| {
-                let comm = ctx.comm_world();
-                let data: Option<Vec<u64>> = (ctx.rank() == root).then(|| (0..6).collect());
-                ctx.scatter(&comm, root, data.as_deref(), 2)
-            });
-            for (r, got) in out.iter().enumerate() {
-                assert_eq!(got, &vec![2 * r as u64, 2 * r as u64 + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_block_sums_and_splits() {
-        let out = World::run(3, |ctx| {
-            let comm = ctx.comm_world();
-            // every rank contributes [r, r, r, r, r, r]
-            let data = vec![ctx.rank() as u64; 6];
-            ctx.reduce_scatter_block(&comm, &data, 2, op_sum_u64)
-        });
-        // element-wise sum = 0+1+2 = 3 everywhere; each rank gets 2 of them
-        for got in out {
-            assert_eq!(got, vec![3, 3]);
-        }
-    }
-
-    #[test]
-    fn sendrecv_ring_shift() {
-        let out = World::run(5, |ctx| {
-            let comm = ctx.comm_world();
-            let n = ctx.size();
-            let right = (ctx.rank() + 1) % n;
-            let left = (ctx.rank() + n - 1) % n;
-            ctx.sendrecv(&comm, right, &[ctx.rank() as u64], left, 4)
-        });
-        assert_eq!(
-            out.iter().map(|v| v[0]).collect::<Vec<_>>(),
-            vec![4, 0, 1, 2, 3]
-        );
     }
 
     #[test]

@@ -28,23 +28,17 @@ pub(crate) struct Knob {
 }
 
 const MS: &str = "a positive integer of milliseconds";
-const BYTES: &str = "a positive integer of bytes";
-const COUNT: &str = "a non-negative integer";
 
 #[rustfmt::skip] // a table reads as rows
-const KNOBS: [Knob; 12] = [
+const KNOBS: [Knob; 8] = [
     Knob { name: "MPISIM_TRANSPORT", default: Some("thread"), expects: "one of thread|shm|sock", example: "shm" },
     Knob { name: "MPISIM_STALL_MS", default: Some("50"), expects: MS, example: "50" },
     Knob { name: "MPISIM_DEADLINE_MS", default: None, expects: MS, example: "30000" },
     Knob { name: "MPISIM_FAULTS", default: None, expects: "<seed>:<op>[,<op>]*", example: "7:delay=200/300us,reorder=100" },
-    Knob { name: "MPISIM_RESPAWN_MAX", default: Some("2"), expects: COUNT, example: "2" },
-    Knob { name: "MPISIM_SHM_BYTES", default: None, expects: BYTES, example: "536870912" },
-    Knob { name: "MPISIM_SHM_MAILBOX_CAP", default: Some("262144"), expects: BYTES, example: "262144" },
-    Knob { name: "MPISIM_SHM_RING_DEPTH", default: Some("8"), expects: "a positive integer of messages", example: "8" },
+    Knob { name: "MPISIM_RESPAWN_MAX", default: Some("2"), expects: "a non-negative integer", example: "2" },
+    Knob { name: "MPISIM_SHM_BYTES", default: None, expects: "a positive integer of bytes", example: "536870912" },
     Knob { name: "MPISIM_ATTACH_FAIL_ONCE", default: None, expects: "<rank>:<marker path>", example: "2:/tmp/mpisim-attach-fail" },
     Knob { name: "MPISIM_SOCK_ADDR", default: None, expects: "a Unix-socket path or a TCP host:port", example: "127.0.0.1:0" },
-    Knob { name: "MPISIM_CONNECT_RETRIES", default: Some("8"), expects: COUNT, example: "8" },
-    Knob { name: "MPISIM_CONNECT_BACKOFF_MS", default: Some("10"), expects: MS, example: "10" },
 ];
 
 /// Hidden worker-mode keys, set by [`worker_command`] on the processes a
@@ -76,15 +70,11 @@ pub(crate) struct Env {
     pub faults: Option<FaultPlan>,
     pub respawn_max: u32,
     pub shm_bytes: Option<u64>,
-    pub shm_mailbox_cap: u64,
-    pub shm_ring_depth: u64,
     /// `(rank, marker path)`.
     pub attach_fail_once: Option<(usize, String)>,
     /// A bind spec, so unset in a sock worker, where the variable carries
     /// the driver's address instead.
     pub sock_addr: Option<String>,
-    pub connect_retries: u64,
-    pub connect_backoff_ms: u64,
     /// Set in re-exec'd worker processes only.
     pub worker: Option<Worker>,
 }
@@ -174,12 +164,8 @@ pub(crate) fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Env, Stri
         faults,
         respawn_max: number("MPISIM_RESPAWN_MAX", 0)?.expect(defaulted) as u32,
         shm_bytes: number("MPISIM_SHM_BYTES", 1)?,
-        shm_mailbox_cap: number("MPISIM_SHM_MAILBOX_CAP", 1)?.expect(defaulted),
-        shm_ring_depth: number("MPISIM_SHM_RING_DEPTH", 1)?.expect(defaulted),
         attach_fail_once,
         sock_addr,
-        connect_retries: number("MPISIM_CONNECT_RETRIES", 0)?.expect(defaulted),
-        connect_backoff_ms: number("MPISIM_CONNECT_BACKOFF_MS", 1)?.expect(defaulted),
         worker,
     })
 }
@@ -241,19 +227,15 @@ mod tests {
             Some(v.to_string())
         }
         #[rustfmt::skip]
-        let cases: [Case; 12] = [
+        let cases: [Case; 8] = [
             (|e| n(e.transport.name()), ("sock", "sock"), &["socks", "", "SHM"]),
             (|e| n(e.stall_ms), (" 75 ", "75"), &["0", "abc", "-5", ""]),
             (|e| e.deadline_ms.and_then(n), ("250", "250"), &["0", "-5", "soon"]),
             (|e| e.faults.as_ref().map(|p| p.seed().to_string()), ("9:kill=1@4", "9"), &["no-colon", "1:frob=3"]),
             (|e| n(e.respawn_max), ("0", "0"), &["-1", "many"]),
             (|e| e.shm_bytes.and_then(n), ("1048576", "1048576"), &["0", "big", "1e9"]),
-            (|e| n(e.shm_mailbox_cap), ("4096", "4096"), &["0", "4k"]),
-            (|e| n(e.shm_ring_depth), ("2", "2"), &["0", "deep"]),
             (|e| e.attach_fail_once.as_ref().map(|(r, m)| format!("{r}:{m}")), ("1:/m", "1:/m"), &["/m", "x:/m"]),
             (|e| e.sock_addr.clone(), ("/tmp/s", "/tmp/s"), &[""]),
-            (|e| n(e.connect_retries), ("0", "0"), &["many", "-1"]),
-            (|e| n(e.connect_backoff_ms), ("5", "5"), &["0", "fast"]),
         ];
         let defaults = parse_with(&[]).expect("an empty environment is well-formed");
         for (knob, (show, (value, shown), rejects)) in KNOBS.iter().zip(cases) {

@@ -103,9 +103,6 @@ impl<T: Elem> PsendReq<T> {
 /// Partitioned persistent receive matching a [`PsendReq`] with the same
 /// geometry.
 pub struct PrecvReq<T: Elem> {
-    comm: Comm,
-    src: usize,
-    tag: u64,
     buf: SharedBuf<T>,
     bounds: Vec<usize>,
     chans: Vec<Arc<Channel<T>>>,
@@ -128,54 +125,46 @@ impl<T: Elem> PrecvReq<T> {
         if self.arrived[partition] {
             return true;
         }
-        if self.chans[partition].ready() {
-            self.drain(ctx, partition);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Copy `partition` out of its channel slot (blocking if it has not
-    /// arrived yet).
-    fn drain(&mut self, ctx: &mut RankCtx, partition: usize) {
+        let chan = &self.chans[partition];
+        let Some((data, arrival)) = chan.try_pop() else {
+            return false;
+        };
         let range = self.partition_range(partition);
-        // block on the channel BEFORE taking the buffer lock, probing the
-        // mailbox for mixed plain traffic while stalled (see
-        // `RecvReq::wait`)
-        let world = Arc::clone(&ctx.world);
-        let keys = [self.chans[partition].key()];
-        let guard = world.begin_wait(ctx.rank, "partitioned recv", WaitChans::Keys(&keys));
-        let (data, arrival) = self.chans[partition].pop_with(|| {
-            guard.tick();
-            assert!(
-                !ctx.iprobe(&self.comm, self.src, part_tag(self.tag, partition)),
-                "partitioned recv from {} tag {} partition {partition}: matching \
-                 message sits in the plain mailbox — mixing plain sends with \
-                 partitioned receives on one signature is unsupported",
-                self.src,
-                self.tag
-            );
-        });
         assert_eq!(
             data.len(),
             range.len(),
             "partition {partition} (channel {:?}): expected {} elements, got {}",
-            self.chans[partition].key(),
+            chan.key(),
             range.len(),
             data.len()
         );
         self.buf.write()[range].clone_from_slice(&data);
-        self.chans[partition].recycle(data);
+        chan.recycle(data);
         ctx.charge_recv(arrival);
         self.arrived[partition] = true;
+        true
+    }
+
+    /// Block until `partition` has been delivered, without consuming it
+    /// and without holding the buffer lock; the stall probe keeps peer
+    /// death, the deadline and mixed plain traffic loud (see
+    /// [`crate::RecvChan::wait_ready`]).
+    fn park(&self, ctx: &RankCtx, partition: usize) {
+        let chan = &self.chans[partition];
+        let keys = [chan.key()];
+        ctx.world.park_on(
+            ctx.rank,
+            "partitioned recv",
+            WaitChans::Keys(&keys),
+            |stall| chan.wait_nonempty(stall),
+        );
     }
 
     /// Block until every partition has arrived.
     pub fn wait(&mut self, ctx: &mut RankCtx) {
         for p in 0..self.n_parts() {
-            if !self.arrived[p] {
-                self.drain(ctx, p);
+            while !self.parrived(ctx, p) {
+                self.park(ctx, p);
             }
         }
     }
@@ -210,23 +199,9 @@ impl<T: Elem> PrecvReq<T> {
     /// partition is necessary, so parking on the first unarrived one never
     /// waits for anything the receive does not need.
     pub fn wait_ready(&self, ctx: &RankCtx) {
-        let Some(p) = self.arrived.iter().position(|&a| !a) else {
-            return;
-        };
-        let world = Arc::clone(&ctx.world);
-        let keys = [self.chans[p].key()];
-        let guard = world.begin_wait(ctx.rank, "partitioned recv", WaitChans::Keys(&keys));
-        self.chans[p].wait_nonempty(|| {
-            guard.tick();
-            assert!(
-                !ctx.iprobe(&self.comm, self.src, part_tag(self.tag, p)),
-                "partitioned recv from {} tag {} partition {p}: matching \
-                 message sits in the plain mailbox — mixing plain sends with \
-                 partitioned receives on one signature is unsupported",
-                self.src,
-                self.tag
-            );
-        });
+        if let Some(p) = self.arrived.iter().position(|&a| !a) {
+            self.park(ctx, p);
+        }
     }
 
     pub fn n_parts(&self) -> usize {
@@ -316,9 +291,6 @@ impl ChanRegistrar<'_> {
             })
             .collect();
         PrecvReq {
-            comm: comm.clone(),
-            src,
-            tag,
             buf,
             bounds,
             chans,

@@ -30,9 +30,9 @@
 //! A persistent send therefore matches a persistent receive registered with
 //! the same signature on the peer (the paper's collectives always register
 //! both sides at init). Mixing persistent and plain traffic on one
-//! signature is unsupported; a persistent `wait` that finds the matching
+//! signature is unsupported; a persistent wait that finds the matching
 //! message in the plain mailbox panics with a diagnostic rather than
-//! hanging.
+//! hanging (and so does a plain `recv` facing a persistent send).
 
 use crate::comm::{Comm, USER_TAG_LIMIT};
 use crate::ctx::RankCtx;
@@ -151,9 +151,7 @@ impl<T: Elem> SendReq<T> {
 /// [`RecvChan::recycle`]). [`RecvReq`] layers a registered [`SharedBuf`]
 /// window on top for the classic `MPI_Recv_init` shape.
 pub struct RecvChan<T: Elem> {
-    comm: Comm,
     src: usize,
-    tag: u64,
     chan: Arc<Channel<T>>,
     len: usize,
     started: bool,
@@ -167,43 +165,16 @@ impl<T: Elem> RecvChan<T> {
     }
 
     /// Block until the matching message arrives and take its payload
-    /// buffer off the channel. The caller reads (scatters from) the buffer
+    /// buffer off the channel: [`RecvChan::wait_ready`], then
+    /// [`RecvChan::try_take`]. The caller reads (scatters from) the buffer
     /// and hands it back with [`RecvChan::recycle`] so the steady state
     /// stays allocation-free.
     pub fn wait_take(&mut self, ctx: &mut RankCtx) -> Vec<T> {
-        assert!(self.started, "wait on a receive that was not started");
-        self.started = false;
+        // program-ordered fault-injection point: one op per blocking take
         ctx.world
             .inject(ctx.rank, crate::transport::FaultOp::ChanPop);
-        // While blocked, probe the mailbox so a plain send aimed at this
-        // persistent receive fails loudly instead of hanging both ranks —
-        // and bail out (with stall forensics) if a peer rank died this
-        // epoch or the wait deadline expired.
-        let world = Arc::clone(&ctx.world);
-        let keys = [self.chan.key()];
-        let guard = world.begin_wait(ctx.rank, "persistent recv", WaitChans::Keys(&keys));
-        let (data, arrival) = self.chan.pop_with(|| {
-            guard.tick();
-            assert!(
-                !ctx.iprobe(&self.comm, self.src, self.tag),
-                "persistent recv from {} tag {}: matching message sits in the plain \
-                 mailbox — mixing a plain send with a persistent receive on one \
-                 signature is unsupported (use send_init on the sender)",
-                self.src,
-                self.tag
-            );
-        });
-        assert_eq!(
-            data.len(),
-            self.len,
-            "persistent recv from {} (channel {:?}): expected {} elements, got {}",
-            self.src,
-            self.chan.key(),
-            self.len,
-            data.len()
-        );
-        ctx.charge_recv(arrival);
-        data
+        self.wait_ready(ctx);
+        self.try_take(ctx).expect("delivered: wait_ready returned")
     }
 
     /// Non-blocking [`RecvChan::wait_take`]: if the matching message has
@@ -237,24 +208,19 @@ impl<T: Elem> RecvChan<T> {
     /// Block until the matching message has been delivered, **without
     /// consuming it** (a following [`RecvChan::try_take`] succeeds). The
     /// completion-driven `wait` parks here on one necessary receive
-    /// between `test` rounds; the stall probe keeps the mixed plain/
-    /// persistent-traffic misuse loud (see [`RecvChan::wait_take`]).
+    /// between `test` rounds. While blocked, the stall probe bails out
+    /// (with stall forensics) if a peer rank died this epoch or the wait
+    /// deadline expired, and makes a plain send aimed at this persistent
+    /// receive fail loudly instead of hanging both ranks.
     pub fn wait_ready(&self, ctx: &RankCtx) {
         assert!(self.started, "wait_ready on a receive that was not started");
-        let world = Arc::clone(&ctx.world);
         let keys = [self.chan.key()];
-        let guard = world.begin_wait(ctx.rank, "persistent recv", WaitChans::Keys(&keys));
-        self.chan.wait_nonempty(|| {
-            guard.tick();
-            assert!(
-                !ctx.iprobe(&self.comm, self.src, self.tag),
-                "persistent recv from {} tag {}: matching message sits in the plain \
-                 mailbox — mixing a plain send with a persistent receive on one \
-                 signature is unsupported (use send_init on the sender)",
-                self.src,
-                self.tag
-            );
-        });
+        ctx.world.park_on(
+            ctx.rank,
+            "persistent recv",
+            WaitChans::Keys(&keys),
+            |stall| self.chan.wait_nonempty(stall),
+        );
     }
 
     /// Block until the matching message arrives and run `consume` on the
@@ -322,44 +288,6 @@ impl<T: Elem> RecvReq<T> {
     }
 }
 
-/// Either kind of persistent request, for uniform start/wait batches
-/// (the analogue of an `MPI_Request` array with `MPI_Startall`/`MPI_Waitall`).
-pub enum Request<T: Elem> {
-    Send(SendReq<T>),
-    Recv(RecvReq<T>),
-}
-
-impl<T: Elem> Request<T> {
-    pub fn start(&mut self, ctx: &mut RankCtx) {
-        match self {
-            Request::Send(s) => s.start(ctx),
-            Request::Recv(r) => r.start(),
-        }
-    }
-
-    pub fn wait(&mut self, ctx: &mut RankCtx) {
-        match self {
-            Request::Send(s) => s.wait(ctx),
-            Request::Recv(r) => r.wait(ctx),
-        }
-    }
-}
-
-/// `MPI_Startall`.
-pub fn start_all<T: Elem>(ctx: &mut RankCtx, reqs: &mut [Request<T>]) {
-    for r in reqs.iter_mut() {
-        r.start(ctx);
-    }
-}
-
-/// `MPI_Waitall`. Receives complete in posting order; with buffered sends
-/// this is deadlock-free for any start order.
-pub fn wait_all<T: Elem>(ctx: &mut RankCtx, reqs: &mut [Request<T>]) {
-    for r in reqs.iter_mut() {
-        r.wait(ctx);
-    }
-}
-
 impl ChanRegistrar<'_> {
     /// [`RankCtx::send_chan_init`] under the held registry lock.
     pub fn send_chan_init<T: Elem>(
@@ -400,9 +328,7 @@ impl ChanRegistrar<'_> {
         );
         assert!(src < comm.size(), "src {src} out of range");
         RecvChan {
-            comm: comm.clone(),
             src,
-            tag,
             chan: self.channel_sized(
                 (comm.ctx_id, src, comm.rank(), tag),
                 comm.world_rank(comm.rank()),
@@ -587,25 +513,6 @@ mod tests {
         });
         assert_eq!(out[1], vec![10, 11]);
         assert_eq!(out[2], vec![20, 21, 22]);
-    }
-
-    #[test]
-    fn start_wait_batches() {
-        let out = World::run(2, |ctx| {
-            let comm = ctx.comm_world();
-            let sbuf = shared_buf(vec![ctx.rank() as u64 + 100]);
-            let rbuf = shared_buf(vec![0u64]);
-            let peer = 1 - ctx.rank();
-            let mut reqs = vec![
-                Request::Recv(ctx.recv_init(&comm, peer, 0, rbuf.clone(), 0, 1)),
-                Request::Send(ctx.send_init(&comm, peer, 0, sbuf.clone(), 0, 1)),
-            ];
-            start_all(ctx, &mut reqs);
-            wait_all(ctx, &mut reqs);
-            let got = rbuf.read()[0];
-            got
-        });
-        assert_eq!(out, vec![101, 100]);
     }
 
     #[test]

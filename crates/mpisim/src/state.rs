@@ -5,23 +5,25 @@
 //! registry, the mixed plain/persistent-traffic diagnostics, failed-epoch
 //! draining — and delegates the *mechanics* of moving bytes (mailboxes,
 //! channel storage, parking/wakeups, death detection) to an
-//! `Arc<dyn Transport>`: the in-process [`ThreadTransport`] by default, or
-//! the cross-process shm fabric ([`crate::transport::shm::ShmTransport`]).
+//! `Arc<dyn Transport>`, which also owns the storage types: the
+//! in-process ones live in [`crate::transport::thread`], the shm rings in
+//! [`crate::transport::shm`], the socket channel in
+//! [`crate::transport::sock`].
 
 use crate::elem::elem_bytes;
 use crate::stall::{RankWait, StallReport};
 use crate::transport::shm::ring::ShmChan;
-use crate::transport::sock::link::{Link, K_CHAN};
+use crate::transport::sock::chan::SockChan;
+use crate::transport::thread::{ChanPoll, ThreadChan};
 use crate::transport::{
-    assert_pod, bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, SockChanWire,
-    Transport,
+    assert_pod, bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport,
 };
 use locality::Topology;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use perfmodel::CostModel;
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -93,13 +95,6 @@ pub(crate) struct Envelope {
     pub payload: Payload,
 }
 
-/// Unexpected-message queue of one rank (the thread transport's storage).
-#[derive(Default)]
-pub(crate) struct Mailbox {
-    pub queue: Mutex<VecDeque<Envelope>>,
-    pub cv: Condvar,
-}
-
 /// Modeled-time configuration shared by all ranks.
 pub(crate) struct ModelCtx {
     pub model: Arc<dyn CostModel>,
@@ -117,70 +112,11 @@ pub(crate) type ChanKey = (u64, usize, usize, u64);
 /// than a bare counter) — and a typed drain hook so the registry can
 /// discard undelivered payloads (after a panicked pool epoch) without
 /// knowing `T` either.
-#[derive(Clone)]
 struct ChanSlot {
     type_name: &'static str,
     chan: Arc<dyn Any + Send + Sync>,
     pending: Arc<dyn Fn() -> usize + Send + Sync>,
     drain: Arc<dyn Fn() + Send + Sync>,
-}
-
-/// The park-point of one rank's blocked `wait_any` on the thread fabric: a
-/// seq counter bumped (with a wake) by every deposit into a channel the
-/// rank watches.
-///
-/// One `WaitSet` exists per world rank. A receiver that wants to block on
-/// a *set* of channels attaches its rank's wait set to each of them and
-/// parks here instead of on any single channel's condvar — so the first
-/// arrival on **any** watched channel wakes it, and receives complete in
-/// delivery order rather than the order the channels were initialized in.
-/// (The shm fabric's counterpart is the per-rank `ws_seq` futex word plus
-/// each ring's watcher slot.)
-pub(crate) struct WaitSet {
-    /// Deposit generation: bumped under the lock by every push into a
-    /// watched channel. The parking protocol re-reads it to close the
-    /// scan-then-park race (a push between the scan and the park bumps the
-    /// generation, so the park returns immediately).
-    seq: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl WaitSet {
-    pub(crate) fn new() -> Self {
-        Self {
-            seq: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Current deposit generation. Read BEFORE scanning the channel set.
-    pub(crate) fn generation(&self) -> u64 {
-        *self.seq.lock()
-    }
-
-    /// Record one deposit and wake any parked receiver.
-    pub(crate) fn notify(&self) {
-        *self.seq.lock() += 1;
-        self.cv.notify_all();
-    }
-
-    /// Park until the generation moves past `seen`, invoking `stall_probe`
-    /// periodically while blocked (same contract as [`Channel::pop_with`]).
-    pub(crate) fn park_past(&self, seen: u64, stall_probe: impl Fn()) {
-        let mut seq = self.seq.lock();
-        while *seq == seen {
-            if self
-                .cv
-                .wait_for(
-                    &mut seq,
-                    std::time::Duration::from_millis(crate::stall::stall_ms()),
-                )
-                .timed_out()
-            {
-                stall_probe();
-            }
-        }
-    }
 }
 
 /// Type-erased handle to one persistent channel, for completion-driven
@@ -201,12 +137,9 @@ pub struct ChanId {
 
 #[derive(Clone)]
 enum ChanIdImp {
-    /// Thread fabric: the channel's lock-free pending counter (the poll
-    /// fast path) and its watcher slot for [`WaitSet`] routing.
-    Thread {
-        pending: Arc<AtomicUsize>,
-        watcher: Arc<Mutex<Option<Arc<WaitSet>>>>,
-    },
+    /// Thread (and sock) fabric: the channel's lock-free pending counter
+    /// (the poll fast path) and its watcher slot for set-parks.
+    Thread(Arc<ChanPoll>),
     /// Shm fabric: the ring itself — its message count is the cross-process
     /// poll fast path, its watcher word routes deposit wakes.
     Shm(ShmChanRaw),
@@ -216,55 +149,26 @@ impl ChanId {
     /// Would a non-blocking pop on this channel succeed right now?
     pub fn ready(&self) -> bool {
         match &self.imp {
-            ChanIdImp::Thread { pending, .. } => pending.load(Ordering::Relaxed) > 0,
-            ChanIdImp::Shm(raw) => raw.ready(),
+            ChanIdImp::Thread(poll) => poll.pending() > 0,
+            ChanIdImp::Shm(raw) => raw.msg_count() > 0,
         }
     }
 
-    /// Route this channel's deposit wakes to `ws` (thread fabric; see
-    /// [`crate::transport::thread::ThreadTransport`]).
-    pub(crate) fn attach(&self, ws: &Arc<WaitSet>) {
-        let ChanIdImp::Thread { watcher, .. } = &self.imp else {
-            unreachable!("WaitSet attach on a non-thread channel");
-        };
-        let mut watcher = watcher.lock();
-        // idempotent for the common case (a rank re-parking on the same
-        // channel); a channel has a single receiver, so at most one wait
-        // set is ever interested
-        if watcher.as_ref().is_none_or(|w| !Arc::ptr_eq(w, ws)) {
-            *watcher = Some(Arc::clone(ws));
+    /// The in-process face of this channel, for the thread transport's
+    /// set-park (which only ever sees its own channels).
+    pub(crate) fn thread_poll(&self) -> &ChanPoll {
+        match &self.imp {
+            ChanIdImp::Thread(poll) => poll,
+            ChanIdImp::Shm(_) => unreachable!("thread set-park on a shm channel"),
         }
     }
 
-    /// Undo [`ChanId::attach`] once the park is over, so senders stop
-    /// paying the watcher wake on every subsequent deposit (channels — and
-    /// their watcher slots — live as long as the warm world).
-    pub(crate) fn detach(&self, ws: &Arc<WaitSet>) {
-        let ChanIdImp::Thread { watcher, .. } = &self.imp else {
-            unreachable!("WaitSet detach on a non-thread channel");
-        };
-        let mut watcher = watcher.lock();
-        if watcher.as_ref().is_some_and(|w| Arc::ptr_eq(w, ws)) {
-            *watcher = None;
+    /// The ring of this channel, for the shm transport's set-park.
+    pub(crate) fn shm_ring(&self) -> &ShmChanRaw {
+        match &self.imp {
+            ChanIdImp::Shm(raw) => raw,
+            ChanIdImp::Thread(_) => unreachable!("shm set-park on an in-process channel"),
         }
-    }
-
-    /// Route this channel's deposit wakes to world rank `rank`'s futex
-    /// park point (shm fabric; see
-    /// [`crate::transport::shm::ShmTransport`]).
-    pub(crate) fn watch(&self, rank: usize) {
-        let ChanIdImp::Shm(raw) = &self.imp else {
-            unreachable!("futex watch on a non-shm channel");
-        };
-        raw.set_watcher(rank);
-    }
-
-    /// Undo [`ChanId::watch`] once the park is over.
-    pub(crate) fn unwatch(&self, rank: usize) {
-        let ChanIdImp::Shm(raw) = &self.imp else {
-            unreachable!("futex unwatch on a non-shm channel");
-        };
-        raw.clear_watcher(rank);
     }
 }
 
@@ -279,8 +183,11 @@ impl ChanId {
 /// MPI's non-overtaking order for equal signatures.
 ///
 /// The storage is the world's transport's business: a condvar-guarded
-/// in-process queue ([`ThreadChan`]) or an SPSC byte ring inside the
-/// shared segment ([`ShmChan`]). The API is identical either way.
+/// in-process queue ([`ThreadChan`]), an SPSC byte ring inside the shared
+/// segment ([`ShmChan`]), or a socket route into a peer's in-process queue
+/// ([`SockChan`]). The API is identical either way, and small: one
+/// blocking primitive ([`Channel::wait_nonempty`]) and one consuming one
+/// ([`Channel::try_pop`]).
 pub(crate) struct Channel<T> {
     key: ChanKey,
     imp: ChanImp<T>,
@@ -292,252 +199,25 @@ enum ChanImp<T> {
     Sock(SockChan<T>),
 }
 
-/// Socket-fabric channel body. The receive side is an ordinary in-process
-/// [`ThreadChan`] fed by the link reader thread (via the transport's
-/// deliver hook); the send side serializes each payload straight into a
-/// `K_CHAN` frame of the peer's [`Link`], which owns sequencing,
-/// acknowledgement, and replay-on-reconnect. A channel whose two endpoints
-/// live in the same process (`route: None`) skips the wire entirely and
-/// pushes straight into the local queue — byte-identical semantics, no
-/// serialization round trip.
-pub(crate) struct SockChan<T> {
-    local: Arc<ThreadChan<T>>,
-    key: ChanKey,
-    route: Option<Arc<Link>>,
-    /// Recycled typed staging buffers (what `fill` writes into), mirroring
-    /// the receive side's spare pool so steady-state sends allocate
-    /// nothing; the frame itself is the link's recycled buffer.
-    scratch: Mutex<Vec<Vec<T>>>,
-}
-
-impl<T: Clone + Send + 'static> SockChan<T> {
-    fn new(key: ChanKey, route: Option<Arc<Link>>) -> Self {
-        Self {
-            local: Arc::new(ThreadChan::new()),
-            key,
-            route,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
-        let Some(link) = &self.route else {
-            return self.local.push_with(arrival, fill);
-        };
-        let mut vals = self.scratch.lock().pop().unwrap_or_default();
-        vals.clear();
-        fill(&mut vals);
-        // K_CHAN body:
-        // [ctx u64][src u64][dst u64][tag u64][arrival f64-bits u64] + data
-        let (ctx_id, src, dst, tag) = self.key;
-        link.send_frame_with(K_CHAN, |body| {
-            body.extend_from_slice(&ctx_id.to_le_bytes());
-            body.extend_from_slice(&(src as u64).to_le_bytes());
-            body.extend_from_slice(&(dst as u64).to_le_bytes());
-            body.extend_from_slice(&tag.to_le_bytes());
-            body.extend_from_slice(&arrival.to_bits().to_le_bytes());
-            body.extend_from_slice(bytes_of(&vals));
-        });
-        self.scratch.lock().push(vals);
-    }
-}
-
-/// The in-process channel body: a flag (non-empty `pending`) plus a
-/// condvar, payloads moved as typed `Vec<T>`s.
-pub(crate) struct ThreadChan<T> {
-    state: Mutex<ChanState<T>>,
-    cv: Condvar,
-    /// Pending-message count mirrored outside the typed state so poll
-    /// paths can probe it lock-free.
-    pending_count: Arc<AtomicUsize>,
-    /// The receiving rank's [`WaitSet`], once it has parked on a set
-    /// containing this channel (see [`ChanId::attach`]).
-    watcher: Arc<Mutex<Option<Arc<WaitSet>>>>,
-}
-
-struct ChanState<T> {
-    /// Delivered-but-unconsumed payloads with their modeled arrival times.
-    pending: VecDeque<(Vec<T>, f64)>,
-    /// Consumed payload buffers, reused by the next send.
-    spare: Vec<Vec<T>>,
-}
-
-impl<T: Clone + Send + 'static> ThreadChan<T> {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(ChanState {
-                pending: VecDeque::new(),
-                spare: Vec::new(),
-            }),
-            cv: Condvar::new(),
-            pending_count: Arc::new(AtomicUsize::new(0)),
-            watcher: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
-        let mut buf = self.state.lock().spare.pop().unwrap_or_default();
-        buf.clear();
-        fill(&mut buf);
-        let mut st = self.state.lock();
-        st.pending.push_back((buf, arrival));
-        self.pending_count.fetch_add(1, Ordering::Relaxed);
-        self.cv.notify_all();
-        drop(st);
-        // wake a receiver parked on a channel SET containing this channel
-        // (no-op — one uncontended lock — until the receiver first parks)
-        if let Some(ws) = self.watcher.lock().as_ref() {
-            ws.notify();
-        }
-    }
-
-    fn wait_nonempty(&self, stall_probe: impl Fn()) {
-        // same yield-spin rationale as pop_with
-        for _ in 0..24 {
-            if self.pending_count.load(Ordering::Relaxed) > 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let mut st = self.state.lock();
-        while st.pending.is_empty() {
-            if self
-                .cv
-                .wait_for(
-                    &mut st,
-                    std::time::Duration::from_millis(crate::stall::stall_ms()),
-                )
-                .timed_out()
-            {
-                stall_probe();
-            }
-        }
-    }
-
-    fn try_pop(&self) -> Option<(Vec<T>, f64)> {
-        // lock-free empty probe first: `test` loops call this on channels
-        // that usually have nothing yet
-        if self.pending_count.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        let msg = self.state.lock().pending.pop_front()?;
-        self.pending_count.fetch_sub(1, Ordering::Relaxed);
-        Some(msg)
-    }
-
-    fn pop_with(&self, stall_probe: impl Fn()) -> (Vec<T>, f64) {
-        // Yield-spin before parking: in the steady state the matching send
-        // is usually a runnable peer away, so cycling the run queue a few
-        // times picks the message up for the cost of a sched_yield instead
-        // of a futex park + wake round trip (which dominates per-message
-        // latency on oversubscribed hosts). The empty-channel probe is the
-        // lock-free pending counter, so spinning adds no mutex traffic on
-        // the path the sender needs. Bounded, so a genuinely absent sender
-        // still lands in the blocking wait below.
-        for _ in 0..24 {
-            if self.pending_count.load(Ordering::Relaxed) > 0 {
-                let mut st = self.state.lock();
-                if let Some(msg) = st.pending.pop_front() {
-                    self.pending_count.fetch_sub(1, Ordering::Relaxed);
-                    return msg;
-                }
-            }
-            std::thread::yield_now();
-        }
-        let mut st = self.state.lock();
-        while st.pending.is_empty() {
-            if self
-                .cv
-                .wait_for(
-                    &mut st,
-                    std::time::Duration::from_millis(crate::stall::stall_ms()),
-                )
-                .timed_out()
-            {
-                stall_probe();
-            }
-        }
-        let msg = st.pending.pop_front().expect("non-empty after wait");
-        self.pending_count.fetch_sub(1, Ordering::Relaxed);
-        msg
-    }
-
-    fn recycle(&self, buf: Vec<T>) {
-        self.state.lock().spare.push(buf);
-    }
-
-    fn drain_pending(&self) {
-        let mut st = self.state.lock();
-        while let Some((buf, _)) = st.pending.pop_front() {
-            self.pending_count.fetch_sub(1, Ordering::Relaxed);
-            st.spare.push(buf);
-        }
-    }
-
-    fn ready(&self) -> bool {
-        !self.state.lock().pending.is_empty()
-    }
-}
-
 impl<T: Clone + Send + 'static> Channel<T> {
-    fn thread(key: ChanKey) -> Self {
-        Self {
-            key,
-            imp: ChanImp::Thread(ThreadChan::new()),
-        }
-    }
-
-    fn shm(key: ChanKey, raw: ShmChanRaw) -> Self {
-        Self {
-            key,
-            imp: ChanImp::Shm(ShmChan::new(raw)),
-        }
-    }
-
-    /// Socket-fabric channel: a local [`ThreadChan`] receive queue plus an
-    /// optional wire route. If this process hosts the receiving rank, hook
-    /// the transport's deliver table so the link reader thread deserializes
-    /// arriving `K_CHAN` frames straight into the local queue.
-    fn sock(key: ChanKey, wire: SockChanWire) -> Self {
-        assert_pod::<T>("persistent channel over the sock transport");
-        let chan = SockChan::<T>::new(key, wire.route);
-        if let Some(t) = wire.register {
-            let local = Arc::clone(&chan.local);
-            t.register_deliver(
-                key,
-                Arc::new(move |arrival, bytes: &[u8]| {
-                    if !bytes.len().is_multiple_of(elem_bytes::<T>()) {
-                        return Err(format!(
-                            "payload of {} bytes is not a whole number of {} elements",
-                            bytes.len(),
-                            std::any::type_name::<T>()
-                        ));
-                    }
-                    local.push_with(arrival, |buf| vec_extend_bytes(buf, bytes, &[]));
-                    Ok(())
-                }),
-            );
-        }
-        Self {
-            key,
-            imp: ChanImp::Sock(chan),
-        }
+    /// The channel for `key` over the storage its fabric chose.
+    fn new(key: ChanKey, fabric: ChanFabric) -> Self {
+        let imp = match fabric {
+            ChanFabric::Local => ChanImp::Thread(ThreadChan::new()),
+            ChanFabric::Shm(raw) => ChanImp::Shm(ShmChan::new(raw)),
+            ChanFabric::Sock(wire) => ChanImp::Sock(SockChan::new(key, wire)),
+        };
+        Self { key, imp }
     }
 
     /// Type-erased handle for set-polling this channel (see [`ChanId`]).
     pub fn id(&self) -> ChanId {
         let imp = match &self.imp {
-            ChanImp::Thread(c) => ChanIdImp::Thread {
-                pending: Arc::clone(&c.pending_count),
-                watcher: Arc::clone(&c.watcher),
-            },
+            ChanImp::Thread(c) => ChanIdImp::Thread(Arc::clone(c.poll())),
             ChanImp::Shm(c) => ChanIdImp::Shm(c.raw().clone()),
             // the sock receive queue is an in-process ThreadChan, so the
             // thread fabric's poll/park machinery applies verbatim
-            ChanImp::Sock(c) => ChanIdImp::Thread {
-                pending: Arc::clone(&c.local.pending_count),
-                watcher: Arc::clone(&c.local.watcher),
-            },
+            ChanImp::Sock(c) => ChanIdImp::Thread(Arc::clone(c.local.poll())),
         };
         ChanId { key: self.key, imp }
     }
@@ -561,12 +241,16 @@ impl<T: Clone + Send + 'static> Channel<T> {
         }
     }
 
-    /// Block until a message is available **without consuming it**,
-    /// invoking `stall_probe` periodically while blocked (same contract as
-    /// [`Channel::pop_with`]). The completion-driven `wait` parks here on
-    /// one *necessary* channel between `test` rounds: cheaper than the
-    /// set-park ([`WorldState::wait_any`]) when every pending receive must
-    /// complete anyway, because nothing attaches and senders pay no wake.
+    /// Block until a message is available **without consuming it** (a
+    /// following [`Channel::try_pop`] succeeds: a channel has one
+    /// consumer), yield-spinning [`crate::transport::PARK_SPIN`] turns
+    /// first and invoking `stall_probe` periodically while blocked — the
+    /// receive paths use the probe to turn an otherwise silent hang (a
+    /// dead peer, a plain `send` aimed at a persistent receive, which
+    /// lands in the mailbox this channel bypasses) into a loud panic.
+    /// Cheaper than the set-park ([`WorldState::wait_any`]) when the
+    /// receive must complete anyway, because nothing attaches and senders
+    /// pay no wake.
     pub fn wait_nonempty(&self, stall_probe: impl Fn()) {
         match &self.imp {
             ChanImp::Thread(c) => c.wait_nonempty(stall_probe),
@@ -575,33 +259,19 @@ impl<T: Clone + Send + 'static> Channel<T> {
         }
     }
 
-    /// Non-blocking [`Channel::pop_with`]: take the next message if one has
-    /// been delivered, `None` otherwise. The completion-driven receive path
-    /// (`test`/`wait_any`) drains arrivals through this.
+    /// Take the next message off the queue if one has been delivered,
+    /// `None` otherwise; never blocks.
+    ///
+    /// Deliberately hands the payload buffer out instead of copying into a
+    /// caller-provided slice: the receiver must NOT hold its destination
+    /// buffer's lock while blocked in [`Channel::wait_nonempty`] (another
+    /// rank's send may need that buffer to make progress). Copy after
+    /// popping, then hand the buffer back with [`Channel::recycle`].
     pub fn try_pop(&self) -> Option<(Vec<T>, f64)> {
         match &self.imp {
             ChanImp::Thread(c) => c.try_pop(),
             ChanImp::Shm(c) => c.try_pop(),
             ChanImp::Sock(c) => c.local.try_pop(),
-        }
-    }
-
-    /// Block until a message is available and take it off the queue,
-    /// invoking `stall_probe` periodically while blocked.
-    ///
-    /// Deliberately hands the payload buffer out instead of copying into a
-    /// caller-provided slice: the receiver must NOT hold its destination
-    /// buffer's lock while blocked here (another rank's send may need that
-    /// buffer to make progress). Copy after popping, then hand the buffer
-    /// back with [`Channel::recycle`]. The receive paths use the probe to
-    /// turn an otherwise silent hang — e.g. a plain `send` aimed at a
-    /// persistent receive, which lands in the mailbox this channel
-    /// bypasses — into a loud panic.
-    pub fn pop_with(&self, stall_probe: impl Fn()) -> (Vec<T>, f64) {
-        match &self.imp {
-            ChanImp::Thread(c) => c.pop_with(stall_probe),
-            ChanImp::Shm(c) => c.pop_with(stall_probe),
-            ChanImp::Sock(c) => c.local.pop_with(stall_probe),
         }
     }
 
@@ -624,22 +294,20 @@ impl<T: Clone + Send + 'static> Channel<T> {
         }
     }
 
-    /// Would [`Channel::pop_with`] complete without blocking?
+    /// Would [`Channel::try_pop`] yield a message? (Receive paths just try;
+    /// set polls go through [`ChanId::ready`].)
+    #[cfg(test)]
     pub fn ready(&self) -> bool {
-        match &self.imp {
-            ChanImp::Thread(c) => c.ready(),
-            ChanImp::Shm(c) => c.ready(),
-            ChanImp::Sock(c) => c.local.ready(),
-        }
+        self.pending_len() > 0
     }
 
-    /// Delivered-but-unconsumed message count — the untyped mixed-traffic
-    /// probe ([`WorldState::channel_pending`]).
+    /// Delivered-but-unconsumed message count — also the untyped
+    /// mixed-traffic probe ([`WorldState::channel_pending`]).
     fn pending_len(&self) -> usize {
         match &self.imp {
-            ChanImp::Thread(c) => c.pending_count.load(Ordering::Relaxed),
+            ChanImp::Thread(c) => c.poll().pending(),
             ChanImp::Shm(c) => c.raw().msg_count(),
-            ChanImp::Sock(c) => c.local.pending_count.load(Ordering::Relaxed),
+            ChanImp::Sock(c) => c.local.poll().pending(),
         }
     }
 
@@ -733,9 +401,20 @@ struct ParkInfo {
 /// What a [`WaitGuard`] is parked on — borrowed from the caller so guard
 /// creation allocates nothing; signatures are materialized only if the
 /// wait actually stalls.
+#[derive(Clone, Copy)]
 pub(crate) enum WaitChans<'a> {
     Keys(&'a [ChanKey]),
     Ids(&'a [ChanId]),
+}
+
+impl WaitChans<'_> {
+    fn keys(&self) -> impl Iterator<Item = ChanKey> + '_ {
+        let (keys, ids): (&[ChanKey], &[ChanId]) = match *self {
+            WaitChans::Keys(keys) => (keys, &[]),
+            WaitChans::Ids(ids) => (&[], ids),
+        };
+        keys.iter().copied().chain(ids.iter().map(|c| c.key))
+    }
 }
 
 /// Deadline + forensics guard around one blocked wait. Created at wait
@@ -759,13 +438,9 @@ impl WaitGuard<'_> {
     /// abort loudly on peer death or deadline expiry.
     pub(crate) fn tick(&self) {
         if !self.registered.get() {
-            let chans = match &self.chans {
-                WaitChans::Keys(keys) => keys.to_vec(),
-                WaitChans::Ids(ids) => ids.iter().map(|c| c.key).collect(),
-            };
             *self.world.parked[self.rank].lock() = Some(ParkInfo {
                 kind: self.kind,
-                chans,
+                chans: self.chans.keys().collect(),
                 since: self.start,
             });
             self.registered.set(true);
@@ -860,6 +535,36 @@ impl WorldState {
         }
     }
 
+    /// Run `park` — a wait of `rank` blocked on the pre-matched channels
+    /// `chans` — under a deadline/forensics guard. The stall probe handed
+    /// to `park` ticks the guard and keeps the mixed plain/persistent
+    /// misuse loud: a plain send aimed at a persistent signature lands in
+    /// the mailbox these channels bypass, and would otherwise hang the
+    /// blocked rank silently. ([`WorldState::match_recv`] is the reverse
+    /// direction.)
+    pub(crate) fn park_on<R>(
+        &self,
+        rank: usize,
+        kind: &'static str,
+        chans: WaitChans<'_>,
+        park: impl FnOnce(&dyn Fn()) -> R,
+    ) -> R {
+        let guard = self.begin_wait(rank, kind, chans);
+        park(&|| {
+            guard.tick();
+            for key in chans.keys() {
+                let (ctx_id, src, _, tag) = key;
+                assert!(
+                    !self.transport.probe(rank, ctx_id, src, tag),
+                    "{kind} blocked on channel {key:?}, from {src} tag {tag}: matching \
+                     message sits in the plain mailbox — mixing a plain send with a \
+                     persistent receive on one signature is unsupported (use send_init \
+                     / psend_init on the sender)"
+                );
+            }
+        })
+    }
+
     /// Assemble the forensic dump of the current (apparent) stall: every
     /// locally-registered parked wait, transport queue depths, peer pid
     /// liveness, the epoch id, and the recorded dead rank (if any).
@@ -951,26 +656,9 @@ impl WorldState {
     pub(crate) fn wait_any(&self, global_rank: usize, chans: &[ChanId]) -> usize {
         assert!(!chans.is_empty(), "wait_any on an empty channel set");
         let start = self.rotors[global_rank].fetch_add(1, Ordering::Relaxed) % chans.len();
-        let guard = self.begin_wait(global_rank, "wait_any", WaitChans::Ids(chans));
-        let stall = || {
-            guard.tick();
-            // keep the mixed plain/persistent misuse loud here too: a
-            // plain send aimed at a watched persistent signature lands
-            // in the mailbox this set bypasses, and would otherwise
-            // hang the parked rank silently
-            for c in chans {
-                let (ctx_id, src, _, tag) = c.key;
-                assert!(
-                    !self.transport.probe(global_rank, ctx_id, src, tag),
-                    "wait_any on channel {:?}: matching message sits in the \
-                     plain mailbox — mixing a plain send with a persistent \
-                     receive on one signature is unsupported (use send_init \
-                     on the sender)",
-                    c.key
-                );
-            }
-        };
-        self.transport.wait_any(global_rank, chans, start, &stall)
+        self.park_on(global_rank, "wait_any", WaitChans::Ids(chans), |stall| {
+            self.transport.wait_any(global_rank, chans, start, stall)
+        })
     }
 
     /// Record that a rank of the current epoch panicked (pool worker).
@@ -1021,40 +709,34 @@ impl WorldState {
         dst_world: usize,
         len_hint: usize,
     ) -> Arc<Channel<T>> {
-        let slot = map
-            .entry(key)
-            .or_insert_with(|| {
-                let chan = Arc::new(
-                    match transport.make_channel(
-                        key,
-                        dst_world,
-                        elem_bytes::<T>(),
-                        std::any::type_name::<T>(),
-                        len_hint,
-                    ) {
-                        ChanFabric::Local => Channel::<T>::thread(key),
-                        ChanFabric::Shm(raw) => Channel::<T>::shm(key, raw),
-                        ChanFabric::Sock(wire) => Channel::<T>::sock(key, wire),
-                    },
-                );
-                let pending = {
-                    let chan = Arc::clone(&chan);
-                    Arc::new(move || chan.pending_len()) as Arc<dyn Fn() -> usize + Send + Sync>
-                };
-                let drain = {
-                    let chan = Arc::clone(&chan);
-                    Arc::new(move || chan.drain_pending()) as Arc<dyn Fn() + Send + Sync>
-                };
-                ChanSlot {
-                    type_name: std::any::type_name::<T>(),
-                    chan: chan as Arc<dyn Any + Send + Sync>,
-                    pending,
-                    drain,
-                }
-            })
-            .clone();
+        let slot = map.entry(key).or_insert_with(|| {
+            let fabric = transport.make_channel(
+                key,
+                dst_world,
+                elem_bytes::<T>(),
+                std::any::type_name::<T>(),
+                len_hint,
+            );
+            let chan = Arc::new(Channel::<T>::new(key, fabric));
+            let pending = {
+                let chan = Arc::clone(&chan);
+                Arc::new(move || chan.pending_len()) as Arc<dyn Fn() -> usize + Send + Sync>
+            };
+            let drain = {
+                let chan = Arc::clone(&chan);
+                Arc::new(move || chan.drain_pending()) as Arc<dyn Fn() + Send + Sync>
+            };
+            ChanSlot {
+                type_name: std::any::type_name::<T>(),
+                chan: chan as Arc<dyn Any + Send + Sync>,
+                pending,
+                drain,
+            }
+        });
         let registered = slot.type_name;
-        Arc::downcast::<Channel<T>>(slot.chan).unwrap_or_else(|_| {
+        // only the channel is handed out: cloning the whole slot would bump
+        // two more contended counters under the world-wide registry lock
+        Arc::downcast::<Channel<T>>(Arc::clone(&slot.chan)).unwrap_or_else(|_| {
             panic!(
                 "persistent channel {key:?} datatype mismatch: registered {registered}, \
                  requested {}",
@@ -1143,54 +825,6 @@ impl WorldState {
 mod tests {
     use super::*;
 
-    fn env(ctx_id: u64, src: usize, tag: u64, val: u32) -> Envelope {
-        Envelope {
-            ctx_id,
-            src,
-            tag,
-            arrival: 0.0,
-            payload: Payload::typed(vec![val]),
-        }
-    }
-
-    fn take_u32(payload: Payload) -> Vec<u32> {
-        payload.take::<u32>().expect("u32 payload")
-    }
-
-    #[test]
-    fn deposit_then_match() {
-        let w = WorldState::new(2, None);
-        w.deposit(0, 1, env(0, 0, 5, 42));
-        let (got, searched) = w.match_recv(1, 0, 0, 1, 5);
-        assert_eq!(searched, 1);
-        assert_eq!(take_u32(got.payload), vec![42]);
-    }
-
-    #[test]
-    fn matching_respects_tag_and_ctx() {
-        let w = WorldState::new(1, None);
-        w.deposit(0, 0, env(0, 0, 1, 10));
-        w.deposit(0, 0, env(1, 0, 2, 20));
-        w.deposit(0, 0, env(0, 0, 2, 30));
-        // match ctx 0 / tag 2 skips both earlier non-matching envelopes
-        let (got, _) = w.match_recv(0, 0, 0, 0, 2);
-        assert_eq!(take_u32(got.payload), vec![30]);
-        assert!(w.probe(0, 0, 0, 1));
-        assert!(w.probe(0, 1, 0, 2));
-        assert!(!w.probe(0, 0, 0, 2));
-    }
-
-    #[test]
-    fn non_overtaking_same_signature() {
-        let w = WorldState::new(1, None);
-        w.deposit(0, 0, env(0, 3, 9, 1));
-        w.deposit(0, 0, env(0, 3, 9, 2));
-        let (a, _) = w.match_recv(0, 0, 3, 0, 9);
-        let (b, _) = w.match_recv(0, 0, 3, 0, 9);
-        assert_eq!(take_u32(a.payload), vec![1]);
-        assert_eq!(take_u32(b.payload), vec![2]);
-    }
-
     #[test]
     fn payload_bytes_roundtrip_and_mismatch() {
         let p = Payload::bytes_from(&[1.5f64, -2.25, 8.0]);
@@ -1199,57 +833,6 @@ mod tests {
         let p = Payload::bytes_from(&[7u32]);
         let err = p.take::<f64>().expect_err("type name mismatch");
         assert_eq!(err, "u32");
-    }
-
-    #[test]
-    fn channel_fifo_and_reuse() {
-        let w = WorldState::new(2, None);
-        let c = w.channel::<u32>((0, 0, 1, 7));
-        assert!(!c.ready());
-        c.push(&[1, 2], 0.5);
-        c.push(&[3, 4], 1.5);
-        assert!(c.ready());
-        let (buf, arrival) = c.pop_with(|| {});
-        assert_eq!((buf.as_slice(), arrival), ([1, 2].as_slice(), 0.5));
-        c.recycle(buf);
-        let (buf, arrival) = c.pop_with(|| {});
-        assert_eq!((buf.as_slice(), arrival), ([3, 4].as_slice(), 1.5));
-        c.recycle(buf);
-        assert!(!c.ready());
-        // both sides resolve to the same slot
-        let c2 = w.channel::<u32>((0, 0, 1, 7));
-        c2.push(&[9, 9], 0.0);
-        assert!(c.ready());
-    }
-
-    #[test]
-    fn channel_blocking_pop_wakes_on_push() {
-        let w = WorldState::new(1, None);
-        let c = w.channel::<u8>((0, 0, 0, 1));
-        let c2 = w.channel::<u8>((0, 0, 0, 1));
-        let t = std::thread::spawn(move || {
-            let (buf, _) = c2.pop_with(|| {});
-            buf[0]
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        c.push(&[42], 0.0);
-        assert_eq!(t.join().unwrap(), 42);
-    }
-
-    #[test]
-    fn try_pop_is_nonblocking_and_fifo() {
-        let w = WorldState::new(1, None);
-        let c = w.channel::<u32>((0, 0, 0, 2));
-        assert!(c.try_pop().is_none());
-        c.push(&[7], 0.25);
-        c.push(&[8], 0.75);
-        let (buf, arrival) = c.try_pop().expect("message delivered");
-        assert_eq!((buf.as_slice(), arrival), ([7].as_slice(), 0.25));
-        c.recycle(buf);
-        let (buf, _) = c.try_pop().expect("second message delivered");
-        assert_eq!(buf.as_slice(), [8].as_slice());
-        c.recycle(buf);
-        assert!(c.try_pop().is_none());
     }
 
     #[test]
@@ -1289,49 +872,10 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_parks_on_the_set_and_wakes_on_either_channel() {
-        // the receiver parks on BOTH channels; a deposit into the second
-        // one (registered last) must wake it — the park is on the set, not
-        // on any single channel's condvar
-        let w = WorldState::new(1, None);
-        let a = w.channel::<u8>((0, 0, 0, 20));
-        let b = w.channel::<u8>((0, 0, 0, 21));
-        let w2 = Arc::clone(&w);
-        let (aid, bid) = (a.id(), b.id());
-        let t = std::thread::spawn(move || w2.wait_any(0, &[aid, bid]));
-        // let the receiver get past the spin phase and genuinely park
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        b.push(&[9], 0.0);
-        assert_eq!(t.join().unwrap(), 1);
-        b.try_pop()
-            .expect("wait_any leaves the message on the channel");
-        // and again for the other channel, now that the wait set is warm
-        let (aid, bid) = (a.id(), b.id());
-        let w2 = Arc::clone(&w);
-        let t = std::thread::spawn(move || w2.wait_any(0, &[aid, bid]));
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        a.push(&[3], 0.0);
-        assert_eq!(t.join().unwrap(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "datatype mismatch")]
     fn channel_type_mismatch_panics() {
         let w = WorldState::new(1, None);
         let _ = w.channel::<u32>((0, 0, 0, 3));
         let _ = w.channel::<f64>((0, 0, 0, 3));
-    }
-
-    #[test]
-    fn blocking_recv_wakes_on_deposit() {
-        let w = WorldState::new(1, None);
-        let w2 = Arc::clone(&w);
-        let t = std::thread::spawn(move || {
-            let (env, _) = w2.match_recv(0, 0, 0, 0, 7);
-            take_u32(env.payload)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        w.deposit(0, 0, env(0, 0, 7, 99));
-        assert_eq!(t.join().unwrap(), vec![99]);
     }
 }

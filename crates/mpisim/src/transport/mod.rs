@@ -8,9 +8,10 @@
 //! [`Transport`] trait so the same `RankCtx` programs run over different
 //! fabrics:
 //!
-//! * [`thread::ThreadTransport`] — today's in-process fabric: one mutexed
+//! * [`thread::ThreadTransport`] — the in-process fabric: one mutexed
 //!   mailbox per rank, typed payloads moved as `Vec<T>` behind
-//!   `Box<dyn Any>`, condvar wakeups. Zero serialization.
+//!   `Box<dyn Any>`, condvar wakeups. Zero serialization. It owns the
+//!   in-process storage (`Mailbox`, `ThreadChan`, `WaitSet`).
 //! * [`shm::ShmTransport`] — a cross-process shared-memory fabric: ranks
 //!   may live in separate OS processes on one host, mailboxes and
 //!   persistent channels are SPSC byte rings inside one `/dev/shm`
@@ -19,7 +20,9 @@
 //!   types only).
 //! * [`sock::SockTransport`] — framed, sequenced, acknowledged stream
 //!   sockets (Unix-domain or TCP), one link per peer process, with
-//!   reconnect-with-resume; the same byte payloads as shm.
+//!   reconnect-with-resume; the same byte payloads as shm. Only its send
+//!   half is its own: what its readers take off the wire lands in an
+//!   embedded `ThreadTransport`, which is the whole receive half.
 //!
 //! [`fault::FaultTransport`] wraps any of them under a seeded fault plan.
 //! [`remote::RemoteWorld`] runs ranks as re-exec'd worker processes over
@@ -37,6 +40,16 @@ use crate::stall::{LinkStatus, PeerStatus};
 use crate::state::{ChanId, ChanKey, Envelope};
 pub(crate) use shm::ring::ShmChanRaw;
 pub(crate) use sock::SockChanWire;
+
+/// Turns of the run queue a blocked party lets pass before it parks in the
+/// kernel — every receive in this runtime (a channel's `wait_nonempty`, a
+/// fabric's `wait_any`) and both sock link threads. In the steady state
+/// the matching send is usually a runnable peer away, so cycling the run
+/// queue a few times picks the message up for the cost of a `sched_yield`
+/// instead of a futex park + wake round trip (which dominates per-message
+/// latency on oversubscribed hosts). Bounded, so a genuinely absent sender
+/// still lands in the blocking wait.
+pub(crate) const PARK_SPIN: u32 = 24;
 
 /// How [`crate::RankCtx`] must package plain-send payloads for a transport.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -228,6 +241,10 @@ pub(crate) fn vec_extend_bytes<T>(buf: &mut Vec<T>, a: &[u8], b: &[u8]) {
     );
     let add = total / sz;
     buf.reserve(add);
+    // SAFETY: `reserve` made room for `add` more elements behind `len`, the
+    // two copies fill exactly those `add * sz` bytes from slices that cannot
+    // overlap a `&mut Vec`, and for plain-old-data `T` (the caller's
+    // contract, asserted at every byte boundary) any bytes are a value.
     unsafe {
         let dst = (buf.as_mut_ptr() as *mut u8).add(buf.len() * sz);
         std::ptr::copy_nonoverlapping(a.as_ptr(), dst, a.len());
@@ -239,5 +256,9 @@ pub(crate) fn vec_extend_bytes<T>(buf: &mut Vec<T>, a: &[u8], b: &[u8]) {
 /// View a typed slice as raw bytes (the shm send boundary). Sound only
 /// for plain-old-data `T`.
 pub(crate) fn bytes_of<T>(data: &[T]) -> &[u8] {
+    // SAFETY: the view covers exactly the slice's own `size_of_val` bytes
+    // for the slice's lifetime, `u8` has no alignment, and the caller's
+    // contract — plain-old-data `T` without padding — makes every one of
+    // those bytes initialized.
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
 }

@@ -40,6 +40,9 @@ pub(crate) fn wait(word: &AtomicU32, expected: u32, timeout_ms: u64) {
         tv_sec: (timeout_ms / 1000) as i64,
         tv_nsec: ((timeout_ms % 1000) * 1_000_000) as i64,
     };
+    // SAFETY: `word` and `ts` are live for the whole (blocking) call, the
+    // argument list is `FUTEX_WAIT`'s (uaddr, op, val, timeout), and the
+    // kernel only reads the word.
     unsafe {
         // EAGAIN (word moved), ETIMEDOUT, and EINTR are all just "go
         // re-check" to our callers; the return value is irrelevant.
@@ -55,6 +58,8 @@ pub(crate) fn wait(word: &AtomicU32, expected: u32, timeout_ms: u64) {
 
 /// Wake every waiter parked on `word`.
 pub(crate) fn wake_all(word: &AtomicU32) {
+    // SAFETY: `FUTEX_WAKE` uses `word` only as the key of the wait queue
+    // (uaddr, op, count); it neither reads nor writes our memory.
     unsafe {
         syscall(SYS_FUTEX, word.as_ptr(), FUTEX_WAKE, i32::MAX);
     }

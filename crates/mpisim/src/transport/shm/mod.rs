@@ -20,13 +20,21 @@ pub(crate) mod ring;
 pub(crate) mod segment;
 
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
-use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
+use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
 use crate::state::{ChanId, ChanKey, Envelope, Payload, WorldState};
 use parking_lot::{Condvar, Mutex};
 use ring::ShmChanRaw;
 use segment::Segment;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Data capacity of each (src, dst) mailbox ring, in bytes (a power of
+/// two). A plain send larger than half of it streams through in chunks.
+pub(crate) const MAILBOX_CAP: u64 = 256 << 10;
+
+/// Messages of its registered length a persistent-channel ring holds: how
+/// far a sender may run ahead of its receiver before `start` blocks.
+pub(crate) const RING_DEPTH: u64 = 8;
 
 /// Receiver-local unexpected-message state of one rank.
 struct RecvState {
@@ -269,10 +277,12 @@ impl Transport for ShmTransport {
         // thread transport's unbounded buffered-send semantics: protocols
         // where every rank sends before any rank receives must not
         // deadlock on full rings.
-        let max_chunk = (self.seg.mailbox_cap() / 2) as usize;
+        let max_chunk = (MAILBOX_CAP / 2) as usize;
         assert!(
             ENV_HDR + type_name.len() < max_chunk,
-            "mailbox ring too small for an envelope header (raise MPISIM_SHM_MAILBOX_CAP)"
+            "element type name of {} bytes leaves no room for payload in a \
+             {max_chunk}-byte mailbox frame",
+            type_name.len()
         );
         let first = data.len().min(max_chunk - ENV_HDR - type_name.len());
         let mut st = self.outbox.state.lock();
@@ -334,7 +344,7 @@ impl Transport for ShmTransport {
         start: usize,
         stall: &dyn Fn(),
     ) -> usize {
-        for _ in 0..24 {
+        for _ in 0..PARK_SPIN {
             if let Some(i) = WorldState::poll_any_from(chans, start) {
                 return i;
             }
@@ -345,7 +355,7 @@ impl Transport for ShmTransport {
         // count-bump THEN watcher-load: at least one side sees the other,
         // so a deposit racing the park either gets scanned or gets woken
         for c in chans {
-            c.watch(global_rank);
+            c.shm_ring().set_watcher(global_rank);
         }
         let found = loop {
             let seen = seq.load(std::sync::atomic::Ordering::SeqCst);
@@ -358,7 +368,7 @@ impl Transport for ShmTransport {
             }
         };
         for c in chans {
-            c.unwatch(global_rank);
+            c.shm_ring().clear_watcher(global_rank);
         }
         found
     }
@@ -371,9 +381,8 @@ impl Transport for ShmTransport {
         type_name: &'static str,
         len_hint: usize,
     ) -> ChanFabric {
-        let depth = crate::env::get().shm_ring_depth;
         let msg = 16 + (elem_bytes * len_hint.max(1)) as u64;
-        let ring_bytes = (depth * msg).next_power_of_two().max(64 << 10);
+        let ring_bytes = (RING_DEPTH * msg).next_power_of_two().max(64 << 10);
         let off = self
             .seg
             .register_channel(key, elem_bytes, type_name, ring_bytes);

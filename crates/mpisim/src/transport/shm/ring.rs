@@ -15,7 +15,7 @@
 
 use super::futex;
 use super::segment::Segment;
-use crate::transport::{assert_pod, vec_extend_bytes};
+use crate::transport::{assert_pod, vec_extend_bytes, PARK_SPIN};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,7 +47,7 @@ const MSG_HDR: usize = 16;
 
 pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64) {
     assert!(cap_bytes.is_power_of_two(), "ring capacity must be 2^k");
-    let hdr = unsafe { &*(seg.at(off) as *const RingHdr) };
+    let hdr = ShmChanRaw::hdr_at(seg, off);
     hdr.head.store(0, Ordering::SeqCst);
     hdr.tail.store(0, Ordering::SeqCst);
     hdr.msg_count.store(0, Ordering::SeqCst);
@@ -75,7 +75,16 @@ impl ShmChanRaw {
     }
 
     fn hdr(&self) -> &RingHdr {
-        unsafe { &*(self.seg.at(self.off) as *const RingHdr) }
+        Self::hdr_at(&self.seg, self.off)
+    }
+
+    fn hdr_at(seg: &Segment, off: u64) -> &RingHdr {
+        // SAFETY: `off` is a ring base handed out by `Segment::alloc`
+        // (64-aligned, `RING_HDR` + capacity bytes inside the mapping, which
+        // `seg` keeps alive), the header is nothing but atomics — valid for
+        // any bit pattern and for shared access from every process — and it
+        // is smaller than `RING_HDR`.
+        unsafe { &*(seg.at(off) as *const RingHdr) }
     }
 
     fn data(&self) -> *mut u8 {
@@ -90,15 +99,17 @@ impl ShmChanRaw {
         self.hdr().msg_count.load(Ordering::SeqCst) as usize
     }
 
-    pub fn ready(&self) -> bool {
-        self.msg_count() > 0
-    }
-
     /// Copy `src` into the data area at monotonic position `pos`.
     fn write_wrapped(&self, pos: u64, src: &[u8]) {
         let cap = self.cap();
         let start = (pos & (cap - 1)) as usize;
         let first = src.len().min(cap as usize - start);
+        // SAFETY: `start < cap` and `first <= cap - start`, so the first copy
+        // ends inside the `cap`-byte data area and the second (the wrapped
+        // rest, `<= cap` by `try_push`'s capacity check) starts at its base;
+        // `src` is a Rust slice and cannot overlap the mapping. The bytes
+        // lie between `head` and the unpublished tail, where only this
+        // ring's single producer writes.
         unsafe {
             std::ptr::copy_nonoverlapping(src.as_ptr(), self.data().add(start), first);
             if first < src.len() {
@@ -117,6 +128,12 @@ impl ShmChanRaw {
         let cap = self.cap();
         let start = (pos & (cap - 1)) as usize;
         let first = len.min(cap as usize - start);
+        // SAFETY: both ranges lie inside the `cap`-byte data area (as in
+        // `write_wrapped`); the single consumer calls this for a message the
+        // producer published with a `Release` store of `tail` that the
+        // consumer's `msg_count` load observed, and the producer does not
+        // write those bytes again until `head` has moved past them — which
+        // only happens after the borrow ends (`try_pop_with`).
         unsafe {
             (
                 std::slice::from_raw_parts(self.data().add(start), first),
@@ -127,8 +144,9 @@ impl ShmChanRaw {
 
     /// Deposit one message without blocking: returns `false` (writing
     /// nothing) when the ring lacks space for the whole frame. A single
-    /// message larger than the whole ring is a loud panic — resize via
-    /// `MPISIM_SHM_RING_DEPTH` / `MPISIM_SHM_MAILBOX_CAP`.
+    /// message larger than the whole ring is a loud panic: a channel ring
+    /// is sized for [`super::RING_DEPTH`] messages of the registered
+    /// length, and plain sends are chunked to fit the mailbox rings.
     pub fn try_push(&self, arrival: f64, parts: &[&[u8]]) -> bool {
         let payload: usize = parts.iter().map(|p| p.len()).sum();
         let need = (MSG_HDR + payload).next_multiple_of(8) as u64;
@@ -137,7 +155,9 @@ impl ShmChanRaw {
         assert!(
             need <= cap,
             "shm ring message of {payload} bytes exceeds the ring capacity of \
-             {cap} bytes (raise MPISIM_SHM_RING_DEPTH or MPISIM_SHM_MAILBOX_CAP)"
+             {cap} bytes (a persistent channel's ring holds {} messages of the \
+             length it was registered with — register the real length)",
+            super::RING_DEPTH
         );
         let tail = hdr.tail.load(Ordering::Relaxed); // single producer
         if cap - (tail - hdr.head.load(Ordering::Acquire)) < need {
@@ -211,8 +231,8 @@ impl ShmChanRaw {
     /// Block until the ring is non-empty, invoking `stall` each stall
     /// period (same contract as the thread channel's `wait_nonempty`).
     pub fn wait_nonempty(&self, stall: &dyn Fn()) {
-        for _ in 0..24 {
-            if self.ready() {
+        for _ in 0..PARK_SPIN {
+            if self.msg_count() > 0 {
                 return;
             }
             std::thread::yield_now();
@@ -220,11 +240,11 @@ impl ShmChanRaw {
         let hdr = self.hdr();
         loop {
             let seen = hdr.data_seq.load(Ordering::SeqCst);
-            if self.ready() {
+            if self.msg_count() > 0 {
                 return;
             }
             futex::wait(&hdr.data_seq, seen, crate::stall::stall_ms());
-            if self.ready() {
+            if self.msg_count() > 0 {
                 return;
             }
             stall();
@@ -287,7 +307,7 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
     }
 
     pub fn try_pop(&self) -> Option<(Vec<T>, f64)> {
-        if !self.raw.ready() {
+        if self.raw.msg_count() == 0 {
             return None;
         }
         let mut buf = self.spare.lock().pop().unwrap_or_default();
@@ -305,15 +325,6 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
         }
     }
 
-    pub fn pop_with(&self, stall_probe: impl Fn()) -> (Vec<T>, f64) {
-        loop {
-            if let Some(msg) = self.try_pop() {
-                return msg;
-            }
-            self.raw.wait_nonempty(&stall_probe);
-        }
-    }
-
     pub fn wait_nonempty(&self, stall_probe: impl Fn()) {
         self.raw.wait_nonempty(&stall_probe);
     }
@@ -324,10 +335,6 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
 
     pub fn drain_pending(&self) {
         self.raw.drain();
-    }
-
-    pub fn ready(&self) -> bool {
-        self.raw.ready()
     }
 }
 
@@ -366,7 +373,7 @@ mod tests {
                 }
             }
         }
-        assert!(!r.ready());
+        assert_eq!(r.msg_count(), 0);
     }
 
     #[test]
@@ -410,12 +417,14 @@ mod tests {
         init_ring(&seg, off, 4096);
         let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off));
         c.push_with(0.5, |b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
-        let (buf, arrival) = c.pop_with(|| {});
+        c.wait_nonempty(|| {});
+        let (buf, arrival) = c.try_pop().expect("delivered");
         assert_eq!((buf.as_slice(), arrival), ([1.0, 2.0, 3.0].as_slice(), 0.5));
         let cap_before = buf.capacity();
         c.recycle(buf);
         c.push_with(1.5, |b| b.extend_from_slice(&[4.0]));
-        let (buf, _) = c.pop_with(|| {});
+        c.wait_nonempty(|| {});
+        let (buf, _) = c.try_pop().expect("delivered");
         assert_eq!(buf.as_slice(), [4.0].as_slice());
         assert!(buf.capacity() >= 1 && cap_before >= 3);
     }

@@ -21,7 +21,8 @@
 //! tmpfs, so the generous default size only commits pages actually
 //! touched.
 
-use super::futex;
+use super::ring::RING_HDR;
+use super::{futex, MAILBOX_CAP};
 use crate::state::ChanKey;
 use crate::transport::remote::CMD_STOP;
 use std::fs::OpenOptions;
@@ -30,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_0008; // "mpisim", layout v8
+const MAGIC: u64 = 0x6d70_6973_696d_0009; // "mpisim", layout v9
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world registers one
@@ -71,9 +72,8 @@ struct SegHeader {
     /// Which rank raised `rank_panicked`, as rank+1 (0 = unattributed).
     /// First writer wins; read by stall forensics to name the dead rank.
     dead_rank: AtomicU32,
-    /// Offset of the first mailbox ring and per-ring data capacity.
+    /// Offset of the first mailbox ring.
     mailbox_base: AtomicU64,
-    mailbox_cap: AtomicU64,
 }
 
 const HDR_SIZE: u64 = 128; // > size_of::<SegHeader>(), room to grow
@@ -101,9 +101,15 @@ pub(crate) struct Segment {
     unlinked: AtomicBool,
 }
 
-// The mapping is plain shared memory accessed through atomics and
-// explicitly-synchronized byte copies.
+// SAFETY: `base` — the only field that is not plain owned data — is no
+// thread-local resource: it points at a `MAP_SHARED` mapping that stays
+// valid until `Drop` unmaps it, wherever the `Segment` has moved to by then.
 unsafe impl Send for Segment {}
+// SAFETY: nothing is reachable through `&Segment` but atomics (the header,
+// the per-rank words, the table) and ring data areas, whose plain byte
+// copies are ordered by each ring's head/tail protocol (`ring.rs`) between
+// exactly one producer and one consumer — the discipline that already has
+// to hold across processes holds across threads.
 unsafe impl Sync for Segment {}
 
 impl Segment {
@@ -119,11 +125,9 @@ impl Segment {
     /// Create and initialize the fabric segment for `n_ranks` ranks.
     pub fn create(n_ranks: usize) -> Arc<Segment> {
         let n = n_ranks as u64;
-        let env = crate::env::get();
-        let mailbox_cap = env.shm_mailbox_cap.next_power_of_two();
-        let mailbox_total = n * n * (super::ring::RING_HDR + mailbox_cap);
+        let mailbox_total = n * n * (RING_HDR + MAILBOX_CAP);
         let default_len = (mailbox_total + (192 << 20)).max(256 << 20);
-        let len = env
+        let len = crate::env::get()
             .shm_bytes
             .unwrap_or(default_len)
             .max(mailbox_total + (16 << 20));
@@ -164,15 +168,14 @@ impl Segment {
         h.n_ranks.store(n, Ordering::Relaxed);
         h.seg_len.store(len, Ordering::Relaxed);
         h.alloc_next.store(bump, Ordering::Relaxed);
-        h.mailbox_cap.store(mailbox_cap, Ordering::Relaxed);
         // the attach barrier reuses the epoch barrier words, all zero
-        let mailbox_base = seg.alloc(n * n * (super::ring::RING_HDR + mailbox_cap));
+        let mailbox_base = seg.alloc(mailbox_total);
         h.mailbox_base.store(mailbox_base, Ordering::Relaxed);
         for i in 0..(n * n) {
             super::ring::init_ring(
                 &seg,
-                mailbox_base + i * (super::ring::RING_HDR + mailbox_cap),
-                mailbox_cap,
+                mailbox_base + i * (RING_HDR + MAILBOX_CAP),
+                MAILBOX_CAP,
             );
         }
         // publish: attachers spin on magic before touching anything else
@@ -210,6 +213,10 @@ impl Segment {
     }
 
     fn map(file: std::fs::File, path: PathBuf, len: usize, created: bool) -> Segment {
+        // SAFETY: a fresh shared mapping at an address of the kernel's
+        // choosing aliases no Rust object; `file` is open read-write and
+        // `len` bytes long (set by `create`, read from its metadata by
+        // `attach`). Failure is checked below before `base` is used.
         let base = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -251,6 +258,10 @@ impl Segment {
     }
 
     fn header(&self) -> &SegHeader {
+        // SAFETY: the mapping is page-aligned, at least `HDR_SIZE` >
+        // `size_of::<SegHeader>()` bytes long and lives as long as `self`;
+        // the header is nothing but atomics, valid for any bit pattern and
+        // for shared access from every process.
         unsafe { &*(self.base as *const SegHeader) }
     }
 
@@ -262,11 +273,17 @@ impl Segment {
     /// inside regions it owns under the fabric's protocols.
     pub(crate) fn at(&self, off: u64) -> *mut u8 {
         debug_assert!((off as usize) < self.len);
+        // SAFETY: offsets come from `offsets()`, `alloc` (which asserts it
+        // stays inside `len`) or a table slot written from one of those, so
+        // the sum stays inside the one mapping `base` points into.
         unsafe { self.base.add(off as usize) }
     }
 
     pub(crate) fn atomic_u32(&self, off: u64) -> &AtomicU32 {
         debug_assert_eq!(off % 4, 0);
+        // SAFETY: `off` is one of the 4-aligned per-rank words `offsets()`
+        // lays out inside the mapping (which outlives the borrow), only
+        // ever accessed as an `AtomicU32`, by every process.
         unsafe { &*(self.at(off) as *const AtomicU32) }
     }
 
@@ -437,6 +454,9 @@ impl Segment {
 
     fn table_slot(&self, i: usize) -> &TableSlot {
         let (_, _, _, table, _) = Self::offsets(self.n_ranks() as u64);
+        // SAFETY: `i < TABLE_CAP` at every caller, so the slot lies inside
+        // the table region `offsets()` reserves (64-aligned, `SLOT_SIZE` =
+        // `size_of::<TableSlot>()` apart); a slot is nothing but atomics.
         unsafe { &*(self.at(table + SLOT_SIZE * i as u64) as *const TableSlot) }
     }
 
@@ -457,7 +477,7 @@ impl Segment {
         for i in 0..TABLE_CAP {
             let slot = self.table_slot(i);
             if slot.used.load(Ordering::SeqCst) == 0 {
-                let off = self.alloc(super::ring::RING_HDR + ring_bytes);
+                let off = self.alloc(RING_HDR + ring_bytes);
                 super::ring::init_ring(self, off, ring_bytes);
                 for (dst, v) in slot.key.iter().zip(k) {
                     dst.store(v, Ordering::SeqCst);
@@ -488,24 +508,20 @@ impl Segment {
         panic!("shm channel table full ({TABLE_CAP} signatures registered)");
     }
 
-    /// Per-mailbox-ring data capacity in bytes (chunked deposits split
-    /// oversized plain sends against this).
-    pub fn mailbox_cap(&self) -> u64 {
-        self.header().mailbox_cap.load(Ordering::Relaxed)
-    }
-
     /// Mailbox ring (src → dst) offset.
     pub fn mailbox_ring_off(&self, src: usize, dst: usize) -> u64 {
         let n = self.n_ranks() as u64;
-        let h = self.header();
-        let stride = super::ring::RING_HDR + h.mailbox_cap.load(Ordering::Relaxed);
-        h.mailbox_base.load(Ordering::Relaxed) + (src as u64 * n + dst as u64) * stride
+        let base = self.header().mailbox_base.load(Ordering::Relaxed);
+        base + (src as u64 * n + dst as u64) * (RING_HDR + MAILBOX_CAP)
     }
 }
 
 impl Drop for Segment {
     fn drop(&mut self) {
         self.unlink();
+        // SAFETY: `base`/`len` are exactly what `mmap` returned in `map`,
+        // and `&mut self` in `Drop` means no borrow into the mapping is left
+        // (every accessor ties its result to `&self`).
         unsafe {
             munmap(self.base, self.len);
         }
@@ -545,8 +561,11 @@ impl Drop for TableLock<'_> {
 
 /// Liveness probe by pid: true while the process exists.
 pub(crate) fn pid_alive(pid: u32) -> bool {
-    !(unsafe { kill(pid as i32, 0) } == -1
-        && std::io::Error::last_os_error().raw_os_error() == Some(ESRCH))
+    // SAFETY: signal 0 delivers nothing — `kill` only reports whether the
+    // pid exists — and the call touches no memory of ours.
+    let gone = unsafe { kill(pid as i32, 0) } == -1
+        && std::io::Error::last_os_error().raw_os_error() == Some(ESRCH);
+    !gone
 }
 
 /// Remove `/dev/shm/mpisim-<pid>-<seq>` files whose creating process no

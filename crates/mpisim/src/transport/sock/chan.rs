@@ -1,0 +1,93 @@
+//! The socket fabric's persistent-channel body, and both ends of the
+//! `K_CHAN` frame that carries its payloads:
+//! `[ctx u64][src u64][dst u64][tag u64][arrival f64-bits u64]` + data.
+
+use super::link::{Link, K_CHAN};
+use super::SockChanWire;
+use crate::elem::elem_bytes;
+use crate::state::ChanKey;
+use crate::transport::thread::ThreadChan;
+use crate::transport::{assert_pod, bytes_of, vec_extend_bytes};
+use parking_lot::Mutex;
+use std::sync::Arc;
+
+/// Bytes of a `K_CHAN` body ahead of the payload.
+const CHAN_HDR: usize = 40;
+
+/// Socket-fabric channel body. The receive side is an ordinary in-process
+/// [`ThreadChan`] fed by the link reader thread (via the transport's
+/// deliver hook); the send side serializes each payload straight into a
+/// `K_CHAN` frame of the peer's [`Link`], which owns sequencing,
+/// acknowledgement, and replay-on-reconnect. A channel whose two endpoints
+/// live in the same process (`route: None`) skips the wire entirely and
+/// pushes straight into the local queue — byte-identical semantics, no
+/// serialization round trip.
+pub(crate) struct SockChan<T> {
+    pub(crate) local: Arc<ThreadChan<T>>,
+    key: ChanKey,
+    route: Option<Arc<Link>>,
+    /// Recycled typed staging buffers (what `fill` writes into), mirroring
+    /// the receive side's spare pool so steady-state sends allocate
+    /// nothing; the frame itself is the link's recycled buffer.
+    scratch: Mutex<Vec<Vec<T>>>,
+}
+
+impl<T: Send + 'static> SockChan<T> {
+    /// A local receive queue plus an optional wire route. If this process
+    /// hosts the receiving rank, hook the transport's deliver table so the
+    /// link reader thread deserializes arriving frames straight into the
+    /// local queue.
+    pub(crate) fn new(key: ChanKey, wire: SockChanWire) -> Self {
+        assert_pod::<T>("persistent channel over the sock transport");
+        let local = Arc::new(ThreadChan::new());
+        if let Some(t) = wire.register {
+            let local = Arc::clone(&local);
+            t.register_deliver(
+                key,
+                Arc::new(move |arrival, bytes: &[u8]| {
+                    if !bytes.len().is_multiple_of(elem_bytes::<T>()) {
+                        return Err(format!(
+                            "payload of {} bytes is not a whole number of {} elements",
+                            bytes.len(),
+                            std::any::type_name::<T>()
+                        ));
+                    }
+                    local.push_with(arrival, |buf| vec_extend_bytes(buf, bytes, &[]));
+                    Ok(())
+                }),
+            );
+        }
+        Self {
+            local,
+            key,
+            route: wire.route,
+            scratch: Mutex::new(Vec::new()),
+        }
+    }
+
+    pub(crate) fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
+        let Some(link) = &self.route else {
+            return self.local.push_with(arrival, fill);
+        };
+        let mut vals = self.scratch.lock().pop().unwrap_or_default();
+        vals.clear();
+        fill(&mut vals);
+        let (ctx_id, src, dst, tag) = self.key;
+        link.send_frame_with(K_CHAN, |body| {
+            for word in [ctx_id, src as u64, dst as u64, tag, arrival.to_bits()] {
+                body.extend_from_slice(&word.to_le_bytes());
+            }
+            body.extend_from_slice(bytes_of(&vals));
+        });
+        self.scratch.lock().push(vals);
+    }
+}
+
+/// Take a `K_CHAN` body apart: the channel it is for, its arrival stamp,
+/// its payload. `None` for a body shorter than the header.
+pub(super) fn split_frame(body: &[u8]) -> Option<(ChanKey, f64, &[u8])> {
+    let (hdr, payload) = body.split_first_chunk::<CHAN_HDR>()?;
+    let word = |i: usize| u64::from_le_bytes(hdr[8 * i..][..8].try_into().expect("8 bytes"));
+    let key = (word(0), word(1) as usize, word(2) as usize, word(3));
+    Some((key, f64::from_bits(word(4)), payload))
+}

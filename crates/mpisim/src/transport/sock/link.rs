@@ -16,10 +16,14 @@
 //! writer coalesces everything queued since its last turn into one
 //! `write`, and the reader takes whatever the kernel has in one `read`
 //! and parses the frames where they landed. Both threads yield-spin
-//! ([`PARK_SPIN`]) before they block in the kernel, so a steady stream
-//! keeps them awake and batching instead of paying a sleep and a wake per
-//! burst.
+//! ([`PARK_SPIN`] turns — the writer with nothing queued, the reader with
+//! nothing in the socket) before they block in the kernel, so a steady
+//! stream keeps them awake and batching. A thread that blocks at once
+//! sleeps and is woken once per burst, and how many frames then share a
+//! `write` and a `read` — what a frame costs — is left to where the
+//! scheduler put the two threads.
 
+use crate::transport::PARK_SPIN;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -67,15 +71,6 @@ const REPLAY_CAP: usize = 1 << 16;
 /// largest capacity worth keeping.
 const POOL_FRAMES: usize = 256;
 const POOL_FRAME_BYTES: usize = 2 * IO_BATCH;
-
-/// Turns of the run queue a link thread lets pass — the writer with
-/// nothing queued, the reader with nothing in the socket — before it
-/// blocks in the kernel: the yield-spin every receive in this runtime does
-/// before parking (`ThreadChan::pop_with` has the rationale and the
-/// bound). A thread that blocks at once sleeps and is woken once per
-/// burst, and how many frames then share a `write` and a `read` — what a
-/// frame costs — is left to where the scheduler put the two threads.
-const PARK_SPIN: u32 = 24;
 
 /// Append one frame to `out`: `[len u32][kind u8][pad 3][seq u64][body]`
 /// where `len` counts everything after the length prefix and `body` is
@@ -395,15 +390,22 @@ impl Listener {
     }
 }
 
-/// Retry/backoff policy for dialing a peer (`MPISIM_CONNECT_RETRIES`,
-/// default 8 further attempts after the first; `MPISIM_CONNECT_BACKOFF_MS`,
-/// default 10 — doubled per attempt, capped at 1 s, plus deterministic
-/// jitter).
+/// Retry/backoff policy for dialing a peer: `retries` further attempts
+/// after the first, `backoff_ms` doubled per attempt, capped at 1 s, plus
+/// deterministic jitter.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RetryCfg {
     pub retries: u64,
     pub backoff_ms: u64,
 }
+
+/// What every link dials and redials with. Its [`RetryCfg::window_ms`]
+/// (4.9 s) is also how long a severed link may stay down before the
+/// passive side declares the peer lost.
+pub(crate) const DIAL: RetryCfg = RetryCfg {
+    retries: 8,
+    backoff_ms: 10,
+};
 
 impl RetryCfg {
     fn delay(&self, attempt: u64) -> Duration {
@@ -870,10 +872,10 @@ impl Link {
 /// one `write` — emits acks/heartbeats on idle links, detects half-open
 /// connections (peer silent too long) and passive-side permanent loss
 /// (disconnected longer than the reconnect window).
-pub(crate) fn run_writer(link: Arc<Link>, cfg: RetryCfg) {
+pub(crate) fn run_writer(link: Arc<Link>) {
     let hb = Duration::from_millis(crate::stall::stall_ms());
-    let window = Duration::from_millis(cfg.window_ms());
-    let silence_limit = cfg.window_ms().max(4 * crate::stall::stall_ms()) * 4;
+    let window = Duration::from_millis(DIAL.window_ms());
+    let silence_limit = DIAL.window_ms().max(4 * crate::stall::stall_ms()) * 4;
     let mut last_hb = Instant::now();
     // the cycle's bytes, coalesced under the lock and written outside it
     let mut out: Vec<u8> = Vec::new();
@@ -892,7 +894,7 @@ pub(crate) fn run_writer(link: Arc<Link>, cfg: RetryCfg) {
                 link.fail(format!(
                     "peer proc {} did not reconnect within {} ms",
                     link.peer_proc,
-                    cfg.window_ms()
+                    DIAL.window_ms()
                 ));
                 return;
             }

@@ -21,25 +21,25 @@
 //! every blocked wait observes through `peer_failure` within one stall
 //! probe and degrades to a loud abort / [`crate::EpochError`].
 
+pub(crate) mod chan;
 pub(crate) mod control;
 pub(crate) mod link;
 
+use super::thread::ThreadTransport;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
-use crate::state::{ChanId, ChanKey, Envelope, Mailbox, Payload, WaitSet, WorldState};
+use crate::state::{ChanId, ChanKey, Envelope, Payload};
 use link::{
     auto_addr, connect_once, connect_retry, encode_frame, invalid_data, Accept, Frame, FrameReader,
-    Link, Listener, RetryCfg, Stream, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH,
-    K_HELLO, K_JOIN, K_TABLE,
+    Link, Listener, Stream, DIAL, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO,
+    K_JOIN, K_TABLE,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-
-const NO_RANK: usize = usize::MAX;
 
 /// Control-plane inbox: epoch commands, completions, death notices, and
 /// bootstrap join/table traffic, deposited by reader threads and consumed
@@ -113,17 +113,16 @@ pub(crate) struct SockTransport {
     n_procs: usize,
     /// Concrete address our listener answers on (what peers dial).
     pub(crate) listener_addr: String,
-    mailboxes: Vec<Mailbox>,
-    wait_sets: Vec<Arc<WaitSet>>,
+    /// The receive half, whole: what the readers take off the wire — and
+    /// what a rank sends itself — is deposited here, and every matched
+    /// receive, probe, set-park and rank-death flag is this transport's.
+    rx: ThreadTransport,
     /// Per-peer-process links; `None` at `my_proc` in multi-process
     /// worlds (a loopback world has its self-link at index 0).
     pub(crate) links: Vec<Option<Arc<Link>>>,
     chans: Mutex<ChanTable>,
-    rank_panicked: AtomicBool,
-    dead_rank: AtomicUsize,
     pub(crate) ctrl: Ctrl,
     flush: FlushPoint,
-    pub(crate) cfg: RetryCfg,
     shutdown: Arc<AtomicBool>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     writer_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -149,7 +148,7 @@ impl SockTransport {
     fn dial_self(&self) {
         let link = self.links[0].as_ref().expect("loopback self-link").clone();
         *link.dial_addr.lock() = Some(self.listener_addr.clone());
-        let stream = connect_retry(&self.listener_addr, self.cfg).unwrap_or_else(|e| {
+        let stream = connect_retry(&self.listener_addr, DIAL).unwrap_or_else(|e| {
             panic!(
                 "sock loopback: cannot dial own listener {}: {e}",
                 self.listener_addr
@@ -173,11 +172,6 @@ impl SockTransport {
     ) -> Arc<SockTransport> {
         let (listener, listener_addr) = Listener::bind(listen_spec)
             .unwrap_or_else(|e| panic!("sock fabric: cannot bind {listen_spec:?}: {e}"));
-        let env = crate::env::get();
-        let cfg = RetryCfg {
-            retries: env.connect_retries,
-            backoff_ms: env.connect_backoff_ms,
-        };
         let links: Vec<Option<Arc<Link>>> = (0..n_procs)
             .map(|p| {
                 if n_procs == 1 {
@@ -193,15 +187,12 @@ impl SockTransport {
             my_proc,
             n_procs,
             listener_addr,
-            mailboxes: (0..n_ranks).map(|_| Mailbox::default()).collect(),
-            wait_sets: (0..n_ranks).map(|_| Arc::new(WaitSet::new())).collect(),
+            rx: ThreadTransport::new(n_ranks),
             links,
             chans: Mutex::new(ChanTable {
                 deliver: HashMap::new(),
                 undelivered: HashMap::new(),
             }),
-            rank_panicked: AtomicBool::new(false),
-            dead_rank: AtomicUsize::new(NO_RANK),
             ctrl: Ctrl {
                 st: Mutex::new(CtrlState::default()),
                 cv: Condvar::new(),
@@ -211,7 +202,6 @@ impl SockTransport {
                 seen: Mutex::new(0),
                 cv: Condvar::new(),
             },
-            cfg,
             shutdown: Arc::new(AtomicBool::new(false)),
             accept_thread: Mutex::new(None),
             writer_threads: Mutex::new(Vec::new()),
@@ -221,11 +211,11 @@ impl SockTransport {
         {
             let mut writers = t.writer_threads.lock();
             for link in t.links.iter().flatten() {
-                let (l, c) = (Arc::clone(link), cfg);
+                let l = Arc::clone(link);
                 writers.push(
                     std::thread::Builder::new()
                         .name(format!("mpisim-sock-w{}", l.peer_proc))
-                        .spawn(move || link::run_writer(l, c))
+                        .spawn(move || link::run_writer(l))
                         .expect("spawn sock writer"),
                 );
             }
@@ -262,10 +252,10 @@ impl SockTransport {
     pub(crate) fn connect_to(&self, proc: usize, addr: &str) -> Result<(), String> {
         let link = self.links[proc].as_ref().expect("link exists").clone();
         *link.dial_addr.lock() = Some(addr.to_string());
-        let stream = connect_retry(addr, self.cfg).map_err(|e| {
+        let stream = connect_retry(addr, DIAL).map_err(|e| {
             format!(
                 "connect to proc {proc} at {addr} failed after {} attempts: {e}",
-                self.cfg.retries + 1
+                DIAL.retries + 1
             )
         })?;
         self.handshake_connect(&link, stream)
@@ -333,7 +323,7 @@ impl SockTransport {
     /// break: capped exponential backoff, then permanent failure.
     fn reconnect(&self, link: Arc<Link>, addr: &str) {
         let mut last = String::from("no attempt made");
-        for attempt in 0..=self.cfg.retries {
+        for attempt in 0..=DIAL.retries {
             {
                 let st = link.st.lock();
                 if st.dead || st.shutdown {
@@ -347,16 +337,16 @@ impl SockTransport {
                 },
                 Err(e) => last = e.to_string(),
             }
-            if attempt < self.cfg.retries {
+            if attempt < DIAL.retries {
                 std::thread::sleep(Duration::from_millis(
-                    (self.cfg.backoff_ms << attempt.min(16)).min(1000),
+                    (DIAL.backoff_ms << attempt.min(16)).min(1000),
                 ));
             }
         }
         link.fail(format!(
             "reconnect to proc {} at {addr} failed after {} attempts: {last}",
             link.peer_proc,
-            self.cfg.retries + 1
+            DIAL.retries + 1
         ));
     }
 
@@ -397,25 +387,17 @@ impl SockTransport {
         match kind {
             K_DATA => {
                 // [src u32][dst u32][arrival u64] + one whole envelope
-                let mb = self.mailboxes.get(u32_at(4)?).ok_or_else(short)?;
+                let (src, dst) = (u32_at(0)?, u32_at(4)?);
                 let arrival = f64::from_bits(u64_at(8)?);
                 let (name_len, data_len) = (u32_at(16 + 24)?, u32_at(16 + 28)?);
-                if body.len() != 16 + ENV_HDR + name_len + data_len {
+                if dst >= self.rx.n_ranks() || body.len() != 16 + ENV_HDR + name_len + data_len {
                     return Err(short());
                 }
                 let (env, _) = decode_envelope(arrival, &body[16..]);
-                mb.queue.lock().push_back(env);
-                mb.cv.notify_all();
+                self.rx.deposit(src, dst, env);
             }
             K_CHAN => {
-                let key: ChanKey = (
-                    u64_at(0)?,
-                    u64_at(8)? as usize,
-                    u64_at(16)? as usize,
-                    u64_at(24)?,
-                );
-                let arrival = f64::from_bits(u64_at(32)?);
-                let payload = &body[40..];
+                let (key, arrival, payload) = chan::split_frame(body).ok_or_else(short)?;
                 let f = {
                     let mut ch = self.chans.lock();
                     match ch.deliver.get(&key) {
@@ -541,12 +523,8 @@ impl Transport for SockTransport {
                     body.extend_from_slice(data);
                 });
             }
-            None => {
-                // own rank in a multi-process world: no wire to cross
-                let mb = &self.mailboxes[dst_world];
-                mb.queue.lock().push_back(env);
-                mb.cv.notify_all();
-            }
+            // own rank in a multi-process world: no wire to cross
+            None => self.rx.deposit(src_world, dst_world, env),
         }
     }
 
@@ -558,34 +536,11 @@ impl Transport for SockTransport {
         tag: u64,
         stall: &dyn Fn(),
     ) -> (Envelope, usize) {
-        let mb = &self.mailboxes[global_dst];
-        let mut q = mb.queue.lock();
-        loop {
-            let searched = q.len();
-            if let Some(pos) = q
-                .iter()
-                .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
-            {
-                let env = q.remove(pos).expect("position valid");
-                return (env, searched);
-            }
-            if mb
-                .cv
-                .wait_for(
-                    &mut q,
-                    std::time::Duration::from_millis(crate::stall::stall_ms()),
-                )
-                .timed_out()
-            {
-                stall();
-            }
-        }
+        self.rx.match_recv(global_dst, ctx_id, src, tag, stall)
     }
 
     fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
-        let q = self.mailboxes[global_dst].queue.lock();
-        q.iter()
-            .any(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
+        self.rx.probe(global_dst, ctx_id, src, tag)
     }
 
     fn wait_any(
@@ -595,27 +550,7 @@ impl Transport for SockTransport {
         start: usize,
         stall: &dyn Fn(),
     ) -> usize {
-        for _ in 0..24 {
-            if let Some(i) = WorldState::poll_any_from(chans, start) {
-                return i;
-            }
-            std::thread::yield_now();
-        }
-        let ws = &self.wait_sets[global_rank];
-        for c in chans {
-            c.attach(ws);
-        }
-        let found = loop {
-            let seen = ws.generation();
-            if let Some(i) = WorldState::poll_any_from(chans, start) {
-                break i;
-            }
-            ws.park_past(seen, stall);
-        };
-        for c in chans {
-            c.detach(ws);
-        }
-        found
+        self.rx.wait_any(global_rank, chans, start, stall)
     }
 
     fn make_channel(
@@ -653,51 +588,32 @@ impl Transport for SockTransport {
                 }
             }
         }
-        for mb in &self.mailboxes {
-            mb.queue.lock().clear();
-        }
+        self.rx.drain_in_flight();
         self.chans.lock().undelivered.clear();
     }
 
     fn note_rank_panic(&self, rank: Option<usize>) {
-        if let Some(r) = rank {
-            let _ =
-                self.dead_rank
-                    .compare_exchange(NO_RANK, r, Ordering::AcqRel, Ordering::Relaxed);
-        }
-        self.rank_panicked.store(true, Ordering::Release);
+        self.rx.note_rank_panic(rank);
     }
 
     fn clear_rank_panic(&self) {
         // link death is permanent and NOT cleared here: a world whose
         // fabric lost a host cannot start a healthy epoch
-        self.rank_panicked.store(false, Ordering::Release);
-        self.dead_rank.store(NO_RANK, Ordering::Release);
+        self.rx.clear_rank_panic();
     }
 
     fn dead_rank(&self) -> Option<usize> {
-        match self.dead_rank.load(Ordering::Acquire) {
-            NO_RANK => self.dead_link().map(|(_, blame, _)| blame),
-            r => Some(r),
-        }
+        let blamed = || self.dead_link().map(|(_, blame, _)| blame);
+        self.rx.dead_rank().or_else(blamed)
     }
 
     fn peer_failure(&self) -> Option<String> {
-        if let Some((proc, blame, note)) = self.dead_link() {
-            return Some(format!(
+        match self.dead_link() {
+            Some((proc, blame, note)) => Some(format!(
                 "sock link to proc {proc} (rank {blame}) is dead: {note}"
-            ));
+            )),
+            None => self.rx.peer_failure(),
         }
-        if !self.rank_panicked.load(Ordering::Acquire) {
-            return None;
-        }
-        let who = match self.dead_rank() {
-            Some(r) => format!(" (rank {r} died)"),
-            None => String::new(),
-        };
-        Some(format!(
-            "a peer rank panicked this epoch; abandoning blocked receive{who}"
-        ))
     }
 
     fn sever_link(&self, peer_world: usize) {
@@ -710,14 +626,9 @@ impl Transport for SockTransport {
         let links: Vec<_> = self.links.iter().flatten().map(|l| l.status()).collect();
         TransportForensics {
             fabric: "sock",
-            mailbox_depths: self
-                .mailboxes
-                .iter()
-                .map(|mb| mb.queue.try_lock().map(|q| q.len()))
-                .collect(),
             outbox_depth: links.iter().map(|l| l.outbox).sum(),
-            peers: Vec::new(),
             links,
+            ..self.rx.forensics()
         }
     }
 }
@@ -811,7 +722,7 @@ fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Channel;
+    use crate::state::{Channel, WorldState};
 
     const DST: usize = 1;
 
@@ -842,7 +753,8 @@ mod tests {
 
     fn pop_expecting(chan: &Channel<u64>, case: u64, n: u64) {
         for i in 0..n {
-            let (got, _) = chan.pop_with(|| {});
+            chan.wait_nonempty(|| {});
+            let (got, _) = chan.try_pop().expect("delivered");
             assert_eq!(got, message(case, i), "case {case}, message {i}");
             chan.recycle(got);
         }
@@ -975,6 +887,62 @@ mod tests {
             assert!(failure.contains(why), "{why}: {failure}");
             assert!(t.links[1].as_ref().expect("link").st.lock().dead, "{why}");
         }
+    }
+
+    #[test]
+    fn the_receive_half_is_the_embedded_thread_transport() {
+        let bytes = |val: u64| Payload::Bytes {
+            data: val.to_le_bytes().to_vec(),
+            type_name: "u64".into(),
+        };
+        let take = |t: &SockTransport, tag: u64| {
+            let (env, _) = t.match_recv(0, 0, 1, tag, &|| {});
+            env.payload.take::<u64>().expect("u64 payload")
+        };
+        // proc 0 of a 2-process world, its link to proc 1 not yet up
+        let t = SockTransport::bind(0, 2, &auto_addr());
+        // an own-rank deposit crosses no wire ...
+        let own = Envelope {
+            ctx_id: 0,
+            src: 1,
+            tag: 5,
+            arrival: 0.0,
+            payload: bytes(11),
+        };
+        t.deposit(0, 0, own);
+        assert!(t.probe(0, 0, 1, 5));
+        assert_eq!(take(&t, 5), [11]);
+        // ... and a K_DATA frame off the wire lands in the same mailbox
+        let mut body = vec![0u8; 16]; // src 1, dst 0, arrival 0.0
+        body[0] = 1;
+        body.extend_from_slice(&encode_env_hdr(0, 1, 6, 3, 8));
+        body.extend_from_slice(b"u64");
+        body.extend_from_slice(&22u64.to_le_bytes());
+        let mut raw = connect_once(&t.listener_addr).expect("dial");
+        raw.write_all(&hello_frame(1, 0)).expect("hello");
+        raw.write_all(&encode_frame(K_DATA, 1, &body))
+            .expect("data");
+        assert_eq!(take(&t, 6), [22]);
+        assert_eq!(t.forensics().mailbox_depths, [Some(0), Some(0)]);
+
+        // the rank-death flag is the thread transport's ...
+        assert_eq!((t.peer_failure(), t.dead_rank()), (None, None));
+        t.note_rank_panic(Some(1));
+        let failure = t.peer_failure().expect("flag raised");
+        assert!(failure.contains("rank 1 died"), "{failure}");
+        assert_eq!(t.dead_rank(), Some(1));
+        // ... a dead link outranks it ...
+        t.links[1].as_ref().expect("link").fail("cable cut".into());
+        let failure = t.peer_failure().expect("dead link");
+        assert!(
+            failure.contains("sock link to proc 1 (rank 1) is dead: cable cut"),
+            "{failure}"
+        );
+        // ... and outlives the flag, which a fresh epoch clears
+        t.clear_rank_panic();
+        let failure = t.peer_failure().expect("link death is permanent");
+        assert!(failure.contains("cable cut"), "{failure}");
+        assert_eq!(t.dead_rank(), Some(1), "blamed on the dead link's rank");
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Tuning policy + the `MPISIM_TUNE_*` / `MPISIM_PROFILE_DIR` knobs.
-//!
-//! Parsing follows the contract the stall/deadline knobs established:
-//! pure parse functions unit-testable without touching process
-//! environment, and env readers that abort naming the offending token
-//! and the accepted grammar instead of silently falling back.
+//! Tuning policy, and the one thing about it the environment decides:
+//! where the persistent profile cache lives (`MPISIM_PROFILE_DIR`, a
+//! deployment setting). Everything else is the caller's: build a
+//! [`TunePolicy`] with the `with_*` methods.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -11,30 +9,27 @@ use std::sync::OnceLock;
 /// How `Backend::Tuned` spends its measurement phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunePolicy {
-    /// Total probe iterations before the winner locks in
-    /// (`MPISIM_TUNE_PROBE_ITERS`, default 12). Clamped up so every
-    /// candidate is measured at least once.
+    /// Total probe iterations before the winner locks in (default 12).
+    /// Clamped up so every candidate is measured at least once.
     pub probe_iters: usize,
     /// A candidate is probed only if the model ranks its cost within
-    /// this factor of the model's best (`MPISIM_TUNE_FACTOR`, default
-    /// 2.0, must be ≥ 1.0). 1.0 degenerates to trusting the model.
+    /// this factor of the model's best (default 2.0, must be ≥ 1.0). 1.0
+    /// degenerates to trusting the model.
     pub factor: f64,
     /// Directory of the persistent profile cache
     /// (`MPISIM_PROFILE_DIR`); `None` disables persistence.
     pub profile_dir: Option<PathBuf>,
-    /// Spot-check budget for cached winners (`MPISIM_TUNE_RECHECK`,
-    /// default 0 = trust a cached winner forever). When positive, a
-    /// profile-cache hit does not lock the winner in: the request runs
-    /// the cached winner for this many warm-up iterations, then re-runs
-    /// the normal probe schedule and re-publishes — so a winner the
-    /// fabric has drifted away from is evicted instead of trusted
-    /// forever.
+    /// Spot-check budget for cached winners (default 0 = trust a cached
+    /// winner forever). When positive, a profile-cache hit does not lock
+    /// the winner in: the request runs the cached winner for this many
+    /// warm-up iterations, then re-runs the normal probe schedule and
+    /// re-publishes — so a winner the fabric has drifted away from is
+    /// evicted instead of trusted forever.
     pub recheck_iters: usize,
-    /// The consumer's model-refit generation (`MPISIM_TUNE_FIT_VERSION`,
-    /// default 0). Cached entries measured under an older generation are
-    /// treated as misses (re-probe, re-publish at this generation):
-    /// bumping the version after a model refit evicts winners the old
-    /// model crowned.
+    /// The consumer's model-refit generation (default 0). Cached entries
+    /// measured under an older generation are treated as misses (re-probe,
+    /// re-publish at this generation): bumping the version after a model
+    /// refit evicts winners the old model crowned.
     pub fit_version: u64,
 }
 
@@ -51,39 +46,19 @@ impl Default for TunePolicy {
 }
 
 impl TunePolicy {
-    /// The process-wide policy from the environment, read once. Tests
-    /// needing a specific policy should build one programmatically (the
-    /// builder methods below) — process environment is shared state.
+    /// The default policy with the profile cache where the environment
+    /// says (`MPISIM_PROFILE_DIR`; unset = no persistence), read once. A
+    /// malformed value aborts naming the variable and the token.
     pub fn from_env() -> Self {
         static POLICY: OnceLock<TunePolicy> = OnceLock::new();
-        POLICY
-            .get_or_init(|| {
-                let mut p = TunePolicy::default();
-                if let Ok(v) = std::env::var("MPISIM_TUNE_PROBE_ITERS") {
-                    p.probe_iters = parse_probe_iters("MPISIM_TUNE_PROBE_ITERS", &v)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-                if let Ok(v) = std::env::var("MPISIM_TUNE_FACTOR") {
-                    p.factor =
-                        parse_factor("MPISIM_TUNE_FACTOR", &v).unwrap_or_else(|e| panic!("{e}"));
-                }
-                if let Ok(v) = std::env::var("MPISIM_PROFILE_DIR") {
-                    p.profile_dir = Some(
-                        parse_profile_dir("MPISIM_PROFILE_DIR", &v)
-                            .unwrap_or_else(|e| panic!("{e}")),
-                    );
-                }
-                if let Ok(v) = std::env::var("MPISIM_TUNE_RECHECK") {
-                    p.recheck_iters = parse_recheck_iters("MPISIM_TUNE_RECHECK", &v)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-                if let Ok(v) = std::env::var("MPISIM_TUNE_FIT_VERSION") {
-                    p.fit_version = parse_fit_version("MPISIM_TUNE_FIT_VERSION", &v)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                }
-                p
-            })
-            .clone()
+        const VAR: &str = "MPISIM_PROFILE_DIR";
+        let policy = POLICY.get_or_init(|| TunePolicy {
+            profile_dir: std::env::var(VAR)
+                .ok()
+                .map(|v| parse_profile_dir(VAR, &v).unwrap_or_else(|e| panic!("{e}"))),
+            ..TunePolicy::default()
+        });
+        policy.clone()
     }
 
     /// Builder: replace the probe-iteration budget.
@@ -123,64 +98,10 @@ impl TunePolicy {
     }
 }
 
-/// Parse `MPISIM_TUNE_PROBE_ITERS`: a positive iteration count.
-pub fn parse_probe_iters(var: &str, value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        Ok(_) => Err(format!(
-            "{var}={value:?}: must be a positive number of probe iterations \
-             (0 would never measure anything; unset the variable to use the \
-             default, e.g. {var}=12)"
-        )),
-        Err(_) => Err(format!(
-            "{var}={value:?}: expected a positive number of probe iterations \
-             (e.g. {var}=12)"
-        )),
-    }
-}
-
-/// Parse `MPISIM_TUNE_FACTOR`: a finite float ≥ 1.0.
-pub fn parse_factor(var: &str, value: &str) -> Result<f64, String> {
-    match value.trim().parse::<f64>() {
-        Ok(f) if f.is_finite() && f >= 1.0 => Ok(f),
-        Ok(_) => Err(format!(
-            "{var}={value:?}: must be a finite factor >= 1.0 (candidates \
-             within this multiple of the model's best cost are probed, \
-             e.g. {var}=2.0)"
-        )),
-        Err(_) => Err(format!(
-            "{var}={value:?}: expected a decimal factor >= 1.0 (e.g. {var}=2.0)"
-        )),
-    }
-}
-
-/// Parse `MPISIM_TUNE_RECHECK`: a non-negative warm-up iteration count
-/// (0 disables spot-checking — the default).
-pub fn parse_recheck_iters(var: &str, value: &str) -> Result<usize, String> {
-    value.trim().parse::<usize>().map_err(|_| {
-        format!(
-            "{var}={value:?}: expected a non-negative number of spot-check \
-             warm-up iterations (0 trusts cached winners forever, \
-             e.g. {var}=8)"
-        )
-    })
-}
-
-/// Parse `MPISIM_TUNE_FIT_VERSION`: a non-negative refit generation.
-pub fn parse_fit_version(var: &str, value: &str) -> Result<u64, String> {
-    value.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "{var}={value:?}: expected a non-negative model-refit \
-             generation number (cached winners measured under an older \
-             generation are re-probed, e.g. {var}=1)"
-        )
-    })
-}
-
 /// Parse `MPISIM_PROFILE_DIR`: a non-empty directory path. Existence is
 /// not checked here — the cache creates the directory on first write and
 /// degrades to "no cached answer" when it cannot.
-pub fn parse_profile_dir(var: &str, value: &str) -> Result<PathBuf, String> {
+fn parse_profile_dir(var: &str, value: &str) -> Result<PathBuf, String> {
     let trimmed = value.trim();
     if trimmed.is_empty() {
         return Err(format!(
@@ -197,28 +118,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_iters_grammar() {
-        assert_eq!(parse_probe_iters("V", "8"), Ok(8));
-        assert_eq!(parse_probe_iters("V", " 3 "), Ok(3));
-        let zero = parse_probe_iters("V", "0").unwrap_err();
-        assert!(zero.contains("V=\"0\""), "{zero}");
-        assert!(zero.contains("V=12"), "{zero}");
-        let junk = parse_probe_iters("V", "many").unwrap_err();
-        assert!(junk.contains("V=\"many\""), "{junk}");
-    }
-
-    #[test]
-    fn factor_grammar() {
-        assert_eq!(parse_factor("V", "1.5"), Ok(1.5));
-        assert_eq!(parse_factor("V", "1"), Ok(1.0));
-        for bad in ["0.5", "-2", "nan", "inf", "fast"] {
-            let err = parse_factor("V", bad).unwrap_err();
-            assert!(err.contains(&format!("V={bad:?}")), "{err}");
-            assert!(err.contains(">= 1.0"), "{err}");
-        }
-    }
-
-    #[test]
     fn profile_dir_grammar() {
         assert_eq!(
             parse_profile_dir("V", "/tmp/x"),
@@ -227,24 +126,6 @@ mod tests {
         let err = parse_profile_dir("V", "   ").unwrap_err();
         assert!(err.contains("directory path"), "{err}");
         assert!(err.contains("V=\"   \""), "{err}");
-    }
-
-    #[test]
-    fn recheck_grammar() {
-        assert_eq!(parse_recheck_iters("V", "0"), Ok(0));
-        assert_eq!(parse_recheck_iters("V", " 8 "), Ok(8));
-        let err = parse_recheck_iters("V", "forever").unwrap_err();
-        assert!(err.contains("V=\"forever\""), "{err}");
-        assert!(err.contains("V=8"), "{err}");
-    }
-
-    #[test]
-    fn fit_version_grammar() {
-        assert_eq!(parse_fit_version("V", "0"), Ok(0));
-        assert_eq!(parse_fit_version("V", "3"), Ok(3));
-        let err = parse_fit_version("V", "-1").unwrap_err();
-        assert!(err.contains("V=\"-1\""), "{err}");
-        assert!(err.contains("generation"), "{err}");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! * [`TunePolicy`] — how many probe iterations to spend, how close to
 //!   the model's best a candidate must rank to be probed at all, and
-//!   where (if anywhere) the persistent profile cache lives. Defaults
-//!   come from the `MPISIM_TUNE_*` / `MPISIM_PROFILE_DIR` environment
-//!   knobs with the same abort-naming-the-token contract as the
-//!   `MPISIM_STALL_MS` family.
+//!   where (if anywhere) the persistent profile cache lives. Built by
+//!   the caller; the environment contributes only the cache directory
+//!   (`MPISIM_PROFILE_DIR`), under the same abort-naming-the-token
+//!   contract as the `MPISIM_STALL_MS` family.
 //! * [`ProbeSchedule`] — the round-robin measurement plan: which
 //!   candidate runs on which iteration, the recorded samples, and the
 //!   median-based winner once every probe is in.
@@ -32,10 +32,7 @@ mod profile;
 mod refit;
 mod schedule;
 
-pub use env::{
-    parse_factor, parse_fit_version, parse_probe_iters, parse_profile_dir, parse_recheck_iters,
-    TunePolicy,
-};
+pub use env::TunePolicy;
 pub use profile::{size_bucket, ProfileCache, ProfileEntry, ProfileKey, PROFILE_VERSION};
 pub use refit::{
     clear_observations, fitted_params, observation_count, record_observation, refit_report,
