@@ -1,6 +1,7 @@
-# Developer entry points. `make tier1` mirrors the CI verify exactly.
+# Developer entry points. `make tier1` mirrors the CI verify exactly;
+# `perfbench-quick` is the only target that runs a benchmark.
 
-.PHONY: tier1 build test test-all test-chaos test-shm test-sock test-tuner test-serve fmt clippy lint bench bench-steady bench-smoke bench-baseline bench-check bench-transport bench-service perfbench-quick
+.PHONY: tier1 build test test-all test-chaos test-shm test-sock test-tuner test-serve fmt clippy lint figures-smoke perfbench-quick
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -64,39 +65,14 @@ lint: clippy
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
 		echo "error: mpisim touches std::env outside crates/mpisim/src/env.rs"; exit 1; fi
 
-bench:
-	cargo bench -p bench_suite --bench protocols
-
-# just the allocation-sensitive steady-state group: ≥100 start_wait
-# iterations per sample on one warm pooled world
-bench-steady:
-	cargo bench -p bench_suite --bench protocols -- steady_state
-
-# the steady_state_8proc deployment pair: the same steady-state exchange
-# with ranks as 8 real OS processes on the /dev/shm fabric vs one pooled
-# thread world, then the process/thread ratio report (REPORT-only — see
-# scripts/bench_compare --transport; no committed baseline because
-# multi-process timings are machine-sensitive)
-bench-transport:
-	BENCH_JSON=/tmp/BENCH_transport.json cargo bench -p bench_suite --bench transport
-	scripts/bench_compare /tmp/BENCH_transport.json
-
-# the multi-tenant throughput pair: twenty-four jobs batched into one
-# epoch vs the same jobs run epoch-per-job on the same warm pool, then
-# the jobs/sec gate (scripts/bench_compare --service: concurrent must
-# clear 1.2x sequential)
-bench-service:
-	BENCH_JSON=/tmp/BENCH_service.json cargo bench -p bench_suite --bench service
-	scripts/bench_compare /tmp/BENCH_service.json
-
-# compile and execute every bench binary once (criterion --test smoke
-# mode) — including the pooled steady-state group, the
-# batch_init_256ranks batch-vs-per-pattern pair, the overlap_32ranks
-# wait_any-vs-wait_all lifecycle pair, and the steady_state_8proc
-# thread-vs-process pair (which spawns 8 real worker processes); run on
-# every PR by CI so benches cannot rot
-bench-smoke:
-	cargo bench -p bench_suite --benches -- --test
+# build every paper-figure binary (crates/bench/src/bin) in release and
+# run two of them once, output discarded: the modeled fig07_crossover at
+# paper scale and the wall-clock planner_scale at 256 ranks — run on every
+# PR by CI so the figure binaries cannot rot
+figures-smoke:
+	cargo build --release -p bench_suite --bins
+	cargo run --release -p bench_suite --bin fig07_crossover > /dev/null
+	cargo run --release -p bench_suite --bin planner_scale > /dev/null
 
 # the repo's benchmark (BENCHMARK.json's command; perfbench/README.md) at
 # 1/20 of its run length: builds the separate perfbench package against
@@ -105,21 +81,3 @@ bench-smoke:
 # with no MPISIM_* variable set.
 perfbench-quick:
 	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --quick
-
-# refresh the committed wall-clock baseline: the protocols bench plus the
-# steady_state_8proc deployment group (each bench binary overwrites
-# BENCH_JSON wholesale, so each runs into its own file and the results
-# merge)
-bench-baseline:
-	BENCH_JSON=/tmp/BENCH_protocols.part.json cargo bench -p bench_suite --bench protocols
-	BENCH_JSON=/tmp/BENCH_transport.part.json cargo bench -p bench_suite --bench transport
-	scripts/bench_merge /tmp/BENCH_protocols.part.json /tmp/BENCH_transport.part.json > $(CURDIR)/BENCH_protocols.json
-
-# full protocols + transport benches vs the committed baseline; fails on
-# >10% median regressions (scripts/bench_compare) — except the deployment
-# groups, whose multi-process medians are load-sensitive and report-only
-bench-check:
-	BENCH_JSON=/tmp/BENCH_protocols.new.part.json cargo bench -p bench_suite --bench protocols
-	BENCH_JSON=/tmp/BENCH_transport.new.part.json cargo bench -p bench_suite --bench transport
-	scripts/bench_merge /tmp/BENCH_protocols.new.part.json /tmp/BENCH_transport.new.part.json > /tmp/BENCH_protocols.new.json
-	scripts/bench_compare $(CURDIR)/BENCH_protocols.json /tmp/BENCH_protocols.new.json

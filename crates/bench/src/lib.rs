@@ -1,9 +1,10 @@
 //! Figure-regeneration harness.
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4); this
-//! library holds the shared workload construction and evaluation helpers.
-//! All binaries print CSV-style rows plus a comparison against the paper's
-//! reported numbers, and are collected in EXPERIMENTS.md.
+//! One binary per table/figure of the paper (`src/bin/`; DESIGN.md §1);
+//! this library holds the shared workload construction and evaluation
+//! helpers. The figure binaries print CSV-style rows plus a comparison
+//! against the paper's reported numbers; `planner_scale` prints wall-clock
+//! rows instead. Measured performance is `perfbench/`'s job.
 
 pub mod figures;
 pub mod workload;

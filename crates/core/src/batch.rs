@@ -76,7 +76,7 @@
 //! retire entries in **delivery order**.
 
 use crate::agg::AssignStrategy;
-use crate::collective::select::{candidates_within, choose_with};
+use crate::collective::select::{candidates_within, choose_with, CANDIDATES};
 use crate::collective::Protocol;
 use crate::exec::NeighborExec;
 use crate::neighbor::{Backend, NeighborRequest};
@@ -443,13 +443,13 @@ impl<'a> NeighborBatch<'a> {
                 }
                 Backend::Auto => {
                     let (p, plan, _) =
-                        choose_with(&Protocol::ALL, e.pattern, self.topo, model, e.strategy);
+                        choose_with(&CANDIDATES, e.pattern, self.topo, model, e.strategy);
                     (vec![(p, plan)], false)
                 }
                 Backend::Tuned => {
                     let pol = policy.as_ref().expect("policy exists for tuned entries");
                     let cands: Vec<(Protocol, Plan)> = candidates_within(
-                        &Protocol::ALL,
+                        &CANDIDATES,
                         e.pattern,
                         self.topo,
                         model,
@@ -835,6 +835,27 @@ mod tests {
         for w in bases.windows(2) {
             assert_eq!(w[1] - w[0], tagspace::SPAN, "contiguous per-entry spans");
         }
+    }
+
+    #[test]
+    fn a_permissive_tuned_entry_expands_to_one_slot_per_distinct_plan() {
+        // the two standard protocols share one plan: admitting everything
+        // must lay out (and later probe) that traffic once, not twice
+        let (a, b, topo) = patterns();
+        let batch = NeighborBatch::new(&topo)
+            .entry(&a, Backend::Tuned)
+            .entry(&b, Backend::Auto)
+            .entry(&b, Backend::Tuned)
+            .tune_policy(TunePolicy::default().with_factor(1.0e12));
+        let resolved = batch.resolved();
+        let starts: Vec<usize> = resolved.expanded.iter().map(|e| e.start).collect();
+        assert_eq!(starts, [0, 3, 4]);
+        for e in [&resolved.expanded[0], &resolved.expanded[2]] {
+            let probed = &e.tuned.as_ref().unwrap().candidates;
+            assert_eq!(probed.len(), 3);
+            assert!(probed.iter().all(|c| c.0 != Protocol::StandardNeighbor));
+        }
+        assert!(resolved.routings.iter().all(|br| br.entries.len() == 7));
     }
 
     #[test]

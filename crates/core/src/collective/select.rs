@@ -15,6 +15,17 @@ use crate::pattern::CommPattern;
 use locality::Topology;
 use perfmodel::CostModel;
 
+/// What selection ranks: one protocol per distinct plan.
+/// `StandardNeighbor` builds `StandardHypre`'s plan and the model adds
+/// `C_WRAPPER` ≥ 0 on top, so it can tie but never win (the sort is
+/// stable); ranking it too would plan, cost — and, under
+/// `Backend::Tuned`, route, tag and probe — the same traffic twice.
+pub(crate) const CANDIDATES: [Protocol; 3] = [
+    Protocol::StandardHypre,
+    Protocol::PartialNeighbor,
+    Protocol::FullNeighbor,
+];
+
 /// Plan every candidate with `strategy` and rank them by modeled
 /// per-iteration time, cheapest first. The sort is stable, so equal-cost
 /// candidates keep the caller's order.
@@ -69,39 +80,20 @@ pub fn choose_among(
     (p, t)
 }
 
-/// Pick among all four protocols (load-balanced assignment, the default
-/// strategy of the request builders).
+/// Pick among the protocols with distinct plans (load-balanced
+/// assignment, the default strategy of the request builders).
 pub fn choose_protocol(
     pattern: &CommPattern,
     topo: &Topology,
     model: &dyn CostModel,
 ) -> (Protocol, f64) {
     choose_among(
-        &Protocol::ALL,
+        &CANDIDATES,
         pattern,
         topo,
         model,
         AssignStrategy::LoadBalanced,
     )
-}
-
-/// Per-level best-of time used by the paper's scaling studies: the minimum
-/// of the standard protocol and `optimized` on this pattern.
-pub fn best_of_with_standard(
-    optimized: Protocol,
-    pattern: &CommPattern,
-    topo: &Topology,
-    model: &dyn CostModel,
-    strategy: AssignStrategy,
-) -> f64 {
-    choose_among(
-        &[Protocol::StandardHypre, optimized],
-        pattern,
-        topo,
-        model,
-        strategy,
-    )
-    .1
 }
 
 /// Model-ranked probe candidates for `Backend::Tuned`: every protocol in
@@ -172,25 +164,29 @@ mod tests {
     }
 
     #[test]
-    fn best_of_never_worse_than_standard() {
-        let pattern = CommPattern::example_2_1();
-        let topo = Topology::block_nodes(8, 4);
-        let model = LocalityModel::lassen();
-        let std_t = iteration_time(
-            &Protocol::StandardHypre.plan(&pattern, &topo),
-            &topo,
-            &model,
-            false,
-        )
-        .total;
-        let best = best_of_with_standard(
-            Protocol::FullNeighbor,
-            &pattern,
-            &topo,
-            &model,
-            AssignStrategy::LoadBalanced,
-        );
-        assert!(best <= std_t + 1e-15);
+    fn ranking_distinct_plans_picks_what_ranking_all_four_picks() {
+        use perfmodel::PostalModel;
+        let topo8 = Topology::block_nodes(8, 4);
+        let topo16 = Topology::block_nodes(16, 4);
+        let cases = [
+            (CommPattern::example_2_1(), &topo8),
+            (CommPattern::all_to_all_regions(&topo16), &topo16),
+        ];
+        // tests/tuner.rs's latency-dominated truth and its messages-are-free lie
+        let models: [&dyn CostModel; 3] = [
+            &LocalityModel::lassen(),
+            &PostalModel::new(5.0e-6, 2.0e-9),
+            &PostalModel::new(1.0e-12, 2.0e-9),
+        ];
+        for (pattern, topo) in &cases {
+            for model in models {
+                for strategy in [AssignStrategy::RoundRobin, AssignStrategy::LoadBalanced] {
+                    let (p3, _, t3) = choose_with(&CANDIDATES, pattern, topo, model, strategy);
+                    let (p4, _, t4) = choose_with(&Protocol::ALL, pattern, topo, model, strategy);
+                    assert_eq!((p3, t3.to_bits()), (p4, t4.to_bits()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -220,12 +220,7 @@ impl TunedNeighbor {
     fn decide(&mut self, ctx: &mut RankCtx) {
         let mut medians = self.schedule.medians();
         allreduce_max(ctx, &self.comm, self.ctl_base, &mut medians);
-        let mut winner = 0;
-        for (i, &m) in medians.iter().enumerate().skip(1) {
-            if m < medians[winner] {
-                winner = i;
-            }
-        }
+        let winner = ProbeSchedule::argmin(&medians);
         self.active = winner;
         self.decided = true;
         for (i, c) in self.candidates.iter_mut().enumerate() {

@@ -81,6 +81,79 @@ impl FittedParams {
     }
 }
 
+/// The normal equations' five running sums and the observation count:
+/// everything [`fit_postal`] keeps of its input, so a long-lived pool of
+/// observations is this fixed-size value, not a list.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FitSums {
+    smm: f64,
+    smb: f64,
+    sbb: f64,
+    smt: f64,
+    sbt: f64,
+    n_obs: usize,
+}
+
+impl FitSums {
+    /// No observations yet.
+    pub const fn new() -> Self {
+        FitSums {
+            smm: 0.0,
+            smb: 0.0,
+            sbb: 0.0,
+            smt: 0.0,
+            sbt: 0.0,
+            n_obs: 0,
+        }
+    }
+
+    /// Observations accumulated so far.
+    pub fn n_obs(&self) -> usize {
+        self.n_obs
+    }
+
+    /// Accumulate one observation. The caller vouches that all three
+    /// fields are finite ([`fit_postal`] checks; a non-finite term would
+    /// poison every later solve).
+    pub fn add(&mut self, o: &FitObs) {
+        self.smm += o.msgs * o.msgs;
+        self.smb += o.msgs * o.bytes;
+        self.sbb += o.bytes * o.bytes;
+        self.smt += o.msgs * o.secs;
+        self.sbt += o.bytes * o.secs;
+        self.n_obs += 1;
+    }
+
+    /// Solve the 2×2 system; `None` under the conditions [`fit_postal`]
+    /// documents.
+    pub fn solve(&self) -> Option<FittedParams> {
+        if self.n_obs < 2 {
+            return None;
+        }
+        let FitSums {
+            smm,
+            smb,
+            sbb,
+            smt,
+            sbt,
+            n_obs,
+        } = *self;
+        let det = smm * sbb - smb * smb;
+        // Relative singularity test: det is a difference of same-magnitude
+        // products, so compare against their scale, not an absolute epsilon.
+        if det.abs() <= 1e-12 * smm.max(sbb).powi(2).max(f64::MIN_POSITIVE) {
+            return None;
+        }
+        let alpha = (smt * sbb - sbt * smb) / det;
+        let beta = (sbt * smm - smt * smb) / det;
+        Some(FittedParams {
+            alpha: alpha.max(0.0),
+            beta: beta.max(0.0),
+            n_obs,
+        })
+    }
+}
+
 /// Least-squares fit of `t ≈ α·m + β·b` over the observations.
 ///
 /// Returns `None` when the system is degenerate: fewer than two
@@ -90,33 +163,14 @@ impl FittedParams {
 /// latency or bandwidth term is nonphysical and would invert protocol
 /// rankings downstream.
 pub fn fit_postal(obs: &[FitObs]) -> Option<FittedParams> {
-    if obs.len() < 2 {
-        return None;
-    }
-    let (mut smm, mut smb, mut sbb, mut smt, mut sbt) = (0.0, 0.0, 0.0, 0.0, 0.0);
+    let mut sums = FitSums::new();
     for o in obs {
         if !(o.msgs.is_finite() && o.bytes.is_finite() && o.secs.is_finite()) {
             return None;
         }
-        smm += o.msgs * o.msgs;
-        smb += o.msgs * o.bytes;
-        sbb += o.bytes * o.bytes;
-        smt += o.msgs * o.secs;
-        sbt += o.bytes * o.secs;
+        sums.add(o);
     }
-    let det = smm * sbb - smb * smb;
-    // Relative singularity test: det is a difference of same-magnitude
-    // products, so compare against their scale, not an absolute epsilon.
-    if det.abs() <= 1e-12 * smm.max(sbb).powi(2).max(f64::MIN_POSITIVE) {
-        return None;
-    }
-    let alpha = (smt * sbb - sbt * smb) / det;
-    let beta = (sbt * smm - smt * smb) / det;
-    Some(FittedParams {
-        alpha: alpha.max(0.0),
-        beta: beta.max(0.0),
-        n_obs: obs.len(),
-    })
+    sums.solve()
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub mod models;
 pub mod params;
 pub mod phase;
 
-pub use fit::{fit_postal, FitObs, FittedParams};
+pub use fit::{fit_postal, FitObs, FitSums, FittedParams};
 pub use models::{CostModel, LocalityModel, MaxRateModel, PostalModel};
 pub use params::ClassParams;
 pub use phase::{Msg, PhaseCost, PhaseEval};

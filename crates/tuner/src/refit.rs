@@ -14,9 +14,12 @@
 //! parameters build a model from [`fitted_params`] explicitly.
 
 use parking_lot::Mutex;
-use perfmodel::{fit_postal, ClassParams, FitObs, FittedParams};
+use perfmodel::{ClassParams, FitObs, FitSums, FittedParams};
 
-static OBSERVATIONS: Mutex<Vec<FitObs>> = Mutex::new(Vec::new());
+/// The pool keeps the fit's running sums, not the observations: every
+/// probe iteration of every tuned request on every rank lands here for
+/// the life of the process, so its size must not depend on their number.
+static OBSERVATIONS: Mutex<FitSums> = Mutex::new(FitSums::new());
 
 /// Record one measured iteration: `msgs`/`bytes` from the plan's static
 /// stats, `secs` from the probe timer. Non-finite or non-positive
@@ -24,25 +27,24 @@ static OBSERVATIONS: Mutex<Vec<FitObs>> = Mutex::new(Vec::new());
 /// has nothing to teach the fit).
 pub fn record_observation(msgs: f64, bytes: f64, secs: f64) {
     if secs.is_finite() && secs > 0.0 && msgs.is_finite() && bytes.is_finite() {
-        OBSERVATIONS.lock().push(FitObs { msgs, bytes, secs });
+        OBSERVATIONS.lock().add(&FitObs { msgs, bytes, secs });
     }
 }
 
 /// Observations recorded so far, process-wide.
 pub fn observation_count() -> usize {
-    OBSERVATIONS.lock().len()
+    OBSERVATIONS.lock().n_obs()
 }
 
 /// Drop all recorded observations (test isolation).
 pub fn clear_observations() {
-    OBSERVATIONS.lock().clear();
+    *OBSERVATIONS.lock() = FitSums::new();
 }
 
 /// Least-squares postal parameters over everything recorded so far, or
 /// `None` while the pool is too thin or degenerate to fit.
 pub fn fitted_params() -> Option<FittedParams> {
-    let obs = OBSERVATIONS.lock();
-    fit_postal(&obs)
+    OBSERVATIONS.lock().solve()
 }
 
 /// The fitted-vs-default report (DESIGN.md §11): what the measurements
@@ -80,7 +82,23 @@ mod tests {
         let f = fitted_params().expect("well-conditioned");
         assert!((f.alpha - 2.0e-6).abs() < 1e-12, "alpha={}", f.alpha);
         assert!((f.beta - 2.0e-10).abs() < 1e-16, "beta={}", f.beta);
+        // bit-for-bit what fitting the stored observations gave before the
+        // pool kept sums: same terms, same summation order
+        assert_eq!(f.alpha.to_bits(), 0x3ec0_c6f7_a0b5_ed8d);
+        assert_eq!(f.beta.to_bits(), 0x3deb_7cdf_d9d7_bdbc);
+        assert_eq!(f.n_obs, 3);
         assert!(refit_report(&d).contains("2.00x default"));
+
+        // the pool is a fixed-size value (`Copy` rules out any owned
+        // per-observation storage), however many observations it absorbs
+        fn fixed_size<T: Copy>(_: &T) -> usize {
+            std::mem::size_of::<T>()
+        }
+        assert_eq!(fixed_size(&*OBSERVATIONS.lock()), 48);
+        for i in 0..100_000 {
+            record_observation(1.0 + (i % 7) as f64, 64.0 * (1 + i % 5) as f64, 1.0e-6);
+        }
+        assert_eq!(observation_count(), 100_003);
 
         clear_observations();
         assert_eq!(observation_count(), 0);

@@ -65,20 +65,32 @@ impl ProbeSchedule {
         self.samples.iter().map(Vec::len).min().unwrap_or(0)
     }
 
-    /// Index of the winning candidate: lowest median, ties broken toward
-    /// the lowest index (candidates arrive model-ranked, so a tie falls
-    /// back to the model's preference).
+    /// Index of the winning candidate: [`ProbeSchedule::argmin`] of this
+    /// rank's medians.
     pub fn winner(&self) -> usize {
-        let medians = self.medians();
+        Self::argmin(&self.medians())
+    }
+
+    /// Index of the lowest median, ties broken toward the lowest index
+    /// (candidates arrive model-ranked, so a tie falls back to the
+    /// model's preference). A later candidate must win by more than
+    /// [`TIE_MARGIN`]: medians are differences of clock readings, and on a
+    /// virtual clock two candidates with identical traffic differ by a
+    /// rounding ulp that depends on where on the clock each was probed.
+    pub fn argmin(medians: &[f64]) -> usize {
         let mut best = 0;
         for (i, &m) in medians.iter().enumerate().skip(1) {
-            if m < medians[best] {
+            if m < medians[best] * (1.0 - TIE_MARGIN) {
                 best = i;
             }
         }
         best
     }
 }
+
+/// Relative margin below which two medians are a tie — far under any
+/// real clock's resolution against an iteration's length.
+const TIE_MARGIN: f64 = 1e-9;
 
 fn median(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -145,6 +157,12 @@ mod tests {
         s.record(0, 4.0);
         s.record(1, 4.0);
         assert_eq!(s.winner(), 0);
+        // the same virtual-clock interval read at two clock offsets
+        assert_eq!(
+            ProbeSchedule::argmin(&[6.0e-5, 3.564000000000003e-5, 3.564000000000002e-5]),
+            1
+        );
+        assert_eq!(ProbeSchedule::argmin(&[f64::INFINITY, 2.0, 1.9]), 2);
     }
 
     #[test]
