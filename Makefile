@@ -58,12 +58,22 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, and the one-file rule for configuration: mpisim reads
-# the process environment in env.rs only (DESIGN.md §9)
+# clippy, formatting, and two one-file rules. Configuration: mpisim reads
+# the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
+# woken through its park point only (DESIGN.md §7), so no file of mpisim
+# issues a condvar notify or a futex wake but the two park-point files
+# (thread.rs; shm/segment.rs, which is also the shm control plane) and
+# what wakes something other than a rank — the sock link threads
+# (sock/link.rs), the sock control inbox (sock/control.rs), the pool's
+# epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`)
+WAKE_FILES := runtime|transport/thread|transport/shm/segment|transport/sock/link|transport/sock/control
 lint: clippy
 	cargo fmt --all --check
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
 		echo "error: mpisim touches std::env outside crates/mpisim/src/env.rs"; exit 1; fi
+	@if grep -rnE 'notify_all|notify_one|futex::wake_all' crates/mpisim/src --include='*.rs' \
+		| grep -vE '^crates/mpisim/src/($(WAKE_FILES))\.rs:' | grep -v 'outbox\.cv\.'; then \
+		echo "error: mpisim wakes a thread outside a park point (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run two of them once, output discarded: the modeled fig07_crossover at

@@ -29,11 +29,6 @@ impl DistLevel {
         self.pkgs.iter().map(|p| p.sends.len()).max().unwrap_or(0)
     }
 
-    /// Max over ranks of values sent.
-    pub fn max_send_values(&self) -> usize {
-        self.pkgs.iter().map(CommPkg::send_size).max().unwrap_or(0)
-    }
-
     /// Number of ranks owning at least one row.
     pub fn active_ranks(&self) -> usize {
         self.part.active_ranks().count()

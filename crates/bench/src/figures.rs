@@ -5,7 +5,7 @@ use amg::Hierarchy;
 use locality::Topology;
 use mpi_advance::analytic::{graph_creation_time, init_time, iteration_time};
 use mpi_advance::collective::select::choose_among;
-use mpi_advance::{AssignStrategy, CommPattern, PlanStats, Protocol};
+use mpi_advance::{AssignStrategy, PlanStats, Protocol};
 use perfmodel::LocalityModel;
 
 /// The model every figure uses (Lassen-like, see `perfmodel::params`).
@@ -123,16 +123,6 @@ pub fn build_levels(h: &Hierarchy, n_ranks: usize) -> (Vec<LevelPattern>, Topolo
         level_patterns(h, n_ranks),
         crate::workload::paper_topology(n_ranks),
     )
-}
-
-/// Markdown/CSV row printing helper: pad-free comma-separated values.
-pub fn print_csv_row(cols: &[String]) {
-    println!("{}", cols.join(","));
-}
-
-/// Empty-pattern guard: levels whose pattern has no traffic contribute 0.
-pub fn has_traffic(p: &CommPattern) -> bool {
-    p.total_msgs() > 0
 }
 
 #[cfg(test)]

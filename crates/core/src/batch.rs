@@ -321,20 +321,15 @@ impl<'a> NeighborBatch<'a> {
                         match consults.iter().find(|(f, _)| f == fabric) {
                             Some(&(_, w)) => w,
                             None => {
-                                // unreadable/corrupt/missing cache, a winner
-                                // outside today's shortlist (admission
-                                // factor changed), or an entry measured
-                                // under an older model-refit generation
-                                // (policy.fit_version moved on) → probe
+                                // unreadable/corrupt/missing cache, or a
+                                // winner outside today's shortlist
+                                // (admission factor changed) → probe
                                 let w = cache.as_ref().and_then(|(cache, key)| {
-                                    cache
-                                        .lookup(key)
-                                        .filter(|e| e.fit_ver >= tr.policy.fit_version)
-                                        .and_then(|e| {
-                                            tr.candidates
-                                                .iter()
-                                                .position(|(p, _, _)| p.name() == e.winner)
-                                        })
+                                    cache.lookup(key).and_then(|e| {
+                                        tr.candidates
+                                            .iter()
+                                            .position(|(p, _, _)| p.name() == e.winner)
+                                    })
                                 });
                                 consults.push((fabric.to_string(), w));
                                 w
@@ -345,16 +340,9 @@ impl<'a> NeighborBatch<'a> {
                         // warm start: the cache already knows the winner —
                         // register only its channels and skip the probe
                         // phase entirely
-                        Some(w) if tr.policy.recheck_iters == 0 => {
-                            Box::new(init_slot(ex.start + w, tr.candidates[w].0))
-                        }
-                        // no usable cached winner → full probe; a cached
-                        // winner under a positive spot-check budget
-                        // (`recheck_iters`) → warm-start the tuned request:
-                        // run the winner for the warm-up window, then
-                        // re-probe and re-publish, so a stale winner is
-                        // evicted instead of trusted forever
-                        warm => {
+                        Some(w) => Box::new(init_slot(ex.start + w, tr.candidates[w].0)),
+                        // no usable cached winner → full probe
+                        None => {
                             let candidates: Vec<TunedCandidate> = tr
                                 .candidates
                                 .iter()
@@ -366,22 +354,14 @@ impl<'a> NeighborBatch<'a> {
                                     bytes,
                                 })
                                 .collect();
-                            let publish = cache.map(|(cache, key)| PublishSpec {
-                                cache,
-                                key,
-                                fit_ver: tr.policy.fit_version,
-                            });
-                            let tuned = TunedNeighbor::new(
+                            let publish = cache.map(|(cache, key)| PublishSpec { cache, key });
+                            Box::new(TunedNeighbor::new(
                                 candidates,
                                 tr.policy.probe_iters,
                                 tr.ctl_base,
                                 comm.clone(),
                                 publish,
-                            );
-                            Box::new(match warm {
-                                Some(w) => tuned.warm_start(w, tr.policy.recheck_iters),
-                                None => tuned,
-                            })
+                            ))
                         }
                     }
                 })

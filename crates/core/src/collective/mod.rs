@@ -45,12 +45,6 @@ impl Protocol {
         }
     }
 
-    /// Inverse of [`Protocol::name`]; `None` for anything else (e.g. a
-    /// cache entry written by a build with different protocols).
-    pub fn from_name(name: &str) -> Option<Protocol> {
-        Protocol::ALL.into_iter().find(|p| p.name() == name)
-    }
-
     /// The label used in the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {

@@ -14,7 +14,7 @@
 //! inter-region (`g`) step has two wires ([`Wire`]), matched only where
 //! they genuinely differ — registration, shipping at `start` (including
 //! what an arriving staging message triggers), draining in `test`, the
-//! r-forward lookup, and which channel(s) a pending g receive parks on:
+//! r-forward lookup, and which channel(s) a pending g receive waits on:
 //!
 //! * **plain** — each g message is one persistent send over its window of
 //!   the request's arena, shipped once staging completes;
@@ -339,16 +339,6 @@ impl Wire {
             Wire::Partitioned { recvs, .. } => recvs[i].req.pending_chan_ids(out),
         }
     }
-
-    /// Block until g receive `i` has a delivered message (a partitioned
-    /// receive parks on its first unarrived partition), without consuming
-    /// it.
-    fn wait_ready(&self, i: usize, ctx: &RankCtx) {
-        match self {
-            Wire::Plain { recvs, .. } => recvs[i].req.wait_ready(ctx),
-            Wire::Partitioned { recvs, .. } => recvs[i].req.wait_ready(ctx),
-        }
-    }
 }
 
 /// The persistent neighborhood collective of one rank, on either wire.
@@ -442,26 +432,6 @@ impl NeighborExec {
             r_recvs,
             protocol,
             _lease: lease,
-        }
-    }
-
-    /// Block until the first still-pending receive of the current phase
-    /// has a delivered message (without consuming it). No-op if nothing is
-    /// pending — the next `test` then advances a phase or completes.
-    fn park_on_necessary(&self, ctx: &RankCtx) {
-        fn pending<'a>(recvs: &'a [RecvExec], done: &[bool]) -> Option<&'a RecvExec> {
-            recvs.iter().zip(done).find_map(|(r, &d)| (!d).then_some(r))
-        }
-        if let Some(recv) = pending(&self.local_recvs, &self.local_done) {
-            recv.req.wait_ready(ctx);
-        } else if let Some(i) = self.g_done.iter().position(|&d| !d) {
-            self.wire.wait_ready(i, ctx);
-        } else if let Some(recv) = self
-            .r_started
-            .then(|| pending(&self.r_recvs, &self.r_done))
-            .flatten()
-        {
-            recv.req.wait_ready(ctx);
         }
     }
 }
@@ -690,20 +660,6 @@ impl NeighborRequest for NeighborExec {
                     out.push(recv.req.chan_id());
                 }
             }
-        }
-    }
-
-    /// `MPI_Wait`: complete the iteration, writing ghost values into
-    /// `output` (aligned with `output_index()`). Loops `test` — so
-    /// payloads drain in delivery order — parking (bounded spin, then
-    /// futex park) on **one necessary channel** between rounds: `wait`
-    /// must complete *every* receive, so blocking on the first pending one
-    /// never waits for anything the iteration does not need, and it skips
-    /// the set-attach machinery [`crate::BatchRequest::wait_any`] pays for
-    /// genuine any-of-N completion.
-    fn wait(&mut self, ctx: &mut RankCtx, output: &mut [f64]) {
-        while !self.test(ctx, output) {
-            self.park_on_necessary(ctx);
         }
     }
 

@@ -120,9 +120,6 @@ pub(crate) struct TunedCandidate {
 pub(crate) struct PublishSpec {
     pub(crate) cache: ProfileCache,
     pub(crate) key: ProfileKey,
-    /// Refit generation stamped onto the published entry
-    /// (`TunePolicy::fit_version`).
-    pub(crate) fit_ver: u64,
 }
 
 /// The measured-selection request behind [`crate::Backend::Tuned`]. See
@@ -144,13 +141,6 @@ pub(crate) struct TunedNeighbor {
     ctl_base: u64,
     comm: Comm,
     publish: Option<PublishSpec>,
-    /// Remaining spot-check warm-up iterations: the cached winner runs
-    /// untimed for this many iterations before the probe schedule
-    /// re-measures every candidate (see `TunePolicy::recheck_iters`).
-    warm_left: usize,
-    /// A warm-up iteration is in flight (its completing `test` must
-    /// decrement `warm_left`, not close a probe timing).
-    warm_iter: bool,
 }
 
 impl TunedNeighbor {
@@ -182,22 +172,7 @@ impl TunedNeighbor {
             ctl_base,
             comm,
             publish,
-            warm_left: 0,
-            warm_iter: false,
         }
-    }
-
-    /// Spot-check mode for a profile-cache hit: run cached `winner` for
-    /// `iters` warm-up iterations (untimed — the early iterations of the
-    /// solve see the cached answer, not a probe), then fall into the
-    /// normal probe schedule, re-decide, and re-publish. The re-published
-    /// entry carries at least as many probes as the original, so the
-    /// cache's merge rule lets it replace a stale winner.
-    pub(crate) fn warm_start(mut self, winner: usize, iters: usize) -> Self {
-        assert!(winner < self.candidates.len(), "warm winner out of range");
-        self.active = winner;
-        self.warm_left = iters;
-        self
     }
 
     fn active_req(&self) -> &NeighborExec {
@@ -240,7 +215,6 @@ impl TunedNeighbor {
                         .zip(&medians)
                         .map(|(c, &m)| (c.protocol.name().to_string(), m))
                         .collect(),
-                    fit_ver: p.fit_ver,
                 };
                 // best-effort by design: a read-only cache directory must
                 // cost a repeat probe elsewhere, never abort a solve
@@ -261,17 +235,12 @@ impl NeighborRequest for TunedNeighbor {
 
     fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
         if !self.decided {
-            if self.warm_left > 0 {
-                // spot-check warm-up: the cached winner runs untimed
-                self.warm_iter = true;
-            } else {
-                match self.schedule.candidate_for(self.iter) {
-                    Some(c) => {
-                        self.active = c;
-                        self.probe = Some((c, Stamp::now(ctx)));
-                    }
-                    None => self.decide(ctx),
+            match self.schedule.candidate_for(self.iter) {
+                Some(c) => {
+                    self.active = c;
+                    self.probe = Some((c, Stamp::now(ctx)));
                 }
+                None => self.decide(ctx),
             }
         }
         self.active_req_mut().start(ctx, input);
@@ -280,10 +249,7 @@ impl NeighborRequest for TunedNeighbor {
     fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
         let done = self.active_req_mut().test(ctx, output);
         if done {
-            if self.warm_iter {
-                self.warm_iter = false;
-                self.warm_left -= 1;
-            } else if let Some((c, t0)) = self.probe.take() {
+            if let Some((c, t0)) = self.probe.take() {
                 // first completing test of a probed iteration: close the timing
                 let secs = t0.elapsed(ctx);
                 self.schedule.record(c, secs);

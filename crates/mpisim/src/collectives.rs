@@ -21,13 +21,6 @@ pub fn op_sum_u64(acc: &mut u64, x: &u64) {
     *acc += *x;
 }
 
-/// Max for numeric reductions.
-pub fn op_max_f64(acc: &mut f64, x: &f64) {
-    if *x > *acc {
-        *acc = *x;
-    }
-}
-
 /// Max for counters.
 pub fn op_max_u64(acc: &mut u64, x: &u64) {
     if *x > *acc {

@@ -119,17 +119,24 @@ impl RankCtx {
     }
 
     /// Block until **some** channel of the set has a message and return its
-    /// index. Yield-spins briefly, then futex-parks on the whole set (one
-    /// park point, woken by whichever deposit lands first) — so a caller
-    /// looping `wait_any` completes receives in **delivery order**, not the
-    /// order the channels were registered in. Panics via the stall probe if
-    /// a peer rank died this epoch.
+    /// index. Yield-spins briefly, then sleeps on this rank's park point
+    /// (woken by whichever deposit lands first) — so a caller looping
+    /// `wait_any` completes receives in **delivery order**, not the order
+    /// the channels were registered in. Panics via the stall probe if a
+    /// peer rank died this epoch.
     ///
     /// The arrival is only *observed*, never consumed: take it off with the
     /// owning receive half (e.g. [`crate::RecvChan::try_take`]), which is
     /// also where the modeled clock merge happens.
     pub fn wait_any(&self, chans: &[crate::ChanId]) -> usize {
         self.world.wait_any(self.rank, chans)
+    }
+
+    /// The world as stall forensics see it, taken from a live run instead
+    /// of an expired deadline: parked waits, queue depths, and every
+    /// rank's [`crate::ParkCounts`].
+    pub fn stall_report(&self) -> crate::StallReport {
+        self.world.stall_report()
     }
 
     /// Send `data` to communicator rank `dst` (buffered semantics: completes
@@ -188,11 +195,6 @@ impl RankCtx {
                 std::any::type_name::<T>()
             )
         })
-    }
-
-    /// Would `recv(comm, src, tag)` complete without blocking?
-    pub fn iprobe(&self, comm: &Comm, src: usize, tag: u64) -> bool {
-        self.world.probe(self.rank, comm.ctx_id, src, tag)
     }
 
     /// Split `comm` by `color`; ranks with equal color form a new

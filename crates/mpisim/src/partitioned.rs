@@ -148,7 +148,7 @@ impl<T: Elem> PrecvReq<T> {
     /// Block until `partition` has been delivered, without consuming it
     /// and without holding the buffer lock; the stall probe keeps peer
     /// death, the deadline and mixed plain traffic loud (see
-    /// [`crate::RecvChan::wait_ready`]).
+    /// [`crate::RecvChan::wait_take`]).
     fn park(&self, ctx: &RankCtx, partition: usize) {
         let chan = &self.chans[partition];
         let keys = [chan.key()];
@@ -190,17 +190,6 @@ impl<T: Elem> PrecvReq<T> {
             if !arrived {
                 out.push(self.chans[p].id());
             }
-        }
-    }
-
-    /// Block until some unarrived partition has been delivered, **without
-    /// consuming it** (a following [`PrecvReq::try_wait`] drains it). The
-    /// completion-driven `wait` parks here between `test` rounds; every
-    /// partition is necessary, so parking on the first unarrived one never
-    /// waits for anything the receive does not need.
-    pub fn wait_ready(&self, ctx: &RankCtx) {
-        if let Some(p) = self.arrived.iter().position(|&a| !a) {
-            self.park(ctx, p);
         }
     }
 

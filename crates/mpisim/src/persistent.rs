@@ -13,8 +13,8 @@
 //! Registration is where the amortization happens in this simulator too:
 //! `send_init`/`recv_init` resolve the message signature `(context, src,
 //! dst, tag)` to a **pre-matched channel** once, so every iteration's
-//! `start`/`wait` moves values through that channel slot — a condvar-guarded
-//! FIFO whose payload buffers are recycled — and `wait` copies straight
+//! `start`/`wait` moves values through that channel slot — a FIFO whose
+//! payload buffers are recycled — and `wait` copies straight
 //! into the registered receive window. The unexpected-message mailbox and
 //! its linear matching scan are only paid by non-persistent traffic.
 //!
@@ -165,16 +165,25 @@ impl<T: Elem> RecvChan<T> {
     }
 
     /// Block until the matching message arrives and take its payload
-    /// buffer off the channel: [`RecvChan::wait_ready`], then
-    /// [`RecvChan::try_take`]. The caller reads (scatters from) the buffer
+    /// buffer off the channel. The caller reads (scatters from) the buffer
     /// and hands it back with [`RecvChan::recycle`] so the steady state
-    /// stays allocation-free.
+    /// stays allocation-free. While blocked, the stall probe bails out
+    /// (with stall forensics) if a peer rank died this epoch or the wait
+    /// deadline expired, and makes a plain send aimed at this persistent
+    /// receive fail loudly instead of hanging both ranks.
     pub fn wait_take(&mut self, ctx: &mut RankCtx) -> Vec<T> {
+        assert!(self.started, "wait_take on a receive that was not started");
         // program-ordered fault-injection point: one op per blocking take
         ctx.world
             .inject(ctx.rank, crate::transport::FaultOp::ChanPop);
-        self.wait_ready(ctx);
-        self.try_take(ctx).expect("delivered: wait_ready returned")
+        let keys = [self.chan.key()];
+        ctx.world.park_on(
+            ctx.rank,
+            "persistent recv",
+            WaitChans::Keys(&keys),
+            |stall| self.chan.wait_nonempty(stall),
+        );
+        self.try_take(ctx).expect("delivered: the park returned")
     }
 
     /// Non-blocking [`RecvChan::wait_take`]: if the matching message has
@@ -203,24 +212,6 @@ impl<T: Elem> RecvChan<T> {
     /// part of a set ([`RankCtx::poll_any`] / [`RankCtx::wait_any`]).
     pub fn chan_id(&self) -> crate::ChanId {
         self.chan.id()
-    }
-
-    /// Block until the matching message has been delivered, **without
-    /// consuming it** (a following [`RecvChan::try_take`] succeeds). The
-    /// completion-driven `wait` parks here on one necessary receive
-    /// between `test` rounds. While blocked, the stall probe bails out
-    /// (with stall forensics) if a peer rank died this epoch or the wait
-    /// deadline expired, and makes a plain send aimed at this persistent
-    /// receive fail loudly instead of hanging both ranks.
-    pub fn wait_ready(&self, ctx: &RankCtx) {
-        assert!(self.started, "wait_ready on a receive that was not started");
-        let keys = [self.chan.key()];
-        ctx.world.park_on(
-            ctx.rank,
-            "persistent recv",
-            WaitChans::Keys(&keys),
-            |stall| self.chan.wait_nonempty(stall),
-        );
     }
 
     /// Block until the matching message arrives and run `consume` on the

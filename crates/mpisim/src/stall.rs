@@ -37,6 +37,19 @@ pub struct RankWait {
     pub waited_ms: u64,
 }
 
+/// How often one rank's park point put it to sleep, since the world was
+/// built. Plain counters only the rank itself writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParkCounts {
+    /// Times the rank went to sleep in the kernel (a channel receive spins
+    /// first; a message that lands during the spin costs no park).
+    pub parks: u64,
+    /// Parks that ended by the stall period (`MPISIM_STALL_MS`) instead
+    /// of a wake. A healthy run waiting on live senders reads 0: a
+    /// timeout is a sender that was late by a whole period, or a lost wake.
+    pub park_timeouts: u64,
+}
+
 /// Liveness of one attached peer process (shm fabric only).
 #[derive(Debug, Clone, Copy)]
 pub struct PeerStatus {
@@ -93,6 +106,8 @@ pub struct StallReport {
     pub waits: Vec<RankWait>,
     /// Unexpected-message queue depth per destination rank mailbox.
     pub mailbox_depths: Vec<Option<usize>>,
+    /// Park counters per world rank (`None`: contended at sampling time).
+    pub park_counts: Vec<Option<ParkCounts>>,
     /// Which fabric the world runs over (`"thread"` / `"shm"` / `"sock"`).
     pub fabric: &'static str,
     /// Frames still queued in the shm outbox (or summed across all socket
@@ -147,6 +162,15 @@ impl fmt::Display for StallReport {
             "  mailbox unexpected-queue depths: [{}]",
             depths.join(", ")
         )?;
+        let parks: Vec<String> = self
+            .park_counts
+            .iter()
+            .map(|c| match c {
+                Some(c) => format!("{} ({})", c.parks, c.park_timeouts),
+                None => "?".into(),
+            })
+            .collect();
+        writeln!(f, "  parks (timed out) per rank: [{}]", parks.join(", "))?;
         writeln!(f, "  transport fabric: {}", self.fabric)?;
         writeln!(f, "  outbox depth: {}", self.outbox_depth)?;
         if self.peers.is_empty() {
@@ -198,6 +222,13 @@ mod tests {
                 waited_ms: 5001,
             }],
             mailbox_depths: vec![Some(0), None, Some(4)],
+            park_counts: vec![
+                Some(ParkCounts {
+                    parks: 12,
+                    park_timeouts: 1,
+                }),
+                None,
+            ],
             fabric: "sock",
             outbox_depth: 7,
             peers: vec![PeerStatus {
@@ -224,6 +255,7 @@ mod tests {
         assert!(text.contains("rank 1 blocked 5001 ms in plain recv"));
         assert!(text.contains("(ctx 0, src 2, dst 1, tag 9)"));
         assert!(text.contains("[0, ?, 4]"));
+        assert!(text.contains("parks (timed out) per rank: [12 (1), ?]"));
         assert!(text.contains("transport fabric: sock"));
         assert!(text.contains("outbox depth: 7"));
         assert!(text.contains("pid 4242 DEAD"));

@@ -14,7 +14,7 @@ use crate::elem::elem_bytes;
 use crate::stall::{RankWait, StallReport};
 use crate::transport::shm::ring::ShmChan;
 use crate::transport::sock::chan::SockChan;
-use crate::transport::thread::{ChanPoll, ThreadChan};
+use crate::transport::thread::ThreadChan;
 use crate::transport::{
     assert_pod, bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport,
 };
@@ -137,11 +137,10 @@ pub struct ChanId {
 
 #[derive(Clone)]
 enum ChanIdImp {
-    /// Thread (and sock) fabric: the channel's lock-free pending counter
-    /// (the poll fast path) and its watcher slot for set-parks.
-    Thread(Arc<ChanPoll>),
-    /// Shm fabric: the ring itself — its message count is the cross-process
-    /// poll fast path, its watcher word routes deposit wakes.
+    /// Thread (and sock) fabric: the channel's lock-free pending counter.
+    Thread(Arc<AtomicUsize>),
+    /// Shm fabric: the ring itself, whose message count is the
+    /// cross-process counterpart.
     Shm(ShmChanRaw),
 }
 
@@ -149,25 +148,8 @@ impl ChanId {
     /// Would a non-blocking pop on this channel succeed right now?
     pub fn ready(&self) -> bool {
         match &self.imp {
-            ChanIdImp::Thread(poll) => poll.pending() > 0,
+            ChanIdImp::Thread(pending) => pending.load(Ordering::Relaxed) > 0,
             ChanIdImp::Shm(raw) => raw.msg_count() > 0,
-        }
-    }
-
-    /// The in-process face of this channel, for the thread transport's
-    /// set-park (which only ever sees its own channels).
-    pub(crate) fn thread_poll(&self) -> &ChanPoll {
-        match &self.imp {
-            ChanIdImp::Thread(poll) => poll,
-            ChanIdImp::Shm(_) => unreachable!("thread set-park on a shm channel"),
-        }
-    }
-
-    /// The ring of this channel, for the shm transport's set-park.
-    pub(crate) fn shm_ring(&self) -> &ShmChanRaw {
-        match &self.imp {
-            ChanIdImp::Shm(raw) => raw,
-            ChanIdImp::Thread(_) => unreachable!("shm set-park on an in-process channel"),
         }
     }
 }
@@ -182,7 +164,7 @@ impl ChanId {
 /// buffered-send semantics (a sender may run several iterations ahead) and
 /// MPI's non-overtaking order for equal signatures.
 ///
-/// The storage is the world's transport's business: a condvar-guarded
+/// The storage is the world's transport's business: a mutexed
 /// in-process queue ([`ThreadChan`]), an SPSC byte ring inside the shared
 /// segment ([`ShmChan`]), or a socket route into a peer's in-process queue
 /// ([`SockChan`]). The API is identical either way, and small: one
@@ -203,7 +185,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
     /// The channel for `key` over the storage its fabric chose.
     fn new(key: ChanKey, fabric: ChanFabric) -> Self {
         let imp = match fabric {
-            ChanFabric::Local => ChanImp::Thread(ThreadChan::new()),
+            ChanFabric::Local(park) => ChanImp::Thread(ThreadChan::new(park)),
             ChanFabric::Shm(raw) => ChanImp::Shm(ShmChan::new(raw)),
             ChanFabric::Sock(wire) => ChanImp::Sock(SockChan::new(key, wire)),
         };
@@ -213,11 +195,10 @@ impl<T: Clone + Send + 'static> Channel<T> {
     /// Type-erased handle for set-polling this channel (see [`ChanId`]).
     pub fn id(&self) -> ChanId {
         let imp = match &self.imp {
-            ChanImp::Thread(c) => ChanIdImp::Thread(Arc::clone(c.poll())),
+            ChanImp::Thread(c) => ChanIdImp::Thread(Arc::clone(c.pending())),
             ChanImp::Shm(c) => ChanIdImp::Shm(c.raw().clone()),
-            // the sock receive queue is an in-process ThreadChan, so the
-            // thread fabric's poll/park machinery applies verbatim
-            ChanImp::Sock(c) => ChanIdImp::Thread(Arc::clone(c.local.poll())),
+            // the sock receive queue is an in-process ThreadChan
+            ChanImp::Sock(c) => ChanIdImp::Thread(Arc::clone(c.local.pending())),
         };
         ChanId { key: self.key, imp }
     }
@@ -241,16 +222,14 @@ impl<T: Clone + Send + 'static> Channel<T> {
         }
     }
 
-    /// Block until a message is available **without consuming it** (a
-    /// following [`Channel::try_pop`] succeeds: a channel has one
-    /// consumer), yield-spinning [`crate::transport::PARK_SPIN`] turns
-    /// first and invoking `stall_probe` periodically while blocked — the
-    /// receive paths use the probe to turn an otherwise silent hang (a
-    /// dead peer, a plain `send` aimed at a persistent receive, which
-    /// lands in the mailbox this channel bypasses) into a loud panic.
-    /// Cheaper than the set-park ([`WorldState::wait_any`]) when the
-    /// receive must complete anyway, because nothing attaches and senders
-    /// pay no wake.
+    /// Block the receiving rank, on its park point
+    /// ([`crate::transport::park_until`]), until a message is available
+    /// **without consuming it** (a following [`Channel::try_pop`] succeeds:
+    /// a channel has one consumer), invoking `stall_probe` periodically
+    /// while blocked — the receive paths use the probe to turn an otherwise
+    /// silent hang (a dead peer, a plain `send` aimed at a persistent
+    /// receive, which lands in the mailbox this channel bypasses) into a
+    /// loud panic.
     pub fn wait_nonempty(&self, stall_probe: impl Fn()) {
         match &self.imp {
             ChanImp::Thread(c) => c.wait_nonempty(stall_probe),
@@ -305,9 +284,9 @@ impl<T: Clone + Send + 'static> Channel<T> {
     /// mixed-traffic probe ([`WorldState::channel_pending`]).
     fn pending_len(&self) -> usize {
         match &self.imp {
-            ChanImp::Thread(c) => c.poll().pending(),
+            ChanImp::Thread(c) => c.pending().load(Ordering::Relaxed),
             ChanImp::Shm(c) => c.raw().msg_count(),
-            ChanImp::Sock(c) => c.local.poll().pending(),
+            ChanImp::Sock(c) => c.local.pending().load(Ordering::Relaxed),
         }
     }
 
@@ -591,6 +570,7 @@ impl WorldState {
             waits,
             fabric: f.fabric,
             mailbox_depths: f.mailbox_depths,
+            park_counts: f.park_counts,
             outbox_depth: f.outbox_depth,
             peers: f.peers,
             links: f.links,
@@ -647,9 +627,8 @@ impl WorldState {
         Self::poll_any_from(chans, start)
     }
 
-    /// Block `global_rank` until **some** channel of the set has a message,
-    /// returning its index. The transport yield-spins then parks on the
-    /// whole set — one park point for N channels, woken by whichever
+    /// Block `global_rank`, on its park point, until **some** channel of
+    /// the set has a message, returning its index — woken by whichever
     /// deposit lands first, so completion follows delivery order instead
     /// of channel order. The stall probe keeps peer death and the mixed
     /// plain/persistent misuse loud while parked.
@@ -816,6 +795,7 @@ impl WorldState {
     }
 
     /// Non-blocking probe: would a matched receive complete immediately?
+    #[cfg(test)]
     pub fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
         self.transport.probe(global_dst, ctx_id, src, tag)
     }

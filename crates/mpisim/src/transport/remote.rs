@@ -24,12 +24,6 @@
 //! stall probe instead of deadlocking. Clean exits after the stop command
 //! are not deaths.
 //!
-//! The driver/server split ([`RemoteWorld::epoch_job`] /
-//! [`RemoteWorld::serve`]) exists for benchmarks: rank 0 drives many epochs
-//! over a fixed job table while workers loop in `serve`, so per-iteration
-//! cost is the epoch protocol plus the job itself — no process spawning on
-//! the hot path.
-//!
 //! [`Segment`]: super::shm::segment::Segment
 
 use super::Transport;
@@ -175,11 +169,6 @@ impl RemoteWorld {
         self.state.n_ranks
     }
 
-    /// True in worker processes (rank != 0).
-    pub fn is_worker(&self) -> bool {
-        self.rank != 0
-    }
-
     /// Launch (or, in a re-exec'd worker, join) a process world of
     /// `n_ranks` ranks; returns once every rank has joined. One launch per
     /// process execution: the re-exec protocol cannot nest.
@@ -276,17 +265,13 @@ impl RemoteWorld {
         self.in_epoch(epoch, f)
     }
 
-    /// Driver side of the benchmark protocol (rank 0 only): run job `job`
-    /// of the server's table as one epoch, executing `f` for rank 0's own
-    /// share of the work.
-    pub fn epoch_job<F, R>(&self, job: usize, f: F) -> R
+    /// The driver side of [`RemoteWorld::run`] (rank 0 only): open an
+    /// epoch by publishing `job` in the command word, then run `f` as rank
+    /// 0's share of it.
+    fn epoch_job<F, R>(&self, job: usize, f: F) -> R
     where
         F: FnOnce(&mut RankCtx) -> R,
     {
-        assert_eq!(
-            self.rank, 0,
-            "epoch_job is the driver side; workers serve()"
-        );
         assert!(
             (job as u64) < (1 << 15),
             "job index overflows the command word"
@@ -295,28 +280,6 @@ impl RemoteWorld {
         self.epoch.set(epoch);
         self.ctl.publish(((job as u64) << JOB_SHIFT) | epoch);
         self.in_epoch(epoch, f)
-    }
-
-    /// Server side of the benchmark protocol (workers only): loop epochs,
-    /// running `jobs[job]` for each command rank 0 publishes, until the
-    /// stop command arrives. The caller then drops the world, which exits
-    /// the process.
-    pub fn serve(&self, jobs: &[&dyn Fn(&mut RankCtx)]) {
-        assert!(
-            self.rank != 0,
-            "serve is the worker side; rank 0 drives epoch_job"
-        );
-        loop {
-            let epoch = self.epoch.get() + 1;
-            let Some(job) = self.await_cmd(epoch) else {
-                return; // stop command: world is shutting down
-            };
-            self.epoch.set(epoch);
-            let job_fn = jobs
-                .get(job)
-                .unwrap_or_else(|| panic!("driver posted job {job}, table has {}", jobs.len()));
-            self.in_epoch(epoch, |ctx| job_fn(ctx));
-        }
     }
 
     /// The deadline-and-forensics guard of one epoch-protocol wait: ticked

@@ -22,6 +22,7 @@ const SYS_FUTEX: c_long = 98;
 
 const FUTEX_WAIT: c_int = 0;
 const FUTEX_WAKE: c_int = 1;
+const ETIMEDOUT: i32 = 110;
 
 #[repr(C)]
 struct Timespec {
@@ -34,8 +35,9 @@ extern "C" {
 }
 
 /// Sleep until `word` is observed different from `expected`, a wake
-/// arrives, or `timeout_ms` elapses — whichever is first.
-pub(crate) fn wait(word: &AtomicU32, expected: u32, timeout_ms: u64) {
+/// arrives, or `timeout_ms` elapses — whichever is first. `true` when it
+/// was the timeout.
+pub(crate) fn wait(word: &AtomicU32, expected: u32, timeout_ms: u64) -> bool {
     let ts = Timespec {
         tv_sec: (timeout_ms / 1000) as i64,
         tv_nsec: ((timeout_ms % 1000) * 1_000_000) as i64,
@@ -43,17 +45,18 @@ pub(crate) fn wait(word: &AtomicU32, expected: u32, timeout_ms: u64) {
     // SAFETY: `word` and `ts` are live for the whole (blocking) call, the
     // argument list is `FUTEX_WAIT`'s (uaddr, op, val, timeout), and the
     // kernel only reads the word.
-    unsafe {
-        // EAGAIN (word moved), ETIMEDOUT, and EINTR are all just "go
-        // re-check" to our callers; the return value is irrelevant.
+    let rc = unsafe {
         syscall(
             SYS_FUTEX,
             word.as_ptr(),
             FUTEX_WAIT,
             expected,
             &ts as *const Timespec,
-        );
-    }
+        )
+    };
+    // EAGAIN (word moved) and EINTR are, like a wake, just "go re-check"
+    // to our callers; only the park counters tell a timeout apart
+    rc == -1 && std::io::Error::last_os_error().raw_os_error() == Some(ETIMEDOUT)
 }
 
 /// Wake every waiter parked on `word`.
@@ -94,7 +97,7 @@ mod tests {
     fn wait_times_out_when_nothing_happens() {
         let word = AtomicU32::new(7);
         let start = std::time::Instant::now();
-        wait(&word, 7, 20);
+        assert!(wait(&word, 7, 20), "reported as a timeout");
         assert!(start.elapsed() >= std::time::Duration::from_millis(15));
     }
 
@@ -102,7 +105,7 @@ mod tests {
     fn wait_returns_immediately_on_stale_expected() {
         let word = AtomicU32::new(3);
         let start = std::time::Instant::now();
-        wait(&word, 99, 5_000); // EAGAIN: word != expected
+        assert!(!wait(&word, 99, 5_000)); // EAGAIN: word != expected
         assert!(start.elapsed() < std::time::Duration::from_secs(1));
     }
 }

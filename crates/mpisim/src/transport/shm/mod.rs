@@ -4,10 +4,11 @@
 //! travel over per-(src, dst) SPSC byte rings and are matched against a
 //! receiver-local unexpected queue; persistent channels are byte rings
 //! allocated through the segment's registration table (the pre-matched
-//! handshake); parking is process-shared futexes with the fabric-wide
-//! stall period (`MPISIM_STALL_MS`, see [`crate::stall::stall_ms`]), so
-//! every blocked operation re-probes for peer death (flag + pid sweep)
-//! and aborts loudly instead of deadlocking.
+//! handshake); a rank sleeps on one process-shared futex, its
+//! [`segment::ParkWords`], with the fabric-wide stall period
+//! (`MPISIM_STALL_MS`, see [`crate::stall::stall_ms`]), so every blocked
+//! operation re-probes for peer death (flag + pid sweep) and aborts loudly
+//! instead of deadlocking.
 //!
 //! The same transport serves both deployment shapes: rank threads of one
 //! process ([`crate::Fabric::Shm`] under a [`crate::WorldConfig`] — the
@@ -20,7 +21,7 @@ pub(crate) mod ring;
 pub(crate) mod segment;
 
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
-use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
+use super::{park_until, ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
 use crate::state::{ChanId, ChanKey, Envelope, Payload, WorldState};
 use parking_lot::{Condvar, Mutex};
 use ring::ShmChanRaw;
@@ -156,7 +157,6 @@ impl ShmTransport {
     ) {
         let idx = src * self.seg.n_ranks() + dst;
         if !st.spilling[idx] && self.mailbox_ring(src, dst).try_push(arrival, parts) {
-            Segment::bump_and_wake(self.seg.mb_seq(dst));
             return;
         }
         st.spilling[idx] = true;
@@ -215,8 +215,8 @@ impl ShmTransport {
 /// `spilling` flag clears (returning it to the direct deposit path) only
 /// once its queue drains, so frame order is preserved. When no frame fits
 /// yet, polls with a short timed wait — simpler than parking one thread
-/// on n² per-ring space futexes, and the deposit-side `notify_one` still
-/// wakes it immediately for fresh spills.
+/// on n² per-ring space futexes, and the deposit side still notifies it
+/// immediately of fresh spills.
 fn run_flusher(seg: &Arc<Segment>, outbox: &Outbox) {
     let n = seg.n_ranks();
     let mut st = outbox.state.lock();
@@ -240,7 +240,6 @@ fn run_flusher(seg: &Arc<Segment>, outbox: &Outbox) {
                 st.pending[idx].pop_front();
                 st.live -= 1;
                 progressed = true;
-                Segment::bump_and_wake(seg.mb_seq(idx % n));
             }
             if st.pending[idx].is_empty() {
                 st.spilling[idx] = false;
@@ -309,25 +308,16 @@ impl Transport for ShmTransport {
         tag: u64,
         stall: &dyn Fn(),
     ) -> (Envelope, usize) {
-        let seq = self.seg.mb_seq(global_dst);
-        let mut st = self.local_mb[global_dst].lock();
-        loop {
-            let seen = seq.load(std::sync::atomic::Ordering::SeqCst);
+        let take = || {
+            let mut st = self.local_mb[global_dst].lock();
             self.pump(global_dst, &mut st);
             let searched = st.q.len();
-            if let Some(pos) =
+            let pos =
                 st.q.iter()
-                    .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
-            {
-                let env = st.q.remove(pos).expect("position valid");
-                return (env, searched);
-            }
-            futex::wait(seq, seen, crate::stall::stall_ms());
-            let moved = seq.load(std::sync::atomic::Ordering::SeqCst) != seen;
-            if !moved {
-                stall();
-            }
-        }
+                    .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)?;
+            Some((st.q.remove(pos).expect("position valid"), searched))
+        };
+        park_until(self.seg.park(global_dst), 0, take, stall)
     }
 
     fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
@@ -344,39 +334,14 @@ impl Transport for ShmTransport {
         start: usize,
         stall: &dyn Fn(),
     ) -> usize {
-        for _ in 0..PARK_SPIN {
-            if let Some(i) = WorldState::poll_any_from(chans, start) {
-                return i;
-            }
-            std::thread::yield_now();
-        }
-        let seq = self.seg.ws_seq(global_rank);
-        // watcher-store (SeqCst) THEN scan pairs with the producer's
-        // count-bump THEN watcher-load: at least one side sees the other,
-        // so a deposit racing the park either gets scanned or gets woken
-        for c in chans {
-            c.shm_ring().set_watcher(global_rank);
-        }
-        let found = loop {
-            let seen = seq.load(std::sync::atomic::Ordering::SeqCst);
-            if let Some(i) = WorldState::poll_any_from(chans, start) {
-                break i;
-            }
-            futex::wait(seq, seen, crate::stall::stall_ms());
-            if seq.load(std::sync::atomic::Ordering::SeqCst) == seen {
-                stall();
-            }
-        };
-        for c in chans {
-            c.shm_ring().clear_watcher(global_rank);
-        }
-        found
+        let scan = || WorldState::poll_any_from(chans, start);
+        park_until(self.seg.park(global_rank), PARK_SPIN, scan, stall)
     }
 
     fn make_channel(
         &self,
         key: ChanKey,
-        _dst_world: usize,
+        dst_world: usize,
         elem_bytes: usize,
         type_name: &'static str,
         len_hint: usize,
@@ -385,7 +350,7 @@ impl Transport for ShmTransport {
         let ring_bytes = (RING_DEPTH * msg).next_power_of_two().max(64 << 10);
         let off = self
             .seg
-            .register_channel(key, elem_bytes, type_name, ring_bytes);
+            .register_channel(key, dst_world, elem_bytes, type_name, ring_bytes);
         ChanFabric::Shm(ShmChanRaw::new(Arc::clone(&self.seg), off))
     }
 
@@ -460,6 +425,7 @@ impl Transport for ShmTransport {
         TransportForensics {
             fabric: "shm",
             mailbox_depths,
+            park_counts: (0..n).map(|r| Some(self.seg.park(r).counts())).collect(),
             outbox_depth,
             peers,
             links: Vec::new(),

@@ -2,7 +2,9 @@
 //! over them.
 //!
 //! One ring has exactly one producer (the sending rank) and one consumer
-//! (the receiving rank) — the fabric guarantees this by construction:
+//! (the receiving rank, recorded in the header as the ring's `owner`: every
+//! push notifies that rank's park point, and that is where it sleeps when
+//! the ring is empty) — the fabric guarantees this by construction:
 //! mailbox rings are per (src, dst) pair, persistent-channel rings carry
 //! one pre-matched signature. head/tail are monotonic byte counters; the
 //! data area is a power-of-two so positions wrap by masking, and every
@@ -14,8 +16,8 @@
 //! header word atomics.
 
 use super::futex;
-use super::segment::Segment;
-use crate::transport::{assert_pod, vec_extend_bytes, PARK_SPIN};
+use super::segment::{ParkWords, Segment};
+use crate::transport::{assert_pod, park_until, vec_extend_bytes, PARK_SPIN};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,30 +32,24 @@ struct RingHdr {
     cap: AtomicU64,
     /// Delivered, unconsumed messages — the cross-process `ready` probe.
     msg_count: AtomicU64,
-    /// Futex word bumped on every push.
-    data_seq: AtomicU32,
     /// Futex word bumped on every pop (senders blocked on a full ring).
     space_seq: AtomicU32,
-    /// World rank + 1 of a receiver whose parked `wait_any` set contains
-    /// this channel; 0 when nobody watches. Deposits route a wake to that
-    /// rank's `ws_seq` word.
-    watcher: AtomicU32,
-    _pad: u32,
+    /// World rank of the consumer, fixed at `init_ring`.
+    owner: AtomicU32,
 }
 
 /// Byte offset from a ring's base to its data area.
 pub(crate) const RING_HDR: u64 = 64;
 const MSG_HDR: usize = 16;
 
-pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64) {
+pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64, owner: usize) {
     assert!(cap_bytes.is_power_of_two(), "ring capacity must be 2^k");
     let hdr = ShmChanRaw::hdr_at(seg, off);
     hdr.head.store(0, Ordering::SeqCst);
     hdr.tail.store(0, Ordering::SeqCst);
     hdr.msg_count.store(0, Ordering::SeqCst);
-    hdr.data_seq.store(0, Ordering::SeqCst);
     hdr.space_seq.store(0, Ordering::SeqCst);
-    hdr.watcher.store(0, Ordering::SeqCst);
+    hdr.owner.store(owner as u32, Ordering::SeqCst);
     hdr.cap.store(cap_bytes, Ordering::SeqCst);
 }
 
@@ -174,16 +170,14 @@ impl ShmChanRaw {
         }
         hdr.tail.store(tail + need, Ordering::Release);
         hdr.msg_count.fetch_add(1, Ordering::SeqCst);
-        Segment::bump_and_wake(&hdr.data_seq);
-        // route a wake to a receiver parked on a channel SET containing
-        // this one (see `ShmTransport::wait_any`); SeqCst on both the
-        // count bump above and this load pairs with the receiver's
-        // store-watcher-then-scan, so one side always observes the other
-        let w = hdr.watcher.load(Ordering::SeqCst);
-        if w != 0 {
-            Segment::bump_and_wake(self.seg.ws_seq(w as usize - 1));
-        }
+        self.owner_park().notify();
         true
+    }
+
+    /// Where this ring's consumer sleeps.
+    fn owner_park(&self) -> &ParkWords {
+        self.seg
+            .park(self.hdr().owner.load(Ordering::Relaxed) as usize)
     }
 
     /// Deposit one message, given as the concatenation of `parts`.
@@ -228,41 +222,12 @@ impl ShmChanRaw {
         Some(r)
     }
 
-    /// Block until the ring is non-empty, invoking `stall` each stall
-    /// period (same contract as the thread channel's `wait_nonempty`).
+    /// Block the consumer until the ring is non-empty, invoking `stall`
+    /// each stall period (same contract as the thread channel's
+    /// `wait_nonempty`).
     pub fn wait_nonempty(&self, stall: &dyn Fn()) {
-        for _ in 0..PARK_SPIN {
-            if self.msg_count() > 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let hdr = self.hdr();
-        loop {
-            let seen = hdr.data_seq.load(Ordering::SeqCst);
-            if self.msg_count() > 0 {
-                return;
-            }
-            futex::wait(&hdr.data_seq, seen, crate::stall::stall_ms());
-            if self.msg_count() > 0 {
-                return;
-            }
-            stall();
-        }
-    }
-
-    /// Register/unregister this channel in a parked receiver's wait set.
-    pub fn set_watcher(&self, rank: usize) {
-        self.hdr().watcher.store(rank as u32 + 1, Ordering::SeqCst);
-    }
-
-    pub fn clear_watcher(&self, rank: usize) {
-        let _ = self.hdr().watcher.compare_exchange(
-            rank as u32 + 1,
-            0,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
+        let ready = || (self.msg_count() > 0).then_some(());
+        park_until(self.owner_park(), PARK_SPIN, ready, stall)
     }
 
     /// Consume and discard everything delivered. Quiescent use only (the
@@ -346,7 +311,7 @@ mod tests {
         let seg = Segment::create(2);
         seg.unlink();
         let off = seg.alloc(RING_HDR + cap);
-        init_ring(&seg, off, cap);
+        init_ring(&seg, off, cap, 1);
         ShmChanRaw::new(seg, off)
     }
 
@@ -414,7 +379,7 @@ mod tests {
         let seg = Segment::create(2);
         seg.unlink();
         let off = seg.alloc(RING_HDR + 4096);
-        init_ring(&seg, off, 4096);
+        init_ring(&seg, off, 4096, 1);
         let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off));
         c.push_with(0.5, |b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
         c.wait_nonempty(|| {});

@@ -8,8 +8,7 @@
 //! [SegHeader]                    magic, alloc bump, panic flag,
 //!                                epoch command word, barrier words
 //! [pids;    n_ranks  × u32]      attached process of each rank (liveness)
-//! [ws_seq;  n_ranks  × u32]      per-rank wait_any futex word
-//! [mb_seq;  n_ranks  × u32]      per-rank mailbox futex word
+//! [parks;   n_ranks  × 64 B]     per-rank park point ([`ParkWords`])
 //! [table;   TABLE_CAP × slot]    persistent-channel registration table
 //! [mailbox rings; n² × ring]     plain-send SPSC byte rings (src → dst)
 //! [bump area]                    persistent-channel rings, allocated on
@@ -23,15 +22,17 @@
 
 use super::ring::RING_HDR;
 use super::{futex, MAILBOX_CAP};
+use crate::stall::ParkCounts;
 use crate::state::ChanKey;
 use crate::transport::remote::CMD_STOP;
+use crate::transport::ParkPoint;
 use std::fs::OpenOptions;
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_0009; // "mpisim", layout v9
+const MAGIC: u64 = 0x6d70_6973_696d_000a; // "mpisim", layout v10
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world registers one
@@ -91,6 +92,71 @@ struct TableSlot {
 
 const SLOT_SIZE: u64 = 64;
 
+/// The park point of one world rank, in the segment so that any process
+/// can wake it: the only futex that rank ever sleeps on, whatever it is
+/// blocked on — a mailbox envelope, one channel ring, any ring of a set.
+/// Every ring push notifies its consumer's `ParkWords`; the rank sleeps
+/// through [`crate::transport::park_until`]. (The thread fabric's
+/// counterpart is `thread::RankPark`; DESIGN.md §7 states the handshake
+/// once for both.)
+#[repr(C)]
+pub(crate) struct ParkWords {
+    /// Deposit generation (the futex word): bumped by every ring push
+    /// addressed to this rank.
+    seq: AtomicU32,
+    /// Non-zero while the rank is committed to sleeping on `seq`: only
+    /// then does a deposit pay the wake syscall.
+    parked: AtomicU32,
+    /// [`ParkCounts`], written by the owning rank only.
+    parks: AtomicU64,
+    park_timeouts: AtomicU64,
+}
+
+/// One park point per cache line: ranks must not share one.
+const PARK_STRIDE: u64 = 64;
+
+impl ParkWords {
+    /// Record one deposit — the caller has already published the message
+    /// (`msg_count`, SeqCst) — and wake the rank if it is asleep. No wake
+    /// is lost (DESIGN.md §7): this side bumps `seq` then reads `parked`,
+    /// `park_past` raises `parked` then re-reads `seq`, all four SeqCst, so
+    /// one side sees the other; and `FUTEX_WAIT` compares `seq` with `seen`
+    /// as it queues the waiter, so a wake cannot outrun the sleep.
+    pub(crate) fn notify(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) != 0 {
+            futex::wake_all(&self.seq);
+        }
+    }
+
+    pub(crate) fn counts(&self) -> ParkCounts {
+        ParkCounts {
+            parks: self.parks.load(Ordering::Relaxed),
+            park_timeouts: self.park_timeouts.load(Ordering::Relaxed),
+        }
+    }
+}
+
+impl ParkPoint for ParkWords {
+    fn generation(&self) -> u64 {
+        self.seq.load(Ordering::SeqCst) as u64
+    }
+
+    fn park_past(&self, seen: u64) -> bool {
+        let seen = seen as u32;
+        self.parked.store(1, Ordering::SeqCst);
+        if self.seq.load(Ordering::SeqCst) == seen {
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            let timed_out = futex::wait(&self.seq, seen, crate::stall::stall_ms());
+            if timed_out && self.seq.load(Ordering::SeqCst) == seen {
+                self.park_timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.parked.store(0, Ordering::SeqCst);
+        self.seq.load(Ordering::SeqCst) != seen
+    }
+}
+
 /// One process's mapping of the fabric's shared segment.
 pub(crate) struct Segment {
     base: *mut u8,
@@ -113,13 +179,12 @@ unsafe impl Send for Segment {}
 unsafe impl Sync for Segment {}
 
 impl Segment {
-    fn offsets(n: u64) -> (u64, u64, u64, u64, u64) {
+    fn offsets(n: u64) -> (u64, u64, u64, u64) {
         let pids = HDR_SIZE;
-        let ws_seq = align(pids + 4 * n);
-        let mb_seq = align(ws_seq + 4 * n);
-        let table = align(mb_seq + 4 * n);
+        let parks = align(pids + 4 * n);
+        let table = align(parks + PARK_STRIDE * n);
         let bump = align(table + SLOT_SIZE * TABLE_CAP as u64);
-        (pids, ws_seq, mb_seq, table, bump)
+        (pids, parks, table, bump)
     }
 
     /// Create and initialize the fabric segment for `n_ranks` ranks.
@@ -163,7 +228,7 @@ impl Segment {
         file.set_len(len).expect("size shm segment");
         let seg = Segment::map(file, path, len as usize, true);
 
-        let (_, _, _, _, bump) = Self::offsets(n);
+        let (_, _, _, bump) = Self::offsets(n);
         let h = seg.header();
         h.n_ranks.store(n, Ordering::Relaxed);
         h.seg_len.store(len, Ordering::Relaxed);
@@ -176,6 +241,7 @@ impl Segment {
                 &seg,
                 mailbox_base + i * (RING_HDR + MAILBOX_CAP),
                 MAILBOX_CAP,
+                (i % n) as usize, // ring i carries src i / n → dst i % n
             );
         }
         // publish: attachers spin on magic before touching anything else
@@ -306,16 +372,16 @@ impl Segment {
         self.atomic_u32(pids + 4 * rank as u64)
     }
 
-    /// Futex word waking rank `rank`'s parked `wait_any`.
-    pub fn ws_seq(&self, rank: usize) -> &AtomicU32 {
-        let (_, ws, ..) = Self::offsets(self.n_ranks() as u64);
-        self.atomic_u32(ws + 4 * rank as u64)
-    }
-
-    /// Futex word waking rank `rank`'s blocked mailbox receive.
-    pub fn mb_seq(&self, rank: usize) -> &AtomicU32 {
-        let (_, _, mb, ..) = Self::offsets(self.n_ranks() as u64);
-        self.atomic_u32(mb + 4 * rank as u64)
+    /// Where `rank` sleeps, and what a deposit addressed to it notifies.
+    pub fn park(&self, rank: usize) -> &ParkWords {
+        assert!(rank < self.n_ranks(), "park point of rank {rank}");
+        let (_, parks, ..) = Self::offsets(self.n_ranks() as u64);
+        // SAFETY: `rank < n_ranks`, so the words lie inside the park region
+        // `offsets()` reserves (64-aligned, `PARK_STRIDE` ≥
+        // `size_of::<ParkWords>()` apart, inside the mapping that outlives
+        // the borrow); they are nothing but atomics — valid for any bit
+        // pattern and for shared access from every process.
+        unsafe { &*(self.at(parks + PARK_STRIDE * rank as u64) as *const ParkWords) }
     }
 
     pub fn bump_and_wake(word: &AtomicU32) {
@@ -330,9 +396,10 @@ impl Segment {
         // latency only — every park also times out and re-probes
         futex::wake_all(&self.header().epoch_seq);
         futex::wake_all(&self.header().barrier_gen);
+        // without a bump: the woken park reports "nothing deposited" and
+        // its stall probe runs at once
         for r in 0..self.n_ranks() {
-            futex::wake_all(self.ws_seq(r));
-            futex::wake_all(self.mb_seq(r));
+            futex::wake_all(&self.park(r).seq);
         }
     }
 
@@ -453,7 +520,7 @@ impl Segment {
     // ---- registration table -----------------------------------------------
 
     fn table_slot(&self, i: usize) -> &TableSlot {
-        let (_, _, _, table, _) = Self::offsets(self.n_ranks() as u64);
+        let (_, _, table, _) = Self::offsets(self.n_ranks() as u64);
         // SAFETY: `i < TABLE_CAP` at every caller, so the slot lies inside
         // the table region `offsets()` reserves (64-aligned, `SLOT_SIZE` =
         // `size_of::<TableSlot>()` apart); a slot is nothing but atomics.
@@ -463,10 +530,12 @@ impl Segment {
     /// The pre-matched registration handshake: whichever process registers
     /// `key` first allocates its ring; the other side attaches to the same
     /// slot by key lookup, completing the match at init time (mirroring the
-    /// in-process channel registry). Returns the ring's segment offset.
+    /// in-process channel registry). `dst_world` is the world rank that
+    /// consumes the ring. Returns the ring's segment offset.
     pub fn register_channel(
         &self,
         key: ChanKey,
+        dst_world: usize,
         elem_bytes: usize,
         type_name: &str,
         ring_bytes: u64,
@@ -478,7 +547,7 @@ impl Segment {
             let slot = self.table_slot(i);
             if slot.used.load(Ordering::SeqCst) == 0 {
                 let off = self.alloc(RING_HDR + ring_bytes);
-                super::ring::init_ring(self, off, ring_bytes);
+                super::ring::init_ring(self, off, ring_bytes, dst_world);
                 for (dst, v) in slot.key.iter().zip(k) {
                     dst.store(v, Ordering::SeqCst);
                 }
@@ -625,9 +694,9 @@ mod tests {
     #[test]
     fn registration_is_get_or_create_by_key() {
         let seg = Segment::create(2);
-        let a = seg.register_channel((1, 0, 1, 9), 8, "f64", 1 << 12);
-        let b = seg.register_channel((1, 0, 1, 9), 8, "f64", 1 << 12);
-        let c = seg.register_channel((1, 1, 0, 9), 8, "f64", 1 << 12);
+        let a = seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
+        let b = seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
+        let c = seg.register_channel((1, 1, 0, 9), 0, 8, "f64", 1 << 12);
         assert_eq!(a, b);
         assert_ne!(a, c);
         seg.unlink();
@@ -637,8 +706,39 @@ mod tests {
     #[should_panic(expected = "datatype mismatch")]
     fn registration_datatype_mismatch_panics() {
         let seg = Segment::create(2);
-        seg.register_channel((1, 0, 1, 9), 8, "f64", 1 << 12);
-        seg.register_channel((1, 0, 1, 9), 4, "u32", 1 << 12);
+        seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
+        seg.register_channel((1, 0, 1, 9), 1, 4, "u32", 1 << 12);
+    }
+
+    #[test]
+    fn a_park_ends_by_a_deposit_or_is_counted_as_timed_out() {
+        let seg = Segment::create(2);
+        let p = seg.park(1);
+        let counts = |parks, park_timeouts| ParkCounts {
+            parks,
+            park_timeouts,
+        };
+        // a deposit between the generation read and the park: no sleep
+        let seen = p.generation();
+        p.notify();
+        assert!(p.park_past(seen));
+        assert_eq!(p.counts(), counts(0, 0));
+        // nothing deposited: one whole stall period, reported as such
+        assert!(!p.park_past(p.generation()));
+        assert_eq!(p.counts(), counts(1, 1));
+        // a deposit that finds the rank asleep wakes it
+        let seen = p.generation();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while p.parked.load(Ordering::SeqCst) == 0 {
+                    std::thread::yield_now();
+                }
+                p.notify();
+            });
+            while !p.park_past(seen) {}
+        });
+        assert_eq!(p.parked.load(Ordering::SeqCst), 0);
+        seg.unlink();
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl<T: Send + 'static> SockChan<T> {
     /// local queue.
     pub(crate) fn new(key: ChanKey, wire: SockChanWire) -> Self {
         assert_pod::<T>("persistent channel over the sock transport");
-        let local = Arc::new(ThreadChan::new());
+        let local = Arc::new(ThreadChan::new(wire.park));
         if let Some(t) = wire.register {
             let local = Arc::clone(&local);
             t.register_deliver(

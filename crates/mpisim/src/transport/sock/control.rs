@@ -1,6 +1,6 @@
 //! The sock fabric's side of a process world ([`RemoteWorld`]): there is no
 //! shared memory to hold a command word, so the control plane is frames on
-//! the links and an inbox ([`super::CtrlState`]) the reader threads fill.
+//! the links and an inbox ([`CtrlState`]) the reader threads fill.
 //!
 //! Bootstrap is a rendezvous instead of an attach: rank 0 binds a listener
 //! (`MPISIM_SOCK_ADDR`, or an auto-assigned UDS path) before re-exec'ing
@@ -19,10 +19,12 @@
 //! [`RemoteWorld`]: crate::RemoteWorld
 
 use super::link::{auto_addr, is_uds, K_CMD, K_DEATH, K_DONE, K_JOIN, K_TABLE};
-use super::{CtrlState, SockTransport};
+use super::SockTransport;
 use crate::env::{self, Worker};
 use crate::transport::remote::{ControlPlane, Planes, Workers, CMD_STOP};
 use crate::transport::Transport;
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,6 +63,35 @@ pub(crate) fn join(worker: &Worker, n_ranks: usize) -> Planes {
     join.extend_from_slice(sock.listener_addr.as_bytes());
     sock.send_to_driver(K_JOIN, &join);
     (Arc::clone(&sock) as _, sock)
+}
+
+/// Control-plane inbox: epoch commands, completions, death notices,
+/// bootstrap join/table traffic and drain tokens, posted by reader threads
+/// and awaited here.
+#[derive(Default)]
+pub(crate) struct CtrlState {
+    pub cmds: VecDeque<u64>,
+    pub dones: Vec<(usize, u64)>,
+    pub joins: Vec<(usize, String)>,
+    pub table: Option<Vec<String>>,
+    /// Loopback `drain_in_flight`: the last `FLUSH` token pushed through
+    /// the self-link, and the highest a reader has seen come back round.
+    pub flush_sent: u64,
+    pub flushed: u64,
+}
+
+#[derive(Default)]
+pub(crate) struct Ctrl {
+    pub st: Mutex<CtrlState>,
+    pub cv: Condvar,
+}
+
+impl Ctrl {
+    /// Put something in the inbox and wake whoever awaits it.
+    pub(super) fn post(&self, put: impl FnOnce(&mut CtrlState)) {
+        put(&mut self.st.lock());
+        self.cv.notify_all();
+    }
 }
 
 impl SockTransport {
@@ -196,8 +227,7 @@ impl ControlPlane for SockTransport {
     }
 
     fn announce_death(&self, rank: usize) {
-        self.note_rank_panic(Some(rank));
-        self.ctrl.cv.notify_all();
+        self.ctrl.post(|_| self.note_rank_panic(Some(rank)));
         self.broadcast(K_DEATH, &(rank as u32).to_le_bytes());
     }
 

@@ -25,55 +25,32 @@ pub(crate) mod chan;
 pub(crate) mod control;
 pub(crate) mod link;
 
-use super::thread::ThreadTransport;
+use super::thread::{RankPark, ThreadTransport};
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
 use crate::state::{ChanId, ChanKey, Envelope, Payload};
+use control::Ctrl;
 use link::{
     auto_addr, connect_once, connect_retry, encode_frame, invalid_data, Accept, Frame, FrameReader,
     Link, Listener, Stream, DIAL, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO,
     K_JOIN, K_TABLE,
 };
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Control-plane inbox: epoch commands, completions, death notices, and
-/// bootstrap join/table traffic, deposited by reader threads and consumed
-/// by the [`control`] plane.
-#[derive(Default)]
-pub(crate) struct CtrlState {
-    pub cmds: VecDeque<u64>,
-    pub dones: Vec<(usize, u64)>,
-    pub joins: Vec<(usize, String)>,
-    pub table: Option<Vec<String>>,
-}
-
-pub(crate) struct Ctrl {
-    pub st: Mutex<CtrlState>,
-    pub cv: Condvar,
-}
-
-/// Flush round-trip rendezvous for loopback draining: `drain_in_flight`
-/// pushes a token through the self-link and waits for the reader to
-/// observe it, forcing every frame queued ahead of the token through the
-/// socket first.
-struct FlushPoint {
-    next: AtomicU64,
-    seen: Mutex<u64>,
-    cv: Condvar,
-}
-
 /// What a persistent channel needs from the socket fabric, decided at
 /// registration ([`Transport::make_channel`]): the link to push over (if
-/// the receiving rank is reached through a socket) and the transport to
-/// register a delivery closure with (if this process hosts the receiver).
+/// the receiving rank is reached through a socket), the transport to
+/// register a delivery closure with (if this process hosts the receiver),
+/// and where the receiving rank sleeps.
 pub(crate) struct SockChanWire {
     pub route: Option<Arc<Link>>,
     pub register: Option<Arc<SockTransport>>,
+    pub park: Arc<RankPark>,
 }
 
 /// Receive-side delivery hook of a registered persistent channel: called
@@ -115,14 +92,13 @@ pub(crate) struct SockTransport {
     pub(crate) listener_addr: String,
     /// The receive half, whole: what the readers take off the wire — and
     /// what a rank sends itself — is deposited here, and every matched
-    /// receive, probe, set-park and rank-death flag is this transport's.
+    /// receive, probe, park and rank-death flag is this transport's.
     rx: ThreadTransport,
     /// Per-peer-process links; `None` at `my_proc` in multi-process
     /// worlds (a loopback world has its self-link at index 0).
     pub(crate) links: Vec<Option<Arc<Link>>>,
     chans: Mutex<ChanTable>,
     pub(crate) ctrl: Ctrl,
-    flush: FlushPoint,
     shutdown: Arc<AtomicBool>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     writer_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -193,15 +169,7 @@ impl SockTransport {
                 deliver: HashMap::new(),
                 undelivered: HashMap::new(),
             }),
-            ctrl: Ctrl {
-                st: Mutex::new(CtrlState::default()),
-                cv: Condvar::new(),
-            },
-            flush: FlushPoint {
-                next: AtomicU64::new(0),
-                seen: Mutex::new(0),
-                cv: Condvar::new(),
-            },
+            ctrl: Ctrl::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
             accept_thread: Mutex::new(None),
             writer_threads: Mutex::new(Vec::new()),
@@ -416,33 +384,26 @@ impl SockTransport {
                 f(arrival, payload)?;
             }
             K_CMD => {
-                self.ctrl.st.lock().cmds.push_back(u64_at(0)?);
-                self.ctrl.cv.notify_all();
+                let cmd = u64_at(0)?;
+                self.ctrl.post(|st| st.cmds.push_back(cmd));
             }
             K_DONE => {
                 let done = (u32_at(0)?, u64_at(4)?);
-                self.ctrl.st.lock().dones.push(done);
-                self.ctrl.cv.notify_all();
+                self.ctrl.post(|st| st.dones.push(done));
             }
             K_DEATH => {
                 let rank = u32_at(0)?;
-                self.note_rank_panic(Some(rank));
-                self.ctrl.cv.notify_all();
+                self.ctrl.post(|_| self.note_rank_panic(Some(rank)));
             }
             K_FLUSH => {
                 let token = u64_at(0)?;
-                let mut seen = self.flush.seen.lock();
-                if token > *seen {
-                    *seen = token;
-                }
-                self.flush.cv.notify_all();
+                self.ctrl.post(|st| st.flushed = st.flushed.max(token));
             }
             K_JOIN => {
                 let (rank, alen) = (u32_at(0)?, u32_at(4)?);
                 let addr = body.get(8..8 + alen).ok_or_else(short)?;
                 let addr = String::from_utf8_lossy(addr).into_owned();
-                self.ctrl.st.lock().joins.push((rank, addr));
-                self.ctrl.cv.notify_all();
+                self.ctrl.post(|st| st.joins.push((rank, addr)));
             }
             K_TABLE => {
                 let mut addrs = Vec::new();
@@ -454,8 +415,7 @@ impl SockTransport {
                     addrs.push(String::from_utf8_lossy(addr).into_owned());
                     off += len;
                 }
-                self.ctrl.st.lock().table = Some(addrs);
-                self.ctrl.cv.notify_all();
+                self.ctrl.post(|st| st.table = Some(addrs));
             }
             other => return Err(format!("unknown frame kind {other}")),
         }
@@ -564,26 +524,32 @@ impl Transport for SockTransport {
         ChanFabric::Sock(SockChanWire {
             route: self.links[self.proc_of(dst_world)].clone(),
             register: self.hosted(dst_world).then(|| self.me()),
+            park: self.rx.park_of(dst_world),
         })
     }
 
     fn drain_in_flight(&self) {
         if self.n_procs == 1 {
-            // force everything queued ahead through the self-link first
+            // force everything queued ahead through the self-link first:
+            // a token pushed behind it, awaited in the control inbox
             if let Some(link) = &self.links[0] {
                 if !link.st.lock().dead {
-                    let token = self.flush.next.fetch_add(1, Ordering::Relaxed) + 1;
+                    let token = {
+                        let mut st = self.ctrl.st.lock();
+                        st.flush_sent += 1;
+                        st.flush_sent
+                    };
                     link.send_frame(K_FLUSH, &token.to_le_bytes());
                     let deadline = Instant::now() + Duration::from_secs(2);
-                    let mut seen = self.flush.seen.lock();
-                    while *seen < token {
+                    let mut st = self.ctrl.st.lock();
+                    while st.flushed < token {
                         let Some(left) = deadline
                             .checked_duration_since(Instant::now())
                             .filter(|d| !d.is_zero())
                         else {
                             break; // link died mid-drain; fall through to the sweep
                         };
-                        self.flush.cv.wait_for(&mut seen, left);
+                        self.ctrl.cv.wait_for(&mut st, left);
                     }
                 }
             }

@@ -1,14 +1,17 @@
 //! The in-process fabric: one mutexed mailbox per rank, typed payloads,
-//! condvar wakeups. This is the transport every thread-backed world
-//! ([`crate::World::run`], [`crate::WorldPool`]) uses by default, and the
-//! receive half of the socket fabric, whose reader threads deposit into an
-//! embedded [`ThreadTransport`] (see [`super::sock::SockTransport`]).
+//! one park point per rank. This is the transport every thread-backed
+//! world ([`crate::World::run`], [`crate::WorldPool`]) uses by default, and
+//! the receive half of the socket fabric, whose reader threads deposit into
+//! an embedded [`ThreadTransport`] (see [`super::sock::SockTransport`]).
 //!
-//! It owns the in-process storage types: the [`Mailbox`] of a rank, the
-//! [`ThreadChan`] body of a persistent channel, and the [`WaitSet`] a rank
-//! parks on when it waits for a whole set of channels.
+//! It owns the in-process storage types: the mailbox of a rank, the
+//! [`ThreadChan`] body of a persistent channel, and the [`RankPark`] every
+//! blocked receive of a rank sleeps on.
 
-use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
+use super::{
+    park_until, ChanFabric, ParkPoint, PayloadMode, Transport, TransportForensics, PARK_SPIN,
+};
+use crate::stall::ParkCounts;
 use crate::state::{ChanId, ChanKey, Envelope, WorldState};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -24,101 +27,77 @@ fn stall_period() -> Duration {
     Duration::from_millis(crate::stall::stall_ms())
 }
 
-/// Unexpected-message queue of one rank.
+/// The park point of one world rank: the only place that rank sleeps,
+/// whatever it is blocked on — a mailbox envelope, one channel, any channel
+/// of a set. Every deposit addressed to the rank calls
+/// [`RankPark::notify`]; the rank sleeps through [`super::park_until`].
+/// (The shm fabric's counterpart is `segment::ParkWords`; DESIGN.md §7
+/// states the handshake once for both.)
 #[derive(Default)]
-struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
+pub(crate) struct RankPark {
+    st: Mutex<ParkState>,
     cv: Condvar,
 }
 
-/// The park-point of one rank's blocked `wait_any`: a seq counter bumped
-/// (with a wake) by every deposit into a channel the rank watches.
-///
-/// One `WaitSet` exists per world rank. A receiver that wants to block on
-/// a *set* of channels attaches its rank's wait set to each of them and
-/// parks here instead of on any single channel's condvar — so the first
-/// arrival on **any** watched channel wakes it, and receives complete in
-/// delivery order rather than the order the channels were initialized in.
-/// (The shm fabric's counterpart is the per-rank `ws_seq` futex word plus
-/// each ring's watcher slot.)
-struct WaitSet {
-    /// Deposit generation: bumped under the lock by every push into a
-    /// watched channel. The parking protocol re-reads it to close the
-    /// scan-then-park race (a push between the scan and the park bumps the
-    /// generation, so the park returns immediately).
-    seq: Mutex<u64>,
-    cv: Condvar,
+#[derive(Default)]
+struct ParkState {
+    /// Deposit generation: bumped by every deposit to this rank.
+    seq: u64,
+    /// The rank is waiting on `cv`: only then does a deposit pay the wake.
+    parked: bool,
+    counts: ParkCounts,
 }
 
-impl WaitSet {
-    /// Current deposit generation. Read BEFORE scanning the channel set.
-    fn generation(&self) -> u64 {
-        *self.seq.lock()
-    }
-
-    /// Record one deposit and wake any parked receiver.
+impl RankPark {
+    /// Record one deposit — the caller has already published the message —
+    /// and wake the rank if it is asleep. No wake is lost (DESIGN.md §7):
+    /// `seq` and `parked` only move under `st`, so this bump falls before
+    /// the parker's `generation()` read (which then sees the message),
+    /// between that read and `park_past` (which then does not sleep), or
+    /// after `park_past` queued the rank on `cv` (which the notify reaches).
     fn notify(&self) {
-        *self.seq.lock() += 1;
-        self.cv.notify_all();
+        let mut st = self.st.lock();
+        st.seq += 1;
+        let asleep = st.parked;
+        // after the unlock: a rank woken under the lock would only block
+        // on it again
+        drop(st);
+        if asleep {
+            self.cv.notify_all();
+        }
+    }
+}
+
+impl ParkPoint for RankPark {
+    fn generation(&self) -> u64 {
+        self.st.lock().seq
     }
 
-    /// Park until the generation moves past `seen`, invoking `stall_probe`
-    /// periodically while blocked.
-    fn park_past(&self, seen: u64, stall_probe: impl Fn()) {
-        let mut seq = self.seq.lock();
-        while *seq == seen {
-            if self.cv.wait_for(&mut seq, stall_period()).timed_out() {
-                stall_probe();
+    fn park_past(&self, seen: u64) -> bool {
+        let mut st = self.st.lock();
+        while st.seq == seen {
+            st.parked = true;
+            st.counts.parks += 1;
+            let timed_out = self.cv.wait_for(&mut st, stall_period()).timed_out();
+            st.parked = false;
+            if timed_out && st.seq == seen {
+                st.counts.park_timeouts += 1;
+                return false;
             }
         }
+        true
     }
 }
 
-/// The untyped face of a [`ThreadChan`], shared with the [`ChanId`]s that
-/// poll and park on it.
-#[derive(Default)]
-pub(crate) struct ChanPoll {
-    /// Pending-message count mirrored outside the typed state so poll
-    /// paths can probe it lock-free.
-    pending: AtomicUsize,
-    /// The receiving rank's [`WaitSet`], while it is parked on a set
-    /// containing this channel.
-    watcher: Mutex<Option<Arc<WaitSet>>>,
-}
-
-impl ChanPoll {
-    /// Delivered-but-unconsumed message count.
-    pub(crate) fn pending(&self) -> usize {
-        self.pending.load(Ordering::Relaxed)
-    }
-
-    /// Route this channel's deposit wakes to `ws`. Idempotent for the
-    /// common case (a rank re-parking on the same channel); a channel has
-    /// a single receiver, so at most one wait set is ever interested.
-    fn attach(&self, ws: &Arc<WaitSet>) {
-        let mut watcher = self.watcher.lock();
-        if watcher.as_ref().is_none_or(|w| !Arc::ptr_eq(w, ws)) {
-            *watcher = Some(Arc::clone(ws));
-        }
-    }
-
-    /// Undo [`ChanPoll::attach`] once the park is over, so senders stop
-    /// paying the watcher wake on every subsequent deposit (channels — and
-    /// their watcher slots — live as long as the warm world).
-    fn detach(&self, ws: &Arc<WaitSet>) {
-        let mut watcher = self.watcher.lock();
-        if watcher.as_ref().is_some_and(|w| Arc::ptr_eq(w, ws)) {
-            *watcher = None;
-        }
-    }
-}
-
-/// The in-process channel body: a flag (non-empty `pending`) plus a
-/// condvar, payloads moved as typed `Vec<T>`s.
+/// The in-process channel body: a FIFO of typed `Vec<T>` payloads whose
+/// every push notifies the receiving rank's park point.
 pub(crate) struct ThreadChan<T> {
     state: Mutex<ChanState<T>>,
-    cv: Condvar,
-    poll: Arc<ChanPoll>,
+    /// Pending-message count mirrored outside the typed state, so poll
+    /// paths (and the [`ChanId`]s that share it) probe it lock-free.
+    pending: Arc<AtomicUsize>,
+    /// Where the receiving rank sleeps (a channel has one receiver).
+    park: Arc<RankPark>,
 }
 
 struct ChanState<T> {
@@ -129,20 +108,21 @@ struct ChanState<T> {
 }
 
 impl<T> ThreadChan<T> {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(park: Arc<RankPark>) -> Self {
         Self {
             state: Mutex::new(ChanState {
                 pending: VecDeque::new(),
                 spare: Vec::new(),
             }),
-            cv: Condvar::new(),
-            poll: Arc::default(),
+            pending: Arc::default(),
+            park,
         }
     }
 
-    /// What a [`ChanId`] of this channel polls and parks on.
-    pub(crate) fn poll(&self) -> &Arc<ChanPoll> {
-        &self.poll
+    /// The delivered-but-unconsumed message count, shared with this
+    /// channel's [`ChanId`]s.
+    pub(crate) fn pending(&self) -> &Arc<AtomicUsize> {
+        &self.pending
     }
 
     pub(crate) fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
@@ -151,41 +131,24 @@ impl<T> ThreadChan<T> {
         fill(&mut buf);
         let mut st = self.state.lock();
         st.pending.push_back((buf, arrival));
-        self.poll.pending.fetch_add(1, Ordering::Relaxed);
-        self.cv.notify_all();
+        self.pending.fetch_add(1, Ordering::Relaxed);
         drop(st);
-        // wake a receiver parked on a channel SET containing this channel
-        // (no-op — one uncontended lock — until the receiver first parks)
-        if let Some(ws) = self.poll.watcher.lock().as_ref() {
-            ws.notify();
-        }
+        self.park.notify();
     }
 
     pub(crate) fn wait_nonempty(&self, stall_probe: impl Fn()) {
-        // the empty probe is the lock-free pending counter, so spinning
-        // adds no mutex traffic on the path the sender needs
-        for _ in 0..PARK_SPIN {
-            if self.poll.pending() > 0 {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        let mut st = self.state.lock();
-        while st.pending.is_empty() {
-            if self.cv.wait_for(&mut st, stall_period()).timed_out() {
-                stall_probe();
-            }
-        }
+        let ready = || (self.pending.load(Ordering::Relaxed) > 0).then_some(());
+        park_until(&*self.park, PARK_SPIN, ready, &stall_probe)
     }
 
     pub(crate) fn try_pop(&self) -> Option<(Vec<T>, f64)> {
         // lock-free empty probe first: `test` loops call this on channels
         // that usually have nothing yet
-        if self.poll.pending() == 0 {
+        if self.pending.load(Ordering::Relaxed) == 0 {
             return None;
         }
         let msg = self.state.lock().pending.pop_front()?;
-        self.poll.pending.fetch_sub(1, Ordering::Relaxed);
+        self.pending.fetch_sub(1, Ordering::Relaxed);
         Some(msg)
     }
 
@@ -196,7 +159,7 @@ impl<T> ThreadChan<T> {
     pub(crate) fn drain_pending(&self) {
         let mut st = self.state.lock();
         while let Some((buf, _)) = st.pending.pop_front() {
-            self.poll.pending.fetch_sub(1, Ordering::Relaxed);
+            self.pending.fetch_sub(1, Ordering::Relaxed);
             st.spare.push(buf);
         }
     }
@@ -204,11 +167,10 @@ impl<T> ThreadChan<T> {
 
 pub(crate) struct ThreadTransport {
     /// Unexpected-message queue of each rank.
-    mailboxes: Vec<Mailbox>,
-    /// One park point per world rank for completion-driven receives over
-    /// channel sets. Lives with the transport (like the channel registry)
-    /// so pooled epochs reuse it warm.
-    wait_sets: Vec<Arc<WaitSet>>,
+    mailboxes: Vec<Mutex<VecDeque<Envelope>>>,
+    /// The park point of each world rank. Lives with the transport (like
+    /// the channel registry) so pooled epochs reuse it warm.
+    parks: Vec<Arc<RankPark>>,
     /// Set when a rank of the current pool epoch panicked: blocked
     /// receives check it from their stall probes and abort loudly instead
     /// of waiting forever for a message the dead rank will never send.
@@ -219,13 +181,9 @@ pub(crate) struct ThreadTransport {
 
 impl ThreadTransport {
     pub fn new(n_ranks: usize) -> Self {
-        let wait_set = || WaitSet {
-            seq: Mutex::new(0),
-            cv: Condvar::new(),
-        };
         Self {
-            mailboxes: (0..n_ranks).map(|_| Mailbox::default()).collect(),
-            wait_sets: (0..n_ranks).map(|_| Arc::new(wait_set())).collect(),
+            mailboxes: (0..n_ranks).map(|_| Mutex::default()).collect(),
+            parks: (0..n_ranks).map(|_| Arc::default()).collect(),
             rank_panicked: AtomicBool::new(false),
             dead_rank: AtomicUsize::new(NO_RANK),
         }
@@ -234,6 +192,11 @@ impl ThreadTransport {
     /// World size (one mailbox per rank).
     pub(crate) fn n_ranks(&self) -> usize {
         self.mailboxes.len()
+    }
+
+    /// Where `rank` sleeps — what a channel it receives on must notify.
+    pub(crate) fn park_of(&self, rank: usize) -> Arc<RankPark> {
+        Arc::clone(&self.parks[rank])
     }
 }
 
@@ -247,11 +210,8 @@ impl Transport for ThreadTransport {
     }
 
     fn deposit(&self, _src_world: usize, dst_world: usize, env: Envelope) {
-        let mb = &self.mailboxes[dst_world];
-        mb.queue.lock().push_back(env);
-        // after the unlock: a receiver woken under the lock would only
-        // block on it again
-        mb.cv.notify_all();
+        self.mailboxes[dst_world].lock().push_back(env);
+        self.parks[dst_world].notify();
     }
 
     fn match_recv(
@@ -262,25 +222,19 @@ impl Transport for ThreadTransport {
         tag: u64,
         stall: &dyn Fn(),
     ) -> (Envelope, usize) {
-        let mb = &self.mailboxes[global_dst];
-        let mut q = mb.queue.lock();
-        loop {
+        let take = || {
+            let mut q = self.mailboxes[global_dst].lock();
             let searched = q.len();
-            if let Some(pos) = q
+            let pos = q
                 .iter()
-                .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
-            {
-                let env = q.remove(pos).expect("position valid");
-                return (env, searched);
-            }
-            if mb.cv.wait_for(&mut q, stall_period()).timed_out() {
-                stall();
-            }
-        }
+                .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)?;
+            Some((q.remove(pos).expect("position valid"), searched))
+        };
+        park_until(&*self.parks[global_dst], 0, take, stall)
     }
 
     fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
-        let q = self.mailboxes[global_dst].queue.lock();
+        let q = self.mailboxes[global_dst].lock();
         q.iter()
             .any(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
     }
@@ -292,46 +246,25 @@ impl Transport for ThreadTransport {
         start: usize,
         stall: &dyn Fn(),
     ) -> usize {
-        for _ in 0..PARK_SPIN {
-            if let Some(i) = WorldState::poll_any_from(chans, start) {
-                return i;
-            }
-            std::thread::yield_now();
-        }
-        let ws = &self.wait_sets[global_rank];
-        for c in chans {
-            c.thread_poll().attach(ws);
-        }
-        let found = loop {
-            // generation BEFORE the scan: a deposit racing with the scan
-            // bumps it, so the park below returns without sleeping
-            let seen = ws.generation();
-            if let Some(i) = WorldState::poll_any_from(chans, start) {
-                break i;
-            }
-            ws.park_past(seen, stall);
-        };
-        // stop routing deposit wakes to this rank once it is running again
-        for c in chans {
-            c.thread_poll().detach(ws);
-        }
-        found
+        let scan = || WorldState::poll_any_from(chans, start);
+        park_until(&*self.parks[global_rank], PARK_SPIN, scan, stall)
     }
 
     fn make_channel(
         &self,
         _key: ChanKey,
-        _dst_world: usize,
+        dst_world: usize,
         _elem_bytes: usize,
         _type_name: &'static str,
         _len_hint: usize,
     ) -> ChanFabric {
-        ChanFabric::Local // in-process channels stay typed; no wire buffers
+        // in-process channels stay typed; no wire buffers
+        ChanFabric::Local(self.park_of(dst_world))
     }
 
     fn drain_in_flight(&self) {
         for mb in &self.mailboxes {
-            mb.queue.lock().clear();
+            mb.lock().clear();
         }
     }
 
@@ -375,7 +308,12 @@ impl Transport for ThreadTransport {
             mailbox_depths: self
                 .mailboxes
                 .iter()
-                .map(|mb| mb.queue.try_lock().map(|q| q.len()))
+                .map(|mb| mb.try_lock().map(|q| q.len()))
+                .collect(),
+            park_counts: self
+                .parks
+                .iter()
+                .map(|p| p.st.try_lock().map(|st| st.counts))
                 .collect(),
             outbox_depth: 0,
             peers: Vec::new(),
@@ -505,10 +443,38 @@ mod tests {
     }
 
     #[test]
+    fn one_park_point_serves_every_wait_of_a_rank() {
+        // rank 0 sleeps in a plain receive; a channel push addressed to it
+        // goes through the same park point, so it wakes, finds its
+        // envelope still missing and parks again; the envelope ends it
+        let t = Arc::new(ThreadTransport::new(1));
+        let w = WorldState::with_transport_deadline(1, None, Arc::clone(&t) as _, None);
+        let parks_of = |t: &ThreadTransport| t.forensics().park_counts[0].map(|c| c.parks);
+        let c = w.channel::<u8>((0, 0, 0, 1));
+        c.push(&[1], 0.0);
+        assert_eq!(parks_of(&t), Some(0), "nobody asleep, nobody parked");
+        let w2 = Arc::clone(&w);
+        let recv = std::thread::spawn(move || take_u32(w2.match_recv(0, 0, 0, 0, 7).0.payload));
+        let asleep_for_the = |nth: u64| loop {
+            let st = t.parks[0].st.lock();
+            if st.parked && st.counts.parks >= nth {
+                break;
+            }
+            drop(st);
+            std::thread::yield_now();
+        };
+        asleep_for_the(1);
+        c.push(&[2], 0.0);
+        asleep_for_the(2);
+        w.deposit(0, 0, env(0, 0, 7, 99));
+        assert_eq!(recv.join().unwrap(), vec![99]);
+        assert!(!t.parks[0].st.lock().parked);
+    }
+
+    #[test]
     fn wait_any_parks_on_the_set_and_wakes_on_either_channel() {
-        // the receiver parks on BOTH channels; a deposit into the second
-        // one (registered last) must wake it — the park is on the set, not
-        // on any single channel's condvar
+        // the receiver waits for BOTH channels; a deposit into the second
+        // one (registered last) must wake it
         let w = WorldState::new(1, None);
         let a = w.channel::<u8>((0, 0, 0, 20));
         let b = w.channel::<u8>((0, 0, 0, 21));

@@ -12,11 +12,10 @@ use mpisim::{Fabric, RankCtx, WorldConfig};
 enum Blocked {
     /// `RecvReq::wait` (that is `RecvChan::wait_take`).
     Persistent,
-    /// `RecvChan::wait_ready`, where the completion-driven `wait` parks.
-    Ready,
     /// `PrecvReq::wait`, facing a plain send on partition 0's sub-tag.
     Partitioned,
-    /// `RankCtx::wait_any` over the channel.
+    /// `RankCtx::wait_any` over the one channel, where the
+    /// completion-driven `wait` parks.
     WaitAny,
     /// The reverse direction: a plain `recv` facing a persistent send.
     PlainRecv,
@@ -46,13 +45,10 @@ fn block(ctx: &mut RankCtx, wait: Blocked, tag: u64) {
             recv.start();
             recv.wait(ctx);
         }
-        Blocked::Ready | Blocked::WaitAny => {
+        Blocked::WaitAny => {
             let mut recv = ctx.recv_chan_init::<f64>(&comm, 0, tag, 1);
             recv.start();
-            match wait {
-                Blocked::Ready => recv.wait_ready(ctx),
-                _ => drop(ctx.wait_any(&[recv.chan_id()])),
-            }
+            ctx.wait_any(&[recv.chan_id()]);
         }
         Blocked::Partitioned => {
             let mut recv = ctx.precv_init(&comm, 0, tag, shared_buf(vec![0.0f64; 2]), 2);
@@ -65,9 +61,8 @@ fn block(ctx: &mut RankCtx, wait: Blocked, tag: u64) {
 
 #[test]
 fn every_blocked_wait_on_every_fabric_names_the_signature_and_the_side_to_fix() {
-    const WAITS: [Blocked; 5] = [
+    const WAITS: [Blocked; 4] = [
         Blocked::Persistent,
-        Blocked::Ready,
         Blocked::Partitioned,
         Blocked::WaitAny,
         Blocked::PlainRecv,

@@ -25,10 +25,6 @@ impl Coo {
         debug_assert!(col < self.n_cols, "col {col} out of {}", self.n_cols);
         self.entries.push((row, col, value));
     }
-
-    pub fn nnz_entries(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]

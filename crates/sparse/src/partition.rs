@@ -30,16 +30,6 @@ impl Partition {
         Self { starts }
     }
 
-    /// From explicit boundaries (`starts[0]=0`, non-decreasing).
-    pub fn from_starts(starts: Vec<usize>) -> Self {
-        assert!(starts.len() >= 2, "need at least one rank");
-        assert_eq!(starts[0], 0);
-        for w in starts.windows(2) {
-            assert!(w[0] <= w[1], "starts must be non-decreasing");
-        }
-        Self { starts }
-    }
-
     /// Number of ranks.
     pub fn n_parts(&self) -> usize {
         self.starts.len() - 1

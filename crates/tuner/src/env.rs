@@ -19,18 +19,6 @@ pub struct TunePolicy {
     /// Directory of the persistent profile cache
     /// (`MPISIM_PROFILE_DIR`); `None` disables persistence.
     pub profile_dir: Option<PathBuf>,
-    /// Spot-check budget for cached winners (default 0 = trust a cached
-    /// winner forever). When positive, a profile-cache hit does not lock
-    /// the winner in: the request runs the cached winner for this many
-    /// warm-up iterations, then re-runs the normal probe schedule and
-    /// re-publishes — so a winner the fabric has drifted away from is
-    /// evicted instead of trusted forever.
-    pub recheck_iters: usize,
-    /// The consumer's model-refit generation (default 0). Cached entries
-    /// measured under an older generation are treated as misses (re-probe,
-    /// re-publish at this generation): bumping the version after a model
-    /// refit evicts winners the old model crowned.
-    pub fit_version: u64,
 }
 
 impl Default for TunePolicy {
@@ -39,8 +27,6 @@ impl Default for TunePolicy {
             probe_iters: 12,
             factor: 2.0,
             profile_dir: None,
-            recheck_iters: 0,
-            fit_version: 0,
         }
     }
 }
@@ -82,20 +68,6 @@ impl TunePolicy {
         self.profile_dir = Some(dir.into());
         self
     }
-
-    /// Builder: replace the cached-winner spot-check budget (0 = trust
-    /// a cached winner forever).
-    pub fn with_recheck_iters(mut self, iters: usize) -> Self {
-        self.recheck_iters = iters;
-        self
-    }
-
-    /// Builder: replace the model-refit generation consulted entries
-    /// must match.
-    pub fn with_fit_version(mut self, version: u64) -> Self {
-        self.fit_version = version;
-        self
-    }
 }
 
 /// Parse `MPISIM_PROFILE_DIR`: a non-empty directory path. Existence is
@@ -133,21 +105,13 @@ mod tests {
         let p = TunePolicy::default()
             .with_probe_iters(4)
             .with_factor(3.0)
-            .with_profile_dir("/tmp/cache")
-            .with_recheck_iters(6)
-            .with_fit_version(2);
+            .with_profile_dir("/tmp/cache");
         assert_eq!(p.probe_iters, 4);
         assert_eq!(p.factor, 3.0);
         assert_eq!(
             p.profile_dir.as_deref(),
             Some(std::path::Path::new("/tmp/cache"))
         );
-        assert_eq!(p.recheck_iters, 6);
-        assert_eq!(p.fit_version, 2);
-        // the untouched defaults: no spot-checking, generation 0
-        let d = TunePolicy::default();
-        assert_eq!(d.recheck_iters, 0);
-        assert_eq!(d.fit_version, 0);
     }
 
     #[test]

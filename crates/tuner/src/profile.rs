@@ -65,13 +65,6 @@ pub struct ProfileEntry {
     pub probes: u64,
     /// `(protocol name, median seconds)` for every probed candidate.
     pub medians: Vec<(String, f64)>,
-    /// Model-refit generation the entry was measured under (see
-    /// `TunePolicy::fit_version`): a consumer whose model has moved past
-    /// this generation treats the entry as stale and re-probes instead of
-    /// trusting it forever. Written as `"fitv"`; absent on entries from
-    /// before the field existed, which read back as generation 0 — a
-    /// minor-version addition, not a format bump.
-    pub fit_ver: u64,
 }
 
 /// `log2` size bucket of a mean per-message byte count (0 bytes → 0).
@@ -202,15 +195,13 @@ fn sanitize(s: &str) -> String {
 fn write_line(e: &ProfileEntry) -> String {
     let mut line = format!(
         "{{\"v\":{PROFILE_VERSION},\"pattern\":\"{:016x}\",\"topo\":\"{:016x}\",\
-         \"bucket\":{},\"fabric\":\"{}\",\"winner\":\"{}\",\"probes\":{},\
-         \"fitv\":{}",
+         \"bucket\":{},\"fabric\":\"{}\",\"winner\":\"{}\",\"probes\":{}",
         e.key.pattern_sig,
         e.key.topo_sig,
         e.key.size_bucket,
         sanitize(&e.key.fabric),
         sanitize(&e.winner),
         e.probes,
-        e.fit_ver,
     );
     for (name, secs) in &e.medians {
         line.push_str(&format!(",\"t_{}\":{:e}", sanitize(name), secs));
@@ -268,7 +259,6 @@ fn entry_of(pairs: Vec<(String, Val)>) -> Option<ProfileEntry> {
     let mut fabric = None;
     let mut winner = None;
     let mut probes = None;
-    let mut fit_ver = 0;
     let mut medians = Vec::new();
     for (k, v) in pairs {
         match (k.as_str(), v) {
@@ -279,7 +269,6 @@ fn entry_of(pairs: Vec<(String, Val)>) -> Option<ProfileEntry> {
             ("fabric", Val::Str(s)) => fabric = Some(s),
             ("winner", Val::Str(s)) => winner = Some(s),
             ("probes", Val::Num(n)) if n >= 0.0 => probes = Some(n as u64),
-            ("fitv", Val::Num(n)) if n >= 0.0 => fit_ver = n as u64,
             (t, Val::Num(n)) if t.starts_with("t_") => medians.push((t[2..].to_string(), n)),
             // unknown fields are ignored: minor-version additions must
             // not invalidate old readers
@@ -299,7 +288,6 @@ fn entry_of(pairs: Vec<(String, Val)>) -> Option<ProfileEntry> {
         winner: winner?,
         probes: probes?,
         medians,
-        fit_ver,
     })
 }
 
@@ -339,23 +327,7 @@ mod tests {
             winner: winner.into(),
             probes,
             medians: vec![("StandardHypre".into(), 1.5e-3), (winner.into(), 0.9e-3)],
-            fit_ver: 0,
         }
-    }
-
-    #[test]
-    fn fit_version_round_trips_and_defaults_to_zero() {
-        let dir = tmpdir("fitver");
-        let cache = ProfileCache::new(&dir);
-        let mut e = entry(0x777, "PartialNeighbor", 3);
-        e.fit_ver = 4;
-        cache.publish(&e).unwrap();
-        assert_eq!(cache.lookup(&e.key).unwrap().fit_ver, 4);
-        // a line written before the field existed parses as generation 0
-        let legacy = write_line(&e).replace(",\"fitv\":4", "");
-        fs::write(dir.join("profiles.jsonl"), format!("{legacy}\n")).unwrap();
-        assert_eq!(cache.lookup(&e.key).unwrap().fit_ver, 0);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -373,6 +345,11 @@ mod tests {
         let mut other = e.key.clone();
         other.fabric = "shm".into();
         assert_eq!(cache.lookup(&other), None);
+        // a field this build does not know (the `"fitv"` older builds
+        // wrote) is skipped, the line still read
+        let old = write_line(&e).replace('}', ",\"fitv\":4}");
+        fs::write(dir.join("profiles.jsonl"), format!("{old}\n")).unwrap();
+        assert_eq!(cache.lookup(&e.key), Some(e));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -289,6 +289,10 @@ fn deadline_expiry_dumps_a_stall_report() {
             "stall report ({fabric}) shows no parked wait:\n{msg}"
         );
         assert!(
+            msg.contains("parks (timed out) per rank: ["),
+            "stall report ({fabric}) carries no park counters:\n{msg}"
+        );
+        assert!(
             msg.contains(&format!("transport fabric: {fabric}")),
             "stall report ({fabric}) does not name its transport fabric:\n{msg}"
         );

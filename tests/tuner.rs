@@ -234,163 +234,6 @@ fn tuned_lifecycle_is_byte_identical_on_every_fabric() {
     }
 }
 
-/// Spot-checking (`MPISIM_TUNE_RECHECK`): a cached winner the fabric
-/// has drifted away from is evicted, not trusted forever. Plant a stale
-/// winner by probing on a world whose clock charges the *mis*-model's
-/// costs, then re-open the cache on a world charging the truth with a
-/// positive recheck budget: the request warm-starts on the stale winner,
-/// re-probes, converges to the true winner, and re-publishes — so a
-/// third, trust-the-cache consumer sees the corrected entry.
-#[test]
-fn recheck_evicts_a_stale_cached_winner() {
-    let topo = Topology::block_nodes(16, 4);
-    let pattern = CommPattern::all_to_all_regions(&topo);
-    let truth = PostalModel::new(TRUTH_ALPHA, TRUTH_BETA);
-    let mis = PostalModel::new(MIS_ALPHA, TRUTH_BETA);
-    let (stale_choice, _) = choose_protocol(&pattern, &topo, &mis);
-    let (truth_choice, _) = choose_protocol(&pattern, &topo, &truth);
-    assert_ne!(stale_choice, truth_choice, "precondition: winners differ");
-    let dir = tmpdir("recheck");
-
-    const PROBES: usize = 4;
-    const WARM: usize = 3;
-    let base = TunePolicy::default()
-        .with_probe_iters(PROBES)
-        .with_factor(1.0e12)
-        .with_profile_dir(&dir);
-
-    // plant: probe on the mis-charging world, publishing its winner
-    let plant = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
-        .cost_model(&mis)
-        .tune_policy(base.clone());
-    let mis_arc: Arc<dyn CostModel> = Arc::new(mis);
-    let planted = World::run_modeled(topo.clone(), mis_arc, |ctx| {
-        let comm = ctx.comm_world();
-        let mut req = plant.init(ctx, &comm);
-        for it in 0..PROBES + 1 {
-            assert!(drive_iteration(&mut req, ctx, it));
-        }
-        req.protocol()
-    });
-    assert!(planted.iter().all(|&w| w == stale_choice));
-
-    // recheck: warm-start on the stale winner, re-probe on the truth
-    let spot = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
-        .cost_model(&mis)
-        .tune_policy(base.clone().with_recheck_iters(WARM));
-    let truth_arc: Arc<dyn CostModel> = Arc::new(truth);
-    let rechecked = World::run_modeled(topo.clone(), truth_arc.clone(), |ctx| {
-        let comm = ctx.comm_world();
-        let mut req = spot.init(ctx, &comm);
-        assert!(req.is_probing(), "a spot-checked hit must not lock in");
-        assert_eq!(
-            req.protocol(),
-            stale_choice,
-            "warm-up iterations run the cached winner"
-        );
-        for it in 0..WARM + PROBES + 1 {
-            assert!(drive_iteration(&mut req, ctx, it));
-        }
-        assert!(!req.is_probing(), "recheck budget spent");
-        req.protocol()
-    });
-    assert!(
-        rechecked.iter().all(|&w| w == truth_choice),
-        "re-probe must evict the stale winner: {rechecked:?}"
-    );
-
-    // trust-the-cache consumer: sees the corrected entry, skips probing
-    let trusting = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
-        .cost_model(&mis)
-        .tune_policy(base);
-    let trusted = World::run_modeled(topo.clone(), truth_arc, |ctx| {
-        let comm = ctx.comm_world();
-        let req = trusting.init(ctx, &comm);
-        (req.is_probing(), req.protocol())
-    });
-    for (probing, proto) in trusted {
-        assert!(!probing, "corrected entry must warm-start");
-        assert_eq!(proto, truth_choice);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Bumping `MPISIM_TUNE_FIT_VERSION` after a model refit treats every
-/// entry measured under an older generation as a miss: the next consult
-/// re-probes and re-publishes at the new generation instead of trusting
-/// a winner the old model crowned.
-#[test]
-fn fit_version_bump_forces_a_reprobe() {
-    let topo = Topology::block_nodes(16, 4);
-    let pattern = CommPattern::all_to_all_regions(&topo);
-    let truth = PostalModel::new(TRUTH_ALPHA, TRUTH_BETA);
-    let mis = PostalModel::new(MIS_ALPHA, TRUTH_BETA);
-    let (stale_choice, _) = choose_protocol(&pattern, &topo, &mis);
-    let (truth_choice, _) = choose_protocol(&pattern, &topo, &truth);
-    assert_ne!(stale_choice, truth_choice, "precondition: winners differ");
-    let dir = tmpdir("fitver");
-
-    const PROBES: usize = 4;
-    let gen0 = TunePolicy::default()
-        .with_probe_iters(PROBES)
-        .with_factor(1.0e12)
-        .with_profile_dir(&dir);
-
-    // generation 0: publish the mis-charged winner
-    let plant = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
-        .cost_model(&mis)
-        .tune_policy(gen0.clone());
-    let mis_arc: Arc<dyn CostModel> = Arc::new(mis);
-    World::run_modeled(topo.clone(), mis_arc, |ctx| {
-        let comm = ctx.comm_world();
-        let mut req = plant.init(ctx, &comm);
-        for it in 0..PROBES + 1 {
-            assert!(drive_iteration(&mut req, ctx, it));
-        }
-    });
-
-    // generation 1: the gen-0 entry is a miss — full probe, re-publish
-    let gen1 = gen0.clone().with_fit_version(1);
-    let refit = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
-        .cost_model(&mis)
-        .tune_policy(gen1.clone());
-    let truth_arc: Arc<dyn CostModel> = Arc::new(truth);
-    let winners = World::run_modeled(topo.clone(), truth_arc.clone(), |ctx| {
-        let comm = ctx.comm_world();
-        let mut req = refit.init(ctx, &comm);
-        assert!(
-            req.is_probing(),
-            "an entry from an older fit generation must not warm-start"
-        );
-        for it in 0..PROBES + 1 {
-            assert!(drive_iteration(&mut req, ctx, it));
-        }
-        req.protocol()
-    });
-    assert!(winners.iter().all(|&w| w == truth_choice));
-
-    // generation 1 again: the re-published entry now warm-starts
-    let warm = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
-        .cost_model(&mis)
-        .tune_policy(gen1);
-    let trusted = World::run_modeled(topo.clone(), truth_arc, |ctx| {
-        let comm = ctx.comm_world();
-        let req = warm.init(ctx, &comm);
-        (req.is_probing(), req.protocol())
-    });
-    for (probing, proto) in trusted {
-        assert!(!probing, "generation-1 entry must warm-start at gen 1");
-        assert_eq!(proto, truth_choice);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The opt-in refit loop end to end: probe timings pooled by the tuner
 /// fit a [`PostalModel`] (`fitted_auto_model`), and that model — passed
 /// *explicitly* to `Backend::Auto` — both drives selection and delivers
