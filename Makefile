@@ -58,15 +58,22 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, and two one-file rules. Configuration: mpisim reads
+# clippy, formatting, and three one-file rules. Configuration: mpisim reads
 # the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
 # woken through its park point only (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the two park-point files
 # (thread.rs; shm/segment.rs, which is also the shm control plane) and
 # what wakes something other than a rank — the sock link threads
 # (sock/link.rs), the sock control inbox (sock/control.rs), the pool's
-# epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`)
+# epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`).
+# Blocking: a request blocks in `wait` and a rank in the scheduler's park,
+# never inside `start`, `test` or a task's poll (DESIGN.md §7, §12), so
+# the non-test code of core and service (each file up to its
+# `#[cfg(test)]`) makes no blocking mpisim call but in two places: the
+# tuned decision reduction (core/src/tune.rs, the one `start` that can
+# block) and the service's epoch-prologue barrier
 WAKE_FILES := runtime|transport/thread|transport/shm/segment|transport/sock/link|transport/sock/control
+BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 lint: clippy
 	cargo fmt --all --check
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
@@ -74,6 +81,12 @@ lint: clippy
 	@if grep -rnE 'notify_all|notify_one|futex::wake_all' crates/mpisim/src --include='*.rs' \
 		| grep -vE '^crates/mpisim/src/($(WAKE_FILES))\.rs:' | grep -v 'outbox\.cv\.'; then \
 		echo "error: mpisim wakes a thread outside a park point (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find crates/core/src crates/service/src -name '*.rs' ! -name proptests.rs); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
+		| grep -E '$(BLOCKING_CALLS)' \
+		| grep -v '^crates/core/src/tune\.rs:' \
+		| grep -vE '^crates/service/src/scheduler\.rs:[0-9]+:    ctx\.barrier\(&world\);$$'; then \
+		echo "error: core or service blocks outside wait (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run two of them once, output discarded: the modeled fig07_crossover at

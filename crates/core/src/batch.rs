@@ -618,6 +618,10 @@ impl BatchRequest {
 
     /// `MPI_Startall`: begin one iteration of **every** entry.
     /// `inputs[e]` is entry `e`'s input (aligned with its `input_index()`).
+    /// Never blocks — no entry's `start` waits for traffic, so the entries
+    /// are all posted before any is completed; the one exception is a
+    /// [`Backend::Tuned`] entry's decision iteration
+    /// ([`NeighborRequest::start`]).
     pub fn start_all(&mut self, ctx: &mut RankCtx, inputs: &[Vec<f64>]) {
         assert_eq!(
             inputs.len(),

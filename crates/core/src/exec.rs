@@ -5,19 +5,23 @@
 //! the one implementation of the ℓ→s→g→r lifecycle. All routing (buffer
 //! layouts, staging copy maps, request registration) comes from
 //! [`RankRouting`] and is fixed at init; each iteration only moves values
-//! through `start`/`test`/`wait`, exactly as the paper's persistent API
-//! prescribes (Algorithms 4–6).
+//! through `start`/`test`/`wait` (the paper's Algorithms 4–6) — with one
+//! deliberate difference: Algorithm 5 *completes* the s step inside
+//! `MPI_Start`, and here `start` only posts. Every receive of the
+//! lifecycle, staging included, completes in `test`, so a request blocks
+//! only in `wait` and a rank driving several requests can never be held
+//! inside one of them while a peer waits on another.
 //!
 //! # Two wires, one state machine
 //!
 //! The ℓ, s, and r steps are identical for every backend; only the
 //! inter-region (`g`) step has two wires ([`Wire`]), matched only where
-//! they genuinely differ — registration, shipping at `start` (including
-//! what an arriving staging message triggers), draining in `test`, the
-//! r-forward lookup, and which channel(s) a pending g receive waits on:
+//! they genuinely differ — registration, what an arriving staging message
+//! triggers, shipping, draining in `test`, the r-forward lookup, and which
+//! channel(s) a pending g receive waits on:
 //!
-//! * **plain** — each g message is one persistent send over its window of
-//!   the request's arena, shipped once staging completes;
+//! * **plain** — each g message is one persistent send gathered from its
+//!   window of the request's arena, shipped once staging completes;
 //! * **partitioned** — the combination the paper's §5 proposes ("large
 //!   messages have been optimized separately with both locality-aware
 //!   methods and partitioned communication. The combination of these
@@ -25,25 +29,24 @@
 //!   large impact"): the origin-major g layout's partition bounds become
 //!   real partitioned requests, one partition per staging rank, and each
 //!   partition is injected (`MPI_Pready`-style) as its staging message is
-//!   received instead of after the whole s step.
+//!   taken instead of after the whole s step.
 //!
 //! # Zero-copy staging
 //!
-//! The ℓ, s, and r steps run on the buffer-less channel halves: a send
-//! gathers its values straight into the pre-matched channel's recycled
-//! wire buffer ([`SendChan::start_with`]), a receive scatters straight
-//! from the delivered payload — no per-request staging windows, no
-//! per-iteration allocations. The only registered windows are the g
-//! buffers, and every s-step receive is registered **directly into its
-//! partition's window** of the g send buffer it feeds, so staged values
-//! land wire-ready with no intermediate `s` buffer and no second copy. On
-//! the plain wire all g send buffers alias **one arena allocation per
-//! request** (or per batch), and `test` borrows each g payload off the
-//! channel, scatters ghost values into the output, feeds the r-step
-//! forwards from the same borrowed payload, and recycles it — no g receive
-//! window at all. Only the partitioned g receive keeps a registered
-//! window: partitions complete independently into one buffer, and the
-//! r-step forwards read from it.
+//! Every step runs on the buffer-less channel halves: a send gathers its
+//! values straight into the pre-matched channel's recycled wire buffer
+//! ([`SendChan::start_with`]), a receive scatters straight from the
+//! delivered payload — no per-iteration allocations. The only buffers a
+//! request owns are the g buffers, and every staging payload is copied
+//! **directly into its partition's window** of the g send buffer it
+//! feeds, so staged values land wire-ready with no intermediate `s`
+//! buffer and no second copy. On the plain wire all g send buffers alias
+//! **one arena allocation per request** (or per batch), and `test` borrows
+//! each g payload off the channel, scatters ghost values into the output,
+//! feeds the r-step forwards from the same borrowed payload, and recycles
+//! it — no g receive window at all. Only the partitioned g receive keeps a
+//! registered window: partitions complete independently into one buffer,
+//! and the r-step forwards read from it.
 //!
 //! Construct requests through [`crate::NeighborAlltoallv`] or
 //! [`crate::NeighborBatch`].
@@ -54,8 +57,7 @@ use crate::routing::{GRecvRoute, GSendRoute, PartSource, RankRouting, RecvRoute,
 use crate::tagspace::TagLease;
 use mpisim::persistent::shared_buf;
 use mpisim::{
-    ChanId, ChanRegistrar, Comm, PrecvReq, PsendReq, RankCtx, RecvChan, RecvReq, SendChan, SendReq,
-    SharedBuf,
+    ChanId, ChanRegistrar, Comm, PrecvReq, PsendReq, RankCtx, RecvChan, SendChan, SharedBuf,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -130,10 +132,13 @@ fn scatter(outputs: &[(usize, usize)], data: &[f64], output: &mut [f64]) {
     }
 }
 
-/// A staging receive, registered directly into the window of the g send
-/// partition it fills — staged data arrives wire-ready.
+/// A staging receive and the window of the g send partition it fills —
+/// staged data is copied there wire-ready.
 struct SRecv {
-    req: RecvReq<f64>,
+    req: RecvChan<f64>,
+    /// Where the payload lands: a range of the arena (plain wire) or of
+    /// g send `g_send`'s buffer (partitioned wire).
+    win: Range<usize>,
     /// Which g send and partition this staging message fills (what the
     /// partitioned wire marks ready on arrival).
     g_send: usize,
@@ -145,30 +150,25 @@ impl SRecv {
         route: SRecvRoute,
         reg: &mut ChanRegistrar,
         comm: &Comm,
-        buf: &SharedBuf<f64>,
         win: Range<usize>,
     ) -> Self {
         // hard check: an oversized staging receive would overrun into the
         // next partition's window
         assert_eq!(win.len(), route.len, "staging/partition length mismatch");
         Self {
-            req: reg.recv_init(
-                comm,
-                route.src,
-                route.tag,
-                buf.clone(),
-                win.start,
-                route.len,
-            ),
+            req: reg.recv_chan_init(comm, route.src, route.tag, route.len),
+            win,
             g_send: route.g_send,
             partition: route.partition,
         }
     }
 }
 
-/// Plain-wire g send: one persistent message over its arena window.
+/// Plain-wire g send: one persistent message gathered from its arena
+/// window.
 struct GSend {
-    req: SendReq<f64>,
+    req: SendChan<f64>,
+    win: Range<usize>,
     /// Partitions fed by this rank's own input:
     /// (arena-absolute slot range, input position per slot).
     input_parts: Vec<(Range<usize>, Vec<usize>)>,
@@ -194,8 +194,8 @@ struct GPrecv {
 /// request is wire-independent.
 enum Wire {
     Plain {
-        /// One allocation backing every g send buffer; s receives alias
-        /// into it.
+        /// One allocation backing every g send buffer; staging payloads
+        /// are copied into it.
         arena: SharedBuf<f64>,
         sends: Vec<GSend>,
         recvs: Vec<RecvExec>,
@@ -212,7 +212,7 @@ enum Wire {
 }
 
 impl Wire {
-    /// Register the g step and the staging receives that alias its send
+    /// Register the g step and the staging receives that fill its send
     /// buffers. `window = Some((arena, base))` selects the plain wire,
     /// staging in `arena[base ..]`; `None` selects the partitioned wire,
     /// whose buffers stay per-message (a partitioned send covers its whole
@@ -247,14 +247,15 @@ impl Wire {
                         let g = &g_sends[r.g_send];
                         let win = offsets[r.g_send] + g.bounds[r.partition]
                             ..offsets[r.g_send] + g.bounds[r.partition + 1];
-                        SRecv::register(r, reg, comm, &arena, win)
+                        SRecv::register(r, reg, comm, win)
                     })
                     .collect();
                 let sends = g_sends
                     .into_iter()
                     .zip(&offsets)
                     .map(|(g, &off)| GSend {
-                        req: reg.send_init(comm, g.dst, g.tag, arena.clone(), off, g.len),
+                        req: reg.send_chan_init(comm, g.dst, g.tag, g.len),
+                        win: off..off + g.len,
                         input_parts: g
                             .parts
                             .into_iter()
@@ -262,8 +263,8 @@ impl Wire {
                                 PartSource::Input(positions) => {
                                     Some((off + part.range.start..off + part.range.end, positions))
                                 }
-                                // staged partitions are written by the
-                                // aliased s receives; nothing to do at start
+                                // staged partitions are written as their
+                                // s receives complete; nothing to do at start
                                 PartSource::Staged { .. } => None,
                             })
                             .collect(),
@@ -287,7 +288,7 @@ impl Wire {
                 (wire, s_recvs)
             }
             None => {
-                // g sends first: the staging receives alias their buffers
+                // g sends first: the staging receives fill their buffers
                 let sends: Vec<GPsend> = g_sends
                     .into_iter()
                     .map(|g| {
@@ -312,7 +313,7 @@ impl Wire {
                     .map(|r| {
                         let gs = &sends[r.g_send];
                         let win = gs.req.partition_range(r.partition);
-                        SRecv::register(r, reg, comm, &gs.buf, win)
+                        SRecv::register(r, reg, comm, win)
                     })
                     .collect();
                 let recvs = g_recvs
@@ -357,6 +358,12 @@ pub(crate) struct NeighborExec {
     /// done when **all** of its partitions have arrived and its ghost
     /// slots are scattered.
     local_done: Vec<bool>,
+    /// The staging receive the s step stands on: they complete in
+    /// registration order, whatever order they land in.
+    s_next: usize,
+    /// The g sends ship once, after the whole s step; nothing else of the
+    /// iteration is drained before they are out.
+    g_started: bool,
     g_done: Vec<bool>,
     /// The r step opens only after every g payload is in (its forwards
     /// read from them); set by the `test` call that drains the last g.
@@ -417,11 +424,13 @@ impl NeighborExec {
             input_index: routing.input_index,
             output_index: routing.output_index,
             local_done: vec![false; local_recvs.len()],
+            s_next: 0,
             g_done: vec![false; n_g],
             r_started: false,
             r_done: vec![false; r_recvs.len()],
-            // inactive until the first start: test/wait are no-ops, as on
-            // an inactive persistent MPI request
+            // inactive until the first start: nothing held back, and
+            // test/wait are no-ops, as on an inactive persistent MPI request
+            g_started: true,
             done: true,
             local_sends,
             local_recvs,
@@ -433,6 +442,52 @@ impl NeighborExec {
             protocol,
             _lease: lease,
         }
+    }
+
+    /// The s step and the g sends it gates, as one resumable step: take
+    /// every staging payload that has been delivered, **in registration
+    /// order**, into its partition's window (the partitioned wire injects
+    /// that partition right there), and ship the g sends once the last one
+    /// is in. Returns whether the g step is out. Never blocks. The order
+    /// and the single shipping point are what make the virtual clock a
+    /// function of the plan rather than of thread timing.
+    fn advance_s(&mut self, ctx: &mut RankCtx) -> bool {
+        if self.g_started {
+            return true;
+        }
+        while let Some(sr) = self.s_recvs.get_mut(self.s_next) {
+            let Some(data) = sr.req.try_take(ctx) else {
+                return false;
+            };
+            match &mut self.wire {
+                Wire::Plain { arena, .. } => {
+                    arena.write()[sr.win.clone()].copy_from_slice(&data);
+                }
+                Wire::Partitioned { sends, .. } => {
+                    let gs = &mut sends[sr.g_send];
+                    gs.buf.write()[sr.win.clone()].copy_from_slice(&data);
+                    gs.req.pready(ctx, sr.partition);
+                }
+            }
+            sr.req.recycle(data);
+            self.s_next += 1;
+        }
+        match &self.wire {
+            Wire::Plain { arena, sends, .. } => {
+                let arena = arena.read();
+                for send in sends {
+                    let win = &arena[send.win.clone()];
+                    send.req.start_with(ctx, |buf| buf.extend_from_slice(win));
+                }
+            }
+            Wire::Partitioned { sends, .. } => {
+                for gs in sends {
+                    gs.req.wait();
+                }
+            }
+        }
+        self.g_started = true;
+        true
     }
 }
 
@@ -446,14 +501,18 @@ impl NeighborRequest for NeighborExec {
     }
 
     /// `MPI_Start`: begin one iteration. `input[i]` is the current value of
-    /// `input_index()[i]`. Implements Algorithm 5: start ℓ, start+complete
-    /// s, start g.
+    /// `input_index()[i]`. Posts the ℓ and s sends and opens the ℓ, s and g
+    /// receives; never blocks. Where Algorithm 5 completes the s step here,
+    /// this leaves it to [`NeighborRequest::test`] like every other
+    /// receive, taking only what has already been delivered.
     fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
         assert_eq!(input.len(), self.input_index.len(), "input length mismatch");
 
         // fresh iteration: nothing drained yet (a start racing an
         // unfinished iteration trips the receives' double-start assert)
         self.local_done.fill(false);
+        self.s_next = 0;
+        self.g_started = false;
         self.g_done.fill(false);
         self.r_started = false;
         self.r_done.fill(false);
@@ -470,78 +529,57 @@ impl NeighborRequest for NeighborExec {
         for send in &self.s_sends {
             send.start_gather(ctx, |p| input[p]);
         }
-
-        // partitioned g opens before staging completes: the leader's own
-        // partitions are injected right away
-        if let Wire::Partitioned { sends, recvs } = &mut self.wire {
-            for gs in sends {
-                gs.req.start();
-                for (pidx, positions) in &gs.input_parts {
-                    {
-                        let mut buf = gs.buf.write();
-                        let range = gs.req.partition_range(*pidx);
-                        for (i, &p) in range.zip(positions) {
-                            buf[i] = input[p];
-                        }
-                    }
-                    gs.req.pready(ctx, *pidx);
-                }
-            }
-            for gr in recvs {
-                gr.req.start();
-            }
-        }
-
-        // s: complete the initial redistribution. Each staging message
-        // lands directly in its partition's window of the aliased g send
-        // buffer (no assembly copy). The receives are waited in
-        // registration order; on the partitioned wire each partition is
-        // injected as soon as *its* receive returns, so a partition is held
-        // back only by the staging messages registered ahead of it — not
-        // by the whole s step, as on the plain wire.
         for sr in &mut self.s_recvs {
             sr.req.start();
         }
-        for sr in &mut self.s_recvs {
-            sr.req.wait(ctx);
-            if let Wire::Partitioned { sends, .. } = &mut self.wire {
-                sends[sr.g_send].req.pready(ctx, sr.partition);
-            }
-        }
 
+        // g: this rank's own contributions go into the send buffers now
+        // (their windows are disjoint from the staged ones)
         match &mut self.wire {
-            // g: gather this rank's own contributions into the arena, then
-            // ship each buffer (staged partitions are already in place)
             Wire::Plain {
                 arena,
                 sends,
                 recvs,
                 ..
             } => {
-                for send in sends {
-                    if !send.input_parts.is_empty() {
-                        let mut guard = arena.write();
-                        for (range, positions) in &send.input_parts {
-                            for (slot, &p) in guard[range.clone()].iter_mut().zip(positions) {
-                                *slot = input[p];
-                            }
-                        }
+                let mut arena = arena.write();
+                for (range, positions) in sends.iter().flat_map(|s| &s.input_parts) {
+                    for (slot, &p) in arena[range.clone()].iter_mut().zip(positions) {
+                        *slot = input[p];
                     }
-                    send.req.start(ctx);
                 }
                 for recv in recvs {
                     recv.req.start();
                 }
             }
-            Wire::Partitioned { sends, .. } => {
+            // the partitioned g opens before staging completes: the
+            // leader's own partitions are injected right away
+            Wire::Partitioned { sends, recvs } => {
                 for gs in sends {
-                    gs.req.wait();
+                    gs.req.start();
+                    for (pidx, positions) in &gs.input_parts {
+                        {
+                            let mut buf = gs.buf.write();
+                            let range = gs.req.partition_range(*pidx);
+                            for (i, &p) in range.zip(positions) {
+                                buf[i] = input[p];
+                            }
+                        }
+                        gs.req.pready(ctx, *pidx);
+                    }
+                }
+                for gr in recvs {
+                    gr.req.start();
                 }
             }
         }
+
+        self.advance_s(ctx);
     }
 
-    /// `MPI_Test`: non-blocking progress. Drains every payload (and
+    /// `MPI_Test`: non-blocking progress. Completes the s step first (in
+    /// registration order) and ships the g sends; until they are out
+    /// nothing else is drained. From then on drains every payload (and
     /// partition) that has been delivered — in arrival order, not posting
     /// order — scatters its ghost values into `output`, advances the
     /// ℓ→g→r state machine (the r forwards fire from the `test` call that
@@ -556,6 +594,9 @@ impl NeighborRequest for NeighborExec {
         );
         if self.done {
             return true;
+        }
+        if !self.advance_s(ctx) {
+            return false;
         }
 
         for (recv, done) in self.local_recvs.iter_mut().zip(&mut self.local_done) {
@@ -640,10 +681,16 @@ impl NeighborRequest for NeighborExec {
     }
 
     /// Every receive the current iteration is still blocked on — the set a
-    /// caller parks on between `test` calls. Receives of the not-yet-opened
-    /// r step are excluded: they cannot be necessary before the g payloads
-    /// land (and `test` opens them then).
+    /// caller parks on between `test` calls: the one staging receive the s
+    /// step stands on while the g sends are held back, the undrained ℓ and
+    /// g receives after. Receives of the not-yet-opened r step are
+    /// excluded: they cannot be necessary before the g payloads land (and
+    /// `test` opens them then).
     fn pending_chans(&self, out: &mut Vec<ChanId>) {
+        if !self.g_started {
+            out.push(self.s_recvs[self.s_next].req.chan_id());
+            return;
+        }
         for (recv, done) in self.local_recvs.iter().zip(&self.local_done) {
             if !done {
                 out.push(recv.req.chan_id());
@@ -679,7 +726,7 @@ mod tests {
     use crate::pattern::CommPattern;
     use crate::tagspace::SPAN;
     use locality::Topology;
-    use mpisim::{World, WorldPool};
+    use mpisim::{Fabric, FaultPlan, World, WorldConfig, WorldPool};
 
     const BOTH_WIRES: [bool; 2] = [false, true];
 
@@ -887,6 +934,40 @@ mod tests {
                 ok_a && ok_b
             });
             assert!(ok.into_iter().all(|b| b), "wires ({wire_a}, {wire_b})");
+        }
+    }
+
+    #[test]
+    fn start_returns_before_any_peer_has_started() {
+        // even ranks start and only then meet the odd ranks at a barrier
+        // the odd ranks pass before they start: a start that waited for a
+        // staging message would never reach it (the deadline makes that a
+        // loud abort)
+        let topo = Topology::block_nodes(16, 4);
+        let pattern = CommPattern::all_to_all_regions(&topo);
+        let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
+        for partitioned in BOTH_WIRES {
+            let faults = FaultPlan::seeded(1).deadline_ms(3_000);
+            let world = WorldConfig::new(Fabric::Thread).faults(faults);
+            let ok = world.run(16, |ctx| {
+                let comm = ctx.comm_world();
+                let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
+                let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
+                let mut output = vec![f64::NAN; nb.output_index().len()];
+                if ctx.rank() % 2 == 0 {
+                    nb.start(ctx, &input);
+                    ctx.barrier(&comm);
+                } else {
+                    ctx.barrier(&comm);
+                    nb.start(ctx, &input);
+                }
+                nb.wait(ctx, &mut output);
+                nb.output_index()
+                    .iter()
+                    .zip(&output)
+                    .all(|(&i, &v)| v == i as f64)
+            });
+            assert!(ok.into_iter().all(|b| b), "partitioned={partitioned}");
         }
     }
 

@@ -22,7 +22,9 @@
 //! request — which outlives its init-time `Comm` clone — must not couple
 //! its tag stream to whatever collectives the application runs.
 //!
-//! **Ordering contract.** The decision runs inside `start()`, so tuned
+//! **Ordering contract.** The decision runs inside `start()` — the one
+//! `start` in this crate that can block, and the one file `make lint`
+//! lets call a blocking `mpisim` primitive — so tuned
 //! requests inherit MPI's collective-order rule: every rank starts the
 //! same tuned request's iterations in the same order relative to other
 //! tuned requests on the communicator ([`crate::BatchRequest::start_all`]

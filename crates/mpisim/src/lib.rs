@@ -70,7 +70,7 @@ pub use partitioned::{PrecvReq, PsendReq};
 pub use comm::Comm;
 pub use ctx::RankCtx;
 pub use elem::Elem;
-pub use persistent::{RecvChan, RecvReq, SendChan, SendReq, SharedBuf};
+pub use persistent::{RecvChan, SendChan, SharedBuf};
 pub use runtime::{panic_message, EpochError, Fabric, World, WorldConfig, WorldPool};
 pub use stall::{LinkStatus, ParkCounts, PeerStatus, RankWait, StallReport};
 pub use state::{ChanId, ChanRegistrar};

@@ -4,28 +4,23 @@
 //! Persistent communication initializes a message once and then restarts it
 //! every iteration (paper §2: "persistent communication reduces
 //! initialization costs by having an initialization so that all overhead is
-//! only incurred once"). Buffers are shared between the application and the
-//! request via [`SharedBuf`], the safe-Rust analogue of MPI's raw buffer
-//! pointer: the application rewrites the buffer contents between `start`
-//! calls (e.g. new vector values in each SpMV) without re-registering the
-//! message.
+//! only incurred once").
 //!
 //! Registration is where the amortization happens in this simulator too:
-//! `send_init`/`recv_init` resolve the message signature `(context, src,
-//! dst, tag)` to a **pre-matched channel** once, so every iteration's
-//! `start`/`wait` moves values through that channel slot — a FIFO whose
-//! payload buffers are recycled — and `wait` copies straight
-//! into the registered receive window. The unexpected-message mailbox and
-//! its linear matching scan are only paid by non-persistent traffic.
+//! `send_chan_init`/`recv_chan_init` resolve the message signature
+//! `(context, src, dst, tag)` to a **pre-matched channel** once, so every
+//! iteration moves values through that channel slot — a FIFO whose payload
+//! buffers are recycled. The unexpected-message mailbox and its linear
+//! matching scan are only paid by non-persistent traffic.
 //!
-//! Below the buffer-registered requests sit the **buffer-less halves**,
-//! [`SendChan`] and [`RecvChan`] (`send_chan_init`/`recv_chan_init`): a
-//! send gathers its payload straight into the channel's recycled wire
-//! buffer ([`SendChan::start_with`]) and a receive scatters straight from
-//! the delivered payload ([`RecvChan::wait_with`]/[`RecvChan::wait_take`]),
-//! skipping the staging window entirely. The collective executors run on
-//! this zero-copy path; [`SendReq`]/[`RecvReq`] are the windowed layer on
-//! top of it.
+//! The requests are **buffer-less halves**, [`SendChan`] and [`RecvChan`]:
+//! a send gathers its payload straight into the channel's recycled wire
+//! buffer ([`SendChan::start_with`]) and a receive hands the delivered
+//! payload out in place ([`RecvChan::try_take`] to poll,
+//! [`RecvChan::wait_with`]/[`RecvChan::wait_take`] to block), with no
+//! registered window in between. A caller that wants one keeps its own
+//! buffer ([`SharedBuf`] is the shared kind the partitioned requests
+//! register) and copies at the two ends.
 //!
 //! A persistent send therefore matches a persistent receive registered with
 //! the same signature on the peer (the paper's collectives always register
@@ -41,7 +36,8 @@ use crate::state::{ChanRegistrar, Channel, WaitChans};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// A buffer shared between application code and persistent requests.
+/// A buffer with shared ownership: what a partitioned request registers,
+/// and how several requests alias windows of one allocation.
 pub type SharedBuf<T> = Arc<RwLock<Vec<T>>>;
 
 /// Create a [`SharedBuf`] from initial contents.
@@ -52,8 +48,7 @@ pub fn shared_buf<T>(data: Vec<T>) -> SharedBuf<T> {
 /// The buffer-less half of a persistent send: a pre-matched channel plus
 /// the registered message length. [`SendChan::start_with`] gathers the
 /// payload **directly into the channel's recycled wire buffer** — the
-/// zero-copy send path. [`SendReq`] layers a registered [`SharedBuf`]
-/// window on top for the classic `MPI_Send_init` shape.
+/// zero-copy send path.
 pub struct SendChan<T: Elem> {
     dst: usize,
     dst_world: usize,
@@ -102,54 +97,12 @@ impl<T: Elem> SendChan<T> {
     }
 }
 
-/// Persistent send: a registered message covering
-/// `buf[offset .. offset + len]`, re-sent on every [`SendReq::start`]
-/// through its pre-matched channel.
-pub struct SendReq<T: Elem> {
-    chan: SendChan<T>,
-    buf: SharedBuf<T>,
-    offset: usize,
-}
-
-impl<T: Elem> SendReq<T> {
-    /// Start one instance of the send (reads the current buffer contents).
-    pub fn start(&self, ctx: &mut RankCtx) {
-        let guard = self.buf.read();
-        let end = self.offset + self.chan.len;
-        assert!(
-            end <= guard.len(),
-            "persistent send range {}..{end} out of buffer of len {}",
-            self.offset,
-            guard.len()
-        );
-        let win = &guard[self.offset..end];
-        self.chan.start_with(ctx, |buf| buf.extend_from_slice(win));
-    }
-
-    /// Complete the send. Buffered semantics: a started send is already
-    /// complete, so this is a no-op; it exists for API symmetry.
-    pub fn wait(&self, _ctx: &mut RankCtx) {}
-
-    pub fn dst(&self) -> usize {
-        self.chan.dst
-    }
-
-    pub fn len(&self) -> usize {
-        self.chan.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.chan.len == 0
-    }
-}
-
 /// The buffer-less half of a persistent receive: a pre-matched channel
 /// plus the registered message length. [`RecvChan::wait_with`] hands the
 /// delivered payload to a consumer **by reference, straight off the
 /// channel** — the zero-copy receive path; [`RecvChan::wait_take`] lends
 /// the payload buffer out for longer-lived consumption (return it with
-/// [`RecvChan::recycle`]). [`RecvReq`] layers a registered [`SharedBuf`]
-/// window on top for the classic `MPI_Recv_init` shape.
+/// [`RecvChan::recycle`]).
 pub struct RecvChan<T: Elem> {
     src: usize,
     chan: Arc<Channel<T>>,
@@ -242,43 +195,6 @@ impl<T: Elem> RecvChan<T> {
     }
 }
 
-/// Persistent receive into `buf[offset .. offset + len]` through its
-/// pre-matched channel.
-pub struct RecvReq<T: Elem> {
-    chan: RecvChan<T>,
-    buf: SharedBuf<T>,
-    offset: usize,
-}
-
-impl<T: Elem> RecvReq<T> {
-    /// Start one instance of the receive.
-    pub fn start(&mut self) {
-        self.chan.start();
-    }
-
-    /// Block until the matching message arrives and copy it into the
-    /// registered buffer window.
-    pub fn wait(&mut self, ctx: &mut RankCtx) {
-        // block on the channel BEFORE taking the buffer lock: the shared
-        // buffer may be in use elsewhere (even by the matching sender).
-        let data = self.chan.wait_take(ctx);
-        self.buf.write()[self.offset..self.offset + self.chan.len].clone_from_slice(&data);
-        self.chan.recycle(data);
-    }
-
-    pub fn src(&self) -> usize {
-        self.chan.src
-    }
-
-    pub fn len(&self) -> usize {
-        self.chan.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.chan.len == 0
-    }
-}
-
 impl ChanRegistrar<'_> {
     /// [`RankCtx::send_chan_init`] under the held registry lock.
     pub fn send_chan_init<T: Elem>(
@@ -329,50 +245,6 @@ impl ChanRegistrar<'_> {
             started: false,
         }
     }
-
-    /// [`RankCtx::send_init`] under the held registry lock.
-    pub fn send_init<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        dst: usize,
-        tag: u64,
-        buf: SharedBuf<T>,
-        offset: usize,
-        len: usize,
-    ) -> SendReq<T> {
-        SendReq {
-            chan: self.send_chan_init(comm, dst, tag, len),
-            buf,
-            offset,
-        }
-    }
-
-    /// [`RankCtx::recv_init`] under the held registry lock.
-    pub fn recv_init<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        src: usize,
-        tag: u64,
-        buf: SharedBuf<T>,
-        offset: usize,
-        len: usize,
-    ) -> RecvReq<T> {
-        {
-            let guard = buf.read();
-            assert!(
-                offset + len <= guard.len(),
-                "persistent recv range {}..{} out of buffer of len {}",
-                offset,
-                offset + len,
-                guard.len()
-            );
-        }
-        RecvReq {
-            chan: self.recv_chan_init(comm, src, tag, len),
-            buf,
-            offset,
-        }
-    }
 }
 
 impl RankCtx {
@@ -403,43 +275,10 @@ impl RankCtx {
     ) -> RecvChan<T> {
         self.chan_registrar().recv_chan_init(comm, src, tag, len)
     }
-
-    /// `MPI_Send_init`: register a persistent send of
-    /// `buf[offset..offset+len]` to communicator rank `dst`. Resolves the
-    /// pre-matched channel now so `start` never touches the mailbox.
-    pub fn send_init<T: Elem>(
-        &self,
-        comm: &Comm,
-        dst: usize,
-        tag: u64,
-        buf: SharedBuf<T>,
-        offset: usize,
-        len: usize,
-    ) -> SendReq<T> {
-        self.chan_registrar()
-            .send_init(comm, dst, tag, buf, offset, len)
-    }
-
-    /// `MPI_Recv_init`: register a persistent receive into
-    /// `buf[offset..offset+len]` from communicator rank `src`. Resolves the
-    /// pre-matched channel now so `wait` copies straight into the window.
-    pub fn recv_init<T: Elem>(
-        &self,
-        comm: &Comm,
-        src: usize,
-        tag: u64,
-        buf: SharedBuf<T>,
-        offset: usize,
-        len: usize,
-    ) -> RecvReq<T> {
-        self.chan_registrar()
-            .recv_init(comm, src, tag, buf, offset, len)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::runtime::World;
 
     #[test]
@@ -447,29 +286,20 @@ mod tests {
         let out = World::run(2, |ctx| {
             let comm = ctx.comm_world();
             if ctx.rank() == 0 {
-                let buf = shared_buf(vec![0.0f64; 4]);
-                let send = ctx.send_init(&comm, 1, 0, buf.clone(), 0, 4);
+                let send = ctx.send_chan_init::<f64>(&comm, 1, 0, 4);
                 let mut acc = 0.0;
                 for it in 0..10 {
-                    {
-                        let mut g = buf.write();
-                        for (i, v) in g.iter_mut().enumerate() {
-                            *v = (it * 4 + i) as f64;
-                        }
-                    }
-                    send.start(ctx);
+                    send.start_with(ctx, |buf| buf.extend((0..4).map(|i| (it * 4 + i) as f64)));
                     send.wait(ctx);
                     acc += it as f64;
                 }
                 acc
             } else {
-                let buf = shared_buf(vec![0.0f64; 4]);
-                let mut recv = ctx.recv_init(&comm, 0, 0, buf.clone(), 0, 4);
+                let mut recv = ctx.recv_chan_init::<f64>(&comm, 0, 0, 4);
                 let mut acc = 0.0;
                 for _ in 0..10 {
                     recv.start();
-                    recv.wait(ctx);
-                    acc += buf.read().iter().sum::<f64>();
+                    acc += recv.wait_with(ctx, |data| data.iter().sum::<f64>());
                 }
                 acc
             }
@@ -480,85 +310,28 @@ mod tests {
     }
 
     #[test]
-    fn offsets_pack_multiple_messages_in_one_buffer() {
-        let out = World::run(3, |ctx| {
-            let comm = ctx.comm_world();
-            if ctx.rank() == 0 {
-                let buf = shared_buf(vec![10u32, 11, 20, 21, 22]);
-                let s1 = ctx.send_init(&comm, 1, 0, buf.clone(), 0, 2);
-                let s2 = ctx.send_init(&comm, 2, 0, buf.clone(), 2, 3);
-                s1.start(ctx);
-                s2.start(ctx);
-                s1.wait(ctx);
-                s2.wait(ctx);
-                vec![]
-            } else {
-                let len = if ctx.rank() == 1 { 2 } else { 3 };
-                let buf = shared_buf(vec![0u32; len]);
-                let mut r = ctx.recv_init(&comm, 0, 0, buf.clone(), 0, len);
-                r.start();
-                r.wait(ctx);
-                let v = buf.read().clone();
-                v
-            }
-        });
-        assert_eq!(out[1], vec![10, 11]);
-        assert_eq!(out[2], vec![20, 21, 22]);
-    }
-
-    #[test]
     fn sender_runs_ahead_of_receiver() {
         // buffered semantics: several iterations may be in flight; the
         // channel queues them FIFO and never blocks the sender
         let out = World::run(2, |ctx| {
             let comm = ctx.comm_world();
             if ctx.rank() == 0 {
-                let buf = shared_buf(vec![0u64]);
-                let send = ctx.send_init(&comm, 1, 2, buf.clone(), 0, 1);
+                let send = ctx.send_chan_init::<u64>(&comm, 1, 2, 1);
                 for it in 0..5u64 {
-                    buf.write()[0] = it * 11;
-                    send.start(ctx);
+                    send.start_with(ctx, |buf| buf.push(it * 11));
                 }
                 0
             } else {
-                let buf = shared_buf(vec![0u64]);
-                let mut recv = ctx.recv_init(&comm, 0, 2, buf.clone(), 0, 1);
+                let mut recv = ctx.recv_chan_init::<u64>(&comm, 0, 2, 1);
                 let mut acc = 0;
                 for _ in 0..5 {
                     recv.start();
-                    recv.wait(ctx);
-                    acc = acc * 100 + buf.read()[0];
+                    acc = acc * 100 + recv.wait_with(ctx, |data| data[0]);
                 }
                 acc
             }
         });
         assert_eq!(out[1], 11223344); // 0,11,22,33,44 in order
-    }
-
-    #[test]
-    fn blocked_wait_does_not_hold_the_buffer_lock() {
-        // One Arc'd buffer shared across ranks: the receiver registers one
-        // window, the sender reads another window of the SAME buffer. The
-        // receiver blocks in wait() before the sender starts; if wait held
-        // the buffer's write lock while blocked, the sender could never
-        // acquire the read lock to push and both ranks would deadlock.
-        let shared = shared_buf(vec![5u64, 77]);
-        let out = World::run(2, |ctx| {
-            let comm = ctx.comm_world();
-            if ctx.rank() == 0 {
-                let send = ctx.send_init(&comm, 1, 0, shared.clone(), 1, 1);
-                // let the receiver reach its blocked wait first
-                std::thread::sleep(std::time::Duration::from_millis(30));
-                send.start(ctx);
-                0
-            } else {
-                let mut recv = ctx.recv_init(&comm, 0, 0, shared.clone(), 0, 1);
-                recv.start();
-                recv.wait(ctx);
-                shared.read()[0]
-            }
-        });
-        assert_eq!(out[1], 77);
     }
 
     #[test]
@@ -572,10 +345,9 @@ mod tests {
                 // pre-matched channel bypasses
                 ctx.send(&comm, 1, 5, &[1.0f64]);
             } else {
-                let buf = shared_buf(vec![0.0f64]);
-                let mut recv = ctx.recv_init(&comm, 0, 5, buf, 0, 1);
+                let mut recv = ctx.recv_chan_init::<f64>(&comm, 0, 5, 1);
                 recv.start();
-                recv.wait(ctx); // must panic with a diagnostic, not hang
+                recv.wait_take(ctx); // must panic with a diagnostic, not hang
             }
         });
     }
@@ -588,9 +360,8 @@ mod tests {
             if ctx.rank() == 0 {
                 // persistent send bypasses the mailbox the peer's plain
                 // recv blocks on
-                let buf = shared_buf(vec![1.0f64]);
-                let send = ctx.send_init(&comm, 1, 6, buf, 0, 1);
-                send.start(ctx);
+                let send = ctx.send_chan_init::<f64>(&comm, 1, 6, 1);
+                send.start_with(ctx, |buf| buf.push(1.0));
             } else {
                 let _: Vec<f64> = ctx.recv(&comm, 0, 6); // must panic, not hang
             }
@@ -670,8 +441,7 @@ mod tests {
     fn double_start_panics() {
         World::run(1, |ctx| {
             let comm = ctx.comm_world();
-            let buf = shared_buf(vec![0u8; 1]);
-            let mut r = ctx.recv_init(&comm, 0, 0, buf, 0, 1);
+            let mut r = ctx.recv_chan_init::<u8>(&comm, 0, 0, 1);
             r.start();
             r.start();
         });

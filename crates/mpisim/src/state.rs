@@ -154,8 +154,8 @@ impl ChanId {
     }
 }
 
-/// A pre-matched persistent channel: the rendezvous a `send_init` /
-/// `recv_init` pair shares, created once at registration time.
+/// A pre-matched persistent channel: the rendezvous a `send_chan_init` /
+/// `recv_chan_init` pair shares, created once at registration time.
 ///
 /// Every iteration's `start`/`wait` goes straight through this slot
 /// instead of boxing a fresh `Vec` behind `dyn Any` and linearly scanning
@@ -303,7 +303,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
 /// registry instead of one contended lock round trip per message.
 ///
 /// Obtain one with [`crate::RankCtx::chan_registrar`]; the registration
-/// methods (`send_chan_init`, `recv_init`, `psend_init_parts`, …) mirror
+/// methods (`send_chan_init`, `recv_chan_init`, `psend_init_parts`, …) mirror
 /// the [`crate::RankCtx`] ones. Registration never blocks on traffic, so
 /// holding the registry lock across a batch is deadlock-free — but do not
 /// call `start`/`wait` (or any `RankCtx` registration method, which takes
@@ -537,8 +537,8 @@ impl WorldState {
                     !self.transport.probe(rank, ctx_id, src, tag),
                     "{kind} blocked on channel {key:?}, from {src} tag {tag}: matching \
                      message sits in the plain mailbox — mixing a plain send with a \
-                     persistent receive on one signature is unsupported (use send_init \
-                     / psend_init on the sender)"
+                     persistent receive on one signature is unsupported (use \
+                     send_chan_init / psend_init on the sender)"
                 );
             }
         })
@@ -786,8 +786,8 @@ impl WorldState {
                 !self.channel_pending(&chan_key),
                 "plain recv from {src} tag {tag}: matching message sits on a \
                  persistent channel — mixing a persistent send with a plain \
-                 recv on one signature is unsupported (use recv_init on the \
-                 receiver)"
+                 recv on one signature is unsupported (use recv_chan_init on \
+                 the receiver)"
             );
         };
         self.transport

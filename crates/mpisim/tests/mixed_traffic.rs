@@ -10,7 +10,7 @@ use mpisim::{Fabric, RankCtx, WorldConfig};
 /// The blocked wait of one row; rank 0 sends the other way round.
 #[derive(Clone, Copy, Debug)]
 enum Blocked {
-    /// `RecvReq::wait` (that is `RecvChan::wait_take`).
+    /// `RecvChan::wait_take`, blocking on the one channel by hand.
     Persistent,
     /// `PrecvReq::wait`, facing a plain send on partition 0's sub-tag.
     Partitioned,
@@ -30,8 +30,8 @@ fn offend(ctx: &mut RankCtx, wait: Blocked, tag: u64) {
     let comm = ctx.comm_world();
     match wait {
         Blocked::PlainRecv => ctx
-            .send_init(&comm, 1, tag, shared_buf(vec![1.0f64]), 0, 1)
-            .start(ctx),
+            .send_chan_init::<f64>(&comm, 1, tag, 1)
+            .start_with(ctx, |buf| buf.push(1.0)),
         Blocked::Partitioned => ctx.send(&comm, 1, part0(tag), &[1.0f64]),
         _ => ctx.send(&comm, 1, tag, &[1.0f64]),
     }
@@ -41,9 +41,9 @@ fn block(ctx: &mut RankCtx, wait: Blocked, tag: u64) {
     let comm = ctx.comm_world();
     match wait {
         Blocked::Persistent => {
-            let mut recv = ctx.recv_init(&comm, 0, tag, shared_buf(vec![0.0f64]), 0, 1);
+            let mut recv = ctx.recv_chan_init::<f64>(&comm, 0, tag, 1);
             recv.start();
-            recv.wait(ctx);
+            recv.wait_take(ctx);
         }
         Blocked::WaitAny => {
             let mut recv = ctx.recv_chan_init::<f64>(&comm, 0, tag, 1);

@@ -120,23 +120,20 @@ fn large_payload_roundtrip() {
 /// cross-match.
 #[test]
 fn persistent_and_collectives_interleaved() {
-    use mpisim::persistent::shared_buf;
     World::run(4, |ctx| {
         let comm = ctx.comm_world();
         let peer = ctx.rank() ^ 1;
-        let sbuf = shared_buf(vec![0u64; 1]);
-        let rbuf = shared_buf(vec![0u64; 1]);
-        let send = ctx.send_init(&comm, peer, 5, sbuf.clone(), 0, 1);
-        let mut recv = ctx.recv_init(&comm, peer, 5, rbuf.clone(), 0, 1);
+        let send = ctx.send_chan_init::<u64>(&comm, peer, 5, 1);
+        let mut recv = ctx.recv_chan_init::<u64>(&comm, peer, 5, 1);
         for it in 0..20u64 {
-            sbuf.write()[0] = ctx.rank() as u64 * 1000 + it;
-            send.start(ctx);
+            let mine = ctx.rank() as u64 * 1000 + it;
+            send.start_with(ctx, |buf| buf.push(mine));
             recv.start();
             // a collective in the middle of the exchange
             let total = ctx.allreduce(&comm, &[it], op_sum_u64);
             assert_eq!(total[0], it * 4);
-            recv.wait(ctx);
-            assert_eq!(rbuf.read()[0], peer as u64 * 1000 + it);
+            let got = recv.wait_with(ctx, |data| data[0]);
+            assert_eq!(got, peer as u64 * 1000 + it);
         }
     });
 }

@@ -95,7 +95,10 @@ impl Task {
     /// it is not in flight, retire (`test_any` → `absorb`) entries until
     /// none is complete, move to the next iteration. `Some(result)` after
     /// the last one; `None` — with `runnable` cleared — when blocked on
-    /// traffic that has not landed.
+    /// traffic that has not landed. Never blocks: `start_all` only posts,
+    /// so the rank is back in the drive loop to serve whichever tenant a
+    /// peer is waiting on. The one exception is a `Backend::Tuned` job's
+    /// decision iteration, whose `start` joins a blocking reduction.
     fn poll(&mut self, ctx: &mut RankCtx) -> Option<Vec<f64>> {
         let n = self.session.len();
         let state = self
@@ -339,8 +342,19 @@ pub(crate) fn drive_rank(
                     continue;
                 }
                 // deadline stall (or repeated unattributed death): the
-                // dump fails every running job on this rank BY NAME
-                let names: Vec<&str> = running.iter().map(|&j| jobs[j].name.as_str()).collect();
+                // dump fails every running job on this rank BY NAME, with
+                // how far each got (its iteration, and how many of that
+                // iteration's entries it had retired)
+                let names: Vec<String> = running
+                    .iter()
+                    .map(|&j| {
+                        let task = tasks[j].as_ref().expect("running job has a task");
+                        format!(
+                            "{} (iter {}, retired {})",
+                            jobs[j].name, task.iter, task.retired
+                        )
+                    })
+                    .collect();
                 for &j in &running {
                     broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
                     results[j] = Some(Err(Cause::Here(format!(

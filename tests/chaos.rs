@@ -11,7 +11,7 @@
 //! structured [`EpochError`] and stays usable for the next epoch.
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol};
 use mpisim::collectives::op_sum_u64;
 use mpisim::{panic_message, Fabric, FaultPlan, RankCtx, World, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -301,6 +301,61 @@ fn deadline_expiry_dumps_a_stall_report() {
             assert!(
                 msg.contains("link to proc"),
                 "sock stall report carries no link forensics:\n{msg}"
+            );
+        }
+    }
+}
+
+/// `MPI_Start` is local: ranks may start two live collectives in
+/// different orders. Even ranks start entry 0 then 1, odd ranks 1 then 0;
+/// a `start` that blocked on its staging receives would close a cycle
+/// (each rank waits inside one entry for a peer that is waiting inside the
+/// other). The deadline makes that a loud abort instead of a hung test.
+#[test]
+fn starts_in_opposite_orders_complete() {
+    let topo = Topology::block_nodes(16, 4);
+    let pattern = CommPattern::all_to_all_regions(&topo);
+    for backend in [Backend::Protocol, Backend::Partitioned] {
+        let backend = backend(Protocol::FullNeighbor);
+        let batch = NeighborBatch::new(&topo)
+            .entry(&pattern, backend)
+            .entry(&pattern, backend);
+        for on in Fabric::ALL {
+            let plan = FaultPlan::seeded(1).deadline_ms(3_000);
+            let ok = WorldConfig::new(on).faults(plan).run(16, |ctx| {
+                let comm = ctx.comm_world();
+                let mut session = batch.init_all(ctx, &comm);
+                let order = if ctx.rank() % 2 == 0 { [0, 1] } else { [1, 0] };
+                let mut outputs: Vec<Vec<f64>> = (0..2)
+                    .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
+                    .collect();
+                let mut ok = true;
+                for it in 0..20u64 {
+                    let salt = |e: usize| it + 100 * e as u64;
+                    for e in order {
+                        let input: Vec<f64> = session
+                            .entry(e)
+                            .input_index()
+                            .iter()
+                            .map(|&i| value(i, salt(e)))
+                            .collect();
+                        session.start(ctx, e, &input);
+                    }
+                    session.wait_all(ctx, &mut outputs);
+                    for (e, output) in outputs.iter().enumerate() {
+                        let idx = session.entry(e).output_index();
+                        ok &= idx
+                            .iter()
+                            .zip(output)
+                            .all(|(&i, v)| v.to_bits() == value(i, salt(e)).to_bits());
+                    }
+                }
+                ok
+            });
+            assert!(
+                ok.into_iter().all(|b| b),
+                "{backend:?} on {} delivered wrong values",
+                on.name()
             );
         }
     }

@@ -20,10 +20,11 @@ use std::time::Duration;
 
 use amg::{Hierarchy, HierarchyOptions, JacobiJob};
 use locality::Topology;
-use mpi_advance::{CommPattern, EntryId, NeighborRequest};
+use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, Protocol};
 use mpisim::{Fabric, FaultPlan, WorldConfig};
 use proptest::prelude::*;
 use service::{JobLogic, JobReport, JobSpec, RankState, SolveService};
+use sparse::gen::diffusion::paper_problem;
 use sparse::gen::diffusion_2d_7pt;
 
 const RANKS: usize = 4;
@@ -175,12 +176,14 @@ fn kill_fails_one_tenant_and_spares_the_rest() {
 
 /// Kill containment under locality-aware protocols. With 8 ranks at 4
 /// per node, [`service::JobSpec`]'s default `Backend::Auto` plans
-/// aggregated protocols whose local-gather steps block *synchronously*
-/// inside a task's poll — a rank stuck there can never see a cancel
-/// token, because its scheduler never regains control. Its only way out
-/// is the transport death flag, which is why absorption is per rank:
-/// the failing rank absorbing the flag for itself must not steal the
-/// abort from peers still blocked on the dead tenant's traffic.
+/// aggregated protocols. Their local-gather steps used to block
+/// *synchronously* inside a task's poll — a rank stuck there can never
+/// see a cancel token, because its scheduler never regains control; its
+/// only way out is the transport death flag, which is why absorption is
+/// per rank: the failing rank absorbing the flag for itself must not
+/// steal the abort from peers still blocked on the dead tenant's
+/// traffic. The gather completes in `test` now, so a peer sits in the
+/// park instead; the rule stays for whatever a poll may still block in.
 /// (Regression: this exact shape used to hang the epoch forever.)
 #[test]
 fn kill_is_contained_under_locality_protocols() {
@@ -333,6 +336,70 @@ fn deadline_dump_attributes_running_jobs() {
             .any(|e| e.message.contains("tenant-wedged") && e.message.contains("parked")),
         "no deadline dump attributed the wedged tenant by name: {dumped:?}"
     );
+    // … and says how far it got (which levels retire without rank 3 is
+    // the hierarchy's business, so only the shape is pinned)
+    assert!(
+        dumped
+            .iter()
+            .any(|e| e.message.contains("tenant-wedged (iter 0, retired ")),
+        "no deadline dump says how far the wedged tenant got: {dumped:?}"
+    );
+}
+
+/// The shape the benchmark's `service_16r --pmis-seed 1` used to wedge
+/// on — 24 tenants per epoch under `Fully_Optimized_Neighbor`, window 4,
+/// 16 ranks at 4 per region — for 100 epochs of one warm pool. Ranks
+/// retire and admit tenants in whatever order traffic lands, so while
+/// `start` completed the staging step synchronously a rank could sit
+/// inside one tenant's `start_all`, waiting on a peer that was waiting for
+/// this rank to `test` another tenant. Two sweeps per tenant (the
+/// benchmark runs one) put a `start_all` behind traffic in every tenant:
+/// the benchmark wedged about one epoch in 200, this wedged in the first.
+/// Every epoch must return, under the deadline, with the serial
+/// reference's bytes.
+#[test]
+fn many_tenants_under_full_neighbor_never_wedge() {
+    const N: usize = 16;
+    const TENANTS: usize = 24;
+    const EPOCHS: usize = 100;
+    let topo = Topology::block_nodes(N, 4);
+    let options = HierarchyOptions {
+        seed: 1,
+        ..HierarchyOptions::default()
+    };
+    let h = Hierarchy::setup(paper_problem(32, 16), options);
+    let n = h.levels[0].a.n_rows();
+    let jobs: Vec<Arc<JacobiJob>> = (0..TENANTS)
+        .map(|j| {
+            let w = 0.11 + 0.17 * j as f64;
+            let rhs: Vec<f64> = (0..n).map(|i| (w * i as f64).cos()).collect();
+            Arc::new(JacobiJob::relaxation(&h, N, &rhs, 0.8, 2))
+        })
+        .collect();
+    let expect: Vec<Vec<Vec<f64>>> = jobs.iter().map(|j| j.reference_results()).collect();
+    let plan = FaultPlan::seeded(1).deadline_ms(10_000);
+    let pool = WorldConfig::new(Fabric::Thread).faults(plan).pool(N);
+    let mut svc = SolveService::with_pool(pool).max_concurrent(4);
+    for epoch in 0..EPOCHS {
+        for (k, j) in jobs.iter().enumerate() {
+            let spec = JobSpec::new(
+                format!("tenant-{k}"),
+                topo.clone(),
+                Arc::clone(j) as Arc<dyn JobLogic>,
+            );
+            svc.submit(spec.backend(Backend::Protocol(Protocol::FullNeighbor)));
+        }
+        let got: Vec<Vec<Vec<f64>>> = svc
+            .run_pending()
+            .into_iter()
+            .enumerate()
+            .map(|(k, rep)| {
+                rep.outcome
+                    .unwrap_or_else(|e| panic!("epoch {epoch}: tenant {k} failed: {e}"))
+            })
+            .collect();
+        assert_eq!(got, expect, "epoch {epoch} changed bytes");
+    }
 }
 
 // ---------------------------------------------------------------------
