@@ -48,9 +48,14 @@ test-tuner:
 # reference replay on all three fabrics, a warm pool surviving
 # successive rounds, a seeded kill failing exactly one tenant (with
 # rank attribution) while the others stay byte-identical to solo runs,
-# and deadline dumps naming every job they take down
+# deadline dumps naming every job they take down, tenants of one shape
+# sharing one resolution, and a 500-job soak that leaves the registry
+# gauge where its first epoch left it — then, alone and in release
+# (`--ignored`), the 5000-job soak per fabric: flat gauge, empty shm
+# table, flat VmRSS
 test-serve:
 	cargo test --test serve -q
+	cargo test --release --test serve -q -- --ignored
 
 fmt:
 	cargo fmt --all

@@ -225,6 +225,25 @@ impl RankCtx {
         }
     }
 
+    /// `MPI_Comm_free` for a duplicated or split communicator, without the
+    /// collective: the world forgets every persistent channel registered on
+    /// `comm`'s context. Each member calls it when it is done with the
+    /// communicator; it moves no traffic and never blocks, and a call after
+    /// the first finds nothing to do.
+    ///
+    /// Contract: **every member has registered what it will register on
+    /// this communicator** (a barrier after the registration pass gives
+    /// that). Requests initialized before the call keep working — each owns
+    /// its channels, and what the fabric keeps per channel (queues, a shm
+    /// table row and ring, a sock deliver hook) is returned when the last
+    /// of them drops. A registration on the context *after* a member freed
+    /// it makes a fresh channel its peer never attaches to: the blocked
+    /// side ends in a deadline abort, loudly, not in a hang.
+    pub fn comm_free(&self, comm: &Comm) {
+        assert_ne!(comm.ctx_id, 0, "the world communicator cannot be freed");
+        self.world.free_context(comm.ctx_id);
+    }
+
     /// Absorb the recorded rank-death marker **for this rank**, if one
     /// is set.
     ///

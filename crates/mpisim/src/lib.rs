@@ -72,7 +72,7 @@ pub use ctx::RankCtx;
 pub use elem::Elem;
 pub use persistent::{RecvChan, SendChan, SharedBuf};
 pub use runtime::{panic_message, EpochError, Fabric, World, WorldConfig, WorldPool};
-pub use stall::{LinkStatus, ParkCounts, PeerStatus, RankWait, StallReport};
+pub use stall::{LinkStatus, ParkCounts, PeerStatus, RankWait, RegistryGauge, StallReport};
 pub use state::{ChanId, ChanRegistrar};
 pub use transport::fault::FaultPlan;
 pub use transport::remote::RemoteWorld;

@@ -50,6 +50,26 @@ pub struct ParkCounts {
     pub park_timeouts: u64,
 }
 
+/// What the world keeps per registered persistent channel — all of it
+/// given back once a communicator is freed ([`crate::RankCtx::comm_free`])
+/// and the handles to its channels are dropped, so an epoch that frees
+/// every communicator it duplicated leaves this gauge where it found it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegistryGauge {
+    /// Channels in this process's registry.
+    pub channels: usize,
+    /// Shm fabric: rows of the segment's registration table in use.
+    pub shm_rows: usize,
+    /// Shm fabric: bytes of the segment handed out so far (a freed ring
+    /// is recycled, not returned, so this levels off instead of falling).
+    pub shm_bytes: u64,
+    /// Sock fabric: receive hooks registered with the link readers.
+    pub sock_deliver: usize,
+    /// Sock fabric: payloads that arrived for a channel nobody here has
+    /// registered.
+    pub sock_undelivered: usize,
+}
+
 /// Liveness of one attached peer process (shm fabric only).
 #[derive(Debug, Clone, Copy)]
 pub struct PeerStatus {
@@ -117,6 +137,9 @@ pub struct StallReport {
     pub peers: Vec<PeerStatus>,
     /// Per-peer socket link state (empty off the sock fabric).
     pub links: Vec<LinkStatus>,
+    /// Occupancy of the channel registry and of what the fabric keeps per
+    /// channel.
+    pub registry: RegistryGauge,
 }
 
 impl fmt::Display for StallReport {
@@ -173,6 +196,23 @@ impl fmt::Display for StallReport {
         writeln!(f, "  parks (timed out) per rank: [{}]", parks.join(", "))?;
         writeln!(f, "  transport fabric: {}", self.fabric)?;
         writeln!(f, "  outbox depth: {}", self.outbox_depth)?;
+        let g = &self.registry;
+        write!(f, "  channels registered: {}", g.channels)?;
+        match self.fabric {
+            "shm" => writeln!(
+                f,
+                " (shm table rows {} of {}, {} segment bytes)",
+                g.shm_rows,
+                crate::transport::shm::segment::TABLE_CAP,
+                g.shm_bytes
+            )?,
+            "sock" => writeln!(
+                f,
+                " (sock deliver hooks {}, undelivered {})",
+                g.sock_deliver, g.sock_undelivered
+            )?,
+            _ => writeln!(f)?,
+        }
         if self.peers.is_empty() {
             write!(f, "  peers: in-process (thread fabric)")?;
         } else {
@@ -248,6 +288,12 @@ mod tests {
                 read_calls: 16,
                 writer_wakes: 9,
             }],
+            registry: RegistryGauge {
+                channels: 31,
+                sock_deliver: 30,
+                sock_undelivered: 2,
+                ..RegistryGauge::default()
+            },
         };
         let text = report.to_string();
         assert!(text.contains("StallReport (epoch 3)"));
@@ -258,6 +304,7 @@ mod tests {
         assert!(text.contains("parks (timed out) per rank: [12 (1), ?]"));
         assert!(text.contains("transport fabric: sock"));
         assert!(text.contains("outbox depth: 7"));
+        assert!(text.contains("channels registered: 31 (sock deliver hooks 30, undelivered 2)"));
         assert!(text.contains("pid 4242 DEAD"));
         assert!(text.contains(
             "link to proc 2: reconnecting (outbox 3, unacked 11, last heard 812 ms ago)"

@@ -11,7 +11,7 @@
 //! [`crate::transport::sock`].
 
 use crate::elem::elem_bytes;
-use crate::stall::{RankWait, StallReport};
+use crate::stall::{RankWait, RegistryGauge, StallReport};
 use crate::transport::shm::ring::ShmChan;
 use crate::transport::sock::chan::SockChan;
 use crate::transport::thread::ThreadChan;
@@ -24,6 +24,7 @@ use perfmodel::CostModel;
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,18 +106,74 @@ pub(crate) struct ModelCtx {
 /// `(context id, src comm rank, dst comm rank, tag)`.
 pub(crate) type ChanKey = (u64, usize, usize, u64);
 
-/// Registry slot: element type name (for mismatch diagnostics), the
-/// type-erased channel, an untyped pending-message probe — so the plain
-/// mailbox path can detect mixed traffic without knowing `T` (for shm
-/// channels the count lives in the shared ring, hence a closure rather
-/// than a bare counter) — and a typed drain hook so the registry can
-/// discard undelivered payloads (after a panicked pool epoch) without
-/// knowing `T` either.
-struct ChanSlot {
-    type_name: &'static str,
-    chan: Arc<dyn Any + Send + Sync>,
-    pending: Arc<dyn Fn() -> usize + Send + Sync>,
-    drain: Arc<dyn Fn() + Send + Sync>,
+/// One communicator context's registered channels, by the rest of their
+/// signature: `(src comm rank, dst comm rank, tag)`.
+type CtxChans = HashMap<(usize, usize, u64), ChanSlot, BuildHasherDefault<WordHasher>>;
+
+/// The registry: context first, so that freeing a communicator
+/// ([`WorldState::free_context`]) is one removal under the lock.
+type Registry = HashMap<u64, CtxChans, BuildHasherDefault<WordHasher>>;
+
+/// The registry's hasher: one multiply-rotate per key word. A warm
+/// registration is two lookups now (context, then signature), made under
+/// the world-wide lock with every rank queued behind it; with SipHash the
+/// second one showed in `init_ms` (+12 % on `halo_small_16r`). The keys —
+/// context ids, ranks, tags — are the program's own, never input.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(*b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Registry slot: the registry's own handle to a channel, by what it needs
+/// of one without knowing the element type.
+type ChanSlot = Arc<dyn AnyChan>;
+
+/// A [`Channel<T>`] with `T` erased: the element type's name (for mismatch
+/// diagnostics), the pending-message probe — so the plain mailbox path
+/// can detect mixed traffic —, the drain — so the registry can discard
+/// undelivered payloads after a panicked pool epoch —, and the way back to
+/// the typed channel.
+trait AnyChan: Send + Sync {
+    fn type_name(&self) -> &'static str;
+    fn pending_len(&self) -> usize;
+    fn drain_pending(&self);
+    fn into_any(self: Arc<Self>) -> Arc<dyn Any + Send + Sync>;
+}
+
+impl<T: Clone + Send + 'static> AnyChan for Channel<T> {
+    fn type_name(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+
+    fn pending_len(&self) -> usize {
+        Channel::pending_len(self)
+    }
+
+    fn drain_pending(&self) {
+        Channel::drain_pending(self)
+    }
+
+    fn into_any(self: Arc<Self>) -> Arc<dyn Any + Send + Sync> {
+        self
+    }
 }
 
 /// Type-erased handle to one persistent channel, for completion-driven
@@ -186,7 +243,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
     fn new(key: ChanKey, fabric: ChanFabric) -> Self {
         let imp = match fabric {
             ChanFabric::Local(park) => ChanImp::Thread(ThreadChan::new(park)),
-            ChanFabric::Shm(raw) => ChanImp::Shm(ShmChan::new(raw)),
+            ChanFabric::Shm(raw, row) => ChanImp::Shm(ShmChan::new(raw, row)),
             ChanFabric::Sock(wire) => ChanImp::Sock(SockChan::new(key, wire)),
         };
         Self { key, imp }
@@ -309,7 +366,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
 /// call `start`/`wait` (or any `RankCtx` registration method, which takes
 /// the same lock) while a registrar is alive.
 pub struct ChanRegistrar<'a> {
-    guard: parking_lot::MutexGuard<'a, HashMap<ChanKey, ChanSlot>>,
+    guard: parking_lot::MutexGuard<'a, Registry>,
     transport: &'a Arc<dyn Transport>,
 }
 
@@ -336,15 +393,18 @@ pub(crate) struct WorldState {
     pub model: Option<ModelCtx>,
     /// The fabric this world moves bytes over.
     transport: Arc<dyn Transport>,
-    /// Pre-matched persistent channels, keyed by signature. Entries live
-    /// as long as the world (like unmatched mailbox envelopes): the
-    /// simulator has no `MPI_Request_free` counterpart, and registered
-    /// signatures are bounded by what the world's collectives registered.
-    /// A pooled world ([`crate::WorldPool`]) keeps its `WorldState` across
-    /// epochs, so re-registering the same signature re-attaches to the
-    /// (drained) channel — re-init on a warm world is a lookup, not a
-    /// rendezvous.
-    channels: Mutex<HashMap<ChanKey, ChanSlot>>,
+    /// Pre-matched persistent channels, keyed by context, then by the rest
+    /// of the signature. A context's entries live until one of its members
+    /// frees the communicator ([`WorldState::free_context`], the
+    /// `MPI_Comm_free` counterpart) — the world communicator's for as long
+    /// as the world. A pooled world ([`crate::WorldPool`]) keeps its
+    /// `WorldState` across epochs, so re-registering a signature of a live
+    /// context re-attaches to the (drained) channel — re-init on a warm
+    /// world is a lookup, not a rendezvous. The registry holds one handle
+    /// to each channel and the endpoints hold theirs: what the fabric keeps
+    /// per channel (heap queues, a shm table row and its ring, a sock
+    /// deliver hook) goes back when the last handle drops.
+    channels: Mutex<Registry>,
     /// Per-rank scan rotor for [`WorldState::poll_any`] /
     /// [`WorldState::wait_any`]: each call starts its readiness scan one
     /// position further, so a permanently-hot low-index channel cannot
@@ -487,7 +547,7 @@ impl WorldState {
             n_ranks,
             model,
             transport,
-            channels: Mutex::new(HashMap::new()),
+            channels: Mutex::new(Registry::default()),
             rotors: (0..n_ranks).map(|_| AtomicUsize::new(0)).collect(),
             parked: (0..n_ranks).map(|_| Mutex::new(None)).collect(),
             epoch: AtomicU64::new(0),
@@ -574,6 +634,12 @@ impl WorldState {
             outbox_depth: f.outbox_depth,
             peers: f.peers,
             links: f.links,
+            registry: RegistryGauge {
+                // never held across a wait, so a short block is all
+                // this can cost (`match_recv`'s probe takes it too)
+                channels: self.channels.lock().values().map(CtxChans::len).sum(),
+                ..f.registry
+            },
         }
     }
 
@@ -682,40 +748,29 @@ impl WorldState {
     /// under one lock acquisition. The transport decides where the
     /// channel's wire buffers live (process heap vs. shared segment).
     fn channel_in<T: Clone + Send + 'static>(
-        map: &mut HashMap<ChanKey, ChanSlot>,
+        map: &mut Registry,
         transport: &Arc<dyn Transport>,
         key: ChanKey,
         dst_world: usize,
         len_hint: usize,
     ) -> Arc<Channel<T>> {
-        let slot = map.entry(key).or_insert_with(|| {
-            let fabric = transport.make_channel(
-                key,
-                dst_world,
-                elem_bytes::<T>(),
-                std::any::type_name::<T>(),
-                len_hint,
-            );
-            let chan = Arc::new(Channel::<T>::new(key, fabric));
-            let pending = {
-                let chan = Arc::clone(&chan);
-                Arc::new(move || chan.pending_len()) as Arc<dyn Fn() -> usize + Send + Sync>
-            };
-            let drain = {
-                let chan = Arc::clone(&chan);
-                Arc::new(move || chan.drain_pending()) as Arc<dyn Fn() + Send + Sync>
-            };
-            ChanSlot {
-                type_name: std::any::type_name::<T>(),
-                chan: chan as Arc<dyn Any + Send + Sync>,
-                pending,
-                drain,
-            }
-        });
-        let registered = slot.type_name;
-        // only the channel is handed out: cloning the whole slot would bump
-        // two more contended counters under the world-wide registry lock
-        Arc::downcast::<Channel<T>>(Arc::clone(&slot.chan)).unwrap_or_else(|_| {
+        let (ctx_id, src, dst, tag) = key;
+        let slot = map
+            .entry(ctx_id)
+            .or_default()
+            .entry((src, dst, tag))
+            .or_insert_with(|| {
+                let fabric = transport.make_channel(
+                    key,
+                    dst_world,
+                    elem_bytes::<T>(),
+                    std::any::type_name::<T>(),
+                    len_hint,
+                );
+                Arc::new(Channel::<T>::new(key, fabric))
+            });
+        let registered = slot.type_name();
+        Arc::downcast::<Channel<T>>(Arc::clone(slot).into_any()).unwrap_or_else(|_| {
             panic!(
                 "persistent channel {key:?} datatype mismatch: registered {registered}, \
                  requested {}",
@@ -741,18 +796,33 @@ impl WorldState {
     /// into the next one.
     pub fn drain_in_flight(&self) {
         self.transport.drain_in_flight();
-        for slot in self.channels.lock().values() {
-            (slot.drain)();
+        for slot in self.channels.lock().values().flat_map(CtxChans::values) {
+            slot.drain_pending();
         }
+    }
+
+    /// Free communicator context `ctx_id`: forget every channel registered
+    /// on it and whatever the fabric holds for it outside a channel. The
+    /// caller's contract (see [`crate::RankCtx::comm_free`]): every member
+    /// has registered what it will register on this context. Handles
+    /// obtained before keep delivering — they own their channel — and a
+    /// second call finds nothing to do. One removal under the world-wide
+    /// lock; the slots drop after it is released.
+    pub(crate) fn free_context(&self, ctx_id: u64) {
+        let freed = self.channels.lock().remove(&ctx_id);
+        self.transport.release_context(ctx_id);
+        drop(freed);
     }
 
     /// Does the persistent channel for `key` exist with messages pending?
     /// Untyped — used by the plain receive path to diagnose mixed traffic.
     pub fn channel_pending(&self, key: &ChanKey) -> bool {
+        let (ctx_id, src, dst, tag) = *key;
         self.channels
             .lock()
-            .get(key)
-            .is_some_and(|slot| (slot.pending)() > 0)
+            .get(&ctx_id)
+            .and_then(|chans| chans.get(&(src, dst, tag)))
+            .is_some_and(|slot| slot.pending_len() > 0)
     }
 
     /// Deposit an envelope in `global_dst`'s mailbox and wake any waiter.

@@ -450,6 +450,12 @@ impl Transport for FaultTransport {
         self.tick(rank, op);
     }
 
+    fn release_context(&self, ctx_id: u64) {
+        // not a counted op: a free moves no traffic, and the schedule's
+        // time axis must not depend on when jobs retire
+        self.inner.release_context(ctx_id);
+    }
+
     fn sever_link(&self, peer_world: usize) {
         self.inner.sever_link(peer_world);
     }

@@ -39,7 +39,7 @@ pub mod sock;
 pub(crate) mod thread;
 pub(crate) mod wire;
 
-use crate::stall::{LinkStatus, ParkCounts, PeerStatus};
+use crate::stall::{LinkStatus, ParkCounts, PeerStatus, RegistryGauge};
 use crate::state::{ChanId, ChanKey, Envelope};
 pub(crate) use shm::ring::ShmChanRaw;
 pub(crate) use sock::SockChanWire;
@@ -145,6 +145,9 @@ pub(crate) struct TransportForensics {
     pub peers: Vec<PeerStatus>,
     /// Per-peer link state (socket fabric only; empty elsewhere).
     pub links: Vec<LinkStatus>,
+    /// The fabric's share of the registry gauge (`channels` is the
+    /// world's to fill in).
+    pub registry: RegistryGauge,
 }
 
 /// Where a persistent channel's wire buffers live, decided by the fabric
@@ -153,8 +156,9 @@ pub(crate) enum ChanFabric {
     /// In-process typed channel, no wire buffers at all: just where its
     /// receiving rank sleeps.
     Local(Arc<thread::RankPark>),
-    /// SPSC byte ring inside the shared segment.
-    Shm(ShmChanRaw),
+    /// SPSC byte ring inside the shared segment, and the
+    /// registration-table row the channel gives back when it drops.
+    Shm(ShmChanRaw, usize),
     /// Socket fabric: a local typed queue on the receiving side plus a
     /// framed-stream route on the sending side (either may be absent,
     /// depending on which side of the channel this process hosts).
@@ -255,6 +259,15 @@ pub(crate) trait Transport: Send + Sync {
     /// [`fault::FaultTransport`] counts the op against `rank`'s schedule
     /// and may delay or kill here.
     fn inject(&self, _rank: usize, _op: FaultOp) {}
+
+    /// A member freed communicator context `ctx_id`
+    /// ([`crate::state::WorldState::free_context`]): discard what the
+    /// fabric holds for that context outside any channel. What a channel
+    /// owns goes back when its last handle drops, not here — a member that
+    /// frees early must not take a slower member's traffic away. Only the
+    /// socket fabric holds anything of the kind (payloads that arrived for
+    /// a channel nobody registered); never blocks.
+    fn release_context(&self, _ctx_id: u64) {}
 
     /// Sever the connection to `peer_world`'s host mid-epoch (the
     /// `drop=<permille>` fault). Only the socket fabric has connections to

@@ -22,6 +22,7 @@ pub(crate) mod segment;
 
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{park_until, ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
+use crate::stall::RegistryGauge;
 use crate::state::{ChanId, ChanKey, Envelope, Payload, WorldState};
 use parking_lot::{Condvar, Mutex};
 use ring::ShmChanRaw;
@@ -348,10 +349,10 @@ impl Transport for ShmTransport {
     ) -> ChanFabric {
         let msg = 16 + (elem_bytes * len_hint.max(1)) as u64;
         let ring_bytes = (RING_DEPTH * msg).next_power_of_two().max(64 << 10);
-        let off = self
+        let (row, off) = self
             .seg
             .register_channel(key, dst_world, elem_bytes, type_name, ring_bytes);
-        ChanFabric::Shm(ShmChanRaw::new(Arc::clone(&self.seg), off))
+        ChanFabric::Shm(ShmChanRaw::new(Arc::clone(&self.seg), off), row)
     }
 
     fn drain_in_flight(&self) {
@@ -422,6 +423,7 @@ impl Transport for ShmTransport {
                 })
             })
             .collect();
+        let (shm_rows, shm_bytes) = self.seg.table_gauge();
         TransportForensics {
             fabric: "shm",
             mailbox_depths,
@@ -429,6 +431,11 @@ impl Transport for ShmTransport {
             outbox_depth,
             peers,
             links: Vec::new(),
+            registry: RegistryGauge {
+                shm_rows,
+                shm_bytes,
+                ..RegistryGauge::default()
+            },
         }
     }
 }

@@ -36,6 +36,9 @@ struct RingHdr {
     space_seq: AtomicU32,
     /// World rank of the consumer, fixed at `init_ring`.
     owner: AtomicU32,
+    /// While the ring sits on one of the segment's free lists: offset of
+    /// the next free ring of its size (0 = last).
+    next_free: AtomicU64,
 }
 
 /// Byte offset from a ring's base to its data area.
@@ -51,6 +54,16 @@ pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64, owner: usize) {
     hdr.space_seq.store(0, Ordering::SeqCst);
     hdr.owner.store(owner as u32, Ordering::SeqCst);
     hdr.cap.store(cap_bytes, Ordering::SeqCst);
+}
+
+/// Capacity of the initialized ring at `off` — its free-list size class.
+pub(crate) fn ring_cap(seg: &Segment, off: u64) -> u64 {
+    ShmChanRaw::hdr_at(seg, off).cap.load(Ordering::SeqCst)
+}
+
+/// The free-list link of the ring at `off` (see `Segment::release_channel`).
+pub(crate) fn next_free(seg: &Segment, off: u64) -> &AtomicU64 {
+    &ShmChanRaw::hdr_at(seg, off).next_free
 }
 
 /// Untyped handle to one ring: a segment reference plus the ring's offset.
@@ -244,14 +257,25 @@ impl ShmChanRaw {
 /// staging surfaces, and the steady state allocates nothing.
 pub(crate) struct ShmChan<T> {
     raw: ShmChanRaw,
+    /// The registration-table row this channel is attached to
+    /// (`Segment::register_channel`), given back on drop.
+    row: usize,
     spare: Mutex<Vec<Vec<T>>>,
 }
 
+impl<T> Drop for ShmChan<T> {
+    fn drop(&mut self) {
+        self.raw.seg.release_channel(self.row);
+    }
+}
+
 impl<T: Clone + Send + 'static> ShmChan<T> {
-    pub fn new(raw: ShmChanRaw) -> Self {
+    /// The typed view of a ring registered as table row `row`.
+    pub fn new(raw: ShmChanRaw, row: usize) -> Self {
         assert_pod::<T>("persistent channel over the shm transport");
         Self {
             raw,
+            row,
             spare: Mutex::new(Vec::new()),
         }
     }
@@ -378,9 +402,8 @@ mod tests {
     fn typed_channel_recycles_buffers() {
         let seg = Segment::create(2);
         seg.unlink();
-        let off = seg.alloc(RING_HDR + 4096);
-        init_ring(&seg, off, 4096, 1);
-        let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off));
+        let (row, off) = seg.register_channel((1, 0, 1, 7), 1, 8, "f64", 4096);
+        let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off), row);
         c.push_with(0.5, |b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
         c.wait_nonempty(|| {});
         let (buf, arrival) = c.try_pop().expect("delivered");

@@ -12,7 +12,8 @@
 //! [table;   TABLE_CAP × slot]    persistent-channel registration table
 //! [mailbox rings; n² × ring]     plain-send SPSC byte rings (src → dst)
 //! [bump area]                    persistent-channel rings, allocated on
-//!                                registration
+//!                                registration, recycled through per-size
+//!                                free lists once every attacher let go
 //! ```
 //!
 //! The creator initializes everything before publishing `magic`; workers
@@ -32,12 +33,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_000a; // "mpisim", layout v10
+const MAGIC: u64 = 0x6d70_6973_696d_000b; // "mpisim", layout v11
 const ALIGN: u64 = 64;
 
-/// Fixed capacity of the channel registration table. A world registers one
-/// slot per persistent signature (partitioned sends add one per
-/// partition); exceeding this is a loud panic, not silent corruption.
+/// Fixed capacity of the channel registration table. A world holds one
+/// slot per *live* persistent signature (partitioned sends add one per
+/// partition) — a slot goes back when every attacher has dropped its
+/// channel; exceeding this is a loud panic, not silent corruption.
 pub(crate) const TABLE_CAP: usize = 4096;
 
 extern "C" {
@@ -75,14 +77,24 @@ struct SegHeader {
     dead_rank: AtomicU32,
     /// Offset of the first mailbox ring.
     mailbox_base: AtomicU64,
+    /// Rows of the table that have ever been in use and not been trimmed
+    /// since: every live row is below it. Under the table lock.
+    table_len: AtomicU32,
+    /// Freed channel rings, one intrusive list per size class (a ring's
+    /// capacity is a power of two; the class is its exponent): offset of
+    /// the first free ring, 0 = none. Under the table lock.
+    free_rings: [AtomicU64; 64],
 }
 
-const HDR_SIZE: u64 = 128; // > size_of::<SegHeader>(), room to grow
+const HDR_SIZE: u64 = 1024; // > size_of::<SegHeader>(), room to grow
+const _: () = assert!(std::mem::size_of::<SegHeader>() as u64 <= HDR_SIZE);
 
 #[repr(C)]
 struct TableSlot {
-    /// 0 = empty, 1 = ready. Written last, under the table lock.
-    used: AtomicU32,
+    /// Channels attached to this row, one per process that registered its
+    /// key; 0 = the row is empty. Written under the table lock, and last
+    /// when a row is filled.
+    attached: AtomicU32,
     _pad: u32,
     key: [AtomicU64; 4],
     elem_bytes: AtomicU64,
@@ -528,10 +540,11 @@ impl Segment {
     }
 
     /// The pre-matched registration handshake: whichever process registers
-    /// `key` first allocates its ring; the other side attaches to the same
-    /// slot by key lookup, completing the match at init time (mirroring the
-    /// in-process channel registry). `dst_world` is the world rank that
-    /// consumes the ring. Returns the ring's segment offset.
+    /// `key` first takes a row and a ring for it; the other side attaches to
+    /// the same row by key lookup, completing the match at init time
+    /// (mirroring the in-process channel registry). `dst_world` is the world
+    /// rank that consumes the ring. Returns the row — what
+    /// [`Segment::release_channel`] gives back — and the ring's offset.
     pub fn register_channel(
         &self,
         key: ChanKey,
@@ -539,23 +552,21 @@ impl Segment {
         elem_bytes: usize,
         type_name: &str,
         ring_bytes: u64,
-    ) -> u64 {
+    ) -> (usize, u64) {
         let k = [key.0, key.1 as u64, key.2 as u64, key.3];
         let hash = fnv1a(type_name.as_bytes());
+        let h = self.header();
         let _guard = TableLock::acquire(self);
-        for i in 0..TABLE_CAP {
+        // a match anywhere among the live rows wins over the first hole:
+        // freed rows leave holes below rows that are still attached
+        let len = h.table_len.load(Ordering::SeqCst) as usize;
+        let mut hole = None;
+        for i in 0..len {
             let slot = self.table_slot(i);
-            if slot.used.load(Ordering::SeqCst) == 0 {
-                let off = self.alloc(RING_HDR + ring_bytes);
-                super::ring::init_ring(self, off, ring_bytes, dst_world);
-                for (dst, v) in slot.key.iter().zip(k) {
-                    dst.store(v, Ordering::SeqCst);
-                }
-                slot.elem_bytes.store(elem_bytes as u64, Ordering::SeqCst);
-                slot.name_hash.store(hash, Ordering::SeqCst);
-                slot.ring_off.store(off, Ordering::SeqCst);
-                slot.used.store(1, Ordering::SeqCst);
-                return off;
+            let attached = slot.attached.load(Ordering::SeqCst);
+            if attached == 0 {
+                hole.get_or_insert(i);
+                continue;
             }
             if slot
                 .key
@@ -571,10 +582,80 @@ impl Segment {
                      requested {type_name} ({elem_bytes} bytes)",
                     slot.elem_bytes.load(Ordering::SeqCst),
                 );
-                return slot.ring_off.load(Ordering::SeqCst);
+                slot.attached.store(attached + 1, Ordering::SeqCst);
+                return (i, slot.ring_off.load(Ordering::SeqCst));
             }
         }
-        panic!("shm channel table full ({TABLE_CAP} signatures registered)");
+        let row = hole.unwrap_or_else(|| {
+            assert!(
+                len < TABLE_CAP,
+                "shm channel table full ({TABLE_CAP} signatures live)"
+            );
+            h.table_len.store(len as u32 + 1, Ordering::SeqCst);
+            len
+        });
+        let free = &h.free_rings[ring_bytes.trailing_zeros() as usize];
+        let off = match free.load(Ordering::SeqCst) {
+            0 => self.alloc(RING_HDR + ring_bytes),
+            off => {
+                free.store(
+                    super::ring::next_free(self, off).load(Ordering::SeqCst),
+                    Ordering::SeqCst,
+                );
+                off
+            }
+        };
+        super::ring::init_ring(self, off, ring_bytes, dst_world);
+        let slot = self.table_slot(row);
+        for (dst, v) in slot.key.iter().zip(k) {
+            dst.store(v, Ordering::SeqCst);
+        }
+        slot.elem_bytes.store(elem_bytes as u64, Ordering::SeqCst);
+        slot.name_hash.store(hash, Ordering::SeqCst);
+        slot.ring_off.store(off, Ordering::SeqCst);
+        slot.attached.store(1, Ordering::SeqCst);
+        (row, off)
+    }
+
+    /// One attacher of `row` dropped its channel. With the last one the
+    /// row empties and its ring goes on the free list of its size, for the
+    /// next registration of that size. Runs from `Drop`, so it never
+    /// panics: if a peer died holding the table lock the row is left as it
+    /// is — that world registers nothing more.
+    pub fn release_channel(&self, row: usize) {
+        let h = self.header();
+        let Ok(_guard) = TableLock::acquire_unless_dead(self) else {
+            return;
+        };
+        let slot = self.table_slot(row);
+        let attached = slot.attached.load(Ordering::SeqCst);
+        slot.attached
+            .store(attached.saturating_sub(1), Ordering::SeqCst);
+        if attached != 1 {
+            return;
+        }
+        let off = slot.ring_off.load(Ordering::SeqCst);
+        let free = &h.free_rings[super::ring::ring_cap(self, off).trailing_zeros() as usize];
+        super::ring::next_free(self, off).store(free.load(Ordering::SeqCst), Ordering::SeqCst);
+        free.store(off, Ordering::SeqCst);
+        // keep the scanned prefix as short as the live rows allow
+        let mut len = h.table_len.load(Ordering::SeqCst) as usize;
+        while len > 0 && self.table_slot(len - 1).attached.load(Ordering::SeqCst) == 0 {
+            len -= 1;
+        }
+        h.table_len.store(len as u32, Ordering::SeqCst);
+    }
+
+    /// Table rows in use and segment bytes handed out so far — the shm
+    /// share of [`crate::RegistryGauge`]. Lock-free reads of a moving
+    /// target: exact only while nobody registers or releases.
+    pub fn table_gauge(&self) -> (usize, u64) {
+        let h = self.header();
+        let len = (h.table_len.load(Ordering::SeqCst) as usize).min(TABLE_CAP);
+        let rows = (0..len)
+            .filter(|&i| self.table_slot(i).attached.load(Ordering::SeqCst) != 0)
+            .count();
+        (rows, h.alloc_next.load(Ordering::SeqCst))
     }
 
     /// Mailbox ring (src → dst) offset.
@@ -606,6 +687,12 @@ struct TableLock<'a> {
 
 impl<'a> TableLock<'a> {
     fn acquire(seg: &'a Segment) -> Self {
+        Self::acquire_unless_dead(seg).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// `Err` with the failure message when a peer died while the lock was
+    /// contended: its holder's process may be the one that died.
+    fn acquire_unless_dead(seg: &'a Segment) -> Result<Self, String> {
         let lock = &seg.header().table_lock;
         let mut spins = 0u32;
         while lock
@@ -614,11 +701,13 @@ impl<'a> TableLock<'a> {
         {
             spins += 1;
             if spins.is_multiple_of(1024) {
-                seg.check_alive(); // holder's process may have died
+                if let Some(why) = seg.peer_failure() {
+                    return Err(why);
+                }
             }
             std::thread::yield_now();
         }
-        Self { seg }
+        Ok(Self { seg })
     }
 }
 
@@ -698,8 +787,47 @@ mod tests {
         let b = seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
         let c = seg.register_channel((1, 1, 0, 9), 0, 8, "f64", 1 << 12);
         assert_eq!(a, b);
-        assert_ne!(a, c);
+        assert_ne!(a.0, c.0);
+        assert_ne!(a.1, c.1);
         seg.unlink();
+    }
+
+    #[test]
+    fn a_row_and_its_ring_go_back_with_the_last_attacher() {
+        let seg = Segment::create(2);
+        seg.unlink();
+        let reg = |tag: u64, bytes: u64| seg.register_channel((1, 0, 1, tag), 1, 8, "f64", bytes);
+        let (a, a_ring) = reg(1, 1 << 12);
+        let (b, _) = reg(2, 1 << 12);
+        let (c, _) = reg(3, 1 << 13);
+        assert_eq!(reg(1, 1 << 12).0, a); // a second attacher of row a
+        assert_eq!((a, b, c), (0, 1, 2));
+        let used = seg.table_gauge();
+        assert_eq!(used.0, 3);
+
+        seg.release_channel(a);
+        assert_eq!(seg.table_gauge().0, 3, "one attacher of two is left");
+        // a match above a hole is found before the hole is taken
+        seg.release_channel(a);
+        assert_eq!(seg.table_gauge().0, 2);
+        assert_eq!(reg(3, 1 << 13).0, c);
+        seg.release_channel(c);
+
+        // the hole and the freed ring of that size are reused; another
+        // size takes fresh segment bytes
+        let (d, d_ring) = reg(4, 1 << 12);
+        assert_eq!((d, d_ring), (a, a_ring));
+        assert_eq!(seg.table_gauge(), used);
+        let (e, _) = reg(5, 1 << 14);
+        assert_eq!(e, 3);
+        assert!(seg.table_gauge().1 > used.1);
+
+        // releasing the top rows trims the scanned prefix
+        for row in [e, c, b, d] {
+            seg.release_channel(row);
+        }
+        assert_eq!(seg.table_gauge().0, 0);
+        assert_eq!(seg.header().table_len.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `[ctx u64][src u64][dst u64][tag u64][arrival f64-bits u64]` + data.
 
 use super::link::{Link, K_CHAN};
-use super::SockChanWire;
+use super::{DeliverFn, SockChanWire, SockTransport};
 use crate::elem::elem_bytes;
 use crate::state::ChanKey;
 use crate::transport::thread::ThreadChan;
@@ -26,6 +26,9 @@ pub(crate) struct SockChan<T> {
     pub(crate) local: Arc<ThreadChan<T>>,
     key: ChanKey,
     route: Option<Arc<Link>>,
+    /// The deliver hook this channel registered, and with whom (when this
+    /// process hosts the receiving rank): unregistered on drop.
+    hook: Option<(Arc<SockTransport>, DeliverFn)>,
     /// Recycled typed staging buffers (what `fill` writes into), mirroring
     /// the receive side's spare pool so steady-state sends allocate
     /// nothing; the frame itself is the link's recycled buffer.
@@ -40,27 +43,27 @@ impl<T: Send + 'static> SockChan<T> {
     pub(crate) fn new(key: ChanKey, wire: SockChanWire) -> Self {
         assert_pod::<T>("persistent channel over the sock transport");
         let local = Arc::new(ThreadChan::new(wire.park));
-        if let Some(t) = wire.register {
+        let hook = wire.register.map(|t| {
             let local = Arc::clone(&local);
-            t.register_deliver(
-                key,
-                Arc::new(move |arrival, bytes: &[u8]| {
-                    if !bytes.len().is_multiple_of(elem_bytes::<T>()) {
-                        return Err(format!(
-                            "payload of {} bytes is not a whole number of {} elements",
-                            bytes.len(),
-                            std::any::type_name::<T>()
-                        ));
-                    }
-                    local.push_with(arrival, |buf| vec_extend_bytes(buf, bytes, &[]));
-                    Ok(())
-                }),
-            );
-        }
+            let f: DeliverFn = Arc::new(move |arrival, bytes: &[u8]| {
+                if !bytes.len().is_multiple_of(elem_bytes::<T>()) {
+                    return Err(format!(
+                        "payload of {} bytes is not a whole number of {} elements",
+                        bytes.len(),
+                        std::any::type_name::<T>()
+                    ));
+                }
+                local.push_with(arrival, |buf| vec_extend_bytes(buf, bytes, &[]));
+                Ok(())
+            });
+            t.register_deliver(key, Arc::clone(&f));
+            (t, f)
+        });
         Self {
             local,
             key,
             route: wire.route,
+            hook,
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -80,6 +83,14 @@ impl<T: Send + 'static> SockChan<T> {
             body.extend_from_slice(bytes_of(&vals));
         });
         self.scratch.lock().push(vals);
+    }
+}
+
+impl<T> Drop for SockChan<T> {
+    fn drop(&mut self) {
+        if let Some((t, f)) = &self.hook {
+            t.unregister_deliver(self.key, f);
+        }
     }
 }
 

@@ -28,6 +28,7 @@ pub(crate) mod link;
 use super::thread::{RankPark, ThreadTransport};
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
+use crate::stall::RegistryGauge;
 use crate::state::{ChanId, ChanKey, Envelope, Payload};
 use control::Ctrl;
 use link::{
@@ -80,8 +81,12 @@ fn parse_hello(f: &Frame<'_>) -> std::io::Result<(usize, u64)> {
 }
 
 struct ChanTable {
+    /// One hook per live channel this process receives on: registered by
+    /// the channel, removed when the channel drops.
     deliver: HashMap<ChanKey, DeliverFn>,
-    /// Payloads that arrived before the receiving side registered.
+    /// Payloads that arrived before the receiving side registered — or,
+    /// for a failed tenant's stragglers, after its channel dropped; those
+    /// go with the communicator ([`Transport::release_context`]).
     undelivered: HashMap<ChanKey, Vec<(f64, Vec<u8>)>>,
 }
 
@@ -437,6 +442,16 @@ impl SockTransport {
         }
     }
 
+    /// The channel that registered `f` for `key` dropped: stop delivering
+    /// to it. A hook some later registration of the key put in its place
+    /// is not this channel's to remove.
+    pub(crate) fn unregister_deliver(&self, key: ChanKey, f: &DeliverFn) {
+        let mut ch = self.chans.lock();
+        if ch.deliver.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, f)) {
+            ch.deliver.remove(&key);
+        }
+    }
+
     /// The first dead link, for failure reporting.
     fn dead_link(&self) -> Option<(usize, usize, String)> {
         for link in self.links.iter().flatten() {
@@ -582,6 +597,12 @@ impl Transport for SockTransport {
         }
     }
 
+    fn release_context(&self, ctx_id: u64) {
+        // empty but for a failed tenant's stragglers
+        let mut ch = self.chans.lock();
+        ch.undelivered.retain(|key, _| key.0 != ctx_id);
+    }
+
     fn sever_link(&self, peer_world: usize) {
         if let Some(link) = &self.links[self.proc_of(peer_world)] {
             link.disconnect();
@@ -590,10 +611,22 @@ impl Transport for SockTransport {
 
     fn forensics(&self) -> TransportForensics {
         let links: Vec<_> = self.links.iter().flatten().map(|l| l.status()).collect();
+        // the table lock is held per frame and per registration, never
+        // across a wait: taking it here cannot wedge the reporter
+        let (sock_deliver, sock_undelivered) = {
+            let ch = self.chans.lock();
+            let stashed = ch.undelivered.values().map(Vec::len).sum();
+            (ch.deliver.len(), stashed)
+        };
         TransportForensics {
             fabric: "sock",
             outbox_depth: links.iter().map(|l| l.outbox).sum(),
             links,
+            registry: RegistryGauge {
+                sock_deliver,
+                sock_undelivered,
+                ..RegistryGauge::default()
+            },
             ..self.rx.forensics()
         }
     }

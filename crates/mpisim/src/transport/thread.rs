@@ -11,7 +11,7 @@
 use super::{
     park_until, ChanFabric, ParkPoint, PayloadMode, Transport, TransportForensics, PARK_SPIN,
 };
-use crate::stall::ParkCounts;
+use crate::stall::{ParkCounts, RegistryGauge};
 use crate::state::{ChanId, ChanKey, Envelope, WorldState};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -318,6 +318,7 @@ impl Transport for ThreadTransport {
             outbox_depth: 0,
             peers: Vec::new(),
             links: Vec::new(),
+            registry: RegistryGauge::default(),
         }
     }
 }

@@ -11,12 +11,20 @@
 //! flight at once and the rank parks exactly once — on the union of every
 //! tenant's wake set — instead of serializing job after job.
 //!
+//! A job pays for what is its own. Planning is not: `run_pending`
+//! resolves ONE [`NeighborBatch`] per distinct job *shape* — equal
+//! topology, backend and patterns — and every tenant of that shape
+//! initializes it on its own communicator. Its channels are: they are
+//! freed when the job retires ([`RankCtx::comm_free`]), so the pool holds
+//! one epoch's worth however many it has served.
+//!
 //! Isolation is per job, on three axes:
 //!
 //! * **channels** — every job drives a [`Comm::dup_for`] duplicate of the
 //!   world communicator keyed by its globally-unique job id, so its
-//!   channel keys (and tag leases) can never alias another tenant's, or
-//!   a failed tenant's stale traffic from an earlier epoch;
+//!   channel keys can never alias another tenant's — tenants sharing a
+//!   resolved batch, tag bases included, still own disjoint channels —
+//!   or a failed tenant's stale traffic from an earlier epoch;
 //! * **panics** — each task is polled under `catch_unwind`: a seeded
 //!   `kill=` fault (or plain bug) inside one tenant resolves that task to
 //!   `Err` (and it is never polled again),
@@ -37,12 +45,13 @@
 mod jobs;
 mod scheduler;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use locality::Topology;
 use mpi_advance::tagspace::{TagLease, TagSpace};
 use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest};
-use mpisim::{RankCtx, World, WorldPool};
+use mpisim::{panic_message, RankCtx, World, WorldPool};
 
 /// Globally-unique job identifier, assigned at submit time and never
 /// reused — it keys the job's [`mpisim::Comm::dup_for`] communicator
@@ -207,111 +216,203 @@ impl SolveService {
 
     /// Run every queued job in one epoch on the warm pool and report each
     /// job's outcome, in submission order. Tenant failures are isolated
-    /// per job; only a failure the scheduler itself cannot attribute (a
-    /// rank dying outside any task) fails the epoch, and then *every*
-    /// queued job reports that epoch error.
+    /// per job; a shape that cannot resolve (tag space exhausted, a pattern
+    /// over another rank count than its topology) fails the jobs of that
+    /// shape, with the resolver's message and no ranks, and the other
+    /// shapes run; only a failure the scheduler itself cannot attribute (a
+    /// rank dying outside any task) fails the epoch, and then *every* job
+    /// driven in it reports that epoch error.
     pub fn run_pending(&mut self) -> Vec<JobReport> {
         let queued = std::mem::take(&mut self.queue);
         if queued.is_empty() {
             return Vec::new();
         }
-        let n_ranks = self.pool.n_ranks();
         let patterns: Vec<Vec<CommPattern>> = queued.iter().map(|q| q.logic.patterns()).collect();
-        let batches: Vec<NeighborBatch<'_>> = queued
+        // One resolution per distinct shape: tenants of one hierarchy under
+        // one backend share a plan, its routings and its tag lease, and
+        // each initializes them on its own communicator (DESIGN.md §12).
+        let shapes: Vec<_> = queued
             .iter()
             .zip(&patterns)
-            .map(|(q, pats)| {
-                let mut b = NeighborBatch::new(&q.topo);
-                for p in pats {
-                    b = b.entry(p, q.backend);
-                }
-                b
+            .map(|(q, pats)| (q.backend, &q.topo, pats))
+            .collect();
+        let (shape_of, first_of) = group_equal(&shapes);
+        // Resolve every shape's plan and tag lease HERE, on the submitting
+        // thread, before any rank observes it: resolution leases spans
+        // from the process-global TagSpace, and per-rank resolution order
+        // would not be deterministic.
+        let batches: Vec<Result<NeighborBatch<'_>, String>> = first_of
+            .iter()
+            .map(|&j| {
+                let (backend, topo, pats) = shapes[j];
+                catch_unwind(AssertUnwindSafe(|| {
+                    let b = pats
+                        .iter()
+                        .fold(NeighborBatch::new(topo), |b, p| b.entry(p, backend));
+                    let _ = b.tag_bases();
+                    b
+                }))
+                .map_err(|payload| panic_message(&*payload))
             })
             .collect();
-        // Resolve every batch's plan and tag leases HERE, on the
-        // submitting thread, before any rank observes it: resolution
-        // leases spans from the process-global TagSpace, and per-rank
-        // resolution order would not be deterministic.
-        for b in &batches {
-            let _ = b.tag_bases();
-        }
+        let driven: Vec<(&QueuedJob, &NeighborBatch<'_>)> = queued
+            .iter()
+            .zip(&shape_of)
+            .filter_map(|(q, &s)| Some((q, batches[s].as_ref().ok()?)))
+            .collect();
         let ctl_base = self.ctl_lease.entry_base(0);
         // the control communicator needs its own never-reused stream id;
         // it shares the job-id namespace
         let ctl_stream = self.next_id;
         self.next_id += 1;
         let max_concurrent = self.max_concurrent;
-        let outcome = self.pool.try_run(|ctx: &mut RankCtx| {
-            scheduler::drive_rank(ctx, &queued, &batches, ctl_stream, ctl_base, max_concurrent)
-        });
-        match outcome {
+        let outcome = if driven.is_empty() {
+            Ok(Vec::new())
+        } else {
+            self.pool.try_run(|ctx: &mut RankCtx| {
+                scheduler::drive_rank(ctx, &driven, ctl_stream, ctl_base, max_concurrent)
+            })
+        };
+        // each driven job's outcome, in `driven` order
+        let outcomes: Vec<Result<Vec<Vec<f64>>, JobError>> = match outcome {
             Ok(per_rank) => {
-                type RankRows = Vec<(usize, Result<Vec<f64>, scheduler::Cause>)>;
-                let mut per_job: Vec<RankRows> = (0..queued.len()).map(|_| Vec::new()).collect();
-                for (r, rr) in per_rank.into_iter().enumerate() {
-                    assert_eq!(rr.len(), queued.len());
-                    for (j, res) in rr.into_iter().enumerate() {
-                        per_job[j].push((r, res));
+                let mut per_job: Vec<Vec<_>> = driven.iter().map(|_| Vec::new()).collect();
+                for rr in per_rank {
+                    assert_eq!(rr.len(), driven.len());
+                    for (rows, res) in per_job.iter_mut().zip(rr) {
+                        rows.push(res);
                     }
                 }
-                queued
+                driven
                     .iter()
                     .zip(per_job)
-                    .map(|(q, rows)| {
-                        let mut oks = Vec::with_capacity(n_ranks);
-                        let mut causes: Vec<(usize, String)> = Vec::new();
-                        let mut originated: Option<usize> = None;
-                        for (r, res) in rows {
-                            let text = match res {
-                                Ok(x) => {
-                                    oks.push(x);
-                                    continue;
-                                }
-                                Err(scheduler::Cause::Here(text)) => {
-                                    originated.get_or_insert(causes.len());
-                                    text
-                                }
-                                Err(scheduler::Cause::Relayed { from }) => format!(
-                                    "job {:?} cancelled: tenant failed on rank {from}",
-                                    q.name
-                                ),
-                            };
-                            causes.push((r, text));
-                        }
-                        let outcome = if causes.is_empty() {
-                            Ok(oks)
-                        } else {
-                            Err(JobError {
-                                ranks: causes.iter().map(|(r, _)| *r).collect(),
-                                message: causes[originated.unwrap_or(0)].1.clone(),
-                                causes,
-                            })
-                        };
-                        JobReport {
-                            id: q.id,
-                            name: q.name.clone(),
-                            outcome,
-                        }
-                    })
+                    .map(|((q, _), rows)| job_outcome(&q.name, rows))
                     .collect()
             }
             Err(e) => {
-                // Unattributable epoch failure: every job of the epoch
-                // reports it (and the pool stays warm for the next one).
+                // Unattributable epoch failure: every job driven in the
+                // epoch reports it (and the pool stays warm for the next).
                 let err = JobError {
                     ranks: e.failures.iter().map(|(r, _)| *r).collect(),
                     message: format!("epoch failed: {e}"),
                     causes: e.failures,
                 };
-                queued
-                    .iter()
-                    .map(|q| JobReport {
-                        id: q.id,
-                        name: q.name.clone(),
-                        outcome: Err(err.clone()),
-                    })
-                    .collect()
+                driven.iter().map(|_| Err(err.clone())).collect()
             }
-        }
+        };
+        let mut outcomes = outcomes.into_iter();
+        queued
+            .iter()
+            .zip(&shape_of)
+            .map(|(q, &s)| JobReport {
+                id: q.id,
+                name: q.name.clone(),
+                outcome: match &batches[s] {
+                    Ok(_) => outcomes.next().expect("one outcome per driven job"),
+                    Err(why) => Err(JobError {
+                        ranks: Vec::new(),
+                        message: why.clone(),
+                        causes: Vec::new(),
+                    }),
+                },
+            })
+            .collect()
+    }
+}
+
+/// Group `items` by equality: for each item the index of its group, groups
+/// numbered in order of first appearance, and for each group the index of
+/// its first item. Plain `==` — no hash to collide, nothing kept across
+/// calls; an epoch has few distinct shapes.
+fn group_equal<T: PartialEq>(items: &[T]) -> (Vec<usize>, Vec<usize>) {
+    let mut first_of: Vec<usize> = Vec::new();
+    let group_of = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            first_of
+                .iter()
+                .position(|&f| items[f] == *item)
+                .unwrap_or_else(|| {
+                    first_of.push(i);
+                    first_of.len() - 1
+                })
+        })
+        .collect();
+    (group_of, first_of)
+}
+
+/// One job's outcome from what each rank (in rank order) returned for it.
+fn job_outcome(
+    name: &str,
+    rows: Vec<Result<Vec<f64>, scheduler::Cause>>,
+) -> Result<Vec<Vec<f64>>, JobError> {
+    let mut oks = Vec::with_capacity(rows.len());
+    let mut causes: Vec<(usize, String)> = Vec::new();
+    let mut originated: Option<usize> = None;
+    for (r, res) in rows.into_iter().enumerate() {
+        let text = match res {
+            Ok(x) => {
+                oks.push(x);
+                continue;
+            }
+            Err(scheduler::Cause::Here(text)) => {
+                originated.get_or_insert(causes.len());
+                text
+            }
+            Err(scheduler::Cause::Relayed { from }) => {
+                format!("job {name:?} cancelled: tenant failed on rank {from}")
+            }
+        };
+        causes.push((r, text));
+    }
+    if causes.is_empty() {
+        return Ok(oks);
+    }
+    Err(JobError {
+        ranks: causes.iter().map(|(r, _)| *r).collect(),
+        message: causes[originated.unwrap_or(0)].1.clone(),
+        causes,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpi_advance::Protocol;
+
+    #[test]
+    fn equal_shapes_share_a_group_in_order_of_first_appearance() {
+        let ring = |n: usize, shift: usize| {
+            CommPattern::new(
+                n,
+                (0..n).map(|r| vec![((r + shift) % n, vec![r])]).collect(),
+            )
+        };
+        let two_per_node = Topology::block_nodes(4, 2);
+        let one_node = Topology::block_nodes(4, 4);
+        let hypre = Backend::Protocol(Protocol::StandardHypre);
+        let levels = vec![ring(4, 1), ring(4, 2)];
+        // one index of one pattern differs
+        let mut off_by_one = levels.clone();
+        off_by_one[1] = CommPattern::new(
+            4,
+            (0..4)
+                .map(|r| vec![((r + 2) % 4, vec![(r + 1) % 4])])
+                .collect(),
+        );
+        let shapes = [
+            (Backend::Auto, &two_per_node, &levels),
+            (hypre, &two_per_node, &levels),
+            (Backend::Auto, &two_per_node, &levels.clone()),
+            (Backend::Auto, &one_node, &levels),
+            (Backend::Auto, &two_per_node, &off_by_one),
+            (hypre, &two_per_node.clone(), &levels),
+            (Backend::Auto, &one_node, &levels),
+        ];
+        let (group_of, first_of) = group_equal(&shapes);
+        assert_eq!(group_of, [0, 1, 0, 2, 3, 1, 2]);
+        assert_eq!(first_of, [0, 1, 3, 4]);
+        assert_eq!(group_equal::<u8>(&[]), (vec![], vec![]));
     }
 }

@@ -6,19 +6,24 @@
 //! 1. duplicate the world communicator once per job
 //!    ([`Comm::dup_for`] keyed by the job's global id), plus once for
 //!    the epoch's control fabric;
-//! 2. `init_all` **every** job's batch session (registration is not
-//!    admission-controlled);
-//! 3. register one cancel-token receive channel per peer on the control
-//!    communicator — a token names its job ([`encode_token`]), so the
-//!    channel count (and the park set it joins) stays O(ranks), not
+//! 2. `init_all` **every** job's batch session on its own communicator
+//!    (registration is not admission-controlled) — jobs of one shape
+//!    share the resolved batch, the context id keeps their channels apart;
+//! 3. register one cancel-token channel per peer and direction on the
+//!    control communicator — a token names its job ([`encode_token`]), so
+//!    the channel count (and the park set it joins) stays O(ranks), not
 //!    O(jobs × ranks);
 //! 4. barrier — after this, every channel any peer may deposit into
-//!    exists on every fabric.
+//!    exists on every fabric, and **nothing registers any more**: that is
+//!    the contract of [`RankCtx::comm_free`].
 //!
 //! Then the loop: admit queued jobs into the window, poll runnable tasks
 //! (each a [`Task`] polled under `catch_unwind`), drain cancel tokens,
 //! and park once on the union of every running task's pending channels
-//! plus the per-peer cancel channels.
+//! plus the per-peer cancel channels. A job that retires on this rank —
+//! done, failed or cancelled — drops its task and frees its communicator
+//! there and then; the control communicator is freed on the way out. What
+//! the world kept for a job goes back when its last rank has retired it.
 //!
 //! Failure protocol: a tenant panic on this rank resolves its task to
 //! `Err` — the scheduler absorbs the transport death flag and broadcasts
@@ -35,7 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mpi_advance::{BatchRequest, NeighborBatch};
-use mpisim::{panic_message, ChanId, Comm, RankCtx, RecvChan};
+use mpisim::{panic_message, ChanId, Comm, RankCtx, RecvChan, SendChan};
 
 use crate::{JobLogic, QueuedJob, RankState};
 
@@ -186,10 +191,8 @@ fn decode_token(tok: u64) -> (usize, usize) {
 
 /// Send `job`'s cancel token to every peer on the epoch's per-peer
 /// control channels. Deposits never block, so this is safe mid-recovery.
-fn broadcast_cancel(ctx: &mut RankCtx, ctl: &Comm, ctl_base: u64, rank: usize, job: usize) {
-    let n_ranks = ctl.size();
-    for dst in (0..n_ranks).filter(|&d| d != rank) {
-        let chan = ctx.send_chan_init::<u64>(ctl, dst, ctl_base, 1);
+fn broadcast_cancel(ctx: &mut RankCtx, ctl_tx: &[SendChan<u64>], rank: usize, job: usize) {
+    for chan in ctl_tx {
         chan.start_with(ctx, |buf| {
             buf.clear();
             buf.push(encode_token(job, rank));
@@ -197,12 +200,22 @@ fn broadcast_cancel(ctx: &mut RankCtx, ctl: &Comm, ctl_base: u64, rank: usize, j
     }
 }
 
-/// Drive every queued job on this rank; returns each job's local result,
-/// indexed like `jobs`.
+/// Job `j` is over on this rank — done, failed or cancelled: drop its task
+/// (and with it this rank's handles to the job's channels) and free its
+/// communicator. Every member registered before the prologue barrier, so
+/// the first rank to retire a job may free it under the ranks still
+/// driving it.
+fn retire(ctx: &RankCtx, tasks: &mut [Option<Task>], comms: &[Comm], j: usize) {
+    if tasks[j].take().is_some() {
+        ctx.comm_free(&comms[j]);
+    }
+}
+
+/// Drive this epoch's jobs — each with the resolved batch of its shape —
+/// on this rank; returns each job's local result, indexed like `jobs`.
 pub(crate) fn drive_rank(
     ctx: &mut RankCtx,
-    jobs: &[QueuedJob],
-    batches: &[NeighborBatch<'_>],
+    jobs: &[(&QueuedJob, &NeighborBatch<'_>)],
     ctl_stream: u64,
     ctl_base: u64,
     max_concurrent: usize,
@@ -213,22 +226,27 @@ pub(crate) fn drive_rank(
     let n = jobs.len();
 
     // -- prologue: communicators, registration, cancel fabric, barrier --
-    let comms: Vec<Comm> = jobs.iter().map(|q| world.dup_for(q.id)).collect();
+    let comms: Vec<Comm> = jobs.iter().map(|(q, _)| world.dup_for(q.id)).collect();
     let ctl_comm = world.dup_for(ctl_stream);
     let mut tasks: Vec<Option<Task>> = jobs
         .iter()
-        .zip(batches)
         .zip(&comms)
         .map(|((q, b), c)| Some(Task::new(Arc::clone(&q.logic), b.init_all(ctx, c), rank)))
         .collect();
-    let mut ctl: Vec<RecvChan<u64>> = (0..n_ranks)
-        .filter(|&s| s != rank)
-        .map(|s| {
-            let mut r = ctx.recv_chan_init::<u64>(&ctl_comm, s, ctl_base, 1);
-            r.start();
-            r
-        })
+    // both halves of every control channel now, in one pass over the
+    // registry: a cancel must reach the channel its peer parks on, and a
+    // registration after some rank freed the control communicator would
+    // make a fresh one instead
+    let peers = || (0..n_ranks).filter(|&p| p != rank);
+    let mut reg = ctx.chan_registrar();
+    let mut ctl: Vec<RecvChan<u64>> = peers()
+        .map(|s| reg.recv_chan_init::<u64>(&ctl_comm, s, ctl_base, 1))
         .collect();
+    let ctl_tx: Vec<SendChan<u64>> = peers()
+        .map(|d| reg.send_chan_init::<u64>(&ctl_comm, d, ctl_base, 1))
+        .collect();
+    drop(reg);
+    ctl.iter_mut().for_each(RecvChan::start);
     ctx.barrier(&world);
 
     // -- the drive loop --
@@ -288,10 +306,10 @@ pub(crate) fn drive_rank(
                 // and siblings' waits stop aborting, then tell every peer
                 // to cancel this one job.
                 ctx.absorb_rank_failure();
-                broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
+                broadcast_cancel(ctx, &ctl_tx, rank, j);
             }
             results[j] = Some(res);
-            tasks[j] = None;
+            retire(ctx, &mut tasks, &comms, j);
             running.retain(|&x| x != j);
         }
 
@@ -308,7 +326,7 @@ pub(crate) fn drive_rank(
                     if results[j].is_some() {
                         continue;
                     }
-                    tasks[j] = None;
+                    retire(ctx, &mut tasks, &comms, j);
                     running.retain(|&x| x != j);
                     results[j] = Some(Err(Cause::Relayed { from: src }));
                     progressed = true;
@@ -351,24 +369,27 @@ pub(crate) fn drive_rank(
                         let task = tasks[j].as_ref().expect("running job has a task");
                         format!(
                             "{} (iter {}, retired {})",
-                            jobs[j].name, task.iter, task.retired
+                            jobs[j].0.name, task.iter, task.retired
                         )
                     })
                     .collect();
                 for &j in &running {
-                    broadcast_cancel(ctx, &ctl_comm, ctl_base, rank, j);
+                    broadcast_cancel(ctx, &ctl_tx, rank, j);
                     results[j] = Some(Err(Cause::Here(format!(
                         "job {:?} failed while rank {rank} was parked \
                          (jobs running here: {names:?}): {msg}",
-                        jobs[j].name
+                        jobs[j].0.name
                     ))));
-                    tasks[j] = None;
+                    retire(ctx, &mut tasks, &comms, j);
                 }
                 running.clear();
             }
         }
     }
 
+    // the epoch is over on this rank: its control channels go too
+    drop((ctl, ctl_tx));
+    ctx.comm_free(&ctl_comm);
     results
         .into_iter()
         .enumerate()
@@ -376,7 +397,7 @@ pub(crate) fn drive_rank(
             r.unwrap_or_else(|| {
                 Err(Cause::Here(format!(
                     "job {:?} was never driven",
-                    jobs[j].name
+                    jobs[j].0.name
                 )))
             })
         })
