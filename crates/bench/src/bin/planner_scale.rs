@@ -1,15 +1,18 @@
 //! Planner and registration cost at 256 ranks — the scale the repository's
 //! benchmark (`perfbench/`, 8–16 ranks) has no row for: plan construction
 //! per protocol, routing derivation as one sweep vs the per-rank reference,
-//! persistent init per protocol on a warm pooled world, and one
-//! `NeighborBatch::init_all` over 8 AMG-level patterns vs 8 independent
-//! inits (one registry pass and one staging arena per rank against eight).
-//! Wall-clock best of a few repetitions: report-only, like the figures.
+//! the size of the copy maps that derivation leaves with the requests (runs
+//! and bytes against the values they move), persistent init per protocol on
+//! a warm pooled world, and one `NeighborBatch::init_all` over 8 AMG-level
+//! patterns vs 8 independent inits (one registry pass and one staging arena
+//! per rank against eight). Wall-clock best of a few repetitions:
+//! report-only, like the figures.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use bench_suite::workload::{level_patterns, paper_hierarchy, paper_topology};
+use mpi_advance::routing::PartSource;
 use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol, RankRouting};
 use mpisim::World;
 
@@ -24,6 +27,33 @@ fn ms<R>(mut f: impl FnMut() -> R) -> f64 {
 
 fn best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     (0..reps).map(|_| ms(&mut f)).fold(f64::INFINITY, f64::min)
+}
+
+/// Add one rank's copy maps to `total = [runs, bytes, values]`: how many
+/// runs they hold, what those occupy, and how many values they move per
+/// iteration — the entries a per-value map would hold.
+fn add_copy_map_size(r: &RankRouting, total: &mut [usize; 3]) {
+    let mut add = |runs: usize, bytes: usize, values: usize| {
+        total[0] += runs;
+        total[1] += bytes;
+        total[2] += values;
+    };
+    let own_parts = r.g_sends.iter().flat_map(|g| &g.parts);
+    let run_maps = (r.local_sends.iter().chain(&r.s_sends).map(|s| &s.sources))
+        .chain(r.local_recvs.iter().chain(&r.r_recvs).map(|x| &x.outputs))
+        .chain(r.g_recvs.iter().map(|g| &g.outputs))
+        .chain(own_parts.filter_map(|part| match &part.source {
+            PartSource::Input(runs) => Some(runs),
+            PartSource::Staged { .. } => None,
+        }));
+    for runs in run_maps {
+        let values = runs.iter().map(|r| r.len).sum();
+        add(runs.len(), std::mem::size_of_val(runs.as_slice()), values);
+    }
+    for fwds in r.r_sends.iter().map(|s| &s.sources) {
+        let values = fwds.iter().map(|f| f.len).sum();
+        add(fwds.len(), std::mem::size_of_val(fwds.as_slice()), values);
+    }
 }
 
 fn main() {
@@ -57,6 +87,19 @@ fn main() {
     });
     println!("planner_scale,routing_build,build_all_sweep,{sweep:.3}");
     println!("planner_scale,routing_build,per_rank_reference,{per_rank:.3}");
+
+    // what the requests keep of that derivation, summed over the ranks
+    for p in Protocol::ALL {
+        let mut size = [0; 3];
+        for r in &RankRouting::build_all(busiest, &p.plan(busiest, &topo), 0) {
+            add_copy_map_size(r, &mut size);
+        }
+        let [runs, bytes, values] = size;
+        println!(
+            "# copy maps at {RANKS} ranks, {}: {runs} runs ({bytes} B) for {values} values",
+            label(p)
+        );
+    }
 
     // one builder per collective, init per epoch of one warm world (the
     // SPMD shape): planning is amortized, registration is what is timed

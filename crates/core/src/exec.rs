@@ -36,7 +36,11 @@
 //! Every step runs on the buffer-less channel halves: a send gathers its
 //! values straight into the pre-matched channel's recycled wire buffer
 //! ([`SendChan::start_with`]), a receive scatters straight from the
-//! delivered payload — no per-iteration allocations. The only buffers a
+//! delivered payload — no per-iteration allocations. Every copy map is a
+//! list of maximal runs ([`Run`], [`FwdRun`]; see [`crate::routing`]): a
+//! gather appends one slice per run, a scatter copies one slice per run,
+//! and only a run too short for a `memcpy` call to pay (under
+//! `SHORT_RUN` values) is moved value by value. The only buffers a
 //! request owns are the g buffers, and every staging payload is copied
 //! **directly into its partition's window** of the g send buffer it
 //! feeds, so staged values land wire-ready with no intermediate `s`
@@ -53,7 +57,9 @@
 
 use crate::collective::Protocol;
 use crate::neighbor::NeighborRequest;
-use crate::routing::{GRecvRoute, GSendRoute, PartSource, RankRouting, RecvRoute, SRecvRoute};
+use crate::routing::{
+    FwdRun, GRecvRoute, GSendRoute, PartSource, RankRouting, RecvRoute, Run, SRecvRoute,
+};
 use crate::tagspace::TagLease;
 use mpisim::persistent::shared_buf;
 use mpisim::{
@@ -62,41 +68,79 @@ use mpisim::{
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A send gathered through a copy map. `S` is what feeds a slot: an input
-/// position (ℓ, s) or a `(g receive index, slot position)` pair (r).
-struct SendExec<S> {
-    req: SendChan<f64>,
-    sources: Vec<S>,
+/// Runs shorter than this are moved value by value: a `memcpy` call costs
+/// more than the one to three moves it would replace, and irregular
+/// (coarse-level) maps are made of such runs.
+const SHORT_RUN: usize = 4;
+
+/// Append one run's values to a wire buffer: a block copy, or the
+/// element loop when the run is short.
+#[inline]
+fn append_run(buf: &mut Vec<f64>, src: &[f64]) {
+    if src.len() < SHORT_RUN {
+        for &v in src {
+            buf.push(v);
+        }
+    } else {
+        buf.extend_from_slice(src);
+    }
 }
 
-impl<S: Copy> SendExec<S> {
+/// Copy `src` through a map of runs into `dst` (`run.from` indexes `src`,
+/// `run.to` indexes `dst`), each run the same way.
+fn copy_runs(runs: &[Run], src: &[f64], dst: &mut [f64]) {
+    for r in runs {
+        let (s, d) = (&src[r.from..r.from + r.len], &mut dst[r.to..r.to + r.len]);
+        if r.len < SHORT_RUN {
+            for (d, s) in d.iter_mut().zip(s) {
+                *d = *s;
+            }
+        } else {
+            d.copy_from_slice(s);
+        }
+    }
+}
+
+/// A send gathered through a copy map of runs `R`: [`Run`]s out of the
+/// input (ℓ, s) or [`FwdRun`]s out of the g payloads (r). The runs are in
+/// slot order and cover the message, so gathering is appending.
+struct SendExec<R> {
+    req: SendChan<f64>,
+    runs: Vec<R>,
+}
+
+impl<R> SendExec<R> {
     fn register(
         reg: &mut ChanRegistrar,
         comm: &Comm,
         dst: usize,
         tag: u64,
-        sources: Vec<S>,
+        len: usize,
+        runs: Vec<R>,
     ) -> Self {
         Self {
-            req: reg.send_chan_init(comm, dst, tag, sources.len()),
-            sources,
+            req: reg.send_chan_init(comm, dst, tag, len),
+            runs,
         }
     }
 
-    /// Start one instance: gather each slot's value (resolved by `value`)
-    /// directly into the channel's wire buffer.
-    fn start_gather(&self, ctx: &mut RankCtx, value: impl Fn(S) -> f64) {
-        let sources = &self.sources;
-        self.req
-            .start_with(ctx, |buf| buf.extend(sources.iter().map(|&s| value(s))));
+    /// Start one instance: append each run's span of values (resolved by
+    /// `span`) directly to the channel's wire buffer.
+    fn start_gather<'a>(&self, ctx: &mut RankCtx, span: impl Fn(&R) -> &'a [f64]) {
+        let runs = &self.runs;
+        self.req.start_with(ctx, |buf| {
+            for r in runs {
+                append_run(buf, span(r));
+            }
+        });
     }
 }
 
 /// A receive delivered straight into the output vector.
 struct RecvExec {
     req: RecvChan<f64>,
-    /// `(slot position, output position)` pairs delivered here.
-    outputs: Vec<(usize, usize)>,
+    /// Runs from slot positions to output positions.
+    outputs: Vec<Run>,
 }
 
 impl RecvExec {
@@ -117,18 +161,12 @@ impl RecvExec {
     fn try_scatter(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
         match self.req.try_take(ctx) {
             Some(data) => {
-                scatter(&self.outputs, &data, output);
+                copy_runs(&self.outputs, &data, output);
                 self.req.recycle(data);
                 true
             }
             None => false,
         }
-    }
-}
-
-fn scatter(outputs: &[(usize, usize)], data: &[f64], output: &mut [f64]) {
-    for &(pos, out) in outputs {
-        output[out] = data[pos];
     }
 }
 
@@ -169,25 +207,25 @@ impl SRecv {
 struct GSend {
     req: SendChan<f64>,
     win: Range<usize>,
-    /// Partitions fed by this rank's own input:
-    /// (arena-absolute slot range, input position per slot).
-    input_parts: Vec<(Range<usize>, Vec<usize>)>,
+    /// The partition fed by this rank's own input (empty if none), as
+    /// runs from input positions to positions of the window.
+    input_runs: Vec<Run>,
 }
 
 /// Partitioned-wire g send: one partition per contributing origin.
 struct GPsend {
     req: PsendReq<f64>,
     buf: SharedBuf<f64>,
-    /// Partitions fed by this rank's own input:
-    /// (partition index, input position per slot).
-    input_parts: Vec<(usize, Vec<usize>)>,
+    /// Partitions fed by this rank's own input: (partition index, runs
+    /// from input positions to positions of `buf`).
+    input_parts: Vec<(usize, Vec<Run>)>,
 }
 
 /// Partitioned-wire g receive: partitions assemble into one window.
 struct GPrecv {
     req: PrecvReq<f64>,
     buf: SharedBuf<f64>,
-    outputs: Vec<(usize, usize)>,
+    outputs: Vec<Run>,
 }
 
 /// How the inter-region (`g`) messages travel. Everything else about a
@@ -256,18 +294,17 @@ impl Wire {
                     .map(|(g, &off)| GSend {
                         req: reg.send_chan_init(comm, g.dst, g.tag, g.len),
                         win: off..off + g.len,
-                        input_parts: g
+                        // origins are distinct per partition, so at most
+                        // one is this rank's own; staged partitions are
+                        // written as their s receives complete
+                        input_runs: g
                             .parts
                             .into_iter()
-                            .filter_map(|part| match part.source {
-                                PartSource::Input(positions) => {
-                                    Some((off + part.range.start..off + part.range.end, positions))
-                                }
-                                // staged partitions are written as their
-                                // s receives complete; nothing to do at start
+                            .find_map(|part| match part.source {
+                                PartSource::Input(runs) => Some(runs),
                                 PartSource::Staged { .. } => None,
                             })
-                            .collect(),
+                            .unwrap_or_default(),
                     })
                     .collect();
                 // the plain wire ignores the partition bounds
@@ -301,7 +338,7 @@ impl Wire {
                                 .into_iter()
                                 .enumerate()
                                 .filter_map(|(pidx, part)| match part.source {
-                                    PartSource::Input(positions) => Some((pidx, positions)),
+                                    PartSource::Input(runs) => Some((pidx, runs)),
                                     PartSource::Staged { .. } => None,
                                 })
                                 .collect(),
@@ -346,12 +383,12 @@ impl Wire {
 pub(crate) struct NeighborExec {
     input_index: Vec<usize>,
     output_index: Vec<usize>,
-    local_sends: Vec<SendExec<usize>>,
+    local_sends: Vec<SendExec<Run>>,
     local_recvs: Vec<RecvExec>,
-    s_sends: Vec<SendExec<usize>>,
+    s_sends: Vec<SendExec<Run>>,
     s_recvs: Vec<SRecv>,
     wire: Wire,
-    r_sends: Vec<SendExec<(usize, usize)>>,
+    r_sends: Vec<SendExec<FwdRun>>,
     r_recvs: Vec<RecvExec>,
     /// Per-iteration completion state, reset by `start`: which receives of
     /// each step have been drained by `test`. A partitioned g receive is
@@ -373,6 +410,8 @@ pub(crate) struct NeighborExec {
     /// persistent request, in MPI terms).
     done: bool,
     protocol: Protocol,
+    /// Scratch for the pending-channel set `wait` parks on.
+    chan_scratch: Vec<ChanId>,
     /// Requests outlive their builder; holding the lease keeps the tag
     /// span from being re-used while this request's channels are live.
     _lease: Option<Arc<TagLease>>,
@@ -397,14 +436,25 @@ impl NeighborExec {
         let local_sends = routing
             .local_sends
             .into_iter()
-            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.sources))
+            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
             .collect();
         let local_recvs = RecvExec::register_all(routing.local_recvs, reg, comm);
         let n_g = routing.g_recvs.len();
+        // the largest set `wait` can park on — every ℓ and r receive and
+        // every g partition, or the one staging receive the s step stands
+        // on — so the scratch never grows after init
+        let n_pending = (local_recvs.len()
+            + routing.r_recvs.len()
+            + routing
+                .g_recvs
+                .iter()
+                .map(|g| g.bounds.len() - 1)
+                .sum::<usize>())
+        .max(1);
         let s_sends = routing
             .s_sends
             .into_iter()
-            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.sources))
+            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
             .collect();
         let (wire, s_recvs) = Wire::register(
             routing.g_sends,
@@ -417,7 +467,7 @@ impl NeighborExec {
         let r_sends = routing
             .r_sends
             .into_iter()
-            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.sources))
+            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
             .collect();
         let r_recvs = RecvExec::register_all(routing.r_recvs, reg, comm);
         Self {
@@ -440,6 +490,7 @@ impl NeighborExec {
             r_sends,
             r_recvs,
             protocol,
+            chan_scratch: Vec::with_capacity(n_pending),
             _lease: lease,
         }
     }
@@ -519,15 +570,16 @@ impl NeighborRequest for NeighborExec {
         self.done = false;
 
         // ℓ: start sends and receives
+        let input_span = |r: &Run| &input[r.from..r.from + r.len];
         for send in &self.local_sends {
-            send.start_gather(ctx, |p| input[p]);
+            send.start_gather(ctx, input_span);
         }
         for recv in &mut self.local_recvs {
             recv.req.start();
         }
 
         for send in &self.s_sends {
-            send.start_gather(ctx, |p| input[p]);
+            send.start_gather(ctx, input_span);
         }
         for sr in &mut self.s_recvs {
             sr.req.start();
@@ -543,10 +595,8 @@ impl NeighborRequest for NeighborExec {
                 ..
             } => {
                 let mut arena = arena.write();
-                for (range, positions) in sends.iter().flat_map(|s| &s.input_parts) {
-                    for (slot, &p) in arena[range.clone()].iter_mut().zip(positions) {
-                        *slot = input[p];
-                    }
+                for send in sends.iter() {
+                    copy_runs(&send.input_runs, input, &mut arena[send.win.clone()]);
                 }
                 for recv in recvs {
                     recv.req.start();
@@ -557,14 +607,8 @@ impl NeighborRequest for NeighborExec {
             Wire::Partitioned { sends, recvs } => {
                 for gs in sends {
                     gs.req.start();
-                    for (pidx, positions) in &gs.input_parts {
-                        {
-                            let mut buf = gs.buf.write();
-                            let range = gs.req.partition_range(*pidx);
-                            for (i, &p) in range.zip(positions) {
-                                buf[i] = input[p];
-                            }
-                        }
+                    for (pidx, runs) in &gs.input_parts {
+                        copy_runs(runs, input, &mut gs.buf.write());
                         gs.req.pready(ctx, *pidx);
                     }
                 }
@@ -617,7 +661,7 @@ impl NeighborRequest for NeighborExec {
                         continue;
                     }
                     if let Some(data) = recv.req.try_take(ctx) {
-                        scatter(&recv.outputs, &data, output);
+                        copy_runs(&recv.outputs, &data, output);
                         *slot = Some(data);
                         *done = true;
                     }
@@ -628,7 +672,7 @@ impl NeighborRequest for NeighborExec {
             Wire::Partitioned { recvs, .. } => {
                 for (gr, done) in recvs.iter_mut().zip(&mut self.g_done) {
                     if !*done && gr.req.try_wait(ctx) {
-                        scatter(&gr.outputs, &gr.buf.read(), output);
+                        copy_runs(&gr.outputs, &gr.buf.read(), output);
                         *done = true;
                     }
                 }
@@ -644,8 +688,9 @@ impl NeighborRequest for NeighborExec {
                     recvs, payloads, ..
                 } => {
                     for send in &self.r_sends {
-                        send.start_gather(ctx, |(g_msg, pos)| {
-                            payloads[g_msg].as_ref().expect("g payload drained")[pos]
+                        send.start_gather(ctx, |r| {
+                            let data = payloads[r.g_msg].as_ref().expect("g payload drained");
+                            &data[r.pos..r.pos + r.len]
                         });
                     }
                     for (recv, slot) in recvs.iter().zip(payloads) {
@@ -658,7 +703,7 @@ impl NeighborRequest for NeighborExec {
                 Wire::Partitioned { recvs, .. } => {
                     let g_bufs: Vec<_> = recvs.iter().map(|g| g.buf.read()).collect();
                     for send in &self.r_sends {
-                        send.start_gather(ctx, |(g_msg, pos)| g_bufs[g_msg][pos]);
+                        send.start_gather(ctx, |r| &g_bufs[r.g_msg][r.pos..r.pos + r.len]);
                     }
                 }
             }
@@ -710,6 +755,10 @@ impl NeighborRequest for NeighborExec {
         }
     }
 
+    fn chan_scratch(&mut self) -> &mut Vec<ChanId> {
+        &mut self.chan_scratch
+    }
+
     fn protocol(&self) -> Protocol {
         self.protocol
     }
@@ -727,8 +776,37 @@ mod tests {
     use crate::tagspace::SPAN;
     use locality::Topology;
     use mpisim::{Fabric, FaultPlan, World, WorldConfig, WorldPool};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     const BOTH_WIRES: [bool; 2] = [false, true];
+
+    /// Counts this thread's heap allocations (a rank is a thread), so a
+    /// test can assert that a stretch of code makes none.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`; the counter
+    // is a thread-local `Cell` that allocates nothing itself.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
 
     /// One rank's request for `plan` on the chosen wire, staging plain g
     /// sends in a private arena.
@@ -866,6 +944,42 @@ mod tests {
         roundtrip_all(&pattern, &Topology::block_nodes(12, 4));
     }
 
+    /// Copy maps of every shape on an 8-rank, two-region world. Rank `r`
+    /// owns the 64 indices from `own(r)` and sends across the regions a
+    /// block of 24 (one long run, block-copied), every third of it (runs
+    /// of one: the same inputs strided) and an overlapping block of 8 (the
+    /// same value bound for several ranks of one region — sent twice
+    /// through the s step by the partial protocol, and once, feeding
+    /// several r forwards, by the full one), plus a block of 12 to a
+    /// region-mate.
+    fn run_shapes(own: impl Fn(usize) -> usize) -> CommPattern {
+        let sends = (0..8)
+            .map(|r| {
+                let (b, near, far) = (own(r), r / 4 * 4, (1 - r / 4) * 4);
+                vec![
+                    (far + r % 4, (b..b + 24).collect()),
+                    (far + (r + 1) % 4, (b..b + 24).step_by(3).collect()),
+                    (far + (r + 2) % 4, (b + 4..b + 12).collect()),
+                    (near + (r + 1) % 4, (b + 8..b + 20).collect()),
+                ]
+            })
+            .collect();
+        CommPattern::new(8, sends)
+    }
+
+    #[test]
+    fn contiguous_strided_and_duplicated_sources_deliver() {
+        roundtrip_all(&run_shapes(|r| 64 * r), &Topology::block_nodes(8, 4));
+    }
+
+    #[test]
+    fn descending_ownership_delivers() {
+        // higher ranks own lower indices: a g buffer is origin-major, so
+        // its consecutive partitions land at descending output positions
+        // and the r forwards read it out of slot order
+        roundtrip_all(&run_shapes(|r| 64 * (7 - r)), &Topology::block_nodes(8, 4));
+    }
+
     #[test]
     fn dense_pattern_delivers() {
         let topo = Topology::block_nodes(16, 4);
@@ -968,6 +1082,42 @@ mod tests {
                     .all(|(&i, &v)| v == i as f64)
             });
             assert!(ok.into_iter().all(|b| b), "partitioned={partitioned}");
+        }
+    }
+
+    #[test]
+    fn steady_state_iteration_allocates_nothing() {
+        // wire buffers recycle, copy maps are fixed at init and `wait`
+        // parks through the request's own scratch: once every buffer has
+        // reached its size, start/wait touch the heap on no rank (plain
+        // wire; the partitioned r step collects its read guards in a Vec)
+        let topo = Topology::block_nodes(16, 4);
+        let pattern = CommPattern::all_to_all_regions(&topo);
+        for protocol in Protocol::ALL {
+            let plan = protocol.plan(&pattern, &topo);
+            let allocs = World::run(16, |ctx| {
+                let comm = ctx.comm_world();
+                let mut nb = init(&pattern, &plan, ctx, &comm, 100, false);
+                let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
+                let mut output = vec![f64::NAN; nb.output_index().len()];
+                // a barrier between iterations keeps every channel at one
+                // buffer in flight, so none grows its pool late; only the
+                // iteration itself is counted
+                let mut iterate = |n| {
+                    let mut allocs = 0;
+                    for _ in 0..n {
+                        ctx.barrier(&comm);
+                        let before = ALLOCS.with(Cell::get);
+                        nb.start(ctx, &input);
+                        nb.wait(ctx, &mut output);
+                        allocs += ALLOCS.with(Cell::get) - before;
+                    }
+                    allocs
+                };
+                iterate(2);
+                iterate(8)
+            });
+            assert_eq!(allocs, vec![0; 16], "{protocol}");
         }
     }
 

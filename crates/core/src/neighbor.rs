@@ -115,13 +115,17 @@ pub trait NeighborRequest: Send {
     /// further arrivals (one more `test` then completes it).
     fn pending_chans(&self, out: &mut Vec<ChanId>);
 
+    /// The buffer [`NeighborRequest::wait`] collects its park set in, owned
+    /// by the request so that a steady-state iteration allocates nothing.
+    fn chan_scratch(&mut self) -> &mut Vec<ChanId>;
+
     /// `MPI_Wait`: complete the iteration, delivering ghost values into
     /// `output` (aligned with [`NeighborRequest::output_index`]). The
     /// default drives [`NeighborRequest::test`] to completion, parking on
     /// the pending channel set between rounds.
     fn wait(&mut self, ctx: &mut RankCtx, output: &mut [f64]) {
-        let mut chans = Vec::new();
         while !self.test(ctx, output) {
+            let mut chans = std::mem::take(self.chan_scratch());
             chans.clear();
             self.pending_chans(&mut chans);
             // empty set = no arrival needed: the next test advances a
@@ -129,6 +133,7 @@ pub trait NeighborRequest: Send {
             if !chans.is_empty() {
                 ctx.wait_any(&chans);
             }
+            *self.chan_scratch() = chans;
         }
     }
 

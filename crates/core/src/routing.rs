@@ -10,6 +10,16 @@
 //! it lives here so the wires only differ in *how* they move the bytes,
 //! not in how they decide what goes where.
 //!
+//! A copy map is a list of **maximal runs** ([`Run`], [`FwdRun`]), not one
+//! entry per value: consecutive values whose source and destination
+//! positions both advance by one are one run, found once here — at
+//! resolution, before any channel is registered — and the executor moves a
+//! run as one slice copy. A structured halo (a grid row, a block of a
+//! fine-level boundary) is a single run per message, so its map is three
+//! words and its gather a `memcpy`; an irregular coarse-level message is
+//! runs of one to three values, which cost what per-value entries cost.
+//! There is no other representation and nothing to configure.
+//!
 //! Inter-region (`g`) messages are laid out **origin-major**: the slots
 //! contributed by each staging rank form one contiguous run, recorded in
 //! [`GSendRoute::bounds`]. The plain wire ignores the bounds and ships
@@ -17,7 +27,8 @@
 //! partition per run and injects each as its staging message is received
 //! (`MPI_Pready`-style, the paper's §5 combination). Both sides of a
 //! message derive the same layout from the shared plan, so matching is
-//! deterministic.
+//! deterministic. A run that reads a g buffer never crosses a partition
+//! bound, so each lies in the part of the buffer one partition delivers.
 //!
 //! Two construction paths exist:
 //!
@@ -77,11 +88,85 @@ pub fn msg_tags(msgs: &[PlanMsg], step: Step, tag_base: u64) -> Vec<u64> {
     tags
 }
 
+/// One maximal run of a copy map: the `len` consecutive values at source
+/// positions `from..from + len` land at destination positions
+/// `to..to + len`. What "source" and "destination" index is stated where
+/// the map is declared; a message buffer is always indexed by slot
+/// position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    pub from: usize,
+    pub to: usize,
+    pub len: usize,
+}
+
+/// One maximal run of an r-step forward: the next `len` slots of the send
+/// buffer are slots `pos..pos + len` of g receive `g_msg`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FwdRun {
+    /// Index into [`RankRouting::g_recvs`].
+    pub g_msg: usize,
+    pub pos: usize,
+    pub len: usize,
+}
+
+/// Append one value to a copy map kept as maximal runs: a `(from, to)`
+/// pair advancing both sides of the last run by one extends it, anything
+/// else opens the next. `bounds` are the partition bounds of the g buffer
+/// `from` indexes (empty for any other source): a run never continues
+/// across one, so a run over a g buffer lies inside one partition.
+fn push_run(out: &mut Vec<Run>, from: usize, to: usize, bounds: &[usize]) {
+    match out.last_mut() {
+        Some(r)
+            if r.from + r.len == from
+                && r.to + r.len == to
+                && bounds.binary_search(&from).is_err() =>
+        {
+            r.len += 1
+        }
+        _ => out.push(Run { from, to, len: 1 }),
+    }
+}
+
+/// A whole per-value copy map — `(from, to)` pairs in map order, not
+/// reading a g buffer — as maximal runs.
+fn runs(pairs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Run> {
+    let mut out = Vec::new();
+    for (from, to) in pairs {
+        push_run(&mut out, from, to, &[]);
+    }
+    out
+}
+
+/// An r send's per-slot `(g receive, slot position)` sources, in slot
+/// order, as maximal runs; like [`push_run`], none crosses a partition
+/// bound of the g receive it reads.
+fn fwd_runs(
+    sources: impl IntoIterator<Item = (usize, usize)>,
+    g_recvs: &[GRecvRoute],
+) -> Vec<FwdRun> {
+    let mut out: Vec<FwdRun> = Vec::new();
+    for (g_msg, pos) in sources {
+        match out.last_mut() {
+            Some(r)
+                if r.g_msg == g_msg
+                    && r.pos + r.len == pos
+                    && g_recvs[g_msg].bounds.binary_search(&pos).is_err() =>
+            {
+                r.len += 1
+            }
+            _ => out.push(FwdRun { g_msg, pos, len: 1 }),
+        }
+    }
+    out
+}
+
 /// Where one partition of a `g` send gets its values from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartSource {
-    /// This rank's own contribution: `input[p]` for each listed position.
-    Input(Vec<usize>),
+    /// This rank's own contribution: runs from input positions to slot
+    /// positions of the send buffer.
+    Input(Vec<Run>),
     /// The whole buffer of the `idx`-th s-step receive, in order (staging
     /// ranks sort their s slots into the partition's slot order).
     Staged { s_recv: usize },
@@ -102,8 +187,10 @@ pub struct GPartRoute {
 pub struct SendRoute {
     pub dst: usize,
     pub tag: u64,
-    /// Input position feeding each slot.
-    pub sources: Vec<usize>,
+    pub len: usize,
+    /// Runs from input positions to slot positions, in slot order; every
+    /// slot is covered once.
+    pub sources: Vec<Run>,
 }
 
 /// A receive delivered straight into the output vector (`ℓ`, `g`, `r`).
@@ -112,8 +199,9 @@ pub struct RecvRoute {
     pub src: usize,
     pub tag: u64,
     pub len: usize,
-    /// `(slot position, output position)` pairs delivered here.
-    pub outputs: Vec<(usize, usize)>,
+    /// Runs from slot positions to output positions; every slot is
+    /// covered once.
+    pub outputs: Vec<Run>,
 }
 
 /// An inter-region send: origin-major buffer with partition bounds.
@@ -136,8 +224,9 @@ pub struct GRecvRoute {
     pub len: usize,
     /// Prefix offsets per partition (mirrors the sender's bounds).
     pub bounds: Vec<usize>,
-    /// Slots whose final destination is this rank.
-    pub outputs: Vec<(usize, usize)>,
+    /// Runs from slot positions to output positions, over the slots whose
+    /// final destination is this rank; none crosses a partition bound.
+    pub outputs: Vec<Run>,
 }
 
 /// An s-step receive at a sending leader: it fills exactly one partition
@@ -159,8 +248,9 @@ pub struct SRecvRoute {
 pub struct RSendRoute {
     pub dst: usize,
     pub tag: u64,
-    /// `(g receive index, slot position)` feeding each slot.
-    pub sources: Vec<(usize, usize)>,
+    pub len: usize,
+    /// Runs of g receive slots, in slot order of this send.
+    pub sources: Vec<FwdRun>,
 }
 
 /// Everything one rank needs to register and drive its part of a plan.
@@ -265,11 +355,13 @@ impl RankRouting {
                 local_sends.push(SendRoute {
                     dst: m.dst,
                     tag,
-                    sources: plan
-                        .local_slots
-                        .iter_range(m.slots.clone())
-                        .map(|sl| in_pos(sl.index))
-                        .collect(),
+                    len: m.n_values(),
+                    sources: runs(
+                        plan.local_slots
+                            .iter_range(m.slots.clone())
+                            .enumerate()
+                            .map(|(p, sl)| (in_pos(sl.index), p)),
+                    ),
                 });
             }
             if m.dst == me {
@@ -277,12 +369,12 @@ impl RankRouting {
                     src: m.src,
                     tag,
                     len: m.n_values(),
-                    outputs: plan
-                        .local_slots
-                        .iter_range(m.slots.clone())
-                        .enumerate()
-                        .map(|(p, sl)| (p, out_pos(sl.index)))
-                        .collect(),
+                    outputs: runs(
+                        plan.local_slots
+                            .iter_range(m.slots.clone())
+                            .enumerate()
+                            .map(|(p, sl)| (p, out_pos(sl.index))),
+                    ),
                 });
             }
         }
@@ -312,12 +404,9 @@ impl RankRouting {
                     .map(|(p, &origin)| {
                         let range = layout.bounds[p]..layout.bounds[p + 1];
                         let source = if origin == me {
-                            PartSource::Input(
-                                layout.order[range.clone()]
-                                    .iter()
-                                    .map(|&ap| in_pos(plan.g_slots.index(ap)))
-                                    .collect(),
-                            )
+                            PartSource::Input(runs(range.clone().map(|slot| {
+                                (in_pos(plan.g_slots.index(layout.order[slot])), slot)
+                            })))
                         } else {
                             let first = plan.g_slots.get(layout.order[range.start]);
                             part_of.push((
@@ -348,7 +437,7 @@ impl RankRouting {
                     let sl = plan.g_slots.get(ap);
                     for &fd in sl.final_dsts {
                         if fd == me {
-                            outputs.push((pos, out_pos(sl.index)));
+                            push_run(&mut outputs, pos, out_pos(sl.index), &layout.bounds);
                         } else {
                             fwd.push(((me, sl.index, fd), (g_recvs.len(), pos)));
                         }
@@ -381,10 +470,13 @@ impl RankRouting {
                 s_sends.push(SendRoute {
                     dst: m.dst,
                     tag,
-                    sources: order
-                        .iter()
-                        .map(|&ap| in_pos(plan.s_slots.index(ap)))
-                        .collect(),
+                    len: order.len(),
+                    sources: runs(
+                        order
+                            .iter()
+                            .enumerate()
+                            .map(|(p, &ap)| (in_pos(plan.s_slots.index(ap)), p)),
+                    ),
                 });
             }
             if m.dst == me {
@@ -432,17 +524,17 @@ impl RankRouting {
                 r_sends.push(RSendRoute {
                     dst: m.dst,
                     tag,
-                    sources: plan
-                        .r_slots
-                        .iter_range(m.slots.clone())
-                        .map(|sl| {
+                    len: m.n_values(),
+                    sources: fwd_runs(
+                        plan.r_slots.iter_range(m.slots.clone()).map(|sl| {
                             let key: FwdKey = (me, sl.index, m.dst);
                             let k = fwd
                                 .binary_search_by_key(&key, |e| e.0)
                                 .expect("forwarded value was delivered by a g receive");
                             fwd[k].1
-                        })
-                        .collect(),
+                        }),
+                        &g_recvs,
+                    ),
                 });
             }
             if m.dst == me {
@@ -450,12 +542,12 @@ impl RankRouting {
                     src: m.src,
                     tag,
                     len: m.n_values(),
-                    outputs: plan
-                        .r_slots
-                        .iter_range(m.slots.clone())
-                        .enumerate()
-                        .map(|(p, sl)| (p, out_pos(sl.index)))
-                        .collect(),
+                    outputs: runs(
+                        plan.r_slots
+                            .iter_range(m.slots.clone())
+                            .enumerate()
+                            .map(|(p, sl)| (p, out_pos(sl.index))),
+                    ),
                 });
             }
         }
@@ -516,22 +608,24 @@ impl RankRouting {
             routings[m.src].local_sends.push(SendRoute {
                 dst: m.dst,
                 tag,
-                sources: plan
-                    .local_slots
-                    .iter_range(m.slots.clone())
-                    .map(|sl| inv.input_pos(sl.index))
-                    .collect(),
+                len: m.n_values(),
+                sources: runs(
+                    plan.local_slots
+                        .iter_range(m.slots.clone())
+                        .enumerate()
+                        .map(|(p, sl)| (inv.input_pos(sl.index), p)),
+                ),
             });
             routings[m.dst].local_recvs.push(RecvRoute {
                 src: m.src,
                 tag,
                 len: m.n_values(),
-                outputs: plan
-                    .local_slots
-                    .iter_range(m.slots.clone())
-                    .enumerate()
-                    .map(|(p, sl)| (p, out_pos(m.dst, sl.index)))
-                    .collect(),
+                outputs: runs(
+                    plan.local_slots
+                        .iter_range(m.slots.clone())
+                        .enumerate()
+                        .map(|(p, sl)| (p, out_pos(m.dst, sl.index))),
+                ),
             });
         }
 
@@ -550,12 +644,9 @@ impl RankRouting {
                 .map(|(p, &origin)| {
                     let range = layout.bounds[p]..layout.bounds[p + 1];
                     let source = if origin == m.src {
-                        PartSource::Input(
-                            layout.order[range.clone()]
-                                .iter()
-                                .map(|&ap| inv.input_pos(plan.g_slots.index(ap)))
-                                .collect(),
-                        )
+                        PartSource::Input(runs(range.clone().map(|slot| {
+                            (inv.input_pos(plan.g_slots.index(layout.order[slot])), slot)
+                        })))
                     } else {
                         let first = plan.g_slots.get(layout.order[range.start]);
                         part_of.push((
@@ -585,7 +676,7 @@ impl RankRouting {
                 let sl = plan.g_slots.get(ap);
                 for &fd in sl.final_dsts {
                     if fd == m.dst {
-                        outs.push((pos, out_pos(m.dst, sl.index)));
+                        push_run(&mut outs, pos, out_pos(m.dst, sl.index), &layout.bounds);
                     } else {
                         fwd.push(((m.dst, sl.index, fd), (g_recv_idx, pos)));
                     }
@@ -609,10 +700,13 @@ impl RankRouting {
             routings[m.src].s_sends.push(SendRoute {
                 dst: m.dst,
                 tag,
-                sources: order
-                    .iter()
-                    .map(|&ap| inv.input_pos(plan.s_slots.index(ap)))
-                    .collect(),
+                len: order.len(),
+                sources: runs(
+                    order
+                        .iter()
+                        .enumerate()
+                        .map(|(p, &ap)| (inv.input_pos(plan.s_slots.index(ap)), p)),
+                ),
             });
             let first = plan.s_slots.get(order[0]);
             let key: PartKey = (m.dst, m.src, first.index, first.final_dsts[0]);
@@ -655,31 +749,32 @@ impl RankRouting {
         // r
         let r_tags = msg_tags(&plan.r_step, Step::R, tag_base);
         for (m, &tag) in plan.r_step.iter().zip(&r_tags) {
+            let sources = fwd_runs(
+                plan.r_slots.iter_range(m.slots.clone()).map(|sl| {
+                    let key: FwdKey = (m.src, sl.index, m.dst);
+                    let k = fwd
+                        .binary_search_by_key(&key, |e| e.0)
+                        .expect("forwarded value was delivered by a g receive");
+                    fwd[k].1
+                }),
+                &routings[m.src].g_recvs,
+            );
             routings[m.src].r_sends.push(RSendRoute {
                 dst: m.dst,
                 tag,
-                sources: plan
-                    .r_slots
-                    .iter_range(m.slots.clone())
-                    .map(|sl| {
-                        let key: FwdKey = (m.src, sl.index, m.dst);
-                        let k = fwd
-                            .binary_search_by_key(&key, |e| e.0)
-                            .expect("forwarded value was delivered by a g receive");
-                        fwd[k].1
-                    })
-                    .collect(),
+                len: m.n_values(),
+                sources,
             });
             routings[m.dst].r_recvs.push(RecvRoute {
                 src: m.src,
                 tag,
                 len: m.n_values(),
-                outputs: plan
-                    .r_slots
-                    .iter_range(m.slots.clone())
-                    .enumerate()
-                    .map(|(p, sl)| (p, out_pos(m.dst, sl.index)))
-                    .collect(),
+                outputs: runs(
+                    plan.r_slots
+                        .iter_range(m.slots.clone())
+                        .enumerate()
+                        .map(|(p, sl)| (p, out_pos(m.dst, sl.index))),
+                ),
             });
         }
 
@@ -755,6 +850,166 @@ impl RankRouting {
             }
         }
         out
+    }
+}
+
+/// The per-value copy maps the runs replaced, derived the way routing
+/// derived them before — the oracle the run maps are tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// One rank's copy maps with one entry per value, message by message
+    /// in routing order.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    pub(crate) struct ValueMaps {
+        /// Input position feeding each slot, per ℓ / s send.
+        pub local_sends: Vec<Vec<usize>>,
+        pub s_sends: Vec<Vec<usize>>,
+        /// `(slot position, output position)` pairs, per ℓ / g / r receive.
+        pub local_recvs: Vec<Vec<(usize, usize)>>,
+        pub g_recvs: Vec<Vec<(usize, usize)>>,
+        pub r_recvs: Vec<Vec<(usize, usize)>>,
+        /// Per g send, its own-input partitions: (partition, input
+        /// position feeding each slot of the partition).
+        pub g_inputs: Vec<Vec<(usize, Vec<usize>)>>,
+        /// `(g receive, slot position)` feeding each slot, per r send.
+        pub r_sends: Vec<Vec<(usize, usize)>>,
+    }
+
+    impl ValueMaps {
+        /// Rank `me`'s maps, value by value from the plan.
+        pub(crate) fn derive(pattern: &CommPattern, plan: &Plan, me: usize) -> Self {
+            let input_index = pattern.src_indices(me);
+            let output_index = pattern.dst_indices(me);
+            let in_pos = |i: usize| input_index.binary_search(&i).unwrap();
+            let out_pos = |i: usize| output_index.binary_search(&i).unwrap();
+            let delivered = |slots: &SlotArena, m: &PlanMsg| -> Vec<(usize, usize)> {
+                slots
+                    .iter_range(m.slots.clone())
+                    .enumerate()
+                    .map(|(p, sl)| (p, out_pos(sl.index)))
+                    .collect()
+            };
+            let mut v = Self::default();
+            for m in &plan.local {
+                if m.src == me {
+                    v.local_sends.push(
+                        plan.local_slots
+                            .iter_range(m.slots.clone())
+                            .map(|sl| in_pos(sl.index))
+                            .collect(),
+                    );
+                }
+                if m.dst == me {
+                    v.local_recvs.push(delivered(&plan.local_slots, m));
+                }
+            }
+            // (index, final dst) → (g receive, slot position)
+            let mut fwd: Vec<((usize, usize), (usize, usize))> = Vec::new();
+            for m in &plan.g_step {
+                if m.src != me && m.dst != me {
+                    continue;
+                }
+                let layout = g_layout(&plan.g_slots, m);
+                if m.src == me {
+                    let own = layout.origins.iter().enumerate().filter(|(_, &o)| o == me);
+                    v.g_inputs.push(
+                        own.map(|(p, _)| {
+                            let part = &layout.order[layout.bounds[p]..layout.bounds[p + 1]];
+                            let positions = part.iter().map(|&ap| in_pos(plan.g_slots.index(ap)));
+                            (p, positions.collect())
+                        })
+                        .collect(),
+                    );
+                }
+                if m.dst == me {
+                    let mut outputs = Vec::new();
+                    for (pos, &ap) in layout.order.iter().enumerate() {
+                        let sl = plan.g_slots.get(ap);
+                        for &fd in sl.final_dsts {
+                            if fd == me {
+                                outputs.push((pos, out_pos(sl.index)));
+                            } else {
+                                fwd.push(((sl.index, fd), (v.g_recvs.len(), pos)));
+                            }
+                        }
+                    }
+                    v.g_recvs.push(outputs);
+                }
+            }
+            fwd.sort_unstable();
+            for m in plan.s_step.iter().filter(|m| m.src == me) {
+                v.s_sends.push(
+                    s_order(&plan.s_slots, m)
+                        .iter()
+                        .map(|&ap| in_pos(plan.s_slots.index(ap)))
+                        .collect(),
+                );
+            }
+            for m in &plan.r_step {
+                if m.src == me {
+                    v.r_sends.push(
+                        plan.r_slots
+                            .iter_range(m.slots.clone())
+                            .map(|sl| {
+                                let k = fwd
+                                    .binary_search_by_key(&(sl.index, m.dst), |e| e.0)
+                                    .unwrap();
+                                fwd[k].1
+                            })
+                            .collect(),
+                    );
+                }
+                if m.dst == me {
+                    v.r_recvs.push(delivered(&plan.r_slots, m));
+                }
+            }
+            v
+        }
+
+        /// The same maps read back out of a routing's runs.
+        pub(crate) fn expand(r: &RankRouting) -> Self {
+            let froms = |runs: &[Run]| -> Vec<usize> {
+                runs.iter().flat_map(|r| r.from..r.from + r.len).collect()
+            };
+            let pairs = |runs: &[Run]| -> Vec<(usize, usize)> {
+                runs.iter()
+                    .flat_map(|r| (0..r.len).map(move |k| (r.from + k, r.to + k)))
+                    .collect()
+            };
+            Self {
+                local_sends: r.local_sends.iter().map(|s| froms(&s.sources)).collect(),
+                s_sends: r.s_sends.iter().map(|s| froms(&s.sources)).collect(),
+                local_recvs: r.local_recvs.iter().map(|x| pairs(&x.outputs)).collect(),
+                g_recvs: r.g_recvs.iter().map(|x| pairs(&x.outputs)).collect(),
+                r_recvs: r.r_recvs.iter().map(|x| pairs(&x.outputs)).collect(),
+                g_inputs: r
+                    .g_sends
+                    .iter()
+                    .map(|g| {
+                        g.parts
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(p, part)| match &part.source {
+                                PartSource::Input(runs) => Some((p, froms(runs))),
+                                PartSource::Staged { .. } => None,
+                            })
+                            .collect()
+                    })
+                    .collect(),
+                r_sends: r
+                    .r_sends
+                    .iter()
+                    .map(|s| {
+                        s.sources
+                            .iter()
+                            .flat_map(|f| (f.pos..f.pos + f.len).map(|pos| (f.g_msg, pos)))
+                            .collect()
+                    })
+                    .collect(),
+            }
+        }
     }
 }
 
@@ -844,7 +1099,7 @@ mod tests {
                     .iter()
                     .find(|x| x.src == r.me && x.tag == s.tag)
                     .expect("matching s recv");
-                assert_eq!(m.len, s.sources.len());
+                assert_eq!(m.len, s.len);
             }
             for g in &r.g_sends {
                 let peer = &routings[g.dst];
@@ -857,8 +1112,7 @@ mod tests {
                 assert_eq!(m.bounds, g.bounds);
             }
             for s in &r.r_sends {
-                let dst = s.sources.len();
-                assert!(dst > 0);
+                assert!(s.len > 0);
             }
         }
     }
@@ -924,6 +1178,44 @@ mod tests {
             assert_eq!(br.arena_off[1], Some(g_total(&a[rank])));
             assert_eq!(br.arena_off[2], None);
             assert_eq!(br.arena_len, g_total(&a[rank]) + g_total(&b[rank]));
+        }
+    }
+
+    #[test]
+    fn block_row_stencil_messages_are_single_runs() {
+        // a 2-D stencil split by block rows: every neighbour wants one
+        // whole grid row, consecutive in the sender's input and in the
+        // receiver's ghosts — each message (each partition of an
+        // aggregated one) is one run, however the plan routes it
+        use crate::collective::Protocol;
+        use sparse::gen::laplace::laplace_2d_9pt;
+        use sparse::{build_comm_pkgs, Partition};
+        let (nx, ny, n) = (24, 16, 8);
+        let a = laplace_2d_9pt(nx, ny);
+        let part = Partition::block(nx * ny, n);
+        let pattern = CommPattern::from_comm_pkgs(&build_comm_pkgs(&a, &part));
+        let topo = Topology::block_nodes(n, 4);
+        for protocol in Protocol::ALL {
+            let plan = protocol.plan(&pattern, &topo);
+            for r in RankRouting::build_all(&pattern, &plan, 0) {
+                for s in r.local_sends.iter().chain(&r.s_sends) {
+                    assert_eq!((s.sources.len(), s.len), (1, nx), "{protocol}: {s:?}");
+                }
+                for x in r.local_recvs.iter().chain(&r.r_recvs) {
+                    assert_eq!((x.outputs.len(), x.len), (1, nx), "{protocol}: {x:?}");
+                }
+                for part in r.g_sends.iter().flat_map(|g| &g.parts) {
+                    if let PartSource::Input(runs) = &part.source {
+                        assert_eq!((runs.len(), part.range.len()), (1, nx), "{protocol}");
+                    }
+                }
+                for g in &r.g_recvs {
+                    assert!(g.outputs.len() <= 1, "{protocol}: {g:?}");
+                }
+                for s in &r.r_sends {
+                    assert_eq!((s.sources.len(), s.len), (1, nx), "{protocol}: {s:?}");
+                }
+            }
         }
     }
 

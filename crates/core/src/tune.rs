@@ -267,6 +267,10 @@ impl NeighborRequest for TunedNeighbor {
         self.active_req().pending_chans(out);
     }
 
+    fn chan_scratch(&mut self) -> &mut Vec<ChanId> {
+        self.active_req_mut().chan_scratch()
+    }
+
     fn protocol(&self) -> Protocol {
         self.candidates[self.active].protocol
     }

@@ -57,13 +57,37 @@ impl CommPkg {
 /// `mpisim::topology`; building them centrally here is equivalent and lets
 /// the analytic harness evaluate paper-scale patterns quickly.)
 pub fn build_comm_pkgs(a: &Csr, part: &Partition) -> Vec<CommPkg> {
-    let p = part.n_parts();
-    let pars = ParCsr::split_all(a, part);
-    build_comm_pkgs_from_parts(&pars, p)
+    assert_eq!(a.n_rows(), part.n_rows(), "partition must cover all rows");
+    assert_eq!(
+        a.n_rows(),
+        a.n_cols(),
+        "comm packages expect a square matrix"
+    );
+    // only the ghost columns are read: derive them from each rank's rows
+    // rather than split the matrix to look at `col_map_offd`
+    pkgs_from_ghosts(
+        part,
+        (0..part.n_parts()).map(|rank| ParCsr::ghost_cols(a, part, rank)),
+    )
 }
 
-/// Build communication packages from per-rank `ParCsr` views.
+/// Build communication packages from per-rank `ParCsr` views, for callers
+/// that already hold the split.
 pub fn build_comm_pkgs_from_parts(pars: &[ParCsr], p: usize) -> Vec<CommPkg> {
+    assert_eq!(pars.len(), p, "one ParCsr per rank");
+    match pars.first() {
+        Some(par) => pkgs_from_ghosts(&par.part, pars.iter().map(|par| &par.col_map_offd)),
+        None => Vec::new(),
+    }
+}
+
+/// The packages of every rank of `part`, given each rank's ghost columns
+/// in rank order (ascending within a rank).
+fn pkgs_from_ghosts(
+    part: &Partition,
+    ghosts: impl Iterator<Item = impl AsRef<[usize]>>,
+) -> Vec<CommPkg> {
+    let p = part.n_parts();
     let mut pkgs: Vec<CommPkg> = (0..p)
         .map(|rank| CommPkg {
             rank,
@@ -74,7 +98,7 @@ pub fn build_comm_pkgs_from_parts(pars: &[ParCsr], p: usize) -> Vec<CommPkg> {
     // sends[dst][src] accumulated while walking receives
     let mut send_accum: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); p];
 
-    for (rank, par) in pars.iter().enumerate() {
+    for (rank, ghost) in ghosts.enumerate() {
         let mut cur_owner = usize::MAX;
         let mut cur_list: Vec<usize> = Vec::new();
         let flush = |owner: usize,
@@ -86,9 +110,9 @@ pub fn build_comm_pkgs_from_parts(pars: &[ParCsr], p: usize) -> Vec<CommPkg> {
                 send_accum[owner].push((rank, std::mem::take(list)));
             }
         };
-        // col_map_offd ascending ⇒ owners appear in ascending runs
-        for &gc in &par.col_map_offd {
-            let owner = par.part.owner(gc);
+        // ghost columns ascending ⇒ owners appear in ascending runs
+        for &gc in ghost.as_ref() {
+            let owner = part.owner(gc);
             debug_assert_ne!(owner, rank, "ghost column owned locally");
             if owner != cur_owner {
                 flush(cur_owner, &mut cur_list, &mut pkgs, &mut send_accum);
@@ -169,6 +193,24 @@ mod tests {
         // end ranks talk to one neighbor
         assert_eq!(pkgs[0].n_partners(), 1);
         assert_eq!(pkgs[3].n_partners(), 1);
+    }
+
+    #[test]
+    fn direct_and_from_parts_agree_on_the_generators() {
+        use crate::gen::diffusion::paper_problem;
+        use crate::gen::laplace::{laplace_2d_9pt, laplace_3d_27pt};
+        for (a, p) in [
+            (paper_problem(32, 16), 12),
+            (laplace_2d_9pt(17, 9), 5),
+            (laplace_3d_27pt(6, 5, 4), 7),
+            (tridiag(3), 6), // ranks without rows
+        ] {
+            let part = Partition::block(a.n_rows(), p);
+            let pkgs = build_comm_pkgs(&a, &part);
+            validate_comm_pkgs(&pkgs);
+            let pars = ParCsr::split_all(&a, &part);
+            assert_eq!(pkgs, build_comm_pkgs_from_parts(&pars, p));
+        }
     }
 
     #[test]

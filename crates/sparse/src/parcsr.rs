@@ -42,18 +42,7 @@ impl ParCsr {
         let first = range.start;
         let local_n = range.len();
 
-        // Collect ghost (off-range) global columns.
-        let mut ghost: Vec<usize> = Vec::new();
-        for r in range.clone() {
-            let (cols, _) = a.row(r);
-            for &c in cols {
-                if !range.contains(&c) {
-                    ghost.push(c);
-                }
-            }
-        }
-        ghost.sort_unstable();
-        ghost.dedup();
+        let ghost = Self::ghost_cols(a, part, rank);
 
         let ghost_idx = |c: usize| ghost.binary_search(&c).expect("ghost column present");
 
@@ -91,6 +80,22 @@ impl ParCsr {
             col_map_offd: ghost,
             global_cols: a.n_cols(),
         }
+    }
+
+    /// Rank `rank`'s ghost columns — the global columns its rows of `a`
+    /// touch outside its own range, ascending: what
+    /// [`ParCsr::from_global`] stores as `col_map_offd`, without building
+    /// the split.
+    pub fn ghost_cols(a: &Csr, part: &Partition, rank: usize) -> Vec<usize> {
+        let range = part.range(rank);
+        let mut ghost: Vec<usize> = Vec::new();
+        for r in range.clone() {
+            let (cols, _) = a.row(r);
+            ghost.extend(cols.iter().filter(|c| !range.contains(c)));
+        }
+        ghost.sort_unstable();
+        ghost.dedup();
+        ghost
     }
 
     /// All ranks' portions at once.
