@@ -48,8 +48,9 @@ test-tuner:
 # reference replay on all three fabrics, a warm pool surviving
 # successive rounds, a seeded kill failing exactly one tenant (with
 # rank attribution) while the others stay byte-identical to solo runs,
-# deadline dumps naming every job they take down, tenants of one shape
-# sharing one resolution, and a 500-job soak that leaves the registry
+# deadline dumps naming every job they take down, a tenant panic closing
+# its lane and its lane-mates rerun to their solo bytes, tenants of one
+# shape sharing one resolution, and a 500-job soak that leaves the registry
 # gauge where its first epoch left it — then, alone and in release
 # (`--ignored`), the 5000-job soak per fabric: flat gauge, empty shm
 # table, flat VmRSS
@@ -63,7 +64,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, and three one-file rules. Configuration: mpisim reads
+# clippy, formatting, and four one-file rules. Configuration: mpisim reads
 # the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
 # woken through its park point only (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the two park-point files
@@ -76,9 +77,15 @@ clippy:
 # the non-test code of core and service (each file up to its
 # `#[cfg(test)]`) makes no blocking mpisim call but in two places: the
 # tuned decision reduction (core/src/tune.rs, the one `start` that can
-# block) and the service's epoch-prologue barrier
+# block) and the service's epoch-prologue barrier. Registration: the
+# scheduler registers every channel of an epoch — each lane's session and
+# the cancel fabric — before that barrier, which is `RankCtx::comm_free`'s
+# contract (DESIGN.md §3, §12), so nothing in scheduler.rs between the
+# barrier line and its `#[cfg(test)]` dups a communicator or registers
 WAKE_FILES := runtime|transport/thread|transport/shm/segment|transport/sock/link|transport/sock/control
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
+PROLOGUE_BARRIER := ^    ctx\.barrier\(&world\);$$
+REGISTERING_CALLS := init_all|chan_registrar|_chan_init|dup_for
 lint: clippy
 	cargo fmt --all --check
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
@@ -92,6 +99,12 @@ lint: clippy
 		| grep -v '^crates/core/src/tune\.rs:' \
 		| grep -vE '^crates/service/src/scheduler\.rs:[0-9]+:    ctx\.barrier\(&world\);$$'; then \
 		echo "error: core or service blocks outside wait (see the lint rule in Makefile)"; exit 1; fi
+	@grep -qE '$(PROLOGUE_BARRIER)' crates/service/src/scheduler.rs || { \
+		echo "error: the scheduler's prologue barrier line is gone (see the lint rule in Makefile)"; exit 1; }
+	@if awk '/$(PROLOGUE_BARRIER)/ {on = 1; next} /^#\[cfg\(test\)\]/ {exit} \
+		on {print FILENAME ":" FNR ":" $$0}' crates/service/src/scheduler.rs \
+		| grep -E '$(REGISTERING_CALLS)'; then \
+		echo "error: the scheduler registers after its prologue barrier (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run two of them once, output discarded: the modeled fig07_crossover at

@@ -26,12 +26,13 @@ use crate::distributed::{split_level, DistributedHierarchy};
 use crate::hierarchy::Hierarchy;
 use mpi_advance::{CommPattern, NeighborRequest};
 use sparse::ParCsr;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One level's shared (rank-independent) data.
 struct JobLevel {
-    /// Rank `r`'s split of the level matrix.
-    mats: Vec<ParCsr>,
+    /// Rank `r`'s split of the level matrix, shared by every rank state
+    /// built from it.
+    mats: Vec<Arc<ParCsr>>,
     /// Halo-exchange pattern for `y = A_l x`.
     pattern: CommPattern,
     /// Global right-hand side for the level.
@@ -82,7 +83,10 @@ impl JacobiJob {
                         .collect()
                 };
                 JobLevel {
-                    mats: split_level(&l.a, &d.part),
+                    mats: split_level(&l.a, &d.part)
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect(),
                     pattern: d.pattern(),
                     rhs,
                 }
@@ -175,7 +179,7 @@ impl JacobiJob {
 
 /// One level's per-rank Jacobi state.
 struct LevelState {
-    mat: ParCsr,
+    mat: Arc<ParCsr>,
     /// Local iterate (owned rows).
     x: Vec<f64>,
     /// Local right-hand side.
@@ -190,7 +194,7 @@ struct LevelState {
 }
 
 impl LevelState {
-    fn new(mat: &ParCsr, rhs: &[f64]) -> Self {
+    fn new(mat: &Arc<ParCsr>, rhs: &[f64]) -> Self {
         let range = mat.part.range(mat.rank);
         let inv_diag = (0..range.len())
             .map(|i| {
@@ -200,7 +204,7 @@ impl LevelState {
             })
             .collect();
         Self {
-            mat: mat.clone(),
+            mat: Arc::clone(mat),
             x: vec![0.0; range.len()],
             b: rhs[range].to_vec(),
             inv_diag,
@@ -233,19 +237,23 @@ impl JacobiRankState {
     pub fn absorb(&mut self, e: usize, req: &dyn NeighborRequest, output: &[f64]) {
         let st = &mut self.levels[e];
         let pos = st.ghost_pos.get_or_insert_with(|| {
-            let by_global: HashMap<usize, usize> = req
-                .output_index()
-                .iter()
-                .enumerate()
-                .map(|(p, &g)| (g, p))
-                .collect();
+            // both ascending (`output_index` is the pattern's
+            // `dst_indices`), so one merge walk finds every position
+            let out = req.output_index();
+            let mut p = 0;
             st.mat
                 .col_map_offd
                 .iter()
-                .map(|g| {
-                    *by_global
-                        .get(g)
-                        .expect("entry output_index must cover every ghost column")
+                .map(|&g| {
+                    while out.get(p).is_some_and(|&o| o < g) {
+                        p += 1;
+                    }
+                    assert_eq!(
+                        out.get(p),
+                        Some(&g),
+                        "entry output_index must cover every ghost column"
+                    );
+                    p
                 })
                 .collect()
         });

@@ -11,36 +11,47 @@
 //! flight at once and the rank parks exactly once — on the union of every
 //! tenant's wake set — instead of serializing job after job.
 //!
-//! A job pays for what is its own. Planning is not: `run_pending`
-//! resolves ONE [`NeighborBatch`] per distinct job *shape* — equal
-//! topology, backend and patterns — and every tenant of that shape
-//! initializes it on its own communicator. Its channels are: they are
-//! freed when the job retires ([`RankCtx::comm_free`]), so the pool holds
-//! one epoch's worth however many it has served.
+//! A job pays for what is its own, and shares what setup it can. Planning
+//! is shared: `run_pending` resolves ONE [`NeighborBatch`] per distinct
+//! job *shape* — equal topology, backend and patterns. So is
+//! registration: the jobs of a shape take turns on a few **lanes**, each
+//! one persistent session — a [`Comm::dup_for`](mpisim::Comm::dup_for) communicator and one
+//! `init_all` of the shape's batch — that a job runs on as the next
+//! iterations, the way the paper's persistent collectives amortize setup
+//! over many `MPI_Start`s. A lane's channels are freed at the end of the
+//! epoch ([`RankCtx::comm_free`]), so the pool holds one epoch's worth
+//! however many jobs it has served.
 //!
 //! Isolation is per job, on three axes:
 //!
-//! * **channels** — every job drives a [`Comm::dup_for`] duplicate of the
-//!   world communicator keyed by its globally-unique job id, so its
-//!   channel keys can never alias another tenant's — tenants sharing a
+//! * **channels** — every lane drives a [`Comm::dup_for`](mpisim::Comm::dup_for) duplicate of the
+//!   world communicator under a stream id minted for it alone, so its
+//!   channel keys can never alias another lane's — lanes sharing a
 //!   resolved batch, tag bases included, still own disjoint channels —
-//!   or a failed tenant's stale traffic from an earlier epoch;
+//!   or a failed tenant's stale traffic from an earlier epoch. Jobs that
+//!   take turns on one lane never see each other's traffic: channels are
+//!   FIFO, and a rank starts a lane's next job only after finishing the
+//!   previous one there, which consumed exactly what its peers sent it;
 //! * **panics** — each task is polled under `catch_unwind`: a seeded
 //!   `kill=` fault (or plain bug) inside one tenant resolves that task to
 //!   `Err` (and it is never polled again),
 //!   the scheduler absorbs the transport-level death flag
 //!   ([`RankCtx::absorb_rank_failure`]) and broadcasts a cancel token on
 //!   the job's control channels, and every *other* tenant's result stays
-//!   byte-identical to a solo run;
+//!   byte-identical to a solo run. The failure closes its lane on every
+//!   rank; the jobs that lane still held run again in a follow-up epoch
+//!   of the same `run_pending`, so none of them reports another's failure;
 //! * **stalls** — a wait-deadline abort while parked degrades to failing
 //!   the rank's still-running jobs *with job attribution* (the deadline
 //!   dump names every tenant it takes down), not to a hung world.
 //!
-//! Admission control bounds how many jobs a rank *drives* concurrently
-//! ([`SolveService::max_concurrent`]); registration is never bounded —
-//! every queued job's channels are registered (and barrier-synchronized)
-//! at epoch start, so a fast rank can deposit into job k's channels while
-//! a slow rank is still driving job 0.
+//! Admission control ([`SolveService::max_concurrent`]) bounds how many
+//! jobs a rank *drives* concurrently, and the same window sets how many
+//! lanes a shape gets: `min(window, jobs of the shape)`. The default window
+//! is unbounded, which gives every job a lane of its own. Every lane is
+//! registered (and barrier-synchronized) at epoch start, so a fast rank
+//! can deposit into a lane's channels while a slow rank is still driving
+//! the job before.
 
 mod jobs;
 mod scheduler;
@@ -54,9 +65,10 @@ use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest}
 use mpisim::{panic_message, RankCtx, World, WorldPool};
 
 /// Globally-unique job identifier, assigned at submit time and never
-/// reused — it keys the job's [`mpisim::Comm::dup_for`] communicator
-/// stream, so channels of distinct jobs (across all epochs of the
-/// service) can never alias.
+/// reused. It names the job in its [`JobReport`] and keys nothing else: a
+/// job runs on a lane whose [`mpisim::Comm::dup_for`] stream id is drawn
+/// from the same counter when the lane is opened, so no two lanes (across
+/// all epochs of the service) and no lane and job share an id.
 pub type JobId = u64;
 
 /// What a job computes: its communication shape plus a per-rank state
@@ -156,7 +168,8 @@ pub(crate) struct QueuedJob {
 pub struct SolveService {
     pool: WorldPool,
     max_concurrent: usize,
-    /// Monotone job-id source; ids are never reused across epochs.
+    /// Monotone source of job ids and of lane and control stream ids;
+    /// none is ever reused across epochs.
     next_id: JobId,
     queue: Vec<QueuedJob>,
     /// One leased tag span for the epoch's per-peer cancel-token
@@ -183,7 +196,10 @@ impl SolveService {
     }
 
     /// Bound how many jobs each rank drives concurrently (default:
-    /// unbounded). `1` serializes tenants — the bench baseline.
+    /// unbounded), and with it how many lanes the jobs of one shape take
+    /// turns on: `min(k, jobs of the shape)`, or one per job for a
+    /// [`Backend::Tuned`] shape. `1` serializes tenants on one lane per
+    /// shape — the bench baseline.
     pub fn max_concurrent(mut self, k: usize) -> Self {
         assert!(k >= 1, "the admission window must admit at least one job");
         self.max_concurrent = k;
@@ -216,12 +232,15 @@ impl SolveService {
 
     /// Run every queued job in one epoch on the warm pool and report each
     /// job's outcome, in submission order. Tenant failures are isolated
-    /// per job; a shape that cannot resolve (tag space exhausted, a pattern
-    /// over another rank count than its topology) fails the jobs of that
-    /// shape, with the resolver's message and no ranks, and the other
-    /// shapes run; only a failure the scheduler itself cannot attribute (a
-    /// rank dying outside any task) fails the epoch, and then *every* job
-    /// driven in it reports that epoch error.
+    /// per job: the jobs a failure stopped only because they shared its
+    /// lane run again in a follow-up epoch of the same call, so each report
+    /// is the job's own failure or its solo bytes. A shape that cannot
+    /// resolve (tag space exhausted, a pattern over another rank count than
+    /// its topology) fails the jobs of that shape, with the resolver's
+    /// message and no ranks, and the other shapes run; only a failure the
+    /// scheduler itself cannot attribute (a rank dying outside any task)
+    /// fails an epoch, and then *every* job driven in it reports that epoch
+    /// error.
     pub fn run_pending(&mut self) -> Vec<JobReport> {
         let queued = std::mem::take(&mut self.queue);
         if queued.is_empty() {
@@ -255,69 +274,132 @@ impl SolveService {
                 .map_err(|payload| panic_message(&*payload))
             })
             .collect();
-        let driven: Vec<(&QueuedJob, &NeighborBatch<'_>)> = queued
+        // each job's outcome once it has one: a shape that cannot resolve
+        // fails its jobs here, before any rank sees them
+        let mut outcomes: Vec<Option<Result<Vec<Vec<f64>>, JobError>>> = shape_of
             .iter()
-            .zip(&shape_of)
-            .filter_map(|(q, &s)| Some((q, batches[s].as_ref().ok()?)))
-            .collect();
-        let ctl_base = self.ctl_lease.entry_base(0);
-        // the control communicator needs its own never-reused stream id;
-        // it shares the job-id namespace
-        let ctl_stream = self.next_id;
-        self.next_id += 1;
-        let max_concurrent = self.max_concurrent;
-        let outcome = if driven.is_empty() {
-            Ok(Vec::new())
-        } else {
-            self.pool.try_run(|ctx: &mut RankCtx| {
-                scheduler::drive_rank(ctx, &driven, ctl_stream, ctl_base, max_concurrent)
+            .map(|&s| {
+                let why = batches[s].as_ref().err()?;
+                Some(Err(JobError {
+                    ranks: Vec::new(),
+                    message: why.clone(),
+                    causes: Vec::new(),
+                }))
             })
-        };
-        // each driven job's outcome, in `driven` order
-        let outcomes: Vec<Result<Vec<Vec<f64>>, JobError>> = match outcome {
-            Ok(per_rank) => {
-                let mut per_job: Vec<Vec<_>> = driven.iter().map(|_| Vec::new()).collect();
-                for rr in per_rank {
-                    assert_eq!(rr.len(), driven.len());
-                    for (rows, res) in per_job.iter_mut().zip(rr) {
-                        rows.push(res);
+            .collect();
+        // A `Tuned` shape keeps one lane per job: its decision is a blocking
+        // reduction inside `start` (ROADMAP 1a), which jobs taking turns on
+        // one session would reach.
+        let solo: Vec<bool> = first_of
+            .iter()
+            .map(|&j| shapes[j].0 == Backend::Tuned)
+            .collect();
+        let mut pending: Vec<usize> = (0..queued.len())
+            .filter(|&k| outcomes[k].is_none())
+            .collect();
+        while !pending.is_empty() {
+            let jobs: Vec<(&QueuedJob, &NeighborBatch<'_>, usize)> = pending
+                .iter()
+                .map(|&k| {
+                    let s = shape_of[k];
+                    let batch = batches[s].as_ref().expect("a pending job's shape resolved");
+                    (&queued[k], batch, s)
+                })
+                .collect();
+            let mut rerun = Vec::new();
+            match self.epoch(&jobs, &solo) {
+                Ok(per_job) => {
+                    for (&k, rows) in pending.iter().zip(per_job) {
+                        if stopped_by_its_lane(&rows) {
+                            rerun.push(k);
+                        } else {
+                            outcomes[k] = Some(job_outcome(&queued[k].name, rows));
+                        }
                     }
                 }
-                driven
-                    .iter()
-                    .zip(per_job)
-                    .map(|((q, _), rows)| job_outcome(&q.name, rows))
-                    .collect()
-            }
-            Err(e) => {
                 // Unattributable epoch failure: every job driven in the
                 // epoch reports it (and the pool stays warm for the next).
-                let err = JobError {
-                    ranks: e.failures.iter().map(|(r, _)| *r).collect(),
-                    message: format!("epoch failed: {e}"),
-                    causes: e.failures,
-                };
-                driven.iter().map(|_| Err(err.clone())).collect()
+                Err(err) => pending
+                    .iter()
+                    .for_each(|&k| outcomes[k] = Some(Err(err.clone()))),
             }
-        };
-        let mut outcomes = outcomes.into_iter();
+            // a lane closes only under a job that failed itself, and that
+            // job is not run again
+            assert!(
+                rerun.len() < pending.len(),
+                "every job of an epoch stopped by a closed lane, none failed"
+            );
+            pending = rerun;
+        }
         queued
             .iter()
-            .zip(&shape_of)
-            .map(|(q, &s)| JobReport {
+            .zip(outcomes)
+            .map(|(q, outcome)| JobReport {
                 id: q.id,
                 name: q.name.clone(),
-                outcome: match &batches[s] {
-                    Ok(_) => outcomes.next().expect("one outcome per driven job"),
-                    Err(why) => Err(JobError {
-                        ranks: Vec::new(),
-                        message: why.clone(),
-                        causes: Vec::new(),
-                    }),
-                },
+                outcome: outcome.expect("every job has an outcome"),
             })
             .collect()
     }
+
+    /// Drive `jobs` — each with its shape's resolved batch and its shape —
+    /// in one epoch on the pool: deal them onto lanes, mint every lane and
+    /// the control communicator a fresh stream id, and return, per job,
+    /// what each rank (in rank order) returned for it.
+    fn epoch(
+        &mut self,
+        jobs: &[(&QueuedJob, &NeighborBatch<'_>, usize)],
+        solo: &[bool],
+    ) -> Result<Vec<Vec<scheduler::Row>>, JobError> {
+        let shape_of: Vec<usize> = jobs.iter().map(|&(_, _, s)| s).collect();
+        let lane_of = scheduler::deal_lanes(&shape_of, solo, self.max_concurrent);
+        // lanes are numbered in order of first use; each takes a stream id
+        // of its own from the job-id counter — never a job's, never reused
+        // — so nothing of an earlier epoch can alias it
+        let mut lanes: Vec<(u64, &NeighborBatch<'_>)> = Vec::new();
+        for (&(_, batch, _), &l) in jobs.iter().zip(&lane_of) {
+            if l == lanes.len() {
+                lanes.push((self.next_id, batch));
+                self.next_id += 1;
+            }
+        }
+        let ctl_stream = self.next_id;
+        self.next_id += 1;
+        let driven: Vec<(&QueuedJob, usize)> = jobs
+            .iter()
+            .zip(&lane_of)
+            .map(|(&(q, _, _), &l)| (q, l))
+            .collect();
+        let ctl_base = self.ctl_lease.entry_base(0);
+        let max_concurrent = self.max_concurrent;
+        let per_rank = self
+            .pool
+            .try_run(|ctx: &mut RankCtx| {
+                scheduler::drive_rank(ctx, &driven, &lanes, ctl_stream, ctl_base, max_concurrent)
+            })
+            .map_err(|e| JobError {
+                ranks: e.failures.iter().map(|(r, _)| *r).collect(),
+                message: format!("epoch failed: {e}"),
+                causes: e.failures,
+            })?;
+        let mut per_job: Vec<Vec<_>> = jobs.iter().map(|_| Vec::new()).collect();
+        for rr in per_rank {
+            assert_eq!(rr.len(), jobs.len());
+            for (rows, res) in per_job.iter_mut().zip(rr) {
+                rows.push(res);
+            }
+        }
+        Ok(per_job)
+    }
+}
+
+/// Only its lane closing kept the job from finishing: some rank says
+/// [`scheduler::Cause::Lane`] and no rank says it failed.
+fn stopped_by_its_lane(rows: &[scheduler::Row]) -> bool {
+    rows.iter().any(Result::is_err)
+        && rows
+            .iter()
+            .all(|r| matches!(r, Ok(_) | Err(scheduler::Cause::Lane)))
 }
 
 /// Group `items` by equality: for each item the index of its group, groups
@@ -343,10 +425,7 @@ fn group_equal<T: PartialEq>(items: &[T]) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// One job's outcome from what each rank (in rank order) returned for it.
-fn job_outcome(
-    name: &str,
-    rows: Vec<Result<Vec<f64>, scheduler::Cause>>,
-) -> Result<Vec<Vec<f64>>, JobError> {
+fn job_outcome(name: &str, rows: Vec<scheduler::Row>) -> Result<Vec<Vec<f64>>, JobError> {
     let mut oks = Vec::with_capacity(rows.len());
     let mut causes: Vec<(usize, String)> = Vec::new();
     let mut originated: Option<usize> = None;
@@ -362,6 +441,9 @@ fn job_outcome(
             }
             Err(scheduler::Cause::Relayed { from }) => {
                 format!("job {name:?} cancelled: tenant failed on rank {from}")
+            }
+            Err(scheduler::Cause::Lane) => {
+                format!("job {name:?} stopped: a job before it on its lane failed")
             }
         };
         causes.push((r, text));

@@ -1,29 +1,46 @@
-//! The per-rank drive loop: registration, admission, overlap, and the
+//! The per-rank drive loop: lanes, admission, overlap, and the
 //! failure-isolation protocol (DESIGN.md §12).
+//!
+//! A **lane** is one persistent session that the jobs of one shape take
+//! turns on: one [`Comm::dup_for`] communicator, under a stream id minted
+//! for it alone, and one `init_all` of the shape's resolved batch.
+//! [`deal_lanes`] deals the jobs of each shape round-robin onto
+//! `min(window, jobs of that shape)` lanes, and job k of a shape runs as
+//! the next iterations of its lane's session — setup paid once per lane,
+//! amortized over the jobs that take turns on it, as the paper amortizes
+//! it over one solver's `MPI_Start`s.
 //!
 //! Epoch prologue (every rank, before anything is driven):
 //!
-//! 1. duplicate the world communicator once per job
-//!    ([`Comm::dup_for`] keyed by the job's global id), plus once for
-//!    the epoch's control fabric;
-//! 2. `init_all` **every** job's batch session on its own communicator
-//!    (registration is not admission-controlled) — jobs of one shape
-//!    share the resolved batch, the context id keeps their channels apart;
+//! 1. duplicate the world communicator once per lane, plus once for the
+//!    epoch's control fabric;
+//! 2. `init_all` **every** lane's session on its own communicator — lanes
+//!    of one shape share the resolved batch, the context id keeps their
+//!    channels apart;
 //! 3. register one cancel-token channel per peer and direction on the
 //!    control communicator — a token names its job ([`encode_token`]), so
 //!    the channel count (and the park set it joins) stays O(ranks), not
 //!    O(jobs × ranks);
 //! 4. barrier — after this, every channel any peer may deposit into
 //!    exists on every fabric, and **nothing registers any more**: that is
-//!    the contract of [`RankCtx::comm_free`].
+//!    the contract of [`RankCtx::comm_free`] (`make lint` holds it).
 //!
-//! Then the loop: admit queued jobs into the window, poll runnable tasks
-//! (each a [`Task`] polled under `catch_unwind`), drain cancel tokens,
-//! and park once on the union of every running task's pending channels
-//! plus the per-peer cancel channels. A job that retires on this rank —
-//! done, failed or cancelled — drops its task and frees its communicator
-//! there and then; the control communicator is freed on the way out. What
-//! the world kept for a job goes back when its last rank has retired it.
+//! Then the loop: admit queued jobs into the window in job order —
+//! waiting while a job's lane is still busy with its predecessor on this
+//! rank — poll runnable tasks (each a [`Task`] polled under
+//! `catch_unwind`), drain cancel tokens, and park once on the union of
+//! every running task's pending channels plus the per-peer cancel
+//! channels. A job that is over on this rank — done, failed or cancelled
+//! — drops its task and hands its lane to the next job there and then;
+//! every lane's communicator and the control communicator are freed on
+//! the way out. What the world kept for a lane goes back when its last
+//! rank has freed it.
+//!
+//! Reuse is safe because every channel is FIFO: a rank starts a lane's
+//! next job only after finishing the previous one there, and a finished
+//! job has consumed exactly what its peers sent it, so what a lane's
+//! channels hold next is the next job's traffic and nothing else — job
+//! boundaries on a lane are iteration boundaries of one session.
 //!
 //! Failure protocol: a tenant panic on this rank resolves its task to
 //! `Err` — the scheduler absorbs the transport death flag and broadcasts
@@ -35,6 +52,13 @@
 //! nothing attributes the abort — a wait-deadline stall, or peer-death
 //! panics repeating with no token ever arriving — does the rank fail its
 //! still-running jobs wholesale, naming each one in the deadline dump.
+//! A failure of any kind **closes the job's lane** on every rank: on the
+//! failing rank at once, on a peer when the token arrives — even for a
+//! job that already completed there, since its peers left the lane
+//! mid-job and what is queued on it belongs to no one. On a closed lane
+//! the running job stops and later jobs are not admitted; both resolve to
+//! [`Cause::Lane`], and `run_pending` runs them again in a follow-up
+//! epoch, so every report is still a job's own failure or its solo bytes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -53,19 +77,62 @@ use crate::{JobLogic, QueuedJob, RankState};
 /// itself is gone.
 const MAX_ABSORB_RETRIES: usize = 64;
 
+/// Deal an epoch's jobs onto lanes: the jobs of each shape (`shape_of`,
+/// shapes numbered from 0) round-robin onto `min(window, jobs of that
+/// shape)` lanes — one lane per job for a shape marked `solo` — with job
+/// k of a shape on that shape's lane `k mod width`. Returns each job's
+/// lane; lanes are numbered in order of first use.
+pub(crate) fn deal_lanes(shape_of: &[usize], solo: &[bool], window: usize) -> Vec<usize> {
+    let mut count = vec![0usize; solo.len()];
+    for &s in shape_of {
+        count[s] += 1;
+    }
+    let mut lanes: Vec<Vec<usize>> = vec![Vec::new(); solo.len()];
+    let mut dealt = vec![0usize; solo.len()];
+    let mut opened = 0;
+    shape_of
+        .iter()
+        .map(|&s| {
+            let width = if solo[s] {
+                count[s]
+            } else {
+                window.min(count[s])
+            };
+            let k = dealt[s];
+            dealt[s] += 1;
+            if k < width {
+                lanes[s].push(opened);
+                opened += 1;
+            }
+            lanes[s][k % width]
+        })
+        .collect()
+}
+
+/// One persistent session the jobs dealt to it take turns on.
+struct Lane {
+    comm: Comm,
+    /// `None` once the lane is closed: a job on it failed on some rank,
+    /// and nothing runs on it again.
+    session: Option<BatchRequest>,
+    /// The job running on it on this rank.
+    busy: Option<usize>,
+}
+
 /// One job on this rank: `iters` iterations of start-all /
-/// retire-entries-as-they-land, folding each entry's ghost values into
-/// the rank state. Owns its session and state, so one tenant's state can
-/// never alias another's. Dropped — never polled again — once it resolves,
-/// panics, or is cancelled.
+/// retire-entries-as-they-land on its lane's session, folding each
+/// entry's ghost values into the rank state. Owns its state and outputs,
+/// so one tenant's state can never alias another's. Dropped — never
+/// polled again — once it resolves, panics, or is cancelled.
 struct Task {
     logic: Arc<dyn JobLogic>,
     rank: usize,
     iters: usize,
+    /// The lane whose session the job runs on.
+    lane: usize,
     /// Built by the first poll, so a panicking constructor fails its job
     /// alone like any other tenant panic.
     state: Option<Box<dyn RankState>>,
-    session: BatchRequest,
     outputs: Vec<Vec<f64>>,
     iter: usize,
     /// Entries of the current iteration already absorbed.
@@ -78,7 +145,7 @@ struct Task {
 }
 
 impl Task {
-    fn new(logic: Arc<dyn JobLogic>, session: BatchRequest, rank: usize) -> Self {
+    fn new(logic: Arc<dyn JobLogic>, lane: usize, session: &BatchRequest, rank: usize) -> Self {
         let outputs = (0..session.len())
             .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
             .collect();
@@ -86,8 +153,8 @@ impl Task {
             iters: logic.iters(),
             logic,
             rank,
+            lane,
             state: None,
-            session,
             outputs,
             iter: 0,
             retired: 0,
@@ -104,25 +171,25 @@ impl Task {
     /// so the rank is back in the drive loop to serve whichever tenant a
     /// peer is waiting on. The one exception is a `Backend::Tuned` job's
     /// decision iteration, whose `start` joins a blocking reduction.
-    fn poll(&mut self, ctx: &mut RankCtx) -> Option<Vec<f64>> {
-        let n = self.session.len();
+    fn poll(&mut self, ctx: &mut RankCtx, session: &mut BatchRequest) -> Option<Vec<f64>> {
+        let n = session.len();
         let state = self
             .state
             .get_or_insert_with(|| self.logic.rank_state(self.rank));
         while self.iter < self.iters {
             if !self.started {
                 let inputs: Vec<Vec<f64>> = (0..n)
-                    .map(|e| state.input(self.iter, e, self.session.entry(e)))
+                    .map(|e| state.input(self.iter, e, session.entry(e)))
                     .collect();
-                self.session.start_all(ctx, &inputs);
+                session.start_all(ctx, &inputs);
                 self.started = true;
             }
             while self.retired < n {
-                let Some(e) = self.session.test_any(ctx, &mut self.outputs) else {
+                let Some(e) = session.test_any(ctx, &mut self.outputs) else {
                     self.runnable = false;
                     return None;
                 };
-                state.absorb(self.iter, e, self.session.entry(e), &self.outputs[e]);
+                state.absorb(self.iter, e, session.entry(e), &self.outputs[e]);
                 self.retired += 1;
             }
             self.iter += 1;
@@ -144,6 +211,7 @@ impl Task {
 fn park(
     ctx: &mut RankCtx,
     tasks: &mut [Option<Task>],
+    lanes: &[Lane],
     running: &[usize],
     extra: &[ChanId],
     union: &mut Vec<ChanId>,
@@ -154,7 +222,11 @@ fn park(
     for &j in running {
         let task = tasks[j].as_ref().expect("running job has a task");
         let start = union.len();
-        task.session.pending_chans(union);
+        lanes[task.lane]
+            .session
+            .as_ref()
+            .expect("a running job's lane is open")
+            .pending_chans(union);
         spans.push(start..union.len());
     }
     assert!(
@@ -178,7 +250,14 @@ pub(crate) enum Cause {
     Here(String),
     /// Rank `from` noticed it and this rank only holds its cancel token.
     Relayed { from: usize },
+    /// The job's lane closed under it — a job before it on the lane failed
+    /// — before it could finish on this rank. Not a failure of its own:
+    /// `run_pending` runs it again.
+    Lane,
 }
+
+/// What one rank returned for one job.
+pub(crate) type Row = Result<Vec<f64>, Cause>;
 
 /// A cancel token: which job failed, and on which rank.
 fn encode_token(job: usize, rank: usize) -> u64 {
@@ -200,39 +279,68 @@ fn broadcast_cancel(ctx: &mut RankCtx, ctl_tx: &[SendChan<u64>], rank: usize, jo
     }
 }
 
-/// Job `j` is over on this rank — done, failed or cancelled: drop its task
-/// (and with it this rank's handles to the job's channels) and free its
-/// communicator. Every member registered before the prologue barrier, so
-/// the first rank to retire a job may free it under the ranks still
-/// driving it.
-fn retire(ctx: &RankCtx, tasks: &mut [Option<Task>], comms: &[Comm], j: usize) {
-    if tasks[j].take().is_some() {
-        ctx.comm_free(&comms[j]);
+/// What this rank holds of the epoch: its lanes, the task of every job it
+/// is driving, which those are (in admission order), and each job's
+/// result once it has one.
+struct Drive {
+    lanes: Vec<Lane>,
+    tasks: Vec<Option<Task>>,
+    running: Vec<usize>,
+    results: Vec<Option<Row>>,
+}
+
+impl Drive {
+    /// Job `j` is over on this rank with `res` — unless it already had a
+    /// result, which stands: drop its task and hand its lane to the next
+    /// job.
+    fn retire(&mut self, j: usize, res: Row) {
+        if let Some(task) = self.tasks[j].take() {
+            self.lanes[task.lane].busy = None;
+            self.running.retain(|&x| x != j);
+        }
+        self.results[j].get_or_insert(res);
+    }
+
+    /// Nothing runs on `lane` again: the job running on it here stops, and
+    /// admission resolves the ones after it, both to [`Cause::Lane`].
+    fn close(&mut self, lane: usize) {
+        self.lanes[lane].session = None;
+        if let Some(j) = self.lanes[lane].busy {
+            self.retire(j, Err(Cause::Lane));
+        }
     }
 }
 
-/// Drive this epoch's jobs — each with the resolved batch of its shape —
-/// on this rank; returns each job's local result, indexed like `jobs`.
+/// Drive this epoch's jobs — each with the lane it was dealt, each lane
+/// with its stream id and the resolved batch of its shape — on this rank;
+/// returns each job's local result, indexed like `jobs`.
 pub(crate) fn drive_rank(
     ctx: &mut RankCtx,
-    jobs: &[(&QueuedJob, &NeighborBatch<'_>)],
+    jobs: &[(&QueuedJob, usize)],
+    lanes: &[(u64, &NeighborBatch<'_>)],
     ctl_stream: u64,
     ctl_base: u64,
     max_concurrent: usize,
-) -> Vec<Result<Vec<f64>, Cause>> {
+) -> Vec<Row> {
     let world = ctx.comm_world();
     let rank = ctx.rank();
     let n_ranks = world.size();
     let n = jobs.len();
 
     // -- prologue: communicators, registration, cancel fabric, barrier --
-    let comms: Vec<Comm> = jobs.iter().map(|(q, _)| world.dup_for(q.id)).collect();
-    let ctl_comm = world.dup_for(ctl_stream);
-    let mut tasks: Vec<Option<Task>> = jobs
+    let lanes: Vec<Lane> = lanes
         .iter()
-        .zip(&comms)
-        .map(|((q, b), c)| Some(Task::new(Arc::clone(&q.logic), b.init_all(ctx, c), rank)))
+        .map(|&(stream, batch)| {
+            let comm = world.dup_for(stream);
+            let session = Some(batch.init_all(ctx, &comm));
+            Lane {
+                comm,
+                session,
+                busy: None,
+            }
+        })
         .collect();
+    let ctl_comm = world.dup_for(ctl_stream);
     // both halves of every control channel now, in one pass over the
     // registry: a cancel must reach the channel its peer parks on, and a
     // registration after some rank freed the control communicator would
@@ -250,10 +358,14 @@ pub(crate) fn drive_rank(
     ctx.barrier(&world);
 
     // -- the drive loop --
-    let mut results: Vec<Option<Result<Vec<f64>, Cause>>> = (0..n).map(|_| None).collect();
-    let mut running: Vec<usize> = Vec::new();
+    let mut d = Drive {
+        lanes,
+        tasks: (0..n).map(|_| None).collect(),
+        running: Vec::new(),
+        results: (0..n).map(|_| None).collect(),
+    };
     let mut next_admit = 0usize;
-    let mut completed: Vec<(usize, Result<Vec<f64>, Cause>)> = Vec::new();
+    let mut completed: Vec<(usize, Row)> = Vec::new();
     let mut union: Vec<ChanId> = Vec::new();
     let mut absorb_retries = 0usize;
     // the park set beyond the tasks' own pending channels: the per-peer
@@ -267,32 +379,44 @@ pub(crate) fn drive_rank(
     let mut rounds = 0usize;
 
     loop {
-        // admit queued jobs into the window (skipping any cancelled
-        // before they ever ran on this rank)
-        while running.len() < max_concurrent && next_admit < n {
+        // admit queued jobs into the window in job order, waiting while
+        // the next one's lane is still busy here (skipping any cancelled
+        // before they ever ran on this rank, and resolving any whose lane
+        // has closed)
+        while d.running.len() < max_concurrent && next_admit < n {
             let j = next_admit;
+            let (q, l) = jobs[j];
+            let lane = &mut d.lanes[l];
+            match &lane.session {
+                None => d.retire(j, Err(Cause::Lane)),
+                Some(_) if d.results[j].is_some() => {}
+                Some(_) if lane.busy.is_some() => break,
+                Some(session) => {
+                    lane.busy = Some(j);
+                    d.tasks[j] = Some(Task::new(Arc::clone(&q.logic), l, session, rank));
+                    d.running.push(j);
+                }
+            }
             next_admit += 1;
-            if results[j].is_some() {
-                continue;
-            }
-            running.push(j);
         }
-        if running.is_empty() {
-            if next_admit >= n {
-                break;
-            }
-            continue;
+        if d.running.is_empty() {
+            // a busy lane has a running job, so admission reached the end
+            break;
         }
 
         // poll every runnable task until it blocks or resolves; a panic
         // inside one (seeded kill= fault or plain bug) resolves that task
         // alone to `Err`
-        for &j in &running {
-            let task = tasks[j].as_mut().expect("running job has a task");
+        for &j in &d.running {
+            let task = d.tasks[j].as_mut().expect("running job has a task");
             if !task.runnable {
                 continue;
             }
-            match catch_unwind(AssertUnwindSafe(|| task.poll(ctx))) {
+            let session = d.lanes[task.lane]
+                .session
+                .as_mut()
+                .expect("a running job's lane is open");
+            match catch_unwind(AssertUnwindSafe(|| task.poll(ctx, session))) {
                 Ok(None) => {}
                 Ok(Some(v)) => completed.push((j, Ok(v))),
                 Err(payload) => completed.push((j, Err(Cause::Here(panic_message(&*payload))))),
@@ -300,7 +424,8 @@ pub(crate) fn drive_rank(
         }
         let mut progressed = !completed.is_empty();
         for (j, res) in completed.drain(..) {
-            if res.is_err() {
+            let failed = res.is_err();
+            if failed {
                 // A tenant died on THIS rank. The fault path raised the
                 // world death flag before panicking; absorb it so peers'
                 // and siblings' waits stop aborting, then tell every peer
@@ -308,14 +433,16 @@ pub(crate) fn drive_rank(
                 ctx.absorb_rank_failure();
                 broadcast_cancel(ctx, &ctl_tx, rank, j);
             }
-            results[j] = Some(res);
-            retire(ctx, &mut tasks, &comms, j);
-            running.retain(|&x| x != j);
+            d.retire(j, res);
+            if failed {
+                d.close(jobs[j].1);
+            }
         }
 
         // drain cancel tokens: a peer's scheduler contained some job's
-        // failure there (a token for an already-resolved job is stale —
-        // several ranks may dump the same job — and is dropped)
+        // failure there. A token may be stale — several ranks may dump the
+        // same job — or name a job already completed here; either way its
+        // lane is over.
         rounds += 1;
         if drain_due || rounds.is_multiple_of(64) {
             drain_due = false;
@@ -323,12 +450,8 @@ pub(crate) fn drive_rank(
                 while let Some(tok) = rc.try_take(ctx) {
                     rc.start();
                     let (j, src) = decode_token(tok[0]);
-                    if results[j].is_some() {
-                        continue;
-                    }
-                    retire(ctx, &mut tasks, &comms, j);
-                    running.retain(|&x| x != j);
-                    results[j] = Some(Err(Cause::Relayed { from: src }));
+                    d.retire(j, Err(Cause::Relayed { from: src }));
+                    d.close(jobs[j].1);
                     progressed = true;
                 }
             }
@@ -342,7 +465,14 @@ pub(crate) fn drive_rank(
         // the per-peer cancel channels, catching the two abort paths (peer
         // death, deadline)
         match catch_unwind(AssertUnwindSafe(|| {
-            park(ctx, &mut tasks, &running, &ctl_watch, &mut union)
+            park(
+                ctx,
+                &mut d.tasks,
+                &d.lanes,
+                &d.running,
+                &ctl_watch,
+                &mut union,
+            )
         })) {
             Ok(()) => {
                 absorb_retries = 0;
@@ -363,34 +493,40 @@ pub(crate) fn drive_rank(
                 // dump fails every running job on this rank BY NAME, with
                 // how far each got (its iteration, and how many of that
                 // iteration's entries it had retired)
-                let names: Vec<String> = running
+                let names: Vec<String> = d
+                    .running
                     .iter()
                     .map(|&j| {
-                        let task = tasks[j].as_ref().expect("running job has a task");
+                        let task = d.tasks[j].as_ref().expect("running job has a task");
                         format!(
                             "{} (iter {}, retired {})",
                             jobs[j].0.name, task.iter, task.retired
                         )
                     })
                     .collect();
-                for &j in &running {
+                for j in std::mem::take(&mut d.running) {
                     broadcast_cancel(ctx, &ctl_tx, rank, j);
-                    results[j] = Some(Err(Cause::Here(format!(
-                        "job {:?} failed while rank {rank} was parked \
-                         (jobs running here: {names:?}): {msg}",
-                        jobs[j].0.name
-                    ))));
-                    retire(ctx, &mut tasks, &comms, j);
+                    d.retire(
+                        j,
+                        Err(Cause::Here(format!(
+                            "job {:?} failed while rank {rank} was parked \
+                             (jobs running here: {names:?}): {msg}",
+                            jobs[j].0.name
+                        ))),
+                    );
+                    d.close(jobs[j].1);
                 }
-                running.clear();
             }
         }
     }
 
-    // the epoch is over on this rank: its control channels go too
+    // the epoch is over on this rank: its lanes and control channels go
     drop((ctl, ctl_tx));
     ctx.comm_free(&ctl_comm);
-    results
+    for lane in &d.lanes {
+        ctx.comm_free(&lane.comm);
+    }
+    d.results
         .into_iter()
         .enumerate()
         .map(|(j, r)| {
@@ -499,6 +635,27 @@ mod tests {
         }
     }
 
+    /// The deal: per shape, `min(window, jobs of the shape)` lanes opened
+    /// by its first jobs, then round-robin; a solo (tuned) shape keeps one
+    /// lane per job whatever the window.
+    #[test]
+    fn jobs_of_one_shape_take_turns_on_min_window_count_lanes() {
+        // shapes interleaved in the queue; shape 2 is solo
+        let shape_of = [0, 1, 0, 0, 1, 0, 2, 2, 0];
+        let solo = [false, false, true];
+        assert_eq!(deal_lanes(&shape_of, &solo, 1), [0, 1, 0, 0, 1, 0, 2, 3, 0]);
+        // shape 0 (five jobs) on three lanes, shape 1 (two) on two
+        assert_eq!(deal_lanes(&shape_of, &solo, 3), [0, 1, 2, 3, 4, 0, 5, 6, 2]);
+        // a window at least the count: one lane per job, today's epoch
+        for window in [5, usize::MAX] {
+            assert_eq!(
+                deal_lanes(&shape_of, &solo, window),
+                (0..shape_of.len()).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(deal_lanes(&[], &[], 4), Vec::<usize>::new());
+    }
+
     /// A panic inside one task's poll resolves that task alone to `Err`,
     /// the task is never polled again, and a sibling on the same ranks
     /// still runs to completion.
@@ -546,10 +703,21 @@ mod tests {
         }
     }
 
+    /// Poll task `t` on its lane's session.
+    fn poll_on_lane(
+        ctx: &mut RankCtx,
+        tasks: &mut [Option<Task>],
+        lanes: &mut [Lane],
+        t: usize,
+    ) -> Option<Vec<f64>> {
+        let task = tasks[t].as_mut().unwrap();
+        task.poll(ctx, lanes[task.lane].session.as_mut().unwrap())
+    }
+
     /// The park re-flags exactly the tasks whose *own* pending channels
-    /// delivered: with two tenants blocked on rank 1 and only tenant B's
-    /// traffic released, the park returns with B runnable and A still
-    /// blocked.
+    /// delivered: with two tenants blocked on rank 1, each on a lane of its
+    /// own, and only tenant B's traffic released, the park returns with B
+    /// runnable and A still blocked.
     #[test]
     fn park_reflags_only_tasks_whose_own_channels_delivered() {
         let topo = Topology::block_nodes(2, 1);
@@ -568,42 +736,53 @@ mod tests {
         World::pool(2).run(|ctx| {
             let world = ctx.comm_world();
             let rank = ctx.rank();
-            let mut tasks: Vec<Option<Task>> = batches
+            let mut lanes: Vec<Lane> = batches
                 .iter()
                 .enumerate()
                 .map(|(k, b)| {
                     let comm = world.dup_for(k as u64 + 1);
-                    Some(Task::new(
-                        Arc::new(job.clone()),
-                        b.init_all(ctx, &comm),
-                        rank,
-                    ))
+                    let session = Some(b.init_all(ctx, &comm));
+                    Lane {
+                        comm,
+                        session,
+                        busy: None,
+                    }
                 })
                 .collect();
-            let mut poll = |t: usize, ctx: &mut RankCtx| tasks[t].as_mut().unwrap().poll(ctx);
+            let mut tasks: Vec<Option<Task>> = lanes
+                .iter()
+                .enumerate()
+                .map(|(l, lane)| {
+                    let session = lane.session.as_ref().unwrap();
+                    Some(Task::new(Arc::new(job.clone()), l, session, rank))
+                })
+                .collect();
             ctx.barrier(&world);
             if rank == 0 {
                 // hold all traffic back until rank 1 has blocked both
                 // tenants, then release B's only
                 ctx.barrier(&world);
-                assert_eq!(poll(B, ctx), Some(job.expected(0)));
+                let got = poll_on_lane(ctx, &mut tasks, &mut lanes, B);
+                assert_eq!(got, Some(job.expected(0)));
                 ctx.barrier(&world);
-                assert_eq!(poll(A, ctx), Some(job.expected(0)));
+                let got = poll_on_lane(ctx, &mut tasks, &mut lanes, A);
+                assert_eq!(got, Some(job.expected(0)));
                 return;
             }
-            assert_eq!(poll(A, ctx), None);
-            assert_eq!(poll(B, ctx), None);
+            assert_eq!(poll_on_lane(ctx, &mut tasks, &mut lanes, A), None);
+            assert_eq!(poll_on_lane(ctx, &mut tasks, &mut lanes, B), None);
             ctx.barrier(&world);
             let mut union = Vec::new();
-            park(ctx, &mut tasks, &[A, B], &[], &mut union);
-            let runnable = |t: usize| tasks[t].as_ref().unwrap().runnable;
-            assert!(runnable(B), "B's channel delivered");
-            assert!(!runnable(A), "nothing of A's delivered yet");
+            park(ctx, &mut tasks, &lanes, &[A, B], &[], &mut union);
+            let runnable = |tasks: &[Option<Task>], t: usize| tasks[t].as_ref().unwrap().runnable;
+            assert!(runnable(&tasks, B), "B's channel delivered");
+            assert!(!runnable(&tasks, A), "nothing of A's delivered yet");
             ctx.barrier(&world);
-            park(ctx, &mut tasks, &[A], &[], &mut union);
-            assert!(tasks[A].as_ref().unwrap().runnable);
+            park(ctx, &mut tasks, &lanes, &[A], &[], &mut union);
+            assert!(runnable(&tasks, A));
             for t in [A, B] {
-                assert_eq!(tasks[t].as_mut().unwrap().poll(ctx), Some(job.expected(1)));
+                let got = poll_on_lane(ctx, &mut tasks, &mut lanes, t);
+                assert_eq!(got, Some(job.expected(1)));
             }
         });
     }

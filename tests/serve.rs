@@ -9,19 +9,21 @@
 //! * **Tenant isolation** — a seeded `kill=` fault that takes down one
 //!   tenant mid-epoch fails *that* job with an attributed error while
 //!   every surviving tenant's result stays byte-identical to its solo
-//!   run.
+//!   run — including the jobs that took turns with it on one lane, which
+//!   the failure stops and `run_pending` runs again.
 //! * **Deadline attribution** — a wedged tenant trips the wait deadline
 //!   and the resulting per-job errors name the jobs that were running on
 //!   the parked rank.
 //! * **Sharing** — tenants of one shape (topology, backend, patterns)
-//!   share one resolution per epoch and nothing else: bytes equal to each
-//!   job alone, one tag lease per shape, and a shape that cannot resolve
-//!   fails its own jobs only.
-//! * **Lifetime** — a job's channels go back when it retires: thousands
-//!   of jobs through one warm pool leave the registry gauge, the shm table
-//!   and the process's memory where the first epoch left them.
+//!   share one resolution per epoch and take turns on a few lanes, and
+//!   share nothing else: bytes equal to each job alone, one tag lease per
+//!   shape, and a shape that cannot resolve fails its own jobs only.
+//! * **Lifetime** — an epoch's channels go back when its lanes are freed:
+//!   thousands of jobs through one warm pool leave the registry gauge, the
+//!   shm table and the process's memory where the first epoch left them.
 
 use std::f64::consts::FRAC_PI_4;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -406,6 +408,114 @@ fn many_tenants_under_full_neighbor_never_wedge() {
             })
             .collect();
         assert_eq!(got, expect, "epoch {epoch} changed bytes");
+    }
+}
+
+// ---------------------------------------------------------------------
+// lanes: a failure closes its lane, and the lane's other jobs run again
+// ---------------------------------------------------------------------
+
+/// Wraps a job to count its `rank_state` calls per rank and, on rank
+/// `boom_on`, to panic in its first iteration.
+struct Counted {
+    inner: Arc<JacobiJob>,
+    boom_on: Option<usize>,
+    calls: Vec<AtomicUsize>,
+}
+
+struct BoomState {
+    inner: Box<dyn RankState>,
+    boom: bool,
+}
+
+impl JobLogic for Counted {
+    fn patterns(&self) -> Vec<CommPattern> {
+        JobLogic::patterns(&*self.inner)
+    }
+    fn iters(&self) -> usize {
+        JobLogic::iters(&*self.inner)
+    }
+    fn rank_state(&self, rank: usize) -> Box<dyn RankState> {
+        self.calls[rank].fetch_add(1, Ordering::SeqCst);
+        Box::new(BoomState {
+            inner: JobLogic::rank_state(&*self.inner, rank),
+            boom: self.boom_on == Some(rank),
+        })
+    }
+}
+
+impl RankState for BoomState {
+    fn input(&mut self, iter: usize, e: EntryId, req: &dyn NeighborRequest) -> Vec<f64> {
+        assert!(!(self.boom && iter == 0), "tenant boom in iteration 0");
+        self.inner.input(iter, e, req)
+    }
+    fn absorb(&mut self, iter: usize, e: EntryId, req: &dyn NeighborRequest, output: &[f64]) {
+        self.inner.absorb(iter, e, req, output)
+    }
+    fn finish(self: Box<Self>) -> Vec<f64> {
+        self.inner.finish()
+    }
+}
+
+/// Six tenants of one shape, window 2: lane 0 takes tenants 0, 2, 4 and
+/// lane 1 tenants 1, 3, 5. Tenant 1 panics on rank 2 in iteration 0, which
+/// closes lane 1 on every rank. Tenant 1 fails, attributed to rank 2; its
+/// lane-mates, stopped or never admitted, run again in a follow-up epoch
+/// of the same call; and every other report is the reference's bytes.
+#[test]
+fn a_failed_tenant_closes_its_lane_and_its_lane_mates_rerun() {
+    const BOOM_RANK: usize = 2;
+    let tenants: Vec<Arc<Counted>> = tenant_jobs(6)
+        .into_iter()
+        .enumerate()
+        .map(|(k, inner)| {
+            Arc::new(Counted {
+                inner,
+                boom_on: (k == 1).then_some(BOOM_RANK),
+                calls: (0..RANKS).map(|_| AtomicUsize::new(0)).collect(),
+            })
+        })
+        .collect();
+    let mut svc = SolveService::new(RANKS).max_concurrent(2);
+    for (k, t) in tenants.iter().enumerate() {
+        let logic = Arc::clone(t) as Arc<dyn JobLogic>;
+        svc.submit(JobSpec::new(format!("tenant-{k}"), topo(), logic));
+    }
+    let reports = svc.run_pending();
+    let err = reports[1].outcome.as_ref().expect_err("tenant 1 panicked");
+    assert!(err.message.contains("tenant boom"), "{err}");
+    let here: Vec<usize> = err
+        .causes
+        .iter()
+        .filter(|(_, text)| text.contains("tenant boom"))
+        .map(|(r, _)| *r)
+        .collect();
+    assert_eq!(here, [BOOM_RANK], "{err:?}");
+    let calls = |k: usize| -> Vec<usize> {
+        tenants[k]
+            .calls
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst))
+            .collect()
+    };
+    for k in [0, 2, 3, 4, 5] {
+        let got = reports[k]
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("tenant {k} failed: {e}"));
+        assert_eq!(got, &tenants[k].inner.reference_results(), "tenant {k}");
+    }
+    for k in [0, 2, 4] {
+        assert_eq!(calls(k), [1; RANKS], "tenant {k} ran once");
+    }
+    // Rank 2 closed lane 1 in its first poll round, before either
+    // lane-mate could be admitted there, so the state each built on rank 2
+    // is the rerun's — on another rank it may be a second one, if the
+    // lane-mate started there before the cancel token arrived.
+    for k in [3, 5] {
+        let c = calls(k);
+        assert_eq!(c[BOOM_RANK], 1, "tenant {k}: {c:?}");
+        assert!(c.iter().all(|&n| (1..=2).contains(&n)), "tenant {k}: {c:?}");
     }
 }
 
