@@ -50,10 +50,12 @@ test-tuner:
 # rank attribution) while the others stay byte-identical to solo runs,
 # deadline dumps naming every job they take down, a tenant panic closing
 # its lane and its lane-mates rerun to their solo bytes, tenants of one
-# shape sharing one resolution, and a 500-job soak that leaves the registry
-# gauge where its first epoch left it — then, alone and in release
-# (`--ignored`), the 5000-job soak per fabric: flat gauge, empty shm
-# table, flat VmRSS
+# shape sharing one resolution, the warm set kept and evicted across
+# epochs (with a kill scan, each kill followed by a clean epoch), and a
+# 500-job soak that leaves the registry gauge where its first epoch left
+# it — then, alone and in release (`--ignored`), the 5000-job soak per
+# fabric: flat gauge, idle once the service is released but for shm
+# segment bytes, flat VmRSS
 test-serve:
 	cargo test --test serve -q
 	cargo test --release --test serve -q -- --ignored
@@ -78,13 +80,18 @@ clippy:
 # `#[cfg(test)]`) makes no blocking mpisim call but in two places: the
 # tuned decision reduction (core/src/tune.rs, the one `start` that can
 # block) and the service's epoch-prologue barrier. Registration: the
-# scheduler registers every channel of an epoch — each lane's session and
-# the cancel fabric — before that barrier, which is `RankCtx::comm_free`'s
-# contract (DESIGN.md §3, §12), so nothing in scheduler.rs between the
-# barrier line and its `#[cfg(test)]` dups a communicator or registers
+# scheduler registers whatever an epoch opens — a lane's session, the
+# cancel fabric — before that barrier, which runs whenever anything
+# registered; that is `RankCtx::comm_free`'s contract (DESIGN.md §3, §12).
+# So scheduler.rs, before its `#[cfg(test)]`, has exactly one barrier
+# point — `    if ep.barrier {` with `        ctx.barrier(&world);` the
+# line after it, the one blocking call allowed there — and from that
+# point on it dups no communicator and registers nothing
 WAKE_FILES := runtime|transport/thread|transport/shm/segment|transport/sock/link|transport/sock/control
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
-PROLOGUE_BARRIER := ^    ctx\.barrier\(&world\);$$
+PROLOGUE_BARRIER = $(shell awk '/^\#\[cfg\(test\)\]/ {exit} \
+	prev ~ /^    if ep\.barrier \{$$/ && /^        ctx\.barrier\(&world\);$$/ {print FNR} \
+	{prev = $$0}' crates/service/src/scheduler.rs)
 REGISTERING_CALLS := init_all|chan_registrar|_chan_init|dup_for
 lint: clippy
 	cargo fmt --all --check
@@ -97,12 +104,12 @@ lint: clippy
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -E '$(BLOCKING_CALLS)' \
 		| grep -v '^crates/core/src/tune\.rs:' \
-		| grep -vE '^crates/service/src/scheduler\.rs:[0-9]+:    ctx\.barrier\(&world\);$$'; then \
+		| grep -v '^crates/service/src/scheduler\.rs:$(PROLOGUE_BARRIER):'; then \
 		echo "error: core or service blocks outside wait (see the lint rule in Makefile)"; exit 1; fi
-	@grep -qE '$(PROLOGUE_BARRIER)' crates/service/src/scheduler.rs || { \
-		echo "error: the scheduler's prologue barrier line is gone (see the lint rule in Makefile)"; exit 1; }
-	@if awk '/$(PROLOGUE_BARRIER)/ {on = 1; next} /^#\[cfg\(test\)\]/ {exit} \
-		on {print FILENAME ":" FNR ":" $$0}' crates/service/src/scheduler.rs \
+	@test '$(words $(PROLOGUE_BARRIER))' = 1 || { \
+		echo "error: the scheduler has no single prologue barrier point (see the lint rule in Makefile)"; exit 1; }
+	@if awk -v b='$(PROLOGUE_BARRIER)' '/^#\[cfg\(test\)\]/ {exit} \
+		FNR >= b - 1 {print FILENAME ":" FNR ":" $$0}' crates/service/src/scheduler.rs \
 		| grep -E '$(REGISTERING_CALLS)'; then \
 		echo "error: the scheduler registers after its prologue barrier (see the lint rule in Makefile)"; exit 1; fi
 

@@ -99,8 +99,12 @@ struct EntrySpec<'a> {
     strategy: AssignStrategy,
 }
 
-/// The resolved half of a batch: plans, carved tags, and every rank's
-/// routing, computed once and shared by all ranks' `init_all`.
+/// The resolved half of a [`NeighborBatch`]: plans, carved tags, and every
+/// rank's routing, computed once and shared by all ranks' `init_all`. It
+/// owns everything `init_all` reads and borrows nothing of the builder, so
+/// it can outlive the patterns and topology it was resolved from
+/// ([`NeighborBatch::into_resolved`]) — the solve service keeps one per
+/// job shape across epochs.
 ///
 /// A [`Backend::Tuned`] entry **expands**: one routing (and tag span)
 /// per shortlisted candidate, all laid out in the same fused sweep, so
@@ -109,7 +113,7 @@ struct EntrySpec<'a> {
 /// [`ExpandedEntry`] maps each batch entry to its slots. `plans` and
 /// `tag_bases` stay per-entry (a tuned entry reports its model-best
 /// candidate until measurement says otherwise).
-struct ResolvedBatch {
+pub struct ResolvedBatch {
     plans: Vec<(Protocol, Plan)>,
     tag_bases: Vec<u64>,
     routings: Vec<BatchRankRouting>,
@@ -255,6 +259,20 @@ impl<'a> NeighborBatch<'a> {
         &self.resolved().tag_bases
     }
 
+    /// [`ResolvedBatch::init_all`] on this batch's resolution (resolved on
+    /// first use).
+    pub fn init_all(&self, ctx: &RankCtx, comm: &Comm) -> BatchRequest {
+        self.resolved().init_all(ctx, comm)
+    }
+
+    /// Resolve the batch, if it is not yet, and keep only the resolution:
+    /// a value that no longer borrows the patterns or the topology.
+    pub fn into_resolved(mut self) -> ResolvedBatch {
+        self.resolved.take().unwrap_or_else(|| self.resolve())
+    }
+}
+
+impl ResolvedBatch {
     /// `MPI_Neighbor_alltoallv_init` × N, as one operation: allocate this
     /// rank's shared staging arena, open the channel registry once, and
     /// register every entry's requests in a single pass. Returns the
@@ -262,14 +280,13 @@ impl<'a> NeighborBatch<'a> {
     /// order, plus the completion-driven verbs (`start_all`, `test_any`,
     /// `wait_any`, `wait_all`) that drive them as one set.
     pub fn init_all(&self, ctx: &RankCtx, comm: &Comm) -> BatchRequest {
-        let resolved = self.resolved();
-        for (_, plan) in &resolved.plans {
+        for (_, plan) in &self.plans {
             assert_eq!(plan.n_ranks, comm.size(), "plan/communicator size mismatch");
         }
-        let requests: Vec<Box<dyn NeighborRequest>> = if resolved.plans.is_empty() {
+        let requests: Vec<Box<dyn NeighborRequest>> = if self.plans.is_empty() {
             Vec::new()
         } else {
-            let br = &resolved.routings[comm.rank()];
+            let br = &self.routings[comm.rank()];
             let arena = shared_buf(vec![0.0f64; br.arena_len]);
             // clone this rank's routings (the bulk of the per-init
             // allocation work) BEFORE taking the registry lock: only
@@ -289,16 +306,15 @@ impl<'a> NeighborBatch<'a> {
                     comm,
                     br.arena_off[slot].map(|off| (arena.clone(), off)),
                     protocol,
-                    resolved.lease.clone(),
+                    self.lease.clone(),
                 )
             };
-            resolved
-                .expanded
+            self.expanded
                 .iter()
                 .enumerate()
                 .map(|(i, ex)| -> Box<dyn NeighborRequest> {
                     let Some(tr) = &ex.tuned else {
-                        return Box::new(init_slot(ex.start, resolved.plans[i].0));
+                        return Box::new(init_slot(ex.start, self.plans[i].0));
                     };
                     let fabric = ctx.fabric();
                     // the profile cache and this entry's key on this
@@ -375,7 +391,9 @@ impl<'a> NeighborBatch<'a> {
             chan_scratch: Vec::new(),
         }
     }
+}
 
+impl NeighborBatch<'_> {
     fn resolved(&self) -> &ResolvedBatch {
         self.resolved.get_or_init(|| self.resolve())
     }

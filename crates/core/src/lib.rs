@@ -50,7 +50,7 @@ pub mod tune;
 
 pub use agg::{AssignStrategy, Plan, PlanMsg, SlotArena, SlotRef};
 pub use analytic::{init_time, iteration_time, IterationCost};
-pub use batch::{BatchRequest, EntryId, NeighborBatch};
+pub use batch::{BatchRequest, EntryId, NeighborBatch, ResolvedBatch};
 pub use collective::{choose_protocol, Protocol};
 pub use neighbor::{Backend, NeighborAlltoallv, NeighborRequest};
 pub use pattern::CommPattern;

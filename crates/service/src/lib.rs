@@ -18,9 +18,14 @@
 //! one persistent session — a [`Comm::dup_for`](mpisim::Comm::dup_for) communicator and one
 //! `init_all` of the shape's batch — that a job runs on as the next
 //! iterations, the way the paper's persistent collectives amortize setup
-//! over many `MPI_Start`s. A lane's channels are freed at the end of the
-//! epoch ([`RankCtx::comm_free`]), so the pool holds one epoch's worth
-//! however many jobs it has served.
+//! over many `MPI_Start`s. Both outlive the epoch: the service keeps what
+//! the last epoch used — each shape's resolution and the lanes every job
+//! on them finished on, and the control fabric — so an epoch of the same
+//! shapes resolves, registers and synchronizes nothing before it runs.
+//! What an epoch does not use again is freed at its start
+//! ([`RankCtx::comm_free`]), so the pool holds at most one epoch's worth
+//! however many jobs it has served, and [`SolveService::into_pool`] frees
+//! that too.
 //!
 //! Isolation is per job, on three axes:
 //!
@@ -49,19 +54,19 @@
 //! jobs a rank *drives* concurrently, and the same window sets how many
 //! lanes a shape gets: `min(window, jobs of the shape)`. The default window
 //! is unbounded, which gives every job a lane of its own. Every lane is
-//! registered (and barrier-synchronized) at epoch start, so a fast rank
-//! can deposit into a lane's channels while a slow rank is still driving
-//! the job before.
+//! registered before the epoch's jobs run — at its start, behind a
+//! barrier, unless an earlier epoch did — so a fast rank can deposit into
+//! a lane's channels while a slow rank is still driving the job before.
 
 mod jobs;
 mod scheduler;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use locality::Topology;
 use mpi_advance::tagspace::{TagLease, TagSpace};
-use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest};
+use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest, ResolvedBatch};
 use mpisim::{panic_message, RankCtx, World, WorldPool};
 
 /// Globally-unique job identifier, assigned at submit time and never
@@ -163,6 +168,44 @@ pub(crate) struct QueuedJob {
     pub(crate) logic: Arc<dyn JobLogic>,
 }
 
+/// A job shape the service has resolved: what jobs are matched to it by,
+/// its resolution, and the stream ids of its lanes every rank keeps warm,
+/// in deal order.
+struct Shape {
+    backend: Backend,
+    topo: Topology,
+    patterns: Vec<CommPattern>,
+    batch: ResolvedBatch,
+    lanes: Vec<u64>,
+}
+
+impl Shape {
+    /// Resolve a shape here, on the submitting thread, before any rank
+    /// observes it: resolution leases spans from the process-global
+    /// TagSpace, and per-rank resolution order would not be deterministic.
+    /// A shape that cannot resolve returns the resolver's panic message.
+    fn resolve(
+        backend: Backend,
+        topo: &Topology,
+        patterns: &[CommPattern],
+    ) -> Result<Self, String> {
+        catch_unwind(AssertUnwindSafe(|| {
+            patterns
+                .iter()
+                .fold(NeighborBatch::new(topo), |b, p| b.entry(p, backend))
+                .into_resolved()
+        }))
+        .map(|batch| Self {
+            backend,
+            topo: topo.clone(),
+            patterns: patterns.to_vec(),
+            batch,
+            lanes: Vec::new(),
+        })
+        .map_err(|payload| panic_message(&*payload))
+    }
+}
+
 /// The multi-tenant scheduler: a warm [`WorldPool`], a job queue, and an
 /// admission window. See the crate docs for the isolation contract.
 pub struct SolveService {
@@ -172,10 +215,26 @@ pub struct SolveService {
     /// none is ever reused across epochs.
     next_id: JobId,
     queue: Vec<QueuedJob>,
-    /// One leased tag span for the epoch's per-peer cancel-token
-    /// channels (they live on a dedicated dup'd communicator, so one
-    /// channel per peer serves every job).
+    /// One leased tag span for the per-peer cancel-token channels (they
+    /// live on a dedicated dup'd communicator, so one channel per peer
+    /// serves every job).
     ctl_lease: TagLease,
+    /// The shapes the last epoch left a lane warm for.
+    warm: Vec<Shape>,
+    /// The control fabric's stream id while every rank keeps it.
+    ctl_stream: Option<u64>,
+    /// Each rank's kept lanes and control fabric, by rank.
+    kept: Vec<Mutex<scheduler::Kept>>,
+    /// Epochs run, the stamp of each epoch's cancel tokens.
+    epochs: u64,
+}
+
+/// Rank `rank`'s kept state. A rank that panicked holding it failed its
+/// epoch, and after a failed epoch every rank frees all it keeps — which
+/// is sound whatever step the panic cut short, since each kept lane is
+/// whole — so a poisoned slot is used as it is.
+fn kept_of(kept: &[Mutex<scheduler::Kept>], rank: usize) -> MutexGuard<'_, scheduler::Kept> {
+    kept[rank].lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl SolveService {
@@ -187,12 +246,26 @@ impl SolveService {
     /// A service on an existing warm pool (any fabric, any fault plan).
     pub fn with_pool(pool: WorldPool) -> Self {
         Self {
+            kept: (0..pool.n_ranks()).map(|_| Mutex::default()).collect(),
             pool,
             max_concurrent: usize::MAX,
             next_id: 1,
             queue: Vec::new(),
             ctl_lease: TagSpace::global().lease_for(1, "service-ctl"),
+            warm: Vec::new(),
+            ctl_stream: None,
+            epochs: 0,
         }
+    }
+
+    /// Free what the service keeps warm on every rank — its lanes and the
+    /// control fabric — and hand back the pool, its registry as the
+    /// service found it.
+    pub fn into_pool(self) -> WorldPool {
+        let kept = &self.kept;
+        self.pool
+            .run(|ctx| kept_of(kept, ctx.rank()).evict(ctx, &[], None));
+        self.pool
     }
 
     /// Bound how many jobs each rank drives concurrently (default:
@@ -240,7 +313,8 @@ impl SolveService {
     /// message and no ranks, and the other shapes run; only a failure the
     /// scheduler itself cannot attribute (a rank dying outside any task)
     /// fails an epoch, and then *every* job driven in it reports that epoch
-    /// error.
+    /// error. A shape the last epoch used is not resolved again, and its
+    /// jobs take the lanes that epoch left warm first.
     pub fn run_pending(&mut self) -> Vec<JobReport> {
         let queued = std::mem::take(&mut self.queue);
         if queued.is_empty() {
@@ -250,28 +324,32 @@ impl SolveService {
         // One resolution per distinct shape: tenants of one hierarchy under
         // one backend share a plan, its routings and its tag lease, and
         // each initializes them on its own communicator (DESIGN.md §12).
-        let shapes: Vec<_> = queued
+        let keys: Vec<_> = queued
             .iter()
             .zip(&patterns)
             .map(|(q, pats)| (q.backend, &q.topo, pats))
             .collect();
-        let (shape_of, first_of) = group_equal(&shapes);
-        // Resolve every shape's plan and tag lease HERE, on the submitting
-        // thread, before any rank observes it: resolution leases spans
-        // from the process-global TagSpace, and per-rank resolution order
-        // would not be deterministic.
-        let batches: Vec<Result<NeighborBatch<'_>, String>> = first_of
+        let (shape_of, first_of) = group_equal(&keys);
+        // A shape the last epoch left warm brings its resolution and its
+        // lanes. The warm shapes this call has no job for go before
+        // anything new resolves (their lanes go at the next epoch's start).
+        let mut warm = std::mem::take(&mut self.warm);
+        let found: Vec<Option<Shape>> = first_of
             .iter()
             .map(|&j| {
-                let (backend, topo, pats) = shapes[j];
-                catch_unwind(AssertUnwindSafe(|| {
-                    let b = pats
-                        .iter()
-                        .fold(NeighborBatch::new(topo), |b, p| b.entry(p, backend));
-                    let _ = b.tag_bases();
-                    b
-                }))
-                .map_err(|payload| panic_message(&*payload))
+                let w = warm
+                    .iter()
+                    .position(|w| (w.backend, &w.topo, &w.patterns) == keys[j])?;
+                Some(warm.swap_remove(w))
+            })
+            .collect();
+        drop(warm);
+        let mut shapes: Vec<Result<Shape, String>> = first_of
+            .iter()
+            .zip(found)
+            .map(|(&j, found)| match found {
+                Some(shape) => Ok(shape),
+                None => Shape::resolve(keys[j].0, keys[j].1, keys[j].2),
             })
             .collect();
         // each job's outcome once it has one: a shape that cannot resolve
@@ -279,7 +357,7 @@ impl SolveService {
         let mut outcomes: Vec<Option<Result<Vec<Vec<f64>>, JobError>>> = shape_of
             .iter()
             .map(|&s| {
-                let why = batches[s].as_ref().err()?;
+                let why = shapes[s].as_ref().err()?;
                 Some(Err(JobError {
                     ranks: Vec::new(),
                     message: why.clone(),
@@ -287,27 +365,14 @@ impl SolveService {
                 }))
             })
             .collect();
-        // A `Tuned` shape keeps one lane per job: its decision is a blocking
-        // reduction inside `start` (ROADMAP 1a), which jobs taking turns on
-        // one session would reach.
-        let solo: Vec<bool> = first_of
-            .iter()
-            .map(|&j| shapes[j].0 == Backend::Tuned)
-            .collect();
         let mut pending: Vec<usize> = (0..queued.len())
             .filter(|&k| outcomes[k].is_none())
             .collect();
         while !pending.is_empty() {
-            let jobs: Vec<(&QueuedJob, &NeighborBatch<'_>, usize)> = pending
-                .iter()
-                .map(|&k| {
-                    let s = shape_of[k];
-                    let batch = batches[s].as_ref().expect("a pending job's shape resolved");
-                    (&queued[k], batch, s)
-                })
-                .collect();
+            let jobs: Vec<(&QueuedJob, usize)> =
+                pending.iter().map(|&k| (&queued[k], shape_of[k])).collect();
             let mut rerun = Vec::new();
-            match self.epoch(&jobs, &solo) {
+            match self.epoch(&jobs, &mut shapes) {
                 Ok(per_job) => {
                     for (&k, rows) in pending.iter().zip(per_job) {
                         if stopped_by_its_lane(&rows) {
@@ -318,7 +383,8 @@ impl SolveService {
                     }
                 }
                 // Unattributable epoch failure: every job driven in the
-                // epoch reports it (and the pool stays warm for the next).
+                // epoch reports it (and the pool stays usable for the next,
+                // with nothing kept).
                 Err(err) => pending
                     .iter()
                     .for_each(|&k| outcomes[k] = Some(Err(err.clone()))),
@@ -331,6 +397,11 @@ impl SolveService {
             );
             pending = rerun;
         }
+        self.warm = shapes
+            .into_iter()
+            .filter_map(Result::ok)
+            .filter(|shape| !shape.lanes.is_empty())
+            .collect();
         queued
             .iter()
             .zip(outcomes)
@@ -342,51 +413,99 @@ impl SolveService {
             .collect()
     }
 
-    /// Drive `jobs` — each with its shape's resolved batch and its shape —
-    /// in one epoch on the pool: deal them onto lanes, mint every lane and
-    /// the control communicator a fresh stream id, and return, per job,
-    /// what each rank (in rank order) returned for it.
+    /// Drive `jobs` — each with its shape — in one epoch on the pool: deal
+    /// them onto lanes, a shape's warm ones first, and return, per job,
+    /// what each rank (in rank order) returned for it. Afterwards a shape's
+    /// warm lanes are the ones of this deal that every job on them finished
+    /// on, on every rank: none after an epoch error, and none of a `Tuned`
+    /// shape.
     fn epoch(
         &mut self,
-        jobs: &[(&QueuedJob, &NeighborBatch<'_>, usize)],
-        solo: &[bool],
+        jobs: &[(&QueuedJob, usize)],
+        shapes: &mut [Result<Shape, String>],
     ) -> Result<Vec<Vec<scheduler::Row>>, JobError> {
-        let shape_of: Vec<usize> = jobs.iter().map(|&(_, _, s)| s).collect();
-        let lane_of = scheduler::deal_lanes(&shape_of, solo, self.max_concurrent);
-        // lanes are numbered in order of first use; each takes a stream id
+        let shape_of: Vec<usize> = jobs.iter().map(|&(_, s)| s).collect();
+        // A `Tuned` shape keeps one lane per job: its decision is a blocking
+        // reduction inside `start` (ROADMAP 4), which jobs taking turns on
+        // one session would reach.
+        let solo: Vec<bool> = shapes
+            .iter()
+            .map(|s| s.as_ref().is_ok_and(|s| s.backend == Backend::Tuned))
+            .collect();
+        let warm: Vec<&[u64]> = shapes
+            .iter()
+            .map(|s| s.as_ref().map_or(&[][..], |s| &s.lanes[..]))
+            .collect();
+        // a lane or control fabric opened in this epoch takes a stream id
         // of its own from the job-id counter — never a job's, never reused
         // — so nothing of an earlier epoch can alias it
-        let mut lanes: Vec<(u64, &NeighborBatch<'_>)> = Vec::new();
-        for (&(_, batch, _), &l) in jobs.iter().zip(&lane_of) {
-            if l == lanes.len() {
-                lanes.push((self.next_id, batch));
-                self.next_id += 1;
+        let next_id = &mut self.next_id;
+        let mut mint = || {
+            *next_id += 1;
+            *next_id - 1
+        };
+        let (lane_of, deal) =
+            scheduler::deal_lanes(&shape_of, &solo, self.max_concurrent, &warm, &mut mint);
+        let ctl = match self.ctl_stream {
+            Some(stream) => (stream, true),
+            None => (mint(), false),
+        };
+        self.ctl_stream = Some(ctl.0);
+        self.epochs += 1;
+        let ep = scheduler::Epoch {
+            jobs: jobs
+                .iter()
+                .zip(&lane_of)
+                .map(|(&(q, _), &l)| (q, l))
+                .collect(),
+            lanes: deal
+                .iter()
+                .map(|&lane| {
+                    let shape = shapes[lane.shape].as_ref();
+                    (lane, &shape.expect("a dealt shape resolved").batch)
+                })
+                .collect(),
+            ctl,
+            ctl_tag: self.ctl_lease.entry_base(0),
+            stamp: self.epochs,
+            barrier: !ctl.1 || deal.iter().any(|lane| !lane.warm),
+            max_concurrent: self.max_concurrent,
+        };
+        let kept = &self.kept;
+        let per_rank = match self.pool.try_run(|ctx: &mut RankCtx| {
+            scheduler::drive_rank(ctx, &mut kept_of(kept, ctx.rank()), &ep)
+        }) {
+            Ok(per_rank) => per_rank,
+            Err(e) => {
+                // a rank died outside any task, so nothing is kept
+                shapes.iter_mut().flatten().for_each(|s| s.lanes.clear());
+                self.ctl_stream = None;
+                return Err(JobError {
+                    ranks: e.failures.iter().map(|(r, _)| *r).collect(),
+                    message: format!("epoch failed: {e}"),
+                    causes: e.failures,
+                });
             }
-        }
-        let ctl_stream = self.next_id;
-        self.next_id += 1;
-        let driven: Vec<(&QueuedJob, usize)> = jobs
-            .iter()
-            .zip(&lane_of)
-            .map(|(&(q, _, _), &l)| (q, l))
-            .collect();
-        let ctl_base = self.ctl_lease.entry_base(0);
-        let max_concurrent = self.max_concurrent;
-        let per_rank = self
-            .pool
-            .try_run(|ctx: &mut RankCtx| {
-                scheduler::drive_rank(ctx, &driven, &lanes, ctl_stream, ctl_base, max_concurrent)
-            })
-            .map_err(|e| JobError {
-                ranks: e.failures.iter().map(|(r, _)| *r).collect(),
-                message: format!("epoch failed: {e}"),
-                causes: e.failures,
-            })?;
+        };
         let mut per_job: Vec<Vec<_>> = jobs.iter().map(|_| Vec::new()).collect();
         for rr in per_rank {
             assert_eq!(rr.len(), jobs.len());
             for (rows, res) in per_job.iter_mut().zip(rr) {
                 rows.push(res);
+            }
+        }
+        // a job that did not finish everywhere may have left traffic, or a
+        // closed session, on its lane
+        let mut lane_ok = vec![true; deal.len()];
+        for (rows, &l) in per_job.iter().zip(&lane_of) {
+            lane_ok[l] &= rows.iter().all(Result::is_ok);
+        }
+        for (s, shape) in shapes.iter_mut().enumerate() {
+            if let Ok(shape) = shape {
+                shape.lanes = (deal.iter().zip(&lane_ok))
+                    .filter(|&(lane, &ok)| ok && lane.shape == s && !solo[s])
+                    .map(|(lane, _)| lane.stream)
+                    .collect();
             }
         }
         Ok(per_job)
@@ -404,8 +523,8 @@ fn stopped_by_its_lane(rows: &[scheduler::Row]) -> bool {
 
 /// Group `items` by equality: for each item the index of its group, groups
 /// numbered in order of first appearance, and for each group the index of
-/// its first item. Plain `==` — no hash to collide, nothing kept across
-/// calls; an epoch has few distinct shapes.
+/// its first item. Plain `==` — no hash to collide; an epoch has few
+/// distinct shapes.
 fn group_equal<T: PartialEq>(items: &[T]) -> (Vec<usize>, Vec<usize>) {
     let mut first_of: Vec<usize> = Vec::new();
     let group_of = items

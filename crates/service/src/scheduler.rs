@@ -10,20 +10,28 @@
 //! amortized over the jobs that take turns on it, as the paper amortizes
 //! it over one solver's `MPI_Start`s.
 //!
+//! A lane outlives its epoch: each rank keeps its lanes and the control
+//! fabric in a [`Kept`] slot the service owns, and an epoch deals a shape
+//! the lanes it left warm before minting new ones ([`deal_lanes`]). The
+//! submitting thread decides what is kept, so every rank keeps the same.
+//!
 //! Epoch prologue (every rank, before anything is driven):
 //!
-//! 1. duplicate the world communicator once per lane, plus once for the
-//!    epoch's control fabric;
-//! 2. `init_all` **every** lane's session on its own communicator — lanes
-//!    of one shape share the resolved batch, the context id keeps their
+//! 1. free what is kept and not dealt warm again ([`Kept::evict`]);
+//! 2. open every lane dealt cold: duplicate the world communicator under
+//!    its stream id and `init_all` the shape's resolved batch on it —
+//!    lanes of one shape share the resolution, the context id keeps their
 //!    channels apart;
-//! 3. register one cancel-token channel per peer and direction on the
-//!    control communicator — a token names its job ([`encode_token`]), so
-//!    the channel count (and the park set it joins) stays O(ranks), not
-//!    O(jobs × ranks);
-//! 4. barrier — after this, every channel any peer may deposit into
-//!    exists on every fabric, and **nothing registers any more**: that is
-//!    the contract of [`RankCtx::comm_free`] (`make lint` holds it).
+//! 3. unless it is kept, open the control fabric: one cancel-token channel
+//!    per peer and direction on a communicator of its own — a token names
+//!    its epoch, job and failing rank, so the channel count (and the park
+//!    set it joins) stays O(ranks), not O(jobs × ranks);
+//! 4. barrier, if step 2 or 3 registered anything — after it, every
+//!    channel any peer may deposit into exists on every fabric, and
+//!    **nothing registers any more**: that is the contract of
+//!    [`RankCtx::comm_free`] (`make lint` holds it). An epoch that
+//!    registers nothing needs no barrier: what it uses was registered
+//!    before an earlier epoch's.
 //!
 //! Then the loop: admit queued jobs into the window in job order —
 //! waiting while a job's lane is still busy with its predecessor on this
@@ -31,16 +39,17 @@
 //! `catch_unwind`), drain cancel tokens, and park once on the union of
 //! every running task's pending channels plus the per-peer cancel
 //! channels. A job that is over on this rank — done, failed or cancelled
-//! — drops its task and hands its lane to the next job there and then;
-//! every lane's communicator and the control communicator are freed on
-//! the way out. What the world kept for a lane goes back when its last
-//! rank has freed it.
+//! — drops its task and hands its lane to the next job there and then.
+//! Nothing is freed on the way out; what the world kept for an evicted
+//! lane goes back when its last rank has freed it.
 //!
 //! Reuse is safe because every channel is FIFO: a rank starts a lane's
 //! next job only after finishing the previous one there, and a finished
 //! job has consumed exactly what its peers sent it, so what a lane's
 //! channels hold next is the next job's traffic and nothing else — job
-//! boundaries on a lane are iteration boundaries of one session.
+//! boundaries on a lane are iteration boundaries of one session. An epoch
+//! boundary is one more: a lane is kept only if every job on it finished
+//! on every rank.
 //!
 //! Failure protocol: a tenant panic on this rank resolves its task to
 //! `Err` — the scheduler absorbs the transport death flag and broadcasts
@@ -59,11 +68,13 @@
 //! the running job stops and later jobs are not admitted; both resolve to
 //! [`Cause::Lane`], and `run_pending` runs them again in a follow-up
 //! epoch, so every report is still a job's own failure or its solo bytes.
+//! A token can also land after its epoch, on a rank that had finished the
+//! job before it arrived: the stamp tells it apart, and it is dropped.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use mpi_advance::{BatchRequest, NeighborBatch};
+use mpi_advance::{BatchRequest, ResolvedBatch};
 use mpisim::{panic_message, ChanId, Comm, RankCtx, RecvChan, SendChan};
 
 use crate::{JobLogic, QueuedJob, RankState};
@@ -77,20 +88,39 @@ use crate::{JobLogic, QueuedJob, RankState};
 /// itself is gone.
 const MAX_ABSORB_RETRIES: usize = 64;
 
+/// One lane of an epoch's deal.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneDeal {
+    /// The shape whose jobs take turns on it.
+    pub(crate) shape: usize,
+    /// The stream id its communicator is duplicated for.
+    pub(crate) stream: u64,
+    /// Kept from the last epoch on every rank: nothing registers for it.
+    pub(crate) warm: bool,
+}
+
 /// Deal an epoch's jobs onto lanes: the jobs of each shape (`shape_of`,
 /// shapes numbered from 0) round-robin onto `min(window, jobs of that
 /// shape)` lanes — one lane per job for a shape marked `solo` — with job
-/// k of a shape on that shape's lane `k mod width`. Returns each job's
-/// lane; lanes are numbered in order of first use.
-pub(crate) fn deal_lanes(shape_of: &[usize], solo: &[bool], window: usize) -> Vec<usize> {
+/// k of a shape on that shape's lane `k mod width`. A shape's lanes take
+/// its warm lanes' stream ids (`warm[shape]`, in order) first and `mint`
+/// fresh ones beyond those; a warm lane past the width is not dealt.
+/// Returns each job's lane and the lanes, numbered in order of first use.
+pub(crate) fn deal_lanes(
+    shape_of: &[usize],
+    solo: &[bool],
+    window: usize,
+    warm: &[&[u64]],
+    mut mint: impl FnMut() -> u64,
+) -> (Vec<usize>, Vec<LaneDeal>) {
     let mut count = vec![0usize; solo.len()];
     for &s in shape_of {
         count[s] += 1;
     }
     let mut lanes: Vec<Vec<usize>> = vec![Vec::new(); solo.len()];
     let mut dealt = vec![0usize; solo.len()];
-    let mut opened = 0;
-    shape_of
+    let mut deal: Vec<LaneDeal> = Vec::new();
+    let lane_of = shape_of
         .iter()
         .map(|&s| {
             let width = if solo[s] {
@@ -101,16 +131,26 @@ pub(crate) fn deal_lanes(shape_of: &[usize], solo: &[bool], window: usize) -> Ve
             let k = dealt[s];
             dealt[s] += 1;
             if k < width {
-                lanes[s].push(opened);
-                opened += 1;
+                lanes[s].push(deal.len());
+                let (stream, warm) = match warm[s].get(k) {
+                    Some(&stream) => (stream, true),
+                    None => (mint(), false),
+                };
+                deal.push(LaneDeal {
+                    shape: s,
+                    stream,
+                    warm,
+                });
             }
             lanes[s][k % width]
         })
-        .collect()
+        .collect();
+    (lane_of, deal)
 }
 
 /// One persistent session the jobs dealt to it take turns on.
 struct Lane {
+    stream: u64,
     comm: Comm,
     /// `None` once the lane is closed: a job on it failed on some rank,
     /// and nothing runs on it again.
@@ -259,37 +299,117 @@ pub(crate) enum Cause {
 /// What one rank returned for one job.
 pub(crate) type Row = Result<Vec<f64>, Cause>;
 
-/// A cancel token: which job failed, and on which rank.
-fn encode_token(job: usize, rank: usize) -> u64 {
-    ((job as u64) << 32) | rank as u64
+/// A cancel token is `[epoch stamp, job, failing rank]`.
+const TOKEN_LEN: usize = 3;
+
+/// The cancel fabric: one token channel per peer and direction, on a
+/// communicator of its own, kept for as long as the service deals it.
+struct Control {
+    stream: u64,
+    comm: Comm,
+    /// From every peer, each always started.
+    rx: Vec<RecvChan<u64>>,
+    /// To every peer.
+    tx: Vec<SendChan<u64>>,
 }
 
-fn decode_token(tok: u64) -> (usize, usize) {
-    ((tok >> 32) as usize, (tok & 0xffff_ffff) as usize)
-}
-
-/// Send `job`'s cancel token to every peer on the epoch's per-peer
-/// control channels. Deposits never block, so this is safe mid-recovery.
-fn broadcast_cancel(ctx: &mut RankCtx, ctl_tx: &[SendChan<u64>], rank: usize, job: usize) {
-    for chan in ctl_tx {
-        chan.start_with(ctx, |buf| {
-            buf.clear();
-            buf.push(encode_token(job, rank));
-        });
+impl Control {
+    /// Both halves of every control channel, in one pass over the
+    /// registry: a cancel must reach the channel its peer parks on, and a
+    /// registration after some rank freed the control communicator would
+    /// make a fresh one instead.
+    fn open(ctx: &RankCtx, world: &Comm, stream: u64, tag: u64) -> Self {
+        let comm = world.dup_for(stream);
+        let rank = ctx.rank();
+        let peers = || (0..world.size()).filter(move |&p| p != rank);
+        let mut reg = ctx.chan_registrar();
+        let mut rx: Vec<RecvChan<u64>> = peers()
+            .map(|s| reg.recv_chan_init(&comm, s, tag, TOKEN_LEN))
+            .collect();
+        let tx = peers()
+            .map(|d| reg.send_chan_init(&comm, d, tag, TOKEN_LEN))
+            .collect();
+        drop(reg);
+        rx.iter_mut().for_each(RecvChan::start);
+        Self {
+            stream,
+            comm,
+            rx,
+            tx,
+        }
     }
+
+    /// Send `job`'s cancel token, stamped `stamp`, to every peer. Deposits
+    /// never block, so this is safe mid-recovery.
+    fn broadcast(&self, ctx: &mut RankCtx, stamp: u64, job: usize) {
+        let rank = ctx.rank();
+        for chan in &self.tx {
+            chan.start_with(ctx, |buf| {
+                buf.clear();
+                buf.extend([stamp, job as u64, rank as u64]);
+            });
+        }
+    }
+}
+
+/// What one rank keeps between epochs: the lanes the last epoch left warm,
+/// in its deal's order, and the control fabric. The service owns one per
+/// rank and its submitting thread decides what is kept, so every rank
+/// keeps — and frees — the same.
+#[derive(Default)]
+pub(crate) struct Kept {
+    lanes: Vec<Lane>,
+    ctl: Option<Control>,
+}
+
+impl Kept {
+    /// Free every kept lane whose stream `warm` does not name, and the
+    /// control fabric unless its stream is `ctl`. A stream id is never
+    /// dealt twice, so nothing registers on a freed communicator again —
+    /// [`RankCtx::comm_free`]'s contract.
+    pub(crate) fn evict(&mut self, ctx: &RankCtx, warm: &[u64], ctl: Option<u64>) {
+        self.lanes.retain(|lane| {
+            let keep = warm.contains(&lane.stream);
+            if !keep {
+                ctx.comm_free(&lane.comm);
+            }
+            keep
+        });
+        if let Some(old) = self.ctl.take_if(|c| Some(c.stream) != ctl) {
+            ctx.comm_free(&old.comm);
+        }
+    }
+}
+
+/// An epoch as the submitting thread dealt it, the same for every rank.
+pub(crate) struct Epoch<'a> {
+    /// Every job, with the lane it was dealt.
+    pub(crate) jobs: Vec<(&'a QueuedJob, usize)>,
+    /// Every lane, with its shape's resolution.
+    pub(crate) lanes: Vec<(LaneDeal, &'a ResolvedBatch)>,
+    /// The control fabric's stream id, and whether it is kept.
+    pub(crate) ctl: (u64, bool),
+    /// The tag of every control channel.
+    pub(crate) ctl_tag: u64,
+    /// Stamped on this epoch's cancel tokens.
+    pub(crate) stamp: u64,
+    /// Some lane or the control fabric registers, so the prologue ends in
+    /// a barrier.
+    pub(crate) barrier: bool,
+    pub(crate) max_concurrent: usize,
 }
 
 /// What this rank holds of the epoch: its lanes, the task of every job it
 /// is driving, which those are (in admission order), and each job's
 /// result once it has one.
-struct Drive {
-    lanes: Vec<Lane>,
+struct Drive<'a> {
+    lanes: &'a mut [Lane],
     tasks: Vec<Option<Task>>,
     running: Vec<usize>,
     results: Vec<Option<Row>>,
 }
 
-impl Drive {
+impl Drive<'_> {
     /// Job `j` is over on this rank with `res` — unless it already had a
     /// result, which stands: drop its task and hand its lane to the next
     /// job.
@@ -311,51 +431,55 @@ impl Drive {
     }
 }
 
-/// Drive this epoch's jobs — each with the lane it was dealt, each lane
-/// with its stream id and the resolved batch of its shape — on this rank;
-/// returns each job's local result, indexed like `jobs`.
-pub(crate) fn drive_rank(
-    ctx: &mut RankCtx,
-    jobs: &[(&QueuedJob, usize)],
-    lanes: &[(u64, &NeighborBatch<'_>)],
-    ctl_stream: u64,
-    ctl_base: u64,
-    max_concurrent: usize,
-) -> Vec<Row> {
+/// Drive the epoch `ep` on this rank, on the lanes and control fabric
+/// `kept` holds for it; returns each job's local result, indexed like
+/// `ep.jobs`. What the epoch used stays in `kept`.
+pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     let world = ctx.comm_world();
     let rank = ctx.rank();
-    let n_ranks = world.size();
+    let jobs = &ep.jobs;
     let n = jobs.len();
 
-    // -- prologue: communicators, registration, cancel fabric, barrier --
-    let lanes: Vec<Lane> = lanes
+    // -- prologue: evict, register what is cold, barrier if anything did --
+    let warm: Vec<u64> = ep
+        .lanes
         .iter()
-        .map(|&(stream, batch)| {
-            let comm = world.dup_for(stream);
-            let session = Some(batch.init_all(ctx, &comm));
-            Lane {
-                comm,
-                session,
-                busy: None,
-            }
-        })
+        .filter(|(lane, _)| lane.warm)
+        .map(|(lane, _)| lane.stream)
         .collect();
-    let ctl_comm = world.dup_for(ctl_stream);
-    // both halves of every control channel now, in one pass over the
-    // registry: a cancel must reach the channel its peer parks on, and a
-    // registration after some rank freed the control communicator would
-    // make a fresh one instead
-    let peers = || (0..n_ranks).filter(|&p| p != rank);
-    let mut reg = ctx.chan_registrar();
-    let mut ctl: Vec<RecvChan<u64>> = peers()
-        .map(|s| reg.recv_chan_init::<u64>(&ctl_comm, s, ctl_base, 1))
-        .collect();
-    let ctl_tx: Vec<SendChan<u64>> = peers()
-        .map(|d| reg.send_chan_init::<u64>(&ctl_comm, d, ctl_base, 1))
-        .collect();
-    drop(reg);
-    ctl.iter_mut().for_each(RecvChan::start);
-    ctx.barrier(&world);
+    let (ctl_stream, ctl_warm) = ep.ctl;
+    kept.evict(ctx, &warm, ctl_warm.then_some(ctl_stream));
+    for (lane, batch) in ep.lanes.iter().filter(|(lane, _)| !lane.warm) {
+        let comm = world.dup_for(lane.stream);
+        let session = Some(batch.init_all(ctx, &comm));
+        kept.lanes.push(Lane {
+            stream: lane.stream,
+            comm,
+            session,
+            busy: None,
+        });
+    }
+    // in the deal's order, which is what a job's lane indexes
+    kept.lanes.sort_by_key(|kl| {
+        ep.lanes
+            .iter()
+            .position(|(lane, _)| lane.stream == kl.stream)
+    });
+    assert_eq!(
+        kept.lanes.len(),
+        ep.lanes.len(),
+        "rank {rank} lost a lane dealt warm"
+    );
+    if !ctl_warm {
+        kept.ctl = Some(Control::open(ctx, &world, ctl_stream, ep.ctl_tag));
+    }
+    if ep.barrier {
+        ctx.barrier(&world);
+    }
+    let Kept { lanes, ctl } = kept;
+    let ctl = ctl
+        .as_mut()
+        .expect("rank lost the control fabric dealt warm");
 
     // -- the drive loop --
     let mut d = Drive {
@@ -370,7 +494,7 @@ pub(crate) fn drive_rank(
     let mut absorb_retries = 0usize;
     // the park set beyond the tasks' own pending channels: the per-peer
     // cancel channels (fixed for the whole epoch)
-    let ctl_watch: Vec<ChanId> = ctl.iter().map(|rc| rc.chan_id()).collect();
+    let ctl_watch: Vec<ChanId> = ctl.rx.iter().map(|rc| rc.chan_id()).collect();
     // drain cancel tokens only when a park could have been woken by one
     // (or periodically, as a safety valve while tasks stay runnable) —
     // scanning every peer channel on every poll round is pure overhead
@@ -383,7 +507,7 @@ pub(crate) fn drive_rank(
         // the next one's lane is still busy here (skipping any cancelled
         // before they ever ran on this rank, and resolving any whose lane
         // has closed)
-        while d.running.len() < max_concurrent && next_admit < n {
+        while d.running.len() < ep.max_concurrent && next_admit < n {
             let j = next_admit;
             let (q, l) = jobs[j];
             let lane = &mut d.lanes[l];
@@ -431,7 +555,7 @@ pub(crate) fn drive_rank(
                 // and siblings' waits stop aborting, then tell every peer
                 // to cancel this one job.
                 ctx.absorb_rank_failure();
-                broadcast_cancel(ctx, &ctl_tx, rank, j);
+                ctl.broadcast(ctx, ep.stamp, j);
             }
             d.retire(j, res);
             if failed {
@@ -442,14 +566,19 @@ pub(crate) fn drive_rank(
         // drain cancel tokens: a peer's scheduler contained some job's
         // failure there. A token may be stale — several ranks may dump the
         // same job — or name a job already completed here; either way its
-        // lane is over.
+        // lane is over. A token stamped for another epoch was sent in an
+        // earlier one, to a rank that finished the job before it landed:
+        // the job it names is not this epoch's.
         rounds += 1;
         if drain_due || rounds.is_multiple_of(64) {
             drain_due = false;
-            for rc in &mut ctl {
+            for rc in &mut ctl.rx {
                 while let Some(tok) = rc.try_take(ctx) {
                     rc.start();
-                    let (j, src) = decode_token(tok[0]);
+                    let (stamp, j, src) = (tok[0], tok[1] as usize, tok[2] as usize);
+                    if stamp != ep.stamp {
+                        continue;
+                    }
                     d.retire(j, Err(Cause::Relayed { from: src }));
                     d.close(jobs[j].1);
                     progressed = true;
@@ -468,7 +597,7 @@ pub(crate) fn drive_rank(
             park(
                 ctx,
                 &mut d.tasks,
-                &d.lanes,
+                d.lanes,
                 &d.running,
                 &ctl_watch,
                 &mut union,
@@ -505,7 +634,7 @@ pub(crate) fn drive_rank(
                     })
                     .collect();
                 for j in std::mem::take(&mut d.running) {
-                    broadcast_cancel(ctx, &ctl_tx, rank, j);
+                    ctl.broadcast(ctx, ep.stamp, j);
                     d.retire(
                         j,
                         Err(Cause::Here(format!(
@@ -520,12 +649,6 @@ pub(crate) fn drive_rank(
         }
     }
 
-    // the epoch is over on this rank: its lanes and control channels go
-    drop((ctl, ctl_tx));
-    ctx.comm_free(&ctl_comm);
-    for lane in &d.lanes {
-        ctx.comm_free(&lane.comm);
-    }
     d.results
         .into_iter()
         .enumerate()
@@ -545,7 +668,7 @@ mod tests {
     use super::*;
     use crate::{JobSpec, SolveService};
     use locality::Topology;
-    use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, Protocol};
+    use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest, Protocol};
     use mpisim::{Fabric, FaultPlan, World, WorldConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -643,17 +766,45 @@ mod tests {
         // shapes interleaved in the queue; shape 2 is solo
         let shape_of = [0, 1, 0, 0, 1, 0, 2, 2, 0];
         let solo = [false, false, true];
-        assert_eq!(deal_lanes(&shape_of, &solo, 1), [0, 1, 0, 0, 1, 0, 2, 3, 0]);
+        let cold: [&[u64]; 3] = [&[]; 3];
+        let lane_of = |window| deal_lanes(&shape_of, &solo, window, &cold, || 0).0;
+        assert_eq!(lane_of(1), [0, 1, 0, 0, 1, 0, 2, 3, 0]);
         // shape 0 (five jobs) on three lanes, shape 1 (two) on two
-        assert_eq!(deal_lanes(&shape_of, &solo, 3), [0, 1, 2, 3, 4, 0, 5, 6, 2]);
+        assert_eq!(lane_of(3), [0, 1, 2, 3, 4, 0, 5, 6, 2]);
         // a window at least the count: one lane per job, today's epoch
         for window in [5, usize::MAX] {
-            assert_eq!(
-                deal_lanes(&shape_of, &solo, window),
-                (0..shape_of.len()).collect::<Vec<_>>()
-            );
+            assert_eq!(lane_of(window), (0..shape_of.len()).collect::<Vec<_>>());
         }
-        assert_eq!(deal_lanes(&[], &[], 4), Vec::<usize>::new());
+        assert_eq!(deal_lanes(&[], &[], 4, &[], || 0).0, Vec::<usize>::new());
+    }
+
+    /// Warm first: a shape's lanes take its warm stream ids in order and
+    /// mint the rest, a warm lane past the shape's width is not dealt, and
+    /// a solo shape (which has none warm) mints all of its own.
+    #[test]
+    fn a_shape_deals_its_warm_lanes_first_and_mints_the_rest() {
+        let shape_of = [0, 1, 0, 0, 1, 2];
+        let solo = [false, false, true];
+        let warm: [&[u64]; 3] = [&[7], &[8, 9, 10], &[]];
+        let mut next = 100;
+        let mint = || {
+            next += 1;
+            next
+        };
+        let (lane_of, deal) = deal_lanes(&shape_of, &solo, 2, &warm, mint);
+        assert_eq!(lane_of, [0, 1, 2, 0, 3, 4]);
+        let deal: Vec<(usize, u64, bool)> =
+            deal.iter().map(|l| (l.shape, l.stream, l.warm)).collect();
+        assert_eq!(
+            deal,
+            [
+                (0, 7, true),
+                (1, 8, true),
+                (0, 101, false),
+                (1, 9, true),
+                (2, 102, false)
+            ]
+        );
     }
 
     /// A panic inside one task's poll resolves that task alone to `Err`,
@@ -740,9 +891,11 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(k, b)| {
-                    let comm = world.dup_for(k as u64 + 1);
+                    let stream = k as u64 + 1;
+                    let comm = world.dup_for(stream);
                     let session = Some(b.init_all(ctx, &comm));
                     Lane {
+                        stream,
                         comm,
                         session,
                         busy: None,

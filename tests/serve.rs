@@ -1,6 +1,6 @@
 //! Acceptance suite for the async solve service (`make test-serve`).
 //!
-//! Five contracts from DESIGN.md §12, each exercised end to end on the
+//! Six contracts from DESIGN.md §12, each exercised end to end on the
 //! warm pool:
 //!
 //! * **Equivalence** — K jobs driven concurrently produce byte-identical
@@ -18,9 +18,15 @@
 //!   share one resolution per epoch and take turns on a few lanes, and
 //!   share nothing else: bytes equal to each job alone, one tag lease per
 //!   shape, and a shape that cannot resolve fails its own jobs only.
-//! * **Lifetime** — an epoch's channels go back when its lanes are freed:
-//!   thousands of jobs through one warm pool leave the registry gauge, the
-//!   shm table and the process's memory where the first epoch left them.
+//! * **Warm set** — what the last epoch used is kept: an epoch of the same
+//!   shape opens no lane and registers nothing; a new shape evicts the
+//!   old; a lane some job failed on, a `Tuned` shape's lane and anything
+//!   an epoch error touched are never dealt again; and a cancel token left
+//!   over from a killed epoch cancels nothing in the next.
+//! * **Lifetime** — thousands of jobs through one warm pool leave the
+//!   registry gauge, the shm table and the process's memory where the
+//!   first epoch left them, and the service's release leaves the gauge
+//!   where it found it.
 
 use std::f64::consts::FRAC_PI_4;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,7 +36,7 @@ use std::time::Duration;
 use amg::{Hierarchy, HierarchyOptions, JacobiJob};
 use locality::Topology;
 use mpi_advance::{Backend, CommPattern, EntryId, NeighborRequest, Protocol};
-use mpisim::{Fabric, FaultPlan, RegistryGauge, WorldConfig};
+use mpisim::{Fabric, FaultPlan, RegistryGauge, WorldConfig, WorldPool};
 use proptest::prelude::*;
 use service::{JobLogic, JobReport, JobSpec, RankState, SolveService};
 use sparse::gen::diffusion::paper_problem;
@@ -663,6 +669,268 @@ fn a_shape_that_cannot_resolve_fails_its_own_jobs_only() {
 }
 
 // ---------------------------------------------------------------------
+// the warm set: what the last epoch used is kept for the next
+// ---------------------------------------------------------------------
+
+/// The registry gauge of `pool` between epochs, as rank 0 reads it.
+fn gauge(pool: &WorldPool) -> RegistryGauge {
+    pool.run(|ctx| ctx.stall_report().registry)[0]
+}
+
+/// The gauge but for segment bytes, which a freed ring keeps on a free
+/// list.
+fn rows(g: RegistryGauge) -> RegistryGauge {
+    RegistryGauge { shm_bytes: 0, ..g }
+}
+
+/// What [`rounds`] saw: every round's reports, the gauge after it, and
+/// how many lanes and control fabrics each round but the last opened.
+struct Rounds {
+    reports: Vec<Vec<JobReport>>,
+    gauges: Vec<RegistryGauge>,
+    opened: Vec<u64>,
+}
+
+/// Run each of `rounds` as one `run_pending` under `backend`. Job ids and
+/// the stream ids of lanes and control fabrics come from one counter, so
+/// how far a round's first job id jumps past the last one before it is
+/// how many the rounds between opened.
+fn rounds(svc: &mut SolveService, rounds: &[Vec<Arc<dyn JobLogic>>], backend: Backend) -> Rounds {
+    let mut seen = Rounds {
+        reports: Vec::new(),
+        gauges: Vec::new(),
+        opened: Vec::new(),
+    };
+    for round in rounds {
+        for (k, logic) in round.iter().enumerate() {
+            let spec = JobSpec::new(format!("tenant-{k}"), topo(), Arc::clone(logic));
+            svc.submit(spec.backend(backend));
+        }
+        seen.reports.push(svc.run_pending());
+        seen.gauges.push(gauge(svc.pool()));
+    }
+    seen.opened = (seen.reports.windows(2))
+        .map(|w| w[1][0].id - w[0].last().expect("a round has jobs").id - 1)
+        .collect();
+    seen
+}
+
+/// `jobs` as a round of tenants.
+fn round(jobs: &[Arc<JacobiJob>]) -> Vec<Arc<dyn JobLogic>> {
+    jobs.iter().map(|j| Arc::clone(j) as _).collect()
+}
+
+/// One-job epochs of one shape: the first opens a lane and the control
+/// fabric, and every later one runs on them — it opens nothing, and the
+/// registry gauge, which the first left above idle, stays where the first
+/// left it — with the reference's bytes, on all three fabrics.
+#[test]
+fn one_job_epochs_of_one_shape_share_one_lane() {
+    let jobs = tenant_jobs(4);
+    let each: Vec<_> = jobs
+        .iter()
+        .map(|j| round(std::slice::from_ref(j)))
+        .collect();
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut svc = SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS));
+        let idle = gauge(svc.pool());
+        let seen = rounds(&mut svc, &each, Backend::Auto);
+        for (k, reports) in seen.reports.iter().enumerate() {
+            expect_ok(reports, &jobs[k..=k], &format!("{name} epoch {k}"));
+        }
+        assert_eq!(seen.opened, [2, 0, 0], "{name}");
+        assert_ne!(
+            seen.gauges[0], idle,
+            "{name}: the first epoch keeps its lane"
+        );
+        assert!(
+            seen.gauges.iter().all(|g| *g == seen.gauges[0]),
+            "{name}: {:?}",
+            seen.gauges
+        );
+    }
+}
+
+/// A shape the last epoch did not use is not kept: after an epoch of
+/// another hierarchy the gauge reads what a service that only ever ran
+/// the new one reads, and the new shape opens a lane but no control
+/// fabric.
+#[test]
+fn a_new_shape_evicts_the_old_one() {
+    let old = tenant_jobs(1);
+    let h = Hierarchy::setup(
+        diffusion_2d_7pt(12, 12, 0.001, FRAC_PI_4),
+        HierarchyOptions::default(),
+    );
+    let new = jobs_over(&h, 2, 3);
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut svc = SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS));
+        let seen = rounds(
+            &mut svc,
+            &[round(&old), round(&new[..1]), round(&new[1..])],
+            Backend::Auto,
+        );
+        expect_ok(&seen.reports[0], &old, name);
+        expect_ok(&seen.reports[1], &new[..1], name);
+        expect_ok(&seen.reports[2], &new[1..], name);
+        assert_eq!(seen.opened, [2, 1], "{name}");
+        let mut fresh = SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS));
+        let only_new = rounds(&mut fresh, &[round(&new[..1])], Backend::Auto);
+        assert_ne!(rows(seen.gauges[0]), rows(only_new.gauges[0]), "{name}");
+        for g in &seen.gauges[1..] {
+            assert_eq!(rows(*g), rows(only_new.gauges[0]), "{name}");
+        }
+    }
+}
+
+/// A lane some job failed on is never dealt again. Window 2: tenant 0
+/// panics on rank 2 on lane 0 while tenant 1 finishes on lane 1, so the
+/// next epoch's two tenants take lane 1 and one new lane — a kept lane 0
+/// would have opened none — and the epoch after that opens nothing. Every
+/// tenant but the failed one returns the reference's bytes.
+#[test]
+fn a_lane_a_tenant_failed_on_is_not_dealt_again() {
+    let jobs = tenant_jobs(5);
+    let boom = Arc::new(Counted {
+        inner: Arc::clone(&jobs[0]),
+        boom_on: Some(2),
+        calls: (0..RANKS).map(|_| AtomicUsize::new(0)).collect(),
+    });
+    let first = vec![boom as Arc<dyn JobLogic>, Arc::clone(&jobs[1]) as _];
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut svc =
+            SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(2);
+        let seen = rounds(
+            &mut svc,
+            &[first.clone(), round(&jobs[2..4]), round(&jobs[4..])],
+            Backend::Auto,
+        );
+        let err = seen.reports[0][0].outcome.as_ref().expect_err("tenant 0");
+        assert!(err.message.contains("tenant boom"), "{name}: {err}");
+        expect_ok(&seen.reports[0][1..], &jobs[1..2], name);
+        expect_ok(&seen.reports[1], &jobs[2..4], name);
+        expect_ok(&seen.reports[2], &jobs[4..], name);
+        assert_eq!(seen.opened, [3, 1], "{name}");
+    }
+}
+
+/// Wraps a job so every rank dies outside any task: the scheduler reads
+/// `iters` when it admits the job, not inside the task's poll, so the
+/// epoch fails as a whole.
+struct DiesAtAdmission(Arc<JacobiJob>);
+
+impl JobLogic for DiesAtAdmission {
+    fn patterns(&self) -> Vec<CommPattern> {
+        JobLogic::patterns(&*self.0)
+    }
+    fn iters(&self) -> usize {
+        panic!("no iteration count")
+    }
+    fn rank_state(&self, rank: usize) -> Box<dyn RankState> {
+        JobLogic::rank_state(&*self.0, rank)
+    }
+}
+
+/// After an epoch error nothing is warm. A warm lane runs a failing epoch
+/// — a tenant of its shape dies at admission on every rank — and the next
+/// epoch opens a lane and a control fabric again, returns the reference's
+/// bytes, and leaves the gauge where the first epoch left it: nothing the
+/// failed epoch held is still registered — and so does the epoch after.
+#[test]
+fn an_epoch_error_leaves_nothing_warm() {
+    let jobs = tenant_jobs(3);
+    let dies: Arc<dyn JobLogic> = Arc::new(DiesAtAdmission(Arc::clone(&jobs[1])));
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut svc = SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS));
+        let seen = rounds(
+            &mut svc,
+            &[
+                round(&jobs[..1]),
+                vec![Arc::clone(&jobs[1]) as _, Arc::clone(&dies)],
+                round(&jobs[2..]),
+                round(&jobs[..1]),
+            ],
+            Backend::Auto,
+        );
+        expect_ok(&seen.reports[0], &jobs[..1], name);
+        for rep in &seen.reports[1] {
+            let err = rep.outcome.as_ref().expect_err("the epoch failed");
+            assert!(err.message.contains("epoch failed"), "{name}: {err}");
+        }
+        expect_ok(&seen.reports[2], &jobs[2..], name);
+        expect_ok(&seen.reports[3], &jobs[..1], name);
+        // the failed epoch ran on the warm lane and one new one, and the
+        // one after it opens a lane and the control fabric again
+        assert_eq!(seen.opened, [2, 1, 2], "{name}");
+        for g in &seen.gauges[2..] {
+            assert_eq!(rows(*g), rows(seen.gauges[0]), "{name}");
+        }
+    }
+}
+
+/// A `Backend::Tuned` shape is never kept: every epoch of it opens a lane
+/// of its own, the last one's freed as it does.
+#[test]
+fn a_tuned_shape_is_never_kept() {
+    let jobs = tenant_jobs(3);
+    let each: Vec<_> = jobs
+        .iter()
+        .map(|j| round(std::slice::from_ref(j)))
+        .collect();
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut svc = SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS));
+        let seen = rounds(&mut svc, &each, Backend::Tuned);
+        for (k, reports) in seen.reports.iter().enumerate() {
+            expect_ok(reports, &jobs[k..=k], &format!("{name} epoch {k}"));
+        }
+        assert_eq!(seen.opened, [2, 1], "{name}");
+        assert_eq!(rows(seen.gauges[2]), rows(seen.gauges[1]), "{name}");
+    }
+}
+
+/// Cancel tokens travel on the kept control fabric, so one can land after
+/// its epoch, on a rank that finished the job it names before it arrived.
+/// Each is stamped with its epoch and dropped by a later one: a kill at
+/// every one of rank 1's ops from the 30th to the 200th, each followed by a
+/// clean epoch of the same tenants on the same service, on all three
+/// fabrics — every clean tenant returns the reference's bytes. A kill that
+/// fails no tenant (it landed in a park, or past the epoch) leaves no token
+/// and is passed over. (An earlier kill can land while a slower peer is
+/// still in the prologue barrier, which fails the whole epoch only after
+/// the wait deadline.) Without the stamp, most runs of this scan end in a
+/// clean epoch cancelled by a stale token.
+#[test]
+fn a_token_from_a_killed_epoch_cancels_nothing_in_the_next() {
+    let jobs = tenant_jobs(3);
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut kills = 0;
+        for nth in 30..=200 {
+            let plan = FaultPlan::seeded(7).kill(1, nth).deadline_ms(10_000);
+            let pool = WorldConfig::new(fabric).faults(plan).pool(RANKS);
+            let mut svc = SolveService::with_pool(pool).max_concurrent(2);
+            submit_all(&mut svc, &jobs);
+            if svc.run_pending().iter().all(|r| r.outcome.is_ok()) {
+                continue;
+            }
+            kills += 1;
+            submit_all(&mut svc, &jobs);
+            expect_ok(
+                &svc.run_pending(),
+                &jobs,
+                &format!("{name} nth={nth}: the epoch after the kill"),
+            );
+        }
+        assert!(kills >= 20, "{name}: only {kills} kills failed a tenant");
+    }
+}
+
+// ---------------------------------------------------------------------
 // lifetime: a warm pool serves for as long as it likes
 // ---------------------------------------------------------------------
 
@@ -683,10 +951,12 @@ fn vm_rss_kb() -> Option<f64> {
 /// `total` small jobs through ONE warm pool per fabric, ten an epoch under
 /// two backends, every result bit-checked. After every epoch the registry
 /// gauge — registered channels, shm table rows and segment bytes, sock
-/// deliver hooks — reads what it read after the first one (nothing of a
-/// retired job is left, and the shm rings of the first epoch serve all the
-/// others), and with `flat_rss` the process is no larger after the last
-/// job than after the first tenth.
+/// deliver hooks — reads what it read after the first one (the same two
+/// shapes every epoch, on the lanes the first one left warm: nothing of a
+/// retired job is left); once the service releases its warm set it reads
+/// what it read before the first, but for segment bytes; and with
+/// `flat_rss` the process is no larger after the last job than after the
+/// first tenth.
 fn soak(total: usize, flat_rss: bool) {
     const PER_EPOCH: usize = 10;
     let jobs = tenant_jobs(PER_EPOCH);
@@ -695,8 +965,7 @@ fn soak(total: usize, flat_rss: bool) {
         let name = fabric.name();
         let mut svc =
             SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(3);
-        let gauge = |svc: &SolveService| svc.pool().run(|ctx| ctx.stall_report().registry)[0];
-        let idle = gauge(&svc);
+        let idle = gauge(svc.pool());
         let mut settled: Option<RegistryGauge> = None;
         let mut rss_at_a_tenth = None;
         for epoch in 0..total / PER_EPOCH {
@@ -717,7 +986,7 @@ fn soak(total: usize, flat_rss: bool) {
                     .unwrap_or_else(|e| panic!("{name} epoch {epoch}: tenant {k} failed: {e}"));
                 assert_eq!(got, expect[k], "{name} epoch {epoch}: tenant {k}");
             }
-            let now = gauge(&svc);
+            let now = gauge(svc.pool());
             assert_eq!(
                 now,
                 *settled.get_or_insert(now),
@@ -727,12 +996,13 @@ fn soak(total: usize, flat_rss: bool) {
                 rss_at_a_tenth = vm_rss_kb();
             }
         }
-        // all that is left of {total} jobs is segment bytes on free lists
-        let settled = settled.expect("at least one epoch");
+        // all that is left of {total} jobs is the last epoch's warm set,
+        // and once that is released, segment bytes on free lists
+        let released = gauge(&svc.into_pool());
         assert_eq!(
             RegistryGauge {
                 shm_bytes: idle.shm_bytes,
-                ..settled
+                ..released
             },
             idle,
             "{name}: something of a retired job is still registered"
