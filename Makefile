@@ -50,12 +50,14 @@ test-tuner:
 # rank attribution) while the others stay byte-identical to solo runs,
 # deadline dumps naming every job they take down, a tenant panic closing
 # its lane and its lane-mates rerun to their solo bytes, tenants of one
-# shape sharing one resolution, the warm set kept and evicted across
-# epochs (with a kill scan, each kill followed by a clean epoch), and a
-# 500-job soak that leaves the registry gauge where its first epoch left
-# it — then, alone and in release (`--ignored`), the 5000-job soak per
-# fabric: flat gauge, idle once the service is released but for shm
-# segment bytes, flat VmRSS
+# shape sharing one resolution, the four most recently used shapes kept
+# warm and the fifth evicting the oldest (with a kill scan from the first
+# op, each killed epoch returning within a second and followed by a clean
+# one), and a 500-job soak cycling five shapes through the four slots
+# with the registry gauge's rows still once the cycle has come round —
+# then, alone and in release (`--ignored`), the 5000-job soak per fabric:
+# flat gauge rows, idle once the service is released but for shm segment
+# bytes, flat VmRSS
 test-serve:
 	cargo test --test serve -q
 	cargo test --release --test serve -q -- --ignored

@@ -18,14 +18,15 @@
 //! one persistent session — a [`Comm::dup_for`](mpisim::Comm::dup_for) communicator and one
 //! `init_all` of the shape's batch — that a job runs on as the next
 //! iterations, the way the paper's persistent collectives amortize setup
-//! over many `MPI_Start`s. Both outlive the epoch: the service keeps what
-//! the last epoch used — each shape's resolution and the lanes every job
-//! on them finished on, and the control fabric — so an epoch of the same
-//! shapes resolves, registers and synchronizes nothing before it runs.
-//! What an epoch does not use again is freed at its start
-//! ([`RankCtx::comm_free`]), so the pool holds at most one epoch's worth
-//! however many jobs it has served, and [`SolveService::into_pool`] frees
-//! that too.
+//! over many `MPI_Start`s. Both outlive the epoch: the service keeps the
+//! four shapes it used most recently — each one's resolution and every
+//! lane it holds that every job on it finished on — and the control
+//! fabric, so an epoch of shapes that came back within the last four
+//! resolves, registers and synchronizes nothing before it runs. A shape
+//! that drops off the four is freed at the next epoch's start
+//! ([`RankCtx::comm_free`]), so the pool holds at most four shapes' lanes
+//! — window-many each — and the control fabric however many jobs it has
+//! served, and [`SolveService::into_pool`] frees that too.
 //!
 //! Isolation is per job, on three axes:
 //!
@@ -168,9 +169,14 @@ pub(crate) struct QueuedJob {
     pub(crate) logic: Arc<dyn JobLogic>,
 }
 
+/// How many shapes the service keeps warm between calls, most recently
+/// used first: the bound on what the pool holds whatever traffic the
+/// service sees.
+const WARM_SHAPES: usize = 4;
+
 /// A job shape the service has resolved: what jobs are matched to it by,
 /// its resolution, and the stream ids of its lanes every rank keeps warm,
-/// in deal order.
+/// in the order a deal takes them.
 struct Shape {
     backend: Backend,
     topo: Topology,
@@ -219,7 +225,8 @@ pub struct SolveService {
     /// live on a dedicated dup'd communicator, so one channel per peer
     /// serves every job).
     ctl_lease: TagLease,
-    /// The shapes the last epoch left a lane warm for.
+    /// At most [`WARM_SHAPES`] shapes with a lane warm, most recently used
+    /// first. While a call runs: the ones it has no job for.
     warm: Vec<Shape>,
     /// The control fabric's stream id while every rank keeps it.
     ctl_stream: Option<u64>,
@@ -264,7 +271,7 @@ impl SolveService {
     pub fn into_pool(self) -> WorldPool {
         let kept = &self.kept;
         self.pool
-            .run(|ctx| kept_of(kept, ctx.rank()).evict(ctx, &[], None));
+            .run(|ctx| kept_of(kept, ctx.rank()).evict(ctx, |_| false, None));
         self.pool
     }
 
@@ -313,8 +320,12 @@ impl SolveService {
     /// message and no ranks, and the other shapes run; only a failure the
     /// scheduler itself cannot attribute (a rank dying outside any task)
     /// fails an epoch, and then *every* job driven in it reports that epoch
-    /// error. A shape the last epoch used is not resolved again, and its
-    /// jobs take the lanes that epoch left warm first.
+    /// error. A shape among the four most recently used is not resolved
+    /// again, and its jobs take its warm lanes first; the lanes it does not
+    /// deal, and the warm shapes this call has no job for, stay warm. A
+    /// shape that cannot resolve while idle shapes are warm makes them
+    /// yield — their lanes freed on every rank, their tags with them — and
+    /// resolves once more.
     pub fn run_pending(&mut self) -> Vec<JobReport> {
         let queued = std::mem::take(&mut self.queue);
         if queued.is_empty() {
@@ -330,28 +341,42 @@ impl SolveService {
             .map(|(q, pats)| (q.backend, &q.topo, pats))
             .collect();
         let (shape_of, first_of) = group_equal(&keys);
-        // A shape the last epoch left warm brings its resolution and its
-        // lanes. The warm shapes this call has no job for go before
-        // anything new resolves (their lanes go at the next epoch's start).
-        let mut warm = std::mem::take(&mut self.warm);
+        // A warm shape brings its resolution and its lanes; the warm shapes
+        // this call has no job for stay in the list, idle, in their order.
         let found: Vec<Option<Shape>> = first_of
             .iter()
             .map(|&j| {
-                let w = warm
-                    .iter()
+                let w = (self.warm.iter())
                     .position(|w| (w.backend, &w.topo, &w.patterns) == keys[j])?;
-                Some(warm.swap_remove(w))
+                Some(self.warm.remove(w))
             })
             .collect();
-        drop(warm);
+        let resolve = |j: usize| Shape::resolve(keys[j].0, keys[j].1, keys[j].2);
         let mut shapes: Vec<Result<Shape, String>> = first_of
             .iter()
             .zip(found)
-            .map(|(&j, found)| match found {
-                Some(shape) => Ok(shape),
-                None => Shape::resolve(keys[j].0, keys[j].1, keys[j].2),
-            })
+            .map(|(&j, found)| found.map_or_else(|| resolve(j), Ok))
             .collect();
+        // A miss may be short of the tags the idle shapes lease, and the
+        // lanes every rank keeps for them hold those leases too: the idle
+        // shapes yield, their lanes are freed now, and it resolves again.
+        if !self.warm.is_empty() && shapes.iter().any(Result::is_err) {
+            self.warm.clear();
+            let keep: Vec<u64> = shapes
+                .iter()
+                .flatten()
+                .flat_map(|s| s.lanes.iter().copied())
+                .collect();
+            let (kept, ctl) = (&self.kept, self.ctl_stream);
+            self.pool.run(|ctx| {
+                kept_of(kept, ctx.rank()).evict(ctx, |stream| keep.contains(&stream), ctl)
+            });
+            for (shape, &j) in shapes.iter_mut().zip(&first_of) {
+                if shape.is_err() {
+                    *shape = resolve(j);
+                }
+            }
+        }
         // each job's outcome once it has one: a shape that cannot resolve
         // fails its jobs here, before any rank sees them
         let mut outcomes: Vec<Option<Result<Vec<Vec<f64>>, JobError>>> = shape_of
@@ -397,11 +422,11 @@ impl SolveService {
             );
             pending = rerun;
         }
-        self.warm = shapes
-            .into_iter()
-            .filter_map(Result::ok)
-            .filter(|shape| !shape.lanes.is_empty())
-            .collect();
+        // the shapes this call used go to the front; past the bound a shape
+        // drops off, and its lanes go at the next epoch's start
+        let used = (shapes.into_iter().filter_map(Result::ok)).filter(|s| !s.lanes.is_empty());
+        let idle = std::mem::take(&mut self.warm);
+        self.warm = used.chain(idle).take(WARM_SHAPES).collect();
         queued
             .iter()
             .zip(outcomes)
@@ -417,8 +442,9 @@ impl SolveService {
     /// them onto lanes, a shape's warm ones first, and return, per job,
     /// what each rank (in rank order) returned for it. Afterwards a shape's
     /// warm lanes are the ones of this deal that every job on them finished
-    /// on, on every rank: none after an epoch error, and none of a `Tuned`
-    /// shape.
+    /// on, on every rank, then the warm ones the deal left idle: none of a
+    /// `Tuned` shape, and none of any shape, idle ones included, after an
+    /// epoch error.
     fn epoch(
         &mut self,
         jobs: &[(&QueuedJob, usize)],
@@ -452,6 +478,11 @@ impl SolveService {
         };
         self.ctl_stream = Some(ctl.0);
         self.epochs += 1;
+        let dealt = |stream: u64| deal.iter().any(|lane| lane.stream == stream);
+        let idle: Vec<u64> = (self.warm.iter().chain(shapes.iter().flatten()))
+            .flat_map(|s| s.lanes.iter().copied())
+            .filter(|&stream| !dealt(stream))
+            .collect();
         let ep = scheduler::Epoch {
             jobs: jobs
                 .iter()
@@ -465,6 +496,7 @@ impl SolveService {
                     (lane, &shape.expect("a dealt shape resolved").batch)
                 })
                 .collect(),
+            idle,
             ctl,
             ctl_tag: self.ctl_lease.entry_base(0),
             stamp: self.epochs,
@@ -477,8 +509,10 @@ impl SolveService {
         }) {
             Ok(per_rank) => per_rank,
             Err(e) => {
-                // a rank died outside any task, so nothing is kept
+                // a rank died outside any task, so nothing is kept, not
+                // even a shape this epoch did not deal
                 shapes.iter_mut().flatten().for_each(|s| s.lanes.clear());
+                self.warm.clear();
                 self.ctl_stream = None;
                 return Err(JobError {
                     ranks: e.failures.iter().map(|(r, _)| *r).collect(),
@@ -502,9 +536,11 @@ impl SolveService {
         }
         for (s, shape) in shapes.iter_mut().enumerate() {
             if let Ok(shape) = shape {
+                let idle = shape.lanes.iter().copied().filter(|&stream| !dealt(stream));
                 shape.lanes = (deal.iter().zip(&lane_ok))
                     .filter(|&(lane, &ok)| ok && lane.shape == s && !solo[s])
                     .map(|(lane, _)| lane.stream)
+                    .chain(idle)
                     .collect();
             }
         }
@@ -580,7 +616,45 @@ fn job_outcome(name: &str, rows: Vec<scheduler::Row>) -> Result<Vec<Vec<f64>>, J
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::tests::Ring;
     use mpi_advance::Protocol;
+
+    /// Held by every test of this crate that leases from the process-wide
+    /// tag space, since one of them takes all of it.
+    pub(crate) fn tag_space() -> MutexGuard<'static, ()> {
+        static TAGS: Mutex<()> = Mutex::new(());
+        TAGS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// With the tag space held so that a new shape cannot lease, a miss
+    /// takes the tags of the shape a call before left warm: the idle shape
+    /// yields — its lanes freed on every rank, which frees its lease — and
+    /// the miss resolves, runs, and is then the only shape warm.
+    #[test]
+    fn idle_shapes_yield_their_tags_to_a_miss_that_cannot_lease() {
+        let _tags = tag_space();
+        const N: usize = 4;
+        let ring = Ring::new(N, 2, 0);
+        let topo = Topology::block_nodes(N, 2);
+        let [idle, miss] =
+            [Protocol::StandardHypre, Protocol::StandardNeighbor].map(Backend::Protocol);
+        let mut svc = SolveService::new(N);
+        let mut call = |backend| {
+            let spec = JobSpec::new("ring", topo.clone(), Arc::new(ring.clone()));
+            svc.submit(spec.backend(backend));
+            let mut reports = svc.run_pending();
+            let got = reports.remove(0).outcome.unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(got, ring.expected_all());
+            svc.warm.iter().map(|s| s.backend).collect::<Vec<_>>()
+        };
+        assert_eq!(call(idle), [idle]);
+        // every span a one-pattern shape could lease
+        let held: Vec<TagLease> =
+            std::iter::from_fn(|| catch_unwind(|| TagSpace::global().lease(1)).ok()).collect();
+        assert!(Shape::resolve(miss, &topo, &ring.patterns()).is_err());
+        assert_eq!(call(miss), [miss]);
+        drop(held);
+    }
 
     #[test]
     fn equal_shapes_share_a_group_in_order_of_first_appearance() {

@@ -13,11 +13,13 @@
 //! A lane outlives its epoch: each rank keeps its lanes and the control
 //! fabric in a [`Kept`] slot the service owns, and an epoch deals a shape
 //! the lanes it left warm before minting new ones ([`deal_lanes`]). The
-//! submitting thread decides what is kept, so every rank keeps the same.
+//! submitting thread decides what is kept, so every rank keeps the same:
+//! the lanes the epoch deals warm and the ones it names idle — warm lanes
+//! of a shape it has no job for, or past what it deals of one.
 //!
 //! Epoch prologue (every rank, before anything is driven):
 //!
-//! 1. free what is kept and not dealt warm again ([`Kept::evict`]);
+//! 1. free what is kept and neither dealt nor named idle ([`Kept::evict`]);
 //! 2. open every lane dealt cold: duplicate the world communicator under
 //!    its stream id and `init_all` the shape's resolved batch on it —
 //!    lanes of one shape share the resolution, the context id keeps their
@@ -33,7 +35,8 @@
 //!    registers nothing needs no barrier: what it uses was registered
 //!    before an earlier epoch's.
 //!
-//! Then the loop: admit queued jobs into the window in job order —
+//! Then the loop, on the dealt lanes only: admit queued jobs into the
+//! window in job order —
 //! waiting while a job's lane is still busy with its predecessor on this
 //! rank — poll runnable tasks (each a [`Task`] polled under
 //! `catch_unwind`), drain cancel tokens, and park once on the union of
@@ -70,8 +73,15 @@
 //! epoch, so every report is still a job's own failure or its solo bytes.
 //! A token can also land after its epoch, on a rank that had finished the
 //! job before it arrived: the stamp tells it apart, and it is dropped.
+//!
+//! A rank that leaves the epoch outside any task — a panic in the
+//! prologue barrier, in admission, on the control fabric — has no job to
+//! name, and its peers may already have absorbed its death and parked for
+//! a token. On its way out it sends every peer a token that names no job
+//! ([`GONE`]); a peer that drains one closes every lane, so the epoch ends
+//! on every rank and `run_pending` reports the epoch error.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use mpi_advance::{BatchRequest, ResolvedBatch};
@@ -84,8 +94,8 @@ use crate::{JobLogic, QueuedJob, RankState};
 /// marks the death as handled *for this rank* (the world flag stays up
 /// for peers still blocked on the dead tenant's traffic) and re-parks;
 /// a healthy peer's scheduler sends the token within one scheduling
-/// round, so this bound only trips when the failing rank's scheduler
-/// itself is gone.
+/// round, and one that leaves the epoch sends [`GONE`], so this bound is
+/// a last resort.
 const MAX_ABSORB_RETRIES: usize = 64;
 
 /// One lane of an epoch's deal.
@@ -95,7 +105,7 @@ pub(crate) struct LaneDeal {
     pub(crate) shape: usize,
     /// The stream id its communicator is duplicated for.
     pub(crate) stream: u64,
-    /// Kept from the last epoch on every rank: nothing registers for it.
+    /// Kept from an earlier epoch on every rank: nothing registers for it.
     pub(crate) warm: bool,
 }
 
@@ -104,7 +114,8 @@ pub(crate) struct LaneDeal {
 /// shape)` lanes — one lane per job for a shape marked `solo` — with job
 /// k of a shape on that shape's lane `k mod width`. A shape's lanes take
 /// its warm lanes' stream ids (`warm[shape]`, in order) first and `mint`
-/// fresh ones beyond those; a warm lane past the width is not dealt.
+/// fresh ones beyond those; a warm lane past the width is not dealt (it
+/// stays kept, idle).
 /// Returns each job's lane and the lanes, numbered in order of first use.
 pub(crate) fn deal_lanes(
     shape_of: &[usize],
@@ -302,6 +313,9 @@ pub(crate) type Row = Result<Vec<f64>, Cause>;
 /// A cancel token is `[epoch stamp, job, failing rank]`.
 const TOKEN_LEN: usize = 3;
 
+/// The job a token names when its rank left the epoch outside any task.
+const GONE: u64 = u64::MAX;
+
 /// The cancel fabric: one token channel per peer and direction, on a
 /// communicator of its own, kept for as long as the service deals it.
 struct Control {
@@ -339,23 +353,23 @@ impl Control {
         }
     }
 
-    /// Send `job`'s cancel token, stamped `stamp`, to every peer. Deposits
-    /// never block, so this is safe mid-recovery.
-    fn broadcast(&self, ctx: &mut RankCtx, stamp: u64, job: usize) {
+    /// Send the token naming `job` ([`GONE`] for none), stamped `stamp`,
+    /// to every peer. Deposits never block, so this is safe mid-recovery.
+    fn broadcast(&self, ctx: &mut RankCtx, stamp: u64, job: u64) {
         let rank = ctx.rank();
         for chan in &self.tx {
             chan.start_with(ctx, |buf| {
                 buf.clear();
-                buf.extend([stamp, job as u64, rank as u64]);
+                buf.extend([stamp, job, rank as u64]);
             });
         }
     }
 }
 
-/// What one rank keeps between epochs: the lanes the last epoch left warm,
-/// in its deal's order, and the control fabric. The service owns one per
-/// rank and its submitting thread decides what is kept, so every rank
-/// keeps — and frees — the same.
+/// What one rank keeps between epochs: the lanes the warm shapes hold —
+/// an epoch's dealt lanes first, in its deal's order — and the control
+/// fabric. The service owns one per rank and its submitting thread decides
+/// what is kept, so every rank keeps — and frees — the same.
 #[derive(Default)]
 pub(crate) struct Kept {
     lanes: Vec<Lane>,
@@ -363,13 +377,13 @@ pub(crate) struct Kept {
 }
 
 impl Kept {
-    /// Free every kept lane whose stream `warm` does not name, and the
-    /// control fabric unless its stream is `ctl`. A stream id is never
-    /// dealt twice, so nothing registers on a freed communicator again —
+    /// Free every kept lane whose stream `keep` rejects, and the control
+    /// fabric unless its stream is `ctl`. A stream id is never dealt
+    /// twice, so nothing registers on a freed communicator again —
     /// [`RankCtx::comm_free`]'s contract.
-    pub(crate) fn evict(&mut self, ctx: &RankCtx, warm: &[u64], ctl: Option<u64>) {
+    pub(crate) fn evict(&mut self, ctx: &RankCtx, keep: impl Fn(u64) -> bool, ctl: Option<u64>) {
         self.lanes.retain(|lane| {
-            let keep = warm.contains(&lane.stream);
+            let keep = keep(lane.stream);
             if !keep {
                 ctx.comm_free(&lane.comm);
             }
@@ -387,6 +401,9 @@ pub(crate) struct Epoch<'a> {
     pub(crate) jobs: Vec<(&'a QueuedJob, usize)>,
     /// Every lane, with its shape's resolution.
     pub(crate) lanes: Vec<(LaneDeal, &'a ResolvedBatch)>,
+    /// The stream ids of the kept lanes this epoch does not deal: kept,
+    /// not driven.
+    pub(crate) idle: Vec<u64>,
     /// The control fabric's stream id, and whether it is kept.
     pub(crate) ctl: (u64, bool),
     /// The tag of every control channel.
@@ -433,22 +450,33 @@ impl Drive<'_> {
 
 /// Drive the epoch `ep` on this rank, on the lanes and control fabric
 /// `kept` holds for it; returns each job's local result, indexed like
-/// `ep.jobs`. What the epoch used stays in `kept`.
+/// `ep.jobs`. What the epoch used, and the idle lanes, stay in `kept`. A
+/// rank that leaves by panicking — outside any task, since a task's panic
+/// is its job's — first sends every peer the token that names no job.
 pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
+    catch_unwind(AssertUnwindSafe(|| drive(ctx, kept, ep))).unwrap_or_else(|payload| {
+        if let Some(ctl) = &kept.ctl {
+            // the panic carried out is the one to report, not the token's
+            let _ = catch_unwind(AssertUnwindSafe(|| ctl.broadcast(ctx, ep.stamp, GONE)));
+        }
+        resume_unwind(payload)
+    })
+}
+
+fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     let world = ctx.comm_world();
     let rank = ctx.rank();
     let jobs = &ep.jobs;
     let n = jobs.len();
 
     // -- prologue: evict, register what is cold, barrier if anything did --
-    let warm: Vec<u64> = ep
-        .lanes
-        .iter()
-        .filter(|(lane, _)| lane.warm)
-        .map(|(lane, _)| lane.stream)
-        .collect();
+    let dealt = |stream: u64| ep.lanes.iter().position(|(lane, _)| lane.stream == stream);
     let (ctl_stream, ctl_warm) = ep.ctl;
-    kept.evict(ctx, &warm, ctl_warm.then_some(ctl_stream));
+    kept.evict(
+        ctx,
+        |stream| dealt(stream).is_some() || ep.idle.contains(&stream),
+        ctl_warm.then_some(ctl_stream),
+    );
     for (lane, batch) in ep.lanes.iter().filter(|(lane, _)| !lane.warm) {
         let comm = world.dup_for(lane.stream);
         let session = Some(batch.init_all(ctx, &comm));
@@ -459,16 +487,14 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
             busy: None,
         });
     }
-    // in the deal's order, which is what a job's lane indexes
-    kept.lanes.sort_by_key(|kl| {
-        ep.lanes
-            .iter()
-            .position(|(lane, _)| lane.stream == kl.stream)
-    });
+    // the dealt lanes first, in the deal's order, which is what a job's
+    // lane indexes; the idle ones after them
+    kept.lanes
+        .sort_by_key(|kl| dealt(kl.stream).unwrap_or(usize::MAX));
     assert_eq!(
         kept.lanes.len(),
-        ep.lanes.len(),
-        "rank {rank} lost a lane dealt warm"
+        ep.lanes.len() + ep.idle.len(),
+        "rank {rank} lost a kept lane"
     );
     if !ctl_warm {
         kept.ctl = Some(Control::open(ctx, &world, ctl_stream, ep.ctl_tag));
@@ -483,7 +509,7 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
 
     // -- the drive loop --
     let mut d = Drive {
-        lanes,
+        lanes: &mut lanes[..ep.lanes.len()],
         tasks: (0..n).map(|_| None).collect(),
         running: Vec::new(),
         results: (0..n).map(|_| None).collect(),
@@ -555,7 +581,7 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
                 // and siblings' waits stop aborting, then tell every peer
                 // to cancel this one job.
                 ctx.absorb_rank_failure();
-                ctl.broadcast(ctx, ep.stamp, j);
+                ctl.broadcast(ctx, ep.stamp, j as u64);
             }
             d.retire(j, res);
             if failed {
@@ -568,20 +594,26 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
         // same job — or name a job already completed here; either way its
         // lane is over. A token stamped for another epoch was sent in an
         // earlier one, to a rank that finished the job before it landed:
-        // the job it names is not this epoch's.
+        // the job it names is not this epoch's. A token naming no job
+        // comes from a rank that left the epoch: nothing here can finish.
         rounds += 1;
         if drain_due || rounds.is_multiple_of(64) {
             drain_due = false;
             for rc in &mut ctl.rx {
                 while let Some(tok) = rc.try_take(ctx) {
                     rc.start();
-                    let (stamp, j, src) = (tok[0], tok[1] as usize, tok[2] as usize);
+                    let (stamp, job, src) = (tok[0], tok[1], tok[2] as usize);
                     if stamp != ep.stamp {
                         continue;
                     }
+                    progressed = true;
+                    if job == GONE {
+                        (0..d.lanes.len()).for_each(|l| d.close(l));
+                        continue;
+                    }
+                    let j = job as usize;
                     d.retire(j, Err(Cause::Relayed { from: src }));
                     d.close(jobs[j].1);
-                    progressed = true;
                 }
             }
         }
@@ -634,7 +666,7 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
                     })
                     .collect();
                 for j in std::mem::take(&mut d.running) {
-                    ctl.broadcast(ctx, ep.stamp, j);
+                    ctl.broadcast(ctx, ep.stamp, j as u64);
                     d.retire(
                         j,
                         Err(Cause::Here(format!(
@@ -664,8 +696,9 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::tests::tag_space;
     use crate::{JobSpec, SolveService};
     use locality::Topology;
     use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest, Protocol};
@@ -681,7 +714,7 @@ mod tests {
     /// and collects what its left neighbour sent. The job doubles as its
     /// own rank state (`rank`, `got`).
     #[derive(Clone)]
-    struct Ring {
+    pub(crate) struct Ring {
         n: usize,
         iters: usize,
         salt: usize,
@@ -694,7 +727,7 @@ mod tests {
     }
 
     impl Ring {
-        fn new(n: usize, iters: usize, salt: usize) -> Self {
+        pub(crate) fn new(n: usize, iters: usize, salt: usize) -> Self {
             Self {
                 n,
                 iters,
@@ -722,7 +755,7 @@ mod tests {
                 .collect()
         }
 
-        fn expected_all(&self) -> Vec<Vec<f64>> {
+        pub(crate) fn expected_all(&self) -> Vec<Vec<f64>> {
             (0..self.n).map(|r| self.expected(r)).collect()
         }
     }
@@ -812,6 +845,7 @@ mod tests {
     /// still runs to completion.
     #[test]
     fn panicking_task_fails_alone_and_is_never_polled_again() {
+        let _tags = tag_space();
         const N: usize = 4;
         let bad = Ring {
             boom_at: Some(0),
@@ -840,6 +874,7 @@ mod tests {
     /// instead of a hung test.
     #[test]
     fn no_lost_wakeup_over_many_racing_iterations() {
+        let _tags = tag_space();
         const N: usize = 4;
         let jobs = [Ring::new(N, 200, 0), Ring::new(N, 200, 500)];
         let plan = FaultPlan::seeded(1).deadline_ms(10_000);
@@ -871,6 +906,7 @@ mod tests {
     /// runnable and A still blocked.
     #[test]
     fn park_reflags_only_tasks_whose_own_channels_delivered() {
+        let _tags = tag_space();
         let topo = Topology::block_nodes(2, 1);
         let pat = ring_pattern(2);
         let job = Ring::new(2, 1, 0);
