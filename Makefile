@@ -52,12 +52,12 @@ test-tuner:
 # its lane and its lane-mates rerun to their solo bytes, tenants of one
 # shape sharing one resolution, the four most recently used shapes kept
 # warm and the fifth evicting the oldest (with a kill scan from the first
-# op, each killed epoch returning within a second and followed by a clean
-# one), and a 500-job soak cycling five shapes through the four slots
-# with the registry gauge's rows still once the cycle has come round —
-# then, alone and in release (`--ignored`), the 5000-job soak per fabric:
-# flat gauge rows, idle once the service is released but for shm segment
-# bytes, flat VmRSS
+# op, no killed epoch ending on the wait deadline, each followed by a
+# clean one), and a 500-job soak in two runs — two fixed shapes, then
+# five cycling through the four slots — with the registry gauge still
+# after every call (once the cycle has come round) — then, alone and in
+# release (`--ignored`), the 5000-job soak per fabric: flat gauge, idle
+# once the service is released but for shm segment bytes, flat VmRSS
 test-serve:
 	cargo test --test serve -q
 	cargo test --release --test serve -q -- --ignored

@@ -22,11 +22,16 @@
 //! four shapes it used most recently — each one's resolution and every
 //! lane it holds that every job on it finished on — and the control
 //! fabric, so an epoch of shapes that came back within the last four
-//! resolves, registers and synchronizes nothing before it runs. A shape
-//! that drops off the four is freed at the next epoch's start
-//! ([`RankCtx::comm_free`]), so the pool holds at most four shapes' lanes
-//! — window-many each — and the control fabric however many jobs it has
-//! served, and [`SolveService::into_pool`] frees that too.
+//! resolves, registers and synchronizes nothing before it runs. What a
+//! call leaves registered beyond them — a shape that dropped off the
+//! four, a lane a job failed on — every rank frees
+//! ([`RankCtx::comm_free`]) at the next call's start, before anything
+//! registers. So the pool holds the four warm shapes' lanes — each shape
+//! as many as the most one call of it was dealt while it stayed warm,
+//! `min(window, jobs of the shape)`, so at most the window under a
+//! bounded one — the lanes the last call used beyond those, and the
+//! control fabric, however many jobs it has served;
+//! [`SolveService::into_pool`] frees it all.
 //!
 //! Isolation is per job, on three axes:
 //!
@@ -170,9 +175,13 @@ pub(crate) struct QueuedJob {
 }
 
 /// How many shapes the service keeps warm between calls, most recently
-/// used first: the bound on what the pool holds whatever traffic the
-/// service sees.
+/// used first.
 const WARM_SHAPES: usize = 4;
+
+/// How the tag space's exhaustion panic begins
+/// ([`TagSpace::lease_for`]): a shape that fails to resolve with it may
+/// be short of spans that lanes the ranks hold still lease.
+const TAGS_EXHAUSTED: &str = "tag space exhausted";
 
 /// A job shape the service has resolved: what jobs are matched to it by,
 /// its resolution, and the stream ids of its lanes every rank keeps warm,
@@ -228,6 +237,10 @@ pub struct SolveService {
     /// At most [`WARM_SHAPES`] shapes with a lane warm, most recently used
     /// first. While a call runs: the ones it has no job for.
     warm: Vec<Shape>,
+    /// The stream ids of every lane some rank may hold: what the last
+    /// epoch dealt or kept idle, or the last release kept — and after an
+    /// epoch error, what came before it too.
+    held: Vec<u64>,
     /// The control fabric's stream id while every rank keeps it.
     ctl_stream: Option<u64>,
     /// Each rank's kept lanes and control fabric, by rank.
@@ -260,6 +273,7 @@ impl SolveService {
             queue: Vec::new(),
             ctl_lease: TagSpace::global().lease_for(1, "service-ctl"),
             warm: Vec::new(),
+            held: Vec::new(),
             ctl_stream: None,
             epochs: 0,
         }
@@ -268,11 +282,19 @@ impl SolveService {
     /// Free what the service keeps warm on every rank — its lanes and the
     /// control fabric — and hand back the pool, its registry as the
     /// service found it.
-    pub fn into_pool(self) -> WorldPool {
-        let kept = &self.kept;
+    pub fn into_pool(mut self) -> WorldPool {
+        self.ctl_stream = None;
+        self.release(Vec::new());
         self.pool
-            .run(|ctx| kept_of(kept, ctx.rank()).evict(ctx, |_| false, None));
+    }
+
+    /// Free, on every rank at once, every lane it holds but `keep`'s, and
+    /// the control fabric unless the service keeps it.
+    fn release(&mut self, keep: Vec<u64>) {
+        let (kept, ctl) = (&self.kept, self.ctl_stream);
         self.pool
+            .run(|ctx| kept_of(kept, ctx.rank()).evict(ctx, |stream| keep.contains(&stream), ctl));
+        self.held = keep;
     }
 
     /// Bound how many jobs each rank drives concurrently (default:
@@ -322,10 +344,12 @@ impl SolveService {
     /// fails an epoch, and then *every* job driven in it reports that epoch
     /// error. A shape among the four most recently used is not resolved
     /// again, and its jobs take its warm lanes first; the lanes it does not
-    /// deal, and the warm shapes this call has no job for, stay warm. A
-    /// shape that cannot resolve while idle shapes are warm makes them
-    /// yield — their lanes freed on every rank, their tags with them — and
-    /// resolves once more.
+    /// deal, and the warm shapes this call has no job for, stay warm. What
+    /// an earlier call left registered beyond the warm shapes — a shape
+    /// that dropped off the four, a lane a job failed on — every rank frees
+    /// before this call's epoch starts. A shape the tag space cannot serve
+    /// makes the idle shapes yield too — their lanes freed on every rank,
+    /// their tags with them — and resolves once more.
     pub fn run_pending(&mut self) -> Vec<JobReport> {
         let queued = std::mem::take(&mut self.queue);
         if queued.is_empty() {
@@ -357,22 +381,31 @@ impl SolveService {
             .zip(found)
             .map(|(&j, found)| found.map_or_else(|| resolve(j), Ok))
             .collect();
-        // A miss may be short of the tags the idle shapes lease, and the
-        // lanes every rank keeps for them hold those leases too: the idle
-        // shapes yield, their lanes are freed now, and it resolves again.
-        if !self.warm.is_empty() && shapes.iter().any(Result::is_err) {
+        // What the ranks hold beyond the warm shapes — the lanes of a shape
+        // that dropped off the four, a closed or `Tuned` lane, all of a
+        // failed epoch — goes now, on every rank before any registers: on
+        // shm a ring is recycled once its last attacher lets go, and a rank
+        // that registered before a slower peer had freed would carve a
+        // fresh one. A miss the tag space cannot serve may be short of the
+        // spans such a lane still leases — a lane's session holds its
+        // shape's lease as much as the shape does — so then the idle shapes
+        // yield theirs too, and it resolves again.
+        let short =
+            |s: &Result<Shape, String>| s.as_ref().is_err_and(|why| why.contains(TAGS_EXHAUSTED));
+        let retry = shapes.iter().any(short);
+        if retry {
             self.warm.clear();
-            let keep: Vec<u64> = shapes
-                .iter()
-                .flatten()
-                .flat_map(|s| s.lanes.iter().copied())
-                .collect();
-            let (kept, ctl) = (&self.kept, self.ctl_stream);
-            self.pool.run(|ctx| {
-                kept_of(kept, ctx.rank()).evict(ctx, |stream| keep.contains(&stream), ctl)
-            });
+        }
+        let keep: Vec<u64> = (self.warm.iter().chain(shapes.iter().flatten()))
+            .flat_map(|s| s.lanes.iter().copied())
+            .collect();
+        let freed = self.held.iter().any(|stream| !keep.contains(stream));
+        if freed {
+            self.release(keep);
+        }
+        if retry && freed {
             for (shape, &j) in shapes.iter_mut().zip(&first_of) {
-                if shape.is_err() {
+                if short(shape) {
                     *shape = resolve(j);
                 }
             }
@@ -423,7 +456,7 @@ impl SolveService {
             pending = rerun;
         }
         // the shapes this call used go to the front; past the bound a shape
-        // drops off, and its lanes go at the next epoch's start
+        // drops off, and its lanes go at the next call's start
         let used = (shapes.into_iter().filter_map(Result::ok)).filter(|s| !s.lanes.is_empty());
         let idle = std::mem::take(&mut self.warm);
         self.warm = used.chain(idle).take(WARM_SHAPES).collect();
@@ -483,6 +516,10 @@ impl SolveService {
             .flat_map(|s| s.lanes.iter().copied())
             .filter(|&stream| !dealt(stream))
             .collect();
+        // every rank holds what the epoch names once its prologue is over
+        let named: Vec<u64> = (deal.iter().map(|lane| lane.stream))
+            .chain(idle.iter().copied())
+            .collect();
         let ep = scheduler::Epoch {
             jobs: jobs
                 .iter()
@@ -507,12 +544,17 @@ impl SolveService {
         let per_rank = match self.pool.try_run(|ctx: &mut RankCtx| {
             scheduler::drive_rank(ctx, &mut kept_of(kept, ctx.rank()), &ep)
         }) {
-            Ok(per_rank) => per_rank,
+            Ok(per_rank) => {
+                self.held = named;
+                per_rank
+            }
             Err(e) => {
                 // a rank died outside any task, so nothing is kept, not
-                // even a shape this epoch did not deal
+                // even a shape this epoch did not deal — and a rank whose
+                // prologue it cut short may still hold what it held before
                 shapes.iter_mut().flatten().for_each(|s| s.lanes.clear());
                 self.warm.clear();
+                self.held.extend(named);
                 self.ctl_stream = None;
                 return Err(JobError {
                     ranks: e.failures.iter().map(|(r, _)| *r).collect(),
@@ -626,6 +668,30 @@ mod tests {
         TAGS.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    const N: usize = 4;
+
+    /// Run one `ring` job under `backend` on `svc`, check its bytes, and
+    /// return the backends of the shapes then warm.
+    fn ring_call(svc: &mut SolveService, ring: &Ring, backend: Backend) -> Vec<Backend> {
+        let spec = JobSpec::new("ring", Topology::block_nodes(N, 2), Arc::new(ring.clone()));
+        svc.submit(spec.backend(backend));
+        let mut reports = svc.run_pending();
+        let got = reports.remove(0).outcome.unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(got, ring.expected_all());
+        svc.warm.iter().map(|s| s.backend).collect()
+    }
+
+    /// Every span of the tag space a one-pattern shape could lease, held;
+    /// `miss` over `ring` can then not resolve.
+    fn hold_the_tag_space(ring: &Ring, miss: Backend) -> Vec<TagLease> {
+        let held: Vec<TagLease> =
+            std::iter::from_fn(|| catch_unwind(|| TagSpace::global().lease(1)).ok()).collect();
+        let topo = Topology::block_nodes(N, 2);
+        let why = Shape::resolve(miss, &topo, &ring.patterns()).err();
+        assert!(why.is_some_and(|why| why.contains(TAGS_EXHAUSTED)));
+        held
+    }
+
     /// With the tag space held so that a new shape cannot lease, a miss
     /// takes the tags of the shape a call before left warm: the idle shape
     /// yields — its lanes freed on every rank, which frees its lease — and
@@ -633,26 +699,58 @@ mod tests {
     #[test]
     fn idle_shapes_yield_their_tags_to_a_miss_that_cannot_lease() {
         let _tags = tag_space();
-        const N: usize = 4;
         let ring = Ring::new(N, 2, 0);
-        let topo = Topology::block_nodes(N, 2);
         let [idle, miss] =
             [Protocol::StandardHypre, Protocol::StandardNeighbor].map(Backend::Protocol);
         let mut svc = SolveService::new(N);
-        let mut call = |backend| {
-            let spec = JobSpec::new("ring", topo.clone(), Arc::new(ring.clone()));
-            svc.submit(spec.backend(backend));
-            let mut reports = svc.run_pending();
-            let got = reports.remove(0).outcome.unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(got, ring.expected_all());
-            svc.warm.iter().map(|s| s.backend).collect::<Vec<_>>()
-        };
-        assert_eq!(call(idle), [idle]);
-        // every span a one-pattern shape could lease
-        let held: Vec<TagLease> =
-            std::iter::from_fn(|| catch_unwind(|| TagSpace::global().lease(1)).ok()).collect();
-        assert!(Shape::resolve(miss, &topo, &ring.patterns()).is_err());
-        assert_eq!(call(miss), [miss]);
+        assert_eq!(ring_call(&mut svc, &ring, idle), [idle]);
+        let held = hold_the_tag_space(&ring, miss);
+        assert_eq!(ring_call(&mut svc, &ring, miss), [miss]);
+        drop(held);
+    }
+
+    /// A job whose `iters` panics: its rank dies at admission, outside any
+    /// task, and its epoch fails as a whole.
+    struct DiesAtAdmission(Ring);
+
+    impl JobLogic for DiesAtAdmission {
+        fn patterns(&self) -> Vec<CommPattern> {
+            self.0.patterns()
+        }
+        fn iters(&self) -> usize {
+            panic!("no iteration count")
+        }
+        fn rank_state(&self, rank: usize) -> Box<dyn RankState> {
+            self.0.rank_state(rank)
+        }
+    }
+
+    /// Lanes no warm shape names yield their tags too: after an epoch
+    /// error nothing is warm, but every rank still holds the failed
+    /// epoch's lanes, and with them their shape's lease. A miss the tag
+    /// space cannot serve frees them and resolves.
+    #[test]
+    fn lanes_an_epoch_error_left_yield_their_tags_to_a_miss() {
+        let _tags = tag_space();
+        let ring = Ring::new(N, 2, 0);
+        let [failed, miss] =
+            [Protocol::StandardHypre, Protocol::StandardNeighbor].map(Backend::Protocol);
+        let mut svc = SolveService::new(N);
+        let jobs: [Arc<dyn JobLogic>; 2] = [
+            Arc::new(ring.clone()),
+            Arc::new(DiesAtAdmission(ring.clone())),
+        ];
+        for job in jobs {
+            let spec = JobSpec::new("ring", Topology::block_nodes(N, 2), job);
+            svc.submit(spec.backend(failed));
+        }
+        for report in svc.run_pending() {
+            let err = report.outcome.expect_err("the epoch failed");
+            assert!(err.message.contains("epoch failed"), "{err}");
+        }
+        assert!(svc.warm.is_empty());
+        let held = hold_the_tag_space(&ring, miss);
+        assert_eq!(ring_call(&mut svc, &ring, miss), [miss]);
         drop(held);
     }
 

@@ -21,15 +21,17 @@
 //! * **Warm set** — the four most recently used shapes are kept, with
 //!   every lane they hold: an epoch of such shapes opens no lane and
 //!   registers nothing, a fifth shape evicts the least recently used, and
-//!   an epoch that deals fewer lanes keeps the rest; a lane some job failed
+//!   an epoch that deals fewer lanes keeps the rest — a shape holds no
+//!   more than the most one call of it was dealt; a lane some job failed
 //!   on, a `Tuned` shape's lane and anything an epoch error left warm are
 //!   never dealt again; a cancel token left over from a killed epoch
 //!   cancels nothing in the next; and a rank dying outside any task ends
 //!   its epoch at once on every rank.
 //! * **Lifetime** — thousands of jobs through one warm pool leave the
 //!   registry gauge, the shm table and the process's memory where the
-//!   first epoch left them, and the service's release leaves the gauge
-//!   where it found it.
+//!   first epoch left them — or, cycling more shapes than are kept warm,
+//!   where the first cycle left them — and the service's release leaves
+//!   the gauge where it found it.
 
 use std::f64::consts::FRAC_PI_4;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -858,6 +860,42 @@ fn a_one_job_epoch_keeps_the_lanes_it_does_not_deal() {
     }
 }
 
+/// What a burst leaves warm: a shape keeps as many lanes as the most one
+/// call of it was dealt, `min(window, jobs)`, and no more. A four-job call
+/// and then calls of one and two jobs, under the default window and under
+/// window 2: the burst opens four lanes or two, the calls after it open
+/// nothing, and the gauge after every call reads what a fresh service
+/// reads after one call of four or two jobs.
+#[test]
+fn a_burst_leaves_a_shape_the_lanes_it_was_dealt_and_no_more() {
+    let jobs = tenant_jobs(4);
+    let sizes = [4, 1, 2, 1];
+    let calls: Vec<Round> = sizes
+        .iter()
+        .map(|&k| round(&jobs[..k], Backend::Auto))
+        .collect();
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        for (window, lanes) in [(usize::MAX, 4), (2, 2)] {
+            let service = || {
+                SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(window)
+            };
+            let seen = rounds(&mut service(), &calls);
+            for (reports, &k) in seen.reports.iter().zip(&sizes) {
+                expect_ok(reports, &jobs[..k], name);
+            }
+            assert_eq!(seen.opened, [lanes + 1, 0, 0], "{name} window {window}");
+            let dealt = rounds(
+                &mut service(),
+                &[round(&jobs[..lanes as usize], Backend::Auto)],
+            );
+            for g in &seen.gauges {
+                assert_eq!(*g, dealt.gauges[0], "{name} window {window}");
+            }
+        }
+    }
+}
+
 /// A lane some job failed on is never dealt again, and a failure in one
 /// shape leaves another shape's idle lanes warm. Window 2: a `Hypre` call
 /// opens two lanes and the control fabric; then, under `Auto`, tenant 0
@@ -1002,7 +1040,9 @@ fn a_tuned_shape_is_never_kept() {
 /// out of the epoch outside any task, after its peers may have left the
 /// barrier, absorbed its death and parked for a token. The token naming no
 /// job, which it sends on its way out, ends the epoch on every rank: with
-/// a 10 s wait deadline set, every killed epoch returns within a second.
+/// a 10 s wait deadline set, no killed epoch fails on the deadline, and
+/// each returns well within it (tens of ms; 5 s leaves a loaded machine
+/// its slack).
 #[test]
 fn a_token_from_a_killed_epoch_cancels_nothing_in_the_next() {
     let jobs = tenant_jobs(3);
@@ -1015,14 +1055,24 @@ fn a_token_from_a_killed_epoch_cancels_nothing_in_the_next() {
             let mut svc = SolveService::with_pool(pool).max_concurrent(2);
             submit_all(&mut svc, &jobs);
             let started = Instant::now();
-            let clean = svc.run_pending().iter().all(|r| r.outcome.is_ok());
+            let reports = svc.run_pending();
             let took = started.elapsed();
             assert!(
-                took < Duration::from_secs(1),
+                took < Duration::from_secs(5),
                 "{name} nth={nth}: the killed epoch took {took:?}"
             );
-            if clean {
+            let failed: Vec<_> = reports
+                .iter()
+                .filter_map(|r| r.outcome.as_ref().err())
+                .collect();
+            if failed.is_empty() {
                 continue;
+            }
+            for err in failed {
+                assert!(
+                    !err.message.contains("wait deadline"),
+                    "{name} nth={nth}: the deadline ended the killed epoch: {err}"
+                );
             }
             kills += 1;
             submit_all(&mut svc, &jobs);
@@ -1054,95 +1104,105 @@ fn vm_rss_kb() -> Option<f64> {
     )
 }
 
-/// `total` small jobs through ONE warm pool per fabric, ten a call under
-/// two backends, every result bit-checked. Half the tenants of every call
-/// run under `Auto`, a shape that stays warm throughout; the other half
-/// cycle through the four protocols, one a call, so each comes back after
-/// three others — five shapes in all, more than the service keeps warm,
-/// and every call evicts and reopens one. Once the cycle has come round,
-/// the registry gauge — registered channels, shm table rows, sock deliver
-/// hooks — reads the same after every call (the kept shapes, and the one
-/// that dropped off, whose lanes go at the next call's start: nothing of a
-/// retired job is left). Segment bytes are a high-water mark: a ring
-/// freed is recycled, not returned, and one a rank registers before a
-/// slower peer has freed the ring it would reuse is carved fresh, so they
-/// step up now and then while the free lists fill — never past twice what
-/// the first cycle handed out, which a shape's lanes leaked every call
-/// would pass within ten. Once the service releases its warm set
-/// the gauge reads what it read before the first call, but for segment
+/// One call of the soak: tenant k of `jobs` under `Auto` for even k and
+/// `odd` for odd k, each result checked against `expect`; the gauge after.
+fn soak_call(
+    svc: &mut SolveService,
+    jobs: &[Arc<JacobiJob>],
+    expect: &[Vec<Vec<f64>>],
+    odd: Backend,
+    label: &str,
+) -> RegistryGauge {
+    for (k, j) in jobs.iter().enumerate() {
+        let spec = JobSpec::new(
+            format!("tenant-{k}"),
+            topo(),
+            Arc::clone(j) as Arc<dyn JobLogic>,
+        );
+        svc.submit(match k % 2 {
+            0 => spec,
+            _ => spec.backend(odd),
+        });
+    }
+    for (k, rep) in svc.run_pending().into_iter().enumerate() {
+        let got = rep
+            .outcome
+            .unwrap_or_else(|e| panic!("{label}: tenant {k} failed: {e}"));
+        assert_eq!(got, expect[k], "{label}: tenant {k}");
+    }
+    gauge(svc.pool())
+}
+
+/// Two runs of `total` small jobs, each through ONE warm pool per fabric,
+/// ten a call under two backends, every result bit-checked. In the first
+/// run the odd tenants are `Hypre` every call: after every call the
+/// registry gauge — registered channels, shm table rows and segment bytes,
+/// sock deliver hooks — reads what it read after the first one (the same
+/// two shapes every call, on the lanes the first one left warm: nothing of
+/// a retired job is left). In the second they cycle through the four
+/// protocols, one a call, beside `Auto`: five shapes through four slots,
+/// so every call misses one, whose old lanes — dropped off the four the
+/// call before — every rank frees before any registers, and opens it
+/// again. Once the cycle has come round the gauge, segment bytes included,
+/// reads the same after every call: the rings the miss registers are the
+/// ones its old lanes freed. In both, once the service releases its warm
+/// set the gauge reads what it read before the first call, but for segment
 /// bytes; and with `flat_rss` the process is no larger after the last job
 /// than after the first tenth.
 fn soak(total: usize, flat_rss: bool) {
     const PER_EPOCH: usize = 10;
     let jobs = tenant_jobs(PER_EPOCH);
     let cycle = Protocol::ALL.map(Backend::Protocol);
+    // the odd tenants' backend in each call of the first run, the second
+    let runs: [&dyn Fn(usize) -> Backend; 2] = [&|_| HYPRE, &|call| cycle[call % cycle.len()]];
     let expect: Vec<Vec<Vec<f64>>> = jobs.iter().map(|j| j.reference_results()).collect();
     for fabric in Fabric::ALL {
         let name = fabric.name();
-        let mut svc =
-            SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(3);
-        let idle = gauge(svc.pool());
-        let mut settled: Option<RegistryGauge> = None;
-        let mut rss_at_a_tenth = None;
-        for epoch in 0..total / PER_EPOCH {
-            for (k, j) in jobs.iter().enumerate() {
-                let spec = JobSpec::new(
-                    format!("tenant-{k}"),
-                    topo(),
-                    Arc::clone(j) as Arc<dyn JobLogic>,
-                );
-                svc.submit(match k % 2 {
-                    0 => spec,
-                    _ => spec.backend(cycle[epoch % cycle.len()]),
-                });
+        for (run, odd) in runs.iter().enumerate() {
+            let mut svc =
+                SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(3);
+            let idle = gauge(svc.pool());
+            // the call from which the gauge stays where it is
+            let settles = [0, cycle.len() - 1][run];
+            let mut settled: Option<RegistryGauge> = None;
+            let mut rss_at_a_tenth = None;
+            for call in 0..total / PER_EPOCH {
+                let label = format!("{name} run {run}, call {call}");
+                let now = soak_call(&mut svc, &jobs, &expect, odd(call), &label);
+                if call >= settles {
+                    assert_eq!(
+                        now,
+                        *settled.get_or_insert(now),
+                        "{name}: the gauge moved in run {run}, call {call}"
+                    );
+                }
+                if flat_rss && (call + 1) * PER_EPOCH == total / 10 {
+                    rss_at_a_tenth = vm_rss_kb();
+                }
             }
-            for (k, rep) in svc.run_pending().into_iter().enumerate() {
-                let got = rep
-                    .outcome
-                    .unwrap_or_else(|e| panic!("{name} epoch {epoch}: tenant {k} failed: {e}"));
-                assert_eq!(got, expect[k], "{name} epoch {epoch}: tenant {k}");
-            }
-            let now = gauge(svc.pool());
-            if epoch + 1 >= cycle.len() {
-                let settled = *settled.get_or_insert(now);
-                assert_eq!(
-                    rows(now),
-                    rows(settled),
-                    "{name}: the gauge moved in epoch {epoch}"
-                );
-                assert!(
-                    now.shm_bytes <= 2 * settled.shm_bytes,
-                    "{name}: segment bytes {} in epoch {epoch}, {} when the cycle came round",
-                    now.shm_bytes,
-                    settled.shm_bytes
-                );
-            }
-            if flat_rss && (epoch + 1) * PER_EPOCH == total / 10 {
-                rss_at_a_tenth = vm_rss_kb();
-            }
-        }
-        // all that is left of {total} jobs is the warm set and the shape
-        // that last dropped off it, and once those are released, segment
-        // bytes on free lists
-        let released = gauge(&svc.into_pool());
-        assert_eq!(
-            RegistryGauge {
-                shm_bytes: idle.shm_bytes,
-                ..released
-            },
-            idle,
-            "{name}: something of a retired job is still registered"
-        );
-        // within 5 % — or within 1 MiB, for a process this small is mostly
-        // allocator arenas still settling (the probe behind this test
-        // levels off after ~10⁴ jobs, 6 % up); at the parent commit the
-        // same jobs add tens of kB each
-        if let (Some(early), Some(late)) = (rss_at_a_tenth, vm_rss_kb()) {
-            assert!(
-                late - early <= (early * 0.05).max(1024.0),
-                "{name}: VmRSS {early} kB after {} jobs, {late} kB after {total}",
-                total / 10
+            // all that is left of {total} jobs is the warm set, and the
+            // shape that last dropped off it, and once those are released,
+            // segment bytes on free lists
+            let released = gauge(&svc.into_pool());
+            assert_eq!(
+                RegistryGauge {
+                    shm_bytes: idle.shm_bytes,
+                    ..released
+                },
+                idle,
+                "{name} run {run}: something of a retired job is still registered"
             );
+            // within 5 % — or within 1 MiB, for a process this small is
+            // mostly allocator arenas still settling (the probe behind this
+            // test levels off after ~10⁴ jobs, 6 % up); a service that
+            // leaked its communicators added tens of kB per job
+            if let (Some(early), Some(late)) = (rss_at_a_tenth, vm_rss_kb()) {
+                assert!(
+                    late - early <= (early * 0.05).max(1024.0),
+                    "{name} run {run}: VmRSS {early} kB after {} jobs, {late} kB after {total}",
+                    total / 10
+                );
+            }
         }
     }
 }
