@@ -79,9 +79,9 @@ clippy:
 # Blocking: a request blocks in `wait` and a rank in the scheduler's park,
 # never inside `start`, `test` or a task's poll (DESIGN.md §7, §12), so
 # the non-test code of core and service (each file up to its
-# `#[cfg(test)]`) makes no blocking mpisim call but in two places: the
-# tuned decision reduction (core/src/tune.rs, the one `start` that can
-# block) and the service's epoch-prologue barrier. Registration: the
+# `#[cfg(test)]`) makes no blocking mpisim call but one: the service's
+# epoch-prologue barrier (the tuned decision is a persistent reduction
+# its `test` completes, like any request's traffic). Registration: the
 # scheduler registers whatever an epoch opens — a lane's session, the
 # cancel fabric — before that barrier, which runs whenever anything
 # registered; that is `RankCtx::comm_free`'s contract (DESIGN.md §3, §12).
@@ -105,7 +105,6 @@ lint: clippy
 	@if for f in $$(find crates/core/src crates/service/src -name '*.rs' ! -name proptests.rs); do \
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -E '$(BLOCKING_CALLS)' \
-		| grep -v '^crates/core/src/tune\.rs:' \
 		| grep -v '^crates/service/src/scheduler\.rs:$(PROLOGUE_BARRIER):'; then \
 		echo "error: core or service blocks outside wait (see the lint rule in Makefile)"; exit 1; fi
 	@test '$(words $(PROLOGUE_BARRIER))' = 1 || { \

@@ -84,11 +84,11 @@ use crate::pattern::CommPattern;
 use crate::routing::{BatchEntryPlan, BatchRankRouting, RankRouting};
 use crate::stats::{PlanStats, VALUE_BYTES};
 use crate::tagspace::{TagLease, TagSpace, SPAN};
-use crate::tune::{topology_signature, PublishSpec, TunedCandidate, TunedNeighbor};
+use crate::tune::{topology_signature, TunedCandidate, TunedNeighbor};
 use crate::Plan;
 use locality::Topology;
 use mpisim::persistent::shared_buf;
-use mpisim::{ChanId, Comm, RankCtx};
+use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx};
 use perfmodel::{CostModel, LocalityModel};
 use std::sync::{Arc, Mutex, OnceLock};
 use tuner::{size_bucket, ProfileCache, ProfileKey, TunePolicy};
@@ -138,7 +138,7 @@ struct TunedResolution {
     /// candidate, model-ranked cheapest first — probe order and
     /// tie-break order.
     candidates: Vec<(Protocol, f64, f64)>,
-    /// Tag-span base of the decision reduction's control messages.
+    /// Tag-span base of the decision reduction's rounds.
     ctl_base: u64,
     policy: TunePolicy,
     pattern_sig: u64,
@@ -299,10 +299,10 @@ impl ResolvedBatch {
             let mut reg = ctx.chan_registrar();
             // an arena window means the plain wire; entries routed without
             // one (Backend::Partitioned) get the partitioned wire
-            let mut init_slot = |slot: usize, protocol: Protocol| {
+            let mut init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
                 NeighborExec::register(
                     routings[slot].take().expect("expanded slot inits once"),
-                    &mut reg,
+                    reg,
                     comm,
                     br.arena_off[slot].map(|off| (arena.clone(), off)),
                     protocol,
@@ -314,7 +314,7 @@ impl ResolvedBatch {
                 .enumerate()
                 .map(|(i, ex)| -> Box<dyn NeighborRequest> {
                     let Some(tr) = &ex.tuned else {
-                        return Box::new(init_slot(ex.start, self.plans[i].0));
+                        return Box::new(init_slot(&mut reg, ex.start, self.plans[i].0));
                     };
                     let fabric = ctx.fabric();
                     // the profile cache and this entry's key on this
@@ -356,7 +356,7 @@ impl ResolvedBatch {
                         // warm start: the cache already knows the winner —
                         // register only its channels and skip the probe
                         // phase entirely
-                        Some(w) => Box::new(init_slot(ex.start + w, tr.candidates[w].0)),
+                        Some(w) => Box::new(init_slot(&mut reg, ex.start + w, tr.candidates[w].0)),
                         // no usable cached winner → full probe
                         None => {
                             let candidates: Vec<TunedCandidate> = tr
@@ -364,19 +364,19 @@ impl ResolvedBatch {
                                 .iter()
                                 .enumerate()
                                 .map(|(c, &(protocol, msgs, bytes))| TunedCandidate {
-                                    inner: Some(init_slot(ex.start + c, protocol)),
+                                    inner: Some(init_slot(&mut reg, ex.start + c, protocol)),
                                     protocol,
                                     msgs,
                                     bytes,
                                 })
                                 .collect();
-                            let publish = cache.map(|(cache, key)| PublishSpec { cache, key });
                             Box::new(TunedNeighbor::new(
                                 candidates,
                                 tr.policy.probe_iters,
+                                &mut reg,
+                                comm,
                                 tr.ctl_base,
-                                comm.clone(),
-                                publish,
+                                cache.filter(|_| comm.rank() == 0),
                             ))
                         }
                     }
@@ -637,9 +637,7 @@ impl BatchRequest {
     /// `MPI_Startall`: begin one iteration of **every** entry.
     /// `inputs[e]` is entry `e`'s input (aligned with its `input_index()`).
     /// Never blocks — no entry's `start` waits for traffic, so the entries
-    /// are all posted before any is completed; the one exception is a
-    /// [`Backend::Tuned`] entry's decision iteration
-    /// ([`NeighborRequest::start`]).
+    /// are all posted before any is completed.
     pub fn start_all(&mut self, ctx: &mut RankCtx, inputs: &[Vec<f64>]) {
         assert_eq!(
             inputs.len(),

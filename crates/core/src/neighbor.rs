@@ -76,9 +76,8 @@ pub enum Backend {
 /// [`NeighborRequest::test`] makes non-blocking progress (draining and
 /// scattering whatever payloads have been delivered, in arrival order),
 /// and `wait` is a `test` loop that parks on the request's pending channel
-/// **set** between rounds. A request blocks only in `wait` (the one
-/// exception is named at [`NeighborRequest::start`]) — so a rank may hold
-/// many live requests and start them in any order, receives complete in
+/// **set** between rounds. A request blocks only in `wait` — so a rank may
+/// hold many live requests and start them in any order, receives complete in
 /// delivery order, and a caller (e.g. [`crate::BatchRequest::wait_any`])
 /// can retire whichever of many live collectives finishes first instead
 /// of serializing on init order.
@@ -94,10 +93,7 @@ pub trait NeighborRequest: Send {
     fn output_index(&self) -> &[usize];
 
     /// `MPI_Start`: begin one iteration with the current `input` values.
-    /// Posts sends and opens receives; never blocks. The one exception is
-    /// a [`Backend::Tuned`] request at the single iteration where it
-    /// decides: every rank joins a blocking reduction there, so tuned
-    /// requests must be started in the same order on every rank.
+    /// Posts sends and opens receives; never blocks.
     fn start(&mut self, ctx: &mut RankCtx, input: &[f64]);
 
     /// `MPI_Test`: non-blocking progress on the current iteration. Drains

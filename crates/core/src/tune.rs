@@ -12,26 +12,25 @@
 //! same values, only the wire schedule differs).
 //!
 //! **Agreement.** Ranks must lock in the *same* winner or their channel
-//! traffic diverges. Local medians go through an allreduce-max over a
-//! dedicated control tag span (`max` per candidate: a candidate is as
-//! slow as its slowest rank — the pessimistic consensus the collective's
-//! completion semantics imply), then every rank picks the argmin, ties
-//! toward the model's preferred order. The reduction is a hand-rolled
-//! dissemination exchange rather than `mpisim`'s built-in collectives:
-//! those sequence tags through the `Comm`'s own counter, and the tuned
-//! request — which outlives its init-time `Comm` clone — must not couple
-//! its tag stream to whatever collectives the application runs.
+//! traffic diverges. Local medians go through a max-reduction to every
+//! rank (`max` per candidate: a candidate is as slow as its slowest rank
+//! — the pessimistic consensus the collective's completion semantics
+//! imply), then every rank picks the argmin, ties toward the model's
+//! preferred order. The reduction is persistent, as `MPI_Allreduce_init` is: a
+//! dissemination exchange whose ⌈log₂ n⌉ rounds are channels registered
+//! with the candidates' — round `r` sends to rank `(me + 2ʳ) mod n` and
+//! receives from `(me − 2ʳ) mod n` on tag `ctl_base + r`, on the entry's
+//! own control span, so its traffic never couples to whatever collectives
+//! the application runs. `max` is idempotent and commutative, so the
+//! duplicate contributions along the dissemination paths are harmless.
 //!
-//! **Ordering contract.** The decision runs inside `start()` — the one
-//! `start` in this crate that can block, and the one file `make lint`
-//! lets call a blocking `mpisim` primitive — so tuned
-//! requests inherit MPI's collective-order rule: every rank starts the
-//! same tuned request's iterations in the same order relative to other
-//! tuned requests on the communicator ([`crate::BatchRequest::start_all`]
-//! satisfies this; so does any SPMD iteration loop). Deadlock-freedom at
-//! the decision point follows from the sends being buffered deposits: a
-//! rank can only reach iteration K once every peer's K-1 traffic is
-//! deposited, so every rank reaches `start(K)` and the reduction runs.
+//! **Rounds.** The decision iteration's `start` stashes its input and
+//! posts round 0; each `test` takes whatever rounds have landed and posts
+//! the next, and the one that takes the last swaps to the winner, drops
+//! the losers, publishes from rank 0 and starts the winner with the
+//! stashed input — all inside the decision iteration, so a tuned request,
+//! like every other, blocks only in `wait` and may be started in any
+//! order relative to other requests.
 //!
 //! **Timing.** Wall-clock (`Instant`) on real fabrics; the deterministic
 //! virtual clock ([`mpisim::RankCtx::clock`]) in modeled worlds, so CI
@@ -41,7 +40,7 @@ use crate::collective::Protocol;
 use crate::exec::NeighborExec;
 use crate::neighbor::NeighborRequest;
 use locality::Topology;
-use mpisim::{ChanId, Comm, RankCtx};
+use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvChan, SendChan};
 use std::time::Instant;
 use tuner::{ProbeSchedule, ProfileCache, ProfileEntry, ProfileKey};
 
@@ -118,10 +117,81 @@ pub(crate) struct TunedCandidate {
     pub(crate) bytes: f64,
 }
 
-/// Where the decision gets published once it is made (rank 0 only).
-pub(crate) struct PublishSpec {
-    pub(crate) cache: ProfileCache,
-    pub(crate) key: ProfileKey,
+/// The decision's max-reduction as a persistent request: its rounds (see
+/// the module docs), the round awaited, and the maxima so far.
+struct MaxReduction {
+    rounds: Vec<(SendChan<f64>, RecvChan<f64>)>,
+    round: usize,
+    maxima: Vec<f64>,
+}
+
+impl MaxReduction {
+    /// Register the rounds of a reduction of `len` values over `comm`.
+    fn register(reg: &mut ChanRegistrar, comm: &Comm, ctl_base: u64, len: usize) -> Self {
+        let (n, me) = (comm.size(), comm.rank());
+        let rounds = (0..)
+            .map(|r| 1usize << r)
+            .take_while(|&dist| dist < n)
+            .zip(ctl_base..)
+            .map(|(dist, tag)| {
+                (
+                    reg.send_chan_init(comm, (me + dist) % n, tag, len),
+                    reg.recv_chan_init(comm, (me + n - dist) % n, tag, len),
+                )
+            })
+            .collect();
+        Self {
+            rounds,
+            round: 0,
+            maxima: Vec::new(),
+        }
+    }
+
+    /// Begin the reduction of this rank's `vals`.
+    fn start(&mut self, ctx: &mut RankCtx, vals: Vec<f64>) {
+        self.maxima = vals;
+        self.round = 0;
+        self.post(ctx);
+    }
+
+    fn post(&mut self, ctx: &mut RankCtx) {
+        if let Some((tx, rx)) = self.rounds.get_mut(self.round) {
+            tx.start_with(ctx, |buf| buf.extend_from_slice(&self.maxima));
+            rx.start();
+        }
+    }
+
+    /// Take every round that has landed; `true` once the last has, and
+    /// [`MaxReduction::maxima`] holds the maxima over every rank.
+    fn test(&mut self, ctx: &mut RankCtx) -> bool {
+        while let Some((_, rx)) = self.rounds.get_mut(self.round) {
+            let Some(incoming) = rx.try_take(ctx) else {
+                return false;
+            };
+            for (m, inc) in self.maxima.iter_mut().zip(&incoming) {
+                *m = m.max(*inc);
+            }
+            rx.recycle(incoming);
+            self.round += 1;
+            self.post(ctx);
+        }
+        true
+    }
+
+    /// The receive the reduction waits on, if any.
+    fn pending_chans(&self, out: &mut Vec<ChanId>) {
+        out.extend(self.rounds.get(self.round).map(|(_, rx)| rx.chan_id()));
+    }
+}
+
+/// Where a tuned request is in its lifecycle.
+enum Phase {
+    Probing,
+    /// The decision iteration, between its `start` and the `test` that
+    /// takes the reduction's last round, with the iteration's input, which
+    /// the winner starts with.
+    Deciding(Vec<f64>),
+    Decided,
 }
 
 /// The measured-selection request behind [`crate::Backend::Tuned`]. See
@@ -135,23 +205,26 @@ pub(crate) struct TunedNeighbor {
     /// start→wait cycle, and ranks drive those in SPMD lockstep).
     iter: usize,
     active: usize,
-    decided: bool,
+    phase: Phase,
     /// The probe being timed: `(candidate, start stamp)`, taken when the
     /// iteration's `test` completes.
     probe: Option<(usize, Stamp)>,
-    /// Base of the control tag span the decision reduction runs over.
-    ctl_base: u64,
-    comm: Comm,
-    publish: Option<PublishSpec>,
+    /// Agrees on the per-candidate medians at the decision iteration.
+    reduction: MaxReduction,
+    /// Where the decision gets published once it is made (rank 0 only).
+    publish: Option<(ProfileCache, ProfileKey)>,
 }
 
 impl TunedNeighbor {
+    /// A tuned request over `candidates`, registering its decision rounds
+    /// on `comm`'s control span at `ctl_base` through `reg`.
     pub(crate) fn new(
         candidates: Vec<TunedCandidate>,
         probe_iters: usize,
+        reg: &mut ChanRegistrar,
+        comm: &Comm,
         ctl_base: u64,
-        comm: Comm,
-        publish: Option<PublishSpec>,
+        publish: Option<(ProfileCache, ProfileKey)>,
     ) -> Self {
         assert!(!candidates.is_empty(), "a tuned request needs candidates");
         debug_assert!(
@@ -165,14 +238,13 @@ impl TunedNeighbor {
         );
         let schedule = ProbeSchedule::new(candidates.len(), probe_iters);
         Self {
+            reduction: MaxReduction::register(reg, comm, ctl_base, candidates.len()),
             candidates,
             schedule,
             iter: 0,
             active: 0,
-            decided: false,
+            phase: Phase::Probing,
             probe: None,
-            ctl_base,
-            comm,
             publish,
         }
     }
@@ -191,38 +263,45 @@ impl TunedNeighbor {
             .expect("active candidate is live")
     }
 
-    /// Lock in the measured winner: agree on per-candidate medians,
-    /// hot-swap to the argmin, drop the losers (their channels idle but
-    /// their memory goes), and publish the result from rank 0.
-    fn decide(&mut self, ctx: &mut RankCtx) {
-        let mut medians = self.schedule.medians();
-        allreduce_max(ctx, &self.comm, self.ctl_base, &mut medians);
-        let winner = ProbeSchedule::argmin(&medians);
+    /// Advance the decision as far as its rounds have landed, making the
+    /// swap (module docs) once the last has; `false` until then. The
+    /// losers' channels idle, but their memory goes.
+    fn decide(&mut self, ctx: &mut RankCtx) -> bool {
+        if !matches!(self.phase, Phase::Deciding(_)) {
+            return true;
+        }
+        if !self.reduction.test(ctx) {
+            return false;
+        }
+        let Phase::Deciding(input) = std::mem::replace(&mut self.phase, Phase::Decided) else {
+            unreachable!("deciding above");
+        };
+        let medians = &self.reduction.maxima;
+        let winner = ProbeSchedule::argmin(medians);
         self.active = winner;
-        self.decided = true;
         for (i, c) in self.candidates.iter_mut().enumerate() {
             if i != winner {
                 c.inner = None;
             }
         }
-        if self.comm.rank() == 0 {
-            if let Some(p) = &self.publish {
-                let entry = ProfileEntry {
-                    key: p.key.clone(),
-                    winner: self.candidates[winner].protocol.name().to_string(),
-                    probes: self.schedule.min_samples() as u64,
-                    medians: self
-                        .candidates
-                        .iter()
-                        .zip(&medians)
-                        .map(|(c, &m)| (c.protocol.name().to_string(), m))
-                        .collect(),
-                };
-                // best-effort by design: a read-only cache directory must
-                // cost a repeat probe elsewhere, never abort a solve
-                let _ = p.cache.publish(&entry);
-            }
+        if let Some((cache, key)) = &self.publish {
+            let entry = ProfileEntry {
+                key: key.clone(),
+                winner: self.candidates[winner].protocol.name().to_string(),
+                probes: self.schedule.min_samples() as u64,
+                medians: self
+                    .candidates
+                    .iter()
+                    .zip(medians)
+                    .map(|(c, &m)| (c.protocol.name().to_string(), m))
+                    .collect(),
+            };
+            // best-effort by design: a read-only cache directory must
+            // cost a repeat probe elsewhere, never abort a solve
+            let _ = cache.publish(&entry);
         }
+        self.active_req_mut().start(ctx, &input);
+        true
     }
 }
 
@@ -236,19 +315,26 @@ impl NeighborRequest for TunedNeighbor {
     }
 
     fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
-        if !self.decided {
+        if let Phase::Probing = self.phase {
             match self.schedule.candidate_for(self.iter) {
                 Some(c) => {
                     self.active = c;
                     self.probe = Some((c, Stamp::now(ctx)));
                 }
-                None => self.decide(ctx),
+                None => {
+                    self.reduction.start(ctx, self.schedule.medians());
+                    self.phase = Phase::Deciding(input.to_vec());
+                    return;
+                }
             }
         }
         self.active_req_mut().start(ctx, input);
     }
 
     fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
+        if !self.decide(ctx) {
+            return false;
+        }
         let done = self.active_req_mut().test(ctx, output);
         if done {
             if let Some((c, t0)) = self.probe.take() {
@@ -264,7 +350,10 @@ impl NeighborRequest for TunedNeighbor {
     }
 
     fn pending_chans(&self, out: &mut Vec<ChanId>) {
-        self.active_req().pending_chans(out);
+        match self.phase {
+            Phase::Deciding(_) => self.reduction.pending_chans(out),
+            _ => self.active_req().pending_chans(out),
+        }
     }
 
     fn chan_scratch(&mut self) -> &mut Vec<ChanId> {
@@ -280,31 +369,7 @@ impl NeighborRequest for TunedNeighbor {
     }
 
     fn is_probing(&self) -> bool {
-        !self.decided
-    }
-}
-
-/// Element-wise allreduce-max over `vals`, dissemination-style: round
-/// `r` sends to `(me + 2^r) % n` on tag `ctl_base + r`. `max` is
-/// idempotent and commutative, so after ⌈log₂ n⌉ rounds every rank
-/// holds the global maxima — duplicate contributions along the
-/// dissemination paths are harmless.
-fn allreduce_max(ctx: &mut RankCtx, comm: &Comm, ctl_base: u64, vals: &mut [f64]) {
-    let n = comm.size();
-    let me = comm.rank();
-    let mut dist = 1usize;
-    let mut round = 0u64;
-    while dist < n {
-        let dst = (me + dist) % n;
-        let src = (me + n - dist) % n;
-        ctx.send(comm, dst, ctl_base + round, vals);
-        let incoming: Vec<f64> = ctx.recv(comm, src, ctl_base + round);
-        assert_eq!(incoming.len(), vals.len(), "ctl span crosstalk");
-        for (v, inc) in vals.iter_mut().zip(incoming) {
-            *v = v.max(inc);
-        }
-        dist <<= 1;
-        round += 1;
+        !matches!(self.phase, Phase::Decided)
     }
 }
 
@@ -334,19 +399,36 @@ mod tests {
         );
     }
 
+    /// The decision's reduction at n ∈ {1, 2, 3, 5, 8}, started and then
+    /// only tested, parking between tests on what it waits for: every
+    /// rank reads the same maxima, and so the same winner.
     #[test]
-    fn allreduce_max_agrees_on_every_rank() {
+    fn the_decision_reduction_agrees_on_every_rank() {
         for n in [1usize, 2, 3, 5, 8] {
             let results = World::run(n, move |ctx| {
                 let comm = ctx.comm_world();
+                let mut reduction =
+                    MaxReduction::register(&mut ctx.chan_registrar(), &comm, 1 << 20, 3);
+                ctx.barrier(&comm);
+                // [rank id (max n − 1), inverted (max n), 0 but on rank 2]:
+                // rank 0's own values pick candidate 0, the world's 2
                 let me = ctx.rank() as f64;
-                // vals[0]: rank id (max = n-1); vals[1]: inverted (max = n)
-                let mut vals = [me, (n as f64) - me];
-                allreduce_max(ctx, &comm, 1 << 20, &mut vals);
-                vals
+                let low = if ctx.rank() == 2 { 0.5 } else { 0.0 };
+                reduction.start(ctx, vec![me, n as f64 - me, low]);
+                let mut chans = Vec::new();
+                while !reduction.test(ctx) {
+                    chans.clear();
+                    reduction.pending_chans(&mut chans);
+                    ctx.wait_any(&chans);
+                }
+                let maxima = reduction.maxima;
+                let winner = ProbeSchedule::argmin(&maxima);
+                (maxima, winner)
             });
-            for v in results {
-                assert_eq!(v, [(n - 1) as f64, n as f64], "n={n}");
+            let low = if n > 2 { 0.5 } else { 0.0 };
+            let winner = if n > 1 { 2 } else { 0 };
+            for got in results {
+                assert_eq!(got, (vec![(n - 1) as f64, n as f64, low], winner), "n={n}");
             }
         }
     }

@@ -47,60 +47,47 @@ impl RankCtx {
         }
     }
 
-    /// `MPI_Bcast`: binomial tree from `root`. On non-roots, `buf` is
-    /// replaced with the broadcast data.
-    pub fn bcast<T: Elem>(&mut self, comm: &Comm, root: usize, buf: &mut Vec<T>) {
+    /// `MPI_Bcast` from rank 0 along a binomial tree: on every other rank
+    /// `buf` is replaced with rank 0's.
+    pub(crate) fn bcast<T: Elem>(&mut self, comm: &Comm, buf: &mut Vec<T>) {
         let tag = comm.next_coll_tag();
-        let n = comm.size();
-        if n == 1 {
-            return;
+        let (n, me) = (comm.size(), comm.rank());
+        if me != 0 {
+            // the parent clears the lowest set bit
+            *buf = self.recv_internal(comm, me & (me - 1), tag);
         }
-        // Rotate so the root is virtual rank 0.
-        let vrank = (comm.rank() + n - root) % n;
-        if vrank != 0 {
-            // Receive from parent: clear the highest set bit.
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % n;
-            *buf = self.recv_internal(comm, parent, tag);
-        }
-        // Forward to children: set bits above the highest set bit of vrank.
-        let lowest = if vrank == 0 {
+        // the children set one bit below it
+        let lowest = if me == 0 {
             n.next_power_of_two()
         } else {
-            vrank & vrank.wrapping_neg()
+            me & me.wrapping_neg()
         };
         let mut bit = 1;
-        while bit < lowest && vrank + bit < n {
-            let child = (vrank + bit + root) % n;
-            self.send_internal(comm, child, tag, buf);
+        while bit < lowest && me + bit < n {
+            self.send_internal(comm, me + bit, tag, buf);
             bit <<= 1;
         }
     }
 
-    /// `MPI_Reduce` with an element-wise operator; `root` receives the
-    /// combined vector, other ranks receive `None`.
-    pub fn reduce<T: Elem>(
+    /// `MPI_Reduce` to rank 0 along a binomial tree, with an element-wise
+    /// operator: rank 0 receives the combined vector, the others `None`.
+    pub(crate) fn reduce<T: Elem>(
         &mut self,
         comm: &Comm,
-        root: usize,
         data: &[T],
         op: ReduceOp<T>,
     ) -> Option<Vec<T>> {
         let tag = comm.next_coll_tag();
-        let n = comm.size();
-        let vrank = (comm.rank() + n - root) % n;
+        let (n, me) = (comm.size(), comm.rank());
         let mut acc: Vec<T> = data.to_vec();
-        // Binomial tree combine toward virtual rank 0.
         let mut bit = 1;
         while bit < n {
-            if vrank & bit != 0 {
-                let parent = ((vrank ^ bit) + root) % n;
-                self.send_internal(comm, parent, tag, &acc);
+            if me & bit != 0 {
+                self.send_internal(comm, me ^ bit, tag, &acc);
                 return None;
             }
-            if vrank + bit < n {
-                let child = (vrank + bit + root) % n;
-                let other: Vec<T> = self.recv_internal(comm, child, tag);
+            if me + bit < n {
+                let other: Vec<T> = self.recv_internal(comm, me + bit, tag);
                 assert_eq!(other.len(), acc.len(), "reduce length mismatch");
                 for (a, b) in acc.iter_mut().zip(other.iter()) {
                     op(a, b);
@@ -113,64 +100,32 @@ impl RankCtx {
 
     /// `MPI_Allreduce` (reduce to rank 0, then broadcast).
     pub fn allreduce<T: Elem>(&mut self, comm: &Comm, data: &[T], op: ReduceOp<T>) -> Vec<T> {
-        let mut out = self.reduce(comm, 0, data, op).unwrap_or_default();
-        self.bcast(comm, 0, &mut out);
+        let mut out = self.reduce(comm, data, op).unwrap_or_default();
+        self.bcast(comm, &mut out);
         out
     }
 
-    /// `MPI_Gatherv` to `root`: returns `(concatenated, counts)` on the
-    /// root, `None` elsewhere. Contributions may have different lengths.
-    pub fn gatherv<T: Elem>(
-        &mut self,
-        comm: &Comm,
-        root: usize,
-        mine: &[T],
-    ) -> Option<(Vec<T>, Vec<usize>)> {
+    /// `MPI_Gatherv` to rank 0: every rank's contribution, concatenated in
+    /// rank order, on rank 0; `None` elsewhere.
+    pub(crate) fn gatherv<T: Elem>(&mut self, comm: &Comm, mine: &[T]) -> Option<Vec<T>> {
         let tag = comm.next_coll_tag();
-        let n = comm.size();
-        if comm.rank() == root {
-            let mut counts = vec![0usize; n];
-            let mut parts: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-            parts[root] = mine.to_vec();
-            counts[root] = mine.len();
-            for r in 0..n {
-                if r == root {
-                    continue;
-                }
-                let v: Vec<T> = self.recv_internal(comm, r, tag);
-                counts[r] = v.len();
-                parts[r] = v;
-            }
-            let mut all = Vec::with_capacity(counts.iter().sum());
-            for p in parts {
-                all.extend(p);
-            }
-            Some((all, counts))
-        } else {
-            self.send_internal(comm, root, tag, mine);
-            None
+        if comm.rank() != 0 {
+            self.send_internal(comm, 0, tag, mine);
+            return None;
         }
+        let mut all = mine.to_vec();
+        for r in 1..comm.size() {
+            all.extend(self.recv_internal::<T>(comm, r, tag));
+        }
+        Some(all)
     }
 
-    /// `MPI_Allgatherv`: every rank receives `(concatenated, counts)` in
-    /// rank order.
-    pub fn allgatherv<T: Elem>(&mut self, comm: &Comm, mine: &[T]) -> (Vec<T>, Vec<usize>) {
-        let gathered = self.gatherv(comm, 0, mine);
-        let (mut all, mut counts) = match gathered {
-            Some((a, c)) => (a, c),
-            None => (Vec::new(), Vec::new()),
-        };
-        self.bcast(comm, 0, &mut all);
-        let mut counts_u64: Vec<u64> = counts.iter().map(|&c| c as u64).collect();
-        self.bcast(comm, 0, &mut counts_u64);
-        counts = counts_u64.iter().map(|&c| c as usize).collect();
-        (all, counts)
-    }
-
-    /// `MPI_Allgather` of fixed-size contributions.
+    /// `MPI_Allgather` of fixed-size contributions: every rank receives
+    /// them concatenated in rank order (gather to rank 0, then broadcast).
     pub fn allgather<T: Elem>(&mut self, comm: &Comm, mine: &[T]) -> Vec<T> {
-        let (all, counts) = self.allgatherv(comm, mine);
-        debug_assert!(counts.iter().all(|&c| c == mine.len()));
+        let mut all = self.gatherv(comm, mine).unwrap_or_default();
+        self.bcast(comm, &mut all);
+        debug_assert_eq!(all.len(), mine.len() * comm.size());
         all
     }
 }
@@ -193,41 +148,32 @@ mod tests {
     }
 
     #[test]
-    fn bcast_all_roots_all_sizes() {
+    fn bcast_all_sizes() {
         for n in [1, 2, 3, 6, 9] {
-            for root in 0..n {
-                let out = World::run(n, move |ctx| {
-                    let comm = ctx.comm_world();
-                    let mut buf = if ctx.rank() == root {
-                        vec![7u32, 8, 9]
-                    } else {
-                        Vec::new()
-                    };
-                    ctx.bcast(&comm, root, &mut buf);
-                    buf
-                });
-                assert!(out.iter().all(|v| *v == vec![7, 8, 9]), "n={n} root={root}");
-            }
+            let out = World::run(n, move |ctx| {
+                let comm = ctx.comm_world();
+                let mut buf = if ctx.rank() == 0 {
+                    vec![7u32, 8, 9]
+                } else {
+                    Vec::new()
+                };
+                ctx.bcast(&comm, &mut buf);
+                buf
+            });
+            assert!(out.iter().all(|v| *v == vec![7, 8, 9]), "n={n}");
         }
     }
 
     #[test]
-    fn reduce_sum_every_root() {
+    fn reduce_sum_all_sizes() {
         for n in [1, 2, 4, 7] {
-            for root in 0..n {
-                let out = World::run(n, move |ctx| {
-                    let comm = ctx.comm_world();
-                    ctx.reduce(&comm, root, &[ctx.rank() as u64, 1], op_sum_u64)
-                });
-                let expect_sum = (n as u64 * (n as u64 - 1)) / 2;
-                for (r, res) in out.iter().enumerate() {
-                    if r == root {
-                        assert_eq!(res.as_ref().unwrap(), &vec![expect_sum, n as u64]);
-                    } else {
-                        assert!(res.is_none());
-                    }
-                }
-            }
+            let out = World::run(n, move |ctx| {
+                let comm = ctx.comm_world();
+                ctx.reduce(&comm, &[ctx.rank() as u64, 1], op_sum_u64)
+            });
+            let expect_sum = (n as u64 * (n as u64 - 1)) / 2;
+            assert_eq!(out[0].as_ref().unwrap(), &vec![expect_sum, n as u64]);
+            assert!(out[1..].iter().all(Option::is_none), "n={n}");
         }
     }
 
@@ -239,21 +185,6 @@ mod tests {
         });
         let expect = (0..6u64).map(|r| (r * 37) % 11).max().unwrap();
         assert!(out.iter().all(|v| v[0] == expect));
-    }
-
-    #[test]
-    fn allgatherv_variable_lengths() {
-        let out = World::run(4, |ctx| {
-            let comm = ctx.comm_world();
-            let mine: Vec<u32> = (0..ctx.rank() as u32).collect();
-            ctx.allgatherv(&comm, &mine)
-        });
-        let expect_data = vec![0u32, 0, 1, 0, 1, 2];
-        let expect_counts = vec![0usize, 1, 2, 3];
-        for (all, counts) in out {
-            assert_eq!(all, expect_data);
-            assert_eq!(counts, expect_counts);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (`MPI_Send_init`/`MPI_Recv_init`/`MPI_Start`/`MPI_Wait`,
 //! `MPI_Psend_init`/`MPI_Pready`/`MPI_Parrived`), communicator
 //! split/dup, and the handful of collectives setup code uses (barrier,
-//! bcast, reduce/allreduce, gatherv/allgather). This crate implements
+//! allreduce, allgather). This crate implements
 //! those semantics — and no more — over OS threads so that every protocol
 //! in the `mpi-advance` crate performs *real* data movement and can be
 //! validated for correctness.

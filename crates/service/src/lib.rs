@@ -22,15 +22,19 @@
 //! four shapes it used most recently — each one's resolution and every
 //! lane it holds that every job on it finished on — and the control
 //! fabric, so an epoch of shapes that came back within the last four
-//! resolves, registers and synchronizes nothing before it runs. What a
-//! call leaves registered beyond them — a shape that dropped off the
-//! four, a lane a job failed on — every rank frees
-//! ([`RankCtx::comm_free`]) at the next call's start, before anything
-//! registers. So the pool holds the four warm shapes' lanes — each shape
-//! as many as the most one call of it was dealt while it stayed warm,
-//! `min(window, jobs of the shape)`, so at most the window under a
-//! bounded one — the lanes the last call used beyond those, and the
-//! control fabric, however many jobs it has served;
+//! resolves, registers and synchronizes nothing before it runs. A
+//! [`Backend::Tuned`] shape is no exception: its measured decision is a
+//! persistent reduction its `test` completes, so its jobs take turns on
+//! lanes like any other's, and a lane's probe phase, paid by its first
+//! jobs, carries over to the jobs after them. What the ranks hold beyond
+//! the warm shapes — a shape that dropped off the four, a lane a job
+//! failed on — every rank frees ([`RankCtx::comm_free`]) in one pool run
+//! before the next epoch, at the next call's start or before a rerun,
+//! and before anything registers. So the pool holds the four warm
+//! shapes' lanes — each shape as many as the most one call of it was
+//! dealt while it stayed warm, `min(window, jobs of the shape)`, so at
+//! most the window under a bounded one — the lanes the last call used
+//! beyond those, and the control fabric, however many jobs it has served;
 //! [`SolveService::into_pool`] frees it all.
 //!
 //! Isolation is per job, on three axes:
@@ -289,7 +293,8 @@ impl SolveService {
     }
 
     /// Free, on every rank at once, every lane it holds but `keep`'s, and
-    /// the control fabric unless the service keeps it.
+    /// the control fabric unless the service keeps it: the one path that
+    /// frees anything a call left registered.
     fn release(&mut self, keep: Vec<u64>) {
         let (kept, ctl) = (&self.kept, self.ctl_stream);
         self.pool
@@ -299,9 +304,8 @@ impl SolveService {
 
     /// Bound how many jobs each rank drives concurrently (default:
     /// unbounded), and with it how many lanes the jobs of one shape take
-    /// turns on: `min(k, jobs of the shape)`, or one per job for a
-    /// [`Backend::Tuned`] shape. `1` serializes tenants on one lane per
-    /// shape — the bench baseline.
+    /// turns on: `min(k, jobs of the shape)`. `1` serializes tenants on one
+    /// lane per shape — the bench baseline.
     pub fn max_concurrent(mut self, k: usize) -> Self {
         assert!(k >= 1, "the admission window must admit at least one job");
         self.max_concurrent = k;
@@ -382,8 +386,8 @@ impl SolveService {
             .map(|(&j, found)| found.map_or_else(|| resolve(j), Ok))
             .collect();
         // What the ranks hold beyond the warm shapes — the lanes of a shape
-        // that dropped off the four, a closed or `Tuned` lane, all of a
-        // failed epoch — goes now, on every rank before any registers: on
+        // that dropped off the four, a closed lane, all of a failed
+        // epoch — goes now, on every rank before any registers: on
         // shm a ring is recycled once its last attacher lets go, and a rank
         // that registered before a slower peer had freed would carve a
         // fresh one. A miss the tag space cannot serve may be short of the
@@ -396,14 +400,7 @@ impl SolveService {
         if retry {
             self.warm.clear();
         }
-        let keep: Vec<u64> = (self.warm.iter().chain(shapes.iter().flatten()))
-            .flat_map(|s| s.lanes.iter().copied())
-            .collect();
-        let freed = self.held.iter().any(|stream| !keep.contains(stream));
-        if freed {
-            self.release(keep);
-        }
-        if retry && freed {
+        if self.free_unkept(&shapes) && retry {
             for (shape, &j) in shapes.iter_mut().zip(&first_of) {
                 if short(shape) {
                     *shape = resolve(j);
@@ -427,6 +424,9 @@ impl SolveService {
             .filter(|&k| outcomes[k].is_none())
             .collect();
         while !pending.is_empty() {
+            // a rerun's epoch starts, like the call's first, on what the
+            // shapes keep: the lanes the epoch before closed go first
+            self.free_unkept(&shapes);
             let jobs: Vec<(&QueuedJob, usize)> =
                 pending.iter().map(|&k| (&queued[k], shape_of[k])).collect();
             let mut rerun = Vec::new();
@@ -471,26 +471,31 @@ impl SolveService {
             .collect()
     }
 
+    /// Free, on every rank, what the ranks hold that neither a warm shape
+    /// nor one of `shapes` keeps; whether there was any.
+    fn free_unkept(&mut self, shapes: &[Result<Shape, String>]) -> bool {
+        let keep: Vec<u64> = (self.warm.iter().chain(shapes.iter().flatten()))
+            .flat_map(|s| s.lanes.iter().copied())
+            .collect();
+        let freed = self.held.iter().any(|stream| !keep.contains(stream));
+        if freed {
+            self.release(keep);
+        }
+        freed
+    }
+
     /// Drive `jobs` — each with its shape — in one epoch on the pool: deal
     /// them onto lanes, a shape's warm ones first, and return, per job,
     /// what each rank (in rank order) returned for it. Afterwards a shape's
     /// warm lanes are the ones of this deal that every job on them finished
-    /// on, on every rank, then the warm ones the deal left idle: none of a
-    /// `Tuned` shape, and none of any shape, idle ones included, after an
-    /// epoch error.
+    /// on, on every rank, then the warm ones the deal left idle: none of
+    /// any shape, idle ones included, after an epoch error.
     fn epoch(
         &mut self,
         jobs: &[(&QueuedJob, usize)],
         shapes: &mut [Result<Shape, String>],
     ) -> Result<Vec<Vec<scheduler::Row>>, JobError> {
         let shape_of: Vec<usize> = jobs.iter().map(|&(_, s)| s).collect();
-        // A `Tuned` shape keeps one lane per job: its decision is a blocking
-        // reduction inside `start` (ROADMAP 4), which jobs taking turns on
-        // one session would reach.
-        let solo: Vec<bool> = shapes
-            .iter()
-            .map(|s| s.as_ref().is_ok_and(|s| s.backend == Backend::Tuned))
-            .collect();
         let warm: Vec<&[u64]> = shapes
             .iter()
             .map(|s| s.as_ref().map_or(&[][..], |s| &s.lanes[..]))
@@ -504,7 +509,7 @@ impl SolveService {
             *next_id - 1
         };
         let (lane_of, deal) =
-            scheduler::deal_lanes(&shape_of, &solo, self.max_concurrent, &warm, &mut mint);
+            scheduler::deal_lanes(&shape_of, self.max_concurrent, &warm, &mut mint);
         let ctl = match self.ctl_stream {
             Some(stream) => (stream, true),
             None => (mint(), false),
@@ -533,7 +538,6 @@ impl SolveService {
                     (lane, &shape.expect("a dealt shape resolved").batch)
                 })
                 .collect(),
-            idle,
             ctl,
             ctl_tag: self.ctl_lease.entry_base(0),
             stamp: self.epochs,
@@ -580,7 +584,7 @@ impl SolveService {
             if let Ok(shape) = shape {
                 let idle = shape.lanes.iter().copied().filter(|&stream| !dealt(stream));
                 shape.lanes = (deal.iter().zip(&lane_ok))
-                    .filter(|&(lane, &ok)| ok && lane.shape == s && !solo[s])
+                    .filter(|&(lane, &ok)| ok && lane.shape == s)
                     .map(|(lane, _)| lane.stream)
                     .chain(idle)
                     .collect();

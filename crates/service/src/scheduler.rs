@@ -13,22 +13,23 @@
 //! A lane outlives its epoch: each rank keeps its lanes and the control
 //! fabric in a [`Kept`] slot the service owns, and an epoch deals a shape
 //! the lanes it left warm before minting new ones ([`deal_lanes`]). The
-//! submitting thread decides what is kept, so every rank keeps the same:
-//! the lanes the epoch deals warm and the ones it names idle — warm lanes
-//! of a shape it has no job for, or past what it deals of one.
+//! submitting thread decides what is kept, so every rank keeps the same.
+//! What it stops keeping — the lanes of a shape that dropped off the warm
+//! set, a lane a job failed on — every rank frees in a pool run of its
+//! own before the next epoch ([`Kept::evict`]), so an epoch finds kept
+//! exactly the lanes it deals warm and the idle lanes of warm shapes.
 //!
 //! Epoch prologue (every rank, before anything is driven):
 //!
-//! 1. free what is kept and neither dealt nor named idle ([`Kept::evict`]);
-//! 2. open every lane dealt cold: duplicate the world communicator under
+//! 1. open every lane dealt cold: duplicate the world communicator under
 //!    its stream id and `init_all` the shape's resolved batch on it —
 //!    lanes of one shape share the resolution, the context id keeps their
 //!    channels apart;
-//! 3. unless it is kept, open the control fabric: one cancel-token channel
+//! 2. unless it is kept, open the control fabric: one cancel-token channel
 //!    per peer and direction on a communicator of its own — a token names
 //!    its epoch, job and failing rank, so the channel count (and the park
 //!    set it joins) stays O(ranks), not O(jobs × ranks);
-//! 4. barrier, if step 2 or 3 registered anything — after it, every
+//! 3. barrier, if step 1 or 2 registered anything — after it, every
 //!    channel any peer may deposit into exists on every fabric, and
 //!    **nothing registers any more**: that is the contract of
 //!    [`RankCtx::comm_free`] (`make lint` holds it). An epoch that
@@ -111,34 +112,28 @@ pub(crate) struct LaneDeal {
 
 /// Deal an epoch's jobs onto lanes: the jobs of each shape (`shape_of`,
 /// shapes numbered from 0) round-robin onto `min(window, jobs of that
-/// shape)` lanes — one lane per job for a shape marked `solo` — with job
-/// k of a shape on that shape's lane `k mod width`. A shape's lanes take
-/// its warm lanes' stream ids (`warm[shape]`, in order) first and `mint`
-/// fresh ones beyond those; a warm lane past the width is not dealt (it
-/// stays kept, idle).
+/// shape)` lanes, with job k of a shape on that shape's lane `k mod
+/// width`. A shape's lanes take its warm lanes' stream ids (`warm[shape]`,
+/// in order) first and `mint` fresh ones beyond those; a warm lane past
+/// the width is not dealt (it stays kept, idle).
 /// Returns each job's lane and the lanes, numbered in order of first use.
 pub(crate) fn deal_lanes(
     shape_of: &[usize],
-    solo: &[bool],
     window: usize,
     warm: &[&[u64]],
     mut mint: impl FnMut() -> u64,
 ) -> (Vec<usize>, Vec<LaneDeal>) {
-    let mut count = vec![0usize; solo.len()];
+    let mut count = vec![0usize; warm.len()];
     for &s in shape_of {
         count[s] += 1;
     }
-    let mut lanes: Vec<Vec<usize>> = vec![Vec::new(); solo.len()];
-    let mut dealt = vec![0usize; solo.len()];
+    let mut lanes: Vec<Vec<usize>> = vec![Vec::new(); warm.len()];
+    let mut dealt = vec![0usize; warm.len()];
     let mut deal: Vec<LaneDeal> = Vec::new();
     let lane_of = shape_of
         .iter()
         .map(|&s| {
-            let width = if solo[s] {
-                count[s]
-            } else {
-                window.min(count[s])
-            };
+            let width = window.min(count[s]);
             let k = dealt[s];
             dealt[s] += 1;
             if k < width {
@@ -220,8 +215,7 @@ impl Task {
     /// the last one; `None` — with `runnable` cleared — when blocked on
     /// traffic that has not landed. Never blocks: `start_all` only posts,
     /// so the rank is back in the drive loop to serve whichever tenant a
-    /// peer is waiting on. The one exception is a `Backend::Tuned` job's
-    /// decision iteration, whose `start` joins a blocking reduction.
+    /// peer is waiting on.
     fn poll(&mut self, ctx: &mut RankCtx, session: &mut BatchRequest) -> Option<Vec<f64>> {
         let n = session.len();
         let state = self
@@ -378,9 +372,10 @@ pub(crate) struct Kept {
 
 impl Kept {
     /// Free every kept lane whose stream `keep` rejects, and the control
-    /// fabric unless its stream is `ctl`. A stream id is never dealt
-    /// twice, so nothing registers on a freed communicator again —
-    /// [`RankCtx::comm_free`]'s contract.
+    /// fabric unless its stream is `ctl` — the one place the service frees
+    /// anything, on every rank at once and between epochs. A stream id is
+    /// never dealt twice, so nothing registers on a freed communicator
+    /// again — [`RankCtx::comm_free`]'s contract.
     pub(crate) fn evict(&mut self, ctx: &RankCtx, keep: impl Fn(u64) -> bool, ctl: Option<u64>) {
         self.lanes.retain(|lane| {
             let keep = keep(lane.stream);
@@ -401,9 +396,6 @@ pub(crate) struct Epoch<'a> {
     pub(crate) jobs: Vec<(&'a QueuedJob, usize)>,
     /// Every lane, with its shape's resolution.
     pub(crate) lanes: Vec<(LaneDeal, &'a ResolvedBatch)>,
-    /// The stream ids of the kept lanes this epoch does not deal: kept,
-    /// not driven.
-    pub(crate) idle: Vec<u64>,
     /// The control fabric's stream id, and whether it is kept.
     pub(crate) ctl: (u64, bool),
     /// The tag of every control channel.
@@ -469,14 +461,9 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     let jobs = &ep.jobs;
     let n = jobs.len();
 
-    // -- prologue: evict, register what is cold, barrier if anything did --
+    // -- prologue: register what is cold, barrier if anything did --
     let dealt = |stream: u64| ep.lanes.iter().position(|(lane, _)| lane.stream == stream);
     let (ctl_stream, ctl_warm) = ep.ctl;
-    kept.evict(
-        ctx,
-        |stream| dealt(stream).is_some() || ep.idle.contains(&stream),
-        ctl_warm.then_some(ctl_stream),
-    );
     for (lane, batch) in ep.lanes.iter().filter(|(lane, _)| !lane.warm) {
         let comm = world.dup_for(lane.stream);
         let session = Some(batch.init_all(ctx, &comm));
@@ -491,11 +478,6 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     // lane indexes; the idle ones after them
     kept.lanes
         .sort_by_key(|kl| dealt(kl.stream).unwrap_or(usize::MAX));
-    assert_eq!(
-        kept.lanes.len(),
-        ep.lanes.len() + ep.idle.len(),
-        "rank {rank} lost a kept lane"
-    );
     if !ctl_warm {
         kept.ctl = Some(Control::open(ctx, &world, ctl_stream, ep.ctl_tag));
     }
@@ -792,51 +774,41 @@ pub(crate) mod tests {
     }
 
     /// The deal: per shape, `min(window, jobs of the shape)` lanes opened
-    /// by its first jobs, then round-robin; a solo (tuned) shape keeps one
-    /// lane per job whatever the window.
+    /// by its first jobs, then round-robin.
     #[test]
     fn jobs_of_one_shape_take_turns_on_min_window_count_lanes() {
-        // shapes interleaved in the queue; shape 2 is solo
-        let shape_of = [0, 1, 0, 0, 1, 0, 2, 2, 0];
-        let solo = [false, false, true];
-        let cold: [&[u64]; 3] = [&[]; 3];
-        let lane_of = |window| deal_lanes(&shape_of, &solo, window, &cold, || 0).0;
-        assert_eq!(lane_of(1), [0, 1, 0, 0, 1, 0, 2, 3, 0]);
+        // shapes interleaved in the queue
+        let shape_of = [0, 1, 0, 0, 1, 0, 0];
+        let cold: [&[u64]; 2] = [&[]; 2];
+        let lane_of = |window| deal_lanes(&shape_of, window, &cold, || 0).0;
+        assert_eq!(lane_of(1), [0, 1, 0, 0, 1, 0, 0]);
         // shape 0 (five jobs) on three lanes, shape 1 (two) on two
-        assert_eq!(lane_of(3), [0, 1, 2, 3, 4, 0, 5, 6, 2]);
+        assert_eq!(lane_of(3), [0, 1, 2, 3, 4, 0, 2]);
         // a window at least the count: one lane per job, today's epoch
         for window in [5, usize::MAX] {
             assert_eq!(lane_of(window), (0..shape_of.len()).collect::<Vec<_>>());
         }
-        assert_eq!(deal_lanes(&[], &[], 4, &[], || 0).0, Vec::<usize>::new());
+        assert_eq!(deal_lanes(&[], 4, &[], || 0).0, Vec::<usize>::new());
     }
 
     /// Warm first: a shape's lanes take its warm stream ids in order and
-    /// mint the rest, a warm lane past the shape's width is not dealt, and
-    /// a solo shape (which has none warm) mints all of its own.
+    /// mint the rest, and a warm lane past the shape's width is not dealt.
     #[test]
     fn a_shape_deals_its_warm_lanes_first_and_mints_the_rest() {
-        let shape_of = [0, 1, 0, 0, 1, 2];
-        let solo = [false, false, true];
-        let warm: [&[u64]; 3] = [&[7], &[8, 9, 10], &[]];
+        let shape_of = [0, 1, 0, 0, 1];
+        let warm: [&[u64]; 2] = [&[7], &[8, 9, 10]];
         let mut next = 100;
         let mint = || {
             next += 1;
             next
         };
-        let (lane_of, deal) = deal_lanes(&shape_of, &solo, 2, &warm, mint);
-        assert_eq!(lane_of, [0, 1, 2, 0, 3, 4]);
+        let (lane_of, deal) = deal_lanes(&shape_of, 2, &warm, mint);
+        assert_eq!(lane_of, [0, 1, 2, 0, 3]);
         let deal: Vec<(usize, u64, bool)> =
             deal.iter().map(|l| (l.shape, l.stream, l.warm)).collect();
         assert_eq!(
             deal,
-            [
-                (0, 7, true),
-                (1, 8, true),
-                (0, 101, false),
-                (1, 9, true),
-                (2, 102, false)
-            ]
+            [(0, 7, true), (1, 8, true), (0, 101, false), (1, 9, true)]
         );
     }
 

@@ -11,7 +11,7 @@
 //! structured [`EpochError`] and stays usable for the next epoch.
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol, TunePolicy};
 use mpisim::collectives::op_sum_u64;
 use mpisim::{panic_message, Fabric, FaultPlan, RankCtx, World, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -310,16 +310,26 @@ fn deadline_expiry_dumps_a_stall_report() {
 /// different orders. Even ranks start entry 0 then 1, odd ranks 1 then 0;
 /// a `start` that blocked on its staging receives would close a cycle
 /// (each rank waits inside one entry for a peer that is waiting inside the
-/// other). The deadline makes that a loud abort instead of a hung test.
+/// other), and so would a `Backend::Tuned` decision that blocked in
+/// `start`: the two entries' probe budgets end at iteration 8, so their
+/// decisions run in opposite orders too. The deadline makes a cycle a loud
+/// abort instead of a hung test.
 #[test]
 fn starts_in_opposite_orders_complete() {
     let topo = Topology::block_nodes(16, 4);
     let pattern = CommPattern::all_to_all_regions(&topo);
-    for backend in [Backend::Protocol, Backend::Partitioned] {
-        let backend = backend(Protocol::FullNeighbor);
+    let policy = TunePolicy::default()
+        .with_probe_iters(8)
+        .with_factor(1.0e12); // admit every protocol to the shortlist
+    for backend in [
+        Backend::Protocol(Protocol::FullNeighbor),
+        Backend::Partitioned(Protocol::FullNeighbor),
+        Backend::Tuned,
+    ] {
         let batch = NeighborBatch::new(&topo)
             .entry(&pattern, backend)
-            .entry(&pattern, backend);
+            .entry(&pattern, backend)
+            .tune_policy(policy.clone());
         for on in Fabric::ALL {
             let plan = FaultPlan::seeded(1).deadline_ms(3_000);
             let ok = WorldConfig::new(on).faults(plan).run(16, |ctx| {

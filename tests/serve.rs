@@ -22,11 +22,11 @@
 //!   every lane they hold: an epoch of such shapes opens no lane and
 //!   registers nothing, a fifth shape evicts the least recently used, and
 //!   an epoch that deals fewer lanes keeps the rest — a shape holds no
-//!   more than the most one call of it was dealt; a lane some job failed
-//!   on, a `Tuned` shape's lane and anything an epoch error left warm are
-//!   never dealt again; a cancel token left over from a killed epoch
-//!   cancels nothing in the next; and a rank dying outside any task ends
-//!   its epoch at once on every rank.
+//!   more than the most one call of it was dealt, a `Tuned` shape's as
+//!   much as any other's; a lane some job failed on and anything an epoch
+//!   error left warm are never dealt again; a cancel token left over from
+//!   a killed epoch cancels nothing in the next; and a rank dying outside
+//!   any task ends its epoch at once on every rank.
 //! * **Lifetime** — thousands of jobs through one warm pool leave the
 //!   registry gauge, the shm table and the process's memory where the
 //!   first epoch left them — or, cycling more shapes than are kept warm,
@@ -1008,10 +1008,15 @@ fn an_epoch_error_leaves_nothing_warm() {
     }
 }
 
-/// A `Backend::Tuned` shape is never kept: every epoch of it opens a lane
-/// of its own, the last one's freed as it does.
+/// A `Backend::Tuned` shape stays warm like any other: its decision is a
+/// persistent reduction, so one-job calls of it run on one kept lane —
+/// the first opens it and the control fabric, the later ones open nothing
+/// and leave the gauge where the first left it. The lane's probe phase
+/// carries over from job to job: at the default budget of twelve probe
+/// iterations, the third job's five include the decision. Every job
+/// returns the reference's bytes, on all three fabrics.
 #[test]
-fn a_tuned_shape_is_never_kept() {
+fn a_tuned_shape_stays_warm() {
     let jobs = tenant_jobs(3);
     let calls = each(&jobs, Backend::Tuned);
     for fabric in Fabric::ALL {
@@ -1021,8 +1026,31 @@ fn a_tuned_shape_is_never_kept() {
         for (k, reports) in seen.reports.iter().enumerate() {
             expect_ok(reports, &jobs[k..=k], &format!("{name} epoch {k}"));
         }
-        assert_eq!(seen.opened, [2, 1], "{name}");
-        assert_eq!(rows(seen.gauges[2]), rows(seen.gauges[1]), "{name}");
+        assert_eq!(seen.opened, [2, 0], "{name}");
+        for g in &seen.gauges {
+            assert_eq!(rows(*g), rows(seen.gauges[0]), "{name}");
+        }
+    }
+}
+
+/// Six `Backend::Tuned` tenants in one call, window 4: they take turns on
+/// four lanes. At seven sweeps a job, the second tenant on each of two
+/// lanes makes that lane's decision (past the default twelve probe
+/// iterations) while the other lanes' tenants still probe. Every tenant
+/// returns the reference's bytes, on all three fabrics.
+#[test]
+fn tuned_tenants_take_turns_on_lanes() {
+    let h = Hierarchy::setup(
+        diffusion_2d_7pt(16, 8, 0.001, FRAC_PI_4),
+        HierarchyOptions::default(),
+    );
+    let jobs = jobs_over(&h, 6, 7);
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let mut svc =
+            SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(4);
+        let seen = rounds(&mut svc, &[round(&jobs, Backend::Tuned)]);
+        expect_ok(&seen.reports[0], &jobs, name);
     }
 }
 

@@ -109,8 +109,8 @@ fn tuned_converges_where_auto_is_fooled() {
 
     for (ok, probing_after, winner) in results {
         assert!(ok, "tuned request corrupted values");
-        // the decision fires inside start() of iteration PROBES, so the
-        // request reports probing through iteration PROBES-1 inclusive
+        // the decision is made within iteration PROBES, so the request
+        // reports probing through iteration PROBES-1 inclusive
         for (it, &p) in probing_after.iter().enumerate() {
             assert_eq!(p, it < PROBES, "probing flag after iteration {it}");
         }
