@@ -71,9 +71,10 @@ clippy:
 # clippy, formatting, and four one-file rules. Configuration: mpisim reads
 # the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
 # woken through its park point only (DESIGN.md §7), so no file of mpisim
-# issues a condvar notify or a futex wake but the two park-point files
-# (thread.rs; shm/segment.rs, which is also the shm control plane) and
-# what wakes something other than a rank — the sock link threads
+# issues a condvar notify or a futex wake but the one park-point file of
+# every fabric (transport/park.rs) and what wakes something other than a
+# rank — the shm control plane (shm/segment.rs: the epoch command word,
+# the barrier, a full ring's space word), the sock link threads
 # (sock/link.rs), the sock control inbox (sock/control.rs), the pool's
 # epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`).
 # Blocking: a request blocks in `wait` and a rank in the scheduler's park,
@@ -89,7 +90,7 @@ clippy:
 # point — `    if ep.barrier {` with `        ctx.barrier(&world);` the
 # line after it, the one blocking call allowed there — and from that
 # point on it dups no communicator and registers nothing
-WAKE_FILES := runtime|transport/thread|transport/shm/segment|transport/sock/link|transport/sock/control
+WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 PROLOGUE_BARRIER = $(shell awk '/^\#\[cfg\(test\)\]/ {exit} \
 	prev ~ /^    if ep\.barrier \{$$/ && /^        ctx\.barrier\(&world\);$$/ {print FNR} \

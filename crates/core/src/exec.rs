@@ -693,7 +693,7 @@ impl NeighborRequest for NeighborExec {
                             &data[r.pos..r.pos + r.len]
                         });
                     }
-                    for (recv, slot) in recvs.iter().zip(payloads) {
+                    for (recv, slot) in recvs.iter_mut().zip(payloads) {
                         if let Some(data) = slot.take() {
                             recv.req.recycle(data);
                         }

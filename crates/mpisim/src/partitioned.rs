@@ -106,6 +106,9 @@ pub struct PrecvReq<T: Elem> {
     buf: SharedBuf<T>,
     bounds: Vec<usize>,
     chans: Vec<Arc<Channel<T>>>,
+    /// Per partition, the payload buffer its last take consumed, returned
+    /// to the channel by the next take (see [`Channel::try_pop`]).
+    back: Vec<Vec<Vec<T>>>,
     arrived: Vec<bool>,
 }
 
@@ -125,11 +128,12 @@ impl<T: Elem> PrecvReq<T> {
         if self.arrived[partition] {
             return true;
         }
+        let range = self.partition_range(partition);
         let chan = &self.chans[partition];
-        let Some((data, arrival)) = chan.try_pop() else {
+        let back = &mut self.back[partition];
+        let Some((data, arrival)) = chan.try_pop(back) else {
             return false;
         };
-        let range = self.partition_range(partition);
         assert_eq!(
             data.len(),
             range.len(),
@@ -139,7 +143,7 @@ impl<T: Elem> PrecvReq<T> {
             data.len()
         );
         self.buf.write()[range].clone_from_slice(&data);
-        chan.recycle(data);
+        back.push(data);
         ctx.charge_recv(arrival);
         self.arrived[partition] = true;
         true
@@ -283,6 +287,7 @@ impl ChanRegistrar<'_> {
             buf,
             bounds,
             chans,
+            back: (0..n_parts).map(|_| Vec::new()).collect(),
             arrived: vec![false; n_parts],
         }
     }

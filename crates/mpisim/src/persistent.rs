@@ -108,6 +108,9 @@ pub struct RecvChan<T: Elem> {
     chan: Arc<Channel<T>>,
     len: usize,
     started: bool,
+    /// Payload buffers handed back with [`RecvChan::recycle`]; the next
+    /// take returns them to the channel (see [`Channel::try_pop`]).
+    back: Vec<Vec<T>>,
 }
 
 impl<T: Elem> RecvChan<T> {
@@ -146,7 +149,7 @@ impl<T: Elem> RecvChan<T> {
     /// (`NeighborRequest::test`) drains arrivals through this.
     pub fn try_take(&mut self, ctx: &mut RankCtx) -> Option<Vec<T>> {
         assert!(self.started, "try_take on a receive that was not started");
-        let (data, arrival) = self.chan.try_pop()?;
+        let (data, arrival) = self.chan.try_pop(&mut self.back)?;
         self.started = false;
         assert_eq!(
             data.len(),
@@ -173,13 +176,15 @@ impl<T: Elem> RecvChan<T> {
     pub fn wait_with<R>(&mut self, ctx: &mut RankCtx, consume: impl FnOnce(&[T]) -> R) -> R {
         let data = self.wait_take(ctx);
         let out = consume(&data);
-        self.chan.recycle(data);
+        self.back.push(data);
         out
     }
 
-    /// Return a payload buffer taken with [`RecvChan::wait_take`].
-    pub fn recycle(&self, buf: Vec<T>) {
-        self.chan.recycle(buf);
+    /// Return a payload buffer taken with [`RecvChan::wait_take`] or
+    /// [`RecvChan::try_take`]. It goes back to the channel with the next
+    /// take, inside that take's lock acquisition.
+    pub fn recycle(&mut self, buf: Vec<T>) {
+        self.back.push(buf);
     }
 
     pub fn src(&self) -> usize {
@@ -243,6 +248,7 @@ impl ChanRegistrar<'_> {
             ),
             len,
             started: false,
+            back: Vec::new(),
         }
     }
 }

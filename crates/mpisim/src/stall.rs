@@ -126,8 +126,8 @@ pub struct StallReport {
     pub waits: Vec<RankWait>,
     /// Unexpected-message queue depth per destination rank mailbox.
     pub mailbox_depths: Vec<Option<usize>>,
-    /// Park counters per world rank (`None`: contended at sampling time).
-    pub park_counts: Vec<Option<ParkCounts>>,
+    /// Park counters per world rank (atomics, so always readable).
+    pub park_counts: Vec<ParkCounts>,
     /// Which fabric the world runs over (`"thread"` / `"shm"` / `"sock"`).
     pub fabric: &'static str,
     /// Frames still queued in the shm outbox (or summed across all socket
@@ -188,10 +188,7 @@ impl fmt::Display for StallReport {
         let parks: Vec<String> = self
             .park_counts
             .iter()
-            .map(|c| match c {
-                Some(c) => format!("{} ({})", c.parks, c.park_timeouts),
-                None => "?".into(),
-            })
+            .map(|c| format!("{} ({})", c.parks, c.park_timeouts))
             .collect();
         writeln!(f, "  parks (timed out) per rank: [{}]", parks.join(", "))?;
         writeln!(f, "  transport fabric: {}", self.fabric)?;
@@ -263,11 +260,11 @@ mod tests {
             }],
             mailbox_depths: vec![Some(0), None, Some(4)],
             park_counts: vec![
-                Some(ParkCounts {
+                ParkCounts {
                     parks: 12,
                     park_timeouts: 1,
-                }),
-                None,
+                },
+                ParkCounts::default(),
             ],
             fabric: "sock",
             outbox_depth: 7,
@@ -301,7 +298,7 @@ mod tests {
         assert!(text.contains("rank 1 blocked 5001 ms in plain recv"));
         assert!(text.contains("(ctx 0, src 2, dst 1, tag 9)"));
         assert!(text.contains("[0, ?, 4]"));
-        assert!(text.contains("parks (timed out) per rank: [12 (1), ?]"));
+        assert!(text.contains("parks (timed out) per rank: [12 (1), 0 (0)]"));
         assert!(text.contains("transport fabric: sock"));
         assert!(text.contains("outbox depth: 7"));
         assert!(text.contains("channels registered: 31 (sock deliver hooks 30, undelivered 2)"));

@@ -270,7 +270,8 @@ impl<T: Clone + Send + 'static> Channel<T> {
     /// directly — the zero-copy send path. `fill` receives a cleared spare
     /// buffer and writes the payload into it, so senders gather values
     /// straight into the wire buffer instead of staging them in their own
-    /// window first. The channel lock is not held while `fill` runs.
+    /// window first. `fill` may run under the channel's lock: it must not
+    /// touch a channel itself.
     pub fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
         match &self.imp {
             ChanImp::Thread(c) => c.push_with(arrival, fill),
@@ -280,7 +281,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
     }
 
     /// Block the receiving rank, on its park point
-    /// ([`crate::transport::park_until`]), until a message is available
+    /// ([`crate::transport::park::park_until`]), until a message is available
     /// **without consuming it** (a following [`Channel::try_pop`] succeeds:
     /// a channel has one consumer), invoking `stall_probe` periodically
     /// while blocked — the receive paths use the probe to turn an otherwise
@@ -302,21 +303,15 @@ impl<T: Clone + Send + 'static> Channel<T> {
     /// caller-provided slice: the receiver must NOT hold its destination
     /// buffer's lock while blocked in [`Channel::wait_nonempty`] (another
     /// rank's send may need that buffer to make progress). Copy after
-    /// popping, then hand the buffer back with [`Channel::recycle`].
-    pub fn try_pop(&self) -> Option<(Vec<T>, f64)> {
+    /// popping, then put the buffer in `back`: the receiver's own list of
+    /// consumed payloads, which the next take that finds a message hands
+    /// back to the channel inside its own lock acquisition — a message
+    /// costs the receiver one acquisition, not a second one to recycle.
+    pub fn try_pop(&self, back: &mut Vec<Vec<T>>) -> Option<(Vec<T>, f64)> {
         match &self.imp {
-            ChanImp::Thread(c) => c.try_pop(),
-            ChanImp::Shm(c) => c.try_pop(),
-            ChanImp::Sock(c) => c.local.try_pop(),
-        }
-    }
-
-    /// Return a consumed payload buffer for reuse by the next send.
-    pub fn recycle(&self, buf: Vec<T>) {
-        match &self.imp {
-            ChanImp::Thread(c) => c.recycle(buf),
-            ChanImp::Shm(c) => c.recycle(buf),
-            ChanImp::Sock(c) => c.local.recycle(buf),
+            ChanImp::Thread(c) => c.try_pop(back),
+            ChanImp::Shm(c) => c.try_pop(back),
+            ChanImp::Sock(c) => c.local.try_pop(back),
         }
     }
 

@@ -1,7 +1,8 @@
 //! Process-shared futex parking, via the raw `futex(2)` syscall.
 //!
-//! The shm fabric parks on 32-bit words that live *inside* the shared
-//! segment, so waiters and wakers may be different processes — the
+//! Every fabric's park point ([`super::park::ParkWords`]) sleeps on a
+//! 32-bit word; the shm fabric's live *inside* the shared segment, so
+//! waiters and wakers may be different processes — the
 //! `FUTEX_PRIVATE_FLAG` is deliberately absent. No `libc` crate is
 //! vendored; the two calls we need are declared against the C library the
 //! std binary already links.

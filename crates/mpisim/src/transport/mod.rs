@@ -11,11 +11,11 @@
 //! * [`thread::ThreadTransport`] — the in-process fabric: one mutexed
 //!   mailbox per rank, typed payloads moved as `Vec<T>` behind
 //!   `Box<dyn Any>`. Zero serialization. It owns the in-process storage
-//!   (mailboxes, `ThreadChan`, and each rank's `RankPark`).
+//!   (mailboxes, `ThreadChan`) and a heap `ParkWords` per rank.
 //! * [`shm::ShmTransport`] — a cross-process shared-memory fabric: ranks
 //!   may live in separate OS processes on one host, mailboxes and
 //!   persistent channels are SPSC byte rings inside one `/dev/shm`
-//!   segment, and each rank parks on its process-shared `ParkWords`.
+//!   segment, and each rank's `ParkWords` lives in the segment too.
 //!   Payloads are serialized to bytes at the send boundary
 //!   (plain-old-data element types only).
 //! * [`sock::SockTransport`] — framed, sequenced, acknowledged stream
@@ -24,8 +24,9 @@
 //!   half is its own: what its readers take off the wire lands in an
 //!   embedded `ThreadTransport`, which is the whole receive half.
 //!
-//! Whatever a rank is blocked on, it sleeps in one place: its fabric's
-//! [`ParkPoint`] for that rank, through [`park_until`] (DESIGN.md §7).
+//! Whatever a rank is blocked on, it sleeps in one place on every fabric:
+//! its [`park::ParkWords`], a futex word ([`futex`]), through
+//! [`park::park_until`] (DESIGN.md §7).
 //!
 //! [`fault::FaultTransport`] wraps any of them under a seeded fault plan.
 //! [`remote::RemoteWorld`] runs ranks as re-exec'd worker processes over
@@ -33,6 +34,8 @@
 //! [`crate::WorldPool`].
 
 pub mod fault;
+pub(crate) mod futex;
+pub(crate) mod park;
 pub mod remote;
 pub mod shm;
 pub mod sock;
@@ -41,72 +44,20 @@ pub(crate) mod wire;
 
 use crate::stall::{LinkStatus, ParkCounts, PeerStatus, RegistryGauge};
 use crate::state::{ChanId, ChanKey, Envelope};
+use park::ParkWords;
 pub(crate) use shm::ring::ShmChanRaw;
 pub(crate) use sock::SockChanWire;
 use std::sync::Arc;
 
 /// Turns of the run queue a blocked party lets pass before it parks in the
 /// kernel — a receive on a persistent channel or a set of them (the `spin`
-/// of [`park_until`]) and both sock link threads. In the steady state
+/// of [`park::park_until`]) and both sock link threads. In the steady state
 /// the matching send is usually a runnable peer away, so cycling the run
 /// queue a few times picks the message up for the cost of a `sched_yield`
 /// instead of a futex park + wake round trip (which dominates per-message
 /// latency on oversubscribed hosts). Bounded, so a genuinely absent sender
 /// still lands in the blocking wait.
 pub(crate) const PARK_SPIN: u32 = 24;
-
-/// Where one world rank sleeps: a deposit generation the rank can park
-/// past. Each fabric keeps exactly one per rank, bumps it on **every**
-/// deposit addressed to that rank — mailbox envelope or channel message —
-/// and pays the wake only while the rank is actually asleep on it.
-pub(crate) trait ParkPoint {
-    /// The current deposit generation. Read it BEFORE checking readiness:
-    /// a deposit racing the check moves it, and [`ParkPoint::park_past`]
-    /// then returns without sleeping.
-    fn generation(&self) -> u64;
-
-    /// Sleep until the generation has moved past `seen`, for at most one
-    /// stall period (`MPISIM_STALL_MS`). `false` when it has not moved:
-    /// the caller's stall probe is due.
-    fn park_past(&self, seen: u64) -> bool;
-}
-
-/// Block the calling rank on its park point until `ready` yields: the one
-/// sleep every receive goes through — a matched plain receive, a channel's
-/// `wait_nonempty`, a `wait_any` over a set — each with its own readiness
-/// check. `spin` yields first, then park; `stall` runs whenever a park ends
-/// with nothing deposited (it aborts on peer death, deadline expiry and
-/// mixed plain/persistent traffic).
-///
-/// Channel waits spin [`PARK_SPIN`] turns. Plain receives — what barrier
-/// and allreduce are made of — spin none: spinning there releases all
-/// ranks of a barrier within microseconds of each other, and the
-/// registration pass that typically follows one then queues them all on
-/// the world's channel-registry lock (measured: `halo_bulk_16r` `init_ms`
-/// +28 % with any spin, even 4 turns; it is ROADMAP item 5b's lock, not
-/// this function, that has to give).
-pub(crate) fn park_until<R>(
-    point: &impl ParkPoint,
-    spin: u32,
-    mut ready: impl FnMut() -> Option<R>,
-    stall: &dyn Fn(),
-) -> R {
-    for _ in 0..spin {
-        if let Some(r) = ready() {
-            return r;
-        }
-        std::thread::yield_now();
-    }
-    loop {
-        let seen = point.generation();
-        if let Some(r) = ready() {
-            return r;
-        }
-        if !point.park_past(seen) {
-            stall();
-        }
-    }
-}
 
 /// How [`crate::RankCtx`] must package plain-send payloads for a transport.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -139,8 +90,9 @@ pub(crate) struct TransportForensics {
     /// Which fabric produced the snapshot (`"thread"` / `"shm"` / `"sock"`).
     pub fabric: &'static str,
     pub mailbox_depths: Vec<Option<usize>>,
-    /// Park counters of each world rank's park point.
-    pub park_counts: Vec<Option<ParkCounts>>,
+    /// Park counters of each world rank's park point (atomics, sampled
+    /// lock-free).
+    pub park_counts: Vec<ParkCounts>,
     pub outbox_depth: usize,
     pub peers: Vec<PeerStatus>,
     /// Per-peer link state (socket fabric only; empty elsewhere).
@@ -155,7 +107,7 @@ pub(crate) struct TransportForensics {
 pub(crate) enum ChanFabric {
     /// In-process typed channel, no wire buffers at all: just where its
     /// receiving rank sleeps.
-    Local(Arc<thread::RankPark>),
+    Local(Arc<ParkWords>),
     /// SPSC byte ring inside the shared segment, and the
     /// registration-table row the channel gives back when it drops.
     Shm(ShmChanRaw, usize),

@@ -5,7 +5,8 @@
 //! receiver-local unexpected queue; persistent channels are byte rings
 //! allocated through the segment's registration table (the pre-matched
 //! handshake); a rank sleeps on one process-shared futex, its
-//! [`segment::ParkWords`], with the fabric-wide stall period
+//! [`crate::transport::park::ParkWords`] in the segment, with the
+//! fabric-wide stall period
 //! (`MPISIM_STALL_MS`, see [`crate::stall::stall_ms`]), so every blocked
 //! operation re-probes for peer death (flag + pid sweep) and aborts loudly
 //! instead of deadlocking.
@@ -16,12 +17,12 @@
 //! OS processes ([`crate::World::spawn`], through [`control`]).
 
 pub(crate) mod control;
-pub(crate) mod futex;
 pub(crate) mod ring;
 pub(crate) mod segment;
 
+use super::park::park_until;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
-use super::{park_until, ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
+use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
 use crate::stall::RegistryGauge;
 use crate::state::{ChanId, ChanKey, Envelope, Payload, WorldState};
 use parking_lot::{Condvar, Mutex};
@@ -427,7 +428,7 @@ impl Transport for ShmTransport {
         TransportForensics {
             fabric: "shm",
             mailbox_depths,
-            park_counts: (0..n).map(|r| Some(self.seg.park(r).counts())).collect(),
+            park_counts: (0..n).map(|r| self.seg.park(r).counts()).collect(),
             outbox_depth,
             peers,
             links: Vec::new(),

@@ -15,9 +15,10 @@
 //! wrapped copy), so nothing in the ring ever needs alignment beyond the
 //! header word atomics.
 
-use super::futex;
-use super::segment::{ParkWords, Segment};
-use crate::transport::{assert_pod, park_until, vec_extend_bytes, PARK_SPIN};
+use super::segment::Segment;
+use crate::transport::futex;
+use crate::transport::park::{park_until, ParkWords};
+use crate::transport::{assert_pod, vec_extend_bytes, PARK_SPIN};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -251,10 +252,11 @@ impl ShmChanRaw {
 }
 
 /// Typed view over one shm ring: the shared-memory counterpart of the
-/// in-process `Channel<T>` body. Payload buffers are recycled through a
-/// process-local spare pool, mirroring `push_with`/`recycle` — the ring
-/// slots are the wire buffers, the spare `Vec<T>`s are the gather/scatter
-/// staging surfaces, and the steady state allocates nothing.
+/// in-process `Channel<T>` body. Payload buffers are recycled — a send's
+/// through a process-local spare pool, a take's through the buffers its
+/// receiver hands back — so the ring slots are the wire buffers, the
+/// `Vec<T>`s are the gather/scatter staging surfaces, and the steady state
+/// allocates nothing.
 pub(crate) struct ShmChan<T> {
     raw: ShmChanRaw,
     /// The registration-table row this channel is attached to
@@ -295,11 +297,15 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
         self.spare.lock().push(buf);
     }
 
-    pub fn try_pop(&self) -> Option<(Vec<T>, f64)> {
+    /// Copy the next message out of the ring into a buffer the receiver
+    /// handed back (`back`), or a spare one.
+    pub fn try_pop(&self, back: &mut Vec<Vec<T>>) -> Option<(Vec<T>, f64)> {
         if self.raw.msg_count() == 0 {
             return None;
         }
-        let mut buf = self.spare.lock().pop().unwrap_or_default();
+        let mut buf = back
+            .pop()
+            .unwrap_or_else(|| self.spare.lock().pop().unwrap_or_default());
         buf.clear();
         let arrival = self.raw.try_pop_with(|arrival, a, b| {
             vec_extend_bytes(&mut buf, a, b);
@@ -308,7 +314,7 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
         match arrival {
             Some(t) => Some((buf, t)),
             None => {
-                self.spare.lock().push(buf);
+                back.push(buf);
                 None
             }
         }
@@ -316,10 +322,6 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
 
     pub fn wait_nonempty(&self, stall_probe: impl Fn()) {
         self.raw.wait_nonempty(&stall_probe);
-    }
-
-    pub fn recycle(&self, buf: Vec<T>) {
-        self.spare.lock().push(buf);
     }
 
     pub fn drain_pending(&self) {
@@ -404,16 +406,19 @@ mod tests {
         seg.unlink();
         let (row, off) = seg.register_channel((1, 0, 1, 7), 1, 8, "f64", 4096);
         let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off), row);
+        let mut back = Vec::new();
         c.push_with(0.5, |b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
         c.wait_nonempty(|| {});
-        let (buf, arrival) = c.try_pop().expect("delivered");
+        let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
         assert_eq!((buf.as_slice(), arrival), ([1.0, 2.0, 3.0].as_slice(), 0.5));
-        let cap_before = buf.capacity();
-        c.recycle(buf);
+        let ptr = buf.as_ptr();
+        back.push(buf);
         c.push_with(1.5, |b| b.extend_from_slice(&[4.0]));
         c.wait_nonempty(|| {});
-        let (buf, _) = c.try_pop().expect("delivered");
+        // the handed-back buffer is the one the next take fills
+        let (buf, _) = c.try_pop(&mut back).expect("delivered");
         assert_eq!(buf.as_slice(), [4.0].as_slice());
-        assert!(buf.capacity() >= 1 && cap_before >= 3);
+        assert_eq!(buf.as_ptr(), ptr);
+        assert!(back.is_empty());
     }
 }

@@ -20,20 +20,26 @@
 //! attach read-write and verify `magic` + the rank count. `/dev/shm` is a
 //! tmpfs, so the generous default size only commits pages actually
 //! touched.
+//!
+//! The park points are the type every fabric's ranks sleep on
+//! ([`crate::transport::park`]), placed here so any process can wake any
+//! rank. What this file wakes itself is the control plane: the epoch
+//! command word (`epoch_seq`), the barrier (`barrier_gen`) and a ring's
+//! space word for a sender blocked on a full ring.
 
 use super::ring::RING_HDR;
-use super::{futex, MAILBOX_CAP};
-use crate::stall::ParkCounts;
+use super::MAILBOX_CAP;
 use crate::state::ChanKey;
+use crate::transport::futex;
+use crate::transport::park::ParkWords;
 use crate::transport::remote::CMD_STOP;
-use crate::transport::ParkPoint;
 use std::fs::OpenOptions;
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_000b; // "mpisim", layout v11
+const MAGIC: u64 = 0x6d70_6973_696d_000c; // "mpisim", layout v12
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world holds one
@@ -104,70 +110,9 @@ struct TableSlot {
 
 const SLOT_SIZE: u64 = 64;
 
-/// The park point of one world rank, in the segment so that any process
-/// can wake it: the only futex that rank ever sleeps on, whatever it is
-/// blocked on — a mailbox envelope, one channel ring, any ring of a set.
-/// Every ring push notifies its consumer's `ParkWords`; the rank sleeps
-/// through [`crate::transport::park_until`]. (The thread fabric's
-/// counterpart is `thread::RankPark`; DESIGN.md §7 states the handshake
-/// once for both.)
-#[repr(C)]
-pub(crate) struct ParkWords {
-    /// Deposit generation (the futex word): bumped by every ring push
-    /// addressed to this rank.
-    seq: AtomicU32,
-    /// Non-zero while the rank is committed to sleeping on `seq`: only
-    /// then does a deposit pay the wake syscall.
-    parked: AtomicU32,
-    /// [`ParkCounts`], written by the owning rank only.
-    parks: AtomicU64,
-    park_timeouts: AtomicU64,
-}
-
 /// One park point per cache line: ranks must not share one.
 const PARK_STRIDE: u64 = 64;
-
-impl ParkWords {
-    /// Record one deposit — the caller has already published the message
-    /// (`msg_count`, SeqCst) — and wake the rank if it is asleep. No wake
-    /// is lost (DESIGN.md §7): this side bumps `seq` then reads `parked`,
-    /// `park_past` raises `parked` then re-reads `seq`, all four SeqCst, so
-    /// one side sees the other; and `FUTEX_WAIT` compares `seq` with `seen`
-    /// as it queues the waiter, so a wake cannot outrun the sleep.
-    pub(crate) fn notify(&self) {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) != 0 {
-            futex::wake_all(&self.seq);
-        }
-    }
-
-    pub(crate) fn counts(&self) -> ParkCounts {
-        ParkCounts {
-            parks: self.parks.load(Ordering::Relaxed),
-            park_timeouts: self.park_timeouts.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl ParkPoint for ParkWords {
-    fn generation(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst) as u64
-    }
-
-    fn park_past(&self, seen: u64) -> bool {
-        let seen = seen as u32;
-        self.parked.store(1, Ordering::SeqCst);
-        if self.seq.load(Ordering::SeqCst) == seen {
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            let timed_out = futex::wait(&self.seq, seen, crate::stall::stall_ms());
-            if timed_out && self.seq.load(Ordering::SeqCst) == seen {
-                self.park_timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.parked.store(0, Ordering::SeqCst);
-        self.seq.load(Ordering::SeqCst) != seen
-    }
-}
+const _: () = assert!(std::mem::size_of::<ParkWords>() as u64 == PARK_STRIDE);
 
 /// One process's mapping of the fabric's shared segment.
 pub(crate) struct Segment {
@@ -389,10 +334,10 @@ impl Segment {
         assert!(rank < self.n_ranks(), "park point of rank {rank}");
         let (_, parks, ..) = Self::offsets(self.n_ranks() as u64);
         // SAFETY: `rank < n_ranks`, so the words lie inside the park region
-        // `offsets()` reserves (64-aligned, `PARK_STRIDE` ≥
-        // `size_of::<ParkWords>()` apart, inside the mapping that outlives
-        // the borrow); they are nothing but atomics — valid for any bit
-        // pattern and for shared access from every process.
+        // `offsets()` reserves (64-aligned — `ParkWords`' alignment — and
+        // `PARK_STRIDE` = `size_of::<ParkWords>()` apart, inside the mapping
+        // that outlives the borrow); they are nothing but atomics — valid
+        // for any bit pattern and for shared access from every process.
         unsafe { &*(self.at(parks + PARK_STRIDE * rank as u64) as *const ParkWords) }
     }
 
@@ -408,10 +353,8 @@ impl Segment {
         // latency only — every park also times out and re-probes
         futex::wake_all(&self.header().epoch_seq);
         futex::wake_all(&self.header().barrier_gen);
-        // without a bump: the woken park reports "nothing deposited" and
-        // its stall probe runs at once
         for r in 0..self.n_ranks() {
-            futex::wake_all(&self.park(r).seq);
+            self.park(r).wake();
         }
     }
 
@@ -836,37 +779,6 @@ mod tests {
         let seg = Segment::create(2);
         seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
         seg.register_channel((1, 0, 1, 9), 1, 4, "u32", 1 << 12);
-    }
-
-    #[test]
-    fn a_park_ends_by_a_deposit_or_is_counted_as_timed_out() {
-        let seg = Segment::create(2);
-        let p = seg.park(1);
-        let counts = |parks, park_timeouts| ParkCounts {
-            parks,
-            park_timeouts,
-        };
-        // a deposit between the generation read and the park: no sleep
-        let seen = p.generation();
-        p.notify();
-        assert!(p.park_past(seen));
-        assert_eq!(p.counts(), counts(0, 0));
-        // nothing deposited: one whole stall period, reported as such
-        assert!(!p.park_past(p.generation()));
-        assert_eq!(p.counts(), counts(1, 1));
-        // a deposit that finds the rank asleep wakes it
-        let seen = p.generation();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while p.parked.load(Ordering::SeqCst) == 0 {
-                    std::thread::yield_now();
-                }
-                p.notify();
-            });
-            while !p.park_past(seen) {}
-        });
-        assert_eq!(p.parked.load(Ordering::SeqCst), 0);
-        seg.unlink();
     }
 
     #[test]

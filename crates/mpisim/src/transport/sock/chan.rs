@@ -29,10 +29,11 @@ pub(crate) struct SockChan<T> {
     /// The deliver hook this channel registered, and with whom (when this
     /// process hosts the receiving rank): unregistered on drop.
     hook: Option<(Arc<SockTransport>, DeliverFn)>,
-    /// Recycled typed staging buffers (what `fill` writes into), mirroring
-    /// the receive side's spare pool so steady-state sends allocate
-    /// nothing; the frame itself is the link's recycled buffer.
-    scratch: Mutex<Vec<Vec<T>>>,
+    /// The typed staging buffer `fill` writes into, held for the whole
+    /// send — one lock acquisition per frame, and a channel has one
+    /// sender, so nobody waits on it; reused, so steady-state sends
+    /// allocate nothing. The frame itself is the link's recycled buffer.
+    scratch: Mutex<Vec<T>>,
 }
 
 impl<T: Send + 'static> SockChan<T> {
@@ -72,7 +73,7 @@ impl<T: Send + 'static> SockChan<T> {
         let Some(link) = &self.route else {
             return self.local.push_with(arrival, fill);
         };
-        let mut vals = self.scratch.lock().pop().unwrap_or_default();
+        let mut vals = self.scratch.lock();
         vals.clear();
         fill(&mut vals);
         let (ctx_id, src, dst, tag) = self.key;
@@ -82,7 +83,6 @@ impl<T: Send + 'static> SockChan<T> {
             }
             body.extend_from_slice(bytes_of(&vals));
         });
-        self.scratch.lock().push(vals);
     }
 }
 

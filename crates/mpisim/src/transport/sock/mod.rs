@@ -25,7 +25,8 @@ pub(crate) mod chan;
 pub(crate) mod control;
 pub(crate) mod link;
 
-use super::thread::{RankPark, ThreadTransport};
+use super::park::ParkWords;
+use super::thread::ThreadTransport;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
 use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
 use crate::stall::RegistryGauge;
@@ -51,7 +52,7 @@ use std::time::{Duration, Instant};
 pub(crate) struct SockChanWire {
     pub route: Option<Arc<Link>>,
     pub register: Option<Arc<SockTransport>>,
-    pub park: Arc<RankPark>,
+    pub park: Arc<ParkWords>,
 }
 
 /// Receive-side delivery hook of a registered persistent channel: called
@@ -751,11 +752,12 @@ mod tests {
     }
 
     fn pop_expecting(chan: &Channel<u64>, case: u64, n: u64) {
+        let mut back = Vec::new();
         for i in 0..n {
             chan.wait_nonempty(|| {});
-            let (got, _) = chan.try_pop().expect("delivered");
+            let (got, _) = chan.try_pop(&mut back).expect("delivered");
             assert_eq!(got, message(case, i), "case {case}, message {i}");
-            chan.recycle(got);
+            back.push(got);
         }
         std::thread::sleep(Duration::from_millis(2));
         assert!(!chan.ready(), "case {case}: a message arrived twice");

@@ -1,93 +1,26 @@
 //! The in-process fabric: one mutexed mailbox per rank, typed payloads,
-//! one park point per rank. This is the transport every thread-backed
-//! world ([`crate::World::run`], [`crate::WorldPool`]) uses by default, and
-//! the receive half of the socket fabric, whose reader threads deposit into
-//! an embedded [`ThreadTransport`] (see [`super::sock::SockTransport`]).
+//! one heap [`ParkWords`] per rank. This is the transport every
+//! thread-backed world ([`crate::World::run`], [`crate::WorldPool`]) uses
+//! by default, and the receive half of the socket fabric, whose reader
+//! threads deposit into an embedded [`ThreadTransport`] (see
+//! [`super::sock::SockTransport`]).
 //!
-//! It owns the in-process storage types: the mailbox of a rank, the
-//! [`ThreadChan`] body of a persistent channel, and the [`RankPark`] every
-//! blocked receive of a rank sleeps on.
+//! It owns the in-process storage types: the mailbox of a rank and the
+//! [`ThreadChan`] body of a persistent channel. A message costs one lock
+//! acquisition to deposit, one to take, and an atomic bump of the
+//! receiver's park point; a wake only when the receiver sleeps.
 
-use super::{
-    park_until, ChanFabric, ParkPoint, PayloadMode, Transport, TransportForensics, PARK_SPIN,
-};
-use crate::stall::{ParkCounts, RegistryGauge};
+use super::park::{park_until, ParkWords};
+use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
+use crate::stall::RegistryGauge;
 use crate::state::{ChanId, ChanKey, Envelope, WorldState};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Sentinel for "no rank recorded" in `dead_rank`.
 const NO_RANK: usize = usize::MAX;
-
-/// How long a blocked wait sleeps between stall probes.
-fn stall_period() -> Duration {
-    Duration::from_millis(crate::stall::stall_ms())
-}
-
-/// The park point of one world rank: the only place that rank sleeps,
-/// whatever it is blocked on — a mailbox envelope, one channel, any channel
-/// of a set. Every deposit addressed to the rank calls
-/// [`RankPark::notify`]; the rank sleeps through [`super::park_until`].
-/// (The shm fabric's counterpart is `segment::ParkWords`; DESIGN.md §7
-/// states the handshake once for both.)
-#[derive(Default)]
-pub(crate) struct RankPark {
-    st: Mutex<ParkState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct ParkState {
-    /// Deposit generation: bumped by every deposit to this rank.
-    seq: u64,
-    /// The rank is waiting on `cv`: only then does a deposit pay the wake.
-    parked: bool,
-    counts: ParkCounts,
-}
-
-impl RankPark {
-    /// Record one deposit — the caller has already published the message —
-    /// and wake the rank if it is asleep. No wake is lost (DESIGN.md §7):
-    /// `seq` and `parked` only move under `st`, so this bump falls before
-    /// the parker's `generation()` read (which then sees the message),
-    /// between that read and `park_past` (which then does not sleep), or
-    /// after `park_past` queued the rank on `cv` (which the notify reaches).
-    fn notify(&self) {
-        let mut st = self.st.lock();
-        st.seq += 1;
-        let asleep = st.parked;
-        // after the unlock: a rank woken under the lock would only block
-        // on it again
-        drop(st);
-        if asleep {
-            self.cv.notify_all();
-        }
-    }
-}
-
-impl ParkPoint for RankPark {
-    fn generation(&self) -> u64 {
-        self.st.lock().seq
-    }
-
-    fn park_past(&self, seen: u64) -> bool {
-        let mut st = self.st.lock();
-        while st.seq == seen {
-            st.parked = true;
-            st.counts.parks += 1;
-            let timed_out = self.cv.wait_for(&mut st, stall_period()).timed_out();
-            st.parked = false;
-            if timed_out && st.seq == seen {
-                st.counts.park_timeouts += 1;
-                return false;
-            }
-        }
-        true
-    }
-}
 
 /// The in-process channel body: a FIFO of typed `Vec<T>` payloads whose
 /// every push notifies the receiving rank's park point.
@@ -97,7 +30,7 @@ pub(crate) struct ThreadChan<T> {
     /// paths (and the [`ChanId`]s that share it) probe it lock-free.
     pending: Arc<AtomicUsize>,
     /// Where the receiving rank sleeps (a channel has one receiver).
-    park: Arc<RankPark>,
+    park: Arc<ParkWords>,
 }
 
 struct ChanState<T> {
@@ -108,7 +41,7 @@ struct ChanState<T> {
 }
 
 impl<T> ThreadChan<T> {
-    pub(crate) fn new(park: Arc<RankPark>) -> Self {
+    pub(crate) fn new(park: Arc<ParkWords>) -> Self {
         Self {
             state: Mutex::new(ChanState {
                 pending: VecDeque::new(),
@@ -125,11 +58,15 @@ impl<T> ThreadChan<T> {
         &self.pending
     }
 
+    /// Take a spare buffer, fill it and enqueue it under one lock
+    /// acquisition, then bump the receiver's park point. The `Relaxed`
+    /// count increment is published by that `SeqCst` bump: a parker that
+    /// reads the bumped generation also sees the count (DESIGN.md §7).
     pub(crate) fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
-        let mut buf = self.state.lock().spare.pop().unwrap_or_default();
+        let mut st = self.state.lock();
+        let mut buf = st.spare.pop().unwrap_or_default();
         buf.clear();
         fill(&mut buf);
-        let mut st = self.state.lock();
         st.pending.push_back((buf, arrival));
         self.pending.fetch_add(1, Ordering::Relaxed);
         drop(st);
@@ -138,22 +75,23 @@ impl<T> ThreadChan<T> {
 
     pub(crate) fn wait_nonempty(&self, stall_probe: impl Fn()) {
         let ready = || (self.pending.load(Ordering::Relaxed) > 0).then_some(());
-        park_until(&*self.park, PARK_SPIN, ready, &stall_probe)
+        park_until(&self.park, PARK_SPIN, ready, &stall_probe)
     }
 
-    pub(crate) fn try_pop(&self) -> Option<(Vec<T>, f64)> {
+    /// Take the next message, handing the buffers in `back` (payloads
+    /// earlier takes lent out) to the spare pool under the same lock
+    /// acquisition. A take that finds nothing leaves them in `back`.
+    pub(crate) fn try_pop(&self, back: &mut Vec<Vec<T>>) -> Option<(Vec<T>, f64)> {
         // lock-free empty probe first: `test` loops call this on channels
         // that usually have nothing yet
         if self.pending.load(Ordering::Relaxed) == 0 {
             return None;
         }
-        let msg = self.state.lock().pending.pop_front()?;
+        let mut st = self.state.lock();
+        let msg = st.pending.pop_front()?;
         self.pending.fetch_sub(1, Ordering::Relaxed);
+        st.spare.append(back);
         Some(msg)
-    }
-
-    pub(crate) fn recycle(&self, buf: Vec<T>) {
-        self.state.lock().spare.push(buf);
     }
 
     pub(crate) fn drain_pending(&self) {
@@ -170,7 +108,7 @@ pub(crate) struct ThreadTransport {
     mailboxes: Vec<Mutex<VecDeque<Envelope>>>,
     /// The park point of each world rank. Lives with the transport (like
     /// the channel registry) so pooled epochs reuse it warm.
-    parks: Vec<Arc<RankPark>>,
+    parks: Vec<Arc<ParkWords>>,
     /// Set when a rank of the current pool epoch panicked: blocked
     /// receives check it from their stall probes and abort loudly instead
     /// of waiting forever for a message the dead rank will never send.
@@ -195,7 +133,7 @@ impl ThreadTransport {
     }
 
     /// Where `rank` sleeps — what a channel it receives on must notify.
-    pub(crate) fn park_of(&self, rank: usize) -> Arc<RankPark> {
+    pub(crate) fn park_of(&self, rank: usize) -> Arc<ParkWords> {
         Arc::clone(&self.parks[rank])
     }
 }
@@ -230,7 +168,7 @@ impl Transport for ThreadTransport {
                 .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)?;
             Some((q.remove(pos).expect("position valid"), searched))
         };
-        park_until(&*self.parks[global_dst], 0, take, stall)
+        park_until(&self.parks[global_dst], 0, take, stall)
     }
 
     fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
@@ -247,7 +185,7 @@ impl Transport for ThreadTransport {
         stall: &dyn Fn(),
     ) -> usize {
         let scan = || WorldState::poll_any_from(chans, start);
-        park_until(&*self.parks[global_rank], PARK_SPIN, scan, stall)
+        park_until(&self.parks[global_rank], PARK_SPIN, scan, stall)
     }
 
     fn make_channel(
@@ -310,11 +248,7 @@ impl Transport for ThreadTransport {
                 .iter()
                 .map(|mb| mb.try_lock().map(|q| q.len()))
                 .collect(),
-            park_counts: self
-                .parks
-                .iter()
-                .map(|p| p.st.try_lock().map(|st| st.counts))
-                .collect(),
+            park_counts: self.parks.iter().map(|p| p.counts()).collect(),
             outbox_depth: 0,
             peers: Vec::new(),
             links: Vec::new(),
@@ -327,6 +261,7 @@ impl Transport for ThreadTransport {
 mod tests {
     use super::*;
     use crate::state::Payload;
+    use std::time::Duration;
 
     fn env(ctx_id: u64, src: usize, tag: u64, val: u32) -> Envelope {
         Envelope {
@@ -397,14 +332,15 @@ mod tests {
         c.push(&[1, 2], 0.5);
         c.push(&[3, 4], 1.5);
         assert!(c.ready());
+        let mut back = Vec::new();
         c.wait_nonempty(|| {});
-        let (buf, arrival) = c.try_pop().expect("delivered");
+        let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
         assert_eq!((buf.as_slice(), arrival), ([1, 2].as_slice(), 0.5));
-        c.recycle(buf);
+        back.push(buf);
         c.wait_nonempty(|| {});
-        let (buf, arrival) = c.try_pop().expect("delivered");
+        let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
         assert_eq!((buf.as_slice(), arrival), ([3, 4].as_slice(), 1.5));
-        c.recycle(buf);
+        assert!(back.is_empty(), "the take handed the first buffer back");
         assert!(!c.ready());
         // both sides resolve to the same slot
         let c2 = w.channel::<u32>((0, 0, 1, 7));
@@ -419,7 +355,7 @@ mod tests {
         let c2 = w.channel::<u8>((0, 0, 0, 1));
         let t = std::thread::spawn(move || {
             c2.wait_nonempty(|| {});
-            let (buf, _) = c2.try_pop().expect("delivered");
+            let (buf, _) = c2.try_pop(&mut Vec::new()).expect("delivered");
             buf[0]
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -431,16 +367,72 @@ mod tests {
     fn try_pop_is_nonblocking_and_fifo() {
         let w = WorldState::new(1, None);
         let c = w.channel::<u32>((0, 0, 0, 2));
-        assert!(c.try_pop().is_none());
+        let mut back = Vec::new();
+        assert!(c.try_pop(&mut back).is_none());
         c.push(&[7], 0.25);
         c.push(&[8], 0.75);
-        let (buf, arrival) = c.try_pop().expect("message delivered");
+        let (buf, arrival) = c.try_pop(&mut back).expect("message delivered");
         assert_eq!((buf.as_slice(), arrival), ([7].as_slice(), 0.25));
-        c.recycle(buf);
-        let (buf, _) = c.try_pop().expect("second message delivered");
+        back.push(buf);
+        let (buf, _) = c.try_pop(&mut back).expect("second message delivered");
         assert_eq!(buf.as_slice(), [8].as_slice());
-        c.recycle(buf);
-        assert!(c.try_pop().is_none());
+        back.push(buf);
+        assert!(c.try_pop(&mut back).is_none());
+        assert_eq!(back.len(), 1, "a take that finds nothing keeps the buffers");
+    }
+
+    #[test]
+    fn a_channel_moves_every_message_intact_under_load() {
+        // one sender up to AHEAD messages ahead of one receiver that hands
+        // some payloads back at once and holds others across later takes
+        const N: u64 = 100_000;
+        const AHEAD: u64 = 8;
+        let c = ThreadChan::<u64>::new(Arc::default());
+        let msg = |i: u64| (0..i % 13).map(move |j| i << 8 | j);
+        let taken = AtomicUsize::new(0);
+        let (mut back, mut held) = (Vec::new(), Vec::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    while i >= taken.load(Ordering::Relaxed) as u64 + AHEAD {
+                        std::thread::yield_now();
+                    }
+                    c.push_with(i as f64, |buf| buf.extend(msg(i)));
+                }
+            });
+            for i in 0..N {
+                c.wait_nonempty(|| {});
+                let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
+                assert_eq!(arrival, i as f64, "FIFO");
+                assert!(buf.iter().copied().eq(msg(i)), "message {i}: {buf:?}");
+                taken.store(i as usize + 1, Ordering::Relaxed);
+                if i % 3 == 0 {
+                    held.push(buf);
+                } else {
+                    back.push(buf);
+                }
+                if held.len() == 3 {
+                    back.append(&mut held);
+                }
+            }
+        });
+        // buffers circulate: as many as the window needs, not one a message
+        let alive = c.state.lock().spare.len() + back.len() + held.len();
+        assert!(alive <= 2 * AHEAD as usize + 4, "{alive} buffers");
+
+        // a partial run: drained, the channel is empty and carries on
+        for i in 0..5 {
+            c.push_with(i as f64, |buf| buf.extend(msg(i)));
+        }
+        let (buf, _) = c.try_pop(&mut back).expect("delivered");
+        back.push(buf);
+        c.drain_pending();
+        assert_eq!(c.pending().load(Ordering::Relaxed), 0);
+        assert!(c.try_pop(&mut back).is_none());
+        c.push_with(7.0, |buf| buf.extend(msg(7)));
+        let (buf, arrival) = c.try_pop(&mut back).expect("delivered after the drain");
+        assert_eq!(arrival, 7.0);
+        assert!(buf.iter().copied().eq(msg(7)));
     }
 
     #[test]
@@ -450,26 +442,24 @@ mod tests {
         // envelope still missing and parks again; the envelope ends it
         let t = Arc::new(ThreadTransport::new(1));
         let w = WorldState::with_transport_deadline(1, None, Arc::clone(&t) as _, None);
-        let parks_of = |t: &ThreadTransport| t.forensics().park_counts[0].map(|c| c.parks);
+        let parks_of = |t: &ThreadTransport| t.forensics().park_counts[0].parks;
         let c = w.channel::<u8>((0, 0, 0, 1));
         c.push(&[1], 0.0);
-        assert_eq!(parks_of(&t), Some(0), "nobody asleep, nobody parked");
+        assert_eq!(parks_of(&t), 0, "nobody asleep, nobody parked");
         let w2 = Arc::clone(&w);
         let recv = std::thread::spawn(move || take_u32(w2.match_recv(0, 0, 0, 0, 7).0.payload));
-        let asleep_for_the = |nth: u64| loop {
-            let st = t.parks[0].st.lock();
-            if st.parked && st.counts.parks >= nth {
-                break;
+        // a park is counted once the rank has committed to it: a deposit
+        // from then on either wakes it or keeps it from sleeping
+        let asleep_for_the = |nth: u64| {
+            while parks_of(&t) < nth {
+                std::thread::yield_now();
             }
-            drop(st);
-            std::thread::yield_now();
         };
         asleep_for_the(1);
         c.push(&[2], 0.0);
         asleep_for_the(2);
         w.deposit(0, 0, env(0, 0, 7, 99));
         assert_eq!(recv.join().unwrap(), vec![99]);
-        assert!(!t.parks[0].st.lock().parked);
     }
 
     #[test]
@@ -486,7 +476,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         b.push(&[9], 0.0);
         assert_eq!(t.join().unwrap(), 1);
-        b.try_pop()
+        b.try_pop(&mut Vec::new())
             .expect("wait_any leaves the message on the channel");
         // and again for the other channel, now that the wait set is warm
         let (aid, bid) = (a.id(), b.id());
