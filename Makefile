@@ -116,13 +116,16 @@ lint: clippy
 		echo "error: the scheduler registers after its prologue barrier (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
-# run two of them once, output discarded: the modeled fig07_crossover at
-# paper scale and the wall-clock planner_scale at 256 ranks — run on every
-# PR by CI so the figure binaries cannot rot
+# run three of them once, output discarded: the modeled fig07_crossover at
+# paper scale, the wall-clock planner_scale at 256 ranks, and
+# ablation_partitioned at its small size — the one figure the partitioned
+# cost model (analytic::iteration_time_partitioned) is kept for — run on
+# every PR by CI so the figure binaries cannot rot
 figures-smoke:
 	cargo build --release -p bench_suite --bins
 	cargo run --release -p bench_suite --bin fig07_crossover > /dev/null
 	cargo run --release -p bench_suite --bin planner_scale > /dev/null
+	cargo run --release -p bench_suite --bin ablation_partitioned -- --small > /dev/null
 
 # the repo's benchmark (BENCHMARK.json's command; perfbench/README.md) at
 # 1/20 of its run length: builds the separate perfbench package against

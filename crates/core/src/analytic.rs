@@ -117,11 +117,13 @@ pub fn iteration_time(
     }
 }
 
-/// Modeled Start+Wait time of one iteration under the **partitioned**
-/// locality-aware execution (§5's combination, the executor's
-/// partitioned wire): staging (`s`) overlaps inter-region
-/// injection (`g`), so the chain `t_s + t_g` collapses to
-/// `max(t_s, t_g)` (+ the final redistribution).
+/// Modeled Start+Wait time of one iteration under **partitioned**
+/// locality-aware execution (§5's combination, as MPI 4.0 partitioned
+/// requests would run it): staging (`s`) overlaps inter-region injection
+/// (`g`), so the chain `t_s + t_g` collapses to `max(t_s, t_g)` (+ the
+/// final redistribution). The executor does not overlap them —
+/// [`crate::Backend::Partitioned`] ships its split messages after the s
+/// step — so this is the model the `ablation_partitioned` figure draws.
 pub fn iteration_time_partitioned(
     plan: &Plan,
     topo: &Topology,

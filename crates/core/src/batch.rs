@@ -58,8 +58,8 @@
 //!   entry, and exhaustion of the (re-usable) tag space is a loud panic.
 //! * **Routing** — one [`RankRouting::build_all_batch`] sweep derives all
 //!   ranks × all entries' routings together, and lays out one staging
-//!   arena per rank covering every plain entry's g sends (one allocation
-//!   per batch instead of one per request).
+//!   arena per rank covering every entry's g sends (one allocation per
+//!   batch instead of one per request).
 //! * **Registration** — [`NeighborBatch::init_all`] opens the world's
 //!   channel registry once ([`mpisim::ChanRegistrar`]) and registers every
 //!   entry's channels in a single pass, instead of one lock round trip per
@@ -297,8 +297,6 @@ impl ResolvedBatch {
             let mut routings: Vec<Option<RankRouting>> =
                 br.entries.iter().cloned().map(Some).collect();
             let mut reg = ctx.chan_registrar();
-            // an arena window means the plain wire; entries routed without
-            // one (Backend::Partitioned) get the partitioned wire
             let mut init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
                 NeighborExec::register(
                     routings[slot].take().expect("expanded slot inits once"),
@@ -492,6 +490,8 @@ impl NeighborBatch<'_> {
         // one fused sweep derives all ranks × all expanded candidates'
         // routings and lays out the per-rank shared staging arena
         let mut entry_plans: Vec<BatchEntryPlan> = Vec::with_capacity(expanded_total);
+        // per expanded slot: is its routing split at the partition bounds
+        let mut split: Vec<bool> = Vec::with_capacity(expanded_total);
         let mut expanded: Vec<ExpandedEntry> = Vec::with_capacity(self.entries.len());
         let mut next = 0usize;
         let mut next_ctl = expanded_total; // ctl spans follow the expanded spans
@@ -502,8 +502,9 @@ impl NeighborBatch<'_> {
                     pattern: e.pattern,
                     plan,
                     tag_base: span_bases[next],
-                    shared_arena: !matches!(e.backend, Backend::Partitioned(_)),
+                    shared_arena: true,
                 });
+                split.push(matches!(e.backend, Backend::Partitioned(_)));
                 next += 1;
             }
             let tuned = is_tuned.then(|| {
@@ -534,8 +535,20 @@ impl NeighborBatch<'_> {
             });
             expanded.push(ExpandedEntry { start, tuned });
         }
-        let routings = RankRouting::build_all_batch(&entry_plans);
+        let mut routings = RankRouting::build_all_batch(&entry_plans);
         drop(entry_plans); // release the borrows on per_entry's plans
+
+        // Backend::Partitioned is this split of its routing and nothing
+        // else: it runs on the one wire every entry runs on
+        if split.contains(&true) {
+            for br in &mut routings {
+                br.entries = std::mem::take(&mut br.entries)
+                    .into_iter()
+                    .zip(&split)
+                    .map(|(r, &s)| if s { r.split_at_partitions() } else { r })
+                    .collect();
+            }
+        }
 
         let tag_bases: Vec<u64> = expanded.iter().map(|ex| span_bases[ex.start]).collect();
         let plans: Vec<(Protocol, Plan)> = per_entry
@@ -903,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_communicator_size_mismatch_fails_loudly_on_both_wires() {
+    fn plan_communicator_size_mismatch_fails_loudly_on_both_backends() {
         // a batch planned for 8 ranks initialized on a 4-rank pool
         let (a, _, topo) = patterns();
         let pool = World::pool(4);

@@ -12,24 +12,16 @@
 //! only in `wait` and a rank driving several requests can never be held
 //! inside one of them while a peer waits on another.
 //!
-//! # Two wires, one state machine
+//! # One wire
 //!
-//! The ℓ, s, and r steps are identical for every backend; only the
-//! inter-region (`g`) step has two wires ([`Wire`]), matched only where
-//! they genuinely differ — registration, what an arriving staging message
-//! triggers, shipping, draining in `test`, the r-forward lookup, and which
-//! channel(s) a pending g receive waits on:
-//!
-//! * **plain** — each g message is one persistent send gathered from its
-//!   window of the request's arena, shipped once staging completes;
-//! * **partitioned** — the combination the paper's §5 proposes ("large
-//!   messages have been optimized separately with both locality-aware
-//!   methods and partitioned communication. The combination of these
-//!   optimizations, partitioning locality-aware messages, can have an even
-//!   large impact"): the origin-major g layout's partition bounds become
-//!   real partitioned requests, one partition per staging rank, and each
-//!   partition is injected (`MPI_Pready`-style) as its staging message is
-//!   taken instead of after the whole s step.
+//! Every backend runs the same ℓ, s, g and r steps. Each inter-region
+//! (`g`) message is one persistent send gathered from its window of the
+//! request's arena and shipped once the whole s step is in, and each g
+//! receive is one channel. [`crate::Backend::Partitioned`] runs on this
+//! wire too: its routing is split at the partition bounds at resolution
+//! ([`RankRouting::split_at_partitions`]), so each staging rank's
+//! contribution travels as a g message of its own and nothing here knows
+//! about partitions.
 //!
 //! # Zero-copy staging
 //!
@@ -40,31 +32,25 @@
 //! list of maximal runs ([`Run`], [`FwdRun`]; see [`crate::routing`]): a
 //! gather appends one slice per run, a scatter copies one slice per run,
 //! and only a run too short for a `memcpy` call to pay (under
-//! `SHORT_RUN` values) is moved value by value. The only buffers a
-//! request owns are the g buffers, and every staging payload is copied
-//! **directly into its partition's window** of the g send buffer it
-//! feeds, so staged values land wire-ready with no intermediate `s`
-//! buffer and no second copy. On the plain wire all g send buffers alias
-//! **one arena allocation per request** (or per batch), and `test` borrows
-//! each g payload off the channel, scatters ghost values into the output,
-//! feeds the r-step forwards from the same borrowed payload, and recycles
-//! it — no g receive window at all. Only the partitioned g receive keeps a
-//! registered window: partitions complete independently into one buffer,
-//! and the r-step forwards read from it.
+//! `SHORT_RUN` values) is moved value by value. The only buffer a request
+//! stages through is its arena: every g send buffer aliases **one arena
+//! allocation per request** (or per batch), and every staging payload is
+//! copied **directly into its partition's window** of the g send buffer
+//! it feeds, so staged values land wire-ready with no intermediate `s`
+//! buffer and no second copy. `test` borrows each g payload off the
+//! channel, scatters ghost values into the output, feeds the r-step
+//! forwards from the same borrowed payload, and recycles it — no g
+//! receive window at all.
 //!
 //! Construct requests through [`crate::NeighborAlltoallv`] or
 //! [`crate::NeighborBatch`].
 
 use crate::collective::Protocol;
 use crate::neighbor::NeighborRequest;
-use crate::routing::{
-    FwdRun, GRecvRoute, GSendRoute, PartSource, RankRouting, RecvRoute, Run, SRecvRoute,
-};
+use crate::routing::{FwdRun, PartSource, RankRouting, RecvRoute, Run, SRecvRoute};
 use crate::tagspace::TagLease;
 use mpisim::persistent::shared_buf;
-use mpisim::{
-    ChanId, ChanRegistrar, Comm, PrecvReq, PsendReq, RankCtx, RecvChan, SendChan, SharedBuf,
-};
+use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvChan, SendChan, SharedBuf};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -170,17 +156,11 @@ impl RecvExec {
     }
 }
 
-/// A staging receive and the window of the g send partition it fills —
-/// staged data is copied there wire-ready.
+/// A staging receive and the arena window of the g send partition it
+/// fills — staged data is copied there wire-ready.
 struct SRecv {
     req: RecvChan<f64>,
-    /// Where the payload lands: a range of the arena (plain wire) or of
-    /// g send `g_send`'s buffer (partitioned wire).
     win: Range<usize>,
-    /// Which g send and partition this staging message fills (what the
-    /// partitioned wire marks ready on arrival).
-    g_send: usize,
-    partition: usize,
 }
 
 impl SRecv {
@@ -196,14 +176,11 @@ impl SRecv {
         Self {
             req: reg.recv_chan_init(comm, route.src, route.tag, route.len),
             win,
-            g_send: route.g_send,
-            partition: route.partition,
         }
     }
 }
 
-/// Plain-wire g send: one persistent message gathered from its arena
-/// window.
+/// A g send: one persistent message gathered from its arena window.
 struct GSend {
     req: SendChan<f64>,
     win: Range<usize>,
@@ -212,174 +189,7 @@ struct GSend {
     input_runs: Vec<Run>,
 }
 
-/// Partitioned-wire g send: one partition per contributing origin.
-struct GPsend {
-    req: PsendReq<f64>,
-    buf: SharedBuf<f64>,
-    /// Partitions fed by this rank's own input: (partition index, runs
-    /// from input positions to positions of `buf`).
-    input_parts: Vec<(usize, Vec<Run>)>,
-}
-
-/// Partitioned-wire g receive: partitions assemble into one window.
-struct GPrecv {
-    req: PrecvReq<f64>,
-    buf: SharedBuf<f64>,
-    outputs: Vec<Run>,
-}
-
-/// How the inter-region (`g`) messages travel. Everything else about a
-/// request is wire-independent.
-enum Wire {
-    Plain {
-        /// One allocation backing every g send buffer; staging payloads
-        /// are copied into it.
-        arena: SharedBuf<f64>,
-        sends: Vec<GSend>,
-        recvs: Vec<RecvExec>,
-        /// Borrowed g payloads of the current iteration, slotted by g
-        /// receive (arrival order fills them in any order; the r forwards
-        /// index by g-message position). Buffers recycle, so capacity is
-        /// reused.
-        payloads: Vec<Option<Vec<f64>>>,
-    },
-    Partitioned {
-        sends: Vec<GPsend>,
-        recvs: Vec<GPrecv>,
-    },
-}
-
-impl Wire {
-    /// Register the g step and the staging receives that fill its send
-    /// buffers. `window = Some((arena, base))` selects the plain wire,
-    /// staging in `arena[base ..]`; `None` selects the partitioned wire,
-    /// whose buffers stay per-message (a partitioned send covers its whole
-    /// buffer).
-    fn register(
-        g_sends: Vec<GSendRoute>,
-        g_recvs: Vec<GRecvRoute>,
-        s_recvs: Vec<SRecvRoute>,
-        reg: &mut ChanRegistrar,
-        comm: &Comm,
-        window: Option<(SharedBuf<f64>, usize)>,
-    ) -> (Self, Vec<SRecv>) {
-        match window {
-            Some((arena, base)) => {
-                let offsets: Vec<usize> = g_sends
-                    .iter()
-                    .scan(base, |off, g| {
-                        let o = *off;
-                        *off += g.len;
-                        Some(o)
-                    })
-                    .collect();
-                let end = base + g_sends.iter().map(|g| g.len).sum::<usize>();
-                assert!(
-                    end <= arena.read().len(),
-                    "arena window {base}..{end} out of arena of len {}",
-                    arena.read().len()
-                );
-                let s_recvs = s_recvs
-                    .into_iter()
-                    .map(|r| {
-                        let g = &g_sends[r.g_send];
-                        let win = offsets[r.g_send] + g.bounds[r.partition]
-                            ..offsets[r.g_send] + g.bounds[r.partition + 1];
-                        SRecv::register(r, reg, comm, win)
-                    })
-                    .collect();
-                let sends = g_sends
-                    .into_iter()
-                    .zip(&offsets)
-                    .map(|(g, &off)| GSend {
-                        req: reg.send_chan_init(comm, g.dst, g.tag, g.len),
-                        win: off..off + g.len,
-                        // origins are distinct per partition, so at most
-                        // one is this rank's own; staged partitions are
-                        // written as their s receives complete
-                        input_runs: g
-                            .parts
-                            .into_iter()
-                            .find_map(|part| match part.source {
-                                PartSource::Input(runs) => Some(runs),
-                                PartSource::Staged { .. } => None,
-                            })
-                            .unwrap_or_default(),
-                    })
-                    .collect();
-                // the plain wire ignores the partition bounds
-                let recvs: Vec<RecvExec> = g_recvs
-                    .into_iter()
-                    .map(|r| RecvExec {
-                        req: reg.recv_chan_init(comm, r.src, r.tag, r.len),
-                        outputs: r.outputs,
-                    })
-                    .collect();
-                let payloads = recvs.iter().map(|_| None).collect();
-                let wire = Wire::Plain {
-                    arena,
-                    sends,
-                    recvs,
-                    payloads,
-                };
-                (wire, s_recvs)
-            }
-            None => {
-                // g sends first: the staging receives fill their buffers
-                let sends: Vec<GPsend> = g_sends
-                    .into_iter()
-                    .map(|g| {
-                        let buf = shared_buf(vec![0.0f64; g.len]);
-                        GPsend {
-                            req: reg.psend_init_parts(comm, g.dst, g.tag, buf.clone(), g.bounds),
-                            buf,
-                            input_parts: g
-                                .parts
-                                .into_iter()
-                                .enumerate()
-                                .filter_map(|(pidx, part)| match part.source {
-                                    PartSource::Input(runs) => Some((pidx, runs)),
-                                    PartSource::Staged { .. } => None,
-                                })
-                                .collect(),
-                        }
-                    })
-                    .collect();
-                let s_recvs = s_recvs
-                    .into_iter()
-                    .map(|r| {
-                        let gs = &sends[r.g_send];
-                        let win = gs.req.partition_range(r.partition);
-                        SRecv::register(r, reg, comm, win)
-                    })
-                    .collect();
-                let recvs = g_recvs
-                    .into_iter()
-                    .map(|r| {
-                        let buf = shared_buf(vec![0.0f64; r.len]);
-                        GPrecv {
-                            req: reg.precv_init_parts(comm, r.src, r.tag, buf.clone(), r.bounds),
-                            buf,
-                            outputs: r.outputs,
-                        }
-                    })
-                    .collect();
-                (Wire::Partitioned { sends, recvs }, s_recvs)
-            }
-        }
-    }
-
-    /// Append the channel(s) g receive `i` still waits on: its one
-    /// channel, or every unarrived partition's.
-    fn pending_chans(&self, i: usize, out: &mut Vec<ChanId>) {
-        match self {
-            Wire::Plain { recvs, .. } => out.push(recvs[i].req.chan_id()),
-            Wire::Partitioned { recvs, .. } => recvs[i].req.pending_chan_ids(out),
-        }
-    }
-}
-
-/// The persistent neighborhood collective of one rank, on either wire.
+/// The persistent neighborhood collective of one rank.
 pub(crate) struct NeighborExec {
     input_index: Vec<usize>,
     output_index: Vec<usize>,
@@ -387,13 +197,19 @@ pub(crate) struct NeighborExec {
     local_recvs: Vec<RecvExec>,
     s_sends: Vec<SendExec<Run>>,
     s_recvs: Vec<SRecv>,
-    wire: Wire,
+    /// One allocation backing every g send buffer; staging payloads are
+    /// copied into it.
+    arena: SharedBuf<f64>,
+    g_sends: Vec<GSend>,
+    g_recvs: Vec<RecvExec>,
+    /// Borrowed g payloads of the current iteration, slotted by g receive
+    /// (arrival order fills them in any order; the r forwards index by
+    /// g-message position). Buffers recycle, so capacity is reused.
+    payloads: Vec<Option<Vec<f64>>>,
     r_sends: Vec<SendExec<FwdRun>>,
     r_recvs: Vec<RecvExec>,
     /// Per-iteration completion state, reset by `start`: which receives of
-    /// each step have been drained by `test`. A partitioned g receive is
-    /// done when **all** of its partitions have arrived and its ghost
-    /// slots are scattered.
+    /// each step have been drained by `test`.
     local_done: Vec<bool>,
     /// The staging receive the s step stands on: they complete in
     /// registration order, whatever order they land in.
@@ -419,12 +235,12 @@ pub(crate) struct NeighborExec {
 
 impl NeighborExec {
     /// Register this rank's requests from a precomputed routing (the
-    /// analogue of `MPI_Neighbor_alltoallv_init`). `window` picks the g
-    /// wire — see [`Wire::register`]: `Some` is the window a
-    /// [`crate::NeighborBatch`] carves for this entry out of the
-    /// batch-shared arena, `None` the partitioned wire. All channels
-    /// resolve through the caller's held [`ChanRegistrar`], so a batch
-    /// registers every entry in a single pass over the registry.
+    /// analogue of `MPI_Neighbor_alltoallv_init`). `window` is the arena
+    /// and offset a [`crate::NeighborBatch`] carves for this entry out of
+    /// the batch-shared arena; without one the request allocates an arena
+    /// of its own. All channels resolve through the caller's held
+    /// [`ChanRegistrar`], so a batch registers every entry in a single
+    /// pass over the registry.
     pub(crate) fn register(
         routing: RankRouting,
         reg: &mut ChanRegistrar,
@@ -433,37 +249,76 @@ impl NeighborExec {
         protocol: Protocol,
         lease: Option<Arc<TagLease>>,
     ) -> Self {
+        let g_len: usize = routing.g_sends.iter().map(|g| g.len).sum();
+        let (arena, base) = window.unwrap_or_else(|| (shared_buf(vec![0.0f64; g_len]), 0));
+        assert!(
+            base + g_len <= arena.read().len(),
+            "arena window {base}..{} out of arena of len {}",
+            base + g_len,
+            arena.read().len()
+        );
+        let offsets: Vec<usize> = routing
+            .g_sends
+            .iter()
+            .scan(base, |off, g| {
+                let o = *off;
+                *off += g.len;
+                Some(o)
+            })
+            .collect();
+
         let local_sends = routing
             .local_sends
             .into_iter()
             .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
             .collect();
         let local_recvs = RecvExec::register_all(routing.local_recvs, reg, comm);
-        let n_g = routing.g_recvs.len();
-        // the largest set `wait` can park on — every ℓ and r receive and
-        // every g partition, or the one staging receive the s step stands
-        // on — so the scratch never grows after init
-        let n_pending = (local_recvs.len()
-            + routing.r_recvs.len()
-            + routing
-                .g_recvs
-                .iter()
-                .map(|g| g.bounds.len() - 1)
-                .sum::<usize>())
-        .max(1);
+        // the largest set `wait` can park on — every ℓ, g and r receive, or
+        // the one staging receive the s step stands on — so the scratch
+        // never grows after init
+        let n_pending = (local_recvs.len() + routing.g_recvs.len() + routing.r_recvs.len()).max(1);
         let s_sends = routing
             .s_sends
             .into_iter()
             .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
             .collect();
-        let (wire, s_recvs) = Wire::register(
-            routing.g_sends,
-            routing.g_recvs,
-            routing.s_recvs,
-            reg,
-            comm,
-            window,
-        );
+        let s_recvs = routing
+            .s_recvs
+            .into_iter()
+            .map(|r| {
+                let (g, off) = (&routing.g_sends[r.g_send], offsets[r.g_send]);
+                let win = off + g.bounds[r.partition]..off + g.bounds[r.partition + 1];
+                SRecv::register(r, reg, comm, win)
+            })
+            .collect();
+        let g_sends = routing
+            .g_sends
+            .into_iter()
+            .zip(&offsets)
+            .map(|(g, &off)| GSend {
+                req: reg.send_chan_init(comm, g.dst, g.tag, g.len),
+                win: off..off + g.len,
+                // origins are distinct per partition, so at most one is
+                // this rank's own; staged partitions are written as their
+                // s receives complete
+                input_runs: g
+                    .parts
+                    .into_iter()
+                    .find_map(|part| match part.source {
+                        PartSource::Input(runs) => Some(runs),
+                        PartSource::Staged { .. } => None,
+                    })
+                    .unwrap_or_default(),
+            })
+            .collect();
+        let g_recvs: Vec<RecvExec> = routing
+            .g_recvs
+            .into_iter()
+            .map(|r| RecvExec {
+                req: reg.recv_chan_init(comm, r.src, r.tag, r.len),
+                outputs: r.outputs,
+            })
+            .collect();
         let r_sends = routing
             .r_sends
             .into_iter()
@@ -475,7 +330,8 @@ impl NeighborExec {
             output_index: routing.output_index,
             local_done: vec![false; local_recvs.len()],
             s_next: 0,
-            g_done: vec![false; n_g],
+            g_done: vec![false; g_recvs.len()],
+            payloads: g_recvs.iter().map(|_| None).collect(),
             r_started: false,
             r_done: vec![false; r_recvs.len()],
             // inactive until the first start: nothing held back, and
@@ -486,7 +342,9 @@ impl NeighborExec {
             local_recvs,
             s_sends,
             s_recvs,
-            wire,
+            arena,
+            g_sends,
+            g_recvs,
             r_sends,
             r_recvs,
             protocol,
@@ -497,11 +355,10 @@ impl NeighborExec {
 
     /// The s step and the g sends it gates, as one resumable step: take
     /// every staging payload that has been delivered, **in registration
-    /// order**, into its partition's window (the partitioned wire injects
-    /// that partition right there), and ship the g sends once the last one
-    /// is in. Returns whether the g step is out. Never blocks. The order
-    /// and the single shipping point are what make the virtual clock a
-    /// function of the plan rather than of thread timing.
+    /// order**, into its partition's window, and ship the g sends once the
+    /// last one is in. Returns whether the g step is out. Never blocks. The
+    /// order and the single shipping point are what make the virtual clock
+    /// a function of the plan rather than of thread timing.
     fn advance_s(&mut self, ctx: &mut RankCtx) -> bool {
         if self.g_started {
             return true;
@@ -510,33 +367,16 @@ impl NeighborExec {
             let Some(data) = sr.req.try_take(ctx) else {
                 return false;
             };
-            match &mut self.wire {
-                Wire::Plain { arena, .. } => {
-                    arena.write()[sr.win.clone()].copy_from_slice(&data);
-                }
-                Wire::Partitioned { sends, .. } => {
-                    let gs = &mut sends[sr.g_send];
-                    gs.buf.write()[sr.win.clone()].copy_from_slice(&data);
-                    gs.req.pready(ctx, sr.partition);
-                }
-            }
+            self.arena.write()[sr.win.clone()].copy_from_slice(&data);
             sr.req.recycle(data);
             self.s_next += 1;
         }
-        match &self.wire {
-            Wire::Plain { arena, sends, .. } => {
-                let arena = arena.read();
-                for send in sends {
-                    let win = &arena[send.win.clone()];
-                    send.req.start_with(ctx, |buf| buf.extend_from_slice(win));
-                }
-            }
-            Wire::Partitioned { sends, .. } => {
-                for gs in sends {
-                    gs.req.wait();
-                }
-            }
+        let arena = self.arena.read();
+        for send in &self.g_sends {
+            let win = &arena[send.win.clone()];
+            send.req.start_with(ctx, |buf| buf.extend_from_slice(win));
         }
+        drop(arena);
         self.g_started = true;
         true
     }
@@ -587,35 +427,14 @@ impl NeighborRequest for NeighborExec {
 
         // g: this rank's own contributions go into the send buffers now
         // (their windows are disjoint from the staged ones)
-        match &mut self.wire {
-            Wire::Plain {
-                arena,
-                sends,
-                recvs,
-                ..
-            } => {
-                let mut arena = arena.write();
-                for send in sends.iter() {
-                    copy_runs(&send.input_runs, input, &mut arena[send.win.clone()]);
-                }
-                for recv in recvs {
-                    recv.req.start();
-                }
+        {
+            let mut arena = self.arena.write();
+            for send in &self.g_sends {
+                copy_runs(&send.input_runs, input, &mut arena[send.win.clone()]);
             }
-            // the partitioned g opens before staging completes: the
-            // leader's own partitions are injected right away
-            Wire::Partitioned { sends, recvs } => {
-                for gs in sends {
-                    gs.req.start();
-                    for (pidx, runs) in &gs.input_parts {
-                        copy_runs(runs, input, &mut gs.buf.write());
-                        gs.req.pready(ctx, *pidx);
-                    }
-                }
-                for gr in recvs {
-                    gr.req.start();
-                }
-            }
+        }
+        for recv in &mut self.g_recvs {
+            recv.req.start();
         }
 
         self.advance_s(ctx);
@@ -623,13 +442,13 @@ impl NeighborRequest for NeighborExec {
 
     /// `MPI_Test`: non-blocking progress. Completes the s step first (in
     /// registration order) and ships the g sends; until they are out
-    /// nothing else is drained. From then on drains every payload (and
-    /// partition) that has been delivered — in arrival order, not posting
-    /// order — scatters its ghost values into `output`, advances the
-    /// ℓ→g→r state machine (the r forwards fire from the `test` call that
-    /// completes the last g receive), and reports whether the whole
-    /// iteration has completed. Once complete, further calls are no-ops
-    /// returning `true` (an inactive persistent request).
+    /// nothing else is drained. From then on drains every payload that has
+    /// been delivered — in arrival order, not posting order — scatters its
+    /// ghost values into `output`, advances the ℓ→g→r state machine (the r
+    /// forwards fire from the `test` call that completes the last g
+    /// receive), and reports whether the whole iteration has completed.
+    /// Once complete, further calls are no-ops returning `true` (an
+    /// inactive persistent request).
     fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
         assert_eq!(
             output.len(),
@@ -649,62 +468,34 @@ impl NeighborRequest for NeighborExec {
             }
         }
 
-        match &mut self.wire {
-            // borrow each delivered payload off its channel, scatter the
-            // slots that terminate here, and keep the payload for the r
-            // forwards
-            Wire::Plain {
-                recvs, payloads, ..
-            } => {
-                for ((recv, done), slot) in recvs.iter_mut().zip(&mut self.g_done).zip(payloads) {
-                    if *done {
-                        continue;
-                    }
-                    if let Some(data) = recv.req.try_take(ctx) {
-                        copy_runs(&recv.outputs, &data, output);
-                        *slot = Some(data);
-                        *done = true;
-                    }
-                }
+        // borrow each delivered g payload off its channel, scatter the
+        // slots that terminate here, and keep the payload for the r
+        // forwards
+        let g = self.g_recvs.iter_mut().zip(&mut self.g_done);
+        for ((recv, done), slot) in g.zip(&mut self.payloads) {
+            if *done {
+                continue;
             }
-            // a partitioned receive completes — and scatters — when its
-            // last partition lands
-            Wire::Partitioned { recvs, .. } => {
-                for (gr, done) in recvs.iter_mut().zip(&mut self.g_done) {
-                    if !*done && gr.req.try_wait(ctx) {
-                        copy_runs(&gr.outputs, &gr.buf.read(), output);
-                        *done = true;
-                    }
-                }
+            if let Some(data) = recv.req.try_take(ctx) {
+                copy_runs(&recv.outputs, &data, output);
+                *slot = Some(data);
+                *done = true;
             }
         }
 
         // r: opens once every g payload is in (each forward may read from
-        // any of them)
+        // any of them); the borrowed payloads are recycled afterwards
         if !self.r_started && self.g_done.iter().all(|&d| d) {
-            match &mut self.wire {
-                // the borrowed payloads are recycled afterwards
-                Wire::Plain {
-                    recvs, payloads, ..
-                } => {
-                    for send in &self.r_sends {
-                        send.start_gather(ctx, |r| {
-                            let data = payloads[r.g_msg].as_ref().expect("g payload drained");
-                            &data[r.pos..r.pos + r.len]
-                        });
-                    }
-                    for (recv, slot) in recvs.iter_mut().zip(payloads) {
-                        if let Some(data) = slot.take() {
-                            recv.req.recycle(data);
-                        }
-                    }
-                }
-                // hold one read guard per g buffer across all r forwards
-                Wire::Partitioned { recvs, .. } => {
-                    let g_bufs: Vec<_> = recvs.iter().map(|g| g.buf.read()).collect();
-                    for send in &self.r_sends {
-                        send.start_gather(ctx, |r| &g_bufs[r.g_msg][r.pos..r.pos + r.len]);
-                    }
+            let payloads = &self.payloads;
+            for send in &self.r_sends {
+                send.start_gather(ctx, |r| {
+                    let data = payloads[r.g_msg].as_ref().expect("g payload drained");
+                    &data[r.pos..r.pos + r.len]
+                });
+            }
+            for (recv, slot) in self.g_recvs.iter_mut().zip(&mut self.payloads) {
+                if let Some(data) = slot.take() {
+                    recv.req.recycle(data);
                 }
             }
             for recv in &mut self.r_recvs {
@@ -736,14 +527,10 @@ impl NeighborRequest for NeighborExec {
             out.push(self.s_recvs[self.s_next].req.chan_id());
             return;
         }
-        for (recv, done) in self.local_recvs.iter().zip(&self.local_done) {
+        let ell = self.local_recvs.iter().zip(&self.local_done);
+        for (recv, done) in ell.chain(self.g_recvs.iter().zip(&self.g_done)) {
             if !done {
                 out.push(recv.req.chan_id());
-            }
-        }
-        for (i, done) in self.g_done.iter().enumerate() {
-            if !done {
-                self.wire.pending_chans(i, out);
             }
         }
         if self.r_started {
@@ -762,10 +549,6 @@ impl NeighborRequest for NeighborExec {
     fn protocol(&self) -> Protocol {
         self.protocol
     }
-
-    fn is_partitioned(&self) -> bool {
-        matches!(self.wire, Wire::Partitioned { .. })
-    }
 }
 
 #[cfg(test)]
@@ -779,7 +562,8 @@ mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
-    const BOTH_WIRES: [bool; 2] = [false, true];
+    /// Whether a request's routing is split at the partition bounds.
+    const BOTH_ROUTINGS: [bool; 2] = [false, true];
 
     /// Counts this thread's heap allocations (a rank is a thread), so a
     /// test can assert that a stretch of code makes none.
@@ -808,8 +592,9 @@ mod tests {
     #[global_allocator]
     static COUNTING: CountingAlloc = CountingAlloc;
 
-    /// One rank's request for `plan` on the chosen wire, staging plain g
-    /// sends in a private arena.
+    /// One rank's request for `plan`, its routing split at the partition
+    /// bounds if `partitioned` (as `Backend::Partitioned` resolves it),
+    /// staging in an arena of its own.
     fn init(
         pattern: &CommPattern,
         plan: &Plan,
@@ -818,13 +603,12 @@ mod tests {
         tag_base: u64,
         partitioned: bool,
     ) -> NeighborExec {
-        let routing = RankRouting::build(pattern, plan, comm.rank(), tag_base);
-        let window = (!partitioned).then(|| {
-            let total: usize = routing.g_sends.iter().map(|g| g.len).sum();
-            (shared_buf(vec![0.0f64; total]), 0)
-        });
+        let mut routing = RankRouting::build(pattern, plan, comm.rank(), tag_base);
+        if partitioned {
+            routing = routing.split_at_partitions();
+        }
         let reg = &mut ctx.chan_registrar();
-        NeighborExec::register(routing, reg, comm, window, Protocol::FullNeighbor, None)
+        NeighborExec::register(routing, reg, comm, None, Protocol::FullNeighbor, None)
     }
 
     fn bidirectional() -> CommPattern {
@@ -844,7 +628,7 @@ mod tests {
         )
     }
 
-    /// Run `protocol` on `pattern` over one wire as an epoch of `pool`,
+    /// Run `protocol` on `pattern`, split or not, as an epoch of `pool`,
     /// with input value `10·index + iteration`, and check every ghost value
     /// arrives correctly over several iterations with changing values.
     fn roundtrip(
@@ -886,8 +670,8 @@ mod tests {
         }
     }
 
-    /// Every protocol on every wire its plan can run on (the partitioned
-    /// wire applies to aggregated plans only), as successive epochs of one
+    /// Every protocol, and the split routing of each aggregated plan (what
+    /// `Backend::Partitioned` runs), as successive epochs of one
     /// warm pool — the steady-state shape the benches and the AMG driver
     /// rely on.
     fn roundtrip_all(pattern: &CommPattern, topo: &Topology) {
@@ -998,12 +782,12 @@ mod tests {
 
     #[test]
     fn pooled_world_reuses_collectives_across_patterns() {
-        // one warm pool drives two different patterns in sequence, on both
-        // wires
+        // one warm pool drives two different patterns in sequence, split
+        // and not
         let pool = World::pool(8);
         let topo = Topology::block_nodes(8, 4);
         for pattern in [CommPattern::example_2_1(), bidirectional()] {
-            for partitioned in BOTH_WIRES {
+            for partitioned in BOTH_ROUTINGS {
                 roundtrip(&pool, &pattern, &topo, Protocol::FullNeighbor, partitioned);
             }
         }
@@ -1015,16 +799,16 @@ mod tests {
         let topo = Topology::block_nodes(8, 4);
         let plan_a = Protocol::PartialNeighbor.plan(&pattern, &topo);
         let plan_b = Protocol::FullNeighbor.plan(&pattern, &topo);
-        // every wire pairing, including plain alongside partitioned; one
-        // tag span apart (partition sub-tags live above the step tags)
-        for (wire_a, wire_b) in BOTH_WIRES
+        // every pairing of split and unsplit routings; one tag span apart
+        // (partition sub-tags live above the step tags)
+        for (split_a, split_b) in BOTH_ROUTINGS
             .into_iter()
-            .flat_map(|a| BOTH_WIRES.map(|b| (a, b)))
+            .flat_map(|a| BOTH_ROUTINGS.map(|b| (a, b)))
         {
             let ok = World::run(8, |ctx| {
                 let comm = ctx.comm_world();
-                let mut a = init(&pattern, &plan_a, ctx, &comm, 0, wire_a);
-                let mut b = init(&pattern, &plan_b, ctx, &comm, SPAN, wire_b);
+                let mut a = init(&pattern, &plan_a, ctx, &comm, 0, split_a);
+                let mut b = init(&pattern, &plan_b, ctx, &comm, SPAN, split_b);
                 let input_a: Vec<f64> = a.input_index().iter().map(|&i| i as f64).collect();
                 let input_b: Vec<f64> =
                     b.input_index().iter().map(|&i| 1000.0 + i as f64).collect();
@@ -1047,7 +831,7 @@ mod tests {
                     .all(|(&i, &v)| v == 1000.0 + i as f64);
                 ok_a && ok_b
             });
-            assert!(ok.into_iter().all(|b| b), "wires ({wire_a}, {wire_b})");
+            assert!(ok.into_iter().all(|b| b), "split ({split_a}, {split_b})");
         }
     }
 
@@ -1060,7 +844,7 @@ mod tests {
         let topo = Topology::block_nodes(16, 4);
         let pattern = CommPattern::all_to_all_regions(&topo);
         let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
-        for partitioned in BOTH_WIRES {
+        for partitioned in BOTH_ROUTINGS {
             let faults = FaultPlan::seeded(1).deadline_ms(3_000);
             let world = WorldConfig::new(Fabric::Thread).faults(faults);
             let ok = world.run(16, |ctx| {
@@ -1089,15 +873,20 @@ mod tests {
     fn steady_state_iteration_allocates_nothing() {
         // wire buffers recycle, copy maps are fixed at init and `wait`
         // parks through the request's own scratch: once every buffer has
-        // reached its size, start/wait touch the heap on no rank (plain
-        // wire; the partitioned r step collects its read guards in a Vec)
+        // reached its size, start/wait touch the heap on no rank — for
+        // every protocol, and for both aggregating ones split at their
+        // partition bounds (`Backend::Partitioned`)
         let topo = Topology::block_nodes(16, 4);
         let pattern = CommPattern::all_to_all_regions(&topo);
-        for protocol in Protocol::ALL {
+        let cases = Protocol::ALL.map(|p| (p, false)).into_iter().chain([
+            (Protocol::PartialNeighbor, true),
+            (Protocol::FullNeighbor, true),
+        ]);
+        for (protocol, partitioned) in cases {
             let plan = protocol.plan(&pattern, &topo);
             let allocs = World::run(16, |ctx| {
                 let comm = ctx.comm_world();
-                let mut nb = init(&pattern, &plan, ctx, &comm, 100, false);
+                let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
                 let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
                 let mut output = vec![f64::NAN; nb.output_index().len()];
                 // a barrier between iterations keeps every channel at one
@@ -1117,7 +906,7 @@ mod tests {
                 iterate(2);
                 iterate(8)
             });
-            assert_eq!(allocs, vec![0; 16], "{protocol}");
+            assert_eq!(allocs, vec![0; 16], "{protocol}, partitioned={partitioned}");
         }
     }
 
@@ -1129,7 +918,7 @@ mod tests {
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
         let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
-        for partitioned in BOTH_WIRES {
+        for partitioned in BOTH_ROUTINGS {
             let ok = World::run(8, |ctx| {
                 let comm = ctx.comm_world();
                 let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);

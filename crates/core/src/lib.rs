@@ -29,10 +29,10 @@
 //! combination), or [`Backend::Auto`] — model-driven selection performed
 //! at init time, as §5 prescribes.
 //!
-//! Under the hood, [`routing`] derives each rank's staging copy maps once;
-//! the one executor (`exec`) drives the ℓ→s→g→r lifecycle on `mpisim`,
-//! posting inter-region messages as plain persistent or as partitioned
-//! sends from the same routing; [`tagspace`] leases each live collective a
+//! Under the hood, [`routing`] derives each rank's staging copy maps once
+//! (for [`Backend::Partitioned`], split at the partition bounds); the one
+//! executor (`exec`) drives the ℓ→s→g→r lifecycle on `mpisim` persistent
+//! channels; [`tagspace`] leases each live collective a
 //! private tag namespace. [`analytic`] evaluates modeled cost and message
 //! statistics at paper scale (2048 ranks).
 

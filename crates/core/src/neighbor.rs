@@ -29,7 +29,7 @@
 //! Every rank constructs the same builder (deterministic planning makes the
 //! SPMD agreement trivial) and gets back a [`NeighborRequest`] trait object
 //! whose `start`/`wait`/`start_wait` drive the collective without exposing
-//! which protocol — or which inter-region wire — runs underneath.
+//! which protocol runs underneath.
 //!
 //! A workload that keeps **several** collectives live at once (every AMG
 //! level, plus residual/restriction exchanges) should construct one
@@ -52,8 +52,13 @@ use std::sync::OnceLock;
 pub enum Backend {
     /// The given protocol with plain persistent inter-region messages.
     Protocol(Protocol),
-    /// §5's combination: the given (aggregating) protocol with partitioned
-    /// inter-region messages, overlapping staging with injection.
+    /// §5's combination as this simulator runs it: the given (aggregating)
+    /// protocol with every inter-region message split at its partition
+    /// bounds — one message per contributing staging rank, each on its own
+    /// sub-tag, shipped with the rest after the staging step. That is what
+    /// MPI 4.0 partitioned requests put on the wire, without their early
+    /// injection; the overlap injection would buy is what
+    /// [`crate::analytic::iteration_time_partitioned`] models.
     Partitioned(Protocol),
     /// Model-driven selection at init time (§5): evaluate every protocol's
     /// plan under the cost model and run the cheapest.
@@ -144,9 +149,6 @@ pub trait NeighborRequest: Send {
     /// the *current* iteration runs — the measured winner once probing
     /// ends).
     fn protocol(&self) -> Protocol;
-
-    /// Whether inter-region messages run as partitioned sends.
-    fn is_partitioned(&self) -> bool;
 
     /// Whether the request is still measuring candidates — `true` only
     /// for a [`Backend::Tuned`] request before its winner locks in (a
@@ -354,9 +356,7 @@ mod tests {
         let (expected, _) = coll.plan();
         let protos = World::run(8, |ctx| {
             let comm = ctx.comm_world();
-            let req = coll.init(ctx, &comm);
-            assert!(!req.is_partitioned());
-            req.protocol()
+            coll.init(ctx, &comm).protocol()
         });
         assert!(protos.into_iter().all(|p| p == expected));
     }

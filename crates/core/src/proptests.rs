@@ -157,6 +157,120 @@ fn check_routing_runs(r: &RankRouting) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The partition of a g buffer with `bounds` that slot `pos` lies in, and
+/// its position inside that partition.
+fn split_pos(bounds: &[usize], pos: usize) -> (usize, usize) {
+    let p = (0..bounds.len() - 1)
+        .find(|&p| bounds[p] <= pos && pos < bounds[p + 1])
+        .expect("slot inside its buffer");
+    (p, pos - bounds[p])
+}
+
+/// Checks `split` is `unsplit` split at its partition bounds (see
+/// `split_routing_expands_to_the_same_value_maps`).
+fn check_split(unsplit: &RankRouting, split: &RankRouting) -> Result<(), TestCaseError> {
+    let (r, s) = (unsplit, split);
+    // the (unsplit message, partition) each split message is, in
+    // message-then-partition order
+    let send_of: Vec<(usize, usize)> = r
+        .g_sends
+        .iter()
+        .enumerate()
+        .flat_map(|(g, m)| (0..m.parts.len()).map(move |p| (g, p)))
+        .collect();
+    let recv_of: Vec<(usize, usize)> = r
+        .g_recvs
+        .iter()
+        .enumerate()
+        .flat_map(|(g, m)| (0..m.bounds.len() - 1).map(move |p| (g, p)))
+        .collect();
+    prop_assert_eq!(s.g_sends.len(), send_of.len());
+    prop_assert_eq!(s.g_recvs.len(), recv_of.len());
+    let sub_tag = |tag: u64, p: usize| tag + ((p as u64 + 1) << 20);
+    for (m, &(g, p)) in s.g_sends.iter().zip(&send_of) {
+        let (old, part) = (&r.g_sends[g], &r.g_sends[g].parts[p]);
+        prop_assert_eq!(m.parts.len(), 1);
+        prop_assert_eq!(&m.bounds, &vec![0, m.len]);
+        prop_assert_eq!(m.parts[0].range.clone(), 0..m.len);
+        prop_assert_eq!(m.parts[0].origin, part.origin);
+        let want = (old.dst, sub_tag(old.tag, p), part.range.len());
+        prop_assert_eq!((m.dst, m.tag, m.len), want);
+    }
+    for (m, &(g, p)) in s.g_recvs.iter().zip(&recv_of) {
+        let old = &r.g_recvs[g];
+        prop_assert_eq!(&m.bounds, &vec![0, m.len]);
+        let want = (
+            old.src,
+            sub_tag(old.tag, p),
+            old.bounds[p + 1] - old.bounds[p],
+        );
+        prop_assert_eq!((m.src, m.tag, m.len), want);
+        let inside = m.outputs.iter().all(|o| o.from + o.len <= m.len);
+        prop_assert!(inside, "{:?} leaves its message", m.outputs);
+    }
+    let lens = |r: &RankRouting| {
+        let send: usize = r.g_sends.iter().map(|g| g.len).sum();
+        (send, r.g_recvs.iter().map(|g| g.len).sum::<usize>())
+    };
+    prop_assert_eq!(lens(s), lens(r));
+    // each staging receive fills the message its partition became, and
+    // that message names it back
+    prop_assert_eq!(s.s_recvs.len(), r.s_recvs.len());
+    for (i, (sr, old)) in s.s_recvs.iter().zip(&r.s_recvs).enumerate() {
+        prop_assert_eq!(send_of[sr.g_send], (old.g_send, old.partition));
+        prop_assert_eq!((sr.partition, sr.len), (0, s.g_sends[sr.g_send].len));
+        let source = &s.g_sends[sr.g_send].parts[0].source;
+        prop_assert_eq!(source, &PartSource::Staged { s_recv: i });
+    }
+    check_routing_runs(s)?;
+
+    // the unsplit maps, value by value, renumbered into the split messages
+    let old = ValueMaps::expand(r);
+    let recv_index = |g: usize, p: usize| recv_of.iter().position(|&k| k == (g, p)).unwrap();
+    let g_recvs = recv_of
+        .iter()
+        .map(|&(g, p)| {
+            let bounds = &r.g_recvs[g].bounds;
+            old.g_recvs[g]
+                .iter()
+                .filter(|&&(pos, _)| split_pos(bounds, pos).0 == p)
+                .map(|&(pos, out)| (split_pos(bounds, pos).1, out))
+                .collect()
+        })
+        .collect();
+    let g_inputs = send_of
+        .iter()
+        .map(|&(g, p)| {
+            old.g_inputs[g]
+                .iter()
+                .filter(|(q, _)| *q == p)
+                .map(|(_, inputs)| (0, inputs.clone()))
+                .collect()
+        })
+        .collect();
+    let r_sends = old
+        .r_sends
+        .iter()
+        .map(|sources| {
+            sources
+                .iter()
+                .map(|&(g, pos)| {
+                    let (p, rel) = split_pos(&r.g_recvs[g].bounds, pos);
+                    (recv_index(g, p), rel)
+                })
+                .collect()
+        })
+        .collect();
+    let want = ValueMaps {
+        g_recvs,
+        g_inputs,
+        r_sends,
+        ..old
+    };
+    prop_assert_eq!(ValueMaps::expand(s), want);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -250,6 +364,30 @@ proptest! {
                     "rank {} under {}", me, protocol
                 );
                 check_routing_runs(routing)?;
+            }
+        }
+    }
+
+    /// Splitting a routing at its partition bounds (`Backend::Partitioned`)
+    /// leaves one partition per g message, each on the sub-tag `tag + (p +
+    /// 1) << 20` of the message it came from; lengths sum as before, no run
+    /// leaves its message, staging receives point at their partition's
+    /// message, and the per-value maps are the unsplit routing's,
+    /// renumbered into the split messages — for both aggregating protocols
+    /// and both leader strategies.
+    #[test]
+    fn split_routing_expands_to_the_same_value_maps(
+        pattern in arb_blocky_pattern(12),
+        ppn in 1usize..7,
+    ) {
+        let topo = Topology::block_nodes(12, ppn);
+        for protocol in [Protocol::PartialNeighbor, Protocol::FullNeighbor] {
+            for strategy in [AssignStrategy::LoadBalanced, AssignStrategy::RoundRobin] {
+                let plan = protocol.plan_with(&pattern, &topo, strategy);
+                for routing in RankRouting::build_all(&pattern, &plan, 4096) {
+                    let split = routing.clone().split_at_partitions();
+                    check_split(&routing, &split)?;
+                }
             }
         }
     }

@@ -1,14 +1,11 @@
-//! Per-rank routing: the staging machinery shared by both wires of the
-//! executor.
+//! Per-rank routing: the staging machinery behind the executor.
 //!
 //! A [`Plan`] is a *global* description of one collective. Before a rank
 //! can post requests it must derive its local view: which buffers to
 //! register, which tag each message uses, where each send-buffer slot gets
 //! its value from, and where each received slot is delivered. That
-//! derivation — the copy-map construction — is identical for both wires
-//! of the executor (`exec`, plain persistent or partitioned g messages);
-//! it lives here so the wires only differ in *how* they move the bytes,
-//! not in how they decide what goes where.
+//! derivation — the copy-map construction — lives here, so the executor
+//! (`exec`) only moves the bytes and never decides what goes where.
 //!
 //! A copy map is a list of **maximal runs** ([`Run`], [`FwdRun`]), not one
 //! entry per value: consecutive values whose source and destination
@@ -22,13 +19,14 @@
 //!
 //! Inter-region (`g`) messages are laid out **origin-major**: the slots
 //! contributed by each staging rank form one contiguous run, recorded in
-//! [`GSendRoute::bounds`]. The plain wire ignores the bounds and ships
-//! the buffer as a single message; the partitioned wire registers one
-//! partition per run and injects each as its staging message is received
-//! (`MPI_Pready`-style, the paper's §5 combination). Both sides of a
-//! message derive the same layout from the shared plan, so matching is
-//! deterministic. A run that reads a g buffer never crosses a partition
-//! bound, so each lies in the part of the buffer one partition delivers.
+//! [`GSendRoute::bounds`]. A g message ships as one message;
+//! [`RankRouting::split_at_partitions`] turns each partition into a g
+//! message of its own (what [`crate::Backend::Partitioned`] runs, the
+//! paper's §5 combination). Both sides of a message derive the same
+//! layout from the shared plan, so matching is deterministic. A run that
+//! reads a g buffer never crosses a partition bound, so each lies in the
+//! part of the buffer one partition delivers — which is what makes the
+//! split exact.
 //!
 //! Two construction paths exist:
 //!
@@ -51,6 +49,11 @@ use std::ops::Range;
 /// message per region pair). Both sides derive `seq` from the shared plan
 /// order, so matching is unambiguous.
 pub const STEP_TAG_STRIDE: u64 = 4096;
+
+/// Sub-tag layout of a split g message: partition `p` of the message on
+/// `tag` travels on `tag + (p + 1) · PART_TAG_STRIDE`, above every step
+/// tag of its span ([`crate::tagspace::SPAN`] holds 1023 partitions).
+const PART_TAG_STRIDE: u64 = 1 << 20;
 
 /// Step identifiers used in the tag layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -784,12 +787,143 @@ impl RankRouting {
         }
         routings
     }
+
+    /// This routing with every g message split at its partition bounds —
+    /// what [`crate::Backend::Partitioned`] runs. Partition `p` of a g
+    /// message becomes a g message of its own on the sub-tag `tag + (p + 1)
+    /// · 2²⁰`, in message-then-partition order; each staging
+    /// receive points at the message its partition became, and every run
+    /// over a g buffer is rebased into the message holding it. Exact
+    /// because no such run crosses a partition bound, and both endpoints
+    /// split the same layout, so they agree on every sub-tag and length.
+    /// The staging arena's layout is unchanged: the split messages tile
+    /// the buffers they came from.
+    pub fn split_at_partitions(self) -> Self {
+        let split_tag = |tag: u64, p: usize| {
+            let sub = (p as u64 + 1) * PART_TAG_STRIDE;
+            assert!(
+                sub < crate::tagspace::SPAN,
+                "partition {p} overflows its tag span"
+            );
+            tag + sub
+        };
+        // the first split message of each g send / receive
+        fn firsts(parts: impl Iterator<Item = usize>) -> Vec<usize> {
+            parts
+                .scan(0, |next, k| {
+                    let first = *next;
+                    *next += k;
+                    Some(first)
+                })
+                .collect()
+        }
+        let send_first = firsts(self.g_sends.iter().map(|g| g.parts.len()));
+        let recv_first = firsts(self.g_recvs.iter().map(|g| g.bounds.len() - 1));
+
+        let g_sends = self
+            .g_sends
+            .into_iter()
+            .flat_map(|g| {
+                let (dst, tag) = (g.dst, g.tag);
+                g.parts.into_iter().enumerate().map(move |(p, part)| {
+                    let (start, len) = (part.range.start, part.range.len());
+                    let source = match part.source {
+                        PartSource::Input(runs) => PartSource::Input(
+                            runs.into_iter()
+                                .map(|r| Run {
+                                    to: r.to - start,
+                                    ..r
+                                })
+                                .collect(),
+                        ),
+                        staged => staged,
+                    };
+                    GSendRoute {
+                        dst,
+                        tag: split_tag(tag, p),
+                        len,
+                        bounds: vec![0, len],
+                        parts: vec![GPartRoute {
+                            origin: part.origin,
+                            range: 0..len,
+                            source,
+                        }],
+                    }
+                })
+            })
+            .collect();
+        let s_recvs = self
+            .s_recvs
+            .into_iter()
+            .map(|s| SRecvRoute {
+                g_send: send_first[s.g_send] + s.partition,
+                partition: 0,
+                ..s
+            })
+            .collect();
+        // the receive's outputs are in slot order, so each partition's
+        // runs are one contiguous stretch of them
+        let g_recvs = self
+            .g_recvs
+            .iter()
+            .flat_map(|g| {
+                g.bounds.windows(2).enumerate().map(move |(p, w)| {
+                    let (lo, hi) = (w[0], w[1]);
+                    let first = g.outputs.partition_point(|r| r.from < lo);
+                    let end = g.outputs.partition_point(|r| r.from < hi);
+                    GRecvRoute {
+                        src: g.src,
+                        tag: split_tag(g.tag, p),
+                        len: hi - lo,
+                        bounds: vec![0, hi - lo],
+                        outputs: g.outputs[first..end]
+                            .iter()
+                            .map(|r| Run {
+                                from: r.from - lo,
+                                ..*r
+                            })
+                            .collect(),
+                    }
+                })
+            })
+            .collect();
+        let r_sends = self
+            .r_sends
+            .into_iter()
+            .map(|s| RSendRoute {
+                sources: s
+                    .sources
+                    .into_iter()
+                    .map(|f| {
+                        let bounds = &self.g_recvs[f.g_msg].bounds;
+                        let p = bounds.partition_point(|&b| b <= f.pos) - 1;
+                        FwdRun {
+                            g_msg: recv_first[f.g_msg] + p,
+                            pos: f.pos - bounds[p],
+                            len: f.len,
+                        }
+                    })
+                    .collect(),
+                ..s
+            })
+            .collect();
+        Self {
+            s_recvs,
+            g_sends,
+            g_recvs,
+            r_sends,
+            ..self
+        }
+    }
 }
 
 /// One entry of a batch routing sweep: a pattern, its resolved plan, the
-/// tag base carved for it, and whether its request takes its g-send
-/// buffers from the batch-shared arena (the plain wire does; the
-/// partitioned wire owns per-message partitioned buffers).
+/// tag base carved for it, and whether its request stages its g sends in
+/// the batch-shared arena. [`crate::NeighborBatch`] sets it for every
+/// entry; an entry without it gets no window (`arena_off: None`) and its
+/// request allocates an arena of its own. It stays a field because
+/// callers that time the sweep alone (`perfbench`) build entries
+/// themselves.
 pub struct BatchEntryPlan<'a> {
     pub pattern: &'a CommPattern,
     pub plan: &'a Plan,
@@ -1172,7 +1306,8 @@ mod tests {
             assert_eq!(br.entries[1], b[rank]);
             assert_eq!(br.entries[2], c[rank]);
             // arena: entry 0 at offset 0, entry 1 right behind it, the
-            // non-shared entry 2 gets no window and adds no length
+            // non-shared entry 2 gets no window and adds no length (its
+            // request allocates its own)
             let g_total = |r: &RankRouting| r.g_sends.iter().map(|g| g.len).sum::<usize>();
             assert_eq!(br.arena_off[0], Some(0));
             assert_eq!(br.arena_off[1], Some(g_total(&a[rank])));

@@ -1,9 +1,10 @@
 //! Leased tag namespaces for concurrently live collectives.
 //!
 //! Every live collective needs a private tag range on its communicator:
-//! the routing layer lays out `tag_base + step·4096 + seq` per message and
-//! the partitioned transport folds `(partition + 1) << 20` on top, so one
-//! collective occupies up to [`SPAN`] tags. The old allocator was a global
+//! the routing layer lays out `tag_base + step·4096 + seq` per message and,
+//! splitting a g message at its partition bounds
+//! ([`crate::RankRouting::split_at_partitions`]), folds `(partition + 1)
+//! << 20` on top, so one collective occupies up to [`SPAN`] tags. The old allocator was a global
 //! atomic counter that silently wrapped after [`CAPACITY`] allocations —
 //! the 512th *live* collective would re-use the first one's range and
 //! cross-deliver without a diagnostic.
@@ -38,9 +39,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Tags per leased span: room for the four step namespaces (`step·4096 +
 /// seq`) plus up to 1023 partition sub-tags (`(partition + 1) << 20`).
 pub const SPAN: u64 = 1 << 30;
-/// Partitioned requests need `tag < 2^39` (half the simulator's user tag
-/// space); leases live in `[SPAN, WRAP)`, keeping `[0, SPAN)` free for
-/// hand-picked bases.
+/// Leases live in `[SPAN, WRAP)`, keeping `[0, SPAN)` free for
+/// hand-picked bases and every tag, partition sub-tags included, in the
+/// lower half of the simulator's user tag space.
 const WRAP: u64 = 1 << 39;
 /// Spans that can be simultaneously live: 511.
 pub const CAPACITY: u64 = WRAP / SPAN - 1;

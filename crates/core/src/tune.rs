@@ -364,10 +364,6 @@ impl NeighborRequest for TunedNeighbor {
         self.candidates[self.active].protocol
     }
 
-    fn is_partitioned(&self) -> bool {
-        false
-    }
-
     fn is_probing(&self) -> bool {
         !matches!(self.phase, Phase::Decided)
     }

@@ -1,9 +1,8 @@
 //! `mpisim` — an in-process simulated MPI runtime.
 //!
 //! The paper's library "sits on top of MPI" and needs little of it:
-//! point-to-point messages, persistent and partitioned requests
-//! (`MPI_Send_init`/`MPI_Recv_init`/`MPI_Start`/`MPI_Wait`,
-//! `MPI_Psend_init`/`MPI_Pready`/`MPI_Parrived`), communicator
+//! point-to-point messages, persistent requests
+//! (`MPI_Send_init`/`MPI_Recv_init`/`MPI_Start`/`MPI_Wait`), communicator
 //! split/dup, and the handful of collectives setup code uses (barrier,
 //! allreduce, allgather). This crate implements
 //! those semantics — and no more — over OS threads so that every protocol
@@ -58,14 +57,11 @@ pub mod comm;
 pub mod ctx;
 pub mod elem;
 mod env;
-pub mod partitioned;
 pub mod persistent;
 pub mod runtime;
 pub mod stall;
 pub mod state;
 pub mod transport;
-
-pub use partitioned::{PrecvReq, PsendReq};
 
 pub use comm::Comm;
 pub use ctx::RankCtx;

@@ -19,8 +19,7 @@
 //! payload out in place ([`RecvChan::try_take`] to poll,
 //! [`RecvChan::wait_with`]/[`RecvChan::wait_take`] to block), with no
 //! registered window in between. A caller that wants one keeps its own
-//! buffer ([`SharedBuf`] is the shared kind the partitioned requests
-//! register) and copies at the two ends.
+//! buffer ([`SharedBuf`] is a shared kind) and copies at the two ends.
 //!
 //! A persistent send therefore matches a persistent receive registered with
 //! the same signature on the peer (the paper's collectives always register
@@ -36,8 +35,8 @@ use crate::state::{ChanRegistrar, Channel, WaitChans};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-/// A buffer with shared ownership: what a partitioned request registers,
-/// and how several requests alias windows of one allocation.
+/// A buffer with shared ownership: how several requests alias windows of
+/// one allocation (a batch's staging arena).
 pub type SharedBuf<T> = Arc<RwLock<Vec<T>>>;
 
 /// Create a [`SharedBuf`] from initial contents.

@@ -183,7 +183,7 @@ impl<T: Clone + Send + 'static> AnyChan for Channel<T> {
 /// datatypes (e.g. every receive of a whole collective batch).
 ///
 /// Obtain one from the receive half that owns the channel
-/// ([`crate::RecvChan::chan_id`], [`crate::PrecvReq::pending_chan_ids`]).
+/// ([`crate::RecvChan::chan_id`]).
 #[derive(Clone)]
 pub struct ChanId {
     /// The channel's signature, for blocked-receive diagnostics (the
@@ -262,6 +262,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
 
     /// Deposit one message (buffered semantics: a sender may run many
     /// iterations ahead; the shm ring bounds that depth by its capacity).
+    #[cfg(test)]
     pub fn push(&self, data: &[T], arrival: f64) {
         self.push_with(arrival, |buf| buf.extend_from_slice(data));
     }
@@ -355,7 +356,7 @@ impl<T: Clone + Send + 'static> Channel<T> {
 /// registry instead of one contended lock round trip per message.
 ///
 /// Obtain one with [`crate::RankCtx::chan_registrar`]; the registration
-/// methods (`send_chan_init`, `recv_chan_init`, `psend_init_parts`, …) mirror
+/// methods (`send_chan_init`, `recv_chan_init`) mirror
 /// the [`crate::RankCtx`] ones. Registration never blocks on traffic, so
 /// holding the registry lock across a batch is deadlock-free — but do not
 /// call `start`/`wait` (or any `RankCtx` registration method, which takes
@@ -593,7 +594,7 @@ impl WorldState {
                     "{kind} blocked on channel {key:?}, from {src} tag {tag}: matching \
                      message sits in the plain mailbox — mixing a plain send with a \
                      persistent receive on one signature is unsupported (use \
-                     send_chan_init / psend_init on the sender)"
+                     send_chan_init on the sender)"
                 );
             }
         })

@@ -43,9 +43,9 @@ const MAGIC: u64 = 0x6d70_6973_696d_000c; // "mpisim", layout v12
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world holds one
-/// slot per *live* persistent signature (partitioned sends add one per
-/// partition) — a slot goes back when every attacher has dropped its
-/// channel; exceeding this is a loud panic, not silent corruption.
+/// slot per *live* persistent signature — a slot goes back when every
+/// attacher has dropped its channel; exceeding this is a loud panic, not
+/// silent corruption.
 pub(crate) const TABLE_CAP: usize = 4096;
 
 extern "C" {

@@ -1,9 +1,9 @@
 //! Partitioned locality-aware aggregation — the paper's §5 combination.
 //!
-//! Runs the fully optimized neighborhood collective in its plain and
-//! partitioned forms on the simulated runtime with the virtual clock
-//! attached, and reports both end-to-end iteration time and
-//! time-to-first-partition at the receiving leaders.
+//! Runs the fully optimized neighborhood collective with its inter-region
+//! messages whole and split at their partition bounds
+//! (`Backend::Partitioned`) on the simulated runtime with the virtual
+//! clock attached, and reports the end-to-end iteration time of each.
 //!
 //! Run with: `cargo run --release --example partitioned_aggregation`
 
@@ -66,54 +66,7 @@ fn main() {
     println!("  plain aggregated iteration:        {plain:.3e} s");
     println!("  partitioned aggregated iteration:  {parted:.3e} s");
     println!(
-        "  delta: {:+.1}% (per-partition handshakes vs hidden staging)",
+        "  delta: {:+.1}% (one message per staging rank instead of one per region pair)",
         100.0 * (parted - plain) / plain
-    );
-
-    // Time-to-first-data at the raw partitioned-transport level.
-    let model = Arc::new({
-        let mut m = LocalityModel::lassen();
-        m.queue_coeff = 0.0;
-        m
-    });
-    const N: usize = 400_000;
-    const PARTS: usize = 16;
-    let out = World::run_modeled(Topology::block_nodes(2, 1), model, |ctx| {
-        use mpisim::persistent::shared_buf;
-        let comm = ctx.comm_world();
-        if ctx.rank() == 0 {
-            let data = vec![1.0f64; N];
-            ctx.send(&comm, 1, 0, &data);
-            let buf = shared_buf(vec![1.0f64; N]);
-            let mut req = ctx.psend_init(&comm, 1, 1, buf, PARTS);
-            req.start();
-            for p in 0..PARTS {
-                req.pready(ctx, p);
-            }
-            req.wait();
-            (0.0, 0.0)
-        } else {
-            use mpisim::persistent::shared_buf;
-            let t0 = ctx.clock();
-            let _: Vec<f64> = ctx.recv(&comm, 0, 0);
-            let t_full = ctx.clock() - t0;
-            let buf = shared_buf(vec![0.0f64; N]);
-            let mut req = ctx.precv_init(&comm, 0, 1, buf, PARTS);
-            req.start();
-            let t1 = ctx.clock();
-            while !req.parrived(ctx, 0) {
-                std::thread::yield_now();
-            }
-            let t_first = ctx.clock() - t1;
-            req.wait(ctx);
-            (t_full, t_first)
-        }
-    });
-    let (t_full, t_first) = out[1];
-    println!("\n3.2 MB message, {PARTS} partitions (raw transport):");
-    println!("  whole-message arrival:  {t_full:.3e} s");
-    println!(
-        "  first-partition arrival:{t_first:.3e} s ({:.0}x earlier)",
-        t_full / t_first
     );
 }
