@@ -68,7 +68,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, and four one-file rules. Configuration: mpisim reads
+# clippy, formatting, and three grep rules. Configuration: mpisim reads
 # the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
 # woken through its park point only (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the one park-point file of
@@ -80,22 +80,13 @@ clippy:
 # Blocking: a request blocks in `wait` and a rank in the scheduler's park,
 # never inside `start`, `test` or a task's poll (DESIGN.md §7, §12), so
 # the non-test code of core and service (each file up to its
-# `#[cfg(test)]`) makes no blocking mpisim call but one: the service's
-# epoch-prologue barrier (the tuned decision is a persistent reduction
-# its `test` completes, like any request's traffic). Registration: the
-# scheduler registers whatever an epoch opens — a lane's session, the
-# cancel fabric — before that barrier, which runs whenever anything
-# registered; that is `RankCtx::comm_free`'s contract (DESIGN.md §3, §12).
-# So scheduler.rs, before its `#[cfg(test)]`, has exactly one barrier
-# point — `    if ep.barrier {` with `        ctx.barrier(&world);` the
-# line after it, the one blocking call allowed there — and from that
-# point on it dups no communicator and registers nothing
+# `#[cfg(test)]`) makes no blocking mpisim call, with no exception (the
+# tuned decision is a persistent reduction its `test` completes). Nor
+# does registration need a rule: the service frees only in a pool run of
+# its own between epochs, so every member has registered before any
+# member frees — `RankCtx::comm_free`'s contract (DESIGN.md §3, §12)
 WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
-PROLOGUE_BARRIER = $(shell awk '/^\#\[cfg\(test\)\]/ {exit} \
-	prev ~ /^    if ep\.barrier \{$$/ && /^        ctx\.barrier\(&world\);$$/ {print FNR} \
-	{prev = $$0}' crates/service/src/scheduler.rs)
-REGISTERING_CALLS := init_all|chan_registrar|_chan_init|dup_for
 lint: clippy
 	cargo fmt --all --check
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
@@ -105,15 +96,8 @@ lint: clippy
 		echo "error: mpisim wakes a thread outside a park point (see the lint rule in Makefile)"; exit 1; fi
 	@if for f in $$(find crates/core/src crates/service/src -name '*.rs' ! -name proptests.rs); do \
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
-		| grep -E '$(BLOCKING_CALLS)' \
-		| grep -v '^crates/service/src/scheduler\.rs:$(PROLOGUE_BARRIER):'; then \
+		| grep -E '$(BLOCKING_CALLS)'; then \
 		echo "error: core or service blocks outside wait (see the lint rule in Makefile)"; exit 1; fi
-	@test '$(words $(PROLOGUE_BARRIER))' = 1 || { \
-		echo "error: the scheduler has no single prologue barrier point (see the lint rule in Makefile)"; exit 1; }
-	@if awk -v b='$(PROLOGUE_BARRIER)' '/^#\[cfg\(test\)\]/ {exit} \
-		FNR >= b - 1 {print FILENAME ":" FNR ":" $$0}' crates/service/src/scheduler.rs \
-		| grep -E '$(REGISTERING_CALLS)'; then \
-		echo "error: the scheduler registers after its prologue barrier (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run three of them once, output discarded: the modeled fig07_crossover at

@@ -233,12 +233,13 @@ impl RankCtx {
     ///
     /// Contract: **every member has registered what it will register on
     /// this communicator** (a barrier after the registration pass gives
-    /// that). Requests initialized before the call keep working — each owns
-    /// its channels, and what the fabric keeps per channel (queues, a shm
-    /// table row and ring, a sock deliver hook) is returned when the last
-    /// of them drops. A registration on the context *after* a member freed
-    /// it makes a fresh channel its peer never attaches to: the blocked
-    /// side ends in a deadline abort, loudly, not in a hang.
+    /// that, and so does a `WorldPool::run` boundary between registering
+    /// and freeing). Requests initialized before the call keep working —
+    /// each owns its channels, and what the fabric keeps per channel
+    /// (queues, a shm table row and ring, a sock deliver hook) is returned
+    /// when the last of them drops. A registration on the context *after*
+    /// a member freed it makes a fresh channel its peer never attaches to:
+    /// the blocked side ends in a deadline abort, loudly, not in a hang.
     pub fn comm_free(&self, comm: &Comm) {
         assert_ne!(comm.ctx_id, 0, "the world communicator cannot be freed");
         self.world.free_context(comm.ctx_id);

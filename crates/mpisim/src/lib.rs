@@ -3,11 +3,11 @@
 //! The paper's library "sits on top of MPI" and needs little of it:
 //! point-to-point messages, persistent requests
 //! (`MPI_Send_init`/`MPI_Recv_init`/`MPI_Start`/`MPI_Wait`), communicator
-//! split/dup, and the handful of collectives setup code uses (barrier,
-//! allreduce, allgather). This crate implements
-//! those semantics — and no more — over OS threads so that every protocol
-//! in the `mpi-advance` crate performs *real* data movement and can be
-//! validated for correctness.
+//! split/dup, and three mailbox collectives (`comm_split` runs on
+//! allgather; tests and the benchmark use barrier and allreduce). This
+//! crate implements those semantics — and no more — over OS threads so
+//! that every protocol in the `mpi-advance` crate performs *real* data
+//! movement and can be validated for correctness.
 //!
 //! Each rank is a thread running the same SPMD closure with a [`RankCtx`]
 //! handle. Message matching follows MPI rules: envelopes carry

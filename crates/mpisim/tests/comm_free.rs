@@ -3,7 +3,7 @@
 //! the fabric kept for them goes back once the handles are dropped — so a
 //! warm world can serve dup'd communicators for as long as it likes.
 
-use mpisim::{Comm, Fabric, RankCtx, RegistryGauge, WorldConfig, WorldPool};
+use mpisim::{Comm, Fabric, FaultPlan, RankCtx, RegistryGauge, WorldConfig, WorldPool};
 
 const N: usize = 4;
 const LEN: usize = 3;
@@ -79,6 +79,61 @@ fn a_freed_communicator_is_forgotten_and_its_handles_still_deliver() {
         // and on shm the freed rings are the ones reused
         pool.run(|ctx| ring_on_a_freed_comm(ctx, 2, 5));
         assert_eq!(gauge(&pool), after, "{name}: a second communicator");
+    }
+}
+
+/// No barrier is needed between registration and traffic: registration
+/// is create-or-attach on every fabric, so a persistent deposit that
+/// beats its receiver's registration waits for it. Rank 0
+/// registers a send on a duplicated communicator, starts it, and only then
+/// tells rank 1 by a plain message; rank 1 registers the receive after
+/// that message, and the receive attaches to the send's channel and takes
+/// the payload. Every rank then frees the communicator in a pool run of
+/// its own — the run boundary is what gives `comm_free`'s contract — and
+/// the gauge is back where the pool started, but for segment bytes.
+#[test]
+fn a_deposit_that_beats_its_receivers_registration_is_delivered() {
+    const STREAM: u64 = 3;
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let plan = FaultPlan::seeded(0).deadline_ms(10_000);
+        let pool = WorldConfig::new(fabric).faults(plan).pool(N);
+        let idle = gauge(&pool);
+        let got = pool.run(|ctx| {
+            let world = ctx.comm_world();
+            let comm = world.dup_for(STREAM);
+            match ctx.rank() {
+                0 => {
+                    let tx = ctx.send_chan_init::<u64>(&comm, 1, 9, LEN);
+                    tx.start_with(ctx, |buf| buf.extend(payload(0, STREAM, 0)));
+                    ctx.send(&world, 1, 9, &[7u64]);
+                    None
+                }
+                1 => {
+                    assert_eq!(ctx.recv::<u64>(&world, 0, 9), [7], "{name}");
+                    let mut rx = ctx.recv_chan_init::<u64>(&comm, 0, 9, LEN);
+                    rx.start();
+                    Some(rx.wait_with(ctx, <[u64]>::to_vec))
+                }
+                _ => None,
+            }
+        });
+        assert_eq!(got[1], Some(payload(0, STREAM, 0)), "{name}");
+        assert_eq!(
+            gauge(&pool).channels,
+            1,
+            "{name}: both halves on one channel"
+        );
+        pool.run(|ctx| ctx.comm_free(&ctx.comm_world().dup_for(STREAM)));
+        let freed = gauge(&pool);
+        assert_eq!(
+            RegistryGauge {
+                shm_bytes: idle.shm_bytes,
+                ..freed
+            },
+            idle,
+            "{name}: the gauge is back where the pool started"
+        );
     }
 }
 

@@ -28,8 +28,8 @@
 //! lanes like any other's, and a lane's probe phase, paid by its first
 //! jobs, carries over to the jobs after them. What the ranks hold beyond
 //! the warm shapes — a shape that dropped off the four, a lane a job
-//! failed on — every rank frees ([`RankCtx::comm_free`]) in one pool run
-//! before the next epoch, at the next call's start or before a rerun,
+//! failed on — every rank frees ([`mpisim::RankCtx::comm_free`]) in one
+//! pool run before the next epoch, at the next call's start or before a rerun,
 //! and before anything registers. So the pool holds the four warm
 //! shapes' lanes — each shape as many as the most one call of it was
 //! dealt while it stayed warm, `min(window, jobs of the shape)`, so at
@@ -51,7 +51,7 @@
 //!   `kill=` fault (or plain bug) inside one tenant resolves that task to
 //!   `Err` (and it is never polled again),
 //!   the scheduler absorbs the transport-level death flag
-//!   ([`RankCtx::absorb_rank_failure`]) and broadcasts a cancel token on
+//!   ([`mpisim::RankCtx::absorb_rank_failure`]) and broadcasts a cancel token on
 //!   the job's control channels, and every *other* tenant's result stays
 //!   byte-identical to a solo run. The failure closes its lane on every
 //!   rank; the jobs that lane still held run again in a follow-up epoch
@@ -64,9 +64,10 @@
 //! jobs a rank *drives* concurrently, and the same window sets how many
 //! lanes a shape gets: `min(window, jobs of the shape)`. The default window
 //! is unbounded, which gives every job a lane of its own. Every lane is
-//! registered before the epoch's jobs run — at its start, behind a
-//! barrier, unless an earlier epoch did — so a fast rank can deposit into
-//! a lane's channels while a slow rank is still driving the job before.
+//! registered at the start of the first epoch that deals it, with no
+//! barrier: registration is create-or-attach on every fabric, so a fast
+//! rank can deposit into a lane a slow rank has not opened yet, or is
+//! still driving the job before on.
 
 mod jobs;
 mod scheduler;
@@ -77,7 +78,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use locality::Topology;
 use mpi_advance::tagspace::{TagLease, TagSpace};
 use mpi_advance::{Backend, CommPattern, EntryId, NeighborBatch, NeighborRequest, ResolvedBatch};
-use mpisim::{panic_message, RankCtx, World, WorldPool};
+use mpisim::{panic_message, World, WorldPool};
 
 /// Globally-unique job identifier, assigned at submit time and never
 /// reused. It names the job in its [`JobReport`] and keys nothing else: a
@@ -510,11 +511,8 @@ impl SolveService {
         };
         let (lane_of, deal) =
             scheduler::deal_lanes(&shape_of, self.max_concurrent, &warm, &mut mint);
-        let ctl = match self.ctl_stream {
-            Some(stream) => (stream, true),
-            None => (mint(), false),
-        };
-        self.ctl_stream = Some(ctl.0);
+        let cold_ctl = self.ctl_stream.is_none().then(mint);
+        self.ctl_stream = self.ctl_stream.or(cold_ctl);
         self.epochs += 1;
         let dealt = |stream: u64| deal.iter().any(|lane| lane.stream == stream);
         let idle: Vec<u64> = (self.warm.iter().chain(shapes.iter().flatten()))
@@ -538,24 +536,25 @@ impl SolveService {
                     (lane, &shape.expect("a dealt shape resolved").batch)
                 })
                 .collect(),
-            ctl,
-            ctl_tag: self.ctl_lease.entry_base(0),
             stamp: self.epochs,
-            barrier: !ctl.1 || deal.iter().any(|lane| !lane.warm),
             max_concurrent: self.max_concurrent,
         };
-        let kept = &self.kept;
-        let per_rank = match self.pool.try_run(|ctx: &mut RankCtx| {
-            scheduler::drive_rank(ctx, &mut kept_of(kept, ctx.rank()), &ep)
-        }) {
+        let (pool, kept, tag) = (&self.pool, &self.kept, self.ctl_lease.entry_base(0));
+        // a cold control fabric opens in a run of its own: every rank
+        // starts the epoch holding it, so one that leaves can tell its peers
+        let open = |s| pool.try_run(|ctx| kept_of(kept, ctx.rank()).open_control(ctx, s, tag));
+        let drive =
+            |_| pool.try_run(|ctx| scheduler::drive_rank(ctx, &mut kept_of(kept, ctx.rank()), &ep));
+        let per_rank = match cold_ctl.map_or(Ok(Vec::new()), open).and_then(drive) {
             Ok(per_rank) => {
                 self.held = named;
                 per_rank
             }
             Err(e) => {
-                // a rank died outside any task, so nothing is kept, not
-                // even a shape this epoch did not deal — and a rank whose
-                // prologue it cut short may still hold what it held before
+                // a rank died outside any task or opening the control
+                // fabric: nothing is kept, not even an idle shape, and a
+                // rank it cut short may still hold what it held before —
+                // the next epoch's release frees it all, control included
                 shapes.iter_mut().flatten().for_each(|s| s.lanes.clear());
                 self.warm.clear();
                 self.held.extend(named);

@@ -19,22 +19,22 @@
 //! own before the next epoch ([`Kept::evict`]), so an epoch finds kept
 //! exactly the lanes it deals warm and the idle lanes of warm shapes.
 //!
-//! Epoch prologue (every rank, before anything is driven):
+//! The control fabric — one cancel-token channel per peer and direction on
+//! a communicator of its own; a token names its epoch, job and failing
+//! rank, so the channel count (and the park set it joins) stays O(ranks),
+//! not O(jobs × ranks) — is open on every rank before any epoch starts:
+//! whenever the service holds none, it opens one in a pool run of its own
+//! ([`Kept::open_control`]).
 //!
-//! 1. open every lane dealt cold: duplicate the world communicator under
-//!    its stream id and `init_all` the shape's resolved batch on it —
-//!    lanes of one shape share the resolution, the context id keeps their
-//!    channels apart;
-//! 2. unless it is kept, open the control fabric: one cancel-token channel
-//!    per peer and direction on a communicator of its own — a token names
-//!    its epoch, job and failing rank, so the channel count (and the park
-//!    set it joins) stays O(ranks), not O(jobs × ranks);
-//! 3. barrier, if step 1 or 2 registered anything — after it, every
-//!    channel any peer may deposit into exists on every fabric, and
-//!    **nothing registers any more**: that is the contract of
-//!    [`RankCtx::comm_free`] (`make lint` holds it). An epoch that
-//!    registers nothing needs no barrier: what it uses was registered
-//!    before an earlier epoch's.
+//! Epoch prologue (every rank, before anything is driven): open every lane
+//! dealt cold — duplicate the world communicator under its stream id and
+//! `init_all` the shape's resolved batch on it; lanes of one shape share
+//! the resolution, the context id keeps their channels apart — and sort
+//! the lanes. Nothing waits for the peers: registration is create-or-attach
+//! on every fabric, so what a fast rank deposits into a lane a slow rank
+//! has not opened yet is there when it does. Nothing is freed before the
+//! epoch's pool run ends, so every member has registered before any member
+//! frees — [`RankCtx::comm_free`]'s contract — at that boundary.
 //!
 //! Then the loop, on the dealt lanes only: admit queued jobs into the
 //! window in job order —
@@ -76,11 +76,12 @@
 //! job before it arrived: the stamp tells it apart, and it is dropped.
 //!
 //! A rank that leaves the epoch outside any task — a panic in the
-//! prologue barrier, in admission, on the control fabric — has no job to
-//! name, and its peers may already have absorbed its death and parked for
-//! a token. On its way out it sends every peer a token that names no job
-//! ([`GONE`]); a peer that drains one closes every lane, so the epoch ends
-//! on every rank and `run_pending` reports the epoch error.
+//! prologue, in admission, on the control fabric — has no job to name, and
+//! its peers may already have absorbed its death and parked for a token.
+//! It holds the control fabric from the epoch's start, so on its way out
+//! it sends every peer a token that names no job ([`GONE`]); a peer that
+//! drains one closes every lane, so the epoch ends on every rank and
+//! `run_pending` reports the epoch error.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -322,31 +323,6 @@ struct Control {
 }
 
 impl Control {
-    /// Both halves of every control channel, in one pass over the
-    /// registry: a cancel must reach the channel its peer parks on, and a
-    /// registration after some rank freed the control communicator would
-    /// make a fresh one instead.
-    fn open(ctx: &RankCtx, world: &Comm, stream: u64, tag: u64) -> Self {
-        let comm = world.dup_for(stream);
-        let rank = ctx.rank();
-        let peers = || (0..world.size()).filter(move |&p| p != rank);
-        let mut reg = ctx.chan_registrar();
-        let mut rx: Vec<RecvChan<u64>> = peers()
-            .map(|s| reg.recv_chan_init(&comm, s, tag, TOKEN_LEN))
-            .collect();
-        let tx = peers()
-            .map(|d| reg.send_chan_init(&comm, d, tag, TOKEN_LEN))
-            .collect();
-        drop(reg);
-        rx.iter_mut().for_each(RecvChan::start);
-        Self {
-            stream,
-            comm,
-            rx,
-            tx,
-        }
-    }
-
     /// Send the token naming `job` ([`GONE`] for none), stamped `stamp`,
     /// to every peer. Deposits never block, so this is safe mid-recovery.
     fn broadcast(&self, ctx: &mut RankCtx, stamp: u64, job: u64) {
@@ -371,11 +347,39 @@ pub(crate) struct Kept {
 }
 
 impl Kept {
+    /// Open the control fabric under `stream`, every channel tagged `tag`:
+    /// both halves of every channel, in one pass over the registry, so a
+    /// cancel reaches the channel its peer parks on. The service calls this
+    /// in a pool run of its own whenever it holds no control fabric, so
+    /// every rank starts every epoch holding it.
+    pub(crate) fn open_control(&mut self, ctx: &RankCtx, stream: u64, tag: u64) {
+        let comm = ctx.comm_world().dup_for(stream);
+        let rank = ctx.rank();
+        let peers = || (0..comm.size()).filter(move |&p| p != rank);
+        let mut reg = ctx.chan_registrar();
+        let mut rx: Vec<RecvChan<u64>> = peers()
+            .map(|s| reg.recv_chan_init(&comm, s, tag, TOKEN_LEN))
+            .collect();
+        let tx = peers()
+            .map(|d| reg.send_chan_init(&comm, d, tag, TOKEN_LEN))
+            .collect();
+        drop(reg);
+        rx.iter_mut().for_each(RecvChan::start);
+        self.ctl = Some(Control {
+            stream,
+            comm,
+            rx,
+            tx,
+        });
+    }
+
     /// Free every kept lane whose stream `keep` rejects, and the control
     /// fabric unless its stream is `ctl` — the one place the service frees
-    /// anything, on every rank at once and between epochs. A stream id is
-    /// never dealt twice, so nothing registers on a freed communicator
-    /// again — [`RankCtx::comm_free`]'s contract.
+    /// anything, on every rank at once. Its caller runs it in a pool run of
+    /// its own, between epochs: every member registered what it will on a
+    /// communicator in the runs before, and a stream id is never dealt
+    /// twice, so nothing registers on a freed communicator again —
+    /// [`RankCtx::comm_free`]'s contract.
     pub(crate) fn evict(&mut self, ctx: &RankCtx, keep: impl Fn(u64) -> bool, ctl: Option<u64>) {
         self.lanes.retain(|lane| {
             let keep = keep(lane.stream);
@@ -396,15 +400,8 @@ pub(crate) struct Epoch<'a> {
     pub(crate) jobs: Vec<(&'a QueuedJob, usize)>,
     /// Every lane, with its shape's resolution.
     pub(crate) lanes: Vec<(LaneDeal, &'a ResolvedBatch)>,
-    /// The control fabric's stream id, and whether it is kept.
-    pub(crate) ctl: (u64, bool),
-    /// The tag of every control channel.
-    pub(crate) ctl_tag: u64,
     /// Stamped on this epoch's cancel tokens.
     pub(crate) stamp: u64,
-    /// Some lane or the control fabric registers, so the prologue ends in
-    /// a barrier.
-    pub(crate) barrier: bool,
     pub(crate) max_concurrent: usize,
 }
 
@@ -461,9 +458,8 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     let jobs = &ep.jobs;
     let n = jobs.len();
 
-    // -- prologue: register what is cold, barrier if anything did --
+    // -- prologue: open the lanes dealt cold --
     let dealt = |stream: u64| ep.lanes.iter().position(|(lane, _)| lane.stream == stream);
-    let (ctl_stream, ctl_warm) = ep.ctl;
     for (lane, batch) in ep.lanes.iter().filter(|(lane, _)| !lane.warm) {
         let comm = world.dup_for(lane.stream);
         let session = Some(batch.init_all(ctx, &comm));
@@ -478,16 +474,10 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     // lane indexes; the idle ones after them
     kept.lanes
         .sort_by_key(|kl| dealt(kl.stream).unwrap_or(usize::MAX));
-    if !ctl_warm {
-        kept.ctl = Some(Control::open(ctx, &world, ctl_stream, ep.ctl_tag));
-    }
-    if ep.barrier {
-        ctx.barrier(&world);
-    }
     let Kept { lanes, ctl } = kept;
     let ctl = ctl
         .as_mut()
-        .expect("rank lost the control fabric dealt warm");
+        .expect("every epoch starts holding the control fabric");
 
     // -- the drive loop --
     let mut d = Drive {

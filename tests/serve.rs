@@ -1064,13 +1064,14 @@ fn tuned_tenants_take_turns_on_lanes() {
 /// and is passed over. Without the stamp, most runs of this scan end in a
 /// clean epoch cancelled by a stale token.
 ///
-/// The first few ops are the prologue barrier: a kill there takes rank 1
-/// out of the epoch outside any task, after its peers may have left the
-/// barrier, absorbed its death and parked for a token. The token naming no
-/// job, which it sends on its way out, ends the epoch on every rank: with
-/// a 10 s wait deadline set, no killed epoch fails on the deadline, and
-/// each returns well within it (tens of ms; 5 s leaves a loaded machine
-/// its slack).
+/// The scan's first ops are the tenants' own traffic (see
+/// [`an_early_kill_fails_one_tenant_not_the_epoch`]). Wherever the kill
+/// lands, a peer may have absorbed rank 1's death and parked for a token;
+/// rank 1's scheduler sends the killed job's, or — leaving the epoch
+/// outside any task — the token naming no job, on the control fabric it
+/// holds from the epoch's start. So with a 10 s wait deadline set, no
+/// killed epoch fails on the deadline, and each returns well within it
+/// (tens of ms; 5 s leaves a loaded machine its slack).
 #[test]
 fn a_token_from_a_killed_epoch_cancels_nothing_in_the_next() {
     let jobs = tenant_jobs(3);
@@ -1111,6 +1112,46 @@ fn a_token_from_a_killed_epoch_cancels_nothing_in_the_next() {
             );
         }
         assert!(kills >= 20, "{name}: only {kills} kills failed a tenant");
+    }
+}
+
+/// A kill at rank 1's op 1 on a fresh service fails one tenant, not the
+/// epoch. Neither the run that opens the control fabric nor the prologue
+/// that opens the lanes has a counted op — they register, and nothing
+/// waits for the peers — so rank 1's first ops are its tenants' traffic
+/// and the kill lands in a task: exactly one job fails, attributed to the
+/// kill, the others return the reference's bytes, and the call returns
+/// well within the 10 s wait deadline, on all three fabrics.
+#[test]
+fn an_early_kill_fails_one_tenant_not_the_epoch() {
+    let jobs = tenant_jobs(3);
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let plan = FaultPlan::seeded(7).kill(1, 1).deadline_ms(10_000);
+        let pool = WorldConfig::new(fabric).faults(plan).pool(RANKS);
+        let mut svc = SolveService::with_pool(pool).max_concurrent(2);
+        submit_all(&mut svc, &jobs);
+        let started = Instant::now();
+        let reports = svc.run_pending();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(5),
+            "{name}: the call took {took:?}"
+        );
+        let mut failed = 0;
+        for (k, rep) in reports.iter().enumerate() {
+            match &rep.outcome {
+                Ok(got) => assert_eq!(got, &jobs[k].reference_results(), "{name}: tenant {k}"),
+                Err(e) => {
+                    failed += 1;
+                    assert!(
+                        e.message.contains("killed by fault plan at transport op 1"),
+                        "{name}: tenant {k}: {e}"
+                    );
+                }
+            }
+        }
+        assert_eq!(failed, 1, "{name}: one tenant fails, not the epoch");
     }
 }
 
