@@ -68,7 +68,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, and three grep rules. Configuration: mpisim reads
+# clippy, formatting, and four grep rules. Configuration: mpisim reads
 # the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
 # woken through its park point only (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the one park-point file of
@@ -84,9 +84,13 @@ clippy:
 # tuned decision is a persistent reduction its `test` completes). Nor
 # does registration need a rule: the service frees only in a pool run of
 # its own between epochs, so every member has registered before any
-# member frees — `RankCtx::comm_free`'s contract (DESIGN.md §3, §12)
+# member frees — `RankCtx::comm_free`'s contract (DESIGN.md §3, §12).
+# Locks: the executor owns every payload it stages by value (DESIGN.md
+# §4), so the non-test code of core's exec.rs (up to its `#[cfg(test)]`)
+# names no `RwLock` or `Mutex` and calls no `.write()` or `.read()`
 WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
+EXEC_LOCKS := RwLock|Mutex|\.write\(\)|\.read\(\)
 lint: clippy
 	cargo fmt --all --check
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
@@ -98,6 +102,9 @@ lint: clippy
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -E '$(BLOCKING_CALLS)'; then \
 		echo "error: core or service blocks outside wait (see the lint rule in Makefile)"; exit 1; fi
+	@if awk '/^#\[cfg\(test\)\]/ {exit} {print FILENAME ":" FNR ":" $$0}' crates/core/src/exec.rs \
+		| grep -E '$(EXEC_LOCKS)'; then \
+		echo "error: the executor takes a lock (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run three of them once, output discarded: the modeled fig07_crossover at

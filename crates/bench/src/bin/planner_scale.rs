@@ -4,8 +4,8 @@
 //! the size of the copy maps that derivation leaves with the requests (runs
 //! and bytes against the values they move), persistent init per protocol on
 //! a warm pooled world, and one `NeighborBatch::init_all` over 8 AMG-level
-//! patterns vs 8 independent inits (one registry pass and one staging arena
-//! per rank against eight). Wall-clock best of a few repetitions:
+//! patterns vs 8 independent inits (one registry pass per rank against
+//! eight). Wall-clock best of a few repetitions:
 //! report-only, like the figures.
 
 use std::hint::black_box;

@@ -57,9 +57,7 @@
 //!   into per-entry namespaces; nothing touches a global counter per
 //!   entry, and exhaustion of the (re-usable) tag space is a loud panic.
 //! * **Routing** — one [`RankRouting::build_all_batch`] sweep derives all
-//!   ranks × all entries' routings together, and lays out one staging
-//!   arena per rank covering every entry's g sends (one allocation per
-//!   batch instead of one per request).
+//!   ranks × all entries' routings together.
 //! * **Registration** — [`NeighborBatch::init_all`] opens the world's
 //!   channel registry once ([`mpisim::ChanRegistrar`]) and registers every
 //!   entry's channels in a single pass, instead of one lock round trip per
@@ -81,13 +79,12 @@ use crate::collective::Protocol;
 use crate::exec::NeighborExec;
 use crate::neighbor::{Backend, NeighborRequest};
 use crate::pattern::CommPattern;
-use crate::routing::{BatchEntryPlan, BatchRankRouting, RankRouting};
+use crate::routing::{BatchEntryPlan, RankRouting};
 use crate::stats::{PlanStats, VALUE_BYTES};
 use crate::tagspace::{TagLease, TagSpace, SPAN};
 use crate::tune::{topology_signature, TunedCandidate, TunedNeighbor};
 use crate::Plan;
 use locality::Topology;
-use mpisim::persistent::shared_buf;
 use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx};
 use perfmodel::{CostModel, LocalityModel};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -109,14 +106,15 @@ struct EntrySpec<'a> {
 /// A [`Backend::Tuned`] entry **expands**: one routing (and tag span)
 /// per shortlisted candidate, all laid out in the same fused sweep, so
 /// the probe phase hot-swaps between fully-initialized executors. The
-/// `routings` / arena windows are therefore in *expanded* order;
+/// `routings` are therefore in *expanded* order;
 /// [`ExpandedEntry`] maps each batch entry to its slots. `plans` and
 /// `tag_bases` stay per-entry (a tuned entry reports its model-best
 /// candidate until measurement says otherwise).
 pub struct ResolvedBatch {
     plans: Vec<(Protocol, Plan)>,
     tag_bases: Vec<u64>,
-    routings: Vec<BatchRankRouting>,
+    /// `routings[rank][slot]`: each rank's routing per expanded slot.
+    routings: Vec<Vec<RankRouting>>,
     /// Held by the batch AND cloned into every request it initializes:
     /// the span frees (and its base becomes re-usable) only when the
     /// batch and all of its live requests are gone.
@@ -273,9 +271,9 @@ impl<'a> NeighborBatch<'a> {
 }
 
 impl ResolvedBatch {
-    /// `MPI_Neighbor_alltoallv_init` × N, as one operation: allocate this
-    /// rank's shared staging arena, open the channel registry once, and
-    /// register every entry's requests in a single pass. Returns the
+    /// `MPI_Neighbor_alltoallv_init` × N, as one operation: open the
+    /// channel registry once and register every entry's requests in a
+    /// single pass. Returns the
     /// rank's [`BatchRequest`] session — every entry's request in batch
     /// order, plus the completion-driven verbs (`start_all`, `test_any`,
     /// `wait_any`, `wait_all`) that drive them as one set.
@@ -283,26 +281,26 @@ impl ResolvedBatch {
         for (_, plan) in &self.plans {
             assert_eq!(plan.n_ranks, comm.size(), "plan/communicator size mismatch");
         }
-        let requests: Vec<Box<dyn NeighborRequest>> = if self.plans.is_empty() {
+        let mut requests: Vec<Box<dyn NeighborRequest>> = if self.plans.is_empty() {
             Vec::new()
         } else {
-            let br = &self.routings[comm.rank()];
-            let arena = shared_buf(vec![0.0f64; br.arena_len]);
             // clone this rank's routings (the bulk of the per-init
             // allocation work) BEFORE taking the registry lock: only
             // channel resolution itself runs inside the world-wide
             // critical section. Expanded order; each slot inits at most
             // once per init_all (a cached tuned winner leaves its losing
             // candidates' slots untouched).
-            let mut routings: Vec<Option<RankRouting>> =
-                br.entries.iter().cloned().map(Some).collect();
+            let mut routings: Vec<Option<RankRouting>> = self.routings[comm.rank()]
+                .iter()
+                .cloned()
+                .map(Some)
+                .collect();
             let mut reg = ctx.chan_registrar();
             let mut init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
                 NeighborExec::register(
                     routings[slot].take().expect("expanded slot inits once"),
                     reg,
                     comm,
-                    br.arena_off[slot].map(|off| (arena.clone(), off)),
                     protocol,
                     self.lease.clone(),
                 )
@@ -382,11 +380,18 @@ impl ResolvedBatch {
                 .collect()
         };
         let n = requests.len();
+        // every queue and scratch at its largest size from the start, so
+        // the steady state never grows one late: each entry's own scratch
+        // holds the largest set its `wait` parks on
+        let n_pending: usize = requests
+            .iter_mut()
+            .map(|r| r.chan_scratch().capacity())
+            .sum();
         BatchRequest {
+            chan_scratch: Vec::with_capacity(n_pending),
             requests,
             in_flight: vec![false; n],
-            ready: std::collections::VecDeque::new(),
-            chan_scratch: Vec::new(),
+            ready: std::collections::VecDeque::with_capacity(n),
         }
     }
 }
@@ -488,7 +493,7 @@ impl NeighborBatch<'_> {
         };
 
         // one fused sweep derives all ranks × all expanded candidates'
-        // routings and lays out the per-rank shared staging arena
+        // routings
         let mut entry_plans: Vec<BatchEntryPlan> = Vec::with_capacity(expanded_total);
         // per expanded slot: is its routing split at the partition bounds
         let mut split: Vec<bool> = Vec::with_capacity(expanded_total);
@@ -541,8 +546,8 @@ impl NeighborBatch<'_> {
         // Backend::Partitioned is this split of its routing and nothing
         // else: it runs on the one wire every entry runs on
         if split.contains(&true) {
-            for br in &mut routings {
-                br.entries = std::mem::take(&mut br.entries)
+            for per_rank in &mut routings {
+                *per_rank = std::mem::take(per_rank)
                     .into_iter()
                     .zip(&split)
                     .map(|(r, &s)| if s { r.split_at_partitions() } else { r })
@@ -802,38 +807,20 @@ mod tests {
     #[test]
     fn mixed_backend_batch_delivers() {
         let (a, b, topo) = patterns();
-        let batch = NeighborBatch::new(&topo)
+        let mixed = NeighborBatch::new(&topo)
             .entry(&a, Backend::Protocol(Protocol::StandardNeighbor))
             .entry(&b, Backend::Partitioned(Protocol::FullNeighbor))
             .entry(&a, Backend::Auto)
             .entry(&b, Backend::Protocol(Protocol::PartialNeighbor));
-        assert_eq!(batch.len(), 4);
-        deliver_all(&batch, 8);
-    }
-
-    #[test]
-    fn same_pattern_many_entries_share_the_arena() {
-        // several entries over the same region pairs: one arena per rank
-        // backs all of them, at distinct windows
-        let (a, _, topo) = patterns();
-        let batch = NeighborBatch::new(&topo)
+        assert_eq!(mixed.len(), 4);
+        // several entries over the same region pairs, live together
+        let same_pattern = NeighborBatch::new(&topo)
             .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
             .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
             .entry(&a, Backend::Protocol(Protocol::PartialNeighbor));
-        batch.plans();
-        let resolved = batch.resolved.get().unwrap();
-        for br in &resolved.routings {
-            let mut offs: Vec<usize> = br.arena_off.iter().map(|o| o.unwrap()).collect();
-            let total: usize = br
-                .entries
-                .iter()
-                .map(|r| r.g_sends.iter().map(|g| g.len).sum::<usize>())
-                .sum();
-            assert_eq!(br.arena_len, total);
-            offs.dedup();
-            assert!(offs.windows(2).all(|w| w[0] < w[1]), "windows must ascend");
+        for batch in [&mixed, &same_pattern] {
+            deliver_all(batch, 8);
         }
-        deliver_all(&batch, 8);
     }
 
     #[test]
@@ -868,7 +855,7 @@ mod tests {
             assert_eq!(probed.len(), 3);
             assert!(probed.iter().all(|c| c.0 != Protocol::StandardNeighbor));
         }
-        assert!(resolved.routings.iter().all(|br| br.entries.len() == 7));
+        assert!(resolved.routings.iter().all(|r| r.len() == 7));
     }
 
     #[test]

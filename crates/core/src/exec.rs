@@ -15,9 +15,9 @@
 //! # One wire
 //!
 //! Every backend runs the same ℓ, s, g and r steps. Each inter-region
-//! (`g`) message is one persistent send gathered from its window of the
-//! request's arena and shipped once the whole s step is in, and each g
-//! receive is one channel. [`crate::Backend::Partitioned`] runs on this
+//! (`g`) message is one persistent send, gathered from its partitions and
+//! shipped once the whole s step is in, and each g receive is one
+//! channel. [`crate::Backend::Partitioned`] runs on this
 //! wire too: its routing is split at the partition bounds at resolution
 //! ([`RankRouting::split_at_partitions`]), so each staging rank's
 //! contribution travels as a g message of its own and nothing here knows
@@ -32,26 +32,25 @@
 //! list of maximal runs ([`Run`], [`FwdRun`]; see [`crate::routing`]): a
 //! gather appends one slice per run, a scatter copies one slice per run,
 //! and only a run too short for a `memcpy` call to pay (under
-//! `SHORT_RUN` values) is moved value by value. The only buffer a request
-//! stages through is its arena: every g send buffer aliases **one arena
-//! allocation per request** (or per batch), and every staging payload is
-//! copied **directly into its partition's window** of the g send buffer
-//! it feeds, so staged values land wire-ready with no intermediate `s`
-//! buffer and no second copy. `test` borrows each g payload off the
-//! channel, scatters ghost values into the output, feeds the r-step
-//! forwards from the same borrowed payload, and recycles it — no g
-//! receive window at all.
+//! `SHORT_RUN` values) is moved value by value. The g and r steps are the
+//! same shape: a gather over payloads held off their channels. `test`
+//! holds each delivered s payload until the s step is complete, then
+//! gathers each g send **straight into its wire buffer**, partition by
+//! partition — a staged partition is the whole held payload of its s
+//! receive, the one own-input partition a small stash `start` filled from
+//! the input — and recycles the payloads. Likewise it borrows each g
+//! payload off the channel, scatters ghost values into the output, feeds
+//! the r-step forwards from the same borrowed payload, and recycles it.
+//! No step has a receive window or a staging buffer.
 //!
 //! Construct requests through [`crate::NeighborAlltoallv`] or
 //! [`crate::NeighborBatch`].
 
 use crate::collective::Protocol;
 use crate::neighbor::NeighborRequest;
-use crate::routing::{FwdRun, PartSource, RankRouting, RecvRoute, Run, SRecvRoute};
+use crate::routing::{FwdRun, GPartRoute, GSendRoute, PartSource, RankRouting, RecvRoute, Run};
 use crate::tagspace::TagLease;
-use mpisim::persistent::shared_buf;
-use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvChan, SendChan, SharedBuf};
-use std::ops::Range;
+use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvChan, SendChan};
 use std::sync::Arc;
 
 /// Runs shorter than this are moved value by value: a `memcpy` call costs
@@ -88,8 +87,9 @@ fn copy_runs(runs: &[Run], src: &[f64], dst: &mut [f64]) {
 }
 
 /// A send gathered through a copy map of runs `R`: [`Run`]s out of the
-/// input (ℓ, s) or [`FwdRun`]s out of the g payloads (r). The runs are in
-/// slot order and cover the message, so gathering is appending.
+/// input (ℓ, s), the partitions of a g send ([`GPartRoute`]s) or
+/// [`FwdRun`]s out of the g payloads (r). The runs are in slot order and
+/// cover the message, so gathering is appending.
 struct SendExec<R> {
     req: SendChan<f64>,
     runs: Vec<R>,
@@ -156,37 +156,46 @@ impl RecvExec {
     }
 }
 
-/// A staging receive and the arena window of the g send partition it
-/// fills — staged data is copied there wire-ready.
-struct SRecv {
-    req: RecvChan<f64>,
-    win: Range<usize>,
+/// A g send: one persistent message gathered from its partitions, in
+/// slot order — a staged partition is its s receive's held payload, the
+/// own-input one (at most one: origins are distinct per partition) is
+/// `own`.
+struct GSend {
+    send: SendExec<GPartRoute>,
+    /// This rank's own partition (empty if none), copied out of the input
+    /// by `start` through the runs of its [`PartSource::Input`].
+    own: Vec<f64>,
 }
 
-impl SRecv {
-    fn register(
-        route: SRecvRoute,
-        reg: &mut ChanRegistrar,
-        comm: &Comm,
-        win: Range<usize>,
-    ) -> Self {
-        // hard check: an oversized staging receive would overrun into the
-        // next partition's window
-        assert_eq!(win.len(), route.len, "staging/partition length mismatch");
+impl GSend {
+    fn register(g: GSendRoute, reg: &mut ChanRegistrar, comm: &Comm) -> Self {
+        let own_part = g
+            .parts
+            .iter()
+            .find(|p| matches!(p.source, PartSource::Input(_)));
         Self {
-            req: reg.recv_chan_init(comm, route.src, route.tag, route.len),
-            win,
+            own: vec![0.0; own_part.map_or(0, |p| p.range.len())],
+            send: SendExec::register(reg, comm, g.dst, g.tag, g.len, g.parts),
         }
     }
-}
 
-/// A g send: one persistent message gathered from its arena window.
-struct GSend {
-    req: SendChan<f64>,
-    win: Range<usize>,
-    /// The partition fed by this rank's own input (empty if none), as
-    /// runs from input positions to positions of the window.
-    input_runs: Vec<Run>,
+    /// Copy this rank's own partition out of the input.
+    fn stash(&mut self, input: &[f64]) {
+        for part in &self.send.runs {
+            if let PartSource::Input(runs) = &part.source {
+                copy_runs(runs, input, &mut self.own);
+            }
+        }
+    }
+
+    /// Ship the message: each partition in slot order, out of the held s
+    /// payloads and the stash.
+    fn ship(&self, ctx: &mut RankCtx, staged: &[Option<Vec<f64>>]) {
+        self.send.start_gather(ctx, |part| match part.source {
+            PartSource::Staged { s_recv } => staged[s_recv].as_deref().expect("s payload held"),
+            PartSource::Input(_) => &self.own,
+        });
+    }
 }
 
 /// The persistent neighborhood collective of one rank.
@@ -196,10 +205,11 @@ pub(crate) struct NeighborExec {
     local_sends: Vec<SendExec<Run>>,
     local_recvs: Vec<RecvExec>,
     s_sends: Vec<SendExec<Run>>,
-    s_recvs: Vec<SRecv>,
-    /// One allocation backing every g send buffer; staging payloads are
-    /// copied into it.
-    arena: SharedBuf<f64>,
+    s_recvs: Vec<RecvChan<f64>>,
+    /// Held s payloads of the current iteration, slotted by s receive
+    /// until the g sends gather from them. Buffers recycle, so capacity
+    /// is reused.
+    staged: Vec<Option<Vec<f64>>>,
     g_sends: Vec<GSend>,
     g_recvs: Vec<RecvExec>,
     /// Borrowed g payloads of the current iteration, slotted by g receive
@@ -235,38 +245,16 @@ pub(crate) struct NeighborExec {
 
 impl NeighborExec {
     /// Register this rank's requests from a precomputed routing (the
-    /// analogue of `MPI_Neighbor_alltoallv_init`). `window` is the arena
-    /// and offset a [`crate::NeighborBatch`] carves for this entry out of
-    /// the batch-shared arena; without one the request allocates an arena
-    /// of its own. All channels resolve through the caller's held
-    /// [`ChanRegistrar`], so a batch registers every entry in a single
-    /// pass over the registry.
+    /// analogue of `MPI_Neighbor_alltoallv_init`). All channels resolve
+    /// through the caller's held [`ChanRegistrar`], so a batch registers
+    /// every entry in a single pass over the registry.
     pub(crate) fn register(
         routing: RankRouting,
         reg: &mut ChanRegistrar,
         comm: &Comm,
-        window: Option<(SharedBuf<f64>, usize)>,
         protocol: Protocol,
         lease: Option<Arc<TagLease>>,
     ) -> Self {
-        let g_len: usize = routing.g_sends.iter().map(|g| g.len).sum();
-        let (arena, base) = window.unwrap_or_else(|| (shared_buf(vec![0.0f64; g_len]), 0));
-        assert!(
-            base + g_len <= arena.read().len(),
-            "arena window {base}..{} out of arena of len {}",
-            base + g_len,
-            arena.read().len()
-        );
-        let offsets: Vec<usize> = routing
-            .g_sends
-            .iter()
-            .scan(base, |off, g| {
-                let o = *off;
-                *off += g.len;
-                Some(o)
-            })
-            .collect();
-
         let local_sends = routing
             .local_sends
             .into_iter()
@@ -282,34 +270,15 @@ impl NeighborExec {
             .into_iter()
             .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
             .collect();
-        let s_recvs = routing
+        let s_recvs: Vec<RecvChan<f64>> = routing
             .s_recvs
             .into_iter()
-            .map(|r| {
-                let (g, off) = (&routing.g_sends[r.g_send], offsets[r.g_send]);
-                let win = off + g.bounds[r.partition]..off + g.bounds[r.partition + 1];
-                SRecv::register(r, reg, comm, win)
-            })
+            .map(|r| reg.recv_chan_init(comm, r.src, r.tag, r.len))
             .collect();
         let g_sends = routing
             .g_sends
             .into_iter()
-            .zip(&offsets)
-            .map(|(g, &off)| GSend {
-                req: reg.send_chan_init(comm, g.dst, g.tag, g.len),
-                win: off..off + g.len,
-                // origins are distinct per partition, so at most one is
-                // this rank's own; staged partitions are written as their
-                // s receives complete
-                input_runs: g
-                    .parts
-                    .into_iter()
-                    .find_map(|part| match part.source {
-                        PartSource::Input(runs) => Some(runs),
-                        PartSource::Staged { .. } => None,
-                    })
-                    .unwrap_or_default(),
-            })
+            .map(|g| GSend::register(g, reg, comm))
             .collect();
         let g_recvs: Vec<RecvExec> = routing
             .g_recvs
@@ -329,6 +298,7 @@ impl NeighborExec {
             input_index: routing.input_index,
             output_index: routing.output_index,
             local_done: vec![false; local_recvs.len()],
+            staged: s_recvs.iter().map(|_| None).collect(),
             s_next: 0,
             g_done: vec![false; g_recvs.len()],
             payloads: g_recvs.iter().map(|_| None).collect(),
@@ -342,7 +312,6 @@ impl NeighborExec {
             local_recvs,
             s_sends,
             s_recvs,
-            arena,
             g_sends,
             g_recvs,
             r_sends,
@@ -355,28 +324,30 @@ impl NeighborExec {
 
     /// The s step and the g sends it gates, as one resumable step: take
     /// every staging payload that has been delivered, **in registration
-    /// order**, into its partition's window, and ship the g sends once the
-    /// last one is in. Returns whether the g step is out. Never blocks. The
-    /// order and the single shipping point are what make the virtual clock
-    /// a function of the plan rather than of thread timing.
+    /// order**, and hold it off its channel; once the last one is in,
+    /// gather every g send from the held payloads and recycle them.
+    /// Returns whether the g step is out. Never blocks. The order and the
+    /// single shipping point are what make the virtual clock a function of
+    /// the plan rather than of thread timing.
     fn advance_s(&mut self, ctx: &mut RankCtx) -> bool {
         if self.g_started {
             return true;
         }
-        while let Some(sr) = self.s_recvs.get_mut(self.s_next) {
-            let Some(data) = sr.req.try_take(ctx) else {
+        while let Some(recv) = self.s_recvs.get_mut(self.s_next) {
+            let Some(data) = recv.try_take(ctx) else {
                 return false;
             };
-            self.arena.write()[sr.win.clone()].copy_from_slice(&data);
-            sr.req.recycle(data);
+            self.staged[self.s_next] = Some(data);
             self.s_next += 1;
         }
-        let arena = self.arena.read();
         for send in &self.g_sends {
-            let win = &arena[send.win.clone()];
-            send.req.start_with(ctx, |buf| buf.extend_from_slice(win));
+            send.ship(ctx, &self.staged);
         }
-        drop(arena);
+        for (recv, slot) in self.s_recvs.iter_mut().zip(&mut self.staged) {
+            if let Some(data) = slot.take() {
+                recv.recycle(data);
+            }
+        }
         self.g_started = true;
         true
     }
@@ -421,17 +392,14 @@ impl NeighborRequest for NeighborExec {
         for send in &self.s_sends {
             send.start_gather(ctx, input_span);
         }
-        for sr in &mut self.s_recvs {
-            sr.req.start();
+        for recv in &mut self.s_recvs {
+            recv.start();
         }
 
-        // g: this rank's own contributions go into the send buffers now
-        // (their windows are disjoint from the staged ones)
-        {
-            let mut arena = self.arena.write();
-            for send in &self.g_sends {
-                copy_runs(&send.input_runs, input, &mut arena[send.win.clone()]);
-            }
+        // g: this rank's own contributions are stashed now (the input is
+        // not at hand where the g sends ship)
+        for send in &mut self.g_sends {
+            send.stash(input);
         }
         for recv in &mut self.g_recvs {
             recv.req.start();
@@ -524,7 +492,7 @@ impl NeighborRequest for NeighborExec {
     /// `test` opens them then).
     fn pending_chans(&self, out: &mut Vec<ChanId>) {
         if !self.g_started {
-            out.push(self.s_recvs[self.s_next].req.chan_id());
+            out.push(self.s_recvs[self.s_next].chan_id());
             return;
         }
         let ell = self.local_recvs.iter().zip(&self.local_done);
@@ -555,6 +523,7 @@ impl NeighborRequest for NeighborExec {
 mod tests {
     use super::*;
     use crate::agg::Plan;
+    use crate::neighbor::Backend;
     use crate::pattern::CommPattern;
     use crate::tagspace::SPAN;
     use locality::Topology;
@@ -593,8 +562,7 @@ mod tests {
     static COUNTING: CountingAlloc = CountingAlloc;
 
     /// One rank's request for `plan`, its routing split at the partition
-    /// bounds if `partitioned` (as `Backend::Partitioned` resolves it),
-    /// staging in an arena of its own.
+    /// bounds if `partitioned` (as `Backend::Partitioned` resolves it).
     fn init(
         pattern: &CommPattern,
         plan: &Plan,
@@ -608,7 +576,7 @@ mod tests {
             routing = routing.split_at_partitions();
         }
         let reg = &mut ctx.chan_registrar();
-        NeighborExec::register(routing, reg, comm, None, Protocol::FullNeighbor, None)
+        NeighborExec::register(routing, reg, comm, Protocol::FullNeighbor, None)
     }
 
     fn bidirectional() -> CommPattern {
@@ -766,6 +734,9 @@ mod tests {
 
     #[test]
     fn dense_pattern_delivers() {
+        // the aggregating plans' leaders here ship g messages whose own
+        // partition sits between two staged ones: the gather must walk
+        // the partitions in slot order
         let topo = Topology::block_nodes(16, 4);
         roundtrip_all(&CommPattern::all_to_all_regions(&topo), &topo);
     }
@@ -889,25 +860,67 @@ mod tests {
                 let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
                 let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
                 let mut output = vec![f64::NAN; nb.output_index().len()];
-                // a barrier between iterations keeps every channel at one
-                // buffer in flight, so none grows its pool late; only the
-                // iteration itself is counted
-                let mut iterate = |n| {
-                    let mut allocs = 0;
-                    for _ in 0..n {
-                        ctx.barrier(&comm);
-                        let before = ALLOCS.with(Cell::get);
-                        nb.start(ctx, &input);
-                        nb.wait(ctx, &mut output);
-                        allocs += ALLOCS.with(Cell::get) - before;
-                    }
-                    allocs
-                };
-                iterate(2);
-                iterate(8)
+                steady_state_allocs(ctx, &comm, |ctx| {
+                    nb.start(ctx, &input);
+                    nb.wait(ctx, &mut output);
+                })
             });
             assert_eq!(allocs, vec![0; 16], "{protocol}, partitioned={partitioned}");
         }
+    }
+
+    #[test]
+    fn steady_state_batch_session_allocates_nothing() {
+        // the batch path: entries initialized together and driven by the
+        // session verbs, held payloads, ready queue and park scratch
+        // included
+        let topo = Topology::block_nodes(16, 4);
+        let pattern = CommPattern::all_to_all_regions(&topo);
+        let batch = crate::NeighborBatch::new(&topo)
+            .entry(&pattern, Backend::Protocol(Protocol::FullNeighbor))
+            .entry(&pattern, Backend::Protocol(Protocol::FullNeighbor))
+            .entry(&pattern, Backend::Protocol(Protocol::PartialNeighbor))
+            .entry(&pattern, Backend::Partitioned(Protocol::FullNeighbor));
+        let allocs = World::run(16, |ctx| {
+            let comm = ctx.comm_world();
+            let mut session = batch.init_all(ctx, &comm);
+            let inputs: Vec<Vec<f64>> = session
+                .requests()
+                .iter()
+                .map(|r| r.input_index().iter().map(|&i| i as f64).collect())
+                .collect();
+            let mut outputs: Vec<Vec<f64>> = session
+                .requests()
+                .iter()
+                .map(|r| vec![f64::NAN; r.output_index().len()])
+                .collect();
+            steady_state_allocs(ctx, &comm, |ctx| {
+                session.start_all(ctx, &inputs);
+                session.wait_all(ctx, &mut outputs);
+            })
+        });
+        assert_eq!(allocs, vec![0; 16]);
+    }
+
+    /// This rank's heap allocations over 8 iterations, after 2 that let
+    /// every buffer reach its size. A barrier before each keeps every
+    /// channel at one buffer in flight, so none grows its pool late; only
+    /// the iteration itself is counted.
+    fn steady_state_allocs(
+        ctx: &mut RankCtx,
+        comm: &Comm,
+        mut iteration: impl FnMut(&mut RankCtx),
+    ) -> usize {
+        let mut allocs = 0;
+        for it in 0..10 {
+            ctx.barrier(comm);
+            let before = ALLOCS.with(Cell::get);
+            iteration(ctx);
+            if it >= 2 {
+                allocs += ALLOCS.with(Cell::get) - before;
+            }
+        }
+        allocs
     }
 
     #[test]

@@ -167,8 +167,8 @@ fn fwd_runs(
 /// Where one partition of a `g` send gets its values from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartSource {
-    /// This rank's own contribution: runs from input positions to slot
-    /// positions of the send buffer.
+    /// This rank's own contribution: runs from input positions to
+    /// positions within the partition.
     Input(Vec<Run>),
     /// The whole buffer of the `idx`-th s-step receive, in order (staging
     /// ranks sort their s slots into the partition's slot order).
@@ -408,7 +408,8 @@ impl RankRouting {
                         let range = layout.bounds[p]..layout.bounds[p + 1];
                         let source = if origin == me {
                             PartSource::Input(runs(range.clone().map(|slot| {
-                                (in_pos(plan.g_slots.index(layout.order[slot])), slot)
+                                let i = plan.g_slots.index(layout.order[slot]);
+                                (in_pos(i), slot - range.start)
                             })))
                         } else {
                             let first = plan.g_slots.get(layout.order[range.start]);
@@ -648,7 +649,8 @@ impl RankRouting {
                     let range = layout.bounds[p]..layout.bounds[p + 1];
                     let source = if origin == m.src {
                         PartSource::Input(runs(range.clone().map(|slot| {
-                            (inv.input_pos(plan.g_slots.index(layout.order[slot])), slot)
+                            let i = plan.g_slots.index(layout.order[slot]);
+                            (inv.input_pos(i), slot - range.start)
                         })))
                     } else {
                         let first = plan.g_slots.get(layout.order[range.start]);
@@ -796,8 +798,6 @@ impl RankRouting {
     /// over a g buffer is rebased into the message holding it. Exact
     /// because no such run crosses a partition bound, and both endpoints
     /// split the same layout, so they agree on every sub-tag and length.
-    /// The staging arena's layout is unchanged: the split messages tile
-    /// the buffers they came from.
     pub fn split_at_partitions(self) -> Self {
         let split_tag = |tag: u64, p: usize| {
             let sub = (p as u64 + 1) * PART_TAG_STRIDE;
@@ -826,18 +826,7 @@ impl RankRouting {
             .flat_map(|g| {
                 let (dst, tag) = (g.dst, g.tag);
                 g.parts.into_iter().enumerate().map(move |(p, part)| {
-                    let (start, len) = (part.range.start, part.range.len());
-                    let source = match part.source {
-                        PartSource::Input(runs) => PartSource::Input(
-                            runs.into_iter()
-                                .map(|r| Run {
-                                    to: r.to - start,
-                                    ..r
-                                })
-                                .collect(),
-                        ),
-                        staged => staged,
-                    };
+                    let len = part.range.len();
                     GSendRoute {
                         dst,
                         tag: split_tag(tag, p),
@@ -846,7 +835,7 @@ impl RankRouting {
                         parts: vec![GPartRoute {
                             origin: part.origin,
                             range: 0..len,
-                            source,
+                            source: part.source,
                         }],
                     }
                 })
@@ -917,70 +906,37 @@ impl RankRouting {
     }
 }
 
-/// One entry of a batch routing sweep: a pattern, its resolved plan, the
-/// tag base carved for it, and whether its request stages its g sends in
-/// the batch-shared arena. [`crate::NeighborBatch`] sets it for every
-/// entry; an entry without it gets no window (`arena_off: None`) and its
-/// request allocates an arena of its own. It stays a field because
-/// callers that time the sweep alone (`perfbench`) build entries
-/// themselves.
+/// One entry of a batch routing sweep: a pattern, its resolved plan and
+/// the tag base carved for it.
 pub struct BatchEntryPlan<'a> {
     pub pattern: &'a CommPattern,
     pub plan: &'a Plan,
     pub tag_base: u64,
+    /// Has no effect: no code reads it. It stays only because the
+    /// benchmark under `perfbench/` builds this struct by literal; ROADMAP
+    /// item 1 deletes it.
     pub shared_arena: bool,
-}
-
-/// Everything one rank needs to register and drive **every** entry of a
-/// batch: the per-entry routings plus the layout of the rank's single
-/// staging arena (each shared-arena entry's g sends occupy one contiguous
-/// window of it).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchRankRouting {
-    /// This rank's routing for each entry, in batch order.
-    pub entries: Vec<RankRouting>,
-    /// Offset of each entry's g-send window within the rank's batch arena
-    /// (`None` for entries that do not stage through the shared arena).
-    pub arena_off: Vec<Option<usize>>,
-    /// Total arena elements this rank allocates for the whole batch.
-    pub arena_len: usize,
 }
 
 impl RankRouting {
     /// Derive every rank's routing for **every** entry of a batch in one
     /// fused sweep: each entry's plan is walked once (the
-    /// [`RankRouting::build_all`] single-pass derivation), results are
-    /// transposed into per-rank [`BatchRankRouting`]s, and the shared
-    /// staging arena is laid out per rank — one allocation covering all
-    /// entries' g sends instead of one arena per request. Total work is
-    /// O(ΣMᵢ + E·N) over E entries with plan sizes Mᵢ on N ranks.
-    pub fn build_all_batch(entries: &[BatchEntryPlan]) -> Vec<BatchRankRouting> {
+    /// [`RankRouting::build_all`] single-pass derivation) and the results
+    /// are transposed per rank — `out[rank][e]` is `rank`'s routing for
+    /// entry `e`. Total work is O(ΣMᵢ + E·N) over E entries with plan
+    /// sizes Mᵢ on N ranks.
+    pub fn build_all_batch(entries: &[BatchEntryPlan]) -> Vec<Vec<RankRouting>> {
         let n = match entries.first() {
             Some(e) => e.plan.n_ranks,
             None => return Vec::new(),
         };
-        let mut out: Vec<BatchRankRouting> = (0..n)
-            .map(|_| BatchRankRouting {
-                entries: Vec::with_capacity(entries.len()),
-                arena_off: Vec::with_capacity(entries.len()),
-                arena_len: 0,
-            })
-            .collect();
+        let mut out: Vec<Vec<RankRouting>> =
+            (0..n).map(|_| Vec::with_capacity(entries.len())).collect();
         for e in entries {
             assert_eq!(e.plan.n_ranks, n, "batch entries must share a rank count");
             let routings = Self::build_all(e.pattern, e.plan, e.tag_base);
-            for (rank, routing) in routings.into_iter().enumerate() {
-                let br = &mut out[rank];
-                let off = if e.shared_arena {
-                    let g_total: usize = routing.g_sends.iter().map(|g| g.len).sum();
-                    let o = br.arena_len;
-                    br.arena_len += g_total;
-                    Some(o)
-                } else {
-                    None
-                };
-                br.arena_off.push(off);
-                br.entries.push(routing);
+            for (per_rank, routing) in out.iter_mut().zip(routings) {
+                per_rank.push(routing);
             }
         }
         out
@@ -1302,17 +1258,9 @@ mod tests {
         assert_eq!(batch.len(), 8);
         for (rank, br) in batch.iter().enumerate() {
             // per-entry routings identical to independent sweeps
-            assert_eq!(br.entries[0], a[rank]);
-            assert_eq!(br.entries[1], b[rank]);
-            assert_eq!(br.entries[2], c[rank]);
-            // arena: entry 0 at offset 0, entry 1 right behind it, the
-            // non-shared entry 2 gets no window and adds no length (its
-            // request allocates its own)
-            let g_total = |r: &RankRouting| r.g_sends.iter().map(|g| g.len).sum::<usize>();
-            assert_eq!(br.arena_off[0], Some(0));
-            assert_eq!(br.arena_off[1], Some(g_total(&a[rank])));
-            assert_eq!(br.arena_off[2], None);
-            assert_eq!(br.arena_len, g_total(&a[rank]) + g_total(&b[rank]));
+            assert_eq!(br[0], a[rank]);
+            assert_eq!(br[1], b[rank]);
+            assert_eq!(br[2], c[rank]);
         }
     }
 

@@ -66,7 +66,7 @@ pub mod transport;
 pub use comm::Comm;
 pub use ctx::RankCtx;
 pub use elem::Elem;
-pub use persistent::{RecvChan, SendChan, SharedBuf};
+pub use persistent::{RecvChan, SendChan};
 pub use runtime::{panic_message, EpochError, Fabric, World, WorldConfig, WorldPool};
 pub use stall::{LinkStatus, ParkCounts, PeerStatus, RankWait, RegistryGauge, StallReport};
 pub use state::{ChanId, ChanRegistrar};

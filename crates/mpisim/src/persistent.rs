@@ -19,7 +19,7 @@
 //! payload out in place ([`RecvChan::try_take`] to poll,
 //! [`RecvChan::wait_with`]/[`RecvChan::wait_take`] to block), with no
 //! registered window in between. A caller that wants one keeps its own
-//! buffer ([`SharedBuf`] is a shared kind) and copies at the two ends.
+//! buffer and copies at the two ends.
 //!
 //! A persistent send therefore matches a persistent receive registered with
 //! the same signature on the peer (the paper's collectives always register
@@ -32,17 +32,7 @@ use crate::comm::{Comm, USER_TAG_LIMIT};
 use crate::ctx::RankCtx;
 use crate::elem::{elem_bytes, Elem};
 use crate::state::{ChanRegistrar, Channel, WaitChans};
-use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// A buffer with shared ownership: how several requests alias windows of
-/// one allocation (a batch's staging arena).
-pub type SharedBuf<T> = Arc<RwLock<Vec<T>>>;
-
-/// Create a [`SharedBuf`] from initial contents.
-pub fn shared_buf<T>(data: Vec<T>) -> SharedBuf<T> {
-    Arc::new(RwLock::new(data))
-}
 
 /// The buffer-less half of a persistent send: a pre-matched channel plus
 /// the registered message length. [`SendChan::start_with`] gathers the

@@ -10,7 +10,7 @@
 //! The front door for real workloads is [`NeighborBatch`]: an application
 //! like AMG keeps one persistent collective live *per level*, and the
 //! batch plans, tags, and stages all of them as one session (one routing
-//! sweep, one tag lease, one staging arena, one registration pass).
+//! sweep, one tag lease, one registration pass).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
