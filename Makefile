@@ -68,7 +68,10 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, and four grep rules. Configuration: mpisim reads
+# clippy, formatting, the rustdoc link gate, and four grep rules. Docs:
+# every intra-doc link resolves (`cargo doc` denies
+# rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
+# comment still links to fails here. Configuration: mpisim reads
 # the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
 # woken through its park point only (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the one park-point file of
@@ -93,6 +96,7 @@ BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 EXEC_LOCKS := RwLock|Mutex|\.write\(\)|\.read\(\)
 lint: clippy
 	cargo fmt --all --check
+	RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
 		echo "error: mpisim touches std::env outside crates/mpisim/src/env.rs"; exit 1; fi
 	@if grep -rnE 'notify_all|notify_one|futex::wake_all' crates/mpisim/src --include='*.rs' \

@@ -1,6 +1,6 @@
 //! Planner and registration cost at 256 ranks — the scale the repository's
 //! benchmark (`perfbench/`, 8–16 ranks) has no row for: plan construction
-//! per protocol, routing derivation as one sweep vs the per-rank reference,
+//! per protocol, routing derivation (one sweep of the plan for every rank),
 //! the size of the copy maps that derivation leaves with the requests (runs
 //! and bytes against the values they move), persistent init per protocol on
 //! a warm pooled world, and one `NeighborBatch::init_all` over 8 AMG-level
@@ -80,13 +80,7 @@ fn main() {
     // builders' caches the init rows below go through
     let plan = Protocol::FullNeighbor.plan(busiest, &topo);
     let sweep = best_ms(5, || RankRouting::build_all(busiest, &plan, 0).len());
-    let per_rank = best_ms(5, || {
-        (0..RANKS)
-            .map(|me| RankRouting::build(busiest, &plan, me, 0).g_sends.len())
-            .sum::<usize>()
-    });
     println!("planner_scale,routing_build,build_all_sweep,{sweep:.3}");
-    println!("planner_scale,routing_build,per_rank_reference,{per_rank:.3}");
 
     // what the requests keep of that derivation, summed over the ranks
     for p in Protocol::ALL {

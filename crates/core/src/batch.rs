@@ -107,7 +107,7 @@ struct EntrySpec<'a> {
 /// per shortlisted candidate, all laid out in the same fused sweep, so
 /// the probe phase hot-swaps between fully-initialized executors. The
 /// `routings` are therefore in *expanded* order;
-/// [`ExpandedEntry`] maps each batch entry to its slots. `plans` and
+/// `ExpandedEntry` maps each batch entry to its slots. `plans` and
 /// `tag_bases` stay per-entry (a tuned entry reports its model-best
 /// candidate until measurement says otherwise).
 pub struct ResolvedBatch {

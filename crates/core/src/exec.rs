@@ -522,7 +522,6 @@ impl NeighborRequest for NeighborExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::Plan;
     use crate::neighbor::Backend;
     use crate::pattern::CommPattern;
     use crate::tagspace::SPAN;
@@ -561,17 +560,16 @@ mod tests {
     #[global_allocator]
     static COUNTING: CountingAlloc = CountingAlloc;
 
-    /// One rank's request for `plan`, its routing split at the partition
-    /// bounds if `partitioned` (as `Backend::Partitioned` resolves it).
+    /// One rank's request on its routing of `routings` (every rank's, from
+    /// one sweep of the plan), split at the partition bounds if
+    /// `partitioned` (as `Backend::Partitioned` resolves it).
     fn init(
-        pattern: &CommPattern,
-        plan: &Plan,
+        routings: &[RankRouting],
         ctx: &RankCtx,
         comm: &Comm,
-        tag_base: u64,
         partitioned: bool,
     ) -> NeighborExec {
-        let mut routing = RankRouting::build(pattern, plan, comm.rank(), tag_base);
+        let mut routing = routings[comm.rank()].clone();
         if partitioned {
             routing = routing.split_at_partitions();
         }
@@ -606,10 +604,10 @@ mod tests {
         protocol: Protocol,
         partitioned: bool,
     ) {
-        let plan = protocol.plan(pattern, topo);
+        let routings = RankRouting::build_all(pattern, &protocol.plan(pattern, topo), 100);
         let results = pool.run(|ctx| {
             let comm = ctx.comm_world();
-            let mut nb = init(pattern, &plan, ctx, &comm, 100, partitioned);
+            let mut nb = init(&routings, ctx, &comm, partitioned);
             let mut got = Vec::new();
             for it in 0..3usize {
                 let input: Vec<f64> = nb
@@ -770,6 +768,8 @@ mod tests {
         let topo = Topology::block_nodes(8, 4);
         let plan_a = Protocol::PartialNeighbor.plan(&pattern, &topo);
         let plan_b = Protocol::FullNeighbor.plan(&pattern, &topo);
+        let routings_a = RankRouting::build_all(&pattern, &plan_a, 0);
+        let routings_b = RankRouting::build_all(&pattern, &plan_b, SPAN);
         // every pairing of split and unsplit routings; one tag span apart
         // (partition sub-tags live above the step tags)
         for (split_a, split_b) in BOTH_ROUTINGS
@@ -778,8 +778,8 @@ mod tests {
         {
             let ok = World::run(8, |ctx| {
                 let comm = ctx.comm_world();
-                let mut a = init(&pattern, &plan_a, ctx, &comm, 0, split_a);
-                let mut b = init(&pattern, &plan_b, ctx, &comm, SPAN, split_b);
+                let mut a = init(&routings_a, ctx, &comm, split_a);
+                let mut b = init(&routings_b, ctx, &comm, split_b);
                 let input_a: Vec<f64> = a.input_index().iter().map(|&i| i as f64).collect();
                 let input_b: Vec<f64> =
                     b.input_index().iter().map(|&i| 1000.0 + i as f64).collect();
@@ -814,13 +814,14 @@ mod tests {
         // loud abort)
         let topo = Topology::block_nodes(16, 4);
         let pattern = CommPattern::all_to_all_regions(&topo);
-        let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
+        let routings =
+            RankRouting::build_all(&pattern, &Protocol::FullNeighbor.plan(&pattern, &topo), 100);
         for partitioned in BOTH_ROUTINGS {
             let faults = FaultPlan::seeded(1).deadline_ms(3_000);
             let world = WorldConfig::new(Fabric::Thread).faults(faults);
             let ok = world.run(16, |ctx| {
                 let comm = ctx.comm_world();
-                let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
+                let mut nb = init(&routings, ctx, &comm, partitioned);
                 let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
                 let mut output = vec![f64::NAN; nb.output_index().len()];
                 if ctx.rank() % 2 == 0 {
@@ -854,10 +855,10 @@ mod tests {
             (Protocol::FullNeighbor, true),
         ]);
         for (protocol, partitioned) in cases {
-            let plan = protocol.plan(&pattern, &topo);
+            let routings = RankRouting::build_all(&pattern, &protocol.plan(&pattern, &topo), 100);
             let allocs = World::run(16, |ctx| {
                 let comm = ctx.comm_world();
-                let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
+                let mut nb = init(&routings, ctx, &comm, partitioned);
                 let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
                 let mut output = vec![f64::NAN; nb.output_index().len()];
                 steady_state_allocs(ctx, &comm, |ctx| {
@@ -930,11 +931,12 @@ mod tests {
         // receive (MPI_Test on an inactive persistent request)
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
-        let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
+        let routings =
+            RankRouting::build_all(&pattern, &Protocol::FullNeighbor.plan(&pattern, &topo), 100);
         for partitioned in BOTH_ROUTINGS {
             let ok = World::run(8, |ctx| {
                 let comm = ctx.comm_world();
-                let mut nb = init(&pattern, &plan, ctx, &comm, 100, partitioned);
+                let mut nb = init(&routings, ctx, &comm, partitioned);
                 let mut output = vec![f64::NAN; nb.output_index().len()];
                 let before = nb.test(ctx, &mut output);
                 let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();

@@ -157,117 +157,81 @@ fn check_routing_runs(r: &RankRouting) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The partition of a g buffer with `bounds` that slot `pos` lies in, and
-/// its position inside that partition.
-fn split_pos(bounds: &[usize], pos: usize) -> (usize, usize) {
-    let p = (0..bounds.len() - 1)
-        .find(|&p| bounds[p] <= pos && pos < bounds[p + 1])
-        .expect("slot inside its buffer");
-    (p, pos - bounds[p])
+/// The staging links of one routing are a bijection: every staged
+/// partition names a distinct s receive, in range and of the partition's
+/// length, and every s receive is named once.
+fn check_staging(r: &RankRouting) -> Result<(), TestCaseError> {
+    let mut named = vec![0usize; r.s_recvs.len()];
+    for part in r.g_sends.iter().flat_map(|g| &g.parts) {
+        if let PartSource::Staged { s_recv } = part.source {
+            prop_assert!(s_recv < named.len(), "{:?} names no s receive", part);
+            prop_assert_eq!(r.s_recvs[s_recv].len, part.range.len());
+            named[s_recv] += 1;
+        }
+    }
+    prop_assert!(
+        named.iter().all(|&k| k == 1),
+        "s receives named {:?} times",
+        named
+    );
+    Ok(())
 }
 
 /// Checks `split` is `unsplit` split at its partition bounds (see
-/// `split_routing_expands_to_the_same_value_maps`).
+/// `split_routing_expands_to_the_same_value_maps`): the unsplit routing's
+/// value maps with partition `p` of each g message renumbered into a
+/// message of its own, in message-then-partition order, on the sub-tag
+/// `tag + (p + 1) << 20`.
 fn check_split(unsplit: &RankRouting, split: &RankRouting) -> Result<(), TestCaseError> {
-    let (r, s) = (unsplit, split);
-    // the (unsplit message, partition) each split message is, in
-    // message-then-partition order
-    let send_of: Vec<(usize, usize)> = r
-        .g_sends
-        .iter()
-        .enumerate()
-        .flat_map(|(g, m)| (0..m.parts.len()).map(move |p| (g, p)))
-        .collect();
-    let recv_of: Vec<(usize, usize)> = r
-        .g_recvs
-        .iter()
-        .enumerate()
-        .flat_map(|(g, m)| (0..m.bounds.len() - 1).map(move |p| (g, p)))
-        .collect();
-    prop_assert_eq!(s.g_sends.len(), send_of.len());
-    prop_assert_eq!(s.g_recvs.len(), recv_of.len());
+    check_routing_runs(split)?;
+    check_staging(split)?;
+    let old = ValueMaps::expand(unsplit);
     let sub_tag = |tag: u64, p: usize| tag + ((p as u64 + 1) << 20);
-    for (m, &(g, p)) in s.g_sends.iter().zip(&send_of) {
-        let (old, part) = (&r.g_sends[g], &r.g_sends[g].parts[p]);
-        prop_assert_eq!(m.parts.len(), 1);
-        prop_assert_eq!(&m.bounds, &vec![0, m.len]);
-        prop_assert_eq!(m.parts[0].range.clone(), 0..m.len);
-        prop_assert_eq!(m.parts[0].origin, part.origin);
-        let want = (old.dst, sub_tag(old.tag, p), part.range.len());
-        prop_assert_eq!((m.dst, m.tag, m.len), want);
-    }
-    for (m, &(g, p)) in s.g_recvs.iter().zip(&recv_of) {
-        let old = &r.g_recvs[g];
-        prop_assert_eq!(&m.bounds, &vec![0, m.len]);
-        let want = (
-            old.src,
-            sub_tag(old.tag, p),
-            old.bounds[p + 1] - old.bounds[p],
-        );
-        prop_assert_eq!((m.src, m.tag, m.len), want);
-        let inside = m.outputs.iter().all(|o| o.from + o.len <= m.len);
-        prop_assert!(inside, "{:?} leaves its message", m.outputs);
-    }
-    let lens = |r: &RankRouting| {
-        let send: usize = r.g_sends.iter().map(|g| g.len).sum();
-        (send, r.g_recvs.iter().map(|g| g.len).sum::<usize>())
-    };
-    prop_assert_eq!(lens(s), lens(r));
-    // each staging receive fills the message its partition became, and
-    // that message names it back
-    prop_assert_eq!(s.s_recvs.len(), r.s_recvs.len());
-    for (i, (sr, old)) in s.s_recvs.iter().zip(&r.s_recvs).enumerate() {
-        prop_assert_eq!(send_of[sr.g_send], (old.g_send, old.partition));
-        prop_assert_eq!((sr.partition, sr.len), (0, s.g_sends[sr.g_send].len));
-        let source = &s.g_sends[sr.g_send].parts[0].source;
-        prop_assert_eq!(source, &PartSource::Staged { s_recv: i });
-    }
-    check_routing_runs(s)?;
-
-    // the unsplit maps, value by value, renumbered into the split messages
-    let old = ValueMaps::expand(r);
-    let recv_index = |g: usize, p: usize| recv_of.iter().position(|&k| k == (g, p)).unwrap();
-    let g_recvs = recv_of
-        .iter()
-        .map(|&(g, p)| {
-            let bounds = &r.g_recvs[g].bounds;
-            old.g_recvs[g]
+    let g_sends = (old.g_sends.iter())
+        .flat_map(|&((dst, tag, _), _, ref parts)| {
+            parts
                 .iter()
-                .filter(|&&(pos, _)| split_pos(bounds, pos).0 == p)
-                .map(|&(pos, out)| (split_pos(bounds, pos).1, out))
-                .collect()
-        })
-        .collect();
-    let g_inputs = send_of
-        .iter()
-        .map(|&(g, p)| {
-            old.g_inputs[g]
-                .iter()
-                .filter(|(q, _)| *q == p)
-                .map(|(_, inputs)| (0, inputs.clone()))
-                .collect()
-        })
-        .collect();
-    let r_sends = old
-        .r_sends
-        .iter()
-        .map(|sources| {
-            sources
-                .iter()
-                .map(|&(g, pos)| {
-                    let (p, rel) = split_pos(&r.g_recvs[g].bounds, pos);
-                    (recv_index(g, p), rel)
+                .enumerate()
+                .map(move |(p, (origin, range, source))| {
+                    let len = range.len();
+                    let part = (*origin, 0..len, source.clone());
+                    ((dst, sub_tag(tag, p), len), vec![0, len], vec![part])
                 })
-                .collect()
+        })
+        .collect();
+    let g_recvs = (old.g_recvs.iter())
+        .flat_map(|&((src, tag, _), ref bounds, ref outputs)| {
+            bounds.windows(2).enumerate().map(move |(p, w)| {
+                let (lo, hi) = (w[0], w[1]);
+                let inside = outputs.iter().filter(|&&(pos, _)| lo <= pos && pos < hi);
+                let outputs = inside.map(|&(pos, out)| (pos - lo, out)).collect();
+                ((src, sub_tag(tag, p), hi - lo), vec![0, hi - lo], outputs)
+            })
+        })
+        .collect();
+    // the split message slot `pos` of g receive `g` lands in, and its
+    // position there
+    let split_pos = |g: usize, pos: usize| {
+        let bounds = &old.g_recvs[g].1;
+        let p = (0..bounds.len() - 1)
+            .find(|&p| bounds[p] <= pos && pos < bounds[p + 1])
+            .expect("slot inside its buffer");
+        let before: usize = old.g_recvs[..g].iter().map(|g| g.1.len() - 1).sum();
+        (before + p, pos - bounds[p])
+    };
+    let r_sends = (old.r_sends.iter())
+        .map(|(head, sources)| {
+            let sources = sources.iter().map(|&(g, pos)| split_pos(g, pos));
+            (*head, sources.collect())
         })
         .collect();
     let want = ValueMaps {
+        g_sends,
         g_recvs,
-        g_inputs,
         r_sends,
         ..old
     };
-    prop_assert_eq!(ValueMaps::expand(s), want);
+    prop_assert_eq!(ValueMaps::expand(split), want);
     Ok(())
 }
 
@@ -318,35 +282,13 @@ proptest! {
         }
     }
 
-    /// The single-sweep `RankRouting::build_all` produces routings
-    /// byte-identical to the per-rank `RankRouting::build` path, for every
-    /// protocol over random patterns, region sizes, and strategies.
-    #[test]
-    fn build_all_matches_per_rank_build(
-        pattern in arb_pattern(12),
-        ppn in 1usize..7,
-        dedup in any::<bool>(),
-        lb in any::<bool>(),
-    ) {
-        let topo = Topology::block_nodes(12, ppn);
-        let strategy = if lb { AssignStrategy::LoadBalanced } else { AssignStrategy::RoundRobin };
-        for plan in [
-            Plan::standard(&pattern, &topo),
-            Plan::aggregated(&pattern, &topo, dedup, strategy),
-        ] {
-            let all = RankRouting::build_all(&pattern, &plan, 4096);
-            prop_assert_eq!(all.len(), 12);
-            for (me, routing) in all.iter().enumerate() {
-                let single = RankRouting::build(&pattern, &plan, me, 4096);
-                prop_assert_eq!(routing, &single, "rank {} diverged", me);
-            }
-        }
-    }
-
-    /// The copy maps routing emits as runs are exactly the per-value maps
-    /// (the oracle derivation), every run is maximal, every buffer slot is
-    /// covered once, and no run over a g buffer crosses a partition bound —
-    /// for every protocol and both leader strategies.
+    /// Every rank's routing is exactly what the oracle derives on its own —
+    /// input and output index, each message's peer, tag and length, g
+    /// partition bounds and origins, the s receive filling each staged
+    /// partition, and the copy maps value by value; every run is maximal,
+    /// every buffer slot is covered once, no run over a g buffer crosses a
+    /// partition bound, and the staging links are a bijection — for every
+    /// protocol and both leader strategies.
     #[test]
     fn run_maps_expand_to_the_per_value_maps(
         pattern in arb_blocky_pattern(12),
@@ -360,19 +302,20 @@ proptest! {
             for (me, routing) in RankRouting::build_all(&pattern, &plan, 4096).iter().enumerate() {
                 prop_assert_eq!(
                     ValueMaps::expand(routing),
-                    ValueMaps::derive(&pattern, &plan, me),
+                    ValueMaps::derive(&pattern, &plan, me, 4096),
                     "rank {} under {}", me, protocol
                 );
                 check_routing_runs(routing)?;
+                check_staging(routing)?;
             }
         }
     }
 
     /// Splitting a routing at its partition bounds (`Backend::Partitioned`)
     /// leaves one partition per g message, each on the sub-tag `tag + (p +
-    /// 1) << 20` of the message it came from; lengths sum as before, no run
-    /// leaves its message, staging receives point at their partition's
-    /// message, and the per-value maps are the unsplit routing's,
+    /// 1) << 20` of the message it came from, with its partition's length,
+    /// origin and source, so a staged partition still names the s receive
+    /// that fills it; the per-value maps are the unsplit routing's,
     /// renumbered into the split messages — for both aggregating protocols
     /// and both leader strategies.
     #[test]

@@ -28,17 +28,16 @@
 //! part of the buffer one partition delivers — which is what makes the
 //! split exact.
 //!
-//! Two construction paths exist:
-//!
-//! * [`RankRouting::build`] derives one rank's view by scanning the plan —
-//!   O(plan) per rank, so initializing a whole world this way is O(N·M).
-//! * [`RankRouting::build_all`] derives **every** rank's view in a single
-//!   sweep of the plan — O(M + N) total. Each message is visited once and
-//!   contributes to its two endpoints; slot positions resolve through a
-//!   precomputed inverse-index table (global index → input position) and
-//!   binary searches over sorted ghost lists, not per-rank hash maps. The
-//!   unified [`crate::NeighborAlltoallv`] builder initializes through this
-//!   path. Both paths produce identical routings (property-tested).
+//! There is one derivation: [`RankRouting::build_all`] derives **every**
+//! rank's view in a single sweep of the plan — O(M + N) total. Each
+//! message is visited once and contributes to its two endpoints; slot
+//! positions resolve through a precomputed inverse-index table (global
+//! index → input position) and binary searches over sorted ghost lists, not
+//! per-rank hash maps. Every builder initializes through it, once per batch
+//! entry ([`RankRouting::build_all_batch`]). Its reference is the test
+//! oracle (`oracle::ValueMaps`), which re-derives each rank's messages,
+//! tags, partitions, copy maps and staging links value by value from the
+//! plan (property-tested).
 
 use crate::agg::{Plan, PlanMsg, SlotArena};
 use crate::pattern::CommPattern;
@@ -170,8 +169,9 @@ pub enum PartSource {
     /// This rank's own contribution: runs from input positions to
     /// positions within the partition.
     Input(Vec<Run>),
-    /// The whole buffer of the `idx`-th s-step receive, in order (staging
-    /// ranks sort their s slots into the partition's slot order).
+    /// The whole buffer of s receive `s_recv` ([`RankRouting::s_recvs`]),
+    /// in order (staging ranks sort their s slots into the partition's
+    /// slot order).
     Staged { s_recv: usize },
 }
 
@@ -233,16 +233,13 @@ pub struct GRecvRoute {
 }
 
 /// An s-step receive at a sending leader: it fills exactly one partition
-/// of one `g` send.
+/// of one `g` send, the one whose source is [`PartSource::Staged`] naming
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SRecvRoute {
     pub src: usize,
     pub tag: u64,
     pub len: usize,
-    /// Index into [`RankRouting::g_sends`].
-    pub g_send: usize,
-    /// Partition of that send this staging message fills.
-    pub partition: usize,
 }
 
 /// An r-step send at a receiving leader: each slot forwards a received
@@ -323,262 +320,16 @@ type PartKey = (usize, usize, usize, usize);
 type FwdKey = (usize, usize, usize);
 
 impl RankRouting {
-    /// Build rank `me`'s routing for `plan`. Every rank must construct the
-    /// *same* `pattern`/`plan` (deterministic planning makes this trivially
-    /// true). `tag_base` isolates concurrent collectives on the same
-    /// communicator; use a distinct base per persistent object (e.g. per
-    /// AMG level).
+    /// Derive **every** rank's routing in one sweep of the plan; the
+    /// result is indexed by rank.
     ///
-    /// This scans the whole plan for one rank; when every rank's routing is
-    /// needed, [`RankRouting::build_all`] derives all of them in a single
-    /// sweep instead.
-    pub fn build(pattern: &CommPattern, plan: &Plan, me: usize, tag_base: u64) -> Self {
-        let input_index = pattern.src_indices(me);
-        let output_index = pattern.dst_indices(me);
-        // every input-position lookup is for a slot this rank owns, so its
-        // own sorted input list is the whole search space — no global
-        // inverse index needed on the per-rank path
-        let in_pos = |i: usize| {
-            input_index
-                .binary_search(&i)
-                .expect("slot index in this rank's input set")
-        };
-        let out_pos = |i: usize| {
-            output_index
-                .binary_search(&i)
-                .expect("slot index in this rank's ghost set")
-        };
-
-        // ℓ step: direct sends from input to output.
-        let mut local_sends = Vec::new();
-        let mut local_recvs = Vec::new();
-        let local_tags = msg_tags(&plan.local, Step::Local, tag_base);
-        for (m, &tag) in plan.local.iter().zip(&local_tags) {
-            if m.src == me {
-                local_sends.push(SendRoute {
-                    dst: m.dst,
-                    tag,
-                    len: m.n_values(),
-                    sources: runs(
-                        plan.local_slots
-                            .iter_range(m.slots.clone())
-                            .enumerate()
-                            .map(|(p, sl)| (in_pos(sl.index), p)),
-                    ),
-                });
-            }
-            if m.dst == me {
-                local_recvs.push(RecvRoute {
-                    src: m.src,
-                    tag,
-                    len: m.n_values(),
-                    outputs: runs(
-                        plan.local_slots
-                            .iter_range(m.slots.clone())
-                            .enumerate()
-                            .map(|(p, sl)| (p, out_pos(sl.index))),
-                    ),
-                });
-            }
-        }
-
-        // g step: origin-major layout with partition bounds. While walking,
-        // record at the sending leader which (origin, leading slot) each
-        // staged partition corresponds to — an s message is matched to its
-        // partition by its first slot, which is unique across g messages
-        // (an index has one origin and one first destination per region).
-        let mut g_sends: Vec<GSendRoute> = Vec::new();
-        let mut g_recvs = Vec::new();
-        // (me, origin, leading index, leading fd) → (g send, partition)
-        let mut part_of: Vec<(PartKey, (usize, usize))> = Vec::new();
-        // forwarding map for r: (me, index, final dst) → (g recv, slot pos)
-        let mut fwd: Vec<(FwdKey, (usize, usize))> = Vec::new();
-        let g_tags = msg_tags(&plan.g_step, Step::G, tag_base);
-        for (m, &tag) in plan.g_step.iter().zip(&g_tags) {
-            if m.src != me && m.dst != me {
-                continue; // don't lay out messages this rank never touches
-            }
-            let layout = g_layout(&plan.g_slots, m);
-            if m.src == me {
-                let parts = layout
-                    .origins
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &origin)| {
-                        let range = layout.bounds[p]..layout.bounds[p + 1];
-                        let source = if origin == me {
-                            PartSource::Input(runs(range.clone().map(|slot| {
-                                let i = plan.g_slots.index(layout.order[slot]);
-                                (in_pos(i), slot - range.start)
-                            })))
-                        } else {
-                            let first = plan.g_slots.get(layout.order[range.start]);
-                            part_of.push((
-                                (me, origin, first.index, first.final_dsts[0]),
-                                (g_sends.len(), p),
-                            ));
-                            // resolved to an s receive in the s pass below
-                            PartSource::Staged { s_recv: usize::MAX }
-                        };
-                        GPartRoute {
-                            origin,
-                            range,
-                            source,
-                        }
-                    })
-                    .collect();
-                g_sends.push(GSendRoute {
-                    dst: m.dst,
-                    tag,
-                    len: layout.order.len(),
-                    bounds: layout.bounds.clone(),
-                    parts,
-                });
-            }
-            if m.dst == me {
-                let mut outputs = Vec::new();
-                for (pos, &ap) in layout.order.iter().enumerate() {
-                    let sl = plan.g_slots.get(ap);
-                    for &fd in sl.final_dsts {
-                        if fd == me {
-                            push_run(&mut outputs, pos, out_pos(sl.index), &layout.bounds);
-                        } else {
-                            fwd.push(((me, sl.index, fd), (g_recvs.len(), pos)));
-                        }
-                    }
-                }
-                g_recvs.push(GRecvRoute {
-                    src: m.src,
-                    tag,
-                    len: layout.order.len(),
-                    bounds: layout.bounds,
-                    outputs,
-                });
-            }
-        }
-        part_of.sort_unstable();
-        fwd.sort_unstable();
-
-        // s step: staging ranks ship their contribution to the sending
-        // leader in the partition's slot order; the leader resolves which
-        // partition each staging message fills.
-        let mut s_sends = Vec::new();
-        let mut s_recvs = Vec::new();
-        let s_tags = msg_tags(&plan.s_step, Step::S, tag_base);
-        for (m, &tag) in plan.s_step.iter().zip(&s_tags) {
-            if m.src != me && m.dst != me {
-                continue;
-            }
-            let order = s_order(&plan.s_slots, m);
-            if m.src == me {
-                s_sends.push(SendRoute {
-                    dst: m.dst,
-                    tag,
-                    len: order.len(),
-                    sources: runs(
-                        order
-                            .iter()
-                            .enumerate()
-                            .map(|(p, &ap)| (in_pos(plan.s_slots.index(ap)), p)),
-                    ),
-                });
-            }
-            if m.dst == me {
-                let first = plan.s_slots.get(order[0]);
-                let key: PartKey = (me, m.src, first.index, first.final_dsts[0]);
-                let k = part_of
-                    .binary_search_by_key(&key, |e| e.0)
-                    .expect("staging message matches a g partition");
-                let (g_send, partition) = part_of[k].1;
-                let part = &mut g_sends[g_send].parts[partition];
-                assert_eq!(
-                    part.range.len(),
-                    order.len(),
-                    "staging/partition length mismatch"
-                );
-                part.source = PartSource::Staged {
-                    s_recv: s_recvs.len(),
-                };
-                s_recvs.push(SRecvRoute {
-                    src: m.src,
-                    tag,
-                    len: order.len(),
-                    g_send,
-                    partition,
-                });
-            }
-        }
-        for g in &g_sends {
-            for part in &g.parts {
-                assert_ne!(
-                    part.source,
-                    PartSource::Staged { s_recv: usize::MAX },
-                    "rank {me}: partition from origin {} never staged",
-                    part.origin
-                );
-            }
-        }
-
-        // r step: receiving leaders forward delivered g values.
-        let mut r_sends = Vec::new();
-        let mut r_recvs = Vec::new();
-        let r_tags = msg_tags(&plan.r_step, Step::R, tag_base);
-        for (m, &tag) in plan.r_step.iter().zip(&r_tags) {
-            if m.src == me {
-                r_sends.push(RSendRoute {
-                    dst: m.dst,
-                    tag,
-                    len: m.n_values(),
-                    sources: fwd_runs(
-                        plan.r_slots.iter_range(m.slots.clone()).map(|sl| {
-                            let key: FwdKey = (me, sl.index, m.dst);
-                            let k = fwd
-                                .binary_search_by_key(&key, |e| e.0)
-                                .expect("forwarded value was delivered by a g receive");
-                            fwd[k].1
-                        }),
-                        &g_recvs,
-                    ),
-                });
-            }
-            if m.dst == me {
-                r_recvs.push(RecvRoute {
-                    src: m.src,
-                    tag,
-                    len: m.n_values(),
-                    outputs: runs(
-                        plan.r_slots
-                            .iter_range(m.slots.clone())
-                            .enumerate()
-                            .map(|(p, sl)| (p, out_pos(sl.index))),
-                    ),
-                });
-            }
-        }
-
-        Self {
-            me,
-            input_index,
-            output_index,
-            local_sends,
-            local_recvs,
-            s_sends,
-            s_recvs,
-            g_sends,
-            g_recvs,
-            r_sends,
-            r_recvs,
-        }
-    }
-
-    /// Derive **every** rank's routing in one sweep of the plan.
-    ///
-    /// Each message is visited once and contributes routes to both of its
-    /// endpoints, so the whole-world derivation is O(M + N) in the plan
-    /// size M and rank count N — against O(N·M) for N calls to
-    /// [`RankRouting::build`]. The g layouts are also computed once per
-    /// message instead of once per endpoint. Produces routings identical
-    /// to the per-rank path.
+    /// Every rank must see the *same* `pattern`/`plan` (deterministic
+    /// planning makes this trivially true). `tag_base` isolates concurrent
+    /// collectives on the same communicator; use a distinct base per
+    /// persistent object (e.g. per AMG level). Each message is visited once
+    /// and contributes routes to both of its endpoints, and each g layout
+    /// is computed once for both, so the whole-world derivation is
+    /// O(M + N) in the plan size M and rank count N.
     pub fn build_all(pattern: &CommPattern, plan: &Plan, tag_base: u64) -> Vec<RankRouting> {
         let n = plan.n_ranks;
         let inputs = pattern.all_src_indices();
@@ -733,8 +484,6 @@ impl RankRouting {
                 src: m.src,
                 tag,
                 len: order.len(),
-                g_send,
-                partition,
             });
         }
         for r in &routings {
@@ -793,11 +542,12 @@ impl RankRouting {
     /// This routing with every g message split at its partition bounds —
     /// what [`crate::Backend::Partitioned`] runs. Partition `p` of a g
     /// message becomes a g message of its own on the sub-tag `tag + (p + 1)
-    /// · 2²⁰`, in message-then-partition order; each staging
-    /// receive points at the message its partition became, and every run
-    /// over a g buffer is rebased into the message holding it. Exact
-    /// because no such run crosses a partition bound, and both endpoints
-    /// split the same layout, so they agree on every sub-tag and length.
+    /// · 2²⁰`, in message-then-partition order, and every run over a g
+    /// buffer is rebased into the message holding it. A partition keeps its
+    /// source, so the s receives are untouched: a staged partition still
+    /// names the receive that fills it. Exact because no run over a g
+    /// buffer crosses a partition bound, and both endpoints split the same
+    /// layout, so they agree on every sub-tag and length.
     pub fn split_at_partitions(self) -> Self {
         let split_tag = |tag: u64, p: usize| {
             let sub = (p as u64 + 1) * PART_TAG_STRIDE;
@@ -807,18 +557,14 @@ impl RankRouting {
             );
             tag + sub
         };
-        // the first split message of each g send / receive
-        fn firsts(parts: impl Iterator<Item = usize>) -> Vec<usize> {
-            parts
-                .scan(0, |next, k| {
-                    let first = *next;
-                    *next += k;
-                    Some(first)
-                })
-                .collect()
-        }
-        let send_first = firsts(self.g_sends.iter().map(|g| g.parts.len()));
-        let recv_first = firsts(self.g_recvs.iter().map(|g| g.bounds.len() - 1));
+        // the first split message of each g receive
+        let recv_first: Vec<usize> = (self.g_recvs.iter())
+            .scan(0, |next, g| {
+                let first = *next;
+                *next += g.bounds.len() - 1;
+                Some(first)
+            })
+            .collect();
 
         let g_sends = self
             .g_sends
@@ -839,15 +585,6 @@ impl RankRouting {
                         }],
                     }
                 })
-            })
-            .collect();
-        let s_recvs = self
-            .s_recvs
-            .into_iter()
-            .map(|s| SRecvRoute {
-                g_send: send_first[s.g_send] + s.partition,
-                partition: 0,
-                ..s
             })
             .collect();
         // the receive's outputs are in slot order, so each partition's
@@ -897,7 +634,6 @@ impl RankRouting {
             })
             .collect();
         Self {
-            s_recvs,
             g_sends,
             g_recvs,
             r_sends,
@@ -943,79 +679,157 @@ impl RankRouting {
     }
 }
 
-/// The per-value copy maps the runs replaced, derived the way routing
-/// derived them before — the oracle the run maps are tested against.
+/// Every rank's routing re-derived from the plan value by value, one rank
+/// at a time — the reference [`RankRouting::build_all`] is tested
+/// against. It shares no lookup with the sweep: a tag counts the earlier
+/// messages of its step between the same pair, partition bounds count the
+/// slots of each origin, and a staged partition finds the s receive that
+/// fills it by slot content.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
+    use std::collections::BTreeMap;
 
-    /// One rank's copy maps with one entry per value, message by message
-    /// in routing order.
+    /// A message's `(peer, tag, len)`: the peer is a send's destination and
+    /// a receive's source.
+    pub(crate) type Head = (usize, u64, usize);
+    /// `(position, position)` pairs of a per-value map.
+    pub(crate) type Pairs = Vec<(usize, usize)>;
+    /// A g partition's origin, slot range and source.
+    pub(crate) type Part = (usize, Range<usize>, PartMap);
+
+    /// Where a g partition's values come from: the input position feeding
+    /// each slot, or the s receive that fills it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) enum PartMap {
+        Input(Vec<usize>),
+        Staged(usize),
+    }
+
+    /// The sorted `(index, first final dst)` of arena positions `ps`: what
+    /// identifies a g partition and the s message that fills it.
+    fn content(slots: &SlotArena, ps: impl Iterator<Item = usize>) -> Vec<(usize, usize)> {
+        let mut c: Vec<_> = ps
+            .map(|p| (slots.index(p), slots.final_dsts(p)[0]))
+            .collect();
+        c.sort_unstable();
+        c
+    }
+
+    /// One rank's routing with one entry per value, message by message in
+    /// routing order, each message with its [`Head`].
     #[derive(Debug, Default, PartialEq, Eq)]
     pub(crate) struct ValueMaps {
+        pub input_index: Vec<usize>,
+        pub output_index: Vec<usize>,
         /// Input position feeding each slot, per ℓ / s send.
-        pub local_sends: Vec<Vec<usize>>,
-        pub s_sends: Vec<Vec<usize>>,
-        /// `(slot position, output position)` pairs, per ℓ / g / r receive.
-        pub local_recvs: Vec<Vec<(usize, usize)>>,
-        pub g_recvs: Vec<Vec<(usize, usize)>>,
-        pub r_recvs: Vec<Vec<(usize, usize)>>,
-        /// Per g send, its own-input partitions: (partition, input
-        /// position feeding each slot of the partition).
-        pub g_inputs: Vec<Vec<(usize, Vec<usize>)>>,
+        pub local_sends: Vec<(Head, Vec<usize>)>,
+        pub s_sends: Vec<(Head, Vec<usize>)>,
+        pub s_recvs: Vec<Head>,
+        /// `(slot position, output position)` pairs, per ℓ / r receive.
+        pub local_recvs: Vec<(Head, Pairs)>,
+        pub r_recvs: Vec<(Head, Pairs)>,
+        /// Per g send, its partition bounds and each partition's origin,
+        /// slot range and source.
+        pub g_sends: Vec<(Head, Vec<usize>, Vec<Part>)>,
+        /// Per g receive, its partition bounds and `(slot position, output
+        /// position)` pairs.
+        pub g_recvs: Vec<(Head, Vec<usize>, Pairs)>,
         /// `(g receive, slot position)` feeding each slot, per r send.
-        pub r_sends: Vec<Vec<(usize, usize)>>,
+        pub r_sends: Vec<(Head, Pairs)>,
     }
 
     impl ValueMaps {
         /// Rank `me`'s maps, value by value from the plan.
-        pub(crate) fn derive(pattern: &CommPattern, plan: &Plan, me: usize) -> Self {
+        pub(crate) fn derive(pattern: &CommPattern, plan: &Plan, me: usize, tag_base: u64) -> Self {
             let input_index = pattern.src_indices(me);
             let output_index = pattern.dst_indices(me);
             let in_pos = |i: usize| input_index.binary_search(&i).unwrap();
             let out_pos = |i: usize| output_index.binary_search(&i).unwrap();
-            let delivered = |slots: &SlotArena, m: &PlanMsg| -> Vec<(usize, usize)> {
+            let delivered = |slots: &SlotArena, m: &PlanMsg| -> Pairs {
                 slots
                     .iter_range(m.slots.clone())
                     .enumerate()
                     .map(|(p, sl)| (p, out_pos(sl.index)))
                     .collect()
             };
-            let mut v = Self::default();
-            for m in &plan.local {
+            // the send and receive heads of message `i` of a step; its
+            // sequence number counts the step's earlier same-pair messages
+            let heads = |msgs: &[PlanMsg], i: usize, step: Step| -> (Head, Head) {
+                let m = &msgs[i];
+                let seq = msgs[..i]
+                    .iter()
+                    .filter(|x| (x.src, x.dst) == (m.src, m.dst))
+                    .count();
+                let tag = tag_base + step as u64 * STEP_TAG_STRIDE + seq as u64;
+                ((m.dst, tag, m.n_values()), (m.src, tag, m.n_values()))
+            };
+            let mut v = Self {
+                input_index: input_index.clone(),
+                output_index: output_index.clone(),
+                ..Self::default()
+            };
+            for (i, m) in plan.local.iter().enumerate() {
+                let (send, recv) = heads(&plan.local, i, Step::Local);
                 if m.src == me {
-                    v.local_sends.push(
-                        plan.local_slots
-                            .iter_range(m.slots.clone())
-                            .map(|sl| in_pos(sl.index))
-                            .collect(),
-                    );
+                    let slots = plan.local_slots.iter_range(m.slots.clone());
+                    v.local_sends
+                        .push((send, slots.map(|sl| in_pos(sl.index)).collect()));
                 }
                 if m.dst == me {
-                    v.local_recvs.push(delivered(&plan.local_slots, m));
+                    v.local_recvs.push((recv, delivered(&plan.local_slots, m)));
+                }
+            }
+            // the slot content of each s message this rank receives
+            let mut staged = Vec::new();
+            for (i, m) in plan.s_step.iter().enumerate() {
+                let (send, recv) = heads(&plan.s_step, i, Step::S);
+                if m.src == me {
+                    let order = s_order(&plan.s_slots, m);
+                    let inputs = order.iter().map(|&ap| in_pos(plan.s_slots.index(ap)));
+                    v.s_sends.push((send, inputs.collect()));
+                }
+                if m.dst == me {
+                    v.s_recvs.push(recv);
+                    staged.push(content(&plan.s_slots, m.slots.clone()));
                 }
             }
             // (index, final dst) → (g receive, slot position)
             let mut fwd: Vec<((usize, usize), (usize, usize))> = Vec::new();
-            for m in &plan.g_step {
+            for (i, m) in plan.g_step.iter().enumerate() {
                 if m.src != me && m.dst != me {
                     continue;
                 }
-                let layout = g_layout(&plan.g_slots, m);
+                let (send, recv) = heads(&plan.g_step, i, Step::G);
+                let order = g_layout(&plan.g_slots, m).order;
+                // one partition per origin, in ascending origin order
+                let mut per_origin: BTreeMap<usize, usize> = BTreeMap::new();
+                for &ap in &order {
+                    *per_origin.entry(plan.g_slots.origin(ap)).or_default() += 1;
+                }
+                let mut bounds = vec![0];
+                for k in per_origin.values() {
+                    bounds.push(bounds.last().unwrap() + k);
+                }
                 if m.src == me {
-                    let own = layout.origins.iter().enumerate().filter(|(_, &o)| o == me);
-                    v.g_inputs.push(
-                        own.map(|(p, _)| {
-                            let part = &layout.order[layout.bounds[p]..layout.bounds[p + 1]];
-                            let positions = part.iter().map(|&ap| in_pos(plan.g_slots.index(ap)));
-                            (p, positions.collect())
-                        })
-                        .collect(),
-                    );
+                    let parts = per_origin.keys().enumerate().map(|(p, &origin)| {
+                        let range = bounds[p]..bounds[p + 1];
+                        let slots = &order[range.clone()];
+                        let source = if origin == me {
+                            let inputs = slots.iter().map(|&ap| in_pos(plan.g_slots.index(ap)));
+                            PartMap::Input(inputs.collect())
+                        } else {
+                            let want = content(&plan.g_slots, slots.iter().copied());
+                            let s = staged.iter().position(|c| *c == want);
+                            PartMap::Staged(s.expect("an s message carries the partition"))
+                        };
+                        (origin, range, source)
+                    });
+                    v.g_sends.push((send, bounds.clone(), parts.collect()));
                 }
                 if m.dst == me {
                     let mut outputs = Vec::new();
-                    for (pos, &ap) in layout.order.iter().enumerate() {
+                    for (pos, &ap) in order.iter().enumerate() {
                         let sl = plan.g_slots.get(ap);
                         for &fd in sl.final_dsts {
                             if fd == me {
@@ -1025,34 +839,23 @@ pub(crate) mod oracle {
                             }
                         }
                     }
-                    v.g_recvs.push(outputs);
+                    v.g_recvs.push((recv, bounds, outputs));
                 }
             }
             fwd.sort_unstable();
-            for m in plan.s_step.iter().filter(|m| m.src == me) {
-                v.s_sends.push(
-                    s_order(&plan.s_slots, m)
-                        .iter()
-                        .map(|&ap| in_pos(plan.s_slots.index(ap)))
-                        .collect(),
-                );
-            }
-            for m in &plan.r_step {
+            for (i, m) in plan.r_step.iter().enumerate() {
+                let (send, recv) = heads(&plan.r_step, i, Step::R);
                 if m.src == me {
-                    v.r_sends.push(
-                        plan.r_slots
-                            .iter_range(m.slots.clone())
-                            .map(|sl| {
-                                let k = fwd
-                                    .binary_search_by_key(&(sl.index, m.dst), |e| e.0)
-                                    .unwrap();
-                                fwd[k].1
-                            })
-                            .collect(),
-                    );
+                    let sources = plan.r_slots.iter_range(m.slots.clone()).map(|sl| {
+                        let k = fwd
+                            .binary_search_by_key(&(sl.index, m.dst), |e| e.0)
+                            .unwrap();
+                        fwd[k].1
+                    });
+                    v.r_sends.push((send, sources.collect()));
                 }
                 if m.dst == me {
-                    v.r_recvs.push(delivered(&plan.r_slots, m));
+                    v.r_recvs.push((recv, delivered(&plan.r_slots, m)));
                 }
             }
             v
@@ -1063,39 +866,51 @@ pub(crate) mod oracle {
             let froms = |runs: &[Run]| -> Vec<usize> {
                 runs.iter().flat_map(|r| r.from..r.from + r.len).collect()
             };
-            let pairs = |runs: &[Run]| -> Vec<(usize, usize)> {
+            let pairs = |runs: &[Run]| -> Pairs {
                 runs.iter()
                     .flat_map(|r| (0..r.len).map(move |k| (r.from + k, r.to + k)))
                     .collect()
             };
+            let sends = |sends: &[SendRoute]| -> Vec<(Head, Vec<usize>)> {
+                (sends.iter())
+                    .map(|s| ((s.dst, s.tag, s.len), froms(&s.sources)))
+                    .collect()
+            };
+            let recvs = |recvs: &[RecvRoute]| -> Vec<(Head, Pairs)> {
+                (recvs.iter())
+                    .map(|x| ((x.src, x.tag, x.len), pairs(&x.outputs)))
+                    .collect()
+            };
+            let part = |part: &GPartRoute| {
+                let source = match &part.source {
+                    PartSource::Input(runs) => PartMap::Input(froms(runs)),
+                    PartSource::Staged { s_recv } => PartMap::Staged(*s_recv),
+                };
+                (part.origin, part.range.clone(), source)
+            };
             Self {
-                local_sends: r.local_sends.iter().map(|s| froms(&s.sources)).collect(),
-                s_sends: r.s_sends.iter().map(|s| froms(&s.sources)).collect(),
-                local_recvs: r.local_recvs.iter().map(|x| pairs(&x.outputs)).collect(),
-                g_recvs: r.g_recvs.iter().map(|x| pairs(&x.outputs)).collect(),
-                r_recvs: r.r_recvs.iter().map(|x| pairs(&x.outputs)).collect(),
-                g_inputs: r
-                    .g_sends
-                    .iter()
+                input_index: r.input_index.clone(),
+                output_index: r.output_index.clone(),
+                local_sends: sends(&r.local_sends),
+                s_sends: sends(&r.s_sends),
+                s_recvs: r.s_recvs.iter().map(|s| (s.src, s.tag, s.len)).collect(),
+                local_recvs: recvs(&r.local_recvs),
+                r_recvs: recvs(&r.r_recvs),
+                g_sends: (r.g_sends.iter())
                     .map(|g| {
-                        g.parts
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(p, part)| match &part.source {
-                                PartSource::Input(runs) => Some((p, froms(runs))),
-                                PartSource::Staged { .. } => None,
-                            })
-                            .collect()
+                        let parts = g.parts.iter().map(part).collect();
+                        ((g.dst, g.tag, g.len), g.bounds.clone(), parts)
                     })
                     .collect(),
-                r_sends: r
-                    .r_sends
-                    .iter()
+                g_recvs: (r.g_recvs.iter())
+                    .map(|g| ((g.src, g.tag, g.len), g.bounds.clone(), pairs(&g.outputs)))
+                    .collect(),
+                r_sends: (r.r_sends.iter())
                     .map(|s| {
-                        s.sources
-                            .iter()
-                            .flat_map(|f| (f.pos..f.pos + f.len).map(|pos| (f.g_msg, pos)))
-                            .collect()
+                        let sources = s.sources.iter();
+                        let slots =
+                            sources.flat_map(|f| (f.pos..f.pos + f.len).map(|pos| (f.g_msg, pos)));
+                        ((s.dst, s.tag, s.len), slots.collect())
                     })
                     .collect(),
             }
@@ -1162,8 +977,10 @@ mod tests {
     fn standard_plan_routes_have_no_staging() {
         let (pattern, topo) = example();
         let plan = Plan::standard(&pattern, &topo);
-        for me in 0..8 {
-            let r = RankRouting::build(&pattern, &plan, me, 0);
+        for (me, r) in RankRouting::build_all(&pattern, &plan, 0)
+            .iter()
+            .enumerate()
+        {
             assert!(r.s_sends.is_empty() && r.s_recvs.is_empty());
             assert!(r.r_sends.is_empty() && r.r_recvs.is_empty());
             for g in &r.g_sends {
@@ -1177,9 +994,7 @@ mod tests {
     fn aggregated_routing_is_consistent_across_ranks() {
         let (pattern, topo) = example();
         let plan = Plan::aggregated(&pattern, &topo, true, AssignStrategy::LoadBalanced);
-        let routings: Vec<RankRouting> = (0..8)
-            .map(|me| RankRouting::build(&pattern, &plan, me, 0))
-            .collect();
+        let routings = RankRouting::build_all(&pattern, &plan, 0);
         // every send matches a receive with the same tag and length
         for r in &routings {
             for s in &r.s_sends {
@@ -1204,26 +1019,6 @@ mod tests {
             for s in &r.r_sends {
                 assert!(s.len > 0);
             }
-        }
-    }
-
-    #[test]
-    fn build_all_matches_per_rank_build() {
-        let (pattern, topo) = example();
-        for (dedup, strategy) in [
-            (false, AssignStrategy::RoundRobin),
-            (true, AssignStrategy::LoadBalanced),
-        ] {
-            let plan = Plan::aggregated(&pattern, &topo, dedup, strategy);
-            let all = RankRouting::build_all(&pattern, &plan, 512);
-            for (me, r) in all.iter().enumerate() {
-                assert_eq!(r, &RankRouting::build(&pattern, &plan, me, 512));
-            }
-        }
-        let plan = Plan::standard(&pattern, &topo);
-        let all = RankRouting::build_all(&pattern, &plan, 0);
-        for (me, r) in all.iter().enumerate() {
-            assert_eq!(r, &RankRouting::build(&pattern, &plan, me, 0));
         }
     }
 
@@ -1307,7 +1102,7 @@ mod tests {
         let (pattern, topo) = example();
         let plan = Plan::aggregated(&pattern, &topo, false, AssignStrategy::RoundRobin);
         let leader = plan.g_step[0].src;
-        let r = RankRouting::build(&pattern, &plan, leader, 7);
+        let r = &RankRouting::build_all(&pattern, &plan, 7)[leader];
         assert_eq!(r.g_sends.len(), 1);
         let staged: Vec<usize> = r.g_sends[0]
             .parts

@@ -1,6 +1,6 @@
 //! `Backend::Tuned`: measured protocol selection (DESIGN.md §11).
 //!
-//! [`Backend::Auto`] trusts the cost model; a mis-calibrated parameter
+//! [`crate::Backend::Auto`] trusts the cost model; a mis-calibrated parameter
 //! picks the wrong protocol forever. The tuned executor replaces trust
 //! with measurement: for the first `probe_iters` iterations it
 //! round-robins the model's shortlist of candidates
