@@ -50,7 +50,8 @@ test-tuner:
 # rank attribution) while the others stay byte-identical to solo runs,
 # deadline dumps naming every job they take down, a tenant panic closing
 # its lane and its lane-mates rerun to their solo bytes, tenants of one
-# shape sharing one resolution, the four most recently used shapes kept
+# shape sharing one resolution, a warm call asking the job objects it
+# ran for no patterns, the four most recently used shapes kept
 # warm and the fifth evicting the oldest (with a kill scan from the first
 # op, no killed epoch ending on the wait deadline, each followed by a
 # clean one), and a 500-job soak in two runs — two fixed shapes, then
@@ -71,9 +72,12 @@ clippy:
 # clippy, formatting, the rustdoc link gate, and four grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
-# comment still links to fails here. Configuration: mpisim reads
-# the process environment in env.rs only (DESIGN.md §9). Wakes: a rank is
-# woken through its park point only (DESIGN.md §7), so no file of mpisim
+# comment still links to fails here, and no documented item links to a
+# private one (rustdoc::private_intra_doc_links), whose page `--no-deps`
+# docs do not have: such an item is named as a plain code span.
+# Configuration: mpisim reads the process environment in env.rs only
+# (DESIGN.md §9). Wakes: a rank is woken through its park point only
+# (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the one park-point file of
 # every fabric (transport/park.rs) and what wakes something other than a
 # rank — the shm control plane (shm/segment.rs: the epoch command word,
@@ -96,7 +100,8 @@ BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 EXEC_LOCKS := RwLock|Mutex|\.write\(\)|\.read\(\)
 lint: clippy
 	cargo fmt --all --check
-	RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+		cargo doc --workspace --no-deps
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
 		echo "error: mpisim touches std::env outside crates/mpisim/src/env.rs"; exit 1; fi
 	@if grep -rnE 'notify_all|notify_one|futex::wake_all' crates/mpisim/src --include='*.rs' \

@@ -325,7 +325,7 @@ struct PoolShared {
 /// closures via an epoch protocol.
 ///
 /// [`WorldPool::run`] has the same shape as [`World::run`], but the rank
-/// threads — and the underlying [`WorldState`], including its pre-matched
+/// threads — and the underlying `WorldState`, including its pre-matched
 /// persistent channel registry — survive between calls. Re-registering a
 /// collective with the same tags on a warm pool re-attaches to the
 /// existing (drained) channels, and no per-call thread spawn/join cost is

@@ -1,12 +1,12 @@
 //! Shared world state: the matching engine and the registry of pre-matched
-//! persistent channels, expressed against a [`Transport`] fabric.
+//! persistent channels, expressed against a `Transport` fabric.
 //!
 //! `WorldState` owns the *semantics* — signature matching, the channel
 //! registry, the mixed plain/persistent-traffic diagnostics, failed-epoch
 //! draining — and delegates the *mechanics* of moving bytes (mailboxes,
 //! channel storage, parking/wakeups, death detection) to an
 //! `Arc<dyn Transport>`, which also owns the storage types: the
-//! in-process ones live in [`crate::transport::thread`], the shm rings in
+//! in-process ones live in `crate::transport::thread`, the shm rings in
 //! [`crate::transport::shm`], the socket channel in
 //! [`crate::transport::sock`].
 

@@ -1,7 +1,7 @@
-//! Deterministic fault injection: a [`Transport`] wrapper that perturbs
+//! Deterministic fault injection: a `Transport` wrapper that perturbs
 //! timing, ordering, and liveness without ever changing bytes.
 //!
-//! [`FaultTransport`] wraps any inner fabric and drives
+//! `FaultTransport` wraps any inner fabric and drives
 //! every perturbation from a seeded [`FaultPlan`]:
 //!
 //! * **delays** — short deterministic sleeps at `deposit` / `match_recv` /
@@ -19,7 +19,7 @@
 //! of `(seed, rank, per-rank op index)`, so a failing schedule replays
 //! from its seed alone. Ops are counted only at call sites that occur in
 //! deterministic program order per rank (`deposit`, `match_recv`,
-//! `wait_any`, and the persistent-channel [`Transport::inject`] hooks) —
+//! `wait_any`, and the persistent-channel `Transport::inject` hooks) —
 //! never from timing-dependent poll loops like `probe`.
 //!
 //! Select a plan with `MPISIM_FAULTS=<seed>:<spec>` (see

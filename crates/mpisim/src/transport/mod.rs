@@ -5,30 +5,30 @@
 //! seams in `state.rs`: envelope deposit / matched receive on the plain
 //! mailbox path, channel registration, the blocked `wait_any`, and
 //! failed-epoch draining. This module lifts those seams into a
-//! [`Transport`] trait so the same `RankCtx` programs run over different
+//! `Transport` trait so the same `RankCtx` programs run over different
 //! fabrics:
 //!
-//! * [`thread::ThreadTransport`] — the in-process fabric: one mutexed
+//! * `thread::ThreadTransport` — the in-process fabric: one mutexed
 //!   mailbox per rank, typed payloads moved as `Vec<T>` behind
 //!   `Box<dyn Any>`. Zero serialization. It owns the in-process storage
 //!   (mailboxes, `ThreadChan`) and a heap `ParkWords` per rank.
-//! * [`shm::ShmTransport`] — a cross-process shared-memory fabric: ranks
+//! * `shm::ShmTransport` — a cross-process shared-memory fabric: ranks
 //!   may live in separate OS processes on one host, mailboxes and
 //!   persistent channels are SPSC byte rings inside one `/dev/shm`
 //!   segment, and each rank's `ParkWords` lives in the segment too.
 //!   Payloads are serialized to bytes at the send boundary
 //!   (plain-old-data element types only).
-//! * [`sock::SockTransport`] — framed, sequenced, acknowledged stream
+//! * `sock::SockTransport` — framed, sequenced, acknowledged stream
 //!   sockets (Unix-domain or TCP), one link per peer process, with
 //!   reconnect-with-resume; the same byte payloads as shm. Only its send
 //!   half is its own: what its readers take off the wire lands in an
 //!   embedded `ThreadTransport`, which is the whole receive half.
 //!
 //! Whatever a rank is blocked on, it sleeps in one place on every fabric:
-//! its [`park::ParkWords`], a futex word ([`futex`]), through
-//! [`park::park_until`] (DESIGN.md §7).
+//! its `park::ParkWords`, a futex word (`futex`), through
+//! `park::park_until` (DESIGN.md §7).
 //!
-//! [`fault::FaultTransport`] wraps any of them under a seeded fault plan.
+//! `fault::FaultTransport` wraps any of them under a seeded fault plan.
 //! [`remote::RemoteWorld`] runs ranks as re-exec'd worker processes over
 //! the shm or sock fabric with the same closure-per-epoch protocol as
 //! [`crate::WorldPool`].

@@ -1,7 +1,7 @@
 //! Ranks as separate OS processes, on any fabric that crosses an address
 //! space.
 //!
-//! [`RemoteWorld::launch`] (reached through [`crate::World::spawn`]) is the
+//! `RemoteWorld::launch` (reached through [`crate::World::spawn`]) is the
 //! SPMD entry point: rank 0 — the *driver* — creates the fabric and
 //! re-execs the current binary once per peer rank in a hidden worker mode
 //! (environment keys owned by `env.rs`, the original argv preserved so
@@ -13,7 +13,7 @@
 //! lives here: the one-launch guard, worker re-exec, the child-reaping
 //! watchdog, the command-word encoding, the epoch calls, the deadline on
 //! every protocol wait, and shutdown. What does depend on it sits behind
-//! [`ControlPlane`], implemented by the shm [`Segment`] (a command word and
+//! `ControlPlane`, implemented by the shm `Segment` (a command word and
 //! a futex barrier in the segment header) and the sock mesh
 //! (`CMD`/`DONE`/`DEATH` frames over the links).
 //!
@@ -23,8 +23,6 @@
 //! `exit`), so every peer blocked in the fabric aborts loudly on its next
 //! stall probe instead of deadlocking. Clean exits after the stop command
 //! are not deaths.
-//!
-//! [`Segment`]: super::shm::segment::Segment
 
 use super::Transport;
 use crate::ctx::RankCtx;

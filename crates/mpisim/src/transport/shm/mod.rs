@@ -1,20 +1,20 @@
 //! The cross-process shared-memory fabric.
 //!
-//! All cross-rank state lives in one [`segment::Segment`]: plain sends
+//! All cross-rank state lives in one `segment::Segment`: plain sends
 //! travel over per-(src, dst) SPSC byte rings and are matched against a
 //! receiver-local unexpected queue; persistent channels are byte rings
 //! allocated through the segment's registration table (the pre-matched
 //! handshake); a rank sleeps on one process-shared futex, its
-//! [`crate::transport::park::ParkWords`] in the segment, with the
+//! `crate::transport::park::ParkWords` in the segment, with the
 //! fabric-wide stall period
-//! (`MPISIM_STALL_MS`, see [`crate::stall::stall_ms`]), so every blocked
+//! (`MPISIM_STALL_MS`, see `crate::stall::stall_ms`), so every blocked
 //! operation re-probes for peer death (flag + pid sweep) and aborts loudly
 //! instead of deadlocking.
 //!
 //! The same transport serves both deployment shapes: rank threads of one
 //! process ([`crate::Fabric::Shm`] under a [`crate::WorldConfig`] — the
 //! fabric under test without process management) and ranks as separate
-//! OS processes ([`crate::World::spawn`], through [`control`]).
+//! OS processes ([`crate::World::spawn`], through `control`).
 
 pub(crate) mod control;
 pub(crate) mod ring;

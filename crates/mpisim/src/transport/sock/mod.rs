@@ -3,13 +3,13 @@
 //!
 //! Topologies:
 //!
-//! * **loopback** ([`SockTransport::loopback`]) — every rank lives in this
+//! * **loopback** (`SockTransport::loopback`) — every rank lives in this
 //!   process and ALL plain-send / persistent-channel traffic rides one
 //!   self-link through a real socket ([`crate::Fabric::Sock`] under a
 //!   [`crate::WorldConfig`]). This is the equivalence surface: the full
 //!   wire path runs in-process.
-//! * **multi-process** ([`SockTransport::bind`]) — one rank per OS
-//!   process, meshed via rendezvous bootstrap ([`control`], driven by
+//! * **multi-process** (`SockTransport::bind`) — one rank per OS
+//!   process, meshed via rendezvous bootstrap (`control`, driven by
 //!   [`crate::RemoteWorld`]).
 //!
 //! Failure semantics (the point of this fabric — DESIGN.md §10): connects

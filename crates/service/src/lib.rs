@@ -13,7 +13,8 @@
 //!
 //! A job pays for what is its own, and shares what setup it can. Planning
 //! is shared: `run_pending` resolves ONE [`NeighborBatch`] per distinct
-//! job *shape* — equal topology, backend and patterns. So is
+//! job *shape* — equal topology, backend and patterns, or, for a job
+//! object a warm shape ran in its last call, that shape by identity. So is
 //! registration: the jobs of a shape take turns on a few **lanes**, each
 //! one persistent session — a [`Comm::dup_for`](mpisim::Comm::dup_for) communicator and one
 //! `init_all` of the shape's batch — that a job runs on as the next
@@ -73,7 +74,7 @@ mod jobs;
 mod scheduler;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use locality::Topology;
 use mpi_advance::tagspace::{TagLease, TagSpace};
@@ -92,7 +93,8 @@ pub type JobId = u64;
 /// iterations posts every entry and folds each entry's arrived ghost
 /// values into the rank state the moment they land.
 pub trait JobLogic: Send + Sync {
-    /// One halo pattern per batch entry.
+    /// One halo pattern per batch entry, the same for as long as the object
+    /// lives: a warm shape does not ask again a job object it ran before.
     fn patterns(&self) -> Vec<CommPattern>;
     /// Whole-batch iterations the job runs.
     fn iters(&self) -> usize;
@@ -194,7 +196,11 @@ const TAGS_EXHAUSTED: &str = "tag space exhausted";
 struct Shape {
     backend: Backend,
     topo: Topology,
-    patterns: Vec<CommPattern>,
+    /// `Arc<Vec<_>>`'s `==` compares pointers first (`Arc<[_]>`'s does not).
+    patterns: Arc<Vec<CommPattern>>,
+    /// The jobs of the last call that used the shape. A `Weak` keeps its
+    /// allocation, so no other job can take its address while it is here.
+    jobs: Vec<Weak<dyn JobLogic>>,
     batch: ResolvedBatch,
     lanes: Vec<u64>,
 }
@@ -207,7 +213,7 @@ impl Shape {
     fn resolve(
         backend: Backend,
         topo: &Topology,
-        patterns: &[CommPattern],
+        patterns: &Arc<Vec<CommPattern>>,
     ) -> Result<Self, String> {
         catch_unwind(AssertUnwindSafe(|| {
             patterns
@@ -218,11 +224,19 @@ impl Shape {
         .map(|batch| Self {
             backend,
             topo: topo.clone(),
-            patterns: patterns.to_vec(),
+            patterns: Arc::clone(patterns),
+            jobs: Vec::new(),
             batch,
             lanes: Vec::new(),
         })
         .map_err(|payload| panic_message(&*payload))
+    }
+
+    /// Whether the shape ran `q`'s very object, on its backend and topology.
+    fn ran(&self, q: &QueuedJob) -> bool {
+        self.backend == q.backend
+            && (self.jobs.iter()).any(|job| std::ptr::addr_eq(job.as_ptr(), Arc::as_ptr(&q.logic)))
+            && self.topo == q.topo
     }
 }
 
@@ -360,7 +374,13 @@ impl SolveService {
         if queued.is_empty() {
             return Vec::new();
         }
-        let patterns: Vec<Vec<CommPattern>> = queued.iter().map(|q| q.logic.patterns()).collect();
+        // a job a warm shape ran takes its patterns; only the others are asked
+        let patterns: Vec<Arc<Vec<CommPattern>>> = (queued.iter())
+            .map(|q| match self.warm.iter().find(|w| w.ran(q)) {
+                Some(w) => Arc::clone(&w.patterns),
+                None => q.logic.patterns().into(),
+            })
+            .collect();
         // One resolution per distinct shape: tenants of one hierarchy under
         // one backend share a plan, its routings and its tag lease, and
         // each initializes them on its own communicator (DESIGN.md §12).
@@ -456,8 +476,12 @@ impl SolveService {
             );
             pending = rerun;
         }
-        // the shapes this call used go to the front; past the bound a shape
-        // drops off, and its lanes go at the next call's start
+        // the shapes this call used, naming its jobs, go to the front; past
+        // the bound a shape drops off, and its lanes go at the next call's start
+        shapes.iter_mut().flatten().for_each(|s| s.jobs.clear());
+        for (q, &s) in queued.iter().zip(&shape_of) {
+            (shapes[s].iter_mut()).for_each(|shape| shape.jobs.push(Arc::downgrade(&q.logic)));
+        }
         let used = (shapes.into_iter().filter_map(Result::ok)).filter(|s| !s.lanes.is_empty());
         let idle = std::mem::take(&mut self.warm);
         self.warm = used.chain(idle).take(WARM_SHAPES).collect();
@@ -690,7 +714,7 @@ mod tests {
         let held: Vec<TagLease> =
             std::iter::from_fn(|| catch_unwind(|| TagSpace::global().lease(1)).ok()).collect();
         let topo = Topology::block_nodes(N, 2);
-        let why = Shape::resolve(miss, &topo, &ring.patterns()).err();
+        let why = Shape::resolve(miss, &topo, &ring.patterns().into()).err();
         assert!(why.is_some_and(|why| why.contains(TAGS_EXHAUSTED)));
         held
     }

@@ -19,7 +19,7 @@
 //!   the measured winner, written with atomic renames and merged (not
 //!   clobbered) across concurrent writers. Unreadable or corrupt state
 //!   degrades to "no cached answer", never an abort.
-//! * [`refit`] — a process-global accumulator of measured iteration
+//! * `refit` — a process-global accumulator of measured iteration
 //!   timings feeding `perfmodel`'s least-squares parameter fit, with a
 //!   fitted-vs-default delta report.
 //!

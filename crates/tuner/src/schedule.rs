@@ -74,7 +74,7 @@ impl ProbeSchedule {
     /// Index of the lowest median, ties broken toward the lowest index
     /// (candidates arrive model-ranked, so a tie falls back to the
     /// model's preference). A later candidate must win by more than
-    /// [`TIE_MARGIN`]: medians are differences of clock readings, and on a
+    /// `TIE_MARGIN`: medians are differences of clock readings, and on a
     /// virtual clock two candidates with identical traffic differ by a
     /// rounding ulp that depends on where on the clock each was probed.
     pub fn argmin(medians: &[f64]) -> usize {

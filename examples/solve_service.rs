@@ -8,8 +8,10 @@
 //! once on the union of every tenant's wake set. It then shows the two
 //! properties that make that safe to rely on:
 //!
-//! 1. the pool is warm — a second round of submissions reuses it, and
-//!    job ids (hence communicator streams) never collide across epochs;
+//! 1. the pool is warm — a second round resubmits the same six job
+//!    objects, which the warm shape knows by identity: it neither asks
+//!    them for their patterns nor opens a lane, and job ids (hence
+//!    communicator streams) never collide across epochs;
 //! 2. failures are per tenant — a seeded `kill=` fault takes down one
 //!    job with an attributed error while every other tenant's result
 //!    stays byte-identical to the fault-free run.
@@ -66,11 +68,13 @@ fn main() {
         );
     }
 
-    // -- round 2: the pool is warm, the id space is not reused ---------
+    // -- round 2: the same jobs again, on the warm shape's lanes --------
+    // The six `Arc`s are the ones round 1 ran, so the warm shape matches
+    // them by identity; the id space is not reused.
     submit_all(&mut svc);
     let round2 = svc.run_pending();
     assert!(round2.iter().all(|r| r.outcome.is_ok()));
-    println!("\nround 2  same warm pool, {TENANTS} fresh jobs, all ok\n");
+    println!("\nround 2  same warm pool, the same {TENANTS} jobs resubmitted, all ok\n");
 
     // -- fault round: one tenant dies, the rest are untouched ----------
     // Rank 1 is killed at its 60th transport operation — mid-epoch, in

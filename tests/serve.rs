@@ -23,10 +23,12 @@
 //!   registers nothing, a fifth shape evicts the least recently used, and
 //!   an epoch that deals fewer lanes keeps the rest — a shape holds no
 //!   more than the most one call of it was dealt, a `Tuned` shape's as
-//!   much as any other's; a lane some job failed on and anything an epoch
-//!   error left warm are never dealt again; a cancel token left over from
-//!   a killed epoch cancels nothing in the next; and a rank dying outside
-//!   any task ends its epoch at once on every rank.
+//!   much as any other's; a call asks the jobs a warm shape ran in its
+//!   last call for nothing, and keeps no job alive; a lane some job
+//!   failed on and anything an epoch error left warm are never dealt
+//!   again; a cancel token left over from a killed epoch cancels nothing
+//!   in the next; and a rank dying outside any task ends its epoch at
+//!   once on every rank.
 //! * **Lifetime** — thousands of jobs through one warm pool leave the
 //!   registry gauge, the shm table and the process's memory where the
 //!   first epoch left them — or, cycling more shapes than are kept warm,
@@ -717,10 +719,16 @@ fn rounds(svc: &mut SolveService, rounds: &[Round]) -> Rounds {
         seen.reports.push(svc.run_pending());
         seen.gauges.push(gauge(svc.pool()));
     }
-    seen.opened = (seen.reports.windows(2))
-        .map(|w| w[1][0].id - w[0].last().expect("a round has jobs").id - 1)
-        .collect();
+    seen.opened = opened(&seen.reports);
     seen
+}
+
+/// How many lanes and control fabrics each of the calls that returned
+/// `reports` but the last opened.
+fn opened(reports: &[Vec<JobReport>]) -> Vec<u64> {
+    (reports.windows(2))
+        .map(|w| w[1][0].id - w[0].last().expect("a round has jobs").id - 1)
+        .collect()
 }
 
 /// `jobs` as a round of tenants under `backend`.
@@ -765,6 +773,71 @@ fn one_job_epochs_of_one_shape_share_one_lane() {
             seen.gauges
         );
     }
+}
+
+/// Wraps a job to count how often the service asks it for its patterns.
+struct Asked {
+    inner: Arc<JacobiJob>,
+    asked: AtomicUsize,
+}
+
+impl JobLogic for Asked {
+    fn patterns(&self) -> Vec<CommPattern> {
+        self.asked.fetch_add(1, Ordering::SeqCst);
+        JobLogic::patterns(&*self.inner)
+    }
+    fn iters(&self) -> usize {
+        JobLogic::iters(&*self.inner)
+    }
+    fn rank_state(&self, rank: usize) -> Box<dyn RankState> {
+        JobLogic::rank_state(&*self.inner, rank)
+    }
+}
+
+/// A warm call knows the jobs it ran by identity. The first call asks each
+/// of four jobs for its patterns once; a repeat with the same `Arc`s asks
+/// none and opens nothing; the same `Arc`s under another backend are
+/// another shape, asked once each; and fresh wrappers over the same jobs
+/// are asked once each but open nothing, since equality, not identity,
+/// decides a miss. Every call returns the reference's bytes, and the
+/// service keeps no job alive after it.
+#[test]
+fn a_warm_call_asks_the_jobs_it_ran_for_nothing() {
+    let inner = tenant_jobs(4);
+    let wrap = || -> Vec<Arc<Asked>> {
+        (inner.iter())
+            .map(|j| {
+                Arc::new(Asked {
+                    inner: Arc::clone(j),
+                    asked: AtomicUsize::new(0),
+                })
+            })
+            .collect()
+    };
+    let (jobs, fresh) = (wrap(), wrap());
+    // each call's tenants, backend, and how often each is asked
+    let calls = [
+        (&jobs, Backend::Auto, 1),
+        (&jobs, Backend::Auto, 0),
+        (&jobs, HYPRE, 1),
+        (&fresh, Backend::Auto, 1),
+        (&fresh, Backend::Auto, 0),
+    ];
+    let mut svc = SolveService::new(RANKS);
+    let mut reports = Vec::new();
+    for (k, &(tenants, backend, asks)) in calls.iter().enumerate() {
+        let call: Round = (tenants.iter())
+            .map(|t| (Arc::clone(t) as _, backend))
+            .collect();
+        reports.extend(rounds(&mut svc, &[call]).reports);
+        expect_ok(&reports[k], &inner, &format!("call {k}"));
+        for (t, tenant) in tenants.iter().enumerate() {
+            let asked = tenant.asked.swap(0, Ordering::SeqCst);
+            assert_eq!(asked, asks, "call {k}: tenant {t}");
+            assert_eq!(Arc::strong_count(tenant), 1, "call {k}: tenant {t}");
+        }
+    }
+    assert_eq!(opened(&reports), [5, 0, 4, 0]);
 }
 
 /// The warm set holds the four most recently used shapes. One-job calls
