@@ -6,9 +6,10 @@
 //! neighbor init is minimal; partial init exceeds full init (partial wraps
 //! full).
 
-use bench_suite::figures::{build_levels, crossover, paper_model, per_level_init, per_level_times};
+use bench_suite::figures::{
+    build_levels, crossover, paper_model, per_level_init, per_level_times, SERIES,
+};
 use bench_suite::workload::{paper_hierarchy, PAPER_NX, PAPER_NY};
-use mpi_advance::Protocol;
 
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
@@ -27,14 +28,14 @@ fn main() {
     // per iteration
     let mut init = Vec::new();
     let mut per_iter = Vec::new();
-    for proto in Protocol::ALL {
+    for (proto, wrapped) in SERIES {
         init.push(
             per_level_init(&levels, &topo, proto, &model)
                 .iter()
                 .sum::<f64>(),
         );
         per_iter.push(
-            per_level_times(&levels, &topo, proto, &model)
+            per_level_times(&levels, &topo, proto, wrapped, &model)
                 .iter()
                 .sum::<f64>(),
         );

@@ -1,14 +1,13 @@
 //! Figure 11: modeled Start+Wait cost of the SpMV communication on each
-//! level of the hierarchy at 2048 processes, all four protocols.
+//! level of the hierarchy at 2048 processes, all four series.
 //!
 //! Paper reference points: fine levels favor standard communication
 //! (aggregation overhead dominates); optimized collectives win near the
 //! middle of the hierarchy where message counts peak; the coarsest levels
 //! involve so few processes that all protocols converge.
 
-use bench_suite::figures::{build_levels, paper_model, per_level_times};
+use bench_suite::figures::{build_levels, paper_model, per_level_times, SERIES};
 use bench_suite::workload::{paper_hierarchy, PAPER_NX, PAPER_NY};
-use mpi_advance::Protocol;
 
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
@@ -23,9 +22,9 @@ fn main() {
     let (levels, topo) = build_levels(&h, p);
     let model = paper_model();
 
-    let series: Vec<Vec<f64>> = Protocol::ALL
+    let series: Vec<Vec<f64>> = SERIES
         .iter()
-        .map(|&proto| per_level_times(&levels, &topo, proto, &model))
+        .map(|&(proto, wrapped)| per_level_times(&levels, &topo, proto, wrapped, &model))
         .collect();
 
     println!("figure,level,rows,standard_hypre_s,standard_neighbor_s,partial_s,full_s");

@@ -27,8 +27,8 @@ fn main() {
     let mut last = (0.0, 0.0, 0.0);
     for &p in &procs {
         let (levels, topo) = build_levels(&h, p);
-        let std_h = plain_total(&levels, &topo, Protocol::StandardHypre, &model);
-        let std_n = plain_total(&levels, &topo, Protocol::StandardNeighbor, &model);
+        let std_h = plain_total(&levels, &topo, Protocol::StandardHypre, false, &model);
+        let std_n = plain_total(&levels, &topo, Protocol::StandardHypre, true, &model);
         let partial = best_of_total(&levels, &topo, Protocol::PartialNeighbor, &model);
         let full = best_of_total(&levels, &topo, Protocol::FullNeighbor, &model);
         let sp = std_h / partial;

@@ -25,8 +25,8 @@ fn main() {
         eprintln!("# {p} procs: building hierarchy for {nx}x{ny}...");
         let h = paper_hierarchy(nx, ny);
         let (levels, topo) = build_levels(&h, p);
-        let std_h = plain_total(&levels, &topo, Protocol::StandardHypre, &model);
-        let std_n = plain_total(&levels, &topo, Protocol::StandardNeighbor, &model);
+        let std_h = plain_total(&levels, &topo, Protocol::StandardHypre, false, &model);
+        let std_n = plain_total(&levels, &topo, Protocol::StandardHypre, true, &model);
         let partial = best_of_total(&levels, &topo, Protocol::PartialNeighbor, &model);
         let full = best_of_total(&levels, &topo, Protocol::FullNeighbor, &model);
         last = (std_h, partial, full);

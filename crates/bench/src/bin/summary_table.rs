@@ -3,7 +3,7 @@
 
 use bench_suite::figures::{
     best_of_total, build_levels, crossover, paper_model, per_level_init, per_level_stats,
-    per_level_times, plain_total,
+    per_level_times, plain_total, SERIES,
 };
 use bench_suite::workload::{paper_hierarchy, weak_scaling_grid, PAPER_NX, PAPER_NY};
 use mpi_advance::stats::VALUE_BYTES;
@@ -23,18 +23,18 @@ fn main() {
     let (levels, topo) = build_levels(&h, p);
 
     // strong-scaling speedups at the largest scale
-    let std_total = plain_total(&levels, &topo, Protocol::StandardHypre, &model);
+    let std_total = plain_total(&levels, &topo, Protocol::StandardHypre, false, &model);
     let partial = best_of_total(&levels, &topo, Protocol::PartialNeighbor, &model);
     let full = best_of_total(&levels, &topo, Protocol::FullNeighbor, &model);
 
     // crossovers (Figure 7)
-    let init: Vec<f64> = Protocol::ALL
+    let init: Vec<f64> = SERIES
         .iter()
-        .map(|&pr| per_level_init(&levels, &topo, pr, &model).iter().sum())
+        .map(|&(pr, _)| per_level_init(&levels, &topo, pr, &model).iter().sum())
         .collect();
-    let iter: Vec<f64> = Protocol::ALL
+    let iter: Vec<f64> = SERIES
         .iter()
-        .map(|&pr| per_level_times(&levels, &topo, pr, &model).iter().sum())
+        .map(|&(pr, w)| per_level_times(&levels, &topo, pr, w, &model).iter().sum())
         .collect();
     let x_partial = crossover(init[2], iter[2], init[0], iter[0]);
     let x_full = crossover(init[3], iter[3], init[0], iter[0]);
@@ -57,7 +57,7 @@ fn main() {
     eprintln!("# building weak-scaled hierarchy {}x{}...", wnx, wny);
     let hw = paper_hierarchy(wnx, wny);
     let (wlevels, wtopo) = build_levels(&hw, p);
-    let w_std = plain_total(&wlevels, &wtopo, Protocol::StandardHypre, &model);
+    let w_std = plain_total(&wlevels, &wtopo, Protocol::StandardHypre, false, &model);
     let w_partial = best_of_total(&wlevels, &wtopo, Protocol::PartialNeighbor, &model);
     let w_full = best_of_total(&wlevels, &wtopo, Protocol::FullNeighbor, &model);
 

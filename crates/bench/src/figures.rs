@@ -4,8 +4,8 @@ use crate::workload::{level_patterns, LevelPattern};
 use amg::Hierarchy;
 use locality::Topology;
 use mpi_advance::analytic::{graph_creation_time, init_time, iteration_time};
-use mpi_advance::collective::select::choose_among;
-use mpi_advance::{AssignStrategy, PlanStats, Protocol};
+use mpi_advance::collective::select::choose_with;
+use mpi_advance::{PlanStats, Protocol};
 use perfmodel::LocalityModel;
 
 /// The model every figure uses (Lassen-like, see `perfmodel::params`).
@@ -13,19 +13,28 @@ pub fn paper_model() -> LocalityModel {
     LocalityModel::lassen()
 }
 
-/// Per-level Start+Wait times of `protocol` (Figure 11's series).
+/// The paper's four series in its presentation order: the protocol whose
+/// plan is costed, and whether Start/Wait run through the
+/// neighborhood-collective wrapper. "Unoptimized Neighbor" (§3.1) is
+/// Standard Hypre's plan behind the wrapper.
+pub const SERIES: [(Protocol, bool); 4] = [
+    (Protocol::StandardHypre, false),
+    (Protocol::StandardHypre, true),
+    (Protocol::PartialNeighbor, true),
+    (Protocol::FullNeighbor, true),
+];
+
+/// Per-level Start+Wait times of `protocol`'s plan (Figure 11's series).
 pub fn per_level_times(
     levels: &[LevelPattern],
     topo: &Topology,
     protocol: Protocol,
+    wrapped: bool,
     model: &LocalityModel,
 ) -> Vec<f64> {
     levels
         .iter()
-        .map(|lp| {
-            let plan = protocol.plan(&lp.pattern, topo);
-            iteration_time(&plan, topo, model, protocol.is_wrapped()).total
-        })
+        .map(|lp| iteration_time(&protocol.plan(&lp.pattern, topo), topo, model, wrapped).total)
         .collect()
 }
 
@@ -67,27 +76,29 @@ pub fn best_of_total(
     levels
         .iter()
         .map(|lp| {
-            choose_among(
+            choose_with(
                 &[Protocol::StandardHypre, optimized],
                 &lp.pattern,
                 topo,
                 model,
-                AssignStrategy::LoadBalanced,
             )
-            .1
+            .2
         })
         .sum()
 }
 
-/// Sum over levels of one protocol's iteration time (the standard lines of
+/// Sum over levels of one series' iteration time (the standard lines of
 /// Figures 12–13).
 pub fn plain_total(
     levels: &[LevelPattern],
     topo: &Topology,
     protocol: Protocol,
+    wrapped: bool,
     model: &LocalityModel,
 ) -> f64 {
-    per_level_times(levels, topo, protocol, model).iter().sum()
+    per_level_times(levels, topo, protocol, wrapped, model)
+        .iter()
+        .sum()
 }
 
 /// Total graph-creation cost: one `MPI_Dist_graph_create_adjacent` per
@@ -101,7 +112,7 @@ pub fn graph_creation_total(
     levels
         .iter()
         .map(|lp| {
-            let plan = Protocol::StandardNeighbor.plan(&lp.pattern, topo);
+            let plan = Protocol::StandardHypre.plan(&lp.pattern, topo);
             graph_creation_time(&plan, topo, model, spectrum_like)
         })
         .sum()
@@ -135,10 +146,32 @@ mod tests {
         let h = paper_hierarchy(64, 32);
         let (levels, topo) = build_levels(&h, 16);
         let model = paper_model();
-        for p in Protocol::ALL {
+        for (p, wrapped) in SERIES {
             assert_eq!(
-                per_level_times(&levels, &topo, p, &model).len(),
+                per_level_times(&levels, &topo, p, wrapped, &model).len(),
                 h.n_levels()
+            );
+        }
+    }
+
+    #[test]
+    fn unoptimized_neighbor_is_hypre_behind_the_wrapper() {
+        let h = paper_hierarchy(64, 32);
+        let (levels, topo) = build_levels(&h, 32);
+        let model = paper_model();
+        let [hypre, unopt, ..] = SERIES;
+        assert_eq!(hypre, (Protocol::StandardHypre, false));
+        assert_eq!(unopt, (Protocol::StandardHypre, true));
+        let init = |(p, _): (Protocol, bool)| {
+            let init = per_level_init(&levels, &topo, p, &model);
+            init.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+        };
+        assert_eq!(init(unopt), init(hypre));
+        let time = |(p, wrapped)| per_level_times(&levels, &topo, p, wrapped, &model);
+        for (level, (h, w)) in time(hypre).iter().zip(&time(unopt)).enumerate() {
+            assert!(
+                *h < *w && *w < 1.2 * *h,
+                "level {level}: hypre {h}, wrapped {w}"
             );
         }
     }
@@ -179,7 +212,7 @@ mod tests {
                 .iter()
                 .sum::<f64>()
         };
-        let std_n = total(Protocol::StandardNeighbor);
+        let std_n = total(Protocol::StandardHypre);
         let partial = total(Protocol::PartialNeighbor);
         let full = total(Protocol::FullNeighbor);
         assert!(std_n < full && full < partial, "{std_n} {full} {partial}");
@@ -204,7 +237,7 @@ mod tests {
         let h = paper_hierarchy(64, 32);
         let (levels, topo) = build_levels(&h, 32);
         let model = paper_model();
-        let std_total = plain_total(&levels, &topo, Protocol::StandardHypre, &model);
+        let std_total = plain_total(&levels, &topo, Protocol::StandardHypre, false, &model);
         let best = best_of_total(&levels, &topo, Protocol::FullNeighbor, &model);
         assert!(best <= std_total + 1e-12);
     }

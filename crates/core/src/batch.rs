@@ -73,8 +73,7 @@
 //! [`BatchRequest::wait_all`]) that drive the whole set as one session and
 //! retire entries in **delivery order**.
 
-use crate::agg::AssignStrategy;
-use crate::collective::select::{candidates_within, choose_with, CANDIDATES};
+use crate::collective::select::{candidates_within, choose_with};
 use crate::collective::Protocol;
 use crate::exec::NeighborExec;
 use crate::neighbor::{Backend, NeighborRequest};
@@ -93,7 +92,6 @@ use tuner::{size_bucket, ProfileCache, ProfileKey, TunePolicy};
 struct EntrySpec<'a> {
     pattern: &'a CommPattern,
     backend: Backend,
-    strategy: AssignStrategy,
 }
 
 /// The resolved half of a [`NeighborBatch`]: plans, carved tags, and every
@@ -178,29 +176,14 @@ impl<'a> NeighborBatch<'a> {
         }
     }
 
-    /// Append one collective (e.g. one AMG level's halo pattern) with the
-    /// default leader-assignment strategy.
-    pub fn entry(self, pattern: &'a CommPattern, backend: Backend) -> Self {
-        self.entry_with(pattern, backend, AssignStrategy::LoadBalanced)
-    }
-
-    /// Append one collective with an explicit leader-assignment strategy.
-    pub fn entry_with(
-        mut self,
-        pattern: &'a CommPattern,
-        backend: Backend,
-        strategy: AssignStrategy,
-    ) -> Self {
+    /// Append one collective (e.g. one AMG level's halo pattern).
+    pub fn entry(mut self, pattern: &'a CommPattern, backend: Backend) -> Self {
         assert_eq!(
             pattern.n_ranks,
             self.topo.n_ranks(),
             "pattern/topology rank count mismatch"
         );
-        self.entries.push(EntrySpec {
-            pattern,
-            backend,
-            strategy,
-        });
+        self.entries.push(EntrySpec { pattern, backend });
         self.resolved = OnceLock::new();
         self
     }
@@ -430,12 +413,9 @@ impl NeighborBatch<'_> {
             .entries
             .iter()
             .map(|e| match e.backend {
-                Backend::Protocol(p) => (
-                    vec![(p, p.plan_with(e.pattern, self.topo, e.strategy))],
-                    false,
-                ),
+                Backend::Protocol(p) => (vec![(p, p.plan(e.pattern, self.topo))], false),
                 Backend::Partitioned(p) => {
-                    let plan = p.plan_with(e.pattern, self.topo, e.strategy);
+                    let plan = p.plan(e.pattern, self.topo);
                     assert!(
                         plan.aggregated,
                         "Backend::Partitioned needs an aggregating protocol, got {p}"
@@ -443,23 +423,16 @@ impl NeighborBatch<'_> {
                     (vec![(p, plan)], false)
                 }
                 Backend::Auto => {
-                    let (p, plan, _) =
-                        choose_with(&CANDIDATES, e.pattern, self.topo, model, e.strategy);
+                    let (p, plan, _) = choose_with(&Protocol::ALL, e.pattern, self.topo, model);
                     (vec![(p, plan)], false)
                 }
                 Backend::Tuned => {
                     let pol = policy.as_ref().expect("policy exists for tuned entries");
-                    let cands: Vec<(Protocol, Plan)> = candidates_within(
-                        &CANDIDATES,
-                        e.pattern,
-                        self.topo,
-                        model,
-                        e.strategy,
-                        pol.factor,
-                    )
-                    .into_iter()
-                    .map(|(p, plan, _)| (p, plan))
-                    .collect();
+                    let cands: Vec<(Protocol, Plan)> =
+                        candidates_within(&Protocol::ALL, e.pattern, self.topo, model, pol.factor)
+                            .into_iter()
+                            .map(|(p, plan, _)| (p, plan))
+                            .collect();
                     let tuned = cands.len() > 1;
                     (cands, tuned)
                 }
@@ -808,7 +781,7 @@ mod tests {
     fn mixed_backend_batch_delivers() {
         let (a, b, topo) = patterns();
         let mixed = NeighborBatch::new(&topo)
-            .entry(&a, Backend::Protocol(Protocol::StandardNeighbor))
+            .entry(&a, Backend::Protocol(Protocol::StandardHypre))
             .entry(&b, Backend::Partitioned(Protocol::FullNeighbor))
             .entry(&a, Backend::Auto)
             .entry(&b, Backend::Protocol(Protocol::PartialNeighbor));
@@ -839,8 +812,7 @@ mod tests {
 
     #[test]
     fn a_permissive_tuned_entry_expands_to_one_slot_per_distinct_plan() {
-        // the two standard protocols share one plan: admitting everything
-        // must lay out (and later probe) that traffic once, not twice
+        // admitting everything lays out (and later probes) every protocol
         let (a, b, topo) = patterns();
         let batch = NeighborBatch::new(&topo)
             .entry(&a, Backend::Tuned)
@@ -853,7 +825,9 @@ mod tests {
         for e in [&resolved.expanded[0], &resolved.expanded[2]] {
             let probed = &e.tuned.as_ref().unwrap().candidates;
             assert_eq!(probed.len(), 3);
-            assert!(probed.iter().all(|c| c.0 != Protocol::StandardNeighbor));
+            assert!(Protocol::ALL
+                .iter()
+                .all(|&p| probed.iter().any(|c| c.0 == p)));
         }
         assert!(resolved.routings.iter().all(|r| r.len() == 7));
     }
@@ -866,7 +840,7 @@ mod tests {
         // requests' channels and cross-deliver
         let (a, _, topo) = patterns();
         let batch_a =
-            NeighborBatch::new(&topo).entry(&a, Backend::Protocol(Protocol::StandardNeighbor));
+            NeighborBatch::new(&topo).entry(&a, Backend::Protocol(Protocol::StandardHypre));
         let base_a = batch_a.tag_bases()[0];
         let reqs = World::run(8, |ctx| {
             let comm = ctx.comm_world();
@@ -960,7 +934,7 @@ mod tests {
         let (a, b, topo) = patterns();
         let batch = NeighborBatch::new(&topo)
             .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
-            .entry(&b, Backend::Protocol(Protocol::StandardNeighbor));
+            .entry(&b, Backend::Protocol(Protocol::StandardHypre));
         let ok = World::run(8, |ctx| {
             let comm = ctx.comm_world();
             let mut session = batch.init_all(ctx, &comm);

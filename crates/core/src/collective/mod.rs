@@ -1,5 +1,6 @@
-//! The four communication protocols of the paper's evaluation (§4) and the
-//! model-driven dynamic selection the paper proposes as future work (§5).
+//! The communication protocols of the paper's evaluation (§4), one per
+//! distinct plan, and the model-driven dynamic selection the paper
+//! proposes as future work (§5).
 
 pub mod select;
 
@@ -10,14 +11,14 @@ use crate::pattern::CommPattern;
 use locality::Topology;
 use serde::{Deserialize, Serialize};
 
-/// The four protocols compared throughout §4.
+/// The protocols compared throughout §4, one per distinct plan. The
+/// paper's fourth series, "Unoptimized Neighbor" (§3.1), sends Standard
+/// Hypre's messages through the neighborhood-collective wrapper: the
+/// same plan, costed with `wrapped = true` (see `bench`'s figure series).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Protocol {
     /// Persistent point-to-point as implemented in Hypre 2.28.
     StandardHypre,
-    /// The same messages wrapped in a persistent neighborhood collective
-    /// (§3.1) — "unoptimized neighbor".
-    StandardNeighbor,
     /// Locality-aware three-step aggregation (§3.2) — "partially optimized".
     PartialNeighbor,
     /// Aggregation plus duplicate removal (§3.3) — "fully optimized".
@@ -25,10 +26,9 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// All four, in the paper's presentation order.
-    pub const ALL: [Protocol; 4] = [
+    /// All three, in the paper's presentation order.
+    pub const ALL: [Protocol; 3] = [
         Protocol::StandardHypre,
-        Protocol::StandardNeighbor,
         Protocol::PartialNeighbor,
         Protocol::FullNeighbor,
     ];
@@ -39,7 +39,6 @@ impl Protocol {
     pub fn name(&self) -> &'static str {
         match self {
             Protocol::StandardHypre => "StandardHypre",
-            Protocol::StandardNeighbor => "StandardNeighbor",
             Protocol::PartialNeighbor => "PartialNeighbor",
             Protocol::FullNeighbor => "FullNeighbor",
         }
@@ -49,29 +48,19 @@ impl Protocol {
     pub fn label(&self) -> &'static str {
         match self {
             Protocol::StandardHypre => "Standard Hypre",
-            Protocol::StandardNeighbor => "Unoptimized Neighbor",
             Protocol::PartialNeighbor => "Partially Optimized Neighbor",
             Protocol::FullNeighbor => "Fully Optimized Neighbor",
         }
     }
 
     /// Build this protocol's communication plan for `pattern`.
+    /// Aggregating protocols assign leaders load-balanced.
     pub fn plan(&self, pattern: &CommPattern, topo: &Topology) -> Plan {
-        self.plan_with(pattern, topo, AssignStrategy::LoadBalanced)
-    }
-
-    /// Build the plan with an explicit leader-assignment strategy
-    /// (aggregating protocols only; ignored otherwise).
-    pub fn plan_with(
-        &self,
-        pattern: &CommPattern,
-        topo: &Topology,
-        strategy: AssignStrategy,
-    ) -> Plan {
+        let lb = AssignStrategy::LoadBalanced;
         match self {
-            Protocol::StandardHypre | Protocol::StandardNeighbor => Plan::standard(pattern, topo),
-            Protocol::PartialNeighbor => Plan::aggregated(pattern, topo, false, strategy),
-            Protocol::FullNeighbor => Plan::aggregated(pattern, topo, true, strategy),
+            Protocol::StandardHypre => Plan::standard(pattern, topo),
+            Protocol::PartialNeighbor => Plan::aggregated(pattern, topo, false, lb),
+            Protocol::FullNeighbor => Plan::aggregated(pattern, topo, true, lb),
         }
     }
 
@@ -124,7 +113,7 @@ mod tests {
     #[test]
     fn wrapping_flags() {
         assert!(!Protocol::StandardHypre.is_wrapped());
-        assert!(Protocol::StandardNeighbor.is_wrapped());
+        assert!(Protocol::PartialNeighbor.is_wrapped());
         assert!(Protocol::FullNeighbor.needs_indices());
         assert!(!Protocol::PartialNeighbor.needs_indices());
     }

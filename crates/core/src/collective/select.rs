@@ -8,39 +8,27 @@
 //! selection: evaluate each candidate's plan under the performance model at
 //! init time and keep the cheapest.
 
-use crate::agg::{AssignStrategy, Plan};
+use crate::agg::Plan;
 use crate::analytic::iteration_time;
 use crate::collective::Protocol;
 use crate::pattern::CommPattern;
 use locality::Topology;
 use perfmodel::CostModel;
 
-/// What selection ranks: one protocol per distinct plan.
-/// `StandardNeighbor` builds `StandardHypre`'s plan and the model adds
-/// `C_WRAPPER` ≥ 0 on top, so it can tie but never win (the sort is
-/// stable); ranking it too would plan, cost — and, under
-/// `Backend::Tuned`, route, tag and probe — the same traffic twice.
-pub(crate) const CANDIDATES: [Protocol; 3] = [
-    Protocol::StandardHypre,
-    Protocol::PartialNeighbor,
-    Protocol::FullNeighbor,
-];
-
-/// Plan every candidate with `strategy` and rank them by modeled
-/// per-iteration time, cheapest first. The sort is stable, so equal-cost
-/// candidates keep the caller's order.
+/// Plan every candidate and rank them by modeled per-iteration time,
+/// cheapest first. The sort is stable, so equal-cost candidates keep the
+/// caller's order.
 fn ranked(
     candidates: &[Protocol],
     pattern: &CommPattern,
     topo: &Topology,
     model: &dyn CostModel,
-    strategy: AssignStrategy,
 ) -> Vec<(Protocol, Plan, f64)> {
     assert!(!candidates.is_empty());
     let mut ranked: Vec<(Protocol, Plan, f64)> = candidates
         .iter()
         .map(|&p| {
-            let plan = p.plan_with(pattern, topo, strategy);
+            let plan = p.plan(pattern, topo);
             let t = iteration_time(&plan, topo, model, p.is_wrapped()).total;
             (p, plan, t)
         })
@@ -50,50 +38,25 @@ fn ranked(
 }
 
 /// Pick the protocol with the lowest modeled per-iteration time for
-/// `pattern` among `candidates` (the first listed, on a tie), planning
-/// with `strategy`. Returns the winner, its (reusable) plan, and its
-/// modeled time.
+/// `pattern` among `candidates` (the first listed, on a tie). Returns the
+/// winner, its (reusable) plan, and its modeled time.
 pub fn choose_with(
     candidates: &[Protocol],
     pattern: &CommPattern,
     topo: &Topology,
     model: &dyn CostModel,
-    strategy: AssignStrategy,
 ) -> (Protocol, Plan, f64) {
-    ranked(candidates, pattern, topo, model, strategy).swap_remove(0)
+    ranked(candidates, pattern, topo, model).swap_remove(0)
 }
 
-/// Pick the protocol with the lowest modeled per-iteration time for
-/// `pattern`, among `candidates`, planning with `strategy`. Returns the
-/// winner and its modeled time. The strategy matters: aggregation plans
-/// differ under `Balanced` vs `LoadBalanced` assignment, so candidates
-/// must be evaluated under the strategy the caller will actually init
-/// with — evaluating one and running another compares the wrong plans.
-pub fn choose_among(
-    candidates: &[Protocol],
-    pattern: &CommPattern,
-    topo: &Topology,
-    model: &dyn CostModel,
-    strategy: AssignStrategy,
-) -> (Protocol, f64) {
-    let (p, _, t) = choose_with(candidates, pattern, topo, model, strategy);
-    (p, t)
-}
-
-/// Pick among the protocols with distinct plans (load-balanced
-/// assignment, the default strategy of the request builders).
+/// Pick among every protocol. Returns the winner and its modeled time.
 pub fn choose_protocol(
     pattern: &CommPattern,
     topo: &Topology,
     model: &dyn CostModel,
 ) -> (Protocol, f64) {
-    choose_among(
-        &CANDIDATES,
-        pattern,
-        topo,
-        model,
-        AssignStrategy::LoadBalanced,
-    )
+    let (p, _, t) = choose_with(&Protocol::ALL, pattern, topo, model);
+    (p, t)
 }
 
 /// Model-ranked probe candidates for `Backend::Tuned`: every protocol in
@@ -108,11 +71,10 @@ pub fn candidates_within(
     pattern: &CommPattern,
     topo: &Topology,
     model: &dyn CostModel,
-    strategy: AssignStrategy,
     factor: f64,
 ) -> Vec<(Protocol, Plan, f64)> {
     assert!(factor >= 1.0, "admission factor must be >= 1.0");
-    let mut ranked = ranked(candidates, pattern, topo, model, strategy);
+    let mut ranked = ranked(candidates, pattern, topo, model);
     let cutoff = ranked[0].2 * factor;
     ranked.retain(|&(_, _, t)| t <= cutoff);
     ranked
@@ -157,36 +119,7 @@ mod tests {
         let topo = Topology::block_nodes(8, 4);
         let model = LocalityModel::lassen();
         let (winner, _) = choose_protocol(&pattern, &topo, &model);
-        assert!(
-            matches!(winner, Protocol::StandardHypre | Protocol::StandardNeighbor),
-            "got {winner}"
-        );
-    }
-
-    #[test]
-    fn ranking_distinct_plans_picks_what_ranking_all_four_picks() {
-        use perfmodel::PostalModel;
-        let topo8 = Topology::block_nodes(8, 4);
-        let topo16 = Topology::block_nodes(16, 4);
-        let cases = [
-            (CommPattern::example_2_1(), &topo8),
-            (CommPattern::all_to_all_regions(&topo16), &topo16),
-        ];
-        // tests/tuner.rs's latency-dominated truth and its messages-are-free lie
-        let models: [&dyn CostModel; 3] = [
-            &LocalityModel::lassen(),
-            &PostalModel::new(5.0e-6, 2.0e-9),
-            &PostalModel::new(1.0e-12, 2.0e-9),
-        ];
-        for (pattern, topo) in &cases {
-            for model in models {
-                for strategy in [AssignStrategy::RoundRobin, AssignStrategy::LoadBalanced] {
-                    let (p3, _, t3) = choose_with(&CANDIDATES, pattern, topo, model, strategy);
-                    let (p4, _, t4) = choose_with(&Protocol::ALL, pattern, topo, model, strategy);
-                    assert_eq!((p3, t3.to_bits()), (p4, t4.to_bits()));
-                }
-            }
-        }
+        assert_eq!(winner, Protocol::StandardHypre);
     }
 
     #[test]
@@ -208,13 +141,12 @@ mod tests {
         );
         let topo = Topology::block_nodes(8, 4);
         let model = LocalityModel::lassen();
-        let strategy = AssignStrategy::LoadBalanced;
         for order in [
             [Protocol::PartialNeighbor, Protocol::FullNeighbor],
             [Protocol::FullNeighbor, Protocol::PartialNeighbor],
         ] {
-            let (winner, _, t) = choose_with(&order, &pattern, &topo, &model, strategy);
-            let tied = candidates_within(&order, &pattern, &topo, &model, strategy, 1.0);
+            let (winner, _, t) = choose_with(&order, &pattern, &topo, &model);
+            let tied = candidates_within(&order, &pattern, &topo, &model, 1.0);
             assert_eq!(winner, order[0]);
             assert_eq!(tied.len(), 2, "an exact tie admits both at factor 1.0");
             assert_eq!([tied[0].0, tied[1].0], order);
@@ -227,15 +159,8 @@ mod tests {
         let topo = Topology::block_nodes(32, 4);
         let pattern = CommPattern::all_to_all_regions(&topo);
         let model = LocalityModel::lassen();
-        let all = candidates_within(
-            &Protocol::ALL,
-            &pattern,
-            &topo,
-            &model,
-            AssignStrategy::LoadBalanced,
-            f64::INFINITY,
-        );
-        assert_eq!(all.len(), 4, "INFINITY admits every candidate");
+        let all = candidates_within(&Protocol::ALL, &pattern, &topo, &model, f64::INFINITY);
+        assert_eq!(all.len(), 3, "INFINITY admits every candidate");
         assert!(all.windows(2).all(|w| w[0].2 <= w[1].2), "cheapest first");
         // the head of the ranking is exactly choose_protocol's winner
         let (winner, t) = choose_protocol(&pattern, &topo, &model);
@@ -243,15 +168,8 @@ mod tests {
         assert!((all[0].2 - t).abs() < 1e-15);
         // factor 1.0 admits only the best (ties impossible here: standard
         // vs aggregated costs differ by construction on this pattern)
-        let best_only = candidates_within(
-            &Protocol::ALL,
-            &pattern,
-            &topo,
-            &model,
-            AssignStrategy::LoadBalanced,
-            1.0,
-        );
-        assert!(!best_only.is_empty() && best_only.len() < 4);
+        let best_only = candidates_within(&Protocol::ALL, &pattern, &topo, &model, 1.0);
+        assert!(!best_only.is_empty() && best_only.len() < 3);
         assert_eq!(best_only[0].0, winner);
     }
 }

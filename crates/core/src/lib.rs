@@ -3,10 +3,9 @@
 //!
 //! The library mirrors the role of the MPI Advance repository: it sits *on
 //! top of* an MPI layer (here the `mpisim` runtime) and provides optimized
-//! implementations of the persistent `MPI_Neighbor_alltoallv`:
+//! implementations of the persistent `MPI_Neighbor_alltoallv`, one
+//! [`Protocol`] per distinct plan:
 //!
-//! * [`Protocol::StandardNeighbor`] — wraps persistent point-to-point
-//!   messages (paper §3.1, Algorithms 1–3);
 //! * [`Protocol::PartialNeighbor`] — three-step locality-aware aggregation:
 //!   intra-region redistribution, one message per region pair, final
 //!   intra-region redistribution (paper §3.2, Algorithms 4–6);
@@ -15,6 +14,11 @@
 //!   extension (paper §3.3);
 //! * [`Protocol::StandardHypre`] — the baseline: persistent point-to-point
 //!   as Hypre 2.28 implements it (no topology communicator).
+//!
+//! The paper's "Unoptimized Neighbor" (§3.1, Algorithms 1–3) wraps Standard
+//! Hypre's messages in a persistent neighborhood collective. It runs the
+//! same plan, so it is no protocol here: it is a figure label for Standard
+//! Hypre's plan costed with `wrapped = true` ([`analytic::iteration_time`]).
 //!
 //! The front door is the **batch/session API**, [`NeighborBatch`]: a
 //! builder taking a [`locality::Topology`] and N `(CommPattern, Backend)`

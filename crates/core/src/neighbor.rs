@@ -37,7 +37,6 @@
 //! of them as one session. `NeighborAlltoallv` is, internally, exactly a
 //! single-entry batch — same planning, same tag leasing, same executor.
 
-use crate::agg::AssignStrategy;
 use crate::batch::NeighborBatch;
 use crate::collective::Protocol;
 use crate::pattern::CommPattern;
@@ -161,15 +160,14 @@ pub trait NeighborRequest: Send {
 
 /// Builder for one persistent neighborhood collective.
 ///
-/// Defaults: [`Backend::Auto`] with the Lassen locality model,
-/// load-balanced leader assignment, and a tag namespace leased from the
-/// process-wide [`crate::tagspace::TagSpace`] so that concurrently live
-/// collectives never share tag space (the lease frees — and its base is
-/// re-used — when the builder drops). Ranks agree on the base because
-/// they share the builder (or, in a real multi-process setting, construct
-/// builders in the same SPMD order — the same determinism planning
-/// already relies on). Use the `tag_base` setter to pin it explicitly
-/// instead.
+/// Defaults: [`Backend::Auto`] with the Lassen locality model and a tag
+/// namespace leased from the process-wide [`crate::tagspace::TagSpace`]
+/// so that concurrently live collectives never share tag space (the
+/// lease frees — and its base is re-used — when the builder drops).
+/// Ranks agree on the base because they share the builder (or, in a real
+/// multi-process setting, construct builders in the same SPMD order — the
+/// same determinism planning already relies on). Use the `tag_base` setter
+/// to pin it explicitly instead.
 ///
 /// Internally this is a single-entry [`NeighborBatch`]; many live
 /// collectives should be one batch.
@@ -177,7 +175,6 @@ pub struct NeighborAlltoallv<'a> {
     pattern: &'a CommPattern,
     topo: &'a Topology,
     backend: Backend,
-    strategy: AssignStrategy,
     model: Option<&'a dyn CostModel>,
     tune: Option<tuner::TunePolicy>,
     tag_base: Option<u64>,
@@ -199,7 +196,6 @@ impl<'a> NeighborAlltoallv<'a> {
             pattern,
             topo,
             backend: Backend::Auto,
-            strategy: AssignStrategy::LoadBalanced,
             model: None,
             tune: None,
             tag_base: None,
@@ -217,13 +213,6 @@ impl<'a> NeighborAlltoallv<'a> {
     /// Shorthand for `backend(Backend::Protocol(p))`.
     pub fn protocol(self, p: Protocol) -> Self {
         self.backend(Backend::Protocol(p))
-    }
-
-    /// Leader-assignment strategy for aggregating protocols.
-    pub fn strategy(mut self, strategy: AssignStrategy) -> Self {
-        self.strategy = strategy;
-        self.batch = OnceLock::new();
-        self
     }
 
     /// Cost model driving [`Backend::Auto`] selection (default: the
@@ -253,8 +242,7 @@ impl<'a> NeighborAlltoallv<'a> {
 
     fn batch(&self) -> &NeighborBatch<'a> {
         self.batch.get_or_init(|| {
-            let mut b =
-                NeighborBatch::new(self.topo).entry_with(self.pattern, self.backend, self.strategy);
+            let mut b = NeighborBatch::new(self.topo).entry(self.pattern, self.backend);
             if let Some(m) = self.model {
                 b = b.cost_model(m);
             }
@@ -367,7 +355,7 @@ mod tests {
         // on the same communicator, must not cross-deliver
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
-        let coll_a = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::StandardNeighbor);
+        let coll_a = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::StandardHypre);
         let coll_b = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::FullNeighbor);
         let ok = World::run(8, |ctx| {
             let comm = ctx.comm_world();

@@ -297,8 +297,11 @@ proptest! {
     ) {
         let topo = Topology::block_nodes(12, ppn);
         let strategy = if lb { AssignStrategy::LoadBalanced } else { AssignStrategy::RoundRobin };
-        for protocol in Protocol::ALL {
-            let plan = protocol.plan_with(&pattern, &topo, strategy);
+        for (protocol, plan) in [
+            (Protocol::StandardHypre, Plan::standard(&pattern, &topo)),
+            (Protocol::PartialNeighbor, Plan::aggregated(&pattern, &topo, false, strategy)),
+            (Protocol::FullNeighbor, Plan::aggregated(&pattern, &topo, true, strategy)),
+        ] {
             for (me, routing) in RankRouting::build_all(&pattern, &plan, 4096).iter().enumerate() {
                 prop_assert_eq!(
                     ValueMaps::expand(routing),
@@ -324,9 +327,9 @@ proptest! {
         ppn in 1usize..7,
     ) {
         let topo = Topology::block_nodes(12, ppn);
-        for protocol in [Protocol::PartialNeighbor, Protocol::FullNeighbor] {
+        for dedup in [false, true] {
             for strategy in [AssignStrategy::LoadBalanced, AssignStrategy::RoundRobin] {
-                let plan = protocol.plan_with(&pattern, &topo, strategy);
+                let plan = Plan::aggregated(&pattern, &topo, dedup, strategy);
                 for routing in RankRouting::build_all(&pattern, &plan, 4096) {
                     let split = routing.clone().split_at_partitions();
                     check_split(&routing, &split)?;

@@ -728,7 +728,7 @@ mod tests {
         let _tags = tag_space();
         let ring = Ring::new(N, 2, 0);
         let [idle, miss] =
-            [Protocol::StandardHypre, Protocol::StandardNeighbor].map(Backend::Protocol);
+            [Protocol::StandardHypre, Protocol::PartialNeighbor].map(Backend::Protocol);
         let mut svc = SolveService::new(N);
         assert_eq!(ring_call(&mut svc, &ring, idle), [idle]);
         let held = hold_the_tag_space(&ring, miss);
@@ -761,7 +761,7 @@ mod tests {
         let _tags = tag_space();
         let ring = Ring::new(N, 2, 0);
         let [failed, miss] =
-            [Protocol::StandardHypre, Protocol::StandardNeighbor].map(Backend::Protocol);
+            [Protocol::StandardHypre, Protocol::PartialNeighbor].map(Backend::Protocol);
         let mut svc = SolveService::new(N);
         let jobs: [Arc<dyn JobLogic>; 2] = [
             Arc::new(ring.clone()),

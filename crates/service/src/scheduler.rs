@@ -717,7 +717,7 @@ pub(crate) mod tests {
                 Topology::block_nodes(self.n, 2),
                 Arc::new(self.clone()),
             );
-            svc.submit(spec.backend(Backend::Protocol(Protocol::StandardNeighbor)));
+            svc.submit(spec.backend(Backend::Protocol(Protocol::StandardHypre)));
         }
 
         fn expected(&self, rank: usize) -> Vec<f64> {
@@ -874,7 +874,7 @@ pub(crate) mod tests {
         let job = Ring::new(2, 1, 0);
         let batches: Vec<NeighborBatch<'_>> = (0..2)
             .map(|_| {
-                NeighborBatch::new(&topo).entry(&pat, Backend::Protocol(Protocol::StandardNeighbor))
+                NeighborBatch::new(&topo).entry(&pat, Backend::Protocol(Protocol::StandardHypre))
             })
             .collect();
         for b in &batches {

@@ -367,7 +367,7 @@ mod tests {
         fs::write(dir.join("profiles.jsonl"), text).unwrap();
         assert_eq!(cache.lookup(&e.key), Some(e.clone()));
         // publishing over the corrupt file drops only the bad lines
-        let e2 = entry(0x222, "StandardNeighbor", 2);
+        let e2 = entry(0x222, "PartialNeighbor", 2);
         cache.publish(&e2).unwrap();
         assert_eq!(cache.lookup(&e.key), Some(e));
         assert_eq!(cache.lookup(&e2.key), Some(e2));

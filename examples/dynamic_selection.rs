@@ -30,7 +30,7 @@ fn main() {
         "{:<6} {:>9} {:>10} {:>12}  selected protocol",
         "level", "rows", "msgs", "time s"
     );
-    let mut committed = [0.0f64; 4];
+    let mut committed = [0.0f64; Protocol::ALL.len()];
     let mut selected_total = 0.0;
     for dlvl in &dist.levels {
         let pattern = dlvl.pattern();

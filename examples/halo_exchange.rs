@@ -80,8 +80,8 @@ fn main() {
             format!("{px}x{py}x{tile}"),
             px * py,
             times[0],
+            times[1],
             times[2],
-            times[3],
             winner.label()
         );
     }

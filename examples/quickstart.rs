@@ -1,7 +1,7 @@
 //! Quickstart: the paper's Example 2.1, end to end.
 //!
 //! Builds the 8-process, two-region communication pattern of Figure 2,
-//! plans it with all four protocols, prints the message statistics that
+//! plans it with every protocol, prints the message statistics that
 //! Figures 3–5 illustrate, and then *executes* each protocol on the
 //! simulated MPI runtime to show identical results.
 //!

@@ -87,7 +87,7 @@ fn more_ranks_than_coarse_rows() {
     // ranks outnumber matrix rows: some ranks own nothing
     let a = laplace_2d_5pt(3, 3);
     check_spmv(&a, 16, 4, Protocol::FullNeighbor, 4);
-    check_spmv(&a, 16, 4, Protocol::StandardNeighbor, 5);
+    check_spmv(&a, 16, 4, Protocol::PartialNeighbor, 5);
 }
 
 #[test]

@@ -165,9 +165,8 @@ fn run_backend_on(
 /// rides with the default probe budget (12 ≫ the 2 iterations driven
 /// here), so these cases pin the **mid-probe** behavior: candidates
 /// hot-swap under the caller's feet and every byte must still match.
-const ALL_BACKENDS: [Backend; 8] = [
+const ALL_BACKENDS: [Backend; 7] = [
     Backend::Protocol(Protocol::StandardHypre),
-    Backend::Protocol(Protocol::StandardNeighbor),
     Backend::Protocol(Protocol::PartialNeighbor),
     Backend::Protocol(Protocol::FullNeighbor),
     Backend::Partitioned(Protocol::PartialNeighbor),
@@ -232,7 +231,7 @@ proptest! {
     // modest so tier-1 stays fast.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// All four protocols, the partitioned backend, and Auto agree with
+    /// Every protocol, the partitioned backends, Auto and Tuned agree with
     /// the direct exchange bit for bit, for random patterns and region
     /// sizes.
     #[test]
@@ -571,8 +570,8 @@ fn wait_any_retires_entries_in_delivery_order() {
     let b = CommPattern::new(2, vec![vec![], vec![(0, vec![20])]]);
     let topo = Topology::block_nodes(2, 1); // one rank per node: inter-node link
     let batch = NeighborBatch::new(&topo)
-        .entry(&a, Backend::Protocol(Protocol::StandardNeighbor))
-        .entry(&b, Backend::Protocol(Protocol::StandardNeighbor))
+        .entry(&a, Backend::Protocol(Protocol::StandardHypre))
+        .entry(&b, Backend::Protocol(Protocol::StandardHypre))
         // pin the collective tag namespace away from the plain-send ack tag
         .tag_base(1 << 12);
     const ACK: u64 = 7;

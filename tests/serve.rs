@@ -841,17 +841,17 @@ fn a_warm_call_asks_the_jobs_it_ran_for_nothing() {
 }
 
 /// The warm set holds the four most recently used shapes. One-job calls
-/// of five shapes — one hierarchy under the four protocols and `Auto` —
-/// each open a lane; the first shape drops off the four after the fifth
-/// call, and its lanes go at the start of the next: after a repeat of the
-/// fifth shape, which opens nothing, the gauge reads what a service that
-/// only ran the last four reads. When the first shape comes back it opens
-/// a lane again, and then it is warm.
+/// of five shapes — one hierarchy under the three protocols, `Full` split
+/// at its partition bounds, and `Auto` — each open a lane; the first shape
+/// drops off the four after the fifth call, and its lanes go at the start
+/// of the next: after a repeat of the fifth shape, which opens nothing,
+/// the gauge reads what a service that only ran the last four reads. When
+/// the first shape comes back it opens a lane again, and then it is warm.
 #[test]
 fn the_least_recently_used_shape_past_the_bound_is_evicted() {
     let jobs = tenant_jobs(1);
     let backends: Vec<Backend> = (Protocol::ALL.map(Backend::Protocol).into_iter())
-        .chain([Backend::Auto])
+        .chain([Backend::Partitioned(Protocol::FullNeighbor), Backend::Auto])
         .collect();
     let mut calls: Vec<Round> = backends.iter().map(|&b| round(&jobs, b)).collect();
     calls.extend([4, 0, 0].map(|s| round(&jobs, backends[s])));
@@ -1247,14 +1247,15 @@ fn vm_rss_kb() -> Option<f64> {
 }
 
 /// One call of the soak: tenant k of `jobs` under `Auto` for even k and
-/// `odd` for odd k, each result checked against `expect`; the gauge after.
+/// `odd` for odd k, each result checked against `expect`; the gauge after,
+/// and the call's first and last job ids.
 fn soak_call(
     svc: &mut SolveService,
     jobs: &[Arc<JacobiJob>],
     expect: &[Vec<Vec<f64>>],
     odd: Backend,
     label: &str,
-) -> RegistryGauge {
+) -> (RegistryGauge, [u64; 2]) {
     for (k, j) in jobs.iter().enumerate() {
         let spec = JobSpec::new(
             format!("tenant-{k}"),
@@ -1266,13 +1267,15 @@ fn soak_call(
             _ => spec.backend(odd),
         });
     }
-    for (k, rep) in svc.run_pending().into_iter().enumerate() {
+    let reports = svc.run_pending();
+    let ids = [reports[0].id, reports[reports.len() - 1].id];
+    for (k, rep) in reports.into_iter().enumerate() {
         let got = rep
             .outcome
             .unwrap_or_else(|e| panic!("{label}: tenant {k} failed: {e}"));
         assert_eq!(got, expect[k], "{label}: tenant {k}");
     }
-    gauge(svc.pool())
+    (gauge(svc.pool()), ids)
 }
 
 /// Two runs of `total` small jobs, each through ONE warm pool per fabric,
@@ -1281,20 +1284,24 @@ fn soak_call(
 /// registry gauge — registered channels, shm table rows and segment bytes,
 /// sock deliver hooks — reads what it read after the first one (the same
 /// two shapes every call, on the lanes the first one left warm: nothing of
-/// a retired job is left). In the second they cycle through the four
-/// protocols, one a call, beside `Auto`: five shapes through four slots,
-/// so every call misses one, whose old lanes — dropped off the four the
-/// call before — every rank frees before any registers, and opens it
-/// again. Once the cycle has come round the gauge, segment bytes included,
-/// reads the same after every call: the rings the miss registers are the
-/// ones its old lanes freed. In both, once the service releases its warm
-/// set the gauge reads what it read before the first call, but for segment
-/// bytes; and with `flat_rss` the process is no larger after the last job
-/// than after the first tenth.
+/// a retired job is left). In the second they cycle through the three
+/// protocols and `Full` split at its partition bounds, one a call, beside
+/// `Auto`: five shapes through four slots, so every call after the first
+/// round misses one, whose old lanes — dropped off the four the call
+/// before — every rank frees before any registers, and opens it again
+/// (asserted: a call that opens nothing fails the run). Once the cycle
+/// has come round the gauge, segment bytes included, reads the same after
+/// every call: the rings the miss registers are the ones its old lanes
+/// freed. In both, once the service releases its warm set the gauge reads
+/// what it read before the first call, but for segment bytes; and with
+/// `flat_rss` the process is no larger after the last job than after the
+/// first tenth.
 fn soak(total: usize, flat_rss: bool) {
     const PER_EPOCH: usize = 10;
     let jobs = tenant_jobs(PER_EPOCH);
-    let cycle = Protocol::ALL.map(Backend::Protocol);
+    let cycle: Vec<Backend> = (Protocol::ALL.map(Backend::Protocol).into_iter())
+        .chain([Backend::Partitioned(Protocol::FullNeighbor)])
+        .collect();
     // the odd tenants' backend in each call of the first run, the second
     let runs: [&dyn Fn(usize) -> Backend; 2] = [&|_| HYPRE, &|call| cycle[call % cycle.len()]];
     let expect: Vec<Vec<Vec<f64>>> = jobs.iter().map(|j| j.reference_results()).collect();
@@ -1308,9 +1315,21 @@ fn soak(total: usize, flat_rss: bool) {
             let settles = [0, cycle.len() - 1][run];
             let mut settled: Option<RegistryGauge> = None;
             let mut rss_at_a_tenth = None;
+            let mut last_id = 0;
             for call in 0..total / PER_EPOCH {
                 let label = format!("{name} run {run}, call {call}");
-                let now = soak_call(&mut svc, &jobs, &expect, odd(call), &label);
+                let (now, [first, last]) = soak_call(&mut svc, &jobs, &expect, odd(call), &label);
+                // lanes take their stream ids from the job-id counter, so
+                // what the call before this one opened lies between its
+                // last job id and this call's first
+                if run == 1 && call > cycle.len() {
+                    assert!(
+                        first > last_id + 1,
+                        "{name}: run 1, call {} hit every shape",
+                        call - 1
+                    );
+                }
+                last_id = last;
                 if call >= settles {
                     assert_eq!(
                         now,
