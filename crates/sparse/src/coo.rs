@@ -2,6 +2,10 @@
 
 /// A matrix under construction as `(row, col, value)` triplets. Duplicate
 /// entries are summed on conversion to CSR.
+///
+/// Its remaining users are the matrices with no grid structure to exploit:
+/// `gen::random_spd`, AMG interpolation (`amg::interp`), and tests. The
+/// stencil generators assemble CSR directly (`gen::stencil`).
 #[derive(Debug, Clone, Default)]
 pub struct Coo {
     pub n_rows: usize,

@@ -76,7 +76,10 @@ impl Csr {
     }
 
     /// Convert from COO, sorting columns and summing duplicates. Entries
-    /// that sum to exactly zero are kept (structural nonzeros).
+    /// that sum to exactly zero are kept (structural nonzeros). Past two
+    /// duplicates of one position their summation order is unspecified
+    /// (the per-row sort is unstable), so the sum's last bits may differ
+    /// from an entry-order sum.
     pub fn from_coo(coo: &Coo) -> Self {
         let mut per_row: Vec<usize> = vec![0; coo.n_rows + 1];
         for &(r, _, _) in &coo.entries {

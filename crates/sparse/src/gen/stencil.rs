@@ -1,6 +1,17 @@
-//! Stencil application on regular grids (Dirichlet boundaries).
+//! Stencil application on regular grids (Dirichlet boundaries), assembled
+//! straight into CSR.
+//!
+//! Grid point `(x, y, z)` is row `(z·ny + y)·nx + x`, so an offset
+//! `(dx, dy, dz)` whose target lies inside the grid lands on column
+//! `row + shift`, with the linear shift `(dz·ny + dy)·nx + dx`. Hence:
+//! - sorting the offsets once by shift sorts every row's columns;
+//! - two distinct offsets never land on the same column of one row, since
+//!   their in-grid targets are distinct grid points. Only equal offsets
+//!   need merging, and they are merged once, before the grid pass.
+//!
+//! So one pass over the grid writes `rowptr`/`colind`/`vals` directly,
+//! with no `(row, col, value)` triplets staged and no per-row sort.
 
-use crate::coo::Coo;
 use crate::csr::Csr;
 
 /// A 2-D stencil: offsets `(dx, dy)` with coefficients.
@@ -25,52 +36,57 @@ impl Stencil2d {
 /// Apply a 2-D stencil on an `nx × ny` grid (row-major: index = y·nx + x),
 /// dropping entries that fall outside the grid (homogeneous Dirichlet).
 pub fn apply_stencil_2d(st: &Stencil2d, nx: usize, ny: usize) -> Csr {
-    let n = nx * ny;
-    let mut coo = Coo::new(n, n);
-    coo.entries.reserve(n * st.entries.len());
-    for y in 0..ny as i64 {
-        for x in 0..nx as i64 {
-            let row = (y * nx as i64 + x) as usize;
-            for &(dx, dy, c) in &st.entries {
-                let xx = x + dx as i64;
-                let yy = y + dy as i64;
-                if xx >= 0 && xx < nx as i64 && yy >= 0 && yy < ny as i64 {
-                    coo.push(row, (yy * nx as i64 + xx) as usize, c);
-                }
-            }
-        }
-    }
-    Csr::from_coo(&coo)
+    let offsets = st.entries.iter().map(|&(dx, dy, c)| ([dx, dy, 0], c));
+    assemble(offsets, [nx, ny, 1])
 }
 
 /// Apply a 3-D stencil (offsets `(dx, dy, dz)`) on an `nx × ny × nz` grid,
 /// index = (z·ny + y)·nx + x.
 pub fn apply_stencil_3d(entries: &[(i32, i32, i32, f64)], nx: usize, ny: usize, nz: usize) -> Csr {
-    let n = nx * ny * nz;
-    let mut coo = Coo::new(n, n);
-    coo.entries.reserve(n * entries.len());
-    for z in 0..nz as i64 {
-        for y in 0..ny as i64 {
-            for x in 0..nx as i64 {
-                let row = ((z * ny as i64 + y) * nx as i64 + x) as usize;
-                for &(dx, dy, dz, c) in entries {
-                    let xx = x + dx as i64;
-                    let yy = y + dy as i64;
-                    let zz = z + dz as i64;
-                    if xx >= 0
-                        && xx < nx as i64
-                        && yy >= 0
-                        && yy < ny as i64
-                        && zz >= 0
-                        && zz < nz as i64
+    let offsets = entries.iter().map(|&(dx, dy, dz, c)| ([dx, dy, dz], c));
+    assemble(offsets, [nx, ny, nz])
+}
+
+/// The `n × n` operator of `entries` (offsets `[dx, dy, dz]`) on a grid of
+/// `dims = [nx, ny, nz]`, keeping an entry only where its target is inside
+/// the grid. Equal offsets are summed in entry order.
+fn assemble(entries: impl ExactSizeIterator<Item = ([i32; 3], f64)>, dims: [usize; 3]) -> Csr {
+    let mut merged: Vec<([i64; 3], f64)> = Vec::with_capacity(entries.len());
+    for (off, c) in entries {
+        let off = off.map(i64::from);
+        match merged.iter_mut().find(|(o, _)| *o == off) {
+            Some((_, v)) => *v += c,
+            None => merged.push((off, c)),
+        }
+    }
+    let [nx, ny, nz] = dims.map(|d| d as i64);
+    let shift = |[dx, dy, dz]: [i64; 3]| (dz * ny + dy) * nx + dx;
+    merged.sort_by_key(|&(off, _)| shift(off));
+
+    let n = dims.iter().product::<usize>();
+    let mut rowptr = Vec::with_capacity(n + 1);
+    let mut colind = Vec::with_capacity(n * merged.len());
+    let mut vals = Vec::with_capacity(n * merged.len());
+    rowptr.push(0);
+    let mut row = 0i64;
+    for z in 0..nz {
+        for y in 0..ny {
+            for x in 0..nx {
+                for &(off @ [dx, dy, dz], c) in &merged {
+                    if (0..nx).contains(&(x + dx))
+                        && (0..ny).contains(&(y + dy))
+                        && (0..nz).contains(&(z + dz))
                     {
-                        coo.push(row, ((zz * ny as i64 + yy) * nx as i64 + xx) as usize, c);
+                        colind.push((row + shift(off)) as usize);
+                        vals.push(c);
                     }
                 }
+                rowptr.push(colind.len());
+                row += 1;
             }
         }
     }
-    Csr::from_coo(&coo)
+    Csr::new(n, n, rowptr, colind, vals)
 }
 
 #[cfg(test)]

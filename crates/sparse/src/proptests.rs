@@ -2,6 +2,10 @@
 
 use crate::coo::Coo;
 use crate::csr::Csr;
+use crate::gen::{
+    apply_stencil_2d, apply_stencil_3d, diffusion::paper_problem, diffusion_stencil_7pt,
+    laplace_2d_5pt, laplace_2d_9pt, laplace_3d_27pt, Stencil2d,
+};
 use crate::partition::Partition;
 use crate::spgemm::spgemm;
 use crate::vector::random_vec;
@@ -21,7 +25,128 @@ fn arb_coo(max_n: usize, max_nnz: usize) -> impl Strategy<Value = Coo> {
     })
 }
 
+/// The triplet assembly the stencil generators replaced: every in-grid
+/// entry of every row as a COO triplet, in entry order, then
+/// `Csr::from_coo` sorts and merges each row.
+fn triplet_stencil(entries: &[(i32, i32, i32, f64)], nx: usize, ny: usize, nz: usize) -> Csr {
+    let n = nx * ny * nz;
+    let mut coo = Coo::new(n, n);
+    for z in 0..nz as i64 {
+        for y in 0..ny as i64 {
+            for x in 0..nx as i64 {
+                let row = ((z * ny as i64 + y) * nx as i64 + x) as usize;
+                for &(dx, dy, dz, c) in entries {
+                    let (xx, yy, zz) = (x + dx as i64, y + dy as i64, z + dz as i64);
+                    if (0..nx as i64).contains(&xx)
+                        && (0..ny as i64).contains(&yy)
+                        && (0..nz as i64).contains(&zz)
+                    {
+                        coo.push(row, ((zz * ny as i64 + yy) * nx as i64 + xx) as usize, c);
+                    }
+                }
+            }
+        }
+    }
+    Csr::from_coo(&coo)
+}
+
+/// `a` and `b` have the same shape, structure and value bits.
+fn assert_bit_identical(a: &Csr, b: &Csr) {
+    assert_eq!((a.n_rows(), a.n_cols()), (b.n_rows(), b.n_cols()));
+    assert_eq!(a.rowptr(), b.rowptr());
+    assert_eq!(a.colind(), b.colind());
+    let bits = |m: &Csr| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b));
+}
+
+/// Strategy: a stencil with offsets in −3..=3 on x and y and in `dz` on
+/// z, so some reach past the 1–4 wide grids below, and at most one offset
+/// repeated (with a coefficient of its own, at a random position): past two
+/// entries at one position `from_coo`'s summation order is unspecified.
+fn arb_stencil(dz: std::ops::Range<i32>) -> impl Strategy<Value = Vec<(i32, i32, i32, f64)>> {
+    let entry = (-3i32..4, -3i32..4, dz, -10.0f64..10.0);
+    (
+        prop::collection::vec(entry, 1..12),
+        any::<bool>(),
+        0usize..16,
+        -10.0f64..10.0,
+    )
+        .prop_map(|(raw, repeat, pick, c)| {
+            let mut entries: Vec<(i32, i32, i32, f64)> = Vec::new();
+            for e in raw {
+                if !entries.iter().any(|f| (f.0, f.1, f.2) == (e.0, e.1, e.2)) {
+                    entries.push(e);
+                }
+            }
+            if repeat {
+                let (dx, dy, dz, _) = entries[pick % entries.len()];
+                entries.insert(pick % (entries.len() + 1), (dx, dy, dz, c));
+            }
+            entries
+        })
+}
+
+/// The paper problem and the Laplacians at their unit-test sizes are
+/// bit-identical to the triplet assembly of their stencils.
+#[test]
+fn generators_match_triplet_assembly() {
+    let pt7 = diffusion_stencil_7pt(0.001, std::f64::consts::FRAC_PI_4);
+    let pt7: Vec<_> = pt7
+        .entries
+        .iter()
+        .map(|&(dx, dy, c)| (dx, dy, 0, c))
+        .collect();
+    for (nx, ny) in [(64, 32), (16, 12)] {
+        assert_bit_identical(&paper_problem(nx, ny), &triplet_stencil(&pt7, nx, ny, 1));
+    }
+    let cube = |r: i32, centre: f64| {
+        let mut entries = Vec::new();
+        for dz in -r..=r {
+            for dy in -1..=1 {
+                for dx in -1..=1 {
+                    let c = if (dx, dy, dz) == (0, 0, 0) {
+                        centre
+                    } else {
+                        -1.0
+                    };
+                    entries.push((dx, dy, dz, c));
+                }
+            }
+        }
+        entries
+    };
+    let mut pt5 = vec![(0, 0, 0, 4.0), (-1, 0, 0, -1.0), (1, 0, 0, -1.0)];
+    pt5.extend([(0, -1, 0, -1.0), (0, 1, 0, -1.0)]);
+    for (nx, ny) in [(4, 4), (6, 5)] {
+        assert_bit_identical(&laplace_2d_5pt(nx, ny), &triplet_stencil(&pt5, nx, ny, 1));
+    }
+    for (nx, ny) in [(5, 5), (6, 5)] {
+        assert_bit_identical(
+            &laplace_2d_9pt(nx, ny),
+            &triplet_stencil(&cube(0, 8.0), nx, ny, 1),
+        );
+    }
+    for (nx, ny, nz) in [(3, 3, 3), (3, 4, 2)] {
+        let a = laplace_3d_27pt(nx, ny, nz);
+        assert_bit_identical(&a, &triplet_stencil(&cube(1, 26.0), nx, ny, nz));
+    }
+}
+
 proptest! {
+    /// Direct stencil assembly is bit-identical to the triplet assembly,
+    /// in 3-D and in 2-D.
+    #[test]
+    fn stencil_assembly_matches_triplets(
+        e3 in arb_stencil(-3..4),
+        e2 in arb_stencil(0..1),
+        (nx, ny, nz) in (1usize..5, 1usize..5, 1usize..5),
+    ) {
+        let a = apply_stencil_3d(&e3, nx, ny, nz);
+        assert_bit_identical(&a, &triplet_stencil(&e3, nx, ny, nz));
+        let st = Stencil2d::new(e2.iter().map(|&(dx, dy, _, c)| (dx, dy, c)).collect());
+        assert_bit_identical(&apply_stencil_2d(&st, nx, ny), &triplet_stencil(&e2, nx, ny, 1));
+    }
+
     /// CSR from COO agrees with a dense accumulation.
     #[test]
     fn from_coo_matches_dense(coo in arb_coo(12, 60)) {
