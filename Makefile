@@ -116,13 +116,15 @@ lint: clippy
 		echo "error: the executor takes a lock (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
-# run five of them once, output discarded: the modeled fig07_crossover at
+# run six of them once, output discarded: the modeled fig07_crossover at
 # paper scale, fig11_per_level_time and summary_table, which like fig07
 # index the four figure series (bench's figures::SERIES) by position,
-# the wall-clock planner_scale at 256 ranks, and ablation_partitioned at
+# the wall-clock planner_scale at 256 ranks, ablation_partitioned at
 # its small size — the one figure the partitioned cost model
-# (analytic::iteration_time_partitioned) is kept for — run on every PR by
-# CI so the figure binaries cannot rot
+# (analytic::iteration_time_partitioned) is kept for — and ablation_assign
+# at paper scale, which asserts load-balanced leader assignment never
+# loses to round-robin — run on every PR by CI so the figure binaries
+# cannot rot
 figures-smoke:
 	cargo build --release -p bench_suite --bins
 	cargo run --release -p bench_suite --bin fig07_crossover > /dev/null
@@ -130,6 +132,7 @@ figures-smoke:
 	cargo run --release -p bench_suite --bin summary_table -- --small > /dev/null
 	cargo run --release -p bench_suite --bin planner_scale > /dev/null
 	cargo run --release -p bench_suite --bin ablation_partitioned -- --small > /dev/null
+	cargo run --release -p bench_suite --bin ablation_assign > /dev/null
 
 # the repo's benchmark (BENCHMARK.json's command; perfbench/README.md) at
 # 1/20 of its run length: builds the separate perfbench package against

@@ -5,12 +5,30 @@
 //! messages for small data sizes, or an equal portion of data when sizes
 //! are large", and §2: "each process in a region communicates with a unique
 //! subset of other regions".
+//!
+//! Load balancing spreads the g volume; it says nothing about *which* of
+//! several equally loaded members takes a pair. That choice decides the
+//! intra-region hops: every value a sending leader does not originate costs
+//! an s message, every value its receiving leader does not need costs an r
+//! message. So ties go to the member holding the largest [`Share`] of the
+//! pair, which on a fine level (one owner and one consumer per region
+//! pair) removes the s and r steps altogether. Only ties change: each
+//! region's multiset of member loads evolves exactly as under a
+//! lowest-rank tie-break, so the balance is the same.
 
 use locality::Topology;
+use std::cmp::Reverse;
 
 /// Per-pair inter-region volumes, sorted ascending by region pair (the
 /// order [`crate::agg::Plan::aggregated`] produces them in).
 pub type PairVolumes = [((usize, usize), usize)];
+
+/// One member's share of one region pair: `(position of the pair in the
+/// volumes, rank, values)`. On the sending side the values are those the
+/// rank originates (unique indices under dedup); on the receiving side,
+/// the demands whose final destination is the rank. Share lists are
+/// sorted by position; a member with no share is absent.
+pub type Share = (usize, usize, usize);
 
 /// How inter-region work is spread over a region's ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +39,10 @@ pub enum AssignStrategy {
     /// Greedy balance: region pairs are assigned (largest volume first) to
     /// the member with the least accumulated volume. This is the load
     /// balancing the paper amortizes inside
-    /// `MPI_Neighbor_alltoallv_init`.
+    /// `MPI_Neighbor_alltoallv_init`. Among equally loaded members the one
+    /// with the largest [`Share`] of the pair leads, then the lowest rank:
+    /// a leader that already owns (sending) or needs (receiving) the
+    /// values saves the s or r hop they would otherwise take.
     LoadBalanced,
 }
 
@@ -64,8 +85,12 @@ impl LeaderAssignment {
 
 /// Assign a sending and receiving leader to every region pair in
 /// `volumes` (values per pair per iteration, sorted by pair).
+/// `send_shares`/`recv_shares` break load-balanced ties (see
+/// [`AssignStrategy::LoadBalanced`]); empty lists mean lowest rank wins.
 pub fn assign_leaders(
     volumes: &PairVolumes,
+    send_shares: &[Share],
+    recv_shares: &[Share],
     topo: &Topology,
     strategy: AssignStrategy,
 ) -> LeaderAssignment {
@@ -85,25 +110,18 @@ pub fn assign_leaders(
             // accumulated volume per rank, for each side separately
             let mut send_load = vec![0usize; topo.n_ranks()];
             let mut recv_load = vec![0usize; topo.n_ranks()];
+            map.extend(volumes.iter().map(|&(pair, _)| (pair, (0, 0))));
             // biggest pairs first; ties broken by pair id for determinism
-            let mut pairs: Vec<&((usize, usize), usize)> = volumes.iter().collect();
-            pairs.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-            for &&((a, b), v) in &pairs {
-                let send = *topo
-                    .region_members(a)
-                    .iter()
-                    .min_by_key(|&&r| (send_load[r], r))
-                    .expect("non-empty region");
-                let recv = *topo
-                    .region_members(b)
-                    .iter()
-                    .min_by_key(|&&r| (recv_load[r], r))
-                    .expect("non-empty region");
+            let mut order: Vec<usize> = (0..volumes.len()).collect();
+            order.sort_by_key(|&k| (Reverse(volumes[k].1), k));
+            for k in order {
+                let ((a, b), v) = volumes[k];
+                let send = least_loaded(topo.region_members(a), &send_load, send_shares, k);
+                let recv = least_loaded(topo.region_members(b), &recv_load, recv_shares, k);
                 send_load[send] += v;
                 recv_load[recv] += v;
-                map.push(((a, b), (send, recv)));
+                map[k].1 = (send, recv);
             }
-            map.sort_unstable_by_key(|e| e.0);
         }
     }
     // invariants: leaders live in their own regions
@@ -112,6 +130,17 @@ pub fn assign_leaders(
         debug_assert_eq!(topo.region_of(r), b);
     }
     LeaderAssignment { map }
+}
+
+/// The member of `members` with the least `load`; ties go to the largest
+/// share of pair `k`, then to the lowest rank.
+fn least_loaded(members: &[usize], load: &[usize], shares: &[Share], k: usize) -> usize {
+    let shares = &shares[shares.partition_point(|s| s.0 < k)..shares.partition_point(|s| s.0 <= k)];
+    let share = |r: usize| shares.iter().find(|s| s.1 == r).map_or(0, |s| s.2);
+    *members
+        .iter()
+        .min_by_key(|&&r| (load[r], Reverse(share(r)), r))
+        .expect("non-empty region")
 }
 
 #[cfg(test)]
@@ -128,7 +157,7 @@ mod tests {
     fn round_robin_stripes_regions() {
         let topo = Topology::block_nodes(16, 4); // 4 regions of 4
         let v = volumes(&[((0, 1), 10), ((0, 2), 10), ((0, 3), 10)]);
-        let la = assign_leaders(&v, &topo, AssignStrategy::RoundRobin);
+        let la = assign_leaders(&v, &[], &[], &topo, AssignStrategy::RoundRobin);
         // sending leaders in region 0 stripe over members 1, 2, 3
         assert_eq!(la.get((0, 1)).0, 1);
         assert_eq!(la.get((0, 2)).0, 2);
@@ -140,29 +169,25 @@ mod tests {
 
     #[test]
     fn load_balance_beats_round_robin_on_skew() {
-        let topo = Topology::block_nodes(8, 4); // 2 regions of 4
-                                                // region 0 → region 1 only exists once; make a multi-region case
-        let topo3 = Topology::block_nodes(12, 4); // 3 regions
-                                                  // region 0 sends huge volume to region 1 and tiny to region 2;
-                                                  // round-robin would pin both to fixed members regardless of volume.
+        // 3 regions of 4: region 0 sends a huge volume to region 1 and a
+        // tiny one to region 2; round-robin pins both to fixed members
+        // regardless of volume.
+        let topo = Topology::block_nodes(12, 4);
         let v = volumes(&[((0, 1), 1000), ((0, 2), 1), ((1, 2), 500), ((2, 0), 300)]);
-        let rr = assign_leaders(&v, &topo3, AssignStrategy::RoundRobin);
-        let lb = assign_leaders(&v, &topo3, AssignStrategy::LoadBalanced);
+        let rr = assign_leaders(&v, &[], &[], &topo, AssignStrategy::RoundRobin);
+        let lb = assign_leaders(&v, &[], &[], &topo, AssignStrategy::LoadBalanced);
         assert!(
             lb.max_send_volume(&v, 12) <= rr.max_send_volume(&v, 12),
             "load balancing should not be worse"
         );
-        let _ = topo;
     }
 
     #[test]
     fn load_balance_spreads_equal_pairs() {
-        let topo = Topology::block_nodes(8, 4); // 2 regions of 4
-                                                // 4 equal pairs out of region 0 — impossible here (only 1 remote
-                                                // region), so use 20 ranks / 5 regions.
-        let topo5 = Topology::block_nodes(20, 4);
+        // 4 equal pairs out of region 0 need 4 remote regions: 5 regions of 4
+        let topo = Topology::block_nodes(20, 4);
         let v = volumes(&[((0, 1), 7), ((0, 2), 7), ((0, 3), 7), ((0, 4), 7)]);
-        let lb = assign_leaders(&v, &topo5, AssignStrategy::LoadBalanced);
+        let lb = assign_leaders(&v, &[], &[], &topo, AssignStrategy::LoadBalanced);
         let mut leaders: Vec<usize> = v.iter().map(|&(p, _)| lb.get(p).0).collect();
         leaders.sort_unstable();
         leaders.dedup();
@@ -171,7 +196,21 @@ mod tests {
             4,
             "four distinct leaders for four equal pairs"
         );
-        let _ = topo;
+    }
+
+    #[test]
+    fn load_balance_ties_go_to_the_largest_share() {
+        let topo = Topology::block_nodes(8, 4); // 2 regions of 4
+        let v = volumes(&[((0, 1), 5), ((1, 0), 3)]);
+        // pair 0 = (0, 1): rank 2 originates most, rank 7 needs most;
+        // pair 1 = (1, 0): no shares, so the lowest rank leads
+        let send = [(0, 1, 1), (0, 2, 4)];
+        let recv = [(0, 5, 2), (0, 7, 3)];
+        let lb = assign_leaders(&v, &send, &recv, &topo, AssignStrategy::LoadBalanced);
+        assert_eq!(lb.get((0, 1)), (2, 7));
+        assert_eq!(lb.get((1, 0)), (4, 0));
+        let plain = assign_leaders(&v, &[], &[], &topo, AssignStrategy::LoadBalanced);
+        assert_eq!(plain.get((0, 1)), (0, 4));
     }
 
     #[test]
@@ -179,7 +218,7 @@ mod tests {
         let topo = Topology::block_nodes(32, 8);
         let v = volumes(&[((0, 1), 5), ((1, 0), 9), ((2, 3), 2), ((3, 1), 4)]);
         for strategy in [AssignStrategy::RoundRobin, AssignStrategy::LoadBalanced] {
-            let la = assign_leaders(&v, &topo, strategy);
+            let la = assign_leaders(&v, &[], &[], &topo, strategy);
             for (&(a, b), &(s, r)) in la.iter() {
                 assert_eq!(topo.region_of(s), a);
                 assert_eq!(topo.region_of(r), b);
@@ -191,7 +230,7 @@ mod tests {
     fn missing_pair_panics() {
         let topo = Topology::block_nodes(8, 4);
         let v = volumes(&[((0, 1), 3)]);
-        let la = assign_leaders(&v, &topo, AssignStrategy::RoundRobin);
+        let la = assign_leaders(&v, &[], &[], &topo, AssignStrategy::RoundRobin);
         assert_eq!(la.get((0, 1)).0 / 4, 0);
         let r = std::panic::catch_unwind(|| la.get((1, 0)));
         assert!(r.is_err());

@@ -262,9 +262,15 @@ impl Plan {
         // and yields exactly the slot order the routing layer expects.
         demands.sort_unstable();
 
-        // Inter-region volumes (in values) drive load balancing; one pass
-        // over the sorted runs.
+        // Inter-region volumes (in values) drive load balancing, and each
+        // member's share of a pair breaks its ties; one pass over the
+        // sorted runs. `count` is per rank and zero between pairs: a pair's
+        // origins and final destinations lie in different regions, so one
+        // array holds both sides.
         let mut volumes: Vec<((usize, usize), usize)> = Vec::new();
+        let mut send_shares: Vec<assign::Share> = Vec::new();
+        let mut recv_shares: Vec<assign::Share> = Vec::new();
+        let mut count = vec![0usize; topo.n_ranks()];
         let mut d = 0;
         while d < demands.len() {
             let pair = (demands[d].0, demands[d].1);
@@ -272,24 +278,28 @@ impl Plan {
                 .iter()
                 .position(|x| (x.0, x.1) != pair)
                 .map_or(demands.len(), |p| d + p);
-            let v = if dedup {
-                // demands are index-sorted within the pair: count runs
-                let mut count = 0;
-                let mut last = usize::MAX;
-                for x in &demands[d..end] {
-                    if x.2 != last {
-                        count += 1;
-                        last = x.2;
+            // demands are index-sorted within the pair: under dedup a value
+            // counts once, at the start of its index run
+            let mut v = 0;
+            for (j, &(_, _, index, fd, origin)) in demands[d..end].iter().enumerate() {
+                if !dedup || j == 0 || demands[d + j - 1].2 != index {
+                    count[origin] += 1;
+                    v += 1;
+                }
+                count[fd] += 1;
+            }
+            let k = volumes.len();
+            for (region, shares) in [(pair.0, &mut send_shares), (pair.1, &mut recv_shares)] {
+                for &r in topo.region_members(region) {
+                    if count[r] > 0 {
+                        shares.push((k, r, std::mem::take(&mut count[r])));
                     }
                 }
-                count
-            } else {
-                end - d
-            };
+            }
             volumes.push((pair, v));
             d = end;
         }
-        let leaders = assign::assign_leaders(&volumes, topo, strategy);
+        let leaders = assign::assign_leaders(&volumes, &send_shares, &recv_shares, topo, strategy);
 
         let mut s_step = Vec::new();
         let mut g_step = Vec::new();
@@ -477,6 +487,7 @@ mod tests {
     use super::*;
     use crate::agg::verify::verify_plan;
     use crate::pattern::CommPattern;
+    use crate::stats::PlanStats;
 
     fn example() -> (CommPattern, Topology) {
         (CommPattern::example_2_1(), Topology::block_nodes(8, 4))
@@ -595,6 +606,40 @@ mod tests {
         assert!(plan.s_step.is_empty() && plan.r_step.is_empty());
         assert_eq!(plan.local.len(), 4);
         verify_plan(&pattern, &plan, &topo);
+    }
+
+    /// A 1-D block-row chain: each rank sends its first two values to its
+    /// left neighbour and its last two to its right one, so every region
+    /// pair has one owner and one consumer.
+    fn chain(n: usize) -> CommPattern {
+        const B: usize = 8;
+        let sends = (0..n)
+            .map(|r| {
+                let mut list = Vec::new();
+                if r > 0 {
+                    list.push((r - 1, vec![r * B, r * B + 1]));
+                }
+                if r + 1 < n {
+                    list.push((r + 1, vec![r * B + B - 2, r * B + B - 1]));
+                }
+                list
+            })
+            .collect();
+        CommPattern::new(n, sends)
+    }
+
+    #[test]
+    fn load_balanced_leaders_own_and_need_the_chains_values() {
+        let topo = Topology::block_nodes(16, 4);
+        let pattern = chain(16);
+        let standard = PlanStats::of(&Plan::standard(&pattern, &topo));
+        for dedup in [false, true] {
+            let plan = Plan::aggregated(&pattern, &topo, dedup, AssignStrategy::LoadBalanced);
+            verify_plan(&pattern, &plan, &topo);
+            assert!(plan.s_step.is_empty(), "dedup {dedup}: {:?}", plan.s_step);
+            assert!(plan.r_step.is_empty(), "dedup {dedup}: {:?}", plan.r_step);
+            assert_eq!(PlanStats::of(&plan), standard, "dedup {dedup}");
+        }
     }
 
     #[test]

@@ -54,7 +54,10 @@ impl Protocol {
     }
 
     /// Build this protocol's communication plan for `pattern`.
-    /// Aggregating protocols assign leaders load-balanced.
+    /// Aggregating protocols assign leaders load-balanced, ties going to
+    /// the member that already owns (sending) or needs (receiving) most of
+    /// a region pair's values, so a pair with one owner and one consumer
+    /// takes no s or r hop.
     pub fn plan(&self, pattern: &CommPattern, topo: &Topology) -> Plan {
         let lb = AssignStrategy::LoadBalanced;
         match self {

@@ -235,6 +235,33 @@ fn check_split(unsplit: &RankRouting, split: &RankRouting) -> Result<(), TestCas
     Ok(())
 }
 
+/// Per-rank g send and receive loads of a load-balanced assignment whose
+/// ties go to the lowest rank alone, over `plan`'s own pair volumes (one
+/// g message per pair): the oracle that share-broken ties leave every
+/// region's loads as they were.
+fn lowest_rank_loads(plan: &Plan, topo: &Topology) -> (Vec<usize>, Vec<usize>) {
+    let mut volumes: Vec<((usize, usize), usize)> = plan
+        .g_step
+        .iter()
+        .map(|m| ((topo.region_of(m.src), topo.region_of(m.dst)), m.n_values()))
+        .collect();
+    volumes.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+    let least = |region: usize, load: &[usize]| {
+        *topo
+            .region_members(region)
+            .iter()
+            .min_by_key(|&&r| (load[r], r))
+            .unwrap()
+    };
+    let (mut send, mut recv) = (vec![0; plan.n_ranks], vec![0; plan.n_ranks]);
+    for ((a, b), v) in volumes {
+        let (s, r) = (least(a, &send), least(b, &recv));
+        send[s] += v;
+        recv[r] += v;
+    }
+    (send, recv)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -334,6 +361,33 @@ proptest! {
                     let split = routing.clone().split_at_partitions();
                     check_split(&routing, &split)?;
                 }
+            }
+        }
+    }
+
+    /// Breaking load-balanced ties by share changes which member leads,
+    /// never the loads: every region's sorted per-member send and receive
+    /// loads equal the lowest-rank tie-break's.
+    #[test]
+    fn share_tie_break_keeps_region_loads(pattern in arb_pattern(16), ppn in 1usize..7) {
+        let topo = Topology::block_nodes(16, ppn);
+        for dedup in [false, true] {
+            let plan = Plan::aggregated(&pattern, &topo, dedup, AssignStrategy::LoadBalanced);
+            let (mut send, mut recv) = (vec![0; 16], vec![0; 16]);
+            for m in &plan.g_step {
+                send[m.src] += m.n_values();
+                recv[m.dst] += m.n_values();
+            }
+            let (oracle_send, oracle_recv) = lowest_rank_loads(&plan, &topo);
+            for region in 0..topo.n_regions() {
+                let sorted = |load: &[usize]| {
+                    let mut v: Vec<usize> =
+                        topo.region_members(region).iter().map(|&r| load[r]).collect();
+                    v.sort_unstable();
+                    v
+                };
+                prop_assert_eq!(sorted(&send), sorted(&oracle_send), "send, region {}", region);
+                prop_assert_eq!(sorted(&recv), sorted(&oracle_recv), "recv, region {}", region);
             }
         }
     }
