@@ -111,8 +111,9 @@ struct EntrySpec<'a> {
 pub struct ResolvedBatch {
     plans: Vec<(Protocol, Plan)>,
     tag_bases: Vec<u64>,
-    /// `routings[rank][slot]`: each rank's routing per expanded slot.
-    routings: Vec<Vec<RankRouting>>,
+    /// `routings[rank][slot]`: each rank's routing per expanded slot,
+    /// shared with every request initialized on it.
+    routings: Vec<Vec<Arc<RankRouting>>>,
     /// Held by the batch AND cloned into every request it initializes:
     /// the span frees (and its base becomes re-usable) only when the
     /// batch and all of its live requests are gone.
@@ -267,21 +268,13 @@ impl ResolvedBatch {
         let mut requests: Vec<Box<dyn NeighborRequest>> = if self.plans.is_empty() {
             Vec::new()
         } else {
-            // clone this rank's routings (the bulk of the per-init
-            // allocation work) BEFORE taking the registry lock: only
-            // channel resolution itself runs inside the world-wide
-            // critical section. Expanded order; each slot inits at most
-            // once per init_all (a cached tuned winner leaves its losing
-            // candidates' slots untouched).
-            let mut routings: Vec<Option<RankRouting>> = self.routings[comm.rank()]
-                .iter()
-                .cloned()
-                .map(Some)
-                .collect();
+            // expanded order; a cached tuned winner leaves its losing
+            // candidates' slots untouched
+            let routings = &self.routings[comm.rank()];
             let mut reg = ctx.chan_registrar();
-            let mut init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
+            let init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
                 NeighborExec::register(
-                    routings[slot].take().expect("expanded slot inits once"),
+                    Arc::clone(&routings[slot]),
                     reg,
                     comm,
                     protocol,
@@ -513,20 +506,18 @@ impl NeighborBatch<'_> {
             });
             expanded.push(ExpandedEntry { start, tuned });
         }
-        let mut routings = RankRouting::build_all_batch(&entry_plans);
-        drop(entry_plans); // release the borrows on per_entry's plans
-
-        // Backend::Partitioned is this split of its routing and nothing
+        // Backend::Partitioned is the split of its routing and nothing
         // else: it runs on the one wire every entry runs on
-        if split.contains(&true) {
-            for per_rank in &mut routings {
-                *per_rank = std::mem::take(per_rank)
-                    .into_iter()
-                    .zip(&split)
-                    .map(|(r, &s)| if s { r.split_at_partitions() } else { r })
-                    .collect();
-            }
-        }
+        let routings = RankRouting::build_all_batch(&entry_plans)
+            .into_iter()
+            .map(|per_rank| {
+                let slots = per_rank.into_iter().zip(&split);
+                slots
+                    .map(|(r, &s)| Arc::new(if s { r.split_at_partitions() } else { r }))
+                    .collect()
+            })
+            .collect();
+        drop(entry_plans); // release the borrows on per_entry's plans
 
         let tag_bases: Vec<u64> = expanded.iter().map(|ex| span_bases[ex.start]).collect();
         let plans: Vec<(Protocol, Plan)> = per_entry

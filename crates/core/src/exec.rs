@@ -29,26 +29,26 @@
 //! values straight into the pre-matched channel's recycled wire buffer
 //! ([`SendChan::start_with`]), a receive scatters straight from the
 //! delivered payload — no per-iteration allocations. Every copy map is a
-//! list of maximal runs ([`Run`], [`FwdRun`]; see [`crate::routing`]): a
-//! gather appends one slice per run, a scatter copies one slice per run,
-//! and only a run too short for a `memcpy` call to pay (under
-//! `SHORT_RUN` values) is moved value by value. The g and r steps are the
-//! same shape: a gather over payloads held off their channels. `test`
-//! holds each delivered s payload until the s step is complete, then
-//! gathers each g send **straight into its wire buffer**, partition by
-//! partition — a staged partition is the whole held payload of its s
-//! receive, the one own-input partition a small stash `start` filled from
-//! the input — and recycles the payloads. Likewise it borrows each g
+//! list of maximal runs ([`Run`], [`FwdRun`](crate::routing::FwdRun); see
+//! [`crate::routing`]): a gather appends one slice per run, a scatter
+//! copies one slice per run, and only a run too short for a `memcpy` call
+//! to pay (under `SHORT_RUN` values) is moved value by value. The g and r
+//! steps are the same shape: a gather over payloads held off their
+//! channels. `test` holds each delivered s payload until the s step is
+//! complete, then gathers each g send **straight into its wire buffer**,
+//! partition by partition — a staged partition is the whole held payload of
+//! its s receive, the one own-input partition a small stash `start` filled
+//! from the input — and recycles the payloads. Likewise it borrows each g
 //! payload off the channel, scatters ghost values into the output, feeds
-//! the r-step forwards from the same borrowed payload, and recycles it.
-//! No step has a receive window or a staging buffer.
+//! the r-step forwards from the same borrowed payload, and recycles it. No
+//! step has a receive window or a staging buffer.
 //!
 //! Construct requests through [`crate::NeighborAlltoallv`] or
 //! [`crate::NeighborBatch`].
 
 use crate::collective::Protocol;
 use crate::neighbor::NeighborRequest;
-use crate::routing::{FwdRun, GPartRoute, GSendRoute, PartSource, RankRouting, RecvRoute, Run};
+use crate::routing::{GSendRoute, PartSource, RankRouting, Run};
 use crate::tagspace::TagLease;
 use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvChan, SendChan};
 use std::sync::Arc;
@@ -86,138 +86,88 @@ fn copy_runs(runs: &[Run], src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// A send gathered through a copy map of runs `R`: [`Run`]s out of the
-/// input (ℓ, s), the partitions of a g send ([`GPartRoute`]s) or
-/// [`FwdRun`]s out of the g payloads (r). The runs are in slot order and
-/// cover the message, so gathering is appending.
-struct SendExec<R> {
-    req: SendChan<f64>,
-    runs: Vec<R>,
-}
-
-impl<R> SendExec<R> {
-    fn register(
-        reg: &mut ChanRegistrar,
-        comm: &Comm,
-        dst: usize,
-        tag: u64,
-        len: usize,
-        runs: Vec<R>,
-    ) -> Self {
-        Self {
-            req: reg.send_chan_init(comm, dst, tag, len),
-            runs,
+/// Start one instance of `send`, gathered through its copy map `runs`:
+/// append the values each run resolves to (through `span`) directly to
+/// the channel's wire buffer. The runs — [`Run`]s out of the input (ℓ,
+/// s), a g send's partitions ([`GPartRoute`](crate::routing::GPartRoute)s)
+/// or [`FwdRun`](crate::routing::FwdRun)s out of the g payloads (r) — are
+/// in slot order and cover the message, so gathering is appending.
+fn gather<'a, R>(
+    send: &SendChan<f64>,
+    ctx: &mut RankCtx,
+    runs: &[R],
+    span: impl Fn(&R) -> &'a [f64],
+) {
+    send.start_with(ctx, |buf| {
+        for r in runs {
+            append_run(buf, span(r));
         }
-    }
-
-    /// Start one instance: append each run's span of values (resolved by
-    /// `span`) directly to the channel's wire buffer.
-    fn start_gather<'a>(&self, ctx: &mut RankCtx, span: impl Fn(&R) -> &'a [f64]) {
-        let runs = &self.runs;
-        self.req.start_with(ctx, |buf| {
-            for r in runs {
-                append_run(buf, span(r));
-            }
-        });
-    }
+    });
 }
 
-/// A receive delivered straight into the output vector.
-struct RecvExec {
-    req: RecvChan<f64>,
-    /// Runs from slot positions to output positions.
-    outputs: Vec<Run>,
-}
-
-impl RecvExec {
-    fn register_all(routes: Vec<RecvRoute>, reg: &mut ChanRegistrar, comm: &Comm) -> Vec<Self> {
-        routes
-            .into_iter()
-            .map(|r| Self {
-                req: reg.recv_chan_init(comm, r.src, r.tag, r.len),
-                outputs: r.outputs,
-            })
-            .collect()
-    }
-
-    /// Non-blocking completion: if the payload has arrived, scatter it
-    /// straight into `output` (no intermediate receive window) and report
-    /// completion; otherwise leave the receive pending. One resumable
-    /// completion step of the lifecycle's `test`.
-    fn try_scatter(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
-        match self.req.try_take(ctx) {
-            Some(data) => {
-                copy_runs(&self.outputs, &data, output);
-                self.req.recycle(data);
-                true
-            }
-            None => false,
+/// Non-blocking completion of a receive delivered straight into `output`
+/// through its runs from slot to output positions: if the payload has
+/// arrived, scatter it (no intermediate receive window) and report
+/// completion; otherwise leave the receive pending. One resumable
+/// completion step of the lifecycle's `test`.
+fn try_scatter(
+    recv: &mut RecvChan<f64>,
+    ctx: &mut RankCtx,
+    outputs: &[Run],
+    output: &mut [f64],
+) -> bool {
+    match recv.try_take(ctx) {
+        Some(data) => {
+            copy_runs(outputs, &data, output);
+            recv.recycle(data);
+            true
         }
+        None => false,
     }
 }
 
-/// A g send: one persistent message gathered from its partitions, in
-/// slot order — a staged partition is its s receive's held payload, the
-/// own-input one (at most one: origins are distinct per partition) is
-/// `own`.
-struct GSend {
-    send: SendExec<GPartRoute>,
-    /// This rank's own partition (empty if none), copied out of the input
-    /// by `start` through the runs of its [`PartSource::Input`].
-    own: Vec<f64>,
+/// The length of g send `g`'s own-input partition (0 if it has none; it
+/// has at most one, as origins are distinct per partition).
+fn own_len(g: &GSendRoute) -> usize {
+    g.parts
+        .iter()
+        .filter(|p| matches!(p.source, PartSource::Input(_)))
+        .map(|p| p.range.len())
+        .sum()
 }
 
-impl GSend {
-    fn register(g: GSendRoute, reg: &mut ChanRegistrar, comm: &Comm) -> Self {
-        let own_part = g
-            .parts
-            .iter()
-            .find(|p| matches!(p.source, PartSource::Input(_)));
-        Self {
-            own: vec![0.0; own_part.map_or(0, |p| p.range.len())],
-            send: SendExec::register(reg, comm, g.dst, g.tag, g.len, g.parts),
-        }
-    }
-
-    /// Copy this rank's own partition out of the input.
-    fn stash(&mut self, input: &[f64]) {
-        for part in &self.send.runs {
-            if let PartSource::Input(runs) = &part.source {
-                copy_runs(runs, input, &mut self.own);
-            }
-        }
-    }
-
-    /// Ship the message: each partition in slot order, out of the held s
-    /// payloads and the stash.
-    fn ship(&self, ctx: &mut RankCtx, staged: &[Option<Vec<f64>>]) {
-        self.send.start_gather(ctx, |part| match part.source {
-            PartSource::Staged { s_recv } => staged[s_recv].as_deref().expect("s payload held"),
-            PartSource::Input(_) => &self.own,
-        });
-    }
+/// One channel half per route, in route order: the executor's channels
+/// sit at their routes' positions.
+fn halves<R, H>(routes: &[R], half: impl FnMut(&R) -> H) -> Vec<H> {
+    routes.iter().map(half).collect()
 }
 
 /// The persistent neighborhood collective of one rank.
 pub(crate) struct NeighborExec {
-    input_index: Vec<usize>,
-    output_index: Vec<usize>,
-    local_sends: Vec<SendExec<Run>>,
-    local_recvs: Vec<RecvExec>,
-    s_sends: Vec<SendExec<Run>>,
+    /// This rank's routing, shared with the resolution it came from: the
+    /// copy maps, lengths and indices are read from it, and each channel
+    /// half below sits at its route's position in the matching list.
+    routing: Arc<RankRouting>,
+    local_sends: Vec<SendChan<f64>>,
+    local_recvs: Vec<RecvChan<f64>>,
+    s_sends: Vec<SendChan<f64>>,
     s_recvs: Vec<RecvChan<f64>>,
     /// Held s payloads of the current iteration, slotted by s receive
     /// until the g sends gather from them. Buffers recycle, so capacity
     /// is reused.
     staged: Vec<Option<Vec<f64>>>,
-    g_sends: Vec<GSend>,
-    g_recvs: Vec<RecvExec>,
+    g_sends: Vec<SendChan<f64>>,
+    /// This rank's own partitions of the g sends, back to back in g-send
+    /// order, copied out of the input by `start` (the input is not at
+    /// hand where the g sends ship).
+    own: Vec<f64>,
+    g_recvs: Vec<RecvChan<f64>>,
     /// Borrowed g payloads of the current iteration, slotted by g receive
     /// (arrival order fills them in any order; the r forwards index by
     /// g-message position). Buffers recycle, so capacity is reused.
     payloads: Vec<Option<Vec<f64>>>,
-    r_sends: Vec<SendExec<FwdRun>>,
-    r_recvs: Vec<RecvExec>,
+    r_sends: Vec<SendChan<f64>>,
+    r_recvs: Vec<RecvChan<f64>>,
     /// Per-iteration completion state, reset by `start`: which receives of
     /// each step have been drained by `test`.
     local_done: Vec<bool>,
@@ -246,64 +196,39 @@ pub(crate) struct NeighborExec {
 impl NeighborExec {
     /// Register this rank's requests from a precomputed routing (the
     /// analogue of `MPI_Neighbor_alltoallv_init`). All channels resolve
-    /// through the caller's held [`ChanRegistrar`], so a batch registers
-    /// every entry in a single pass over the registry.
+    /// through the caller's [`ChanRegistrar`], so a batch registers every
+    /// entry in a single pass over the registry.
     pub(crate) fn register(
-        routing: RankRouting,
+        routing: Arc<RankRouting>,
         reg: &mut ChanRegistrar,
         comm: &Comm,
         protocol: Protocol,
         lease: Option<Arc<TagLease>>,
     ) -> Self {
-        let local_sends = routing
-            .local_sends
-            .into_iter()
-            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
-            .collect();
-        let local_recvs = RecvExec::register_all(routing.local_recvs, reg, comm);
+        let r = &*routing;
+        let send = |reg: &mut ChanRegistrar, dst, tag, len| reg.send_chan_init(comm, dst, tag, len);
+        let recv = |reg: &mut ChanRegistrar, src, tag, len| reg.recv_chan_init(comm, src, tag, len);
+        let local_sends = halves(&r.local_sends, |s| send(reg, s.dst, s.tag, s.len));
+        let local_recvs = halves(&r.local_recvs, |x| recv(reg, x.src, x.tag, x.len));
+        let s_sends = halves(&r.s_sends, |s| send(reg, s.dst, s.tag, s.len));
+        let s_recvs = halves(&r.s_recvs, |x| recv(reg, x.src, x.tag, x.len));
+        let g_sends = halves(&r.g_sends, |g| send(reg, g.dst, g.tag, g.len));
+        let g_recvs = halves(&r.g_recvs, |x| recv(reg, x.src, x.tag, x.len));
+        let r_sends = halves(&r.r_sends, |s| send(reg, s.dst, s.tag, s.len));
+        let r_recvs = halves(&r.r_recvs, |x| recv(reg, x.src, x.tag, x.len));
         // the largest set `wait` can park on — every ℓ, g and r receive, or
         // the one staging receive the s step stands on — so the scratch
         // never grows after init
-        let n_pending = (local_recvs.len() + routing.g_recvs.len() + routing.r_recvs.len()).max(1);
-        let s_sends = routing
-            .s_sends
-            .into_iter()
-            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
-            .collect();
-        let s_recvs: Vec<RecvChan<f64>> = routing
-            .s_recvs
-            .into_iter()
-            .map(|r| reg.recv_chan_init(comm, r.src, r.tag, r.len))
-            .collect();
-        let g_sends = routing
-            .g_sends
-            .into_iter()
-            .map(|g| GSend::register(g, reg, comm))
-            .collect();
-        let g_recvs: Vec<RecvExec> = routing
-            .g_recvs
-            .into_iter()
-            .map(|r| RecvExec {
-                req: reg.recv_chan_init(comm, r.src, r.tag, r.len),
-                outputs: r.outputs,
-            })
-            .collect();
-        let r_sends = routing
-            .r_sends
-            .into_iter()
-            .map(|s| SendExec::register(reg, comm, s.dst, s.tag, s.len, s.sources))
-            .collect();
-        let r_recvs = RecvExec::register_all(routing.r_recvs, reg, comm);
+        let n_pending = (r.local_recvs.len() + r.g_recvs.len() + r.r_recvs.len()).max(1);
         Self {
-            input_index: routing.input_index,
-            output_index: routing.output_index,
-            local_done: vec![false; local_recvs.len()],
-            staged: s_recvs.iter().map(|_| None).collect(),
+            local_done: vec![false; r.local_recvs.len()],
+            staged: vec![None; r.s_recvs.len()],
+            own: vec![0.0; r.g_sends.iter().map(own_len).sum()],
             s_next: 0,
-            g_done: vec![false; g_recvs.len()],
-            payloads: g_recvs.iter().map(|_| None).collect(),
+            g_done: vec![false; r.g_recvs.len()],
+            payloads: vec![None; r.g_recvs.len()],
             r_started: false,
-            r_done: vec![false; r_recvs.len()],
+            r_done: vec![false; r.r_recvs.len()],
             // inactive until the first start: nothing held back, and
             // test/wait are no-ops, as on an inactive persistent MPI request
             g_started: true,
@@ -319,13 +244,16 @@ impl NeighborExec {
             protocol,
             chan_scratch: Vec::with_capacity(n_pending),
             _lease: lease,
+            routing,
         }
     }
 
     /// The s step and the g sends it gates, as one resumable step: take
     /// every staging payload that has been delivered, **in registration
     /// order**, and hold it off its channel; once the last one is in,
-    /// gather every g send from the held payloads and recycle them.
+    /// gather every g send from the held payloads — partition by partition
+    /// in slot order, a staged partition the whole held payload of its s
+    /// receive, the own one out of the stash — and recycle them.
     /// Returns whether the g step is out. Never blocks. The order and the
     /// single shipping point are what make the virtual clock a function of
     /// the plan rather than of thread timing.
@@ -340,8 +268,14 @@ impl NeighborExec {
             self.staged[self.s_next] = Some(data);
             self.s_next += 1;
         }
-        for send in &self.g_sends {
-            send.ship(ctx, &self.staged);
+        let (staged, mut own) = (&self.staged, &self.own[..]);
+        for (send, g) in self.g_sends.iter().zip(&self.routing.g_sends) {
+            let (mine, rest) = own.split_at(own_len(g));
+            own = rest;
+            gather(send, ctx, &g.parts, |part| match part.source {
+                PartSource::Staged { s_recv } => staged[s_recv].as_deref().expect("s payload held"),
+                PartSource::Input(_) => mine,
+            });
         }
         for (recv, slot) in self.s_recvs.iter_mut().zip(&mut self.staged) {
             if let Some(data) = slot.take() {
@@ -355,11 +289,11 @@ impl NeighborExec {
 
 impl NeighborRequest for NeighborExec {
     fn input_index(&self) -> &[usize] {
-        &self.input_index
+        &self.routing.input_index
     }
 
     fn output_index(&self) -> &[usize] {
-        &self.output_index
+        &self.routing.output_index
     }
 
     /// `MPI_Start`: begin one iteration. `input[i]` is the current value of
@@ -368,7 +302,12 @@ impl NeighborRequest for NeighborExec {
     /// this leaves it to [`NeighborRequest::test`] like every other
     /// receive, taking only what has already been delivered.
     fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
-        assert_eq!(input.len(), self.input_index.len(), "input length mismatch");
+        let routing = &*self.routing;
+        assert_eq!(
+            input.len(),
+            routing.input_index.len(),
+            "input length mismatch"
+        );
 
         // fresh iteration: nothing drained yet (a start racing an
         // unfinished iteration trips the receives' double-start assert)
@@ -382,28 +321,27 @@ impl NeighborRequest for NeighborExec {
 
         // ℓ: start sends and receives
         let input_span = |r: &Run| &input[r.from..r.from + r.len];
-        for send in &self.local_sends {
-            send.start_gather(ctx, input_span);
+        for (send, route) in self.local_sends.iter().zip(&routing.local_sends) {
+            gather(send, ctx, &route.sources, input_span);
         }
-        for recv in &mut self.local_recvs {
-            recv.req.start();
-        }
+        self.local_recvs.iter_mut().for_each(RecvChan::start);
 
-        for send in &self.s_sends {
-            send.start_gather(ctx, input_span);
+        for (send, route) in self.s_sends.iter().zip(&routing.s_sends) {
+            gather(send, ctx, &route.sources, input_span);
         }
-        for recv in &mut self.s_recvs {
-            recv.start();
-        }
+        self.s_recvs.iter_mut().for_each(RecvChan::start);
 
         // g: this rank's own contributions are stashed now (the input is
         // not at hand where the g sends ship)
-        for send in &mut self.g_sends {
-            send.stash(input);
+        let mut at = 0;
+        for part in routing.g_sends.iter().flat_map(|g| &g.parts) {
+            if let PartSource::Input(runs) = &part.source {
+                let len = part.range.len();
+                copy_runs(runs, input, &mut self.own[at..at + len]);
+                at += len;
+            }
         }
-        for recv in &mut self.g_recvs {
-            recv.req.start();
-        }
+        self.g_recvs.iter_mut().for_each(RecvChan::start);
 
         self.advance_s(ctx);
     }
@@ -420,7 +358,7 @@ impl NeighborRequest for NeighborExec {
     fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
         assert_eq!(
             output.len(),
-            self.output_index.len(),
+            self.routing.output_index.len(),
             "output length mismatch"
         );
         if self.done {
@@ -430,22 +368,24 @@ impl NeighborRequest for NeighborExec {
             return false;
         }
 
-        for (recv, done) in self.local_recvs.iter_mut().zip(&mut self.local_done) {
+        let routing = &*self.routing;
+        let ell = self.local_recvs.iter_mut().zip(&routing.local_recvs);
+        for ((recv, route), done) in ell.zip(&mut self.local_done) {
             if !*done {
-                *done = recv.try_scatter(ctx, output);
+                *done = try_scatter(recv, ctx, &route.outputs, output);
             }
         }
 
         // borrow each delivered g payload off its channel, scatter the
         // slots that terminate here, and keep the payload for the r
         // forwards
-        let g = self.g_recvs.iter_mut().zip(&mut self.g_done);
-        for ((recv, done), slot) in g.zip(&mut self.payloads) {
+        let g = self.g_recvs.iter_mut().zip(&routing.g_recvs);
+        for (((recv, route), done), slot) in g.zip(&mut self.g_done).zip(&mut self.payloads) {
             if *done {
                 continue;
             }
-            if let Some(data) = recv.req.try_take(ctx) {
-                copy_runs(&recv.outputs, &data, output);
+            if let Some(data) = recv.try_take(ctx) {
+                copy_runs(&route.outputs, &data, output);
                 *slot = Some(data);
                 *done = true;
             }
@@ -455,26 +395,25 @@ impl NeighborRequest for NeighborExec {
         // any of them); the borrowed payloads are recycled afterwards
         if !self.r_started && self.g_done.iter().all(|&d| d) {
             let payloads = &self.payloads;
-            for send in &self.r_sends {
-                send.start_gather(ctx, |r| {
+            for (send, route) in self.r_sends.iter().zip(&routing.r_sends) {
+                gather(send, ctx, &route.sources, |r| {
                     let data = payloads[r.g_msg].as_ref().expect("g payload drained");
                     &data[r.pos..r.pos + r.len]
                 });
             }
             for (recv, slot) in self.g_recvs.iter_mut().zip(&mut self.payloads) {
                 if let Some(data) = slot.take() {
-                    recv.req.recycle(data);
+                    recv.recycle(data);
                 }
             }
-            for recv in &mut self.r_recvs {
-                recv.req.start();
-            }
+            self.r_recvs.iter_mut().for_each(RecvChan::start);
             self.r_started = true;
         }
         if self.r_started {
-            for (recv, done) in self.r_recvs.iter_mut().zip(&mut self.r_done) {
+            let r = self.r_recvs.iter_mut().zip(&routing.r_recvs);
+            for ((recv, route), done) in r.zip(&mut self.r_done) {
                 if !*done {
-                    *done = recv.try_scatter(ctx, output);
+                    *done = try_scatter(recv, ctx, &route.outputs, output);
                 }
             }
         }
@@ -498,13 +437,13 @@ impl NeighborRequest for NeighborExec {
         let ell = self.local_recvs.iter().zip(&self.local_done);
         for (recv, done) in ell.chain(self.g_recvs.iter().zip(&self.g_done)) {
             if !done {
-                out.push(recv.req.chan_id());
+                out.push(recv.chan_id());
             }
         }
         if self.r_started {
             for (recv, done) in self.r_recvs.iter().zip(&self.r_done) {
                 if !done {
-                    out.push(recv.req.chan_id());
+                    out.push(recv.chan_id());
                 }
             }
         }
@@ -574,7 +513,7 @@ mod tests {
             routing = routing.split_at_partitions();
         }
         let reg = &mut ctx.chan_registrar();
-        NeighborExec::register(routing, reg, comm, Protocol::FullNeighbor, None)
+        NeighborExec::register(Arc::new(routing), reg, comm, Protocol::FullNeighbor, None)
     }
 
     fn bidirectional() -> CommPattern {
@@ -870,6 +809,47 @@ mod tests {
         }
     }
 
+    /// Four entries on one 16-rank pattern: two full, one partial and one
+    /// split at its partition bounds.
+    fn four_entry_batch<'a>(
+        topo: &'a Topology,
+        pattern: &'a CommPattern,
+    ) -> crate::NeighborBatch<'a> {
+        crate::NeighborBatch::new(topo)
+            .entry(pattern, Backend::Protocol(Protocol::FullNeighbor))
+            .entry(pattern, Backend::Protocol(Protocol::FullNeighbor))
+            .entry(pattern, Backend::Protocol(Protocol::PartialNeighbor))
+            .entry(pattern, Backend::Partitioned(Protocol::FullNeighbor))
+    }
+
+    #[test]
+    fn warm_init_all_allocates_nothing_per_route() {
+        // a warm re-init shares the resolution's routing and attaches to
+        // channels that exist: what it allocates is each request's own
+        // vectors (15 at most, each step's channel halves and flags, the
+        // held-payload slots, the stash and the park scratch) and its box,
+        // and the session's four, whatever number of routes and runs the
+        // routing holds — a copy of the routing costs one allocation per
+        // route and per partition besides
+        const PER_REQUEST: usize = 16;
+        const PER_SESSION: usize = 4;
+        let topo = Topology::block_nodes(16, 4);
+        let pattern = CommPattern::all_to_all_regions(&topo);
+        let batch = four_entry_batch(&topo, &pattern);
+        let allocs = World::run(16, |ctx| {
+            let comm = ctx.comm_world();
+            drop(batch.init_all(ctx, &comm)); // cold: creates every channel
+            ctx.barrier(&comm);
+            let before = ALLOCS.with(Cell::get);
+            let session = batch.init_all(ctx, &comm);
+            let allocs = ALLOCS.with(Cell::get) - before;
+            drop(session);
+            allocs
+        });
+        let bound = PER_REQUEST * batch.len() + PER_SESSION;
+        assert!(allocs.iter().all(|&n| n <= bound), "{allocs:?} > {bound}");
+    }
+
     #[test]
     fn steady_state_batch_session_allocates_nothing() {
         // the batch path: entries initialized together and driven by the
@@ -877,11 +857,7 @@ mod tests {
         // included
         let topo = Topology::block_nodes(16, 4);
         let pattern = CommPattern::all_to_all_regions(&topo);
-        let batch = crate::NeighborBatch::new(&topo)
-            .entry(&pattern, Backend::Protocol(Protocol::FullNeighbor))
-            .entry(&pattern, Backend::Protocol(Protocol::FullNeighbor))
-            .entry(&pattern, Backend::Protocol(Protocol::PartialNeighbor))
-            .entry(&pattern, Backend::Partitioned(Protocol::FullNeighbor));
+        let batch = four_entry_batch(&topo, &pattern);
         let allocs = World::run(16, |ctx| {
             let comm = ctx.comm_world();
             let mut session = batch.init_all(ctx, &comm);

@@ -100,7 +100,8 @@ impl RankCtx {
 
     /// Open the world's persistent-channel registry for a bulk
     /// registration pass: every signature resolved through the returned
-    /// [`crate::ChanRegistrar`] shares one lock acquisition, so a whole
+    /// [`crate::ChanRegistrar`] shares one guard — shared while every
+    /// signature is found, exclusive from the first miss — so a whole
     /// collective's (or a whole batch's) channels register in a single
     /// pass over the registry. Do not call other registration methods or
     /// move traffic while the registrar is alive — it holds the registry

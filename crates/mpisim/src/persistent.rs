@@ -190,7 +190,7 @@ impl<T: Elem> RecvChan<T> {
 }
 
 impl ChanRegistrar<'_> {
-    /// [`RankCtx::send_chan_init`] under the held registry lock.
+    /// [`RankCtx::send_chan_init`] within this registration pass.
     pub fn send_chan_init<T: Elem>(
         &mut self,
         comm: &Comm,
@@ -215,7 +215,7 @@ impl ChanRegistrar<'_> {
         }
     }
 
-    /// [`RankCtx::recv_chan_init`] under the held registry lock.
+    /// [`RankCtx::recv_chan_init`] within this registration pass.
     pub fn recv_chan_init<T: Elem>(
         &mut self,
         comm: &Comm,

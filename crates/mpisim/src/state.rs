@@ -19,7 +19,7 @@ use crate::transport::{
     assert_pod, bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport,
 };
 use locality::Topology;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use perfmodel::CostModel;
 use std::any::Any;
 use std::cell::Cell;
@@ -111,14 +111,15 @@ pub(crate) type ChanKey = (u64, usize, usize, u64);
 type CtxChans = HashMap<(usize, usize, u64), ChanSlot, BuildHasherDefault<WordHasher>>;
 
 /// The registry: context first, so that freeing a communicator
-/// ([`WorldState::free_context`]) is one removal under the lock.
+/// ([`WorldState::free_context`]) is one removal under the exclusive
+/// guard.
 type Registry = HashMap<u64, CtxChans, BuildHasherDefault<WordHasher>>;
 
 /// The registry's hasher: one multiply-rotate per key word. A warm
-/// registration is two lookups now (context, then signature), made under
-/// the world-wide lock with every rank queued behind it; with SipHash the
-/// second one showed in `init_ms` (+12 % on `halo_small_16r`). The keys —
-/// context ids, ranks, tags — are the program's own, never input.
+/// registration is two lookups (context, then signature) per signature;
+/// with SipHash, when they ran under a world-wide mutex, the second one
+/// showed in `init_ms` (+12 % on `halo_small_16r`). The keys — context
+/// ids, ranks, tags — are the program's own, never input.
 #[derive(Default)]
 struct WordHasher(u64);
 
@@ -349,25 +350,40 @@ impl<T: Clone + Send + 'static> Channel<T> {
     }
 }
 
-/// A held lock over the world's persistent-channel registry: every
-/// signature resolved through it shares one lock acquisition, so
-/// registering a whole collective — or a whole batch of collectives
+/// One pass over the world's persistent-channel registry: every signature
+/// resolved through it shares one guard, so registering a whole
+/// collective — or a whole batch of collectives
 /// ([`mpi-advance`'s `NeighborBatch`]) — is a single pass over the
-/// registry instead of one contended lock round trip per message.
+/// registry instead of one lock round trip per message.
+///
+/// A pass starts under the registry's **shared** guard and attaches every
+/// signature it finds there, so warm passes — a re-init over a pooled
+/// world, where every channel is already registered — run side by side on
+/// every rank. At its first miss it drops the shared guard and finishes
+/// under the **exclusive** one, where each signature is created or
+/// attached as one map entry: the race between two ranks creating one
+/// channel, and a cold pass, behave as under a plain mutex.
 ///
 /// Obtain one with [`crate::RankCtx::chan_registrar`]; the registration
 /// methods (`send_chan_init`, `recv_chan_init`) mirror
 /// the [`crate::RankCtx`] ones. Registration never blocks on traffic, so
-/// holding the registry lock across a batch is deadlock-free — but do not
+/// holding the guard across a batch is deadlock-free — but do not
 /// call `start`/`wait` (or any `RankCtx` registration method, which takes
-/// the same lock) while a registrar is alive.
+/// the same lock) while a registrar is alive: a pass that holds the shared
+/// guard and asks for the exclusive one deadlocks, just as a second
+/// acquisition of a mutex would.
 pub struct ChanRegistrar<'a> {
-    guard: parking_lot::MutexGuard<'a, Registry>,
+    registry: &'a RwLock<Registry>,
+    /// The shared guard of a pass that has found every signature so far;
+    /// `None` from its first miss on.
+    shared: Option<RwLockReadGuard<'a, Registry>>,
+    /// The exclusive guard the pass finishes under after a miss.
+    exclusive: Option<RwLockWriteGuard<'a, Registry>>,
     transport: &'a Arc<dyn Transport>,
 }
 
 impl ChanRegistrar<'_> {
-    /// Get-or-create the persistent channel for `key` under the held lock.
+    /// Get-or-create the persistent channel for `key` in this pass.
     /// `len_hint` is the registered per-message element count, which sizes
     /// the channel's wire buffers on fabrics that must allocate them up
     /// front (the shm rings); 0 falls back to the fabric minimum.
@@ -379,8 +395,31 @@ impl ChanRegistrar<'_> {
         dst_world: usize,
         len_hint: usize,
     ) -> Arc<Channel<T>> {
-        WorldState::channel_in(&mut self.guard, self.transport, key, dst_world, len_hint)
+        if let Some(map) = &self.shared {
+            let (ctx_id, src, dst, tag) = key;
+            if let Some(slot) = map.get(&ctx_id).and_then(|c| c.get(&(src, dst, tag))) {
+                return typed(slot, key);
+            }
+            // released before the exclusive guard is asked for: a thread
+            // holding both would wait on itself
+            self.shared = None;
+        }
+        let map = self.exclusive.get_or_insert_with(|| self.registry.write());
+        WorldState::channel_in(map, self.transport, key, dst_world, len_hint)
     }
+}
+
+/// The typed channel behind a registry slot; a slot registered with
+/// another element type is a loud panic.
+fn typed<T: Clone + Send + 'static>(slot: &ChanSlot, key: ChanKey) -> Arc<Channel<T>> {
+    let registered = slot.type_name();
+    Arc::downcast::<Channel<T>>(Arc::clone(slot).into_any()).unwrap_or_else(|_| {
+        panic!(
+            "persistent channel {key:?} datatype mismatch: registered {registered}, \
+             requested {}",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 /// State shared by every rank of a world.
@@ -399,8 +438,10 @@ pub(crate) struct WorldState {
     /// world is a lookup, not a rendezvous. The registry holds one handle
     /// to each channel and the endpoints hold theirs: what the fabric keeps
     /// per channel (heap queues, a shm table row and its ring, a sock
-    /// deliver hook) goes back when the last handle drops.
-    channels: Mutex<Registry>,
+    /// deliver hook) goes back when the last handle drops. Registration
+    /// passes ([`ChanRegistrar`]) and the readers below share it; creating
+    /// a channel and freeing a context take it exclusively.
+    channels: RwLock<Registry>,
     /// Per-rank scan rotor for [`WorldState::poll_any`] /
     /// [`WorldState::wait_any`]: each call starts its readiness scan one
     /// position further, so a permanently-hot low-index channel cannot
@@ -543,7 +584,7 @@ impl WorldState {
             n_ranks,
             model,
             transport,
-            channels: Mutex::new(Registry::default()),
+            channels: RwLock::new(Registry::default()),
             rotors: (0..n_ranks).map(|_| AtomicUsize::new(0)).collect(),
             parked: (0..n_ranks).map(|_| Mutex::new(None)).collect(),
             epoch: AtomicU64::new(0),
@@ -632,8 +673,8 @@ impl WorldState {
             links: f.links,
             registry: RegistryGauge {
                 // never held across a wait, so a short block is all
-                // this can cost (`match_recv`'s probe takes it too)
-                channels: self.channels.lock().values().map(CtxChans::len).sum(),
+                // this can cost (`match_recv`'s probe reads it too)
+                channels: self.channels.read().values().map(CtxChans::len).sum(),
                 ..f.registry
             },
         }
@@ -736,13 +777,13 @@ impl WorldState {
     /// slot, completing the match once at init time.
     #[cfg(test)]
     pub fn channel<T: Clone + Send + 'static>(&self, key: ChanKey) -> Arc<Channel<T>> {
-        Self::channel_in(&mut self.channels.lock(), &self.transport, key, key.2, 0)
+        Self::channel_in(&mut self.channels.write(), &self.transport, key, key.2, 0)
     }
 
-    /// Get-or-create against an already-held registry lock — the
-    /// bulk-registration path ([`ChanRegistrar`]) resolves many signatures
-    /// under one lock acquisition. The transport decides where the
-    /// channel's wire buffers live (process heap vs. shared segment).
+    /// Get-or-create under an already-held exclusive guard — where a
+    /// registration pass ([`ChanRegistrar`]) resolves its signatures from
+    /// its first miss on. The transport decides where the channel's wire
+    /// buffers live (process heap vs. shared segment).
     fn channel_in<T: Clone + Send + 'static>(
         map: &mut Registry,
         transport: &Arc<dyn Transport>,
@@ -765,20 +806,16 @@ impl WorldState {
                 );
                 Arc::new(Channel::<T>::new(key, fabric))
             });
-        let registered = slot.type_name();
-        Arc::downcast::<Channel<T>>(Arc::clone(slot).into_any()).unwrap_or_else(|_| {
-            panic!(
-                "persistent channel {key:?} datatype mismatch: registered {registered}, \
-                 requested {}",
-                std::any::type_name::<T>()
-            )
-        })
+        typed(slot, key)
     }
 
-    /// Open the channel registry for a bulk registration pass.
+    /// Open the channel registry for a bulk registration pass, under its
+    /// shared guard.
     pub(crate) fn chan_registrar(&self) -> ChanRegistrar<'_> {
         ChanRegistrar {
-            guard: self.channels.lock(),
+            registry: &self.channels,
+            shared: Some(self.channels.read()),
+            exclusive: None,
             transport: &self.transport,
         }
     }
@@ -792,7 +829,7 @@ impl WorldState {
     /// into the next one.
     pub fn drain_in_flight(&self) {
         self.transport.drain_in_flight();
-        for slot in self.channels.lock().values().flat_map(CtxChans::values) {
+        for slot in self.channels.read().values().flat_map(CtxChans::values) {
             slot.drain_pending();
         }
     }
@@ -802,10 +839,10 @@ impl WorldState {
     /// caller's contract (see [`crate::RankCtx::comm_free`]): every member
     /// has registered what it will register on this context. Handles
     /// obtained before keep delivering — they own their channel — and a
-    /// second call finds nothing to do. One removal under the world-wide
-    /// lock; the slots drop after it is released.
+    /// second call finds nothing to do. One removal under the registry's
+    /// exclusive guard; the slots drop after it is released.
     pub(crate) fn free_context(&self, ctx_id: u64) {
-        let freed = self.channels.lock().remove(&ctx_id);
+        let freed = self.channels.write().remove(&ctx_id);
         self.transport.release_context(ctx_id);
         drop(freed);
     }
@@ -815,7 +852,7 @@ impl WorldState {
     pub fn channel_pending(&self, key: &ChanKey) -> bool {
         let (ctx_id, src, dst, tag) = *key;
         self.channels
-            .lock()
+            .read()
             .get(&ctx_id)
             .and_then(|chans| chans.get(&(src, dst, tag)))
             .is_some_and(|slot| slot.pending_len() > 0)
@@ -870,6 +907,8 @@ impl WorldState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn payload_bytes_roundtrip_and_mismatch() {
@@ -918,10 +957,77 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "datatype mismatch")]
+    #[should_panic(expected = "datatype mismatch: registered u32, requested f64")]
     fn channel_type_mismatch_panics() {
         let w = WorldState::new(1, None);
         let _ = w.channel::<u32>((0, 0, 0, 3));
         let _ = w.channel::<f64>((0, 0, 0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "datatype mismatch: registered u32, requested f64")]
+    fn shared_pass_type_mismatch_panics() {
+        // the key exists, so the lookup is a hit under the shared guard
+        let w = WorldState::new(1, None);
+        let _ = w.channel::<u32>((0, 0, 0, 3));
+        let _ = w.chan_registrar().channel_sized::<f64>((0, 0, 0, 3), 0, 0);
+    }
+
+    /// How long one side of a two-registrar test waits for the other
+    /// before failing, so an exclusive registry fails the test instead of
+    /// hanging it.
+    const MEET: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn warm_registrars_do_not_exclude_each_other() {
+        let w = WorldState::new(2, None);
+        let key = (0, 0, 1, 5);
+        let _ = w.channel::<u8>(key);
+        // a warm pass held open on this thread
+        let mut held = w.chan_registrar();
+        let _ = held.channel_sized::<u8>(key, 1, 0);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let chan = w.chan_registrar().channel_sized::<u8>(key, 1, 0);
+                tx.send(chan.key()).expect("the test thread waits");
+            });
+            let attached = rx.recv_timeout(MEET);
+            drop(held);
+            assert_eq!(
+                attached.expect("a second warm pass waited on the first"),
+                key
+            );
+        });
+    }
+
+    #[test]
+    fn shared_passes_missing_one_key_get_one_channel() {
+        // both passes are open under the shared guard before either
+        // looks the new key up; both miss it, and whichever reaches the
+        // exclusive guard second attaches to what the first created
+        let w = WorldState::new(2, None);
+        let key = (0, 0, 1, 9);
+        let (a_tx, a_rx) = mpsc::channel();
+        let (b_tx, b_rx) = mpsc::channel();
+        let (a, b) = std::thread::scope(|s| {
+            let side = |opened: mpsc::Sender<()>, other: mpsc::Receiver<()>| {
+                let w = &w;
+                s.spawn(move || {
+                    let mut reg = w.chan_registrar();
+                    opened.send(()).expect("the other side waits");
+                    other
+                        .recv_timeout(MEET)
+                        .expect("the other pass opened beside this one");
+                    reg.channel_sized::<u8>(key, 1, 0)
+                })
+            };
+            let a = side(a_tx, b_rx);
+            let b = side(b_tx, a_rx);
+            (a.join().expect("side a"), b.join().expect("side b"))
+        });
+        assert!(Arc::ptr_eq(&a, &b), "one channel, not two");
+        a.push(&[7], 0.0);
+        assert!(b.ready(), "a push on one handle shows through the other");
     }
 }

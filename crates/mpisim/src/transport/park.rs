@@ -97,12 +97,14 @@ impl ParkWords {
 /// mixed plain/persistent traffic).
 ///
 /// Channel waits spin [`super::PARK_SPIN`] turns. Plain receives — what
-/// barrier and allreduce are made of — spin none: spinning there releases
-/// all ranks of a barrier within microseconds of each other, and the
-/// registration pass that typically follows one then queues them all on
-/// the world's channel-registry lock (measured: `halo_bulk_16r` `init_ms`
-/// +28 % with any spin, even 4 turns; it is ROADMAP item 7a's lock, not
-/// this function, that has to give).
+/// barrier and allreduce are made of — spin none: a rank spinning in a
+/// barrier takes the CPU from the ranks that have not reached it yet, and
+/// when those are still registering (a re-init loop closing on a
+/// barrier) registration pays for it. Measured with warm registration
+/// passes running side by side and plain receives at `PARK_SPIN`, 3
+/// alternating runs a side on a 2-core box, `init_ms` rose on every
+/// thread-fabric workload that times it: `halo_bulk_16r` 0.0137 → 0.0185
+/// ms, `amg_batch_16r` 0.0729 → 0.1217, `halo_small_16r` 0.0173 → 0.0292.
 pub(crate) fn park_until<R>(
     point: &ParkWords,
     spin: u32,
