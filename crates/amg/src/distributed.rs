@@ -34,8 +34,8 @@ impl DistLevel {
         self.part.active_ranks().count()
     }
 
-    /// The level's halo-exchange pattern, ready for
-    /// `mpi_advance::NeighborAlltoallv`.
+    /// The level's halo-exchange pattern, ready to be an entry of an
+    /// `mpi_advance::NeighborBatch`.
     pub fn pattern(&self) -> CommPattern {
         CommPattern::from_comm_pkgs(&self.pkgs)
     }

@@ -4,7 +4,7 @@
 //! the size of the copy maps that derivation leaves with the requests (runs
 //! and bytes against the values they move), persistent init per protocol on
 //! a warm pooled world, and one `NeighborBatch::init_all` over 8 AMG-level
-//! patterns vs 8 independent inits (one registry pass per rank against
+//! patterns vs 8 one-entry batches' (one registry pass per rank against
 //! eight). Wall-clock best of a few repetitions:
 //! report-only, like the figures.
 
@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use bench_suite::workload::{level_patterns, paper_hierarchy, paper_topology};
 use mpi_advance::routing::PartSource;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol, RankRouting};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol, RankRouting};
 use mpisim::World;
 
 const RANKS: usize = 256;
@@ -95,13 +95,17 @@ fn main() {
         );
     }
 
-    // one builder per collective, init per epoch of one warm world (the
-    // SPMD shape): planning is amortized, registration is what is timed
+    // one one-entry batch per collective, init per epoch of one warm world
+    // (the SPMD shape): planning is amortized, registration is what is timed
     let pool = World::pool(RANKS);
     for p in Protocol::ALL {
-        let coll = NeighborAlltoallv::new(busiest, &topo).protocol(p);
+        let coll = NeighborBatch::new(&topo).entry(busiest, Backend::Protocol(p));
         let t = best_ms(8, || {
-            pool.run(|ctx| coll.init(ctx, &ctx.comm_world()).input_index().len())
+            pool.run(|ctx| {
+                coll.init_all(ctx, &ctx.comm_world()).into_requests()[0]
+                    .input_index()
+                    .len()
+            })
         });
         println!("planner_scale,neighbor_init,{},{t:.3}", label(p));
     }
@@ -111,8 +115,8 @@ fn main() {
     let patterns: Vec<&CommPattern> = (0..N_PATTERNS).map(|i| &levels[i % levels.len()]).collect();
     let full = Backend::Protocol(Protocol::FullNeighbor);
     let batch = (patterns.iter()).fold(NeighborBatch::new(&topo), |b, p| b.entry(p, full));
-    let colls: Vec<NeighborAlltoallv> = (patterns.iter())
-        .map(|p| NeighborAlltoallv::new(p, &topo).backend(full))
+    let colls: Vec<NeighborBatch> = (patterns.iter())
+        .map(|p| NeighborBatch::new(&topo).entry(p, full))
         .collect();
     // the two sides alternate so host drift lands on both
     let (mut batched, mut per_pattern) = (f64::INFINITY, f64::INFINITY);
@@ -123,7 +127,9 @@ fn main() {
         per_pattern = per_pattern.min(ms(|| {
             pool.run(|ctx| {
                 let comm = ctx.comm_world();
-                let reqs: Vec<_> = colls.iter().map(|c| c.init(ctx, &comm)).collect();
+                let reqs: Vec<_> = (colls.iter())
+                    .flat_map(|c| c.init_all(ctx, &comm).into_requests())
+                    .collect();
                 reqs.len()
             })
         }));

@@ -1,12 +1,13 @@
 //! `NeighborBatch`: plan, tag, and stage many collectives as one.
 //!
-//! The paper's workload is never a single collective: an AMG solve keeps
-//! one persistent `Neighbor_alltoallv` live *per level*, plus residual and
-//! restriction exchanges — many simultaneously live patterns on one
-//! communicator. Driving each through its own [`crate::NeighborAlltoallv`]
-//! builder pays a full planning-and-routing pass per pattern and leans on
-//! a global tag allocator to keep them apart. `NeighborBatch` is the
-//! session that owns the whole set:
+//! `NeighborBatch` is the one builder of persistent neighborhood
+//! collectives: a one-entry batch is `MPI_Neighbor_alltoallv_init` (see
+//! [`crate::neighbor`]). The paper's workload is never a single collective,
+//! though: an AMG solve keeps one persistent `Neighbor_alltoallv` live *per
+//! level*, plus residual and restriction exchanges — many simultaneously
+//! live patterns on one communicator. One batch per pattern would pay a
+//! full planning-and-routing pass and a tag lease per pattern; one batch of
+//! all of them is the session that owns the whole set:
 //!
 //! ```
 //! use locality::Topology;
@@ -49,7 +50,7 @@
 //! assert!(ok.into_iter().all(|b| b));
 //! ```
 //!
-//! What the session fuses, relative to N independent builders:
+//! What the session fuses, relative to N one-entry batches:
 //!
 //! * **Planning** — every entry's backend resolves up front, in one place,
 //!   sharing one default cost model.
@@ -64,10 +65,8 @@
 //!   message.
 //!
 //! Each rank gets back a [`BatchRequest`] session: its entries as
-//! [`crate::NeighborRequest`] trait objects, in batch order — the same
-//! objects the single-collective builder returns
-//! ([`crate::NeighborAlltoallv`] is a one-entry batch internally),
-//! byte-identical on the wire to N independent inits — plus the
+//! [`crate::NeighborRequest`] trait objects, in batch order —
+//! byte-identical on the wire to N one-entry batches' — plus the
 //! completion-driven verbs ([`BatchRequest::start_all`],
 //! [`BatchRequest::test_any`], [`BatchRequest::wait_any`],
 //! [`BatchRequest::wait_all`]) that drive the whole set as one session and
@@ -80,7 +79,7 @@ use crate::neighbor::{Backend, NeighborRequest};
 use crate::pattern::CommPattern;
 use crate::routing::{BatchEntryPlan, RankRouting};
 use crate::stats::{PlanStats, VALUE_BYTES};
-use crate::tagspace::{TagLease, TagSpace, SPAN};
+use crate::tagspace::{TagLease, TagSpace};
 use crate::tune::{topology_signature, TunedCandidate, TunedNeighbor};
 use crate::Plan;
 use locality::Topology;
@@ -151,15 +150,23 @@ struct TunedResolution {
 }
 
 /// A session of persistent neighborhood collectives planned, tagged, and
-/// staged together. See the [module docs](self) for the full contract;
-/// construction mirrors [`crate::NeighborAlltoallv`] (SPMD-agreed inputs,
-/// deterministic resolution, every rank shares the builder).
+/// staged together. See the [module docs](self) for the full contract:
+/// SPMD-agreed inputs, deterministic resolution, every rank shares the
+/// builder.
+///
+/// Defaults: the Lassen locality model drives [`Backend::Auto`], and a
+/// non-empty batch leases its tag namespace from the process-wide
+/// [`TagSpace`], so that concurrently live collectives never share tag
+/// space (the lease frees — and its base is re-used — once the batch and
+/// every request it initialized drop). Ranks agree on the base because
+/// they share the builder (or, in a real multi-process setting, construct
+/// builders in the same SPMD order — the same determinism planning
+/// already relies on).
 pub struct NeighborBatch<'a> {
     topo: &'a Topology,
     entries: Vec<EntrySpec<'a>>,
     model: Option<&'a dyn CostModel>,
     tune_policy: Option<TunePolicy>,
-    pinned_tag_base: Option<u64>,
     resolved: OnceLock<ResolvedBatch>,
 }
 
@@ -172,7 +179,6 @@ impl<'a> NeighborBatch<'a> {
             entries: Vec::new(),
             model: None,
             tune_policy: None,
-            pinned_tag_base: None,
             resolved: OnceLock::new(),
         }
     }
@@ -203,17 +209,6 @@ impl<'a> NeighborBatch<'a> {
     /// own, or another probe budget, is set here.
     pub fn tune_policy(mut self, policy: TunePolicy) -> Self {
         self.tune_policy = Some(policy);
-        self.resolved = OnceLock::new();
-        self
-    }
-
-    /// Pin the batch's tag namespace explicitly instead of leasing one:
-    /// entry `i` uses `base + i · SPAN`. The pinned range is registered
-    /// with the process-wide [`TagSpace`], so leases taken afterwards
-    /// never overlap it; collisions against other pins, hand-registered
-    /// tags, or leases already live stay the caller's contract.
-    pub fn tag_base(mut self, base: u64) -> Self {
-        self.pinned_tag_base = Some(base);
         self.resolved = OnceLock::new();
         self
     }
@@ -432,30 +427,24 @@ impl NeighborBatch<'_> {
             })
             .collect();
 
-        // one lease (or registered pin): a private namespace per expanded
-        // candidate, plus one control span per tuned entry for the
-        // decision reduction
+        // one lease: a private namespace per expanded candidate, plus one
+        // control span per tuned entry for the decision reduction
         let expanded_total: usize = per_entry.iter().map(|(c, _)| c.len()).sum();
         let tuned_count = per_entry.iter().filter(|(_, t)| *t).count();
         let total_spans = (expanded_total + tuned_count) as u64;
-        let (span_bases, lease): (Vec<u64>, Option<Arc<TagLease>>) = match self.pinned_tag_base {
-            _ if total_spans == 0 => (Vec::new(), None),
-            Some(base) => (
-                (0..total_spans).map(|i| base + i * SPAN).collect(),
-                Some(Arc::new(TagSpace::global().pin(base, total_spans))),
-            ),
-            None => {
-                let lease = TagSpace::global().lease_for(
-                    total_spans,
-                    &format!("NeighborBatch[{} entries]", self.entries.len()),
-                );
-                (
-                    (0..total_spans as usize)
-                        .map(|i| lease.entry_base(i))
-                        .collect(),
-                    Some(Arc::new(lease)),
-                )
-            }
+        let (span_bases, lease): (Vec<u64>, Option<Arc<TagLease>>) = if total_spans == 0 {
+            (Vec::new(), None)
+        } else {
+            let lease = TagSpace::global().lease_for(
+                total_spans,
+                &format!("NeighborBatch[{} entries]", self.entries.len()),
+            );
+            (
+                (0..total_spans as usize)
+                    .map(|i| lease.entry_base(i))
+                    .collect(),
+                Some(Arc::new(lease)),
+            )
         };
 
         // one fused sweep derives all ranks × all expanded candidates'

@@ -43,8 +43,7 @@
 //! the r-step forwards from the same borrowed payload, and recycles it. No
 //! step has a receive window or a staging buffer.
 //!
-//! Construct requests through [`crate::NeighborAlltoallv`] or
-//! [`crate::NeighborBatch`].
+//! Construct requests through [`crate::NeighborBatch`].
 
 use crate::collective::Protocol;
 use crate::neighbor::NeighborRequest;

@@ -20,15 +20,15 @@
 //! same plan, so it is no protocol here: it is a figure label for Standard
 //! Hypre's plan costed with `wrapped = true` ([`analytic::iteration_time`]).
 //!
-//! The front door is the **batch/session API**, [`NeighborBatch`]: a
-//! builder taking a [`locality::Topology`] and N `(CommPattern, Backend)`
-//! entries — e.g. every AMG level's halo pattern — that plans, tags, and
-//! stages all of them as one session. One fused routing sweep derives all
-//! ranks × all entries; `init_all` registers every entry's channels in a
-//! single pass over the runtime's registry and returns the entries as
-//! [`NeighborRequest`]s with `start`/`wait`/`start_wait` semantics. The
-//! single-collective builder, [`NeighborAlltoallv`], is a one-entry batch
-//! internally — use it when exactly one pattern is live. Each entry's
+//! The one builder is the **batch/session API**, [`NeighborBatch`]: it
+//! takes a [`locality::Topology`] and N `(CommPattern, Backend)` entries —
+//! e.g. every AMG level's halo pattern — and plans, tags, and stages all
+//! of them as one session. One fused routing sweep derives all ranks × all
+//! entries; `init_all` registers every entry's channels in a single pass
+//! over the runtime's registry and returns the entries as
+//! [`NeighborRequest`]s with `start`/`wait`/`start_wait` semantics. A
+//! one-entry batch is the paper's single persistent
+//! `MPI_Neighbor_alltoallv_init` ([`neighbor`]). Each entry's
 //! backend is an explicit [`Protocol`], [`Backend::Partitioned`] (§5's
 //! combination), or [`Backend::Auto`] — model-driven selection performed
 //! at init time, as §5 prescribes.
@@ -56,7 +56,7 @@ pub use agg::{AssignStrategy, Plan, PlanMsg, SlotArena, SlotRef};
 pub use analytic::{init_time, iteration_time, IterationCost};
 pub use batch::{BatchRequest, EntryId, NeighborBatch, ResolvedBatch};
 pub use collective::{choose_protocol, Protocol};
-pub use neighbor::{Backend, NeighborAlltoallv, NeighborRequest};
+pub use neighbor::{Backend, NeighborRequest};
 pub use pattern::CommPattern;
 pub use routing::RankRouting;
 pub use stats::PlanStats;

@@ -1,23 +1,24 @@
-//! The unified `NeighborAlltoallv` entry point.
+//! What one persistent neighborhood collective is: the [`Backend`] that
+//! executes it and the [`NeighborRequest`] a rank drives it through.
 //!
 //! The paper presents its optimizations as a *drop-in API*: one persistent
 //! `MPI_Neighbor_alltoallv_init`-style call behind which the
 //! Standard/Partial/Full locality-aware protocols — and §5's partitioned
-//! and dynamically-selected variants — are interchangeable. This module is
-//! that call for the Rust reproduction:
+//! and dynamically-selected variants — are interchangeable. In this
+//! reproduction that call is a one-entry [`crate::NeighborBatch`]:
 //!
 //! ```
 //! use locality::Topology;
-//! use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, Protocol};
+//! use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol};
 //! use mpisim::World;
 //!
 //! let pattern = CommPattern::example_2_1();
 //! let topo = Topology::block_nodes(8, 4);
-//! let coll = NeighborAlltoallv::new(&pattern, &topo)
-//!     .backend(Backend::Protocol(Protocol::FullNeighbor));
+//! let coll = NeighborBatch::new(&topo)
+//!     .entry(&pattern, Backend::Protocol(Protocol::FullNeighbor));
 //! let ok = World::run(8, |ctx| {
 //!     let comm = ctx.comm_world();
-//!     let mut req = coll.init(ctx, &comm);
+//!     let mut req = coll.init_all(ctx, &comm).into_requests().remove(0);
 //!     let input: Vec<f64> = req.input_index().iter().map(|&i| i as f64).collect();
 //!     let mut output = vec![0.0; req.output_index().len()];
 //!     req.start_wait(ctx, &input, &mut output);
@@ -26,25 +27,16 @@
 //! assert!(ok.into_iter().all(|b| b));
 //! ```
 //!
-//! Every rank constructs the same builder (deterministic planning makes the
+//! Every rank shares the same builder (deterministic planning makes the
 //! SPMD agreement trivial) and gets back a [`NeighborRequest`] trait object
 //! whose `start`/`wait`/`start_wait` drive the collective without exposing
-//! which protocol runs underneath.
-//!
-//! A workload that keeps **several** collectives live at once (every AMG
-//! level, plus residual/restriction exchanges) should construct one
-//! [`crate::NeighborBatch`] instead: the batch plans, tags, and stages all
-//! of them as one session. `NeighborAlltoallv` is, internally, exactly a
-//! single-entry batch — same planning, same tag leasing, same executor.
+//! which protocol runs underneath. A workload that keeps **several**
+//! collectives live at once (every AMG level, plus residual/restriction
+//! exchanges) adds one entry per pattern to the same batch, which plans,
+//! tags, and stages all of them as one session.
 
-use crate::batch::NeighborBatch;
 use crate::collective::Protocol;
-use crate::pattern::CommPattern;
-use crate::Plan;
-use locality::Topology;
-use mpisim::{ChanId, Comm, RankCtx};
-use perfmodel::CostModel;
-use std::sync::OnceLock;
+use mpisim::{ChanId, RankCtx};
 
 /// Which execution strategy backs the collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,140 +150,25 @@ pub trait NeighborRequest: Send {
     }
 }
 
-/// Builder for one persistent neighborhood collective.
-///
-/// Defaults: [`Backend::Auto`] with the Lassen locality model and a tag
-/// namespace leased from the process-wide [`crate::tagspace::TagSpace`]
-/// so that concurrently live collectives never share tag space (the
-/// lease frees — and its base is re-used — when the builder drops).
-/// Ranks agree on the base because they share the builder (or, in a real
-/// multi-process setting, construct builders in the same SPMD order — the
-/// same determinism planning already relies on). Use the `tag_base` setter
-/// to pin it explicitly instead.
-///
-/// Internally this is a single-entry [`NeighborBatch`]; many live
-/// collectives should be one batch.
-pub struct NeighborAlltoallv<'a> {
-    pattern: &'a CommPattern,
-    topo: &'a Topology,
-    backend: Backend,
-    model: Option<&'a dyn CostModel>,
-    tune: Option<tuner::TunePolicy>,
-    tag_base: Option<u64>,
-    /// The single-entry batch realizing this builder, constructed on first
-    /// use and shared by every rank's `init` (SPMD closures capture the
-    /// builder by reference). Resolution — planning, tag leasing, the
-    /// whole-world routing sweep — happens once, inside the batch.
-    batch: OnceLock<NeighborBatch<'a>>,
-}
-
-impl<'a> NeighborAlltoallv<'a> {
-    pub fn new(pattern: &'a CommPattern, topo: &'a Topology) -> Self {
-        assert_eq!(
-            pattern.n_ranks,
-            topo.n_ranks(),
-            "pattern/topology rank count mismatch"
-        );
-        Self {
-            pattern,
-            topo,
-            backend: Backend::Auto,
-            model: None,
-            tune: None,
-            tag_base: None,
-            batch: OnceLock::new(),
-        }
-    }
-
-    /// Choose the execution backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self.batch = OnceLock::new();
-        self
-    }
-
-    /// Shorthand for `backend(Backend::Protocol(p))`.
-    pub fn protocol(self, p: Protocol) -> Self {
-        self.backend(Backend::Protocol(p))
-    }
-
-    /// Cost model driving [`Backend::Auto`] selection (default: the
-    /// Lassen-calibrated locality model).
-    pub fn cost_model(mut self, model: &'a dyn CostModel) -> Self {
-        self.model = Some(model);
-        self.batch = OnceLock::new();
-        self
-    }
-
-    /// Tuning policy for [`Backend::Tuned`] (default:
-    /// [`tuner::TunePolicy::from_env`]).
-    pub fn tune_policy(mut self, policy: tuner::TunePolicy) -> Self {
-        self.tune = Some(policy);
-        self.batch = OnceLock::new();
-        self
-    }
-
-    /// Tag namespace base, isolating concurrent collectives on the same
-    /// communicator. Pinning replaces the leased base; the caller owns
-    /// collision avoidance.
-    pub fn tag_base(mut self, tag_base: u64) -> Self {
-        self.tag_base = Some(tag_base);
-        self.batch = OnceLock::new();
-        self
-    }
-
-    fn batch(&self) -> &NeighborBatch<'a> {
-        self.batch.get_or_init(|| {
-            let mut b = NeighborBatch::new(self.topo).entry(self.pattern, self.backend);
-            if let Some(m) = self.model {
-                b = b.cost_model(m);
-            }
-            if let Some(t) = &self.tune {
-                b = b.tune_policy(t.clone());
-            }
-            if let Some(t) = self.tag_base {
-                b = b.tag_base(t);
-            }
-            b
-        })
-    }
-
-    /// Resolve the backend to a concrete protocol and plan — the planning
-    /// half of init, exposed for statistics and modeled evaluation.
-    /// Deterministic (every rank resolves identically) and computed once
-    /// per builder.
-    pub fn plan(&self) -> (Protocol, Plan) {
-        self.batch().plans()[0].clone()
-    }
-
-    /// `MPI_Neighbor_alltoallv_init`: register this rank's persistent
-    /// requests and return the collective as a [`NeighborRequest`].
-    ///
-    /// The first `init` derives **every** rank's routing in one
-    /// [`crate::RankRouting::build_all`] sweep of the shared plan; each
-    /// rank then registers requests from its precomputed slice, so
-    /// whole-world init is O(plan + ranks) instead of every rank
-    /// re-scanning the plan.
-    pub fn init(&self, ctx: &RankCtx, comm: &Comm) -> Box<dyn NeighborRequest> {
-        self.batch()
-            .init_all(ctx, comm)
-            .into_requests()
-            .pop()
-            .expect("single-entry batch yields one request")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::World;
+    use crate::batch::NeighborBatch;
+    use crate::pattern::CommPattern;
+    use locality::Topology;
+    use mpisim::{Comm, World};
     use perfmodel::LocalityModel;
 
+    /// This rank's request of a one-entry batch.
+    fn init_one(batch: &NeighborBatch, ctx: &RankCtx, comm: &Comm) -> Box<dyn NeighborRequest> {
+        batch.init_all(ctx, comm).into_requests().remove(0)
+    }
+
     fn deliver_all(pattern: &CommPattern, topo: &Topology, backend: Backend) {
-        let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
+        let coll = NeighborBatch::new(topo).entry(pattern, backend);
         let ok = World::run(pattern.n_ranks, |ctx| {
             let comm = ctx.comm_world();
-            let mut req = coll.init(ctx, &comm);
+            let mut req = init_one(&coll, ctx, &comm);
             let mut ok = true;
             for it in 0..2u64 {
                 let input: Vec<f64> = req
@@ -330,8 +207,10 @@ mod tests {
         let topo = Topology::block_nodes(16, 4);
         let pattern = CommPattern::all_to_all_regions(&topo);
         let model = LocalityModel::lassen();
-        let coll = NeighborAlltoallv::new(&pattern, &topo).cost_model(&model);
-        let (selected, _) = coll.plan();
+        let coll = NeighborBatch::new(&topo)
+            .entry(&pattern, Backend::Auto)
+            .cost_model(&model);
+        let (selected, _) = coll.plans()[0];
         let (expected, _) = crate::collective::choose_protocol(&pattern, &topo, &model);
         assert_eq!(selected, expected);
     }
@@ -340,27 +219,29 @@ mod tests {
     fn auto_request_reports_its_protocol() {
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
-        let coll = NeighborAlltoallv::new(&pattern, &topo);
-        let (expected, _) = coll.plan();
+        let coll = NeighborBatch::new(&topo).entry(&pattern, Backend::Auto);
+        let (expected, _) = coll.plans()[0];
         let protos = World::run(8, |ctx| {
             let comm = ctx.comm_world();
-            coll.init(ctx, &comm).protocol()
+            init_one(&coll, ctx, &comm).protocol()
         });
         assert!(protos.into_iter().all(|p| p == expected));
     }
 
     #[test]
     fn default_tag_bases_do_not_collide() {
-        // two collectives built without an explicit tag_base, interleaved
-        // on the same communicator, must not cross-deliver
+        // two one-entry batches, each leasing its own tag span,
+        // interleaved on the same communicator, must not cross-deliver
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
-        let coll_a = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::StandardHypre);
-        let coll_b = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::FullNeighbor);
+        let coll_a =
+            NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(Protocol::StandardHypre));
+        let coll_b =
+            NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(Protocol::FullNeighbor));
         let ok = World::run(8, |ctx| {
             let comm = ctx.comm_world();
-            let mut a = coll_a.init(ctx, &comm);
-            let mut b = coll_b.init(ctx, &comm);
+            let mut a = init_one(&coll_a, ctx, &comm);
+            let mut b = init_one(&coll_b, ctx, &comm);
             let input_a: Vec<f64> = a.input_index().iter().map(|&i| i as f64).collect();
             let input_b: Vec<f64> = b.input_index().iter().map(|&i| 1000.0 + i as f64).collect();
             let mut out_a = vec![0.0; a.output_index().len()];
@@ -389,8 +270,8 @@ mod tests {
     fn partitioned_rejects_standard_protocols() {
         let pattern = CommPattern::example_2_1();
         let topo = Topology::block_nodes(8, 4);
-        NeighborAlltoallv::new(&pattern, &topo)
-            .backend(Backend::Partitioned(Protocol::StandardHypre))
-            .plan();
+        NeighborBatch::new(&topo)
+            .entry(&pattern, Backend::Partitioned(Protocol::StandardHypre))
+            .plans();
     }
 }

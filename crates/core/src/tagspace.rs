@@ -21,13 +21,8 @@
 //!   the wrap.
 //! * Exhaustion is **loud**: holding more than [`CAPACITY`] spans live at
 //!   once panics with a diagnostic instead of silently aliasing tag space.
-//!
-//! * Hand-picked bases remain possible ([`TagSpace::pin`], what the
-//!   `tag_base` builder setters use): a pinned range is registered with
-//!   the allocator so later leases skip it — a pin inside the leaseable
-//!   range `[SPAN, 2³⁹)` cannot silently alias a future lease. Collisions
-//!   between pins, or with leases taken before the pin, stay the caller's
-//!   contract.
+//! * Leases start at [`SPAN`]: `[0, SPAN)` is never leased, so a user's
+//!   plain-send tags there cannot alias a collective's.
 //!
 //! Ranges freed with one span count are only re-used by leases of the same
 //! span count (exact-size free lists, no splitting/merging) — fresh space
@@ -39,15 +34,15 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// Tags per leased span: room for the four step namespaces (`step·4096 +
 /// seq`) plus up to 1023 partition sub-tags (`(partition + 1) << 20`).
 pub const SPAN: u64 = 1 << 30;
-/// Leases live in `[SPAN, WRAP)`, keeping `[0, SPAN)` free for
-/// hand-picked bases and every tag, partition sub-tags included, in the
-/// lower half of the simulator's user tag space.
+/// Leases live in `[SPAN, WRAP)`, keeping `[0, SPAN)` free for plain-send
+/// user tags and every tag, partition sub-tags included, in the lower half
+/// of the simulator's user tag space.
 const WRAP: u64 = 1 << 39;
 /// Spans that can be simultaneously live: 511.
 pub const CAPACITY: u64 = WRAP / SPAN - 1;
 
 /// A pool of tag spans. One process-global instance backs every
-/// builder-allocated base ([`TagSpace::global`]); tests create private
+/// batch's tag bases ([`TagSpace::global`]); tests create private
 /// pools so exhausting one cannot poison unrelated collectives.
 #[derive(Default)]
 pub struct TagSpace {
@@ -62,20 +57,14 @@ struct PoolState {
     free: HashMap<u64, Vec<u64>>,
     /// Spans currently leased, for the exhaustion diagnostic.
     live: u64,
-    /// Caller-pinned tag ranges (`[start, end)`, raw tags): the bump
-    /// pointer skips them so a lease never aliases a pinned collective.
-    pinned: Vec<(u64, u64)>,
 }
 
-/// An exclusively held contiguous range of tag spans — allocator-chosen
-/// ([`TagSpace::lease`], returned to the free list on drop) or
-/// caller-pinned ([`TagSpace::pin`], unregistered from the pinned set on
-/// drop).
+/// An exclusively held contiguous range of tag spans
+/// ([`TagSpace::lease`]), returned to the free list on drop.
 pub struct TagLease {
     pool: Arc<TagSpace>,
     base: u64,
     spans: u64,
-    pinned: bool,
 }
 
 impl TagSpace {
@@ -83,7 +72,7 @@ impl TagSpace {
         Arc::new(Self::default())
     }
 
-    /// The process-global pool behind builder-allocated tag bases.
+    /// The process-global pool behind every batch's tag bases.
     pub fn global() -> &'static Arc<TagSpace> {
         static GLOBAL: OnceLock<Arc<TagSpace>> = OnceLock::new();
         GLOBAL.get_or_init(TagSpace::new)
@@ -106,29 +95,12 @@ impl TagSpace {
         let base = if let Some(base) = st.free.get_mut(&spans).and_then(|v| v.pop()) {
             base
         } else {
-            // bump allocation, skipping any caller-pinned range
-            loop {
-                let start = SPAN + st.next * SPAN;
-                let end = start + spans * SPAN;
-                match st
-                    .pinned
-                    .iter()
-                    .filter(|&&(ps, pe)| ps < end && start < pe)
-                    .map(|&(_, pe)| pe)
-                    .max()
-                {
-                    // place the candidate just past the pin (strictly
-                    // advances: the pin's end lies beyond the old start)
-                    Some(pe) => st.next = (pe - SPAN).div_ceil(SPAN),
-                    None => break,
-                }
-            }
             assert!(
                 st.next + spans <= CAPACITY,
                 "tag space exhausted leasing for {owner}: {} spans live, {spans} \
                  more requested (capacity {CAPACITY}); too many simultaneously \
-                 live collectives — drop finished builders/batches so their \
-                 leases free",
+                 live collectives — drop finished batches so their leases \
+                 free",
                 st.live,
             );
             let b = SPAN + st.next * SPAN;
@@ -140,23 +112,6 @@ impl TagSpace {
             pool: Arc::clone(self),
             base,
             spans,
-            pinned: false,
-        }
-    }
-
-    /// Register a caller-pinned range of `spans` spans at `base`: future
-    /// leases will never overlap it (the caller still owns collisions
-    /// between pins, and against leases taken *before* the pin). Held
-    /// until the returned lease drops.
-    pub fn pin(self: &Arc<Self>, base: u64, spans: u64) -> TagLease {
-        assert!(spans > 0, "a pin needs at least one span");
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.pinned.push((base, base + spans * SPAN));
-        TagLease {
-            pool: Arc::clone(self),
-            base,
-            spans,
-            pinned: true,
         }
     }
 
@@ -198,15 +153,8 @@ impl Drop for TagLease {
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if self.pinned {
-            let range = (self.base, self.base + self.spans * SPAN);
-            if let Some(i) = st.pinned.iter().position(|&r| r == range) {
-                st.pinned.swap_remove(i);
-            }
-        } else {
-            st.live -= self.spans;
-            st.free.entry(self.spans).or_default().push(self.base);
-        }
+        st.live -= self.spans;
+        st.free.entry(self.spans).or_default().push(self.base);
     }
 }
 
@@ -254,27 +202,6 @@ mod tests {
     fn entry_base_outside_lease_panics() {
         let pool = TagSpace::new();
         pool.lease(2).entry_base(2);
-    }
-
-    #[test]
-    fn leases_skip_pinned_ranges() {
-        let pool = TagSpace::new();
-        // pin squarely inside the leaseable range, wider than one span
-        let pin = pool.pin(2 * SPAN, 3);
-        for _ in 0..4 {
-            let l = pool.lease(1);
-            let (ls, le) = (l.base(), l.base() + SPAN);
-            assert!(
-                le <= 2 * SPAN || ls >= 5 * SPAN,
-                "lease [{ls}, {le}) overlaps the pinned range"
-            );
-            std::mem::forget(l); // keep live so the next lease advances
-        }
-        drop(pin);
-        // once the pin is gone, the skipped space is NOT reclaimed (bump
-        // pointer already moved past) — but new pins can take it again
-        let repin = pool.pin(2 * SPAN, 3);
-        assert_eq!(repin.entry_base(0), 2 * SPAN);
     }
 
     /// Regression for the pre-batch `alloc_tag_base` hazard: the global

@@ -102,7 +102,7 @@ impl Comm {
 
     /// Duplicate this communicator: same ranks and rank order, but a fresh
     /// matching context. Point-to-point traffic, persistent channels and
-    /// pinned tag bases on the duplicate never alias the parent's (or any
+    /// tag bases on the duplicate never alias the parent's (or any
     /// sibling's) because the context id participates in every channel
     /// key, so identical `(src, dst, tag)` signatures on two duplicates
     /// resolve to distinct channels. No communication: all members derive

@@ -1,11 +1,12 @@
 //! Launching SPMD worlds. *What* a world runs on is one value — a
 //! [`WorldConfig`]: a [`Fabric`] and an optional [`FaultPlan`] — and *how*
-//! it lives is the method called on it: a one-shot scoped world
-//! ([`WorldConfig::run`]) or a pooled persistent one ([`WorldConfig::pool`],
-//! a [`WorldPool`] that keeps its rank threads — and their pre-matched
-//! channel registry — warm across closures). [`World`] is the sugar over
-//! it: the configuration the environment names, the modeled (virtual
-//! clock) worlds, and [`World::spawn`] for ranks as OS processes.
+//! it lives is the method called on it: a one-shot world
+//! ([`WorldConfig::run`], one epoch of a fresh pool) or a pooled persistent
+//! one ([`WorldConfig::pool`], a [`WorldPool`] that keeps its rank threads
+//! — and their pre-matched channel registry — warm across closures).
+//! [`World`] is the sugar over it: the configuration the environment
+//! names, the modeled (virtual clock) worlds, and [`World::spawn`] for
+//! ranks as OS processes.
 
 use crate::ctx::RankCtx;
 use crate::env;
@@ -128,14 +129,14 @@ impl WorldConfig {
     }
 
     /// Run `f` on `n_ranks` ranks (one OS thread each) and return each
-    /// rank's result, indexed by rank. Panics in any rank propagate to the
-    /// caller.
+    /// rank's result, indexed by rank: one epoch of a fresh
+    /// [`WorldConfig::pool`]. Panics in any rank propagate to the caller.
     pub fn run<F, R>(&self, n_ranks: usize, f: F) -> Vec<R>
     where
         F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
+        R: Send + 'static,
     {
-        World::launch(self.state(n_ranks, None), f)
+        self.pool(n_ranks).run(f)
     }
 
     /// Create a persistent pooled world of `n_ranks` ranks: the threads
@@ -193,7 +194,7 @@ impl World {
     pub fn run<F, R>(n_ranks: usize, f: F) -> Vec<R>
     where
         F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
+        R: Send + 'static,
     {
         WorldConfig::from_env().run(n_ranks, f)
     }
@@ -229,66 +230,24 @@ impl World {
 
     /// Run with a cost model attached: each rank's virtual clock advances
     /// with every message according to `model` over `topo`'s locality
-    /// classes. The world size is `topo.n_ranks()`.
+    /// classes. The world size is `topo.n_ranks()`. One epoch of a fresh
+    /// [`World::pool_modeled`].
     pub fn run_modeled<F, R>(topo: Topology, model: Arc<dyn CostModel>, f: F) -> Vec<R>
     where
         F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
+        R: Send + 'static,
     {
-        Self::launch(Self::modeled_state(topo, model), f)
+        Self::pool_modeled(topo, model).run(f)
     }
 
     /// Pooled counterpart of [`World::run_modeled`]; each epoch's virtual
     /// clocks start from zero.
     pub fn pool_modeled(topo: Topology, model: Arc<dyn CostModel>) -> WorldPool {
-        WorldPool::launch(Self::modeled_state(topo, model))
-    }
-
-    /// Modeled worlds are thread-fabric worlds: the virtual clock prices
-    /// the messages, the fabric only has to deliver them.
-    fn modeled_state(topo: Topology, model: Arc<dyn CostModel>) -> Arc<WorldState> {
+        // modeled worlds are thread-fabric worlds: the virtual clock prices
+        // the messages, the fabric only has to deliver them
         let n = topo.n_ranks();
-        WorldConfig::new(Fabric::Thread).state(n, Some(ModelCtx { model, topo }))
-    }
-
-    fn launch<F, R>(state: Arc<WorldState>, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankCtx) -> R + Send + Sync,
-        R: Send,
-    {
-        let n = state.n_ranks;
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    let state = Arc::clone(&state);
-                    scope.spawn(move || {
-                        let mut ctx = RankCtx::new(Arc::clone(&state), rank);
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-                            Ok(r) => r,
-                            Err(p) => {
-                                // let peers blocked on this rank's messages
-                                // abort instead of waiting forever
-                                state.note_rank_panic(Some(rank));
-                                resume_unwind(p);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            let mut results = Vec::with_capacity(n);
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for h in handles {
-                match h.join() {
-                    Ok(r) => results.push(r),
-                    Err(p) => panic = panic.or(Some(p)),
-                }
-            }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
-            }
-            results
-        })
+        let state = WorldConfig::new(Fabric::Thread).state(n, Some(ModelCtx { model, topo }));
+        WorldPool::launch(state)
     }
 }
 

@@ -116,7 +116,8 @@ pub struct LinkStatus {
 /// lock was held by a blocked rank and could not be sampled.
 #[derive(Debug, Clone)]
 pub struct StallReport {
-    /// Epoch counter of the world (0 for one-shot worlds).
+    /// Epoch counter of the world (1 for one-shot worlds: they run one
+    /// pool epoch).
     pub epoch: u64,
     /// Rank known to have died/panicked, when the transport recorded one.
     pub dead_rank: Option<usize>,

@@ -452,7 +452,8 @@ pub(crate) struct WorldState {
     /// The raw material of [`WorldState::stall_report`].
     parked: Vec<Mutex<Option<ParkInfo>>>,
     /// Epoch counter mirrored from the pool / proc-world driver, so stall
-    /// reports can say *which* epoch wedged (0 for one-shot worlds).
+    /// reports can say *which* epoch wedged (a one-shot world runs one
+    /// pool epoch, so it reports 1).
     epoch: AtomicU64,
     /// Hard bound on any single blocked wait, in milliseconds
     /// (`MPISIM_DEADLINE_MS`, or a [`crate::FaultPlan::deadline_ms`]

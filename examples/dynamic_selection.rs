@@ -12,7 +12,7 @@
 use amg::{DistributedHierarchy, Hierarchy, HierarchyOptions};
 use locality::Topology;
 use mpi_advance::analytic::iteration_time;
-use mpi_advance::{NeighborAlltoallv, Protocol};
+use mpi_advance::{Backend, NeighborBatch, Protocol};
 use perfmodel::LocalityModel;
 use sparse::gen::diffusion::paper_problem;
 
@@ -46,9 +46,11 @@ fn main() {
             continue;
         }
         // Backend::Auto resolves exactly this selection at init time.
-        let coll = NeighborAlltoallv::new(&pattern, &topo).cost_model(&model);
-        let (winner, plan) = coll.plan();
-        let t = iteration_time(&plan, &topo, &model, winner.is_wrapped()).total;
+        let coll = NeighborBatch::new(&topo)
+            .entry(&pattern, Backend::Auto)
+            .cost_model(&model);
+        let (winner, plan) = &coll.plans()[0];
+        let t = iteration_time(plan, &topo, &model, winner.is_wrapped()).total;
         selected_total += t;
         println!(
             "{:<6} {:>9} {:>10} {:>12.3e}  {}",

@@ -14,7 +14,7 @@
 
 use locality::Topology;
 use mpi_advance::analytic::iteration_time;
-use mpi_advance::{choose_protocol, CommPattern, NeighborAlltoallv, Protocol};
+use mpi_advance::{choose_protocol, Backend, CommPattern, NeighborBatch, Protocol};
 use mpisim::World;
 use perfmodel::LocalityModel;
 
@@ -90,10 +90,10 @@ fn main() {
     let (px, py, tile) = (8, 8, 4);
     let pattern = halo_pattern(px, py, tile);
     let topo = Topology::block_nodes(px * py, 8);
-    let coll = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::FullNeighbor);
+    let coll = NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(Protocol::FullNeighbor));
     let ok = World::run(px * py, |ctx| {
         let comm = ctx.comm_world();
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64 * 0.5).collect();
         let mut ghost = vec![0.0; nb.output_index().len()];
         // ten "time steps" with evolving values

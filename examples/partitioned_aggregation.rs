@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example partitioned_aggregation`
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol};
 use mpisim::World;
 use perfmodel::LocalityModel;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ fn run(pattern: &CommPattern, topo: &Topology, partitioned: bool) -> f64 {
     } else {
         Backend::Protocol(Protocol::FullNeighbor)
     };
-    let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
+    let coll = NeighborBatch::new(topo).entry(pattern, backend);
     let mut m = LocalityModel::lassen();
     m.queue_coeff = 0.0;
     let model = Arc::new(m);
@@ -47,7 +47,7 @@ fn run(pattern: &CommPattern, topo: &Topology, partitioned: bool) -> f64 {
         let mut output = vec![0.0; pattern.dst_indices(ctx.rank()).len()];
         ctx.barrier(&comm);
         let t0 = ctx.clock();
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         for _ in 0..10 {
             nb.start_wait(ctx, &input, &mut output);
         }

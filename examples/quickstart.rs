@@ -5,17 +5,17 @@
 //! Figures 3–5 illustrate, and then *executes* each protocol on the
 //! simulated MPI runtime to show identical results.
 //!
-//! Two entry points appear below. [`NeighborAlltoallv`] is the
-//! single-collective builder — right when exactly one pattern is live.
-//! The front door for real workloads is [`NeighborBatch`]: an application
-//! like AMG keeps one persistent collective live *per level*, and the
-//! batch plans, tags, and stages all of them as one session (one routing
-//! sweep, one tag lease, one registration pass).
+//! One entry point appears below: [`NeighborBatch`]. A one-entry batch is
+//! the paper's single persistent `MPI_Neighbor_alltoallv_init`. Real
+//! workloads add more entries: an application like AMG keeps one
+//! persistent collective live *per level*, and the batch plans, tags, and
+//! stages all of them as one session (one routing sweep, one tag lease,
+//! one registration pass).
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, PlanStats, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, PlanStats, Protocol};
 use mpisim::World;
 use perfmodel::LocalityModel;
 
@@ -54,13 +54,13 @@ fn main() {
     println!("Figure 4: aggregation needs only 1 inter-region message (17 values).");
     println!("Figure 5: duplicate removal shrinks it to 8 values.\n");
 
-    // Execute each protocol for real on 8 simulated ranks, through the
-    // unified NeighborAlltoallv entry point.
+    // Execute each protocol for real on 8 simulated ranks, each as a
+    // one-entry batch: the persistent Neighbor_alltoallv_init.
     for protocol in Protocol::ALL {
-        let coll = NeighborAlltoallv::new(&pattern, &topo).protocol(protocol);
+        let coll = NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(protocol));
         let ok = World::run(8, |ctx| {
             let comm = ctx.comm_world();
-            let mut nb = coll.init(ctx, &comm);
+            let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
             // each rank contributes value 100 + index for the indices it owns
             let input: Vec<f64> = nb.input_index().iter().map(|&i| 100.0 + i as f64).collect();
             let mut output = vec![0.0; nb.output_index().len()];
@@ -78,12 +78,14 @@ fn main() {
     }
 
     // ... or let the model pick: Backend::Auto selects at init time (§5).
-    let auto = NeighborAlltoallv::new(&pattern, &topo).cost_model(&model);
-    let (winner, _) = auto.plan();
+    let auto = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Auto)
+        .cost_model(&model);
+    let (winner, _) = auto.plans()[0];
     println!("\nBackend::Auto selects: {}", winner.label());
 
     // Real workloads keep many collectives live at once (one per AMG
-    // level): NeighborBatch is the session that owns all of them —
+    // level): one NeighborBatch is the session that owns all of them —
     // mixed backends included — and init_all registers the whole set in
     // one pass, returning a BatchRequest. Its completion-driven verbs
     // drive the set as one: start_all posts every entry's iteration, and

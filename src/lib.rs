@@ -26,4 +26,4 @@ pub use service;
 pub use sparse;
 
 // The paper's single-call contract, surfaced at the crate root.
-pub use mpi_advance::{Backend, NeighborAlltoallv, NeighborRequest, Protocol};
+pub use mpi_advance::{Backend, NeighborBatch, NeighborRequest, Protocol};

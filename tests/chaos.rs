@@ -11,7 +11,7 @@
 //! structured [`EpochError`] and stays usable for the next epoch.
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol, TunePolicy};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol, TunePolicy};
 use mpisim::collectives::op_sum_u64;
 use mpisim::{panic_message, Fabric, FaultPlan, RankCtx, World, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,11 +26,11 @@ fn value(i: usize, it: u64) -> f64 {
 /// fault layer counts — a persistent neighbor collective (channel
 /// push/pop + wait_any), a partitioned one, plain ring sends/recvs
 /// (deposit + match_recv), and a collective — returning raw result bits.
-fn chaos_body(full: &NeighborAlltoallv, part: &NeighborAlltoallv, ctx: &mut RankCtx) -> Vec<u64> {
+fn chaos_body(full: &NeighborBatch, part: &NeighborBatch, ctx: &mut RankCtx) -> Vec<u64> {
     let comm = ctx.comm_world();
     let mut bits = Vec::new();
-    let mut req_full = full.init(ctx, &comm);
-    let mut req_part = part.init(ctx, &comm);
+    let mut req_full = full.init_all(ctx, &comm).into_requests().remove(0);
+    let mut req_part = part.init_all(ctx, &comm).into_requests().remove(0);
     for it in 0..2u64 {
         for req in [&mut req_full, &mut req_part] {
             let input: Vec<f64> = req.input_index().iter().map(|&i| value(i, it)).collect();
@@ -54,11 +54,9 @@ fn run_chaos_world(
 ) -> Vec<Vec<u64>> {
     let pattern = CommPattern::example_2_1();
     let topo = Topology::block_nodes(pattern.n_ranks, 4);
-    let full =
-        NeighborAlltoallv::new(&pattern, &topo).backend(Backend::Protocol(Protocol::FullNeighbor));
-    let part = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Partitioned(Protocol::PartialNeighbor))
-        .tag_base(1 << 13); // two live collectives: disjoint tag namespaces
+    let full = NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(Protocol::FullNeighbor));
+    let part =
+        NeighborBatch::new(&topo).entry(&pattern, Backend::Partitioned(Protocol::PartialNeighbor));
     launch(&move |ctx| chaos_body(&full, &part, ctx))
 }
 

@@ -5,7 +5,7 @@
 //! (irregular communication inside an iterative solver, §1).
 
 use locality::Topology;
-use mpi_advance::{CommPattern, NeighborAlltoallv, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol};
 use mpisim::collectives::op_sum_f64;
 use mpisim::World;
 use sparse::gen::diffusion::paper_problem;
@@ -28,7 +28,7 @@ fn distributed_cg(
     let pkgs = build_comm_pkgs(a, &part);
     let pattern = CommPattern::from_comm_pkgs(&pkgs);
     let topo = Topology::block_nodes(ranks, ppn);
-    let coll = NeighborAlltoallv::new(&pattern, &topo).protocol(protocol);
+    let coll = NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(protocol));
     let pars: Vec<ParCsr> = ParCsr::split_all(a, &part);
 
     let results = World::run(ranks, |ctx| {
@@ -39,7 +39,7 @@ fn distributed_cg(
         let local_n = range.len();
         let b_local = &b[range.clone()];
 
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         // positions of the exported values within the local vector
         let export: Vec<usize> = nb.input_index().iter().map(|&g| g - range.start).collect();
 

@@ -3,7 +3,7 @@
 //! grid and random matrices across partitionings and region sizes.
 
 use locality::Topology;
-use mpi_advance::{CommPattern, NeighborAlltoallv, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol};
 use mpisim::World;
 use sparse::gen::diffusion::paper_problem;
 use sparse::gen::{laplace_2d_5pt, random_spd};
@@ -17,9 +17,7 @@ fn check_spmv(a: &Csr, ranks: usize, ppn: usize, protocol: Protocol, seed: u64) 
     let pkgs = build_comm_pkgs(a, &part);
     let pattern = CommPattern::from_comm_pkgs(&pkgs);
     let topo = Topology::block_nodes(ranks, ppn);
-    let coll = NeighborAlltoallv::new(&pattern, &topo)
-        .protocol(protocol)
-        .tag_base(7);
+    let coll = NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(protocol));
     let pars: Vec<ParCsr> = ParCsr::split_all(a, &part);
     let x = random_vec(a.n_rows(), seed);
     let serial = a.spmv(&x);
@@ -27,7 +25,7 @@ fn check_spmv(a: &Csr, ranks: usize, ppn: usize, protocol: Protocol, seed: u64) 
     let results = World::run(ranks, |ctx| {
         let comm = ctx.comm_world();
         let me = ctx.rank();
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         let input: Vec<f64> = nb.input_index().iter().map(|&i| x[i]).collect();
         let mut ghost = vec![0.0; nb.output_index().len()];
         nb.start_wait(ctx, &input, &mut ghost);
@@ -99,14 +97,15 @@ fn repeated_iterations_with_fresh_values() {
     let pkgs = build_comm_pkgs(&a, &part);
     let pattern = CommPattern::from_comm_pkgs(&pkgs);
     let topo = Topology::block_nodes(ranks, 3);
-    let coll = NeighborAlltoallv::new(&pattern, &topo).protocol(Protocol::PartialNeighbor);
+    let coll =
+        NeighborBatch::new(&topo).entry(&pattern, Backend::Protocol(Protocol::PartialNeighbor));
     let pars: Vec<ParCsr> = ParCsr::split_all(&a, &part);
 
     let iters = 5u64;
     let results = World::run(ranks, |ctx| {
         let comm = ctx.comm_world();
         let me = ctx.rank();
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         let mut outs = Vec::new();
         for it in 0..iters {
             let x = random_vec(a.n_rows(), it);

@@ -3,7 +3,7 @@
 //! analytic evaluation.
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, Protocol};
+use mpi_advance::{Backend, CommPattern, NeighborBatch, Protocol};
 use mpisim::World;
 use perfmodel::{LocalityModel, PostalModel};
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// after `iters` iterations (init excluded by subtracting the post-init
 /// clock).
 fn modeled_clock(pattern: &CommPattern, topo: &Topology, protocol: Protocol, iters: usize) -> f64 {
-    let coll = NeighborAlltoallv::new(pattern, topo).protocol(protocol);
+    let coll = NeighborBatch::new(topo).entry(pattern, Backend::Protocol(protocol));
     // Disable the queue-search term: it charges by the actual mailbox depth
     // at match time, which depends on thread arrival order and would make
     // the clock comparison flaky. The postal arrival times themselves merge
@@ -22,7 +22,7 @@ fn modeled_clock(pattern: &CommPattern, topo: &Topology, protocol: Protocol, ite
     let model = Arc::new(m);
     let clocks = World::run_modeled(topo.clone(), model, |ctx| {
         let comm = ctx.comm_world();
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
         let mut output = vec![0.0; nb.output_index().len()];
         // synchronize clocks after init so we measure iterations only
@@ -82,7 +82,7 @@ fn agg_clock(pattern: &CommPattern, topo: &Topology, partitioned: bool) -> f64 {
     } else {
         Backend::Protocol(Protocol::PartialNeighbor)
     };
-    let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
+    let coll = NeighborBatch::new(topo).entry(pattern, backend);
     let mut m = LocalityModel::lassen();
     m.queue_coeff = 0.0;
     let model = Arc::new(m);
@@ -92,7 +92,7 @@ fn agg_clock(pattern: &CommPattern, topo: &Topology, partitioned: bool) -> f64 {
         let mut output = vec![0.0; pattern.dst_indices(ctx.rank()).len()];
         ctx.barrier(&comm);
         let t0 = ctx.clock();
-        let mut nb = coll.init(ctx, &comm);
+        let mut nb = coll.init_all(ctx, &comm).into_requests().remove(0);
         for _ in 0..3 {
             nb.start_wait(ctx, &input, &mut output);
         }

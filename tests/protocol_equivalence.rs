@@ -1,6 +1,6 @@
 //! Cross-protocol equivalence: for random communication patterns on block
-//! topologies, every backend of the unified `NeighborAlltoallv` API — the
-//! four paper protocols, the §5 partitioned combination, model-driven
+//! topologies, every backend of a one-entry `NeighborBatch` — the
+//! paper protocols, the §5 partitioned combination, model-driven
 //! auto-selection, and measured tuned selection (exercised mid-probe:
 //! candidates hot-swap under the caller) — must deliver byte-identical
 //! ghost values to a direct
@@ -16,8 +16,8 @@
 //! A second property pins the [`NeighborBatch`] session API to the same
 //! reference: a batch of N random (pattern, backend) entries — planned,
 //! tagged, and staged together; spawned, pooled, and over the shm fabric
-//! — must deliver byte-identical outputs to N independent
-//! `NeighborAlltoallv` inits,
+//! — must deliver byte-identical outputs to N independent one-entry
+//! batches,
 //! **whichever lifecycle drives it**: the completion-driven
 //! `start_all`/`wait_any` retire loop (entries complete in delivery
 //! order) and `start_all`/`wait_all` are both pinned against the
@@ -33,7 +33,7 @@
 //! interleaving but must never change a single output byte.
 
 use locality::Topology;
-use mpi_advance::{Backend, CommPattern, NeighborAlltoallv, NeighborBatch, Protocol};
+use mpi_advance::{tagspace, Backend, CommPattern, NeighborBatch, Protocol};
 use mpisim::{Fabric, FaultPlan, World, WorldConfig, WorldPool};
 use proptest::prelude::*;
 
@@ -103,11 +103,11 @@ fn expected_outputs(pattern: &CommPattern, it: u64) -> Vec<Vec<f64>> {
 
 /// One rank's SPMD body: two iterations, raw output bits per iteration.
 fn backend_body(
-    coll: &NeighborAlltoallv,
+    coll: &NeighborBatch,
     ctx: &mut mpisim::RankCtx,
     comm: &mpisim::Comm,
 ) -> Vec<Vec<u64>> {
-    let mut req = coll.init(ctx, comm);
+    let mut req = coll.init_all(ctx, comm).into_requests().remove(0);
     let mut iters = Vec::new();
     for it in 0..2u64 {
         let input: Vec<f64> = req.input_index().iter().map(|&i| value(i, it)).collect();
@@ -121,7 +121,7 @@ fn backend_body(
 /// Run `backend` in a fresh spawned world for two iterations and collect
 /// every rank's raw output bytes.
 fn run_backend(pattern: &CommPattern, topo: &Topology, backend: Backend) -> Vec<Vec<Vec<u64>>> {
-    let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
+    let coll = NeighborBatch::new(topo).entry(pattern, backend);
     World::run(pattern.n_ranks, |ctx| {
         let comm = ctx.comm_world();
         backend_body(&coll, ctx, &comm)
@@ -136,7 +136,7 @@ fn run_backend_pooled(
     topo: &Topology,
     backend: Backend,
 ) -> Vec<Vec<Vec<u64>>> {
-    let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
+    let coll = NeighborBatch::new(topo).entry(pattern, backend);
     pool.run(|ctx| {
         let comm = ctx.comm_world();
         backend_body(&coll, ctx, &comm)
@@ -154,7 +154,7 @@ fn run_backend_on(
     topo: &Topology,
     backend: Backend,
 ) -> Vec<Vec<Vec<u64>>> {
-    let coll = NeighborAlltoallv::new(pattern, topo).backend(backend);
+    let coll = NeighborBatch::new(topo).entry(pattern, backend);
     WorldConfig::new(fabric).run(pattern.n_ranks, |ctx| {
         let comm = ctx.comm_world();
         backend_body(&coll, ctx, &comm)
@@ -312,7 +312,7 @@ proptest! {
             (42, Backend::Auto),
             (43, Backend::Tuned),
         ] {
-            let coll = NeighborAlltoallv::new(&pattern, &topo).backend(backend);
+            let coll = NeighborBatch::new(&topo).entry(&pattern, backend);
             let faulted = WorldConfig::new(Fabric::Thread).faults(perturb_plan(seed)).run(8, |ctx| {
                 let comm = ctx.comm_world();
                 backend_body(&coll, ctx, &comm)
@@ -361,7 +361,7 @@ proptest! {
 
     /// A `NeighborBatch` of random (pattern, backend) entries delivers
     /// byte-identical outputs to the same entries initialized as N
-    /// independent `NeighborAlltoallv` collectives — in a fresh spawned
+    /// independent one-entry batches — in a fresh spawned
     /// world and as an epoch of a shared warm pool alike, and through
     /// **both** session lifecycles: the completion-driven
     /// `start_all`/`wait_any` retire loop and `start_all`/`wait_all`.
@@ -571,10 +571,10 @@ fn wait_any_retires_entries_in_delivery_order() {
     let topo = Topology::block_nodes(2, 1); // one rank per node: inter-node link
     let batch = NeighborBatch::new(&topo)
         .entry(&a, Backend::Protocol(Protocol::StandardHypre))
-        .entry(&b, Backend::Protocol(Protocol::StandardHypre))
-        // pin the collective tag namespace away from the plain-send ack tag
-        .tag_base(1 << 12);
+        .entry(&b, Backend::Protocol(Protocol::StandardHypre));
     const ACK: u64 = 7;
+    // leases start at one span, so no collective tag is the plain-send ack
+    assert!(batch.tag_bases().iter().all(|&b| b >= tagspace::SPAN));
 
     let model = Arc::new(perfmodel::PostalModel::new(5e-6, 2e-9));
     let orders = mpisim::World::run_modeled(topo.clone(), model, |ctx| {

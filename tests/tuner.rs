@@ -19,7 +19,7 @@
 
 use locality::Topology;
 use mpi_advance::{
-    choose_protocol, topology_signature, Backend, CommPattern, NeighborAlltoallv, TunePolicy,
+    choose_protocol, topology_signature, Backend, CommPattern, NeighborBatch, TunePolicy,
 };
 use mpisim::{Fabric, RankCtx, World, WorldConfig};
 use perfmodel::{CostModel, PostalModel};
@@ -85,8 +85,8 @@ fn tuned_converges_where_auto_is_fooled() {
     );
 
     const PROBES: usize = 8;
-    let coll = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
+    let coll = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Tuned)
         .cost_model(&mis)
         .tune_policy(
             TunePolicy::default()
@@ -97,7 +97,7 @@ fn tuned_converges_where_auto_is_fooled() {
     let obs_before = tuner::observation_count();
     let results = World::run_modeled(topo.clone(), Arc::new(truth) as Arc<dyn CostModel>, |ctx| {
         let comm = ctx.comm_world();
-        let mut req = coll.init(ctx, &comm);
+        let mut req = coll.init_all(ctx, &comm).into_requests().remove(0);
         let mut ok = true;
         let mut probing_after = Vec::new();
         for it in 0..PROBES + 2 {
@@ -143,14 +143,14 @@ fn profile_cache_warm_start_skips_probing() {
         .with_factor(1.0e12)
         .with_profile_dir(&dir);
 
-    let cold = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
+    let cold = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Tuned)
         .cost_model(&mis)
         .tune_policy(policy.clone());
     let truth_arc: Arc<dyn CostModel> = Arc::new(truth);
     let winners = World::run_modeled(topo.clone(), truth_arc.clone(), |ctx| {
         let comm = ctx.comm_world();
-        let mut req = cold.init(ctx, &comm);
+        let mut req = cold.init_all(ctx, &comm).into_requests().remove(0);
         assert!(req.is_probing(), "cold start must probe");
         for it in 0..PROBES + 1 {
             assert!(drive_iteration(&mut req, ctx, it));
@@ -172,13 +172,13 @@ fn profile_cache_warm_start_skips_probing() {
 
     // A *fresh* builder — new batch, new cache consult — simulating a
     // warmed process pointed at the same MPISIM_PROFILE_DIR.
-    let warm = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
+    let warm = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Tuned)
         .cost_model(&mis)
         .tune_policy(policy);
     let ok = World::run_modeled(topo.clone(), truth_arc, |ctx| {
         let comm = ctx.comm_world();
-        let mut req = warm.init(ctx, &comm);
+        let mut req = warm.init_all(ctx, &comm).into_requests().remove(0);
         let skipped = !req.is_probing();
         let agreed = req.protocol() == winner;
         let mut values_ok = true;
@@ -204,8 +204,8 @@ fn tuned_lifecycle_is_byte_identical_on_every_fabric() {
     let topo = Topology::block_nodes(8, 4);
     let pattern = CommPattern::all_to_all_regions(&topo);
     const PROBES: usize = 4;
-    let coll = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
+    let coll = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Tuned)
         .tune_policy(
             TunePolicy::default()
                 .with_probe_iters(PROBES)
@@ -214,7 +214,7 @@ fn tuned_lifecycle_is_byte_identical_on_every_fabric() {
 
     let body = |ctx: &mut RankCtx| {
         let comm = ctx.comm_world();
-        let mut req = coll.init(ctx, &comm);
+        let mut req = coll.init_all(ctx, &comm).into_requests().remove(0);
         let mut ok = true;
         for it in 0..PROBES + 4 {
             ok &= drive_iteration(&mut req, ctx, it);
@@ -248,8 +248,8 @@ fn fitted_auto_model_plugs_into_backend_auto() {
     // guarantee a diverse observation pool: probe every candidate on the
     // truth-charging clock (each candidate is a distinct msgs/bytes mix)
     const PROBES: usize = 8;
-    let coll = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Tuned)
+    let coll = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Tuned)
         .tune_policy(
             TunePolicy::default()
                 .with_probe_iters(PROBES)
@@ -258,7 +258,7 @@ fn fitted_auto_model_plugs_into_backend_auto() {
     let truth_arc: Arc<dyn CostModel> = Arc::new(truth);
     World::run_modeled(topo.clone(), truth_arc, |ctx| {
         let comm = ctx.comm_world();
-        let mut req = coll.init(ctx, &comm);
+        let mut req = coll.init_all(ctx, &comm).into_requests().remove(0);
         for it in 0..PROBES + 1 {
             assert!(drive_iteration(&mut req, ctx, it));
         }
@@ -269,18 +269,18 @@ fn fitted_auto_model_plugs_into_backend_auto() {
 
     // the fitted model is an ordinary CostModel: Auto consults it for
     // selection, and the selected protocol still delivers byte-exactly
-    let auto = NeighborAlltoallv::new(&pattern, &topo)
-        .backend(Backend::Auto)
+    let auto = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Auto)
         .cost_model(&fitted);
     let (expected, _) = choose_protocol(&pattern, &topo, &fitted);
     assert_eq!(
-        auto.plan().0,
+        auto.plans()[0].0,
         expected,
         "Auto must consult the fitted model"
     );
     let ok = World::run(topo.n_ranks(), |ctx| {
         let comm = ctx.comm_world();
-        let mut req = auto.init(ctx, &comm);
+        let mut req = auto.init_all(ctx, &comm).into_requests().remove(0);
         let agreed = req.protocol() == expected;
         let mut values_ok = true;
         for it in 0..3 {
