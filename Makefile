@@ -39,9 +39,12 @@ test-sock:
 # the online autotuner's acceptance suite (DESIGN.md §11): Backend::Tuned
 # converging to the measured-fastest protocol where a mis-parameterized
 # model fools Auto, profile-cache warm starts skipping the probe phase,
-# and probe/decide/steady-state byte identity on all three fabrics
+# and probe/decide/steady-state byte identity on all three fabrics — then
+# the tuner crate's own tests: the profile-cache parser and merge, the
+# probe schedule, the policy builder and the MPISIM_PROFILE_DIR grammar
 test-tuner:
 	cargo test --test tuner -q
+	cargo test -p tuner -q
 
 # the solve service's acceptance suite (DESIGN.md §12): concurrent
 # multi-tenant epochs byte-identical to serialized runs and to the

@@ -78,7 +78,7 @@ use crate::exec::NeighborExec;
 use crate::neighbor::{Backend, NeighborRequest};
 use crate::pattern::CommPattern;
 use crate::routing::{BatchEntryPlan, RankRouting};
-use crate::stats::{PlanStats, VALUE_BYTES};
+use crate::stats::VALUE_BYTES;
 use crate::tagspace::{TagLease, TagSpace};
 use crate::tune::{topology_signature, TunedCandidate, TunedNeighbor};
 use crate::Plan;
@@ -130,10 +130,9 @@ struct ExpandedEntry {
 
 /// The resolution-time half of one tuned entry's machinery.
 struct TunedResolution {
-    /// `(protocol, max msgs/iter, max inter-region bytes/iter)` per
-    /// candidate, model-ranked cheapest first — probe order and
+    /// The candidates, model-ranked cheapest first — probe order and
     /// tie-break order.
-    candidates: Vec<(Protocol, f64, f64)>,
+    candidates: Vec<Protocol>,
     /// Tag-span base of the decision reduction's rounds.
     ctl_base: u64,
     policy: TunePolicy,
@@ -309,9 +308,7 @@ impl ResolvedBatch {
                                 // (admission factor changed) → probe
                                 let w = cache.as_ref().and_then(|(cache, key)| {
                                     cache.lookup(key).and_then(|e| {
-                                        tr.candidates
-                                            .iter()
-                                            .position(|(p, _, _)| p.name() == e.winner)
+                                        tr.candidates.iter().position(|p| p.name() == e.winner)
                                     })
                                 });
                                 consults.push((fabric.to_string(), w));
@@ -323,18 +320,16 @@ impl ResolvedBatch {
                         // warm start: the cache already knows the winner —
                         // register only its channels and skip the probe
                         // phase entirely
-                        Some(w) => Box::new(init_slot(&mut reg, ex.start + w, tr.candidates[w].0)),
+                        Some(w) => Box::new(init_slot(&mut reg, ex.start + w, tr.candidates[w])),
                         // no usable cached winner → full probe
                         None => {
                             let candidates: Vec<TunedCandidate> = tr
                                 .candidates
                                 .iter()
                                 .enumerate()
-                                .map(|(c, &(protocol, msgs, bytes))| TunedCandidate {
+                                .map(|(c, &protocol)| TunedCandidate {
                                     inner: Some(init_slot(&mut reg, ex.start + c, protocol)),
                                     protocol,
-                                    msgs,
-                                    bytes,
                                 })
                                 .collect();
                             Box::new(TunedNeighbor::new(
@@ -474,17 +469,7 @@ impl NeighborBatch<'_> {
                 let ctl_base = span_bases[next_ctl];
                 next_ctl += 1;
                 TunedResolution {
-                    candidates: cands
-                        .iter()
-                        .map(|(p, plan)| {
-                            let st = PlanStats::of(plan);
-                            (
-                                *p,
-                                (st.max_local_msgs + st.max_global_msgs) as f64,
-                                st.max_global_bytes as f64,
-                            )
-                        })
-                        .collect(),
+                    candidates: cands.iter().map(|(p, _)| *p).collect(),
                     ctl_base,
                     policy: policy.clone().expect("policy exists for tuned entries"),
                     pattern_sig: e.pattern.pattern_signature(),
@@ -805,9 +790,7 @@ mod tests {
         for e in [&resolved.expanded[0], &resolved.expanded[2]] {
             let probed = &e.tuned.as_ref().unwrap().candidates;
             assert_eq!(probed.len(), 3);
-            assert!(Protocol::ALL
-                .iter()
-                .all(|&p| probed.iter().any(|c| c.0 == p)));
+            assert!(Protocol::ALL.iter().all(|p| probed.contains(p)));
         }
         assert!(resolved.routings.iter().all(|r| r.len() == 7));
     }

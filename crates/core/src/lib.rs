@@ -60,7 +60,7 @@ pub use neighbor::{Backend, NeighborRequest};
 pub use pattern::CommPattern;
 pub use routing::RankRouting;
 pub use stats::PlanStats;
-pub use tune::{fitted_auto_model, topology_signature};
+pub use tune::topology_signature;
 pub use tuner::TunePolicy;
 
 #[cfg(test)]

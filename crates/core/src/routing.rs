@@ -650,7 +650,7 @@ pub struct BatchEntryPlan<'a> {
     pub tag_base: u64,
     /// Has no effect: no code reads it. It stays only because the
     /// benchmark under `perfbench/` builds this struct by literal; ROADMAP
-    /// item 1 deletes it.
+    /// item 1A(e) deletes it.
     pub shared_arena: bool,
 }
 

@@ -65,24 +65,6 @@ pub fn topology_signature(topo: &Topology) -> u64 {
     acc
 }
 
-/// Opt-in fitted selection model: the tuner's pooled probe observations
-/// ([`tuner::fitted_params`]) packaged as a [`perfmodel::PostalModel`]
-/// ready for [`crate::batch::NeighborBatch::cost_model`] with
-/// [`crate::Backend::Auto`]. `None` until enough observations accumulate
-/// to fit. The default model is **never** silently replaced — a caller
-/// that wants measured parameters constructs this model and passes it
-/// explicitly:
-///
-/// ```ignore
-/// let fitted = mpi_advance::fitted_auto_model();
-/// let batch = NeighborBatch::new(&topo)
-///     .entry(&pattern, Backend::Auto)
-///     .cost_model(fitted.as_ref().expect("observations recorded"));
-/// ```
-pub fn fitted_auto_model() -> Option<perfmodel::PostalModel> {
-    tuner::fitted_params().map(|f| perfmodel::PostalModel::new(f.alpha, f.beta))
-}
-
 /// A monotonic timestamp on whichever clock the world runs on.
 enum Stamp {
     Wall(Instant),
@@ -107,14 +89,10 @@ impl Stamp {
 }
 
 /// One protocol under measurement: its live executor (dropped if it
-/// loses) and the plan statistics its timings feed to the model refit.
+/// loses).
 pub(crate) struct TunedCandidate {
     pub(crate) inner: Option<NeighborExec>,
     pub(crate) protocol: Protocol,
-    /// Max-over-ranks messages per iteration (local + inter-region).
-    pub(crate) msgs: f64,
-    /// Max-over-ranks inter-region bytes per iteration.
-    pub(crate) bytes: f64,
 }
 
 /// The decision's max-reduction as a persistent request: its rounds (see
@@ -339,10 +317,7 @@ impl NeighborRequest for TunedNeighbor {
         if done {
             if let Some((c, t0)) = self.probe.take() {
                 // first completing test of a probed iteration: close the timing
-                let secs = t0.elapsed(ctx);
-                self.schedule.record(c, secs);
-                let cand = &self.candidates[c];
-                tuner::record_observation(cand.msgs, cand.bytes, secs);
+                self.schedule.record(c, t0.elapsed(ctx));
                 self.iter += 1;
             }
         }

@@ -15,12 +15,10 @@
 //! [`phase`] evaluates a whole communication phase (all ranks' message
 //! lists) to a single modeled duration.
 
-pub mod fit;
 pub mod models;
 pub mod params;
 pub mod phase;
 
-pub use fit::{fit_postal, FitObs, FitSums, FittedParams};
 pub use models::{CostModel, LocalityModel, MaxRateModel, PostalModel};
 pub use params::ClassParams;
 pub use phase::{Msg, PhaseCost, PhaseEval};

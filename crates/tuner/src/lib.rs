@@ -19,9 +19,6 @@
 //!   the measured winner, written with atomic renames and merged (not
 //!   clobbered) across concurrent writers. Unreadable or corrupt state
 //!   degrades to "no cached answer", never an abort.
-//! * `refit` — a process-global accumulator of measured iteration
-//!   timings feeding `perfmodel`'s least-squares parameter fit, with a
-//!   fitted-vs-default delta report.
 //!
 //! The crate is deliberately below `core` in the dependency order: it
 //! knows nothing about plans, routings, or requests. `core`'s
@@ -29,12 +26,8 @@
 
 mod env;
 mod profile;
-mod refit;
 mod schedule;
 
 pub use env::TunePolicy;
 pub use profile::{size_bucket, ProfileCache, ProfileEntry, ProfileKey, PROFILE_VERSION};
-pub use refit::{
-    clear_observations, fitted_params, observation_count, record_observation, refit_report,
-};
 pub use schedule::ProbeSchedule;

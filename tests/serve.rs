@@ -1368,15 +1368,17 @@ fn soak(total: usize, flat_rss: bool) {
     }
 }
 
-/// ROADMAP item 1b's acceptance at a tenth of its length (the full one is
-/// [`five_thousand_jobs_leave_one_warm_pool_as_they_found_it`]).
+/// The soak at a tenth of its length (the full one is
+/// [`five_thousand_jobs_leave_one_warm_pool_as_they_found_it`]): every
+/// result bit-checked, the registry gauge still once the calls settle, and
+/// nothing of a retired job registered once the service is released.
 #[test]
 fn five_hundred_jobs_leave_one_warm_pool_as_they_found_it() {
     soak(500, false);
 }
 
-/// ROADMAP item 1b's acceptance: 5000 jobs through one pool per fabric,
-/// flat registry, bounded shm table, flat memory. Run alone and in
+/// The full soak: 5000 jobs through one pool per fabric, flat registry,
+/// bounded shm table, flat memory. Run alone and in
 /// release by `make test-serve` — `VmRSS` is the whole process's, and the
 /// other tests of this file would move it.
 #[test]

@@ -8,8 +8,7 @@
 //! converges to the genuinely fastest protocol within its probe budget,
 //! delivering byte-identical values the whole time. A second batch
 //! pointed at the same `MPISIM_PROFILE_DIR` must skip probing entirely
-//! (the warm-start path), and the probe measurements must land in the
-//! process-global refit pool.
+//! (the warm-start path).
 //!
 //! Modeled worlds make the convergence tests deterministic: probe
 //! timings come from `RankCtx::clock`, not wall time, so CI cannot
@@ -83,6 +82,16 @@ fn tuned_converges_where_auto_is_fooled() {
         auto_choice, truth_choice,
         "precondition: the mis-model must actually mislead Auto"
     );
+    // the batch's cost model is the one Auto selects with (the default
+    // model would pick another protocol here)
+    let auto = NeighborBatch::new(&topo)
+        .entry(&pattern, Backend::Auto)
+        .cost_model(&mis);
+    assert_eq!(
+        auto.plans()[0].0,
+        auto_choice,
+        "Auto must consult the batch's model"
+    );
 
     const PROBES: usize = 8;
     let coll = NeighborBatch::new(&topo)
@@ -94,7 +103,6 @@ fn tuned_converges_where_auto_is_fooled() {
                 .with_factor(1.0e12), // admit every protocol to the shortlist
         );
 
-    let obs_before = tuner::observation_count();
     let results = World::run_modeled(topo.clone(), Arc::new(truth) as Arc<dyn CostModel>, |ctx| {
         let comm = ctx.comm_world();
         let mut req = coll.init_all(ctx, &comm).into_requests().remove(0);
@@ -120,10 +128,6 @@ fn tuned_converges_where_auto_is_fooled() {
              not Auto's mis-modeled pick ({auto_choice:?})"
         );
     }
-    assert!(
-        tuner::observation_count() > obs_before,
-        "probe timings must land in the refit pool"
-    );
 }
 
 /// Warm start: a first batch probes, decides, and publishes; a second,
@@ -232,63 +236,6 @@ fn tuned_lifecycle_is_byte_identical_on_every_fabric() {
             assert_eq!(proto, winner, "[{fabric}] ranks disagree on winner");
         }
     }
-}
-
-/// The opt-in refit loop end to end: probe timings pooled by the tuner
-/// fit a [`PostalModel`] (`fitted_auto_model`), and that model — passed
-/// *explicitly* to `Backend::Auto` — both drives selection and delivers
-/// correct values. Nothing is fitted implicitly: the default model stays
-/// untouched unless the caller plugs the fitted one in.
-#[test]
-fn fitted_auto_model_plugs_into_backend_auto() {
-    let topo = Topology::block_nodes(16, 4);
-    let pattern = CommPattern::all_to_all_regions(&topo);
-    let truth = PostalModel::new(TRUTH_ALPHA, TRUTH_BETA);
-
-    // guarantee a diverse observation pool: probe every candidate on the
-    // truth-charging clock (each candidate is a distinct msgs/bytes mix)
-    const PROBES: usize = 8;
-    let coll = NeighborBatch::new(&topo)
-        .entry(&pattern, Backend::Tuned)
-        .tune_policy(
-            TunePolicy::default()
-                .with_probe_iters(PROBES)
-                .with_factor(1.0e12),
-        );
-    let truth_arc: Arc<dyn CostModel> = Arc::new(truth);
-    World::run_modeled(topo.clone(), truth_arc, |ctx| {
-        let comm = ctx.comm_world();
-        let mut req = coll.init_all(ctx, &comm).into_requests().remove(0);
-        for it in 0..PROBES + 1 {
-            assert!(drive_iteration(&mut req, ctx, it));
-        }
-    });
-
-    let fitted = mpi_advance::fitted_auto_model()
-        .expect("enough probe observations recorded to fit a model");
-
-    // the fitted model is an ordinary CostModel: Auto consults it for
-    // selection, and the selected protocol still delivers byte-exactly
-    let auto = NeighborBatch::new(&topo)
-        .entry(&pattern, Backend::Auto)
-        .cost_model(&fitted);
-    let (expected, _) = choose_protocol(&pattern, &topo, &fitted);
-    assert_eq!(
-        auto.plans()[0].0,
-        expected,
-        "Auto must consult the fitted model"
-    );
-    let ok = World::run(topo.n_ranks(), |ctx| {
-        let comm = ctx.comm_world();
-        let mut req = auto.init_all(ctx, &comm).into_requests().remove(0);
-        let agreed = req.protocol() == expected;
-        let mut values_ok = true;
-        for it in 0..3 {
-            values_ok &= drive_iteration(&mut req, ctx, it);
-        }
-        agreed && values_ok
-    });
-    assert!(ok.into_iter().all(|b| b));
 }
 
 /// The signatures that key the profile cache must stay stable: a cache
