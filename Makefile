@@ -1,7 +1,7 @@
 # Developer entry points. `make tier1` mirrors the CI verify exactly;
 # `perfbench-quick` is the only target that runs a benchmark.
 
-.PHONY: tier1 build test test-all test-chaos test-shm test-sock test-tuner test-serve fmt clippy lint figures-smoke perfbench-quick
+.PHONY: tier1 build test test-all test-chaos test-shm test-sock test-tuner test-serve test-wire fmt clippy lint figures-smoke perfbench-quick
 
 tier1: ## the repository's tier-1 verify
 	cargo build --release && cargo test -q
@@ -65,6 +65,15 @@ test-tuner:
 test-serve:
 	cargo test --test serve -q
 	cargo test --release --test serve -q -- --ignored
+
+# the wire-layout suite (DESIGN.md §3, §4): every backend and lifecycle
+# byte-identical to the direct exchange, then core's property tests — the
+# routing against its value-by-value oracle, split and unsplit, and the
+# ride rule (one intra-region message per pair and phase: an ℓ message
+# rides its pair's first s or r message, each ℓ value on the wire once)
+test-wire:
+	cargo test --test protocol_equivalence -q
+	cargo test -p mpi-advance -q proptests::
 
 fmt:
 	cargo fmt --all

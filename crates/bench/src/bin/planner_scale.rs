@@ -42,6 +42,9 @@ fn add_copy_map_size(r: &RankRouting, total: &mut [usize; 3]) {
     let run_maps = (r.local_sends.iter().chain(&r.s_sends).map(|s| &s.sources))
         .chain(r.local_recvs.iter().chain(&r.r_recvs).map(|x| &x.outputs))
         .chain(r.g_recvs.iter().map(|g| &g.outputs))
+        // the ridden ℓ tails: scattered off s payloads, gathered into r ones
+        .chain(r.s_recvs.iter().map(|x| &x.outputs))
+        .chain(r.r_sends.iter().map(|s| &s.tail))
         .chain(own_parts.filter_map(|part| match &part.source {
             PartSource::Input(runs) => Some(runs),
             PartSource::Staged { .. } => None,

@@ -6,7 +6,9 @@
 //! (see DESIGN.md §1). Constants that stand in for implementation overheads
 //! (request setup, planner work) are calibrated to land the paper's
 //! magnitudes and are documented here; every scaling trend comes from the
-//! plans themselves, not from the constants.
+//! plans themselves, not from the constants. The figures price the paper's
+//! step lists on purpose; the virtual clock runs the wire, where ℓ messages
+//! ride s or r ones ([`crate::routing`]): a named term of their difference.
 
 use crate::agg::{Plan, PlanMsg};
 use crate::stats::VALUE_BYTES;

@@ -36,18 +36,20 @@
 //! steps are the same shape: a gather over payloads held off their
 //! channels. `test` holds each delivered s payload until the s step is
 //! complete, then gathers each g send **straight into its wire buffer**,
-//! partition by partition — a staged partition is the whole held payload of
-//! its s receive, the one own-input partition a small stash `start` filled
-//! from the input — and recycles the payloads. Likewise it borrows each g
-//! payload off the channel, scatters ghost values into the output, feeds
-//! the r-step forwards from the same borrowed payload, and recycles it. No
+//! partition by partition — a staged partition is the prefix of the held
+//! payload of its s receive, the one own-input partition out of a small
+//! stash `start` filled from the input — scatters each held payload's
+//! ridden ℓ tail into the output and recycles it. Likewise it borrows each
+//! g payload off the channel, scatters ghost values into the output, feeds
+//! the r-step forwards from the same borrowed payload, and recycles it; an
+//! r send's ridden ℓ tail follows its forwards, out of the same stash. No
 //! step has a receive window or a staging buffer.
 //!
 //! Construct requests through [`crate::NeighborBatch`].
 
 use crate::collective::Protocol;
 use crate::neighbor::NeighborRequest;
-use crate::routing::{GSendRoute, PartSource, RankRouting, Run};
+use crate::routing::{GSendRoute, PartSource, RSendRoute, RankRouting, Run};
 use crate::tagspace::TagLease;
 use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx, RecvChan, SendChan};
 use std::sync::Arc;
@@ -88,9 +90,8 @@ fn copy_runs(runs: &[Run], src: &[f64], dst: &mut [f64]) {
 /// Start one instance of `send`, gathered through its copy map `runs`:
 /// append the values each run resolves to (through `span`) directly to
 /// the channel's wire buffer. The runs — [`Run`]s out of the input (ℓ,
-/// s), a g send's partitions ([`GPartRoute`](crate::routing::GPartRoute)s)
-/// or [`FwdRun`](crate::routing::FwdRun)s out of the g payloads (r) — are
-/// in slot order and cover the message, so gathering is appending.
+/// s) or a g send's partitions ([`GPartRoute`](crate::routing::GPartRoute)s)
+/// — are in slot order and cover the message, so gathering is appending.
 fn gather<'a, R>(
     send: &SendChan<f64>,
     ctx: &mut RankCtx,
@@ -135,6 +136,11 @@ fn own_len(g: &GSendRoute) -> usize {
         .sum()
 }
 
+/// The length of r send `s`'s ridden ℓ tail (0 if none rides).
+fn tail_len(s: &RSendRoute) -> usize {
+    s.tail.iter().map(|r| r.len).sum()
+}
+
 /// One channel half per route, in route order: the executor's channels
 /// sit at their routes' positions.
 fn halves<R, H>(routes: &[R], half: impl FnMut(&R) -> H) -> Vec<H> {
@@ -156,10 +162,10 @@ pub(crate) struct NeighborExec {
     /// is reused.
     staged: Vec<Option<Vec<f64>>>,
     g_sends: Vec<SendChan<f64>>,
-    /// This rank's own partitions of the g sends, back to back in g-send
-    /// order, copied out of the input by `start` (the input is not at
-    /// hand where the g sends ship).
-    own: Vec<f64>,
+    /// The input values that leave after `start`, which copies them here
+    /// (the input is not at hand where they ship): the own partitions of
+    /// the g sends in g-send order, then the r sends' ℓ tails.
+    stash: Vec<f64>,
     g_recvs: Vec<RecvChan<f64>>,
     /// Borrowed g payloads of the current iteration, slotted by g receive
     /// (arrival order fills them in any order; the r forwards index by
@@ -219,10 +225,11 @@ impl NeighborExec {
         // the one staging receive the s step stands on — so the scratch
         // never grows after init
         let n_pending = (r.local_recvs.len() + r.g_recvs.len() + r.r_recvs.len()).max(1);
+        let stash_len = (r.g_sends.iter().map(own_len)).chain(r.r_sends.iter().map(tail_len));
         Self {
             local_done: vec![false; r.local_recvs.len()],
             staged: vec![None; r.s_recvs.len()],
-            own: vec![0.0; r.g_sends.iter().map(own_len).sum()],
+            stash: vec![0.0; stash_len.sum()],
             s_next: 0,
             g_done: vec![false; r.g_recvs.len()],
             payloads: vec![None; r.g_recvs.len()],
@@ -251,8 +258,8 @@ impl NeighborExec {
     /// every staging payload that has been delivered, **in registration
     /// order**, and hold it off its channel; once the last one is in,
     /// gather every g send from the held payloads — partition by partition
-    /// in slot order, a staged partition the whole held payload of its s
-    /// receive, the own one out of the stash — and recycle them.
+    /// in slot order, a staged partition the prefix of the held payload of
+    /// its s receive, the own one out of the stash; `test` recycles them.
     /// Returns whether the g step is out. Never blocks. The order and the
     /// single shipping point are what make the virtual clock a function of
     /// the plan rather than of thread timing.
@@ -267,19 +274,15 @@ impl NeighborExec {
             self.staged[self.s_next] = Some(data);
             self.s_next += 1;
         }
-        let (staged, mut own) = (&self.staged, &self.own[..]);
+        let held = |s_recv: usize| self.staged[s_recv].as_deref().expect("s payload held");
+        let mut own = &self.stash[..];
         for (send, g) in self.g_sends.iter().zip(&self.routing.g_sends) {
             let (mine, rest) = own.split_at(own_len(g));
             own = rest;
             gather(send, ctx, &g.parts, |part| match part.source {
-                PartSource::Staged { s_recv } => staged[s_recv].as_deref().expect("s payload held"),
+                PartSource::Staged { s_recv } => &held(s_recv)[..part.range.len()],
                 PartSource::Input(_) => mine,
             });
-        }
-        for (recv, slot) in self.s_recvs.iter_mut().zip(&mut self.staged) {
-            if let Some(data) = slot.take() {
-                recv.recycle(data);
-            }
         }
         self.g_started = true;
         true
@@ -330,15 +333,19 @@ impl NeighborRequest for NeighborExec {
         }
         self.s_recvs.iter_mut().for_each(RecvChan::start);
 
-        // g: this rank's own contributions are stashed now (the input is
-        // not at hand where the g sends ship)
+        // g and r: this rank's own contributions and the ridden ℓ tails
+        // are stashed now (the input is not at hand where they ship)
         let mut at = 0;
         for part in routing.g_sends.iter().flat_map(|g| &g.parts) {
             if let PartSource::Input(runs) = &part.source {
                 let len = part.range.len();
-                copy_runs(runs, input, &mut self.own[at..at + len]);
+                copy_runs(runs, input, &mut self.stash[at..at + len]);
                 at += len;
             }
+        }
+        for (s, len) in routing.r_sends.iter().map(|s| (s, tail_len(s))) {
+            copy_runs(&s.tail, input, &mut self.stash[at..at + len]);
+            at += len;
         }
         self.g_recvs.iter_mut().for_each(RecvChan::start);
 
@@ -367,7 +374,16 @@ impl NeighborRequest for NeighborExec {
             return false;
         }
 
+        // the held s payloads: scatter their ℓ tails, then recycle them
         let routing = &*self.routing;
+        let s = self.s_recvs.iter_mut().zip(&routing.s_recvs);
+        for ((recv, route), slot) in s.zip(&mut self.staged) {
+            if let Some(data) = slot.take() {
+                copy_runs(&route.outputs, &data, output);
+                recv.recycle(data);
+            }
+        }
+
         let ell = self.local_recvs.iter_mut().zip(&routing.local_recvs);
         for ((recv, route), done) in ell.zip(&mut self.local_done) {
             if !*done {
@@ -394,10 +410,16 @@ impl NeighborRequest for NeighborExec {
         // any of them); the borrowed payloads are recycled afterwards
         if !self.r_started && self.g_done.iter().all(|&d| d) {
             let payloads = &self.payloads;
+            let mut tails = &self.stash[routing.g_sends.iter().map(own_len).sum::<usize>()..];
             for (send, route) in self.r_sends.iter().zip(&routing.r_sends) {
-                gather(send, ctx, &route.sources, |r| {
-                    let data = payloads[r.g_msg].as_ref().expect("g payload drained");
-                    &data[r.pos..r.pos + r.len]
+                let (tail, rest) = tails.split_at(tail_len(route));
+                tails = rest;
+                send.start_with(ctx, |buf| {
+                    for r in &route.sources {
+                        let data = payloads[r.g_msg].as_ref().expect("g payload drained");
+                        append_run(buf, &data[r.pos..r.pos + r.len]);
+                    }
+                    append_run(buf, tail);
                 });
             }
             for (recv, slot) in self.g_recvs.iter_mut().zip(&mut self.payloads) {
@@ -655,6 +677,36 @@ mod tests {
         CommPattern::new(8, sends)
     }
 
+    /// [`run_shapes`] on 8 ranks in two regions: its aggregating plans
+    /// carry ℓ values on s and on r messages (both asserted for the full
+    /// one), which `all_to_all_regions`, with no ℓ traffic, never does.
+    fn ride_shapes() -> (CommPattern, Topology) {
+        let (pattern, topo) = (run_shapes(|r| 64 * r), Topology::block_nodes(8, 4));
+        let plan = Protocol::FullNeighbor.plan(&pattern, &topo);
+        let routings = RankRouting::build_all(&pattern, &plan, 0);
+        let s_rides = (routings.iter().flat_map(|r| &r.s_recvs))
+            .filter(|x| !x.outputs.is_empty())
+            .count();
+        let r_rides = (routings.iter().flat_map(|r| &r.r_sends))
+            .filter(|s| !s.tail.is_empty())
+            .count();
+        assert!(
+            s_rides > 0 && r_rides > 0,
+            "{s_rides} s rides, {r_rides} r rides"
+        );
+        (pattern, topo)
+    }
+
+    /// The dense 16-rank pattern and [`ride_shapes`]: what the allocation
+    /// tests run.
+    fn alloc_cases() -> [(CommPattern, Topology); 2] {
+        let topo = Topology::block_nodes(16, 4);
+        [
+            (CommPattern::all_to_all_regions(&topo), topo),
+            ride_shapes(),
+        ]
+    }
+
     #[test]
     fn contiguous_strided_and_duplicated_sources_deliver() {
         roundtrip_all(&run_shapes(|r| 64 * r), &Topology::block_nodes(8, 4));
@@ -785,30 +837,33 @@ mod tests {
         // parks through the request's own scratch: once every buffer has
         // reached its size, start/wait touch the heap on no rank — for
         // every protocol, and for both aggregating ones split at their
-        // partition bounds (`Backend::Partitioned`)
-        let topo = Topology::block_nodes(16, 4);
-        let pattern = CommPattern::all_to_all_regions(&topo);
-        let cases = Protocol::ALL.map(|p| (p, false)).into_iter().chain([
-            (Protocol::PartialNeighbor, true),
-            (Protocol::FullNeighbor, true),
-        ]);
-        for (protocol, partitioned) in cases {
-            let routings = RankRouting::build_all(&pattern, &protocol.plan(&pattern, &topo), 100);
-            let allocs = World::run(16, |ctx| {
-                let comm = ctx.comm_world();
-                let mut nb = init(&routings, ctx, &comm, partitioned);
-                let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
-                let mut output = vec![f64::NAN; nb.output_index().len()];
-                steady_state_allocs(ctx, &comm, |ctx| {
-                    nb.start(ctx, &input);
-                    nb.wait(ctx, &mut output);
-                })
-            });
-            assert_eq!(allocs, vec![0; 16], "{protocol}, partitioned={partitioned}");
+        // partition bounds (`Backend::Partitioned`), ridden ℓ values
+        // included
+        for (pattern, topo) in alloc_cases() {
+            let n = pattern.n_ranks;
+            let cases = Protocol::ALL.map(|p| (p, false)).into_iter().chain([
+                (Protocol::PartialNeighbor, true),
+                (Protocol::FullNeighbor, true),
+            ]);
+            for (protocol, partitioned) in cases {
+                let plan = protocol.plan(&pattern, &topo);
+                let routings = RankRouting::build_all(&pattern, &plan, 100);
+                let allocs = World::run(n, |ctx| {
+                    let comm = ctx.comm_world();
+                    let mut nb = init(&routings, ctx, &comm, partitioned);
+                    let input: Vec<f64> = nb.input_index().iter().map(|&i| i as f64).collect();
+                    let mut output = vec![f64::NAN; nb.output_index().len()];
+                    steady_state_allocs(ctx, &comm, |ctx| {
+                        nb.start(ctx, &input);
+                        nb.wait(ctx, &mut output);
+                    })
+                });
+                assert_eq!(allocs, vec![0; n], "{protocol}, partitioned={partitioned}");
+            }
         }
     }
 
-    /// Four entries on one 16-rank pattern: two full, one partial and one
+    /// Four entries on one pattern: two full, one partial and one
     /// split at its partition bounds.
     fn four_entry_batch<'a>(
         topo: &'a Topology,
@@ -826,27 +881,28 @@ mod tests {
         // a warm re-init shares the resolution's routing and attaches to
         // channels that exist: what it allocates is each request's own
         // vectors (15 at most, each step's channel halves and flags, the
-        // held-payload slots, the stash and the park scratch) and its box,
-        // and the session's four, whatever number of routes and runs the
-        // routing holds — a copy of the routing costs one allocation per
-        // route and per partition besides
+        // held-payload slots, the one stash of own partitions and ridden
+        // r tails, and the park scratch) and its box, and the session's
+        // four, whatever number of routes and runs the routing holds — a
+        // copy of the routing costs one allocation per route and per
+        // partition besides
         const PER_REQUEST: usize = 16;
         const PER_SESSION: usize = 4;
-        let topo = Topology::block_nodes(16, 4);
-        let pattern = CommPattern::all_to_all_regions(&topo);
-        let batch = four_entry_batch(&topo, &pattern);
-        let allocs = World::run(16, |ctx| {
-            let comm = ctx.comm_world();
-            drop(batch.init_all(ctx, &comm)); // cold: creates every channel
-            ctx.barrier(&comm);
-            let before = ALLOCS.with(Cell::get);
-            let session = batch.init_all(ctx, &comm);
-            let allocs = ALLOCS.with(Cell::get) - before;
-            drop(session);
-            allocs
-        });
-        let bound = PER_REQUEST * batch.len() + PER_SESSION;
-        assert!(allocs.iter().all(|&n| n <= bound), "{allocs:?} > {bound}");
+        for (pattern, topo) in alloc_cases() {
+            let batch = four_entry_batch(&topo, &pattern);
+            let allocs = World::run(pattern.n_ranks, |ctx| {
+                let comm = ctx.comm_world();
+                drop(batch.init_all(ctx, &comm)); // cold: creates every channel
+                ctx.barrier(&comm);
+                let before = ALLOCS.with(Cell::get);
+                let session = batch.init_all(ctx, &comm);
+                let allocs = ALLOCS.with(Cell::get) - before;
+                drop(session);
+                allocs
+            });
+            let bound = PER_REQUEST * batch.len() + PER_SESSION;
+            assert!(allocs.iter().all(|&n| n <= bound), "{allocs:?} > {bound}");
+        }
     }
 
     #[test]

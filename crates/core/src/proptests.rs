@@ -1,7 +1,7 @@
 //! Property-based tests over random communication patterns.
 
 use crate::agg::verify::verify_plan;
-use crate::agg::{AssignStrategy, Plan};
+use crate::agg::{AssignStrategy, Plan, PlanMsg};
 use crate::analytic::iteration_time;
 use crate::collective::Protocol;
 use crate::pattern::CommPattern;
@@ -126,6 +126,20 @@ fn check_routing_runs(r: &RankRouting) -> Result<(), TestCaseError> {
     for x in r.local_recvs.iter().chain(&r.r_recvs) {
         check_runs(&x.outputs, |r| r.from, Some(0..x.len), &[])?;
     }
+    // an s receive's ℓ tail covers what follows the prefix its staged
+    // partition reads
+    let mut prefix = vec![None; r.s_recvs.len()];
+    for part in r.g_sends.iter().flat_map(|g| &g.parts) {
+        if let PartSource::Staged { s_recv } = part.source {
+            if let Some(p) = prefix.get_mut(s_recv) {
+                *p = Some(part.range.len());
+            }
+        }
+    }
+    for (x, prefix) in r.s_recvs.iter().zip(prefix) {
+        let prefix = prefix.unwrap_or(x.len);
+        check_runs(&x.outputs, |r| r.from, Some(prefix..x.len), &[])?;
+    }
     for g in &r.g_sends {
         for part in &g.parts {
             if let PartSource::Input(runs) = &part.source {
@@ -137,7 +151,9 @@ fn check_routing_runs(r: &RankRouting) -> Result<(), TestCaseError> {
         check_runs(&g.outputs, |r| r.from, None, &g.bounds)?;
     }
     for s in &r.r_sends {
-        prop_assert_eq!(s.sources.iter().map(|f| f.len).sum::<usize>(), s.len);
+        let forwards = s.sources.iter().map(|f| f.len).sum::<usize>();
+        prop_assert!(forwards <= s.len, "{:?} overflows its message", s);
+        check_runs(&s.tail, |r| r.to, Some(0..s.len - forwards), &[])?;
         for f in &s.sources {
             let bounds = &r.g_recvs[f.g_msg].bounds;
             let p = bounds.partition_point(|&b| b <= f.pos);
@@ -158,14 +174,17 @@ fn check_routing_runs(r: &RankRouting) -> Result<(), TestCaseError> {
 }
 
 /// The staging links of one routing are a bijection: every staged
-/// partition names a distinct s receive, in range and of the partition's
-/// length, and every s receive is named once.
+/// partition names a distinct s receive, in range and whose payload prefix
+/// — all but its ℓ tail — has the partition's length, and every s receive
+/// is named once.
 fn check_staging(r: &RankRouting) -> Result<(), TestCaseError> {
     let mut named = vec![0usize; r.s_recvs.len()];
     for part in r.g_sends.iter().flat_map(|g| &g.parts) {
         if let PartSource::Staged { s_recv } = part.source {
             prop_assert!(s_recv < named.len(), "{:?} names no s receive", part);
-            prop_assert_eq!(r.s_recvs[s_recv].len, part.range.len());
+            let x = &r.s_recvs[s_recv];
+            let tail: usize = x.outputs.iter().map(|r| r.len).sum();
+            prop_assert_eq!(x.len - tail, part.range.len());
             named[s_recv] += 1;
         }
     }
@@ -220,9 +239,9 @@ fn check_split(unsplit: &RankRouting, split: &RankRouting) -> Result<(), TestCas
         (before + p, pos - bounds[p])
     };
     let r_sends = (old.r_sends.iter())
-        .map(|(head, sources)| {
+        .map(|(head, sources, tail)| {
             let sources = sources.iter().map(|&(g, pos)| split_pos(g, pos));
-            (*head, sources.collect())
+            (*head, sources.collect(), tail.clone())
         })
         .collect();
     let want = ValueMaps {
@@ -232,6 +251,109 @@ fn check_split(unsplit: &RankRouting, split: &RankRouting) -> Result<(), TestCas
         ..old
     };
     prop_assert_eq!(ValueMaps::expand(split), want);
+    Ok(())
+}
+
+/// Every value of a copy map as a `(from, to)` pair, in map order.
+fn pairs(runs: &[Run]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    runs.iter()
+        .flat_map(|r| (0..r.len).map(move |k| (r.from + k, r.to + k)))
+}
+
+/// The ride rule on rank `r.me`'s routing of `plan`, split at the
+/// partition bounds if `partitioned` (see `ell_values_ride_once`).
+fn check_rides(plan: &Plan, r: &RankRouting, partitioned: bool) -> Result<(), TestCaseError> {
+    let me = r.me;
+    let pair = |m: &PlanMsg| (m.src, m.dst);
+    let rides = |l: &PlanMsg| {
+        plan.s_step
+            .iter()
+            .chain(&plan.r_step)
+            .any(|m| pair(m) == pair(l))
+    };
+    for dst in (r.s_sends.iter().map(|s| s.dst)).chain(r.r_sends.iter().map(|s| s.dst)) {
+        prop_assert!(
+            r.local_sends.iter().all(|l| l.dst != dst),
+            "rank {} keeps an ℓ message to {} beside an s or r one",
+            me,
+            dst
+        );
+    }
+
+    // the ℓ `(index, peer)` pairs on the wire, sent and received: whole ℓ
+    // messages, and what follows the plan's slots of an s or r message
+    let (mut sent, mut got) = (Vec::new(), Vec::new());
+    let mut send = |runs: &[Run], dst: usize, skip: usize| {
+        let tail = pairs(runs).filter(|&(_, to)| to >= skip);
+        sent.extend(tail.map(|(from, _)| (r.input_index[from], dst)));
+    };
+    for s in &r.local_sends {
+        send(&s.sources, s.dst, 0);
+    }
+    let s_msgs = plan.s_step.iter().filter(|m| m.src == me);
+    for (s, m) in r.s_sends.iter().zip(s_msgs) {
+        send(&s.sources, s.dst, m.n_values());
+    }
+    for s in &r.r_sends {
+        send(&s.tail, s.dst, 0);
+    }
+    let mut recv = |runs: &[Run], src: usize, skip: usize| {
+        let tail = pairs(runs).filter(|&(from, _)| from >= skip);
+        got.extend(tail.map(|(_, to)| (r.output_index[to], src)));
+    };
+    for x in &r.local_recvs {
+        recv(&x.outputs, x.src, 0);
+    }
+    for x in &r.s_recvs {
+        recv(&x.outputs, x.src, 0);
+    }
+    let r_msgs = plan.r_step.iter().filter(|m| m.dst == me);
+    for (x, m) in r.r_recvs.iter().zip(r_msgs) {
+        recv(&x.outputs, x.src, m.n_values());
+    }
+    let (mut want_sent, mut want_got) = (Vec::new(), Vec::new());
+    for l in &plan.local {
+        for sl in plan.local_slots.iter_range(l.slots.clone()) {
+            if l.src == me {
+                want_sent.push((sl.index, l.dst));
+            }
+            if l.dst == me {
+                want_got.push((sl.index, l.src));
+            }
+        }
+    }
+    for v in [&mut sent, &mut got, &mut want_sent, &mut want_got] {
+        v.sort_unstable();
+    }
+    prop_assert_eq!(sent, want_sent, "rank {} sends", me);
+    prop_assert_eq!(got, want_got, "rank {} receives", me);
+
+    // one channel per route: the plan's messages at this rank (a split g
+    // message once per partition) less the ℓ ones that ride
+    let ends = |m: &PlanMsg| usize::from(m.src == me) + usize::from(m.dst == me);
+    let parts = |m: &PlanMsg| match partitioned {
+        true => (m.slots.clone().map(|p| plan.g_slots.origin(p)))
+            .collect::<std::collections::BTreeSet<_>>()
+            .len(),
+        false => 1,
+    };
+    let steps = plan.local.iter().chain(&plan.s_step).chain(&plan.r_step);
+    let msgs = steps.map(ends).sum::<usize>()
+        + plan
+            .g_step
+            .iter()
+            .map(|m| ends(m) * parts(m))
+            .sum::<usize>();
+    let ridden: usize = plan.local.iter().filter(|l| rides(l)).map(ends).sum();
+    let routes = r.local_sends.len()
+        + r.local_recvs.len()
+        + r.s_sends.len()
+        + r.s_recvs.len()
+        + r.g_sends.len()
+        + r.g_recvs.len()
+        + r.r_sends.len()
+        + r.r_recvs.len();
+    prop_assert_eq!(routes, msgs - ridden, "rank {} channels", me);
     Ok(())
 }
 
@@ -361,6 +483,29 @@ proptest! {
                     let split = routing.clone().split_at_partitions();
                     check_split(&routing, &split)?;
                 }
+            }
+        }
+    }
+
+    /// The ride rule (`RankRouting::build_all`): for random patterns,
+    /// region sizes and both aggregating protocols, split and unsplit, no
+    /// rank keeps an ℓ message to a peer it also sends an s or r message
+    /// to, every ℓ value of the plan is on the wire exactly once — sent and
+    /// received — and every rank registers the plan's messages less its
+    /// rides.
+    #[test]
+    fn ell_values_ride_once(
+        pattern in arb_pattern(12),
+        ppn in 1usize..7,
+        lb in any::<bool>(),
+    ) {
+        let topo = Topology::block_nodes(12, ppn);
+        let strategy = if lb { AssignStrategy::LoadBalanced } else { AssignStrategy::RoundRobin };
+        for dedup in [false, true] {
+            let plan = Plan::aggregated(&pattern, &topo, dedup, strategy);
+            for routing in RankRouting::build_all(&pattern, &plan, 4096) {
+                check_rides(&plan, &routing, false)?;
+                check_rides(&plan, &routing.split_at_partitions(), true)?;
             }
         }
     }

@@ -28,6 +28,10 @@
 //! part of the buffer one partition delivers — which is what makes the
 //! split exact.
 //!
+//! One intra-region message per pair and phase: an ℓ message rides as the
+//! tail of its pair's first s message ([`SRecvRoute::outputs`]), or failing
+//! that its first r message ([`RSendRoute::tail`]); the [`Plan`] is unchanged.
+//!
 //! There is one derivation: [`RankRouting::build_all`] derives **every**
 //! rank's view in a single sweep of the plan — O(M + N) total. Each
 //! message is visited once and contributes to its two endpoints; slot
@@ -36,8 +40,8 @@
 //! per-rank hash maps. Every builder initializes through it, once per batch
 //! entry ([`RankRouting::build_all_batch`]). Its reference is the test
 //! oracle (`oracle::ValueMaps`), which re-derives each rank's messages,
-//! tags, partitions, copy maps and staging links value by value from the
-//! plan (property-tested).
+//! tags, partitions, copy maps, staging links and rides value by value
+//! from the plan (property-tested).
 
 use crate::agg::{Plan, PlanMsg, SlotArena};
 use crate::pattern::CommPattern;
@@ -140,6 +144,21 @@ fn runs(pairs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Run> {
     out
 }
 
+/// Append `runs` to the copy map `out` with their `from` and `to` sides
+/// shifted by `(df, dt)`, keeping `out`'s runs maximal.
+fn append_shifted(out: &mut Vec<Run>, runs: &[Run], (df, dt): (usize, usize)) {
+    for r in runs {
+        push_run(out, r.from + df, r.to + dt, &[]);
+        out.last_mut().expect("pushed").len += r.len - 1;
+    }
+}
+
+/// The first of `routes` (sorted by `peer`) whose peer is `p`.
+fn first<T>(routes: &mut [T], peer: impl Fn(&T) -> usize, p: usize) -> Option<&mut T> {
+    let k = routes.partition_point(|x| peer(x) < p);
+    routes.get_mut(k).filter(|x| peer(x) == p)
+}
+
 /// An r send's per-slot `(g receive, slot position)` sources, in slot
 /// order, as maximal runs; like [`push_run`], none crosses a partition
 /// bound of the g receive it reads.
@@ -169,9 +188,9 @@ pub enum PartSource {
     /// This rank's own contribution: runs from input positions to
     /// positions within the partition.
     Input(Vec<Run>),
-    /// The whole buffer of s receive `s_recv` ([`RankRouting::s_recvs`]),
-    /// in order (staging ranks sort their s slots into the partition's
-    /// slot order).
+    /// The payload prefix of s receive `s_recv` ([`RankRouting::s_recvs`])
+    /// as long as the partition, in order (staging ranks sort their s
+    /// slots into the partition's slot order); a ridden ℓ tail follows it.
     Staged { s_recv: usize },
 }
 
@@ -232,18 +251,20 @@ pub struct GRecvRoute {
     pub outputs: Vec<Run>,
 }
 
-/// An s-step receive at a sending leader: it fills exactly one partition
-/// of one `g` send, the one whose source is [`PartSource::Staged`] naming
-/// it.
+/// An s-step receive at a sending leader, payload `[staged partition | ℓ
+/// values]`: the prefix fills one partition of one `g` send, the one whose
+/// source is [`PartSource::Staged`] naming it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SRecvRoute {
     pub src: usize,
     pub tag: u64,
     pub len: usize,
+    /// Runs from ℓ tail slot positions to output positions (or none).
+    pub outputs: Vec<Run>,
 }
 
-/// An r-step send at a receiving leader: each slot forwards a received
-/// `g` value.
+/// An r-step send at a receiving leader, payload `[forwards | ℓ values]`:
+/// each forward is a received `g` value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RSendRoute {
     pub dst: usize,
@@ -251,6 +272,8 @@ pub struct RSendRoute {
     pub len: usize,
     /// Runs of g receive slots, in slot order of this send.
     pub sources: Vec<FwdRun>,
+    /// Runs from input positions to positions within the ℓ tail (or none).
+    pub tail: Vec<Run>,
 }
 
 /// Everything one rank needs to register and drive its part of a plan.
@@ -484,6 +507,7 @@ impl RankRouting {
                 src: m.src,
                 tag,
                 len: order.len(),
+                outputs: Vec::new(),
             });
         }
         for r in &routings {
@@ -518,6 +542,7 @@ impl RankRouting {
                 tag,
                 len: m.n_values(),
                 sources,
+                tail: Vec::new(),
             });
             routings[m.dst].r_recvs.push(RecvRoute {
                 src: m.src,
@@ -529,6 +554,34 @@ impl RankRouting {
                         .enumerate()
                         .map(|(p, sl)| (p, out_pos(m.dst, sl.index))),
                 ),
+            });
+        }
+
+        // ℓ rides, a post-pass: an ℓ message joins its pair's first s (else r)
+        // message as a tail; each endpoint decides from its own routes.
+        for r in &mut routings {
+            r.local_sends.retain_mut(|l| {
+                if let Some(s) = first(&mut r.s_sends, |s| s.dst, l.dst) {
+                    append_shifted(&mut s.sources, &l.sources, (0, s.len));
+                    s.len += l.len;
+                } else if let Some(s) = first(&mut r.r_sends, |s| s.dst, l.dst) {
+                    (s.tail, s.len) = (std::mem::take(&mut l.sources), s.len + l.len);
+                } else {
+                    return true;
+                }
+                false
+            });
+            r.local_recvs.retain(|l| {
+                let (outputs, len) = if let Some(x) = first(&mut r.s_recvs, |x| x.src, l.src) {
+                    (&mut x.outputs, &mut x.len)
+                } else if let Some(x) = first(&mut r.r_recvs, |x| x.src, l.src) {
+                    (&mut x.outputs, &mut x.len)
+                } else {
+                    return true;
+                };
+                append_shifted(outputs, &l.outputs, (*len, 0));
+                *len += l.len;
+                false
             });
         }
 
@@ -683,8 +736,9 @@ impl RankRouting {
 /// at a time — the reference [`RankRouting::build_all`] is tested
 /// against. It shares no lookup with the sweep: a tag counts the earlier
 /// messages of its step between the same pair, partition bounds count the
-/// slots of each origin, and a staged partition finds the s receive that
-/// fills it by slot content.
+/// slots of each origin, a staged partition finds the s receive that
+/// fills it by slot content, and an ℓ message finds the s or r message it
+/// rides by scanning the step lists for the pair's first.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
@@ -725,7 +779,9 @@ pub(crate) mod oracle {
         /// Input position feeding each slot, per ℓ / s send.
         pub local_sends: Vec<(Head, Vec<usize>)>,
         pub s_sends: Vec<(Head, Vec<usize>)>,
-        pub s_recvs: Vec<Head>,
+        /// `(slot position, output position)` pairs of the ridden ℓ tail,
+        /// per s receive.
+        pub s_recvs: Vec<(Head, Pairs)>,
         /// `(slot position, output position)` pairs, per ℓ / r receive.
         pub local_recvs: Vec<(Head, Pairs)>,
         pub r_recvs: Vec<(Head, Pairs)>,
@@ -735,8 +791,10 @@ pub(crate) mod oracle {
         /// Per g receive, its partition bounds and `(slot position, output
         /// position)` pairs.
         pub g_recvs: Vec<(Head, Vec<usize>, Pairs)>,
-        /// `(g receive, slot position)` feeding each slot, per r send.
-        pub r_sends: Vec<(Head, Pairs)>,
+        /// `(g receive, slot position)` feeding each forward slot, and the
+        /// input position feeding each slot of the ridden ℓ tail, per r
+        /// send.
+        pub r_sends: Vec<(Head, Pairs, Vec<usize>)>,
     }
 
     impl ValueMaps {
@@ -764,12 +822,45 @@ pub(crate) mod oracle {
                 let tag = tag_base + step as u64 * STEP_TAG_STRIDE + seq as u64;
                 ((m.dst, tag, m.n_values()), (m.src, tag, m.n_values()))
             };
+            let pair = |m: &PlanMsg| (m.src, m.dst);
+            let ell = |m: &PlanMsg| plan.local.iter().find(|l| pair(l) == pair(m));
+            // the ℓ message riding message `i` of a step: the pair's, if
+            // `i` is the pair's first message of the step and no earlier
+            // step of s and r carries it
+            let rider = |msgs: &[PlanMsg], i: usize, earlier: &[PlanMsg]| {
+                let m = &msgs[i];
+                let first = msgs.iter().position(|x| pair(x) == pair(m)) == Some(i);
+                ell(m).filter(|_| first && !earlier.iter().any(|x| pair(x) == pair(m)))
+            };
+            let ell_inputs = |l: Option<&PlanMsg>| -> Vec<usize> {
+                l.map_or(Vec::new(), |l| {
+                    let slots = plan.local_slots.iter_range(l.slots.clone());
+                    slots.map(|sl| in_pos(sl.index)).collect()
+                })
+            };
+            // the ridden tail's `(slot position, output position)` pairs,
+            // after the `at` slots of the message it rides
+            let ell_outputs = |l: Option<&PlanMsg>, at: usize| -> Pairs {
+                l.map_or(Vec::new(), |l| {
+                    let tail = delivered(&plan.local_slots, l).into_iter();
+                    tail.map(|(p, o)| (at + p, o)).collect()
+                })
+            };
+            let ridden_len = |l: Option<&PlanMsg>| l.map_or(0, PlanMsg::n_values);
             let mut v = Self {
                 input_index: input_index.clone(),
                 output_index: output_index.clone(),
                 ..Self::default()
             };
             for (i, m) in plan.local.iter().enumerate() {
+                if plan
+                    .s_step
+                    .iter()
+                    .chain(&plan.r_step)
+                    .any(|x| pair(x) == pair(m))
+                {
+                    continue; // it rides
+                }
                 let (send, recv) = heads(&plan.local, i, Step::Local);
                 if m.src == me {
                     let slots = plan.local_slots.iter_range(m.slots.clone());
@@ -783,14 +874,18 @@ pub(crate) mod oracle {
             // the slot content of each s message this rank receives
             let mut staged = Vec::new();
             for (i, m) in plan.s_step.iter().enumerate() {
-                let (send, recv) = heads(&plan.s_step, i, Step::S);
+                let (mut send, mut recv) = heads(&plan.s_step, i, Step::S);
+                let l = rider(&plan.s_step, i, &[]);
+                send.2 += ridden_len(l);
+                recv.2 += ridden_len(l);
                 if m.src == me {
                     let order = s_order(&plan.s_slots, m);
                     let inputs = order.iter().map(|&ap| in_pos(plan.s_slots.index(ap)));
-                    v.s_sends.push((send, inputs.collect()));
+                    v.s_sends
+                        .push((send, inputs.chain(ell_inputs(l)).collect()));
                 }
                 if m.dst == me {
-                    v.s_recvs.push(recv);
+                    v.s_recvs.push((recv, ell_outputs(l, m.n_values())));
                     staged.push(content(&plan.s_slots, m.slots.clone()));
                 }
             }
@@ -844,7 +939,10 @@ pub(crate) mod oracle {
             }
             fwd.sort_unstable();
             for (i, m) in plan.r_step.iter().enumerate() {
-                let (send, recv) = heads(&plan.r_step, i, Step::R);
+                let (mut send, mut recv) = heads(&plan.r_step, i, Step::R);
+                let l = rider(&plan.r_step, i, &plan.s_step);
+                send.2 += ridden_len(l);
+                recv.2 += ridden_len(l);
                 if m.src == me {
                     let sources = plan.r_slots.iter_range(m.slots.clone()).map(|sl| {
                         let k = fwd
@@ -852,10 +950,12 @@ pub(crate) mod oracle {
                             .unwrap();
                         fwd[k].1
                     });
-                    v.r_sends.push((send, sources.collect()));
+                    v.r_sends.push((send, sources.collect(), ell_inputs(l)));
                 }
                 if m.dst == me {
-                    v.r_recvs.push((recv, delivered(&plan.r_slots, m)));
+                    let mut outputs = delivered(&plan.r_slots, m);
+                    outputs.extend(ell_outputs(l, m.n_values()));
+                    v.r_recvs.push((recv, outputs));
                 }
             }
             v
@@ -893,7 +993,9 @@ pub(crate) mod oracle {
                 output_index: r.output_index.clone(),
                 local_sends: sends(&r.local_sends),
                 s_sends: sends(&r.s_sends),
-                s_recvs: r.s_recvs.iter().map(|s| (s.src, s.tag, s.len)).collect(),
+                s_recvs: (r.s_recvs.iter())
+                    .map(|s| ((s.src, s.tag, s.len), pairs(&s.outputs)))
+                    .collect(),
                 local_recvs: recvs(&r.local_recvs),
                 r_recvs: recvs(&r.r_recvs),
                 g_sends: (r.g_sends.iter())
@@ -910,7 +1012,7 @@ pub(crate) mod oracle {
                         let sources = s.sources.iter();
                         let slots =
                             sources.flat_map(|f| (f.pos..f.pos + f.len).map(|pos| (f.g_msg, pos)));
-                        ((s.dst, s.tag, s.len), slots.collect())
+                        ((s.dst, s.tag, s.len), slots.collect(), froms(&s.tail))
                     })
                     .collect(),
             }
