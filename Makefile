@@ -150,6 +150,7 @@ figures-smoke:
 # 1/20 of its run length: builds the separate perfbench package against
 # the workspace crates and runs all six workloads once with every output
 # check on — a smoke run, its numbers are marked not comparable. Must run
-# with no MPISIM_* variable set.
+# with no MPISIM_* variable set. `--locked`: a workspace change that would
+# rewrite perfbench/Cargo.lock fails here instead of editing a pinned file.
 perfbench-quick:
-	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --quick
+	cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- --quick

@@ -1,9 +1,8 @@
 //! The per-rank handle: point-to-point operations and the virtual clock.
 
 use crate::comm::{Comm, USER_TAG_LIMIT};
-use crate::elem::{elem_bytes, Elem};
+use crate::elem::{elem_bytes, kind_name, Elem};
 use crate::state::{Envelope, Payload, WorldState};
-use crate::transport::PayloadMode;
 use std::sync::Arc;
 
 /// Handle through which a rank's SPMD closure talks to the world.
@@ -158,10 +157,6 @@ impl RankCtx {
         // simplicity the full postal time is charged (α-dominated patterns
         // make the distinction immaterial at the scales studied here).
         let arrival = self.charge_send(dst_world, bytes);
-        let payload = match self.world.payload_mode() {
-            PayloadMode::Typed => Payload::typed(data.to_vec()),
-            PayloadMode::Bytes => Payload::bytes_from(data),
-        };
         self.world.deposit(
             self.rank,
             dst_world,
@@ -170,7 +165,7 @@ impl RankCtx {
                 src: comm.rank(),
                 tag,
                 arrival,
-                payload,
+                payload: Payload::of(data),
             },
         );
     }
@@ -192,8 +187,9 @@ impl RankCtx {
         env.payload.take::<T>().unwrap_or_else(|sent| {
             panic!(
                 "datatype mismatch receiving from rank {src} tag {tag}: \
-                 sent {sent}, receiving {}",
-                std::any::type_name::<T>()
+                 sent {}, receiving {}",
+                kind_name(sent),
+                kind_name(T::KIND)
             )
         })
     }
@@ -268,7 +264,7 @@ impl RankCtx {
 
 #[cfg(test)]
 mod tests {
-    use crate::runtime::World;
+    use crate::runtime::{Fabric, World, WorldConfig};
 
     #[test]
     fn ring_exchange() {
@@ -303,16 +299,56 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "datatype mismatch")]
+    fn every_kind_round_trips_on_every_fabric() {
+        macro_rules! round_trip {
+            ($ctx:expr, $comm:expr, $($t:ty),*) => {$(
+                let sent = [<$t>::MIN, <$t>::MAX, 1 as $t, 0 as $t];
+                if $ctx.rank() == 0 {
+                    $ctx.send($comm, 1, 0, &sent);
+                } else {
+                    let got: Vec<$t> = $ctx.recv($comm, 0, 0);
+                    assert_eq!(got, sent, "{} on {}", stringify!($t), $ctx.fabric());
+                }
+            )*};
+        }
+        for fabric in Fabric::ALL {
+            WorldConfig::new(fabric).run(2, |ctx| {
+                let comm = ctx.comm_world();
+                round_trip!(ctx, &comm, u8, u16, u32, u64, usize);
+                round_trip!(ctx, &comm, i8, i16, i32, i64, isize, f32, f64);
+                // the empty payload of a barrier fence
+                if ctx.rank() == 0 {
+                    ctx.send(&comm, 1, 1, &[] as &[u8]);
+                } else {
+                    assert!(ctx.recv::<u8>(&comm, 0, 1).is_empty());
+                }
+            });
+        }
+    }
+
+    #[test]
     fn datatype_mismatch_panics() {
-        World::run(2, |ctx| {
-            let comm = ctx.comm_world();
-            if ctx.rank() == 0 {
-                ctx.send(&comm, 1, 0, &[1.0f64]);
-            } else {
-                let _: Vec<u32> = ctx.recv(&comm, 0, 0);
-            }
-        });
+        for fabric in Fabric::ALL {
+            let err = WorldConfig::new(fabric)
+                .pool(2)
+                .try_run(|ctx| {
+                    let comm = ctx.comm_world();
+                    if ctx.rank() == 0 {
+                        ctx.send(&comm, 1, 0, &[1.0f64]);
+                    } else {
+                        let _: Vec<u32> = ctx.recv(&comm, 0, 0);
+                    }
+                })
+                .expect_err("a mismatched receive fails the epoch");
+            assert_eq!(err.rank, 1, "{fabric:?}");
+            assert!(
+                err.message.contains(
+                    "datatype mismatch receiving from rank 0 tag 0: sent f64, receiving u32"
+                ),
+                "{fabric:?}: {}",
+                err.message
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! Each rank is a thread running the same SPMD closure with a [`RankCtx`]
 //! handle. Message matching follows MPI rules: envelopes carry
 //! `(communicator context, source, tag)` and are non-overtaking per
-//! (source, destination, tag, communicator).
+//! (source, destination, tag, communicator). Message elements are MPI's
+//! basic datatypes: the twelve primitive integer and float types
+//! ([`Elem`], a sealed trait), which every fabric moves as their bytes plus
+//! a one-byte kind, so a program valid on one fabric is valid on all.
 //!
 //! # Worlds
 //!

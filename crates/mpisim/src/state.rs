@@ -10,14 +10,12 @@
 //! [`crate::transport::shm`], the socket channel in
 //! [`crate::transport::sock`].
 
-use crate::elem::elem_bytes;
+use crate::elem::{kind_name, Elem};
 use crate::stall::{RankWait, RegistryGauge, StallReport};
 use crate::transport::shm::ring::ShmChan;
 use crate::transport::sock::chan::SockChan;
 use crate::transport::thread::ThreadChan;
-use crate::transport::{
-    assert_pod, bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport,
-};
+use crate::transport::{bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport};
 use locality::Topology;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use perfmodel::CostModel;
@@ -29,58 +27,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A plain-send payload, packaged the way the world's transport requires
-/// (see [`crate::transport::PayloadMode`]).
-pub(crate) enum Payload {
-    /// In-process: the `Vec<T>` itself behind a type-erased box. Zero
-    /// serialization; any `Elem` type travels.
-    Typed {
-        data: Box<dyn Any + Send>,
-        type_name: &'static str,
-    },
-    /// Cross-process: raw little-endian bytes plus the element type's name
-    /// (carried on the wire, so mismatch diagnostics survive the boundary).
-    /// Plain-old-data element types only.
-    Bytes { data: Vec<u8>, type_name: String },
+/// A plain-send payload, in the one form every fabric moves: the element
+/// type's [`Elem::KIND`] and the elements' bytes. The byte fabrics put both
+/// on the wire as they are ([`crate::transport::wire`]).
+pub(crate) struct Payload {
+    pub kind: u8,
+    pub bytes: Vec<u8>,
 }
 
 impl Payload {
-    /// Package a payload for the in-process fabric.
-    pub fn typed<T: Clone + Send + 'static>(data: Vec<T>) -> Self {
-        Payload::Typed {
-            data: Box::new(data),
-            type_name: std::any::type_name::<T>(),
+    /// Package `data` (copies its bytes, at the send boundary).
+    pub fn of<T: Elem>(data: &[T]) -> Self {
+        Payload {
+            kind: T::KIND,
+            bytes: bytes_of(data).to_vec(),
         }
     }
 
-    /// Package a payload for a byte fabric (serializes now, at the send
-    /// boundary). Panics for element types that cannot cross as raw bytes.
-    pub fn bytes_from<T>(data: &[T]) -> Self {
-        assert_pod::<T>("plain send over the shm transport");
-        Payload::Bytes {
-            data: bytes_of(data).to_vec(),
-            type_name: std::any::type_name::<T>().to_string(),
+    /// Recover the typed payload; `Err(sent_kind)` when the receiver's
+    /// element type does not match the sender's.
+    pub fn take<T: Elem>(self) -> Result<Vec<T>, u8> {
+        if self.kind != T::KIND {
+            return Err(self.kind);
         }
-    }
-
-    /// Recover the typed payload; `Err(sent_type_name)` when the receiver's
-    /// element type does not match what the sender packaged.
-    pub fn take<T: Clone + Send + 'static>(self) -> Result<Vec<T>, String> {
-        match self {
-            Payload::Typed { data, type_name } => data
-                .downcast::<Vec<T>>()
-                .map(|b| *b)
-                .map_err(|_| type_name.to_string()),
-            Payload::Bytes { data, type_name } => {
-                if type_name != std::any::type_name::<T>() {
-                    return Err(type_name);
-                }
-                assert_pod::<T>("plain receive over the shm transport");
-                let mut out = Vec::new();
-                vec_extend_bytes(&mut out, &data, &[]);
-                Ok(out)
-            }
-        }
+        let mut out = Vec::new();
+        vec_extend_bytes(&mut out, &self.bytes, &[]);
+        Ok(out)
     }
 }
 
@@ -147,21 +119,21 @@ impl Hasher for WordHasher {
 /// of one without knowing the element type.
 type ChanSlot = Arc<dyn AnyChan>;
 
-/// A [`Channel<T>`] with `T` erased: the element type's name (for mismatch
+/// A [`Channel<T>`] with `T` erased: the element type's kind (for mismatch
 /// diagnostics), the pending-message probe — so the plain mailbox path
 /// can detect mixed traffic —, the drain — so the registry can discard
 /// undelivered payloads after a panicked pool epoch —, and the way back to
 /// the typed channel.
 trait AnyChan: Send + Sync {
-    fn type_name(&self) -> &'static str;
+    fn kind(&self) -> u8;
     fn pending_len(&self) -> usize;
     fn drain_pending(&self);
     fn into_any(self: Arc<Self>) -> Arc<dyn Any + Send + Sync>;
 }
 
-impl<T: Clone + Send + 'static> AnyChan for Channel<T> {
-    fn type_name(&self) -> &'static str {
-        std::any::type_name::<T>()
+impl<T: Elem> AnyChan for Channel<T> {
+    fn kind(&self) -> u8 {
+        T::KIND
     }
 
     fn pending_len(&self) -> usize {
@@ -216,7 +188,7 @@ impl ChanId {
 /// `recv_chan_init` pair shares, created once at registration time.
 ///
 /// Every iteration's `start`/`wait` goes straight through this slot
-/// instead of boxing a fresh `Vec` behind `dyn Any` and linearly scanning
+/// instead of packaging a fresh payload and linearly scanning
 /// the destination's mutexed mailbox. Payload buffers are recycled, so the
 /// steady-state iteration allocates nothing. FIFO delivery preserves
 /// buffered-send semantics (a sender may run several iterations ahead) and
@@ -239,7 +211,7 @@ enum ChanImp<T> {
     Sock(SockChan<T>),
 }
 
-impl<T: Clone + Send + 'static> Channel<T> {
+impl<T: Elem> Channel<T> {
     /// The channel for `key` over the storage its fabric chose.
     fn new(key: ChanKey, fabric: ChanFabric) -> Self {
         let imp = match fabric {
@@ -389,7 +361,7 @@ impl ChanRegistrar<'_> {
     /// front (the shm rings); 0 falls back to the fabric minimum.
     /// `dst_world` is the receiving rank's world rank — the routing
     /// coordinate fabrics with per-peer wires (the sock links) key on.
-    pub(crate) fn channel_sized<T: Clone + Send + 'static>(
+    pub(crate) fn channel_sized<T: Elem>(
         &mut self,
         key: ChanKey,
         dst_world: usize,
@@ -411,13 +383,13 @@ impl ChanRegistrar<'_> {
 
 /// The typed channel behind a registry slot; a slot registered with
 /// another element type is a loud panic.
-fn typed<T: Clone + Send + 'static>(slot: &ChanSlot, key: ChanKey) -> Arc<Channel<T>> {
-    let registered = slot.type_name();
+fn typed<T: Elem>(slot: &ChanSlot, key: ChanKey) -> Arc<Channel<T>> {
+    let registered = kind_name(slot.kind());
     Arc::downcast::<Channel<T>>(Arc::clone(slot).into_any()).unwrap_or_else(|_| {
         panic!(
             "persistent channel {key:?} datatype mismatch: registered {registered}, \
              requested {}",
-            std::any::type_name::<T>()
+            kind_name(T::KIND)
         )
     })
 }
@@ -646,7 +618,6 @@ impl WorldState {
     /// locally-registered parked wait, transport queue depths, peer pid
     /// liveness, the epoch id, and the recorded dead rank (if any).
     pub fn stall_report(&self) -> StallReport {
-        let f = self.transport.forensics();
         let waits = self
             .parked
             .iter()
@@ -662,23 +633,25 @@ impl WorldState {
                 })
             })
             .collect();
-        StallReport {
+        let mut report = StallReport {
             epoch: self.epoch.load(Ordering::Relaxed),
             dead_rank: self.transport.dead_rank(),
             waits,
-            fabric: f.fabric,
-            mailbox_depths: f.mailbox_depths,
-            park_counts: f.park_counts,
-            outbox_depth: f.outbox_depth,
-            peers: f.peers,
-            links: f.links,
+            fabric: self.transport.fabric(),
+            mailbox_depths: Vec::new(),
+            park_counts: Vec::new(),
+            outbox_depth: 0,
+            peers: Vec::new(),
+            links: Vec::new(),
             registry: RegistryGauge {
                 // never held across a wait, so a short block is all
                 // this can cost (`match_recv`'s probe reads it too)
                 channels: self.channels.read().values().map(CtxChans::len).sum(),
-                ..f.registry
+                ..RegistryGauge::default()
             },
-        }
+        };
+        self.transport.forensics(&mut report);
+        report
     }
 
     /// Mirror the driver's epoch counter into stall forensics.
@@ -695,11 +668,6 @@ impl WorldState {
     /// (persistent-channel push/pop) — a no-op on bare fabrics.
     pub(crate) fn inject(&self, rank: usize, op: FaultOp) {
         self.transport.inject(rank, op);
-    }
-
-    /// Payload packaging the world's transport requires from senders.
-    pub(crate) fn payload_mode(&self) -> crate::transport::PayloadMode {
-        self.transport.mode()
     }
 
     /// Which fabric this world moves bytes over (`"thread"` / `"shm"` /
@@ -777,7 +745,7 @@ impl WorldState {
     /// registers first creates it; the other side attaches to the same
     /// slot, completing the match once at init time.
     #[cfg(test)]
-    pub fn channel<T: Clone + Send + 'static>(&self, key: ChanKey) -> Arc<Channel<T>> {
+    pub fn channel<T: Elem>(&self, key: ChanKey) -> Arc<Channel<T>> {
         Self::channel_in(&mut self.channels.write(), &self.transport, key, key.2, 0)
     }
 
@@ -785,7 +753,7 @@ impl WorldState {
     /// registration pass ([`ChanRegistrar`]) resolves its signatures from
     /// its first miss on. The transport decides where the channel's wire
     /// buffers live (process heap vs. shared segment).
-    fn channel_in<T: Clone + Send + 'static>(
+    fn channel_in<T: Elem>(
         map: &mut Registry,
         transport: &Arc<dyn Transport>,
         key: ChanKey,
@@ -798,13 +766,7 @@ impl WorldState {
             .or_default()
             .entry((src, dst, tag))
             .or_insert_with(|| {
-                let fabric = transport.make_channel(
-                    key,
-                    dst_world,
-                    elem_bytes::<T>(),
-                    std::any::type_name::<T>(),
-                    len_hint,
-                );
+                let fabric = transport.make_channel(key, dst_world, T::KIND, len_hint);
                 Arc::new(Channel::<T>::new(key, fabric))
             });
         typed(slot, key)
@@ -913,12 +875,12 @@ mod tests {
 
     #[test]
     fn payload_bytes_roundtrip_and_mismatch() {
-        let p = Payload::bytes_from(&[1.5f64, -2.25, 8.0]);
+        let p = Payload::of(&[1.5f64, -2.25, 8.0]);
         let back = p.take::<f64>().expect("same type roundtrips");
         assert_eq!(back, vec![1.5, -2.25, 8.0]);
-        let p = Payload::bytes_from(&[7u32]);
-        let err = p.take::<f64>().expect_err("type name mismatch");
-        assert_eq!(err, "u32");
+        let p = Payload::of(&[7u32]);
+        let err = p.take::<f64>().expect_err("kind mismatch");
+        assert_eq!(err, u32::KIND);
     }
 
     #[test]

@@ -4,16 +4,28 @@
 //! `FaultTransport` wraps any inner fabric and drives
 //! every perturbation from a seeded [`FaultPlan`]:
 //!
-//! * **delays** — short deterministic sleeps at `deposit` / `match_recv` /
-//!   channel push/pop entry, shaking out scan-then-park races;
+//! * **delays** — short deterministic sleeps at every counted op
+//!   (`deposit`, `match_recv`, `wait_any`, channel push/pop), shaking out
+//!   scan-then-park races;
 //! * **reorder** — a chosen deposit is *held* and released after later
 //!   traffic, emulating flusher-batch reordering. Holding is tag-legal:
 //!   two envelopes with equal `(src, dst, ctx, tag)` are never swapped
 //!   (MPI non-overtaking), only cross-signature overtaking is provoked;
+//! * **drop** — a chosen deposit first severs the link it is about to
+//!   ride (`Transport::sever_link`; a real teardown only on the sock
+//!   fabric);
 //! * **spurious** — extra readiness re-scans at `wait_any` entry,
 //!   emulating spurious wakeups;
 //! * **kill** — `panic!` on a chosen rank at exactly the Nth counted
 //!   transport op, exercising the death-detection machinery.
+//!
+//! Where each acts: reorder and drop fire only in `deposit`, that is, at
+//! plain sends. Persistent-channel push and pop bypass the trait and
+//! report through `Transport::inject`, which only counts the op — so it
+//! delays and kills, never holds or severs. Traffic on persistent
+//! channels — every neighborhood collective, and the solve service's
+//! control fabric — is therefore perturbed only by delay, spurious (its
+//! receives park in `wait_any`) and kill.
 //!
 //! Every *decision* (hold? delay how long? die here?) is a pure function
 //! of `(seed, rank, per-rank op index)`, so a failing schedule replays
@@ -26,7 +38,8 @@
 //! [`FaultPlan::parse`]) or programmatically via
 //! [`crate::WorldConfig::faults`].
 
-use super::{ChanFabric, FaultOp, PayloadMode, Transport, TransportForensics};
+use super::{ChanFabric, FaultOp, Transport};
+use crate::stall::StallReport;
 use crate::state::{ChanId, ChanKey, Envelope, WorldState};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,7 +101,8 @@ impl FaultPlan {
     }
 
     /// Hold roughly `permille`/1000 of deposits for later release
-    /// (tag-legal cross-signature reordering).
+    /// (tag-legal cross-signature reordering). Deposits are plain sends
+    /// only: persistent-channel traffic is never held.
     pub fn reorder(mut self, permille: u16) -> Self {
         self.reorder_permille = permille.min(1000);
         self
@@ -110,7 +124,9 @@ impl FaultPlan {
     /// Sever the destination's socket link on roughly `permille`/1000 of
     /// deposits, exercising reconnect-with-resume deterministically. The
     /// deposit itself still happens — replay after reconnect must make the
-    /// drop semantically invisible. No-op off the sock fabric.
+    /// drop semantically invisible. No-op off the sock fabric. Deposits
+    /// are plain sends only: a persistent-channel push never severs (its
+    /// frames still ride a link another deposit severed).
     pub fn drops(mut self, permille: u16) -> Self {
         self.drop_permille = permille.min(1000);
         self
@@ -311,10 +327,6 @@ impl Drop for FaultTransport {
 }
 
 impl Transport for FaultTransport {
-    fn mode(&self) -> PayloadMode {
-        self.inner.mode()
-    }
-
     fn fabric(&self) -> &'static str {
         self.inner.fabric()
     }
@@ -417,12 +429,10 @@ impl Transport for FaultTransport {
         &self,
         key: ChanKey,
         dst_world: usize,
-        elem_bytes: usize,
-        type_name: &'static str,
+        kind: u8,
         len_hint: usize,
     ) -> ChanFabric {
-        self.inner
-            .make_channel(key, dst_world, elem_bytes, type_name, len_hint)
+        self.inner.make_channel(key, dst_world, kind, len_hint)
     }
 
     fn drain_in_flight(&self) {
@@ -460,12 +470,11 @@ impl Transport for FaultTransport {
         self.inner.sever_link(peer_world);
     }
 
-    fn forensics(&self) -> TransportForensics {
-        let mut f = self.inner.forensics();
+    fn forensics(&self, report: &mut StallReport) {
+        self.inner.forensics(report);
         if self.held.try_lock().is_some_and(|h| h.is_some()) {
-            f.outbox_depth += 1; // the held envelope is in-flight limbo
+            report.outbox_depth += 1; // the held envelope is in-flight limbo
         }
-        f
     }
 }
 
@@ -481,7 +490,7 @@ mod tests {
             src,
             tag,
             arrival: 0.0,
-            payload: Payload::typed(vec![val]),
+            payload: Payload::of(&[val]),
         }
     }
 

@@ -9,20 +9,24 @@
 //! fabrics:
 //!
 //! * `thread::ThreadTransport` — the in-process fabric: one mutexed
-//!   mailbox per rank, typed payloads moved as `Vec<T>` behind
-//!   `Box<dyn Any>`. Zero serialization. It owns the in-process storage
-//!   (mailboxes, `ThreadChan`) and a heap `ParkWords` per rank.
+//!   mailbox per rank. It owns the in-process storage (mailboxes, the
+//!   typed `ThreadChan` of a persistent channel) and a heap `ParkWords`
+//!   per rank.
 //! * `shm::ShmTransport` — a cross-process shared-memory fabric: ranks
 //!   may live in separate OS processes on one host, mailboxes and
 //!   persistent channels are SPSC byte rings inside one `/dev/shm`
 //!   segment, and each rank's `ParkWords` lives in the segment too.
-//!   Payloads are serialized to bytes at the send boundary
-//!   (plain-old-data element types only).
 //! * `sock::SockTransport` — framed, sequenced, acknowledged stream
 //!   sockets (Unix-domain or TCP), one link per peer process, with
-//!   reconnect-with-resume; the same byte payloads as shm. Only its send
-//!   half is its own: what its readers take off the wire lands in an
-//!   embedded `ThreadTransport`, which is the whole receive half.
+//!   reconnect-with-resume. Only its send half is its own: what its
+//!   readers take off the wire lands in an embedded `ThreadTransport`,
+//!   which is the whole receive half.
+//!
+//! A plain send is one byte form on every fabric: the payload's bytes plus
+//! the element type's one-byte [`crate::Elem::KIND`] (`state::Payload`),
+//! which the byte fabrics carry in the envelope header (`wire`). Element
+//! types are sealed plain-old-data, so the byte views below (`bytes_of`,
+//! `vec_extend_bytes`) rest on the `T: Elem` bound, not on a runtime check.
 //!
 //! Whatever a rank is blocked on, it sleeps in one place on every fabric:
 //! its `park::ParkWords`, a futex word (`futex`), through
@@ -42,7 +46,8 @@ pub mod sock;
 pub(crate) mod thread;
 pub(crate) mod wire;
 
-use crate::stall::{LinkStatus, ParkCounts, PeerStatus, RegistryGauge};
+use crate::elem::Elem;
+use crate::stall::StallReport;
 use crate::state::{ChanId, ChanKey, Envelope};
 use park::ParkWords;
 pub(crate) use shm::ring::ShmChanRaw;
@@ -59,16 +64,6 @@ use std::sync::Arc;
 /// still lands in the blocking wait.
 pub(crate) const PARK_SPIN: u32 = 24;
 
-/// How [`crate::RankCtx`] must package plain-send payloads for a transport.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum PayloadMode {
-    /// In-process: payloads travel as typed `Vec<T>` behind `Box<dyn Any>`.
-    Typed,
-    /// Cross-process: payloads are serialized to raw bytes at the send
-    /// boundary (plain-old-data element types only).
-    Bytes,
-}
-
 /// The transport operations a [`fault::FaultTransport`] counts and may
 /// perturb. `Deposit`/`MatchRecv`/`WaitAny` are intercepted directly by
 /// the wrapper; `ChanPush`/`ChanPop` cover persistent-channel traffic,
@@ -81,25 +76,6 @@ pub(crate) enum FaultOp {
     WaitAny,
     ChanPush,
     ChanPop,
-}
-
-/// Best-effort transport snapshot folded into a
-/// [`crate::StallReport`]. Depths are `None` where the owning lock was
-/// held by a blocked rank (sampling must never deadlock the reporter).
-pub(crate) struct TransportForensics {
-    /// Which fabric produced the snapshot (`"thread"` / `"shm"` / `"sock"`).
-    pub fabric: &'static str,
-    pub mailbox_depths: Vec<Option<usize>>,
-    /// Park counters of each world rank's park point (atomics, sampled
-    /// lock-free).
-    pub park_counts: Vec<ParkCounts>,
-    pub outbox_depth: usize,
-    pub peers: Vec<PeerStatus>,
-    /// Per-peer link state (socket fabric only; empty elsewhere).
-    pub links: Vec<LinkStatus>,
-    /// The fabric's share of the registry gauge (`channels` is the
-    /// world's to fill in).
-    pub registry: RegistryGauge,
 }
 
 /// Where a persistent channel's wire buffers live, decided by the fabric
@@ -126,11 +102,8 @@ pub(crate) enum ChanFabric {
 /// (the `MPISIM_STALL_MS` park timeout, default 50 ms), not *what* the
 /// probe asserts.
 pub(crate) trait Transport: Send + Sync {
-    /// Payload packaging this transport requires from senders.
-    fn mode(&self) -> PayloadMode;
-
-    /// Which fabric this is (`"thread"` / `"shm"` / `"sock"`), matching
-    /// the [`TransportForensics::fabric`] string. Exposed through
+    /// Which fabric this is (`"thread"` / `"shm"` / `"sock"`), the
+    /// [`crate::StallReport::fabric`] string. Exposed through
     /// [`crate::RankCtx::fabric`] so protocol-selection caches can key
     /// measured timings by the fabric that produced them.
     fn fabric(&self) -> &'static str;
@@ -169,17 +142,12 @@ pub(crate) trait Transport: Send + Sync {
 
     /// Fabric hook for persistent-channel creation: where the channel's
     /// wire buffers live. `dst_world` is the receiving side's world rank
-    /// (byte fabrics route the channel over the right peer link);
-    /// `len_hint` is the registered per-message element count (0 when
-    /// unknown) and sizes preallocated buffers.
-    fn make_channel(
-        &self,
-        key: ChanKey,
-        dst_world: usize,
-        elem_bytes: usize,
-        type_name: &'static str,
-        len_hint: usize,
-    ) -> ChanFabric;
+    /// (byte fabrics route the channel over the right peer link); `kind`
+    /// is the element type's [`crate::Elem::KIND`] (the shm table checks
+    /// it across processes); `len_hint` is the registered per-message
+    /// element count (0 when unknown) and sizes preallocated buffers.
+    fn make_channel(&self, key: ChanKey, dst_world: usize, kind: u8, len_hint: usize)
+        -> ChanFabric;
 
     /// Discard transport-held in-flight traffic (mailbox envelopes / shm
     /// ring contents). Registry-held channel payloads are drained by the
@@ -227,49 +195,31 @@ pub(crate) trait Transport: Send + Sync {
     /// itself (reconnect-with-resume) or degrade to a loud peer-death.
     fn sever_link(&self, _peer_world: usize) {}
 
-    /// Snapshot queue depths and peer liveness for a stall report.
-    /// Must not block: sample with `try_lock` and report `None` where a
-    /// lock is contended.
-    fn forensics(&self) -> TransportForensics;
-}
-
-/// The shm fabric moves payloads as raw bytes: element types must be
-/// plain-old-data. `Clone + Send + 'static` (the [`crate::Elem`] bound)
-/// cannot express that, so the gate is a runtime assert at the first
-/// boundary crossing — channel creation or plain-send serialization.
-pub(crate) fn assert_pod<T>(context: &str) {
-    assert!(
-        !std::mem::needs_drop::<T>(),
-        "{context}: element type {} owns heap memory and cannot cross the \
-         shared-memory transport as raw bytes (use plain-old-data elements)",
-        std::any::type_name::<T>(),
-    );
-    assert!(
-        std::mem::size_of::<T>() > 0,
-        "{context}: zero-sized element type {} has no byte representation \
-         on the shared-memory transport",
-        std::any::type_name::<T>(),
-    );
+    /// Fill the fabric's share of a stall report: queue depths, park
+    /// counters, outbox depth, peer liveness, link state and the fabric's
+    /// share of the registry gauge. The world fills the rest (waits,
+    /// epoch, dead rank, fabric name, channel count). Must not block:
+    /// sample with `try_lock` and report `None` where a lock is contended.
+    fn forensics(&self, report: &mut StallReport);
 }
 
 /// Append the concatenation of two byte slices (a possibly-wrapped ring
-/// message) to a typed buffer. Sound only for plain-old-data `T`
-/// ([`assert_pod`] — enforced at every shm boundary).
-pub(crate) fn vec_extend_bytes<T>(buf: &mut Vec<T>, a: &[u8], b: &[u8]) {
+/// message, a frame's payload) to a typed buffer.
+pub(crate) fn vec_extend_bytes<T: Elem>(buf: &mut Vec<T>, a: &[u8], b: &[u8]) {
     let sz = std::mem::size_of::<T>();
     let total = a.len() + b.len();
     assert_eq!(
         total % sz,
         0,
-        "shm payload of {total} bytes is not a whole number of {} elements",
+        "payload of {total} bytes is not a whole number of {} elements",
         std::any::type_name::<T>(),
     );
     let add = total / sz;
     buf.reserve(add);
     // SAFETY: `reserve` made room for `add` more elements behind `len`, the
     // two copies fill exactly those `add * sz` bytes from slices that cannot
-    // overlap a `&mut Vec`, and for plain-old-data `T` (the caller's
-    // contract, asserted at every byte boundary) any bytes are a value.
+    // overlap a `&mut Vec`, and `T: Elem` is a primitive integer or float
+    // (the trait is sealed), for which any bytes are a value.
     unsafe {
         let dst = (buf.as_mut_ptr() as *mut u8).add(buf.len() * sz);
         std::ptr::copy_nonoverlapping(a.as_ptr(), dst, a.len());
@@ -278,12 +228,12 @@ pub(crate) fn vec_extend_bytes<T>(buf: &mut Vec<T>, a: &[u8], b: &[u8]) {
     }
 }
 
-/// View a typed slice as raw bytes (the shm send boundary). Sound only
-/// for plain-old-data `T`.
-pub(crate) fn bytes_of<T>(data: &[T]) -> &[u8] {
+/// View a typed slice as raw bytes (the send boundary of every byte
+/// payload).
+pub(crate) fn bytes_of<T: Elem>(data: &[T]) -> &[u8] {
     // SAFETY: the view covers exactly the slice's own `size_of_val` bytes
-    // for the slice's lifetime, `u8` has no alignment, and the caller's
-    // contract — plain-old-data `T` without padding — makes every one of
-    // those bytes initialized.
+    // for the slice's lifetime, `u8` has no alignment, and `T: Elem` is a
+    // primitive integer or float (the trait is sealed): no padding, so
+    // every one of those bytes is initialized.
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
 }

@@ -22,8 +22,9 @@ pub(crate) mod segment;
 
 use super::park::park_until;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
-use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
-use crate::stall::RegistryGauge;
+use super::{ChanFabric, Transport, PARK_SPIN};
+use crate::elem::kind_bytes;
+use crate::stall::{PeerStatus, StallReport};
 use crate::state::{ChanId, ChanKey, Envelope, Payload, WorldState};
 use parking_lot::{Condvar, Mutex};
 use ring::ShmChanRaw;
@@ -34,6 +35,12 @@ use std::sync::Arc;
 /// Data capacity of each (src, dst) mailbox ring, in bytes (a power of
 /// two). A plain send larger than half of it streams through in chunks.
 pub(crate) const MAILBOX_CAP: u64 = 256 << 10;
+
+/// Largest ring frame a plain send takes: an envelope's first frame
+/// carries the header and as much payload as fits, the rest follows in
+/// continuation frames of this size.
+const MAX_CHUNK: usize = (MAILBOX_CAP / 2) as usize;
+const _: () = assert!(ENV_HDR < MAX_CHUNK);
 
 /// Messages of its registered length a persistent-channel ring holds: how
 /// far a sender may run ahead of its receiver before `start` blocks.
@@ -184,12 +191,10 @@ impl ShmTransport {
                     let done = match partial.take() {
                         // continuation frame: the whole frame is payload
                         Some((mut env, remaining)) => {
-                            let Payload::Bytes { data, .. } = &mut env.payload else {
-                                unreachable!("partial envelopes are byte payloads");
-                            };
+                            let bytes = &mut env.payload.bytes;
                             debug_assert!(a.len() + b.len() <= remaining);
-                            data.extend_from_slice(a);
-                            data.extend_from_slice(b);
+                            bytes.extend_from_slice(a);
+                            bytes.extend_from_slice(b);
                             (env, remaining - a.len() - b.len())
                         }
                         None => {
@@ -256,19 +261,13 @@ fn run_flusher(seg: &Arc<Segment>, outbox: &Outbox) {
 }
 
 impl Transport for ShmTransport {
-    fn mode(&self) -> PayloadMode {
-        PayloadMode::Bytes
-    }
-
     fn fabric(&self) -> &'static str {
         "shm"
     }
 
     fn deposit(&self, src_world: usize, dst_world: usize, env: Envelope) {
-        let Payload::Bytes { data, type_name } = &env.payload else {
-            unreachable!("shm deposit requires byte payloads (PayloadMode::Bytes)");
-        };
-        let hdr = encode_env_hdr(env.ctx_id, env.src, env.tag, type_name.len(), data.len());
+        let Payload { kind, bytes: data } = &env.payload;
+        let hdr = encode_env_hdr(env.ctx_id, env.src, env.tag, *kind, data.len());
         // Payloads larger than a fraction of the ring stream through it in
         // chunks (the receiver reassembles; see `RecvState::partial`), so a
         // single plain send is never bounded by the ring capacity. Each
@@ -278,25 +277,18 @@ impl Transport for ShmTransport {
         // thread transport's unbounded buffered-send semantics: protocols
         // where every rank sends before any rank receives must not
         // deadlock on full rings.
-        let max_chunk = (MAILBOX_CAP / 2) as usize;
-        assert!(
-            ENV_HDR + type_name.len() < max_chunk,
-            "element type name of {} bytes leaves no room for payload in a \
-             {max_chunk}-byte mailbox frame",
-            type_name.len()
-        );
-        let first = data.len().min(max_chunk - ENV_HDR - type_name.len());
+        let first = data.len().min(MAX_CHUNK - ENV_HDR);
         let mut st = self.outbox.state.lock();
         self.send_frame(
             &mut st,
             src_world,
             dst_world,
             env.arrival,
-            &[&hdr, type_name.as_bytes(), &data[..first]],
+            &[&hdr, &data[..first]],
         );
         let mut off = first;
         while off < data.len() {
-            let end = (off + max_chunk).min(data.len());
+            let end = (off + MAX_CHUNK).min(data.len());
             self.send_frame(&mut st, src_world, dst_world, 0.0, &[&data[off..end]]);
             off = end;
         }
@@ -344,15 +336,12 @@ impl Transport for ShmTransport {
         &self,
         key: ChanKey,
         dst_world: usize,
-        elem_bytes: usize,
-        type_name: &'static str,
+        kind: u8,
         len_hint: usize,
     ) -> ChanFabric {
-        let msg = 16 + (elem_bytes * len_hint.max(1)) as u64;
+        let msg = 16 + (kind_bytes(kind) * len_hint.max(1)) as u64;
         let ring_bytes = (RING_DEPTH * msg).next_power_of_two().max(64 << 10);
-        let (row, off) = self
-            .seg
-            .register_channel(key, dst_world, elem_bytes, type_name, ring_bytes);
+        let (row, off) = self.seg.register_channel(key, dst_world, kind, ring_bytes);
         ChanFabric::Shm(ShmChanRaw::new(Arc::clone(&self.seg), off), row)
     }
 
@@ -395,12 +384,12 @@ impl Transport for ShmTransport {
         self.seg.peer_failure()
     }
 
-    fn forensics(&self) -> TransportForensics {
+    fn forensics(&self, report: &mut StallReport) {
         let n = self.seg.n_ranks();
         // try_lock only: forensics run from stall closures that may already
         // hold a mailbox lock; a contended depth reports as unknown rather
         // than deadlocking the dump.
-        let mailbox_depths = (0..n)
+        report.mailbox_depths = (0..n)
             .map(|dst| {
                 self.local_mb[dst].try_lock().map(|st| {
                     let in_rings: usize = (0..n)
@@ -410,34 +399,22 @@ impl Transport for ShmTransport {
                 })
             })
             .collect();
-        let outbox_depth = self.outbox.state.try_lock().map_or(0, |st| st.live);
-        let peers = (0..n)
+        report.outbox_depth = self.outbox.state.try_lock().map_or(0, |st| st.live);
+        report.peers = (0..n)
             .filter_map(|r| {
                 let pid = self
                     .seg
                     .pid_slot(r)
                     .load(std::sync::atomic::Ordering::SeqCst);
-                (pid != 0).then(|| crate::stall::PeerStatus {
+                (pid != 0).then(|| PeerStatus {
                     rank: r,
                     pid,
                     alive: segment::pid_alive(pid),
                 })
             })
             .collect();
-        let (shm_rows, shm_bytes) = self.seg.table_gauge();
-        TransportForensics {
-            fabric: "shm",
-            mailbox_depths,
-            park_counts: (0..n).map(|r| self.seg.park(r).counts()).collect(),
-            outbox_depth,
-            peers,
-            links: Vec::new(),
-            registry: RegistryGauge {
-                shm_rows,
-                shm_bytes,
-                ..RegistryGauge::default()
-            },
-        }
+        report.park_counts = (0..n).map(|r| self.seg.park(r).counts()).collect();
+        (report.registry.shm_rows, report.registry.shm_bytes) = self.seg.table_gauge();
     }
 }
 

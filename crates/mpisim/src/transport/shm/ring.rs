@@ -16,9 +16,10 @@
 //! header word atomics.
 
 use super::segment::Segment;
+use crate::elem::Elem;
 use crate::transport::futex;
 use crate::transport::park::{park_until, ParkWords};
-use crate::transport::{assert_pod, vec_extend_bytes, PARK_SPIN};
+use crate::transport::{bytes_of, vec_extend_bytes, PARK_SPIN};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -271,10 +272,9 @@ impl<T> Drop for ShmChan<T> {
     }
 }
 
-impl<T: Clone + Send + 'static> ShmChan<T> {
+impl<T: Elem> ShmChan<T> {
     /// The typed view of a ring registered as table row `row`.
     pub fn new(raw: ShmChanRaw, row: usize) -> Self {
-        assert_pod::<T>("persistent channel over the shm transport");
         Self {
             raw,
             row,
@@ -291,9 +291,7 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
         buf.clear();
         fill(&mut buf);
         self.raw
-            .push(arrival, &[crate::transport::bytes_of(&buf)], &|| {
-                self.raw.seg().check_alive()
-            });
+            .push(arrival, &[bytes_of(&buf)], &|| self.raw.seg().check_alive());
         self.spare.lock().push(buf);
     }
 
@@ -332,6 +330,7 @@ impl<T: Clone + Send + 'static> ShmChan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Elem;
 
     fn ring(cap: u64) -> ShmChanRaw {
         let seg = Segment::create(2);
@@ -404,7 +403,7 @@ mod tests {
     fn typed_channel_recycles_buffers() {
         let seg = Segment::create(2);
         seg.unlink();
-        let (row, off) = seg.register_channel((1, 0, 1, 7), 1, 8, "f64", 4096);
+        let (row, off) = seg.register_channel((1, 0, 1, 7), 1, f64::KIND, 4096);
         let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off), row);
         let mut back = Vec::new();
         c.push_with(0.5, |b| b.extend_from_slice(&[1.0, 2.0, 3.0]));

@@ -29,6 +29,7 @@
 
 use super::ring::RING_HDR;
 use super::MAILBOX_CAP;
+use crate::elem::kind_name;
 use crate::state::ChanKey;
 use crate::transport::futex;
 use crate::transport::park::ParkWords;
@@ -39,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_000c; // "mpisim", layout v12
+const MAGIC: u64 = 0x6d70_6973_696d_000d; // "mpisim", layout v13
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world holds one
@@ -101,14 +102,15 @@ struct TableSlot {
     /// key; 0 = the row is empty. Written under the table lock, and last
     /// when a row is filled.
     attached: AtomicU32,
-    _pad: u32,
+    /// The element type's [`crate::Elem::KIND`], checked by every attacher.
+    kind: AtomicU32,
     key: [AtomicU64; 4],
-    elem_bytes: AtomicU64,
-    name_hash: AtomicU64,
     ring_off: AtomicU64,
 }
 
+/// One cache line per row.
 const SLOT_SIZE: u64 = 64;
+const _: () = assert!(std::mem::size_of::<TableSlot>() as u64 <= SLOT_SIZE);
 
 /// One park point per cache line: ranks must not share one.
 const PARK_STRIDE: u64 = 64;
@@ -477,7 +479,7 @@ impl Segment {
     fn table_slot(&self, i: usize) -> &TableSlot {
         let (_, _, table, _) = Self::offsets(self.n_ranks() as u64);
         // SAFETY: `i < TABLE_CAP` at every caller, so the slot lies inside
-        // the table region `offsets()` reserves (64-aligned, `SLOT_SIZE` =
+        // the table region `offsets()` reserves (64-aligned, `SLOT_SIZE` ≥
         // `size_of::<TableSlot>()` apart); a slot is nothing but atomics.
         unsafe { &*(self.at(table + SLOT_SIZE * i as u64) as *const TableSlot) }
     }
@@ -492,12 +494,10 @@ impl Segment {
         &self,
         key: ChanKey,
         dst_world: usize,
-        elem_bytes: usize,
-        type_name: &str,
+        kind: u8,
         ring_bytes: u64,
     ) -> (usize, u64) {
         let k = [key.0, key.1 as u64, key.2 as u64, key.3];
-        let hash = fnv1a(type_name.as_bytes());
         let h = self.header();
         let _guard = TableLock::acquire(self);
         // a match anywhere among the live rows wins over the first hole:
@@ -517,13 +517,13 @@ impl Segment {
                 .zip(k)
                 .all(|(s, v)| s.load(Ordering::SeqCst) == v)
             {
+                let registered = slot.kind.load(Ordering::SeqCst);
                 assert!(
-                    slot.elem_bytes.load(Ordering::SeqCst) == elem_bytes as u64
-                        && slot.name_hash.load(Ordering::SeqCst) == hash,
+                    registered == kind as u32,
                     "persistent channel {key:?} datatype mismatch across the shm \
-                     fabric: peer registered elements of {} bytes, this rank \
-                     requested {type_name} ({elem_bytes} bytes)",
-                    slot.elem_bytes.load(Ordering::SeqCst),
+                     fabric: peer registered {}, this rank requested {}",
+                    kind_name(registered as u8),
+                    kind_name(kind),
                 );
                 slot.attached.store(attached + 1, Ordering::SeqCst);
                 return (i, slot.ring_off.load(Ordering::SeqCst));
@@ -553,8 +553,7 @@ impl Segment {
         for (dst, v) in slot.key.iter().zip(k) {
             dst.store(v, Ordering::SeqCst);
         }
-        slot.elem_bytes.store(elem_bytes as u64, Ordering::SeqCst);
-        slot.name_hash.store(hash, Ordering::SeqCst);
+        slot.kind.store(kind as u32, Ordering::SeqCst);
         slot.ring_off.store(off, Ordering::SeqCst);
         slot.attached.store(1, Ordering::SeqCst);
         (row, off)
@@ -698,18 +697,10 @@ fn align(off: u64) -> u64 {
     off.div_ceil(ALIGN) * ALIGN
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Elem;
 
     #[test]
     fn create_attach_roundtrip() {
@@ -726,9 +717,9 @@ mod tests {
     #[test]
     fn registration_is_get_or_create_by_key() {
         let seg = Segment::create(2);
-        let a = seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
-        let b = seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
-        let c = seg.register_channel((1, 1, 0, 9), 0, 8, "f64", 1 << 12);
+        let a = seg.register_channel((1, 0, 1, 9), 1, f64::KIND, 1 << 12);
+        let b = seg.register_channel((1, 0, 1, 9), 1, f64::KIND, 1 << 12);
+        let c = seg.register_channel((1, 1, 0, 9), 0, f64::KIND, 1 << 12);
         assert_eq!(a, b);
         assert_ne!(a.0, c.0);
         assert_ne!(a.1, c.1);
@@ -739,7 +730,7 @@ mod tests {
     fn a_row_and_its_ring_go_back_with_the_last_attacher() {
         let seg = Segment::create(2);
         seg.unlink();
-        let reg = |tag: u64, bytes: u64| seg.register_channel((1, 0, 1, tag), 1, 8, "f64", bytes);
+        let reg = |tag: u64, bytes: u64| seg.register_channel((1, 0, 1, tag), 1, f64::KIND, bytes);
         let (a, a_ring) = reg(1, 1 << 12);
         let (b, _) = reg(2, 1 << 12);
         let (c, _) = reg(3, 1 << 13);
@@ -774,11 +765,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "datatype mismatch")]
+    #[should_panic(expected = "datatype mismatch across the shm fabric: peer registered \
+                               f64, this rank requested u32")]
     fn registration_datatype_mismatch_panics() {
         let seg = Segment::create(2);
-        seg.register_channel((1, 0, 1, 9), 1, 8, "f64", 1 << 12);
-        seg.register_channel((1, 0, 1, 9), 1, 4, "u32", 1 << 12);
+        seg.register_channel((1, 0, 1, 9), 1, f64::KIND, 1 << 12);
+        seg.register_channel((1, 0, 1, 9), 1, u32::KIND, 1 << 12);
     }
 
     #[test]

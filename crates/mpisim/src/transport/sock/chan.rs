@@ -4,10 +4,10 @@
 
 use super::link::{Link, K_CHAN};
 use super::{DeliverFn, SockChanWire, SockTransport};
-use crate::elem::elem_bytes;
+use crate::elem::{elem_bytes, Elem};
 use crate::state::ChanKey;
 use crate::transport::thread::ThreadChan;
-use crate::transport::{assert_pod, bytes_of, vec_extend_bytes};
+use crate::transport::{bytes_of, vec_extend_bytes};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -36,13 +36,12 @@ pub(crate) struct SockChan<T> {
     scratch: Mutex<Vec<T>>,
 }
 
-impl<T: Send + 'static> SockChan<T> {
+impl<T: Elem> SockChan<T> {
     /// A local receive queue plus an optional wire route. If this process
     /// hosts the receiving rank, hook the transport's deliver table so the
     /// link reader thread deserializes arriving frames straight into the
     /// local queue.
     pub(crate) fn new(key: ChanKey, wire: SockChanWire) -> Self {
-        assert_pod::<T>("persistent channel over the sock transport");
         let local = Arc::new(ThreadChan::new(wire.park));
         let hook = wire.register.map(|t| {
             let local = Arc::clone(&local);

@@ -27,9 +27,9 @@ pub(crate) mod link;
 
 use super::park::ParkWords;
 use super::thread::ThreadTransport;
-use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
-use super::{ChanFabric, PayloadMode, Transport, TransportForensics};
-use crate::stall::RegistryGauge;
+use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR, ENV_LEN_AT};
+use super::{ChanFabric, Transport};
+use crate::stall::StallReport;
 use crate::state::{ChanId, ChanKey, Envelope, Payload};
 use control::Ctrl;
 use link::{
@@ -363,8 +363,8 @@ impl SockTransport {
                 // [src u32][dst u32][arrival u64] + one whole envelope
                 let (src, dst) = (u32_at(0)?, u32_at(4)?);
                 let arrival = f64::from_bits(u64_at(8)?);
-                let (name_len, data_len) = (u32_at(16 + 24)?, u32_at(16 + 28)?);
-                if dst >= self.rx.n_ranks() || body.len() != 16 + ENV_HDR + name_len + data_len {
+                let data_len = u32_at(16 + ENV_LEN_AT)?;
+                if dst >= self.rx.n_ranks() || body.len() != 16 + ENV_HDR + data_len {
                     return Err(short());
                 }
                 let (env, _) = decode_envelope(arrival, &body[16..]);
@@ -470,10 +470,6 @@ impl SockTransport {
 }
 
 impl Transport for SockTransport {
-    fn mode(&self) -> PayloadMode {
-        PayloadMode::Bytes
-    }
-
     fn fabric(&self) -> &'static str {
         "sock"
     }
@@ -481,9 +477,7 @@ impl Transport for SockTransport {
     fn deposit(&self, src_world: usize, dst_world: usize, env: Envelope) {
         match &self.links[self.proc_of(dst_world)] {
             Some(link) => {
-                let Payload::Bytes { data, type_name } = &env.payload else {
-                    unreachable!("sock deposit requires byte payloads (PayloadMode::Bytes)");
-                };
+                let Payload { kind, bytes } = &env.payload;
                 link.send_frame_with(K_DATA, |body| {
                     body.extend_from_slice(&(src_world as u32).to_le_bytes());
                     body.extend_from_slice(&(dst_world as u32).to_le_bytes());
@@ -492,11 +486,10 @@ impl Transport for SockTransport {
                         env.ctx_id,
                         env.src,
                         env.tag,
-                        type_name.len(),
-                        data.len(),
+                        *kind,
+                        bytes.len(),
                     ));
-                    body.extend_from_slice(type_name.as_bytes());
-                    body.extend_from_slice(data);
+                    body.extend_from_slice(bytes);
                 });
             }
             // own rank in a multi-process world: no wire to cross
@@ -529,14 +522,7 @@ impl Transport for SockTransport {
         self.rx.wait_any(global_rank, chans, start, stall)
     }
 
-    fn make_channel(
-        &self,
-        _key: ChanKey,
-        dst_world: usize,
-        _elem_bytes: usize,
-        _type_name: &'static str,
-        _len_hint: usize,
-    ) -> ChanFabric {
+    fn make_channel(&self, _key: ChanKey, dst_world: usize, _kind: u8, _len: usize) -> ChanFabric {
         ChanFabric::Sock(SockChanWire {
             route: self.links[self.proc_of(dst_world)].clone(),
             register: self.hosted(dst_world).then(|| self.me()),
@@ -610,26 +596,15 @@ impl Transport for SockTransport {
         }
     }
 
-    fn forensics(&self) -> TransportForensics {
-        let links: Vec<_> = self.links.iter().flatten().map(|l| l.status()).collect();
+    fn forensics(&self, report: &mut StallReport) {
+        self.rx.forensics(report);
+        report.links = self.links.iter().flatten().map(|l| l.status()).collect();
+        report.outbox_depth = report.links.iter().map(|l| l.outbox).sum();
         // the table lock is held per frame and per registration, never
         // across a wait: taking it here cannot wedge the reporter
-        let (sock_deliver, sock_undelivered) = {
-            let ch = self.chans.lock();
-            let stashed = ch.undelivered.values().map(Vec::len).sum();
-            (ch.deliver.len(), stashed)
-        };
-        TransportForensics {
-            fabric: "sock",
-            outbox_depth: links.iter().map(|l| l.outbox).sum(),
-            links,
-            registry: RegistryGauge {
-                sock_deliver,
-                sock_undelivered,
-                ..RegistryGauge::default()
-            },
-            ..self.rx.forensics()
-        }
+        let ch = self.chans.lock();
+        report.registry.sock_deliver = ch.deliver.len();
+        report.registry.sock_undelivered = ch.undelivered.values().map(Vec::len).sum();
     }
 }
 
@@ -723,6 +698,7 @@ fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<S
 mod tests {
     use super::*;
     use crate::state::{Channel, WorldState};
+    use crate::Elem;
 
     const DST: usize = 1;
 
@@ -844,14 +820,14 @@ mod tests {
         let chan_body_too_short = encode_frame(K_CHAN, 1, &[0; 39]);
         let data_body_lies_about_its_length = {
             let mut body = vec![0u8; 16];
-            body.extend_from_slice(&encode_env_hdr(0, 0, 0, 3, 1000));
-            body.extend_from_slice(b"u64");
+            body.extend_from_slice(&encode_env_hdr(0, 0, 0, u64::KIND, 1000));
+            body.extend_from_slice(&[7; 24]);
             encode_frame(K_DATA, 1, &body)
         };
         let data_for_a_rank_that_does_not_exist = {
             let mut body = vec![0u8; 16];
             body[4] = 200;
-            body.extend_from_slice(&encode_env_hdr(0, 0, 0, 0, 0));
+            body.extend_from_slice(&encode_env_hdr(0, 0, 0, u8::KIND, 0));
             encode_frame(K_DATA, 1, &body)
         };
         let ack_of_the_future = encode_frame(K_ACK, 0, &7u64.to_le_bytes());
@@ -865,11 +841,11 @@ mod tests {
             ),
             (
                 data_body_lies_about_its_length,
-                "kind-1 frame with a malformed 51-byte body",
+                "kind-1 frame with a malformed 69-byte body",
             ),
             (
                 data_for_a_rank_that_does_not_exist,
-                "kind-1 frame with a malformed 48-byte body",
+                "kind-1 frame with a malformed 45-byte body",
             ),
             (
                 ack_of_the_future,
@@ -892,10 +868,6 @@ mod tests {
 
     #[test]
     fn the_receive_half_is_the_embedded_thread_transport() {
-        let bytes = |val: u64| Payload::Bytes {
-            data: val.to_le_bytes().to_vec(),
-            type_name: "u64".into(),
-        };
         let take = |t: &SockTransport, tag: u64| {
             let (env, _) = t.match_recv(0, 0, 1, tag, &|| {});
             env.payload.take::<u64>().expect("u64 payload")
@@ -908,7 +880,7 @@ mod tests {
             src: 1,
             tag: 5,
             arrival: 0.0,
-            payload: bytes(11),
+            payload: Payload::of(&[11u64]),
         };
         t.deposit(0, 0, own);
         assert!(t.probe(0, 0, 1, 5));
@@ -916,15 +888,15 @@ mod tests {
         // ... and a K_DATA frame off the wire lands in the same mailbox
         let mut body = vec![0u8; 16]; // src 1, dst 0, arrival 0.0
         body[0] = 1;
-        body.extend_from_slice(&encode_env_hdr(0, 1, 6, 3, 8));
-        body.extend_from_slice(b"u64");
+        body.extend_from_slice(&encode_env_hdr(0, 1, 6, u64::KIND, 8));
         body.extend_from_slice(&22u64.to_le_bytes());
         let mut raw = connect_once(&t.listener_addr).expect("dial");
         raw.write_all(&hello_frame(1, 0)).expect("hello");
         raw.write_all(&encode_frame(K_DATA, 1, &body))
             .expect("data");
         assert_eq!(take(&t, 6), [22]);
-        assert_eq!(t.forensics().mailbox_depths, [Some(0), Some(0)]);
+        let report = WorldState::with_transport_deadline(2, None, t.clone(), None).stall_report();
+        assert_eq!(report.mailbox_depths, [Some(0), Some(0)]);
 
         // the rank-death flag is the thread transport's ...
         assert_eq!((t.peer_failure(), t.dead_rank()), (None, None));

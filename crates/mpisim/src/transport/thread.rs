@@ -1,5 +1,5 @@
-//! The in-process fabric: one mutexed mailbox per rank, typed payloads,
-//! one heap [`ParkWords`] per rank. This is the transport every
+//! The in-process fabric: one mutexed mailbox per rank, one heap
+//! [`ParkWords`] per rank. This is the transport every
 //! thread-backed world ([`crate::World::run`], [`crate::WorldPool`]) uses
 //! by default, and the receive half of the socket fabric, whose reader
 //! threads deposit into an embedded [`ThreadTransport`] (see
@@ -11,8 +11,8 @@
 //! receiver's park point; a wake only when the receiver sleeps.
 
 use super::park::{park_until, ParkWords};
-use super::{ChanFabric, PayloadMode, Transport, TransportForensics, PARK_SPIN};
-use crate::stall::RegistryGauge;
+use super::{ChanFabric, Transport, PARK_SPIN};
+use crate::stall::StallReport;
 use crate::state::{ChanId, ChanKey, Envelope, WorldState};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -139,10 +139,6 @@ impl ThreadTransport {
 }
 
 impl Transport for ThreadTransport {
-    fn mode(&self) -> PayloadMode {
-        PayloadMode::Typed
-    }
-
     fn fabric(&self) -> &'static str {
         "thread"
     }
@@ -188,14 +184,7 @@ impl Transport for ThreadTransport {
         park_until(&self.parks[global_rank], PARK_SPIN, scan, stall)
     }
 
-    fn make_channel(
-        &self,
-        _key: ChanKey,
-        dst_world: usize,
-        _elem_bytes: usize,
-        _type_name: &'static str,
-        _len_hint: usize,
-    ) -> ChanFabric {
+    fn make_channel(&self, _key: ChanKey, dst_world: usize, _kind: u8, _len: usize) -> ChanFabric {
         // in-process channels stay typed; no wire buffers
         ChanFabric::Local(self.park_of(dst_world))
     }
@@ -240,20 +229,13 @@ impl Transport for ThreadTransport {
         ))
     }
 
-    fn forensics(&self) -> TransportForensics {
-        TransportForensics {
-            fabric: "thread",
-            mailbox_depths: self
-                .mailboxes
-                .iter()
-                .map(|mb| mb.try_lock().map(|q| q.len()))
-                .collect(),
-            park_counts: self.parks.iter().map(|p| p.counts()).collect(),
-            outbox_depth: 0,
-            peers: Vec::new(),
-            links: Vec::new(),
-            registry: RegistryGauge::default(),
-        }
+    fn forensics(&self, report: &mut StallReport) {
+        report.mailbox_depths = self
+            .mailboxes
+            .iter()
+            .map(|mb| mb.try_lock().map(|q| q.len()))
+            .collect();
+        report.park_counts = self.parks.iter().map(|p| p.counts()).collect();
     }
 }
 
@@ -269,7 +251,7 @@ mod tests {
             src,
             tag,
             arrival: 0.0,
-            payload: Payload::typed(vec![val]),
+            payload: Payload::of(&[val]),
         }
     }
 
@@ -442,7 +424,7 @@ mod tests {
         // envelope still missing and parks again; the envelope ends it
         let t = Arc::new(ThreadTransport::new(1));
         let w = WorldState::with_transport_deadline(1, None, Arc::clone(&t) as _, None);
-        let parks_of = |t: &ThreadTransport| t.forensics().park_counts[0].parks;
+        let parks_of = |t: &ThreadTransport| t.park_of(0).counts().parks;
         let c = w.channel::<u8>((0, 0, 0, 1));
         c.push(&[1], 0.0);
         assert_eq!(parks_of(&t), 0, "nobody asleep, nobody parked");

@@ -65,28 +65,6 @@ pub fn build_comm_pkgs(a: &Csr, part: &Partition) -> Vec<CommPkg> {
     );
     // only the ghost columns are read: derive them from each rank's rows
     // rather than split the matrix to look at `col_map_offd`
-    pkgs_from_ghosts(
-        part,
-        (0..part.n_parts()).map(|rank| ParCsr::ghost_cols(a, part, rank)),
-    )
-}
-
-/// Build communication packages from per-rank `ParCsr` views, for callers
-/// that already hold the split.
-pub fn build_comm_pkgs_from_parts(pars: &[ParCsr], p: usize) -> Vec<CommPkg> {
-    assert_eq!(pars.len(), p, "one ParCsr per rank");
-    match pars.first() {
-        Some(par) => pkgs_from_ghosts(&par.part, pars.iter().map(|par| &par.col_map_offd)),
-        None => Vec::new(),
-    }
-}
-
-/// The packages of every rank of `part`, given each rank's ghost columns
-/// in rank order (ascending within a rank).
-fn pkgs_from_ghosts(
-    part: &Partition,
-    ghosts: impl Iterator<Item = impl AsRef<[usize]>>,
-) -> Vec<CommPkg> {
     let p = part.n_parts();
     let mut pkgs: Vec<CommPkg> = (0..p)
         .map(|rank| CommPkg {
@@ -98,7 +76,7 @@ fn pkgs_from_ghosts(
     // sends[dst][src] accumulated while walking receives
     let mut send_accum: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); p];
 
-    for (rank, ghost) in ghosts.enumerate() {
+    for rank in 0..p {
         let mut cur_owner = usize::MAX;
         let mut cur_list: Vec<usize> = Vec::new();
         let flush = |owner: usize,
@@ -111,7 +89,7 @@ fn pkgs_from_ghosts(
             }
         };
         // ghost columns ascending ⇒ owners appear in ascending runs
-        for &gc in ghost.as_ref() {
+        for gc in ParCsr::ghost_cols(a, part, rank) {
             let owner = part.owner(gc);
             debug_assert_ne!(owner, rank, "ghost column owned locally");
             if owner != cur_owner {
@@ -208,8 +186,18 @@ mod tests {
             let part = Partition::block(a.n_rows(), p);
             let pkgs = build_comm_pkgs(&a, &part);
             validate_comm_pkgs(&pkgs);
+            // each rank receives exactly its split's ghost columns, in
+            // `col_map_offd` order
             let pars = ParCsr::split_all(&a, &part);
-            assert_eq!(pkgs, build_comm_pkgs_from_parts(&pars, p));
+            assert_eq!(pars.len(), pkgs.len());
+            for (pkg, par) in pkgs.iter().zip(pars) {
+                let received: Vec<usize> = pkg
+                    .recvs
+                    .iter()
+                    .flat_map(|(_, idx)| idx.iter().copied())
+                    .collect();
+                assert_eq!(received, par.col_map_offd, "rank {}", pkg.rank);
+            }
         }
     }
 
