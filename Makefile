@@ -81,7 +81,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, the rustdoc link gate, and four grep rules. Docs:
+# clippy, formatting, the rustdoc link gate, and five grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
 # comment still links to fails here, and no documented item links to a
@@ -106,7 +106,14 @@ clippy:
 # member frees — `RankCtx::comm_free`'s contract (DESIGN.md §3, §12).
 # Locks: the executor owns every payload it stages by value (DESIGN.md
 # §4), so the non-test code of core's exec.rs (up to its `#[cfg(test)]`)
-# names no `RwLock` or `Mutex` and calls no `.write()` or `.read()`
+# names no `RwLock` or `Mutex` and calls no `.write()` or `.read()`.
+# Channels: a persistent channel's body is a push, a take and a readiness
+# count, and its receiver parks only in `wait_any` (DESIGN.md §7), so
+# nothing under crates/mpisim/src defines a `wait_nonempty`; and a cost
+# model runs on the thread fabric only (DESIGN.md §8), so the non-test
+# code of transport/shm and transport/sock (each file up to its
+# `#[cfg(test)]`) names no modeled `arrival`
+BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
 WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 EXEC_LOCKS := RwLock|Mutex|\.write\(\)|\.read\(\)
@@ -126,6 +133,12 @@ lint: clippy
 	@if awk '/^#\[cfg\(test\)\]/ {exit} {print FILENAME ":" FNR ":" $$0}' crates/core/src/exec.rs \
 		| grep -E '$(EXEC_LOCKS)'; then \
 		echo "error: the executor takes a lock (see the lint rule in Makefile)"; exit 1; fi
+	@if grep -rn 'fn wait_nonempty' crates/mpisim/src --include='*.rs'; then \
+		echo "error: mpisim has a second blocking channel path (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find $(BYTE_FABRICS) -name '*.rs'); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
+		| grep 'arrival'; then \
+		echo "error: a byte fabric carries the modeled arrival stamp (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run six of them once, output discarded: the modeled fig07_crossover at

@@ -31,7 +31,7 @@
 use crate::comm::{Comm, USER_TAG_LIMIT};
 use crate::ctx::RankCtx;
 use crate::elem::{elem_bytes, Elem};
-use crate::state::{ChanRegistrar, Channel, WaitChans};
+use crate::state::{ChanRegistrar, Channel};
 use std::sync::Arc;
 
 /// The buffer-less half of a persistent send: a pre-matched channel plus
@@ -68,10 +68,6 @@ impl<T: Elem> SendChan<T> {
             );
         });
     }
-
-    /// Complete the send. Buffered semantics: a started send is already
-    /// complete, so this is a no-op; it exists for API symmetry.
-    pub fn wait(&self, _ctx: &mut RankCtx) {}
 
     pub fn dst(&self) -> usize {
         self.dst
@@ -112,23 +108,23 @@ impl<T: Elem> RecvChan<T> {
     /// Block until the matching message arrives and take its payload
     /// buffer off the channel. The caller reads (scatters from) the buffer
     /// and hands it back with [`RecvChan::recycle`] so the steady state
-    /// stays allocation-free. While blocked, the stall probe bails out
-    /// (with stall forensics) if a peer rank died this epoch or the wait
-    /// deadline expired, and makes a plain send aimed at this persistent
-    /// receive fail loudly instead of hanging both ranks.
+    /// stays allocation-free. Between takes the rank parks in
+    /// [`RankCtx::wait_any`] on this one channel, whose stall probe bails
+    /// out (with stall forensics) if a peer rank died this epoch or the
+    /// wait deadline expired, and makes a plain send aimed at this
+    /// persistent receive fail loudly instead of hanging both ranks.
     pub fn wait_take(&mut self, ctx: &mut RankCtx) -> Vec<T> {
         assert!(self.started, "wait_take on a receive that was not started");
         // program-ordered fault-injection point: one op per blocking take
         ctx.world
             .inject(ctx.rank, crate::transport::FaultOp::ChanPop);
-        let keys = [self.chan.key()];
-        ctx.world.park_on(
-            ctx.rank,
-            "persistent recv",
-            WaitChans::Keys(&keys),
-            |stall| self.chan.wait_nonempty(stall),
-        );
-        self.try_take(ctx).expect("delivered: the park returned")
+        let id = [self.chan.id()];
+        loop {
+            if let Some(data) = self.try_take(ctx) {
+                return data;
+            }
+            ctx.wait_any(&id);
+        }
     }
 
     /// Non-blocking [`RecvChan::wait_take`]: if the matching message has
@@ -285,7 +281,6 @@ mod tests {
                 let mut acc = 0.0;
                 for it in 0..10 {
                     send.start_with(ctx, |buf| buf.extend((0..4).map(|i| (it * 4 + i) as f64)));
-                    send.wait(ctx);
                     acc += it as f64;
                 }
                 acc

@@ -148,6 +148,11 @@ impl WorldConfig {
     }
 
     fn state(&self, n_ranks: usize, model: Option<ModelCtx>) -> Arc<WorldState> {
+        // only the thread fabric carries a modeled arrival stamp
+        debug_assert!(
+            model.is_none() || self.fabric == Fabric::Thread,
+            "a cost model runs on the thread fabric only"
+        );
         let inner: Arc<dyn Transport> = match self.fabric {
             Fabric::Thread => Arc::new(ThreadTransport::new(n_ranks)),
             Fabric::Shm => {

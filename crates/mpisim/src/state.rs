@@ -63,7 +63,9 @@ pub(crate) struct Envelope {
     /// Source rank *within that communicator*.
     pub src: usize,
     pub tag: u64,
-    /// Modeled arrival time at the destination (0 when unmodeled).
+    /// Modeled arrival time at the destination: thread fabric only, the
+    /// one a cost model runs on ([`crate::World::pool_modeled`]). 0 when
+    /// unmodeled, and on the byte fabrics, whose wires carry no stamp.
     pub arrival: f64,
     pub payload: Payload,
 }
@@ -197,9 +199,12 @@ impl ChanId {
 /// The storage is the world's transport's business: a mutexed
 /// in-process queue ([`ThreadChan`]), an SPSC byte ring inside the shared
 /// segment ([`ShmChan`]), or a socket route into a peer's in-process queue
-/// ([`SockChan`]). The API is identical either way, and small: one
-/// blocking primitive ([`Channel::wait_nonempty`]) and one consuming one
-/// ([`Channel::try_pop`]).
+/// ([`SockChan`]). The API is identical either way, and small: a push
+/// ([`Channel::push_with`]), a take ([`Channel::try_pop`]) and a readiness
+/// count ([`ChanId::ready`]); a receiver that must block parks in
+/// [`WorldState::wait_any`] between takes. Only the thread body carries
+/// the modeled arrival stamp: a model implies the thread fabric, so the
+/// byte bodies pop 0.0.
 pub(crate) struct Channel<T> {
     key: ChanKey,
     imp: ChanImp<T>,
@@ -245,46 +250,28 @@ impl<T: Elem> Channel<T> {
     /// buffer and writes the payload into it, so senders gather values
     /// straight into the wire buffer instead of staging them in their own
     /// window first. `fill` may run under the channel's lock: it must not
-    /// touch a channel itself.
+    /// touch a channel itself. `arrival` is dropped off the thread fabric.
     pub fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
         match &self.imp {
             ChanImp::Thread(c) => c.push_with(arrival, fill),
-            ChanImp::Shm(c) => c.push_with(arrival, fill),
-            ChanImp::Sock(c) => c.push_with(arrival, fill),
+            ChanImp::Shm(c) => c.push_with(fill),
+            ChanImp::Sock(c) => c.push_with(fill),
         }
     }
 
-    /// Block the receiving rank, on its park point
-    /// ([`crate::transport::park::park_until`]), until a message is available
-    /// **without consuming it** (a following [`Channel::try_pop`] succeeds:
-    /// a channel has one consumer), invoking `stall_probe` periodically
-    /// while blocked — the receive paths use the probe to turn an otherwise
-    /// silent hang (a dead peer, a plain `send` aimed at a persistent
-    /// receive, which lands in the mailbox this channel bypasses) into a
-    /// loud panic.
-    pub fn wait_nonempty(&self, stall_probe: impl Fn()) {
-        match &self.imp {
-            ChanImp::Thread(c) => c.wait_nonempty(stall_probe),
-            ChanImp::Shm(c) => c.wait_nonempty(stall_probe),
-            ChanImp::Sock(c) => c.local.wait_nonempty(stall_probe),
-        }
-    }
-
-    /// Take the next message off the queue if one has been delivered,
-    /// `None` otherwise; never blocks.
+    /// Take the next message off the queue, with its modeled arrival
+    /// stamp, if one has been delivered; `None` otherwise. Never blocks.
     ///
-    /// Deliberately hands the payload buffer out instead of copying into a
-    /// caller-provided slice: the receiver must NOT hold its destination
-    /// buffer's lock while blocked in [`Channel::wait_nonempty`] (another
-    /// rank's send may need that buffer to make progress). Copy after
-    /// popping, then put the buffer in `back`: the receiver's own list of
-    /// consumed payloads, which the next take that finds a message hands
-    /// back to the channel inside its own lock acquisition — a message
-    /// costs the receiver one acquisition, not a second one to recycle.
+    /// Hands the payload buffer out instead of copying into a
+    /// caller-provided slice: copy after popping, then put the buffer in
+    /// `back`, the receiver's own list of consumed payloads, which the next
+    /// take that finds a message hands back to the channel inside its own
+    /// lock acquisition — a message costs the receiver one acquisition, not
+    /// a second one to recycle.
     pub fn try_pop(&self, back: &mut Vec<Vec<T>>) -> Option<(Vec<T>, f64)> {
         match &self.imp {
             ChanImp::Thread(c) => c.try_pop(back),
-            ChanImp::Shm(c) => c.try_pop(back),
+            ChanImp::Shm(c) => Some((c.try_pop(back)?, 0.0)),
             ChanImp::Sock(c) => c.local.try_pop(back),
         }
     }
@@ -584,36 +571,6 @@ impl WorldState {
         }
     }
 
-    /// Run `park` — a wait of `rank` blocked on the pre-matched channels
-    /// `chans` — under a deadline/forensics guard. The stall probe handed
-    /// to `park` ticks the guard and keeps the mixed plain/persistent
-    /// misuse loud: a plain send aimed at a persistent signature lands in
-    /// the mailbox these channels bypass, and would otherwise hang the
-    /// blocked rank silently. ([`WorldState::match_recv`] is the reverse
-    /// direction.)
-    pub(crate) fn park_on<R>(
-        &self,
-        rank: usize,
-        kind: &'static str,
-        chans: WaitChans<'_>,
-        park: impl FnOnce(&dyn Fn()) -> R,
-    ) -> R {
-        let guard = self.begin_wait(rank, kind, chans);
-        park(&|| {
-            guard.tick();
-            for key in chans.keys() {
-                let (ctx_id, src, _, tag) = key;
-                assert!(
-                    !self.transport.probe(rank, ctx_id, src, tag),
-                    "{kind} blocked on channel {key:?}, from {src} tag {tag}: matching \
-                     message sits in the plain mailbox — mixing a plain send with a \
-                     persistent receive on one signature is unsupported (use \
-                     send_chan_init on the sender)"
-                );
-            }
-        })
-    }
-
     /// Assemble the forensic dump of the current (apparent) stall: every
     /// locally-registered parked wait, transport queue depths, peer pid
     /// liveness, the epoch id, and the recorded dead rank (if any).
@@ -702,14 +659,31 @@ impl WorldState {
     /// Block `global_rank`, on its park point, until **some** channel of
     /// the set has a message, returning its index — woken by whichever
     /// deposit lands first, so completion follows delivery order instead
-    /// of channel order. The stall probe keeps peer death and the mixed
-    /// plain/persistent misuse loud while parked.
+    /// of channel order. Every blocking persistent receive parks here
+    /// (`RecvChan::wait_take` on a set of one). The park runs under a
+    /// deadline/forensics guard, and its stall probe keeps peer death and
+    /// the mixed plain/persistent misuse loud: a plain send aimed at a
+    /// persistent signature lands in the mailbox these channels bypass,
+    /// and would otherwise hang the blocked rank silently.
+    /// ([`WorldState::match_recv`] is the reverse direction.)
     pub(crate) fn wait_any(&self, global_rank: usize, chans: &[ChanId]) -> usize {
         assert!(!chans.is_empty(), "wait_any on an empty channel set");
         let start = self.rotors[global_rank].fetch_add(1, Ordering::Relaxed) % chans.len();
-        self.park_on(global_rank, "wait_any", WaitChans::Ids(chans), |stall| {
-            self.transport.wait_any(global_rank, chans, start, stall)
-        })
+        let guard = self.begin_wait(global_rank, "wait_any", WaitChans::Ids(chans));
+        let stall = || {
+            guard.tick();
+            for &ChanId { key, .. } in chans {
+                let (ctx_id, src, _, tag) = key;
+                assert!(
+                    !self.transport.probe(global_rank, ctx_id, src, tag),
+                    "wait_any blocked on channel {key:?}, from {src} tag {tag}: matching \
+                     message sits in the plain mailbox — mixing a plain send with a \
+                     persistent receive on one signature is unsupported (use \
+                     send_chan_init on the sender)"
+                );
+            }
+        };
+        self.transport.wait_any(global_rank, chans, start, &stall)
     }
 
     /// Record that a rank of the current epoch panicked (pool worker).

@@ -5,8 +5,8 @@
 //! every perturbation from a seeded [`FaultPlan`]:
 //!
 //! * **delays** — short deterministic sleeps at every counted op
-//!   (`deposit`, `match_recv`, `wait_any`, channel push/pop), shaking out
-//!   scan-then-park races;
+//!   (`deposit`, `match_recv`, channel push/pop) and at `wait_any` entry,
+//!   shaking out scan-then-park races;
 //! * **reorder** — a chosen deposit is *held* and released after later
 //!   traffic, emulating flusher-batch reordering. Holding is tag-legal:
 //!   two envelopes with equal `(src, dst, ctx, tag)` are never swapped
@@ -17,7 +17,8 @@
 //! * **spurious** — extra readiness re-scans at `wait_any` entry,
 //!   emulating spurious wakeups;
 //! * **kill** — `panic!` on a chosen rank at exactly the Nth counted
-//!   transport op, exercising the death-detection machinery.
+//!   transport op, exercising the death-detection machinery. Kills fire
+//!   only at counted ops, never in `wait_any`.
 //!
 //! Where each acts: reorder and drop fire only in `deposit`, that is, at
 //! plain sends. Persistent-channel push and pop bypass the trait and
@@ -30,9 +31,12 @@
 //! Every *decision* (hold? delay how long? die here?) is a pure function
 //! of `(seed, rank, per-rank op index)`, so a failing schedule replays
 //! from its seed alone. Ops are counted only at call sites that occur in
-//! deterministic program order per rank (`deposit`, `match_recv`,
-//! `wait_any`, and the persistent-channel `Transport::inject` hooks) —
-//! never from timing-dependent poll loops like `probe`.
+//! deterministic program order per rank (`deposit`, `match_recv`, and the
+//! persistent-channel `Transport::inject` hooks: a started send, a
+//! blocking take) — never from timing-dependent paths: poll loops like
+//! `probe`, and `wait_any`, which a rank reaches only when nothing it
+//! polled was ready. `wait_any` takes its delay and spurious decisions
+//! from the rank's current op index without advancing it.
 //!
 //! Select a plan with `MPISIM_FAULTS=<seed>:<spec>` (see
 //! [`FaultPlan::parse`]) or programmatically via
@@ -298,11 +302,16 @@ impl FaultTransport {
                 self.plan.seed
             );
         }
+        self.delay(rank, n);
+        n
+    }
+
+    /// The schedule's delay decision for `(rank, n)`.
+    fn delay(&self, rank: usize, n: u64) {
         if let Some(h) = self.chance(SALT_DELAY, rank, n, self.plan.delay_permille) {
             let us = (h >> 10) % self.plan.delay_max_us.max(1) as u64;
             std::thread::sleep(Duration::from_micros(us));
         }
-        n
     }
 
     /// Release the held deposit, if any. Safe from any thread that holds
@@ -407,7 +416,9 @@ impl Transport for FaultTransport {
         start: usize,
         stall: &dyn Fn(),
     ) -> usize {
-        let n = self.tick(global_rank, FaultOp::WaitAny);
+        // not counted: whether a rank parks at all depends on timing
+        let n = self.ops[global_rank].load(Ordering::Relaxed);
+        self.delay(global_rank, n);
         self.flush_held();
         if self
             .chance(SALT_SPURIOUS, global_rank, n, self.plan.spurious_permille)

@@ -64,16 +64,18 @@ use std::sync::Arc;
 /// still lands in the blocking wait.
 pub(crate) const PARK_SPIN: u32 = 24;
 
-/// The transport operations a [`fault::FaultTransport`] counts and may
-/// perturb. `Deposit`/`MatchRecv`/`WaitAny` are intercepted directly by
-/// the wrapper; `ChanPush`/`ChanPop` cover persistent-channel traffic,
-/// which bypasses the trait (channels are used directly once created) and
-/// therefore reports through [`Transport::inject`] from the call sites.
+/// The transport operations a [`fault::FaultTransport`] counts — its
+/// schedule's op axis, each in program order on its rank.
+/// `Deposit`/`MatchRecv` are intercepted directly by the wrapper;
+/// `ChanPush`/`ChanPop` cover persistent-channel traffic, which bypasses
+/// the trait (channels are used directly once created) and therefore
+/// reports through [`Transport::inject`] from the call sites. A
+/// `wait_any` is perturbed but not counted: whether a rank parks depends
+/// on timing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FaultOp {
     Deposit,
     MatchRecv,
-    WaitAny,
     ChanPush,
     ChanPop,
 }

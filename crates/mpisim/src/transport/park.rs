@@ -90,9 +90,9 @@ impl ParkWords {
 }
 
 /// Block the calling rank on its park point until `ready` yields: the one
-/// sleep every receive goes through — a matched plain receive, a channel's
-/// `wait_nonempty`, a `wait_any` over a set — each with its own readiness
-/// check. `spin` yields first, then park; `stall` runs whenever a park ends
+/// sleep every receive goes through — a matched plain receive, or a
+/// `wait_any` over a set of channels (a blocking take on one channel parks
+/// there too) — each with its own readiness check. `spin` yields first, then park; `stall` runs whenever a park ends
 /// with nothing deposited (it aborts on peer death, deadline expiry and
 /// mixed plain/persistent traffic).
 ///

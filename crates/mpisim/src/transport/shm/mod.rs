@@ -56,16 +56,11 @@ struct RecvState {
     partial: Vec<Option<(Envelope, usize)>>,
 }
 
-/// One mailbox frame spilled to the sender-side outbox: the exact byte
-/// image `ShmChanRaw::try_push` would have written, FIFO per (src, dst).
-struct Frame {
-    arrival: f64,
-    bytes: Vec<u8>,
-}
-
 struct OutboxState {
-    /// Spilled frames per (src, dst) pair, indexed `src * n + dst`.
-    pending: Vec<VecDeque<Frame>>,
+    /// Mailbox frames spilled per (src, dst) pair, indexed `src * n + dst`:
+    /// each the payload `ShmChanRaw::try_push` would have written, FIFO
+    /// per pair.
+    pending: Vec<VecDeque<Vec<u8>>>,
     /// True while a pair has spilled frames (or is mid-drain): deposits
     /// on that pair must queue behind them to preserve FIFO, and only the
     /// flusher pushes that ring (keeping it single-producer).
@@ -156,24 +151,13 @@ impl ShmTransport {
     /// Caller holds the outbox lock, which is what serializes the rank's
     /// deposit path against the flusher (each ring keeps one producer at
     /// a time; the `spilling` flag only transitions under this lock).
-    fn send_frame(
-        &self,
-        st: &mut OutboxState,
-        src: usize,
-        dst: usize,
-        arrival: f64,
-        parts: &[&[u8]],
-    ) {
+    fn send_frame(&self, st: &mut OutboxState, src: usize, dst: usize, parts: &[&[u8]]) {
         let idx = src * self.seg.n_ranks() + dst;
-        if !st.spilling[idx] && self.mailbox_ring(src, dst).try_push(arrival, parts) {
+        if !st.spilling[idx] && self.mailbox_ring(src, dst).try_push(parts) {
             return;
         }
         st.spilling[idx] = true;
-        let mut bytes = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for p in parts {
-            bytes.extend_from_slice(p);
-        }
-        st.pending[idx].push_back(Frame { arrival, bytes });
+        st.pending[idx].push_back(parts.concat());
         st.live += 1;
         self.outbox.cv.notify_one();
     }
@@ -187,7 +171,7 @@ impl ShmTransport {
             loop {
                 let partial = &mut st.partial[src];
                 let q = &mut st.q;
-                let popped = ring.try_pop_with(|arrival, a, b| {
+                let popped = ring.try_pop_with(|a, b| {
                     let done = match partial.take() {
                         // continuation frame: the whole frame is payload
                         Some((mut env, remaining)) => {
@@ -201,7 +185,7 @@ impl ShmTransport {
                             let mut raw = Vec::with_capacity(a.len() + b.len());
                             raw.extend_from_slice(a);
                             raw.extend_from_slice(b);
-                            decode_envelope(arrival, &raw)
+                            decode_envelope(&raw)
                         }
                     };
                     match done {
@@ -241,7 +225,7 @@ fn run_flusher(seg: &Arc<Segment>, outbox: &Outbox) {
             }
             let ring = ShmChanRaw::new(Arc::clone(seg), seg.mailbox_ring_off(idx / n, idx % n));
             while let Some(f) = st.pending[idx].front() {
-                if !ring.try_push(f.arrival, &[&f.bytes]) {
+                if !ring.try_push(&[f.as_slice()]) {
                     break;
                 }
                 st.pending[idx].pop_front();
@@ -279,17 +263,11 @@ impl Transport for ShmTransport {
         // deadlock on full rings.
         let first = data.len().min(MAX_CHUNK - ENV_HDR);
         let mut st = self.outbox.state.lock();
-        self.send_frame(
-            &mut st,
-            src_world,
-            dst_world,
-            env.arrival,
-            &[&hdr, &data[..first]],
-        );
+        self.send_frame(&mut st, src_world, dst_world, &[&hdr, &data[..first]]);
         let mut off = first;
         while off < data.len() {
             let end = (off + MAX_CHUNK).min(data.len());
-            self.send_frame(&mut st, src_world, dst_world, 0.0, &[&data[off..end]]);
+            self.send_frame(&mut st, src_world, dst_world, &[&data[off..end]]);
             off = end;
         }
     }
@@ -339,7 +317,7 @@ impl Transport for ShmTransport {
         kind: u8,
         len_hint: usize,
     ) -> ChanFabric {
-        let msg = 16 + (kind_bytes(kind) * len_hint.max(1)) as u64;
+        let msg = ring::frame_bytes(kind_bytes(kind) * len_hint.max(1));
         let ring_bytes = (RING_DEPTH * msg).next_power_of_two().max(64 << 10);
         let (row, off) = self.seg.register_channel(key, dst_world, kind, ring_bytes);
         ChanFabric::Shm(ShmChanRaw::new(Arc::clone(&self.seg), off), row)

@@ -10,16 +10,17 @@
 //! data area is a power-of-two so positions wrap by masking, and every
 //! copy handles the wrap by splitting into two `memcpy`s.
 //!
-//! Message frame: `[payload_len: u32][pad: u32][arrival: f64][payload]`,
-//! padded to 8 bytes. The frame is written and read as raw bytes (via the
-//! wrapped copy), so nothing in the ring ever needs alignment beyond the
-//! header word atomics.
+//! Message frame: `[payload_len: u32][pad: u32][payload]`, padded to 8
+//! bytes ([`frame_bytes`]). No modeled-clock stamp rides along: a cost
+//! model runs on the thread fabric only. The frame is written and read as
+//! raw bytes (via the wrapped copy), so nothing in the ring ever needs
+//! alignment beyond the header word atomics.
 
 use super::segment::Segment;
 use crate::elem::Elem;
 use crate::transport::futex;
-use crate::transport::park::{park_until, ParkWords};
-use crate::transport::{bytes_of, vec_extend_bytes, PARK_SPIN};
+use crate::transport::park::ParkWords;
+use crate::transport::{bytes_of, vec_extend_bytes};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,7 +46,13 @@ struct RingHdr {
 
 /// Byte offset from a ring's base to its data area.
 pub(crate) const RING_HDR: u64 = 64;
-const MSG_HDR: usize = 16;
+const MSG_HDR: usize = 8;
+
+/// Ring bytes one message of `payload` bytes occupies: its header and
+/// payload, padded to 8.
+pub(crate) fn frame_bytes(payload: usize) -> u64 {
+    (MSG_HDR + payload).next_multiple_of(8) as u64
+}
 
 pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64, owner: usize) {
     assert!(cap_bytes.is_power_of_two(), "ring capacity must be 2^k");
@@ -158,9 +165,9 @@ impl ShmChanRaw {
     /// message larger than the whole ring is a loud panic: a channel ring
     /// is sized for [`super::RING_DEPTH`] messages of the registered
     /// length, and plain sends are chunked to fit the mailbox rings.
-    pub fn try_push(&self, arrival: f64, parts: &[&[u8]]) -> bool {
+    pub fn try_push(&self, parts: &[&[u8]]) -> bool {
         let payload: usize = parts.iter().map(|p| p.len()).sum();
-        let need = (MSG_HDR + payload).next_multiple_of(8) as u64;
+        let need = frame_bytes(payload);
         let hdr = self.hdr();
         let cap = self.cap();
         assert!(
@@ -176,7 +183,6 @@ impl ShmChanRaw {
         }
         let mut frame = [0u8; MSG_HDR];
         frame[0..4].copy_from_slice(&(payload as u32).to_le_bytes());
-        frame[8..16].copy_from_slice(&arrival.to_le_bytes());
         self.write_wrapped(tail, &frame);
         let mut pos = tail + MSG_HDR as u64;
         for p in parts {
@@ -198,14 +204,14 @@ impl ShmChanRaw {
     /// Deposit one message, given as the concatenation of `parts`.
     /// Blocks while the ring is full (the channel's buffered-send depth
     /// is the ring capacity), invoking `stall` each stall period.
-    pub fn push(&self, arrival: f64, parts: &[&[u8]], stall: &dyn Fn()) {
+    pub fn push(&self, parts: &[&[u8]], stall: &dyn Fn()) {
         loop {
-            if self.try_push(arrival, parts) {
+            if self.try_push(parts) {
                 return;
             }
             let hdr = self.hdr();
             let seen = hdr.space_seq.load(Ordering::SeqCst);
-            if self.try_push(arrival, parts) {
+            if self.try_push(parts) {
                 return;
             }
             futex::wait(&hdr.space_seq, seen, crate::stall::stall_ms());
@@ -213,10 +219,10 @@ impl ShmChanRaw {
         }
     }
 
-    /// Consume the next message if one is delivered: `f` sees the arrival
-    /// stamp and the (possibly wrapped) payload as two byte slices, which
-    /// are only valid during the call. Single consumer.
-    pub fn try_pop_with<R>(&self, f: impl FnOnce(f64, &[u8], &[u8]) -> R) -> Option<R> {
+    /// Consume the next message if one is delivered: `f` sees the
+    /// (possibly wrapped) payload as two byte slices, which are only valid
+    /// during the call. Single consumer.
+    pub fn try_pop_with<R>(&self, f: impl FnOnce(&[u8], &[u8]) -> R) -> Option<R> {
         let hdr = self.hdr();
         if hdr.msg_count.load(Ordering::SeqCst) == 0 {
             return None;
@@ -227,28 +233,19 @@ impl ShmChanRaw {
         frame[..a.len()].copy_from_slice(a);
         frame[a.len()..].copy_from_slice(b);
         let payload = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
-        let arrival = f64::from_le_bytes(frame[8..16].try_into().unwrap());
         let (pa, pb) = self.slices(head + MSG_HDR as u64, payload);
-        let r = f(arrival, pa, pb);
-        let need = (MSG_HDR + payload).next_multiple_of(8) as u64;
-        hdr.head.store(head + need, Ordering::Release);
+        let r = f(pa, pb);
+        hdr.head
+            .store(head + frame_bytes(payload), Ordering::Release);
         hdr.msg_count.fetch_sub(1, Ordering::SeqCst);
         Segment::bump_and_wake(&hdr.space_seq);
         Some(r)
     }
 
-    /// Block the consumer until the ring is non-empty, invoking `stall`
-    /// each stall period (same contract as the thread channel's
-    /// `wait_nonempty`).
-    pub fn wait_nonempty(&self, stall: &dyn Fn()) {
-        let ready = || (self.msg_count() > 0).then_some(());
-        park_until(self.owner_park(), PARK_SPIN, ready, stall)
-    }
-
     /// Consume and discard everything delivered. Quiescent use only (the
     /// failed-epoch drain): no concurrent producer or consumer.
     pub fn drain(&self) {
-        while self.try_pop_with(|_, _, _| ()).is_some() {}
+        while self.try_pop_with(|_, _| ()).is_some() {}
     }
 }
 
@@ -286,18 +283,18 @@ impl<T: Elem> ShmChan<T> {
         &self.raw
     }
 
-    pub fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
+    pub fn push_with(&self, fill: impl FnOnce(&mut Vec<T>)) {
         let mut buf = self.spare.lock().pop().unwrap_or_default();
         buf.clear();
         fill(&mut buf);
         self.raw
-            .push(arrival, &[bytes_of(&buf)], &|| self.raw.seg().check_alive());
+            .push(&[bytes_of(&buf)], &|| self.raw.seg().check_alive());
         self.spare.lock().push(buf);
     }
 
     /// Copy the next message out of the ring into a buffer the receiver
     /// handed back (`back`), or a spare one.
-    pub fn try_pop(&self, back: &mut Vec<Vec<T>>) -> Option<(Vec<T>, f64)> {
+    pub fn try_pop(&self, back: &mut Vec<Vec<T>>) -> Option<Vec<T>> {
         if self.raw.msg_count() == 0 {
             return None;
         }
@@ -305,21 +302,15 @@ impl<T: Elem> ShmChan<T> {
             .pop()
             .unwrap_or_else(|| self.spare.lock().pop().unwrap_or_default());
         buf.clear();
-        let arrival = self.raw.try_pop_with(|arrival, a, b| {
-            vec_extend_bytes(&mut buf, a, b);
-            arrival
-        });
-        match arrival {
-            Some(t) => Some((buf, t)),
-            None => {
-                back.push(buf);
-                None
-            }
+        if self
+            .raw
+            .try_pop_with(|a, b| vec_extend_bytes(&mut buf, a, b))
+            .is_none()
+        {
+            back.push(buf);
+            return None;
         }
-    }
-
-    pub fn wait_nonempty(&self, stall_probe: impl Fn()) {
-        self.raw.wait_nonempty(&stall_probe);
+        Some(buf)
     }
 
     pub fn drain_pending(&self) {
@@ -341,25 +332,41 @@ mod tests {
     }
 
     #[test]
+    fn a_message_occupies_its_header_and_payload_padded_to_8() {
+        let r = ring(256);
+        for payload in 0..=17usize {
+            let tail = r.hdr().tail.load(Ordering::Relaxed);
+            r.push(&[&vec![7u8; payload]], &|| {});
+            let used = r.hdr().tail.load(Ordering::Relaxed) - tail;
+            assert_eq!(
+                used,
+                (8 + payload).next_multiple_of(8) as u64,
+                "{payload} B"
+            );
+            let got = r.try_pop_with(|a, b| a.len() + b.len());
+            assert_eq!(got, Some(payload));
+        }
+    }
+
+    #[test]
     fn fifo_roundtrip_with_wraparound() {
         let r = ring(256);
-        // frames are 16 + pad8(24) = 40 bytes; push/pop enough of them to
+        // frames are 8 + pad8(24) = 32 bytes; push/pop enough of them to
         // wrap the 256-byte ring several times
         for i in 0..32u64 {
             let payload: Vec<u8> = (0..24).map(|j| (i as u8).wrapping_add(j)).collect();
-            r.push(i as f64, &[&payload], &|| {});
+            r.push(&[&payload], &|| {});
             if i % 2 == 1 {
                 for k in [i - 1, i] {
                     let got = r
-                        .try_pop_with(|arr, a, b| {
+                        .try_pop_with(|a, b| {
                             let mut v = a.to_vec();
                             v.extend_from_slice(b);
-                            (arr, v)
+                            v
                         })
                         .expect("message delivered");
-                    assert_eq!(got.0, k as f64);
-                    assert_eq!(got.1[0], k as u8);
-                    assert_eq!(got.1.len(), 24);
+                    assert_eq!(got[0], k as u8);
+                    assert_eq!(got.len(), 24);
                 }
             }
         }
@@ -371,17 +378,17 @@ mod tests {
         let r = ring(128);
         let r2 = r.clone();
         // capacity 128 holds exactly two 40-byte frames plus change
-        r.push(0.0, &[&[1u8; 24]], &|| {});
-        r.push(0.0, &[&[2u8; 24]], &|| {});
+        r.push(&[&[1u8; 32]], &|| {});
+        r.push(&[&[2u8; 32]], &|| {});
         let t = std::thread::spawn(move || {
-            r2.push(0.0, &[&[3u8; 24]], &|| {});
-            r2.push(0.0, &[&[4u8; 24]], &|| {}); // blocks: 160 > 128
+            r2.push(&[&[3u8; 32]], &|| {});
+            r2.push(&[&[4u8; 32]], &|| {}); // blocks: 160 > 128
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         let mut seen = Vec::new();
         for _ in 0..4 {
             loop {
-                if let Some(b) = r.try_pop_with(|_, a, _| a[0]) {
+                if let Some(b) = r.try_pop_with(|a, _| a[0]) {
                     seen.push(b);
                     break;
                 }
@@ -396,7 +403,7 @@ mod tests {
     #[should_panic(expected = "exceeds the ring capacity")]
     fn oversized_message_panics() {
         let r = ring(64);
-        r.push(0.0, &[&[0u8; 4096]], &|| {});
+        r.push(&[&[0u8; 4096]], &|| {});
     }
 
     #[test]
@@ -406,16 +413,14 @@ mod tests {
         let (row, off) = seg.register_channel((1, 0, 1, 7), 1, f64::KIND, 4096);
         let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off), row);
         let mut back = Vec::new();
-        c.push_with(0.5, |b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
-        c.wait_nonempty(|| {});
-        let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
-        assert_eq!((buf.as_slice(), arrival), ([1.0, 2.0, 3.0].as_slice(), 0.5));
+        c.push_with(|b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
+        let buf = c.try_pop(&mut back).expect("delivered");
+        assert_eq!(buf.as_slice(), [1.0, 2.0, 3.0].as_slice());
         let ptr = buf.as_ptr();
         back.push(buf);
-        c.push_with(1.5, |b| b.extend_from_slice(&[4.0]));
-        c.wait_nonempty(|| {});
+        c.push_with(|b| b.extend_from_slice(&[4.0]));
         // the handed-back buffer is the one the next take fills
-        let (buf, _) = c.try_pop(&mut back).expect("delivered");
+        let buf = c.try_pop(&mut back).expect("delivered");
         assert_eq!(buf.as_slice(), [4.0].as_slice());
         assert_eq!(buf.as_ptr(), ptr);
         assert!(back.is_empty());

@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_000d; // "mpisim", layout v13
+const MAGIC: u64 = 0x6d70_6973_696d_000e; // "mpisim", layout v14
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world holds one
@@ -74,7 +74,7 @@ struct SegHeader {
     /// Epoch command word (see `transport::remote`): `(job << 48) | epoch`,
     /// or [`CMD_STOP`].
     epoch_cmd: AtomicU64,
-    /// Sense-reversing barrier: generation (futex word) + arrival count.
+    /// Sense-reversing barrier: generation (futex word) + count of ranks in.
     barrier_gen: AtomicU32,
     barrier_count: AtomicU32,
     /// Spinlock guarding the registration table.

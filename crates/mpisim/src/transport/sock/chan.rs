@@ -1,6 +1,7 @@
 //! The socket fabric's persistent-channel body, and both ends of the
 //! `K_CHAN` frame that carries its payloads:
-//! `[ctx u64][src u64][dst u64][tag u64][arrival f64-bits u64]` + data.
+//! `[ctx u64][src u64][dst u64][tag u64]` + data. No modeled-clock stamp
+//! rides along: a cost model runs on the thread fabric only.
 
 use super::link::{Link, K_CHAN};
 use super::{DeliverFn, SockChanWire, SockTransport};
@@ -12,7 +13,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Bytes of a `K_CHAN` body ahead of the payload.
-const CHAN_HDR: usize = 40;
+const CHAN_HDR: usize = 32;
 
 /// Socket-fabric channel body. The receive side is an ordinary in-process
 /// [`ThreadChan`] fed by the link reader thread (via the transport's
@@ -45,7 +46,7 @@ impl<T: Elem> SockChan<T> {
         let local = Arc::new(ThreadChan::new(wire.park));
         let hook = wire.register.map(|t| {
             let local = Arc::clone(&local);
-            let f: DeliverFn = Arc::new(move |arrival, bytes: &[u8]| {
+            let f: DeliverFn = Arc::new(move |bytes: &[u8]| {
                 if !bytes.len().is_multiple_of(elem_bytes::<T>()) {
                     return Err(format!(
                         "payload of {} bytes is not a whole number of {} elements",
@@ -53,7 +54,7 @@ impl<T: Elem> SockChan<T> {
                         std::any::type_name::<T>()
                     ));
                 }
-                local.push_with(arrival, |buf| vec_extend_bytes(buf, bytes, &[]));
+                local.push_with(0.0, |buf| vec_extend_bytes(buf, bytes, &[]));
                 Ok(())
             });
             t.register_deliver(key, Arc::clone(&f));
@@ -68,16 +69,16 @@ impl<T: Elem> SockChan<T> {
         }
     }
 
-    pub(crate) fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
+    pub(crate) fn push_with(&self, fill: impl FnOnce(&mut Vec<T>)) {
         let Some(link) = &self.route else {
-            return self.local.push_with(arrival, fill);
+            return self.local.push_with(0.0, fill);
         };
         let mut vals = self.scratch.lock();
         vals.clear();
         fill(&mut vals);
         let (ctx_id, src, dst, tag) = self.key;
         link.send_frame_with(K_CHAN, |body| {
-            for word in [ctx_id, src as u64, dst as u64, tag, arrival.to_bits()] {
+            for word in [ctx_id, src as u64, dst as u64, tag] {
                 body.extend_from_slice(&word.to_le_bytes());
             }
             body.extend_from_slice(bytes_of(&vals));
@@ -93,11 +94,11 @@ impl<T> Drop for SockChan<T> {
     }
 }
 
-/// Take a `K_CHAN` body apart: the channel it is for, its arrival stamp,
-/// its payload. `None` for a body shorter than the header.
-pub(super) fn split_frame(body: &[u8]) -> Option<(ChanKey, f64, &[u8])> {
+/// Take a `K_CHAN` body apart: the channel it is for and its payload.
+/// `None` for a body shorter than the header.
+pub(super) fn split_frame(body: &[u8]) -> Option<(ChanKey, &[u8])> {
     let (hdr, payload) = body.split_first_chunk::<CHAN_HDR>()?;
     let word = |i: usize| u64::from_le_bytes(hdr[8 * i..][..8].try_into().expect("8 bytes"));
     let key = (word(0), word(1) as usize, word(2) as usize, word(3));
-    Some((key, f64::from_bits(word(4)), payload))
+    Some((key, payload))
 }

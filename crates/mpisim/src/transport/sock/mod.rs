@@ -56,9 +56,13 @@ pub(crate) struct SockChanWire {
 }
 
 /// Receive-side delivery hook of a registered persistent channel: called
-/// by the link reader with the payload's arrival stamp and wire bytes;
-/// `Err` says why the bytes cannot be a payload of this channel.
-pub(crate) type DeliverFn = Arc<dyn Fn(f64, &[u8]) -> Result<(), String> + Send + Sync>;
+/// by the link reader with the payload's wire bytes; `Err` says why the
+/// bytes cannot be a payload of this channel.
+pub(crate) type DeliverFn = Arc<dyn Fn(&[u8]) -> Result<(), String> + Send + Sync>;
+
+/// Bytes of a `K_DATA` body ahead of the envelope: `[src u32][dst u32]`,
+/// the world ranks it travels between.
+const DATA_PREFIX: usize = 8;
 
 /// The handshake frame: who is calling and what it has received so far.
 fn hello_frame(proc: usize, rx_seq: u64) -> Vec<u8> {
@@ -88,7 +92,7 @@ struct ChanTable {
     /// Payloads that arrived before the receiving side registered — or,
     /// for a failed tenant's stragglers, after its channel dropped; those
     /// go with the communicator ([`Transport::release_context`]).
-    undelivered: HashMap<ChanKey, Vec<(f64, Vec<u8>)>>,
+    undelivered: HashMap<ChanKey, Vec<Vec<u8>>>,
 }
 
 pub(crate) struct SockTransport {
@@ -360,18 +364,17 @@ impl SockTransport {
         };
         match kind {
             K_DATA => {
-                // [src u32][dst u32][arrival u64] + one whole envelope
+                // [src u32][dst u32] + one whole envelope
                 let (src, dst) = (u32_at(0)?, u32_at(4)?);
-                let arrival = f64::from_bits(u64_at(8)?);
-                let data_len = u32_at(16 + ENV_LEN_AT)?;
-                if dst >= self.rx.n_ranks() || body.len() != 16 + ENV_HDR + data_len {
+                let data_len = u32_at(DATA_PREFIX + ENV_LEN_AT)?;
+                if dst >= self.rx.n_ranks() || body.len() != DATA_PREFIX + ENV_HDR + data_len {
                     return Err(short());
                 }
-                let (env, _) = decode_envelope(arrival, &body[16..]);
+                let (env, _) = decode_envelope(&body[DATA_PREFIX..]);
                 self.rx.deposit(src, dst, env);
             }
             K_CHAN => {
-                let (key, arrival, payload) = chan::split_frame(body).ok_or_else(short)?;
+                let (key, payload) = chan::split_frame(body).ok_or_else(short)?;
                 let f = {
                     let mut ch = self.chans.lock();
                     match ch.deliver.get(&key) {
@@ -382,12 +385,12 @@ impl SockTransport {
                             ch.undelivered
                                 .entry(key)
                                 .or_default()
-                                .push((arrival, payload.to_vec()));
+                                .push(payload.to_vec());
                             return Ok(());
                         }
                     }
                 };
-                f(arrival, payload)?;
+                f(payload)?;
             }
             K_CMD => {
                 let cmd = u64_at(0)?;
@@ -437,9 +440,9 @@ impl SockTransport {
             ch.deliver.insert(key, Arc::clone(&f));
             pending
         };
-        for (arrival, bytes) in pending {
+        for bytes in pending {
             // on the registering rank's thread: its panic is already loud
-            f(arrival, &bytes).unwrap_or_else(|e| panic!("sock channel {key:?}: {e}"));
+            f(&bytes).unwrap_or_else(|e| panic!("sock channel {key:?}: {e}"));
         }
     }
 
@@ -481,7 +484,6 @@ impl Transport for SockTransport {
                 link.send_frame_with(K_DATA, |body| {
                     body.extend_from_slice(&(src_world as u32).to_le_bytes());
                     body.extend_from_slice(&(dst_world as u32).to_le_bytes());
-                    body.extend_from_slice(&env.arrival.to_bits().to_le_bytes());
                     body.extend_from_slice(&encode_env_hdr(
                         env.ctx_id,
                         env.src,
@@ -627,7 +629,7 @@ impl Drop for SockTransport {
 }
 
 /// Accept thread: poll the (non-blocking) listener, handshake each
-/// arrival. Failed handshakes are dropped — a half-dialed peer retries.
+/// incoming connection. Failed handshakes are dropped — a half-dialed peer retries.
 fn run_accept(t: Weak<SockTransport>, listener: Listener, shutdown: Arc<AtomicBool>) {
     while !shutdown.load(Ordering::Acquire) {
         match listener.try_accept() {
@@ -698,6 +700,7 @@ fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<S
 mod tests {
     use super::*;
     use crate::state::{Channel, WorldState};
+    use crate::transport::bytes_of;
     use crate::Elem;
 
     const DST: usize = 1;
@@ -727,11 +730,17 @@ mod tests {
         (0..1 + i % 5).map(|j| case << 32 | i << 8 | j).collect()
     }
 
-    fn pop_expecting(chan: &Channel<u64>, case: u64, n: u64) {
+    /// Take `n` messages off `chan`, parking its receiver (rank `DST`)
+    /// between takes, and check each.
+    fn pop_expecting(world: &WorldState, chan: &Channel<u64>, case: u64, n: u64) {
         let mut back = Vec::new();
         for i in 0..n {
-            chan.wait_nonempty(|| {});
-            let (got, _) = chan.try_pop(&mut back).expect("delivered");
+            let got = loop {
+                match chan.try_pop(&mut back) {
+                    Some((got, _)) => break got,
+                    None => _ = world.wait_any(DST, &[chan.id()]),
+                }
+            };
             assert_eq!(got, message(case, i), "case {case}, message {i}");
             back.push(got);
         }
@@ -748,7 +757,7 @@ mod tests {
             chan.push(&message(0, i), 0.0);
         }
         t.dial_self();
-        pop_expecting(&chan, 0, BURST);
+        pop_expecting(&world, &chan, 0, BURST);
         let st = link_of(&t).st.lock();
         println!(
             "burst of {BURST}: {} frames in {} writes, {} frames in {} reads, {} writer wakes",
@@ -776,7 +785,7 @@ mod tests {
                     t.sever_link(DST);
                 }
             }
-            pop_expecting(&chan, k, N);
+            pop_expecting(&world, &chan, k, N);
             wait_until("the link reconnected", || {
                 link_of(&t).st.lock().reconnects > before
             });
@@ -802,7 +811,7 @@ mod tests {
         for i in 8..N {
             chan.push(&message(0, i), 0.0);
         }
-        pop_expecting(&chan, 0, N);
+        pop_expecting(&world, &chan, 0, N);
         assert!(link_of(&t).st.lock().reconnects >= 1);
     }
 
@@ -815,17 +824,57 @@ mod tests {
         wait_until("the link died", || t.peer_failure().is_some());
     }
 
+    /// The sequenced frames queued on `t`'s self-link, oldest first: the
+    /// kind byte and the body of each.
+    fn queued_bodies(t: &SockTransport) -> Vec<(u8, Vec<u8>)> {
+        let st = link_of(t).st.lock();
+        st.replay.iter().map(|f| (f[4], f[16..].to_vec())).collect()
+    }
+
+    #[test]
+    fn a_chan_body_is_its_key_and_payload_and_a_data_body_its_ranks_and_envelope() {
+        let (t, world) = loopback_pair();
+        let chan = world.channel::<u64>((3, 0, DST, 7));
+        chan.push(&[11, 22, 33], 0.0);
+        world.deposit(
+            0,
+            DST,
+            Envelope {
+                ctx_id: 3,
+                src: 0,
+                tag: 9,
+                arrival: 0.0,
+                payload: Payload::of(&[44u32, 55]),
+            },
+        );
+        let [(chan_kind, chan_body), (data_kind, data_body)] = &queued_bodies(&t)[..] else {
+            panic!("two frames queued");
+        };
+        assert_eq!((*chan_kind, *data_kind), (K_CHAN, K_DATA));
+        // K_CHAN: 32 header bytes, the channel's key, then the payload
+        assert_eq!(chan_body.len(), 32 + 3 * 8);
+        let (key, payload) = chan::split_frame(chan_body).expect("a whole header");
+        assert_eq!(key, (3, 0, DST, 7));
+        assert_eq!(payload, bytes_of(&[11u64, 22, 33]));
+        // K_DATA: an 8-byte prefix of world ranks, then one envelope
+        assert_eq!(data_body.len(), 8 + ENV_HDR + 2 * 4);
+        assert_eq!(data_body[..8], [0, 0, 0, 0, DST as u8, 0, 0, 0]);
+        let (env, remaining) = decode_envelope(&data_body[8..]);
+        assert_eq!((env.ctx_id, env.src, env.tag, remaining), (3, 0, 9, 0));
+        assert_eq!(env.payload.take::<u32>(), Ok(vec![44, 55]));
+    }
+
     #[test]
     fn malformed_frames_kill_the_link_loudly_and_say_why() {
-        let chan_body_too_short = encode_frame(K_CHAN, 1, &[0; 39]);
+        let chan_body_too_short = encode_frame(K_CHAN, 1, &[0; 31]);
         let data_body_lies_about_its_length = {
-            let mut body = vec![0u8; 16];
+            let mut body = vec![0u8; 8];
             body.extend_from_slice(&encode_env_hdr(0, 0, 0, u64::KIND, 1000));
             body.extend_from_slice(&[7; 24]);
             encode_frame(K_DATA, 1, &body)
         };
         let data_for_a_rank_that_does_not_exist = {
-            let mut body = vec![0u8; 16];
+            let mut body = vec![0u8; 8];
             body[4] = 200;
             body.extend_from_slice(&encode_env_hdr(0, 0, 0, u8::KIND, 0));
             encode_frame(K_DATA, 1, &body)
@@ -837,15 +886,15 @@ mod tests {
             (vec![0xff; 16], "declares 4294967295 bytes"),
             (
                 chan_body_too_short,
-                "kind-2 frame with a malformed 39-byte body",
+                "kind-2 frame with a malformed 31-byte body",
             ),
             (
                 data_body_lies_about_its_length,
-                "kind-1 frame with a malformed 69-byte body",
+                "kind-1 frame with a malformed 61-byte body",
             ),
             (
                 data_for_a_rank_that_does_not_exist,
-                "kind-1 frame with a malformed 45-byte body",
+                "kind-1 frame with a malformed 37-byte body",
             ),
             (
                 ack_of_the_future,
@@ -886,7 +935,7 @@ mod tests {
         assert!(t.probe(0, 0, 1, 5));
         assert_eq!(take(&t, 5), [11]);
         // ... and a K_DATA frame off the wire lands in the same mailbox
-        let mut body = vec![0u8; 16]; // src 1, dst 0, arrival 0.0
+        let mut body = vec![0u8; 8]; // src 1, dst 0
         body[0] = 1;
         body.extend_from_slice(&encode_env_hdr(0, 1, 6, u64::KIND, 8));
         body.extend_from_slice(&22u64.to_le_bytes());
@@ -935,7 +984,7 @@ mod tests {
         let world = WorldState::with_transport_deadline(2, None, t.clone(), None);
         let _chan = world.channel::<u64>((0, 1, 0, 7));
         let mut body = Vec::new();
-        for word in [0u64, 1, 0, 7, 0] {
+        for word in [0u64, 1, 0, 7] {
             body.extend_from_slice(&word.to_le_bytes());
         }
         body.extend_from_slice(&[1, 2, 3]);

@@ -22,8 +22,10 @@ use std::sync::Arc;
 /// Sentinel for "no rank recorded" in `dead_rank`.
 const NO_RANK: usize = usize::MAX;
 
-/// The in-process channel body: a FIFO of typed `Vec<T>` payloads whose
-/// every push notifies the receiving rank's park point.
+/// The in-process channel body: a FIFO of typed `Vec<T>` payloads, each
+/// with its modeled arrival stamp (the thread fabric is the one a cost
+/// model runs on), whose every push notifies the receiving rank's park
+/// point.
 pub(crate) struct ThreadChan<T> {
     state: Mutex<ChanState<T>>,
     /// Pending-message count mirrored outside the typed state, so poll
@@ -71,11 +73,6 @@ impl<T> ThreadChan<T> {
         self.pending.fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.park.notify();
-    }
-
-    pub(crate) fn wait_nonempty(&self, stall_probe: impl Fn()) {
-        let ready = || (self.pending.load(Ordering::Relaxed) > 0).then_some(());
-        park_until(&self.park, PARK_SPIN, ready, &stall_probe)
     }
 
     /// Take the next message, handing the buffers in `back` (payloads
@@ -315,11 +312,9 @@ mod tests {
         c.push(&[3, 4], 1.5);
         assert!(c.ready());
         let mut back = Vec::new();
-        c.wait_nonempty(|| {});
         let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
         assert_eq!((buf.as_slice(), arrival), ([1, 2].as_slice(), 0.5));
         back.push(buf);
-        c.wait_nonempty(|| {});
         let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
         assert_eq!((buf.as_slice(), arrival), ([3, 4].as_slice(), 1.5));
         assert!(back.is_empty(), "the take handed the first buffer back");
@@ -335,10 +330,12 @@ mod tests {
         let w = WorldState::new(1, None);
         let c = w.channel::<u8>((0, 0, 0, 1));
         let c2 = w.channel::<u8>((0, 0, 0, 1));
-        let t = std::thread::spawn(move || {
-            c2.wait_nonempty(|| {});
-            let (buf, _) = c2.try_pop(&mut Vec::new()).expect("delivered");
-            buf[0]
+        let w2 = Arc::clone(&w);
+        let t = std::thread::spawn(move || loop {
+            if let Some((buf, _)) = c2.try_pop(&mut Vec::new()) {
+                break buf[0];
+            }
+            w2.wait_any(0, &[c2.id()]);
         });
         std::thread::sleep(Duration::from_millis(20));
         c.push(&[42], 0.0);
@@ -383,8 +380,8 @@ mod tests {
                 }
             });
             for i in 0..N {
-                c.wait_nonempty(|| {});
-                let (buf, arrival) = c.try_pop(&mut back).expect("delivered");
+                let (buf, arrival) =
+                    park_until(&c.park, PARK_SPIN, || c.try_pop(&mut back), &|| {});
                 assert_eq!(arrival, i as f64, "FIFO");
                 assert!(buf.iter().copied().eq(msg(i)), "message {i}: {buf:?}");
                 taken.store(i as usize + 1, Ordering::Relaxed);

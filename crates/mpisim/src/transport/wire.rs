@@ -4,9 +4,9 @@
 //! framed streams — carry the same envelope image:
 //! `[ctx_id: u64][src: u64][tag: u64][payload_len: u32][kind: u8]`
 //! followed by the payload bytes, all little-endian. `kind` is the
-//! element type's [`crate::Elem::KIND`]. The arrival stamp rides outside
-//! this image (in the shm ring's message header, or the socket frame's
-//! body prefix).
+//! element type's [`crate::Elem::KIND`]. No modeled arrival stamp rides
+//! along: a cost model runs on the thread fabric only, so a decoded
+//! envelope arrives at 0.0.
 //!
 //! The shm fabric may split one envelope across several ring frames
 //! (bounded rings force chunking; see `RecvState::partial`), so
@@ -42,7 +42,7 @@ pub(crate) fn encode_env_hdr(
 
 /// Parse an envelope's FIRST frame; returns the envelope (payload possibly
 /// incomplete) and the byte count still to arrive as continuation frames.
-pub(crate) fn decode_envelope(arrival: f64, raw: &[u8]) -> (Envelope, usize) {
+pub(crate) fn decode_envelope(raw: &[u8]) -> (Envelope, usize) {
     let u64_at = |o: usize| u64::from_le_bytes(raw[o..o + 8].try_into().unwrap());
     let payload_len = u32::from_le_bytes(raw[ENV_LEN_AT..28].try_into().unwrap()) as usize;
     let got = raw.len() - ENV_HDR;
@@ -53,7 +53,7 @@ pub(crate) fn decode_envelope(arrival: f64, raw: &[u8]) -> (Envelope, usize) {
         ctx_id: u64_at(0),
         src: u64_at(8) as usize,
         tag: u64_at(16),
-        arrival,
+        arrival: 0.0,
         payload: Payload {
             kind: raw[28],
             bytes,
@@ -73,10 +73,9 @@ mod tests {
         let hdr = encode_env_hdr(7, 3, 42, u64::KIND, payload.len());
         let mut raw = hdr.to_vec();
         raw.extend_from_slice(&payload);
-        let (env, remaining) = decode_envelope(1.5, &raw);
+        let (env, remaining) = decode_envelope(&raw);
         assert_eq!(remaining, 0);
         assert_eq!((env.ctx_id, env.src, env.tag), (7, 3, 42));
-        assert_eq!(env.arrival, 1.5);
         assert_eq!(env.payload.kind, u64::KIND);
         assert_eq!(env.payload.bytes, payload);
         assert_eq!(env.payload.take::<u64>(), Ok(vec![0x0807_0605_0403_0201]));
@@ -85,7 +84,7 @@ mod tests {
     #[test]
     fn the_header_carries_every_kind() {
         for kind in [u8::KIND, i32::KIND, usize::KIND, f32::KIND, f64::KIND] {
-            let (env, remaining) = decode_envelope(0.0, &encode_env_hdr(1, 2, 3, kind, 0));
+            let (env, remaining) = decode_envelope(&encode_env_hdr(1, 2, 3, kind, 0));
             assert_eq!((env.payload.kind, remaining), (kind, 0));
             assert!(env.payload.bytes.is_empty());
         }
@@ -96,7 +95,7 @@ mod tests {
         let hdr = encode_env_hdr(0, 1, 2, u8::KIND, 10);
         let mut raw = hdr.to_vec();
         raw.extend_from_slice(&[9u8; 4]); // 4 of 10 payload bytes
-        let (env, remaining) = decode_envelope(0.0, &raw);
+        let (env, remaining) = decode_envelope(&raw);
         assert_eq!(remaining, 6);
         assert_eq!(env.payload.kind, u8::KIND);
     }

@@ -232,6 +232,58 @@ fn kill_schedules_degrade_gracefully_in_pools() {
     }
 }
 
+/// The fault plan's op axis is program order, however long a rank parks.
+/// In epoch 1 rank 0 sleeps before each of its pushes and rank 1 polls
+/// with `try_take` and parks in `wait_any` between polls, then answers
+/// each message: rank 1's counted ops are its `MSGS` answers, and the
+/// parks count none. A kill at op `MSGS` therefore lands at epoch 2's
+/// first op, every run.
+#[test]
+fn a_kill_lands_at_the_same_program_point_however_long_a_rank_parks() {
+    const MSGS: u64 = 4;
+    let exchange = |ctx: &mut RankCtx, late: bool| {
+        let comm = ctx.comm_world();
+        let peer = 1 - ctx.rank();
+        let tx = ctx.send_chan_init::<u64>(&comm, peer, 1 + ctx.rank() as u64, 1);
+        let mut rx = ctx.recv_chan_init::<u64>(&comm, peer, 2 - ctx.rank() as u64, 1);
+        for i in 0..MSGS {
+            if ctx.rank() == 0 {
+                if late {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                tx.start_with(ctx, |buf| buf.push(i));
+            }
+            rx.start();
+            let got = loop {
+                match rx.try_take(ctx) {
+                    Some(got) => break got,
+                    None => _ = ctx.wait_any(&[rx.chan_id()]),
+                }
+            };
+            assert_eq!(got, [i]);
+            rx.recycle(got);
+            if ctx.rank() == 1 {
+                tx.start_with(ctx, |buf| buf.push(i));
+            }
+        }
+    };
+    for run in 0..3 {
+        let plan = FaultPlan::seeded(run).kill(1, MSGS).deadline_ms(10_000);
+        let pool = WorldConfig::new(Fabric::Thread).faults(plan).pool(2);
+        if let Err(err) = pool.try_run(|ctx| exchange(ctx, true)) {
+            panic!("run {run}: the kill landed in epoch 1: {err}");
+        }
+        let err = pool
+            .try_run(|ctx| exchange(ctx, false))
+            .expect_err("the kill lands in epoch 2");
+        let at = format!("killed by fault plan at transport op {MSGS} (ChanPush");
+        assert!(
+            err.failures.iter().any(|(r, m)| *r == 1 && m.contains(&at)),
+            "run {run}: not rank 1's first op of epoch 2: {err}"
+        );
+    }
+}
+
 /// An application panic (not a fault-plan kill) also comes back as a
 /// structured `EpochError` attributing the right rank.
 #[test]
