@@ -81,7 +81,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, the rustdoc link gate, and five grep rules. Docs:
+# clippy, formatting, the rustdoc link gate, and eight grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
 # comment still links to fails here, and no documented item links to a
@@ -93,9 +93,16 @@ clippy:
 # issues a condvar notify or a futex wake but the one park-point file of
 # every fabric (transport/park.rs) and what wakes something other than a
 # rank — the shm control plane (shm/segment.rs: the epoch command word,
-# the barrier, a full ring's space word), the sock link threads
+# the barrier), the sock link threads
 # (sock/link.rs), the sock control inbox (sock/control.rs), the pool's
 # epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`).
+# Sleeps: the data path sleeps one way, `park_until` on a `ParkWords`
+# (DESIGN.md §7), so no file of mpisim calls `futex::wait` but
+# transport/park.rs and the shm control plane (shm/segment.rs); and a
+# fabric hands out a park point instead of blocking a receiver, so the
+# non-test code of transport/thread.rs, transport/fault.rs,
+# transport/shm/mod.rs and transport/sock (each file up to its
+# `#[cfg(test)]`) names no `park_until`.
 # Blocking: a request blocks in `wait` and a rank in the scheduler's park,
 # never inside `start`, `test` or a task's poll (DESIGN.md §7, §12), so
 # the non-test code of core and service (each file up to its
@@ -115,6 +122,9 @@ clippy:
 # `#[cfg(test)]`) names no modeled `arrival`
 BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
 WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
+SLEEP_FILES := transport/park|transport/shm/segment
+NO_PARK := crates/mpisim/src/transport/thread.rs crates/mpisim/src/transport/fault.rs \
+	crates/mpisim/src/transport/shm/mod.rs crates/mpisim/src/transport/sock
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 EXEC_LOCKS := RwLock|Mutex|\.write\(\)|\.read\(\)
 lint: clippy
@@ -126,6 +136,13 @@ lint: clippy
 	@if grep -rnE 'notify_all|notify_one|futex::wake_all' crates/mpisim/src --include='*.rs' \
 		| grep -vE '^crates/mpisim/src/($(WAKE_FILES))\.rs:' | grep -v 'outbox\.cv\.'; then \
 		echo "error: mpisim wakes a thread outside a park point (see the lint rule in Makefile)"; exit 1; fi
+	@if grep -rn 'futex::wait' crates/mpisim/src --include='*.rs' \
+		| grep -vE '^crates/mpisim/src/($(SLEEP_FILES))\.rs:'; then \
+		echo "error: mpisim sleeps outside a park point (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find $(NO_PARK) -name '*.rs'); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
+		| grep 'park_until'; then \
+		echo "error: a fabric blocks a receiver itself (see the lint rule in Makefile)"; exit 1; fi
 	@if for f in $$(find crates/core/src crates/service/src -name '*.rs' ! -name proptests.rs); do \
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -E '$(BLOCKING_CALLS)'; then \

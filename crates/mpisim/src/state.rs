@@ -12,10 +12,13 @@
 
 use crate::elem::{kind_name, Elem};
 use crate::stall::{RankWait, RegistryGauge, StallReport};
+use crate::transport::park::park_until;
 use crate::transport::shm::ring::ShmChan;
 use crate::transport::sock::chan::SockChan;
 use crate::transport::thread::ThreadChan;
-use crate::transport::{bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport};
+use crate::transport::{
+    bytes_of, vec_extend_bytes, ChanFabric, FaultOp, ShmChanRaw, Transport, PARK_SPIN,
+};
 use locality::Topology;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use perfmodel::CostModel;
@@ -454,7 +457,7 @@ impl WaitChans<'_> {
 }
 
 /// Deadline + forensics guard around one blocked wait. Created at wait
-/// entry, ticked from the transport's stall probe, cleared on drop.
+/// entry, ticked from the wait's stall probe, cleared on drop.
 ///
 /// `tick` upgrades the stall probe from a liveness hack into a deadlock
 /// detector: on peer death it aborts with the failure message *plus* a
@@ -554,7 +557,7 @@ impl WorldState {
     }
 
     /// Open a deadline/forensics guard around one blocked wait. The stall
-    /// closure passed to the transport must call [`WaitGuard::tick`].
+    /// probe of the wait must call [`WaitGuard::tick`].
     pub(crate) fn begin_wait<'a>(
         &'a self,
         rank: usize,
@@ -660,12 +663,13 @@ impl WorldState {
     /// the set has a message, returning its index — woken by whichever
     /// deposit lands first, so completion follows delivery order instead
     /// of channel order. Every blocking persistent receive parks here
-    /// (`RecvChan::wait_take` on a set of one). The park runs under a
-    /// deadline/forensics guard, and its stall probe keeps peer death and
-    /// the mixed plain/persistent misuse loud: a plain send aimed at a
-    /// persistent signature lands in the mailbox these channels bypass,
-    /// and would otherwise hang the blocked rank silently.
-    /// ([`WorldState::match_recv`] is the reverse direction.)
+    /// (`RecvChan::wait_take` on a set of one), spinning [`PARK_SPIN`]
+    /// turns first. The park runs under a deadline/forensics guard, and
+    /// its stall probe keeps peer death and the mixed plain/persistent
+    /// misuse loud: a plain send aimed at a persistent signature lands in
+    /// the mailbox these channels bypass, and would otherwise hang the
+    /// blocked rank silently. ([`WorldState::match_recv`] is the reverse
+    /// direction.)
     pub(crate) fn wait_any(&self, global_rank: usize, chans: &[ChanId]) -> usize {
         assert!(!chans.is_empty(), "wait_any on an empty channel set");
         let start = self.rotors[global_rank].fetch_add(1, Ordering::Relaxed) % chans.len();
@@ -674,8 +678,11 @@ impl WorldState {
             guard.tick();
             for &ChanId { key, .. } in chans {
                 let (ctx_id, src, _, tag) = key;
+                // a hit panics, so the envelope it takes fails with its epoch
                 assert!(
-                    !self.transport.probe(global_rank, ctx_id, src, tag),
+                    self.transport
+                        .try_match(global_rank, ctx_id, src, tag)
+                        .is_none(),
                     "wait_any blocked on channel {key:?}, from {src} tag {tag}: matching \
                      message sits in the plain mailbox — mixing a plain send with a \
                      persistent receive on one signature is unsupported (use \
@@ -683,7 +690,8 @@ impl WorldState {
                 );
             }
         };
-        self.transport.wait_any(global_rank, chans, start, &stall)
+        let scan = || Self::poll_any_from(chans, start);
+        park_until(self.transport.park(global_rank), PARK_SPIN, scan, &stall)
     }
 
     /// Record that a rank of the current epoch panicked (pool worker).
@@ -804,7 +812,9 @@ impl WorldState {
 
     /// Blocking matched receive for `global_dst`: first envelope with the
     /// given (ctx, src, tag). Returns the envelope and the queue length that
-    /// was searched (for queue-cost charging). `dst_comm_rank` is the
+    /// was searched (for queue-cost charging). Counts one
+    /// [`FaultOp::MatchRecv`], then parks on the rank's park point with no
+    /// spin (see [`park_until`]) between tries. `dst_comm_rank` is the
     /// receiver's rank within the communicator — the channel-signature
     /// coordinate used to diagnose a persistent send aimed at this plain
     /// receive (which would otherwise hang silently: persistent sends
@@ -817,6 +827,8 @@ impl WorldState {
         dst_comm_rank: usize,
         tag: u64,
     ) -> (Envelope, usize) {
+        // program-ordered fault-injection point: one op per plain receive
+        self.inject(global_dst, FaultOp::MatchRecv);
         let chan_key: ChanKey = (ctx_id, src, dst_comm_rank, tag);
         let keys = [chan_key];
         let guard = self.begin_wait(global_dst, "plain recv", WaitChans::Keys(&keys));
@@ -830,14 +842,8 @@ impl WorldState {
                  the receiver)"
             );
         };
-        self.transport
-            .match_recv(global_dst, ctx_id, src, tag, &stall)
-    }
-
-    /// Non-blocking probe: would a matched receive complete immediately?
-    #[cfg(test)]
-    pub fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
-        self.transport.probe(global_dst, ctx_id, src, tag)
+        let take = || self.transport.try_match(global_dst, ctx_id, src, tag);
+        park_until(self.transport.park(global_dst), 0, take, &stall)
     }
 }
 

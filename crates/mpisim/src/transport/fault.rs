@@ -5,8 +5,8 @@
 //! every perturbation from a seeded [`FaultPlan`]:
 //!
 //! * **delays** — short deterministic sleeps at every counted op
-//!   (`deposit`, `match_recv`, channel push/pop) and at `wait_any` entry,
-//!   shaking out scan-then-park races;
+//!   (`deposit`, a matched receive, channel push/pop) and at the entry of
+//!   every wait (`Transport::park`), shaking out scan-then-park races;
 //! * **reorder** — a chosen deposit is *held* and released after later
 //!   traffic, emulating flusher-batch reordering. Holding is tag-legal:
 //!   two envelopes with equal `(src, dst, ctx, tag)` are never swapped
@@ -14,37 +14,38 @@
 //! * **drop** — a chosen deposit first severs the link it is about to
 //!   ride (`Transport::sever_link`; a real teardown only on the sock
 //!   fabric);
-//! * **spurious** — extra readiness re-scans at `wait_any` entry,
-//!   emulating spurious wakeups;
+//! * **spurious** — extra run-queue turns at a wait's entry
+//!   (`Transport::park`), emulating spurious wakeups;
 //! * **kill** — `panic!` on a chosen rank at exactly the Nth counted
 //!   transport op, exercising the death-detection machinery. Kills fire
-//!   only at counted ops, never in `wait_any`.
+//!   only at counted ops, never in a park.
 //!
 //! Where each acts: reorder and drop fire only in `deposit`, that is, at
-//! plain sends. Persistent-channel push and pop bypass the trait and
+//! plain sends. A matched receive and persistent-channel push and pop
 //! report through `Transport::inject`, which only counts the op — so it
 //! delays and kills, never holds or severs. Traffic on persistent
 //! channels — every neighborhood collective, and the solve service's
 //! control fabric — is therefore perturbed only by delay, spurious (its
-//! receives park in `wait_any`) and kill.
+//! receives park in `WorldState::wait_any`) and kill.
 //!
 //! Every *decision* (hold? delay how long? die here?) is a pure function
 //! of `(seed, rank, per-rank op index)`, so a failing schedule replays
 //! from its seed alone. Ops are counted only at call sites that occur in
-//! deterministic program order per rank (`deposit`, `match_recv`, and the
-//! persistent-channel `Transport::inject` hooks: a started send, a
-//! blocking take) — never from timing-dependent paths: poll loops like
-//! `probe`, and `wait_any`, which a rank reaches only when nothing it
-//! polled was ready. `wait_any` takes its delay and spurious decisions
-//! from the rank's current op index without advancing it.
+//! deterministic program order per rank (`deposit`, and the
+//! `Transport::inject` hooks: a matched receive, a started send, a
+//! blocking take) — never from timing-dependent paths: the tries of a
+//! receive (`try_match`), and a park, which a rank reaches only when
+//! nothing it polled was ready. `park` takes its delay and spurious
+//! decisions from the rank's current op index without advancing it.
 //!
 //! Select a plan with `MPISIM_FAULTS=<seed>:<spec>` (see
 //! [`FaultPlan::parse`]) or programmatically via
 //! [`crate::WorldConfig::faults`].
 
+use super::park::ParkWords;
 use super::{ChanFabric, FaultOp, Transport};
 use crate::stall::StallReport;
-use crate::state::{ChanId, ChanKey, Envelope, WorldState};
+use crate::state::{ChanKey, Envelope};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -112,8 +113,8 @@ impl FaultPlan {
         self
     }
 
-    /// Inject spurious readiness re-scans on roughly `permille`/1000 of
-    /// `wait_any` entries.
+    /// Inject spurious run-queue turns on roughly `permille`/1000 of the
+    /// waits a rank enters (its park's entry).
     pub fn spurious(mut self, permille: u16) -> Self {
         self.spurious_permille = permille.min(1000);
         self
@@ -236,10 +237,10 @@ pub(crate) struct FaultTransport {
     ops: Vec<AtomicU64>,
     /// At most one deposit held back for reordering at a time.
     held: Mutex<Option<Held>>,
-    /// Background releaser for the held deposit: a receiver already
-    /// parked inside the inner transport cannot flush from its own stall
-    /// probe (it may hold the very mailbox lock the release needs), so a
-    /// tiny flusher thread guarantees forward progress.
+    /// Background releaser for the held deposit: a receiver already parked
+    /// tries again only when a deposit wakes it or its stall period ends,
+    /// so without this thread a deposit held for an already-parked
+    /// receiver waits out that receiver's stall period.
     shutdown: Arc<AtomicBool>,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -389,51 +390,35 @@ impl Transport for FaultTransport {
         }
     }
 
-    fn match_recv(
+    fn try_match(
         &self,
         global_dst: usize,
         ctx_id: u64,
         src: usize,
         tag: u64,
-        stall: &dyn Fn(),
-    ) -> (Envelope, usize) {
-        self.tick(global_dst, FaultOp::MatchRecv);
+    ) -> Option<(Envelope, usize)> {
+        // un-counted (a receive counts through `inject`, and how often it
+        // tries is timing), but a held envelope must become visible to it
         self.flush_held();
-        self.inner.match_recv(global_dst, ctx_id, src, tag, stall)
+        self.inner.try_match(global_dst, ctx_id, src, tag)
     }
 
-    fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
-        // un-counted (poll loops are timing-dependent), but a held
-        // envelope must become visible to a polling receiver
-        self.flush_held();
-        self.inner.probe(global_dst, ctx_id, src, tag)
-    }
-
-    fn wait_any(
-        &self,
-        global_rank: usize,
-        chans: &[ChanId],
-        start: usize,
-        stall: &dyn Fn(),
-    ) -> usize {
+    fn park(&self, rank: usize) -> &ParkWords {
         // not counted: whether a rank parks at all depends on timing
-        let n = self.ops[global_rank].load(Ordering::Relaxed);
-        self.delay(global_rank, n);
+        let n = self.ops[rank].load(Ordering::Relaxed);
+        self.delay(rank, n);
         self.flush_held();
         if self
-            .chance(SALT_SPURIOUS, global_rank, n, self.plan.spurious_permille)
+            .chance(SALT_SPURIOUS, rank, n, self.plan.spurious_permille)
             .is_some()
         {
-            // spurious wakeup: a few extra readiness re-scans before the
-            // real park, perturbing the scan-then-park interleaving
+            // spurious wakeup: a few extra run-queue turns before the wait's
+            // first readiness check, perturbing the scan-then-park interleaving
             for _ in 0..4 {
-                if let Some(i) = WorldState::poll_any_from(chans, start) {
-                    return i;
-                }
                 std::thread::yield_now();
             }
         }
-        self.inner.wait_any(global_rank, chans, start, stall)
+        self.inner.park(rank)
     }
 
     fn make_channel(
@@ -493,6 +478,7 @@ impl Transport for FaultTransport {
 mod tests {
     use super::*;
     use crate::state::Payload;
+    use crate::transport::park::park_until;
     use crate::transport::thread::ThreadTransport;
 
     fn env_msg(src: usize, tag: u64, val: u32) -> Envelope {
@@ -507,6 +493,12 @@ mod tests {
 
     fn wrapped(n: usize, plan: FaultPlan) -> Arc<dyn Transport> {
         FaultTransport::wrap(n, plan, Arc::new(ThreadTransport::new(n)))
+    }
+
+    /// A blocking receive from rank 0 at the transport level: `dst` tries
+    /// the match, parking between tries.
+    fn take_blocking(t: &dyn Transport, dst: usize, tag: u64) -> (Envelope, usize) {
+        park_until(t.park(dst), 0, || t.try_match(dst, 0, 0, tag), &|| {})
     }
 
     #[test]
@@ -580,9 +572,9 @@ mod tests {
         t.deposit(0, 1, env_msg(0, 7, 2));
         t.deposit(0, 1, env_msg(0, 7, 3));
         let take = |e: Envelope| e.payload.take::<u32>().expect("u32");
-        let (a, _) = t.match_recv(1, 0, 0, 7, &|| {});
-        let (b, _) = t.match_recv(1, 0, 0, 7, &|| {});
-        let (c, _) = t.match_recv(1, 0, 0, 7, &|| {});
+        let (a, _) = take_blocking(&*t, 1, 7);
+        let (b, _) = take_blocking(&*t, 1, 7);
+        let (c, _) = take_blocking(&*t, 1, 7);
         assert_eq!(
             (take(a), take(b), take(c)),
             (vec![1], vec![2], vec![3]),
@@ -597,7 +589,7 @@ mod tests {
         let t = wrapped(2, FaultPlan::seeded(5).reorder(1000));
         let t2 = Arc::clone(&t);
         let recv = std::thread::spawn(move || {
-            let (e, _) = t2.match_recv(1, 0, 0, 9, &|| {});
+            let (e, _) = take_blocking(&*t2, 1, 9);
             e.payload.take::<u32>().expect("u32")
         });
         std::thread::sleep(Duration::from_millis(30));

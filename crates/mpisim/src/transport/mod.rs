@@ -2,8 +2,8 @@
 //!
 //! `mpisim`'s matching engine, persistent channels, and completion-driven
 //! lifecycle (DESIGN.md §3–§7) are all expressed against a handful of
-//! seams in `state.rs`: envelope deposit / matched receive on the plain
-//! mailbox path, channel registration, the blocked `wait_any`, and
+//! seams in `state.rs`: envelope deposit / matched take on the plain
+//! mailbox path, channel registration, a rank's park point, and
 //! failed-epoch draining. This module lifts those seams into a
 //! `Transport` trait so the same `RankCtx` programs run over different
 //! fabrics:
@@ -30,7 +30,10 @@
 //!
 //! Whatever a rank is blocked on, it sleeps in one place on every fabric:
 //! its `park::ParkWords`, a futex word (`futex`), through
-//! `park::park_until` (DESIGN.md §7).
+//! `park::park_until`, which only `WorldState` calls for a receive — a
+//! fabric hands out the park point and never blocks a receiver itself
+//! (DESIGN.md §7). The one other sleeper is a producer facing a full shm
+//! ring, on the ring's own `ParkWords`.
 //!
 //! `fault::FaultTransport` wraps any of them under a seeded fault plan.
 //! [`remote::RemoteWorld`] runs ranks as re-exec'd worker processes over
@@ -48,15 +51,17 @@ pub(crate) mod wire;
 
 use crate::elem::Elem;
 use crate::stall::StallReport;
-use crate::state::{ChanId, ChanKey, Envelope};
+use crate::state::{ChanKey, Envelope};
 use park::ParkWords;
 pub(crate) use shm::ring::ShmChanRaw;
 pub(crate) use sock::SockChanWire;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Turns of the run queue a blocked party lets pass before it parks in the
 /// kernel — a receive on a persistent channel or a set of them (the `spin`
-/// of [`park::park_until`]) and both sock link threads. In the steady state
+/// `WorldState::wait_any` gives [`park::park_until`]) and both sock link
+/// threads. In the steady state
 /// the matching send is usually a runnable peer away, so cycling the run
 /// queue a few times picks the message up for the cost of a `sched_yield`
 /// instead of a futex park + wake round trip (which dominates per-message
@@ -66,12 +71,12 @@ pub(crate) const PARK_SPIN: u32 = 24;
 
 /// The transport operations a [`fault::FaultTransport`] counts — its
 /// schedule's op axis, each in program order on its rank.
-/// `Deposit`/`MatchRecv` are intercepted directly by the wrapper;
-/// `ChanPush`/`ChanPop` cover persistent-channel traffic, which bypasses
-/// the trait (channels are used directly once created) and therefore
-/// reports through [`Transport::inject`] from the call sites. A
-/// `wait_any` is perturbed but not counted: whether a rank parks depends
-/// on timing.
+/// `Deposit` is intercepted directly by the wrapper; the others report
+/// through [`Transport::inject`] from their call sites: `MatchRecv` from a
+/// plain receive (`WorldState::match_recv`), `ChanPush`/`ChanPop` from
+/// persistent-channel traffic, which bypasses the trait (channels are used
+/// directly once created). A [`Transport::park`] is perturbed but not
+/// counted: whether a rank parks depends on timing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FaultOp {
     Deposit,
@@ -97,12 +102,12 @@ pub(crate) enum ChanFabric {
 
 /// The fabric a [`crate::state::WorldState`] moves bytes over.
 ///
-/// Object-safe: the world holds an `Arc<dyn Transport>`. Diagnostic
-/// context (peer-death checks, the mixed plain/persistent-traffic probes)
-/// stays in `WorldState`, which passes it down as the `stall` closure —
-/// transports only decide *when* a blocked operation should re-probe
-/// (the `MPISIM_STALL_MS` park timeout, default 50 ms), not *what* the
-/// probe asserts.
+/// Object-safe: the world holds an `Arc<dyn Transport>`. No method blocks
+/// a receiver: a fabric offers a non-blocking matched take
+/// ([`Transport::try_match`]) and a rank's park point
+/// ([`Transport::park`]), and `WorldState` runs every blocking receive —
+/// its readiness loop, its park and its stall probe (peer death, the
+/// deadline, the mixed plain/persistent-traffic checks) — itself.
 pub(crate) trait Transport: Send + Sync {
     /// Which fabric this is (`"thread"` / `"shm"` / `"sock"`), the
     /// [`crate::StallReport::fabric`] string. Exposed through
@@ -115,32 +120,21 @@ pub(crate) trait Transport: Send + Sync {
     /// each (src, dst) pair over its own single-producer ring.
     fn deposit(&self, src_world: usize, dst_world: usize, env: Envelope);
 
-    /// Blocking matched receive for `global_dst`: first envelope with the
-    /// given (ctx, src, tag), plus the queue length that was searched (for
-    /// queue-cost charging). Invokes `stall` periodically while blocked.
-    fn match_recv(
+    /// Non-blocking matched receive for `global_dst`: take the first
+    /// delivered envelope with the given (ctx, src, tag), with the queue
+    /// length that was searched (for queue-cost charging).
+    fn try_match(
         &self,
         global_dst: usize,
         ctx_id: u64,
         src: usize,
         tag: u64,
-        stall: &dyn Fn(),
-    ) -> (Envelope, usize);
+    ) -> Option<(Envelope, usize)>;
 
-    /// Non-blocking probe: would a matched receive complete immediately?
-    fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool;
-
-    /// Park `global_rank` until **some** channel of the set has a message,
-    /// returning its index. `start` rotates the scan origin (fairness —
-    /// see [`crate::state::WorldState::poll_any`]); `stall` is invoked
-    /// periodically while blocked.
-    fn wait_any(
-        &self,
-        global_rank: usize,
-        chans: &[ChanId],
-        start: usize,
-        stall: &dyn Fn(),
-    ) -> usize;
+    /// Where `rank` sleeps: the park point every deposit addressed to it
+    /// notifies, on which [`crate::state::WorldState`] parks it between
+    /// tries of a receive (DESIGN.md §7).
+    fn park(&self, rank: usize) -> &ParkWords;
 
     /// Fabric hook for persistent-channel creation: where the channel's
     /// wire buffers live. `dst_world` is the receiving side's world rank
@@ -176,9 +170,10 @@ pub(crate) trait Transport: Send + Sync {
     /// effects (the shm fabric records a newly-observed pid death).
     fn peer_failure(&self) -> Option<String>;
 
-    /// Fault-injection hook for operations that bypass the trait
-    /// (persistent-channel push/pop). A bare fabric ignores it; a
-    /// [`fault::FaultTransport`] counts the op against `rank`'s schedule
+    /// Fault-injection hook for the program-ordered operations that do not
+    /// go through [`Transport::deposit`]: a plain receive, a
+    /// persistent-channel push or blocking take. A bare fabric ignores it;
+    /// a [`fault::FaultTransport`] counts the op against `rank`'s schedule
     /// and may delay or kill here.
     fn inject(&self, _rank: usize, _op: FaultOp) {}
 
@@ -203,6 +198,22 @@ pub(crate) trait Transport: Send + Sync {
     /// epoch, dead rank, fabric name, channel count). Must not block:
     /// sample with `try_lock` and report `None` where a lock is contended.
     fn forensics(&self, report: &mut StallReport);
+}
+
+/// Take the first envelope of a mailbox queue with the given (ctx, src,
+/// tag), with the queue length searched — the one matching rule of every
+/// fabric's [`Transport::try_match`].
+pub(crate) fn take_match(
+    q: &mut VecDeque<Envelope>,
+    ctx_id: u64,
+    src: usize,
+    tag: u64,
+) -> Option<(Envelope, usize)> {
+    let searched = q.len();
+    let pos = q
+        .iter()
+        .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)?;
+    Some((q.remove(pos).expect("position valid"), searched))
 }
 
 /// Append the concatenation of two byte slices (a possibly-wrapped ring

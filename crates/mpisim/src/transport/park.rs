@@ -4,21 +4,25 @@
 //! (the sock fabric's receive half is a thread fabric, so it shares them);
 //! the shm fabric keeps them in its segment, so any process can wake any
 //! rank. Every deposit addressed to a rank calls [`ParkWords::notify`];
-//! the rank sleeps through [`park_until`]. DESIGN.md §7 states the
-//! handshake.
+//! the rank sleeps through [`park_until`], which `WorldState` calls for a
+//! receive. The one other sleeper is the producer of a full shm ring, on
+//! the ring header's own `ParkWords`, which every pop notifies. DESIGN.md
+//! §7 states the handshake.
 
 use super::futex;
 use crate::stall::ParkCounts;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// The park point of one world rank. Nothing but atomics in a fixed
-/// layout, so it is valid on the heap and inside the shared segment alike;
-/// one per cache line, so ranks never share one.
+/// The park point of one world rank (or of one shm ring's producer).
+/// Nothing but atomics in a fixed layout, so it is valid on the heap and
+/// inside the shared segment alike; one per cache line, so ranks never
+/// share one.
 #[repr(C, align(64))]
 #[derive(Default)]
 pub(crate) struct ParkWords {
     /// The futex word: the deposit generation in bits 1.., bumped by two
-    /// by every deposit addressed to this rank, and the `parked` flag in
+    /// by every deposit addressed to this rank (every pop, for a ring's
+    /// producer), and the `parked` flag in
     /// bit 0, raised by the rank as it commits to sleeping and cleared by
     /// the first deposit that finds it raised — the one that pays the wake.
     seq: AtomicU32,
@@ -89,12 +93,14 @@ impl ParkWords {
     }
 }
 
-/// Block the calling rank on its park point until `ready` yields: the one
-/// sleep every receive goes through — a matched plain receive, or a
-/// `wait_any` over a set of channels (a blocking take on one channel parks
-/// there too) — each with its own readiness check. `spin` yields first, then park; `stall` runs whenever a park ends
-/// with nothing deposited (it aborts on peer death, deadline expiry and
-/// mixed plain/persistent traffic).
+/// Block the calling rank on `point` until `ready` yields: the one sleep
+/// of the data path, each caller with its own readiness check — a matched
+/// plain receive and a `wait_any` over a set of channels (a blocking take
+/// on one channel parks there too), both run by `WorldState` on the
+/// rank's park point, and a push into a full shm ring, on the ring's.
+/// `spin` yields first, then park; `stall` runs whenever a park ends with
+/// nothing deposited (it aborts on peer death, deadline expiry and mixed
+/// plain/persistent traffic).
 ///
 /// Channel waits spin [`super::PARK_SPIN`] turns. Plain receives — what
 /// barrier and allreduce are made of — spin none: a rank spinning in a

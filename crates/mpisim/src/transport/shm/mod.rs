@@ -5,11 +5,11 @@
 //! receiver-local unexpected queue; persistent channels are byte rings
 //! allocated through the segment's registration table (the pre-matched
 //! handshake); a rank sleeps on one process-shared futex, its
-//! `crate::transport::park::ParkWords` in the segment, with the
-//! fabric-wide stall period
-//! (`MPISIM_STALL_MS`, see `crate::stall::stall_ms`), so every blocked
-//! operation re-probes for peer death (flag + pid sweep) and aborts loudly
-//! instead of deadlocking.
+//! `crate::transport::park::ParkWords` in the segment, and a producer
+//! facing a full ring on the ring's own, each with the fabric-wide stall
+//! period (`MPISIM_STALL_MS`, see `crate::stall::stall_ms`), so every
+//! blocked operation re-probes for peer death (flag + pid sweep) and
+//! aborts loudly instead of deadlocking.
 //!
 //! The same transport serves both deployment shapes: rank threads of one
 //! process ([`crate::Fabric::Shm`] under a [`crate::WorldConfig`] — the
@@ -20,12 +20,12 @@ pub(crate) mod control;
 pub(crate) mod ring;
 pub(crate) mod segment;
 
-use super::park::park_until;
+use super::park::ParkWords;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR};
-use super::{ChanFabric, Transport, PARK_SPIN};
+use super::{take_match, ChanFabric, Transport};
 use crate::elem::kind_bytes;
 use crate::stall::{PeerStatus, StallReport};
-use crate::state::{ChanId, ChanKey, Envelope, Payload, WorldState};
+use crate::state::{ChanKey, Envelope, Payload};
 use parking_lot::{Condvar, Mutex};
 use ring::ShmChanRaw;
 use segment::Segment;
@@ -272,42 +272,20 @@ impl Transport for ShmTransport {
         }
     }
 
-    fn match_recv(
+    fn try_match(
         &self,
         global_dst: usize,
         ctx_id: u64,
         src: usize,
         tag: u64,
-        stall: &dyn Fn(),
-    ) -> (Envelope, usize) {
-        let take = || {
-            let mut st = self.local_mb[global_dst].lock();
-            self.pump(global_dst, &mut st);
-            let searched = st.q.len();
-            let pos =
-                st.q.iter()
-                    .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)?;
-            Some((st.q.remove(pos).expect("position valid"), searched))
-        };
-        park_until(self.seg.park(global_dst), 0, take, stall)
-    }
-
-    fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
+    ) -> Option<(Envelope, usize)> {
         let mut st = self.local_mb[global_dst].lock();
         self.pump(global_dst, &mut st);
-        st.q.iter()
-            .any(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
+        take_match(&mut st.q, ctx_id, src, tag)
     }
 
-    fn wait_any(
-        &self,
-        global_rank: usize,
-        chans: &[ChanId],
-        start: usize,
-        stall: &dyn Fn(),
-    ) -> usize {
-        let scan = || WorldState::poll_any_from(chans, start);
-        park_until(self.seg.park(global_rank), PARK_SPIN, scan, stall)
+    fn park(&self, rank: usize) -> &ParkWords {
+        self.seg.park(rank)
     }
 
     fn make_channel(

@@ -8,7 +8,9 @@
 //! mailbox rings are per (src, dst) pair, persistent-channel rings carry
 //! one pre-matched signature. head/tail are monotonic byte counters; the
 //! data area is a power-of-two so positions wrap by masking, and every
-//! copy handles the wrap by splitting into two `memcpy`s.
+//! copy handles the wrap by splitting into two `memcpy`s. A producer that
+//! finds the ring full sleeps on the ring's own park point (`space` in the
+//! header), which every pop notifies: a wake only while it is asleep.
 //!
 //! Message frame: `[payload_len: u32][pad: u32][payload]`, padded to 8
 //! bytes ([`frame_bytes`]). No modeled-clock stamp rides along: a cost
@@ -18,8 +20,7 @@
 
 use super::segment::Segment;
 use crate::elem::Elem;
-use crate::transport::futex;
-use crate::transport::park::ParkWords;
+use crate::transport::park::{park_until, ParkWords};
 use crate::transport::{bytes_of, vec_extend_bytes};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -35,17 +36,20 @@ struct RingHdr {
     cap: AtomicU64,
     /// Delivered, unconsumed messages — the cross-process `ready` probe.
     msg_count: AtomicU64,
-    /// Futex word bumped on every pop (senders blocked on a full ring).
-    space_seq: AtomicU32,
     /// World rank of the consumer, fixed at `init_ring`.
     owner: AtomicU32,
     /// While the ring sits on one of the segment's free lists: offset of
     /// the next free ring of its size (0 = last).
     next_free: AtomicU64,
+    /// Where the producer sleeps while the ring is full; every pop
+    /// notifies it. Never reset: any generation serves a parker, and no
+    /// producer is asleep on a ring that sits on a free list.
+    space: ParkWords,
 }
 
 /// Byte offset from a ring's base to its data area.
-pub(crate) const RING_HDR: u64 = 64;
+pub(crate) const RING_HDR: u64 = 128;
+const _: () = assert!(std::mem::size_of::<RingHdr>() as u64 == RING_HDR);
 const MSG_HDR: usize = 8;
 
 /// Ring bytes one message of `payload` bytes occupies: its header and
@@ -60,7 +64,6 @@ pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64, owner: usize) {
     hdr.head.store(0, Ordering::SeqCst);
     hdr.tail.store(0, Ordering::SeqCst);
     hdr.msg_count.store(0, Ordering::SeqCst);
-    hdr.space_seq.store(0, Ordering::SeqCst);
     hdr.owner.store(owner as u32, Ordering::SeqCst);
     hdr.cap.store(cap_bytes, Ordering::SeqCst);
 }
@@ -98,10 +101,10 @@ impl ShmChanRaw {
 
     fn hdr_at(seg: &Segment, off: u64) -> &RingHdr {
         // SAFETY: `off` is a ring base handed out by `Segment::alloc`
-        // (64-aligned, `RING_HDR` + capacity bytes inside the mapping, which
-        // `seg` keeps alive), the header is nothing but atomics — valid for
-        // any bit pattern and for shared access from every process — and it
-        // is smaller than `RING_HDR`.
+        // (64-aligned — the header's alignment — with `RING_HDR` + capacity
+        // bytes inside the mapping, which `seg` keeps alive), the header is
+        // nothing but atomics — valid for any bit pattern and for shared
+        // access from every process — and it is `RING_HDR` bytes long.
         unsafe { &*(seg.at(off) as *const RingHdr) }
     }
 
@@ -203,20 +206,11 @@ impl ShmChanRaw {
 
     /// Deposit one message, given as the concatenation of `parts`.
     /// Blocks while the ring is full (the channel's buffered-send depth
-    /// is the ring capacity), invoking `stall` each stall period.
+    /// is the ring capacity), parked on the ring's `space` point; `stall`
+    /// runs whenever a park ends with nothing popped.
     pub fn push(&self, parts: &[&[u8]], stall: &dyn Fn()) {
-        loop {
-            if self.try_push(parts) {
-                return;
-            }
-            let hdr = self.hdr();
-            let seen = hdr.space_seq.load(Ordering::SeqCst);
-            if self.try_push(parts) {
-                return;
-            }
-            futex::wait(&hdr.space_seq, seen, crate::stall::stall_ms());
-            stall();
-        }
+        let pushed = || self.try_push(parts).then_some(());
+        park_until(&self.hdr().space, 0, pushed, stall);
     }
 
     /// Consume the next message if one is delivered: `f` sees the
@@ -238,7 +232,7 @@ impl ShmChanRaw {
         hdr.head
             .store(head + frame_bytes(payload), Ordering::Release);
         hdr.msg_count.fetch_sub(1, Ordering::SeqCst);
-        Segment::bump_and_wake(&hdr.space_seq);
+        hdr.space.notify();
         Some(r)
     }
 
@@ -384,7 +378,14 @@ mod tests {
             r2.push(&[&[3u8; 32]], &|| {});
             r2.push(&[&[4u8; 32]], &|| {}); // blocks: 160 > 128
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while r.hdr().space.counts().parks == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the producer of a full ring never parked"
+            );
+            std::thread::yield_now();
+        }
         let mut seen = Vec::new();
         for _ in 0..4 {
             loop {
@@ -397,6 +398,11 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(seen, vec![1, 2, 3, 4]);
+        // every park ended by a pop's notify: a lost space wake would show
+        // here as a park that waited out its stall period
+        let parked = r.hdr().space.counts();
+        assert!(parked.parks >= 1);
+        assert_eq!(parked.park_timeouts, 0, "{parked:?}");
     }
 
     #[test]

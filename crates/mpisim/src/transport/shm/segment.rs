@@ -23,9 +23,10 @@
 //!
 //! The park points are the type every fabric's ranks sleep on
 //! ([`crate::transport::park`]), placed here so any process can wake any
-//! rank. What this file wakes itself is the control plane: the epoch
-//! command word (`epoch_seq`), the barrier (`barrier_gen`) and a ring's
-//! space word for a sender blocked on a full ring.
+//! rank — and each ring header holds one for its producer, so a full
+//! ring parks like a receive. What this file wakes and sleeps on itself is
+//! the control plane: the epoch command word (`epoch_seq`) and the barrier
+//! (`barrier_gen`).
 
 use super::ring::RING_HDR;
 use super::MAILBOX_CAP;
@@ -40,7 +41,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_000e; // "mpisim", layout v14
+const MAGIC: u64 = 0x6d70_6973_696d_000f; // "mpisim", layout v15
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world holds one
@@ -343,7 +344,7 @@ impl Segment {
         unsafe { &*(self.at(parks + PARK_STRIDE * rank as u64) as *const ParkWords) }
     }
 
-    pub fn bump_and_wake(word: &AtomicU32) {
+    fn bump_and_wake(word: &AtomicU32) {
         word.fetch_add(1, Ordering::SeqCst);
         futex::wake_all(word);
     }

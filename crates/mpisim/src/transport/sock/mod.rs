@@ -30,7 +30,7 @@ use super::thread::ThreadTransport;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR, ENV_LEN_AT};
 use super::{ChanFabric, Transport};
 use crate::stall::StallReport;
-use crate::state::{ChanId, ChanKey, Envelope, Payload};
+use crate::state::{ChanKey, Envelope, Payload};
 use control::Ctrl;
 use link::{
     auto_addr, connect_once, connect_retry, encode_frame, invalid_data, Accept, Frame, FrameReader,
@@ -102,7 +102,7 @@ pub(crate) struct SockTransport {
     pub(crate) listener_addr: String,
     /// The receive half, whole: what the readers take off the wire — and
     /// what a rank sends itself — is deposited here, and every matched
-    /// receive, probe, park and rank-death flag is this transport's.
+    /// take, park point and rank-death flag is this transport's.
     rx: ThreadTransport,
     /// Per-peer-process links; `None` at `my_proc` in multi-process
     /// worlds (a loopback world has its self-link at index 0).
@@ -499,29 +499,18 @@ impl Transport for SockTransport {
         }
     }
 
-    fn match_recv(
+    fn try_match(
         &self,
         global_dst: usize,
         ctx_id: u64,
         src: usize,
         tag: u64,
-        stall: &dyn Fn(),
-    ) -> (Envelope, usize) {
-        self.rx.match_recv(global_dst, ctx_id, src, tag, stall)
+    ) -> Option<(Envelope, usize)> {
+        self.rx.try_match(global_dst, ctx_id, src, tag)
     }
 
-    fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
-        self.rx.probe(global_dst, ctx_id, src, tag)
-    }
-
-    fn wait_any(
-        &self,
-        global_rank: usize,
-        chans: &[ChanId],
-        start: usize,
-        stall: &dyn Fn(),
-    ) -> usize {
-        self.rx.wait_any(global_rank, chans, start, stall)
+    fn park(&self, rank: usize) -> &ParkWords {
+        self.rx.park(rank)
     }
 
     fn make_channel(&self, _key: ChanKey, dst_world: usize, _kind: u8, _len: usize) -> ChanFabric {
@@ -701,6 +690,7 @@ mod tests {
     use super::*;
     use crate::state::{Channel, WorldState};
     use crate::transport::bytes_of;
+    use crate::transport::park::park_until;
     use crate::Elem;
 
     const DST: usize = 1;
@@ -917,10 +907,6 @@ mod tests {
 
     #[test]
     fn the_receive_half_is_the_embedded_thread_transport() {
-        let take = |t: &SockTransport, tag: u64| {
-            let (env, _) = t.match_recv(0, 0, 1, tag, &|| {});
-            env.payload.take::<u64>().expect("u64 payload")
-        };
         // proc 0 of a 2-process world, its link to proc 1 not yet up
         let t = SockTransport::bind(0, 2, &auto_addr());
         // an own-rank deposit crosses no wire ...
@@ -932,8 +918,8 @@ mod tests {
             payload: Payload::of(&[11u64]),
         };
         t.deposit(0, 0, own);
-        assert!(t.probe(0, 0, 1, 5));
-        assert_eq!(take(&t, 5), [11]);
+        let (env, _) = t.try_match(0, 0, 1, 5).expect("delivered at once");
+        assert_eq!(env.payload.take::<u64>().expect("u64 payload"), [11]);
         // ... and a K_DATA frame off the wire lands in the same mailbox
         let mut body = vec![0u8; 8]; // src 1, dst 0
         body[0] = 1;
@@ -943,7 +929,8 @@ mod tests {
         raw.write_all(&hello_frame(1, 0)).expect("hello");
         raw.write_all(&encode_frame(K_DATA, 1, &body))
             .expect("data");
-        assert_eq!(take(&t, 6), [22]);
+        let (env, _) = park_until(t.park(0), 0, || t.try_match(0, 0, 1, 6), &|| {});
+        assert_eq!(env.payload.take::<u64>().expect("u64 payload"), [22]);
         let report = WorldState::with_transport_deadline(2, None, t.clone(), None).stall_report();
         assert_eq!(report.mailbox_depths, [Some(0), Some(0)]);
 

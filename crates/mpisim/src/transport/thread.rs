@@ -10,10 +10,10 @@
 //! acquisition to deposit, one to take, and an atomic bump of the
 //! receiver's park point; a wake only when the receiver sleeps.
 
-use super::park::{park_until, ParkWords};
-use super::{ChanFabric, Transport, PARK_SPIN};
+use super::park::ParkWords;
+use super::{take_match, ChanFabric, Transport};
 use crate::stall::StallReport;
-use crate::state::{ChanId, ChanKey, Envelope, WorldState};
+use crate::state::{ChanKey, Envelope};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -145,40 +145,18 @@ impl Transport for ThreadTransport {
         self.parks[dst_world].notify();
     }
 
-    fn match_recv(
+    fn try_match(
         &self,
         global_dst: usize,
         ctx_id: u64,
         src: usize,
         tag: u64,
-        stall: &dyn Fn(),
-    ) -> (Envelope, usize) {
-        let take = || {
-            let mut q = self.mailboxes[global_dst].lock();
-            let searched = q.len();
-            let pos = q
-                .iter()
-                .position(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)?;
-            Some((q.remove(pos).expect("position valid"), searched))
-        };
-        park_until(&self.parks[global_dst], 0, take, stall)
+    ) -> Option<(Envelope, usize)> {
+        take_match(&mut self.mailboxes[global_dst].lock(), ctx_id, src, tag)
     }
 
-    fn probe(&self, global_dst: usize, ctx_id: u64, src: usize, tag: u64) -> bool {
-        let q = self.mailboxes[global_dst].lock();
-        q.iter()
-            .any(|e| e.ctx_id == ctx_id && e.src == src && e.tag == tag)
-    }
-
-    fn wait_any(
-        &self,
-        global_rank: usize,
-        chans: &[ChanId],
-        start: usize,
-        stall: &dyn Fn(),
-    ) -> usize {
-        let scan = || WorldState::poll_any_from(chans, start);
-        park_until(&self.parks[global_rank], PARK_SPIN, scan, stall)
+    fn park(&self, rank: usize) -> &ParkWords {
+        &self.parks[rank]
     }
 
     fn make_channel(&self, _key: ChanKey, dst_world: usize, _kind: u8, _len: usize) -> ChanFabric {
@@ -239,7 +217,12 @@ impl Transport for ThreadTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Payload;
+    use crate::state::{Payload, WorldState};
+    use crate::transport::park::park_until;
+    use crate::transport::shm::ShmTransport;
+    use crate::transport::sock::SockTransport;
+    use crate::transport::PARK_SPIN;
+    use crate::Fabric;
     use std::time::Duration;
 
     fn env(ctx_id: u64, src: usize, tag: u64, val: u32) -> Envelope {
@@ -267,16 +250,17 @@ mod tests {
 
     #[test]
     fn matching_respects_tag_and_ctx() {
-        let w = WorldState::new(1, None);
-        w.deposit(0, 0, env(0, 0, 1, 10));
-        w.deposit(0, 0, env(1, 0, 2, 20));
-        w.deposit(0, 0, env(0, 0, 2, 30));
+        let t = ThreadTransport::new(1);
+        t.deposit(0, 0, env(0, 0, 1, 10));
+        t.deposit(0, 0, env(1, 0, 2, 20));
+        t.deposit(0, 0, env(0, 0, 2, 30));
+        let take = |ctx_id, tag| t.try_match(0, ctx_id, 0, tag);
         // match ctx 0 / tag 2 skips both earlier non-matching envelopes
-        let (got, _) = w.match_recv(0, 0, 0, 0, 2);
-        assert_eq!(take_u32(got.payload), vec![30]);
-        assert!(w.probe(0, 0, 0, 1));
-        assert!(w.probe(0, 1, 0, 2));
-        assert!(!w.probe(0, 0, 0, 2));
+        let (got, searched) = take(0, 2).expect("delivered");
+        assert_eq!((take_u32(got.payload), searched), (vec![30], 3));
+        assert_eq!(take(0, 1).map(|(e, _)| take_u32(e.payload)), Some(vec![10]));
+        assert_eq!(take(1, 2).map(|(e, _)| take_u32(e.payload)), Some(vec![20]));
+        assert!(take(0, 2).is_none());
     }
 
     #[test]
@@ -419,26 +403,39 @@ mod tests {
         // rank 0 sleeps in a plain receive; a channel push addressed to it
         // goes through the same park point, so it wakes, finds its
         // envelope still missing and parks again; the envelope ends it
-        let t = Arc::new(ThreadTransport::new(1));
-        let w = WorldState::with_transport_deadline(1, None, Arc::clone(&t) as _, None);
-        let parks_of = |t: &ThreadTransport| t.park_of(0).counts().parks;
-        let c = w.channel::<u8>((0, 0, 0, 1));
-        c.push(&[1], 0.0);
-        assert_eq!(parks_of(&t), 0, "nobody asleep, nobody parked");
-        let w2 = Arc::clone(&w);
-        let recv = std::thread::spawn(move || take_u32(w2.match_recv(0, 0, 0, 0, 7).0.payload));
-        // a park is counted once the rank has committed to it: a deposit
-        // from then on either wakes it or keeps it from sleeping
-        let asleep_for_the = |nth: u64| {
-            while parks_of(&t) < nth {
-                std::thread::yield_now();
+        for fabric in Fabric::ALL {
+            let t: Arc<dyn Transport> = match fabric {
+                Fabric::Thread => Arc::new(ThreadTransport::new(1)),
+                Fabric::Shm => {
+                    let t = ShmTransport::create(1);
+                    t.segment().unlink();
+                    t
+                }
+                Fabric::Sock => SockTransport::loopback(1),
+            };
+            let w = WorldState::with_transport_deadline(1, None, Arc::clone(&t), None);
+            let parks_of = |t: &dyn Transport| t.park(0).counts().parks;
+            let c = w.channel::<u8>((0, 0, 0, 1));
+            c.push(&[1], 0.0);
+            while !c.ready() {
+                std::thread::yield_now(); // the sock fabric delivers off a reader
             }
-        };
-        asleep_for_the(1);
-        c.push(&[2], 0.0);
-        asleep_for_the(2);
-        w.deposit(0, 0, env(0, 0, 7, 99));
-        assert_eq!(recv.join().unwrap(), vec![99]);
+            assert_eq!(parks_of(&*t), 0, "{fabric:?}: nobody asleep, nobody parked");
+            let w2 = Arc::clone(&w);
+            let recv = std::thread::spawn(move || take_u32(w2.match_recv(0, 0, 0, 0, 7).0.payload));
+            // a park is counted once the rank has committed to it: a deposit
+            // from then on either wakes it or keeps it from sleeping
+            let asleep_for_the = |nth: u64| {
+                while parks_of(&*t) < nth {
+                    std::thread::yield_now();
+                }
+            };
+            asleep_for_the(1);
+            c.push(&[2], 0.0);
+            asleep_for_the(2);
+            w.deposit(0, 0, env(0, 0, 7, 99));
+            assert_eq!(recv.join().unwrap(), vec![99], "{fabric:?}");
+        }
     }
 
     #[test]
