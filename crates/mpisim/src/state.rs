@@ -691,7 +691,8 @@ impl WorldState {
             }
         };
         let scan = || Self::poll_any_from(chans, start);
-        park_until(self.transport.park(global_rank), PARK_SPIN, scan, &stall)
+        let point = self.transport.enter_wait(global_rank);
+        park_until(point, PARK_SPIN, scan, &stall)
     }
 
     /// Record that a rank of the current epoch panicked (pool worker).
@@ -843,7 +844,7 @@ impl WorldState {
             );
         };
         let take = || self.transport.try_match(global_dst, ctx_id, src, tag);
-        park_until(self.transport.park(global_dst), 0, take, &stall)
+        park_until(self.transport.enter_wait(global_dst), 0, take, &stall)
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * **delays** — short deterministic sleeps at every counted op
 //!   (`deposit`, a matched receive, channel push/pop) and at the entry of
-//!   every wait (`Transport::park`), shaking out scan-then-park races;
+//!   every wait (`Transport::enter_wait`), shaking out scan-then-park races;
 //! * **reorder** — a chosen deposit is *held* and released after later
 //!   traffic, emulating flusher-batch reordering. Holding is tag-legal:
 //!   two envelopes with equal `(src, dst, ctx, tag)` are never swapped
@@ -15,10 +15,10 @@
 //!   ride (`Transport::sever_link`; a real teardown only on the sock
 //!   fabric);
 //! * **spurious** — extra run-queue turns at a wait's entry
-//!   (`Transport::park`), emulating spurious wakeups;
+//!   (`Transport::enter_wait`), emulating spurious wakeups;
 //! * **kill** — `panic!` on a chosen rank at exactly the Nth counted
 //!   transport op, exercising the death-detection machinery. Kills fire
-//!   only at counted ops, never in a park.
+//!   only at counted ops, never in `enter_wait`.
 //!
 //! Where each acts: reorder and drop fire only in `deposit`, that is, at
 //! plain sends. A matched receive and persistent-channel push and pop
@@ -34,9 +34,9 @@
 //! deterministic program order per rank (`deposit`, and the
 //! `Transport::inject` hooks: a matched receive, a started send, a
 //! blocking take) — never from timing-dependent paths: the tries of a
-//! receive (`try_match`), and a park, which a rank reaches only when
-//! nothing it polled was ready. `park` takes its delay and spurious
-//! decisions from the rank's current op index without advancing it.
+//! receive (`try_match`), and a wait's entry (`enter_wait`), whose park
+//! a rank reaches only when nothing it polled was ready. `enter_wait`
+//! takes its delay and spurious decisions from the rank's current op index without advancing it.
 //!
 //! Select a plan with `MPISIM_FAULTS=<seed>:<spec>` (see
 //! [`FaultPlan::parse`]) or programmatically via
@@ -114,7 +114,7 @@ impl FaultPlan {
     }
 
     /// Inject spurious run-queue turns on roughly `permille`/1000 of the
-    /// waits a rank enters (its park's entry).
+    /// waits a rank enters (`Transport::enter_wait`).
     pub fn spurious(mut self, permille: u16) -> Self {
         self.spurious_permille = permille.min(1000);
         self
@@ -403,7 +403,7 @@ impl Transport for FaultTransport {
         self.inner.try_match(global_dst, ctx_id, src, tag)
     }
 
-    fn park(&self, rank: usize) -> &ParkWords {
+    fn enter_wait(&self, rank: usize) -> &ParkWords {
         // not counted: whether a rank parks at all depends on timing
         let n = self.ops[rank].load(Ordering::Relaxed);
         self.delay(rank, n);
@@ -418,7 +418,7 @@ impl Transport for FaultTransport {
                 std::thread::yield_now();
             }
         }
-        self.inner.park(rank)
+        self.inner.enter_wait(rank)
     }
 
     fn make_channel(
@@ -498,7 +498,7 @@ mod tests {
     /// A blocking receive from rank 0 at the transport level: `dst` tries
     /// the match, parking between tries.
     fn take_blocking(t: &dyn Transport, dst: usize, tag: u64) -> (Envelope, usize) {
-        park_until(t.park(dst), 0, || t.try_match(dst, 0, 0, tag), &|| {})
+        park_until(t.enter_wait(dst), 0, || t.try_match(dst, 0, 0, tag), &|| {})
     }
 
     #[test]
@@ -584,8 +584,10 @@ mod tests {
 
     #[test]
     fn held_deposit_reaches_a_parked_receiver() {
-        // the receiver parks FIRST; the lone deposit is then held — the
-        // background flusher must release it without any further traffic
+        // the receiver parks FIRST; the lone deposit is then held, and no
+        // further traffic comes to release it. (That the flusher releases it
+        // before the receiver's stall period ends is checked with a long
+        // period in tests/indirect_wakes.rs.)
         let t = wrapped(2, FaultPlan::seeded(5).reorder(1000));
         let t2 = Arc::clone(&t);
         let recv = std::thread::spawn(move || {

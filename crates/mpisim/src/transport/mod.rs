@@ -75,8 +75,8 @@ pub(crate) const PARK_SPIN: u32 = 24;
 /// through [`Transport::inject`] from their call sites: `MatchRecv` from a
 /// plain receive (`WorldState::match_recv`), `ChanPush`/`ChanPop` from
 /// persistent-channel traffic, which bypasses the trait (channels are used
-/// directly once created). A [`Transport::park`] is perturbed but not
-/// counted: whether a rank parks depends on timing.
+/// directly once created). A [`Transport::enter_wait`] is perturbed but
+/// not counted: whether a rank parks depends on timing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FaultOp {
     Deposit,
@@ -105,7 +105,7 @@ pub(crate) enum ChanFabric {
 /// Object-safe: the world holds an `Arc<dyn Transport>`. No method blocks
 /// a receiver: a fabric offers a non-blocking matched take
 /// ([`Transport::try_match`]) and a rank's park point
-/// ([`Transport::park`]), and `WorldState` runs every blocking receive —
+/// ([`Transport::enter_wait`]), and `WorldState` runs every blocking receive —
 /// its readiness loop, its park and its stall probe (peer death, the
 /// deadline, the mixed plain/persistent-traffic checks) — itself.
 pub(crate) trait Transport: Send + Sync {
@@ -131,10 +131,14 @@ pub(crate) trait Transport: Send + Sync {
         tag: u64,
     ) -> Option<(Envelope, usize)>;
 
-    /// Where `rank` sleeps: the park point every deposit addressed to it
-    /// notifies, on which [`crate::state::WorldState`] parks it between
-    /// tries of a receive (DESIGN.md §7).
-    fn park(&self, rank: usize) -> &ParkWords;
+    /// Enter one wait of `rank`, returning where it sleeps: the park point
+    /// every deposit addressed to it notifies, on which
+    /// [`crate::state::WorldState`] parks it between tries of a receive
+    /// (DESIGN.md §7). Not an accessor: call it exactly once per wait,
+    /// before the wait's first readiness check, because a wrapper may
+    /// perturb there (the fault wrapper delays, releases its held deposit
+    /// and yields).
+    fn enter_wait(&self, rank: usize) -> &ParkWords;
 
     /// Fabric hook for persistent-channel creation: where the channel's
     /// wire buffers live. `dst_world` is the receiving side's world rank

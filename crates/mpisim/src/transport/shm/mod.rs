@@ -284,7 +284,7 @@ impl Transport for ShmTransport {
         take_match(&mut st.q, ctx_id, src, tag)
     }
 
-    fn park(&self, rank: usize) -> &ParkWords {
+    fn enter_wait(&self, rank: usize) -> &ParkWords {
         self.seg.park(rank)
     }
 

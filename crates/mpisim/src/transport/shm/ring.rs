@@ -398,11 +398,10 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(seen, vec![1, 2, 3, 4]);
-        // every park ended by a pop's notify: a lost space wake would show
-        // here as a park that waited out its stall period
-        let parked = r.hdr().space.counts();
-        assert!(parked.parks >= 1);
-        assert_eq!(parked.park_timeouts, 0, "{parked:?}");
+        // the producer slept on `space`; that a pop's notify, not the stall
+        // period, ends such a park is checked with a long period in
+        // tests/indirect_wakes.rs
+        assert!(r.hdr().space.counts().parks >= 1);
     }
 
     #[test]

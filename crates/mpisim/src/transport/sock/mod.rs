@@ -509,8 +509,8 @@ impl Transport for SockTransport {
         self.rx.try_match(global_dst, ctx_id, src, tag)
     }
 
-    fn park(&self, rank: usize) -> &ParkWords {
-        self.rx.park(rank)
+    fn enter_wait(&self, rank: usize) -> &ParkWords {
+        self.rx.enter_wait(rank)
     }
 
     fn make_channel(&self, _key: ChanKey, dst_world: usize, _kind: u8, _len: usize) -> ChanFabric {
@@ -929,7 +929,7 @@ mod tests {
         raw.write_all(&hello_frame(1, 0)).expect("hello");
         raw.write_all(&encode_frame(K_DATA, 1, &body))
             .expect("data");
-        let (env, _) = park_until(t.park(0), 0, || t.try_match(0, 0, 1, 6), &|| {});
+        let (env, _) = park_until(t.enter_wait(0), 0, || t.try_match(0, 0, 1, 6), &|| {});
         assert_eq!(env.payload.take::<u64>().expect("u64 payload"), [22]);
         let report = WorldState::with_transport_deadline(2, None, t.clone(), None).stall_report();
         assert_eq!(report.mailbox_depths, [Some(0), Some(0)]);

@@ -155,7 +155,7 @@ impl Transport for ThreadTransport {
         take_match(&mut self.mailboxes[global_dst].lock(), ctx_id, src, tag)
     }
 
-    fn park(&self, rank: usize) -> &ParkWords {
+    fn enter_wait(&self, rank: usize) -> &ParkWords {
         &self.parks[rank]
     }
 
@@ -414,7 +414,7 @@ mod tests {
                 Fabric::Sock => SockTransport::loopback(1),
             };
             let w = WorldState::with_transport_deadline(1, None, Arc::clone(&t), None);
-            let parks_of = |t: &dyn Transport| t.park(0).counts().parks;
+            let parks_of = |t: &dyn Transport| t.enter_wait(0).counts().parks;
             let c = w.channel::<u8>((0, 0, 0, 1));
             c.push(&[1], 0.0);
             while !c.ready() {
