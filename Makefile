@@ -23,16 +23,18 @@ test-chaos:
 
 # the shm fabric's process-world acceptance suite (DESIGN.md §8, §9):
 # ranks as OS processes on one /dev/shm segment byte-identical to the
-# thread transport (mixed traffic and the 8-rank AMG pipeline), a worker
-# dying before it attaches respawned, worker death and fault-plan kills
-# contained loudly, no leaked segments
+# thread transport (mixed traffic and the 8-rank AMG pipeline), worker
+# death and fault-plan kills contained loudly, a worker dying before it
+# joins aborting the bootstrap, no leaked segments
 test-shm:
 	cargo test --test process_worlds -q -- shm
 
 # the socket fabric's acceptance suite (DESIGN.md §10): multi-process
-# worlds over UDS and TCP byte-identical to the thread transport, link
-# severs healed by reconnect-with-resume, worker death and fault-plan
-# kills contained loudly, no leaked UDS listener paths
+# worlds over UDS and TCP byte-identical to the thread transport (mixed
+# traffic and the 8-rank AMG pipeline), link severs healed by
+# reconnect-with-resume, worker death and fault-plan kills contained
+# loudly, a worker dying before it joins aborting the bootstrap, no
+# leaked UDS listener paths
 test-sock:
 	cargo test --test process_worlds -q -- sock
 
@@ -81,7 +83,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, the rustdoc link gate, and eight grep rules. Docs:
+# clippy, formatting, the rustdoc link gate, and nine grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
 # comment still links to fails here, and no documented item links to a
@@ -119,7 +121,12 @@ clippy:
 # nothing under crates/mpisim/src defines a `wait_nonempty`; and a cost
 # model runs on the thread fabric only (DESIGN.md §8), so the non-test
 # code of transport/shm and transport/sock (each file up to its
-# `#[cfg(test)]`) names no modeled `arrival`
+# `#[cfg(test)]`) names no modeled `arrival`. Supervision: how a worker
+# is launched and what its death before it joins means are decided in
+# transport/remote.rs alone, for both fabrics (DESIGN.md §8, §9), so no
+# other non-test code of mpisim (each file up to its `#[cfg(test)]`,
+# comment lines aside) names `Workers`, calls into a `workers.` handle or
+# says `respawn`
 BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
 WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
 SLEEP_FILES := transport/park|transport/shm/segment
@@ -155,6 +162,10 @@ lint: clippy
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep 'arrival'; then \
 		echo "error: a byte fabric carries the modeled arrival stamp (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find crates/mpisim/src -name '*.rs' ! -name proptests.rs ! -path '*/transport/remote.rs'); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} !/^[[:space:]]*\/\// {print f ":" FNR ":" $$0}' $$f; done \
+		| grep -E 'Workers|workers\.|respawn'; then \
+		echo "error: mpisim supervises workers outside transport/remote.rs (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run six of them once, output discarded: the modeled fig07_crossover at

@@ -7,7 +7,9 @@
 //! replaced by the default. The environment is read once, on first use
 //! (the first world a process builds), so a program may still `set_var`
 //! before that; worker processes of a [`crate::RemoteWorld`] re-exec with
-//! the driver's environment and therefore resolve the same values.
+//! the driver's environment and therefore resolve the same values. One
+//! hidden key beside the table, [`WORKER`], tells a re-exec'd process
+//! which world it joins, as which rank.
 //!
 //! No other file under `crates/mpisim/src` touches `std::env` (`make lint`
 //! checks), which is also why the worker re-exec command and the temp
@@ -30,25 +32,20 @@ pub(crate) struct Knob {
 const MS: &str = "a positive integer of milliseconds";
 
 #[rustfmt::skip] // a table reads as rows
-const KNOBS: [Knob; 8] = [
+const KNOBS: [Knob; 6] = [
     Knob { name: "MPISIM_TRANSPORT", default: Some("thread"), expects: "one of thread|shm|sock", example: "shm" },
     Knob { name: "MPISIM_STALL_MS", default: Some("50"), expects: MS, example: "50" },
     Knob { name: "MPISIM_DEADLINE_MS", default: None, expects: MS, example: "30000" },
     Knob { name: "MPISIM_FAULTS", default: None, expects: "<seed>:<op>[,<op>]*", example: "7:delay=200/300us,reorder=100" },
-    Knob { name: "MPISIM_RESPAWN_MAX", default: Some("2"), expects: "a non-negative integer", example: "2" },
     Knob { name: "MPISIM_SHM_BYTES", default: None, expects: "a positive integer of bytes", example: "536870912" },
-    Knob { name: "MPISIM_ATTACH_FAIL_ONCE", default: None, expects: "<rank>:<marker path>", example: "2:/tmp/mpisim-attach-fail" },
     Knob { name: "MPISIM_SOCK_ADDR", default: None, expects: "a Unix-socket path or a TCP host:port", example: "127.0.0.1:0" },
 ];
 
-/// Hidden worker-mode keys, set by [`worker_command`] on the processes a
-/// [`crate::RemoteWorld`] driver re-execs and never by a user. Each fabric
-/// has its own rank key, so a worker can tell which world it belongs to;
-/// a sock worker's rendezvous rides in `MPISIM_SOCK_ADDR`.
-const WORKER_RANK: &str = "MPISIM_WORKER_RANK";
-const WORKER_SEG: &str = "MPISIM_WORKER_SEG";
-const SOCK_WORKER_RANK: &str = "MPISIM_SOCK_WORKER_RANK";
-const SOCK_ADDR: &str = "MPISIM_SOCK_ADDR";
+/// The hidden worker-mode key, set by [`worker_command`] on the processes
+/// a [`crate::RemoteWorld`] driver re-execs and never by a user:
+/// `<fabric>:<rank>:<rendezvous>`, split at its first two colons (a TCP
+/// rendezvous holds one).
+pub(crate) const WORKER: &str = "MPISIM_WORKER";
 
 /// This process is a re-exec'd worker rank of a process world.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,12 +65,7 @@ pub(crate) struct Env {
     pub stall_ms: u64,
     pub deadline_ms: Option<u64>,
     pub faults: Option<FaultPlan>,
-    pub respawn_max: u32,
     pub shm_bytes: Option<u64>,
-    /// `(rank, marker path)`.
-    pub attach_fail_once: Option<(usize, String)>,
-    /// A bind spec, so unset in a sock worker, where the variable carries
-    /// the driver's address instead.
     pub sock_addr: Option<String>,
     /// Set in re-exec'd worker processes only.
     pub worker: Option<Worker>,
@@ -99,15 +91,6 @@ pub(crate) fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Env, Stri
         raw.map(|v| read(&v).ok_or_else(|| reject(&v, "")))
             .transpose()
     };
-    let rank = |key: &str| match lookup(key) {
-        Some(r) => match r.trim().parse::<usize>() {
-            Ok(rank) => Ok(Some(rank)),
-            Err(_) => Err(format!(
-                "{key}={r:?}: expected a worker rank (e.g. {key}=3)"
-            )),
-        },
-        None => Ok(None),
-    };
     let defaulted = "the table gives a default";
 
     let (transport, reject) = raw("MPISIM_TRANSPORT");
@@ -123,50 +106,44 @@ pub(crate) fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Env, Stri
         }
         _ => None,
     };
-    let attach_fail_once = match raw("MPISIM_ATTACH_FAIL_ONCE") {
-        (Some(spec), reject) => Some(
-            spec.split_once(':')
-                .and_then(|(rank, marker)| Some((rank.parse().ok()?, marker.to_string())))
-                .ok_or_else(|| reject(&spec, ""))?,
-        ),
-        _ => None,
-    };
-    let mut sock_addr = match raw(SOCK_ADDR) {
+    let sock_addr = match raw("MPISIM_SOCK_ADDR") {
         (Some(addr), reject) if addr.is_empty() => return Err(reject(&addr, "")),
         (addr, _) => addr,
-    };
-    let worker = match (rank(WORKER_RANK)?, rank(SOCK_WORKER_RANK)?) {
-        (Some(_), Some(_)) => {
-            return Err(format!(
-                "{WORKER_RANK} and {SOCK_WORKER_RANK} are both set: a worker process \
-                 belongs to exactly one world (the launcher sets these keys, never a user)"
-            ))
-        }
-        (Some(rank), None) => Some(Worker {
-            fabric: Fabric::Shm,
-            rank,
-            rendezvous: lookup(WORKER_SEG)
-                .ok_or_else(|| format!("{WORKER_RANK} is set without {WORKER_SEG}"))?,
-        }),
-        (None, Some(rank)) => Some(Worker {
-            fabric: Fabric::Sock,
-            rank,
-            rendezvous: sock_addr
-                .take()
-                .ok_or_else(|| format!("{SOCK_WORKER_RANK} is set without {SOCK_ADDR}"))?,
-        }),
-        (None, None) => None,
     };
     Ok(Env {
         transport,
         stall_ms: number("MPISIM_STALL_MS", 1)?.expect(defaulted),
         deadline_ms: number("MPISIM_DEADLINE_MS", 1)?,
         faults,
-        respawn_max: number("MPISIM_RESPAWN_MAX", 0)?.expect(defaulted) as u32,
         shm_bytes: number("MPISIM_SHM_BYTES", 1)?,
-        attach_fail_once,
         sock_addr,
-        worker,
+        worker: lookup(WORKER)
+            .map(|value| parse_worker(&value))
+            .transpose()?,
+    })
+}
+
+/// Read a [`WORKER`] value. Only a launcher writes one, so nothing in it is
+/// trimmed or defaulted.
+fn parse_worker(value: &str) -> Result<Worker, String> {
+    let reject = |what: &str, token: &str| {
+        format!(
+            "{WORKER}={value:?}: bad {what} {token:?}; expected <fabric>:<rank>:<rendezvous> \
+             (e.g. {WORKER}=sock:2:127.0.0.1:9), which the launcher sets, never a user"
+        )
+    };
+    let mut parts = value.splitn(3, ':');
+    let mut next = || parts.next().unwrap_or("");
+    let (fabric, rank, rendezvous) = (next(), next(), next());
+    Ok(Worker {
+        fabric: [Fabric::Shm, Fabric::Sock]
+            .into_iter()
+            .find(|f| f.name() == fabric)
+            .ok_or_else(|| reject("fabric", fabric))?,
+        rank: rank.parse().map_err(|_| reject("rank", rank))?,
+        rendezvous: (!rendezvous.is_empty())
+            .then(|| rendezvous.to_string())
+            .ok_or_else(|| reject("rendezvous", rendezvous))?,
     })
 }
 
@@ -187,14 +164,8 @@ pub(crate) fn worker_command(
 ) -> std::process::Command {
     let exe = std::env::current_exe().expect("current_exe for worker re-exec");
     let mut cmd = std::process::Command::new(exe);
-    let (rank_key, rendezvous_key) = match fabric {
-        Fabric::Shm => (WORKER_RANK, WORKER_SEG),
-        Fabric::Sock => (SOCK_WORKER_RANK, SOCK_ADDR),
-        Fabric::Thread => unreachable!("thread-fabric ranks are never processes"),
-    };
     cmd.args(std::env::args_os().skip(1))
-        .env(rank_key, rank.to_string())
-        .env(rendezvous_key, rendezvous);
+        .env(WORKER, format!("{}:{rank}:{rendezvous}", fabric.name()));
     cmd
 }
 
@@ -227,14 +198,12 @@ mod tests {
             Some(v.to_string())
         }
         #[rustfmt::skip]
-        let cases: [Case; 8] = [
+        let cases: [Case; 6] = [
             (|e| n(e.transport.name()), ("sock", "sock"), &["socks", "", "SHM"]),
             (|e| n(e.stall_ms), (" 75 ", "75"), &["0", "abc", "-5", ""]),
             (|e| e.deadline_ms.and_then(n), ("250", "250"), &["0", "-5", "soon"]),
             (|e| e.faults.as_ref().map(|p| p.seed().to_string()), ("9:kill=1@4", "9"), &["no-colon", "1:frob=3"]),
-            (|e| n(e.respawn_max), ("0", "0"), &["-1", "many"]),
             (|e| e.shm_bytes.and_then(n), ("1048576", "1048576"), &["0", "big", "1e9"]),
-            (|e| e.attach_fail_once.as_ref().map(|(r, m)| format!("{r}:{m}")), ("1:/m", "1:/m"), &["/m", "x:/m"]),
             (|e| e.sock_addr.clone(), ("/tmp/s", "/tmp/s"), &[""]),
         ];
         let defaults = parse_with(&[]).expect("an empty environment is well-formed");
@@ -265,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_keys_name_exactly_one_fabric() {
+    fn one_worker_key_names_fabric_rank_and_rendezvous() {
         assert_eq!(parse_with(&[]).unwrap().worker, None);
         let worker = |fabric, rank, rendezvous: &str| {
             Some(Worker {
@@ -274,20 +243,32 @@ mod tests {
                 rendezvous: rendezvous.into(),
             })
         };
-        let shm = parse_with(&[(WORKER_RANK, "3"), (WORKER_SEG, "/dev/shm/mpisim-1-0")]).unwrap();
+        let shm = parse_with(&[(WORKER, "shm:3:/dev/shm/mpisim-1-0")]).unwrap();
         assert_eq!(shm.worker, worker(Fabric::Shm, 3, "/dev/shm/mpisim-1-0"));
-        let sock = parse_with(&[(SOCK_WORKER_RANK, "2"), (SOCK_ADDR, "127.0.0.1:9")]).unwrap();
+        // a TCP rendezvous keeps its colon, and the driver's bind spec is
+        // inherited as a bind spec
+        let vars = [
+            (WORKER, "sock:2:127.0.0.1:9"),
+            ("MPISIM_SOCK_ADDR", "127.0.0.1:0"),
+        ];
+        let sock = parse_with(&vars).unwrap();
         assert_eq!(sock.worker, worker(Fabric::Sock, 2, "127.0.0.1:9"));
-        assert_eq!(sock.sock_addr, None, "the driver's address is no bind spec");
-        let both = [(WORKER_RANK, "1"), (SOCK_WORKER_RANK, "1")];
-        for (vars, why) in [
-            (&both[..], "both set"),
-            (&both[..1], "without MPISIM_WORKER_SEG"),
-            (&both[1..], "without MPISIM_SOCK_ADDR"),
-            (&[(WORKER_RANK, "one")][..], "MPISIM_WORKER_RANK=\"one\""),
+        assert_eq!(sock.sock_addr.as_deref(), Some("127.0.0.1:0"));
+        for (value, why) in [
+            ("thread:1:/x", "bad fabric \"thread\""),
+            ("3", "bad fabric \"3\""),
+            ("shm", "bad rank \"\""),
+            ("shm:one:/x", "bad rank \"one\""),
+            ("sock:-1:/x", "bad rank \"-1\""),
+            ("sock:1", "bad rendezvous \"\""),
+            ("sock:1:", "bad rendezvous \"\""),
         ] {
-            let err = parse_with(vars).unwrap_err();
-            assert!(err.contains(why), "{why}: {err}");
+            let err = parse_with(&[(WORKER, value)]).unwrap_err();
+            assert!(
+                err.contains(&format!("{WORKER}={value:?}")),
+                "{value}: {err}"
+            );
+            assert!(err.contains(why), "{value}: {err}");
         }
     }
 

@@ -75,3 +75,6 @@ pub use stall::{LinkStatus, ParkCounts, PeerStatus, RankWait, RegistryGauge, Sta
 pub use state::{ChanId, ChanRegistrar};
 pub use transport::fault::FaultPlan;
 pub use transport::remote::RemoteWorld;
+
+#[cfg(test)]
+mod proptests;

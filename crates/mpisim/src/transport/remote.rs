@@ -10,12 +10,13 @@
 //! command word the driver publishes and closed by an all-ranks barrier.
 //!
 //! Everything about that lifecycle that does not depend on the fabric
-//! lives here: the one-launch guard, worker re-exec, the child-reaping
-//! watchdog, the command-word encoding, the epoch calls, the deadline on
-//! every protocol wait, and shutdown. What does depend on it sits behind
-//! `ControlPlane`, implemented by the shm `Segment` (a command word and
-//! a futex barrier in the segment header) and the sock mesh
-//! (`CMD`/`DONE`/`DEATH` frames over the links).
+//! lives here: the one-launch guard, worker re-exec, the rule that a
+//! worker dying before it joins fails the bootstrap (no worker is ever
+//! restarted), the child-reaping watchdog, the command-word encoding, the
+//! epoch calls, the deadline on every protocol wait, and shutdown. What
+//! does depend on it sits behind `ControlPlane`, implemented by the shm
+//! `Segment` (a command word and a futex barrier in the segment header)
+//! and the sock mesh (`CMD`/`DONE`/`DEATH` frames over the links).
 //!
 //! Death containment mirrors the thread pool's guarantee: a rank that
 //! panics announces its death before dying, and the driver's watchdog
@@ -51,7 +52,8 @@ pub(crate) const CMD_STOP: u64 = u64::MAX;
 /// wait outlive a dead peer or the world's deadline.
 pub(crate) trait ControlPlane: Send + Sync {
     /// Driver: return once every re-exec'd worker has joined the fabric.
-    fn bootstrap_driver(&self, workers: &Workers, stall: &dyn Fn());
+    /// Here `stall` also panics once any worker has exited.
+    fn bootstrap_driver(&self, stall: &dyn Fn());
 
     /// Worker: return once this process can reach every peer.
     fn bootstrap_worker(&self, stall: &dyn Fn());
@@ -82,54 +84,34 @@ pub(crate) trait ControlPlane: Send + Sync {
 /// A fabric's two faces, as its `drive`/`join` constructors hand them out.
 pub(crate) type Planes = (Arc<dyn ControlPlane>, Arc<dyn Transport>);
 
-/// The worker processes a driver re-exec'd (ranks `1..n_ranks`).
-pub(crate) struct Workers {
-    fabric: Fabric,
-    rendezvous: String,
-    /// Index `i` is rank `i + 1`.
-    kids: RefCell<Vec<Child>>,
-}
+/// The worker processes a driver re-exec'd: index `i` is rank `i + 1`.
+struct Workers(RefCell<Vec<Child>>);
 
 impl Workers {
-    fn spawn(fabric: Fabric, n_ranks: usize, rendezvous: String) -> Self {
-        let workers = Workers {
-            fabric,
-            rendezvous,
-            kids: RefCell::new(Vec::new()),
+    fn spawn(fabric: Fabric, n_ranks: usize, rendezvous: &str) -> Self {
+        let exec = |rank| {
+            env::worker_command(fabric, rank, rendezvous)
+                .spawn()
+                .unwrap_or_else(|e| panic!("spawn worker rank {rank}: {e}"))
         };
-        let kids = (1..n_ranks).map(|rank| workers.exec(rank)).collect();
-        workers.kids.replace(kids);
-        workers
+        Workers(RefCell::new((1..n_ranks).map(exec).collect()))
     }
 
-    fn exec(&self, rank: usize) -> Child {
-        env::worker_command(self.fabric, rank, &self.rendezvous)
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn worker rank {rank}: {e}"))
-    }
-
-    /// The ranks of the worker processes.
-    pub(crate) fn ranks(&self) -> std::ops::Range<usize> {
-        1..self.kids.borrow().len() + 1
+    fn ranks(&self) -> std::ops::Range<usize> {
+        1..self.0.borrow().len() + 1
     }
 
     /// `rank`'s exit status, once its process has exited.
-    pub(crate) fn exited(&self, rank: usize) -> Option<ExitStatus> {
-        self.kids.borrow_mut()[rank - 1].try_wait().ok().flatten()
-    }
-
-    /// Replace `rank`'s (exited) process with a fresh re-exec.
-    pub(crate) fn respawn(&self, rank: usize) {
-        let kid = self.exec(rank);
-        self.kids.borrow_mut()[rank - 1] = kid;
+    fn exited(&self, rank: usize) -> Option<ExitStatus> {
+        self.0.borrow_mut()[rank - 1].try_wait().ok().flatten()
     }
 
     fn pid(&self, rank: usize) -> u32 {
-        self.kids.borrow()[rank - 1].id()
+        self.0.borrow()[rank - 1].id()
     }
 
     fn kill(&self, rank: usize) {
-        let kid = &mut self.kids.borrow_mut()[rank - 1];
+        let kid = &mut self.0.borrow_mut()[rank - 1];
         let _ = kid.kill();
         let _ = kid.wait();
     }
@@ -193,9 +175,19 @@ impl RemoteWorld {
             ),
         };
         let state = world_state(n_ranks, None, transport, None);
-        let workers = Workers::spawn(fabric, n_ranks, rendezvous);
+        let workers = Workers::spawn(fabric, n_ranks, &rendezvous);
         let wait = state.begin_wait(0, "bootstrap", WaitChans::Keys(&[]));
-        ctl.bootstrap_driver(&workers, &|| wait.tick());
+        ctl.bootstrap_driver(&|| {
+            wait.tick();
+            // a worker that dies before it joins announced nothing; as an
+            // MPI job whose rank dies in `MPI_Init`, the world fails (the
+            // unwind drops the planes, which remove the segment or socket)
+            for rank in workers.ranks() {
+                if let Some(status) = workers.exited(rank) {
+                    panic!("worker rank {rank} exited during bootstrap ({status})");
+                }
+            }
+        });
         drop(wait);
         let shutting_down = Arc::new(AtomicBool::new(false));
         let watchdog = std::thread::Builder::new()

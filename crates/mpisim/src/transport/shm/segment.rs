@@ -212,8 +212,8 @@ impl Segment {
     /// Map an existing fabric segment (worker processes). Transient
     /// failures — the file not yet visible, or `magic` not yet published
     /// by the creator — are retried with backoff for roughly two seconds
-    /// before giving up; the driver's respawn policy (see
-    /// `shm::control`) covers a worker that still loses the race.
+    /// before giving up; a worker that still loses the race exits, and its
+    /// driver fails the bootstrap.
     pub fn attach(path: &str) -> Arc<Segment> {
         const ATTEMPTS: u32 = 20;
         let mut last_err = String::new();

@@ -21,7 +21,7 @@
 use super::link::{auto_addr, is_uds, K_CMD, K_DEATH, K_DONE, K_JOIN, K_TABLE};
 use super::SockTransport;
 use crate::env::{self, Worker};
-use crate::transport::remote::{ControlPlane, Planes, Workers, CMD_STOP};
+use crate::transport::remote::{ControlPlane, Planes, CMD_STOP};
 use crate::transport::Transport;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -46,7 +46,9 @@ pub(crate) fn drive(n_ranks: usize) -> (Planes, String) {
 
 /// Worker: bind a listener of the driver's address family (so a TCP
 /// rendezvous yields a TCP mesh — the cross-host shape — and a UDS one
-/// stays on disk), dial the driver, and announce that address.
+/// stays on disk), dial the driver, and announce that address. Never
+/// `MPISIM_SOCK_ADDR`: a worker inherits the driver's bind spec, and a
+/// fixed `host:port` there is the driver's own port.
 pub(crate) fn join(worker: &Worker, n_ranks: usize) -> Planes {
     let rank = worker.rank;
     let listen_spec = if is_uds(&worker.rendezvous) {
@@ -132,24 +134,15 @@ impl SockTransport {
 
 impl ControlPlane for SockTransport {
     /// Collect one JOIN per worker, then broadcast the address table.
-    fn bootstrap_driver(&self, workers: &Workers, stall: &dyn Fn()) {
-        if workers.ranks().is_empty() {
+    fn bootstrap_driver(&self, stall: &dyn Fn()) {
+        let n_ranks = self.n_procs;
+        if n_ranks == 1 {
             return;
         }
-        let n_ranks = self.n_procs;
         let mut addrs = vec![String::new(); n_ranks];
         addrs[0] = self.listener_addr.clone();
         let mut joined = 1;
-        let stall = || {
-            stall();
-            // a worker that died before its JOIN announced nothing
-            for rank in workers.ranks() {
-                if let Some(status) = workers.exited(rank) {
-                    panic!("worker rank {rank} exited during bootstrap ({status})");
-                }
-            }
-        };
-        self.await_ctrl(&stall, |st| {
+        self.await_ctrl(stall, |st| {
             for (rank, addr) in st.joins.drain(..) {
                 assert!(
                     rank < n_ranks && addrs[rank].is_empty(),

@@ -16,6 +16,9 @@
 //! Scenarios on both fabrics:
 //! - `equivalence`: mixed plain/persistent/collective traffic on 4 process
 //!   ranks, byte-identical to the same closure on the thread transport.
+//! - `amg`: the paper pipeline — every AMG level's halo exchange through
+//!   one `NeighborBatch` session on 8 process ranks, byte-identical to the
+//!   thread-transport run.
 //! - `death`: a worker process exits mid-epoch without announcing anything
 //!   (the `SIGKILL` shape); every surviving rank must abort loudly instead
 //!   of deadlocking, and the scenario process must exit nonzero.
@@ -23,15 +26,9 @@
 //!   transport op; the watchdog and the peers' liveness probes (pid sweeps
 //!   on shm, dead links on sock) must end the world loudly within the
 //!   fault plan's deadline.
-//!
-//! On shm only:
-//! - `amg`: the paper pipeline — every AMG level's halo exchange through
-//!   one `NeighborBatch` session on 8 process ranks, byte-identical to the
-//!   thread-transport run.
-//! - `respawn`: a worker dies *before* attaching to the segment
-//!   (`MPISIM_ATTACH_FAIL_ONCE`); the driver's attach-barrier supervision
-//!   must respawn it within its `MPISIM_RESPAWN_MAX` budget and the world
-//!   must complete normally.
+//! - `prejoin`: a worker exits before it joins the world (a rank that dies
+//!   in `MPI_Init`); nothing restarts it, so the driver's bootstrap must
+//!   abort loudly, naming the rank and its exit status.
 //!
 //! On sock only:
 //! - `tcp`: the equivalence traffic with `MPISIM_SOCK_ADDR=127.0.0.1:0`,
@@ -64,25 +61,23 @@ use std::time::{Duration, Instant};
 type Scenario = (&'static str, fn(Fabric), bool);
 
 fn scenarios(fabric: Fabric) -> Vec<Scenario> {
-    let mut all: Vec<Scenario> = vec![("equivalence", scenario_equivalence, true)];
-    match fabric {
-        Fabric::Shm => all.extend([
-            ("amg", scenario_amg as fn(Fabric), true),
-            // pre-attach worker death is healed by respawn, not an abort
-            ("respawn", scenario_respawn, true),
-        ]),
-        Fabric::Sock => all.extend([
+    let mut all: Vec<Scenario> = vec![
+        ("equivalence", scenario_equivalence, true),
+        ("amg", scenario_amg, true),
+    ];
+    if fabric == Fabric::Sock {
+        all.extend([
             ("tcp", scenario_tcp as fn(Fabric), true),
             // transient faults: severed links must resume invisibly
             ("drop", scenario_drop, true),
-        ]),
-        Fabric::Thread => unreachable!("thread ranks are not processes"),
+        ]);
     }
     // death containment: the world must end LOUDLY (nonzero exit), and
     // within the deadline (a deadlock would hang the orchestrator)
     all.extend([
         ("death", scenario_death as fn(Fabric), false),
         ("faultkill", scenario_faultkill, false),
+        ("prejoin", scenario_prejoin, false),
     ]);
     all
 }
@@ -260,7 +255,7 @@ fn scenario_equivalence(fabric: Fabric) {
     assert_traffic_matches_thread_world(fabric, "process-world");
 }
 
-// ---- amg (shm) ------------------------------------------------------------
+// ---- amg ------------------------------------------------------------------
 
 const AMG_RANKS: usize = 8;
 
@@ -367,39 +362,13 @@ fn scenario_amg(fabric: Fabric) {
     });
 }
 
-// ---- respawn (shm) --------------------------------------------------------
-
-/// Worker rank 2 exits before storing its pid slot (invisible to the
-/// fabric's death detection); the driver's attach-barrier supervision must
-/// respawn it and the healed world must then run real traffic correctly.
-fn scenario_respawn(fabric: Fabric) {
-    // the marker must be stable across the driver AND every (re-exec'd)
-    // worker, so only the first process of the scenario may choose it —
-    // workers inherit the driver's value through their environment
-    if std::env::var("MPISIM_ATTACH_FAIL_ONCE").is_err() {
-        let marker =
-            std::env::temp_dir().join(format!("mpisim-attach-fail-{}", std::process::id()));
-        let _ = std::fs::remove_file(&marker);
-        std::env::set_var("MPISIM_ATTACH_FAIL_ONCE", format!("2:{}", marker.display()));
-    }
-    assert_traffic_matches_thread_world(fabric, "respawned process-world");
-    let spec = std::env::var("MPISIM_ATTACH_FAIL_ONCE").expect("hook spec");
-    let marker = spec.split_once(':').expect("rank:path spec").1.to_string();
-    assert!(
-        std::fs::metadata(&marker).is_ok(),
-        "the pre-attach failure never fired (marker {marker} missing)"
-    );
-    let _ = std::fs::remove_file(marker);
-}
-
 // ---- tcp (sock) -----------------------------------------------------------
 
 /// The same equivalence bar over TCP: the driver binds `127.0.0.1:0`, and
 /// workers match its address family, so rendezvous and mesh both run over
 /// TCP streams — the shape the fabric takes across hosts.
 fn scenario_tcp(fabric: Fabric) {
-    // only the first process of the scenario may choose the bind spec: in
-    // workers the variable already carries the driver's concrete address
+    // a bind spec set from outside wins; workers inherit the driver's
     if std::env::var("MPISIM_SOCK_ADDR").is_err() {
         std::env::set_var("MPISIM_SOCK_ADDR", "127.0.0.1:0");
     }
@@ -467,4 +436,19 @@ fn scenario_faultkill(fabric: Fabric) {
         unreachable!("rank {} outlived the fault plan's kill", ctx.rank());
     });
     unreachable!("the epoch with a killed rank reported success");
+}
+
+// ---- prejoin --------------------------------------------------------------
+
+/// Worker rank 2 exits with status 17 before it calls `World::spawn`, so
+/// it never joins. The driver must not restart it: its bootstrap aborts,
+/// and the joined workers lose their driver and abort too.
+fn scenario_prejoin(fabric: Fabric) {
+    // the launcher's worker key, `<fabric>:<rank>:<rendezvous>`
+    let worker = std::env::var("MPISIM_WORKER").unwrap_or_default();
+    if worker.split(':').nth(1) == Some("2") {
+        std::process::exit(17);
+    }
+    let _world = World::spawn(fabric, 4);
+    unreachable!("a world bootstrapped without one of its workers");
 }
