@@ -34,9 +34,14 @@ test-shm:
 # traffic and the 8-rank AMG pipeline), link severs healed by
 # reconnect-with-resume, worker death and fault-plan kills contained
 # loudly, a worker dying before it joins aborting the bootstrap, no
-# leaked UDS listener paths
+# leaked UDS listener paths — then mpisim's own transport::sock unit
+# tests: the loopback link's burst counts (frames per write and per
+# read, writer wakes), sever/resume exactly once and in order, malformed
+# frames and a superseded reader, the deliver-hook cache, and payloads
+# larger than the socket buffer on the self-link's one thread
 test-sock:
 	cargo test --test process_worlds -q -- sock
+	cargo test -p mpisim --lib -q transport::sock
 
 # the online autotuner's acceptance suite (DESIGN.md §11): Backend::Tuned
 # converging to the measured-fastest protocol where a mis-parameterized

@@ -98,7 +98,7 @@ type Registry = HashMap<u64, CtxChans, BuildHasherDefault<WordHasher>>;
 /// showed in `init_ms` (+12 % on `halo_small_16r`). The keys — context
 /// ids, ranks, tags — are the program's own, never input.
 #[derive(Default)]
-struct WordHasher(u64);
+pub(crate) struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -69,6 +69,20 @@ use std::sync::Arc;
 /// still lands in the blocking wait.
 pub(crate) const PARK_SPIN: u32 = 24;
 
+/// What a wait does when a peer rank's death ends it, in every fabric's
+/// [`Transport::peer_failure`]: the wait may be a receive, a park in
+/// `wait_any` or a bootstrap barrier, so the text names none of them.
+pub(crate) const ABANDONED: &str = "abandoning blocked operation";
+
+/// [`Transport::peer_failure`]'s text for a rank that panicked (and, when
+/// one was recorded, which).
+pub(crate) fn rank_panic_failure(dead: Option<usize>) -> String {
+    let who = dead
+        .map(|r| format!(" (rank {r} died)"))
+        .unwrap_or_default();
+    format!("a peer rank panicked this epoch; {ABANDONED}{who}")
+}
+
 /// The transport operations a [`fault::FaultTransport`] counts — its
 /// schedule's op axis, each in program order on its rank.
 /// `Deposit` is intercepted directly by the wrapper; the others report
@@ -253,4 +267,30 @@ pub(crate) fn bytes_of<T: Elem>(data: &[T]) -> &[u8] {
     // primitive integer or float (the trait is sealed): no padding, so
     // every one of those bytes is initialized.
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::shm::ShmTransport;
+    use super::sock::SockTransport;
+    use super::thread::ThreadTransport;
+    use super::Transport;
+
+    #[test]
+    fn a_rank_panic_abandons_a_blocked_operation_on_every_fabric() {
+        let fabrics: [std::sync::Arc<dyn Transport>; 3] = [
+            std::sync::Arc::new(ThreadTransport::new(2)),
+            ShmTransport::create(2),
+            SockTransport::loopback(2),
+        ];
+        for t in fabrics {
+            t.note_rank_panic(Some(1));
+            assert_eq!(
+                t.peer_failure().as_deref(),
+                Some("a peer rank panicked this epoch; abandoning blocked operation (rank 1 died)"),
+                "{} fabric",
+                t.fabric()
+            );
+        }
+    }
 }

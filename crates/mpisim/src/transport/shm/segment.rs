@@ -35,6 +35,7 @@ use crate::state::ChanKey;
 use crate::transport::futex;
 use crate::transport::park::ParkWords;
 use crate::transport::remote::CMD_STOP;
+use crate::transport::{rank_panic_failure, ABANDONED};
 use std::fs::OpenOptions;
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
@@ -398,13 +399,7 @@ impl Segment {
     /// deaths. Records a newly-observed pid death as a side effect.
     pub fn peer_failure(&self) -> Option<String> {
         if self.rank_panicked() {
-            let who = match self.dead_rank() {
-                Some(r) => format!(" (rank {r} died)"),
-                None => String::new(),
-            };
-            return Some(format!(
-                "a peer rank panicked this epoch; abandoning blocked receive{who}"
-            ));
+            return Some(rank_panic_failure(self.dead_rank()));
         }
         let stopping = self.read_cmd() == CMD_STOP;
         for r in 0..self.n_ranks() {
@@ -415,8 +410,7 @@ impl Segment {
             if !pid_alive(pid) {
                 self.note_rank_death(r);
                 return Some(format!(
-                    "rank {r} process (pid {pid}) died; abandoning blocked \
-                     operation on the shm fabric"
+                    "rank {r} process (pid {pid}) died; {ABANDONED} on the shm fabric"
                 ));
             }
         }

@@ -12,19 +12,25 @@
 //! already seen, and a gap kills the link).
 //!
 //! The link pays per *cycle*, not per frame: senders encode straight into
-//! recycled frame buffers and wake the writer only when it is parked, the
-//! writer coalesces everything queued since its last turn into one
-//! `write`, and the reader takes whatever the kernel has in one `read`
-//! and parses the frames where they landed. Both threads yield-spin
-//! ([`PARK_SPIN`] turns — the writer with nothing queued, the reader with
-//! nothing in the socket) before they block in the kernel, so a steady
-//! stream keeps them awake and batching. A thread that blocks at once
-//! sleeps and is woken once per burst, and how many frames then share a
-//! `write` and a `read` — what a frame costs — is left to where the
-//! scheduler put the two threads.
+//! recycled frame buffers and wake the link's writing thread only when it
+//! is parked, that thread coalesces everything queued since its last turn
+//! into one `write`, and the reading thread takes whatever the kernel has
+//! in one `read`, parses the frames where they landed, and publishes what
+//! the burst accepted under the link lock once ([`RxCursor`]).
+//!
+//! A remote link has a writer thread ([`run_writer`]) and, per accepted
+//! connection, a reader thread. Both yield-spin ([`PARK_SPIN`] turns — the
+//! writer with nothing queued, the reader with nothing in the socket)
+//! before they block in the kernel, so a steady stream keeps them awake
+//! and batching. A loopback self-link has ONE thread, which writes a
+//! cycle's frames and reads them back itself: its write end is
+//! non-blocking, so a cycle larger than the socket buffer alternates
+//! writing and reading instead of blocking the thread that must read it,
+//! and it yield-spins with nothing to write or read before it parks on the
+//! link's condvar.
 
 use crate::transport::PARK_SPIN;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -59,7 +65,7 @@ const MAX_FRAME: usize = 1 << 28;
 /// buffer (grown only for a frame that exceeds it) and the budget of
 /// frames the writer coalesces into one `write` (a larger frame goes
 /// alone).
-const IO_BATCH: usize = 64 << 10;
+pub(crate) const IO_BATCH: usize = 64 << 10;
 
 /// Hard cap on unacknowledged sequenced frames. A healthy peer acks every
 /// few frames and on every heartbeat, so hitting this means the peer has
@@ -183,10 +189,10 @@ impl<R: Read> FrameReader<R> {
         Ok(self.whole_frame()?.map(|size| self.take(size)))
     }
 
-    /// One `read` of whatever the source has, after making room for the
-    /// rest of the frame at `head`. End of stream is an error: a link
-    /// never expects one.
-    pub fn fill(&mut self) -> std::io::Result<()> {
+    /// Make room for the rest of the frame at `head`: move its prefix to
+    /// the front if it would run past the buffer's end, and grow the
+    /// buffer only for a frame larger than it.
+    fn make_room(&mut self) -> std::io::Result<()> {
         if self.head == self.tail {
             (self.head, self.tail) = (0, 0);
         }
@@ -198,14 +204,27 @@ impl<R: Read> FrameReader<R> {
                 self.buf.resize(need.next_power_of_two(), 0);
             }
         }
+        Ok(())
+    }
+
+    /// Count a `read` of `n` bytes into `buf[tail..]`. End of stream is an
+    /// error: a link never expects one.
+    fn landed(&mut self, n: usize) -> std::io::Result<()> {
+        if n == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        self.tail += n;
+        self.reads += 1;
+        Ok(())
+    }
+
+    /// One `read` of whatever the source has, after making room for the
+    /// rest of the frame at `head`.
+    pub fn fill(&mut self) -> std::io::Result<()> {
+        self.make_room()?;
         loop {
             match self.src.read(&mut self.buf[self.tail..]) {
-                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => {
-                    self.tail += n;
-                    self.reads += 1;
-                    return Ok(());
-                }
+                Ok(n) => return self.landed(n),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -263,6 +282,33 @@ impl Stream {
             Stream::Unix(s) => s.set_read_timeout(d),
         }
     }
+
+    /// Write what the socket takes of `buf` without waiting for room (on
+    /// an end [`Stream::set_nonblocking`] made so): the bytes written,
+    /// fewer than `buf.len()` when the socket filled.
+    pub fn write_now(&self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut done = 0;
+        while done < buf.len() {
+            match (&mut &*self).write(&buf[done..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(done)
+    }
+
+    /// `O_NONBLOCK` on the open socket: a `write` takes what fits and
+    /// reports `WouldBlock` instead of waiting for room. Only the self-link
+    /// sets it, on the end its one thread alone writes.
+    pub fn set_nonblocking(&self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(true),
+            Stream::Unix(s) => s.set_nonblocking(true),
+        }
+    }
 }
 
 // No `libc` crate is vendored; like the shm fabric's calls this one is
@@ -273,7 +319,7 @@ extern "C" {
 
 /// This one `recv` returns `EAGAIN` instead of blocking. (Per call, not
 /// `O_NONBLOCK`: that flag lives on the open socket, which a remote
-/// link's writer shares.)
+/// link's reader and writer share.)
 const MSG_DONTWAIT: i32 = 0x40;
 
 impl Stream {
@@ -288,6 +334,22 @@ impl Stream {
         // most `recv` stores.
         let n = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
         usize::try_from(n).map_err(|_| std::io::Error::last_os_error())
+    }
+}
+
+impl FrameReader<Stream> {
+    /// [`FrameReader::fill`] that never blocks: `Ok(false)` when the
+    /// socket has nothing to read.
+    pub fn fill_now(&mut self) -> std::io::Result<bool> {
+        self.make_room()?;
+        loop {
+            match self.src.read_now(&mut self.buf[self.tail..]) {
+                Ok(n) => return self.landed(n).map(|()| true),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
@@ -308,7 +370,7 @@ impl Read for Stream {
 }
 
 /// Writing needs only a shared handle (as for the std socket types), so
-/// the writer thread writes through the `Arc` the link state holds.
+/// the writing thread writes through the `Arc` the link state holds.
 impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
@@ -457,16 +519,17 @@ pub(crate) fn connect_retry(addr: &str, cfg: RetryCfg) -> std::io::Result<Stream
 
 /// Mutable half of a [`Link`].
 pub(crate) struct LinkState {
-    /// Socket the writer thread writes to (`None` while disconnected). On
+    /// Socket the writing thread writes to (`None` while disconnected). On
     /// a remote link it carries both directions, so shutting it down also
     /// wakes the reader.
     pub writer_sock: Option<Arc<Stream>>,
-    /// Self-link only: the accepted end the reader reads from, kept so
-    /// `disconnect` can shut it down and wake a blocked `read`.
+    /// Self-link only: the accepted end the link thread reads from, kept
+    /// so `disconnect` can shut it down.
     pub reader_sock: Option<Stream>,
-    /// Bumped on every install; a reader whose generation is stale stops
-    /// consuming and exits instead of reconnecting (it was replaced).
-    pub reader_gen: u64,
+    /// Self-link only: the accepted end's frame reader (holding whatever
+    /// the handshake buffered past the HELLO), waiting for the link thread
+    /// to take it up.
+    pub incoming: Option<FrameReader<Stream>>,
     /// Every unacknowledged sequenced frame, seq-contiguous: entry `i`
     /// carries seq `acked + 1 + i` and the last one `tx_seq`. Doubles as
     /// the outbox: entries from index `sent - acked` on have not been
@@ -489,18 +552,19 @@ pub(crate) struct LinkState {
     pub rx_since_ack: u64,
     /// The reader asked the writer to emit an ack now.
     pub ack_requested: bool,
-    /// The writer thread is parked on `cv` (senders skip the wake
+    /// The writing thread is parked on `cv` (senders skip the wake
     /// otherwise: it takes their frame on its next turn anyway).
     writer_parked: bool,
     /// Sequenced frames written, counting re-sends after a reconnect.
     pub frames_tx: u64,
-    /// `write` cycles of the writer thread (acks and heartbeats included).
+    /// `write` cycles of the writing thread (acks and heartbeats
+    /// included).
     pub write_calls: u64,
     /// Sequenced frames accepted in order (duplicates not counted).
     pub frames_rx: u64,
-    /// `read` calls of the reader threads.
+    /// `read` calls of the reading threads.
     pub read_calls: u64,
-    /// Times a notification woke the parked writer thread.
+    /// Times a notification woke the parked writing thread.
     pub writer_wakes: u64,
     /// Completed reconnects (forensics).
     pub reconnects: u64,
@@ -528,6 +592,23 @@ impl LinkState {
         }
     }
 
+    /// Move the next cycle into `out`: every frame not yet written on
+    /// this connection, up to [`IO_BATCH`] bytes (a larger frame goes
+    /// alone). Returns how many frames it took.
+    pub fn take_cycle(&mut self, out: &mut Vec<u8>) -> u64 {
+        let mut frames = 0;
+        for f in self.replay.range((self.sent - self.acked) as usize..) {
+            if frames > 0 && out.len() + f.len() > IO_BATCH {
+                break;
+            }
+            out.extend_from_slice(f);
+            frames += 1;
+        }
+        self.sent += frames;
+        self.frames_tx += frames;
+        frames
+    }
+
     /// Retire every frame up to the cumulative ack `cum` (≤ `tx_seq`),
     /// keeping the buffers for reuse. An ack can overtake the send cursor
     /// right after a resume rewound it (the replaced connection's reader
@@ -550,6 +631,103 @@ impl LinkState {
 /// ack anyway on idle links).
 pub(crate) const ACK_EVERY: u64 = 64;
 
+/// A reader's receive cursor: the sequence discipline runs on its own
+/// copy of `rx_seq`, frame by frame and without the link lock, and
+/// [`RxCursor::publish`] writes what a burst accepted back under the lock
+/// once. Only the current reader advances `rx_seq` — a superseded one
+/// stops at its next frame, and remote readers deliver one at a time
+/// under `rx_order` — so a cursor stays valid from one burst to the next.
+pub(crate) struct RxCursor {
+    /// Generation of the reader this cursor belongs to.
+    pub gen: u64,
+    /// Last seq accepted in order.
+    rx_seq: u64,
+    /// Self-link: the last seq sent as of the last sync. Everything the
+    /// link thread reads it wrote before the read, so a seq past it was
+    /// never sent.
+    tx_seq: u64,
+    /// Frames accepted since the last publish.
+    fresh: u64,
+}
+
+impl RxCursor {
+    /// A cursor for the reader of generation `gen`, at `st`'s position.
+    pub fn new(gen: u64, st: &LinkState) -> Self {
+        let mut cursor = RxCursor {
+            gen,
+            rx_seq: 0,
+            tx_seq: 0,
+            fresh: 0,
+        };
+        cursor.sync(st);
+        cursor
+    }
+
+    /// Catch up with the link: `rx_seq` as published, `tx_seq` as sent.
+    pub fn sync(&mut self, st: &LinkState) {
+        self.rx_seq = st.rx_seq;
+        self.tx_seq = st.tx_seq;
+    }
+
+    /// Sequence discipline for one received sequenced frame: exactly-once,
+    /// in order, and only from the current reader — a replaced reader may
+    /// still hold frames in its buffer, and those must come back through
+    /// replay rather than race the new reader's. A gap is a protocol
+    /// violation (`Err`), and so is a self-link frame never sent.
+    pub fn accept(&mut self, link: &Link, seq: u64) -> Result<Accept, String> {
+        if link.reader_gen.load(Ordering::Acquire) != self.gen {
+            return Ok(Accept::Stale);
+        }
+        if seq <= self.rx_seq {
+            return Ok(Accept::Duplicate);
+        }
+        if seq != self.rx_seq + 1 {
+            return Err(format!(
+                "sequence gap from proc {}: seq {seq} after {} (exactly-once violated)",
+                link.peer_proc, self.rx_seq
+            ));
+        }
+        if link.self_loop && seq > self.tx_seq {
+            // received means sent on a self-link
+            return Err(link.never_sent(seq, self.tx_seq));
+        }
+        self.rx_seq = seq;
+        self.fresh += 1;
+        Ok(Accept::Fresh)
+    }
+
+    /// End a burst of `reads` `read`s: publish the cursor, count the
+    /// frames and reads, and settle the acks — locally on a self-link
+    /// (both ends share this state), else by asking the writer for one
+    /// once [`ACK_EVERY`] frames are owed. One lock acquisition, none for
+    /// a burst that read and accepted nothing.
+    pub fn publish(&mut self, link: &Link, reads: u64) {
+        if reads == 0 && self.fresh == 0 {
+            return;
+        }
+        link.touch();
+        let mut st = link.st.lock();
+        st.read_calls += reads;
+        let mut owe_ack = false;
+        if self.fresh > 0 {
+            st.rx_seq = self.rx_seq;
+            st.frames_rx += self.fresh;
+            if link.self_loop {
+                st.trim(self.rx_seq);
+            } else {
+                st.rx_since_ack += self.fresh;
+                owe_ack = st.rx_since_ack >= ACK_EVERY && !st.ack_requested;
+                st.ack_requested |= owe_ack;
+            }
+            self.fresh = 0;
+        }
+        drop(st);
+        if owe_ack {
+            link.cv.notify_all();
+        }
+    }
+}
+
 /// What the sequence discipline made of one received frame.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Accept {
@@ -561,25 +739,30 @@ pub(crate) enum Accept {
     Stale,
 }
 
-/// One peer-process connection: all state shared between the writer
-/// thread, the reader thread, depositing ranks, and forensics.
+/// One peer-process connection: all state shared between the link's
+/// threads, depositing ranks, and forensics.
 pub(crate) struct Link {
     /// Peer process index this link reaches.
     pub peer_proc: usize,
     /// World rank to blame when the link dies (the peer's rank under
     /// one-rank-per-process worlds; rank 0 of a loopback self-link).
     pub blame: usize,
-    /// Loopback self-link: writer holds the client end, reader the
+    /// Loopback self-link: one thread writes the client end and reads the
     /// accepted end, acks short-circuit locally.
     pub self_loop: bool,
     /// Address to (re)dial, for the connector side; `None` on the
     /// passive side (the peer reconnects to us).
     pub dial_addr: Mutex<Option<String>>,
     pub st: Mutex<LinkState>,
-    /// Wakes the writer thread (new frames, installs, teardown).
+    /// Wakes the writing thread (new frames, installs, teardown).
     pub cv: Condvar,
-    /// Held by a reader from accepting a frame until it has dispatched
-    /// it, so the reader of a new connection cannot deliver frame `k + 1`
+    /// Bumped under `st` on every install of a reading end; a reader
+    /// whose generation is stale stops consuming (checked per frame,
+    /// without the lock) and exits instead of reconnecting.
+    pub reader_gen: AtomicU64,
+    /// Remote links: held by a reader for a whole burst, from accepting
+    /// its first frame until it has dispatched the last and published,
+    /// so the reader of a new connection cannot deliver frame `k + 1`
     /// while a replaced reader is still delivering `k` (per-pair FIFO).
     pub rx_order: Mutex<()>,
     /// Liveness clock: ms since `base` when the peer was last heard from.
@@ -597,7 +780,7 @@ impl Link {
             st: Mutex::new(LinkState {
                 writer_sock: None,
                 reader_sock: None,
-                reader_gen: 0,
+                incoming: None,
                 replay: VecDeque::new(),
                 pool: Vec::new(),
                 tx_seq: 0,
@@ -619,6 +802,7 @@ impl Link {
                 shutdown: false,
             }),
             cv: Condvar::new(),
+            reader_gen: AtomicU64::new(0),
             rx_order: Mutex::new(()),
             last_rx_ms: AtomicU64::new(0),
             base: Instant::now(),
@@ -637,10 +821,10 @@ impl Link {
             .saturating_sub(self.last_rx_ms.load(Ordering::Acquire))
     }
 
-    /// Record `n` `read`s by a reader thread: the peer is alive.
-    pub fn note_reads(&self, n: u64) {
-        self.touch();
-        self.st.lock().read_calls += n;
+    /// Whether the writing thread has somewhere to write: a socket, and on
+    /// a self-link the accepted end to read it back from as well.
+    pub fn connected(&self, st: &LinkState) -> bool {
+        st.writer_sock.is_some() && (!self.self_loop || st.reader_sock.is_some())
     }
 
     /// Queue one sequenced frame. Never blocks; frames queued while the
@@ -671,7 +855,7 @@ impl Link {
         st.replay.push_back(f);
         // a parked writer with no socket has nothing to do with the frame;
         // the install that brings one wakes it
-        let wake = st.writer_parked && st.writer_sock.is_some();
+        let wake = st.writer_parked && self.connected(&st);
         drop(st);
         if wake {
             self.cv.notify_all();
@@ -705,6 +889,14 @@ impl Link {
         self.cv.notify_all();
     }
 
+    /// The peer sent a frame no healthy peer sends: fail with `why`.
+    pub fn fail_malformed(&self, why: &std::io::Error) {
+        self.fail(format!(
+            "malformed traffic from proc {}: {why}",
+            self.peer_proc
+        ));
+    }
+
     /// Orderly teardown at transport drop.
     pub fn close(&self) {
         let mut st = self.st.lock();
@@ -723,8 +915,7 @@ impl Link {
         self.resume(&mut st, peer_rx)?;
         st.drop_socks();
         st.writer_sock = Some(Arc::new(stream));
-        st.reader_gen += 1;
-        let gen = st.reader_gen;
+        let gen = self.reader_gen.fetch_add(1, Ordering::AcqRel) + 1;
         drop(st);
         self.touch();
         self.cv.notify_all();
@@ -732,31 +923,40 @@ impl Link {
     }
 
     /// Self-link: install only the writing end (the client side of the
-    /// loopback connection). The accepted end arrives separately through
-    /// the accept loop ([`Link::install_reader`]).
+    /// loopback connection, non-blocking). The accepted end arrives
+    /// separately through the accept loop ([`Link::install_reader`]); the
+    /// link thread is woken by whichever of the two completes the pair.
     pub fn install_writer(&self, stream: Stream, peer_rx: u64) -> Result<(), String> {
         let mut st = self.st.lock();
         self.resume(&mut st, peer_rx)?;
         if let Some(s) = st.writer_sock.replace(Arc::new(stream)) {
             s.shutdown_both();
         }
+        let wake = self.connected(&st);
         drop(st);
         self.touch();
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
         Ok(())
     }
 
-    /// Self-link: install only the reading end. Returns the generation
-    /// for the reader thread.
-    pub fn install_reader(&self, stream: Stream) -> u64 {
+    /// Self-link: install the reading end — `stream`, and `frames`, its
+    /// reader with whatever the handshake buffered — for the link thread
+    /// to take up. Returns the reader generation.
+    pub fn install_reader(&self, stream: Stream, frames: FrameReader<Stream>) -> u64 {
         let mut st = self.st.lock();
         if let Some(s) = st.reader_sock.replace(stream) {
             s.shutdown_both();
         }
-        st.reader_gen += 1;
-        let gen = st.reader_gen;
+        st.incoming = Some(frames);
+        let gen = self.reader_gen.fetch_add(1, Ordering::AcqRel) + 1;
+        let wake = self.connected(&st);
         drop(st);
         self.touch();
+        if wake {
+            self.cv.notify_all();
+        }
         gen
     }
 
@@ -775,12 +975,16 @@ impl Link {
     /// A peer cannot have received what was never sent.
     fn check_ack(&self, st: &LinkState, cum_rx: u64) -> Result<(), String> {
         if cum_rx > st.tx_seq {
-            return Err(format!(
-                "proc {} acknowledged seq {cum_rx} but only {} were ever sent",
-                self.peer_proc, st.tx_seq
-            ));
+            return Err(self.never_sent(cum_rx, st.tx_seq));
         }
         Ok(())
+    }
+
+    fn never_sent(&self, seq: u64, tx_seq: u64) -> String {
+        format!(
+            "proc {} acknowledged seq {seq} but only {tx_seq} were ever sent",
+            self.peer_proc
+        )
     }
 
     /// Apply a cumulative ack from the peer.
@@ -791,44 +995,15 @@ impl Link {
         Ok(())
     }
 
-    /// Sequence discipline for one received sequenced frame, read by the
-    /// reader of generation `gen`: exactly-once, in order, and only from
-    /// the current reader — a replaced reader may still hold frames in
-    /// its buffer, and those must come back through replay rather than
-    /// race the new reader's. A gap is a protocol violation (`Err`).
-    pub fn accept(&self, gen: u64, seq: u64) -> Result<Accept, String> {
-        let mut st = self.st.lock();
-        if st.reader_gen != gen {
-            return Ok(Accept::Stale);
+    /// Park the writing thread on `cv` for at most `hb` (senders and
+    /// installs wake it), counting the wakes that were not timeouts.
+    pub fn park_writer(&self, st: &mut MutexGuard<'_, LinkState>, hb: Duration) {
+        st.writer_parked = true;
+        let timed_out = self.cv.wait_for(st, hb).timed_out();
+        st.writer_parked = false;
+        if !timed_out {
+            st.writer_wakes += 1;
         }
-        if seq <= st.rx_seq {
-            return Ok(Accept::Duplicate);
-        }
-        if seq != st.rx_seq + 1 {
-            return Err(format!(
-                "sequence gap from proc {}: seq {seq} after {} (exactly-once violated)",
-                self.peer_proc, st.rx_seq
-            ));
-        }
-        st.rx_seq = seq;
-        st.frames_rx += 1;
-        if self.self_loop {
-            // both ends share this state (received means sent): ack
-            // locally, nothing owed on the wire, the writer is left alone
-            self.check_ack(&st, seq)?;
-            st.trim(seq);
-            return Ok(Accept::Fresh);
-        }
-        st.rx_since_ack += 1;
-        let owe_ack = st.rx_since_ack >= ACK_EVERY && !st.ack_requested;
-        if owe_ack {
-            st.ack_requested = true;
-        }
-        drop(st);
-        if owe_ack {
-            self.cv.notify_all();
-        }
-        Ok(Accept::Fresh)
     }
 
     /// Forensic snapshot; `"busy"` when the state lock is contended.
@@ -867,11 +1042,11 @@ impl Link {
     }
 }
 
-/// Per-link writer thread: drains the outbox one cycle at a time — every
-/// frame queued since the last cycle, up to [`IO_BATCH`] bytes, leaves in
-/// one `write` — emits acks/heartbeats on idle links, detects half-open
-/// connections (peer silent too long) and passive-side permanent loss
-/// (disconnected longer than the reconnect window).
+/// Remote-link writer thread: drains the outbox one cycle at a time —
+/// every frame queued since the last cycle, up to [`IO_BATCH`] bytes,
+/// leaves in one `write` — emits acks/heartbeats on idle links, detects
+/// half-open connections (peer silent too long) and passive-side
+/// permanent loss (disconnected longer than the reconnect window).
 pub(crate) fn run_writer(link: Arc<Link>) {
     let hb = Duration::from_millis(crate::stall::stall_ms());
     let window = Duration::from_millis(DIAL.window_ms());
@@ -899,37 +1074,25 @@ pub(crate) fn run_writer(link: Arc<Link>) {
                 return;
             }
         } else {
-            let mut frames = 0;
-            for f in st.replay.range((st.sent - st.acked) as usize..) {
-                if frames > 0 && out.len() + f.len() > IO_BATCH {
-                    break;
-                }
-                out.extend_from_slice(f);
-                frames += 1;
-            }
-            st.sent += frames;
-            st.frames_tx += frames;
+            let frames = st.take_cycle(&mut out);
             // an owed ack rides the cycle's write; an idle link beats
             let beat = frames == 0 && last_hb.elapsed() >= hb;
             if st.ack_requested || beat {
                 st.ack_requested = false;
                 st.rx_since_ack = 0;
                 last_hb = Instant::now();
-                if link.self_loop {
-                    // self-links ack locally; no wire heartbeat needed
-                } else if beat && link.silence_ms() > silence_limit {
+                if beat && link.silence_ms() > silence_limit {
                     // half-open link: we can write but the peer has gone
                     // silent — force a reconnect cycle
                     drop(st);
                     link.disconnect();
                     st = link.st.lock();
                     continue;
-                } else {
-                    let rx_seq = st.rx_seq;
-                    encode_frame_into(&mut out, K_ACK, 0, |b| {
-                        b.extend_from_slice(&rx_seq.to_le_bytes())
-                    });
                 }
+                let rx_seq = st.rx_seq;
+                encode_frame_into(&mut out, K_ACK, 0, |b| {
+                    b.extend_from_slice(&rx_seq.to_le_bytes())
+                });
             }
         }
         if out.is_empty() {
@@ -943,12 +1106,7 @@ pub(crate) fn run_writer(link: Arc<Link>) {
                 continue;
             }
             idle_turns = 0;
-            st.writer_parked = true;
-            let timed_out = link.cv.wait_for(&mut st, hb).timed_out();
-            st.writer_parked = false;
-            if !timed_out {
-                st.writer_wakes += 1;
-            }
+            link.park_writer(&mut st, hb);
             continue;
         }
         idle_turns = 0;
@@ -1250,17 +1408,31 @@ mod tests {
         assert!(link.st.lock().writer_sock.is_none(), "nothing installed");
     }
 
+    /// A cursor on `link` for the reader of generation `gen`.
+    fn cursor(link: &Link, gen: u64) -> RxCursor {
+        RxCursor::new(gen, &link.st.lock())
+    }
+
+    /// Install `s` as a self-link's reading end.
+    fn install_reader(link: &Link, s: Stream) -> u64 {
+        link.install_reader(s.try_clone().expect("dup"), FrameReader::new(s))
+    }
+
     #[test]
     fn sequence_discipline_drops_duplicates_and_rejects_gaps() {
         let link = Link::new(1, 1, false);
         let (ours, _theirs) = uds_pair();
         let gen = link.install(ours, 0).expect("install");
-        assert_eq!(link.accept(gen, 1), Ok(Accept::Fresh));
-        assert_eq!(link.accept(gen, 2), Ok(Accept::Fresh));
-        assert_eq!(link.accept(gen, 2), Ok(Accept::Duplicate));
-        let err = link.accept(gen, 4).expect_err("gap");
+        let mut rx = cursor(&link, gen);
+        assert_eq!(rx.accept(&link, 1), Ok(Accept::Fresh));
+        assert_eq!(rx.accept(&link, 2), Ok(Accept::Fresh));
+        assert_eq!(rx.accept(&link, 2), Ok(Accept::Duplicate));
+        let err = rx.accept(&link, 4).expect_err("gap");
         assert!(err.contains("seq 4 after 2"), "{err}");
-        assert_eq!(link.st.lock().rx_seq, 2);
+        assert_eq!(link.st.lock().rx_seq, 0, "published mid-burst");
+        rx.publish(&link, 1);
+        let st = link.st.lock();
+        assert_eq!((st.rx_seq, st.frames_rx, st.read_calls), (2, 2, 1));
     }
 
     #[test]
@@ -1270,14 +1442,16 @@ mod tests {
         let (b, _b) = uds_pair();
         link.send_frame(K_CMD, &1u64.to_le_bytes());
         link.send_frame(K_CMD, &2u64.to_le_bytes());
-        let old = link.install_reader(a);
-        assert_eq!(link.accept(old, 1), Ok(Accept::Fresh));
-        let new = link.install_reader(b);
+        let old = install_reader(&link, a);
+        let mut old_rx = cursor(&link, old);
+        assert_eq!(old_rx.accept(&link, 1), Ok(Accept::Fresh));
+        let new = install_reader(&link, b);
         // seq 2 is in the old reader's buffer: it must not be taken from
         // there, or it could be delivered after the new reader's seq 3
-        assert_eq!(link.accept(old, 2), Ok(Accept::Stale));
+        assert_eq!(old_rx.accept(&link, 2), Ok(Accept::Stale));
+        old_rx.publish(&link, 0);
         assert_eq!(link.st.lock().rx_seq, 1);
-        assert_eq!(link.accept(new, 2), Ok(Accept::Fresh));
+        assert_eq!(cursor(&link, new).accept(&link, 2), Ok(Accept::Fresh));
     }
 
     #[test]
@@ -1285,11 +1459,38 @@ mod tests {
         let link = Link::new(1, 1, false);
         let (ours, _theirs) = uds_pair();
         let gen = link.install(ours, 0).expect("install");
+        let mut rx = cursor(&link, gen);
         for seq in 1..ACK_EVERY {
-            link.accept(gen, seq).expect("in order");
+            rx.accept(&link, seq).expect("in order");
+            rx.publish(&link, 1);
             assert!(!link.st.lock().ack_requested, "seq {seq}");
         }
-        link.accept(gen, ACK_EVERY).expect("in order");
+        rx.accept(&link, ACK_EVERY).expect("in order");
+        rx.publish(&link, 1);
         assert!(link.st.lock().ack_requested);
+    }
+
+    #[test]
+    fn a_self_link_cursor_trims_what_a_burst_accepted_once() {
+        let link = Link::new(0, 0, true);
+        let (a, _a) = uds_pair();
+        for word in 0..5u64 {
+            link.send_frame(K_CMD, &word.to_le_bytes());
+        }
+        let mut rx = cursor(&link, install_reader(&link, a));
+        for seq in 1..=4 {
+            assert_eq!(rx.accept(&link, seq), Ok(Accept::Fresh));
+        }
+        assert_eq!(link.st.lock().replay.len(), 5, "trimmed mid-burst");
+        rx.publish(&link, 1);
+        {
+            let st = link.st.lock();
+            assert_eq!((st.acked, st.replay.len(), st.pool.len()), (4, 1, 4));
+            assert!(!st.ack_requested, "a self-link owes no ack");
+        }
+        // received means sent: seq 6 never was
+        assert_eq!(rx.accept(&link, 5), Ok(Accept::Fresh));
+        let err = rx.accept(&link, 6).expect_err("never sent");
+        assert!(err.contains("seq 6 but only 5 were ever sent"), "{err}");
     }
 }

@@ -7,10 +7,12 @@
 //!   process and ALL plain-send / persistent-channel traffic rides one
 //!   self-link through a real socket ([`crate::Fabric::Sock`] under a
 //!   [`crate::WorldConfig`]). This is the equivalence surface: the full
-//!   wire path runs in-process.
+//!   wire path runs in-process. The self-link has one thread
+//!   (`run_self_link`), which writes its frames and reads them back.
 //! * **multi-process** (`SockTransport::bind`) — one rank per OS
 //!   process, meshed via rendezvous bootstrap (`control`, driven by
-//!   [`crate::RemoteWorld`]).
+//!   [`crate::RemoteWorld`]). Each link has a writer thread and a reader
+//!   thread per accepted connection (`run_reader`).
 //!
 //! Failure semantics (the point of this fabric — DESIGN.md §10): connects
 //! retry with capped exponential backoff + jitter; idle links carry
@@ -28,19 +30,21 @@ pub(crate) mod link;
 use super::park::ParkWords;
 use super::thread::ThreadTransport;
 use super::wire::{decode_envelope, encode_env_hdr, ENV_HDR, ENV_LEN_AT};
+use super::PARK_SPIN;
 use super::{ChanFabric, Transport};
 use crate::stall::StallReport;
-use crate::state::{ChanKey, Envelope, Payload};
+use crate::state::{ChanKey, Envelope, Payload, WordHasher};
 use control::Ctrl;
 use link::{
     auto_addr, connect_once, connect_retry, encode_frame, invalid_data, Accept, Frame, FrameReader,
-    Link, Listener, Stream, DIAL, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO,
-    K_JOIN, K_TABLE,
+    Link, Listener, RxCursor, Stream, DIAL, IO_BATCH, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH,
+    K_DONE, K_FLUSH, K_HELLO, K_JOIN, K_TABLE,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -95,6 +99,22 @@ struct ChanTable {
     undelivered: HashMap<ChanKey, Vec<Vec<u8>>>,
 }
 
+/// A link thread's copy of the deliver hooks its `CHAN` frames found,
+/// good while the table's generation is the one it was filled at:
+/// [`SockTransport::register_deliver`] and
+/// [`SockTransport::unregister_deliver`] bump the generation under the
+/// table lock, and a frame that sees it changed clears the cache first.
+/// So the table is locked only on a miss — a key's first frame since a
+/// registration changed, or a frame for a key nobody registered yet,
+/// whose payload is stashed in `undelivered` as before. A key enters the
+/// cache only from the table, never from the wire, so the registry's
+/// [`WordHasher`] (no defence against crafted collisions) serves it.
+#[derive(Default)]
+struct HookCache {
+    gen: u64,
+    hooks: HashMap<ChanKey, DeliverFn, BuildHasherDefault<WordHasher>>,
+}
+
 pub(crate) struct SockTransport {
     pub(crate) my_proc: usize,
     n_procs: usize,
@@ -108,10 +128,14 @@ pub(crate) struct SockTransport {
     /// worlds (a loopback world has its self-link at index 0).
     pub(crate) links: Vec<Option<Arc<Link>>>,
     chans: Mutex<ChanTable>,
+    /// Bumped under the `chans` lock by every registration change; what
+    /// a [`HookCache`] checks itself against.
+    chans_gen: AtomicU64,
     pub(crate) ctrl: Ctrl,
     shutdown: Arc<AtomicBool>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    writer_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Every link's writer thread, or a self-link's one thread.
+    link_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     me: Mutex<Weak<SockTransport>>,
 }
 
@@ -179,23 +203,29 @@ impl SockTransport {
                 deliver: HashMap::new(),
                 undelivered: HashMap::new(),
             }),
+            chans_gen: AtomicU64::new(0),
             ctrl: Ctrl::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
             accept_thread: Mutex::new(None),
-            writer_threads: Mutex::new(Vec::new()),
+            link_threads: Mutex::new(Vec::new()),
             me: Mutex::new(Weak::new()),
         });
         *t.me.lock() = Arc::downgrade(&t);
         {
-            let mut writers = t.writer_threads.lock();
+            let mut threads = t.link_threads.lock();
             for link in t.links.iter().flatten() {
                 let l = Arc::clone(link);
-                writers.push(
+                let spawned = if l.self_loop {
+                    let weak = Arc::downgrade(&t);
+                    std::thread::Builder::new()
+                        .name("mpisim-sock-self".into())
+                        .spawn(move || run_self_link(weak, l))
+                } else {
                     std::thread::Builder::new()
                         .name(format!("mpisim-sock-w{}", l.peer_proc))
                         .spawn(move || link::run_writer(l))
-                        .expect("spawn sock writer"),
-                );
+                };
+                threads.push(spawned.expect("spawn sock link thread"));
             }
         }
         let weak = Arc::downgrade(&t);
@@ -247,7 +277,9 @@ impl SockTransport {
         stream.write_all(&hello_frame(self.my_proc, my_rx))?;
         if link.self_loop {
             // the peer is this very process: its cumulative rx IS ours,
-            // and the accepted end arrives through our own accept loop
+            // and the accepted end arrives through our own accept loop;
+            // from here on only the link thread writes this end
+            stream.set_nonblocking()?;
             return link.install_writer(stream, my_rx).map_err(invalid_data);
         }
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
@@ -262,20 +294,17 @@ impl SockTransport {
     /// Accept-side handshake: identify the peer from its HELLO, reply
     /// with our cumulative receive seq, install both directions (or just
     /// the reading end for a loopback self-link). The frame reader that
-    /// read the HELLO goes on to the reader thread with whatever else it
-    /// already buffered.
+    /// read the HELLO goes on to the link's reading thread with whatever
+    /// else it already buffered: a new reader thread, or the self-link's
+    /// one thread.
     fn handle_accept(&self, mut stream: Stream) -> std::io::Result<()> {
         stream.set_read_timeout(Some(Duration::from_secs(5)))?;
         let mut frames = FrameReader::new(stream.try_clone()?);
         let (proc, peer_rx) = parse_hello(&frames.read_frame()?)?;
         stream.set_read_timeout(None)?;
-        if proc == self.my_proc {
-            let link = self.links[self.proc_of(0)]
-                .as_ref()
-                .expect("self-link exists")
-                .clone();
-            let gen = link.install_reader(stream);
-            self.spawn_reader(link, frames, gen);
+        let self_link = self.links[0].as_ref().filter(|l| l.self_loop);
+        if let Some(link) = self_link.filter(|_| proc == self.my_proc) {
+            link.install_reader(stream, frames);
             return Ok(());
         }
         let link = match self.links.get(proc).and_then(|l| l.as_ref()) {
@@ -297,8 +326,28 @@ impl SockTransport {
             .expect("spawn sock reader");
     }
 
-    /// Connector-side reconnect loop, run by the reader that observed the
-    /// break: capped exponential backoff, then permanent failure.
+    /// The connection under the reader of generation `gen` broke: unless
+    /// that reader was replaced or the link torn down, mark the link
+    /// disconnected — which also starts the passive side's loss clock;
+    /// with no dial address this is the passive side, and the writer's
+    /// window decides its fate — and, on the connector side, redial.
+    fn heal(&self, link: &Arc<Link>, gen: u64) {
+        let dial = {
+            let st = link.st.lock();
+            if st.shutdown || st.dead || link.reader_gen.load(Ordering::Acquire) != gen {
+                return; // replaced or torn down; nothing to heal
+            }
+            link.dial_addr.lock().clone()
+        };
+        link.disconnect();
+        if let Some(addr) = dial {
+            self.reconnect(Arc::clone(link), &addr);
+        }
+    }
+
+    /// Connector-side reconnect loop, run by the reading thread that
+    /// observed the break: capped exponential backoff, then permanent
+    /// failure.
     fn reconnect(&self, link: Arc<Link>, addr: &str) {
         let mut last = String::from("no attempt made");
         for attempt in 0..=DIAL.retries {
@@ -328,26 +377,71 @@ impl SockTransport {
         ));
     }
 
-    /// Sequence one frame read by the reader of generation `gen` and route
-    /// it to its consumer. `Ok(false)` when that reader has been replaced
-    /// and must stop; `Err` on a frame no healthy peer sends.
-    fn receive(&self, link: &Link, gen: u64, f: Frame<'_>) -> Result<bool, String> {
+    /// Sequence and dispatch every whole frame `frames` has buffered, on
+    /// `cursor` (published by the caller). `Ok(false)` when this reader
+    /// has been replaced and must stop; `InvalidData` on a frame no
+    /// healthy peer sends.
+    fn deliver_buffered(
+        &self,
+        link: &Link,
+        cursor: &mut RxCursor,
+        hooks: &mut HookCache,
+        frames: &mut FrameReader<Stream>,
+    ) -> std::io::Result<bool> {
+        while let Some(f) = frames.next_buffered()? {
+            if !self.receive(link, cursor, hooks, f).map_err(invalid_data)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// The self-link thread's read: deliver what `frames` holds, then
+    /// read and deliver until the socket is empty. `Ok(false)` when the
+    /// reader has been replaced.
+    fn read_self(
+        &self,
+        link: &Link,
+        cursor: &mut RxCursor,
+        hooks: &mut HookCache,
+        frames: &mut FrameReader<Stream>,
+    ) -> std::io::Result<bool> {
+        loop {
+            if !self.deliver_buffered(link, cursor, hooks, frames)? {
+                return Ok(false);
+            }
+            if !frames.fill_now()? {
+                return Ok(true);
+            }
+        }
+    }
+
+    /// Sequence one frame on `cursor` and route it to its consumer.
+    /// `Ok(false)` when the cursor's reader has been replaced and must
+    /// stop; `Err` on a frame no healthy peer sends.
+    fn receive(
+        &self,
+        link: &Link,
+        cursor: &mut RxCursor,
+        hooks: &mut HookCache,
+        f: Frame<'_>,
+    ) -> Result<bool, String> {
         if f.kind == K_ACK {
             let cum_rx = f.body.first_chunk::<8>().ok_or("ACK frame without a seq")?;
             link.apply_ack(u64::from_le_bytes(*cum_rx))?;
             return Ok(true);
         }
-        match link.accept(gen, f.seq)? {
+        match cursor.accept(link, f.seq)? {
             Accept::Stale => return Ok(false),
             Accept::Duplicate => {}
-            Accept::Fresh => self.dispatch(f.kind, f.body)?,
+            Accept::Fresh => self.dispatch(hooks, f.kind, f.body)?,
         }
         Ok(true)
     }
 
     /// Route an incoming sequenced frame to its consumer. Every field is
     /// length-checked: the body is whatever the wire said.
-    fn dispatch(&self, kind: u8, body: &[u8]) -> Result<(), String> {
+    fn dispatch(&self, hooks: &mut HookCache, kind: u8, body: &[u8]) -> Result<(), String> {
         let short = || {
             format!(
                 "kind-{kind} frame with a malformed {}-byte body",
@@ -375,22 +469,7 @@ impl SockTransport {
             }
             K_CHAN => {
                 let (key, payload) = chan::split_frame(body).ok_or_else(short)?;
-                let f = {
-                    let mut ch = self.chans.lock();
-                    match ch.deliver.get(&key) {
-                        Some(f) => Arc::clone(f),
-                        None => {
-                            // receiver not registered yet: stash for the
-                            // drain at registration time
-                            ch.undelivered
-                                .entry(key)
-                                .or_default()
-                                .push(payload.to_vec());
-                            return Ok(());
-                        }
-                    }
-                };
-                f(payload)?;
+                self.deliver_chan(hooks, key, payload)?;
             }
             K_CMD => {
                 let cmd = u64_at(0)?;
@@ -431,6 +510,45 @@ impl SockTransport {
         Ok(())
     }
 
+    /// Hand a `CHAN` payload to its channel's deliver hook, from `hooks`
+    /// while they are current, else from the table (and into `hooks`);
+    /// with no hook registered for `key`, stash it for the registration.
+    fn deliver_chan(
+        &self,
+        hooks: &mut HookCache,
+        key: ChanKey,
+        payload: &[u8],
+    ) -> Result<(), String> {
+        // Acquire pairs with the Release bump of a registration change: a
+        // frame sent after the change returned sees the new generation
+        let gen = self.chans_gen.load(Ordering::Acquire);
+        if gen != hooks.gen {
+            hooks.hooks.clear();
+            hooks.gen = gen;
+        }
+        if let Some(f) = hooks.hooks.get(&key) {
+            return f(payload);
+        }
+        let f = {
+            let mut ch = self.chans.lock();
+            match ch.deliver.get(&key) {
+                Some(f) => Arc::clone(f),
+                None => {
+                    // receiver not registered yet: stash for the drain at
+                    // registration time
+                    ch.undelivered
+                        .entry(key)
+                        .or_default()
+                        .push(payload.to_vec());
+                    return Ok(());
+                }
+            }
+        };
+        // filed under the generation read above: a change since then
+        // clears it at the next frame
+        hooks.hooks.entry(key).or_insert(f)(payload)
+    }
+
     /// Register the receiving side of a persistent channel and drain any
     /// payloads that raced ahead of registration.
     pub(crate) fn register_deliver(&self, key: ChanKey, f: DeliverFn) {
@@ -438,6 +556,7 @@ impl SockTransport {
             let mut ch = self.chans.lock();
             let pending = ch.undelivered.remove(&key).unwrap_or_default();
             ch.deliver.insert(key, Arc::clone(&f));
+            self.chans_gen.fetch_add(1, Ordering::Release);
             pending
         };
         for bytes in pending {
@@ -453,6 +572,7 @@ impl SockTransport {
         let mut ch = self.chans.lock();
         if ch.deliver.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, f)) {
             ch.deliver.remove(&key);
+            self.chans_gen.fetch_add(1, Ordering::Release);
         }
     }
 
@@ -591,8 +711,8 @@ impl Transport for SockTransport {
         self.rx.forensics(report);
         report.links = self.links.iter().flatten().map(|l| l.status()).collect();
         report.outbox_depth = report.links.iter().map(|l| l.outbox).sum();
-        // the table lock is held per frame and per registration, never
-        // across a wait: taking it here cannot wedge the reporter
+        // the table lock is held per hook-cache miss and per registration,
+        // never across a wait: taking it here cannot wedge the reporter
         let ch = self.chans.lock();
         report.registry.sock_deliver = ch.deliver.len();
         report.registry.sock_undelivered = ch.undelivered.values().map(Vec::len).sum();
@@ -605,8 +725,13 @@ impl Drop for SockTransport {
         for link in self.links.iter().flatten() {
             link.close();
         }
-        for h in self.writer_threads.get_mut().drain(..) {
-            let _ = h.join();
+        let me = std::thread::current().id();
+        for h in self.link_threads.get_mut().drain(..) {
+            // the last handle may drop on the self-link's thread, mid-read:
+            // it sees the shutdown at its next turn
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
         if let Some(h) = self.accept_thread.get_mut().take() {
             let _ = h.join();
@@ -631,30 +756,30 @@ fn run_accept(t: Weak<SockTransport>, listener: Listener, shutdown: Arc<AtomicBo
     }
 }
 
-/// Per-connection reader: pull everything the socket has per `read`,
-/// decode the frames in place, enforce the sequence discipline
-/// (duplicates from replay dropped, gaps fatal), dispatch, and — when the
-/// stream breaks and this side is the connector — run the reconnect loop.
-/// A frame no healthy peer sends kills the link, with the reason.
+/// Remote-link reader, one per accepted connection: pull everything the
+/// socket has per `read`, decode the frames in place, enforce the
+/// sequence discipline (duplicates from replay dropped, gaps fatal) on a
+/// cursor published once per burst, dispatch, and — when the stream
+/// breaks and this side is the connector — run the reconnect loop. A
+/// frame no healthy peer sends kills the link, with the reason.
 fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<Stream>, gen: u64) {
+    let mut cursor = None;
+    let mut hooks = HookCache::default();
     let broke = 'conn: loop {
-        link.note_reads(std::mem::take(&mut frames.reads));
         {
             // not held across the blocking read below: the transport
             // must be droppable, and a replacing reader must get in
             let Some(t) = t.upgrade() else { return };
             let _in_order = link.rx_order.lock();
-            loop {
-                let verdict = match frames.next_buffered() {
-                    Ok(Some(f)) => t.receive(&link, gen, f),
-                    Ok(None) => break,
-                    Err(e) => break 'conn e,
-                };
-                match verdict {
-                    Ok(true) => {}
-                    Ok(false) => return, // replaced; the rest comes back through replay
-                    Err(why) => break 'conn invalid_data(why),
-                }
+            // made under `rx_order`: a replaced reader's last burst is
+            // published by the time this one gets in
+            let cursor = cursor.get_or_insert_with(|| RxCursor::new(gen, &link.st.lock()));
+            let current = t.deliver_buffered(&link, cursor, &mut hooks, &mut frames);
+            cursor.publish(&link, std::mem::take(&mut frames.reads));
+            match current {
+                Ok(true) => {}
+                Ok(false) => return, // replaced; the rest comes back through replay
+                Err(e) => break 'conn e,
             }
         }
         if let Err(e) = frames.fill() {
@@ -662,26 +787,105 @@ fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<S
         }
     };
     if broke.kind() == std::io::ErrorKind::InvalidData {
-        link.fail(format!(
-            "malformed traffic from proc {}: {broke}",
-            link.peer_proc
-        ));
+        link.fail_malformed(&broke);
         return;
     }
-    let dial = {
-        let st = link.st.lock();
-        if st.shutdown || st.dead || st.reader_gen != gen {
-            return; // replaced or torn down; nothing to heal
+    let Some(t) = t.upgrade() else { return };
+    t.heal(&link, gen);
+}
+
+/// A loopback self-link's one thread: it writes a cycle's frames and
+/// reads them back itself, so a frame crosses no thread between its
+/// sender and its receiver. The write end is non-blocking: a cycle
+/// larger than the socket buffer alternates writing with reading instead
+/// of blocking the only thread that drains it. A turn with nothing
+/// written or read yields; after [`PARK_SPIN`] of them with nothing to
+/// write it parks on the link's condvar — woken by senders, by the
+/// install that completes the pair of ends, by a sever — for at most a
+/// heartbeat period, and reads again, so bytes it never wrote still get
+/// judged. When its connection breaks it runs the reconnect-with-resume.
+fn run_self_link(t: Weak<SockTransport>, link: Arc<Link>) {
+    let hb = Duration::from_millis(crate::stall::stall_ms());
+    // the cycle being written, how much of it is out, and the connection
+    // it was cut for
+    let mut out: Vec<u8> = Vec::new();
+    let mut written = 0;
+    let mut out_sock: Option<Arc<Stream>> = None;
+    let mut reader: Option<FrameReader<Stream>> = None;
+    let mut cursor = RxCursor::new(0, &link.st.lock());
+    let mut hooks = HookCache::default();
+    // turns since the last one that wrote or read anything
+    let mut idle_turns = 0;
+    let mut st = link.st.lock();
+    loop {
+        if st.shutdown || st.dead {
+            return;
         }
-        link.dial_addr.lock().clone()
-    };
-    // disconnect() also starts the passive-side loss clock; with no dial
-    // address this is the passive side, and the writer's window decides
-    // its fate
-    link.disconnect();
-    if let Some(addr) = dial {
-        let Some(t) = t.upgrade() else { return };
-        t.reconnect(link, &addr);
+        if let Some(frames) = st.incoming.take() {
+            reader = Some(frames);
+            cursor.gen = link.reader_gen.load(Ordering::Acquire);
+        }
+        cursor.sync(&st);
+        let cut_for_now =
+            matches!((&out_sock, &st.writer_sock), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
+        if written == out.len() || !cut_for_now {
+            // done, or cut for a connection since replaced, whose resume
+            // rewound the send cursor to write it again
+            if out.capacity() > 2 * IO_BATCH {
+                out = Vec::new(); // a lone large frame passed through
+            }
+            out.clear();
+            written = 0;
+            out_sock = None;
+            if link.connected(&st) && st.take_cycle(&mut out) > 0 {
+                st.write_calls += 1;
+                out_sock = st.writer_sock.clone();
+            }
+        }
+        let nothing_to_do = !link.connected(&st) && reader.is_none();
+        if out_sock.is_none() && (idle_turns >= PARK_SPIN || nothing_to_do) {
+            idle_turns = 0;
+            link.park_writer(&mut st, hb);
+            continue;
+        }
+        drop(st);
+        let mut progress = false;
+        if let Some(sock) = &out_sock {
+            match sock.write_now(&out[written..]) {
+                Ok(n) => {
+                    written += n;
+                    progress |= n > 0;
+                }
+                Err(_) => link.disconnect(), // the reader sees the break
+            }
+        }
+        if let Some(frames) = &mut reader {
+            let Some(t) = t.upgrade() else { return };
+            let current = t.read_self(&link, &mut cursor, &mut hooks, frames);
+            let reads = std::mem::take(&mut frames.reads);
+            progress |= reads > 0;
+            cursor.publish(&link, reads);
+            match current {
+                Ok(true) => {}
+                // its replacement waits in `incoming`
+                Ok(false) => reader = None,
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    link.fail_malformed(&e);
+                    return;
+                }
+                Err(_) => {
+                    reader = None;
+                    t.heal(&link, cursor.gen);
+                }
+            }
+        }
+        if progress {
+            idle_turns = 0;
+        } else {
+            idle_turns += 1;
+            std::thread::yield_now();
+        }
+        st = link.st.lock();
     }
 }
 
@@ -748,6 +952,10 @@ mod tests {
         }
         t.dial_self();
         pop_expecting(&world, &chan, 0, BURST);
+        // a burst publishes its counts after it delivered
+        wait_until("the last burst was published", || {
+            link_of(&t).st.lock().frames_rx >= BURST
+        });
         let st = link_of(&t).st.lock();
         println!(
             "burst of {BURST}: {} frames in {} writes, {} frames in {} reads, {} writer wakes",
@@ -756,8 +964,9 @@ mod tests {
         assert_eq!((st.frames_tx, st.frames_rx), (BURST, BURST));
         assert!(st.frames_tx / st.write_calls >= 8, "frames per write");
         assert!(st.frames_rx / st.read_calls >= 8, "frames per read");
-        // the install's wake is the only one: nothing was queued after
-        // it, and a self-link's reader owes the writer no ack
+        // the wake of the install that completes the pair of ends is the
+        // only one: nothing was queued after it, and a self-link owes no
+        // ack
         assert!(st.writer_wakes <= 1, "reader-initiated writer wakes");
     }
 
@@ -981,5 +1190,136 @@ mod tests {
             failure.contains("3 bytes is not a whole number of u64"),
             "{failure}"
         );
+    }
+
+    /// Queue a `K_CHAN` frame for `key` on `t`'s self-link.
+    fn send_chan(t: &SockTransport, key: ChanKey, payload: &[u8]) {
+        link_of(t).send_frame_with(K_CHAN, |body| {
+            for word in [key.0, key.1 as u64, key.2 as u64, key.3] {
+                body.extend_from_slice(&word.to_le_bytes());
+            }
+            body.extend_from_slice(payload);
+        });
+    }
+
+    type Log = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    /// A deliver hook that records every payload it is handed in `log`.
+    fn recording(log: &Log) -> DeliverFn {
+        let log = Arc::clone(log);
+        Arc::new(move |bytes: &[u8]| {
+            log.lock().push(bytes.to_vec());
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn a_hook_replaced_between_two_frames_never_sees_the_second() {
+        let (t, _world) = loopback_pair();
+        t.dial_self();
+        let key = (0, 0, DST, 7);
+        let (old_log, new_log) = (Log::default(), Log::default());
+        let old = recording(&old_log);
+        t.register_deliver(key, Arc::clone(&old));
+        send_chan(&t, key, b"first");
+        wait_until("the first frame reached the old hook", || {
+            old_log.lock().len() == 1
+        });
+        // the channel drops and its key is registered again
+        t.unregister_deliver(key, &old);
+        t.register_deliver(key, recording(&new_log));
+        send_chan(&t, key, b"second");
+        wait_until("the second frame reached the new hook", || {
+            new_log.lock().len() == 1
+        });
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(*old_log.lock(), [b"first".to_vec()]);
+        assert_eq!(*new_log.lock(), [b"second".to_vec()]);
+    }
+
+    #[test]
+    fn a_frame_ahead_of_its_registration_waits_and_is_drained_by_it() {
+        let (t, _world) = loopback_pair();
+        t.dial_self();
+        let (seen, early) = ((0, 0, DST, 7), (0, 0, DST, 8));
+        // a hook already in the link thread's cache, for a neighbouring key
+        let seen_log = Log::default();
+        t.register_deliver(seen, recording(&seen_log));
+        send_chan(&t, seen, b"warm");
+        wait_until("the cache knows a hook", || seen_log.lock().len() == 1);
+        send_chan(&t, early, b"early");
+        wait_until("the early frame was stashed", || {
+            t.chans
+                .lock()
+                .undelivered
+                .get(&early)
+                .is_some_and(|p| p.len() == 1)
+        });
+        let log = Log::default();
+        t.register_deliver(early, recording(&log));
+        assert_eq!(*log.lock(), [b"early".to_vec()], "drained at registration");
+        assert!(t.chans.lock().undelivered.is_empty());
+        send_chan(&t, early, b"late");
+        wait_until("a later frame reached the hook", || log.lock().len() == 2);
+        assert_eq!(log.lock()[1], b"late");
+        assert_eq!(seen_log.lock().len(), 1);
+    }
+
+    #[test]
+    fn a_payload_past_the_socket_buffer_round_trips_on_a_loopback_link() {
+        // 4 MiB, where the kernel's socket buffer is some hundreds of KiB
+        // (Linux: net.core.wmem_default, 208 KiB by default): one frame the
+        // link thread can only move by alternating writes with reads of
+        // its own socket, over UDS and over TCP
+        const LEN: u64 = 1 << 19;
+        let big: Vec<u64> = (0..LEN)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        for spec in [auto_addr(), "127.0.0.1:0".to_string()] {
+            let t = SockTransport::bind_inner(2, 0, 1, &spec);
+            t.dial_self();
+            let world = WorldState::with_transport_deadline(2, None, t.clone(), None);
+            let (done, finished) = std::sync::mpsc::channel();
+            let sent = big.clone();
+            std::thread::spawn(move || {
+                // once on a persistent channel ...
+                let chan = world.channel::<u64>((0, 0, DST, 7));
+                chan.push(&sent, 0.0);
+                let mut back = Vec::new();
+                let got = loop {
+                    match chan.try_pop(&mut back) {
+                        Some((got, _)) => break got,
+                        None => _ = world.wait_any(DST, &[chan.id()]),
+                    }
+                };
+                let by_chan = got == sent;
+                // ... and once as a plain send
+                world.deposit(
+                    0,
+                    DST,
+                    Envelope {
+                        ctx_id: 0,
+                        src: 0,
+                        tag: 9,
+                        arrival: 0.0,
+                        payload: Payload::of(&sent),
+                    },
+                );
+                let (env, _) = world.match_recv(DST, 0, 0, DST, 9);
+                let by_send = env.payload.take::<u64>() == Ok(sent);
+                let _ = done.send((by_chan, by_send));
+            });
+            let (by_chan, by_send) = finished
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{spec}: 4 MiB did not round-trip within 20 s"));
+            assert!(by_chan, "{spec}: the channel payload came back altered");
+            assert!(by_send, "{spec}: the plain send came back altered");
+            // a burst publishes its counts after it delivered
+            wait_until("the burst was published", || {
+                link_of(&t).st.lock().frames_rx == 2
+            });
+            let reads = link_of(&t).st.lock().read_calls;
+            assert!(reads > 2, "{spec}: each frame arrived in one read");
+        }
     }
 }

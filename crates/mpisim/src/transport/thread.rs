@@ -11,7 +11,7 @@
 //! receiver's park point; a wake only when the receiver sleeps.
 
 use super::park::ParkWords;
-use super::{take_match, ChanFabric, Transport};
+use super::{rank_panic_failure, take_match, ChanFabric, Transport};
 use crate::stall::StallReport;
 use crate::state::{ChanKey, Envelope};
 use parking_lot::Mutex;
@@ -195,13 +195,7 @@ impl Transport for ThreadTransport {
         if !self.rank_panicked.load(Ordering::Acquire) {
             return None;
         }
-        let who = match self.dead_rank() {
-            Some(r) => format!(" (rank {r} died)"),
-            None => String::new(),
-        };
-        Some(format!(
-            "a peer rank panicked this epoch; abandoning blocked receive{who}"
-        ))
+        Some(rank_panic_failure(self.dead_rank()))
     }
 
     fn forensics(&self, report: &mut StallReport) {
