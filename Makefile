@@ -36,9 +36,10 @@ test-shm:
 # loudly, a worker dying before it joins aborting the bootstrap, no
 # leaked UDS listener paths — then mpisim's own transport::sock unit
 # tests: the loopback link's burst counts (frames per write and per
-# read, writer wakes), sever/resume exactly once and in order, malformed
-# frames and a superseded reader, the deliver-hook cache, and payloads
-# larger than the socket buffer on the self-link's one thread
+# read, link-thread wakes), sever/resume exactly once and in order on the
+# loopback link and on a remote link between two transports in one
+# process, malformed frames, the deliver-hook cache, and payloads larger
+# than the socket buffer on the self-link's one thread
 test-sock:
 	cargo test --test process_worlds -q -- sock
 	cargo test -p mpisim --lib -q transport::sock
@@ -100,9 +101,10 @@ clippy:
 # issues a condvar notify or a futex wake but the one park-point file of
 # every fabric (transport/park.rs) and what wakes something other than a
 # rank — the shm control plane (shm/segment.rs: the epoch command word,
-# the barrier), the sock link threads
-# (sock/link.rs), the sock control inbox (sock/control.rs), the pool's
+# the barrier), the sock control inbox (sock/control.rs), the pool's
 # epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`).
+# A sock link thread sleeps only in its `poll`, woken by a byte on its
+# wake pair, so no sock link file issues a notify either.
 # Sleeps: the data path sleeps one way, `park_until` on a `ParkWords`
 # (DESIGN.md §7), so no file of mpisim calls `futex::wait` but
 # transport/park.rs and the shm control plane (shm/segment.rs); and a
@@ -133,7 +135,7 @@ clippy:
 # comment lines aside) names `Workers`, calls into a `workers.` handle or
 # says `respawn`
 BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
-WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/link|transport/sock/control
+WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/control
 SLEEP_FILES := transport/park|transport/shm/segment
 PARK_FILES := state|transport/park|transport/shm/ring
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce

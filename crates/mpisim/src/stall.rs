@@ -63,7 +63,7 @@ pub struct RegistryGauge {
     /// Shm fabric: bytes of the segment handed out so far (a freed ring
     /// is recycled, not returned, so this levels off instead of falling).
     pub shm_bytes: u64,
-    /// Sock fabric: receive hooks registered with the link readers.
+    /// Sock fabric: receive hooks registered with the link threads.
     pub sock_deliver: usize,
     /// Sock fabric: payloads that arrived for a channel nobody here has
     /// registered.
@@ -85,10 +85,11 @@ pub struct PeerStatus {
 pub struct LinkStatus {
     /// Peer process index the link reaches.
     pub peer: usize,
-    /// `"connected"`, `"reconnecting"`, `"dead"`, or `"busy"` when the
-    /// link lock was contended at sampling time.
+    /// `"connecting"` (never yet connected), `"connected"`,
+    /// `"reconnecting"`, `"dead"`, or `"busy"` when the link lock was
+    /// contended at sampling time.
     pub state: &'static str,
-    /// Frames queued for the writer thread but not yet written.
+    /// Frames queued for the link thread but not yet written.
     pub outbox: usize,
     /// Sequenced frames written but not yet acknowledged (replay buffer).
     pub unacked: usize,
@@ -97,14 +98,15 @@ pub struct LinkStatus {
     /// Sequenced frames written since the link was created (re-sends
     /// after a reconnect count again).
     pub frames_tx: u64,
-    /// `write` cycles of the link's writer thread; `frames_tx /
-    /// write_calls` is how many frames one syscall carried.
+    /// `write` cycles of the link thread; `frames_tx / write_calls` is
+    /// how many frames one syscall carried.
     pub write_calls: u64,
     /// Sequenced frames accepted in order.
     pub frames_rx: u64,
-    /// `read` calls of the link's reader threads.
+    /// `read` calls of the link thread.
     pub read_calls: u64,
-    /// Times the parked writer thread was woken by a notification.
+    /// Times a wake from a sender, an install, a sever or teardown ended
+    /// the link thread's park.
     pub writer_wakes: u64,
 }
 

@@ -19,7 +19,7 @@
 //! * `sock::SockTransport` — framed, sequenced, acknowledged stream
 //!   sockets (Unix-domain or TCP), one link per peer process, with
 //!   reconnect-with-resume. Only its send half is its own: what its
-//!   readers take off the wire lands in an embedded `ThreadTransport`,
+//!   link threads read lands in an embedded `ThreadTransport`,
 //!   which is the whole receive half.
 //!
 //! A plain send is one byte form on every fabric: the payload's bytes plus

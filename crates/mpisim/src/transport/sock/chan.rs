@@ -16,7 +16,7 @@ use std::sync::Arc;
 const CHAN_HDR: usize = 32;
 
 /// Socket-fabric channel body. The receive side is an ordinary in-process
-/// [`ThreadChan`] fed by the link's reading thread (via the transport's
+/// [`ThreadChan`] fed by the link thread (via the transport's
 /// deliver hook); the send side serializes each payload straight into a
 /// `K_CHAN` frame of the peer's [`Link`], which owns sequencing,
 /// acknowledgement, and replay-on-reconnect. A channel whose two endpoints
@@ -40,8 +40,8 @@ pub(crate) struct SockChan<T> {
 impl<T: Elem> SockChan<T> {
     /// A local receive queue plus an optional wire route. If this process
     /// hosts the receiving rank, hook the transport's deliver table so the
-    /// link's reading thread deserializes arriving frames straight into the
-    /// local queue.
+    /// link thread deserializes arriving frames straight into the local
+    /// queue.
     pub(crate) fn new(key: ChanKey, wire: SockChanWire) -> Self {
         let local = Arc::new(ThreadChan::new(wire.park));
         let hook = wire.register.map(|t| {

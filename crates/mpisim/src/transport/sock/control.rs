@@ -1,6 +1,6 @@
 //! The sock fabric's side of a process world ([`RemoteWorld`]): there is no
 //! shared memory to hold a command word, so the control plane is frames on
-//! the links and an inbox ([`CtrlState`]) the reader threads fill.
+//! the links and an inbox ([`CtrlState`]) the link threads fill.
 //!
 //! Bootstrap is a rendezvous instead of an attach: rank 0 binds a listener
 //! (`MPISIM_SOCK_ADDR`, or an auto-assigned UDS path) before re-exec'ing
@@ -68,8 +68,8 @@ pub(crate) fn join(worker: &Worker, n_ranks: usize) -> Planes {
 }
 
 /// Control-plane inbox: epoch commands, completions, death notices,
-/// bootstrap join/table traffic and drain tokens, posted by reader threads
-/// and awaited here.
+/// bootstrap join/table traffic and drain tokens, posted by the link
+/// threads and awaited here.
 #[derive(Default)]
 pub(crate) struct CtrlState {
     pub cmds: VecDeque<u64>,
@@ -77,7 +77,8 @@ pub(crate) struct CtrlState {
     pub joins: Vec<(usize, String)>,
     pub table: Option<Vec<String>>,
     /// Loopback `drain_in_flight`: the last `FLUSH` token pushed through
-    /// the self-link, and the highest a reader has seen come back round.
+    /// the self-link, and the highest its link thread has seen come back
+    /// round.
     pub flush_sent: u64,
     pub flushed: u64,
 }
@@ -225,8 +226,8 @@ impl ControlPlane for SockTransport {
     }
 
     /// Wait (two seconds at most) until every queued frame has reached the
-    /// kernel's socket buffers: they survive process exit, the writer
-    /// thread does not.
+    /// kernel's socket buffers: they survive process exit, the link
+    /// threads do not.
     fn flush(&self) {
         let deadline = Instant::now() + Duration::from_secs(2);
         for link in self.links.iter().flatten() {

@@ -7,12 +7,17 @@
 //!   process and ALL plain-send / persistent-channel traffic rides one
 //!   self-link through a real socket ([`crate::Fabric::Sock`] under a
 //!   [`crate::WorldConfig`]). This is the equivalence surface: the full
-//!   wire path runs in-process. The self-link has one thread
-//!   (`run_self_link`), which writes its frames and reads them back.
+//!   wire path runs in-process.
 //! * **multi-process** (`SockTransport::bind`) — one rank per OS
 //!   process, meshed via rendezvous bootstrap (`control`, driven by
-//!   [`crate::RemoteWorld`]). Each link has a writer thread and a reader
-//!   thread per accepted connection (`run_reader`).
+//!   [`crate::RemoteWorld`]).
+//!
+//! Every link, self or remote, is one thread running one loop
+//! (`run_link`): it writes its cycles and reads its connection, a
+//! self-link reading back what it wrote, and a replaced connection's
+//! reader drops at its next turn, so frames reach their consumers in
+//! sequence order from one thread. Besides the links, a transport has one
+//! accept thread.
 //!
 //! Failure semantics (the point of this fabric — DESIGN.md §10): connects
 //! retry with capped exponential backoff + jitter; idle links carry
@@ -36,9 +41,9 @@ use crate::stall::StallReport;
 use crate::state::{ChanKey, Envelope, Payload, WordHasher};
 use control::Ctrl;
 use link::{
-    auto_addr, connect_once, connect_retry, encode_frame, invalid_data, Accept, Frame, FrameReader,
-    Link, Listener, RxCursor, Stream, DIAL, IO_BATCH, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH,
-    K_DONE, K_FLUSH, K_HELLO, K_JOIN, K_TABLE,
+    auto_addr, connect_once, connect_retry, encode_frame, encode_frame_into, invalid_data, Accept,
+    Frame, FrameReader, Link, Listener, RxCursor, Stream, ACK_EVERY, DIAL, IO_BATCH, K_ACK, K_CHAN,
+    K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO, K_JOIN, K_TABLE,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -60,7 +65,7 @@ pub(crate) struct SockChanWire {
 }
 
 /// Receive-side delivery hook of a registered persistent channel: called
-/// by the link reader with the payload's wire bytes; `Err` says why the
+/// by the link thread with the payload's wire bytes; `Err` says why the
 /// bytes cannot be a payload of this channel.
 pub(crate) type DeliverFn = Arc<dyn Fn(&[u8]) -> Result<(), String> + Send + Sync>;
 
@@ -120,7 +125,7 @@ pub(crate) struct SockTransport {
     n_procs: usize,
     /// Concrete address our listener answers on (what peers dial).
     pub(crate) listener_addr: String,
-    /// The receive half, whole: what the readers take off the wire — and
+    /// The receive half, whole: what the link threads read — and
     /// what a rank sends itself — is deposited here, and every matched
     /// take, park point and rank-death flag is this transport's.
     rx: ThreadTransport,
@@ -134,7 +139,7 @@ pub(crate) struct SockTransport {
     pub(crate) ctrl: Ctrl,
     shutdown: Arc<AtomicBool>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Every link's writer thread, or a self-link's one thread.
+    /// Every link's thread.
     link_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     me: Mutex<Weak<SockTransport>>,
 }
@@ -164,7 +169,7 @@ impl SockTransport {
                 self.listener_addr
             )
         });
-        self.handshake_connect(&link, stream)
+        handshake_connect(self.my_proc, &link, stream)
             .unwrap_or_else(|e| panic!("sock loopback: self-link handshake failed: {e}"));
     }
 
@@ -214,17 +219,14 @@ impl SockTransport {
         {
             let mut threads = t.link_threads.lock();
             for link in t.links.iter().flatten() {
-                let l = Arc::clone(link);
-                let spawned = if l.self_loop {
-                    let weak = Arc::downgrade(&t);
-                    std::thread::Builder::new()
-                        .name("mpisim-sock-self".into())
-                        .spawn(move || run_self_link(weak, l))
-                } else {
-                    std::thread::Builder::new()
-                        .name(format!("mpisim-sock-w{}", l.peer_proc))
-                        .spawn(move || link::run_writer(l))
+                let (l, weak) = (Arc::clone(link), Arc::downgrade(&t));
+                let name = match l.self_loop {
+                    true => "mpisim-sock-self".to_string(),
+                    false => format!("mpisim-sock-l{}", l.peer_proc),
                 };
+                let spawned = std::thread::Builder::new()
+                    .name(name)
+                    .spawn(move || run_link(weak, l, my_proc));
                 threads.push(spawned.expect("spawn sock link thread"));
             }
         }
@@ -256,7 +258,7 @@ impl SockTransport {
     }
 
     /// Dial `proc`'s listener and complete the handshake (bootstrap and
-    /// mesh connects; reconnects reuse [`SockTransport::reconnect`]).
+    /// mesh connects; the link thread redials itself, [`reconnect`]).
     pub(crate) fn connect_to(&self, proc: usize, addr: &str) -> Result<(), String> {
         let link = self.links[proc].as_ref().expect("link exists").clone();
         *link.dial_addr.lock() = Some(addr.to_string());
@@ -266,42 +268,19 @@ impl SockTransport {
                 DIAL.retries + 1
             )
         })?;
-        self.handshake_connect(&link, stream)
+        handshake_connect(self.my_proc, &link, stream)
             .map_err(|e| format!("handshake with proc {proc} at {addr} failed: {e}"))
-    }
-
-    /// Connector-side handshake on a fresh stream: send HELLO with our
-    /// cumulative receive seq, await the peer's (remote links), install.
-    fn handshake_connect(&self, link: &Arc<Link>, mut stream: Stream) -> std::io::Result<()> {
-        let my_rx = link.st.lock().rx_seq;
-        stream.write_all(&hello_frame(self.my_proc, my_rx))?;
-        if link.self_loop {
-            // the peer is this very process: its cumulative rx IS ours,
-            // and the accepted end arrives through our own accept loop;
-            // from here on only the link thread writes this end
-            stream.set_nonblocking()?;
-            return link.install_writer(stream, my_rx).map_err(invalid_data);
-        }
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let mut frames = FrameReader::new(stream.try_clone()?);
-        let (_, peer_rx) = parse_hello(&frames.read_frame()?)?;
-        stream.set_read_timeout(None)?;
-        let gen = link.install(stream, peer_rx).map_err(invalid_data)?;
-        self.spawn_reader(Arc::clone(link), frames, gen);
-        Ok(())
     }
 
     /// Accept-side handshake: identify the peer from its HELLO, reply
     /// with our cumulative receive seq, install both directions (or just
     /// the reading end for a loopback self-link). The frame reader that
-    /// read the HELLO goes on to the link's reading thread with whatever
-    /// else it already buffered: a new reader thread, or the self-link's
-    /// one thread.
+    /// read the HELLO goes on to the link thread with whatever else it
+    /// already buffered.
     fn handle_accept(&self, mut stream: Stream) -> std::io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         let mut frames = FrameReader::new(stream.try_clone()?);
         let (proc, peer_rx) = parse_hello(&frames.read_frame()?)?;
-        stream.set_read_timeout(None)?;
         let self_link = self.links[0].as_ref().filter(|l| l.self_loop);
         if let Some(link) = self_link.filter(|_| proc == self.my_proc) {
             link.install_reader(stream, frames);
@@ -313,130 +292,48 @@ impl SockTransport {
         };
         let my_rx = link.st.lock().rx_seq;
         stream.write_all(&hello_frame(self.my_proc, my_rx))?;
-        let gen = link.install(stream, peer_rx).map_err(invalid_data)?;
-        self.spawn_reader(link, frames, gen);
-        Ok(())
+        stream.set_nonblocking()?;
+        link.install(stream, frames, peer_rx).map_err(invalid_data)
     }
 
-    fn spawn_reader(&self, link: Arc<Link>, frames: FrameReader<Stream>, gen: u64) {
-        let weak = self.me.lock().clone();
-        std::thread::Builder::new()
-            .name(format!("mpisim-sock-r{}", link.peer_proc))
-            .spawn(move || run_reader(weak, link, frames, gen))
-            .expect("spawn sock reader");
-    }
-
-    /// The connection under the reader of generation `gen` broke: unless
-    /// that reader was replaced or the link torn down, mark the link
-    /// disconnected — which also starts the passive side's loss clock;
-    /// with no dial address this is the passive side, and the writer's
-    /// window decides its fate — and, on the connector side, redial.
-    fn heal(&self, link: &Arc<Link>, gen: u64) {
-        let dial = {
-            let st = link.st.lock();
-            if st.shutdown || st.dead || link.reader_gen.load(Ordering::Acquire) != gen {
-                return; // replaced or torn down; nothing to heal
-            }
-            link.dial_addr.lock().clone()
-        };
-        link.disconnect();
-        if let Some(addr) = dial {
-            self.reconnect(Arc::clone(link), &addr);
-        }
-    }
-
-    /// Connector-side reconnect loop, run by the reading thread that
-    /// observed the break: capped exponential backoff, then permanent
-    /// failure.
-    fn reconnect(&self, link: Arc<Link>, addr: &str) {
-        let mut last = String::from("no attempt made");
-        for attempt in 0..=DIAL.retries {
-            {
-                let st = link.st.lock();
-                if st.dead || st.shutdown {
-                    return;
-                }
-            }
-            match connect_once(addr) {
-                Ok(stream) => match self.handshake_connect(&link, stream) {
-                    Ok(()) => return,
-                    Err(e) => last = e.to_string(),
-                },
-                Err(e) => last = e.to_string(),
-            }
-            if attempt < DIAL.retries {
-                std::thread::sleep(Duration::from_millis(
-                    (DIAL.backoff_ms << attempt.min(16)).min(1000),
-                ));
-            }
-        }
-        link.fail(format!(
-            "reconnect to proc {} at {addr} failed after {} attempts: {last}",
-            link.peer_proc,
-            DIAL.retries + 1
-        ));
-    }
-
-    /// Sequence and dispatch every whole frame `frames` has buffered, on
-    /// `cursor` (published by the caller). `Ok(false)` when this reader
-    /// has been replaced and must stop; `InvalidData` on a frame no
-    /// healthy peer sends.
-    fn deliver_buffered(
+    /// The link thread's read: deliver what `frames` holds, then read and
+    /// deliver until the socket is empty or [`READS_PER_TURN`] reads have
+    /// landed, so a peer that never pauses cannot starve the thread's
+    /// writes. `InvalidData` on a frame no healthy peer sends.
+    fn read_burst(
         &self,
         link: &Link,
         cursor: &mut RxCursor,
         hooks: &mut HookCache,
         frames: &mut FrameReader<Stream>,
-    ) -> std::io::Result<bool> {
-        while let Some(f) = frames.next_buffered()? {
-            if !self.receive(link, cursor, hooks, f).map_err(invalid_data)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// The self-link thread's read: deliver what `frames` holds, then
-    /// read and deliver until the socket is empty. `Ok(false)` when the
-    /// reader has been replaced.
-    fn read_self(
-        &self,
-        link: &Link,
-        cursor: &mut RxCursor,
-        hooks: &mut HookCache,
-        frames: &mut FrameReader<Stream>,
-    ) -> std::io::Result<bool> {
+    ) -> std::io::Result<()> {
         loop {
-            if !self.deliver_buffered(link, cursor, hooks, frames)? {
-                return Ok(false);
+            while let Some(f) = frames.next_buffered()? {
+                self.receive(link, cursor, hooks, f).map_err(invalid_data)?;
             }
-            if !frames.fill_now()? {
-                return Ok(true);
+            if frames.reads >= READS_PER_TURN || !frames.fill_now()? {
+                return Ok(());
             }
         }
     }
 
-    /// Sequence one frame on `cursor` and route it to its consumer.
-    /// `Ok(false)` when the cursor's reader has been replaced and must
-    /// stop; `Err` on a frame no healthy peer sends.
+    /// Sequence one frame on `cursor` and route it to its consumer. `Err`
+    /// on a frame no healthy peer sends.
     fn receive(
         &self,
         link: &Link,
         cursor: &mut RxCursor,
         hooks: &mut HookCache,
         f: Frame<'_>,
-    ) -> Result<bool, String> {
+    ) -> Result<(), String> {
         if f.kind == K_ACK {
             let cum_rx = f.body.first_chunk::<8>().ok_or("ACK frame without a seq")?;
-            link.apply_ack(u64::from_le_bytes(*cum_rx))?;
-            return Ok(true);
+            return link.apply_ack(u64::from_le_bytes(*cum_rx));
         }
         match cursor.accept(link, f.seq)? {
-            Accept::Stale => return Ok(false),
-            Accept::Duplicate => {}
-            Accept::Fresh => self.dispatch(hooks, f.kind, f.body)?,
+            Accept::Duplicate => Ok(()),
+            Accept::Fresh => self.dispatch(hooks, f.kind, f.body),
         }
-        Ok(true)
     }
 
     /// Route an incoming sequenced frame to its consumer. Every field is
@@ -727,8 +624,8 @@ impl Drop for SockTransport {
         }
         let me = std::thread::current().id();
         for h in self.link_threads.get_mut().drain(..) {
-            // the last handle may drop on the self-link's thread, mid-read:
-            // it sees the shutdown at its next turn
+            // the last handle may drop on a link thread, mid-read: it
+            // sees the shutdown at its next turn
             if h.thread().id() != me {
                 let _ = h.join();
             }
@@ -756,65 +653,105 @@ fn run_accept(t: Weak<SockTransport>, listener: Listener, shutdown: Arc<AtomicBo
     }
 }
 
-/// Remote-link reader, one per accepted connection: pull everything the
-/// socket has per `read`, decode the frames in place, enforce the
-/// sequence discipline (duplicates from replay dropped, gaps fatal) on a
-/// cursor published once per burst, dispatch, and — when the stream
-/// breaks and this side is the connector — run the reconnect loop. A
-/// frame no healthy peer sends kills the link, with the reason.
-fn run_reader(t: Weak<SockTransport>, link: Arc<Link>, mut frames: FrameReader<Stream>, gen: u64) {
-    let mut cursor = None;
-    let mut hooks = HookCache::default();
-    let broke = 'conn: loop {
-        {
-            // not held across the blocking read below: the transport
-            // must be droppable, and a replacing reader must get in
-            let Some(t) = t.upgrade() else { return };
-            let _in_order = link.rx_order.lock();
-            // made under `rx_order`: a replaced reader's last burst is
-            // published by the time this one gets in
-            let cursor = cursor.get_or_insert_with(|| RxCursor::new(gen, &link.st.lock()));
-            let current = t.deliver_buffered(&link, cursor, &mut hooks, &mut frames);
-            cursor.publish(&link, std::mem::take(&mut frames.reads));
-            match current {
-                Ok(true) => {}
-                Ok(false) => return, // replaced; the rest comes back through replay
-                Err(e) => break 'conn e,
-            }
-        }
-        if let Err(e) = frames.fill() {
-            break e;
-        }
-    };
-    if broke.kind() == std::io::ErrorKind::InvalidData {
-        link.fail_malformed(&broke);
-        return;
+/// How long a handshake waits for the other side's HELLO.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Reads one turn of a link thread may take before it writes again.
+const READS_PER_TURN: u64 = 16;
+
+/// Connector-side handshake on a fresh stream: send HELLO with our
+/// cumulative receive seq, await the peer's (remote links), install. From
+/// the install on only the link thread writes the stream, non-blocking.
+fn handshake_connect(my_proc: usize, link: &Link, mut stream: Stream) -> std::io::Result<()> {
+    let my_rx = link.st.lock().rx_seq;
+    stream.write_all(&hello_frame(my_proc, my_rx))?;
+    if link.self_loop {
+        // the peer is this very process: its cumulative rx IS ours, and
+        // the accepted end arrives through our own accept loop
+        stream.set_nonblocking()?;
+        return link.install_writer(stream, my_rx).map_err(invalid_data);
     }
-    let Some(t) = t.upgrade() else { return };
-    t.heal(&link, gen);
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let mut frames = FrameReader::new(stream.try_clone()?);
+    let (_, peer_rx) = parse_hello(&frames.read_frame()?)?;
+    stream.set_nonblocking()?;
+    link.install(stream, frames, peer_rx).map_err(invalid_data)
 }
 
-/// A loopback self-link's one thread: it writes a cycle's frames and
-/// reads them back itself, so a frame crosses no thread between its
-/// sender and its receiver. The write end is non-blocking: a cycle
-/// larger than the socket buffer alternates writing with reading instead
-/// of blocking the only thread that drains it. A turn with nothing
-/// written or read yields; after [`PARK_SPIN`] of them with nothing to
-/// write it parks on the link's condvar — woken by senders, by the
-/// install that completes the pair of ends, by a sever — for at most a
-/// heartbeat period, and reads again, so bytes it never wrote still get
-/// judged. When its connection breaks it runs the reconnect-with-resume.
-fn run_self_link(t: Weak<SockTransport>, link: Arc<Link>) {
+/// The link thread's connection broke under its reader: unless a
+/// replacement is already installed or the link torn down, mark the link
+/// disconnected — which starts the passive side's loss clock — and on the
+/// connector side redial.
+fn heal(my_proc: usize, link: &Link) {
+    let dial = {
+        let mut st = link.st.lock();
+        if st.shutdown || st.dead || st.incoming.is_some() {
+            return; // replaced or torn down; nothing to heal
+        }
+        st.lose_conn();
+        link.dial_addr.lock().clone()
+    };
+    if let Some(addr) = dial {
+        reconnect(my_proc, link, &addr);
+    }
+}
+
+/// Connector-side reconnect, run by the link thread: redial on [`DIAL`]'s
+/// schedule, then permanent failure. Teardown cuts a wait short.
+fn reconnect(my_proc: usize, link: &Link, addr: &str) {
+    let mut last = String::from("no attempt made");
+    for attempt in 0..=DIAL.retries {
+        let st = match attempt {
+            0 => link.st.lock(),
+            _ => link.park(link.st.lock(), DIAL.delay(attempt - 1), None, None),
+        };
+        if st.dead || st.shutdown {
+            return;
+        }
+        drop(st);
+        match connect_once(addr).and_then(|s| handshake_connect(my_proc, link, s)) {
+            Ok(()) => return,
+            Err(e) => last = e.to_string(),
+        }
+    }
+    link.fail(format!(
+        "reconnect to proc {} at {addr} failed after {} attempts: {last}",
+        link.peer_proc,
+        DIAL.retries + 1
+    ));
+}
+
+/// A link's one thread, self or remote. Each turn it takes up a newly
+/// installed connection's reader — the replaced one drops, and what it
+/// still held comes back through replay — then cuts a cycle of every
+/// frame not yet written (on a remote link with an owed ack or an idle
+/// heartbeat added) and writes what the socket takes of it without
+/// blocking, then reads without blocking and publishes the burst's cursor
+/// once. So one thread delivers a link's frames, in sequence order
+/// whatever connection they came on, and a cycle larger than the socket
+/// buffer alternates writes with reads instead of blocking the thread
+/// that drains the other direction. A turn with nothing written or read
+/// yields; after [`PARK_SPIN`] of them (or at once, with no connection)
+/// it parks in one `poll` ([`Link::park`]) on its reading end, its
+/// writing end while output is pending, and the wake pair, for at most a
+/// heartbeat period. On a remote link a heartbeat finding the peer silent
+/// past the liveness window forces a reconnect, and a passive side
+/// disconnected past [`DIAL`]'s window declares the peer lost. When its
+/// connection breaks, the connector side redials from this thread.
+fn run_link(t: Weak<SockTransport>, link: Arc<Link>, my_proc: usize) {
     let hb = Duration::from_millis(crate::stall::stall_ms());
+    let window = Duration::from_millis(DIAL.window_ms());
+    let silence_limit = DIAL.window_ms().max(4 * crate::stall::stall_ms()) * 4;
+    let mut last_hb = Instant::now();
     // the cycle being written, how much of it is out, and the connection
     // it was cut for
     let mut out: Vec<u8> = Vec::new();
     let mut written = 0;
     let mut out_sock: Option<Arc<Stream>> = None;
     let mut reader: Option<FrameReader<Stream>> = None;
-    let mut cursor = RxCursor::new(0, &link.st.lock());
+    let mut cursor = RxCursor::new(&link.st.lock());
     let mut hooks = HookCache::default();
-    // turns since the last one that wrote or read anything
+    // turns since the last one that cut, wrote or read anything
     let mut idle_turns = 0;
     let mut st = link.st.lock();
     loop {
@@ -822,10 +759,23 @@ fn run_self_link(t: Weak<SockTransport>, link: Arc<Link>) {
             return;
         }
         if let Some(frames) = st.incoming.take() {
+            // it may hold frames the handshake read past the HELLO, which
+            // no `poll` would report
             reader = Some(frames);
-            cursor.gen = link.reader_gen.load(Ordering::Acquire);
+            idle_turns = 0;
         }
         cursor.sync(&st);
+        let connected = link.connected(&st);
+        let passive = || link.dial_addr.lock().is_none();
+        if !connected && st.disconnected_since.is_some_and(|t| t.elapsed() > window) && passive() {
+            drop(st);
+            link.fail(format!(
+                "peer proc {} did not reconnect within {} ms",
+                link.peer_proc,
+                DIAL.window_ms()
+            ));
+            return;
+        }
         let cut_for_now =
             matches!((&out_sock, &st.writer_sock), (Some(a), Some(b)) if Arc::ptr_eq(a, b));
         if written == out.len() || !cut_for_now {
@@ -837,15 +787,35 @@ fn run_self_link(t: Weak<SockTransport>, link: Arc<Link>) {
             out.clear();
             written = 0;
             out_sock = None;
-            if link.connected(&st) && st.take_cycle(&mut out) > 0 {
-                st.write_calls += 1;
-                out_sock = st.writer_sock.clone();
+            if connected {
+                let frames = st.take_cycle(&mut out);
+                let beat = !link.self_loop && frames == 0 && last_hb.elapsed() >= hb;
+                if beat && link.silence_ms() > silence_limit {
+                    // half-open link: we can write but the peer has gone
+                    // silent — force a reconnect cycle
+                    st.lose_conn();
+                    continue;
+                }
+                // an owed ack rides the cycle's write; an idle link beats
+                if beat || st.rx_since_ack >= ACK_EVERY {
+                    st.rx_since_ack = 0;
+                    last_hb = Instant::now();
+                    let rx_seq = st.rx_seq;
+                    encode_frame_into(&mut out, K_ACK, 0, |b| {
+                        b.extend_from_slice(&rx_seq.to_le_bytes())
+                    });
+                }
+                if !out.is_empty() {
+                    st.write_calls += 1;
+                    out_sock = st.writer_sock.clone();
+                    idle_turns = 0;
+                }
             }
         }
-        let nothing_to_do = !link.connected(&st) && reader.is_none();
-        if out_sock.is_none() && (idle_turns >= PARK_SPIN || nothing_to_do) {
+        if idle_turns >= PARK_SPIN || (!connected && reader.is_none()) {
             idle_turns = 0;
-            link.park_writer(&mut st, hb);
+            let read = reader.as_ref().map(FrameReader::source);
+            st = link.park(st, hb, read, out_sock.as_deref());
             continue;
         }
         drop(st);
@@ -856,26 +826,38 @@ fn run_self_link(t: Weak<SockTransport>, link: Arc<Link>) {
                     written += n;
                     progress |= n > 0;
                 }
-                Err(_) => link.disconnect(), // the reader sees the break
+                Err(_) => {
+                    // the next read sees the break; a write to a
+                    // connection since replaced fails too, and is no
+                    // reason to drop its successor
+                    let mut st = link.st.lock();
+                    if st
+                        .writer_sock
+                        .as_ref()
+                        .is_some_and(|s| Arc::ptr_eq(s, sock))
+                    {
+                        st.lose_conn();
+                    }
+                }
             }
         }
         if let Some(frames) = &mut reader {
-            let Some(t) = t.upgrade() else { return };
-            let current = t.read_self(&link, &mut cursor, &mut hooks, frames);
+            let burst = match t.upgrade() {
+                Some(t) => t.read_burst(&link, &mut cursor, &mut hooks, frames),
+                None => return,
+            };
             let reads = std::mem::take(&mut frames.reads);
             progress |= reads > 0;
             cursor.publish(&link, reads);
-            match current {
-                Ok(true) => {}
-                // its replacement waits in `incoming`
-                Ok(false) => reader = None,
+            match burst {
+                Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                     link.fail_malformed(&e);
                     return;
                 }
                 Err(_) => {
                     reader = None;
-                    t.heal(&link, cursor.gen);
+                    heal(my_proc, &link);
                 }
             }
         }
@@ -927,12 +909,17 @@ mod tests {
     /// Take `n` messages off `chan`, parking its receiver (rank `DST`)
     /// between takes, and check each.
     fn pop_expecting(world: &WorldState, chan: &Channel<u64>, case: u64, n: u64) {
+        pop_at(world, DST, chan, case, n);
+    }
+
+    /// [`pop_expecting`] for a receiver at `rank`.
+    fn pop_at(world: &WorldState, rank: usize, chan: &Channel<u64>, case: u64, n: u64) {
         let mut back = Vec::new();
         for i in 0..n {
             let got = loop {
                 match chan.try_pop(&mut back) {
                     Some((got, _)) => break got,
-                    None => _ = world.wait_any(DST, &[chan.id()]),
+                    None => _ = world.wait_any(rank, &[chan.id()]),
                 }
             };
             assert_eq!(got, message(case, i), "case {case}, message {i}");
@@ -1321,5 +1308,56 @@ mod tests {
             let reads = link_of(&t).st.lock().read_calls;
             assert!(reads > 2, "{spec}: each frame arrived in one read");
         }
+    }
+
+    #[test]
+    fn a_remote_link_severed_from_both_ends_resumes_exactly_once_in_order() {
+        // two processes' transports in one: proc 1 dials proc 0, and each
+        // side severs the link after every `EVERY`-th of its first
+        // `SEVERED` pushes, pushing on once it has resumed; the last
+        // 2 × ACK_EVERY pushes ride one connection
+        const N: u64 = 4 * ACK_EVERY + 5;
+        const SEVERED: u64 = N - 2 * ACK_EVERY;
+        const EVERY: u64 = 9;
+        let t = [
+            SockTransport::bind(0, 2, &auto_addr()),
+            SockTransport::bind(1, 2, &auto_addr()),
+        ];
+        let worlds = t
+            .clone()
+            .map(|t| WorldState::with_transport_deadline(2, None, t, None));
+        t[1].connect_to(0, &t[0].listener_addr)
+            .expect("dial proc 0");
+        std::thread::scope(|s| {
+            for p in 0..2 {
+                // rank p lives on proc p, sends on one channel and
+                // receives on the other
+                let (t, world, peer) = (&t[p], &worlds[p], 1 - p);
+                let tx = world.channel::<u64>((0, p, peer, 7));
+                let rx = world.channel::<u64>((0, peer, p, 7));
+                let link = t.links[peer].as_ref().expect("link to the peer");
+                s.spawn(move || {
+                    for i in 0..N {
+                        tx.push(&message(p as u64, i), 0.0);
+                        if i < SEVERED && i % EVERY == 0 {
+                            let before = link.st.lock().reconnects;
+                            t.sever_link(peer);
+                            wait_until("the link resumed", || link.st.lock().reconnects > before);
+                        }
+                    }
+                });
+                s.spawn(move || pop_at(world, p, &rx, peer as u64, N));
+            }
+        });
+        let link = |p: usize| t[p].links[1 - p].clone().expect("link to the peer");
+        for p in 0..2 {
+            assert!(link(p).st.lock().reconnects > 0, "proc {p} never resumed");
+        }
+        // each side's acks ride its link thread's cycles: the replay
+        // buffers, which no resume trimmed since the last sever, drain
+        // once traffic stops
+        wait_until("both replay buffers drained", || {
+            (0..2).all(|p| (link(p).st.lock().replay.len() as u64) < ACK_EVERY)
+        });
     }
 }
