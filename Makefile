@@ -69,10 +69,13 @@ test-tuner:
 # five cycling through the four slots — with the registry gauge still
 # after every call (once the cycle has come round) — then, alone and in
 # release (`--ignored`), the 5000-job soak per fabric: flat gauge, idle
-# once the service is released but for shm segment bytes, flat VmRSS
+# once the service is released but for shm segment bytes, flat VmRSS —
+# and last the warm call's allocation budget: a repeated call of Jacobi
+# tenants allocates, per job and rank, only what the job API forces
 test-serve:
 	cargo test --test serve -q
 	cargo test --release --test serve -q -- --ignored
+	cargo test -p service --test warm_allocs -q
 
 # the wire-layout suite (DESIGN.md §3, §4): every backend and lifecycle
 # byte-identical to the direct exchange, then core's property tests — the

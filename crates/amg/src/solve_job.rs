@@ -26,25 +26,96 @@ use crate::distributed::{split_level, DistributedHierarchy};
 use crate::hierarchy::Hierarchy;
 use mpi_advance::{CommPattern, NeighborRequest};
 use sparse::ParCsr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// One level's shared (rank-independent) data.
-struct JobLevel {
-    /// Rank `r`'s split of the level matrix, shared by every rank state
-    /// built from it.
-    mats: Vec<Arc<ParCsr>>,
-    /// Halo-exchange pattern for `y = A_l x`.
-    pattern: CommPattern,
-    /// Global right-hand side for the level.
-    rhs: Vec<f64>,
+/// One level as one rank holds it: built once per job, read — never
+/// written — by every rank state the job builds for that rank.
+struct RankLevel {
+    /// The rank's split of the level matrix.
+    mat: ParCsr,
+    /// Where the level's rows start in the rank's iterate (every level's
+    /// owned rows, finest first).
+    offset: usize,
+    /// Local right-hand side.
+    b: Vec<f64>,
+    /// Built by the level's first update on this rank and kept for every
+    /// later run of the job.
+    derived: OnceLock<Derived>,
+}
+
+/// What a level's update needs beyond the split: the rank builds it on
+/// its own thread, the first time it relaxes the level.
+struct Derived {
+    /// 1 / A_ii per owned row.
+    inv_diag: Vec<f64>,
+    /// For ghost column `j`: its position in the entry's `output_index`.
+    ghost_pos: Vec<usize>,
+}
+
+impl RankLevel {
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.mat.local_rows()
+    }
+
+    /// The level's derived constants, built on first use against
+    /// `output_index` — the entry's, which is the level pattern's
+    /// `dst_indices` for this rank.
+    fn derived(&self, output_index: &[usize]) -> &Derived {
+        self.derived.get_or_init(|| {
+            let mat = &self.mat;
+            let inv_diag = (0..mat.local_rows())
+                .map(|i| {
+                    let d = mat.diag.get(i, i);
+                    assert!(d != 0.0, "Jacobi needs a nonzero diagonal");
+                    1.0 / d
+                })
+                .collect();
+            // both ascending, so one merge walk finds every position
+            let mut p = 0;
+            let ghost_pos = mat
+                .col_map_offd
+                .iter()
+                .map(|&g| {
+                    while output_index.get(p).is_some_and(|&o| o < g) {
+                        p += 1;
+                    }
+                    assert_eq!(
+                        output_index.get(p),
+                        Some(&g),
+                        "entry output_index must cover every ghost column"
+                    );
+                    p
+                })
+                .collect();
+            Derived {
+                inv_diag,
+                ghost_pos,
+            }
+        })
+    }
+
+    /// One damped-Jacobi update of the owned rows `x` against the ghost
+    /// values `ghost` (in `col_map_offd` order), with `y` as the product's
+    /// scratch. The distributed path and the reference both run this.
+    fn relax(&self, d: &Derived, x: &mut [f64], ghost: &[f64], y: &mut [f64], omega: f64) {
+        self.mat.spmv_into(x, ghost, y);
+        for (i, x) in x.iter_mut().enumerate() {
+            *x += omega * d.inv_diag[i] * (self.b[i] - y[i]);
+        }
+    }
 }
 
 /// All-levels weighted-Jacobi relaxation over one hierarchy, shaped as a
 /// schedulable job: N batch entries (one per level), `sweeps` iterations,
-/// per-rank state machines built on the rank threads.
+/// per-rank state machines built on the rank threads. What a rank reads
+/// and never writes is computed once per job — the splits and right-hand
+/// sides here, the rest at each level's first update on each rank — so a
+/// job the service runs again builds only its iterate and scratch buffers.
 pub struct JacobiJob {
-    levels: Vec<JobLevel>,
-    n_ranks: usize,
+    /// One halo pattern per level, finest first.
+    patterns: Vec<CommPattern>,
+    /// Per rank, every level as that rank holds it, finest first.
+    ranks: Vec<Arc<[RankLevel]>>,
     omega: f64,
     sweeps: usize,
 }
@@ -69,32 +140,38 @@ impl JacobiJob {
             "rhs length must match the fine level"
         );
         let dist = DistributedHierarchy::build(h, n_ranks);
-        let levels = h
+        let mut ranks: Vec<Vec<RankLevel>> = (0..n_ranks)
+            .map(|_| Vec::with_capacity(h.levels.len()))
+            .collect();
+        let patterns = h
             .levels
             .iter()
             .zip(&dist.levels)
             .map(|(l, d)| {
-                let rhs = if d.level == 0 {
-                    rhs_fine.to_vec()
-                } else {
-                    // deterministic, level-dependent, nonzero
-                    (0..l.a.n_rows())
-                        .map(|i| (0.37 * i as f64 + d.level as f64).sin())
-                        .collect()
-                };
-                JobLevel {
-                    mats: split_level(&l.a, &d.part)
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect(),
-                    pattern: d.pattern(),
-                    rhs,
+                for (r, mat) in split_level(&l.a, &d.part).into_iter().enumerate() {
+                    let range = d.part.range(r);
+                    let b = if d.level == 0 {
+                        rhs_fine[range].to_vec()
+                    } else {
+                        // deterministic, level-dependent, nonzero
+                        range
+                            .map(|i| (0.37 * i as f64 + d.level as f64).sin())
+                            .collect()
+                    };
+                    let offset = ranks[r].last().map_or(0, |lv| lv.rows().end);
+                    ranks[r].push(RankLevel {
+                        mat,
+                        offset,
+                        b,
+                        derived: OnceLock::new(),
+                    });
                 }
+                d.pattern()
             })
             .collect();
         Self {
-            levels,
-            n_ranks,
+            patterns,
+            ranks: ranks.into_iter().map(Arc::from).collect(),
             omega,
             sweeps,
         }
@@ -102,7 +179,7 @@ impl JacobiJob {
 
     /// One halo pattern per level — the job's batch entries, finest first.
     pub fn patterns(&self) -> Vec<CommPattern> {
-        self.levels.iter().map(|l| l.pattern.clone()).collect()
+        self.patterns.clone()
     }
 
     /// Whole-batch iterations the job runs.
@@ -112,22 +189,23 @@ impl JacobiJob {
 
     /// Ranks the job was partitioned for.
     pub fn n_ranks(&self) -> usize {
-        self.n_ranks
+        self.ranks.len()
     }
 
     /// Levels (= batch entries).
     pub fn n_levels(&self) -> usize {
-        self.levels.len()
+        self.patterns.len()
     }
 
-    /// Build rank `rank`'s worker state (call on the rank's own thread).
+    /// Build rank `rank`'s worker state (call on the rank's own thread):
+    /// its iterate and two scratch buffers, nothing else.
     pub fn rank_state(&self, rank: usize) -> JacobiRankState {
-        let levels = self
-            .levels
-            .iter()
-            .map(|l| LevelState::new(&l.mats[rank], &l.rhs))
-            .collect();
+        let levels = Arc::clone(&self.ranks[rank]);
+        let widest = |f: fn(&ParCsr) -> usize| levels.iter().map(|l| f(&l.mat)).max().unwrap_or(0);
         JacobiRankState {
+            x: vec![0.0; levels.last().map_or(0, |l| l.rows().end)],
+            ghost: vec![0.0; widest(ParCsr::n_ghost)],
+            y: vec![0.0; widest(ParCsr::local_rows)],
             levels,
             omega: self.omega,
         }
@@ -136,81 +214,31 @@ impl JacobiJob {
     /// The same sweeps computed without any fabric: per rank, the result
     /// `finish` would return — ghost values read straight out of the
     /// global iterate. Arithmetic matches the distributed path exactly
-    /// (same split matrices, same accumulation order), so distributed
-    /// results must be **byte-identical** to this, not merely close.
+    /// (same split matrices, same update), so distributed results must be
+    /// **byte-identical** to this, not merely close.
     pub fn reference_results(&self) -> Vec<Vec<f64>> {
-        let per_level: Vec<Vec<Vec<f64>>> = self
-            .levels
-            .iter()
-            .map(|l| {
-                let n = l.rhs.len();
-                let mut x = vec![0.0; n];
-                let states: Vec<LevelState> = (0..self.n_ranks)
-                    .map(|r| LevelState::new(&l.mats[r], &l.rhs))
-                    .collect();
-                for _ in 0..self.sweeps {
-                    let x_old = x.clone();
-                    for (r, st) in states.iter().enumerate() {
-                        let range = st.mat.part.range(r);
-                        let ghost: Vec<f64> =
-                            st.mat.col_map_offd.iter().map(|&g| x_old[g]).collect();
-                        let y = st.mat.spmv(&x_old[range.clone()], &ghost);
-                        for (i, gi) in range.enumerate() {
-                            x[gi] = x_old[gi] + self.omega * st.inv_diag[i] * (st.b[i] - y[i]);
-                        }
-                    }
+        let mut states: Vec<JacobiRankState> =
+            (0..self.n_ranks()).map(|r| self.rank_state(r)).collect();
+        for l in 0..self.n_levels() {
+            let mut x = vec![0.0; self.ranks[0][l].mat.global_cols];
+            for _ in 0..self.sweeps {
+                let x_old = x.clone();
+                for (r, st) in states.iter_mut().enumerate() {
+                    let lv = &st.levels[l];
+                    let d = lv.derived(&self.patterns[l].dst_indices(r));
+                    let range = lv.mat.part.range(r);
+                    let ghost: Vec<f64> = lv.mat.col_map_offd.iter().map(|&g| x_old[g]).collect();
+                    let y = &mut st.y[..range.len()];
+                    lv.relax(d, &mut x[range], &ghost, y, self.omega);
                 }
-                // split the converged-by-sweeps iterate back per rank
-                (0..self.n_ranks)
-                    .map(|r| x[l.mats[r].part.range(r)].to_vec())
-                    .collect()
-            })
-            .collect();
-        (0..self.n_ranks)
-            .map(|r| {
-                per_level
-                    .iter()
-                    .flat_map(|lv| lv[r].iter().copied())
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// One level's per-rank Jacobi state.
-struct LevelState {
-    mat: Arc<ParCsr>,
-    /// Local iterate (owned rows).
-    x: Vec<f64>,
-    /// Local right-hand side.
-    b: Vec<f64>,
-    /// 1 / A_ii per owned row.
-    inv_diag: Vec<f64>,
-    /// For ghost column `j`: its position in the entry's `output_index`
-    /// (built on first absorb — the index only exists on the request).
-    ghost_pos: Option<Vec<usize>>,
-    /// Ghost values of the current sweep, in `col_map_offd` order.
-    ghost: Vec<f64>,
-}
-
-impl LevelState {
-    fn new(mat: &Arc<ParCsr>, rhs: &[f64]) -> Self {
-        let range = mat.part.range(mat.rank);
-        let inv_diag = (0..range.len())
-            .map(|i| {
-                let d = mat.diag.get(i, i);
-                assert!(d != 0.0, "Jacobi needs a nonzero diagonal");
-                1.0 / d
-            })
-            .collect();
-        Self {
-            mat: Arc::clone(mat),
-            x: vec![0.0; range.len()],
-            b: rhs[range].to_vec(),
-            inv_diag,
-            ghost_pos: None,
-            ghost: vec![0.0; mat.col_map_offd.len()],
+            }
+            // split the iterate back per rank
+            for (r, st) in states.iter_mut().enumerate() {
+                let lv = &st.levels[l];
+                st.x[lv.rows()].copy_from_slice(&x[lv.mat.part.range(r)]);
+            }
         }
+        states.into_iter().map(JacobiRankState::finish).collect()
     }
 }
 
@@ -219,7 +247,13 @@ impl LevelState {
 /// level. Entries are independent, so absorb order within a sweep does
 /// not affect the result.
 pub struct JacobiRankState {
-    levels: Vec<LevelState>,
+    levels: Arc<[RankLevel]>,
+    /// Every level's local iterate, finest first: the result.
+    x: Vec<f64>,
+    /// Ghost values of the level being absorbed, in `col_map_offd` order.
+    ghost: Vec<f64>,
+    /// The product of the level being absorbed.
+    y: Vec<f64>,
     omega: f64,
 }
 
@@ -227,48 +261,28 @@ impl JacobiRankState {
     /// Entry `e`'s send values for the current sweep, aligned with
     /// `req.input_index()` (global row ids owned by this rank).
     pub fn input(&mut self, e: usize, req: &dyn NeighborRequest) -> Vec<f64> {
-        let st = &self.levels[e];
-        let first = st.mat.part.first_row(st.mat.rank);
-        req.input_index().iter().map(|&g| st.x[g - first]).collect()
+        let lv = &self.levels[e];
+        let x = &self.x[lv.rows()];
+        let first = lv.mat.part.first_row(lv.mat.rank);
+        req.input_index().iter().map(|&g| x[g - first]).collect()
     }
 
     /// Entry `e`'s ghost values landed (aligned with
     /// `req.output_index()`): run one damped-Jacobi update of the level.
     pub fn absorb(&mut self, e: usize, req: &dyn NeighborRequest, output: &[f64]) {
-        let st = &mut self.levels[e];
-        let pos = st.ghost_pos.get_or_insert_with(|| {
-            // both ascending (`output_index` is the pattern's
-            // `dst_indices`), so one merge walk finds every position
-            let out = req.output_index();
-            let mut p = 0;
-            st.mat
-                .col_map_offd
-                .iter()
-                .map(|&g| {
-                    while out.get(p).is_some_and(|&o| o < g) {
-                        p += 1;
-                    }
-                    assert_eq!(
-                        out.get(p),
-                        Some(&g),
-                        "entry output_index must cover every ghost column"
-                    );
-                    p
-                })
-                .collect()
-        });
-        for (j, &p) in pos.iter().enumerate() {
-            st.ghost[j] = output[p];
+        let lv = &self.levels[e];
+        let d = lv.derived(req.output_index());
+        let ghost = &mut self.ghost[..d.ghost_pos.len()];
+        for (g, &p) in ghost.iter_mut().zip(&d.ghost_pos) {
+            *g = output[p];
         }
-        let y = st.mat.spmv(&st.x, &st.ghost);
-        for (i, x) in st.x.iter_mut().enumerate() {
-            *x += self.omega * st.inv_diag[i] * (st.b[i] - y[i]);
-        }
+        let y = &mut self.y[..lv.mat.local_rows()];
+        lv.relax(d, &mut self.x[lv.rows()], ghost, y, self.omega);
     }
 
     /// The rank's result: every level's local iterate, finest first.
     pub fn finish(self) -> Vec<f64> {
-        self.levels.into_iter().flat_map(|l| l.x).collect()
+        self.x
     }
 }
 
@@ -292,24 +306,24 @@ mod tests {
         let job = small_job(4, 8);
         let per_rank = job.reference_results();
         // reassemble the fine-level iterate
-        let fine_len = job.levels[0].rhs.len();
+        let fine = |r: usize| &job.ranks[r][0];
+        let fine_len = fine(0).mat.global_cols;
         let mut x = Vec::with_capacity(fine_len);
         for (r, res) in per_rank.iter().enumerate() {
-            let local = job.levels[0].mats[r].part.range(r).len();
-            x.extend_from_slice(&res[..local]);
+            x.extend_from_slice(&res[fine(r).rows()]);
         }
         assert_eq!(x.len(), fine_len);
         // one serial residual check against the assembled fine matrix
-        let l = &job.levels[0];
         let mut r2 = 0.0;
         let mut b2 = 0.0;
-        for (rank, mat) in l.mats.iter().enumerate() {
-            let range = mat.part.range(rank);
+        for r in 0..job.n_ranks() {
+            let (mat, b) = (&fine(r).mat, &fine(r).b);
+            let range = mat.part.range(r);
             let ghost: Vec<f64> = mat.col_map_offd.iter().map(|&g| x[g]).collect();
-            let y = mat.spmv(&x[range.clone()], &ghost);
-            for (i, gi) in range.enumerate() {
-                r2 += (l.rhs[gi] - y[i]) * (l.rhs[gi] - y[i]);
-                b2 += l.rhs[gi] * l.rhs[gi];
+            let y = mat.spmv(&x[range], &ghost);
+            for (bi, yi) in b.iter().zip(&y) {
+                r2 += (bi - yi) * (bi - yi);
+                b2 += bi * bi;
             }
         }
         assert!(
@@ -324,13 +338,8 @@ mod tests {
     #[test]
     fn rank_states_cover_all_levels_and_rows() {
         let job = small_job(4, 2);
-        let total: usize = (0..4)
-            .map(|r| {
-                let st = job.rank_state(r);
-                st.levels.iter().map(|l| l.x.len()).sum::<usize>()
-            })
-            .sum();
-        let expect: usize = job.levels.iter().map(|l| l.rhs.len()).sum();
+        let total: usize = (0..4).map(|r| job.rank_state(r).x.len()).sum();
+        let expect: usize = job.ranks[0].iter().map(|l| l.mat.global_cols).sum();
         assert_eq!(total, expect);
         assert_eq!(job.patterns().len(), job.n_levels());
     }

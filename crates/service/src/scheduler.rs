@@ -162,15 +162,42 @@ struct Lane {
     /// `None` once the lane is closed: a job on it failed on some rank,
     /// and nothing runs on it again.
     session: Option<BatchRequest>,
+    /// Where each entry's ghost values land, aligned with its
+    /// `output_index`: built with the session, reused by every job that
+    /// takes the lane, and poisoned with NaN each time one does.
+    outputs: Vec<Vec<f64>>,
     /// The job running on it on this rank.
     busy: Option<usize>,
 }
 
+impl Lane {
+    fn new(stream: u64, comm: Comm, session: BatchRequest) -> Self {
+        let outputs = (0..session.len())
+            .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
+            .collect();
+        Self {
+            stream,
+            comm,
+            session: Some(session),
+            outputs,
+            busy: None,
+        }
+    }
+
+    /// Job `j` takes the lane. Its outputs still hold the last job's ghost
+    /// values; every entry rewrites its slots before `absorb` reads them,
+    /// and the NaN makes a slot that was not rewritten loud.
+    fn take(&mut self, j: usize) {
+        self.busy = Some(j);
+        self.outputs.iter_mut().for_each(|o| o.fill(f64::NAN));
+    }
+}
+
 /// One job on this rank: `iters` iterations of start-all /
 /// retire-entries-as-they-land on its lane's session, folding each
-/// entry's ghost values into the rank state. Owns its state and outputs,
-/// so one tenant's state can never alias another's. Dropped — never
-/// polled again — once it resolves, panics, or is cancelled.
+/// entry's ghost values into the rank state. Owns its state; its outputs
+/// are its lane's, which runs one job at a time. Dropped — never polled
+/// again — once it resolves, panics, or is cancelled.
 struct Task {
     logic: Arc<dyn JobLogic>,
     rank: usize,
@@ -180,11 +207,10 @@ struct Task {
     /// Built by the first poll, so a panicking constructor fails its job
     /// alone like any other tenant panic.
     state: Option<Box<dyn RankState>>,
-    outputs: Vec<Vec<f64>>,
     iter: usize,
     /// Entries of the current iteration already absorbed.
     retired: usize,
-    /// The current iteration's `start_all` has been posted.
+    /// Every entry of the current iteration has been started.
     started: bool,
     /// Worth polling: fresh, or one of its pending channels delivered
     /// since it last blocked.
@@ -192,17 +218,13 @@ struct Task {
 }
 
 impl Task {
-    fn new(logic: Arc<dyn JobLogic>, lane: usize, session: &BatchRequest, rank: usize) -> Self {
-        let outputs = (0..session.len())
-            .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
-            .collect();
+    fn new(logic: Arc<dyn JobLogic>, lane: usize, rank: usize) -> Self {
         Self {
             iters: logic.iters(),
             logic,
             rank,
             lane,
             state: None,
-            outputs,
             iter: 0,
             retired: 0,
             started: false,
@@ -214,28 +236,32 @@ impl Task {
     /// it is not in flight, retire (`test_any` → `absorb`) entries until
     /// none is complete, move to the next iteration. `Some(result)` after
     /// the last one; `None` — with `runnable` cleared — when blocked on
-    /// traffic that has not landed. Never blocks: `start_all` only posts,
-    /// so the rank is back in the drive loop to serve whichever tenant a
-    /// peer is waiting on.
-    fn poll(&mut self, ctx: &mut RankCtx, session: &mut BatchRequest) -> Option<Vec<f64>> {
+    /// traffic that has not landed. Never blocks: `start` only posts, so
+    /// the rank is back in the drive loop to serve whichever tenant a peer
+    /// is waiting on.
+    fn poll(&mut self, ctx: &mut RankCtx, lane: &mut Lane) -> Option<Vec<f64>> {
+        let Lane {
+            session, outputs, ..
+        } = lane;
+        let session = session.as_mut().expect("a running job's lane is open");
         let n = session.len();
         let state = self
             .state
             .get_or_insert_with(|| self.logic.rank_state(self.rank));
         while self.iter < self.iters {
             if !self.started {
-                let inputs: Vec<Vec<f64>> = (0..n)
-                    .map(|e| state.input(self.iter, e, session.entry(e)))
-                    .collect();
-                session.start_all(ctx, &inputs);
+                for e in 0..n {
+                    let input = state.input(self.iter, e, session.entry(e));
+                    session.start(ctx, e, &input);
+                }
                 self.started = true;
             }
             while self.retired < n {
-                let Some(e) = session.test_any(ctx, &mut self.outputs) else {
+                let Some(e) = session.test_any(ctx, outputs) else {
                     self.runnable = false;
                     return None;
                 };
-                state.absorb(self.iter, e, session.entry(e), &self.outputs[e]);
+                state.absorb(self.iter, e, session.entry(e), &outputs[e]);
                 self.retired += 1;
             }
             self.iter += 1;
@@ -246,45 +272,58 @@ impl Task {
     }
 }
 
-/// Park the rank until a pending channel of some `running` task (or of
-/// `extra`, the scheduler's control channels) delivers, then mark runnable
-/// **exactly the tasks whose own pending channels hold a delivered
-/// message**. One park for N tenants: the overlap the service is built
-/// on. [`RankCtx::wait_any`]'s generation check closes the scan-then-park
-/// race, so a delivery between a task's last `test_any` and the park is
-/// never lost. Panics — loudly, before blocking forever — if there is
-/// nothing to park on.
-fn park(
-    ctx: &mut RankCtx,
-    tasks: &mut [Option<Task>],
-    lanes: &[Lane],
-    running: &[usize],
-    extra: &[ChanId],
-    union: &mut Vec<ChanId>,
-) {
-    union.clear();
-    union.extend(extra.iter().cloned());
-    let mut spans = Vec::with_capacity(running.len());
-    for &j in running {
-        let task = tasks[j].as_ref().expect("running job has a task");
-        let start = union.len();
-        lanes[task.lane]
-            .session
-            .as_ref()
-            .expect("a running job's lane is open")
-            .pending_chans(union);
-        spans.push(start..union.len());
-    }
-    assert!(
-        !union.is_empty(),
-        "scheduler stalled: {} running task(s), none runnable and no \
-         pending channels to park on",
-        running.len()
-    );
-    ctx.wait_any(union);
-    for (&j, span) in running.iter().zip(spans) {
-        if union[span].iter().any(|c| c.ready()) {
-            tasks[j].as_mut().expect("running job has a task").runnable = true;
+/// What a park waits on, kept between epochs so that a warm epoch's
+/// parks allocate nothing: the union of channels, and where each running
+/// task's run of them ends.
+#[derive(Default)]
+struct ParkSet {
+    union: Vec<ChanId>,
+    ends: Vec<usize>,
+}
+
+impl ParkSet {
+    /// Park the rank until a pending channel of some `running` task (or of
+    /// `extra`, the scheduler's control channels) delivers, then mark
+    /// runnable **exactly the tasks whose own pending channels hold a
+    /// delivered message**. One park for N tenants: the overlap the service
+    /// is built on. [`RankCtx::wait_any`]'s generation check closes the
+    /// scan-then-park race, so a delivery between a task's last `test_any`
+    /// and the park is never lost. Panics — loudly, before blocking forever
+    /// — if there is nothing to park on.
+    fn park(
+        &mut self,
+        ctx: &mut RankCtx,
+        tasks: &mut [Option<Task>],
+        lanes: &[Lane],
+        running: &[usize],
+        extra: &[ChanId],
+    ) {
+        let Self { union, ends } = self;
+        union.clear();
+        ends.clear();
+        union.extend_from_slice(extra);
+        for &j in running {
+            let task = tasks[j].as_ref().expect("running job has a task");
+            lanes[task.lane]
+                .session
+                .as_ref()
+                .expect("a running job's lane is open")
+                .pending_chans(union);
+            ends.push(union.len());
+        }
+        assert!(
+            !union.is_empty(),
+            "scheduler stalled: {} running task(s), none runnable and no \
+             pending channels to park on",
+            running.len()
+        );
+        ctx.wait_any(union);
+        let mut start = extra.len();
+        for (&j, &end) in running.iter().zip(ends.iter()) {
+            if union[start..end].iter().any(|c| c.ready()) {
+                tasks[j].as_mut().expect("running job has a task").runnable = true;
+            }
+            start = end;
         }
     }
 }
@@ -318,6 +357,8 @@ struct Control {
     comm: Comm,
     /// From every peer, each always started.
     rx: Vec<RecvChan<u64>>,
+    /// `rx`'s channels: what every park waits on beyond the tasks'.
+    watch: Vec<ChanId>,
     /// To every peer.
     tx: Vec<SendChan<u64>>,
 }
@@ -337,13 +378,15 @@ impl Control {
 }
 
 /// What one rank keeps between epochs: the lanes the warm shapes hold —
-/// an epoch's dealt lanes first, in its deal's order — and the control
-/// fabric. The service owns one per rank and its submitting thread decides
-/// what is kept, so every rank keeps — and frees — the same.
+/// an epoch's dealt lanes first, in its deal's order — the control
+/// fabric, and the park set's buffers. The service owns one per rank and
+/// its submitting thread decides what is kept, so every rank keeps — and
+/// frees — the same.
 #[derive(Default)]
 pub(crate) struct Kept {
     lanes: Vec<Lane>,
     ctl: Option<Control>,
+    parks: ParkSet,
 }
 
 impl Kept {
@@ -368,6 +411,7 @@ impl Kept {
         self.ctl = Some(Control {
             stream,
             comm,
+            watch: rx.iter().map(RecvChan::chan_id).collect(),
             rx,
             tx,
         });
@@ -453,7 +497,6 @@ pub(crate) fn drive_rank(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> 
 }
 
 fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
-    let world = ctx.comm_world();
     let rank = ctx.rank();
     let jobs = &ep.jobs;
     let n = jobs.len();
@@ -461,38 +504,30 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
     // -- prologue: open the lanes dealt cold --
     let dealt = |stream: u64| ep.lanes.iter().position(|(lane, _)| lane.stream == stream);
     for (lane, batch) in ep.lanes.iter().filter(|(lane, _)| !lane.warm) {
-        let comm = world.dup_for(lane.stream);
-        let session = Some(batch.init_all(ctx, &comm));
-        kept.lanes.push(Lane {
-            stream: lane.stream,
-            comm,
-            session,
-            busy: None,
-        });
+        let comm = ctx.comm_world().dup_for(lane.stream);
+        let session = batch.init_all(ctx, &comm);
+        kept.lanes.push(Lane::new(lane.stream, comm, session));
     }
     // the dealt lanes first, in the deal's order, which is what a job's
     // lane indexes; the idle ones after them
     kept.lanes
         .sort_by_key(|kl| dealt(kl.stream).unwrap_or(usize::MAX));
-    let Kept { lanes, ctl } = kept;
+    let Kept { lanes, ctl, parks } = kept;
     let ctl = ctl
         .as_mut()
         .expect("every epoch starts holding the control fabric");
 
     // -- the drive loop --
+    let window = n.min(ep.max_concurrent);
     let mut d = Drive {
         lanes: &mut lanes[..ep.lanes.len()],
         tasks: (0..n).map(|_| None).collect(),
-        running: Vec::new(),
+        running: Vec::with_capacity(window),
         results: (0..n).map(|_| None).collect(),
     };
     let mut next_admit = 0usize;
-    let mut completed: Vec<(usize, Row)> = Vec::new();
-    let mut union: Vec<ChanId> = Vec::new();
+    let mut completed: Vec<(usize, Row)> = Vec::with_capacity(window);
     let mut absorb_retries = 0usize;
-    // the park set beyond the tasks' own pending channels: the per-peer
-    // cancel channels (fixed for the whole epoch)
-    let ctl_watch: Vec<ChanId> = ctl.rx.iter().map(|rc| rc.chan_id()).collect();
     // drain cancel tokens only when a park could have been woken by one
     // (or periodically, as a safety valve while tasks stay runnable) —
     // scanning every peer channel on every poll round is pure overhead
@@ -513,9 +548,9 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
                 None => d.retire(j, Err(Cause::Lane)),
                 Some(_) if d.results[j].is_some() => {}
                 Some(_) if lane.busy.is_some() => break,
-                Some(session) => {
-                    lane.busy = Some(j);
-                    d.tasks[j] = Some(Task::new(Arc::clone(&q.logic), l, session, rank));
+                Some(_) => {
+                    lane.take(j);
+                    d.tasks[j] = Some(Task::new(Arc::clone(&q.logic), l, rank));
                     d.running.push(j);
                 }
             }
@@ -534,11 +569,8 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
             if !task.runnable {
                 continue;
             }
-            let session = d.lanes[task.lane]
-                .session
-                .as_mut()
-                .expect("a running job's lane is open");
-            match catch_unwind(AssertUnwindSafe(|| task.poll(ctx, session))) {
+            let lane = &mut d.lanes[task.lane];
+            match catch_unwind(AssertUnwindSafe(|| task.poll(ctx, lane))) {
                 Ok(None) => {}
                 Ok(Some(v)) => completed.push((j, Ok(v))),
                 Err(payload) => completed.push((j, Err(Cause::Here(panic_message(&*payload))))),
@@ -597,15 +629,10 @@ fn drive(ctx: &mut RankCtx, kept: &mut Kept, ep: &Epoch<'_>) -> Vec<Row> {
         // every running task is blocked: park on their pending channels +
         // the per-peer cancel channels, catching the two abort paths (peer
         // death, deadline)
+        // the park set beyond the tasks' own pending channels is the
+        // per-peer cancel channels
         match catch_unwind(AssertUnwindSafe(|| {
-            park(
-                ctx,
-                &mut d.tasks,
-                d.lanes,
-                &d.running,
-                &ctl_watch,
-                &mut union,
-            )
+            parks.park(ctx, &mut d.tasks, d.lanes, &d.running, &ctl.watch)
         })) {
             Ok(()) => {
                 absorb_retries = 0;
@@ -859,7 +886,7 @@ pub(crate) mod tests {
         t: usize,
     ) -> Option<Vec<f64>> {
         let task = tasks[t].as_mut().unwrap();
-        task.poll(ctx, lanes[task.lane].session.as_mut().unwrap())
+        task.poll(ctx, &mut lanes[task.lane])
     }
 
     /// The park re-flags exactly the tasks whose *own* pending channels
@@ -891,22 +918,12 @@ pub(crate) mod tests {
                 .map(|(k, b)| {
                     let stream = k as u64 + 1;
                     let comm = world.dup_for(stream);
-                    let session = Some(b.init_all(ctx, &comm));
-                    Lane {
-                        stream,
-                        comm,
-                        session,
-                        busy: None,
-                    }
+                    let session = b.init_all(ctx, &comm);
+                    Lane::new(stream, comm, session)
                 })
                 .collect();
-            let mut tasks: Vec<Option<Task>> = lanes
-                .iter()
-                .enumerate()
-                .map(|(l, lane)| {
-                    let session = lane.session.as_ref().unwrap();
-                    Some(Task::new(Arc::new(job.clone()), l, session, rank))
-                })
+            let mut tasks: Vec<Option<Task>> = (0..lanes.len())
+                .map(|l| Some(Task::new(Arc::new(job.clone()), l, rank)))
                 .collect();
             ctx.barrier(&world);
             if rank == 0 {
@@ -923,13 +940,13 @@ pub(crate) mod tests {
             assert_eq!(poll_on_lane(ctx, &mut tasks, &mut lanes, A), None);
             assert_eq!(poll_on_lane(ctx, &mut tasks, &mut lanes, B), None);
             ctx.barrier(&world);
-            let mut union = Vec::new();
-            park(ctx, &mut tasks, &lanes, &[A, B], &[], &mut union);
+            let mut parks = ParkSet::default();
+            parks.park(ctx, &mut tasks, &lanes, &[A, B], &[]);
             let runnable = |tasks: &[Option<Task>], t: usize| tasks[t].as_ref().unwrap().runnable;
             assert!(runnable(&tasks, B), "B's channel delivered");
             assert!(!runnable(&tasks, A), "nothing of A's delivered yet");
             ctx.barrier(&world);
-            park(ctx, &mut tasks, &lanes, &[A], &[], &mut union);
+            parks.park(ctx, &mut tasks, &lanes, &[A], &[]);
             assert!(runnable(&tasks, A));
             for t in [A, B] {
                 let got = poll_on_lane(ctx, &mut tasks, &mut lanes, t);

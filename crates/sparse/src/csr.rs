@@ -199,7 +199,7 @@ impl Csr {
         }
     }
 
-    /// `y += A x` (used by the distributed diag/offd split).
+    /// `y += A x`.
     pub fn spmv_add_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols, "x length mismatch");
         assert_eq!(y.len(), self.n_rows, "y length mismatch");

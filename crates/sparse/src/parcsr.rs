@@ -118,11 +118,38 @@ impl ParCsr {
     /// `y = A_local · [x_local ; x_ghost]`, where `x_ghost[i]` is the value
     /// of global column `col_map_offd[i]`.
     pub fn spmv(&self, x_local: &[f64], x_ghost: &[f64]) -> Vec<f64> {
-        assert_eq!(x_local.len(), self.local_rows());
-        assert_eq!(x_ghost.len(), self.n_ghost());
-        let mut y = self.diag.spmv(x_local);
-        self.offd.spmv_add_into(x_ghost, &mut y);
-        y
+        self.check_operands(x_local, x_ghost);
+        (0..self.local_rows())
+            .map(|r| self.row_product(r, x_local, x_ghost))
+            .collect()
+    }
+
+    /// [`ParCsr::spmv`] into a caller-provided buffer of `local_rows()`.
+    pub fn spmv_into(&self, x_local: &[f64], x_ghost: &[f64], y: &mut [f64]) {
+        self.check_operands(x_local, x_ghost);
+        assert_eq!(y.len(), self.local_rows(), "y length mismatch");
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = self.row_product(r, x_local, x_ghost);
+        }
+    }
+
+    fn check_operands(&self, x_local: &[f64], x_ghost: &[f64]) {
+        assert_eq!(x_local.len(), self.local_rows(), "x_local length mismatch");
+        assert_eq!(x_ghost.len(), self.n_ghost(), "x_ghost length mismatch");
+    }
+
+    /// Row `r` of the product: its diag part and its offd part, each
+    /// summed from `0.0` in index order, then added — the arithmetic of
+    /// `diag.spmv` followed by `offd.spmv_add_into`, in one pass.
+    #[inline]
+    fn row_product(&self, r: usize, x_local: &[f64], x_ghost: &[f64]) -> f64 {
+        let dot = |m: &Csr, x: &[f64]| {
+            let (cols, vals) = m.row(r);
+            cols.iter()
+                .zip(vals)
+                .fold(0.0, |acc, (&c, &v)| acc + v * x[c])
+        };
+        dot(&self.diag, x_local) + dot(&self.offd, x_ghost)
     }
 }
 

@@ -132,6 +132,57 @@ fn generators_match_triplet_assembly() {
     }
 }
 
+/// A value, often a signed zero.
+fn arb_val() -> impl Strategy<Value = f64> {
+    (0usize..8, -10.0f64..10.0).prop_map(|(k, v)| match k {
+        0 => -0.0,
+        1 => 0.0,
+        _ => v,
+    })
+}
+
+/// A random split of one rank's rows: a `rows × rows` diag block and a
+/// `rows × ghosts` offd block (`ghosts` may be 0), any row of either
+/// possibly empty, with operands for both.
+fn arb_split() -> impl Strategy<Value = (ParCsr, Vec<f64>, Vec<f64>)> {
+    (1usize..12, 0usize..5).prop_flat_map(|(rows, ghosts)| {
+        let block = move |cols: usize| {
+            prop::collection::vec((0..rows, 0..cols.max(1), arb_val()), 0..3 * rows).prop_map(
+                move |entries| {
+                    let mut coo = Coo::new(rows, cols);
+                    for (r, c, v) in entries.into_iter().filter(|_| cols > 0) {
+                        coo.push(r, c, v);
+                    }
+                    Csr::from_coo(&coo)
+                },
+            )
+        };
+        let x = |n: usize| prop::collection::vec(arb_val(), n);
+        (block(rows), block(ghosts), x(rows), x(ghosts)).prop_map(move |(diag, offd, xl, xg)| {
+            let par = ParCsr {
+                part: Partition::block(rows, 1),
+                rank: 0,
+                diag,
+                offd,
+                col_map_offd: (rows..rows + ghosts).collect(),
+                global_cols: rows + ghosts,
+            };
+            (par, xl, xg)
+        })
+    })
+}
+
+/// The product as two passes: `diag` into `y`, then `offd` added on.
+fn two_pass(par: &ParCsr, xl: &[f64], xg: &[f64]) -> Vec<f64> {
+    let mut y = par.diag.spmv(xl);
+    par.offd.spmv_add_into(xg, &mut y);
+    y
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     /// Direct stencil assembly is bit-identical to the triplet assembly,
     /// in 3-D and in 2-D.
@@ -269,6 +320,41 @@ proptest! {
                 pkgs[rank].recvs.iter().flat_map(|(_, v)| v.iter().copied()).collect();
             recv_all.sort_unstable();
             prop_assert_eq!(recv_all, par.col_map_offd.clone());
+        }
+    }
+
+    /// `ParCsr::spmv` and `spmv_into` are one pass, bit-identical to the
+    /// two-pass product on random splits: empty rows, no ghosts, signed
+    /// zeros in the matrix and in both operands.
+    #[test]
+    fn one_pass_spmv_matches_two_pass_bit_for_bit((par, xl, xg) in arb_split()) {
+        let want = bits(&two_pass(&par, &xl, &xg));
+        prop_assert_eq!(bits(&par.spmv(&xl, &xg)), want.clone());
+        let mut y = vec![f64::NAN; par.local_rows()];
+        par.spmv_into(&xl, &xg, &mut y);
+        prop_assert_eq!(bits(&y), want);
+    }
+
+    /// The same on whole matrices split by `from_global`: balanced blocks,
+    /// one rank (no ghosts) and ranks with no rows.
+    #[test]
+    fn one_pass_spmv_matches_two_pass_after_from_global(
+        entries in prop::collection::vec((0usize..14, 0usize..14, arb_val()), 0..60),
+        n in 1usize..14,
+        p in 1usize..8,
+        x in prop::collection::vec(arb_val(), 14),
+    ) {
+        let mut coo = Coo::new(n, n);
+        for (r, c, v) in entries.into_iter().filter(|&(r, c, _)| r < n && c < n) {
+            coo.push(r, c, v);
+        }
+        let a = Csr::from_coo(&coo);
+        let part = Partition::block(n, p);
+        for rank in 0..p {
+            let par = ParCsr::from_global(&a, &part, rank);
+            let xl = &x[part.range(rank)];
+            let xg: Vec<f64> = par.col_map_offd.iter().map(|&c| x[c]).collect();
+            prop_assert_eq!(bits(&par.spmv(xl, &xg)), bits(&two_pass(&par, xl, &xg)));
         }
     }
 }

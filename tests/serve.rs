@@ -133,6 +133,44 @@ fn warm_pool_accepts_successive_rounds() {
     }
 }
 
+/// One job object submitted again and again returns its reference bytes
+/// every time, on every fabric: alone; twice in one call, on two lanes at
+/// once; after another tenant on the same lane; and alone again. Nothing a
+/// run leaves — in the job's per-rank constants, which every run of it
+/// reads, or in a lane's outputs, which pass from job to job — reaches
+/// the next run.
+#[test]
+fn a_resubmitted_job_returns_its_reference_bytes_every_time() {
+    let jobs = tenant_jobs(3);
+    let (job, a, b) = (&jobs[0], &jobs[1], &jobs[2]);
+    let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        v.iter()
+            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    };
+    // two lanes: in the third call the job takes the lane `a` ran on
+    let calls: [Vec<&Arc<JacobiJob>>; 4] =
+        [vec![job], vec![job, job], vec![job, a, b, job], vec![job]];
+    for fabric in Fabric::ALL {
+        let pool = WorldConfig::new(fabric).pool(RANKS);
+        let mut svc = SolveService::with_pool(pool).max_concurrent(2);
+        for (c, call) in calls.iter().enumerate() {
+            let call: Vec<Arc<JacobiJob>> = call.iter().map(|&j| Arc::clone(j)).collect();
+            submit_all(&mut svc, &call);
+            let reports = svc.run_pending();
+            assert_eq!(reports.len(), call.len());
+            for (k, (rep, j)) in reports.iter().zip(&call).enumerate() {
+                let label = format!("{}: call {c}, job {k}", fabric.name());
+                let got = rep
+                    .outcome
+                    .as_ref()
+                    .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+                assert_eq!(bits(got), bits(&j.reference_results()), "{label}");
+            }
+        }
+    }
+}
+
 /// The kill points of a scan: the four `fixed` ones, then every 10th op
 /// of the epoch's first 200.
 fn kill_scan(fixed: [u64; 4]) -> impl Iterator<Item = u64> {
