@@ -92,7 +92,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, the rustdoc link gate, and nine grep rules. Docs:
+# clippy, formatting, the rustdoc link gate, and ten grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
 # comment still links to fails here, and no documented item links to a
@@ -103,18 +103,30 @@ clippy:
 # (DESIGN.md §7), so no file of mpisim
 # issues a condvar notify or a futex wake but the one park-point file of
 # every fabric (transport/park.rs) and what wakes something other than a
-# rank — the shm control plane (shm/segment.rs: the epoch command word,
-# the barrier), the sock control inbox (sock/control.rs), the pool's
-# epoch hand-off (runtime.rs) and the shm outbox flusher (`outbox.cv`).
-# A sock link thread sleeps only in its `poll`, woken by a byte on its
-# wake pair, so no sock link file issues a notify either.
-# Sleeps: the data path sleeps one way, `park_until` on a `ParkWords`
-# (DESIGN.md §7), so no file of mpisim calls `futex::wait` but
-# transport/park.rs and the shm control plane (shm/segment.rs); and a
-# fabric hands out a park point instead of blocking a receiver, so in the
-# non-test code of mpisim (each file up to its `#[cfg(test)]`) only
-# state.rs (the two receive loops), transport/park.rs and
-# transport/shm/ring.rs (a full push) call `park_until(`.
+# rank — the sock control inbox (sock/control.rs) and the pool's epoch
+# hand-off (runtime.rs) — with no exemption inside any other file. The
+# shm control plane wakes park points too, and a sock link thread and
+# the accept thread sleep only in their `poll`, woken by a byte on their
+# wake pair, so neither issues a notify.
+# Sleeps: a rank sleeps one way, `park_until` on a `ParkWords` (DESIGN.md
+# §7), so no file of mpisim calls `futex::wait` but transport/park.rs;
+# and a fabric hands out a park point instead of blocking a rank, so in
+# the non-test code of mpisim (each file up to its `#[cfg(test)]`) only
+# state.rs (`WorldState::park`, every rank wait: receives, a full shm
+# ring, the epoch-end wait), transport/park.rs and transport/shm/segment.rs
+# (the shm control plane's waits, on the same park points) call
+# `park_until(`.
+# Clocks: traffic advances only while a rank is inside the library
+# (DESIGN.md §7), so no helper thread polls on a wall clock: the non-test
+# code of mpisim (each file up to its `#[cfg(test)]`, comment lines
+# aside) calls `thread::sleep(`, `.wait_for(` or `wait_timeout(` only at
+# the named sites of CLOCK_SITES — the fault plan's delay injection
+# (fault.rs), dial backoff (sock/link.rs), segment-create and attach
+# backoff (shm/segment.rs), the deadline-bounded control waits (the sock
+# control inbox's stall period, a loopback drain's flush token and the
+# exit-time flush: sock/control.rs, sock/mod.rs) and the process-world
+# watchdog, which polls child exit for want of an event source
+# (remote.rs).
 # Blocking: a request blocks in `wait` and a rank in the scheduler's park,
 # never inside `start`, `test` or a task's poll (DESIGN.md §7, §12), so
 # the non-test code of core and service (each file up to its
@@ -138,9 +150,18 @@ clippy:
 # comment lines aside) names `Workers`, calls into a `workers.` handle or
 # says `respawn`
 BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
-WAKE_FILES := runtime|transport/park|transport/shm/segment|transport/sock/control
-SLEEP_FILES := transport/park|transport/shm/segment
-PARK_FILES := state|transport/park|transport/shm/ring
+WAKE_FILES := runtime|transport/park|transport/sock/control
+SLEEP_FILES := transport/park
+PARK_FILES := state|transport/park|transport/shm/segment
+CLOCK_SITES := \
+	-e '^crates/mpisim/src/transport/fault\.rs:[0-9]+: *std::thread::sleep\(Duration::from_micros\(us\)\);$$' \
+	-e '^crates/mpisim/src/transport/sock/link\.rs:[0-9]+: *std::thread::sleep\(cfg\.delay\(attempt\)\);$$' \
+	-e '^crates/mpisim/src/transport/shm/segment\.rs:[0-9]+: *std::thread::sleep\(std::time::Duration::from_millis\(1 \+ attempt\)\);$$' \
+	-e '^crates/mpisim/src/transport/shm/segment\.rs:[0-9]+: *std::thread::sleep\(std::time::Duration::from_millis\(10 \* attempt as u64\)\);$$' \
+	-e '^crates/mpisim/src/transport/sock/control\.rs:[0-9]+: *if self\.ctrl\.cv\.wait_for\(&mut st, period\)\.timed_out\(\) \{$$' \
+	-e '^crates/mpisim/src/transport/sock/control\.rs:[0-9]+: *std::thread::sleep\(Duration::from_millis\(1\)\);$$' \
+	-e '^crates/mpisim/src/transport/sock/mod\.rs:[0-9]+: *if self\.ctrl\.cv\.wait_for\(&mut st, left\)\.timed_out\(\) \{$$' \
+	-e '^crates/mpisim/src/transport/remote\.rs:[0-9]+: *std::thread::sleep\(Duration::from_millis\(10\)\);$$'
 BLOCKING_CALLS := wait_take|wait_with|\.recv\(|\.barrier\(|allreduce
 EXEC_LOCKS := RwLock|Mutex|\.write\(\)|\.read\(\)
 lint: clippy
@@ -150,7 +171,7 @@ lint: clippy
 	@if grep -rn 'std::env' crates/mpisim/src --include='*.rs' | grep -v '^crates/mpisim/src/env.rs:'; then \
 		echo "error: mpisim touches std::env outside crates/mpisim/src/env.rs"; exit 1; fi
 	@if grep -rnE 'notify_all|notify_one|futex::wake_all' crates/mpisim/src --include='*.rs' \
-		| grep -vE '^crates/mpisim/src/($(WAKE_FILES))\.rs:' | grep -v 'outbox\.cv\.'; then \
+		| grep -vE '^crates/mpisim/src/($(WAKE_FILES))\.rs:'; then \
 		echo "error: mpisim wakes a thread outside a park point (see the lint rule in Makefile)"; exit 1; fi
 	@if grep -rn 'futex::wait' crates/mpisim/src --include='*.rs' \
 		| grep -vE '^crates/mpisim/src/($(SLEEP_FILES))\.rs:'; then \
@@ -158,7 +179,11 @@ lint: clippy
 	@if for f in $$(find crates/mpisim/src -name '*.rs'); do \
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep 'park_until(' | grep -vE '^crates/mpisim/src/($(PARK_FILES))\.rs:'; then \
-		echo "error: mpisim parks outside its receive loops and the shm ring (see the lint rule in Makefile)"; exit 1; fi
+		echo "error: mpisim parks outside WorldState and the shm control plane (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find crates/mpisim/src -name '*.rs'); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} !/^[[:space:]]*\/\// {print f ":" FNR ":" $$0}' $$f; done \
+		| grep -E 'thread::sleep\(|\.wait_for\(|wait_timeout\(' | grep -vE $(CLOCK_SITES); then \
+		echo "error: mpisim waits on a clock outside its named sites (see the lint rule in Makefile)"; exit 1; fi
 	@if for f in $$(find crates/core/src crates/service/src -name '*.rs' ! -name proptests.rs); do \
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -E '$(BLOCKING_CALLS)'; then \

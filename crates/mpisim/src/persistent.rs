@@ -58,7 +58,7 @@ impl<T: Elem> SendChan<T> {
             .inject(ctx.rank, crate::transport::FaultOp::ChanPush);
         let arrival = ctx.charge_send(self.dst_world, self.len * elem_bytes::<T>());
         let len = self.len;
-        self.chan.push_with(arrival, |buf| {
+        let fill = |buf: &mut Vec<T>| {
             fill(buf);
             assert_eq!(
                 buf.len(),
@@ -66,7 +66,10 @@ impl<T: Elem> SendChan<T> {
                 "persistent send fill produced {} elements, registered {len}",
                 buf.len(),
             );
-        });
+        };
+        let (world, rank) = (&ctx.world, ctx.rank);
+        self.chan
+            .push_with(arrival, fill, &|raw, push| world.wait_room(rank, raw, push));
     }
 
     pub fn dst(&self) -> usize {

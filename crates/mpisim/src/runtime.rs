@@ -22,6 +22,7 @@ use parking_lot::{Condvar, Mutex};
 use perfmodel::CostModel;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Structured failure of one pooled epoch (see [`WorldPool::try_run`]):
@@ -283,6 +284,10 @@ struct PoolShared {
     /// a second concurrent caller cannot install its epoch between the
     /// first epoch's completion and its result collection.
     epoch_lock: Mutex<()>,
+    /// Ranks whose closure has returned this epoch, and those of them
+    /// still pushing queued sends, whom the last to return wakes.
+    returned: AtomicUsize,
+    draining: AtomicUsize,
 }
 
 /// A persistent SPMD world: rank threads spawned once and reused for many
@@ -324,6 +329,8 @@ impl WorldPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             epoch_lock: Mutex::new(()),
+            returned: AtomicUsize::new(0),
+            draining: AtomicUsize::new(0),
         });
         let handles = (0..n)
             .map(|rank| {
@@ -361,6 +368,17 @@ impl WorldPool {
                 // peers blocked on this rank's messages must not wait
                 // forever: their stall probes see the flag and abort
                 shared.state.note_rank_panic(Some(rank));
+            }
+            // queued sends must reach running ranks; the last to return wakes
+            let (state, n) = (&shared.state, shared.state.n_ranks);
+            let last = shared.returned.fetch_add(1, Ordering::SeqCst) + 1 == n;
+            if last && shared.draining.load(Ordering::SeqCst) > 0 {
+                state.wake_ranks();
+            }
+            if !state.progress(rank) {
+                shared.draining.fetch_add(1, Ordering::SeqCst);
+                state.drain_outbound(rank, &|| shared.returned.load(Ordering::SeqCst) == n);
+                shared.draining.fetch_sub(1, Ordering::SeqCst);
             }
             // drop this worker's job handle BEFORE reporting completion:
             // `run` may only return once no worker can still hold (and
@@ -459,6 +477,7 @@ impl WorldPool {
         let mut ctrl = self.shared.ctrl.lock();
         debug_assert_eq!(ctrl.remaining, 0, "epoch_lock held with ranks in flight");
         self.shared.state.clear_rank_panic();
+        self.shared.returned.store(0, Ordering::SeqCst);
         ctrl.job = Some(job);
         ctrl.epoch += 1;
         // mirror the epoch id into the world so stall reports can name it

@@ -13,7 +13,7 @@
 use crate::elem::{kind_name, Elem};
 use crate::stall::{RankWait, RegistryGauge, StallReport};
 use crate::transport::park::park_until;
-use crate::transport::shm::ring::ShmChan;
+use crate::transport::shm::ring::{Room, ShmChan};
 use crate::transport::sock::chan::SockChan;
 use crate::transport::thread::ThreadChan;
 use crate::transport::{
@@ -220,12 +220,13 @@ enum ChanImp<T> {
 }
 
 impl<T: Elem> Channel<T> {
-    /// The channel for `key` over the storage its fabric chose.
-    fn new(key: ChanKey, fabric: ChanFabric) -> Self {
+    /// The channel for `key` over the storage its fabric chose; `len`, the
+    /// registered length, sizes its new payload buffers.
+    fn new(key: ChanKey, fabric: ChanFabric, len: usize) -> Self {
         let imp = match fabric {
-            ChanFabric::Local(park) => ChanImp::Thread(ThreadChan::new(park)),
-            ChanFabric::Shm(raw, row) => ChanImp::Shm(ShmChan::new(raw, row)),
-            ChanFabric::Sock(wire) => ChanImp::Sock(SockChan::new(key, wire)),
+            ChanFabric::Local(park) => ChanImp::Thread(ThreadChan::new(park, len)),
+            ChanFabric::Shm(raw, row) => ChanImp::Shm(ShmChan::new(raw, row, len)),
+            ChanFabric::Sock(wire) => ChanImp::Sock(SockChan::new(key, wire, len)),
         };
         Self { key, imp }
     }
@@ -245,7 +246,8 @@ impl<T: Elem> Channel<T> {
     /// iterations ahead; the shm ring bounds that depth by its capacity).
     #[cfg(test)]
     pub fn push(&self, data: &[T], arrival: f64) {
-        self.push_with(arrival, |buf| buf.extend_from_slice(data));
+        let full: Room = &|_, _| panic!("a test channel filled up");
+        self.push_with(arrival, |buf| buf.extend_from_slice(data), full);
     }
 
     /// Deposit one message by filling the channel's recycled payload buffer
@@ -254,10 +256,11 @@ impl<T: Elem> Channel<T> {
     /// straight into the wire buffer instead of staging them in their own
     /// window first. `fill` may run under the channel's lock: it must not
     /// touch a channel itself. `arrival` is dropped off the thread fabric.
-    pub fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
+    /// A full shm ring parks the sender in `room` ([`WorldState::wait_room`]).
+    pub fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>), room: Room<'_>) {
         match &self.imp {
             ChanImp::Thread(c) => c.push_with(arrival, fill),
-            ChanImp::Shm(c) => c.push_with(fill),
+            ChanImp::Shm(c) => c.push_with(fill, room),
             ChanImp::Sock(c) => c.push_with(fill),
         }
     }
@@ -691,8 +694,69 @@ impl WorldState {
             }
         };
         let scan = || Self::poll_any_from(chans, start);
-        let point = self.transport.enter_wait(global_rank);
-        park_until(point, PARK_SPIN, scan, &stall)
+        self.park(global_rank, PARK_SPIN, scan, &stall)
+    }
+
+    /// Every rank wait: `spin` run-queue turns on `ready`, then park until
+    /// it yields, pushing the rank's queued sends ([`Transport::progress`])
+    /// at every check from there on — only then, so a spinning rank pays
+    /// nothing for a fabric that never queues.
+    ///
+    /// Channel waits spin [`PARK_SPIN`] turns. Plain receives — what
+    /// barrier and allreduce are made of — spin none: a rank spinning in a
+    /// barrier takes the CPU from the ranks that have not reached it yet,
+    /// and when those are still registering (a re-init loop closing on a
+    /// barrier) registration pays for it. Measured with warm registration
+    /// passes running side by side and plain receives at `PARK_SPIN`, 3
+    /// alternating runs a side on a 2-core box, `init_ms` rose on every
+    /// thread-fabric workload that times it: `halo_bulk_16r` 0.0137 →
+    /// 0.0185 ms, `amg_batch_16r` 0.0729 → 0.1217, `halo_small_16r` 0.0173
+    /// → 0.0292.
+    fn park<R>(
+        &self,
+        rank: usize,
+        spin: u32,
+        ready: impl Fn() -> Option<R>,
+        stall: &dyn Fn(),
+    ) -> R {
+        let point = self.transport.enter_wait(rank);
+        for _ in 0..spin {
+            if let Some(r) = ready() {
+                return r;
+            }
+            std::thread::yield_now();
+        }
+        let ready = || {
+            self.progress(rank);
+            ready()
+        };
+        park_until(point, ready, stall)
+    }
+
+    /// [`Transport::progress`]: `true` once `rank` has nothing queued.
+    pub(crate) fn progress(&self, rank: usize) -> bool {
+        self.transport.progress(rank)
+    }
+
+    /// A returned rank's epoch-end wait: push its queued sends until none
+    /// is left or `released` (all ranks returned: [`WorldState::wake_ranks`]).
+    pub(crate) fn drain_outbound(&self, rank: usize, released: &dyn Fn() -> bool) {
+        let done = || (self.progress(rank) || released()).then_some(());
+        self.park(rank, 0, done, &|| {});
+    }
+
+    /// Park `rank` until `push` goes in, named as waiting on the full shm
+    /// ring `raw`, so every pop notifies it.
+    pub(crate) fn wait_room(&self, rank: usize, raw: &ShmChanRaw, push: &dyn Fn() -> bool) {
+        raw.set_waiting(Some(rank));
+        let guard = self.begin_wait(rank, "full shm ring", WaitChans::Keys(&[]));
+        self.park(rank, 0, || push().then_some(()), &|| guard.tick());
+        raw.set_waiting(None);
+    }
+
+    /// Notify every rank's park point, as a deposit would.
+    pub(crate) fn wake_ranks(&self) {
+        (0..self.n_ranks).for_each(|r| self.transport.park_point(r).notify());
     }
 
     /// Record that a rank of the current epoch panicked (pool worker).
@@ -750,7 +814,7 @@ impl WorldState {
             .entry((src, dst, tag))
             .or_insert_with(|| {
                 let fabric = transport.make_channel(key, dst_world, T::KIND, len_hint);
-                Arc::new(Channel::<T>::new(key, fabric))
+                Arc::new(Channel::<T>::new(key, fabric, len_hint))
             });
         typed(slot, key)
     }
@@ -844,7 +908,7 @@ impl WorldState {
             );
         };
         let take = || self.transport.try_match(global_dst, ctx_id, src, tag);
-        park_until(self.transport.enter_wait(global_dst), 0, take, &stall)
+        self.park(global_dst, 0, take, &stall)
     }
 }
 

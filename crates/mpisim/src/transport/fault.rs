@@ -8,7 +8,10 @@
 //!   (`deposit`, a matched receive, channel push/pop) and at the entry of
 //!   every wait (`Transport::enter_wait`), shaking out scan-then-park races;
 //! * **reorder** — a chosen deposit is *held* and released after later
-//!   traffic, emulating flusher-batch reordering. Holding is tag-legal:
+//!   traffic: by the next deposit, receive try or park-loop check in its
+//!   process (`Transport::progress`, which a returning rank's epoch-end
+//!   wait runs too), or at once when its receiver already has its park
+//!   flag up — no helper thread, no clock. Holding is tag-legal:
 //!   two envelopes with equal `(src, dst, ctx, tag)` are never swapped
 //!   (MPI non-overtaking), only cross-signature overtaking is provoked;
 //! * **drop** — a chosen deposit first severs the link it is about to
@@ -47,7 +50,7 @@ use super::{ChanFabric, FaultOp, Transport};
 use crate::stall::StallReport;
 use crate::state::{ChanKey, Envelope};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -237,12 +240,6 @@ pub(crate) struct FaultTransport {
     ops: Vec<AtomicU64>,
     /// At most one deposit held back for reordering at a time.
     held: Mutex<Option<Held>>,
-    /// Background releaser for the held deposit: a receiver already parked
-    /// tries again only when a deposit wakes it or its stall period ends,
-    /// so without this thread a deposit held for an already-parked
-    /// receiver waits out that receiver's stall period.
-    shutdown: Arc<AtomicBool>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl FaultTransport {
@@ -256,31 +253,12 @@ impl FaultTransport {
         if plan.is_noop() {
             return inner;
         }
-        let t = Arc::new(FaultTransport {
+        Arc::new(FaultTransport {
             inner,
             plan,
             ops: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
             held: Mutex::new(None),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            flusher: Mutex::new(None),
-        });
-        if t.plan.reorder_permille > 0 {
-            let weak = Arc::downgrade(&t);
-            let shutdown = Arc::clone(&t.shutdown);
-            let h = std::thread::Builder::new()
-                .name("mpisim-fault-flusher".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(1));
-                        if let Some(t) = weak.upgrade() {
-                            t.flush_held();
-                        }
-                    }
-                })
-                .expect("spawn fault flusher");
-            *t.flusher.lock() = Some(h);
-        }
-        t
+        })
     }
 
     fn chance(&self, salt: u64, rank: usize, op: u64, permille: u16) -> Option<u64> {
@@ -323,16 +301,21 @@ impl FaultTransport {
             self.inner.deposit(s, d, e);
         }
     }
-}
 
-impl Drop for FaultTransport {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.flusher.get_mut().take() {
-            let _ = h.join();
+    /// Hold `env` (releasing the previous one). Then, as a deposit would,
+    /// tell its receiver: release it at once if the receiver is parked,
+    /// else bump its park point, so a park it is about to enter fails and
+    /// its next check (`try_match` flushes) finds the hold.
+    fn hold(&self, src: usize, dst: usize, env: Envelope) {
+        let prev = self.held.lock().replace((src, dst, env));
+        if let Some((s, d, e)) = prev {
+            self.inner.deposit(s, d, e);
         }
-        // a still-held envelope belongs to an abandoned epoch; drop it
-        // (drain_in_flight semantics)
+        let point = self.inner.park_point(dst);
+        match point.parked() {
+            true => self.flush_held(),
+            false => point.notify(),
+        }
     }
 }
 
@@ -358,13 +341,7 @@ impl Transport for FaultTransport {
             .chance(SALT_REORDER, src_world, n, self.plan.reorder_permille)
             .is_some()
         {
-            // hold this deposit; release any previously held one first so
-            // at most one envelope is ever in limbo
-            let prev = self.held.lock().replace((src_world, dst_world, env));
-            if let Some((s, d, e)) = prev {
-                self.inner.deposit(s, d, e);
-            }
-            return;
+            return self.hold(src_world, dst_world, env);
         }
         let prev = self.held.lock().take();
         match prev {
@@ -403,11 +380,14 @@ impl Transport for FaultTransport {
         self.inner.try_match(global_dst, ctx_id, src, tag)
     }
 
+    fn park_point(&self, rank: usize) -> &ParkWords {
+        self.inner.park_point(rank)
+    }
+
     fn enter_wait(&self, rank: usize) -> &ParkWords {
         // not counted: whether a rank parks at all depends on timing
         let n = self.ops[rank].load(Ordering::Relaxed);
         self.delay(rank, n);
-        self.flush_held();
         if self
             .chance(SALT_SPURIOUS, rank, n, self.plan.spurious_permille)
             .is_some()
@@ -450,6 +430,11 @@ impl Transport for FaultTransport {
 
     fn peer_failure(&self) -> Option<String> {
         self.inner.peer_failure()
+    }
+
+    fn progress(&self, rank: usize) -> bool {
+        self.flush_held(); // un-counted: how often a rank checks is timing
+        self.inner.progress(rank)
     }
 
     fn inject(&self, rank: usize, op: FaultOp) {
@@ -498,7 +483,7 @@ mod tests {
     /// A blocking receive from rank 0 at the transport level: `dst` tries
     /// the match, parking between tries.
     fn take_blocking(t: &dyn Transport, dst: usize, tag: u64) -> (Envelope, usize) {
-        park_until(t.enter_wait(dst), 0, || t.try_match(dst, 0, 0, tag), &|| {})
+        park_until(t.enter_wait(dst), || t.try_match(dst, 0, 0, tag), &|| {})
     }
 
     #[test]
@@ -585,9 +570,10 @@ mod tests {
     #[test]
     fn held_deposit_reaches_a_parked_receiver() {
         // the receiver parks FIRST; the lone deposit is then held, and no
-        // further traffic comes to release it. (That the flusher releases it
-        // before the receiver's stall period ends is checked with a long
-        // period in tests/indirect_wakes.rs.)
+        // further traffic comes to release it: the holder sees the
+        // receiver's park flag and releases it. (That this happens before
+        // the receiver's stall period ends is checked with a long period in
+        // tests/indirect_wakes.rs.)
         let t = wrapped(2, FaultPlan::seeded(5).reorder(1000));
         let t2 = Arc::clone(&t);
         let recv = std::thread::spawn(move || {

@@ -30,10 +30,8 @@
 //!
 //! Whatever a rank is blocked on, it sleeps in one place on every fabric:
 //! its `park::ParkWords`, a futex word (`futex`), through
-//! `park::park_until`, which only `WorldState` calls for a receive — a
-//! fabric hands out the park point and never blocks a receiver itself
-//! (DESIGN.md §7). The one other sleeper is a producer facing a full shm
-//! ring, on the ring's own `ParkWords`.
+//! `park::park_until`, which `WorldState` calls — a fabric hands out the
+//! park point and never blocks a rank itself (DESIGN.md §7).
 //!
 //! `fault::FaultTransport` wraps any of them under a seeded fault plan.
 //! [`remote::RemoteWorld`] runs ranks as re-exec'd worker processes over
@@ -59,8 +57,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Turns of the run queue a blocked party lets pass before it parks in the
-/// kernel — a receive on a persistent channel or a set of them (the `spin`
-/// `WorldState::wait_any` gives [`park::park_until`]) and both sock link
+/// kernel — a receive on a persistent channel or a set of them (the spin
+/// `WorldState::wait_any` runs before it parks) and the sock link
 /// threads. In the steady state
 /// the matching send is usually a runnable peer away, so cycling the run
 /// queue a few times picks the message up for the cost of a `sched_yield`
@@ -145,14 +143,22 @@ pub(crate) trait Transport: Send + Sync {
         tag: u64,
     ) -> Option<(Envelope, usize)>;
 
-    /// Enter one wait of `rank`, returning where it sleeps: the park point
-    /// every deposit addressed to it notifies, on which
-    /// [`crate::state::WorldState`] parks it between tries of a receive
-    /// (DESIGN.md §7). Not an accessor: call it exactly once per wait,
-    /// before the wait's first readiness check, because a wrapper may
-    /// perturb there (the fault wrapper delays, releases its held deposit
-    /// and yields).
-    fn enter_wait(&self, rank: usize) -> &ParkWords;
+    /// Where `rank` sleeps: the park point every deposit addressed to it
+    /// notifies (DESIGN.md §7).
+    fn park_point(&self, rank: usize) -> &ParkWords;
+
+    /// Enter one wait of `rank`, returning its park point. Call it once per
+    /// wait, before its first readiness check: a fabric may act there (the
+    /// fault wrapper delays and yields).
+    fn enter_wait(&self, rank: usize) -> &ParkWords {
+        self.park_point(rank)
+    }
+
+    /// Push what `rank`'s plain sends left queued (shm spill, a held
+    /// deposit); `true` once none is left. Each park-loop check calls it.
+    fn progress(&self, _rank: usize) -> bool {
+        true
+    }
 
     /// Fabric hook for persistent-channel creation: where the channel's
     /// wire buffers live. `dst_world` is the receiving side's world rank

@@ -3,11 +3,9 @@
 //! on every fabric. The thread fabric allocates one [`ParkWords`] per rank
 //! (the sock fabric's receive half is a thread fabric, so it shares them);
 //! the shm fabric keeps them in its segment, so any process can wake any
-//! rank. Every deposit addressed to a rank calls [`ParkWords::notify`];
-//! the rank sleeps through [`park_until`], which `WorldState` calls for a
-//! receive. The one other sleeper is the producer of a full shm ring, on
-//! the ring header's own `ParkWords`, which every pop notifies. DESIGN.md
-//! §7 states the handshake.
+//! rank. Every deposit addressed to a rank calls [`ParkWords::notify`],
+//! and so does a pop from an shm ring the rank waits for room on; the
+//! rank sleeps through [`park_until`]. DESIGN.md §7 states the handshake.
 
 use super::futex;
 use crate::stall::ParkCounts;
@@ -61,6 +59,11 @@ impl ParkWords {
         }
     }
 
+    /// Whether the rank has its flag up: committed to sleeping, or asleep.
+    pub(crate) fn parked(&self) -> bool {
+        self.seq.load(Ordering::SeqCst) & PARKED != 0
+    }
+
     /// The current deposit generation. Read it BEFORE checking readiness:
     /// a deposit racing the check moves it, and [`ParkWords::park_past`]
     /// then returns without sleeping.
@@ -94,35 +97,18 @@ impl ParkWords {
 }
 
 /// Block the calling rank on `point` until `ready` yields: the one sleep
-/// of the data path, each caller with its own readiness check — a matched
-/// plain receive and a `wait_any` over a set of channels (a blocking take
-/// on one channel parks there too), both run by `WorldState` on the
-/// rank's park point, and a push into a full shm ring, on the ring's.
-/// `spin` yields first, then park; `stall` runs whenever a park ends with
-/// nothing deposited (it aborts on peer death, deadline expiry and mixed
-/// plain/persistent traffic).
-///
-/// Channel waits spin [`super::PARK_SPIN`] turns. Plain receives — what
-/// barrier and allreduce are made of — spin none: a rank spinning in a
-/// barrier takes the CPU from the ranks that have not reached it yet, and
-/// when those are still registering (a re-init loop closing on a
-/// barrier) registration pays for it. Measured with warm registration
-/// passes running side by side and plain receives at `PARK_SPIN`, 3
-/// alternating runs a side on a 2-core box, `init_ms` rose on every
-/// thread-fabric workload that times it: `halo_bulk_16r` 0.0137 → 0.0185
-/// ms, `amg_batch_16r` 0.0729 → 0.1217, `halo_small_16r` 0.0173 → 0.0292.
+/// of a rank, each caller with its own readiness check — a matched plain
+/// receive, a `wait_any` over a set of channels (a blocking take on one
+/// channel parks there too), a push into a full shm ring and a returned
+/// rank's epoch-end wait, all run by `WorldState`, and the shm control
+/// plane's waits. `stall` runs whenever a park ends with nothing deposited
+/// (it aborts on peer death, deadline expiry and mixed plain/persistent
+/// traffic).
 pub(crate) fn park_until<R>(
     point: &ParkWords,
-    spin: u32,
     mut ready: impl FnMut() -> Option<R>,
     stall: &dyn Fn(),
 ) -> R {
-    for _ in 0..spin {
-        if let Some(r) = ready() {
-            return r;
-        }
-        std::thread::yield_now();
-    }
     loop {
         let seen = point.generation();
         if let Some(r) = ready() {

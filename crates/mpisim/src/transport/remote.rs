@@ -15,7 +15,7 @@
 //! restarted), the child-reaping watchdog, the command-word encoding, the
 //! epoch calls, the deadline on every protocol wait, and shutdown. What
 //! does depend on it sits behind `ControlPlane`, implemented by the shm
-//! `Segment` (a command word and a futex barrier in the segment header)
+//! `Segment` (a command word and a barrier in the segment header)
 //! and the sock mesh (`CMD`/`DONE`/`DEATH` frames over the links).
 //!
 //! Death containment mirrors the thread pool's guarantee: a rank that
@@ -55,18 +55,20 @@ pub(crate) trait ControlPlane: Send + Sync {
     /// Here `stall` also panics once any worker has exited.
     fn bootstrap_driver(&self, stall: &dyn Fn());
 
-    /// Worker: return once this process can reach every peer.
-    fn bootstrap_worker(&self, stall: &dyn Fn());
+    /// Worker `rank`: return once this process can reach every peer.
+    fn bootstrap_worker(&self, rank: usize, stall: &dyn Fn());
 
     /// Driver: make `word` the command every worker sees next.
     fn publish(&self, word: u64);
 
-    /// Worker: block until the driver's command for `epoch` — or the stop
-    /// command — is visible, and return the word.
-    fn await_cmd(&self, epoch: u64, stall: &dyn Fn()) -> u64;
+    /// Worker `rank`: block until the driver's command for `epoch` — or
+    /// the stop command — is visible, and return the word.
+    fn await_cmd(&self, rank: usize, epoch: u64, stall: &dyn Fn()) -> u64;
 
-    /// All ranks: the barrier that closes `epoch`.
-    fn close_epoch(&self, epoch: u64, stall: &dyn Fn());
+    /// All ranks: the barrier that closes `epoch`. While `rank` waits in
+    /// it, it keeps running `drain` (`Transport::progress`): no peer waits
+    /// on a frame its sender stopped pushing.
+    fn close_epoch(&self, epoch: u64, rank: usize, drain: &dyn Fn(), stall: &dyn Fn());
 
     /// Tell every process that `rank` died, so their blocked waits abort.
     fn announce_death(&self, rank: usize);
@@ -222,7 +224,7 @@ impl RemoteWorld {
         };
         let state = world_state(n_ranks, None, transport, None);
         let wait = state.begin_wait(rank, "bootstrap", WaitChans::Keys(&[]));
-        ctl.bootstrap_worker(&|| wait.tick());
+        ctl.bootstrap_worker(rank, &|| wait.tick());
         drop(wait);
         RemoteWorld {
             state,
@@ -282,7 +284,7 @@ impl RemoteWorld {
     /// on the stop command.
     fn await_cmd(&self, epoch: u64) -> Option<usize> {
         let wait = self.guard("epoch-command wait");
-        let word = self.ctl.await_cmd(epoch, &|| wait.tick());
+        let word = self.ctl.await_cmd(self.rank, epoch, &|| wait.tick());
         if word == CMD_STOP {
             return None;
         }
@@ -307,7 +309,9 @@ impl RemoteWorld {
         match result {
             Ok(r) => {
                 let wait = self.guard("epoch barrier");
-                self.ctl.close_epoch(epoch, &|| wait.tick());
+                let drain = || _ = self.state.progress(self.rank);
+                self.ctl
+                    .close_epoch(epoch, self.rank, &drain, &|| wait.tick());
                 r
             }
             Err(p) => {
@@ -392,7 +396,7 @@ impl Drop for RemoteWorld {
             self.ctl.scrub(self.rank);
             std::process::exit(102);
         };
-        let word = self.ctl.await_cmd(self.epoch.get() + 1, &|| {
+        let word = self.ctl.await_cmd(self.rank, self.epoch.get() + 1, &|| {
             if let Some(msg) = self.state.peer_failure() {
                 lost(msg);
             }

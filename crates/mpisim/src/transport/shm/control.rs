@@ -1,7 +1,8 @@
 //! The shm fabric's side of a process world ([`RemoteWorld`]): the segment
-//! header *is* the control plane — a command word with a futex, a
-//! sense-reversing barrier, a death flag, and the pid slots the peers'
-//! liveness sweeps read.
+//! header *is* the control plane — a command word, a sense-reversing
+//! barrier (whose waiters keep pushing their spilled sends), a death flag,
+//! and the pid slots the peers' liveness sweeps read. Its waits park on
+//! the ranks' own park points.
 //!
 //! [`RemoteWorld`]: crate::RemoteWorld
 
@@ -43,14 +44,14 @@ pub(crate) fn join(worker: &Worker, n_ranks: usize) -> Planes {
 impl ControlPlane for Segment {
     /// The attach barrier.
     fn bootstrap_driver(&self, stall: &dyn Fn()) {
-        self.barrier(stall);
+        self.barrier(0, &|| {}, stall);
         // every process holds a mapping now; drop the /dev/shm name so the
         // segment cannot outlive the world
         self.unlink();
     }
 
-    fn bootstrap_worker(&self, stall: &dyn Fn()) {
-        self.barrier(stall); // attach barrier
+    fn bootstrap_worker(&self, rank: usize, stall: &dyn Fn()) {
+        self.barrier(rank, &|| {}, stall); // attach barrier
     }
 
     fn publish(&self, word: u64) {
@@ -59,21 +60,13 @@ impl ControlPlane for Segment {
 
     /// The word lives in the header, so the previous epoch's stays visible
     /// until the driver overwrites it: park past it.
-    fn await_cmd(&self, epoch: u64, stall: &dyn Fn()) -> u64 {
-        loop {
-            let cmd = self.read_cmd();
-            if cmd == CMD_STOP || cmd & EPOCH_MASK >= epoch {
-                return cmd;
-            }
-            self.park_cmd();
-            if self.read_cmd() == cmd {
-                stall(); // nothing moved
-            }
-        }
+    fn await_cmd(&self, rank: usize, epoch: u64, stall: &dyn Fn()) -> u64 {
+        let cmd = || Some(self.read_cmd()).filter(|&c| c == CMD_STOP || c & EPOCH_MASK >= epoch);
+        self.park_rank(rank, cmd, stall)
     }
 
-    fn close_epoch(&self, _epoch: u64, stall: &dyn Fn()) {
-        self.barrier(stall);
+    fn close_epoch(&self, _epoch: u64, rank: usize, drain: &dyn Fn(), stall: &dyn Fn()) {
+        self.barrier(rank, drain, stall);
     }
 
     fn announce_death(&self, rank: usize) {

@@ -5,11 +5,10 @@
 //! receiver-local unexpected queue; persistent channels are byte rings
 //! allocated through the segment's registration table (the pre-matched
 //! handshake); a rank sleeps on one process-shared futex, its
-//! `crate::transport::park::ParkWords` in the segment, and a producer
-//! facing a full ring on the ring's own, each with the fabric-wide stall
-//! period (`MPISIM_STALL_MS`, see `crate::stall::stall_ms`), so every
-//! blocked operation re-probes for peer death (flag + pid sweep) and
-//! aborts loudly instead of deadlocking.
+//! `crate::transport::park::ParkWords` in the segment, with the
+//! fabric-wide stall period (`MPISIM_STALL_MS`, see
+//! `crate::stall::stall_ms`), so every blocked operation re-probes for
+//! peer death (flag + pid sweep) and aborts loudly instead of deadlocking.
 //!
 //! The same transport serves both deployment shapes: rank threads of one
 //! process ([`crate::Fabric::Shm`] under a [`crate::WorldConfig`] — the
@@ -26,10 +25,11 @@ use super::{take_match, ChanFabric, Transport};
 use crate::elem::kind_bytes;
 use crate::stall::{PeerStatus, StallReport};
 use crate::state::{ChanKey, Envelope, Payload};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use ring::ShmChanRaw;
 use segment::Segment;
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Data capacity of each (src, dst) mailbox ring, in bytes (a power of
@@ -56,30 +56,10 @@ struct RecvState {
     partial: Vec<Option<(Envelope, usize)>>,
 }
 
-struct OutboxState {
-    /// Mailbox frames spilled per (src, dst) pair, indexed `src * n + dst`:
-    /// each the payload `ShmChanRaw::try_push` would have written, FIFO
-    /// per pair.
-    pending: Vec<VecDeque<Vec<u8>>>,
-    /// True while a pair has spilled frames (or is mid-drain): deposits
-    /// on that pair must queue behind them to preserve FIFO, and only the
-    /// flusher pushes that ring (keeping it single-producer).
-    spilling: Vec<bool>,
-    /// Total spilled frames across all pairs.
-    live: usize,
-    shutdown: bool,
-}
-
-/// Sender-side spill buffer making `deposit` non-blocking. The thread
-/// transport's deposit never blocks (unbounded mailboxes), so protocols
-/// may legally have every rank send before any rank receives; with
-/// bounded mailbox rings that pattern would deadlock all senders on full
-/// rings. Frames that don't fit are queued here and a dedicated flusher
-/// thread retires them as the receiver drains ring space.
-struct Outbox {
-    state: Mutex<OutboxState>,
-    cv: Condvar,
-}
+/// Per destination, the mailbox frames a rank's plain sends found no ring
+/// room for, in send order: deposit never blocks, as on the thread fabric,
+/// and the sender pushes its spill itself (`Transport::progress`).
+type Spill = Vec<VecDeque<Vec<u8>>>;
 
 pub(crate) struct ShmTransport {
     seg: Arc<Segment>,
@@ -88,8 +68,10 @@ pub(crate) struct ShmTransport {
     /// into it on that rank's receive path, so the queue itself never
     /// crosses a process boundary.
     local_mb: Vec<Mutex<RecvState>>,
-    outbox: Arc<Outbox>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Sender-side spill per world rank, used by its process alone; the
+    /// lock keeps the rank its rings' one producer (a held deposit is
+    /// pushed from another thread).
+    spill: Vec<Mutex<Spill>>,
 }
 
 impl ShmTransport {
@@ -106,22 +88,6 @@ impl ShmTransport {
 
     fn over(seg: Arc<Segment>) -> Self {
         let n = seg.n_ranks();
-        let outbox = Arc::new(Outbox {
-            state: Mutex::new(OutboxState {
-                pending: (0..n * n).map(|_| VecDeque::new()).collect(),
-                spilling: vec![false; n * n],
-                live: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let flusher = {
-            let (seg, outbox) = (Arc::clone(&seg), Arc::clone(&outbox));
-            std::thread::Builder::new()
-                .name("mpisim-shm-flusher".into())
-                .spawn(move || run_flusher(&seg, &outbox))
-                .expect("spawn shm flusher thread")
-        };
         Self {
             seg,
             local_mb: (0..n)
@@ -132,8 +98,9 @@ impl ShmTransport {
                     })
                 })
                 .collect(),
-            outbox,
-            flusher: Mutex::new(Some(flusher)),
+            spill: (0..n)
+                .map(|_| Mutex::new(vec![VecDeque::new(); n]))
+                .collect(),
         }
     }
 
@@ -145,21 +112,32 @@ impl ShmTransport {
         ShmChanRaw::new(Arc::clone(&self.seg), self.seg.mailbox_ring_off(src, dst))
     }
 
-    /// Deliver one mailbox frame on the (src, dst) ring without ever
-    /// blocking: a direct `try_push` when the pair isn't spilling and the
-    /// ring has room, otherwise a spill to the outbox for the flusher.
-    /// Caller holds the outbox lock, which is what serializes the rank's
-    /// deposit path against the flusher (each ring keeps one producer at
-    /// a time; the `spilling` flag only transitions under this lock).
-    fn send_frame(&self, st: &mut OutboxState, src: usize, dst: usize, parts: &[&[u8]]) {
-        let idx = src * self.seg.n_ranks() + dst;
-        if !st.spilling[idx] && self.mailbox_ring(src, dst).try_push(parts) {
-            return;
+    /// Deliver one mailbox frame on the (src, dst) ring without blocking,
+    /// else spill it (the first names `src` as waiting: pops notify it).
+    fn send_frame(&self, sp: &mut Spill, src: usize, dst: usize, parts: &[&[u8]]) {
+        let ring = self.mailbox_ring(src, dst);
+        if sp[dst].is_empty() {
+            if ring.try_push(parts) {
+                return;
+            }
+            ring.set_waiting(Some(src));
         }
-        st.spilling[idx] = true;
-        st.pending[idx].push_back(parts.concat());
-        st.live += 1;
-        self.outbox.cv.notify_one();
+        sp[dst].push_back(parts.concat());
+    }
+
+    /// Push `src`'s spill, FIFO per pair, as far as the rings have room;
+    /// whether all is out.
+    fn flush(&self, src: usize, sp: &mut Spill) -> bool {
+        for (dst, q) in sp.iter_mut().enumerate().filter(|(_, q)| !q.is_empty()) {
+            let ring = self.mailbox_ring(src, dst);
+            while q.front().is_some_and(|f| ring.try_push(&[f])) {
+                q.pop_front();
+            }
+            if q.is_empty() {
+                ring.set_waiting(None);
+            }
+        }
+        sp.iter().all(VecDeque::is_empty)
     }
 
     /// Drain every inbound mailbox ring of `dst` into its local unexpected
@@ -201,49 +179,6 @@ impl ShmTransport {
     }
 }
 
-/// Flusher loop: retire spilled outbox frames into their mailbox rings as
-/// receivers free ring space. `try_push`-only, FIFO per pair; a pair's
-/// `spilling` flag clears (returning it to the direct deposit path) only
-/// once its queue drains, so frame order is preserved. When no frame fits
-/// yet, polls with a short timed wait — simpler than parking one thread
-/// on n² per-ring space futexes, and the deposit side still notifies it
-/// immediately of fresh spills.
-fn run_flusher(seg: &Arc<Segment>, outbox: &Outbox) {
-    let n = seg.n_ranks();
-    let mut st = outbox.state.lock();
-    loop {
-        while st.live == 0 && !st.shutdown {
-            outbox.cv.wait(&mut st);
-        }
-        if st.shutdown {
-            return;
-        }
-        let mut progressed = false;
-        for idx in 0..n * n {
-            if st.pending[idx].is_empty() {
-                continue;
-            }
-            let ring = ShmChanRaw::new(Arc::clone(seg), seg.mailbox_ring_off(idx / n, idx % n));
-            while let Some(f) = st.pending[idx].front() {
-                if !ring.try_push(&[f.as_slice()]) {
-                    break;
-                }
-                st.pending[idx].pop_front();
-                st.live -= 1;
-                progressed = true;
-            }
-            if st.pending[idx].is_empty() {
-                st.spilling[idx] = false;
-            }
-        }
-        if !progressed && st.live > 0 {
-            let _ = outbox
-                .cv
-                .wait_for(&mut st, std::time::Duration::from_micros(500));
-        }
-    }
-}
-
 impl Transport for ShmTransport {
     fn fabric(&self) -> &'static str {
         "shm"
@@ -257,17 +192,18 @@ impl Transport for ShmTransport {
         // single plain send is never bounded by the ring capacity. Each
         // frame gets its own wake so an already-parked receiver starts
         // draining mid-message. Deposit itself NEVER blocks — frames that
-        // don't fit spill to the outbox (see `Outbox`) — matching the
-        // thread transport's unbounded buffered-send semantics: protocols
-        // where every rank sends before any rank receives must not
-        // deadlock on full rings.
+        // don't fit spill (see `Spill`) behind what the rank spilled
+        // before — matching the thread transport's unbounded buffered-send
+        // semantics: protocols where every rank sends before any rank
+        // receives must not deadlock on full rings.
         let first = data.len().min(MAX_CHUNK - ENV_HDR);
-        let mut st = self.outbox.state.lock();
-        self.send_frame(&mut st, src_world, dst_world, &[&hdr, &data[..first]]);
+        let mut sp = self.spill[src_world].lock();
+        self.flush(src_world, &mut sp);
+        self.send_frame(&mut sp, src_world, dst_world, &[&hdr, &data[..first]]);
         let mut off = first;
         while off < data.len() {
             let end = (off + MAX_CHUNK).min(data.len());
-            self.send_frame(&mut st, src_world, dst_world, &[&data[off..end]]);
+            self.send_frame(&mut sp, src_world, dst_world, &[&data[off..end]]);
             off = end;
         }
     }
@@ -284,8 +220,12 @@ impl Transport for ShmTransport {
         take_match(&mut st.q, ctx_id, src, tag)
     }
 
-    fn enter_wait(&self, rank: usize) -> &ParkWords {
+    fn park_point(&self, rank: usize) -> &ParkWords {
         self.seg.park(rank)
+    }
+
+    fn progress(&self, rank: usize) -> bool {
+        self.flush(rank, &mut self.spill[rank].lock())
     }
 
     fn make_channel(
@@ -302,11 +242,8 @@ impl Transport for ShmTransport {
     }
 
     fn drain_in_flight(&self) {
-        {
-            let mut st = self.outbox.state.lock();
-            st.pending.iter_mut().for_each(VecDeque::clear);
-            st.spilling.iter_mut().for_each(|s| *s = false);
-            st.live = 0;
+        for sp in &self.spill {
+            sp.lock().iter_mut().for_each(VecDeque::clear);
         }
         let n = self.seg.n_ranks();
         for dst in 0..n {
@@ -355,13 +292,12 @@ impl Transport for ShmTransport {
                 })
             })
             .collect();
-        report.outbox_depth = self.outbox.state.try_lock().map_or(0, |st| st.live);
+        let spilled = |sp: &Spill| sp.iter().map(VecDeque::len).sum::<usize>();
+        let spill = self.spill.iter().filter_map(Mutex::try_lock);
+        report.outbox_depth = spill.map(|sp| spilled(&sp)).sum();
         report.peers = (0..n)
             .filter_map(|r| {
-                let pid = self
-                    .seg
-                    .pid_slot(r)
-                    .load(std::sync::atomic::Ordering::SeqCst);
+                let pid = self.seg.pid_slot(r).load(Ordering::SeqCst);
                 (pid != 0).then(|| PeerStatus {
                     rank: r,
                     pid,
@@ -371,18 +307,5 @@ impl Transport for ShmTransport {
             .collect();
         report.park_counts = (0..n).map(|r| self.seg.park(r).counts()).collect();
         (report.registry.shm_rows, report.registry.shm_bytes) = self.seg.table_gauge();
-    }
-}
-
-impl Drop for ShmTransport {
-    fn drop(&mut self) {
-        {
-            let mut st = self.outbox.state.lock();
-            st.shutdown = true;
-            self.outbox.cv.notify_all();
-        }
-        if let Some(h) = self.flusher.lock().take() {
-            let _ = h.join();
-        }
     }
 }

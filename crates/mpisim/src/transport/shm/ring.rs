@@ -9,8 +9,9 @@
 //! one pre-matched signature. head/tail are monotonic byte counters; the
 //! data area is a power-of-two so positions wrap by masking, and every
 //! copy handles the wrap by splitting into two `memcpy`s. A producer that
-//! finds the ring full sleeps on the ring's own park point (`space` in the
-//! header), which every pop notifies: a wake only while it is asleep.
+//! waits for room — a push into a full channel ring, frames its plain
+//! sends spilled — names itself in the header's `waiting`, and every pop
+//! then notifies its park point: the one place it sleeps.
 //!
 //! Message frame: `[payload_len: u32][pad: u32][payload]`, padded to 8
 //! bytes ([`frame_bytes`]). No modeled-clock stamp rides along: a cost
@@ -20,13 +21,13 @@
 
 use super::segment::Segment;
 use crate::elem::Elem;
-use crate::transport::park::{park_until, ParkWords};
+use crate::transport::park::ParkWords;
 use crate::transport::{bytes_of, vec_extend_bytes};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[repr(C)]
+#[repr(C, align(64))]
 struct RingHdr {
     /// Bytes consumed (monotonic; consumer-written).
     head: AtomicU64,
@@ -38,17 +39,15 @@ struct RingHdr {
     msg_count: AtomicU64,
     /// World rank of the consumer, fixed at `init_ring`.
     owner: AtomicU32,
+    /// World rank + 1 of the producer while it waits for room, else 0.
+    waiting: AtomicU32,
     /// While the ring sits on one of the segment's free lists: offset of
     /// the next free ring of its size (0 = last).
     next_free: AtomicU64,
-    /// Where the producer sleeps while the ring is full; every pop
-    /// notifies it. Never reset: any generation serves a parker, and no
-    /// producer is asleep on a ring that sits on a free list.
-    space: ParkWords,
 }
 
 /// Byte offset from a ring's base to its data area.
-pub(crate) const RING_HDR: u64 = 128;
+pub(crate) const RING_HDR: u64 = 64;
 const _: () = assert!(std::mem::size_of::<RingHdr>() as u64 == RING_HDR);
 const MSG_HDR: usize = 8;
 
@@ -65,6 +64,7 @@ pub(crate) fn init_ring(seg: &Segment, off: u64, cap_bytes: u64, owner: usize) {
     hdr.tail.store(0, Ordering::SeqCst);
     hdr.msg_count.store(0, Ordering::SeqCst);
     hdr.owner.store(owner as u32, Ordering::SeqCst);
+    hdr.waiting.store(0, Ordering::SeqCst);
     hdr.cap.store(cap_bytes, Ordering::SeqCst);
 }
 
@@ -89,10 +89,6 @@ pub(crate) struct ShmChanRaw {
 impl ShmChanRaw {
     pub fn new(seg: Arc<Segment>, off: u64) -> Self {
         Self { seg, off }
-    }
-
-    pub fn seg(&self) -> &Arc<Segment> {
-        &self.seg
     }
 
     fn hdr(&self) -> &RingHdr {
@@ -198,19 +194,18 @@ impl ShmChanRaw {
         true
     }
 
+    /// Name the producer rank waiting for room, or none (producer only),
+    /// fenced before its retry as a pop's `head` is before its read.
+    pub fn set_waiting(&self, producer: Option<usize>) {
+        let word = producer.map_or(0, |r| r as u32 + 1);
+        self.hdr().waiting.store(word, Ordering::SeqCst);
+        std::sync::atomic::fence(Ordering::SeqCst);
+    }
+
     /// Where this ring's consumer sleeps.
     fn owner_park(&self) -> &ParkWords {
         self.seg
             .park(self.hdr().owner.load(Ordering::Relaxed) as usize)
-    }
-
-    /// Deposit one message, given as the concatenation of `parts`.
-    /// Blocks while the ring is full (the channel's buffered-send depth
-    /// is the ring capacity), parked on the ring's `space` point; `stall`
-    /// runs whenever a park ends with nothing popped.
-    pub fn push(&self, parts: &[&[u8]], stall: &dyn Fn()) {
-        let pushed = || self.try_push(parts).then_some(());
-        park_until(&self.hdr().space, 0, pushed, stall);
     }
 
     /// Consume the next message if one is delivered: `f` sees the
@@ -232,16 +227,22 @@ impl ShmChanRaw {
         hdr.head
             .store(head + frame_bytes(payload), Ordering::Release);
         hdr.msg_count.fetch_sub(1, Ordering::SeqCst);
-        hdr.space.notify();
+        if let Some(producer) = hdr.waiting.load(Ordering::SeqCst).checked_sub(1) {
+            self.seg.park(producer as usize).notify();
+        }
         Some(r)
     }
 
-    /// Consume and discard everything delivered. Quiescent use only (the
-    /// failed-epoch drain): no concurrent producer or consumer.
+    /// Consume and discard everything delivered; forget a waiting producer.
+    /// Quiescent use only (the failed-epoch drain).
     pub fn drain(&self) {
         while self.try_pop_with(|_, _| ()).is_some() {}
+        self.set_waiting(None);
     }
 }
+
+/// Where a push that found its ring full parks (`WorldState::wait_room`).
+pub(crate) type Room<'a> = &'a dyn Fn(&ShmChanRaw, &dyn Fn() -> bool);
 
 /// Typed view over one shm ring: the shared-memory counterpart of the
 /// in-process `Channel<T>` body. Payload buffers are recycled — a send's
@@ -254,6 +255,8 @@ pub(crate) struct ShmChan<T> {
     /// The registration-table row this channel is attached to
     /// (`Segment::register_channel`), given back on drop.
     row: usize,
+    /// The registered element count: a new buffer's capacity.
+    len: usize,
     spare: Mutex<Vec<Vec<T>>>,
 }
 
@@ -264,25 +267,35 @@ impl<T> Drop for ShmChan<T> {
 }
 
 impl<T: Elem> ShmChan<T> {
-    /// The typed view of a ring registered as table row `row`.
-    pub fn new(raw: ShmChanRaw, row: usize) -> Self {
+    /// The typed view of a ring registered as table row `row` for `len`.
+    pub fn new(raw: ShmChanRaw, row: usize, len: usize) -> Self {
         Self {
             raw,
             row,
+            len,
             spare: Mutex::new(Vec::new()),
         }
+    }
+
+    fn spare_buf(&self) -> Vec<T> {
+        let spare = self.spare.lock().pop();
+        spare.unwrap_or_else(|| Vec::with_capacity(self.len))
     }
 
     pub fn raw(&self) -> &ShmChanRaw {
         &self.raw
     }
 
-    pub fn push_with(&self, fill: impl FnOnce(&mut Vec<T>)) {
-        let mut buf = self.spare.lock().pop().unwrap_or_default();
+    /// Deposit one message; a full ring (the channel's buffered-send
+    /// depth) hands `room` the ring and the retry to park on.
+    pub fn push_with(&self, fill: impl FnOnce(&mut Vec<T>), room: Room<'_>) {
+        let mut buf = self.spare_buf();
         buf.clear();
         fill(&mut buf);
-        self.raw
-            .push(&[bytes_of(&buf)], &|| self.raw.seg().check_alive());
+        let parts = [bytes_of(&buf)];
+        if !self.raw.try_push(&parts) {
+            room(&self.raw, &|| self.raw.try_push(&parts));
+        }
         self.spare.lock().push(buf);
     }
 
@@ -292,9 +305,7 @@ impl<T: Elem> ShmChan<T> {
         if self.raw.msg_count() == 0 {
             return None;
         }
-        let mut buf = back
-            .pop()
-            .unwrap_or_else(|| self.spare.lock().pop().unwrap_or_default());
+        let mut buf = back.pop().unwrap_or_else(|| self.spare_buf());
         buf.clear();
         if self
             .raw
@@ -315,6 +326,7 @@ impl<T: Elem> ShmChan<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::park::park_until;
     use crate::Elem;
 
     fn ring(cap: u64) -> ShmChanRaw {
@@ -330,7 +342,7 @@ mod tests {
         let r = ring(256);
         for payload in 0..=17usize {
             let tail = r.hdr().tail.load(Ordering::Relaxed);
-            r.push(&[&vec![7u8; payload]], &|| {});
+            assert!(r.try_push(&[&vec![7u8; payload]]));
             let used = r.hdr().tail.load(Ordering::Relaxed) - tail;
             assert_eq!(
                 used,
@@ -349,7 +361,7 @@ mod tests {
         // wrap the 256-byte ring several times
         for i in 0..32u64 {
             let payload: Vec<u8> = (0..24).map(|j| (i as u8).wrapping_add(j)).collect();
-            r.push(&[&payload], &|| {});
+            assert!(r.try_push(&[&payload]));
             if i % 2 == 1 {
                 for k in [i - 1, i] {
                     let got = r
@@ -371,15 +383,21 @@ mod tests {
     fn full_ring_blocks_until_consumed() {
         let r = ring(128);
         let r2 = r.clone();
-        // capacity 128 holds exactly two 40-byte frames plus change
-        r.push(&[&[1u8; 32]], &|| {});
-        r.push(&[&[2u8; 32]], &|| {});
+        // capacity 128 holds three 40-byte frames
+        for b in 1..=3u8 {
+            assert!(r.try_push(&[&[b; 32]]));
+        }
+        // the producer, rank 0, waits for room as `WorldState::wait_room`
+        // does: named in `waiting`, parked on its own point
         let t = std::thread::spawn(move || {
-            r2.push(&[&[3u8; 32]], &|| {});
-            r2.push(&[&[4u8; 32]], &|| {}); // blocks: 160 > 128
+            r2.set_waiting(Some(0));
+            let pushed = || r2.try_push(&[&[4u8; 32]]).then_some(());
+            park_until(r2.seg.park(0), pushed, &|| {});
+            r2.set_waiting(None);
         });
+        let parks = || r.seg.park(0).counts().parks;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while r.hdr().space.counts().parks == 0 {
+        while parks() == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "the producer of a full ring never parked"
@@ -398,17 +416,17 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(seen, vec![1, 2, 3, 4]);
-        // the producer slept on `space`; that a pop's notify, not the stall
-        // period, ends such a park is checked with a long period in
-        // tests/indirect_wakes.rs
-        assert!(r.hdr().space.counts().parks >= 1);
+        // the producer slept on its park point; that a pop's notify, not
+        // the stall period, ends such a park is checked with a long period
+        // in tests/indirect_wakes.rs
+        assert!(parks() >= 1);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the ring capacity")]
     fn oversized_message_panics() {
         let r = ring(64);
-        r.push(&[&[0u8; 4096]], &|| {});
+        r.try_push(&[&[0u8; 4096]]);
     }
 
     #[test]
@@ -416,14 +434,15 @@ mod tests {
         let seg = Segment::create(2);
         seg.unlink();
         let (row, off) = seg.register_channel((1, 0, 1, 7), 1, f64::KIND, 4096);
-        let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off), row);
+        let c = ShmChan::<f64>::new(ShmChanRaw::new(seg, off), row, 3);
         let mut back = Vec::new();
-        c.push_with(|b| b.extend_from_slice(&[1.0, 2.0, 3.0]));
+        let full: Room = &|_, _| panic!("the ring filled up");
+        c.push_with(|b| b.extend_from_slice(&[1.0, 2.0, 3.0]), full);
         let buf = c.try_pop(&mut back).expect("delivered");
         assert_eq!(buf.as_slice(), [1.0, 2.0, 3.0].as_slice());
         let ptr = buf.as_ptr();
         back.push(buf);
-        c.push_with(|b| b.extend_from_slice(&[4.0]));
+        c.push_with(|b| b.extend_from_slice(&[4.0]), full);
         // the handed-back buffer is the one the next take fills
         let buf = c.try_pop(&mut back).expect("delivered");
         assert_eq!(buf.as_slice(), [4.0].as_slice());

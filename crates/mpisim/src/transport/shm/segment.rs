@@ -23,17 +23,15 @@
 //!
 //! The park points are the type every fabric's ranks sleep on
 //! ([`crate::transport::park`]), placed here so any process can wake any
-//! rank — and each ring header holds one for its producer, so a full
-//! ring parks like a receive. What this file wakes and sleeps on itself is
-//! the control plane: the epoch command word (`epoch_seq`) and the barrier
-//! (`barrier_gen`).
+//! rank. The control plane waits on them too: a rank awaiting the command
+//! word or the barrier parks on its own point, which whoever moves either
+//! notifies.
 
 use super::ring::RING_HDR;
 use super::MAILBOX_CAP;
 use crate::elem::kind_name;
 use crate::state::ChanKey;
-use crate::transport::futex;
-use crate::transport::park::ParkWords;
+use crate::transport::park::{park_until, ParkWords};
 use crate::transport::remote::CMD_STOP;
 use crate::transport::{rank_panic_failure, ABANDONED};
 use std::fs::OpenOptions;
@@ -42,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC: u64 = 0x6d70_6973_696d_000f; // "mpisim", layout v15
+const MAGIC: u64 = 0x6d70_6973_696d_0010; // "mpisim", layout v16
 const ALIGN: u64 = 64;
 
 /// Fixed capacity of the channel registration table. A world holds one
@@ -71,12 +69,11 @@ struct SegHeader {
     alloc_next: AtomicU64,
     /// Set when a rank of the current epoch panicked or its process died.
     rank_panicked: AtomicU32,
-    /// Futex word bumped whenever `epoch_cmd` changes.
-    epoch_seq: AtomicU32,
     /// Epoch command word (see `transport::remote`): `(job << 48) | epoch`,
     /// or [`CMD_STOP`].
     epoch_cmd: AtomicU64,
-    /// Sense-reversing barrier: generation (futex word) + count of ranks in.
+    /// Sense-reversing barrier: generation + count of ranks in (its waiters
+    /// sleep on their park points).
     barrier_gen: AtomicU32,
     barrier_count: AtomicU32,
     /// Spinlock guarding the registration table.
@@ -345,18 +342,11 @@ impl Segment {
         unsafe { &*(self.at(parks + PARK_STRIDE * rank as u64) as *const ParkWords) }
     }
 
-    fn bump_and_wake(word: &AtomicU32) {
-        word.fetch_add(1, Ordering::SeqCst);
-        futex::wake_all(word);
-    }
-
     // ---- death containment ------------------------------------------------
 
     pub fn note_rank_panic(&self) {
         self.header().rank_panicked.store(1, Ordering::SeqCst);
         // latency only — every park also times out and re-probes
-        futex::wake_all(&self.header().epoch_seq);
-        futex::wake_all(&self.header().barrier_gen);
         for r in 0..self.n_ranks() {
             self.park(r).wake();
         }
@@ -392,7 +382,7 @@ impl Segment {
         self.header().rank_panicked.load(Ordering::SeqCst) != 0
     }
 
-    /// Non-panicking body of [`Segment::check_alive`]: the abort message
+    /// The stall probe of every wait in the fabric: the abort message
     /// if a peer rank panicked or an attached peer *process* no longer
     /// exists (SIGKILL leaves no flag behind — the pid sweep catches it),
     /// else `None`. Clean worker exits after a [`CMD_STOP`] are not
@@ -417,56 +407,51 @@ impl Segment {
         None
     }
 
-    /// Stall probe of every blocking wait in the fabric: panic if a peer
-    /// rank panicked or its process died (see [`Segment::peer_failure`]).
-    pub fn check_alive(&self) {
-        if let Some(msg) = self.peer_failure() {
-            panic!("{msg}");
-        }
-    }
-
     // ---- epoch protocol ---------------------------------------------------
 
     pub fn post_cmd(&self, cmd: u64) {
         self.header().epoch_cmd.store(cmd, Ordering::SeqCst);
-        Self::bump_and_wake(&self.header().epoch_seq);
+        self.notify_ranks();
     }
 
     pub fn read_cmd(&self) -> u64 {
         self.header().epoch_cmd.load(Ordering::SeqCst)
     }
 
-    /// Park until `epoch_cmd` changes (bounded by the stall period);
-    /// callers loop re-reading the command word.
-    pub fn park_cmd(&self) {
-        let h = self.header();
-        let seen = h.epoch_seq.load(Ordering::SeqCst);
-        futex::wait(&h.epoch_seq, seen, crate::stall::stall_ms());
+    /// Notify every rank's park point: the command word or barrier moved.
+    fn notify_ranks(&self) {
+        (0..self.n_ranks()).for_each(|r| self.park(r).notify());
     }
 
-    /// All-ranks sense-reversing barrier. `stall` runs each stall period
-    /// while blocked (after re-checking the barrier condition, so clean
-    /// peer exits never race the probe into a false death).
-    pub fn barrier(&self, stall: &dyn Fn()) {
-        let n = self.n_ranks() as u32;
-        let h = self.header();
-        let gen = h.barrier_gen.load(Ordering::SeqCst);
-        if h.barrier_count.fetch_add(1, Ordering::SeqCst) + 1 == n {
-            h.barrier_count.store(0, Ordering::SeqCst);
-            h.barrier_gen.fetch_add(1, Ordering::SeqCst);
-            futex::wake_all(&h.barrier_gen);
-        } else {
-            loop {
-                if h.barrier_gen.load(Ordering::SeqCst) != gen {
-                    return;
-                }
-                futex::wait(&h.barrier_gen, gen, crate::stall::stall_ms());
-                if h.barrier_gen.load(Ordering::SeqCst) != gen {
-                    return;
-                }
+    /// The control plane's one wait: park `rank` until `done` yields; `stall`
+    /// runs only if `done` is still empty then (no false death on exits).
+    pub fn park_rank<R>(&self, rank: usize, done: impl Fn() -> Option<R>, stall: &dyn Fn()) -> R {
+        let stall = || {
+            if done().is_none() {
                 stall();
             }
+        };
+        park_until(self.park(rank), &done, &stall)
+    }
+
+    /// All-ranks sense-reversing barrier ([`Segment::park_rank`]).
+    /// `drain` runs in each of the wait's readiness checks: a rank that
+    /// returned with plain sends still spilled keeps pushing them (a pop
+    /// from a ring it spilled on notifies its point) until the barrier
+    /// opens.
+    pub fn barrier(&self, rank: usize, drain: &dyn Fn(), stall: &dyn Fn()) {
+        let h = self.header();
+        let gen = h.barrier_gen.load(Ordering::SeqCst);
+        if h.barrier_count.fetch_add(1, Ordering::SeqCst) as usize + 1 == self.n_ranks() {
+            h.barrier_count.store(0, Ordering::SeqCst);
+            h.barrier_gen.fetch_add(1, Ordering::SeqCst);
+            return self.notify_ranks();
         }
+        let open = || {
+            drain();
+            (h.barrier_gen.load(Ordering::SeqCst) != gen).then_some(())
+        };
+        self.park_rank(rank, open, stall);
     }
 
     // ---- registration table -----------------------------------------------
@@ -772,10 +757,11 @@ mod tests {
     fn barrier_releases_all_ranks() {
         let seg = Segment::create(4);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
+            for rank in 0..4 {
+                let seg = &seg;
+                s.spawn(move || {
                     for _ in 0..50 {
-                        seg.barrier(&|| {});
+                        seg.barrier(rank, &|| {}, &|| {});
                     }
                 });
             }
@@ -784,11 +770,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "peer rank panicked")]
-    fn check_alive_sees_the_panic_flag() {
+    fn peer_failure_sees_the_panic_flag() {
         let seg = Segment::create(2);
         seg.note_rank_panic();
-        seg.check_alive();
+        let why = seg.peer_failure().expect("the flag is a failure");
+        assert!(why.contains("peer rank panicked"), "{why}");
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl ControlPlane for SockTransport {
     }
 
     /// Await the address table, then mesh-connect to the lower ranks.
-    fn bootstrap_worker(&self, stall: &dyn Fn()) {
+    fn bootstrap_worker(&self, _rank: usize, stall: &dyn Fn()) {
         let rank = self.my_proc;
         let table = self.await_ctrl(stall, |st| st.table.take());
         assert_eq!(
@@ -191,11 +191,13 @@ impl ControlPlane for SockTransport {
     }
 
     /// Commands arrive as events, in order: the next one is the one.
-    fn await_cmd(&self, _epoch: u64, stall: &dyn Fn()) -> u64 {
+    fn await_cmd(&self, _rank: usize, _epoch: u64, stall: &dyn Fn()) -> u64 {
         self.await_ctrl(stall, |st| st.cmds.pop_front())
     }
 
-    fn close_epoch(&self, epoch: u64, stall: &dyn Fn()) {
+    /// A sock send never waits for room: one `drain` leaves nothing queued.
+    fn close_epoch(&self, epoch: u64, _rank: usize, drain: &dyn Fn(), stall: &dyn Fn()) {
+        drain();
         let rank = self.my_proc;
         if rank == 0 {
             let workers = self.n_procs - 1;
@@ -209,7 +211,7 @@ impl ControlPlane for SockTransport {
             done.extend_from_slice(&(rank as u32).to_le_bytes());
             done.extend_from_slice(&epoch.to_le_bytes());
             self.send_to_driver(K_DONE, &done);
-            let word = self.await_cmd(epoch, stall);
+            let word = self.await_cmd(rank, epoch, stall);
             assert_ne!(word, CMD_STOP, "driver stopped inside epoch {epoch}");
             assert_eq!(
                 word,

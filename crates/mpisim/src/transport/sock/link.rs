@@ -353,18 +353,18 @@ impl Stream {
     }
 }
 
-/// Sleep in one `poll` until `wake` or `read` has bytes, `write` has room,
-/// or `timeout` passes (a hang-up or error on any of them ends it too).
-/// Whether `wake` had bytes.
-fn poll_ready(
+/// Sleep in one `poll` until `wake` or `read` has bytes (or a connection),
+/// `write` has room, or `timeout`, if any, passes; a hang-up or error on
+/// any of them ends it too. Whether `wake` had bytes.
+pub(crate) fn poll_ready(
     wake: &UnixStream,
-    read: Option<&Stream>,
-    write: Option<&Stream>,
-    timeout: Duration,
+    read: Option<&dyn AsRawFd>,
+    write: Option<&dyn AsRawFd>,
+    timeout: Option<Duration>,
 ) -> bool {
     // a negative descriptor is one `poll` skips
-    let entry = |s: Option<&Stream>, events| PollFd {
-        fd: s.map_or(-1, Stream::as_raw_fd),
+    let entry = |s: Option<&dyn AsRawFd>, events| PollFd {
+        fd: s.map_or(-1, |s| s.as_raw_fd()),
         events,
         revents: 0,
     };
@@ -377,7 +377,7 @@ fn poll_ready(
         entry(read, POLLIN),
         entry(write, POLLOUT),
     ];
-    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    let timeout_ms = timeout.map_or(-1, |t| t.as_millis().min(i32::MAX as u128) as i32);
     // SAFETY: `fds` is an array of `fds.len()` initialised entries, each
     // descriptor kept open for the call by the borrow it came from; `poll`
     // writes only their `revents`. An interrupted call (-1) leaves them
@@ -468,9 +468,9 @@ impl Listener {
         }
     }
 
-    /// Non-blocking accept (listeners are bound non-blocking so the
-    /// accept thread can observe shutdown between polls). Accepted
-    /// streams are blocking.
+    /// Non-blocking accept (listeners are bound non-blocking: the accept
+    /// thread sleeps in `poll_ready` on the listener and its wake pair,
+    /// then takes what came). Accepted streams are blocking.
     pub fn try_accept(&self) -> std::io::Result<Option<Stream>> {
         let got = match self {
             Listener::Tcp(l) => match l.accept() {
@@ -492,6 +492,15 @@ impl Listener {
             },
         };
         Ok(got)
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l) => l.as_raw_fd(),
+        }
     }
 }
 
@@ -881,7 +890,8 @@ impl Link {
     ) -> MutexGuard<'a, LinkState> {
         st.parked = true;
         drop(st);
-        let woken = poll_ready(&self.wake_rx, read, write, timeout);
+        let (read, write) = (read.map(|s| s as _), write.map(|s| s as _));
+        let woken = poll_ready(&self.wake_rx, read, write, Some(timeout));
         if woken {
             let _ = (&self.wake_rx).read(&mut [0; 64]);
         }

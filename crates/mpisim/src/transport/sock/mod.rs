@@ -41,15 +41,16 @@ use crate::stall::StallReport;
 use crate::state::{ChanKey, Envelope, Payload, WordHasher};
 use control::Ctrl;
 use link::{
-    auto_addr, connect_once, connect_retry, encode_frame, encode_frame_into, invalid_data, Accept,
-    Frame, FrameReader, Link, Listener, RxCursor, Stream, ACK_EVERY, DIAL, IO_BATCH, K_ACK, K_CHAN,
-    K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO, K_JOIN, K_TABLE,
+    auto_addr, connect_once, connect_retry, encode_frame, encode_frame_into, invalid_data,
+    poll_ready, Accept, Frame, FrameReader, Link, Listener, RxCursor, Stream, ACK_EVERY, DIAL,
+    IO_BATCH, K_ACK, K_CHAN, K_CMD, K_DATA, K_DEATH, K_DONE, K_FLUSH, K_HELLO, K_JOIN, K_TABLE,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -137,8 +138,9 @@ pub(crate) struct SockTransport {
     /// a [`HookCache`] checks itself against.
     chans_gen: AtomicU64,
     pub(crate) ctrl: Ctrl,
-    shutdown: Arc<AtomicBool>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The writing end of the accept thread's wake pair, for `Drop`.
+    accept_wake: UnixStream,
     /// Every link's thread.
     link_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     me: Mutex<Weak<SockTransport>>,
@@ -187,6 +189,7 @@ impl SockTransport {
     ) -> Arc<SockTransport> {
         let (listener, listener_addr) = Listener::bind(listen_spec)
             .unwrap_or_else(|e| panic!("sock fabric: cannot bind {listen_spec:?}: {e}"));
+        let (wake_rx, accept_wake) = UnixStream::pair().expect("sock accept wake pair");
         let links: Vec<Option<Arc<Link>>> = (0..n_procs)
             .map(|p| {
                 if n_procs == 1 {
@@ -210,8 +213,8 @@ impl SockTransport {
             }),
             chans_gen: AtomicU64::new(0),
             ctrl: Ctrl::default(),
-            shutdown: Arc::new(AtomicBool::new(false)),
             accept_thread: Mutex::new(None),
+            accept_wake,
             link_threads: Mutex::new(Vec::new()),
             me: Mutex::new(Weak::new()),
         });
@@ -231,11 +234,10 @@ impl SockTransport {
             }
         }
         let weak = Arc::downgrade(&t);
-        let shutdown = Arc::clone(&t.shutdown);
         *t.accept_thread.lock() = Some(
             std::thread::Builder::new()
                 .name("mpisim-sock-accept".into())
-                .spawn(move || run_accept(weak, listener, shutdown))
+                .spawn(move || run_accept(weak, listener, wake_rx))
                 .expect("spawn sock accept"),
         );
         t
@@ -446,20 +448,17 @@ impl SockTransport {
         hooks.hooks.entry(key).or_insert(f)(payload)
     }
 
-    /// Register the receiving side of a persistent channel and drain any
-    /// payloads that raced ahead of registration.
+    /// Register the receiving side of a persistent channel, handing it the
+    /// payloads that raced ahead first, under the table lock: a frame read
+    /// meanwhile waits and lands behind them.
     pub(crate) fn register_deliver(&self, key: ChanKey, f: DeliverFn) {
-        let pending = {
-            let mut ch = self.chans.lock();
-            let pending = ch.undelivered.remove(&key).unwrap_or_default();
-            ch.deliver.insert(key, Arc::clone(&f));
-            self.chans_gen.fetch_add(1, Ordering::Release);
-            pending
-        };
-        for bytes in pending {
+        let mut ch = self.chans.lock();
+        for bytes in ch.undelivered.remove(&key).unwrap_or_default() {
             // on the registering rank's thread: its panic is already loud
             f(&bytes).unwrap_or_else(|e| panic!("sock channel {key:?}: {e}"));
         }
+        ch.deliver.insert(key, f);
+        self.chans_gen.fetch_add(1, Ordering::Release);
     }
 
     /// The channel that registered `f` for `key` dropped: stop delivering
@@ -526,8 +525,8 @@ impl Transport for SockTransport {
         self.rx.try_match(global_dst, ctx_id, src, tag)
     }
 
-    fn enter_wait(&self, rank: usize) -> &ParkWords {
-        self.rx.enter_wait(rank)
+    fn park_point(&self, rank: usize) -> &ParkWords {
+        self.rx.park_point(rank)
     }
 
     fn make_channel(&self, _key: ChanKey, dst_world: usize, _kind: u8, _len: usize) -> ChanFabric {
@@ -550,16 +549,14 @@ impl Transport for SockTransport {
                         st.flush_sent
                     };
                     link.send_frame(K_FLUSH, &token.to_le_bytes());
+                    // a link that dies mid-drain times out into the sweep
                     let deadline = Instant::now() + Duration::from_secs(2);
                     let mut st = self.ctrl.st.lock();
                     while st.flushed < token {
-                        let Some(left) = deadline
-                            .checked_duration_since(Instant::now())
-                            .filter(|d| !d.is_zero())
-                        else {
-                            break; // link died mid-drain; fall through to the sweep
-                        };
-                        self.ctrl.cv.wait_for(&mut st, left);
+                        let left = deadline.saturating_duration_since(Instant::now());
+                        if self.ctrl.cv.wait_for(&mut st, left).timed_out() {
+                            break;
+                        }
                     }
                 }
             }
@@ -618,7 +615,6 @@ impl Transport for SockTransport {
 
 impl Drop for SockTransport {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
         for link in self.links.iter().flatten() {
             link.close();
         }
@@ -630,6 +626,7 @@ impl Drop for SockTransport {
                 let _ = h.join();
             }
         }
+        let _ = (&self.accept_wake).write(&[1]);
         if let Some(h) = self.accept_thread.get_mut().take() {
             let _ = h.join();
         }
@@ -639,16 +636,19 @@ impl Drop for SockTransport {
     }
 }
 
-/// Accept thread: poll the (non-blocking) listener, handshake each
-/// incoming connection. Failed handshakes are dropped — a half-dialed peer retries.
-fn run_accept(t: Weak<SockTransport>, listener: Listener, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::Acquire) {
+/// Accept thread: sleep in one `poll` on the (non-blocking) listener and
+/// the wake pair `Drop` writes to, then handshake every connection that
+/// came (a failed handshake is dropped: a half-dialed peer retries), until
+/// the transport is gone.
+fn run_accept(t: Weak<SockTransport>, listener: Listener, wake: UnixStream) {
+    loop {
         match listener.try_accept() {
             Ok(Some(stream)) => {
                 let Some(t) = t.upgrade() else { return };
                 let _ = t.handle_accept(stream);
             }
-            _ => std::thread::sleep(Duration::from_millis(2)),
+            _ if t.strong_count() == 0 => return,
+            _ => _ = poll_ready(&wake, Some(&listener), None, None),
         }
     }
 }
@@ -1125,7 +1125,7 @@ mod tests {
         raw.write_all(&hello_frame(1, 0)).expect("hello");
         raw.write_all(&encode_frame(K_DATA, 1, &body))
             .expect("data");
-        let (env, _) = park_until(t.enter_wait(0), 0, || t.try_match(0, 0, 1, 6), &|| {});
+        let (env, _) = park_until(t.enter_wait(0), || t.try_match(0, 0, 1, 6), &|| {});
         assert_eq!(env.payload.take::<u64>().expect("u64 payload"), [22]);
         let report = WorldState::with_transport_deadline(2, None, t.clone(), None).stall_report();
         assert_eq!(report.mailbox_depths, [Some(0), Some(0)]);
@@ -1250,6 +1250,39 @@ mod tests {
         wait_until("a later frame reached the hook", || log.lock().len() == 2);
         assert_eq!(log.lock()[1], b"late");
         assert_eq!(seen_log.lock().len(), 1);
+    }
+
+    #[test]
+    fn a_frame_read_while_the_stash_is_delivered_lands_behind_it() {
+        let (t, _world) = loopback_pair();
+        t.dial_self();
+        let key = (0, 0, DST, 9);
+        send_chan(&t, key, b"stashed");
+        wait_until("the first frame was stashed", || {
+            t.chans.lock().undelivered.contains_key(&key)
+        });
+        // the first call, the stashed payload's, lets the next frame go
+        // out and gives the link thread a while to deliver it before
+        // recording its own payload: a hook visible before the stash is in
+        // would record the second frame first, from the link thread
+        let log = Log::default();
+        let hook: DeliverFn = {
+            let (t, log) = (Arc::downgrade(&t), Arc::clone(&log));
+            Arc::new(move |bytes: &[u8]| {
+                if bytes == b"stashed" {
+                    send_chan(&t.upgrade().expect("transport alive"), key, b"next");
+                    let deadline = Instant::now() + Duration::from_millis(300);
+                    while log.lock().is_empty() && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                log.lock().push(bytes.to_vec());
+                Ok(())
+            })
+        };
+        t.register_deliver(key, hook);
+        wait_until("both frames were delivered", || log.lock().len() == 2);
+        assert_eq!(*log.lock(), [b"stashed".to_vec(), b"next".to_vec()]);
     }
 
     #[test]

@@ -33,6 +33,8 @@ pub(crate) struct ThreadChan<T> {
     pending: Arc<AtomicUsize>,
     /// Where the receiving rank sleeps (a channel has one receiver).
     park: Arc<ParkWords>,
+    /// The registered element count: a new buffer's capacity.
+    len: usize,
 }
 
 struct ChanState<T> {
@@ -43,7 +45,7 @@ struct ChanState<T> {
 }
 
 impl<T> ThreadChan<T> {
-    pub(crate) fn new(park: Arc<ParkWords>) -> Self {
+    pub(crate) fn new(park: Arc<ParkWords>, len: usize) -> Self {
         Self {
             state: Mutex::new(ChanState {
                 pending: VecDeque::new(),
@@ -51,6 +53,7 @@ impl<T> ThreadChan<T> {
             }),
             pending: Arc::default(),
             park,
+            len,
         }
     }
 
@@ -66,7 +69,8 @@ impl<T> ThreadChan<T> {
     /// reads the bumped generation also sees the count (DESIGN.md §7).
     pub(crate) fn push_with(&self, arrival: f64, fill: impl FnOnce(&mut Vec<T>)) {
         let mut st = self.state.lock();
-        let mut buf = st.spare.pop().unwrap_or_default();
+        let spare = st.spare.pop();
+        let mut buf = spare.unwrap_or_else(|| Vec::with_capacity(self.len));
         buf.clear();
         fill(&mut buf);
         st.pending.push_back((buf, arrival));
@@ -155,7 +159,7 @@ impl Transport for ThreadTransport {
         take_match(&mut self.mailboxes[global_dst].lock(), ctx_id, src, tag)
     }
 
-    fn enter_wait(&self, rank: usize) -> &ParkWords {
+    fn park_point(&self, rank: usize) -> &ParkWords {
         &self.parks[rank]
     }
 
@@ -215,7 +219,6 @@ mod tests {
     use crate::transport::park::park_until;
     use crate::transport::shm::ShmTransport;
     use crate::transport::sock::SockTransport;
-    use crate::transport::PARK_SPIN;
     use crate::Fabric;
     use std::time::Duration;
 
@@ -344,7 +347,7 @@ mod tests {
         // some payloads back at once and holds others across later takes
         const N: u64 = 100_000;
         const AHEAD: u64 = 8;
-        let c = ThreadChan::<u64>::new(Arc::default());
+        let c = ThreadChan::<u64>::new(Arc::default(), 0);
         let msg = |i: u64| (0..i % 13).map(move |j| i << 8 | j);
         let taken = AtomicUsize::new(0);
         let (mut back, mut held) = (Vec::new(), Vec::new());
@@ -358,8 +361,7 @@ mod tests {
                 }
             });
             for i in 0..N {
-                let (buf, arrival) =
-                    park_until(&c.park, PARK_SPIN, || c.try_pop(&mut back), &|| {});
+                let (buf, arrival) = park_until(&c.park, || c.try_pop(&mut back), &|| {});
                 assert_eq!(arrival, i as f64, "FIFO");
                 assert!(buf.iter().copied().eq(msg(i)), "message {i}: {buf:?}");
                 taken.store(i as usize + 1, Ordering::Relaxed);

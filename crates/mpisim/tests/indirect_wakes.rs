@@ -1,9 +1,10 @@
 //! The two sleeps no deposit addressed to the sleeper ends: a producer
-//! parked on a full shm ring, woken by the consumer's pop, and a receiver
-//! parked before its message was held back by a fault plan's reorder,
-//! woken when the wrapper's flusher releases it. A lost wake of either is
-//! otherwise silent: the sleeper's stall period ends the park and the
-//! retry succeeds, one period late.
+//! parked on a full shm ring, woken by the consumer's pop (the ring names
+//! it as waiting), and a receiver parked before its message was held back
+//! by a fault plan's reorder, woken when the holder, reading the
+//! receiver's park flag after publishing the hold, releases it at once. A
+//! lost wake of either is otherwise silent: the sleeper's stall period
+//! ends the park and the retry succeeds, one period late.
 //!
 //! Both checks run with a stall period no live peer is ever late by on a
 //! loaded box, so a park that ends by it means a wake went missing.
@@ -64,7 +65,7 @@ fn a_pop_wakes_the_producer_of_a_full_shm_ring() {
 }
 
 #[test]
-fn the_flusher_wakes_a_receiver_parked_before_its_message_was_held() {
+fn the_holder_wakes_a_receiver_parked_before_its_message_was_held() {
     long_stall_period();
     // rank 1's park count before its receive, published once taken
     let parks_before = AtomicU64::new(u64::MAX);
@@ -79,7 +80,8 @@ fn the_flusher_wakes_a_receiver_parked_before_its_message_was_held() {
             if ctx.rank() == 0 {
                 // send only once rank 1 sleeps in its receive; nothing this
                 // rank does afterwards touches the transport (a later op of
-                // it would release the held message), so only the flusher can
+                // it would release the held message), so only the deposit
+                // that holds it, seeing rank 1's park flag up, can
                 let asleep = |ctx: &RankCtx| match parks_before.load(Ordering::Acquire) {
                     u64::MAX => false,
                     before => parks(ctx) > before,
@@ -101,7 +103,7 @@ fn the_flusher_wakes_a_receiver_parked_before_its_message_was_held() {
     let receiver = counts[1];
     assert_eq!(
         receiver.park_timeouts, 0,
-        "the receiver waited out its stall period: the flusher did not release \
+        "the receiver waited out its stall period: the holder did not release \
          the held message ({receiver:?})"
     );
 }

@@ -46,7 +46,7 @@ static COUNTING: CountingAlloc = CountingAlloc;
 const RANKS: usize = 4;
 const SWEEPS: usize = 3;
 /// Jobs per call, three to a lane, so that one allocation more per job
-/// is more than [`GROWTH`] and the lanes' outputs pass from job to job.
+/// shows in every call and the lanes' outputs pass from job to job.
 const JOBS: usize = 12;
 const WINDOW: usize = 4;
 
@@ -55,11 +55,12 @@ const WINDOW: usize = 4;
 /// result box.
 const PER_CALL: usize = 5;
 
-/// What a rank may add on top when it raises a high-water mark its
-/// buffers have not reached yet: a channel's spare payload buffers, the
-/// park set. Tenants' timing decides when; it is amortized away, so some
-/// warm call within [`WARM_CALLS`] sees none of it.
-const GROWTH: usize = 6;
+/// Warm calls a rank has to show a call that allocates exactly its budget.
+/// A call on which its channels run further ahead than ever before adds
+/// one payload buffer per new high-water mark — allocated at the
+/// registered length, so filling it never grows it — and tenants' timing
+/// decides when; the marks settle, so each rank's least call is exact. In
+/// 10 runs every rank had shown an exact call within 4 warm calls.
 const WARM_CALLS: usize = 8;
 
 /// Allocations each rank thread has made so far, by rank.
@@ -105,7 +106,7 @@ fn a_warm_call_allocates_what_the_job_api_forces_and_no_more() {
     // one input per entry per sweep, the state box, its iterate and its
     // ghost and product scratch; the result is the iterate
     let per_job = levels * SWEEPS + 4;
-    let budget = JOBS * per_job + PER_CALL + GROWTH;
+    let budget = JOBS * per_job + PER_CALL;
 
     let mut svc = SolveService::new(RANKS).max_concurrent(WINDOW);
     let c0 = counts(&svc);
@@ -128,7 +129,7 @@ fn a_warm_call_allocates_what_the_job_api_forces_and_no_more() {
     }
     panic!(
         "no warm call of {JOBS} jobs ({levels} levels, {SWEEPS} sweeps) stayed within \
-         {budget} allocations a rank ({per_job} a job, {PER_CALL} a call, {GROWTH} of \
-         growth): the cold call made {cold:?}, the warm calls {seen:?}"
+         {budget} allocations a rank ({per_job} a job, {PER_CALL} a call): the cold \
+         call made {cold:?}, the warm calls {seen:?}"
     );
 }

@@ -19,6 +19,10 @@
 //! - `amg`: the paper pipeline — every AMG level's halo exchange through
 //!   one `NeighborBatch` session on 8 process ranks, byte-identical to the
 //!   thread-transport run.
+//! - `overfill`: rank 0 sends three shm mailbox rings' worth to rank 1 and
+//!   returns at once; rank 1 receives only later. Every message arrives,
+//!   in order: on shm, rank 0 pushes what its full ring spilled from the
+//!   closing barrier.
 //! - `death`: a worker process exits mid-epoch without announcing anything
 //!   (the `SIGKILL` shape); every surviving rank must abort loudly instead
 //!   of deadlocking, and the scenario process must exit nonzero.
@@ -64,6 +68,7 @@ fn scenarios(fabric: Fabric) -> Vec<Scenario> {
     let mut all: Vec<Scenario> = vec![
         ("equivalence", scenario_equivalence, true),
         ("amg", scenario_amg, true),
+        ("overfill", scenario_overfill, true),
     ];
     if fabric == Fabric::Sock {
         all.extend([
@@ -253,6 +258,38 @@ fn assert_traffic_matches_thread_world(fabric: Fabric, what: &str) {
 
 fn scenario_equivalence(fabric: Fabric) {
     assert_traffic_matches_thread_world(fabric, "process-world");
+}
+
+// ---- overfill -------------------------------------------------------------
+
+/// Rank 0 sends three mailbox rings' worth (24 messages of 32 KiB; the shm
+/// ring holds 256 KiB) to rank 1, says so on a persistent channel (its own
+/// ring, which nothing fills) and returns; rank 1 takes the messages only
+/// then, one by one. On shm the frames the ring had no room for sit in
+/// rank 0's own spill queue, which it keeps pushing from the closing
+/// barrier: every message must arrive, in send order.
+fn scenario_overfill(fabric: Fabric) {
+    const MSGS: u64 = 24;
+    let message = |i: u64| -> Vec<u64> { (0..4096).map(|j| i << 32 | j).collect() };
+    let world = World::spawn(fabric, 2);
+    world.run(|ctx| {
+        let comm = ctx.comm_world();
+        if ctx.rank() == 0 {
+            let sent = ctx.send_chan_init::<u64>(&comm, 1, 8, 1);
+            for i in 0..MSGS {
+                ctx.send(&comm, 1, 7, &message(i));
+            }
+            sent.start_with(ctx, |b| b.push(MSGS));
+            return;
+        }
+        let mut sent = ctx.recv_chan_init::<u64>(&comm, 0, 8, 1);
+        sent.start();
+        assert_eq!(sent.wait_with(ctx, |d| d[0]), MSGS);
+        for i in 0..MSGS {
+            let got: Vec<u64> = ctx.recv(&comm, 0, 7);
+            assert!(got == message(i), "message {i} out of order");
+        }
+    });
 }
 
 // ---- amg ------------------------------------------------------------------
