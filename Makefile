@@ -92,7 +92,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, the rustdoc link gate, and ten grep rules. Docs:
+# clippy, formatting, the rustdoc link gate, and eleven grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
 # comment still links to fails here, and no documented item links to a
@@ -148,7 +148,10 @@ clippy:
 # transport/remote.rs alone, for both fabrics (DESIGN.md §8, §9), so no
 # other non-test code of mpisim (each file up to its `#[cfg(test)]`,
 # comment lines aside) names `Workers`, calls into a `workers.` handle or
-# says `respawn`
+# says `respawn`. Unsafe: the SpMV kernel gets its speed from its layout
+# (4-row chunks with one accumulator per row, DESIGN.md §12), not from
+# unchecked indexing, so the non-test code of sparse and amg (each file up
+# to its `#[cfg(test)]`, comment lines aside) says no `unsafe`
 BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
 WAKE_FILES := runtime|transport/park|transport/sock/control
 SLEEP_FILES := transport/park
@@ -201,6 +204,10 @@ lint: clippy
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} !/^[[:space:]]*\/\// {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -E 'Workers|workers\.|respawn'; then \
 		echo "error: mpisim supervises workers outside transport/remote.rs (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find crates/sparse/src crates/amg/src -name '*.rs' ! -name proptests.rs); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} !/^[[:space:]]*\/\// {print f ":" FNR ":" $$0}' $$f; done \
+		| grep -w 'unsafe'; then \
+		echo "error: sparse or amg uses unsafe (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run six of them once, output discarded: the modeled fig07_crossover at

@@ -9,7 +9,7 @@ use crate::gen::{
 use crate::partition::Partition;
 use crate::spgemm::spgemm;
 use crate::vector::random_vec;
-use crate::{build_comm_pkgs, commpkg::validate_comm_pkgs, ParCsr};
+use crate::{build_comm_pkgs, commpkg::validate_comm_pkgs, ChunkedBlock, ParCsr};
 use proptest::prelude::*;
 
 /// Strategy: a random COO matrix with bounded shape.
@@ -141,46 +141,73 @@ fn arb_val() -> impl Strategy<Value = f64> {
     })
 }
 
-/// A random split of one rank's rows: a `rows × rows` diag block and a
-/// `rows × ghosts` offd block (`ghosts` may be 0), any row of either
-/// possibly empty, with operands for both.
-fn arb_split() -> impl Strategy<Value = (ParCsr, Vec<f64>, Vec<f64>)> {
-    (1usize..12, 0usize..5).prop_flat_map(|(rows, ghosts)| {
-        let block = move |cols: usize| {
-            prop::collection::vec((0..rows, 0..cols.max(1), arb_val()), 0..3 * rows).prop_map(
-                move |entries| {
-                    let mut coo = Coo::new(rows, cols);
-                    for (r, c, v) in entries.into_iter().filter(|_| cols > 0) {
-                        coo.push(r, c, v);
-                    }
-                    Csr::from_coo(&coo)
-                },
-            )
-        };
-        let x = |n: usize| prop::collection::vec(arb_val(), n);
-        (block(rows), block(ghosts), x(rows), x(ghosts)).prop_map(move |(diag, offd, xl, xg)| {
-            let par = ParCsr {
-                part: Partition::block(rows, 1),
-                rank: 0,
-                diag,
-                offd,
-                col_map_offd: (rows..rows + ghosts).collect(),
-                global_cols: rows + ghosts,
-            };
-            (par, xl, xg)
-        })
+/// An operand value: often a signed zero, sometimes ±inf or NaN.
+fn arb_x() -> impl Strategy<Value = f64> {
+    (0usize..10, -10.0f64..10.0).prop_map(|(k, v)| match k {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => f64::NAN,
+        _ => v,
     })
 }
 
-/// The product as two passes: `diag` into `y`, then `offd` added on.
+/// A random split of one rank's rows as CSR: a `rows × rows` diag block
+/// and a `rows × ghosts` offd block (`ghosts` may be 0), `rows` often not
+/// a multiple of 4, any row of either possibly empty and one row of each
+/// possibly full, so longer than the other rows of its chunk, with
+/// operands for both.
+fn arb_split() -> impl Strategy<Value = (Csr, Csr, Vec<f64>, Vec<f64>)> {
+    (1usize..12, 0usize..5).prop_flat_map(|(rows, ghosts)| {
+        let block = move |cols: usize| {
+            let entries = prop::collection::vec((0..rows, 0..cols.max(1), arb_val()), 0..3 * rows);
+            let full = (any::<bool>(), 0..rows, arb_val());
+            (entries, full).prop_map(move |(entries, (fill, row, v))| {
+                let mut coo = Coo::new(rows, cols);
+                for (r, c, v) in entries.into_iter().filter(|_| cols > 0) {
+                    coo.push(r, c, v);
+                }
+                for c in (0..cols).filter(|_| fill) {
+                    coo.push(row, c, v);
+                }
+                Csr::from_coo(&coo)
+            })
+        };
+        let x = |n: usize| prop::collection::vec(arb_x(), n);
+        (block(rows), block(ghosts), x(rows), x(ghosts))
+    })
+}
+
+/// The split of `arb_split` as a `ParCsr`.
+fn par_of(diag: &Csr, offd: &Csr) -> ParCsr {
+    let rows = diag.n_rows();
+    ParCsr {
+        part: Partition::block(rows, 1),
+        rank: 0,
+        diag: ChunkedBlock::from_csr(diag),
+        offd: ChunkedBlock::from_csr(offd),
+        col_map_offd: (rows..rows + offd.n_cols()).collect(),
+        global_cols: rows + offd.n_cols(),
+    }
+}
+
+/// The product as two CSR passes: `diag` into `y`, then `offd` added on.
 fn two_pass(par: &ParCsr, xl: &[f64], xg: &[f64]) -> Vec<f64> {
-    let mut y = par.diag.spmv(xl);
-    par.offd.spmv_add_into(xg, &mut y);
+    let mut y = par.diag.to_csr().spmv(xl);
+    par.offd.to_csr().spmv_add_into(xg, &mut y);
     y
 }
 
+/// The values' bits, every NaN as `f64::NAN`'s. Which NaN a sum of two
+/// NaNs returns is not the source's to fix: IEEE 754 leaves it open, x86
+/// returns the first operand, and the compiler may commute an addition
+/// (here `y += acc` comes out as `acc + y`). So a NaN must meet a NaN,
+/// and every other value its exact bits.
 fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+    v.iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect()
 }
 
 proptest! {
@@ -323,26 +350,37 @@ proptest! {
         }
     }
 
-    /// `ParCsr::spmv` and `spmv_into` are one pass, bit-identical to the
-    /// two-pass product on random splits: empty rows, no ghosts, signed
-    /// zeros in the matrix and in both operands.
+    /// `ParCsr::spmv` and `spmv_into` run a chunk at a time, bit for bit
+    /// the two-pass CSR product on random splits: empty rows, rows longer
+    /// than the rest of their chunk, a last chunk short of 4 rows, no
+    /// ghosts, signed zeros in the matrix and in both operands, and ±inf
+    /// and NaN in the operands (bits compared, a NaN against a NaN). The
+    /// chunks hold exactly the CSR they came from, and `nnz` counts its
+    /// entries.
     #[test]
-    fn one_pass_spmv_matches_two_pass_bit_for_bit((par, xl, xg) in arb_split()) {
-        let want = bits(&two_pass(&par, &xl, &xg));
-        prop_assert_eq!(bits(&par.spmv(&xl, &xg)), want.clone());
-        let mut y = vec![f64::NAN; par.local_rows()];
+    fn one_pass_spmv_matches_two_pass_bit_for_bit((diag, offd, xl, xg) in arb_split()) {
+        let par = par_of(&diag, &offd);
+        let mut want = diag.spmv(&xl);
+        offd.spmv_add_into(&xg, &mut want);
+        prop_assert_eq!(bits(&par.spmv(&xl, &xg)), bits(&want));
+        // no row sums to f64::MAX, so a row left unwritten shows
+        let mut y = vec![f64::MAX; par.local_rows()];
         par.spmv_into(&xl, &xg, &mut y);
-        prop_assert_eq!(bits(&y), want);
+        prop_assert_eq!(bits(&y), bits(&want));
+        assert_bit_identical(&par.diag.to_csr(), &diag);
+        assert_bit_identical(&par.offd.to_csr(), &offd);
+        prop_assert_eq!((par.diag.nnz(), par.offd.nnz()), (diag.nnz(), offd.nnz()));
     }
 
     /// The same on whole matrices split by `from_global`: balanced blocks,
-    /// one rank (no ghosts) and ranks with no rows.
+    /// one rank (no ghosts) and ranks with no rows. Each rank's blocks hold
+    /// its rows of the matrix entry for entry.
     #[test]
     fn one_pass_spmv_matches_two_pass_after_from_global(
         entries in prop::collection::vec((0usize..14, 0usize..14, arb_val()), 0..60),
         n in 1usize..14,
         p in 1usize..8,
-        x in prop::collection::vec(arb_val(), 14),
+        x in prop::collection::vec(arb_x(), 14),
     ) {
         let mut coo = Coo::new(n, n);
         for (r, c, v) in entries.into_iter().filter(|&(r, c, _)| r < n && c < n) {
@@ -352,7 +390,19 @@ proptest! {
         let part = Partition::block(n, p);
         for rank in 0..p {
             let par = ParCsr::from_global(&a, &part, rank);
-            let xl = &x[part.range(rank)];
+            let range = part.range(rank);
+            let (diag, offd) = (par.diag.to_csr(), par.offd.to_csr());
+            prop_assert_eq!(par.diag.nnz() + par.offd.nnz(), a.row_slice(range.clone()).nnz());
+            for (i, r) in range.clone().enumerate() {
+                let mut row: Vec<(usize, u64)> = diag.row(i).0.iter().map(|&c| c + range.start)
+                    .chain(offd.row(i).0.iter().map(|&c| par.col_map_offd[c]))
+                    .zip(diag.row(i).1.iter().chain(offd.row(i).1).map(|v| v.to_bits()))
+                    .collect();
+                row.sort_unstable();
+                let (cols, vals) = a.row(r);
+                prop_assert_eq!(row, cols.iter().copied().zip(bits(vals)).collect::<Vec<_>>());
+            }
+            let xl = &x[range];
             let xg: Vec<f64> = par.col_map_offd.iter().map(|&c| x[c]).collect();
             prop_assert_eq!(bits(&par.spmv(xl, &xg)), bits(&two_pass(&par, xl, &xg)));
         }
