@@ -61,7 +61,8 @@ test-tuner:
 # rank attribution) while the others stay byte-identical to solo runs,
 # deadline dumps naming every job they take down, a tenant panic closing
 # its lane and its lane-mates rerun to their solo bytes, tenants of one
-# shape sharing one resolution, a warm call asking the job objects it
+# shape sharing one resolution, tenants of one hierarchy sharing its
+# split under two backends and two ω, a warm call asking the job objects it
 # ran for no patterns, the four most recently used shapes kept
 # warm and the fifth evicting the oldest (with a kill scan from the first
 # op, no killed epoch ending on the wait deadline, each followed by a
@@ -70,12 +71,15 @@ test-tuner:
 # after every call (once the cycle has come round) — then, alone and in
 # release (`--ignored`), the 5000-job soak per fabric: flat gauge, idle
 # once the service is released but for shm segment bytes, flat VmRSS —
-# and last the warm call's allocation budget: a repeated call of Jacobi
-# tenants allocates, per job and rank, only what the job API forces
+# then the warm call's allocation budget: a repeated call of Jacobi
+# tenants allocates, per job and rank, only what the job API forces — and
+# last the job construction's: a job on a hierarchy whose split over its
+# rank count is live allocates its right-hand side and nothing else
 test-serve:
 	cargo test --test serve -q
 	cargo test --release --test serve -q -- --ignored
 	cargo test -p service --test warm_allocs -q
+	cargo test -p amg --test relaxation_allocs -q
 
 # the wire-layout suite (DESIGN.md §3, §4): every backend and lifecycle
 # byte-identical to the direct exchange, then core's property tests — the

@@ -3,9 +3,11 @@
 use crate::coarsen::{count_coarse, pmis};
 use crate::dense::DenseLu;
 use crate::interp::classical_interpolation;
+use crate::solve_job::Split;
 use crate::strength::strength_matrix;
 use sparse::spgemm::rap;
 use sparse::Csr;
+use std::sync::{Mutex, Weak};
 
 /// Setup options.
 #[derive(Debug, Clone, Copy)]
@@ -41,12 +43,16 @@ pub struct Level {
     pub p: Option<Csr>,
 }
 
-/// A complete AMG hierarchy.
+/// A complete AMG hierarchy. Its levels are fixed once set up: every
+/// `JacobiJob` built on it shares one split of them per rank count, which
+/// is rebuilt only when a level's rows or nnz no longer match it.
 pub struct Hierarchy {
     pub levels: Vec<Level>,
     /// Direct solver for the coarsest operator.
     pub coarse_solver: DenseLu,
     pub options: HierarchyOptions,
+    /// The live split per rank count, held by the jobs built on it.
+    pub(crate) splits: Mutex<Vec<(usize, Weak<Split>)>>,
 }
 
 impl Hierarchy {
@@ -80,6 +86,7 @@ impl Hierarchy {
             levels,
             coarse_solver,
             options,
+            splits: Mutex::default(),
         }
     }
 

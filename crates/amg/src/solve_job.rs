@@ -14,6 +14,10 @@
 //! methods and leaves the scheduler's job trait to the service crate, so
 //! `amg` keeps depending only on `sparse` + `mpi-advance`.
 //!
+//! Every job on one hierarchy and rank count shares one `Split` of it,
+//! which the hierarchy keeps behind a `Weak`: a job owns only its fine
+//! right-hand side, so its tenants read one copy of the operator.
+//!
 //! Determinism contract: levels share no state, so the per-rank update is
 //! independent of the order entries retire within a sweep, and every
 //! arithmetic step matches [`JacobiJob::reference_results`] — the same
@@ -26,20 +30,22 @@ use crate::distributed::{split_level, DistributedHierarchy};
 use crate::hierarchy::Hierarchy;
 use mpi_advance::{CommPattern, NeighborRequest};
 use sparse::ParCsr;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError};
 
-/// One level as one rank holds it: built once per job, read — never
-/// written — by every rank state the job builds for that rank.
+/// One level as one rank holds it: built once per hierarchy and rank
+/// count, read — never written — by every rank state any job on the split
+/// builds for that rank.
 struct RankLevel {
     /// The rank's split of the level matrix.
     mat: ParCsr,
     /// Where the level's rows start in the rank's iterate (every level's
     /// owned rows, finest first).
     offset: usize,
-    /// Local right-hand side.
-    b: Vec<f64>,
+    /// Local right-hand side of a coarse level; `None` on the fine level,
+    /// whose right-hand side is each job's own.
+    b: Option<Vec<f64>>,
     /// Built by the level's first update on this rank and kept for every
-    /// later run of the job.
+    /// later run of any job on the split.
     derived: OnceLock<Derived>,
 }
 
@@ -95,27 +101,112 @@ impl RankLevel {
     }
 
     /// One damped-Jacobi update of the owned rows `x` against the ghost
-    /// values `ghost` (in `col_map_offd` order), with `y` as the product's
-    /// scratch. The distributed path and the reference both run this.
-    fn relax(&self, d: &Derived, x: &mut [f64], ghost: &[f64], y: &mut [f64], omega: f64) {
+    /// values `ghost` (in `col_map_offd` order) and the job's `fine`
+    /// right-hand side, with `y` as the product's scratch. The distributed
+    /// path and the reference both run this.
+    fn relax(
+        &self,
+        d: &Derived,
+        fine: &[f64],
+        x: &mut [f64],
+        ghost: &[f64],
+        y: &mut [f64],
+        omega: f64,
+    ) {
+        let b = (self.b.as_deref()).unwrap_or_else(|| &fine[self.mat.part.range(self.mat.rank)]);
         self.mat.spmv_into(x, ghost, y);
         for (i, x) in x.iter_mut().enumerate() {
-            *x += omega * d.inv_diag[i] * (self.b[i] - y[i]);
+            *x += omega * d.inv_diag[i] * (b[i] - y[i]);
         }
+    }
+}
+
+/// A hierarchy split over some number of ranks: what every job on it reads
+/// and no job writes.
+pub(crate) struct Split {
+    /// Rows and nnz of every level it was split from, finest first.
+    shape: Vec<(usize, usize)>,
+    /// One halo pattern per level, finest first.
+    patterns: Vec<CommPattern>,
+    /// Per rank, every level as that rank holds it, finest first.
+    ranks: Vec<Arc<[RankLevel]>>,
+}
+
+impl Split {
+    /// Partition every level of `h` over `n_ranks` balanced row blocks and
+    /// split it per rank.
+    fn build(h: &Hierarchy, n_ranks: usize) -> Self {
+        let dist = DistributedHierarchy::build(h, n_ranks);
+        let mut ranks: Vec<Vec<RankLevel>> = (0..n_ranks)
+            .map(|_| Vec::with_capacity(h.levels.len()))
+            .collect();
+        let patterns = h
+            .levels
+            .iter()
+            .zip(&dist.levels)
+            .map(|(l, d)| {
+                for (r, mat) in split_level(&l.a, &d.part).into_iter().enumerate() {
+                    // deterministic, level-dependent, nonzero
+                    let b = (d.level > 0).then(|| {
+                        (d.part.range(r))
+                            .map(|i| (0.37 * i as f64 + d.level as f64).sin())
+                            .collect()
+                    });
+                    let offset = ranks[r].last().map_or(0, |lv| lv.rows().end);
+                    ranks[r].push(RankLevel {
+                        mat,
+                        offset,
+                        b,
+                        derived: OnceLock::new(),
+                    });
+                }
+                d.pattern()
+            })
+            .collect();
+        Self {
+            shape: Self::shape_of(h).collect(),
+            patterns,
+            ranks: ranks.into_iter().map(Arc::from).collect(),
+        }
+    }
+
+    fn shape_of(h: &Hierarchy) -> impl Iterator<Item = (usize, usize)> + '_ {
+        h.levels.iter().map(|l| (l.a.n_rows(), l.a.nnz()))
+    }
+}
+
+impl Hierarchy {
+    /// The split over `n_ranks` ranks that the jobs on this hierarchy
+    /// hold, built if none holds one, or if the levels no longer have the
+    /// rows and nnz it was split from.
+    fn split(&self, n_ranks: usize) -> Arc<Split> {
+        // a panicking build leaves the memo as it was, so poison is moot
+        let mut memo = self.splits.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = memo
+            .iter()
+            .find(|e| e.0 == n_ranks)
+            .and_then(|e| e.1.upgrade());
+        if let Some(s) = hit.filter(|s| s.shape.iter().copied().eq(Split::shape_of(self))) {
+            return s;
+        }
+        let s = Arc::new(Split::build(self, n_ranks));
+        memo.retain(|(n, s)| *n != n_ranks && s.strong_count() > 0);
+        memo.push((n_ranks, Arc::downgrade(&s)));
+        s
     }
 }
 
 /// All-levels weighted-Jacobi relaxation over one hierarchy, shaped as a
 /// schedulable job: N batch entries (one per level), `sweeps` iterations,
 /// per-rank state machines built on the rank threads. What a rank reads
-/// and never writes is computed once per job — the splits and right-hand
-/// sides here, the rest at each level's first update on each rank — so a
-/// job the service runs again builds only its iterate and scratch buffers.
+/// and never writes is computed once per hierarchy and rank count — the
+/// split here, the rest at each level's first update on each rank — so a
+/// job holds only its fine right-hand side, and a job the service runs
+/// again builds only its iterate and scratch buffers.
 pub struct JacobiJob {
-    /// One halo pattern per level, finest first.
-    patterns: Vec<CommPattern>,
-    /// Per rank, every level as that rank holds it, finest first.
-    ranks: Vec<Arc<[RankLevel]>>,
+    split: Arc<Split>,
+    /// The fine level's right-hand side, every rank's rows.
+    rhs: Arc<[f64]>,
     omega: f64,
     sweeps: usize,
 }
@@ -125,7 +216,8 @@ impl JacobiJob {
     /// partitioned over `n_ranks` balanced row blocks. The fine level
     /// relaxes against `rhs_fine` (the tenant's right-hand side); coarser
     /// levels get a deterministic synthetic right-hand side so their
-    /// exchanges carry meaningful data too.
+    /// exchanges carry meaningful data too. Every job on `h` and `n_ranks`
+    /// shares one split of the hierarchy.
     pub fn relaxation(
         h: &Hierarchy,
         n_ranks: usize,
@@ -139,39 +231,9 @@ impl JacobiJob {
             h.levels[0].a.n_rows(),
             "rhs length must match the fine level"
         );
-        let dist = DistributedHierarchy::build(h, n_ranks);
-        let mut ranks: Vec<Vec<RankLevel>> = (0..n_ranks)
-            .map(|_| Vec::with_capacity(h.levels.len()))
-            .collect();
-        let patterns = h
-            .levels
-            .iter()
-            .zip(&dist.levels)
-            .map(|(l, d)| {
-                for (r, mat) in split_level(&l.a, &d.part).into_iter().enumerate() {
-                    let range = d.part.range(r);
-                    let b = if d.level == 0 {
-                        rhs_fine[range].to_vec()
-                    } else {
-                        // deterministic, level-dependent, nonzero
-                        range
-                            .map(|i| (0.37 * i as f64 + d.level as f64).sin())
-                            .collect()
-                    };
-                    let offset = ranks[r].last().map_or(0, |lv| lv.rows().end);
-                    ranks[r].push(RankLevel {
-                        mat,
-                        offset,
-                        b,
-                        derived: OnceLock::new(),
-                    });
-                }
-                d.pattern()
-            })
-            .collect();
         Self {
-            patterns,
-            ranks: ranks.into_iter().map(Arc::from).collect(),
+            split: h.split(n_ranks),
+            rhs: Arc::from(rhs_fine),
             omega,
             sweeps,
         }
@@ -179,7 +241,7 @@ impl JacobiJob {
 
     /// One halo pattern per level — the job's batch entries, finest first.
     pub fn patterns(&self) -> Vec<CommPattern> {
-        self.patterns.clone()
+        self.split.patterns.clone()
     }
 
     /// Whole-batch iterations the job runs.
@@ -189,24 +251,25 @@ impl JacobiJob {
 
     /// Ranks the job was partitioned for.
     pub fn n_ranks(&self) -> usize {
-        self.ranks.len()
+        self.split.ranks.len()
     }
 
     /// Levels (= batch entries).
     pub fn n_levels(&self) -> usize {
-        self.patterns.len()
+        self.split.patterns.len()
     }
 
     /// Build rank `rank`'s worker state (call on the rank's own thread):
     /// its iterate and two scratch buffers, nothing else.
     pub fn rank_state(&self, rank: usize) -> JacobiRankState {
-        let levels = Arc::clone(&self.ranks[rank]);
+        let levels = Arc::clone(&self.split.ranks[rank]);
         let widest = |f: fn(&ParCsr) -> usize| levels.iter().map(|l| f(&l.mat)).max().unwrap_or(0);
         JacobiRankState {
             x: vec![0.0; levels.last().map_or(0, |l| l.rows().end)],
             ghost: vec![0.0; widest(ParCsr::n_ghost)],
             y: vec![0.0; widest(ParCsr::local_rows)],
             levels,
+            rhs: Arc::clone(&self.rhs),
             omega: self.omega,
         }
     }
@@ -220,16 +283,16 @@ impl JacobiJob {
         let mut states: Vec<JacobiRankState> =
             (0..self.n_ranks()).map(|r| self.rank_state(r)).collect();
         for l in 0..self.n_levels() {
-            let mut x = vec![0.0; self.ranks[0][l].mat.global_cols];
+            let mut x = vec![0.0; self.split.ranks[0][l].mat.global_cols];
             for _ in 0..self.sweeps {
                 let x_old = x.clone();
                 for (r, st) in states.iter_mut().enumerate() {
                     let lv = &st.levels[l];
-                    let d = lv.derived(&self.patterns[l].dst_indices(r));
+                    let d = lv.derived(&self.split.patterns[l].dst_indices(r));
                     let range = lv.mat.part.range(r);
                     let ghost: Vec<f64> = lv.mat.col_map_offd.iter().map(|&g| x_old[g]).collect();
                     let y = &mut st.y[..range.len()];
-                    lv.relax(d, &mut x[range], &ghost, y, self.omega);
+                    lv.relax(d, &self.rhs, &mut x[range], &ghost, y, self.omega);
                 }
             }
             // split the iterate back per rank
@@ -248,6 +311,8 @@ impl JacobiJob {
 /// not affect the result.
 pub struct JacobiRankState {
     levels: Arc<[RankLevel]>,
+    /// The job's fine right-hand side.
+    rhs: Arc<[f64]>,
     /// Every level's local iterate, finest first: the result.
     x: Vec<f64>,
     /// Ghost values of the level being absorbed, in `col_map_offd` order.
@@ -277,7 +342,7 @@ impl JacobiRankState {
             *g = output[p];
         }
         let y = &mut self.y[..lv.mat.local_rows()];
-        lv.relax(d, &mut self.x[lv.rows()], ghost, y, self.omega);
+        lv.relax(d, &self.rhs, &mut self.x[lv.rows()], ghost, y, self.omega);
     }
 
     /// The rank's result: every level's local iterate, finest first.
@@ -290,15 +355,94 @@ impl JacobiRankState {
 mod tests {
     use super::*;
     use crate::hierarchy::{Hierarchy, HierarchyOptions};
-    use sparse::gen::diffusion_2d_7pt;
+    use sparse::gen::{diffusion_2d_7pt, laplace_2d_5pt};
     use std::f64::consts::FRAC_PI_4;
+    use std::sync::Weak;
+
+    fn hierarchy() -> Hierarchy {
+        let a = diffusion_2d_7pt(16, 8, 0.001, FRAC_PI_4);
+        Hierarchy::setup(a, HierarchyOptions::default())
+    }
+
+    /// Tenant `j`'s job on `h`: its own right-hand side, ω and sweeps.
+    fn job_on(h: &Hierarchy, n_ranks: usize, j: usize, omega: f64, sweeps: usize) -> JacobiJob {
+        let w = 0.11 + 0.17 * j as f64;
+        let rhs: Vec<f64> = (0..h.levels[0].a.n_rows())
+            .map(|i| (w * i as f64).cos())
+            .collect();
+        JacobiJob::relaxation(h, n_ranks, &rhs, omega, sweeps)
+    }
 
     fn small_job(n_ranks: usize, sweeps: usize) -> JacobiJob {
-        let a = diffusion_2d_7pt(16, 8, 0.001, FRAC_PI_4);
-        let n = a.n_rows();
-        let h = Hierarchy::setup(a, HierarchyOptions::default());
-        let rhs: Vec<f64> = (0..n).map(|i| (0.11 * i as f64).cos()).collect();
-        JacobiJob::relaxation(&h, n_ranks, &rhs, 0.8, sweeps)
+        job_on(&hierarchy(), n_ranks, 0, 0.8, sweeps)
+    }
+
+    fn bits(job: &JacobiJob) -> Vec<Vec<u64>> {
+        (job.reference_results().iter())
+            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// Tenant `j`'s reference on a hierarchy of its own, set up afresh.
+    fn alone(n_ranks: usize, j: usize, omega: f64, sweeps: usize) -> Vec<Vec<u64>> {
+        bits(&job_on(&hierarchy(), n_ranks, j, omega, sweeps))
+    }
+
+    #[test]
+    fn jobs_on_one_hierarchy_and_rank_count_share_one_exact_split() {
+        let h = hierarchy();
+        let four = [(0, 0.8, 3), (1, 0.6, 5), (2, 0.8, 1)];
+        let jobs: Vec<JacobiJob> = (four.iter())
+            .map(|&(j, omega, sweeps)| job_on(&h, 4, j, omega, sweeps))
+            .collect();
+        let eight = [job_on(&h, 8, 3, 0.7, 2), job_on(&h, 8, 4, 0.8, 2)];
+        for job in &jobs[1..] {
+            assert!(Arc::ptr_eq(&jobs[0].split, &job.split));
+        }
+        assert!(Arc::ptr_eq(&eight[0].split, &eight[1].split));
+        assert!(!Arc::ptr_eq(&jobs[0].split, &eight[0].split));
+        // the first reference builds the shared constants, the later ones
+        // read them
+        for (job, &(j, omega, sweeps)) in jobs.iter().zip(&four) {
+            assert_eq!(bits(job), alone(4, j, omega, sweeps), "tenant {j}");
+        }
+        assert_eq!(bits(&eight[0]), alone(8, 3, 0.7, 2));
+        assert_eq!(bits(&eight[1]), alone(8, 4, 0.8, 2));
+    }
+
+    #[test]
+    fn a_split_no_job_holds_is_rebuilt() {
+        let h = hierarchy();
+        let first = job_on(&h, 4, 0, 0.8, 3);
+        let gone: Weak<Split> = Arc::downgrade(&first.split);
+        drop(first);
+        assert!(gone.upgrade().is_none(), "the hierarchy pins no split");
+        let next = job_on(&h, 4, 1, 0.8, 3);
+        assert!(!Weak::ptr_eq(&gone, &Arc::downgrade(&next.split)));
+        assert_eq!(h.splits.lock().unwrap().len(), 1, "the dead entry is gone");
+        assert_eq!(bits(&next), alone(4, 1, 0.8, 3));
+    }
+
+    #[test]
+    fn a_replaced_level_is_split_again() {
+        let mut h = hierarchy();
+        let old = job_on(&h, 4, 0, 0.8, 3);
+        let before = bits(&old);
+        let replacement = laplace_2d_5pt(5, 5);
+        let l = &h.levels[1].a;
+        assert_ne!(
+            (l.n_rows(), l.nnz()),
+            (replacement.n_rows(), replacement.nnz())
+        );
+        h.levels[1].a = replacement.clone();
+        let new = job_on(&h, 4, 0, 0.8, 3);
+        assert!(!Arc::ptr_eq(&old.split, &new.split));
+        assert!(Arc::ptr_eq(&new.split, &job_on(&h, 4, 1, 0.8, 3).split));
+        let mut fresh = hierarchy();
+        fresh.levels[1].a = replacement;
+        assert_eq!(bits(&new), bits(&job_on(&fresh, 4, 0, 0.8, 3)));
+        assert_ne!(bits(&new), before, "the new job runs on the new level");
+        assert_eq!(bits(&old), before, "the old job keeps its split");
     }
 
     #[test]
@@ -306,7 +450,7 @@ mod tests {
         let job = small_job(4, 8);
         let per_rank = job.reference_results();
         // reassemble the fine-level iterate
-        let fine = |r: usize| &job.ranks[r][0];
+        let fine = |r: usize| &job.split.ranks[r][0];
         let fine_len = fine(0).mat.global_cols;
         let mut x = Vec::with_capacity(fine_len);
         for (r, res) in per_rank.iter().enumerate() {
@@ -317,11 +461,11 @@ mod tests {
         let mut r2 = 0.0;
         let mut b2 = 0.0;
         for r in 0..job.n_ranks() {
-            let (mat, b) = (&fine(r).mat, &fine(r).b);
+            let mat = &fine(r).mat;
             let range = mat.part.range(r);
             let ghost: Vec<f64> = mat.col_map_offd.iter().map(|&g| x[g]).collect();
-            let y = mat.spmv(&x[range], &ghost);
-            for (bi, yi) in b.iter().zip(&y) {
+            let y = mat.spmv(&x[range.clone()], &ghost);
+            for (bi, yi) in job.rhs[range].iter().zip(&y) {
                 r2 += (bi - yi) * (bi - yi);
                 b2 += bi * bi;
             }
@@ -339,7 +483,7 @@ mod tests {
     fn rank_states_cover_all_levels_and_rows() {
         let job = small_job(4, 2);
         let total: usize = (0..4).map(|r| job.rank_state(r).x.len()).sum();
-        let expect: usize = job.ranks[0].iter().map(|l| l.mat.global_cols).sum();
+        let expect: usize = job.split.ranks[0].iter().map(|l| l.mat.global_cols).sum();
         assert_eq!(total, expect);
         assert_eq!(job.patterns().len(), job.n_levels());
     }

@@ -143,11 +143,6 @@ fn warm_pool_accepts_successive_rounds() {
 fn a_resubmitted_job_returns_its_reference_bytes_every_time() {
     let jobs = tenant_jobs(3);
     let (job, a, b) = (&jobs[0], &jobs[1], &jobs[2]);
-    let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
-        v.iter()
-            .map(|r| r.iter().map(|x| x.to_bits()).collect())
-            .collect()
-    };
     // two lanes: in the third call the job takes the lane `a` ran on
     let calls: [Vec<&Arc<JacobiJob>>; 4] =
         [vec![job], vec![job, job], vec![job, a, b, job], vec![job]];
@@ -634,6 +629,69 @@ fn tenants_of_one_shape_share_a_resolution_and_nothing_else() {
             let alone = solo.run_pending().remove(0).outcome.expect("a job alone");
             assert_eq!(got, &alone, "{name}: tenant {k} shared vs alone");
             assert_eq!(got, &tenant.0.reference_results(), "{name}: tenant {k}");
+        }
+    }
+}
+
+/// `v` bit for bit.
+fn bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    v.iter()
+        .map(|r| r.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// Tenants of one hierarchy share its split — every rank's operator, the
+/// patterns and the per-rank constants each level's first update builds —
+/// whatever their backend or ω. One epoch of two backends × two ω, three
+/// tenants each, window 2, on a hierarchy set up afresh for each fabric,
+/// so the constants are built on its rank threads under whichever backend
+/// reaches a level first: every tenant returns the bytes of its reference
+/// and of the same job built alone on a hierarchy of its own.
+#[test]
+fn tenants_of_one_hierarchy_share_its_split_across_backends_and_omegas() {
+    let setup = || {
+        Hierarchy::setup(
+            diffusion_2d_7pt(16, 8, 0.001, FRAC_PI_4),
+            HierarchyOptions::default(),
+        )
+    };
+    let n = setup().levels[0].a.n_rows();
+    let job = |h: &Hierarchy, j: usize, omega: f64| {
+        let w = 0.11 + 0.17 * j as f64;
+        let rhs: Vec<f64> = (0..n).map(|i| (w * i as f64).cos()).collect();
+        Arc::new(JacobiJob::relaxation(h, RANKS, &rhs, omega, 3))
+    };
+    // interleaved, so tenants of one shape are not neighbours in the queue
+    let kinds = [(HYPRE, 0.8), (FULL, 0.6), (HYPRE, 0.6), (FULL, 0.8)];
+    let tenants: Vec<(usize, f64, Backend)> = (0..3)
+        .flat_map(|t| (kinds.iter().enumerate()).map(move |(k, &(b, w))| (3 * k + t, w, b)))
+        .collect();
+    for fabric in Fabric::ALL {
+        let name = fabric.name();
+        let h = setup();
+        let jobs: Vec<Arc<JacobiJob>> = (tenants.iter())
+            .map(|&(j, omega, _)| job(&h, j, omega))
+            .collect();
+        let mut svc =
+            SolveService::with_pool(WorldConfig::new(fabric).pool(RANKS)).max_concurrent(2);
+        for (k, (job, &(_, _, backend))) in jobs.iter().zip(&tenants).enumerate() {
+            let logic = Arc::clone(job) as Arc<dyn JobLogic>;
+            svc.submit(JobSpec::new(format!("tenant-{k}"), topo(), logic).backend(backend));
+        }
+        let reports = svc.run_pending();
+        assert_eq!(reports.len(), tenants.len(), "{name}");
+        for (k, (rep, &(j, omega, _))) in reports.iter().zip(&tenants).enumerate() {
+            let got = rep
+                .outcome
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{name}: tenant {k} failed: {e}"));
+            let alone = job(&setup(), j, omega).reference_results();
+            assert_eq!(bits(got), bits(&alone), "{name}: tenant {k} vs alone");
+            assert_eq!(
+                bits(got),
+                bits(&jobs[k].reference_results()),
+                "{name}: tenant {k}"
+            );
         }
     }
 }
