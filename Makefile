@@ -81,12 +81,21 @@ test-serve:
 	cargo test -p service --test warm_allocs -q
 	cargo test -p amg --test relaxation_allocs -q
 
-# the wire-layout suite (DESIGN.md §3, §4): every backend and lifecycle
-# byte-identical to the direct exchange, then core's property tests — the
-# routing against its value-by-value oracle, split and unsplit, and the
-# ride rule (one intra-region message per pair and phase: an ℓ message
-# rides its pair's first s or r message, each ℓ value on the wire once)
+# the wire-layout suite (DESIGN.md §3, §4, §5): first the union
+# collective by name — a batch byte-identical to independent one-entry
+# batches under start_all, one-by-one starts in a rank-dependent order and
+# their alternation, on every fabric and fault plan; init_all registering
+# a union's channels and an entry's own only at its first start on its
+# own; a union's members retiring together in entry order; the shifted
+# union keeping each pattern one run per rank — then every backend and
+# lifecycle byte-identical to the direct exchange, then core's property
+# tests — the routing against its value-by-value oracle, split and
+# unsplit, and the ride rule (one intra-region message per pair and phase:
+# an ℓ message rides its pair's first s or r message, each ℓ value on the
+# wire once)
 test-wire:
+	cargo test --test protocol_equivalence -q -- batch_matches_independent_inits a_union_registers_fewer_channels_than_its_entries
+	cargo test -p mpi-advance --lib -q -- a_union_retires_its_members_together_in_entry_order a_shifted_union_keeps_each_pattern_one_run_per_rank
 	cargo test --test protocol_equivalence -q
 	cargo test -p mpi-advance -q proptests::
 

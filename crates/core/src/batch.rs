@@ -54,23 +54,40 @@
 //!
 //! * **Planning** — every entry's backend resolves up front, in one place,
 //!   sharing one default cost model.
-//! * **Tags** — one [`crate::tagspace::TagLease`] of N spans is carved
-//!   into per-entry namespaces; nothing touches a global counter per
-//!   entry, and exhaustion of the (re-usable) tag space is a loud panic.
+//! * **The wire** — entries that share a backend ([`Backend::Tuned`]
+//!   aside) form a *union*: one collective over the union of their
+//!   patterns, each entry's indices shifted past the largest index of the
+//!   entries before it. It is planned once ([`Backend::Auto`] chooses on
+//!   the union, [`Backend::Partitioned`] splits the union's routing), so a
+//!   rank pair exchanges one message per step for the whole group instead
+//!   of one per entry. On every rank each entry's values are one
+//!   contiguous range of the union's `input_index`/`output_index`.
+//! * **Tags** — one [`crate::tagspace::TagLease`] is carved into
+//!   per-entry namespaces, plus one per union; nothing touches a global
+//!   counter per entry, and exhaustion of the (re-usable) tag space is a
+//!   loud panic.
 //! * **Routing** — one [`RankRouting::build_all_batch`] sweep derives all
-//!   ranks × all entries' routings together.
+//!   ranks' routings of every wire `init_all` registers.
 //! * **Registration** — [`NeighborBatch::init_all`] opens the world's
 //!   channel registry once ([`mpisim::ChanRegistrar`]) and registers every
-//!   entry's channels in a single pass, instead of one lock round trip per
-//!   message.
+//!   wire's channels in a single pass: a union's, and the own wire of
+//!   every entry outside a union.
 //!
 //! Each rank gets back a [`BatchRequest`] session: its entries as
-//! [`crate::NeighborRequest`] trait objects, in batch order —
-//! byte-identical on the wire to N one-entry batches' — plus the
+//! [`crate::NeighborRequest`] trait objects, in batch order — delivering
+//! byte for byte what N one-entry batches deliver — plus the
 //! completion-driven verbs ([`BatchRequest::start_all`],
 //! [`BatchRequest::test_any`], [`BatchRequest::wait_any`],
-//! [`BatchRequest::wait_all`]) that drive the whole set as one session and
-//! retire entries in **delivery order**.
+//! [`BatchRequest::wait_all`]) that drive the whole set as one session.
+//! `start_all` runs each union as one collective: it is collective over
+//! the batch, so in any one iteration every rank starts the session either
+//! with `start_all` or entry by entry. A union's entries retire together,
+//! in entry order, once the union completes; everything else retires in
+//! **delivery order**. An entry started on its own
+//! ([`BatchRequest::start`], or its request driven directly) runs its own
+//! independent collective, exactly a one-entry batch's; a union member's
+//! routing and channels are built at its first such start, so a session
+//! that only ever calls `start_all` never pays for them.
 
 use crate::collective::select::{candidates_within, choose_with};
 use crate::collective::Protocol;
@@ -85,6 +102,7 @@ use crate::Plan;
 use locality::Topology;
 use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx};
 use perfmodel::{CostModel, LocalityModel};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use tuner::{size_bucket, ProfileCache, ProfileKey, TunePolicy};
 
@@ -93,39 +111,95 @@ struct EntrySpec<'a> {
     backend: Backend,
 }
 
-/// The resolved half of a [`NeighborBatch`]: plans, carved tags, and every
-/// rank's routing, computed once and shared by all ranks' `init_all`. It
+/// The resolved half of a [`NeighborBatch`]: carved tags and every rank's
+/// routing, planned once and shared by all ranks' `init_all`. It
 /// owns everything `init_all` reads and borrows nothing of the builder, so
 /// it can outlive the patterns and topology it was resolved from
 /// ([`NeighborBatch::into_resolved`]) — the solve service keeps one per
 /// job shape across epochs.
 ///
-/// A [`Backend::Tuned`] entry **expands**: one routing (and tag span)
-/// per shortlisted candidate, all laid out in the same fused sweep, so
-/// the probe phase hot-swaps between fully-initialized executors. The
-/// `routings` are therefore in *expanded* order;
-/// `ExpandedEntry` maps each batch entry to its slots. `plans` and
-/// `tag_bases` stay per-entry (a tuned entry reports its model-best
-/// candidate until measurement says otherwise).
+/// `routings` holds one routing per *slot*, a wire `init_all` registers:
+/// an entry outside any union owns one slot; a [`Backend::Tuned`] entry
+/// **expands** to one slot (and tag span) per shortlisted candidate, all
+/// laid out in the same fused sweep, so the probe phase hot-swaps between
+/// fully-initialized executors; each union owns one slot after those.
+/// `tag_bases` stays per-entry: a union member keeps a span for its own
+/// collective.
 pub struct ResolvedBatch {
-    plans: Vec<(Protocol, Plan)>,
+    n_ranks: usize,
     tag_bases: Vec<u64>,
-    /// `routings[rank][slot]`: each rank's routing per expanded slot,
-    /// shared with every request initialized on it.
+    /// `routings[rank][slot]`: each rank's routing per slot, shared with
+    /// every request initialized on it.
     routings: Vec<Vec<Arc<RankRouting>>>,
     /// Held by the batch AND cloned into every request it initializes:
     /// the span frees (and its base becomes re-usable) only when the
     /// batch and all of its live requests are gone.
     lease: Option<Arc<TagLease>>,
-    expanded: Vec<ExpandedEntry>,
+    wires: Vec<EntryWire>,
+    unions: Vec<UnionWire>,
 }
 
-/// One entry's slice of the expanded candidate order.
-struct ExpandedEntry {
-    /// First expanded slot (single-candidate entries own exactly this
-    /// one; tuned entries own `candidates.len()` consecutive slots).
-    start: usize,
-    tuned: Option<TunedResolution>,
+/// What one entry runs on.
+enum EntryWire {
+    /// Its own collective, on one slot registered at init.
+    Slot(usize, Protocol),
+    /// A tuned entry: one slot per candidate, consecutive from `start`.
+    Tuned {
+        start: usize,
+        tuned: TunedResolution,
+    },
+    /// A member of union `union`; its own collective is built on its
+    /// first start on its own.
+    Member { union: usize, own: Arc<OwnWire> },
+}
+
+/// The resolution-time half of one union.
+struct UnionWire {
+    /// The union's slot.
+    slot: usize,
+    /// The protocol its plan runs (under `Auto`, chosen on the union).
+    protocol: Protocol,
+    /// The member entries, in entry order.
+    members: Vec<EntryId>,
+    /// Member `k`'s values are the union's indices in
+    /// `shifts[k]..shifts[k + 1]`.
+    shifts: Vec<usize>,
+}
+
+/// A union member's own collective, planned and routed on first use:
+/// every rank that starts the entry on its own shares one sweep of its
+/// plan.
+struct OwnWire {
+    pattern: CommPattern,
+    topo: Arc<Topology>,
+    protocol: Protocol,
+    tag_base: u64,
+    /// Whether its routing is split at the partition bounds.
+    split: bool,
+    /// Every rank's `(input_index, output_index)`, known before the
+    /// routing is: the member's run of the union's.
+    index: Vec<(Vec<usize>, Vec<usize>)>,
+    routings: OnceLock<Vec<Arc<RankRouting>>>,
+}
+
+impl OwnWire {
+    /// `rank`'s routing, from the one sweep the first caller runs.
+    fn routing(&self, rank: usize) -> Arc<RankRouting> {
+        let all = self.routings.get_or_init(|| {
+            let plan = self.protocol.plan(&self.pattern, &self.topo);
+            RankRouting::build_all(&self.pattern, &plan, self.tag_base)
+                .into_iter()
+                .map(|r| {
+                    Arc::new(if self.split {
+                        r.split_at_partitions()
+                    } else {
+                        r
+                    })
+                })
+                .collect()
+        });
+        Arc::clone(&all[rank])
+    }
 }
 
 /// The resolution-time half of one tuned entry's machinery.
@@ -167,6 +241,7 @@ pub struct NeighborBatch<'a> {
     model: Option<&'a dyn CostModel>,
     tune_policy: Option<TunePolicy>,
     resolved: OnceLock<ResolvedBatch>,
+    plans: OnceLock<Vec<(Protocol, Plan)>>,
 }
 
 impl<'a> NeighborBatch<'a> {
@@ -179,6 +254,7 @@ impl<'a> NeighborBatch<'a> {
             model: None,
             tune_policy: None,
             resolved: OnceLock::new(),
+            plans: OnceLock::new(),
         }
     }
 
@@ -191,6 +267,7 @@ impl<'a> NeighborBatch<'a> {
         );
         self.entries.push(EntrySpec { pattern, backend });
         self.resolved = OnceLock::new();
+        self.plans = OnceLock::new();
         self
     }
 
@@ -199,6 +276,7 @@ impl<'a> NeighborBatch<'a> {
     pub fn cost_model(mut self, model: &'a dyn CostModel) -> Self {
         self.model = Some(model);
         self.resolved = OnceLock::new();
+        self.plans = OnceLock::new();
         self
     }
 
@@ -209,6 +287,7 @@ impl<'a> NeighborBatch<'a> {
     pub fn tune_policy(mut self, policy: TunePolicy) -> Self {
         self.tune_policy = Some(policy);
         self.resolved = OnceLock::new();
+        self.plans = OnceLock::new();
         self
     }
 
@@ -221,13 +300,28 @@ impl<'a> NeighborBatch<'a> {
         self.entries.is_empty()
     }
 
-    /// Every entry's resolved `(protocol, plan)`, in batch order — the
-    /// planning half of init, exposed for statistics and tests.
-    /// Deterministic and computed once per batch. A [`Backend::Tuned`]
-    /// entry reports its model-best candidate here; the measured winner
-    /// is a runtime property (ask the live request's `protocol()`).
+    /// Every entry's own `(protocol, plan)`, in batch order: what the
+    /// entry runs when it is started on its own, exposed for statistics
+    /// and tests. Deterministic and computed once per batch. A
+    /// [`Backend::Tuned`] entry reports its model-best candidate here; the
+    /// measured winner is a runtime property (ask the live request's
+    /// `protocol()`). A union member's protocol is its union's — under
+    /// [`Backend::Auto`], the choice made on the union — and `start_all`
+    /// runs the union's plan.
     pub fn plans(&self) -> &[(Protocol, Plan)] {
-        &self.resolved().plans
+        self.plans.get_or_init(|| {
+            let resolved = self.resolved();
+            (self.entries.iter().zip(&resolved.wires))
+                .map(|(spec, wire)| {
+                    let p = match wire {
+                        EntryWire::Slot(_, p) => *p,
+                        EntryWire::Tuned { tuned, .. } => tuned.candidates[0],
+                        EntryWire::Member { own, .. } => own.protocol,
+                    };
+                    (p, p.plan(spec.pattern, self.topo))
+                })
+                .collect()
+        })
     }
 
     /// The tag base carved for each entry, in batch order.
@@ -250,115 +344,144 @@ impl<'a> NeighborBatch<'a> {
 
 impl ResolvedBatch {
     /// `MPI_Neighbor_alltoallv_init` × N, as one operation: open the
-    /// channel registry once and register every entry's requests in a
-    /// single pass. Returns the
+    /// channel registry once and register, in a single pass, the wire of
+    /// every entry outside a union and one wire per union. Returns the
     /// rank's [`BatchRequest`] session — every entry's request in batch
     /// order, plus the completion-driven verbs (`start_all`, `test_any`,
     /// `wait_any`, `wait_all`) that drive them as one set.
     pub fn init_all(&self, ctx: &RankCtx, comm: &Comm) -> BatchRequest {
-        for (_, plan) in &self.plans {
-            assert_eq!(plan.n_ranks, comm.size(), "plan/communicator size mismatch");
+        if self.wires.is_empty() {
+            return BatchRequest::new(Vec::new(), Vec::new(), Vec::new());
         }
-        let mut requests: Vec<Box<dyn NeighborRequest>> = if self.plans.is_empty() {
-            Vec::new()
-        } else {
-            // expanded order; a cached tuned winner leaves its losing
-            // candidates' slots untouched
-            let routings = &self.routings[comm.rank()];
-            let mut reg = ctx.chan_registrar();
-            let init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
-                NeighborExec::register(
-                    Arc::clone(&routings[slot]),
-                    reg,
-                    comm,
-                    protocol,
-                    self.lease.clone(),
-                )
-            };
-            self.expanded
-                .iter()
-                .enumerate()
-                .map(|(i, ex)| -> Box<dyn NeighborRequest> {
-                    let Some(tr) = &ex.tuned else {
-                        return Box::new(init_slot(&mut reg, ex.start, self.plans[i].0));
+        assert_eq!(self.n_ranks, comm.size(), "plan/communicator size mismatch");
+        // slot order; a cached tuned winner leaves its losing candidates'
+        // slots untouched
+        let routings = &self.routings[comm.rank()];
+        let mut reg = ctx.chan_registrar();
+        let init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
+            NeighborExec::register(
+                Arc::clone(&routings[slot]),
+                reg,
+                comm,
+                protocol,
+                self.lease.clone(),
+            )
+        };
+        let requests: Vec<Box<dyn NeighborRequest>> = self
+            .wires
+            .iter()
+            .map(|wire| -> Box<dyn NeighborRequest> {
+                let (start, tr) = match wire {
+                    EntryWire::Slot(slot, protocol) => {
+                        return Box::new(init_slot(&mut reg, *slot, *protocol))
+                    }
+                    EntryWire::Member { own, .. } => {
+                        return Box::new(OwnRequest {
+                            wire: Arc::clone(own),
+                            comm: comm.clone(),
+                            lease: self.lease.clone(),
+                            exec: None,
+                            idle_scratch: Vec::new(),
+                        })
+                    }
+                    EntryWire::Tuned { start, tuned } => (*start, tuned),
+                };
+                let fabric = ctx.fabric();
+                // the profile cache and this entry's key on this
+                // fabric, if a cache directory is configured
+                let cache = tr.policy.profile_dir.as_ref().map(|dir| {
+                    let key = ProfileKey {
+                        pattern_sig: tr.pattern_sig,
+                        topo_sig: tr.topo_sig,
+                        size_bucket: tr.size_bucket,
+                        fabric: fabric.to_string(),
                     };
-                    let fabric = ctx.fabric();
-                    // the profile cache and this entry's key on this
-                    // fabric, if a cache directory is configured
-                    let cache = tr.policy.profile_dir.as_ref().map(|dir| {
-                        let key = ProfileKey {
-                            pattern_sig: tr.pattern_sig,
-                            topo_sig: tr.topo_sig,
-                            size_bucket: tr.size_bucket,
-                            fabric: fabric.to_string(),
-                        };
-                        (ProfileCache::new(dir), key)
-                    });
-                    // one cache consult per process per fabric, memoized:
-                    // every rank — and every later epoch on a pooled world
-                    // — sees the same answer, so channel registration never
-                    // diverges mid-process
-                    let winner = {
-                        let mut consults = tr.consult.lock().expect("consult lock unpoisoned");
-                        match consults.iter().find(|(f, _)| f == fabric) {
-                            Some(&(_, w)) => w,
-                            None => {
-                                // unreadable/corrupt/missing cache, or a
-                                // winner outside today's shortlist
-                                // (admission factor changed) → probe
-                                let w = cache.as_ref().and_then(|(cache, key)| {
-                                    cache.lookup(key).and_then(|e| {
-                                        tr.candidates.iter().position(|p| p.name() == e.winner)
-                                    })
-                                });
-                                consults.push((fabric.to_string(), w));
-                                w
-                            }
-                        }
-                    };
-                    match winner {
-                        // warm start: the cache already knows the winner —
-                        // register only its channels and skip the probe
-                        // phase entirely
-                        Some(w) => Box::new(init_slot(&mut reg, ex.start + w, tr.candidates[w])),
-                        // no usable cached winner → full probe
+                    (ProfileCache::new(dir), key)
+                });
+                // one cache consult per process per fabric, memoized:
+                // every rank — and every later epoch on a pooled world
+                // — sees the same answer, so channel registration never
+                // diverges mid-process
+                let winner = {
+                    let mut consults = tr.consult.lock().expect("consult lock unpoisoned");
+                    match consults.iter().find(|(f, _)| f == fabric) {
+                        Some(&(_, w)) => w,
                         None => {
-                            let candidates: Vec<TunedCandidate> = tr
-                                .candidates
-                                .iter()
-                                .enumerate()
-                                .map(|(c, &protocol)| TunedCandidate {
-                                    inner: Some(init_slot(&mut reg, ex.start + c, protocol)),
-                                    protocol,
+                            // unreadable/corrupt/missing cache, or a
+                            // winner outside today's shortlist
+                            // (admission factor changed) → probe
+                            let w = cache.as_ref().and_then(|(cache, key)| {
+                                cache.lookup(key).and_then(|e| {
+                                    tr.candidates.iter().position(|p| p.name() == e.winner)
                                 })
-                                .collect();
-                            Box::new(TunedNeighbor::new(
-                                candidates,
-                                tr.policy.probe_iters,
-                                &mut reg,
-                                comm,
-                                tr.ctl_base,
-                                cache.filter(|_| comm.rank() == 0),
-                            ))
+                            });
+                            consults.push((fabric.to_string(), w));
+                            w
                         }
                     }
-                })
-                .collect()
-        };
-        let n = requests.len();
-        // every queue and scratch at its largest size from the start, so
-        // the steady state never grows one late: each entry's own scratch
-        // holds the largest set its `wait` parks on
-        let n_pending: usize = requests
-            .iter_mut()
-            .map(|r| r.chan_scratch().capacity())
-            .sum();
-        BatchRequest {
-            chan_scratch: Vec::with_capacity(n_pending),
-            requests,
-            in_flight: vec![false; n],
-            ready: std::collections::VecDeque::with_capacity(n),
-        }
+                };
+                match winner {
+                    // warm start: the cache already knows the winner —
+                    // register only its channels and skip the probe
+                    // phase entirely
+                    Some(w) => Box::new(init_slot(&mut reg, start + w, tr.candidates[w])),
+                    // no usable cached winner → full probe
+                    None => {
+                        let candidates: Vec<TunedCandidate> = tr
+                            .candidates
+                            .iter()
+                            .enumerate()
+                            .map(|(c, &protocol)| TunedCandidate {
+                                inner: Some(init_slot(&mut reg, start + c, protocol)),
+                                protocol,
+                            })
+                            .collect();
+                        Box::new(TunedNeighbor::new(
+                            candidates,
+                            tr.policy.probe_iters,
+                            &mut reg,
+                            comm,
+                            tr.ctl_base,
+                            cache.filter(|_| comm.rank() == 0),
+                        ))
+                    }
+                }
+            })
+            .collect();
+        let unions: Vec<LiveUnion> = self
+            .unions
+            .iter()
+            .map(|u| {
+                let routing = &*routings[u.slot];
+                // member k's run of a sorted index list: the indices
+                // shifted into its range
+                let run = |index: &[usize], k: usize| {
+                    let at = |shift: usize| index.partition_point(|&i| i < shift);
+                    at(u.shifts[k])..at(u.shifts[k + 1])
+                };
+                let members = (u.members.iter().enumerate())
+                    .map(|(k, &entry)| UnionMember {
+                        entry,
+                        input: run(&routing.input_index, k),
+                        output: run(&routing.output_index, k),
+                    })
+                    .collect();
+                LiveUnion {
+                    input: vec![0.0; routing.input_index.len()],
+                    output: vec![0.0; routing.output_index.len()],
+                    exec: init_slot(&mut reg, u.slot, u.protocol),
+                    members,
+                    live: false,
+                }
+            })
+            .collect();
+        let union_of = (self.wires.iter())
+            .map(|w| match w {
+                EntryWire::Member { union, .. } => Some(*union),
+                _ => None,
+            })
+            .collect();
+        BatchRequest::new(requests, unions, union_of)
     }
 }
 
@@ -367,15 +490,34 @@ impl NeighborBatch<'_> {
         self.resolved.get_or_init(|| self.resolve())
     }
 
-    fn resolve(&self) -> ResolvedBatch {
-        let default_model;
-        let model: &dyn CostModel = match self.model {
+    /// The cost model every `Auto` choice and tuned shortlist reads, built
+    /// in `default` when none was set.
+    fn model<'m>(&'m self, default: &'m mut Option<LocalityModel>) -> &'m dyn CostModel {
+        match self.model {
             Some(m) => m,
-            None => {
-                default_model = LocalityModel::lassen();
-                &default_model
+            None => default.insert(LocalityModel::lassen()),
+        }
+    }
+
+    /// Plan one entry's own collective the way it resolves alone.
+    fn plan_entry(&self, spec: &EntrySpec, model: &dyn CostModel) -> (Protocol, Plan) {
+        match spec.backend {
+            Backend::Protocol(p) => (p, p.plan(spec.pattern, self.topo)),
+            Backend::Partitioned(p) => {
+                let plan = p.plan(spec.pattern, self.topo);
+                assert_aggregating(p, &plan);
+                (p, plan)
             }
-        };
+            Backend::Auto | Backend::Tuned => {
+                let (p, plan, _) = choose_with(&Protocol::ALL, spec.pattern, self.topo, model);
+                (p, plan)
+            }
+        }
+    }
+
+    fn resolve(&self) -> ResolvedBatch {
+        let mut default_model = None;
+        let model = self.model(&mut default_model);
         // the policy is only materialized when a tuned entry exists, so
         // batches without one never read the environment
         let policy: Option<TunePolicy> = self
@@ -388,45 +530,73 @@ impl NeighborBatch<'_> {
                     .unwrap_or_else(TunePolicy::from_env)
             });
 
+        // the unions: entries that share a backend, two or more of them,
+        // Tuned aside (its probe and decision stay per entry)
+        let mut groups: Vec<(Backend, Vec<EntryId>)> = Vec::new();
+        for (e, spec) in self.entries.iter().enumerate() {
+            if spec.backend == Backend::Tuned {
+                continue;
+            }
+            match groups.iter_mut().find(|(b, _)| *b == spec.backend) {
+                Some((_, members)) => members.push(e),
+                None => groups.push((spec.backend, vec![e])),
+            }
+        }
+        groups.retain(|(_, members)| members.len() > 1);
+        let mut union_of: Vec<Option<usize>> = vec![None; self.entries.len()];
+        for (u, (_, members)) in groups.iter().enumerate() {
+            members.iter().for_each(|&e| union_of[e] = Some(u));
+        }
+
         // each entry's candidate list: exactly one plan for explicit /
         // Partitioned / Auto backends, the model's shortlist for Tuned
         // (a one-candidate shortlist needs no measurement and collapses
-        // back to a plain entry)
-        let per_entry: Vec<(Vec<(Protocol, Plan)>, bool)> = self
-            .entries
-            .iter()
-            .map(|e| match e.backend {
-                Backend::Protocol(p) => (vec![(p, p.plan(e.pattern, self.topo))], false),
-                Backend::Partitioned(p) => {
-                    let plan = p.plan(e.pattern, self.topo);
-                    assert!(
-                        plan.aggregated,
-                        "Backend::Partitioned needs an aggregating protocol, got {p}"
-                    );
-                    (vec![(p, plan)], false)
-                }
-                Backend::Auto => {
-                    let (p, plan, _) = choose_with(&Protocol::ALL, e.pattern, self.topo, model);
-                    (vec![(p, plan)], false)
-                }
-                Backend::Tuned => {
+        // back to a plain entry); none for a union member, whose own
+        // collective is planned at its first start on its own
+        let per_entry: Vec<(Vec<(Protocol, Plan)>, bool)> = (self.entries.iter())
+            .zip(&union_of)
+            .map(|(spec, union)| match (spec.backend, union) {
+                (_, Some(_)) => (Vec::new(), false),
+                (Backend::Tuned, None) => {
                     let pol = policy.as_ref().expect("policy exists for tuned entries");
-                    let cands: Vec<(Protocol, Plan)> =
-                        candidates_within(&Protocol::ALL, e.pattern, self.topo, model, pol.factor)
-                            .into_iter()
-                            .map(|(p, plan, _)| (p, plan))
-                            .collect();
+                    let cands: Vec<(Protocol, Plan)> = candidates_within(
+                        &Protocol::ALL,
+                        spec.pattern,
+                        self.topo,
+                        model,
+                        pol.factor,
+                    )
+                    .into_iter()
+                    .map(|(p, plan, _)| (p, plan))
+                    .collect();
                     let tuned = cands.len() > 1;
                     (cands, tuned)
                 }
+                (_, None) => (vec![self.plan_entry(spec, model)], false),
+            })
+            .collect();
+        // each union planned once over its shifted patterns
+        let union_plans: Vec<(CommPattern, Vec<usize>, Protocol, Plan)> = groups
+            .iter()
+            .map(|(backend, members)| {
+                let patterns: Vec<&CommPattern> =
+                    members.iter().map(|&e| self.entries[e].pattern).collect();
+                let (pattern, shifts) = CommPattern::shifted_union(&patterns);
+                let spec = EntrySpec {
+                    pattern: &pattern,
+                    backend: *backend,
+                };
+                let (protocol, plan) = self.plan_entry(&spec, model);
+                (pattern, shifts, protocol, plan)
             })
             .collect();
 
-        // one lease: a private namespace per expanded candidate, plus one
-        // control span per tuned entry for the decision reduction
-        let expanded_total: usize = per_entry.iter().map(|(c, _)| c.len()).sum();
+        // one lease: a private namespace per expanded candidate (a union
+        // member's own collective included), one control span per tuned
+        // entry for the decision reduction, one span per union
+        let expanded_total: usize = per_entry.iter().map(|(c, _)| c.len().max(1)).sum();
         let tuned_count = per_entry.iter().filter(|(_, t)| *t).count();
-        let total_spans = (expanded_total + tuned_count) as u64;
+        let total_spans = (expanded_total + tuned_count + groups.len()) as u64;
         let (span_bases, lease): (Vec<u64>, Option<Arc<TagLease>>) = if total_spans == 0 {
             (Vec::new(), None)
         } else {
@@ -442,47 +612,90 @@ impl NeighborBatch<'_> {
             )
         };
 
-        // one fused sweep derives all ranks × all expanded candidates'
-        // routings
-        let mut entry_plans: Vec<BatchEntryPlan> = Vec::with_capacity(expanded_total);
-        // per expanded slot: is its routing split at the partition bounds
+        // one fused sweep derives all ranks' routings of every slot: the
+        // entries' own wires that init registers, then the unions
+        let mut slot_plans: Vec<BatchEntryPlan> = Vec::with_capacity(expanded_total);
+        // per slot: is its routing split at the partition bounds
         let mut split: Vec<bool> = Vec::with_capacity(expanded_total);
-        let mut expanded: Vec<ExpandedEntry> = Vec::with_capacity(self.entries.len());
-        let mut next = 0usize;
+        let mut wires: Vec<EntryWire> = Vec::with_capacity(self.entries.len());
+        let mut tag_bases: Vec<u64> = Vec::with_capacity(self.entries.len());
+        let mut next_span = 0usize;
         let mut next_ctl = expanded_total; // ctl spans follow the expanded spans
-        for (e, (cands, is_tuned)) in self.entries.iter().zip(&per_entry) {
-            let start = next;
+        let topo = Arc::new(self.topo.clone());
+        for (e, (spec, (cands, is_tuned))) in self.entries.iter().zip(&per_entry).enumerate() {
+            let partitioned = matches!(spec.backend, Backend::Partitioned(_));
+            tag_bases.push(span_bases[next_span]);
+            if let Some(union) = union_of[e] {
+                let own = OwnWire {
+                    pattern: spec.pattern.clone(),
+                    topo: Arc::clone(&topo),
+                    // alone too: Auto's choice is the union's
+                    protocol: union_plans[union].2,
+                    tag_base: span_bases[next_span],
+                    split: partitioned,
+                    index: Vec::new(), // read off the union's routing below
+                    routings: OnceLock::new(),
+                };
+                next_span += 1;
+                wires.push(EntryWire::Member {
+                    union,
+                    own: Arc::new(own),
+                });
+                continue;
+            }
+            let start = slot_plans.len();
             for (_, plan) in cands {
-                entry_plans.push(BatchEntryPlan {
-                    pattern: e.pattern,
+                slot_plans.push(BatchEntryPlan {
+                    pattern: spec.pattern,
                     plan,
-                    tag_base: span_bases[next],
+                    tag_base: span_bases[next_span],
                     shared_arena: true,
                 });
-                split.push(matches!(e.backend, Backend::Partitioned(_)));
-                next += 1;
+                split.push(partitioned);
+                next_span += 1;
             }
-            let tuned = is_tuned.then(|| {
-                let mean_bytes = ((e.pattern.total_slots() * VALUE_BYTES) as u64)
-                    .checked_div(e.pattern.total_msgs() as u64)
-                    .unwrap_or(0);
-                let ctl_base = span_bases[next_ctl];
-                next_ctl += 1;
-                TunedResolution {
-                    candidates: cands.iter().map(|(p, _)| *p).collect(),
-                    ctl_base,
-                    policy: policy.clone().expect("policy exists for tuned entries"),
-                    pattern_sig: e.pattern.pattern_signature(),
-                    topo_sig: topology_signature(self.topo),
-                    size_bucket: size_bucket(mean_bytes),
-                    consult: Mutex::new(Vec::new()),
-                }
+            if !is_tuned {
+                wires.push(EntryWire::Slot(start, cands[0].0));
+                continue;
+            }
+            let mean_bytes = ((spec.pattern.total_slots() * VALUE_BYTES) as u64)
+                .checked_div(spec.pattern.total_msgs() as u64)
+                .unwrap_or(0);
+            let ctl_base = span_bases[next_ctl];
+            next_ctl += 1;
+            let tuned = TunedResolution {
+                candidates: cands.iter().map(|(p, _)| *p).collect(),
+                ctl_base,
+                policy: policy.clone().expect("policy exists for tuned entries"),
+                pattern_sig: spec.pattern.pattern_signature(),
+                topo_sig: topology_signature(self.topo),
+                size_bucket: size_bucket(mean_bytes),
+                consult: Mutex::new(Vec::new()),
+            };
+            wires.push(EntryWire::Tuned { start, tuned });
+        }
+        let mut unions: Vec<UnionWire> = Vec::with_capacity(groups.len());
+        for ((backend, members), (pattern, shifts, protocol, plan)) in
+            groups.into_iter().zip(&union_plans)
+        {
+            unions.push(UnionWire {
+                slot: slot_plans.len(),
+                protocol: *protocol,
+                members,
+                shifts: shifts.clone(),
             });
-            expanded.push(ExpandedEntry { start, tuned });
+            slot_plans.push(BatchEntryPlan {
+                pattern,
+                plan,
+                tag_base: span_bases[next_ctl],
+                shared_arena: true,
+            });
+            split.push(matches!(backend, Backend::Partitioned(_)));
+            next_ctl += 1;
         }
         // Backend::Partitioned is the split of its routing and nothing
         // else: it runs on the one wire every entry runs on
-        let routings = RankRouting::build_all_batch(&entry_plans)
+        let routings: Vec<Vec<Arc<RankRouting>>> = RankRouting::build_all_batch(&slot_plans)
             .into_iter()
             .map(|per_rank| {
                 let slots = per_rank.into_iter().zip(&split);
@@ -491,26 +704,133 @@ impl NeighborBatch<'_> {
                     .collect()
             })
             .collect();
-        drop(entry_plans); // release the borrows on per_entry's plans
 
-        let tag_bases: Vec<u64> = expanded.iter().map(|ex| span_bases[ex.start]).collect();
-        let plans: Vec<(Protocol, Plan)> = per_entry
-            .into_iter()
-            .map(|(mut cands, _)| cands.swap_remove(0))
-            .collect();
+        // a member's indices on each rank are its run of the union's,
+        // shifted back
+        for u in &unions {
+            for (k, &e) in u.members.iter().enumerate() {
+                let EntryWire::Member { own, .. } = &mut wires[e] else {
+                    unreachable!("a union's entries are its members")
+                };
+                let (lo, hi) = (u.shifts[k], u.shifts[k + 1]);
+                let run = |index: &[usize]| -> Vec<usize> {
+                    let at = |shift: usize| index.partition_point(|&i| i < shift);
+                    index[at(lo)..at(hi)].iter().map(|&i| i - lo).collect()
+                };
+                let own = Arc::get_mut(own).expect("a wire not yet shared");
+                own.index = (routings.iter())
+                    .map(|per_rank| {
+                        let r = &per_rank[u.slot];
+                        (run(&r.input_index), run(&r.output_index))
+                    })
+                    .collect();
+            }
+        }
 
         ResolvedBatch {
-            plans,
+            n_ranks: self.topo.n_ranks(),
             tag_bases,
             routings,
             lease,
-            expanded,
+            wires,
+            unions,
         }
+    }
+}
+
+/// `Backend::Partitioned` splits what an aggregating plan ships.
+fn assert_aggregating(p: Protocol, plan: &Plan) {
+    assert!(
+        plan.aggregated,
+        "Backend::Partitioned needs an aggregating protocol, got {p}"
+    );
+}
+
+/// A union member's request, for starts on its own: the entry's own
+/// collective — a one-entry batch's — registered at its first start, so
+/// a session driven only by `start_all` never registers it.
+struct OwnRequest {
+    wire: Arc<OwnWire>,
+    comm: Comm,
+    /// Held from init, like every request's: the entry's span stays
+    /// leased while it may still register on it.
+    lease: Option<Arc<TagLease>>,
+    exec: Option<NeighborExec>,
+    /// The park scratch before the first start (empty: `wait` parks only
+    /// on a started iteration).
+    idle_scratch: Vec<ChanId>,
+}
+
+impl NeighborRequest for OwnRequest {
+    fn input_index(&self) -> &[usize] {
+        &self.wire.index[self.comm.rank()].0
+    }
+
+    fn output_index(&self) -> &[usize] {
+        &self.wire.index[self.comm.rank()].1
+    }
+
+    fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
+        let Self {
+            wire,
+            comm,
+            lease,
+            exec,
+            ..
+        } = self;
+        exec.get_or_insert_with(|| {
+            let routing = wire.routing(comm.rank());
+            let reg = &mut ctx.chan_registrar();
+            NeighborExec::register(routing, reg, comm, wire.protocol, lease.clone())
+        })
+        .start(ctx, input);
+    }
+
+    fn test(&mut self, ctx: &mut RankCtx, output: &mut [f64]) -> bool {
+        // never started: inactive, as on an inactive persistent request
+        self.exec.as_mut().is_none_or(|x| x.test(ctx, output))
+    }
+
+    fn pending_chans(&self, out: &mut Vec<ChanId>) {
+        if let Some(x) = &self.exec {
+            x.pending_chans(out);
+        }
+    }
+
+    fn chan_scratch(&mut self) -> &mut Vec<ChanId> {
+        match &mut self.exec {
+            Some(x) => x.chan_scratch(),
+            None => &mut self.idle_scratch,
+        }
+    }
+
+    fn protocol(&self) -> Protocol {
+        self.wire.protocol
     }
 }
 
 /// Index of one collective within its batch, in entry order.
 pub type EntryId = usize;
+
+/// One rank's live union: the one collective `start_all` runs for its
+/// members, with the buffers their values pass through.
+struct LiveUnion {
+    exec: NeighborExec,
+    /// In entry order.
+    members: Vec<UnionMember>,
+    /// The union's input and output, aligned with its routing's indices:
+    /// each member's values are one range of them.
+    input: Vec<f64>,
+    output: Vec<f64>,
+    /// Started by `start_all` and not yet complete.
+    live: bool,
+}
+
+struct UnionMember {
+    entry: EntryId,
+    input: Range<usize>,
+    output: Range<usize>,
+}
 
 /// One rank's **live session** over an initialized [`NeighborBatch`]: the
 /// entries' [`NeighborRequest`]s in batch order, plus the
@@ -518,18 +838,23 @@ pub type EntryId = usize;
 ///
 /// The session model is `MPI_Startall` / `MPI_Testany` / `MPI_Waitany` /
 /// `MPI_Waitall` lifted to whole collectives: [`BatchRequest::start_all`]
-/// posts every entry's iteration, and [`BatchRequest::wait_any`] retires
-/// **whichever entry's traffic lands first** — it parks on the union of
-/// all in-flight entries' pending channels, drains arrivals via each
-/// entry's `test`, and returns the first entry that completes. An AMG
-/// V-cycle smooths each level the moment its halo exchange finishes
-/// instead of serializing on whichever level is slowest.
+/// posts every entry's iteration — one collective per union, one per
+/// entry outside a union — and [`BatchRequest::wait_any`] retires
+/// **whichever collective's traffic lands first** — it parks on the union
+/// of all in-flight collectives' pending channels, drains arrivals via
+/// each one's `test`, and returns the first entry that completes (a
+/// union's members one after another, in entry order). An AMG V-cycle
+/// smooths each level the moment its halo exchange finishes instead of
+/// serializing on whichever level is slowest.
 pub struct BatchRequest {
     requests: Vec<Box<dyn NeighborRequest>>,
+    unions: Vec<LiveUnion>,
+    /// Per entry: the union it is a member of.
+    union_of: Vec<Option<usize>>,
     /// Entries with a started, not-yet-completed iteration.
     in_flight: Vec<bool>,
     /// Completed-but-unreported entries: each `test_any` round sweeps
-    /// EVERY in-flight entry (so all drainable traffic drains and all
+    /// EVERY in-flight collective (so all drainable traffic drains and all
     /// fireable forwards fire before control returns to the caller's
     /// compute), then reports completions one at a time from this queue.
     ready: std::collections::VecDeque<EntryId>,
@@ -538,6 +863,28 @@ pub struct BatchRequest {
 }
 
 impl BatchRequest {
+    fn new(
+        mut requests: Vec<Box<dyn NeighborRequest>>,
+        mut unions: Vec<LiveUnion>,
+        union_of: Vec<Option<usize>>,
+    ) -> Self {
+        let n = requests.len();
+        // every queue and scratch at its largest size from the start, so
+        // the steady state never grows one late: each collective's own
+        // scratch holds the largest set its `wait` parks on
+        let n_pending: usize = (requests.iter_mut().map(|r| r.chan_scratch().capacity()))
+            .chain(unions.iter_mut().map(|u| u.exec.chan_scratch().capacity()))
+            .sum();
+        Self {
+            chan_scratch: Vec::with_capacity(n_pending),
+            requests,
+            unions,
+            union_of,
+            in_flight: vec![false; n],
+            ready: std::collections::VecDeque::with_capacity(n),
+        }
+    }
+
     /// Number of entries in the session.
     pub fn len(&self) -> usize {
         self.requests.len()
@@ -562,14 +909,16 @@ impl BatchRequest {
     }
 
     /// Mutable access to the entries — for driving one entry individually
-    /// through its own `start`/`test`/`wait`. Iterations driven that way
-    /// bypass the session's in-flight tracking: mix the two styles per
-    /// *iteration*, not per entry mid-iteration.
+    /// through its own `start`/`test`/`wait`, which runs the entry's own
+    /// collective. Iterations driven that way bypass the session's
+    /// in-flight tracking: mix the two styles per *iteration*, not per
+    /// entry mid-iteration.
     pub fn requests_mut(&mut self) -> &mut [Box<dyn NeighborRequest>] {
         &mut self.requests
     }
 
-    /// Dissolve the session into its requests (batch order).
+    /// Dissolve the session into its requests (batch order), each of
+    /// which runs its entry's own collective.
     pub fn into_requests(self) -> Vec<Box<dyn NeighborRequest>> {
         self.requests
     }
@@ -579,21 +928,35 @@ impl BatchRequest {
         &*self.requests[e]
     }
 
-    /// `MPI_Start` for one entry: begin its iteration with `input` (aligned
-    /// with its `input_index()`) and track it as in flight.
-    pub fn start(&mut self, ctx: &mut RankCtx, e: EntryId, input: &[f64]) {
+    /// The union entry `e`'s iteration runs on, if `start_all` started it.
+    fn running_union(&self, e: EntryId) -> Option<usize> {
+        self.union_of[e].filter(|&u| self.unions[u].live)
+    }
+
+    fn assert_idle(&self, e: EntryId) {
         assert!(
             !self.in_flight[e] && !self.ready.contains(&e),
             "entry {e} started again before its iteration was retired"
         );
+    }
+
+    /// `MPI_Start` for one entry: begin its iteration with `input` (aligned
+    /// with its `input_index()`) on the entry's own collective, and track
+    /// it as in flight. Every rank starts the iteration's entries the same
+    /// way: each with `start`, or all with [`BatchRequest::start_all`].
+    pub fn start(&mut self, ctx: &mut RankCtx, e: EntryId, input: &[f64]) {
+        self.assert_idle(e);
         self.requests[e].start(ctx, input);
         self.in_flight[e] = true;
     }
 
     /// `MPI_Startall`: begin one iteration of **every** entry.
     /// `inputs[e]` is entry `e`'s input (aligned with its `input_index()`).
-    /// Never blocks — no entry's `start` waits for traffic, so the entries
-    /// are all posted before any is completed.
+    /// A union runs as one collective, its members' inputs copied into
+    /// its input buffer; every other entry starts its own. Collective over
+    /// the batch: in an iteration one rank starts with `start_all`, every
+    /// rank does. Never blocks — no collective's `start` waits for
+    /// traffic, so all are posted before any is completed.
     pub fn start_all(&mut self, ctx: &mut RankCtx, inputs: &[Vec<f64>]) {
         assert_eq!(
             inputs.len(),
@@ -601,42 +964,82 @@ impl BatchRequest {
             "one input per batch entry"
         );
         for (e, input) in inputs.iter().enumerate() {
-            self.start(ctx, e, input);
+            self.assert_idle(e);
+            match self.union_of[e] {
+                Some(u) => {
+                    let union = &mut self.unions[u];
+                    let m = union.members.iter().find(|m| m.entry == e);
+                    let range = m.expect("a member of its union").input.clone();
+                    assert_eq!(input.len(), range.len(), "input length mismatch");
+                    union.input[range].copy_from_slice(input);
+                }
+                None => self.requests[e].start(ctx, input),
+            }
+            self.in_flight[e] = true;
+        }
+        for union in &mut self.unions {
+            union.exec.start(ctx, &union.input);
+            union.live = true;
         }
     }
 
-    /// `MPI_Testany`: non-blocking progress across every in-flight entry.
-    /// Sweeps **all** of them — draining whatever payloads have arrived
-    /// and firing any forwards whose inputs just completed, so the whole
-    /// session makes maximal progress before control returns to the
-    /// caller's compute — then retires one completed entry (its ghost
-    /// values are in `outputs[e]`) and returns its id. Entries that
+    /// `MPI_Testany`: non-blocking progress across every in-flight
+    /// collective. Sweeps **all** of them — draining whatever payloads
+    /// have arrived and firing any forwards whose inputs just completed,
+    /// so the whole session makes maximal progress before control returns
+    /// to the caller's compute — then retires one completed entry (its
+    /// ghost values are in `outputs[e]`) and returns its id. Entries that
     /// completed in the same sweep are reported by subsequent calls, in
-    /// completion order. `None` means no entry is complete *yet*; entries
-    /// never started are never returned.
+    /// completion order; a union's members complete together, copied out
+    /// of its output in entry order. `None` means no entry is complete
+    /// *yet*; entries never started are never returned.
     pub fn test_any(&mut self, ctx: &mut RankCtx, outputs: &mut [Vec<f64>]) -> Option<EntryId> {
         assert_eq!(
             outputs.len(),
             self.requests.len(),
             "one output per batch entry"
         );
-        for (e, req) in self.requests.iter_mut().enumerate() {
-            if self.in_flight[e] && req.test(ctx, &mut outputs[e]) {
-                self.in_flight[e] = false;
-                self.ready.push_back(e);
+        for e in 0..self.requests.len() {
+            if !self.in_flight[e] {
+                continue;
+            }
+            let Some(u) = self.running_union(e) else {
+                if self.requests[e].test(ctx, &mut outputs[e]) {
+                    self.in_flight[e] = false;
+                    self.ready.push_back(e);
+                }
+                continue;
+            };
+            // a union is tested once per sweep, at its first member
+            let union = &mut self.unions[u];
+            if union.members[0].entry != e || !union.exec.test(ctx, &mut union.output) {
+                continue;
+            }
+            union.live = false;
+            for m in &union.members {
+                outputs[m.entry].copy_from_slice(&union.output[m.output.clone()]);
+                self.in_flight[m.entry] = false;
+                self.ready.push_back(m.entry);
             }
         }
         self.ready.pop_front()
     }
 
-    /// Append every in-flight entry's pending channels to `out`: the
+    /// Append every in-flight collective's pending channels to `out`: the
     /// union wake set [`BatchRequest::wait_any`] parks on, exposed so an
     /// external driver (the solve service's scheduler) can park once
     /// across several sessions and wake the right one.
     pub fn pending_chans(&self, out: &mut Vec<ChanId>) {
         for (e, req) in self.requests.iter().enumerate() {
-            if self.in_flight[e] {
-                req.pending_chans(out);
+            if !self.in_flight[e] {
+                continue;
+            }
+            match self.running_union(e) {
+                Some(u) if self.unions[u].members[0].entry == e => {
+                    self.unions[u].exec.pending_chans(out)
+                }
+                Some(_) => {}
+                None => req.pending_chans(out),
             }
         }
     }
@@ -644,10 +1047,10 @@ impl BatchRequest {
     /// `MPI_Waitany`: block until **some** in-flight entry completes and
     /// return its id (its ghost values are in `outputs[e]`). Completion is
     /// in **delivery order**: between [`BatchRequest::test_any`] rounds the
-    /// call parks on the union of all in-flight entries' pending channels,
-    /// so whichever entry's traffic lands first retires first — the
-    /// overlap loop `while let Some(e) = ... { compute on e }` never idles
-    /// on a slow entry while a fast one is already complete.
+    /// call parks on the union of all in-flight collectives' pending
+    /// channels, so whichever collective's traffic lands first retires
+    /// first — the overlap loop `while let Some(e) = ... { compute on e }`
+    /// never idles on a slow entry while a fast one is already complete.
     ///
     /// Panics if nothing is in flight (there is nothing to wait for).
     pub fn wait_any(&mut self, ctx: &mut RankCtx, outputs: &mut [Vec<f64>]) -> EntryId {
@@ -762,6 +1165,39 @@ mod tests {
     }
 
     #[test]
+    fn a_union_retires_its_members_together_in_entry_order() {
+        // entries 0 and 2 share a backend: one union, which completes as
+        // one; entry 1 runs its own collective
+        let (a, b, topo) = patterns();
+        let batch = NeighborBatch::new(&topo)
+            .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
+            .entry(&b, Backend::Protocol(Protocol::StandardHypre))
+            .entry(&b, Backend::Protocol(Protocol::FullNeighbor));
+        assert_eq!(batch.resolved().unions[0].members, [0, 2]);
+        let orders = World::run(8, |ctx| {
+            let comm = ctx.comm_world();
+            let mut session = batch.init_all(ctx, &comm);
+            let inputs: Vec<Vec<f64>> = (session.requests().iter())
+                .map(|r| r.input_index().iter().map(|&i| i as f64).collect())
+                .collect();
+            let mut outputs: Vec<Vec<f64>> = (session.requests().iter())
+                .map(|r| vec![f64::NAN; r.output_index().len()])
+                .collect();
+            session.start_all(ctx, &inputs);
+            let mut order = Vec::new();
+            while session.in_flight() > 0 {
+                order.push(session.wait_any(ctx, &mut outputs));
+            }
+            order
+        });
+        for order in orders {
+            let at = order.iter().position(|&e| e == 0).expect("entry 0 retires");
+            assert_eq!(order.get(at + 1), Some(&2), "{order:?}");
+        }
+        deliver_all(&batch, 8);
+    }
+
+    #[test]
     fn entries_get_disjoint_tag_spans() {
         let (a, b, topo) = patterns();
         let batch = NeighborBatch::new(&topo)
@@ -785,12 +1221,19 @@ mod tests {
             .entry(&b, Backend::Tuned)
             .tune_policy(TunePolicy::default().with_factor(1.0e12));
         let resolved = batch.resolved();
-        let starts: Vec<usize> = resolved.expanded.iter().map(|e| e.start).collect();
+        let starts: Vec<usize> = (resolved.wires.iter())
+            .map(|w| match w {
+                EntryWire::Slot(start, _) | EntryWire::Tuned { start, .. } => *start,
+                EntryWire::Member { .. } => unreachable!("no two entries share a backend"),
+            })
+            .collect();
         assert_eq!(starts, [0, 3, 4]);
-        for e in [&resolved.expanded[0], &resolved.expanded[2]] {
-            let probed = &e.tuned.as_ref().unwrap().candidates;
-            assert_eq!(probed.len(), 3);
-            assert!(Protocol::ALL.iter().all(|p| probed.contains(p)));
+        for w in [&resolved.wires[0], &resolved.wires[2]] {
+            let EntryWire::Tuned { tuned, .. } = w else {
+                panic!("a tuned entry expands")
+            };
+            assert_eq!(tuned.candidates.len(), 3);
+            assert!(Protocol::ALL.iter().all(|p| tuned.candidates.contains(p)));
         }
         assert!(resolved.routings.iter().all(|r| r.len() == 7));
     }

@@ -23,9 +23,10 @@
 //! The one builder is the **batch/session API**, [`NeighborBatch`]: it
 //! takes a [`locality::Topology`] and N `(CommPattern, Backend)` entries —
 //! e.g. every AMG level's halo pattern — and plans, tags, and stages all
-//! of them as one session. One fused routing sweep derives all ranks × all
-//! entries; `init_all` registers every entry's channels in a single pass
-//! over the runtime's registry and returns the entries as
+//! of them as one session. Entries that share a backend run as one
+//! collective over the union of their patterns; one fused routing sweep
+//! derives all ranks × all wires; `init_all` registers their channels in a
+//! single pass over the runtime's registry and returns the entries as
 //! [`NeighborRequest`]s with `start`/`wait`/`start_wait` semantics. A
 //! one-entry batch is the paper's single persistent
 //! `MPI_Neighbor_alltoallv_init` ([`neighbor`]). Each entry's

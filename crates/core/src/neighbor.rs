@@ -33,7 +33,10 @@
 //! which protocol runs underneath. A workload that keeps **several**
 //! collectives live at once (every AMG level, plus residual/restriction
 //! exchanges) adds one entry per pattern to the same batch, which plans,
-//! tags, and stages all of them as one session.
+//! tags, and stages all of them as one session: its `start_all` runs the
+//! entries that share a backend as one collective over the union of their
+//! patterns. Each entry's request, driven on its own, runs that entry's
+//! own collective — exactly a one-entry batch's.
 
 use crate::collective::Protocol;
 use mpisim::{ChanId, RankCtx};

@@ -160,6 +160,47 @@ impl CommPattern {
         out
     }
 
+    /// The union of `patterns` as one exchange: each pattern's indices are
+    /// shifted past the largest index of the patterns before it, so no two
+    /// share an index, and a pair's messages merge into one, pattern by
+    /// pattern. Returns the union and the shifts, with one past the last
+    /// shifted index appended: pattern `k`'s values are the union's indices
+    /// in `shifts[k]..shifts[k + 1]`, so on every rank they form one
+    /// contiguous run of the union's sorted source and ghost indices.
+    pub(crate) fn shifted_union(patterns: &[&CommPattern]) -> (CommPattern, Vec<usize>) {
+        let n_ranks = patterns.first().map_or(0, |p| p.n_ranks);
+        let mut shifts = Vec::with_capacity(patterns.len() + 1);
+        let mut sends: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); n_ranks];
+        let mut next = 0;
+        for p in patterns {
+            assert_eq!(p.n_ranks, n_ranks, "union patterns must share a rank count");
+            shifts.push(next);
+            let mut top = None;
+            for (list, out) in p.sends.iter().zip(&mut sends) {
+                for (dst, idx) in list {
+                    top = top.max(idx.last().copied());
+                    out.push((*dst, idx.iter().map(|&i| i + next).collect()));
+                }
+            }
+            next += top.map_or(0, |t| t + 1);
+        }
+        shifts.push(next);
+        for list in &mut sends {
+            // stable: a pair's messages stay in pattern order, so the
+            // merged indices stay ascending
+            list.sort_by_key(|&(dst, _)| dst);
+            let mut merged: Vec<(usize, Vec<usize>)> = Vec::with_capacity(list.len());
+            for (dst, idx) in list.drain(..) {
+                match merged.last_mut() {
+                    Some((d, to)) if *d == dst => to.extend(idx),
+                    _ => merged.push((dst, idx)),
+                }
+            }
+            *list = merged;
+        }
+        (CommPattern { n_ranks, sends }, shifts)
+    }
+
     /// A communication-heavy benchmark pattern: every rank sends one unique
     /// value to **every rank of every other region** (rank `r` owns indices
     /// `r·n_ranks ..`). This is the regime the paper's optimizations target
@@ -320,6 +361,58 @@ mod tests {
     use super::*;
     use sparse::gen::laplace_2d_5pt;
     use sparse::{build_comm_pkgs, Partition};
+
+    #[test]
+    fn a_shifted_union_keeps_each_pattern_one_run_per_rank() {
+        let a = CommPattern::example_2_1();
+        let b = CommPattern::new(
+            8,
+            vec![
+                vec![(1, vec![0]), (5, vec![0, 1])],
+                vec![(4, vec![10])],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+                vec![],
+            ],
+        );
+        let empty = CommPattern::empty(8);
+        let parts = [&a, &empty, &b, &a];
+        let (union, shifts) = CommPattern::shifted_union(&parts);
+        let top = |p: &CommPattern| {
+            p.all_src_indices()
+                .iter()
+                .flatten()
+                .max()
+                .map_or(0, |m| m + 1)
+        };
+        let mut next = 0;
+        for (k, p) in parts.iter().enumerate() {
+            assert_eq!(shifts[k], next);
+            next += top(p);
+        }
+        assert_eq!(shifts[parts.len()], next);
+        // a pair of several patterns exchanges one message
+        let pairs: usize = parts.iter().map(|p| p.total_msgs()).sum();
+        assert!(union.total_msgs() < pairs);
+        assert_eq!(
+            union,
+            CommPattern::new(8, union.sends.clone()),
+            "normalized"
+        );
+        // each rank's indices are every pattern's, shifted, in order
+        let shifted = |f: fn(&CommPattern, usize) -> Vec<usize>, r| -> Vec<usize> {
+            (parts.iter().zip(&shifts))
+                .flat_map(|(p, &s)| f(p, r).into_iter().map(move |i| i + s))
+                .collect()
+        };
+        for r in 0..8 {
+            assert_eq!(union.src_indices(r), shifted(CommPattern::src_indices, r));
+            assert_eq!(union.dst_indices(r), shifted(CommPattern::dst_indices, r));
+        }
+    }
 
     #[test]
     fn example_2_1_has_15_messages() {

@@ -3,6 +3,7 @@
 use crate::comm::{Comm, USER_TAG_LIMIT};
 use crate::elem::{elem_bytes, kind_name, Elem};
 use crate::state::{Envelope, Payload, WorldState};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Handle through which a rank's SPMD closure talks to the world.
@@ -12,6 +13,11 @@ pub struct RankCtx {
     pub(crate) rank: usize,
     /// Virtual clock in seconds (always 0 when running unmodeled).
     pub(crate) clock: f64,
+    /// Where this rank's next readiness scan starts: each `poll_any` and
+    /// `wait_any` starts one position further, so a permanently-hot
+    /// low-index channel cannot starve the rest of the set. The rank's
+    /// own, so no other core ever touches it.
+    rotor: Cell<usize>,
 }
 
 impl RankCtx {
@@ -20,7 +26,15 @@ impl RankCtx {
             world,
             rank,
             clock: 0.0,
+            rotor: Cell::new(0),
         }
+    }
+
+    /// The scan origin of this rank's next channel-set poll or wait.
+    fn next_origin(&self) -> usize {
+        let origin = self.rotor.get();
+        self.rotor.set(origin.wrapping_add(1));
+        origin
     }
 
     /// World rank of this process.
@@ -115,7 +129,10 @@ impl RankCtx {
     /// lifecycle (`NeighborRequest::test`) is built on this plus
     /// [`crate::RecvChan::try_take`].
     pub fn poll_any(&self, chans: &[crate::ChanId]) -> Option<usize> {
-        self.world.poll_any(self.rank, chans)
+        if chans.is_empty() {
+            return None;
+        }
+        WorldState::poll_any_from(chans, self.next_origin() % chans.len())
     }
 
     /// Block until **some** channel of the set has a message and return its
@@ -129,7 +146,7 @@ impl RankCtx {
     /// owning receive half (e.g. [`crate::RecvChan::try_take`]), which is
     /// also where the modeled clock merge happens.
     pub fn wait_any(&self, chans: &[crate::ChanId]) -> usize {
-        self.world.wait_any(self.rank, chans)
+        self.world.wait_any(self.rank, chans, self.next_origin())
     }
 
     /// The world as stall forensics see it, taken from a live run instead

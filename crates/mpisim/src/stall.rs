@@ -8,9 +8,11 @@
 //! * `MPISIM_STALL_MS` — the probe period (default 50 ms). Lower values
 //!   tighten failure-detection latency at the cost of more wakeups.
 //! * `MPISIM_DEADLINE_MS` — an optional hard bound on any single blocked
-//!   wait. When it expires the world assembles a [`StallReport`] and
-//!   aborts with the dump instead of hanging, turning the stall probe
-//!   into a deadlock detector.
+//!   wait, counted from the wait's first park: a channel wait's spin turns
+//!   before it parks read no clock and count for nothing (a control-plane
+//!   wait counts from its entry). When it expires the world assembles a
+//!   [`StallReport`] and aborts with the dump instead of hanging, turning
+//!   the stall probe into a deadlock detector.
 //!
 //! A deadline can also be attached programmatically to one world via
 //! [`FaultPlan::deadline_ms`](crate::FaultPlan::deadline_ms), which takes
@@ -33,7 +35,7 @@ pub struct RankWait {
     pub kind: &'static str,
     /// The channel signatures it was waiting on, as `(ctx, src, dst, tag)`.
     pub chans: Vec<(u64, usize, usize, u64)>,
-    /// How long it had been blocked when the report was taken.
+    /// How long it had been parked when the report was taken.
     pub waited_ms: u64,
 }
 

@@ -407,11 +407,6 @@ pub(crate) struct WorldState {
     /// passes ([`ChanRegistrar`]) and the readers below share it; creating
     /// a channel and freeing a context take it exclusively.
     channels: RwLock<Registry>,
-    /// Per-rank scan rotor for [`WorldState::poll_any`] /
-    /// [`WorldState::wait_any`]: each call starts its readiness scan one
-    /// position further, so a permanently-hot low-index channel cannot
-    /// starve the rest of the set.
-    rotors: Vec<AtomicUsize>,
     /// What each locally-hosted rank is currently blocked on, registered
     /// lazily by [`WaitGuard`] once a wait survives its first stall probe.
     /// The raw material of [`WorldState::stall_report`].
@@ -460,7 +455,11 @@ impl WaitChans<'_> {
 }
 
 /// Deadline + forensics guard around one blocked wait. Created at wait
-/// entry, ticked from the wait's stall probe, cleared on drop.
+/// entry, ticked from the wait's stall probe, cleared on drop. Its clock
+/// starts when the wait first parks ([`WaitGuard::since`], read by
+/// `WorldState::park` as the wait leaves its spin phase), so a wait that
+/// ends within its spin turns never reads the clock; a control-plane wait
+/// ([`WorldState::begin_wait`]) starts it at entry.
 ///
 /// `tick` upgrades the stall probe from a liveness hack into a deadlock
 /// detector: on peer death it aborts with the failure message *plus* a
@@ -471,11 +470,22 @@ pub(crate) struct WaitGuard<'a> {
     rank: usize,
     kind: &'static str,
     chans: WaitChans<'a>,
-    start: Instant,
+    /// When the wait first parked; `None` while it still spins.
+    start: Cell<Option<Instant>>,
     registered: Cell<bool>,
 }
 
 impl WaitGuard<'_> {
+    /// When the wait first parked: the deadline counts from here. The
+    /// first call reads the clock.
+    pub(crate) fn since(&self) -> Instant {
+        self.start.get().unwrap_or_else(|| {
+            let now = Instant::now();
+            self.start.set(Some(now));
+            now
+        })
+    }
+
     /// Stall-probe body: register the parked wait (first tick only), then
     /// abort loudly on peer death or deadline expiry.
     pub(crate) fn tick(&self) {
@@ -483,7 +493,7 @@ impl WaitGuard<'_> {
             *self.world.parked[self.rank].lock() = Some(ParkInfo {
                 kind: self.kind,
                 chans: self.chans.keys().collect(),
-                since: self.start,
+                since: self.since(),
             });
             self.registered.set(true);
         }
@@ -496,7 +506,7 @@ impl WaitGuard<'_> {
             }
         }
         if let Some(ms) = self.world.deadline_ms {
-            let waited = self.start.elapsed().as_millis() as u64;
+            let waited = self.since().elapsed().as_millis() as u64;
             if waited >= ms {
                 panic!(
                     "wait deadline of {ms} ms (MPISIM_DEADLINE_MS) expired after \
@@ -551,7 +561,6 @@ impl WorldState {
             model,
             transport,
             channels: RwLock::new(Registry::default()),
-            rotors: (0..n_ranks).map(|_| AtomicUsize::new(0)).collect(),
             parked: (0..n_ranks).map(|_| Mutex::new(None)).collect(),
             epoch: AtomicU64::new(0),
             deadline_ms,
@@ -559,9 +568,23 @@ impl WorldState {
         })
     }
 
-    /// Open a deadline/forensics guard around one blocked wait. The stall
-    /// probe of the wait must call [`WaitGuard::tick`].
+    /// Open a deadline/forensics guard around one blocked control-plane
+    /// wait, its clock started now. The stall probe of the wait must call
+    /// [`WaitGuard::tick`].
     pub(crate) fn begin_wait<'a>(
+        &'a self,
+        rank: usize,
+        kind: &'static str,
+        chans: WaitChans<'a>,
+    ) -> WaitGuard<'a> {
+        let guard = self.park_guard(rank, kind, chans);
+        guard.since();
+        guard
+    }
+
+    /// The guard of a rank wait that runs through [`WorldState::park`],
+    /// which starts its clock when the wait first parks.
+    fn park_guard<'a>(
         &'a self,
         rank: usize,
         kind: &'static str,
@@ -572,7 +595,7 @@ impl WorldState {
             rank,
             kind,
             chans,
-            start: Instant::now(),
+            start: Cell::new(None),
             registered: Cell::new(false),
         }
     }
@@ -648,20 +671,6 @@ impl WorldState {
         (0..n).map(|i| (start + i) % n).find(|&i| chans[i].ready())
     }
 
-    /// Non-blocking arrival poll over a channel set for `global_rank`:
-    /// index of a channel holding a delivered, unconsumed message, else
-    /// `None`. The scan origin rotates per call (see
-    /// [`WorldState::poll_any_from`]), so repeated polls over a set with
-    /// several hot channels visit all of them instead of always reporting
-    /// the lowest ready index.
-    pub(crate) fn poll_any(&self, global_rank: usize, chans: &[ChanId]) -> Option<usize> {
-        if chans.is_empty() {
-            return None;
-        }
-        let start = self.rotors[global_rank].fetch_add(1, Ordering::Relaxed) % chans.len();
-        Self::poll_any_from(chans, start)
-    }
-
     /// Block `global_rank`, on its park point, until **some** channel of
     /// the set has a message, returning its index — woken by whichever
     /// deposit lands first, so completion follows delivery order instead
@@ -672,11 +681,13 @@ impl WorldState {
     /// misuse loud: a plain send aimed at a persistent signature lands in
     /// the mailbox these channels bypass, and would otherwise hang the
     /// blocked rank silently. ([`WorldState::match_recv`] is the reverse
-    /// direction.)
-    pub(crate) fn wait_any(&self, global_rank: usize, chans: &[ChanId]) -> usize {
+    /// direction.) The readiness scan starts at `origin` (modulo the set),
+    /// which the rank's context rotates per call, so repeated waits over a
+    /// set with several hot channels visit all of them.
+    pub(crate) fn wait_any(&self, global_rank: usize, chans: &[ChanId], origin: usize) -> usize {
         assert!(!chans.is_empty(), "wait_any on an empty channel set");
-        let start = self.rotors[global_rank].fetch_add(1, Ordering::Relaxed) % chans.len();
-        let guard = self.begin_wait(global_rank, "wait_any", WaitChans::Ids(chans));
+        let start = origin % chans.len();
+        let guard = self.park_guard(global_rank, "wait_any", WaitChans::Ids(chans));
         let stall = || {
             guard.tick();
             for &ChanId { key, .. } in chans {
@@ -694,13 +705,15 @@ impl WorldState {
             }
         };
         let scan = || Self::poll_any_from(chans, start);
-        self.park(global_rank, PARK_SPIN, scan, &stall)
+        self.park(global_rank, PARK_SPIN, scan, &stall, Some(&guard))
     }
 
     /// Every rank wait: `spin` run-queue turns on `ready`, then park until
     /// it yields, pushing the rank's queued sends ([`Transport::progress`])
     /// at every check from there on — only then, so a spinning rank pays
-    /// nothing for a fabric that never queues.
+    /// nothing for a fabric that never queues. `guard`'s clock starts as
+    /// the wait leaves its spin turns: almost every channel wait ends
+    /// within them, and reads no clock.
     ///
     /// Channel waits spin [`PARK_SPIN`] turns. Plain receives — what
     /// barrier and allreduce are made of — spin none: a rank spinning in a
@@ -718,6 +731,7 @@ impl WorldState {
         spin: u32,
         ready: impl Fn() -> Option<R>,
         stall: &dyn Fn(),
+        guard: Option<&WaitGuard>,
     ) -> R {
         let point = self.transport.enter_wait(rank);
         for _ in 0..spin {
@@ -725,6 +739,9 @@ impl WorldState {
                 return r;
             }
             std::thread::yield_now();
+        }
+        if let Some(guard) = guard {
+            guard.since();
         }
         let ready = || {
             self.progress(rank);
@@ -742,15 +759,21 @@ impl WorldState {
     /// is left or `released` (all ranks returned: [`WorldState::wake_ranks`]).
     pub(crate) fn drain_outbound(&self, rank: usize, released: &dyn Fn() -> bool) {
         let done = || (self.progress(rank) || released()).then_some(());
-        self.park(rank, 0, done, &|| {});
+        self.park(rank, 0, done, &|| {}, None);
     }
 
     /// Park `rank` until `push` goes in, named as waiting on the full shm
     /// ring `raw`, so every pop notifies it.
     pub(crate) fn wait_room(&self, rank: usize, raw: &ShmChanRaw, push: &dyn Fn() -> bool) {
         raw.set_waiting(Some(rank));
-        let guard = self.begin_wait(rank, "full shm ring", WaitChans::Keys(&[]));
-        self.park(rank, 0, || push().then_some(()), &|| guard.tick());
+        let guard = self.park_guard(rank, "full shm ring", WaitChans::Keys(&[]));
+        self.park(
+            rank,
+            0,
+            || push().then_some(()),
+            &|| guard.tick(),
+            Some(&guard),
+        );
         raw.set_waiting(None);
     }
 
@@ -896,7 +919,7 @@ impl WorldState {
         self.inject(global_dst, FaultOp::MatchRecv);
         let chan_key: ChanKey = (ctx_id, src, dst_comm_rank, tag);
         let keys = [chan_key];
-        let guard = self.begin_wait(global_dst, "plain recv", WaitChans::Keys(&keys));
+        let guard = self.park_guard(global_dst, "plain recv", WaitChans::Keys(&keys));
         let stall = || {
             guard.tick();
             assert!(
@@ -908,7 +931,7 @@ impl WorldState {
             );
         };
         let take = || self.transport.try_match(global_dst, ctx_id, src, tag);
-        self.park(global_dst, 0, take, &stall)
+        self.park(global_dst, 0, take, &stall, Some(&guard))
     }
 }
 
@@ -954,8 +977,9 @@ mod tests {
         a.push(&[1], 0.0);
         b.push(&[2], 0.0);
         let ids = [a.id(), b.id()];
+        let ctx = crate::RankCtx::new(w, 0);
         let seen: std::collections::HashSet<usize> = (0..4)
-            .map(|_| w.poll_any(0, &ids).expect("both channels are hot"))
+            .map(|_| ctx.poll_any(&ids).expect("both channels are hot"))
             .collect();
         assert_eq!(
             seen.len(),

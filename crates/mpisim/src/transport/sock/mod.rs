@@ -919,7 +919,7 @@ mod tests {
             let got = loop {
                 match chan.try_pop(&mut back) {
                     Some((got, _)) => break got,
-                    None => _ = world.wait_any(rank, &[chan.id()]),
+                    None => _ = world.wait_any(rank, &[chan.id()], 0),
                 }
             };
             assert_eq!(got, message(case, i), "case {case}, message {i}");
@@ -1309,7 +1309,7 @@ mod tests {
                 let got = loop {
                     match chan.try_pop(&mut back) {
                         Some((got, _)) => break got,
-                        None => _ = world.wait_any(DST, &[chan.id()]),
+                        None => _ = world.wait_any(DST, &[chan.id()], 0),
                     }
                 };
                 let by_chan = got == sent;

@@ -316,7 +316,7 @@ mod tests {
             if let Some((buf, _)) = c2.try_pop(&mut Vec::new()) {
                 break buf[0];
             }
-            w2.wait_any(0, &[c2.id()]);
+            w2.wait_any(0, &[c2.id()], 0);
         });
         std::thread::sleep(Duration::from_millis(20));
         c.push(&[42], 0.0);
@@ -443,7 +443,7 @@ mod tests {
         let b = w.channel::<u8>((0, 0, 0, 21));
         let w2 = Arc::clone(&w);
         let (aid, bid) = (a.id(), b.id());
-        let t = std::thread::spawn(move || w2.wait_any(0, &[aid, bid]));
+        let t = std::thread::spawn(move || w2.wait_any(0, &[aid, bid], 0));
         // let the receiver get past the spin phase and genuinely park
         std::thread::sleep(Duration::from_millis(30));
         b.push(&[9], 0.0);
@@ -453,7 +453,7 @@ mod tests {
         // and again for the other channel, now that the wait set is warm
         let (aid, bid) = (a.id(), b.id());
         let w2 = Arc::clone(&w);
-        let t = std::thread::spawn(move || w2.wait_any(0, &[aid, bid]));
+        let t = std::thread::spawn(move || w2.wait_any(0, &[aid, bid], 0));
         std::thread::sleep(Duration::from_millis(30));
         a.push(&[3], 0.0);
         assert_eq!(t.join().unwrap(), 0);

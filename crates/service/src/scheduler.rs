@@ -162,6 +162,10 @@ struct Lane {
     /// `None` once the lane is closed: a job on it failed on some rank,
     /// and nothing runs on it again.
     session: Option<BatchRequest>,
+    /// Each entry's input of the iteration being started, aligned with its
+    /// `input_index`: the vector the job's `input` returned, held until the
+    /// next iteration's replaces it.
+    inputs: Vec<Vec<f64>>,
     /// Where each entry's ghost values land, aligned with its
     /// `output_index`: built with the session, reused by every job that
     /// takes the lane, and poisoned with NaN each time one does.
@@ -172,12 +176,13 @@ struct Lane {
 
 impl Lane {
     fn new(stream: u64, comm: Comm, session: BatchRequest) -> Self {
-        let outputs = (0..session.len())
+        let outputs: Vec<Vec<f64>> = (0..session.len())
             .map(|e| vec![f64::NAN; session.entry(e).output_index().len()])
             .collect();
         Self {
             stream,
             comm,
+            inputs: vec![Vec::new(); session.len()],
             session: Some(session),
             outputs,
             busy: None,
@@ -193,9 +198,10 @@ impl Lane {
     }
 }
 
-/// One job on this rank: `iters` iterations of start-all /
+/// One job on this rank: `iters` iterations of `start_all` /
 /// retire-entries-as-they-land on its lane's session, folding each
-/// entry's ghost values into the rank state. Owns its state; its outputs
+/// entry's ghost values into the rank state. Each iteration is one
+/// collective over the session: every rank starts it with `start_all`. Owns its state; its outputs
 /// are its lane's, which runs one job at a time. Dropped — never polled
 /// again — once it resolves, panics, or is cancelled.
 struct Task {
@@ -236,12 +242,15 @@ impl Task {
     /// it is not in flight, retire (`test_any` → `absorb`) entries until
     /// none is complete, move to the next iteration. `Some(result)` after
     /// the last one; `None` — with `runnable` cleared — when blocked on
-    /// traffic that has not landed. Never blocks: `start` only posts, so
+    /// traffic that has not landed. Never blocks: `start_all` only posts, so
     /// the rank is back in the drive loop to serve whichever tenant a peer
     /// is waiting on.
     fn poll(&mut self, ctx: &mut RankCtx, lane: &mut Lane) -> Option<Vec<f64>> {
         let Lane {
-            session, outputs, ..
+            session,
+            inputs,
+            outputs,
+            ..
         } = lane;
         let session = session.as_mut().expect("a running job's lane is open");
         let n = session.len();
@@ -250,10 +259,12 @@ impl Task {
             .get_or_insert_with(|| self.logic.rank_state(self.rank));
         while self.iter < self.iters {
             if !self.started {
-                for e in 0..n {
-                    let input = state.input(self.iter, e, session.entry(e));
-                    session.start(ctx, e, &input);
+                // the lane's vector holds what `input` returned, so the
+                // gather allocates nothing of its own
+                for (e, input) in inputs.iter_mut().enumerate() {
+                    *input = state.input(self.iter, e, session.entry(e));
                 }
+                session.start_all(ctx, inputs);
                 self.started = true;
             }
             while self.retired < n {

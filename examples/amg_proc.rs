@@ -94,8 +94,9 @@ fn main() {
             .map(|req| vec![0.0; req.output_index().len()])
             .collect();
         // one start_all posts every level's exchange across the process
-        // fabric; wait_any retires levels in delivery order, each level's
-        // SpMV overlapping the slower levels' in-flight traffic
+        // fabric as one union collective (the levels share a backend);
+        // wait_any retires the levels together, in level order, once it
+        // lands, and each level's SpMV runs as it is retired
         session.start_all(ctx, &inputs);
         let mut errs = vec![f64::NAN; session.len()];
         while session.in_flight() > 0 {

@@ -6,13 +6,16 @@
 //! collective on the simulated MPI runtime. The whole hierarchy is driven
 //! the way a real solve drives it — **one warm `WorldPool`, one
 //! `NeighborBatch` holding every level's collective**: the batch plans all
-//! levels up front, carves each a private tag namespace, derives every
-//! rank's routing in one fused sweep, and registers all levels' channels
-//! in a single pass; one **`start_all`** posts every level's exchange and
-//! a **`wait_any`** loop retires each level the moment its traffic lands,
-//! running its SpMV while slower levels are still in flight. The
-//! distributed SpMV results are checked against the serial operator, and
-//! the per-level communication statistics are reported.
+//! levels up front and, since every level runs the same backend, plans
+//! them as one union collective — one message per rank pair and step for
+//! the whole hierarchy — routed in one fused sweep and registered in a
+//! single pass; one **`start_all`** posts that collective and a
+//! **`wait_any`** loop retires the levels, together and in level order,
+//! once it lands, running each level's SpMV as its level is retired
+//! (levels on different backends would be separate collectives, retired
+//! in delivery order). The distributed SpMV results are checked against
+//! the serial operator, and the per-level communication statistics are
+//! reported.
 //!
 //! Run with: `cargo run --release --example amg_solve`
 
@@ -104,12 +107,13 @@ fn main() {
         let me = ctx.rank();
         // MPI_Neighbor_alltoallv_init × n_levels, as one operation
         let mut session = batch.init_all(ctx, &comm);
-        // post every level's exchange with ONE call, then retire levels as
-        // their traffic lands: wait_any completes whichever level's halo
-        // finishes first, and its SpMV runs while slower levels' messages
-        // are still in flight — the overlap the paper's persistent
-        // collectives exist to expose. No level's compute ever waits on a
-        // level it does not depend on.
+        // post every level's exchange with ONE call: the levels share a
+        // backend, so start_all runs them as one union collective, and
+        // wait_any retires them together, in level order, once it lands —
+        // each level's SpMV runs as its level is retired. (Levels on
+        // different backends are separate collectives: wait_any retires
+        // whichever lands first, and its SpMV overlaps the others'
+        // traffic.)
         let inputs: Vec<Vec<f64>> = session
             .requests()
             .iter()
@@ -146,9 +150,9 @@ fn main() {
         assert!(max_err < 1e-12, "level {lvl} SpMV mismatch: {max_err}");
     }
     println!(
-        "\nall {} levels posted with one start_all and retired by wait_any in",
+        "\nall {} levels posted with one start_all as one union collective and",
         dist.n_levels()
     );
-    println!("delivery order, each level's SpMV overlapping the others' traffic;");
+    println!("retired by wait_any in level order, each level's SpMV as it is retired;");
     println!("every distributed SpMV matches the serial operator bit-for-bit ✓");
 }

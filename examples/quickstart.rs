@@ -88,9 +88,12 @@ fn main() {
     // level): one NeighborBatch is the session that owns all of them —
     // mixed backends included — and init_all registers the whole set in
     // one pass, returning a BatchRequest. Its completion-driven verbs
-    // drive the set as one: start_all posts every entry's iteration, and
-    // wait_any retires whichever entry's traffic lands first — so the
-    // compute for a fast entry never waits behind a slow one.
+    // drive the set as one: start_all posts every entry's iteration —
+    // entries that share a backend as one union collective, whose entries
+    // retire together, in entry order — and wait_any retires whichever
+    // collective's traffic lands first, so the compute for a fast entry
+    // never waits behind a slow one. These two entries' backends differ:
+    // two collectives.
     let second = CommPattern::example_2_1();
     let batch = NeighborBatch::new(&topo)
         .entry(&pattern, Backend::Protocol(Protocol::FullNeighbor))
@@ -116,7 +119,7 @@ fn main() {
         session.start_all(ctx, &inputs); // MPI_Startall over whole collectives
         let mut ok = true;
         while session.in_flight() > 0 {
-            // MPI_Waitany over whole collectives: entries retire in
+            // MPI_Waitany over whole collectives: collectives retire in
             // delivery order; per-entry compute goes right here
             let e = session.wait_any(ctx, &mut outputs);
             ok &= session

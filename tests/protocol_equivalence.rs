@@ -19,9 +19,16 @@
 //! — must deliver byte-identical outputs to N independent one-entry
 //! batches,
 //! **whichever lifecycle drives it**: the completion-driven
-//! `start_all`/`wait_any` retire loop (entries complete in delivery
-//! order) and `start_all`/`wait_all` are both pinned against the
-//! independent `start_wait` reference.
+//! `start_all`/`wait_any` retire loop, `start_all`/`wait_all` (both run
+//! every union of entries that share a backend as one collective),
+//! entries started one by one in an order that differs by rank (each on
+//! its own collective, built at its first such start), and a session that
+//! alternates `start_all` and one-by-one iterations are all pinned against
+//! the independent `start_wait` reference.
+//!
+//! A count test pins what `init_all` registers: a union's channels and
+//! nothing of its entries' own collectives until an entry is started on
+//! its own.
 //!
 //! A final deterministic test pins `wait_any`'s ordering contract itself:
 //! entries retire in **delivery** order, not init order, under a skewed
@@ -101,7 +108,12 @@ fn expected_outputs(pattern: &CommPattern, it: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// One rank's SPMD body: two iterations, raw output bits per iteration.
+/// Iterations every body below drives: enough for an alternating session
+/// to go from `start_all` to one-by-one starts and back.
+const ITERS: u64 = 3;
+
+/// One rank's SPMD body: [`ITERS`] iterations, raw output bits per
+/// iteration.
 fn backend_body(
     coll: &NeighborBatch,
     ctx: &mut mpisim::RankCtx,
@@ -109,7 +121,7 @@ fn backend_body(
 ) -> Vec<Vec<u64>> {
     let mut req = coll.init_all(ctx, comm).into_requests().remove(0);
     let mut iters = Vec::new();
-    for it in 0..2u64 {
+    for it in 0..ITERS {
         let input: Vec<f64> = req.input_index().iter().map(|&i| value(i, it)).collect();
         let mut output = vec![f64::NAN; req.output_index().len()];
         req.start_wait(ctx, &input, &mut output);
@@ -118,7 +130,7 @@ fn backend_body(
     iters
 }
 
-/// Run `backend` in a fresh spawned world for two iterations and collect
+/// Run `backend` in a fresh spawned world for [`ITERS`] iterations and collect
 /// every rank's raw output bytes.
 fn run_backend(pattern: &CommPattern, topo: &Topology, backend: Backend) -> Vec<Vec<Vec<u64>>> {
     let coll = NeighborBatch::new(topo).entry(pattern, backend);
@@ -162,8 +174,8 @@ fn run_backend_on(
 }
 
 /// Every backend, for the batch property's per-entry draws. `Tuned`
-/// rides with the default probe budget (12 ≫ the 2 iterations driven
-/// here), so these cases pin the **mid-probe** behavior: candidates
+/// rides with the default probe budget (12 ≫ the [`ITERS`] iterations
+/// driven here), so these cases pin the **mid-probe** behavior: candidates
 /// hot-swap under the caller's feet and every byte must still match.
 const ALL_BACKENDS: [Backend; 7] = [
     Backend::Protocol(Protocol::StandardHypre),
@@ -181,14 +193,28 @@ enum Lifecycle {
     /// `start_all` then one `wait_all` (internally a wait-any loop).
     WaitAll,
     /// `start_all` then an explicit `wait_any` retire loop — the
-    /// completion-driven shape, entries retiring in delivery order.
+    /// completion-driven shape.
     WaitAny,
+    /// Every entry started on its own with `start`, in an order that
+    /// differs by rank, then a `wait_any` retire loop: each entry on its
+    /// own collective, entries retiring in delivery order.
+    OneByOne,
+    /// `WaitAny` and `OneByOne` iterations in turn, from `WaitAny`.
+    Alternating,
 }
 
-/// One rank's SPMD body over a whole batch: two iterations per entry,
-/// entries started together (the live-together shape sessions exist for)
-/// and retired through the given lifecycle, raw output bits per entry per
-/// iteration.
+/// The lifecycles the batch property drives.
+const LIFECYCLES: [Lifecycle; 4] = [
+    Lifecycle::WaitAny,
+    Lifecycle::WaitAll,
+    Lifecycle::OneByOne,
+    Lifecycle::Alternating,
+];
+
+/// One rank's SPMD body over a whole batch: [`ITERS`] iterations per
+/// entry, every entry live together (the shape sessions exist for),
+/// started and retired through the given lifecycle, raw output bits per
+/// entry per iteration.
 fn batch_body(
     batch: &NeighborBatch,
     lifecycle: Lifecycle,
@@ -196,8 +222,14 @@ fn batch_body(
     comm: &mpisim::Comm,
 ) -> Vec<Vec<Vec<u64>>> {
     let mut session = batch.init_all(ctx, comm);
-    let mut per_entry: Vec<Vec<Vec<u64>>> = vec![Vec::new(); session.len()];
-    for it in 0..2u64 {
+    let n = session.len();
+    let mut per_entry: Vec<Vec<Vec<u64>>> = vec![Vec::new(); n];
+    for it in 0..ITERS {
+        let lifecycle = match lifecycle {
+            Lifecycle::Alternating if it % 2 == 0 => Lifecycle::WaitAny,
+            Lifecycle::Alternating => Lifecycle::OneByOne,
+            other => other,
+        };
         let inputs: Vec<Vec<f64>> = session
             .requests()
             .iter()
@@ -208,11 +240,19 @@ fn batch_body(
             .iter()
             .map(|r| vec![f64::NAN; r.output_index().len()])
             .collect();
-        session.start_all(ctx, &inputs);
+        match lifecycle {
+            Lifecycle::OneByOne => {
+                for k in 0..n {
+                    let e = (k + ctx.rank()) % n;
+                    session.start(ctx, e, &inputs[e]);
+                }
+            }
+            _ => session.start_all(ctx, &inputs),
+        }
         match lifecycle {
             Lifecycle::WaitAll => session.wait_all(ctx, &mut outputs),
-            Lifecycle::WaitAny => {
-                let mut retired = vec![false; session.len()];
+            _ => {
+                let mut retired = vec![false; n];
                 while session.in_flight() > 0 {
                     let e = session.wait_any(ctx, &mut outputs);
                     assert!(!std::mem::replace(&mut retired[e], true), "entry {e} twice");
@@ -247,7 +287,7 @@ proptest! {
         backends.push(Backend::Auto);
         backends.push(Backend::Tuned);
 
-        let expected: Vec<Vec<Vec<u64>>> = (0..2u64)
+        let expected: Vec<Vec<Vec<u64>>> = (0..ITERS)
             .map(|it| {
                 expected_outputs(&pattern, it)
                     .into_iter()
@@ -326,7 +366,7 @@ proptest! {
                 backend_body(&coll, ctx, &comm)
             });
             for rank in 0..8 {
-                for it in 0..2 {
+                for it in 0..ITERS as usize {
                     prop_assert_eq!(
                         &faulted[rank][it],
                         &expected[it][rank],
@@ -363,8 +403,10 @@ proptest! {
     /// byte-identical outputs to the same entries initialized as N
     /// independent one-entry batches — in a fresh spawned
     /// world and as an epoch of a shared warm pool alike, and through
-    /// **both** session lifecycles: the completion-driven
-    /// `start_all`/`wait_any` retire loop and `start_all`/`wait_all`.
+    /// **every** session lifecycle: the completion-driven
+    /// `start_all`/`wait_any` retire loop, `start_all`/`wait_all`,
+    /// one-by-one starts in a rank-dependent order, and the alternation
+    /// of `start_all` and one-by-one iterations in one session.
     #[test]
     fn batch_matches_independent_inits(
         patterns in prop::collection::vec(arb_pattern(8), 1..4),
@@ -390,7 +432,7 @@ proptest! {
             batch = batch.entry(pattern, backend);
         }
         let pool = World::pool(8);
-        for lifecycle in [Lifecycle::WaitAny, Lifecycle::WaitAll] {
+        for lifecycle in LIFECYCLES {
             let batched = World::run(8, |ctx| {
                 let comm = ctx.comm_world();
                 batch_body(&batch, lifecycle, ctx, &comm)
@@ -458,48 +500,58 @@ proptest! {
             }
         }
 
-        // the completion-driven session under a seeded delay/reorder
-        // fault schedule: wait_any retires entries in (perturbed)
-        // delivery order, yet every output must stay byte-identical
-        let faulted = WorldConfig::new(Fabric::Thread).faults(perturb_plan(77)).run(8, |ctx| {
-            let comm = ctx.comm_world();
-            batch_body(&batch, Lifecycle::WaitAny, ctx, &comm)
-        });
-        let faulted_shm = WorldConfig::new(Fabric::Shm).faults(perturb_plan(78)).run(8, |ctx| {
-            let comm = ctx.comm_world();
-            batch_body(&batch, Lifecycle::WaitAny, ctx, &comm)
-        });
-        let faulted_sock = WorldConfig::new(Fabric::Sock).faults(perturb_plan(79)).run(8, |ctx| {
-            let comm = ctx.comm_world();
-            batch_body(&batch, Lifecycle::WaitAny, ctx, &comm)
-        });
-        for rank in 0..8 {
-            for e in 0..entries.len() {
-                for it in 0..2 {
-                    prop_assert_eq!(
-                        &faulted[rank][e][it],
-                        &independent[e][rank][it],
-                        "faulted batch diverged at entry {} rank {} iteration {}",
-                        e,
-                        rank,
-                        it
-                    );
-                    prop_assert_eq!(
-                        &faulted_shm[rank][e][it],
-                        &independent[e][rank][it],
-                        "faulted shm batch diverged at entry {} rank {} iteration {}",
-                        e,
-                        rank,
-                        it
-                    );
-                    prop_assert_eq!(
-                        &faulted_sock[rank][e][it],
-                        &independent[e][rank][it],
-                        "faulted sock batch diverged at entry {} rank {} iteration {}",
-                        e,
-                        rank,
-                        it
-                    );
+        // the session under a seeded delay/reorder fault schedule, in
+        // every lifecycle but `WaitAll` (a `wait_any` loop itself): wait_any
+        // retires entries in (perturbed) delivery order, yet every output
+        // must stay byte-identical
+        for (seed, lifecycle) in [
+            (77u64, Lifecycle::WaitAny),
+            (177, Lifecycle::OneByOne),
+            (277, Lifecycle::Alternating),
+        ] {
+            let faulted = WorldConfig::new(Fabric::Thread).faults(perturb_plan(seed)).run(8, |ctx| {
+                let comm = ctx.comm_world();
+                batch_body(&batch, lifecycle, ctx, &comm)
+            });
+            let faulted_shm = WorldConfig::new(Fabric::Shm).faults(perturb_plan(seed + 1)).run(8, |ctx| {
+                let comm = ctx.comm_world();
+                batch_body(&batch, lifecycle, ctx, &comm)
+            });
+            let faulted_sock = WorldConfig::new(Fabric::Sock).faults(perturb_plan(seed + 2)).run(8, |ctx| {
+                let comm = ctx.comm_world();
+                batch_body(&batch, lifecycle, ctx, &comm)
+            });
+            for rank in 0..8 {
+                for e in 0..entries.len() {
+                    for it in 0..ITERS as usize {
+                        prop_assert_eq!(
+                            &faulted[rank][e][it],
+                            &independent[e][rank][it],
+                            "{:?} faulted batch diverged at entry {} rank {} iteration {}",
+                            lifecycle,
+                            e,
+                            rank,
+                            it
+                        );
+                        prop_assert_eq!(
+                            &faulted_shm[rank][e][it],
+                            &independent[e][rank][it],
+                            "{:?} faulted shm batch diverged at entry {} rank {} iteration {}",
+                            lifecycle,
+                            e,
+                            rank,
+                            it
+                        );
+                        prop_assert_eq!(
+                            &faulted_sock[rank][e][it],
+                            &independent[e][rank][it],
+                            "{:?} faulted sock batch diverged at entry {} rank {} iteration {}",
+                            lifecycle,
+                            e,
+                            rank,
+                            it
+                        );
+                    }
                 }
             }
         }
@@ -611,4 +663,102 @@ fn wait_any_retires_entries_in_delivery_order() {
         vec![1, 0],
         "wait_any must follow delivery order, not init order"
     );
+}
+
+/// `init_all` registers a union's channels and nothing of its entries'
+/// own collectives: with three entries on one backend, the registry
+/// holds exactly what a one-entry batch of the shifted union registers —
+/// strictly fewer channels than the entries' own collectives, which
+/// appear only when each entry is first started on its own. A
+/// `start_all` iteration registers nothing.
+#[test]
+fn a_union_registers_fewer_channels_than_its_entries() {
+    let topo = Topology::block_nodes(16, 4);
+    let dense = CommPattern::all_to_all_regions(&topo);
+    // the same pairs, other index sets: a second and third "level"
+    let shifted = |by: usize| {
+        let sends = (dense.sends.iter())
+            .map(|list| {
+                let l = list
+                    .iter()
+                    .map(|(d, idx)| (*d, idx.iter().map(|&i| i + by).collect()));
+                l.collect()
+            })
+            .collect();
+        CommPattern::new(16, sends)
+    };
+    let levels = [dense.clone(), shifted(1000), shifted(5)];
+    // the union as the batch builds it: each level's indices past the
+    // largest index of the levels before it
+    let mut sends: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); 16];
+    let mut next = 0;
+    for level in &levels {
+        let mut top = 0;
+        for (src, list) in level.sends.iter().enumerate() {
+            for (dst, idx) in list {
+                top = top.max(idx[idx.len() - 1] + 1);
+                match sends[src].iter_mut().find(|(d, _)| d == dst) {
+                    Some((_, to)) => to.extend(idx.iter().map(|&i| i + next)),
+                    None => sends[src].push((*dst, idx.iter().map(|&i| i + next).collect())),
+                }
+            }
+        }
+        next += top;
+    }
+    let union = CommPattern::new(16, sends);
+
+    // channels one world holds after `init_all` of a one-entry batch
+    let registered = |pattern: &CommPattern, backend: Backend| {
+        let batch = NeighborBatch::new(&topo).entry(pattern, backend);
+        World::run(16, |ctx| {
+            let comm = ctx.comm_world();
+            let _session = batch.init_all(ctx, &comm);
+            ctx.barrier(&comm);
+            ctx.stall_report().registry.channels
+        })[0]
+    };
+    for backend in [
+        Backend::Protocol(Protocol::FullNeighbor),
+        Backend::Protocol(Protocol::StandardHypre),
+        Backend::Partitioned(Protocol::FullNeighbor),
+        Backend::Auto,
+    ] {
+        let own: usize = levels.iter().map(|l| registered(l, backend)).sum();
+        let mut batch = NeighborBatch::new(&topo);
+        for level in &levels {
+            batch = batch.entry(level, backend);
+        }
+        let counts = World::run(16, |ctx| {
+            let comm = ctx.comm_world();
+            let mut session = batch.init_all(ctx, &comm);
+            // read between two barriers: every rank has registered what
+            // comes before, and none has gone on to register more
+            let count = |ctx: &mut mpisim::RankCtx| {
+                ctx.barrier(&comm);
+                let channels = ctx.stall_report().registry.channels;
+                ctx.barrier(&comm);
+                channels
+            };
+            let inputs: Vec<Vec<f64>> = (session.requests().iter())
+                .map(|r| r.input_index().iter().map(|&i| i as f64).collect())
+                .collect();
+            let mut outputs: Vec<Vec<f64>> = (session.requests().iter())
+                .map(|r| vec![f64::NAN; r.output_index().len()])
+                .collect();
+            let at_init = count(ctx);
+            session.start_all(ctx, &inputs);
+            session.wait_all(ctx, &mut outputs);
+            let after_start_all = count(ctx);
+            for (e, input) in inputs.iter().enumerate() {
+                session.start(ctx, e, input);
+            }
+            session.wait_all(ctx, &mut outputs);
+            [at_init, after_start_all, count(ctx)]
+        });
+        let [at_init, after_start_all, after_own] = counts[0];
+        assert_eq!(at_init, registered(&union, backend), "{backend:?}");
+        assert!(at_init < own, "{backend:?}: union {at_init}, entries {own}");
+        assert_eq!(after_start_all, at_init, "{backend:?}");
+        assert_eq!(after_own - after_start_all, own, "{backend:?}");
+    }
 }
