@@ -87,7 +87,9 @@ test-serve:
 # their alternation, on every fabric and fault plan; init_all registering
 # a union's channels and an entry's own only at its first start on its
 # own; a union's members retiring together in entry order; the shifted
-# union keeping each pattern one run per rank — then every backend and
+# union keeping each pattern one run per rank; the tag spans of a batch
+# of unions, lone and tuned entries; a tuned entry's one slot per
+# candidate — then every backend and
 # lifecycle byte-identical to the direct exchange, then core's property
 # tests — the routing against its value-by-value oracle, split and
 # unsplit, and the ride rule (one intra-region message per pair and phase:
@@ -95,7 +97,7 @@ test-serve:
 # wire once)
 test-wire:
 	cargo test --test protocol_equivalence -q -- batch_matches_independent_inits a_union_registers_fewer_channels_than_its_entries
-	cargo test -p mpi-advance --lib -q -- a_union_retires_its_members_together_in_entry_order a_shifted_union_keeps_each_pattern_one_run_per_rank
+	cargo test -p mpi-advance --lib -q -- a_union_retires_its_members_together_in_entry_order a_shifted_union_keeps_each_pattern_one_run_per_rank entries_get_disjoint_tag_spans a_permissive_tuned_entry_expands_to_one_slot_per_distinct_plan
 	cargo test --test protocol_equivalence -q
 	cargo test -p mpi-advance -q proptests::
 
@@ -105,7 +107,7 @@ fmt:
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# clippy, formatting, the rustdoc link gate, and eleven grep rules. Docs:
+# clippy, formatting, the rustdoc link gate, and twelve grep rules. Docs:
 # every intra-doc link resolves (`cargo doc` denies
 # rustdoc::broken_intra_doc_links), so deleting or renaming an item a doc
 # comment still links to fails here, and no documented item links to a
@@ -164,7 +166,11 @@ clippy:
 # says `respawn`. Unsafe: the SpMV kernel gets its speed from its layout
 # (4-row chunks with one accumulator per row, DESIGN.md §12), not from
 # unchecked indexing, so the non-test code of sparse and amg (each file up
-# to its `#[cfg(test)]`, comment lines aside) says no `unsafe`
+# to its `#[cfg(test)]`, comment lines aside) says no `unsafe`. Routing:
+# a batch routes every wire it registers through one plan → `build_all`
+# → split helper (DESIGN.md §5), so no non-test code of core outside
+# routing.rs (each file up to its `#[cfg(test)]`, comment lines aside)
+# constructs a `BatchEntryPlan`, which stays for the benchmark alone
 BYTE_FABRICS := crates/mpisim/src/transport/shm crates/mpisim/src/transport/sock
 WAKE_FILES := runtime|transport/park|transport/sock/control
 SLEEP_FILES := transport/park
@@ -221,6 +227,10 @@ lint: clippy
 		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} !/^[[:space:]]*\/\// {print f ":" FNR ":" $$0}' $$f; done \
 		| grep -w 'unsafe'; then \
 		echo "error: sparse or amg uses unsafe (see the lint rule in Makefile)"; exit 1; fi
+	@if for f in $$(find crates/core/src -name '*.rs' ! -name proptests.rs ! -name routing.rs); do \
+		awk -v f=$$f '/^#\[cfg\(test\)\]/ {exit} !/^[[:space:]]*\/\// {print f ":" FNR ":" $$0}' $$f; done \
+		| grep -E 'BatchEntryPlan *\{'; then \
+		echo "error: core builds a BatchEntryPlan outside routing.rs (see the lint rule in Makefile)"; exit 1; fi
 
 # build every paper-figure binary (crates/bench/src/bin) in release and
 # run six of them once, output discarded: the modeled fig07_crossover at

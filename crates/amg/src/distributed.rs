@@ -9,7 +9,7 @@
 
 use crate::hierarchy::Hierarchy;
 use mpi_advance::CommPattern;
-use sparse::{build_comm_pkgs, CommPkg, Csr, ParCsr, Partition};
+use sparse::{build_comm_pkgs, CommPkg, Partition};
 
 /// One level's distributed structure.
 pub struct DistLevel {
@@ -81,13 +81,6 @@ impl DistributedHierarchy {
     pub fn patterns(&self) -> Vec<CommPattern> {
         self.levels.iter().map(DistLevel::pattern).collect()
     }
-}
-
-/// Per-rank matrix pieces of one level, for executing distributed SpMVs on
-/// the simulator (built on demand — storing them for every rank at paper
-/// scale would be wasteful).
-pub fn split_level(a: &Csr, part: &Partition) -> Vec<ParCsr> {
-    ParCsr::split_all(a, part)
 }
 
 #[cfg(test)]

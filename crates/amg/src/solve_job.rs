@@ -26,7 +26,7 @@
 //! next to other tenants, which is what the service's equivalence and
 //! fault-isolation suites assert.
 
-use crate::distributed::{split_level, DistributedHierarchy};
+use crate::distributed::DistributedHierarchy;
 use crate::hierarchy::Hierarchy;
 use mpi_advance::{CommPattern, NeighborRequest};
 use sparse::ParCsr;
@@ -145,7 +145,7 @@ impl Split {
             .iter()
             .zip(&dist.levels)
             .map(|(l, d)| {
-                for (r, mat) in split_level(&l.a, &d.part).into_iter().enumerate() {
+                for (r, mat) in ParCsr::split_all(&l.a, &d.part).into_iter().enumerate() {
                     // deterministic, level-dependent, nonzero
                     let b = (d.level > 0).then(|| {
                         (d.part.range(r))

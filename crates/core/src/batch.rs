@@ -63,15 +63,18 @@
 //!   of one per entry. On every rank each entry's values are one
 //!   contiguous range of the union's `input_index`/`output_index`.
 //! * **Tags** — one [`crate::tagspace::TagLease`] is carved into
-//!   per-entry namespaces, plus one per union; nothing touches a global
-//!   counter per entry, and exhaustion of the (re-usable) tag space is a
-//!   loud panic.
-//! * **Routing** — one [`RankRouting::build_all_batch`] sweep derives all
-//!   ranks' routings of every wire `init_all` registers.
+//!   per-entry namespaces, then one control span per tuned entry and one
+//!   span per union; nothing touches a global counter per entry, and
+//!   exhaustion of the (re-usable) tag space is a loud panic.
+//! * **Routing** — resolution turns the batch into one list of *wires*,
+//!   the collectives `init_all` registers: a lone entry's own collective
+//!   (one per candidate of a [`Backend::Tuned`] entry) or a union. Each is
+//!   planned once and routed, for all ranks at once, through one
+//!   [`RankRouting::build_all`] helper, which a union member's own
+//!   collective also calls at its first start on its own.
 //! * **Registration** — [`NeighborBatch::init_all`] opens the world's
 //!   channel registry once ([`mpisim::ChanRegistrar`]) and registers every
-//!   wire's channels in a single pass: a union's, and the own wire of
-//!   every entry outside a union.
+//!   wire of the list in a single pass.
 //!
 //! Each rank gets back a [`BatchRequest`] session: its entries as
 //! [`crate::NeighborRequest`] trait objects, in batch order — delivering
@@ -94,7 +97,7 @@ use crate::collective::Protocol;
 use crate::exec::NeighborExec;
 use crate::neighbor::{Backend, NeighborRequest};
 use crate::pattern::CommPattern;
-use crate::routing::{BatchEntryPlan, RankRouting};
+use crate::routing::RankRouting;
 use crate::stats::VALUE_BYTES;
 use crate::tagspace::{TagLease, TagSpace};
 use crate::tune::{topology_signature, TunedCandidate, TunedNeighbor};
@@ -102,6 +105,7 @@ use crate::Plan;
 use locality::Topology;
 use mpisim::{ChanId, ChanRegistrar, Comm, RankCtx};
 use perfmodel::{CostModel, LocalityModel};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 use tuner::{size_bucket, ProfileCache, ProfileKey, TunePolicy};
@@ -118,52 +122,61 @@ struct EntrySpec<'a> {
 /// ([`NeighborBatch::into_resolved`]) — the solve service keeps one per
 /// job shape across epochs.
 ///
-/// `routings` holds one routing per *slot*, a wire `init_all` registers:
-/// an entry outside any union owns one slot; a [`Backend::Tuned`] entry
-/// **expands** to one slot (and tag span) per shortlisted candidate, all
-/// laid out in the same fused sweep, so the probe phase hot-swaps between
-/// fully-initialized executors; each union owns one slot after those.
-/// `tag_bases` stays per-entry: a union member keeps a span for its own
-/// collective.
+/// It is a list of *wires*, the collectives `init_all` registers: one per
+/// group of entries that share a backend — a lone entry's own collective,
+/// or a union of two or more. Each wire owns consecutive *slots*, one
+/// routing each: one, or one per shortlisted candidate of a
+/// [`Backend::Tuned`] entry, which **expands** so the probe phase
+/// hot-swaps between fully-initialized executors. `tag_bases` stays
+/// per-entry: a union member keeps a span for its own collective.
 pub struct ResolvedBatch {
     n_ranks: usize,
     tag_bases: Vec<u64>,
-    /// `routings[rank][slot]`: each rank's routing per slot, shared with
+    /// `routings[slot][rank]`: each rank's routing per slot, shared with
     /// every request initialized on it.
     routings: Vec<Vec<Arc<RankRouting>>>,
     /// Held by the batch AND cloned into every request it initializes:
     /// the span frees (and its base becomes re-usable) only when the
     /// batch and all of its live requests are gone.
     lease: Option<Arc<TagLease>>,
-    wires: Vec<EntryWire>,
-    unions: Vec<UnionWire>,
+    /// Lone entries' wires first, in entry order, then the unions.
+    wires: Vec<Wire>,
+    /// Per entry: its wire, and its place among the wire's members.
+    place: Vec<(usize, usize)>,
 }
 
-/// What one entry runs on.
-enum EntryWire {
-    /// Its own collective, on one slot registered at init.
-    Slot(usize, Protocol),
-    /// A tuned entry: one slot per candidate, consecutive from `start`.
-    Tuned {
-        start: usize,
-        tuned: TunedResolution,
-    },
-    /// A member of union `union`; its own collective is built on its
-    /// first start on its own.
-    Member { union: usize, own: Arc<OwnWire> },
-}
-
-/// The resolution-time half of one union.
-struct UnionWire {
-    /// The union's slot.
+/// One collective `init_all` registers.
+struct Wire {
+    /// In entry order: one, or a union's two or more.
+    members: Vec<Member>,
+    /// Its first slot.
     slot: usize,
-    /// The protocol its plan runs (under `Auto`, chosen on the union).
-    protocol: Protocol,
-    /// The member entries, in entry order.
-    members: Vec<EntryId>,
-    /// Member `k`'s values are the union's indices in
-    /// `shifts[k]..shifts[k + 1]`.
-    shifts: Vec<usize>,
+    runs: Runs,
+}
+
+/// How a wire runs.
+enum Runs {
+    /// One protocol, on one slot (under `Auto`, chosen on the wire's
+    /// whole pattern).
+    Protocol(Protocol),
+    /// A tuned entry: one slot per candidate.
+    Tuned(TunedResolution),
+}
+
+impl Wire {
+    /// The protocol of slot `c`, its `c`-th candidate.
+    fn protocol(&self, c: usize) -> Protocol {
+        match &self.runs {
+            Runs::Protocol(p) => *p,
+            Runs::Tuned(tuned) => tuned.candidates[c],
+        }
+    }
+}
+
+struct Member {
+    entry: EntryId,
+    /// A union member's own collective, for its starts on its own.
+    own: Option<Arc<OwnWire>>,
 }
 
 /// A union member's own collective, planned and routed on first use:
@@ -176,10 +189,18 @@ struct OwnWire {
     tag_base: u64,
     /// Whether its routing is split at the partition bounds.
     split: bool,
-    /// Every rank's `(input_index, output_index)`, known before the
-    /// routing is: the member's run of the union's.
-    index: Vec<(Vec<usize>, Vec<usize>)>,
+    /// Per rank: the member's runs of the union's `input_index` and
+    /// `output_index`, known before its own routing is.
+    runs: Vec<[Run; 2]>,
     routings: OnceLock<Vec<Arc<RankRouting>>>,
+}
+
+/// A member's run of one of its union's index lists on one rank.
+struct Run {
+    /// Where it lies in the union's list.
+    at: Range<usize>,
+    /// The run shifted back: the member's own list.
+    index: Vec<usize>,
 }
 
 impl OwnWire {
@@ -187,19 +208,19 @@ impl OwnWire {
     fn routing(&self, rank: usize) -> Arc<RankRouting> {
         let all = self.routings.get_or_init(|| {
             let plan = self.protocol.plan(&self.pattern, &self.topo);
-            RankRouting::build_all(&self.pattern, &plan, self.tag_base)
-                .into_iter()
-                .map(|r| {
-                    Arc::new(if self.split {
-                        r.split_at_partitions()
-                    } else {
-                        r
-                    })
-                })
-                .collect()
+            route(&self.pattern, &plan, self.tag_base, self.split)
         });
         Arc::clone(&all[rank])
     }
+}
+
+/// Every rank's routing of `plan` on `tag_base`, split at the partition
+/// bounds when `split` — `Backend::Partitioned` is that split and nothing
+/// else. Every wire and own collective of a batch is routed here.
+fn route(pattern: &CommPattern, plan: &Plan, tag_base: u64, split: bool) -> Vec<Arc<RankRouting>> {
+    (RankRouting::build_all(pattern, plan, tag_base).into_iter())
+        .map(|r| Arc::new(if split { r.split_at_partitions() } else { r }))
+        .collect()
 }
 
 /// The resolution-time half of one tuned entry's machinery.
@@ -311,13 +332,9 @@ impl<'a> NeighborBatch<'a> {
     pub fn plans(&self) -> &[(Protocol, Plan)] {
         self.plans.get_or_init(|| {
             let resolved = self.resolved();
-            (self.entries.iter().zip(&resolved.wires))
-                .map(|(spec, wire)| {
-                    let p = match wire {
-                        EntryWire::Slot(_, p) => *p,
-                        EntryWire::Tuned { tuned, .. } => tuned.candidates[0],
-                        EntryWire::Member { own, .. } => own.protocol,
-                    };
+            (self.entries.iter().zip(&resolved.place))
+                .map(|(spec, &(w, _))| {
+                    let p = resolved.wires[w].protocol(0);
                     (p, p.plan(spec.pattern, self.topo))
                 })
                 .collect()
@@ -344,47 +361,48 @@ impl<'a> NeighborBatch<'a> {
 
 impl ResolvedBatch {
     /// `MPI_Neighbor_alltoallv_init` × N, as one operation: open the
-    /// channel registry once and register, in a single pass, the wire of
-    /// every entry outside a union and one wire per union. Returns the
-    /// rank's [`BatchRequest`] session — every entry's request in batch
-    /// order, plus the completion-driven verbs (`start_all`, `test_any`,
-    /// `wait_any`, `wait_all`) that drive them as one set.
+    /// channel registry once and register, in a single pass, every wire
+    /// of the batch — one per lone entry (each candidate of a tuned one),
+    /// one per union. Returns the rank's [`BatchRequest`] session — every
+    /// entry's request in batch order, plus the completion-driven verbs
+    /// (`start_all`, `test_any`, `wait_any`, `wait_all`) that drive them
+    /// as one set.
     pub fn init_all(&self, ctx: &RankCtx, comm: &Comm) -> BatchRequest {
         if self.wires.is_empty() {
             return BatchRequest::new(Vec::new(), Vec::new(), Vec::new());
         }
         assert_eq!(self.n_ranks, comm.size(), "plan/communicator size mismatch");
-        // slot order; a cached tuned winner leaves its losing candidates'
-        // slots untouched
-        let routings = &self.routings[comm.rank()];
+        let rank = comm.rank();
         let mut reg = ctx.chan_registrar();
-        let init_slot = |reg: &mut ChanRegistrar, slot: usize, protocol: Protocol| {
+        // register a wire's `c`-th slot; a cached tuned winner leaves its
+        // losing candidates' slots untouched
+        let open = |reg: &mut ChanRegistrar, wire: &Wire, c: usize| {
             NeighborExec::register(
-                Arc::clone(&routings[slot]),
+                Arc::clone(&self.routings[wire.slot + c][rank]),
                 reg,
                 comm,
-                protocol,
+                wire.protocol(c),
                 self.lease.clone(),
             )
         };
-        let requests: Vec<Box<dyn NeighborRequest>> = self
-            .wires
-            .iter()
-            .map(|wire| -> Box<dyn NeighborRequest> {
-                let (start, tr) = match wire {
-                    EntryWire::Slot(slot, protocol) => {
-                        return Box::new(init_slot(&mut reg, *slot, *protocol))
-                    }
-                    EntryWire::Member { own, .. } => {
-                        return Box::new(OwnRequest {
-                            wire: Arc::clone(own),
-                            comm: comm.clone(),
-                            lease: self.lease.clone(),
-                            exec: None,
-                            idle_scratch: Vec::new(),
-                        })
-                    }
-                    EntryWire::Tuned { start, tuned } => (*start, tuned),
+        // in entry order: a lone entry's wire goes to its request, a union
+        // member's request registers its own collective at its first
+        // start on its own
+        let requests: Vec<Box<dyn NeighborRequest>> = (self.place.iter())
+            .map(|&(w, k)| -> Box<dyn NeighborRequest> {
+                let wire = &self.wires[w];
+                if let Some(own) = &wire.members[k].own {
+                    return Box::new(OwnRequest {
+                        wire: Arc::clone(own),
+                        comm: comm.clone(),
+                        lease: self.lease.clone(),
+                        exec: None,
+                        idle_scratch: Vec::new(),
+                    });
+                }
+                let tr = match &wire.runs {
+                    Runs::Protocol(_) => return Box::new(open(&mut reg, wire, 0)),
+                    Runs::Tuned(tr) => tr,
                 };
                 let fabric = ctx.fabric();
                 // the profile cache and this entry's key on this
@@ -424,16 +442,13 @@ impl ResolvedBatch {
                     // warm start: the cache already knows the winner —
                     // register only its channels and skip the probe
                     // phase entirely
-                    Some(w) => Box::new(init_slot(&mut reg, start + w, tr.candidates[w])),
+                    Some(w) => Box::new(open(&mut reg, wire, w)),
                     // no usable cached winner → full probe
                     None => {
-                        let candidates: Vec<TunedCandidate> = tr
-                            .candidates
-                            .iter()
-                            .enumerate()
-                            .map(|(c, &protocol)| TunedCandidate {
-                                inner: Some(init_slot(&mut reg, start + c, protocol)),
-                                protocol,
+                        let candidates: Vec<TunedCandidate> = (0..tr.candidates.len())
+                            .map(|c| TunedCandidate {
+                                inner: Some(open(&mut reg, wire, c)),
+                                protocol: tr.candidates[c],
                             })
                             .collect();
                         Box::new(TunedNeighbor::new(
@@ -448,38 +463,33 @@ impl ResolvedBatch {
                 }
             })
             .collect();
-        let unions: Vec<LiveUnion> = self
-            .unions
-            .iter()
-            .map(|u| {
-                let routing = &*routings[u.slot];
-                // member k's run of a sorted index list: the indices
-                // shifted into its range
-                let run = |index: &[usize], k: usize| {
-                    let at = |shift: usize| index.partition_point(|&i| i < shift);
-                    at(u.shifts[k])..at(u.shifts[k + 1])
-                };
-                let members = (u.members.iter().enumerate())
-                    .map(|(k, &entry)| UnionMember {
-                        entry,
-                        input: run(&routing.input_index, k),
-                        output: run(&routing.output_index, k),
+        // then the unions, each one collective over its members' runs
+        let first_union = self.wires.partition_point(|w| w.members.len() == 1);
+        let unions: Vec<LiveUnion> = (self.wires[first_union..].iter())
+            .map(|wire| {
+                let routing = &self.routings[wire.slot][rank];
+                let members = (wire.members.iter())
+                    .map(|m| {
+                        let own = m.own.as_ref().expect("a union member's own wire");
+                        let [input, output] = &own.runs[rank];
+                        UnionMember {
+                            entry: m.entry,
+                            input: input.at.clone(),
+                            output: output.at.clone(),
+                        }
                     })
                     .collect();
                 LiveUnion {
                     input: vec![0.0; routing.input_index.len()],
                     output: vec![0.0; routing.output_index.len()],
-                    exec: init_slot(&mut reg, u.slot, u.protocol),
+                    exec: open(&mut reg, wire, 0),
                     members,
                     live: false,
                 }
             })
             .collect();
-        let union_of = (self.wires.iter())
-            .map(|w| match w {
-                EntryWire::Member { union, .. } => Some(*union),
-                _ => None,
-            })
+        let union_of = (self.place.iter())
+            .map(|&(w, _)| w.checked_sub(first_union))
             .collect();
         BatchRequest::new(requests, unions, union_of)
     }
@@ -499,18 +509,32 @@ impl NeighborBatch<'_> {
         }
     }
 
-    /// Plan one entry's own collective the way it resolves alone.
-    fn plan_entry(&self, spec: &EntrySpec, model: &dyn CostModel) -> (Protocol, Plan) {
-        match spec.backend {
-            Backend::Protocol(p) => (p, p.plan(spec.pattern, self.topo)),
+    /// A wire's candidates on `pattern`: exactly one plan for explicit /
+    /// Partitioned / Auto backends, the model's shortlist for Tuned.
+    fn candidates(
+        &self,
+        pattern: &CommPattern,
+        backend: Backend,
+        model: &dyn CostModel,
+        policy: Option<&TunePolicy>,
+    ) -> Vec<(Protocol, Plan)> {
+        match backend {
+            Backend::Protocol(p) => vec![(p, p.plan(pattern, self.topo))],
             Backend::Partitioned(p) => {
-                let plan = p.plan(spec.pattern, self.topo);
+                let plan = p.plan(pattern, self.topo);
                 assert_aggregating(p, &plan);
-                (p, plan)
+                vec![(p, plan)]
             }
-            Backend::Auto | Backend::Tuned => {
-                let (p, plan, _) = choose_with(&Protocol::ALL, spec.pattern, self.topo, model);
-                (p, plan)
+            Backend::Auto => {
+                let (p, plan, _) = choose_with(&Protocol::ALL, pattern, self.topo, model);
+                vec![(p, plan)]
+            }
+            Backend::Tuned => {
+                let factor = policy.expect("policy exists for tuned entries").factor;
+                candidates_within(&Protocol::ALL, pattern, self.topo, model, factor)
+                    .into_iter()
+                    .map(|(p, plan, _)| (p, plan))
+                    .collect()
             }
         }
     }
@@ -530,210 +554,146 @@ impl NeighborBatch<'_> {
                     .unwrap_or_else(TunePolicy::from_env)
             });
 
-        // the unions: entries that share a backend, two or more of them,
-        // Tuned aside (its probe and decision stay per entry)
+        // the groups, one wire each: the entries that share a backend,
+        // but a tuned entry alone (its probe and decision stay its own);
+        // lone entries first, in entry order, then the unions
         let mut groups: Vec<(Backend, Vec<EntryId>)> = Vec::new();
         for (e, spec) in self.entries.iter().enumerate() {
-            if spec.backend == Backend::Tuned {
-                continue;
-            }
-            match groups.iter_mut().find(|(b, _)| *b == spec.backend) {
+            let shared =
+                (groups.iter_mut()).find(|(b, _)| *b == spec.backend && *b != Backend::Tuned);
+            match shared {
                 Some((_, members)) => members.push(e),
                 None => groups.push((spec.backend, vec![e])),
             }
         }
-        groups.retain(|(_, members)| members.len() > 1);
-        let mut union_of: Vec<Option<usize>> = vec![None; self.entries.len()];
-        for (u, (_, members)) in groups.iter().enumerate() {
-            members.iter().for_each(|&e| union_of[e] = Some(u));
-        }
+        groups.sort_by_key(|(_, members)| members.len() > 1);
 
-        // each entry's candidate list: exactly one plan for explicit /
-        // Partitioned / Auto backends, the model's shortlist for Tuned
-        // (a one-candidate shortlist needs no measurement and collapses
-        // back to a plain entry); none for a union member, whose own
-        // collective is planned at its first start on its own
-        let per_entry: Vec<(Vec<(Protocol, Plan)>, bool)> = (self.entries.iter())
-            .zip(&union_of)
-            .map(|(spec, union)| match (spec.backend, union) {
-                (_, Some(_)) => (Vec::new(), false),
-                (Backend::Tuned, None) => {
-                    let pol = policy.as_ref().expect("policy exists for tuned entries");
-                    let cands: Vec<(Protocol, Plan)> = candidates_within(
-                        &Protocol::ALL,
-                        spec.pattern,
-                        self.topo,
-                        model,
-                        pol.factor,
-                    )
-                    .into_iter()
-                    .map(|(p, plan, _)| (p, plan))
-                    .collect();
-                    let tuned = cands.len() > 1;
-                    (cands, tuned)
-                }
-                (_, None) => (vec![self.plan_entry(spec, model)], false),
-            })
-            .collect();
-        // each union planned once over its shifted patterns
-        let union_plans: Vec<(CommPattern, Vec<usize>, Protocol, Plan)> = groups
-            .iter()
+        // each group planned once, a union over its shifted patterns
+        // (each entry's indices past the largest index of the entries
+        // before it); a one-candidate tuned shortlist needs no
+        // measurement and runs as a plain entry
+        let planned: Vec<_> = (groups.iter())
             .map(|(backend, members)| {
-                let patterns: Vec<&CommPattern> =
-                    members.iter().map(|&e| self.entries[e].pattern).collect();
-                let (pattern, shifts) = CommPattern::shifted_union(&patterns);
-                let spec = EntrySpec {
-                    pattern: &pattern,
-                    backend: *backend,
+                let (pattern, shifts) = match members[..] {
+                    [e] => (Cow::Borrowed(self.entries[e].pattern), Vec::new()),
+                    _ => {
+                        let patterns: Vec<&CommPattern> =
+                            members.iter().map(|&e| self.entries[e].pattern).collect();
+                        let (union, shifts) = CommPattern::shifted_union(&patterns);
+                        (Cow::Owned(union), shifts)
+                    }
                 };
-                let (protocol, plan) = self.plan_entry(&spec, model);
-                (pattern, shifts, protocol, plan)
+                let candidates = self.candidates(&pattern, *backend, model, policy.as_ref());
+                (pattern, shifts, candidates)
             })
             .collect();
 
-        // one lease: a private namespace per expanded candidate (a union
-        // member's own collective included), one control span per tuned
-        // entry for the decision reduction, one span per union
-        let expanded_total: usize = per_entry.iter().map(|(c, _)| c.len().max(1)).sum();
-        let tuned_count = per_entry.iter().filter(|(_, t)| *t).count();
-        let total_spans = (expanded_total + tuned_count + groups.len()) as u64;
-        let (span_bases, lease): (Vec<u64>, Option<Arc<TagLease>>) = if total_spans == 0 {
-            (Vec::new(), None)
-        } else {
-            let lease = TagSpace::global().lease_for(
-                total_spans,
-                &format!("NeighborBatch[{} entries]", self.entries.len()),
-            );
-            (
-                (0..total_spans as usize)
-                    .map(|i| lease.entry_base(i))
-                    .collect(),
-                Some(Arc::new(lease)),
-            )
-        };
+        // one lease: first a private namespace per entry (per candidate of
+        // a lone entry; a union member's for its own collective), in entry
+        // order, then one control span per tuned entry for the decision
+        // reduction, then one span per union
+        let mut entry_spans = vec![1; self.entries.len()];
+        for ((_, members), (_, _, candidates)) in groups.iter().zip(&planned) {
+            if let [e] = members[..] {
+                entry_spans[e] = candidates.len();
+            }
+        }
+        let first_span: Vec<usize> = (entry_spans.iter())
+            .scan(0, |next, &n| {
+                *next += n;
+                Some(*next - n)
+            })
+            .collect();
+        let n_entry_spans: usize = entry_spans.iter().sum();
+        // a tuned entry's control span or a union's span
+        let n_later_spans = (planned.iter())
+            .filter(|(_, shifts, candidates)| !shifts.is_empty() || candidates.len() > 1)
+            .count();
+        let total_spans = (n_entry_spans + n_later_spans) as u64;
+        let lease = (total_spans > 0).then(|| {
+            let owner = format!("NeighborBatch[{} entries]", self.entries.len());
+            Arc::new(TagSpace::global().lease_for(total_spans, &owner))
+        });
+        let base = |span: usize| lease.as_ref().expect("a leased batch").entry_base(span);
 
-        // one fused sweep derives all ranks' routings of every slot: the
-        // entries' own wires that init registers, then the unions
-        let mut slot_plans: Vec<BatchEntryPlan> = Vec::with_capacity(expanded_total);
-        // per slot: is its routing split at the partition bounds
-        let mut split: Vec<bool> = Vec::with_capacity(expanded_total);
-        let mut wires: Vec<EntryWire> = Vec::with_capacity(self.entries.len());
-        let mut tag_bases: Vec<u64> = Vec::with_capacity(self.entries.len());
-        let mut next_span = 0usize;
-        let mut next_ctl = expanded_total; // ctl spans follow the expanded spans
+        // one pass over the groups: carve each wire's spans and slots and
+        // route every slot
         let topo = Arc::new(self.topo.clone());
-        for (e, (spec, (cands, is_tuned))) in self.entries.iter().zip(&per_entry).enumerate() {
-            let partitioned = matches!(spec.backend, Backend::Partitioned(_));
-            tag_bases.push(span_bases[next_span]);
-            if let Some(union) = union_of[e] {
-                let own = OwnWire {
-                    pattern: spec.pattern.clone(),
-                    topo: Arc::clone(&topo),
-                    // alone too: Auto's choice is the union's
-                    protocol: union_plans[union].2,
-                    tag_base: span_bases[next_span],
-                    split: partitioned,
-                    index: Vec::new(), // read off the union's routing below
-                    routings: OnceLock::new(),
+        let mut later_spans = n_entry_spans..; // the control and union spans
+        let mut routings: Vec<Vec<Arc<RankRouting>>> = Vec::new();
+        let mut place = vec![(0, 0); self.entries.len()];
+        let mut wires: Vec<Wire> = Vec::with_capacity(groups.len());
+        for ((backend, members), (pattern, shifts, candidates)) in groups.into_iter().zip(planned) {
+            let split = matches!(backend, Backend::Partitioned(_));
+            let slot = routings.len();
+            for (c, (_, plan)) in candidates.iter().enumerate() {
+                let span = if shifts.is_empty() {
+                    first_span[members[0]] + c
+                } else {
+                    later_spans.next().expect("an unbounded range")
                 };
-                next_span += 1;
-                wires.push(EntryWire::Member {
-                    union,
-                    own: Arc::new(own),
-                });
-                continue;
+                routings.push(route(&pattern, plan, base(span), split));
             }
-            let start = slot_plans.len();
-            for (_, plan) in cands {
-                slot_plans.push(BatchEntryPlan {
-                    pattern: spec.pattern,
-                    plan,
-                    tag_base: span_bases[next_span],
-                    shared_arena: true,
-                });
-                split.push(partitioned);
-                next_span += 1;
-            }
-            if !is_tuned {
-                wires.push(EntryWire::Slot(start, cands[0].0));
-                continue;
-            }
-            let mean_bytes = ((spec.pattern.total_slots() * VALUE_BYTES) as u64)
-                .checked_div(spec.pattern.total_msgs() as u64)
-                .unwrap_or(0);
-            let ctl_base = span_bases[next_ctl];
-            next_ctl += 1;
-            let tuned = TunedResolution {
-                candidates: cands.iter().map(|(p, _)| *p).collect(),
-                ctl_base,
-                policy: policy.clone().expect("policy exists for tuned entries"),
-                pattern_sig: spec.pattern.pattern_signature(),
-                topo_sig: topology_signature(self.topo),
-                size_bucket: size_bucket(mean_bytes),
-                consult: Mutex::new(Vec::new()),
+            let runs = if candidates.len() == 1 {
+                Runs::Protocol(candidates[0].0)
+            } else {
+                let mean_bytes = ((pattern.total_slots() * VALUE_BYTES) as u64)
+                    .checked_div(pattern.total_msgs() as u64)
+                    .unwrap_or(0);
+                Runs::Tuned(TunedResolution {
+                    candidates: candidates.iter().map(|(p, _)| *p).collect(),
+                    ctl_base: base(later_spans.next().expect("an unbounded range")),
+                    policy: policy.clone().expect("policy exists for tuned entries"),
+                    pattern_sig: pattern.pattern_signature(),
+                    topo_sig: topology_signature(self.topo),
+                    size_bucket: size_bucket(mean_bytes),
+                    consult: Mutex::new(Vec::new()),
+                })
             };
-            wires.push(EntryWire::Tuned { start, tuned });
-        }
-        let mut unions: Vec<UnionWire> = Vec::with_capacity(groups.len());
-        for ((backend, members), (pattern, shifts, protocol, plan)) in
-            groups.into_iter().zip(&union_plans)
-        {
-            unions.push(UnionWire {
-                slot: slot_plans.len(),
-                protocol: *protocol,
+            let members = (members.iter().enumerate())
+                .map(|(k, &e)| {
+                    place[e] = (wires.len(), k);
+                    // a union member's values on each rank are its run of
+                    // the union's, shifted back
+                    let own = (!shifts.is_empty()).then(|| {
+                        let (lo, hi) = (shifts[k], shifts[k + 1]);
+                        let run = |index: &[usize]| {
+                            let at = |shift: usize| index.partition_point(|&i| i < shift);
+                            let at = at(lo)..at(hi);
+                            let index = index[at.clone()].iter().map(|&i| i - lo).collect();
+                            Run { at, index }
+                        };
+                        Arc::new(OwnWire {
+                            pattern: self.entries[e].pattern.clone(),
+                            topo: Arc::clone(&topo),
+                            // alone too: Auto's choice is the union's
+                            protocol: candidates[0].0,
+                            tag_base: base(first_span[e]),
+                            split,
+                            runs: (routings[slot].iter())
+                                .map(|r| [run(&r.input_index), run(&r.output_index)])
+                                .collect(),
+                            routings: OnceLock::new(),
+                        })
+                    });
+                    Member { entry: e, own }
+                })
+                .collect();
+            wires.push(Wire {
                 members,
-                shifts: shifts.clone(),
+                slot,
+                runs,
             });
-            slot_plans.push(BatchEntryPlan {
-                pattern,
-                plan,
-                tag_base: span_bases[next_ctl],
-                shared_arena: true,
-            });
-            split.push(matches!(backend, Backend::Partitioned(_)));
-            next_ctl += 1;
-        }
-        // Backend::Partitioned is the split of its routing and nothing
-        // else: it runs on the one wire every entry runs on
-        let routings: Vec<Vec<Arc<RankRouting>>> = RankRouting::build_all_batch(&slot_plans)
-            .into_iter()
-            .map(|per_rank| {
-                let slots = per_rank.into_iter().zip(&split);
-                slots
-                    .map(|(r, &s)| Arc::new(if s { r.split_at_partitions() } else { r }))
-                    .collect()
-            })
-            .collect();
-
-        // a member's indices on each rank are its run of the union's,
-        // shifted back
-        for u in &unions {
-            for (k, &e) in u.members.iter().enumerate() {
-                let EntryWire::Member { own, .. } = &mut wires[e] else {
-                    unreachable!("a union's entries are its members")
-                };
-                let (lo, hi) = (u.shifts[k], u.shifts[k + 1]);
-                let run = |index: &[usize]| -> Vec<usize> {
-                    let at = |shift: usize| index.partition_point(|&i| i < shift);
-                    index[at(lo)..at(hi)].iter().map(|&i| i - lo).collect()
-                };
-                let own = Arc::get_mut(own).expect("a wire not yet shared");
-                own.index = (routings.iter())
-                    .map(|per_rank| {
-                        let r = &per_rank[u.slot];
-                        (run(&r.input_index), run(&r.output_index))
-                    })
-                    .collect();
-            }
         }
 
+        let tag_bases = first_span.into_iter().map(base).collect();
         ResolvedBatch {
             n_ranks: self.topo.n_ranks(),
             tag_bases,
             routings,
             lease,
             wires,
-            unions,
+            place,
         }
     }
 }
@@ -763,11 +723,11 @@ struct OwnRequest {
 
 impl NeighborRequest for OwnRequest {
     fn input_index(&self) -> &[usize] {
-        &self.wire.index[self.comm.rank()].0
+        &self.wire.runs[self.comm.rank()][0].index
     }
 
     fn output_index(&self) -> &[usize] {
-        &self.wire.index[self.comm.rank()].1
+        &self.wire.runs[self.comm.rank()][1].index
     }
 
     fn start(&mut self, ctx: &mut RankCtx, input: &[f64]) {
@@ -1173,7 +1133,12 @@ mod tests {
             .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
             .entry(&b, Backend::Protocol(Protocol::StandardHypre))
             .entry(&b, Backend::Protocol(Protocol::FullNeighbor));
-        assert_eq!(batch.resolved().unions[0].members, [0, 2]);
+        let resolved = batch.resolved();
+        let union = resolved.wires.iter().find(|w| w.members.len() > 1);
+        let members: Vec<EntryId> = (union.expect("one union").members.iter())
+            .map(|m| m.entry)
+            .collect();
+        assert_eq!(members, [0, 2]);
         let orders = World::run(8, |ctx| {
             let comm = ctx.comm_world();
             let mut session = batch.init_all(ctx, &comm);
@@ -1209,6 +1174,22 @@ mod tests {
         for w in bases.windows(2) {
             assert_eq!(w[1] - w[0], tagspace::SPAN, "contiguous per-entry spans");
         }
+
+        // a tuned entry of three candidates, a union (entries 1 and 3) and
+        // a lone entry: the entry spans come first, in entry order (three
+        // for the tuned entry, one for each union member's own
+        // collective), then the tuned entry's control span, then the
+        // union's
+        let batch = NeighborBatch::new(&topo)
+            .entry(&a, Backend::Tuned)
+            .entry(&a, Backend::Protocol(Protocol::FullNeighbor))
+            .entry(&b, Backend::Protocol(Protocol::StandardHypre))
+            .entry(&b, Backend::Protocol(Protocol::FullNeighbor))
+            .tune_policy(TunePolicy::default().with_factor(1.0e12));
+        let lease = batch.resolved().lease.as_ref().expect("a leased batch");
+        assert_eq!(lease.spans(), 8);
+        let at = |span: u64| lease.base() + span * tagspace::SPAN;
+        assert_eq!(batch.tag_bases(), [at(0), at(3), at(4), at(5)]);
     }
 
     #[test]
@@ -1221,21 +1202,19 @@ mod tests {
             .entry(&b, Backend::Tuned)
             .tune_policy(TunePolicy::default().with_factor(1.0e12));
         let resolved = batch.resolved();
-        let starts: Vec<usize> = (resolved.wires.iter())
-            .map(|w| match w {
-                EntryWire::Slot(start, _) | EntryWire::Tuned { start, .. } => *start,
-                EntryWire::Member { .. } => unreachable!("no two entries share a backend"),
-            })
-            .collect();
+        let wire = |e: EntryId| &resolved.wires[resolved.place[e].0];
+        let starts: Vec<usize> = (0..3).map(|e| wire(e).slot).collect();
         assert_eq!(starts, [0, 3, 4]);
-        for w in [&resolved.wires[0], &resolved.wires[2]] {
-            let EntryWire::Tuned { tuned, .. } = w else {
+        for e in [0, 2] {
+            let Runs::Tuned(tuned) = &wire(e).runs else {
                 panic!("a tuned entry expands")
             };
             assert_eq!(tuned.candidates.len(), 3);
             assert!(Protocol::ALL.iter().all(|p| tuned.candidates.contains(p)));
         }
-        assert!(resolved.routings.iter().all(|r| r.len() == 7));
+        // seven routings per rank
+        assert_eq!(resolved.routings.len(), 7);
+        assert!(resolved.routings.iter().all(|r| r.len() == 8));
     }
 
     #[test]

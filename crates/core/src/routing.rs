@@ -37,8 +37,8 @@
 //! message is visited once and contributes to its two endpoints; slot
 //! positions resolve through a precomputed inverse-index table (global
 //! index → input position) and binary searches over sorted ghost lists, not
-//! per-rank hash maps. Every builder initializes through it, once per batch
-//! entry ([`RankRouting::build_all_batch`]). Its reference is the test
+//! per-rank hash maps. Every builder initializes through it, once per wire
+//! a batch registers ([`crate::batch`]). Its reference is the test
 //! oracle (`oracle::ValueMaps`), which re-derives each rank's messages,
 //! tags, partitions, copy maps, staging links and rides value by value
 //! from the plan (property-tested).
@@ -695,8 +695,11 @@ impl RankRouting {
     }
 }
 
-/// One entry of a batch routing sweep: a pattern, its resolved plan and
-/// the tag base carved for it.
+/// One entry of a [`RankRouting::build_all_batch`] sweep: a pattern, its
+/// resolved plan and a tag base. No batch builds one — a batch routes
+/// each wire through [`RankRouting::build_all`] — it stays for the
+/// benchmark under `perfbench/` and the routing unit test until ROADMAP
+/// item 1A(e).
 pub struct BatchEntryPlan<'a> {
     pub pattern: &'a CommPattern,
     pub plan: &'a Plan,
@@ -708,12 +711,11 @@ pub struct BatchEntryPlan<'a> {
 }
 
 impl RankRouting {
-    /// Derive every rank's routing for **every** entry of a batch in one
-    /// fused sweep: each entry's plan is walked once (the
-    /// [`RankRouting::build_all`] single-pass derivation) and the results
-    /// are transposed per rank — `out[rank][e]` is `rank`'s routing for
-    /// entry `e`. Total work is O(ΣMᵢ + E·N) over E entries with plan
-    /// sizes Mᵢ on N ranks.
+    /// [`RankRouting::build_all`] of every entry, transposed per rank —
+    /// `out[rank][e]` is `rank`'s routing for entry `e`. It serves the
+    /// benchmark under `perfbench/` and the routing unit test alone (a
+    /// batch routes each wire through `build_all` itself), until ROADMAP
+    /// item 1A(e).
     pub fn build_all_batch(entries: &[BatchEntryPlan]) -> Vec<Vec<RankRouting>> {
         let n = match entries.first() {
             Some(e) => e.plan.n_ranks,

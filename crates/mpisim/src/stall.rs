@@ -135,8 +135,10 @@ pub struct StallReport {
     pub park_counts: Vec<ParkCounts>,
     /// Which fabric the world runs over (`"thread"` / `"shm"` / `"sock"`).
     pub fabric: &'static str,
-    /// Frames still queued in the shm outbox (or summed across all socket
-    /// link outboxes; 0 for the thread fabric).
+    /// Frames still queued on their way out: on the shm fabric the sends
+    /// spilled into their senders' own queues (a full ring's overflow), on
+    /// the sock fabric the frames in every link's outbox, 0 on the thread
+    /// fabric — plus one while a fault plan holds an envelope back.
     pub outbox_depth: usize,
     /// Attached peer pids and their liveness (empty for the thread fabric).
     pub peers: Vec<PeerStatus>,

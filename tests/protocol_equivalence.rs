@@ -690,22 +690,24 @@ fn a_union_registers_fewer_channels_than_its_entries() {
     let levels = [dense.clone(), shifted(1000), shifted(5)];
     // the union as the batch builds it: each level's indices past the
     // largest index of the levels before it
-    let mut sends: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); 16];
-    let mut next = 0;
-    for level in &levels {
-        let mut top = 0;
-        for (src, list) in level.sends.iter().enumerate() {
-            for (dst, idx) in list {
-                top = top.max(idx[idx.len() - 1] + 1);
-                match sends[src].iter_mut().find(|(d, _)| d == dst) {
-                    Some((_, to)) => to.extend(idx.iter().map(|&i| i + next)),
-                    None => sends[src].push((*dst, idx.iter().map(|&i| i + next).collect())),
+    let union_of = |levels: &[&CommPattern]| {
+        let mut sends: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); 16];
+        let mut next = 0;
+        for level in levels {
+            let mut top = 0;
+            for (src, list) in level.sends.iter().enumerate() {
+                for (dst, idx) in list {
+                    top = top.max(idx[idx.len() - 1] + 1);
+                    match sends[src].iter_mut().find(|(d, _)| d == dst) {
+                        Some((_, to)) => to.extend(idx.iter().map(|&i| i + next)),
+                        None => sends[src].push((*dst, idx.iter().map(|&i| i + next).collect())),
+                    }
                 }
             }
+            next += top;
         }
-        next += top;
-    }
-    let union = CommPattern::new(16, sends);
+        CommPattern::new(16, sends)
+    };
 
     // channels one world holds after `init_all` of a one-entry batch
     let registered = |pattern: &CommPattern, backend: Backend| {
@@ -717,18 +719,10 @@ fn a_union_registers_fewer_channels_than_its_entries() {
             ctx.stall_report().registry.channels
         })[0]
     };
-    for backend in [
-        Backend::Protocol(Protocol::FullNeighbor),
-        Backend::Protocol(Protocol::StandardHypre),
-        Backend::Partitioned(Protocol::FullNeighbor),
-        Backend::Auto,
-    ] {
-        let own: usize = levels.iter().map(|l| registered(l, backend)).sum();
-        let mut batch = NeighborBatch::new(&topo);
-        for level in &levels {
-            batch = batch.entry(level, backend);
-        }
-        let counts = World::run(16, |ctx| {
+    // the registry after `init_all`, after a `start_all` iteration and
+    // after an iteration of every entry started on its own
+    let counts = |batch: &NeighborBatch| {
+        World::run(16, |ctx| {
             let comm = ctx.comm_world();
             let mut session = batch.init_all(ctx, &comm);
             // read between two barriers: every rank has registered what
@@ -754,11 +748,44 @@ fn a_union_registers_fewer_channels_than_its_entries() {
             }
             session.wait_all(ctx, &mut outputs);
             [at_init, after_start_all, count(ctx)]
-        });
-        let [at_init, after_start_all, after_own] = counts[0];
+        })[0]
+    };
+    let union = union_of(&[&levels[0], &levels[1], &levels[2]]);
+    for backend in [
+        Backend::Protocol(Protocol::FullNeighbor),
+        Backend::Protocol(Protocol::StandardHypre),
+        Backend::Partitioned(Protocol::FullNeighbor),
+        Backend::Auto,
+    ] {
+        let own: usize = levels.iter().map(|l| registered(l, backend)).sum();
+        let mut batch = NeighborBatch::new(&topo);
+        for level in &levels {
+            batch = batch.entry(level, backend);
+        }
+        let [at_init, after_start_all, after_own] = counts(&batch);
         assert_eq!(at_init, registered(&union, backend), "{backend:?}");
         assert!(at_init < own, "{backend:?}: union {at_init}, entries {own}");
         assert_eq!(after_start_all, at_init, "{backend:?}");
         assert_eq!(after_own - after_start_all, own, "{backend:?}");
     }
+
+    // a mixed batch: a union of two entries, a lone entry on a second
+    // backend and a tuned entry (never a union member) register each
+    // what a one-entry batch of it registers; only the two members'
+    // own collectives come at their first starts on their own
+    let full = Backend::Protocol(Protocol::FullNeighbor);
+    let hypre = Backend::Protocol(Protocol::StandardHypre);
+    let batch = NeighborBatch::new(&topo)
+        .entry(&levels[0], full)
+        .entry(&levels[2], hypre)
+        .entry(&levels[1], full)
+        .entry(&levels[0], Backend::Tuned);
+    let [at_init, after_start_all, after_own] = counts(&batch);
+    let expected = registered(&union_of(&[&levels[0], &levels[1]]), full)
+        + registered(&levels[2], hypre)
+        + registered(&levels[0], Backend::Tuned);
+    assert_eq!(at_init, expected, "mixed batch");
+    assert_eq!(after_start_all, at_init, "mixed batch");
+    let members = registered(&levels[0], full) + registered(&levels[1], full);
+    assert_eq!(after_own - after_start_all, members, "mixed batch");
 }
